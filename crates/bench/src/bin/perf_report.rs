@@ -292,13 +292,11 @@ where
     // (the returned history/solution vectors) cancel. With the warm
     // workspace this is exactly zero.
     let short = iters / 4;
-    let s0 = alloc::stats();
-    let _ = std::hint::black_box(fgmres_with(a, precond, b, &x0, &cfg(short), &mut ws));
-    let s1 = alloc::stats();
-    let _ = std::hint::black_box(fgmres_with(a, precond, b, &x0, &cfg(iters), &mut ws));
-    let s2 = alloc::stats();
-    let d_short = s1.since(s0);
-    let d_long = s2.since(s1);
+    let mut solve = |n| {
+        alloc::measure(|| std::hint::black_box(fgmres_with(a, precond, b, &x0, &cfg(n), &mut ws))).1
+    };
+    let d_short = solve(short);
+    let d_long = solve(iters);
     let di = (iters - short) as f64;
     let allocs_per_iter = d_long.count.saturating_sub(d_short.count) as f64 / di;
     let bytes_per_iter = d_long.bytes.saturating_sub(d_short.bytes) as f64 / di;

@@ -29,6 +29,10 @@ use std::process::ExitCode;
 #[global_allocator]
 static ALLOC: parfem::trace::alloc::CountingAlloc = parfem::trace::alloc::CountingAlloc;
 
+/// Exit status of a session rejected as misconfigured
+/// ([`SolveFailures::is_config_error`](parfem::dd::SolveFailures::is_config_error)).
+const EXIT_CONFIG: u8 = 3;
+
 fn usage() -> ExitCode {
     // The `--precond` and `--machine` help lines come straight from the
     // registries, so the usage screen can never drift from the parsers.
@@ -85,6 +89,9 @@ solve options:
   --profile             print per-rank phase/comm tables after the solve
   --metrics             print the metrics-registry exposition after the solve
   --mtx-out PREFIX      write PREFIX_k.mtx / PREFIX_f.mtx / PREFIX_u.mtx
+  exit status           0 converged; 1 the solve failed or did not converge;
+                        2 malformed command line; 3 the options do not fit
+                        the input (rejected before any rank ran)
 
 report options:
   --trace FILE.jsonl    trace file written by `parfem solve --trace`
@@ -391,6 +398,13 @@ fn cmd_solve(args: &Args) -> ExitCode {
         .run();
     let out = match result {
         Ok(out) => out,
+        Err(failures) if failures.is_config_error() => {
+            // Rejected before any rank ran: the options do not fit the
+            // input. Distinct from a solve that ran and failed (1) and from
+            // a malformed command line (2).
+            eprintln!("error: {failures}");
+            return ExitCode::from(EXIT_CONFIG);
+        }
         Err(failures) => {
             eprintln!("error: {failures}");
             for (rank, e) in &failures.errors {

@@ -293,6 +293,7 @@ pub(crate) fn run_dynamic_edd(
             history: last_history,
             reports: out.reports,
             modeled_time: out.modeled_time,
+            coarse: Vec::new(),
         },
         watch_histories,
         total_iterations,

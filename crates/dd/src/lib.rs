@@ -9,9 +9,9 @@
 //!   Arnoldi step) and enhanced (Algorithm 6, one exchange) variants,
 //! - [`rdd`] — the row-based (block-row) distributed operator and FGMRES
 //!   (Algorithm 8), the PSPARSLIB/Aztec-style baseline,
-//! - [`coarse`] — two-level coarse-space construction over both
-//!   partitions: per-part geometry extraction, host-side Galerkin
-//!   assembly, and the per-rank restriction of the coarse basis,
+//! - [`coarse`] — two-level coarse-space construction on the ranks, over
+//!   both partitions: per-part geometry extraction, the live-mode exchange
+//!   hooks of both distributed operators, and the one rank-side build,
 //! - [`solver`] — the unified distributed FGMRES core: one restarted
 //!   flexible GMRES loop over the [`solver::DistributedOperator`] trait
 //!   that both [`edd`] and [`rdd`] implement,
@@ -40,8 +40,7 @@ pub mod session;
 pub mod solver;
 
 pub use coarse::{
-    edd_coarse_basis, edd_coarse_solvers, edd_part_geometry, edd_scaled_matrix, rdd_coarse_basis,
-    rdd_coarse_solvers,
+    build_rank_coarse, edd_part_geometry, rdd_part_geometry, CoarseBuildStats, CoarsePlan,
 };
 pub use dist_vec::{EddLayout, ExchangeBuffers};
 #[allow(deprecated)] // the frozen legacy entry points stay importable

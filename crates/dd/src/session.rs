@@ -37,12 +37,14 @@
 //! bit-identical to the historical `solve_*` entry points (pinned by the
 //! FNV-1a golden digests in `tests/golden.rs`).
 
-use crate::coarse::{edd_coarse_basis, edd_coarse_solvers, rdd_coarse_basis, rdd_coarse_solvers};
+use crate::coarse::{
+    build_rank_coarse, edd_part_geometry, rdd_part_geometry, CoarseBuildStats, CoarsePlan,
+};
 use crate::dist_vec::EddLayout;
 use crate::dynamic::{run_dynamic_edd, DynamicRunConfig, DynamicRunOutput};
-use crate::edd::{edd_fgmres_metered, EddVariant};
+use crate::edd::{edd_fgmres_metered, EddOperator, EddVariant};
 use crate::error::SolveError;
-use crate::rdd::{rdd_fgmres_metered, RddSystem};
+use crate::rdd::{rdd_fgmres_metered, RddOperator, RddSystem};
 use crate::scaling::DistributedScaling;
 use parfem_fem::{assembly::StaticSystem, Material, NewmarkParams, Physics, SubdomainSystem};
 use parfem_krylov::gmres::GmresConfig;
@@ -55,10 +57,9 @@ use parfem_msg::{
     try_run_ranks, Communicator, FaultPlan, FaultStats, FaultyComm, MachineModel, RankReport,
     RunOptions, ThreadComm,
 };
-use parfem_precond::twolevel::{CoarseSolver, CoarseSpec};
+use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSetup, CoarseSpec, SpecPrecond};
 pub use parfem_precond::PrecondSpec;
 
-use parfem_sparse::skyline::DEFAULT_PIVOT_TOL;
 use parfem_sparse::{dense, scaling::scale_system, CsrMatrix, KernelPolicy};
 use parfem_trace::{alloc, MetricsRegistry, TraceSink, Value};
 use std::fmt;
@@ -129,6 +130,9 @@ pub struct DdSolveOutput {
     pub reports: Vec<RankReport>,
     /// Modeled parallel time (max over rank clocks), in seconds.
     pub modeled_time: f64,
+    /// Per-rank record of the two-level coarse build — what it produced
+    /// and what it charged to the rank's clock. Empty for one-level specs.
+    pub coarse: Vec<CoarseBuildStats>,
 }
 
 /// Output of a multi-right-hand-side session ([`SolveSession::run_multi`]).
@@ -158,7 +162,9 @@ impl MultiSolveOutput {
 /// Everything a failed distributed solve still knows.
 ///
 /// Returned by [`SolveSession::run`] / [`SolveSession::run_multi`] when at
-/// least one rank hit a typed [`SolveError`]. Ranks that completed normally
+/// least one rank hit a typed [`SolveError`], or when the session's options
+/// cannot run on its input ([`SolveError::Config`], reported before any
+/// rank spawns: `reports` is empty then). Ranks that completed normally
 /// are not listed in `errors`; the per-rank [`RankReport`]s cover every
 /// rank up to the point its thread returned, so a post-mortem can still see
 /// who spent what before the failure.
@@ -178,6 +184,9 @@ impl fmt::Display for SolveFailures {
             Some((r, e)) => (*r, e),
             None => return write!(f, "distributed solve failed (no rank error recorded)"),
         };
+        if self.is_config_error() {
+            return write!(f, "{first}");
+        }
         write!(
             f,
             "{} of {} ranks failed; first: rank {}: {}",
@@ -186,6 +195,23 @@ impl fmt::Display for SolveFailures {
             rank,
             first
         )
+    }
+}
+
+impl SolveFailures {
+    /// A failure found while preparing the run, before any rank spawned.
+    fn before_spawn(error: SolveError) -> Self {
+        SolveFailures {
+            errors: vec![(0, error)],
+            reports: Vec::new(),
+            modeled_time: 0.0,
+        }
+    }
+
+    /// Whether the session was rejected as misconfigured (as opposed to
+    /// failing while it ran).
+    pub fn is_config_error(&self) -> bool {
+        matches!(self.errors.first(), Some((_, SolveError::Config { .. })))
     }
 }
 
@@ -564,7 +590,9 @@ impl<'a> SolveSession<'a> {
     /// # Errors
     /// Returns [`SolveFailures`] listing every rank whose solve failed
     /// with a typed [`SolveError`] (possible only under fault injection or
-    /// communicator timeouts).
+    /// communicator timeouts), or the [`SolveError::Config`] that rejected
+    /// the option combination before any rank spawned (`twolevel:rbm*` on
+    /// prebuilt systems, which carry no node coordinates).
     ///
     /// # Panics
     /// Panics on API misuse: a mesh-level session without a strategy, or a
@@ -731,19 +759,21 @@ fn assemble_edd(
 /// convergence renderer) onto the trace as a host-side `solve_summary`
 /// instant event.
 ///
-/// `alloc_start` is the allocation-counter snapshot taken when the solve
-/// began; when the process runs under a
+/// `host_alloc_start` is the host thread's allocation-counter snapshot
+/// taken when the solve began; when the process runs under a
 /// [`parfem_trace::alloc::CountingAlloc`] (the `parfem` binary's
 /// `count-allocs` feature, or an instrumented test harness), the summary
-/// additionally carries `alloc_count` / `alloc_bytes` for the whole solve,
-/// so workspace regressions surface directly in `parfem report`.
+/// additionally carries `alloc_count` / `alloc_bytes` for the whole solve —
+/// the host thread's share plus every rank thread's — so workspace
+/// regressions surface directly in `parfem report`. A two-level solve also
+/// carries the `coarse_*` record of its rank-side coarse build.
 fn emit_solve_summary(
     sink: &TraceSink,
     variant: &str,
     spec: &PrecondSpec,
     overlap: bool,
     out: &DdSolveOutput,
-    alloc_start: alloc::AllocStats,
+    host_alloc_start: alloc::AllocStats,
 ) {
     if let Some(tracer) = sink.host_tracer() {
         let mut fields = vec![
@@ -775,9 +805,17 @@ fn emit_solve_summary(
             ("overlap".to_string(), Value::U64(overlap as u64)),
         ];
         if alloc::is_counting() {
-            let d = alloc::stats().since(alloc_start);
+            let d = out
+                .reports
+                .iter()
+                .fold(alloc::stats().since(host_alloc_start), |acc, r| {
+                    acc.merged(r.allocs)
+                });
             fields.push(("alloc_count".to_string(), Value::U64(d.count)));
             fields.push(("alloc_bytes".to_string(), Value::U64(d.bytes)));
+        }
+        if let Some(coarse) = CoarseBuildStats::over_ranks(&out.coarse) {
+            fields.extend(coarse.fields());
         }
         tracer.instant("solve_summary", 0.0, fields);
     }
@@ -883,52 +921,122 @@ fn coarse_spec(spec: &PrecondSpec) -> Option<&CoarseSpec> {
     }
 }
 
-/// Host-side coarse construction for an EDD run: when the spec is
-/// two-level, builds the global coarse basis once and restricts it to one
-/// [`CoarseSolver`] per rank, all under a `coarse-build` host span.
-fn build_edd_coarse(
-    spec: &PrecondSpec,
-    systems: &[SubdomainSystem],
-    n_dofs: usize,
-    coords: Option<&[[f64; 3]]>,
-    dofs_per_node: usize,
-    sink: &TraceSink,
-) -> Option<Vec<CoarseSolver>> {
-    coarse_spec(spec).map(|cs| {
-        host_span(sink, "coarse-build", || {
-            let basis = edd_coarse_basis(
-                cs,
-                systems,
-                n_dofs,
-                coords,
-                dofs_per_node,
-                DEFAULT_PIVOT_TOL,
-            );
-            edd_coarse_solvers(&basis, systems)
-        })
-    })
+/// What the host hands the ranks for their coarse build: the spec and each
+/// rank's own part geometry. Nothing of the coarse space itself is built
+/// here.
+struct CoarsePrep<'s> {
+    spec: &'s CoarseSpec,
+    n_comp: usize,
+    parts: Vec<CoarsePartGeometry>,
 }
 
-/// Host-side coarse construction for an RDD run, over the already-scaled
-/// assembled operator and the node partition's disjoint block rows.
-fn build_rdd_coarse(
-    spec: &PrecondSpec,
+impl CoarsePrep<'_> {
+    fn plan(&self, rank: usize) -> CoarsePlan<'_> {
+        CoarsePlan {
+            spec: self.spec,
+            n_comp: self.n_comp,
+            geo: &self.parts[rank],
+        }
+    }
+}
+
+/// Host-side preparation of a two-level run, under the `coarse-build` host
+/// span: extracts the per-part geometry the ranks start from (`None` for
+/// one-level specs). A spec the input cannot serve is rejected here, as a
+/// typed error, before any rank spawns.
+fn prepare_coarse<'s>(
+    spec: &'s PrecondSpec,
+    n_comp: usize,
+    sink: &TraceSink,
+    geometry: impl FnOnce(&CoarseSpec) -> Result<Vec<CoarsePartGeometry>, SolveError>,
+) -> Result<Option<CoarsePrep<'s>>, SolveFailures> {
+    let Some(cs) = coarse_spec(spec) else {
+        return Ok(None);
+    };
+    let parts =
+        host_span(sink, "coarse-build", || geometry(cs)).map_err(SolveFailures::before_spawn)?;
+    Ok(Some(CoarsePrep {
+        spec: cs,
+        n_comp,
+        parts,
+    }))
+}
+
+/// The rank-side EDD preconditioner build (the `precond-build` rank span):
+/// the two-level coarse space over the rank's own scaled matrix and
+/// interface layout when the spec asks for one, then the registry
+/// instantiation.
+fn edd_build_precond<C: Communicator>(
+    comm: &C,
+    sys: &SubdomainSystem,
+    layout: &EddLayout,
+    sc: &DistributedScaling,
+    a: &CsrMatrix,
+    coarse: Option<CoarsePlan<'_>>,
+    cfg: &SolverConfig,
+) -> (SpecPrecond, Option<CoarseBuildStats>) {
+    if let Some(t) = comm.tracer() {
+        t.span_begin("precond-build", comm.virtual_time());
+    }
+    let (solver, stats) = coarse
+        .map(|plan| {
+            let op = EddOperator::new(a, layout, comm);
+            let (built, stats) = build_rank_coarse(&op, plan, &sys.multiplicity, &sc.d);
+            (built.solver(op.partition_weights()), stats)
+        })
+        .unzip();
+    // The rank-local scaled matrix feeds the `direct` spec (exact local
+    // solve); the lazy closure feeds Jacobi its assembled diagonal.
+    let pc = cfg.precond.instantiate_full(solver, Some(a), || {
+        let mut d = a.diagonal();
+        let mut bufs = crate::dist_vec::ExchangeBuffers::new();
+        layout.interface_sum_buffered(comm, &mut d, &mut bufs);
+        d
+    });
+    if let Some(t) = comm.tracer() {
+        t.span_end("precond-build", comm.virtual_time());
+    }
+    (pc, stats)
+}
+
+/// The rank-side RDD preconditioner build (the `precond-build` rank span):
+/// the two-level coarse space over the rank's block row and halo lists when
+/// the spec asks for one, then the registry instantiation. `a` and `d` are
+/// the host-scaled assembled operator and its scaling diagonal, read at
+/// this rank's own rows only.
+fn rdd_build_precond<C: Communicator>(
+    comm: &C,
+    sys: &RddSystem,
     a: &CsrMatrix,
     d: &[f64],
-    node_part: &NodePartition,
-    p: &Problem<'_>,
-    systems: &[RddSystem],
-    sink: &TraceSink,
-) -> Option<Vec<CoarseSolver>> {
-    coarse_spec(spec).map(|cs| {
-        host_span(sink, "coarse-build", || {
-            let coords = p.coords3();
-            let basis =
-                rdd_coarse_basis(cs, a, d, node_part, p.dof_map, &coords, DEFAULT_PIVOT_TOL);
-            rdd_coarse_solvers(&basis, systems)
+    coarse: Option<CoarsePlan<'_>>,
+    cfg: &SolverConfig,
+) -> (SpecPrecond, Option<CoarseBuildStats>) {
+    if let Some(t) = comm.tracer() {
+        t.span_begin("precond-build", comm.virtual_time());
+    }
+    let (solver, stats) = coarse
+        .map(|plan| {
+            let op = RddOperator::new(sys, comm);
+            let d_loc: Vec<f64> = sys.rows.iter().map(|&g| d[g]).collect();
+            let (built, stats) = build_rank_coarse(&op, plan, &vec![1.0; sys.n_local()], &d_loc);
+            (built.solver(op.partition_weights()), stats)
         })
-    })
+        .unzip();
+    // `a_loc` (the owned diagonal block) feeds the `direct` spec; the lazy
+    // closure feeds Jacobi its diagonal.
+    let pc = cfg.precond.instantiate_full(solver, Some(&sys.a_loc), || {
+        sys.rows.iter().map(|&g| a.get(g, g)).collect()
+    });
+    if let Some(t) = comm.tracer() {
+        t.span_end("precond-build", comm.virtual_time());
+    }
+    (pc, stats)
 }
+
+/// What a single-RHS rank body returns: its solution slice, the convergence
+/// history, and the record of its coarse build (two-level specs only).
+type RankSolve = (Vec<f64>, ConvergenceHistory, Option<CoarseBuildStats>);
 
 /// The per-rank EDD pipeline: distributed scaling, preconditioner build,
 /// and the flexible GMRES, over any [`Communicator`] — the raw
@@ -936,9 +1044,9 @@ fn build_rdd_coarse(
 fn edd_rank_body<C: Communicator>(
     comm: &C,
     sys: &SubdomainSystem,
-    coarse: Option<&CoarseSolver>,
+    coarse: Option<CoarsePlan<'_>>,
     cfg: &SolverConfig,
-) -> Result<(Vec<f64>, ConvergenceHistory), SolveError> {
+) -> Result<RankSolve, SolveError> {
     if let Some(t) = comm.tracer() {
         t.span_begin("scaling", comm.virtual_time());
     }
@@ -949,21 +1057,9 @@ fn edd_rank_body<C: Communicator>(
     let a = sc.apply(&sys.k_local, &mut b);
     if let Some(t) = comm.tracer() {
         t.span_end("scaling", comm.virtual_time());
-        t.span_begin("precond-build", comm.virtual_time());
     }
     let x0 = vec![0.0; b.len()];
-    // The rank-local scaled matrix feeds the `direct` spec (exact local
-    // solve); the lazy closure feeds Jacobi its assembled diagonal.
-    let pc = cfg.precond.instantiate_full(coarse.cloned(), Some(&a), || {
-        // Assembled diagonal of the scaled operator for Jacobi.
-        let mut d = a.diagonal();
-        let mut bufs = crate::dist_vec::ExchangeBuffers::new();
-        layout.interface_sum_buffered(comm, &mut d, &mut bufs);
-        d
-    });
-    if let Some(t) = comm.tracer() {
-        t.span_end("precond-build", comm.virtual_time());
-    }
+    let (pc, coarse) = edd_build_precond(comm, sys, &layout, &sc, &a, coarse, cfg);
     let res = edd_fgmres_metered(
         comm,
         &layout,
@@ -978,7 +1074,7 @@ fn edd_rank_body<C: Communicator>(
     )?;
     let mut u = res.x;
     sc.unscale(&mut u);
-    Ok((u, res.history))
+    Ok((u, res.history, coarse))
 }
 
 /// The per-rank multi-RHS EDD pipeline: layout, scaling, preconditioner
@@ -986,7 +1082,7 @@ fn edd_rank_body<C: Communicator>(
 fn edd_multi_rank_body<C: Communicator>(
     comm: &C,
     sys: &SubdomainSystem,
-    coarse: Option<&CoarseSolver>,
+    coarse: Option<CoarsePlan<'_>>,
     fixed_local: &[usize],
     rhs_set: &[Vec<f64>],
     cfg: &SolverConfig,
@@ -1002,20 +1098,11 @@ fn edd_multi_rank_body<C: Communicator>(
     let a = sc.apply(&sys.k_local, &mut dummy_rhs);
     if let Some(t) = comm.tracer() {
         t.span_end("scaling", comm.virtual_time());
-        t.span_begin("precond-build", comm.virtual_time());
     }
     // A concrete `SpecPrecond` (not the boxed form): the operator type is
     // re-instantiated at every solve, so the per-RHS `b` borrows below do
     // not have to outlive the preconditioner.
-    let pc = cfg.precond.instantiate_full(coarse.cloned(), Some(&a), || {
-        let mut d = a.diagonal();
-        let mut bufs = crate::dist_vec::ExchangeBuffers::new();
-        layout.interface_sum_buffered(comm, &mut d, &mut bufs);
-        d
-    });
-    if let Some(t) = comm.tracer() {
-        t.span_end("precond-build", comm.virtual_time());
-    }
+    let (pc, _) = edd_build_precond(comm, sys, &layout, &sc, &a, coarse, cfg);
     let x0 = vec![0.0; n];
     let mut ws = KrylovWorkspace::new();
     let mut solutions = Vec::with_capacity(rhs_set.len());
@@ -1101,13 +1188,18 @@ fn run_edd_systems(
     let p = systems.len();
     assert!(p > 0, "need at least one subdomain system");
     let alloc_start = alloc::stats();
-    let coarse = build_edd_coarse(&cfg.precond, systems, n_dofs, coords, dofs_per_node, sink);
+    let coarse = match prepare_coarse(&cfg.precond, dofs_per_node, sink, |cs| {
+        edd_part_geometry(cs, systems, coords, dofs_per_node)
+    }) {
+        Ok(coarse) => coarse,
+        Err(rejected) => return record_session_outcome(&cfg.metrics, Err(rejected)),
+    };
     let opts = RunOptions {
         comm_timeout: cfg.comm_timeout,
     };
     let out = try_run_ranks(p, model, opts, sink, |comm: &ThreadComm| {
         let sys = &systems[comm.rank()];
-        let csol = coarse.as_ref().map(|c| &c[comm.rank()]);
+        let csol = coarse.as_ref().map(|c| c.plan(comm.rank()));
         match &cfg.faults {
             Some(plan) => {
                 let faulty = FaultyComm::new(comm, plan.clone());
@@ -1126,7 +1218,7 @@ fn run_edd_systems(
 
     let mut u = vec![0.0; n_dofs];
     host_span(sink, "gather", || {
-        for (rank, (ul, _)) in results.iter().enumerate() {
+        for (rank, (ul, _, _)) in results.iter().enumerate() {
             for (l, &g) in systems[rank].global_dofs.iter().enumerate() {
                 u[g] = ul[l];
             }
@@ -1137,6 +1229,7 @@ fn run_edd_systems(
         history: results[0].1.clone(),
         reports,
         modeled_time,
+        coarse: results.iter().filter_map(|r| r.2).collect(),
     };
     emit_solve_summary(
         sink,
@@ -1178,21 +1271,17 @@ fn run_multi_edd(
                 .collect()
         })
         .collect();
-    let coords = p.coords3();
-    let coarse = build_edd_coarse(
-        &cfg.precond,
-        &systems,
-        p.dof_map.n_dofs(),
-        Some(&coords),
-        p.dof_map.dofs_per_node(),
-        sink,
-    );
+    let dpn = p.dof_map.dofs_per_node();
+    // A mesh-level session always has coordinates: this cannot be rejected.
+    let coarse = prepare_coarse(&cfg.precond, dpn, sink, |cs| {
+        edd_part_geometry(cs, &systems, Some(&p.coords3()), dpn)
+    })?;
     let opts = RunOptions {
         comm_timeout: cfg.comm_timeout,
     };
     let out = try_run_ranks(systems.len(), model, opts, sink, |comm: &ThreadComm| {
         let sys = &systems[comm.rank()];
-        let csol = coarse.as_ref().map(|c| &c[comm.rank()]);
+        let csol = coarse.as_ref().map(|c| c.plan(comm.rank()));
         let fixed = &fixed_local[comm.rank()];
         match &cfg.faults {
             Some(plan) => {
@@ -1238,23 +1327,12 @@ fn rdd_rank_body<C: Communicator>(
     comm: &C,
     sys: &RddSystem,
     a: &CsrMatrix,
-    coarse: Option<&CoarseSolver>,
+    d: &[f64],
+    coarse: Option<CoarsePlan<'_>>,
     cfg: &SolverConfig,
-) -> Result<(Vec<f64>, ConvergenceHistory), SolveError> {
-    if let Some(t) = comm.tracer() {
-        t.span_begin("precond-build", comm.virtual_time());
-    }
+) -> Result<RankSolve, SolveError> {
     let x0 = vec![0.0; sys.n_local()];
-    // `a_loc` (the owned diagonal block) feeds the `direct` spec; the lazy
-    // closure feeds Jacobi its diagonal.
-    let pc = cfg
-        .precond
-        .instantiate_full(coarse.cloned(), Some(&sys.a_loc), || {
-            sys.rows.iter().map(|&d| a.get(d, d)).collect()
-        });
-    if let Some(t) = comm.tracer() {
-        t.span_end("precond-build", comm.virtual_time());
-    }
+    let (pc, coarse) = rdd_build_precond(comm, sys, a, d, coarse, cfg);
     let res = rdd_fgmres_metered(
         comm,
         sys,
@@ -1264,7 +1342,7 @@ fn rdd_rank_body<C: Communicator>(
         &mut KrylovWorkspace::new(),
         &cfg.metrics,
     )?;
-    Ok((res.x, res.history))
+    Ok((res.x, res.history, coarse))
 }
 
 /// The RDD engine: host-side assembly and scaling, block-row split, one
@@ -1285,15 +1363,9 @@ fn run_rdd(
     for sys in &mut systems {
         sys.overlap = cfg.overlap;
     }
-    let coarse = build_rdd_coarse(
-        &cfg.precond,
-        &a,
-        sc.diagonal(),
-        node_part,
-        p,
-        &systems,
-        sink,
-    );
+    let coarse = prepare_coarse(&cfg.precond, p.dof_map.dofs_per_node(), sink, |_| {
+        Ok(rdd_part_geometry(node_part, p.dof_map, &p.coords3()))
+    })?;
     let nparts = node_part.n_parts();
     let opts = RunOptions {
         comm_timeout: cfg.comm_timeout,
@@ -1301,15 +1373,15 @@ fn run_rdd(
 
     let out = try_run_ranks(nparts, model, opts, sink, |comm: &ThreadComm| {
         let sys = &systems[comm.rank()];
-        let csol = coarse.as_ref().map(|c| &c[comm.rank()]);
+        let csol = coarse.as_ref().map(|c| c.plan(comm.rank()));
         match &cfg.faults {
             Some(plan) => {
                 let faulty = FaultyComm::new(comm, plan.clone());
-                let r = rdd_rank_body(&faulty, sys, &a, csol, cfg);
+                let r = rdd_rank_body(&faulty, sys, &a, sc.diagonal(), csol, cfg);
                 record_fault_metrics(&cfg.metrics, &faulty.fault_stats());
                 r
             }
-            None => rdd_rank_body(comm, sys, &a, csol, cfg),
+            None => rdd_rank_body(comm, sys, &a, sc.diagonal(), csol, cfg),
         }
     });
     record_comm_metrics(&cfg.metrics, &out.reports, out.modeled_time);
@@ -1320,7 +1392,7 @@ fn run_rdd(
 
     let mut x = vec![0.0; p.dof_map.n_dofs()];
     let solved = host_span(sink, "gather", || {
-        for (rank, (xl, _)) in results.iter().enumerate() {
+        for (rank, (xl, _, _)) in results.iter().enumerate() {
             systems[rank].scatter(xl, &mut x);
         }
         DdSolveOutput {
@@ -1328,6 +1400,7 @@ fn run_rdd(
             history: results[0].1.clone(),
             reports,
             modeled_time,
+            coarse: results.iter().filter_map(|r| r.2).collect(),
         }
     });
     emit_solve_summary(sink, "rdd", &cfg.precond, cfg.overlap, &solved, alloc_start);
@@ -1368,30 +1441,25 @@ fn run_multi_rdd(
     for sys in &mut systems {
         sys.overlap = cfg.overlap;
     }
-    let coarse = build_rdd_coarse(
-        &cfg.precond,
-        &a,
-        sc.diagonal(),
-        node_part,
-        p,
-        &systems,
-        sink,
-    );
+    let coarse = prepare_coarse(&cfg.precond, p.dof_map.dofs_per_node(), sink, |_| {
+        Ok(rdd_part_geometry(node_part, p.dof_map, &p.coords3()))
+    })?;
     let nparts = node_part.n_parts();
     let opts = RunOptions {
         comm_timeout: cfg.comm_timeout,
     };
     let out = try_run_ranks(nparts, model, opts, sink, |comm: &ThreadComm| {
         let template = &systems[comm.rank()];
-        let csol = coarse.as_ref().map(|c| &c[comm.rank()]);
+        let csol = coarse.as_ref().map(|c| c.plan(comm.rank()));
+        let d = sc.diagonal();
         match &cfg.faults {
             Some(plan) => {
                 let faulty = FaultyComm::new(comm, plan.clone());
-                let r = rdd_multi_rank_body(&faulty, template, csol, &scaled_rhs, &a, cfg);
+                let r = rdd_multi_rank_body(&faulty, template, csol, &scaled_rhs, &a, d, cfg);
                 record_fault_metrics(&cfg.metrics, &faulty.fault_stats());
                 r
             }
-            None => rdd_multi_rank_body(comm, template, csol, &scaled_rhs, &a, cfg),
+            None => rdd_multi_rank_body(comm, template, csol, &scaled_rhs, &a, d, cfg),
         }
     });
     record_comm_metrics(&cfg.metrics, &out.reports, out.modeled_time);
@@ -1425,24 +1493,15 @@ fn run_multi_rdd(
 fn rdd_multi_rank_body<C: Communicator>(
     comm: &C,
     template: &RddSystem,
-    coarse: Option<&CoarseSolver>,
+    coarse: Option<CoarsePlan<'_>>,
     scaled_rhs: &[Vec<f64>],
     a: &CsrMatrix,
+    d: &[f64],
     cfg: &SolverConfig,
 ) -> Result<(Vec<Vec<f64>>, Vec<ConvergenceHistory>), SolveError> {
-    if let Some(t) = comm.tracer() {
-        t.span_begin("precond-build", comm.virtual_time());
-    }
     // Concrete `SpecPrecond`, so the local system can be mutated between
     // solves (a boxed trait object would pin the operator's lifetime).
-    let pc = cfg
-        .precond
-        .instantiate_full(coarse.cloned(), Some(&template.a_loc), || {
-            template.rows.iter().map(|&d| a.get(d, d)).collect()
-        });
-    if let Some(t) = comm.tracer() {
-        t.span_end("precond-build", comm.virtual_time());
-    }
+    let (pc, _) = rdd_build_precond(comm, template, a, d, coarse, cfg);
     let mut sys = template.clone();
     let x0 = vec![0.0; template.n_local()];
     let mut ws = KrylovWorkspace::new();

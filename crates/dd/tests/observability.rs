@@ -9,10 +9,10 @@
 //! the modeled parallel time is attributed to compute, a message in
 //! flight, or a collective on some rank.
 
-use parfem_dd::{Problem, SolveSession, SolverConfig, Strategy};
+use parfem_dd::{PrecondSpec, Problem, SolveSession, SolverConfig, Strategy};
 use parfem_fem::{assembly, Material};
 use parfem_krylov::gmres::GmresConfig;
-use parfem_mesh::{DofMap, Edge, ElementPartition, QuadMesh};
+use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, PartitionerSpec, QuadMesh};
 use parfem_msg::{CommStats, FaultPlan, MachineModel};
 use parfem_trace::{
     export_chrome_trace, json, CritPath, MetricsRegistry, SegmentKind, TraceReport, TraceSink,
@@ -208,6 +208,150 @@ fn trace_report_matches_comm_stats_under_faults_and_overlap() {
         cp.path_length(),
         cp.makespan
     );
+}
+
+/// The rank-side coarse build explains itself and is paid for: a two-level
+/// solve carries the per-rank build record, its exchanges and reductions
+/// show up in both the trace and [`CommStats`] (which still agree), the
+/// rank spans still tile each rank's timeline with the nested
+/// `coarse-build` span inside `precond-build`, and the modeled time
+/// strictly exceeds what it would be with the setup charges masked out.
+#[test]
+fn twolevel_setup_is_charged_traced_and_summarized() {
+    let (mesh, dm, mat, loads) = problem(24, 6);
+    let passes = 3u64;
+    let spec = PrecondSpec::parse("twolevel:rbm.s3:gls-3").unwrap();
+    let strategies = [
+        (
+            "edd",
+            Strategy::Edd(PartitionerSpec::Graph { seed: 7 }.element_partition(&mesh, 4)),
+        ),
+        ("rdd", Strategy::Rdd(NodePartition::strips_x(&mesh, 4))),
+    ];
+    for (name, strategy) in strategies {
+        let sink = TraceSink::recording();
+        let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+            .strategy(strategy)
+            .config(cfg())
+            .precond(spec.clone())
+            .machine(MachineModel::ibm_sp2())
+            .trace(&sink)
+            .run()
+            .expect("fault-free two-level solve");
+        assert!(out.history.converged(), "{name}");
+        let events = sink.take_events();
+        let report = TraceReport::from_events(&events);
+
+        // The per-rank record: sizes every rank agrees on, constants of
+        // the smoothing, and exactly the collective rounds the build
+        // performs — publish + diagonal + one per pass under EDD, one
+        // gather per pass + one before the Galerkin product under RDD; 12
+        // power-iteration reductions + the coarse operator.
+        assert_eq!(out.coarse.len(), 4, "{name}");
+        for c in &out.coarse {
+            assert_eq!(c.info.n_modes, 12, "{name}");
+            assert_eq!(c.info.nnz, out.coarse[0].info.nnz, "{name}");
+            assert!(c.info.live_modes >= 3 && c.info.live_modes <= 12, "{name}");
+            assert!(c.info.lambda_hat > 1.0 && c.info.lambda_hat < 4.0, "{name}");
+            assert_eq!(c.info.omega, 4.0 / (3.0 * c.info.lambda_hat), "{name}");
+            assert_eq!(c.info.lambda_hat, out.coarse[0].info.lambda_hat, "{name}");
+            let rounds = if name == "edd" {
+                passes + 2
+            } else {
+                passes + 1
+            };
+            // + the 12 interface exchanges inside the EDD/RDD matvecs of
+            // the power iteration.
+            assert_eq!(c.exchanges, rounds + 12, "{name}");
+            assert_eq!(c.allreduces, 13, "{name}");
+            assert!(
+                c.flops > 0 && c.bytes_sent > 0 && c.virtual_s > 0.0,
+                "{name}"
+            );
+        }
+
+        // Trace and CommStats still agree, new exchanges included.
+        let mut stats = CommStats::default();
+        for r in &out.reports {
+            stats = stats.merged(&r.stats);
+        }
+        let totals = report.comm_totals();
+        assert_eq!(totals.sends, stats.sends, "{name}: sends");
+        assert_eq!(totals.bytes_sent, stats.bytes_sent, "{name}: bytes sent");
+        assert_eq!(totals.recvs, stats.recvs, "{name}: recvs");
+        assert_eq!(totals.allreduces, stats.allreduces, "{name}: allreduces");
+        assert_eq!(
+            totals.neighbor_exchanges, stats.neighbor_exchanges,
+            "{name}: exchanges"
+        );
+
+        // Rank spans tile the rank's timeline; `coarse-build` nests inside
+        // `precond-build` and accounts for the record's modeled seconds.
+        let mut masked = 0.0f64;
+        for (r, c) in report.ranks.iter().zip(&out.coarse) {
+            let virt = |phase: &str| {
+                r.phases
+                    .iter()
+                    .filter(|p| p.name == phase)
+                    .map(|p| p.virt_s)
+                    .sum::<f64>()
+            };
+            let top = virt("scaling") + virt("precond-build") + virt("fgmres");
+            assert!(
+                (top - r.final_virt).abs() <= 1e-9 * r.final_virt,
+                "{name} rank {}: spans sum to {top} but the rank ends at {}",
+                r.rank,
+                r.final_virt
+            );
+            let coarse = virt("coarse-build");
+            assert!(coarse > 0.0 && coarse <= virt("precond-build"), "{name}");
+            assert!((coarse - c.virtual_s).abs() <= 1e-12 * coarse, "{name}");
+            masked = masked.max(r.final_virt - coarse);
+            let counter = |k: &str| r.counters.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
+            assert_eq!(counter("coarse_modes"), Some(12), "{name}");
+            assert_eq!(
+                counter("coarse_live_modes"),
+                Some(c.info.live_modes as u64),
+                "{name}"
+            );
+            assert_eq!(counter("coarse_nnz"), Some(c.info.nnz as u64), "{name}");
+            assert_eq!(counter("coarse_skipped_pivots"), Some(0), "{name}");
+        }
+        assert!(
+            out.modeled_time > masked,
+            "{name}: modeled time {} must exceed the setup-masked {masked}",
+            out.modeled_time
+        );
+
+        // The host summary carries the run-wide record.
+        let summary = report
+            .solve
+            .expect("solve_summary")
+            .coarse
+            .expect("coarse record");
+        assert_eq!(summary.modes, 12, "{name}");
+        assert_eq!(summary.allreduces, 13, "{name}");
+        assert_eq!(
+            summary.flops,
+            out.coarse.iter().map(|c| c.flops).sum::<u64>(),
+            "{name}"
+        );
+        assert_eq!(
+            summary.live_modes,
+            out.coarse.iter().map(|c| c.info.live_modes).max().unwrap() as u64,
+            "{name}"
+        );
+        let text = parfem_trace::render_convergence(&TraceReport::from_events(&events));
+        assert!(text.contains("coarse space: 12 modes"), "{name}: {text}");
+    }
+
+    // A one-level solve carries none of it.
+    let one = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+        .strategy(Strategy::Edd(ElementPartition::strips_x(&mesh, 4)))
+        .config(cfg())
+        .run()
+        .unwrap();
+    assert!(one.coarse.is_empty());
 }
 
 /// The metrics registry observes a whole session end to end: solver

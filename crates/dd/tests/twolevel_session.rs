@@ -10,8 +10,11 @@
 //! Dirichlet rows, one-element parts with rank-deficient mode blocks) must
 //! produce well-posed coarse solves through the pivoting skyline LDLᵀ.
 
+mod common;
+
 use parfem_dd::{
-    DdSolveOutput, EddVariant, PrecondSpec, Problem, SolveSession, SolverConfig, Strategy,
+    DdSolveOutput, EddVariant, PrecondSpec, Problem, SolveError, SolveSession, SolverConfig,
+    Strategy,
 };
 use parfem_fem::{assembly, Material, NewmarkParams, SubdomainSystem};
 use parfem_krylov::gmres::GmresConfig;
@@ -188,10 +191,10 @@ fn twolevel_from_systems_matches_mesh_level() {
 }
 
 /// Rigid-body modes need node coordinates, which prebuilt raw systems do
-/// not carry — the session fails fast with an actionable message.
+/// not carry — the session is rejected with a typed, actionable error
+/// before any rank spawns (plain and smoothed `rbm` alike).
 #[test]
-#[should_panic(expected = "rigid-body coarse modes need node coordinates")]
-fn twolevel_rbm_from_systems_panics() {
+fn twolevel_rbm_from_systems_is_a_config_error() {
     let (mesh, dm, mat, loads) = problem(6, 2);
     let part = ElementPartition::strips_x(&mesh, 2);
     let systems: Vec<SubdomainSystem> = part
@@ -199,9 +202,22 @@ fn twolevel_rbm_from_systems_panics() {
         .iter()
         .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
         .collect();
-    let _ = SolveSession::from_systems(&systems, dm.n_dofs())
-        .config(cfg("twolevel:rbm:gls-3"))
-        .run();
+    for spec in ["twolevel:rbm:gls-3", "twolevel:rbm.s3:gls-3"] {
+        let failures = SolveSession::from_systems(&systems, dm.n_dofs())
+            .config(cfg(spec))
+            .run()
+            .expect_err("rbm without coordinates must be rejected");
+        assert!(failures.is_config_error(), "{spec}: {failures}");
+        assert!(failures.reports.is_empty(), "{spec}: no rank may have run");
+        let (_, err) = &failures.errors[0];
+        assert!(matches!(err, SolveError::Config { .. }), "{spec}: {err:?}");
+        let text = failures.to_string();
+        assert!(
+            text.contains("rigid-body coarse modes need node coordinates")
+                && text.contains("twolevel:const"),
+            "{spec}: message must say what to do instead, got: {text}"
+        );
+    }
 }
 
 /// The transient driver has no coarse plumbing and must reject two-level
@@ -314,8 +330,7 @@ fn one_element_subdomains_produce_valid_coarse_blocks() {
 /// small-strain operator annihilates `(−y, x)` exactly.
 #[test]
 fn rigid_body_modes_span_the_null_space_of_unconstrained_stiffness() {
-    use parfem_dd::{edd_coarse_basis, edd_scaled_matrix};
-    use parfem_precond::CoarseSpec;
+    use parfem_precond::{build_coarse_basis, CoarseSpec};
     use parfem_sparse::skyline::DEFAULT_PIVOT_TOL;
     use parfem_sparse::LinearOperator;
 
@@ -331,16 +346,11 @@ fn rigid_body_modes_span_the_null_space_of_unconstrained_stiffness() {
         .collect();
 
     let coords3: Vec<[f64; 3]> = mesh.coords().iter().map(|c| [c[0], c[1], 0.0]).collect();
-    let basis = edd_coarse_basis(
-        &CoarseSpec::Rbm,
-        &systems,
-        dm.n_dofs(),
-        Some(&coords3),
-        dm.dofs_per_node(),
-        DEFAULT_PIVOT_TOL,
-    );
+    let (a, d) = common::edd_scaled_operator(&systems, dm.n_dofs());
+    let (parts, mult) =
+        common::edd_global_parts(&systems, dm.n_dofs(), &coords3, dm.dofs_per_node());
+    let basis = build_coarse_basis(&CoarseSpec::Rbm, &parts, &mult, &d, &a, DEFAULT_PIVOT_TOL);
     assert_eq!(basis.n_modes(), 3, "2 translations + 1 rotation");
-    let (a, _d) = edd_scaled_matrix(&systems, dm.n_dofs());
 
     for (m, col) in basis.modes.iter().enumerate() {
         assert!(!col.is_empty(), "mode {m} must have support");

@@ -27,13 +27,9 @@ fn laplacian(n: usize) -> CsrMatrix {
     coo.to_csr()
 }
 
-/// Runs one solve and returns the allocation-call delta it caused.
-///
-/// The counters are process-global, so unrelated allocations (libtest's
-/// harness machinery, lazy std initialization) can land inside the measured
-/// window. Noise only ever *adds* counts, so the minimum over a few repeats
-/// recovers the deterministic per-solve cost — while a genuine
-/// per-iteration allocation would inflate every repeat alike.
+/// Runs one solve and returns the allocation calls it made. The counters
+/// are per thread, so sibling tests running in parallel cannot leak into
+/// the measured window.
 fn alloc_delta<Op, P>(
     op: &Op,
     precond: &P,
@@ -46,16 +42,9 @@ where
     P: Preconditioner<Op> + ?Sized,
 {
     let x0 = vec![0.0; b.len()];
-    (0..3)
-        .map(|_| {
-            let start = alloc::stats();
-            let res = fgmres_with(op, precond, b, &x0, cfg, ws);
-            let delta = alloc::stats().since(start);
-            assert!(res.x.iter().all(|v| v.is_finite()));
-            delta.count
-        })
-        .min()
-        .unwrap()
+    let (res, delta) = alloc::measure(|| fgmres_with(op, precond, b, &x0, cfg, ws));
+    assert!(res.x.iter().all(|v| v.is_finite()));
+    delta.count
 }
 
 #[test]

@@ -35,6 +35,7 @@ use crate::comm::Communicator;
 use crate::error::CommError;
 use crate::model::MachineModel;
 use crate::stats::CommStats;
+use parfem_trace::alloc::{self, AllocStats};
 use parfem_trace::{EventKind, Histogram, RankTracer, TraceSink, Value};
 use std::cell::{Cell, RefCell};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -458,6 +459,11 @@ pub struct RankReport {
     pub virtual_time: f64,
     /// Communication counters.
     pub stats: CommStats,
+    /// What the rank's thread allocated over its closure (zeros unless a
+    /// [`parfem_trace::alloc::CountingAlloc`] is installed). Ranks are
+    /// threads and the counters are per thread, so this is the rank's own
+    /// share, untouched by its peers.
+    pub allocs: AllocStats,
 }
 
 /// Output of a parallel run.
@@ -651,12 +657,14 @@ where
             .into_iter()
             .map(|comm| {
                 scope.spawn(move || {
-                    let result =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm)));
+                    let (result, allocs) = alloc::measure(|| {
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm)))
+                    });
                     let report = RankReport {
                         rank: comm.rank(),
                         virtual_time: comm.virtual_time(),
                         stats: comm.stats(),
+                        allocs,
                     };
                     if let Some(tracer) = &comm.tracer {
                         let mut fields = vec![

@@ -14,9 +14,13 @@
 //!   constants ([`CoarseSpec::Const`]), rigid-body modes
 //!   ([`CoarseSpec::Rbm`]), or eigenvalue-selected low-rank local modes
 //!   ([`CoarseSpec::LowRank`]),
-//! - [`build_coarse_basis`] — deterministic construction of the global
-//!   coarse basis `Ẑ` (in post-scaling space) and the factored Galerkin
-//!   operator, from plain per-part geometry slices (no mesh dependency),
+//! - [`build_coarse`] — the one deterministic construction of the coarse
+//!   basis `Ẑ` (in post-scaling space) and the factored Galerkin operator,
+//!   from plain per-part geometry slices (no mesh dependency), generic
+//!   over the [`CoarseSetup`] hooks: a rank of a distributed solve builds
+//!   its own share from its own rows and two exchange points, and the
+//!   sequential [`build_coarse_basis`] is the same code over an assembled
+//!   matrix whose hooks are no-ops,
 //! - [`CoarseSolver`] — the runtime object: sparse restriction
 //!   `y = Ẑᵀ v`, a cross-rank [`CoarseReduce::coarse_reduce`] sum, a
 //!   redundant skyline-LDLᵀ solve, and sparse prolongation `z += Ẑ y`,
@@ -35,17 +39,38 @@
 //! Galerkin operator `Ẑᵀ A Ẑ = zᵀ K z` is exactly the unscaled one — so
 //! building in scaled space loses nothing.
 //!
+//! ## Construction: one kernel each, three holders
+//!
+//! A *holder* is whoever runs [`build_coarse`]: the sequential builder
+//! (all parts, global rows), an EDD rank (its part, its unassembled
+//! subdomain matrix) or an RDD rank (its part, its block row with ghost
+//! columns). Modes are [`LiveMode`]s — sparse columns over the holder's
+//! index space — and every step is support-local with **flat-array**
+//! bookkeeping (an epoch marker and a touched list; no ordered sets):
+//!
+//! - the product `y = A_loc ẑ` over the rows the mode's support reaches,
+//!   shared by the smoothing passes and the Galerkin product,
+//! - the damped-Jacobi update `ẑ ← ẑ − ω D_A⁻¹ y`,
+//! - the lower triangle of `Ẑᵀ A Ẑ` from per-holder dots, mirrored.
+//!
+//! Between them sit the two [`CoarseSetup`] exchange points — an interface
+//! *sum* after the product (EDD) and a halo *gather* before it (RDD) — and
+//! the [`CoarseReduce`] sum for the `λ̂` norms and the coarse operator. A
+//! mode becomes live on a holder when its values first arrive non-zero.
+//!
 //! ## Determinism
 //!
 //! Mode numbering is `part · modes_per_part + k`, entry lists are sorted,
-//! the coarse reduce is the deterministic tree sum every rank already uses
-//! for dot products, and the redundant coarse solve runs bit-identically on
-//! every rank — so interface values of the prolonged correction agree bit
-//! for bit across ranks, preserving every existing bit-identity invariant.
+//! products run in stored row order and dots in ascending row order, the
+//! coarse reduce is the deterministic rank-ordered sum every rank already
+//! uses for dot products, and the redundant coarse factorization and solve
+//! run bit-identically on every rank — so interface values of the
+//! prolonged correction agree bit for bit across ranks, preserving every
+//! existing bit-identity invariant.
 
 use crate::registry::BuiltPrecond;
 use crate::{InterfaceConsistency, Preconditioner};
-use parfem_sparse::dense::{norm2, sym_eigen_jacobi};
+use parfem_sparse::dense::{dot, sym_eigen_jacobi};
 use parfem_sparse::skyline::SkylineLdlt;
 use parfem_sparse::{CooMatrix, CsrMatrix, LinearOperator};
 use std::fmt;
@@ -192,10 +217,12 @@ impl CoarseReduce for CsrMatrix {
 /// Geometry of one part, in plain slices so any consumer (mesh pipeline,
 /// raw-systems pipeline, test fixture) can describe its partition without
 /// this crate depending on the mesh layer. All four vectors run over the
-/// same entries: the part's global dofs.
+/// same entries: the part's dofs.
 #[derive(Debug, Clone, Default)]
 pub struct CoarsePartGeometry {
-    /// Global dof ids of this part, ascending.
+    /// Row index of each dof in the operator the coarse space is built on:
+    /// global dof ids for the sequential builder, the rank's own local row
+    /// numbers on the distributed path. Ascending.
     pub dofs: Vec<usize>,
     /// Node position of each dof (`z = 0` for 2-D problems).
     pub pos: Vec<[f64; 3]>,
@@ -207,6 +234,227 @@ pub struct CoarsePartGeometry {
     pub constrained: Vec<bool>,
 }
 
+/// One coarse mode as its holder sees it: the sparse column `ẑ_m`
+/// restricted to the holder's index space (the whole problem sequentially;
+/// a rank's rows plus ghost columns on the distributed path).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LiveMode {
+    /// Global mode number `part · modes_per_part + k`.
+    pub id: usize,
+    /// Current entries `(index, ẑ_m[index])`, each index at most once.
+    pub z: Vec<(usize, f64)>,
+    /// Staging for values awaiting [`CoarseSetup::complete_products`]: the
+    /// partial product `A_loc ẑ_m` during a smoothing pass, or a freshly
+    /// built mode waiting to be published to the ranks sharing its dofs.
+    pub y: Vec<(usize, f64)>,
+}
+
+/// Finds mode `id` in an id-sorted mode list, inserting an empty mode at
+/// its sorted position when it is not live yet.
+pub fn mode_slot(modes: &mut Vec<LiveMode>, id: usize) -> &mut LiveMode {
+    let i = match modes.binary_search_by_key(&id, |m| m.id) {
+        Ok(i) => i,
+        Err(i) => {
+            modes.insert(
+                i,
+                LiveMode {
+                    id,
+                    ..LiveMode::default()
+                },
+            );
+            i
+        }
+    };
+    &mut modes[i]
+}
+
+/// The rows a coarse builder multiplies with, over its local index space:
+/// indices `0..n_rows()` are rows it owns products for, indices
+/// `n_rows()..n_index()` are ghost columns whose values arrive from other
+/// ranks. The square block must be structurally symmetric (finite-element
+/// matrices are), because the rows a changed entry `j` feeds are found by
+/// walking row `j`.
+pub struct LocalRows<'a> {
+    a: &'a CsrMatrix,
+    /// `(A_ext, A_extᵀ)`: the ghost-column block and its transpose, whose
+    /// rows list the owned rows each ghost column feeds.
+    ghosts: Option<(&'a CsrMatrix, CsrMatrix)>,
+    n_ghost: usize,
+}
+
+impl<'a> LocalRows<'a> {
+    /// A square matrix over its own index space (sequential operators, EDD
+    /// subdomain matrices).
+    pub fn square(a: &'a CsrMatrix) -> Self {
+        LocalRows {
+            a,
+            ghosts: None,
+            n_ghost: 0,
+        }
+    }
+
+    /// A block row `[a_loc | a_ext]` whose last `n_ghost` indices are ghost
+    /// columns (RDD block rows).
+    pub fn with_ghosts(a_loc: &'a CsrMatrix, a_ext: &'a CsrMatrix, n_ghost: usize) -> Self {
+        LocalRows {
+            a: a_loc,
+            ghosts: Some((a_ext, a_ext.transpose())),
+            n_ghost,
+        }
+    }
+
+    /// Number of rows products are computed for.
+    pub fn n_rows(&self) -> usize {
+        self.a.n_rows()
+    }
+
+    /// Size of the index space (rows plus ghost columns).
+    pub fn n_index(&self) -> usize {
+        self.a.n_rows() + self.n_ghost
+    }
+
+    /// The owned rows with a stored entry in column `j`.
+    fn rows_touching(&self, j: usize) -> &[usize] {
+        let n = self.a.n_rows();
+        if j < n {
+            self.a.row(j).0
+        } else {
+            let (_, ext_t) = self.ghosts.as_ref().expect("ghost index without ghosts");
+            ext_t.row(j - n).0
+        }
+    }
+
+    /// `Σ_j a_rj z_j` over row `r`, `z` dense over the index space.
+    fn row_dot(&self, r: usize, z: &[f64]) -> f64 {
+        let (cols, vals) = self.a.row(r);
+        let mut acc = 0.0;
+        for (&j, &a_rj) in cols.iter().zip(vals) {
+            acc += a_rj * z[j];
+        }
+        if let Some((ext, _)) = &self.ghosts {
+            let n = self.a.n_rows();
+            let (cols, vals) = ext.row(r);
+            for (&j, &a_rj) in cols.iter().zip(vals) {
+                acc += a_rj * z[n + j];
+            }
+        }
+        acc
+    }
+
+    fn row_nnz(&self, r: usize) -> usize {
+        self.a.row(r).0.len()
+            + self
+                .ghosts
+                .as_ref()
+                .map_or(0, |(ext, _)| ext.row(r).0.len())
+    }
+}
+
+/// What the coarse construction needs from an operator beyond its action
+/// and the [`CoarseReduce`] sum: the rows it multiplies with, and the two
+/// exchange points that turn rank-local products into rows of the assembled
+/// operator. Sequential operators hold everything — their hooks are the
+/// defaulted no-ops, exactly as [`CoarseReduce`] for [`CsrMatrix`] is the
+/// no-op reduce — so [`build_coarse`] is one construction for the
+/// sequential solver and for both distributed operators.
+pub trait CoarseSetup: LinearOperator + CoarseReduce {
+    /// The rows this holder computes products for.
+    fn local_rows(&self) -> LocalRows<'_>;
+
+    /// Partition-of-unity weights per row for inner products and for the
+    /// restriction `Ẑᵀ v` (`1/mult` where interface entries are replicated
+    /// across ranks); `None` where every row lives on exactly one holder.
+    fn partition_weights(&self) -> Option<&[f64]> {
+        None
+    }
+
+    /// Whether the coarse space is built rank by rank. Ranks run one
+    /// exchange per smoothing pass over all their live modes and sum the
+    /// Galerkin operator through a dense all-reduce; a sequential holder
+    /// has nothing to exchange, so it smooths mode by mode (bounding the
+    /// staged products to one mode) and assembles the operator sparsely.
+    fn is_distributed(&self) -> bool {
+        false
+    }
+
+    /// Before a product: brings the ghost entries of every mode's `z` up
+    /// to date with their owners (a halo *gather*). A mode whose values
+    /// arrive non-zero for the first time becomes live here.
+    fn refresh_ghosts(&self, modes: &mut Vec<LiveMode>) {
+        let _ = modes;
+    }
+
+    /// After a product: completes every mode's staged `y` with the other
+    /// holders' contributions at shared rows (an interface *sum*), in an
+    /// order that leaves bit-identical values on every sharing rank. A mode
+    /// whose contributions arrive non-zero for the first time becomes live
+    /// here, with an empty `z`.
+    fn complete_products(&self, modes: &mut Vec<LiveMode>) {
+        let _ = modes;
+    }
+}
+
+impl CoarseSetup for CsrMatrix {
+    fn local_rows(&self) -> LocalRows<'_> {
+        LocalRows::square(self)
+    }
+}
+
+/// What one coarse construction produced, for traces and summaries.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CoarseBuildInfo {
+    /// Global number of coarse modes (pivoted-out ones included).
+    pub n_modes: usize,
+    /// Modes with at least one non-zero entry on this holder's rows.
+    pub live_modes: usize,
+    /// Stored entries of the Galerkin operator `A_c`.
+    pub nnz: usize,
+    /// Pivots the coarse factorization skipped.
+    pub skipped: usize,
+    /// The power-iteration estimate `λ̂ ≈ λ_max(D_A⁻¹ A)` (`0` when the
+    /// spec asks for no smoothing).
+    pub lambda_hat: f64,
+    /// The smoothing damping `ω = 4/(3 λ̂)` (`0` without smoothing).
+    pub omega: f64,
+}
+
+/// The result of [`build_coarse`] on one holder.
+#[derive(Debug, Clone)]
+pub struct BuiltCoarse {
+    /// The modes live on this holder's rows, ascending by id; entries
+    /// ascending by row, exact zeros and ghost entries dropped.
+    pub modes: Vec<LiveMode>,
+    /// The Galerkin operator `A_c = Ẑᵀ A Ẑ` (identical on every rank).
+    pub a_c: CsrMatrix,
+    /// Its skyline factorization (every rank factors its own copy).
+    pub factor: Arc<SkylineLdlt>,
+    /// Sizes and smoothing constants of this build.
+    pub info: CoarseBuildInfo,
+}
+
+impl BuiltCoarse {
+    /// The runtime [`CoarseSolver`] over this holder's rows: prolongation
+    /// carries every mode entry, restriction the same entries times the
+    /// holder's partition-of-unity `weights` (see
+    /// [`CoarseSetup::partition_weights`]).
+    pub fn solver(&self, weights: Option<&[f64]>) -> CoarseSolver {
+        let mut restrict = Vec::new();
+        let mut prolong = Vec::new();
+        for mode in &self.modes {
+            for &(r, v) in &mode.z {
+                restrict.push((r, mode.id, weights.map_or(v, |w| v * w[r])));
+                prolong.push((r, mode.id, v));
+            }
+        }
+        CoarseSolver::new(
+            self.info.n_modes,
+            restrict,
+            prolong,
+            Arc::clone(&self.factor),
+        )
+    }
+}
+
 /// A built global coarse basis: the scaled-space modes `Ẑ` and the factored
 /// Galerkin operator `A_c = Ẑᵀ A Ẑ`.
 #[derive(Debug, Clone)]
@@ -216,10 +464,10 @@ pub struct CoarseBasis {
     /// kept (the skyline factorization pivots them out) so numbering never
     /// depends on which parts happen to be constrained away.
     pub modes: Vec<Vec<(usize, f64)>>,
-    /// Owning part of each mode.
-    pub part_of_mode: Vec<usize>,
-    /// The factored Galerkin coarse operator, shared by every rank's
-    /// [`CoarseSolver`].
+    /// The Galerkin coarse operator `Ẑᵀ A Ẑ`, symmetric bit for bit.
+    pub a_c: CsrMatrix,
+    /// Its factorization, shared by every [`CoarseSolver`] built from this
+    /// basis.
     pub factor: Arc<SkylineLdlt>,
 }
 
@@ -239,25 +487,19 @@ impl CoarseBasis {
                 restrict.push((g, m, v));
             }
         }
-        let mut prolong = restrict.clone();
-        prolong.sort_by_key(|&(g, m, _)| (g, m));
+        let prolong = restrict.clone();
         CoarseSolver::new(self.n_modes(), restrict, prolong, Arc::clone(&self.factor))
     }
 }
 
-/// Builds the global coarse basis and its factored Galerkin operator.
+/// Builds the global coarse basis and its factored Galerkin operator with
+/// all parts in one address space — [`build_coarse`] over the assembled
+/// operator, whose exchange hooks are no-ops.
 ///
 /// Inputs: per-part geometry, the global dof multiplicity `mult` (how many
 /// parts share each dof — the partition-of-unity denominator; `1.0`
 /// everywhere for disjoint row partitions), the scaling diagonal `d` of
 /// `A = D K D`, and the scaled assembled operator `a_scaled` itself.
-///
-/// Deterministic: fixed mode numbering, sorted entry lists, sequential
-/// Galerkin assembly in ascending mode order. Rank-deficient mode blocks
-/// (fully-constrained parts, 1-element parts, duplicated modes) survive —
-/// the skyline factorization pivots them out rather than failing, which is
-/// exactly where ILU(0) broke down on floating subdomains (the paper's
-/// Eq. 45 path).
 ///
 /// # Panics
 /// Panics when a part's geometry vectors disagree in length or a dof index
@@ -275,11 +517,77 @@ pub fn build_coarse_basis(
         .flat_map(|p| p.comp.iter().copied())
         .max()
         .map_or(1, |c| c + 1);
+    let held: Vec<(usize, &CoarsePartGeometry)> = parts.iter().enumerate().collect();
+    let built = build_coarse(
+        a_scaled,
+        spec,
+        parts.len(),
+        n_comp,
+        &held,
+        mult,
+        d,
+        pivot_tol,
+    );
+    let mut modes = vec![Vec::new(); built.info.n_modes];
+    for mode in built.modes {
+        modes[mode.id] = mode.z;
+    }
+    CoarseBasis {
+        modes,
+        a_c: built.a_c,
+        factor: built.factor,
+    }
+}
+
+/// Builds this holder's share of the coarse space over `op` and the
+/// (replicated) factored Galerkin operator.
+///
+/// `parts` lists the parts whose geometry this holder has — every part
+/// sequentially, a rank's own part on the distributed path — as
+/// `(part number, geometry)`; `mult` and `d` (dof multiplicity and the
+/// scaling diagonal of `A = D K D`) run over the holder's rows. The steps,
+/// each written once over the [`CoarseSetup`] hooks:
+///
+/// 1. every held part's modes are built on its own dofs and published
+///    ([`CoarseSetup::complete_products`] with a single contributor), so
+///    every rank sharing a dof starts from bit-identical values;
+/// 2. for `.sK` specs, `λ̂` comes from 12 power-iteration steps through the
+///    operator's own `apply_into` and the weighted inner product, and each
+///    of the `K` passes is one support-local product per live mode, one
+///    completion, and the damped-Jacobi update;
+/// 3. the lower triangle of `Ẑᵀ A Ẑ` is summed from per-holder products
+///    `ẑ_m|ᵀ (A_loc ẑ_m')` — through [`CoarseReduce::coarse_reduce`] on a
+///    dense packed triangle when distributed — mirrored, and factored
+///    redundantly by every holder.
+///
+/// Deterministic: fixed mode numbering, products in stored row order, dots
+/// in ascending row order, the rank-ordered reduce. Rank-deficient mode
+/// blocks (fully-constrained parts, 1-element parts, duplicated modes)
+/// survive — the skyline factorization pivots them out rather than
+/// failing, which is exactly where ILU(0) broke down on floating
+/// subdomains (the paper's Eq. 45 path).
+///
+/// # Panics
+/// Panics when a part's geometry vectors disagree in length or a dof index
+/// is out of range of `mult`/`d`/the operator's rows.
+#[allow(clippy::too_many_arguments)]
+pub fn build_coarse<Op: CoarseSetup + ?Sized>(
+    op: &Op,
+    spec: &CoarseSpec,
+    n_parts: usize,
+    n_comp: usize,
+    parts: &[(usize, &CoarsePartGeometry)],
+    mult: &[f64],
+    d: &[f64],
+    pivot_tol: f64,
+) -> BuiltCoarse {
+    let rows = op.local_rows();
     let mpp = spec.modes_per_part(n_comp);
-    let n_modes = mpp * parts.len();
-    let mut modes: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_modes];
-    let mut part_of_mode = vec![0usize; n_modes];
-    for (p, geo) in parts.iter().enumerate() {
+    let n_modes = mpp * n_parts;
+    let mut scratch = Scratch::new(rows.n_index());
+
+    let mut modes: Vec<LiveMode> = Vec::new();
+    for &(p, geo) in parts {
         assert_eq!(geo.dofs.len(), geo.pos.len(), "part {p}: pos length");
         assert_eq!(geo.dofs.len(), geo.comp.len(), "part {p}: comp length");
         assert_eq!(
@@ -287,46 +595,93 @@ pub fn build_coarse_basis(
             geo.constrained.len(),
             "part {p}: constrained length"
         );
-        for k in 0..mpp {
-            part_of_mode[p * mpp + k] = p;
-        }
-        match spec.base() {
+        let columns = match spec.base() {
             CoarseSpec::Const | CoarseSpec::Rbm => {
-                geometric_modes(spec.base(), p, geo, mult, d, mpp, n_comp, &mut modes)
+                geometric_modes(spec.base(), geo, mult, d, mpp, n_comp)
             }
-            CoarseSpec::LowRank(k) => lowrank_modes(p, geo, mult, a_scaled, *k, &mut modes),
+            CoarseSpec::LowRank(k) => lowrank_modes(geo, mult, rows.a, *k),
             CoarseSpec::Smoothed(..) => unreachable!("base() strips smoothing"),
+        };
+        for (k, y) in columns.into_iter().enumerate() {
+            if !y.is_empty() {
+                mode_slot(&mut modes, p * mpp + k).y = y;
+            }
         }
     }
-    if spec.smoothing_passes() > 0 {
-        smooth_prolongator(&mut modes, a_scaled, spec.smoothing_passes());
+    op.complete_products(&mut modes);
+    for mode in &mut modes {
+        mode.z = std::mem::take(&mut mode.y);
     }
-    for col in &mut modes {
-        col.sort_by_key(|&(g, _)| g);
+
+    let (mut lambda_hat, mut omega) = (0.0, 0.0);
+    let passes = spec.smoothing_passes();
+    if passes > 0 {
+        let inv_diag = inverse_assembled_diagonal(op, &rows);
+        lambda_hat = power_iteration_lambda(op, &inv_diag);
+        omega = 4.0 / (3.0 * lambda_hat.max(f64::MIN_POSITIVE));
+        if op.is_distributed() {
+            smooth_modes(
+                op,
+                &rows,
+                &mut modes,
+                passes,
+                omega,
+                &inv_diag,
+                &mut scratch,
+            );
+        } else {
+            let mut one = Vec::with_capacity(1);
+            for i in 0..modes.len() {
+                one.push(std::mem::take(&mut modes[i]));
+                smooth_modes(op, &rows, &mut one, passes, omega, &inv_diag, &mut scratch);
+                modes[i] = one.pop().expect("the one mode smoothed");
+            }
+        }
     }
-    let a_c = galerkin_matrix(a_scaled, &modes);
-    let factor = Arc::new(SkylineLdlt::factor_csr(&a_c, pivot_tol));
-    CoarseBasis {
+
+    op.refresh_ghosts(&mut modes);
+    for mode in &mut modes {
+        mode.z.retain(|&(_, v)| v != 0.0);
+        mode.z.sort_unstable_by_key(|&(g, _)| g);
+    }
+    let lower = galerkin_lower(op, &rows, &modes, &mut scratch);
+    let a_c = assemble_coarse_operator(op, n_modes, &lower);
+    let factor = SkylineLdlt::factor_csr(&a_c, pivot_tol);
+    op.coarse_work(factor.factor_flops());
+
+    let n_rows = rows.n_rows();
+    for mode in &mut modes {
+        mode.z.retain(|&(g, _)| g < n_rows);
+    }
+    modes.retain(|mode| !mode.z.is_empty());
+    let info = CoarseBuildInfo {
+        n_modes,
+        live_modes: modes.len(),
+        nnz: a_c.nnz(),
+        skipped: factor.n_skipped(),
+        lambda_hat,
+        omega,
+    };
+    BuiltCoarse {
         modes,
-        part_of_mode,
-        factor,
+        a_c,
+        factor: Arc::new(factor),
+        info,
     }
 }
 
 /// Partition-of-unity translations (and, for [`CoarseSpec::Rbm`], the
 /// centered rotations) of one part, transformed to scaled space:
-/// `Ẑ[g] = geom(g) / (mult[g] · d[g])`.
-#[allow(clippy::too_many_arguments)]
+/// `Ẑ[g] = geom(g) / (mult[g] · d[g])`. One column per mode of the part.
 fn geometric_modes(
     spec: &CoarseSpec,
-    p: usize,
     geo: &CoarsePartGeometry,
     mult: &[f64],
     d: &[f64],
     mpp: usize,
     n_comp: usize,
-    modes: &mut [Vec<(usize, f64)>],
-) {
+) -> Vec<Vec<(usize, f64)>> {
+    let mut modes = vec![Vec::new(); mpp];
     let n = geo.dofs.len();
     // Per-part centroid over all entries (constrained included — fixed,
     // purely geometric, deterministic).
@@ -349,7 +704,7 @@ fn geometric_modes(
         let w = 1.0 / (mult[g] * d[g]);
         let c = geo.comp[e];
         // Translation mode of this dof's component.
-        modes[p * mpp + c].push((g, w));
+        modes[c].push((g, w));
         if matches!(spec, CoarseSpec::Rbm) && n_comp >= 2 {
             // Rotation about e_z: (−(y − ȳ), x − x̄, 0) — the single 2-D
             // rotation, kept in the historical mode slot.
@@ -359,7 +714,7 @@ fn geometric_modes(
                 _ => 0.0,
             };
             if rot_z != 0.0 {
-                modes[p * mpp + n_comp].push((g, rot_z * w));
+                modes[n_comp].push((g, rot_z * w));
             }
             if n_comp >= 3 {
                 // Rotations about e_x: (0, −(z − z̄), y − ȳ) and
@@ -375,45 +730,50 @@ fn geometric_modes(
                     _ => 0.0,
                 };
                 if rot_x != 0.0 {
-                    modes[p * mpp + n_comp + 1].push((g, rot_x * w));
+                    modes[n_comp + 1].push((g, rot_x * w));
                 }
                 if rot_y != 0.0 {
-                    modes[p * mpp + n_comp + 2].push((g, rot_y * w));
+                    modes[n_comp + 2].push((g, rot_y * w));
                 }
             }
         }
     }
+    modes
 }
 
 /// The `k` lowest eigenvectors of the part's unconstrained principal block
-/// of the scaled operator, partition-of-unity weighted (`Ẑ[g] = v[g] /
+/// of the holder's own rows `a`, partition-of-unity weighted (`Ẑ[g] = v[g] /
 /// mult[g]`; no `d` division — the eigenproblem already lives in scaled
 /// space). Parts smaller than `k` keep empty trailing modes, pivoted out
 /// by the coarse factorization.
+///
+/// "The holder's own rows" is the assembled principal block sequentially
+/// and under RDD (`a_loc` is exactly that block), and the subdomain's
+/// **unassembled** matrix under EDD: the interface–interface entries are
+/// not completed from the neighbours, so on a floating subdomain the lowest
+/// eigenvectors are its scaled rigid-body modes themselves.
 fn lowrank_modes(
-    p: usize,
     geo: &CoarsePartGeometry,
     mult: &[f64],
-    a_scaled: &CsrMatrix,
+    a: &CsrMatrix,
     k: usize,
-    modes: &mut [Vec<(usize, f64)>],
-) {
+) -> Vec<Vec<(usize, f64)>> {
+    let mut modes = vec![Vec::new(); k];
     let free: Vec<usize> = (0..geo.dofs.len())
         .filter(|&e| !geo.constrained[e])
         .collect();
     let n = free.len();
     if n == 0 {
-        return;
+        return modes;
     }
     let mut block = vec![0.0; n * n];
     for (i, &ei) in free.iter().enumerate() {
         for (j, &ej) in free.iter().enumerate() {
-            block[i * n + j] = a_scaled.get(geo.dofs[ei], geo.dofs[ej]);
+            block[i * n + j] = a.get(geo.dofs[ei], geo.dofs[ej]);
         }
     }
     let (_vals, vecs) = sym_eigen_jacobi(n, &block);
-    for m in 0..k.min(n) {
-        let col = &mut modes[p * k + m];
+    for (m, col) in modes.iter_mut().enumerate().take(n) {
         for (i, &ei) in free.iter().enumerate() {
             let g = geo.dofs[ei];
             let v = vecs[m * n + i] / mult[g];
@@ -422,145 +782,318 @@ fn lowrank_modes(
             }
         }
     }
+    modes
 }
 
-/// Applies `passes` damped-Jacobi smoothing steps `ẑ ← (I − ω D_A⁻¹ A) ẑ`
-/// to every coarse mode (the smoothed-aggregation prolongator). Each pass
-/// widens a mode's support by one stencil layer, which is exactly what
-/// repairs the energy boundedness plain aggregation lacks on elasticity.
-///
-/// The damping is the standard `ω = 4/(3 λ̂)` with `λ̂` a power-iteration
-/// estimate of `λ_max(D_A⁻¹ A)` from a fixed start vector — deterministic,
-/// and accurate enough that overshoot (which would *amplify* the high end)
-/// cannot happen for the mild spectra produced by norm-1 scaling.
-fn smooth_prolongator(modes: &mut [Vec<(usize, f64)>], a_scaled: &CsrMatrix, passes: usize) {
-    let n = a_scaled.n_rows();
-    let diag = a_scaled.diagonal();
-    let inv_diag: Vec<f64> = diag
-        .iter()
-        .map(|&q| if q != 0.0 { 1.0 / q } else { 0.0 })
-        .collect();
-    // λ̂ ≈ λ_max(D_A⁻¹ A) by power iteration on the diagonally
-    // preconditioned operator, started from the all-ones vector.
+/// Flat-array workspace of the support-local kernels: a dense staging
+/// vector over the index space and an epoch marker with a slot table, so a
+/// support is a touched list plus O(1) membership — never an ordered set.
+struct Scratch {
+    /// Dense staging, all zero between kernel calls.
+    dense: Vec<f64>,
+    mark: Vec<u32>,
+    slot: Vec<u32>,
+    epoch: u32,
+}
+
+impl Scratch {
+    fn new(n_index: usize) -> Self {
+        Scratch {
+            dense: vec![0.0; n_index],
+            mark: vec![0; n_index],
+            slot: vec![0; n_index],
+            epoch: 0,
+        }
+    }
+
+    /// Starts a fresh marker generation.
+    fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            self.mark.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+}
+
+/// A mode with at least `1 / DENSE_SUPPORT_SHARE` of the holder's rows in
+/// its support is multiplied over all rows instead of its walked reach.
+const DENSE_SUPPORT_SHARE: usize = 4;
+
+/// `y = A_loc ẑ` over the rows `ẑ`'s support can reach: its own rows plus
+/// one stencil layer, found by walking the support's rows (structural
+/// symmetry). Cost is proportional to the mode's footprint, not to the
+/// holder's size. Returns the flops performed.
+fn mode_product(
+    rows: &LocalRows<'_>,
+    z: &[(usize, f64)],
+    y: &mut Vec<(usize, f64)>,
+    s: &mut Scratch,
+) -> u64 {
+    y.clear();
+    let epoch = s.next_epoch();
+    let n_rows = rows.n_rows();
+    for &(g, v) in z {
+        s.dense[g] = v;
+    }
+    if DENSE_SUPPORT_SHARE * z.len() >= n_rows {
+        // The mode covers a good share of the holder (a part's own modes
+        // after the first pass): walking its rows would cost as much as the
+        // product itself and reach nearly every row anyway. Rows outside
+        // the true reach come out exactly zero and are dropped by the
+        // update, so the result is the same.
+        y.extend((0..n_rows).map(|r| (r, 0.0)));
+    } else {
+        for &(g, _) in z {
+            if g < n_rows && s.mark[g] != epoch {
+                s.mark[g] = epoch;
+                y.push((g, 0.0));
+            }
+            for &r in rows.rows_touching(g) {
+                if s.mark[r] != epoch {
+                    s.mark[r] = epoch;
+                    y.push((r, 0.0));
+                }
+            }
+        }
+    }
+    let mut flops = 0;
+    for (r, yr) in y.iter_mut() {
+        *yr = rows.row_dot(*r, &s.dense);
+        flops += 2 * rows.row_nnz(*r) as u64;
+    }
+    for &(g, _) in z {
+        s.dense[g] = 0.0;
+    }
+    flops
+}
+
+/// The damped-Jacobi update `ẑ ← ẑ − ω D_A⁻¹ y` of one mode from its
+/// completed product, widening the support by the rows `y` reached.
+fn smoothing_update(mode: &mut LiveMode, omega: f64, inv_diag: &[f64], s: &mut Scratch) {
+    let epoch = s.next_epoch();
+    for (i, &(g, _)) in mode.z.iter().enumerate() {
+        s.mark[g] = epoch;
+        s.slot[g] = i as u32;
+    }
+    // Consumed, not cleared: a staged product is as large as the mode, and
+    // a sequential holder keeps thousands of modes.
+    for (r, yr) in std::mem::take(&mut mode.y) {
+        let step = omega * yr * inv_diag[r];
+        if s.mark[r] == epoch {
+            mode.z[s.slot[r] as usize].1 -= step;
+        } else if step != 0.0 {
+            mode.z.push((r, -step));
+        }
+    }
+}
+
+/// `passes` smoothing passes `ẑ ← (I − ω D_A⁻¹ A) ẑ` over every mode in
+/// `modes` (the smoothed-aggregation prolongator). Each pass widens a
+/// mode's support by one stencil layer, which is exactly what repairs the
+/// energy boundedness plain aggregation lacks on elasticity. One pass is
+/// one ghost refresh, one support-local product per mode, one completion
+/// and the update — so a rank pays one exchange per pass however many
+/// modes are live on it.
+fn smooth_modes<Op: CoarseSetup + ?Sized>(
+    op: &Op,
+    rows: &LocalRows<'_>,
+    modes: &mut Vec<LiveMode>,
+    passes: usize,
+    omega: f64,
+    inv_diag: &[f64],
+    s: &mut Scratch,
+) {
+    for _ in 0..passes {
+        op.refresh_ghosts(modes);
+        let mut flops = 0;
+        for mode in modes.iter_mut() {
+            flops += mode_product(rows, &mode.z, &mut mode.y, s);
+        }
+        op.coarse_work(flops);
+        op.complete_products(modes);
+        let mut updates = 0;
+        for mode in modes.iter_mut() {
+            updates += mode.y.len() as u64;
+            smoothing_update(mode, omega, inv_diag, s);
+        }
+        op.coarse_work(3 * updates);
+    }
+}
+
+/// `1 / diag(A)` over the holder's rows, from the assembled diagonal: the
+/// local diagonal completed like any product, so shared rows get the same
+/// bits on every sharing rank. Zero diagonals invert to zero.
+fn inverse_assembled_diagonal<Op: CoarseSetup + ?Sized>(op: &Op, rows: &LocalRows<'_>) -> Vec<f64> {
+    let n = rows.n_rows();
+    let mut diag = vec![LiveMode {
+        id: 0,
+        z: Vec::new(),
+        y: (0..n).map(|r| (r, rows.a.get(r, r))).collect(),
+    }];
+    op.complete_products(&mut diag);
+    let mut inv = vec![0.0; n];
+    for &(r, q) in &diag[0].y {
+        if q != 0.0 {
+            inv[r] = 1.0 / q;
+        }
+    }
+    op.coarse_work(n as u64);
+    inv
+}
+
+/// The inner product the holder's partials sum to: plain, or weighted by
+/// the partition of unity where rows are replicated.
+fn weighted_dot(weights: Option<&[f64]>, x: &[f64], y: &[f64]) -> f64 {
+    match weights {
+        None => dot(x, y),
+        Some(w) => x.iter().zip(y).zip(w).map(|((a, b), w)| a * b * w).sum(),
+    }
+}
+
+/// `λ̂ ≈ λ_max(D_A⁻¹ A)` by 12 power-iteration steps on the diagonally
+/// preconditioned operator, started from the all-ones vector. The standard
+/// damping `ω = 4/(3 λ̂)` built on it is accurate enough that overshoot
+/// (which would *amplify* the high end) cannot happen for the mild spectra
+/// produced by norm-1 scaling. Both norms of a step travel in one reduce,
+/// so the estimate is bit-identical on every rank.
+fn power_iteration_lambda<Op: CoarseSetup + ?Sized>(op: &Op, inv_diag: &[f64]) -> f64 {
+    let n = inv_diag.len();
+    let weights = op.partition_weights();
     let mut v = vec![1.0; n];
+    let mut w = vec![0.0; n];
     let mut lambda = 1.0;
     for _ in 0..12 {
-        let mut w = a_scaled.spmv(&v);
-        for (wi, &qi) in w.iter_mut().zip(&inv_diag) {
+        op.apply_into(&v, &mut w);
+        for (wi, &qi) in w.iter_mut().zip(inv_diag) {
             *wi *= qi;
         }
-        let norm = norm2(&w);
+        let mut norms = [weighted_dot(weights, &w, &w), weighted_dot(weights, &v, &v)];
+        op.coarse_work(8 * n as u64);
+        op.coarse_reduce(&mut norms);
+        let norm = norms[0].sqrt();
         if norm <= 0.0 {
             break;
         }
-        lambda = norm / norm2(&v).max(f64::MIN_POSITIVE);
+        lambda = norm / norms[1].sqrt().max(f64::MIN_POSITIVE);
         let inv = 1.0 / norm;
         for (vi, wi) in v.iter_mut().zip(&w) {
             *vi = wi * inv;
         }
     }
-    let omega = 4.0 / (3.0 * lambda.max(f64::MIN_POSITIVE));
-    // Support-local sparse application: each pass only touches the mode's
-    // current support plus one stencil layer (A is structurally symmetric,
-    // so the neighbors of the support are found by walking its rows), so
-    // the cost per mode is proportional to its footprint, not to `n`.
-    let mut z = vec![0.0; n];
-    for col in modes.iter_mut() {
-        if col.is_empty() {
-            continue;
-        }
-        let mut supp: std::collections::BTreeSet<usize> = col.iter().map(|&(g, _)| g).collect();
-        for &(g, val) in col.iter() {
-            z[g] = val;
-        }
-        for _ in 0..passes {
-            let mut reach = supp.clone();
-            for &i in &supp {
-                let (cols, _) = a_scaled.row(i);
-                reach.extend(cols.iter().copied());
-            }
-            let mut y = Vec::with_capacity(reach.len());
-            for &r in &reach {
-                let (cols, vals) = a_scaled.row(r);
-                let mut acc = 0.0;
-                for (&j, &a_rj) in cols.iter().zip(vals) {
-                    acc += a_rj * z[j];
-                }
-                y.push((r, acc));
-            }
-            for (r, yr) in y {
-                z[r] -= omega * yr * inv_diag[r];
-            }
-            supp = reach;
-        }
-        col.clear();
-        for &g in &supp {
-            if z[g] != 0.0 {
-                col.push((g, z[g]));
-            }
-            z[g] = 0.0;
-        }
-    }
+    lambda
 }
 
-/// Assembles the Galerkin coarse operator `A_c = Ẑᵀ A Ẑ` as a sparse
-/// symmetric matrix, without ever materializing a dense `n_modes²` block:
-/// for each mode, `y = A ẑ_m` is scattered through the touched rows, and
-/// only modes sharing support (found through a dof → modes incidence list)
-/// receive entries. The lower triangle is computed and mirrored exactly,
-/// so the result is symmetric bit for bit.
-pub fn galerkin_matrix(a: &CsrMatrix, modes: &[Vec<(usize, f64)>]) -> CsrMatrix {
-    let n = a.n_rows();
-    let n_m = modes.len();
-    let mut incidence: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (m, col) in modes.iter().enumerate() {
-        for &(g, _) in col {
-            incidence[g].push(m as u32);
+/// This holder's contribution to the lower triangle of `Ẑᵀ A Ẑ`, as
+/// `(m, m', value)` triplets with `m ≥ m'` in ascending `(m, m')` order:
+/// for each mode, `y = A_loc ẑ_m` over the reachable rows, dotted with
+/// every mode sharing support (found through a flat row → modes incidence
+/// table). `modes` must be sorted by id with entries sorted by index.
+fn galerkin_lower<Op: CoarseSetup + ?Sized>(
+    op: &Op,
+    rows: &LocalRows<'_>,
+    modes: &[LiveMode],
+    s: &mut Scratch,
+) -> Vec<(usize, usize, f64)> {
+    let n_rows = rows.n_rows();
+    // Row → positions of the modes with an entry there, as one flat table.
+    let mut start = vec![0usize; n_rows + 1];
+    for mode in modes {
+        for &(g, _) in mode.z.iter().filter(|&&(g, _)| g < n_rows) {
+            start[g + 1] += 1;
         }
     }
-    let mut y = vec![0.0; n];
-    let mut touched: Vec<usize> = Vec::new();
-    let mut seen = vec![false; n_m];
-    let mut coo = CooMatrix::new(n_m, n_m);
-    for m in 0..n_m {
-        // y = A ẑ_m over the structurally reachable rows.
-        for &(c, v) in &modes[m] {
-            let (cols, vals) = a.row(c);
-            for (j, &col) in cols.iter().enumerate() {
-                if y[col] == 0.0 {
-                    touched.push(col);
-                }
-                y[col] += vals[j] * v;
-            }
+    for g in 0..n_rows {
+        start[g + 1] += start[g];
+    }
+    let mut incident = vec![0u32; start[n_rows]];
+    let mut next = start.clone();
+    for (i, mode) in modes.iter().enumerate() {
+        for &(g, _) in mode.z.iter().filter(|&&(g, _)| g < n_rows) {
+            incident[next[g]] = i as u32;
+            next[g] += 1;
         }
-        // Candidate partners: modes incident to a touched row, m2 ≤ m.
-        let mut partners: Vec<u32> = Vec::new();
-        for &t in &touched {
-            for &m2 in &incidence[t] {
-                if (m2 as usize) <= m && !seen[m2 as usize] {
-                    seen[m2 as usize] = true;
-                    partners.push(m2);
+    }
+
+    let mut lower = Vec::new();
+    let mut y = Vec::new();
+    let mut seen = vec![false; modes.len()];
+    let mut partners: Vec<u32> = Vec::new();
+    let mut flops = 0;
+    for (i, mode) in modes.iter().enumerate() {
+        flops += mode_product(rows, &mode.z, &mut y, s);
+        for &(r, yr) in &y {
+            s.dense[r] = yr;
+            for &i2 in &incident[start[r]..start[r + 1]] {
+                if (i2 as usize) <= i && !seen[i2 as usize] {
+                    seen[i2 as usize] = true;
+                    partners.push(i2);
                 }
             }
         }
         partners.sort_unstable();
-        for &m2 in &partners {
-            seen[m2 as usize] = false;
+        for &i2 in &partners {
+            seen[i2 as usize] = false;
+            let other = &modes[i2 as usize];
             let mut acc = 0.0;
-            for &(g, v) in &modes[m2 as usize] {
-                acc += v * y[g];
+            for &(g, v) in other.z.iter().filter(|&&(g, _)| g < n_rows) {
+                acc += v * s.dense[g];
             }
-            coo.push(m, m2 as usize, acc)
-                .expect("coarse entry in range");
-            if (m2 as usize) != m {
-                coo.push(m2 as usize, m, acc)
-                    .expect("coarse entry in range");
+            flops += 2 * other.z.len() as u64;
+            lower.push((mode.id, other.id, acc));
+        }
+        partners.clear();
+        for &(r, _) in &y {
+            s.dense[r] = 0.0;
+        }
+    }
+    op.coarse_work(flops);
+    lower
+}
+
+/// Sums the holders' lower-triangle contributions into the symmetric
+/// Galerkin operator, mirrored exactly so the result is symmetric bit for
+/// bit.
+///
+/// Distributed holders scatter their triplets into the packed dense lower
+/// triangle (`n_c (n_c + 1) / 2` values) and sum it with one
+/// [`CoarseReduce::coarse_reduce`] — rank order, so every rank holds the
+/// identical matrix. That is `O(n_c²)` memory and traffic per rank: fine at
+/// thread-scale part counts (`n_c = 384` for 64 three-dimensional parts is
+/// 0.6 MB), past a few thousand modes it needs a sparse reduction over the
+/// part adjacency instead. The sequential holder has every contribution
+/// already and assembles sparsely, so its mode count is unbounded.
+fn assemble_coarse_operator<Op: CoarseSetup + ?Sized>(
+    op: &Op,
+    n_modes: usize,
+    lower: &[(usize, usize, f64)],
+) -> CsrMatrix {
+    let mut coo = CooMatrix::new(n_modes, n_modes);
+    let mut push = |m: usize, m2: usize, v: f64| {
+        coo.push(m, m2, v).expect("coarse entry in range");
+        if m2 != m {
+            coo.push(m2, m, v).expect("coarse entry in range");
+        }
+    };
+    if op.is_distributed() {
+        let mut packed = vec![0.0; n_modes * (n_modes + 1) / 2];
+        for &(m, m2, v) in lower {
+            packed[m * (m + 1) / 2 + m2] = v;
+        }
+        op.coarse_reduce(&mut packed);
+        for m in 0..n_modes {
+            for m2 in 0..=m {
+                let v = packed[m * (m + 1) / 2 + m2];
+                if v != 0.0 {
+                    push(m, m2, v);
+                }
             }
         }
-        for &t in &touched {
-            y[t] = 0.0;
+    } else {
+        for &(m, m2, v) in lower {
+            push(m, m2, v);
         }
-        touched.clear();
     }
     coo.to_csr()
 }
@@ -574,8 +1107,7 @@ pub fn galerkin_matrix(a: &CsrMatrix, modes: &[Vec<(usize, f64)>]) -> CsrMatrix 
 /// [`CoarseReduce::coarse_reduce`], so no second communication round is
 /// needed and interface values agree bit for bit. Application is
 /// allocation-free: the coarse-vector buffer is preallocated (behind an
-/// uncontended `Mutex`, so host-built per-rank solvers can be handed
-/// across the rank threads).
+/// uncontended `Mutex`, because application takes `&self`).
 #[derive(Debug)]
 pub struct CoarseSolver {
     n_modes: usize,
@@ -589,18 +1121,6 @@ pub struct CoarseSolver {
     prolong: Vec<(usize, usize, f64)>,
     factor: Arc<SkylineLdlt>,
     y: Mutex<Vec<f64>>,
-}
-
-impl Clone for CoarseSolver {
-    fn clone(&self) -> Self {
-        CoarseSolver {
-            n_modes: self.n_modes,
-            restrict: self.restrict.clone(),
-            prolong: self.prolong.clone(),
-            factor: Arc::clone(&self.factor),
-            y: Mutex::new(vec![0.0; self.n_modes]),
-        }
-    }
 }
 
 impl CoarseSolver {
@@ -894,11 +1414,11 @@ mod tests {
     }
 
     #[test]
-    fn galerkin_matrix_matches_dense_reference() {
+    fn galerkin_operator_matches_dense_reference() {
         let (a, parts, mult) = chain_fixture(16, 4);
         let d = vec![1.0; 16];
         let basis = build_coarse_basis(&CoarseSpec::Const, &parts, &mult, &d, &a, 1e-12);
-        let ac = galerkin_matrix(&a, &basis.modes);
+        let ac = &basis.a_c;
         let m = basis.n_modes();
         for i in 0..m {
             for j in 0..m {
@@ -1015,8 +1535,7 @@ mod tests {
         };
         let mult = vec![1.0; n_dofs];
         let d = vec![1.0; n_dofs];
-        let mut modes: Vec<Vec<(usize, f64)>> = vec![Vec::new(); 6];
-        geometric_modes(&CoarseSpec::Rbm, 0, &geo, &mult, &d, 6, 3, &mut modes);
+        let modes = geometric_modes(&CoarseSpec::Rbm, &geo, &mult, &d, 6, 3);
         // Dense expansion for checking.
         let dense: Vec<Vec<f64>> = modes
             .iter()

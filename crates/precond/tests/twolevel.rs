@@ -12,7 +12,6 @@
 //! The fixture is a random weighted 1-D diffusion chain — strictly
 //! diagonally dominant, hence SPD — cut into random contiguous parts.
 
-use parfem_precond::twolevel::galerkin_matrix;
 use parfem_precond::{build_coarse_basis, CoarsePartGeometry, CoarseSpec};
 use parfem_sparse::skyline::DEFAULT_PIVOT_TOL;
 use parfem_sparse::{CooMatrix, CsrMatrix};
@@ -135,7 +134,7 @@ proptest! {
         let parts = strip_parts(n, p, 1);
         let ones = vec![1.0; n];
         let basis = build_coarse_basis(&spec, &parts, &ones, &ones, &a, DEFAULT_PIVOT_TOL);
-        let a_c = galerkin_matrix(&a, &basis.modes);
+        let a_c = &basis.a_c;
         let m = a_c.n_rows();
         prop_assert_eq!(m, basis.n_modes());
         for i in 0..m {

@@ -267,6 +267,17 @@ impl SkylineLdlt {
         }
     }
 
+    /// Flops of the factorization itself (`Σ rowᵢ²` multiply–adds over the
+    /// profile) — used by the virtual-time model.
+    pub fn factor_flops(&self) -> u64 {
+        (0..self.n)
+            .map(|i| {
+                let row = (i - self.start[i]) as u64;
+                row * row
+            })
+            .sum()
+    }
+
     /// Flops of one [`SkylineLdlt::solve_in_place`] (forward + diagonal +
     /// backward sweeps over the profile) — used by the virtual-time model.
     pub fn solve_flops(&self) -> u64 {

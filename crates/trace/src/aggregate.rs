@@ -130,6 +130,62 @@ pub struct SolveSummary {
     pub alloc_count: Option<u64>,
     /// Bytes requested during the solve, when instrumented.
     pub alloc_bytes: Option<u64>,
+    /// The rank-side coarse build of a two-level solve (absent for
+    /// one-level preconditioners).
+    pub coarse: Option<CoarseSetupSummary>,
+}
+
+/// What the two-level coarse build produced and what it charged to the rank
+/// clocks — the `coarse_*` fields of the `solve_summary` event. Sizes are
+/// the ones every rank agrees on; `live_modes` and `virtual_s` are the
+/// busiest rank's, `flops` and `bytes_sent` sums over the ranks.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CoarseSetupSummary {
+    /// Global number of coarse modes.
+    pub modes: u64,
+    /// Most modes live on any one rank.
+    pub live_modes: u64,
+    /// Stored entries of the Galerkin operator.
+    pub nnz: u64,
+    /// Pivots the coarse factorization skipped.
+    pub skipped_pivots: u64,
+    /// Power-iteration estimate `λ̂` of the smoothing (0 without `.sK`).
+    pub lambda_hat: f64,
+    /// Smoothing damping `ω = 4/(3 λ̂)` (0 without `.sK`).
+    pub omega: f64,
+    /// Flops charged to the rank clocks.
+    pub flops: u64,
+    /// Point-to-point bytes sent.
+    pub bytes_sent: u64,
+    /// Neighbour-exchange rounds per rank.
+    pub exchanges: u64,
+    /// All-reduces per rank.
+    pub allreduces: u64,
+    /// Modeled seconds the build took on the slowest rank.
+    pub virtual_s: f64,
+    /// Allocation calls of the build, when instrumented.
+    pub alloc_count: Option<u64>,
+}
+
+impl CoarseSetupSummary {
+    /// Reads the `coarse_*` fields of a `solve_summary` (or rank
+    /// `coarse_build`) event; `None` when it carries none.
+    pub fn from_event(ev: &TraceEvent) -> Option<Self> {
+        Some(CoarseSetupSummary {
+            modes: ev.u64("coarse_modes")?,
+            live_modes: ev.u64("coarse_live_modes").unwrap_or(0),
+            nnz: ev.u64("coarse_nnz").unwrap_or(0),
+            skipped_pivots: ev.u64("coarse_skipped_pivots").unwrap_or(0),
+            lambda_hat: ev.f64("coarse_lambda_hat").unwrap_or(0.0),
+            omega: ev.f64("coarse_omega").unwrap_or(0.0),
+            flops: ev.u64("coarse_flops").unwrap_or(0),
+            bytes_sent: ev.u64("coarse_bytes_sent").unwrap_or(0),
+            exchanges: ev.u64("coarse_exchanges").unwrap_or(0),
+            allreduces: ev.u64("coarse_allreduces").unwrap_or(0),
+            virtual_s: ev.f64("coarse_virtual_s").unwrap_or(0.0),
+            alloc_count: ev.u64("coarse_alloc_count"),
+        })
+    }
 }
 
 /// A recorded trace rolled up for reporting.
@@ -273,6 +329,7 @@ impl TraceReport {
                         overlap: ev.u64("overlap").unwrap_or(0) != 0,
                         alloc_count: ev.u64("alloc_count"),
                         alloc_bytes: ev.u64("alloc_bytes"),
+                        coarse: CoarseSetupSummary::from_event(ev),
                     });
                 }
                 _ => {}

@@ -1,8 +1,8 @@
 //! A counting global allocator for measuring solver-path allocations.
 //!
 //! [`CountingAlloc`] wraps [`std::alloc::System`] and counts every
-//! allocation (calls and bytes) in process-global atomics. It is *opt-in*:
-//! a binary or test installs it with
+//! allocation (calls and bytes) **per thread**. It is *opt-in*: a binary or
+//! test installs it with
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -10,31 +10,43 @@
 //!     parfem_trace::alloc::CountingAlloc;
 //! ```
 //!
-//! and the rest of the stack can then read [`stats`] deltas around a solve.
-//! When the allocator is *not* installed, [`is_counting`] stays `false` and
-//! the solve drivers skip emitting `alloc_bytes` / `alloc_count` fields, so
-//! traces never carry misleading zeros.
+//! and the rest of the stack can then read what a region of code allocated
+//! on the thread that ran it with [`measure`] (or a pair of [`stats`]
+//! snapshots). Because the counters are thread-local, sibling threads — the
+//! other tests of a `cargo test` binary, the other ranks of a solve — never
+//! land in each other's numbers, and since ranks are threads every rank gets
+//! its own allocation attribution for free. When the allocator is *not*
+//! installed, [`is_counting`] stays `false` and the solve drivers skip
+//! emitting `alloc_bytes` / `alloc_count` fields, so traces never carry
+//! misleading zeros.
 //!
 //! Deallocations are deliberately not subtracted: the counters measure
 //! allocator *traffic* (how often the hot path hits `malloc`), which is the
 //! quantity the zero-allocation Krylov workspace is designed to eliminate.
 // The one unsafe impl in the crate: forwarding `GlobalAlloc` to `System`
-// around two atomic bumps. Kept to this module; see lib.rs.
+// around two thread-local counter bumps. Kept to this module; see lib.rs.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised `Cell`s of a `Copy` type: no lazy initialisation and
+    // no destructor, so touching them from inside the allocator can neither
+    // allocate nor run after thread-local teardown has freed them.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+// A statistic that publishes no other data: `Relaxed` suffices.
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 
-/// A `#[global_allocator]` that counts allocations into process globals.
+/// A `#[global_allocator]` that counts allocations per thread.
 pub struct CountingAlloc;
 
 // SAFETY: every method forwards to `System`, which upholds the `GlobalAlloc`
-// contract; the additional atomic counter updates have no effect on the
-// returned memory.
+// contract; the additional counter updates have no effect on the returned
+// memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_alloc(layout.size());
@@ -62,12 +74,14 @@ fn note_alloc(bytes: usize) {
     if !INSTALLED.load(Ordering::Relaxed) {
         INSTALLED.store(true, Ordering::Relaxed);
     }
-    ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    // `try_with`: an allocation during thread teardown is simply not
+    // counted rather than a panic inside the allocator.
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
-/// Cumulative allocation counters at one instant; subtract two snapshots to
-/// measure a region.
+/// Cumulative allocation counters of one thread at one instant; subtract
+/// two snapshots to measure a region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AllocStats {
     /// Number of allocation calls (`alloc`, `alloc_zeroed`, `realloc`).
@@ -85,14 +99,32 @@ impl AllocStats {
             bytes: self.bytes.saturating_sub(start.bytes),
         }
     }
+
+    /// Element-wise sum (e.g. the host thread's share plus every rank's).
+    #[must_use]
+    pub fn merged(self, other: AllocStats) -> AllocStats {
+        AllocStats {
+            count: self.count + other.count,
+            bytes: self.bytes + other.bytes,
+        }
+    }
 }
 
-/// Current cumulative counters (zeros unless [`CountingAlloc`] is installed).
+/// The calling thread's cumulative counters (zeros unless
+/// [`CountingAlloc`] is installed).
 pub fn stats() -> AllocStats {
     AllocStats {
-        count: ALLOC_CALLS.load(Ordering::Relaxed),
-        bytes: ALLOC_BYTES.load(Ordering::Relaxed),
+        count: ALLOC_CALLS.with(Cell::get),
+        bytes: ALLOC_BYTES.with(Cell::get),
     }
+}
+
+/// Runs `f` and returns its value with what it allocated **on this
+/// thread** — immune to whatever other threads allocate meanwhile.
+pub fn measure<R>(f: impl FnOnce() -> R) -> (R, AllocStats) {
+    let start = stats();
+    let value = f();
+    (value, stats().since(start))
 }
 
 /// Whether a [`CountingAlloc`] is installed in this process (detected on its
@@ -123,6 +155,14 @@ mod tests {
             }
         );
         assert_eq!(b.since(a), AllocStats::default());
+    }
+
+    #[test]
+    fn measure_returns_the_closure_value_and_a_delta() {
+        let (v, d) = measure(|| vec![1u8; 256].len());
+        assert_eq!(v, 256);
+        // Not installed in this test binary: nothing is counted.
+        assert_eq!(d, AllocStats::default());
     }
 
     #[test]

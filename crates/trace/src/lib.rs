@@ -58,7 +58,9 @@ mod registry;
 mod report;
 mod sink;
 
-pub use aggregate::{CommCounts, IterRecord, PhaseTotals, RankSummary, SolveSummary, TraceReport};
+pub use aggregate::{
+    CoarseSetupSummary, CommCounts, IterRecord, PhaseTotals, RankSummary, SolveSummary, TraceReport,
+};
 pub use chrome::export_chrome_trace;
 pub use critpath::{render_critical_path, CritPath, PathSegment, RankWaits, SegmentKind};
 pub use event::{EventKind, TraceEvent, Value};

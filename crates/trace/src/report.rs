@@ -170,6 +170,22 @@ pub fn render_convergence(report: &TraceReport) -> String {
                 "allocations: {count} calls / {bytes} bytes over the solve ({per_iter:.1} calls/iteration)"
             );
         }
+        if let Some(c) = &s.coarse {
+            let _ = writeln!(
+                out,
+                "coarse space: {} modes ({} live on the busiest rank), nnz(A_c) = {}, {} skipped pivots, lambda_hat = {:.4}, omega = {:.4}",
+                c.modes, c.live_modes, c.nnz, c.skipped_pivots, c.lambda_hat, c.omega
+            );
+            let _ = writeln!(
+                out,
+                "coarse setup charged: {} flops, {} bytes sent, {} exchanges and {} reductions per rank, {} modeled",
+                c.flops,
+                c.bytes_sent,
+                c.exchanges,
+                c.allreduces,
+                fmt_secs(c.virtual_s)
+            );
+        }
     }
     if report.iters.is_empty() {
         return out;
