@@ -43,8 +43,17 @@ fn run_rdd(a: &parfem::sparse::CsrMatrix, b: &[f64], part: &NodePartition) -> (f
     let gls = parfem::precond::GlsPrecond::for_scaled_system(7);
     let out = run_ranks(P, MachineModel::ideal(), |comm| {
         let sys = &systems[comm.rank()];
-        let res = rdd_fgmres(comm, sys, &gls, &vec![0.0; sys.n_local()], &cfg)
-            .expect("fault-free solve must not error");
+        let res = rdd_fgmres(
+            comm,
+            sys,
+            &gls,
+            &sys.b_loc,
+            &vec![0.0; sys.n_local()],
+            &cfg,
+            &mut parfem::krylov::KrylovWorkspace::new(),
+            &parfem::trace::MetricsRegistry::disabled(),
+        )
+        .expect("fault-free solve must not error");
         assert!(res.history.converged());
         (comm.stats().bytes_sent, res.history.iterations())
     });

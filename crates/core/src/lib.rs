@@ -64,14 +64,9 @@ pub mod prelude {
         CantileverProblem, LoadCase, PhysicsProblem, WorkloadMesh, PAPER_MESHES,
     };
     pub use crate::sequential::{solve_static, solve_system, SeqPrecond};
-    #[allow(deprecated)] // the frozen legacy entry points stay importable
     pub use parfem_dd::{
-        solve_dynamic_edd, solve_edd, solve_edd_traced, solve_rdd, solve_rdd_traced,
-        try_solve_edd_systems_traced, try_solve_edd_traced, try_solve_rdd_traced,
-    };
-    pub use parfem_dd::{
-        DdSolveOutput, DynamicRunConfig, DynamicRunOutput, EddVariant, MultiSolveOutput,
-        PrecondSpec, Problem, SolveError, SolveFailures, SolveSession, SolverConfig, Strategy,
+        DdSolveOutput, DynamicRunOutput, EddVariant, MultiSolveOutput, PrecondSpec, Problem,
+        SolveError, SolveFailures, SolveSession, SolverConfig, Strategy,
     };
     pub use parfem_fem::{Material, NewmarkParams, Physics};
     pub use parfem_krylov::{ConvergenceHistory, GmresConfig};

@@ -11,26 +11,15 @@
 //! purely local vector updates — interface consistency is preserved because
 //! every update is the same linear combination on every sharing rank.
 
-use crate::dist_vec::EddLayout;
-use crate::edd::edd_fgmres_with;
-use crate::scaling::DistributedScaling;
-use crate::session::{DdSolveOutput, SolverConfig};
-use parfem_fem::{Material, NewmarkParams, SubdomainSystem};
+use crate::dist_vec::ExchangeBuffers;
+use crate::edd::{edd_fgmres, edd_rank_setup, EddRank};
+use crate::session::{DdSolveOutput, Problem, ProblemMesh, SolverConfig};
+use parfem_fem::{NewmarkParams, SubdomainSystem};
 use parfem_krylov::history::{ConvergenceHistory, StopReason};
 use parfem_krylov::KrylovWorkspace;
-use parfem_mesh::{DofMap, ElementPartition, QuadMesh};
+use parfem_mesh::ElementPartition;
 use parfem_msg::{run_ranks, Communicator, MachineModel};
-
-/// Configuration of a parallel transient run.
-#[derive(Debug, Clone)]
-pub struct DynamicRunConfig {
-    /// Linear-solver settings per time step.
-    pub solver: SolverConfig,
-    /// Newmark parameters.
-    pub params: NewmarkParams,
-    /// Number of time steps.
-    pub steps: usize,
-}
+use parfem_trace::MetricsRegistry;
 
 /// Output of a parallel transient run.
 #[derive(Debug, Clone)]
@@ -48,52 +37,29 @@ pub struct DynamicRunOutput {
     pub all_converged: bool,
 }
 
-/// Runs `cfg.steps` Newmark steps of `M ü + K u = f` (constant load `loads`,
-/// zero initial conditions, homogeneous Dirichlet BCs) with the EDD
-/// distributed solver, watching the global DOFs in `watch_dofs`.
-///
-/// This frozen signature delegates to
-/// [`SolveSession::run_dynamic`](crate::SolveSession::run_dynamic); new
-/// code should use the session builder directly.
+/// The transient engine behind [`SolveSession::run_dynamic`]
+/// (`crate::SolveSession`): one `run_ranks` launch whose rank body runs the
+/// session's EDD rank setup ([`edd_rank_setup`]) on the effective matrix —
+/// distributed scaling and the registry preconditioner, once — then
+/// time-steps with a warm-started, shared-workspace FGMRES per step. The
+/// run is fault-free and unmetered.
 ///
 /// # Panics
 /// Panics if the DOF map carries non-zero prescribed values (the transient
 /// driver supports homogeneous constraints only) or on shape mismatches.
-#[deprecated(note = "use SolveSession::run_dynamic")]
-#[allow(clippy::too_many_arguments)] // problem + partition + machine + config + probes
-pub fn solve_dynamic_edd(
-    mesh: &QuadMesh,
-    dm: &DofMap,
-    material: &Material,
-    loads: &[f64],
-    part: &ElementPartition,
-    model: MachineModel,
-    cfg: &DynamicRunConfig,
-    watch_dofs: &[usize],
-) -> DynamicRunOutput {
-    crate::session::SolveSession::new(crate::session::Problem::new(mesh, dm, material, loads))
-        .strategy(crate::session::Strategy::Edd(part.clone()))
-        .config(cfg.solver.clone())
-        .machine(model)
-        .run_dynamic(cfg.params, cfg.steps, watch_dofs)
-}
-
-/// The transient engine behind [`SolveSession::run_dynamic`]
-/// (`crate::SolveSession`): one `run_ranks` launch whose rank body builds
-/// the effective matrix, its distributed scaling and the registry
-/// preconditioner once, then time-steps with a warm-started, shared-
-/// workspace FGMRES per step.
-#[allow(clippy::too_many_arguments)] // problem + partition + machine + config + probes
 pub(crate) fn run_dynamic_edd(
-    mesh: &QuadMesh,
-    dm: &DofMap,
-    material: &Material,
-    loads: &[f64],
+    problem: &Problem<'_>,
     part: &ElementPartition,
     model: MachineModel,
-    cfg: &DynamicRunConfig,
+    cfg: &SolverConfig,
+    params: NewmarkParams,
+    steps: usize,
     watch_dofs: &[usize],
 ) -> DynamicRunOutput {
+    let ProblemMesh::Quad(mesh) = problem.mesh() else {
+        unreachable!("run_dynamic admits 2-D elasticity only, which lives on a quadrilateral mesh")
+    };
+    let (dm, material, loads) = (problem.dof_map, problem.material, problem.loads);
     for (d, v) in dm.fixed_dofs() {
         assert_eq!(v, 0.0, "dynamic driver requires homogeneous BCs (dof {d})");
     }
@@ -103,25 +69,29 @@ pub(crate) fn run_dynamic_edd(
         .iter()
         .map(|s| SubdomainSystem::build(mesh, dm, material, s, loads, Some(true)))
         .collect();
-    let (alpha, beta) = cfg.params.effective_coefficients();
-    let dt = cfg.params.dt;
-    let nm_beta = cfg.params.beta;
-    let nm_gamma = cfg.params.gamma;
+    let (alpha, beta) = params.effective_coefficients();
+    let dt = params.dt;
+    let nm_beta = params.beta;
+    let nm_gamma = params.gamma;
 
     type RankResult = (Vec<f64>, Vec<Vec<f64>>, usize, bool, ConvergenceHistory);
     let out = run_ranks(p, model, |comm| -> RankResult {
         let sys = &systems[comm.rank()];
-        let mut layout = EddLayout::from_system(sys);
-        layout.set_overlap(cfg.solver.overlap);
         let n = sys.n_local_dofs();
-        // Setup-time interface sums share one staging buffer set.
-        let mut setup_bufs = crate::dist_vec::ExchangeBuffers::new();
 
-        // Effective local matrix and its distributed scaling.
+        // Effective local matrix, its distributed scaling and the
+        // preconditioner (constructed once; theta = (eps, 1) post scaling).
         let k_eff_local = sys.effective_local(alpha, beta);
-        let sc = DistributedScaling::build(comm, &layout, &k_eff_local);
-        let mut dummy_rhs = vec![0.0; n];
-        let a_eff = sc.apply(&k_eff_local, &mut dummy_rhs);
+        let (setup, _) = edd_rank_setup(comm, sys, &k_eff_local, None, cfg);
+        let EddRank {
+            layout,
+            scaling: sc,
+            a: a_eff,
+            precond: pc,
+            ..
+        } = &setup;
+        // The remaining setup-time interface sums share one staging buffer.
+        let mut setup_bufs = ExchangeBuffers::new();
 
         let m_local = sys.m_local.as_ref().expect("mass assembled");
         // Assembled lumped-mass diagonal for the initial acceleration.
@@ -154,27 +124,18 @@ pub(crate) fn run_dynamic_edd(
             a[l] = 0.0;
         }
 
-        // Preconditioner (constructed once; theta = (eps, 1) post scaling).
-        // Built through the registry as a concrete `SpecPrecond` so the
-        // per-step RHS borrows below need not outlive it; the diagonal
-        // interface sum runs only for Jacobi (the closure is lazy), and the
-        // effective local matrix feeds the `direct` spec's factorization.
-        let pc = cfg.solver.precond.instantiate_full(None, Some(&a_eff), || {
-            let mut d = a_eff.diagonal();
-            layout.interface_sum_buffered(comm, &mut d, &mut setup_bufs);
-            d
-        });
         let apply_solver = |b_local: &[f64], x0: &[f64], ws: &mut KrylovWorkspace| {
-            edd_fgmres_with(
+            edd_fgmres(
                 comm,
-                &layout,
-                &a_eff,
-                &pc,
+                layout,
+                a_eff,
+                pc,
                 b_local,
                 x0,
-                &cfg.solver.gmres,
-                cfg.solver.variant,
+                &cfg.gmres,
+                cfg.variant,
                 ws,
+                &MetricsRegistry::disabled(),
             )
         };
 
@@ -183,8 +144,7 @@ pub(crate) fn run_dynamic_edd(
             .iter()
             .map(|&g| sys.global_dofs.iter().position(|&gd| gd == g))
             .collect();
-        let mut watch_histories: Vec<Vec<f64>> =
-            vec![Vec::with_capacity(cfg.steps); watch_dofs.len()];
+        let mut watch_histories: Vec<Vec<f64>> = vec![Vec::with_capacity(steps); watch_dofs.len()];
 
         let mut total_iterations = 0usize;
         let mut all_converged = true;
@@ -198,7 +158,7 @@ pub(crate) fn run_dynamic_edd(
         // solve sizes it, the per-step FGMRES loop runs allocation-free.
         let mut ws = KrylovWorkspace::new();
 
-        for _ in 0..cfg.steps {
+        for _ in 0..steps {
             // Predictor (local, consistent).
             for i in 0..n {
                 u_star[i] = u[i] + dt * v[i] + dt * dt * (0.5 - nm_beta) * a[i];
@@ -281,7 +241,7 @@ pub(crate) fn run_dynamic_edd(
     for (k, h) in watch_histories.iter().enumerate() {
         assert_eq!(
             h.len(),
-            cfg.steps,
+            steps,
             "watched dof {} not owned by any rank",
             watch_dofs[k]
         );
@@ -302,13 +262,12 @@ pub(crate) fn run_dynamic_edd(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the tests pin the frozen legacy entry point
 mod tests {
     use super::*;
-    use parfem_fem::assembly;
+    use crate::session::{SolveSession, Strategy};
+    use parfem_fem::{assembly, Material};
     use parfem_krylov::gmres::GmresConfig;
-    use parfem_mesh::Edge;
-    use parfem_msg::MachineModel;
+    use parfem_mesh::{DofMap, Edge, QuadMesh};
 
     fn problem() -> (QuadMesh, DofMap, Material, Vec<f64>) {
         let mesh = QuadMesh::cantilever(12, 3);
@@ -320,45 +279,30 @@ mod tests {
         (mesh, dm, mat, loads)
     }
 
-    fn run_cfg(steps: usize, dt: f64) -> DynamicRunConfig {
-        DynamicRunConfig {
-            solver: SolverConfig {
-                gmres: GmresConfig {
-                    tol: 1e-10,
-                    ..Default::default()
-                },
+    /// `steps` average-acceleration steps of size `dt` on `p` strips,
+    /// watching `tip`, at a tight per-step tolerance.
+    fn run(
+        (mesh, dm, mat, loads): &(QuadMesh, DofMap, Material, Vec<f64>),
+        p: usize,
+        steps: usize,
+        dt: f64,
+        tip: usize,
+    ) -> DynamicRunOutput {
+        SolveSession::new(Problem::new(mesh, dm, mat, loads))
+            .strategy(Strategy::Edd(ElementPartition::strips_x(mesh, p)))
+            .gmres(GmresConfig {
+                tol: 1e-10,
                 ..Default::default()
-            },
-            params: NewmarkParams::average_acceleration(dt),
-            steps,
-        }
+            })
+            .run_dynamic(NewmarkParams::average_acceleration(dt), steps, &[tip])
     }
 
     #[test]
     fn parallel_transient_matches_rank_one_run() {
-        let (mesh, dm, mat, loads) = problem();
-        let tip = dm.dof(mesh.node_at(12, 3), 1);
-        let cfg = run_cfg(20, 2.0);
-        let p1 = solve_dynamic_edd(
-            &mesh,
-            &dm,
-            &mat,
-            &loads,
-            &ElementPartition::strips_x(&mesh, 1),
-            MachineModel::ideal(),
-            &cfg,
-            &[tip],
-        );
-        let p4 = solve_dynamic_edd(
-            &mesh,
-            &dm,
-            &mat,
-            &loads,
-            &ElementPartition::strips_x(&mesh, 4),
-            MachineModel::ideal(),
-            &cfg,
-            &[tip],
-        );
+        let problem = problem();
+        let tip = problem.1.dof(problem.0.node_at(12, 3), 1);
+        let p1 = run(&problem, 1, 20, 2.0, tip);
+        let p4 = run(&problem, 4, 20, 2.0, tip);
         assert!(p1.all_converged && p4.all_converged);
         for (a, b) in p1.watch_histories[0].iter().zip(&p4.watch_histories[0]) {
             assert!(
@@ -372,17 +316,18 @@ mod tests {
     fn parallel_transient_matches_sequential_newmark() {
         // Reference: the sequential NewmarkIntegrator with a dense-accurate
         // iterative solve.
-        let (mesh, dm, mat, loads) = problem();
+        let problem = problem();
+        let (mesh, dm, mat, loads) = &problem;
         let tip = dm.dof(mesh.node_at(12, 3), 1);
         let steps = 15;
         let dt = 2.0;
 
         // Sequential reference.
-        let k_raw = assembly::assemble_stiffness(&mesh, &dm, &mat);
-        let m_raw = assembly::assemble_mass(&mesh, &dm, &mat, true);
+        let k_raw = assembly::assemble_stiffness(mesh, dm, mat);
+        let m_raw = assembly::assemble_mass(mesh, dm, mat, true);
         let mut f = loads.clone();
-        let k = assembly::apply_dirichlet(&k_raw, &dm, &mut f);
-        let m = assembly::apply_dirichlet_mass(&m_raw, &dm);
+        let k = assembly::apply_dirichlet(&k_raw, dm, &mut f);
+        let m = assembly::apply_dirichlet_mass(&m_raw, dm);
         let fixed: Vec<(usize, f64)> = dm.fixed_dofs().collect();
         let n = k.n_rows();
         let diag_solve = |a: &parfem_sparse::CsrMatrix, b: &[f64]| -> Vec<f64> {
@@ -414,17 +359,7 @@ mod tests {
         }
 
         // Parallel.
-        let cfg = run_cfg(steps, dt);
-        let out = solve_dynamic_edd(
-            &mesh,
-            &dm,
-            &mat,
-            &loads,
-            &ElementPartition::strips_x(&mesh, 3),
-            MachineModel::ideal(),
-            &cfg,
-            &[tip],
-        );
+        let out = run(&problem, 3, steps, dt, tip);
         assert!(out.all_converged);
         for (s, p) in seq_tip.iter().zip(&out.watch_histories[0]) {
             assert!(
@@ -436,24 +371,15 @@ mod tests {
 
     #[test]
     fn transient_tracks_static_deflection_on_average() {
-        let (mesh, dm, mat, loads) = problem();
+        let problem = problem();
+        let (mesh, dm, mat, loads) = &problem;
         let tip = dm.dof(mesh.node_at(12, 3), 1);
         // Static reference deflection.
-        let sys = assembly::build_static(&mesh, &dm, &mat, &loads);
+        let sys = assembly::build_static(mesh, dm, mat, loads);
         let (u_static, h) = crate::tests_support::seq_solve(&sys.stiffness, &sys.rhs);
         assert!(h.converged());
         // One fundamental period of this beam is ~130 s.
-        let cfg = run_cfg(130, 1.0);
-        let out = solve_dynamic_edd(
-            &mesh,
-            &dm,
-            &mat,
-            &loads,
-            &ElementPartition::strips_x(&mesh, 4),
-            MachineModel::ideal(),
-            &cfg,
-            &[tip],
-        );
+        let out = run(&problem, 4, 130, 1.0, tip);
         let mean: f64 =
             out.watch_histories[0].iter().sum::<f64>() / out.watch_histories[0].len() as f64;
         assert!(
@@ -471,21 +397,11 @@ mod tests {
 
     #[test]
     fn iteration_counts_stay_p_independent_in_dynamics() {
-        let (mesh, dm, mat, loads) = problem();
-        let cfg = run_cfg(5, 1.0);
-        let tip = dm.dof(mesh.node_at(12, 3), 1);
+        let problem = problem();
+        let tip = problem.1.dof(problem.0.node_at(12, 3), 1);
         let mut totals = Vec::new();
         for p in [1usize, 2, 4] {
-            let out = solve_dynamic_edd(
-                &mesh,
-                &dm,
-                &mat,
-                &loads,
-                &ElementPartition::strips_x(&mesh, p),
-                MachineModel::ideal(),
-                &cfg,
-                &[tip],
-            );
+            let out = run(&problem, p, 5, 1.0, tip);
             assert!(out.all_converged);
             totals.push(out.total_iterations);
         }

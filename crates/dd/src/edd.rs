@@ -30,16 +30,23 @@
 //! bites), keeping the global communication at one reduction per iteration
 //! as Table 1 claims.
 
+use crate::coarse::{edd_part_geometry, CoarseBuildStats, CoarsePlan};
 use crate::dist_vec::{EddLayout, ExchangeBuffers};
 use crate::error::SolveError;
+use crate::scaling::DistributedScaling;
+use crate::session::{build_precond, host_span, Decomposition, Problem, SolverConfig};
 use crate::solver::{dd_fgmres, DdResult, DistributedOperator};
+use parfem_fem::SubdomainSystem;
 use parfem_krylov::gmres::GmresConfig;
 use parfem_krylov::KrylovWorkspace;
+use parfem_mesh::ElementPartition;
 use parfem_msg::Communicator;
+use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSpec, SpecPrecond};
 use parfem_precond::{InterfaceConsistency, Preconditioner};
 use parfem_sparse::variant::{select, SelectedKernel, VariantChoice};
-use parfem_sparse::{kernels, CsrMatrix, KernelPolicy, LinearOperator};
-use parfem_trace::MetricsRegistry;
+use parfem_sparse::{dense, kernels, CsrMatrix, KernelPolicy, LinearOperator};
+use parfem_trace::{MetricsRegistry, TraceSink};
+use std::borrow::Cow;
 use std::cell::RefCell;
 
 /// Which of the paper's EDD algorithms to run.
@@ -82,7 +89,7 @@ pub struct EddOperator<'a, C: Communicator> {
     /// [`CsrMatrix::spmv_flops`] exactly.
     interior_flops: u64,
     /// Live metrics surface for solves driven through this operator
-    /// (disabled unless installed via [`EddOperator::with_metrics`]).
+    /// (disabled outside [`edd_fgmres`]).
     metrics: MetricsRegistry,
     /// Kernel variant for the *blocking* local SpMV, chosen by
     /// [`EddOperator::with_kernels`]. `None` keeps the scalar CSR path
@@ -95,17 +102,20 @@ pub struct EddOperator<'a, C: Communicator> {
 impl<'a, C: Communicator> EddOperator<'a, C> {
     /// Wraps a subdomain's local distributed matrix as the global operator.
     pub fn new(a_local: &'a CsrMatrix, layout: &'a EddLayout, comm: &'a C) -> Self {
-        Self::for_solve(a_local, layout, comm, None, EddVariant::Enhanced)
+        let off = MetricsRegistry::disabled();
+        Self::for_solve(a_local, layout, comm, None, EddVariant::Enhanced, off)
     }
 
-    /// Like [`EddOperator::new`], but carrying the right-hand side and
-    /// algorithm variant a solve needs.
-    pub(crate) fn for_solve(
+    /// Like [`EddOperator::new`], but carrying what a solve needs: the
+    /// right-hand side, the algorithm variant, and the registry
+    /// [`dd_fgmres`] records its solver aggregates through (rank 0 only).
+    fn for_solve(
         a_local: &'a CsrMatrix,
         layout: &'a EddLayout,
         comm: &'a C,
         b_local: Option<&'a [f64]>,
         variant: EddVariant,
+        metrics: MetricsRegistry,
     ) -> Self {
         let row_nnz_flops = |rows: &[usize]| -> u64 {
             let row_ptr = a_local.raw_parts().0;
@@ -123,16 +133,9 @@ impl<'a, C: Communicator> EddOperator<'a, C> {
             xbufs: RefCell::new(ExchangeBuffers::new()),
             interface_flops: row_nnz_flops(layout.interface_rows()),
             interior_flops: row_nnz_flops(layout.interior_rows()),
-            metrics: MetricsRegistry::disabled(),
+            metrics,
             local_variant: None,
         }
-    }
-
-    /// Installs a live [`MetricsRegistry`]; [`dd_fgmres`] then records its
-    /// solver aggregates through it (rank 0 only).
-    pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
-        self.metrics = metrics;
-        self
     }
 
     /// Selects a local-SpMV kernel variant for `policy` (see
@@ -316,6 +319,10 @@ impl<C: Communicator> DistributedOperator for EddOperator<'_, C> {
         &self.metrics
     }
 
+    fn kernel_variant(&self) -> Option<VariantChoice> {
+        Some(self.kernel_choice())
+    }
+
     fn gs_dots(&self, w: &[f64], basis: &[Vec<f64>], reduce: &mut [f64]) {
         for (i, vi) in basis.iter().enumerate() {
             reduce[i] = self.layout.dot_partial(w, vi);
@@ -417,17 +424,15 @@ pub fn edd_lambda_max<C: Communicator>(
     lambda
 }
 
-/// Result of an EDD FGMRES solve on one rank (`x` is in global distributed
-/// format over this rank's DOFs; the history is identical on every rank).
-pub type EddResult = DdResult;
-
 /// Restarted flexible GMRES on the EDD operator.
 ///
 /// `b_local` is the right-hand side in *local distributed* format (as
-/// assembled); `x0` is an initial guess in *global distributed* format.
-///
-/// Allocates a throwaway [`KrylovWorkspace`]; callers solving repeatedly
-/// should hold one and use [`edd_fgmres_with`].
+/// assembled); `x0` is an initial guess, and the returned `x` the solution,
+/// in *global distributed* format over this rank's DOFs.
+/// Once `ws` (and the operator's exchange buffers) are warm, restarts and
+/// iterations perform no heap allocation on this rank. An enabled `metrics`
+/// registry receives the solver aggregates [`dd_fgmres`] records (rank 0
+/// only).
 ///
 /// # Errors
 /// [`SolveError::Comm`] when the communication substrate degrades mid-solve
@@ -445,81 +450,9 @@ pub fn edd_fgmres<'a, C, P>(
     x0: &[f64],
     cfg: &GmresConfig,
     variant: EddVariant,
-) -> Result<EddResult, SolveError>
-where
-    C: Communicator,
-    P: Preconditioner<EddOperator<'a, C>> + ?Sized,
-{
-    let mut ws = KrylovWorkspace::new();
-    edd_fgmres_with(
-        comm, layout, a_local, precond, b_local, x0, cfg, variant, &mut ws,
-    )
-}
-
-/// [`edd_fgmres`] through a caller-owned [`KrylovWorkspace`]: once the
-/// workspace (and the operator's exchange buffers) are warm, restarts and
-/// iterations perform no heap allocation on this rank, and the iterates are
-/// bit-identical to the allocating entry point.
-///
-/// # Errors
-/// [`SolveError::Comm`] when the communication substrate degrades mid-solve
-/// (see [`dd_fgmres`]).
-///
-/// # Panics
-/// Panics on dimension mismatches.
-#[allow(clippy::too_many_arguments)]
-pub fn edd_fgmres_with<'a, C, P>(
-    comm: &'a C,
-    layout: &'a EddLayout,
-    a_local: &'a CsrMatrix,
-    precond: &P,
-    b_local: &'a [f64],
-    x0: &[f64],
-    cfg: &GmresConfig,
-    variant: EddVariant,
-    ws: &mut KrylovWorkspace,
-) -> Result<EddResult, SolveError>
-where
-    C: Communicator,
-    P: Preconditioner<EddOperator<'a, C>> + ?Sized,
-{
-    edd_fgmres_metered(
-        comm,
-        layout,
-        a_local,
-        precond,
-        b_local,
-        x0,
-        cfg,
-        variant,
-        ws,
-        &MetricsRegistry::disabled(),
-    )
-}
-
-/// [`edd_fgmres_with`] with a live [`MetricsRegistry`] installed on the
-/// operator: identical arithmetic and trace events, plus the solver
-/// aggregates [`dd_fgmres`] records (rank 0 only).
-///
-/// # Errors
-/// [`SolveError::Comm`] when the communication substrate degrades mid-solve
-/// (see [`dd_fgmres`]).
-///
-/// # Panics
-/// Panics on dimension mismatches.
-#[allow(clippy::too_many_arguments)]
-pub fn edd_fgmres_metered<'a, C, P>(
-    comm: &'a C,
-    layout: &'a EddLayout,
-    a_local: &'a CsrMatrix,
-    precond: &P,
-    b_local: &'a [f64],
-    x0: &[f64],
-    cfg: &GmresConfig,
-    variant: EddVariant,
     ws: &mut KrylovWorkspace,
     metrics: &MetricsRegistry,
-) -> Result<EddResult, SolveError>
+) -> Result<DdResult, SolveError>
 where
     C: Communicator,
     P: Preconditioner<EddOperator<'a, C>> + ?Sized,
@@ -529,27 +462,205 @@ where
         a_local.n_rows(),
         "edd_fgmres: b length mismatch"
     );
-    if let Some(tracer) = comm.tracer() {
-        tracer.span_begin("fgmres", comm.virtual_time());
+    let op = EddOperator::for_solve(
+        a_local,
+        layout,
+        comm,
+        Some(b_local),
+        variant,
+        metrics.clone(),
+    )
+    .with_kernels(cfg.kernels);
+    dd_fgmres(&op, precond, x0, cfg, ws)
+}
+
+/// The EDD side of the session engine's strategy seam: unassembled
+/// subdomain systems, scaled on the ranks (Algorithms 3–4).
+pub(crate) struct EddParts<'a> {
+    systems: Cow<'a, [SubdomainSystem]>,
+    n_dofs: usize,
+    dofs_per_node: usize,
+    /// The mesh-level problem — node positions for the coarse geometry, the
+    /// constraints to zero the fixed rows of a global load. Prebuilt
+    /// systems carry none (and `run_multi` refuses them).
+    problem: Option<&'a Problem<'a>>,
+}
+
+impl<'a> EddParts<'a> {
+    /// Caller-assembled systems: 2-D elasticity numbering, no geometry.
+    pub(crate) fn prebuilt(systems: &'a [SubdomainSystem], n_dofs: usize) -> Self {
+        EddParts {
+            systems: Cow::Borrowed(systems),
+            n_dofs,
+            dofs_per_node: parfem_mesh::numbering::DOFS_PER_NODE,
+            problem: None,
+        }
     }
-    let op = EddOperator::for_solve(a_local, layout, comm, Some(b_local), variant)
-        .with_metrics(metrics.clone())
-        .with_kernels(cfg.kernels);
-    let choice = op.kernel_choice();
-    metrics
-        .counter(&format!(
-            "parfem_kernel_variant_{}_solves_total",
-            choice.label()
-        ))
-        .incr();
-    if let Some(tracer) = comm.tracer() {
-        tracer.add_count(&format!("kernel_variant_{}", choice.label()), 1);
+
+    /// Partitions the mesh and assembles the per-subdomain systems under
+    /// host-side spans.
+    pub(crate) fn assemble(p: &'a Problem<'a>, part: &ElementPartition, sink: &TraceSink) -> Self {
+        let subdomains = host_span(sink, "partition", || p.subdomains(part));
+        let systems = host_span(sink, "assembly", || {
+            subdomains.iter().map(|s| p.build_subdomain(s)).collect()
+        });
+        EddParts {
+            systems: Cow::Owned(systems),
+            n_dofs: p.dof_map.n_dofs(),
+            dofs_per_node: p.dof_map.dofs_per_node(),
+            problem: Some(p),
+        }
     }
-    let res = dd_fgmres(&op, precond, x0, cfg, ws);
-    if let Some(tracer) = comm.tracer() {
-        tracer.span_end("fgmres", comm.virtual_time());
+}
+
+/// One EDD rank after its setup: interface layout, the Algorithm 3
+/// diagonal, the scaled local matrix and load, and the preconditioner.
+pub(crate) struct EddRank {
+    pub(crate) layout: EddLayout,
+    pub(crate) scaling: DistributedScaling,
+    pub(crate) a: CsrMatrix,
+    /// `D̂ f̂` for the system's own load.
+    b: Vec<f64>,
+    pub(crate) precond: SpecPrecond,
+}
+
+/// The EDD rank setup, shared by the engine and the transient driver (which
+/// passes its effective matrix `ᾱM̂ + K̂` as `k_local`): distributed scaling
+/// under the `scaling` rank span, then the preconditioner over the scaled
+/// matrix and interface layout.
+pub(crate) fn edd_rank_setup<C: Communicator>(
+    comm: &C,
+    sys: &SubdomainSystem,
+    k_local: &CsrMatrix,
+    coarse: Option<CoarsePlan<'_>>,
+    cfg: &SolverConfig,
+) -> (EddRank, Option<CoarseBuildStats>) {
+    if let Some(t) = comm.tracer() {
+        t.span_begin("scaling", comm.virtual_time());
     }
-    res
+    let mut layout = EddLayout::from_system(sys);
+    layout.set_overlap(cfg.overlap);
+    let scaling = DistributedScaling::build(comm, &layout, k_local);
+    let mut b = sys.f_local.clone();
+    let a = scaling.apply(k_local, &mut b);
+    if let Some(t) = comm.tracer() {
+        t.span_end("scaling", comm.virtual_time());
+    }
+    // The scaled local matrix feeds the `direct` spec (exact local solve);
+    // the lazy closure feeds Jacobi its assembled diagonal.
+    let (precond, stats) = build_precond(
+        &EddOperator::new(&a, &layout, comm),
+        coarse,
+        &sys.multiplicity,
+        &scaling.d,
+        &a,
+        || {
+            let mut d = a.diagonal();
+            layout.interface_sum_buffered(comm, &mut d, &mut ExchangeBuffers::new());
+            d
+        },
+        &cfg.precond,
+    );
+    let rank = EddRank {
+        layout,
+        scaling,
+        a,
+        b,
+        precond,
+    };
+    (rank, stats)
+}
+
+impl Decomposition for EddParts<'_> {
+    type Rank = EddRank;
+
+    fn n_ranks(&self) -> usize {
+        self.systems.len()
+    }
+
+    fn dofs_per_node(&self) -> usize {
+        self.dofs_per_node
+    }
+
+    fn label(&self, cfg: &SolverConfig) -> &'static str {
+        match cfg.variant {
+            EddVariant::Basic => "edd-basic",
+            EddVariant::Enhanced => "edd-enhanced",
+        }
+    }
+
+    fn coarse_geometry(&self, spec: &CoarseSpec) -> Result<Vec<CoarsePartGeometry>, SolveError> {
+        let coords = self.problem.map(|p| p.coords3());
+        edd_part_geometry(spec, &self.systems, coords.as_deref(), self.dofs_per_node)
+    }
+
+    fn rank_setup<C: Communicator>(
+        &self,
+        comm: &C,
+        coarse: Option<CoarsePlan<'_>>,
+        cfg: &SolverConfig,
+    ) -> (EddRank, Option<CoarseBuildStats>) {
+        let sys = &self.systems[comm.rank()];
+        edd_rank_setup(comm, sys, &sys.k_local, coarse, cfg)
+    }
+
+    fn rank_solve<C: Communicator>(
+        &self,
+        comm: &C,
+        rank: &EddRank,
+        load: Option<&[f64]>,
+        cfg: &SolverConfig,
+        ws: &mut KrylovWorkspace,
+    ) -> Result<DdResult, SolveError> {
+        let sys = &self.systems[comm.rank()];
+        // A global load becomes the local distributed one `SubdomainSystem`
+        // assembles: entries split by multiplicity, constrained rows zeroed.
+        let b: Cow<'_, [f64]> = match load {
+            None => Cow::Borrowed(&rank.b),
+            Some(global) => {
+                let fixed = self
+                    .problem
+                    .expect("global loads need the mesh-level problem")
+                    .dof_map;
+                let mut b: Vec<f64> = (sys.global_dofs.iter().zip(&sys.multiplicity))
+                    .map(|(&g, &m)| {
+                        if fixed.is_fixed(g) {
+                            0.0
+                        } else {
+                            global[g] / m
+                        }
+                    })
+                    .collect();
+                dense::diag_mul(&rank.scaling.d, &mut b);
+                Cow::Owned(b)
+            }
+        };
+        let mut res = edd_fgmres(
+            comm,
+            &rank.layout,
+            &rank.a,
+            &rank.precond,
+            &b,
+            &vec![0.0; b.len()],
+            &cfg.gmres,
+            cfg.variant,
+            ws,
+            &cfg.metrics,
+        )?;
+        rank.scaling.unscale(&mut res.x);
+        Ok(res)
+    }
+
+    /// Global distributed values are identical on every sharing rank.
+    fn gather<'r>(&self, pieces: impl Iterator<Item = &'r [f64]>) -> Vec<f64> {
+        let mut u = vec![0.0; self.n_dofs];
+        for (sys, piece) in self.systems.iter().zip(pieces) {
+            for (&g, &v) in sys.global_dofs.iter().zip(piece) {
+                u[g] = v;
+            }
+        }
+        u
+    }
 }
 
 #[cfg(test)]
@@ -608,9 +719,13 @@ mod tests {
             let mut b = sys.f_local.clone();
             let a = sc.apply(&sys.k_local, &mut b);
             let x0 = vec![0.0; b.len()];
+            let (ws, off) = (&mut KrylovWorkspace::new(), &MetricsRegistry::disabled());
             let res = match &gls {
-                Some(g) => edd_fgmres(comm, &layout, &a, g, &b, &x0, cfg, variant),
-                None => edd_fgmres(comm, &layout, &a, &IdentityPrecond, &b, &x0, cfg, variant),
+                Some(g) => edd_fgmres(comm, &layout, &a, g, &b, &x0, cfg, variant, ws, off),
+                None => {
+                    let id = &IdentityPrecond;
+                    edd_fgmres(comm, &layout, &a, id, &b, &x0, cfg, variant, ws, off)
+                }
             }
             .expect("fault-free solve must not error");
             let mut u = res.x;
@@ -852,8 +967,19 @@ mod tests {
             let mut b = sys.f_local.clone();
             let a = sc.apply(&sys.k_local, &mut b);
             let x0 = vec![0.0; b.len()];
-            let res = edd_fgmres(comm, &layout, &a, &p, &b, &x0, &cfg, EddVariant::Enhanced)
-                .expect("fault-free solve must not error");
+            let res = edd_fgmres(
+                comm,
+                &layout,
+                &a,
+                &p,
+                &b,
+                &x0,
+                &cfg,
+                EddVariant::Enhanced,
+                &mut KrylovWorkspace::new(),
+                &MetricsRegistry::disabled(),
+            )
+            .expect("fault-free solve must not error");
             let mut u = res.x;
             sc.unscale(&mut u);
             (u, res.history.converged())

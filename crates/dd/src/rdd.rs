@@ -18,15 +18,20 @@
 //! products are trivially deduplicated (rows are disjoint): one local dot
 //! plus an all-reduce.
 
+use crate::coarse::{rdd_part_geometry, CoarseBuildStats, CoarsePlan};
 use crate::error::SolveError;
+use crate::session::{build_precond, host_span, Decomposition, Problem, SolverConfig};
 use crate::solver::{dd_fgmres, DdResult, DistributedOperator};
 use parfem_krylov::gmres::GmresConfig;
 use parfem_krylov::KrylovWorkspace;
 use parfem_mesh::NodePartition;
 use parfem_msg::Communicator;
+use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSpec, SpecPrecond};
 use parfem_precond::{InterfaceConsistency, Preconditioner};
-use parfem_sparse::{kernels, CooMatrix, CsrMatrix, LinearOperator};
-use parfem_trace::MetricsRegistry;
+use parfem_sparse::scaling::scale_system;
+use parfem_sparse::{kernels, CooMatrix, CsrMatrix, DiagonalScaling, LinearOperator};
+use parfem_trace::{MetricsRegistry, TraceSink};
+use std::borrow::Cow;
 use std::cell::RefCell;
 
 /// One rank's block-row system.
@@ -218,6 +223,10 @@ pub struct RddOperator<'a, C: Communicator> {
     pub sys: &'a RddSystem,
     /// Communicator endpoint.
     pub comm: &'a C,
+    /// The right-hand side over the owned rows, when this operator drives a
+    /// solve (needed by [`DistributedOperator::residual_into`]). Borrowed,
+    /// so several solves share one [`RddSystem`] without copying its blocks.
+    b_loc: Option<&'a [f64]>,
     /// Halo staging, behind interior mutability because
     /// [`LinearOperator::apply_into`] takes `&self`.
     halo: RefCell<RddHaloBuffers>,
@@ -228,20 +237,26 @@ pub struct RddOperator<'a, C: Communicator> {
 impl<'a, C: Communicator> RddOperator<'a, C> {
     /// Wraps a block-row system as the distributed operator.
     pub fn new(sys: &'a RddSystem, comm: &'a C) -> Self {
+        Self::for_solve(sys, comm, None, MetricsRegistry::disabled())
+    }
+
+    /// Like [`RddOperator::new`], but carrying what a solve needs: the
+    /// right-hand side, and the registry [`dd_fgmres`] records its solver
+    /// counters through (rank 0 only, to avoid double counting in SPMD
+    /// runs).
+    fn for_solve(
+        sys: &'a RddSystem,
+        comm: &'a C,
+        b_loc: Option<&'a [f64]>,
+        metrics: MetricsRegistry,
+    ) -> Self {
         RddOperator {
             sys,
             comm,
+            b_loc,
             halo: RefCell::new(RddHaloBuffers::default()),
-            metrics: MetricsRegistry::disabled(),
+            metrics,
         }
-    }
-
-    /// Attaches a [`MetricsRegistry`] so [`dd_fgmres`] records solver
-    /// counters (rank 0 only, to avoid double counting in SPMD runs).
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
-        self.metrics = metrics;
-        self
     }
 
     /// Performs the halo exchange for `x_loc`, leaving the external values
@@ -351,8 +366,11 @@ impl<C: Communicator> DistributedOperator for RddOperator<'_, C> {
 
     /// `r ← b_loc − A x` over the owned rows (one halo exchange).
     fn residual_into(&self, x: &[f64], r: &mut [f64]) {
+        let b_loc = self
+            .b_loc
+            .expect("RddOperator: residual requires a right-hand side");
         self.apply_into(x, r);
-        for (ri, bi) in r.iter_mut().zip(&self.sys.b_loc) {
+        for (ri, bi) in r.iter_mut().zip(b_loc) {
             *ri = bi - *ri;
         }
         self.comm.work(r.len() as u64);
@@ -410,14 +428,15 @@ impl<C: Communicator> Preconditioner<RddOperator<'_, C>> for RddLocalIlu {
     }
 }
 
-/// Result of the RDD solve on one rank (`x` is over the owned rows; the
-/// history is identical on all ranks).
-pub type RddResult = DdResult;
-
 /// Restarted flexible GMRES on the block-row operator (Algorithm 8).
 ///
-/// Allocates a throwaway [`KrylovWorkspace`]; callers solving repeatedly
-/// should hold one and use [`rdd_fgmres_with`].
+/// `b_loc` is the right-hand side, and the returned `x` the solution, over
+/// the owned rows — `&sys.b_loc` for the
+/// load the system was split with, or the restriction of any other scaled
+/// global load. Once `ws` (and the operator's halo buffers) are warm,
+/// restarts and iterations perform no heap allocation on this rank. An
+/// enabled `metrics` registry receives the solver counters [`dd_fgmres`]
+/// records (rank 0 only).
 ///
 /// # Errors
 /// [`SolveError::Comm`] when the communication substrate degrades mid-solve
@@ -425,88 +444,152 @@ pub type RddResult = DdResult;
 ///
 /// # Panics
 /// Panics on dimension mismatches.
+#[allow(clippy::too_many_arguments)]
 pub fn rdd_fgmres<'a, C, P>(
     comm: &'a C,
     sys: &'a RddSystem,
     precond: &P,
-    x0: &[f64],
-    cfg: &GmresConfig,
-) -> Result<RddResult, SolveError>
-where
-    C: Communicator,
-    P: Preconditioner<RddOperator<'a, C>> + ?Sized,
-{
-    let mut ws = KrylovWorkspace::new();
-    rdd_fgmres_with(comm, sys, precond, x0, cfg, &mut ws)
-}
-
-/// [`rdd_fgmres`] through a caller-owned [`KrylovWorkspace`]: once the
-/// workspace (and the operator's halo buffers) are warm, restarts and
-/// iterations perform no heap allocation on this rank, and the iterates are
-/// bit-identical to the allocating entry point.
-///
-/// # Errors
-/// [`SolveError::Comm`] when the communication substrate degrades mid-solve
-/// (see [`dd_fgmres`]).
-///
-/// # Panics
-/// Panics on dimension mismatches.
-pub fn rdd_fgmres_with<'a, C, P>(
-    comm: &'a C,
-    sys: &'a RddSystem,
-    precond: &P,
-    x0: &[f64],
-    cfg: &GmresConfig,
-    ws: &mut KrylovWorkspace,
-) -> Result<RddResult, SolveError>
-where
-    C: Communicator,
-    P: Preconditioner<RddOperator<'a, C>> + ?Sized,
-{
-    rdd_fgmres_metered(
-        comm,
-        sys,
-        precond,
-        x0,
-        cfg,
-        ws,
-        &MetricsRegistry::disabled(),
-    )
-}
-
-/// [`rdd_fgmres_with`] plus a [`MetricsRegistry`]: solver counters
-/// (iterations, restarts, preconditioner applies, convergence outcome)
-/// are recorded on rank 0. A disabled registry makes this identical to
-/// [`rdd_fgmres_with`].
-///
-/// # Errors
-/// [`SolveError::Comm`] when the communication substrate degrades mid-solve
-/// (see [`dd_fgmres`]).
-///
-/// # Panics
-/// Panics on dimension mismatches.
-pub fn rdd_fgmres_metered<'a, C, P>(
-    comm: &'a C,
-    sys: &'a RddSystem,
-    precond: &P,
+    b_loc: &'a [f64],
     x0: &[f64],
     cfg: &GmresConfig,
     ws: &mut KrylovWorkspace,
     metrics: &MetricsRegistry,
-) -> Result<RddResult, SolveError>
+) -> Result<DdResult, SolveError>
 where
     C: Communicator,
     P: Preconditioner<RddOperator<'a, C>> + ?Sized,
 {
-    if let Some(tracer) = comm.tracer() {
-        tracer.span_begin("fgmres", comm.virtual_time());
+    assert_eq!(b_loc.len(), sys.n_local(), "rdd_fgmres: b length mismatch");
+    let op = RddOperator::for_solve(sys, comm, Some(b_loc), metrics.clone());
+    dd_fgmres(&op, precond, x0, cfg, ws)
+}
+
+/// The RDD side of the session engine's strategy seam: block rows of the
+/// assembled matrix, scaled on the host.
+pub(crate) struct RddParts<'a> {
+    systems: Vec<RddSystem>,
+    /// The host-side norm-1 scaling `D` of the assembled system.
+    scaling: DiagonalScaling,
+    problem: &'a Problem<'a>,
+    part: &'a NodePartition,
+}
+
+impl<'a> RddParts<'a> {
+    /// Host-side assembly and scaling of the global system, then the
+    /// block-row split; the global matrices are dropped on return.
+    pub(crate) fn assemble(
+        problem: &'a Problem<'a>,
+        part: &'a NodePartition,
+        overlap: bool,
+        sink: &TraceSink,
+    ) -> Self {
+        let assembled = host_span(sink, "assembly", || problem.build_static());
+        let (a, b, scaling) = host_span(sink, "scaling", || {
+            scale_system(&assembled.stiffness, &assembled.rhs).expect("square assembled system")
+        });
+        let mut systems = RddSystem::build_all(&a, &b, part);
+        for sys in &mut systems {
+            sys.overlap = overlap;
+        }
+        RddParts {
+            systems,
+            scaling,
+            problem,
+            part,
+        }
     }
-    let op = RddOperator::new(sys, comm).with_metrics(metrics.clone());
-    let res = dd_fgmres(&op, precond, x0, cfg, ws);
-    if let Some(tracer) = comm.tracer() {
-        tracer.span_end("fgmres", comm.virtual_time());
+}
+
+impl Decomposition for RddParts<'_> {
+    type Rank = SpecPrecond;
+
+    fn n_ranks(&self) -> usize {
+        self.systems.len()
     }
-    res
+
+    fn dofs_per_node(&self) -> usize {
+        self.problem.dof_map.dofs_per_node()
+    }
+
+    fn label(&self, _: &SolverConfig) -> &'static str {
+        "rdd"
+    }
+
+    fn coarse_geometry(&self, _: &CoarseSpec) -> Result<Vec<CoarsePartGeometry>, SolveError> {
+        Ok(rdd_part_geometry(
+            self.part,
+            self.problem.dof_map,
+            &self.problem.coords3(),
+        ))
+    }
+
+    fn rank_setup<C: Communicator>(
+        &self,
+        comm: &C,
+        coarse: Option<CoarsePlan<'_>>,
+        cfg: &SolverConfig,
+    ) -> (SpecPrecond, Option<CoarseBuildStats>) {
+        let sys = &self.systems[comm.rank()];
+        // Rows are disjoint (multiplicity 1); the coarse build reads the
+        // host diagonal at the owned rows.
+        let (mult, d) = match coarse {
+            Some(_) => (
+                vec![1.0; sys.n_local()],
+                sys.restrict(self.scaling.diagonal()),
+            ),
+            None => (Vec::new(), Vec::new()),
+        };
+        // `a_loc` (the owned diagonal block) feeds the `direct` spec and
+        // Jacobi its diagonal.
+        build_precond(
+            &RddOperator::new(sys, comm),
+            coarse,
+            &mult,
+            &d,
+            &sys.a_loc,
+            || sys.a_loc.diagonal(),
+            &cfg.precond,
+        )
+    }
+
+    fn rank_solve<C: Communicator>(
+        &self,
+        comm: &C,
+        precond: &SpecPrecond,
+        load: Option<&[f64]>,
+        cfg: &SolverConfig,
+        ws: &mut KrylovWorkspace,
+    ) -> Result<DdResult, SolveError> {
+        let sys = &self.systems[comm.rank()];
+        // A global load becomes the owned rows of `D f` with the
+        // constrained entries zeroed, as `build_static` + `scale_system` do.
+        let b: Cow<'_, [f64]> = match load {
+            None => Cow::Borrowed(&sys.b_loc),
+            Some(global) => {
+                let (fixed, d) = (self.problem.dof_map, self.scaling.diagonal());
+                (sys.rows.iter())
+                    .map(|&g| {
+                        if fixed.is_fixed(g) {
+                            0.0
+                        } else {
+                            global[g] * d[g]
+                        }
+                    })
+                    .collect()
+            }
+        };
+        let x0 = vec![0.0; sys.n_local()];
+        rdd_fgmres(comm, sys, precond, &b, &x0, &cfg.gmres, ws, &cfg.metrics)
+    }
+
+    fn gather<'r>(&self, pieces: impl Iterator<Item = &'r [f64]>) -> Vec<f64> {
+        let mut x = vec![0.0; self.problem.dof_map.n_dofs()];
+        for (sys, piece) in self.systems.iter().zip(pieces) {
+            sys.scatter(piece, &mut x);
+        }
+        self.scaling.apply_in_place(&mut x);
+        x
+    }
 }
 
 #[cfg(test)]
@@ -518,6 +601,26 @@ mod tests {
     use parfem_msg::{run_ranks, MachineModel};
     use parfem_precond::{GlsPrecond, IdentityPrecond};
     use parfem_sparse::scaling::scale_system;
+
+    /// One solve for the load the system was split with, from a zero
+    /// initial guess, on a throwaway workspace.
+    fn solve<'a, C, P>(comm: &'a C, sys: &'a RddSystem, precond: &P, cfg: &GmresConfig) -> DdResult
+    where
+        C: Communicator,
+        P: Preconditioner<RddOperator<'a, C>> + ?Sized,
+    {
+        rdd_fgmres(
+            comm,
+            sys,
+            precond,
+            &sys.b_loc,
+            &vec![0.0; sys.n_local()],
+            cfg,
+            &mut KrylovWorkspace::new(),
+            &MetricsRegistry::disabled(),
+        )
+        .expect("fault-free solve must not error")
+    }
 
     fn assembled(nx: usize, ny: usize) -> (CsrMatrix, Vec<f64>, usize) {
         let mesh = QuadMesh::cantilever(nx, ny);
@@ -601,8 +704,7 @@ mod tests {
         let gls = GlsPrecond::for_scaled_system(5);
         let out = run_ranks(4, MachineModel::ideal(), |comm| {
             let sys = &systems[comm.rank()];
-            let res = rdd_fgmres(comm, sys, &gls, &vec![0.0; sys.n_local()], &cfg)
-                .expect("fault-free solve must not error");
+            let res = solve(comm, sys, &gls, &cfg);
             (res.x, res.history)
         });
         let mut x = vec![0.0; a.n_rows()];
@@ -631,8 +733,7 @@ mod tests {
         };
         let out = run_ranks(2, MachineModel::ideal(), |comm| {
             let sys = &systems[comm.rank()];
-            let res = rdd_fgmres(comm, sys, &IdentityPrecond, &vec![0.0; sys.n_local()], &cfg)
-                .expect("fault-free solve must not error");
+            let res = solve(comm, sys, &IdentityPrecond, &cfg);
             res.history.converged()
         });
         assert!(out.results.iter().all(|&c| c));
@@ -649,14 +750,7 @@ mod tests {
         let cfg = GmresConfig::default();
         let seq = fgmres(&a, &IdentityPrecond, &b, &vec![0.0; a.n_rows()], &cfg);
         let out = run_ranks(1, MachineModel::ideal(), |comm| {
-            let res = rdd_fgmres(
-                comm,
-                &systems[0],
-                &IdentityPrecond,
-                &vec![0.0; systems[0].n_local()],
-                &cfg,
-            )
-            .expect("fault-free solve must not error");
+            let res = solve(comm, &systems[0], &IdentityPrecond, &cfg);
             (res.x, res.history.iterations())
         });
         assert_eq!(out.results[0].1, seq.history.iterations());
@@ -680,10 +774,8 @@ mod tests {
         let out = run_ranks(3, MachineModel::ideal(), |comm| {
             let sys = &systems[comm.rank()];
             let ilu = RddLocalIlu::factorize(sys).expect("clamped blocks factorize");
-            let pre = rdd_fgmres(comm, sys, &ilu, &vec![0.0; sys.n_local()], &cfg)
-                .expect("fault-free solve must not error");
-            let plain = rdd_fgmres(comm, sys, &IdentityPrecond, &vec![0.0; sys.n_local()], &cfg)
-                .expect("fault-free solve must not error");
+            let pre = solve(comm, sys, &ilu, &cfg);
+            let plain = solve(comm, sys, &IdentityPrecond, &cfg);
             (
                 pre.history.iterations(),
                 plain.history.iterations(),

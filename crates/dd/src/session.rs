@@ -33,19 +33,25 @@
 //! interface exchange, deterministic fault plan, communication watchdog,
 //! trace sink, and single- vs multi-RHS ([`SolveSession::run`] /
 //! [`SolveSession::run_multi`]) vs transient
-//! ([`SolveSession::run_dynamic`]). Any combination composes; results are
-//! bit-identical to the historical `solve_*` entry points (pinned by the
-//! FNV-1a golden digests in `tests/golden.rs`).
+//! ([`SolveSession::run_dynamic`]). Any combination composes.
+//!
+//! `run` and `run_multi` are one engine: host prepare (partition, assembly,
+//! for RDD the global scaling) → coarse geometry → one rank launch, with
+//! one fault wrap → one rank body (setup, `precond-build`, then one FGMRES
+//! per right-hand side on a shared Krylov workspace) → metrics, collection,
+//! `gather` and the `solve_summary`. What EDD and RDD do differently sits
+//! behind the crate-private `Decomposition` trait, implemented next to each
+//! operator (`EddParts` in [`crate::edd`], `RddParts` in [`crate::rdd`]);
+//! `run` feeds the engine the systems' own load (the only one that carries
+//! an inhomogeneous-Dirichlet lift), `run_multi` feeds it `k` global loads.
+//! The FNV-1a digests in `tests/golden.rs` pin the results bit for bit.
 
-use crate::coarse::{
-    build_rank_coarse, edd_part_geometry, rdd_part_geometry, CoarseBuildStats, CoarsePlan,
-};
-use crate::dist_vec::EddLayout;
-use crate::dynamic::{run_dynamic_edd, DynamicRunConfig, DynamicRunOutput};
-use crate::edd::{edd_fgmres_metered, EddOperator, EddVariant};
+use crate::coarse::{build_rank_coarse, CoarseBuildStats, CoarsePlan};
+use crate::dynamic::{run_dynamic_edd, DynamicRunOutput};
+use crate::edd::{EddParts, EddVariant};
 use crate::error::SolveError;
-use crate::rdd::{rdd_fgmres_metered, RddOperator, RddSystem};
-use crate::scaling::DistributedScaling;
+use crate::rdd::RddParts;
+use crate::solver::{DdResult, DistributedOperator};
 use parfem_fem::{assembly::StaticSystem, Material, NewmarkParams, Physics, SubdomainSystem};
 use parfem_krylov::gmres::GmresConfig;
 use parfem_krylov::history::ConvergenceHistory;
@@ -60,7 +66,7 @@ use parfem_msg::{
 use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSetup, CoarseSpec, SpecPrecond};
 pub use parfem_precond::PrecondSpec;
 
-use parfem_sparse::{dense, scaling::scale_system, CsrMatrix, KernelPolicy};
+use parfem_sparse::{CsrMatrix, KernelPolicy};
 use parfem_trace::{alloc, MetricsRegistry, TraceSink, Value};
 use std::fmt;
 use std::time::Duration;
@@ -150,6 +156,9 @@ pub struct MultiSolveOutput {
     pub reports: Vec<RankReport>,
     /// Modeled parallel time of the whole multi-solve, in seconds.
     pub modeled_time: f64,
+    /// Per-rank record of the two-level coarse build, as in
+    /// [`DdSolveOutput::coarse`].
+    pub coarse: Vec<CoarseBuildStats>,
 }
 
 impl MultiSolveOutput {
@@ -361,20 +370,8 @@ impl<'a> Problem<'a> {
         }
     }
 
-    /// The quadrilateral mesh, for the 2-D-only paths (`partitioned()`, the
-    /// transient driver).
-    ///
-    /// # Panics
-    /// Panics on a hexahedral mesh, naming the caller `what`.
-    fn quad_mesh(&self, what: &str) -> &'a QuadMesh {
-        match self.mesh {
-            ProblemMesh::Quad(m) => m,
-            ProblemMesh::Hex(_) => panic!("{what} supports 2-D quadrilateral meshes only"),
-        }
-    }
-
     /// Element-partitions this problem's mesh into the subdomain node sets.
-    fn subdomains(&self, part: &ElementPartition) -> Vec<Subdomain> {
+    pub(crate) fn subdomains(&self, part: &ElementPartition) -> Vec<Subdomain> {
         match self.mesh {
             ProblemMesh::Quad(m) => part.subdomains(m),
             ProblemMesh::Hex(m) => part.subdomains_of(m),
@@ -383,7 +380,7 @@ impl<'a> Problem<'a> {
 
     /// Assembles one subdomain's unassembled local system for this
     /// problem's physics.
-    fn build_subdomain(&self, sub: &Subdomain) -> SubdomainSystem {
+    pub(crate) fn build_subdomain(&self, sub: &Subdomain) -> SubdomainSystem {
         match (self.mesh, self.physics) {
             (ProblemMesh::Quad(m), Physics::Elasticity2d) => {
                 SubdomainSystem::build(m, self.dof_map, self.material, sub, self.loads, None)
@@ -401,7 +398,7 @@ impl<'a> Problem<'a> {
 
     /// Assembles the constrained global static system for this problem's
     /// physics (the RDD baseline's input).
-    fn build_static(&self) -> StaticSystem {
+    pub(crate) fn build_static(&self) -> StaticSystem {
         match (self.mesh, self.physics) {
             (ProblemMesh::Quad(m), Physics::Elasticity2d) => {
                 parfem_fem::assembly::build_static(m, self.dof_map, self.material, self.loads)
@@ -453,8 +450,12 @@ impl<'a> SolveSession<'a> {
     /// Starts a session over a mesh-level [`Problem`]. A
     /// [`strategy`](SolveSession::strategy) must be chosen before running.
     pub fn new(problem: Problem<'a>) -> Self {
+        Self::over(SessionInput::Mesh(problem))
+    }
+
+    fn over(input: SessionInput<'a>) -> Self {
         SolveSession {
-            input: SessionInput::Mesh(problem),
+            input,
             strategy: None,
             cfg: SolverConfig::default(),
             model: MachineModel::ideal(),
@@ -469,13 +470,7 @@ impl<'a> SolveSession<'a> {
     /// EDD; do not set [`strategy`](SolveSession::strategy).
     pub fn from_systems(systems: &'a [SubdomainSystem], n_dofs: usize) -> Self {
         assert!(!systems.is_empty(), "need at least one subdomain system");
-        SolveSession {
-            input: SessionInput::Systems { systems, n_dofs },
-            strategy: None,
-            cfg: SolverConfig::default(),
-            model: MachineModel::ideal(),
-            sink: None,
-        }
+        Self::over(SessionInput::Systems { systems, n_dofs })
     }
 
     /// Chooses the decomposition strategy (and its partition).
@@ -598,41 +593,14 @@ impl<'a> SolveSession<'a> {
     /// Panics on API misuse: a mesh-level session without a strategy, or a
     /// prebuilt-systems session with one.
     pub fn run(&self) -> Result<DdSolveOutput, SolveFailures> {
-        let disabled = TraceSink::disabled();
-        let sink = self.sink.unwrap_or(&disabled);
-        match (&self.input, &self.strategy) {
-            (SessionInput::Systems { systems, n_dofs }, None) => run_edd_systems(
-                systems,
-                *n_dofs,
-                None,
-                parfem_mesh::numbering::DOFS_PER_NODE,
-                self.model.clone(),
-                &self.cfg,
-                sink,
-            ),
-            (SessionInput::Systems { .. }, Some(_)) => panic!(
-                "prebuilt subdomain systems already encode the partition; do not set .strategy(..)"
-            ),
-            (SessionInput::Mesh(p), Some(Strategy::Edd(part))) => {
-                let systems = assemble_edd(p, part, sink);
-                let coords = p.coords3();
-                run_edd_systems(
-                    &systems,
-                    p.dof_map.n_dofs(),
-                    Some(&coords),
-                    p.dof_map.dofs_per_node(),
-                    self.model.clone(),
-                    &self.cfg,
-                    sink,
-                )
-            }
-            (SessionInput::Mesh(p), Some(Strategy::Rdd(part))) => {
-                run_rdd(p, part, self.model.clone(), &self.cfg, sink)
-            }
-            (SessionInput::Mesh(_), None) => {
-                panic!("SolveSession over a mesh needs .strategy(Strategy::Edd(..) | Strategy::Rdd(..))")
-            }
-        }
+        let mut out = self.solve(Loads::Own)?;
+        Ok(DdSolveOutput {
+            u: out.solutions.remove(0),
+            history: out.histories.remove(0),
+            reports: out.reports,
+            modeled_time: out.modeled_time,
+            coarse: out.coarse,
+        })
     }
 
     /// Solves the session's system for **many right-hand sides**, sharing
@@ -655,13 +623,8 @@ impl<'a> SolveSession<'a> {
     /// Panics on inhomogeneous constraints, wrong load-vector lengths, a
     /// prebuilt-systems input, or a missing strategy.
     pub fn run_multi(&self, rhs_set: &[Vec<f64>]) -> Result<MultiSolveOutput, SolveFailures> {
-        let disabled = TraceSink::disabled();
-        let sink = self.sink.unwrap_or(&disabled);
-        let p = match &self.input {
-            SessionInput::Mesh(p) => p,
-            SessionInput::Systems { .. } => panic!(
-                "run_multi needs the mesh-level problem: the right-hand sides are global load vectors"
-            ),
+        let SessionInput::Mesh(p) = &self.input else {
+            panic!("run_multi needs the mesh-level problem: the right-hand sides are global load vectors");
         };
         for (d, v) in p.dof_map.fixed_dofs() {
             assert_eq!(v, 0.0, "run_multi requires homogeneous BCs (dof {d})");
@@ -673,17 +636,95 @@ impl<'a> SolveSession<'a> {
                 "right-hand side does not match the DOF map"
             );
         }
-        match &self.strategy {
-            Some(Strategy::Edd(part)) => {
-                run_multi_edd(p, part, rhs_set, self.model.clone(), &self.cfg, sink)
+        self.solve(Loads::Global(rhs_set))
+    }
+
+    /// Dispatches input × strategy to the one engine; the arms differ only
+    /// in how the host prepares the partitioned problem.
+    fn solve(&self, loads: Loads<'_>) -> Result<MultiSolveOutput, SolveFailures> {
+        let res = match (&self.input, &self.strategy) {
+            (SessionInput::Systems { systems, n_dofs }, None) => {
+                self.engine(loads, |_| EddParts::prebuilt(systems, *n_dofs))
             }
-            Some(Strategy::Rdd(part)) => {
-                run_multi_rdd(p, part, rhs_set, self.model.clone(), &self.cfg, sink)
-            }
-            None => panic!(
-                "SolveSession over a mesh needs .strategy(Strategy::Edd(..) | Strategy::Rdd(..))"
+            (SessionInput::Systems { .. }, Some(_)) => panic!(
+                "prebuilt subdomain systems already encode the partition; do not set .strategy(..)"
             ),
-        }
+            (SessionInput::Mesh(p), Some(Strategy::Edd(part))) => {
+                self.engine(loads, |sink| EddParts::assemble(p, part, sink))
+            }
+            (SessionInput::Mesh(p), Some(Strategy::Rdd(part))) => self.engine(loads, |sink| {
+                RddParts::assemble(p, part, self.cfg.overlap, sink)
+            }),
+            (SessionInput::Mesh(_), None) => {
+                panic!("SolveSession over a mesh needs .strategy(Strategy::Edd(..) | Strategy::Rdd(..))")
+            }
+        };
+        record_session_outcome(&self.cfg.metrics, res)
+    }
+
+    /// The engine behind [`SolveSession::run`] and
+    /// [`SolveSession::run_multi`]: host prepare → coarse geometry → one
+    /// launch of the one rank body → metrics → collection → gather →
+    /// summary, over whichever [`Decomposition`] `prepare` builds.
+    ///
+    /// When `cfg.faults` is set, every rank's communicator is wrapped in a
+    /// [`FaultyComm`] driven by the shared [`FaultPlan`], and
+    /// `cfg.comm_timeout` bounds every blocking wait, so even a killed rank
+    /// tears the run down with errors on every survivor instead of a hang.
+    fn engine<D: Decomposition>(
+        &self,
+        loads: Loads<'_>,
+        prepare: impl FnOnce(&TraceSink) -> D,
+    ) -> Result<MultiSolveOutput, SolveFailures> {
+        let disabled = TraceSink::disabled();
+        let sink = self.sink.unwrap_or(&disabled);
+        let cfg = &self.cfg;
+        // Taken before the host assembles anything, so the summary's
+        // allocation totals cover the same window for every strategy.
+        let alloc_start = alloc::stats();
+        let parts = prepare(sink);
+        let coarse = prepare_coarse(&cfg.precond, sink, |cs| parts.coarse_geometry(cs))?;
+        let opts = RunOptions {
+            comm_timeout: cfg.comm_timeout,
+        };
+        let body = |comm: &ThreadComm| {
+            let plan = coarse.as_ref().map(|(spec, geometry)| CoarsePlan {
+                spec,
+                n_comp: parts.dofs_per_node(),
+                geo: &geometry[comm.rank()],
+            });
+            match &cfg.faults {
+                Some(faults) => {
+                    let faulty = FaultyComm::new(comm, faults.clone());
+                    let r = rank_body(&parts, &faulty, plan, loads, cfg);
+                    record_fault_metrics(&cfg.metrics, &faulty.fault_stats());
+                    r
+                }
+                None => rank_body(&parts, comm, plan, loads, cfg),
+            }
+        };
+        let out = try_run_ranks(parts.n_ranks(), self.model.clone(), opts, sink, body);
+        record_comm_metrics(&cfg.metrics, &out.reports, out.modeled_time);
+        let (mut results, reports, modeled_time) =
+            collect_rank_results(out.results, out.reports, out.modeled_time)?;
+
+        let solutions = host_span(sink, "gather", || {
+            (0..loads.count())
+                .map(|k| parts.gather(results.iter().map(|(solves, _)| solves[k].x.as_slice())))
+                .collect()
+        });
+        let solved = MultiSolveOutput {
+            solutions,
+            coarse: results.iter().filter_map(|r| r.1).collect(),
+            // The history is identical on every rank; keep rank 0's.
+            histories: (results.swap_remove(0).0.into_iter())
+                .map(|solve| solve.history)
+                .collect(),
+            reports,
+            modeled_time,
+        };
+        emit_solve_summary(sink, parts.label(cfg), cfg, &solved, alloc_start);
+        Ok(solved)
     }
 
     /// Runs `steps` Newmark time steps of `M ü + K u = f` (constant load,
@@ -704,15 +745,11 @@ impl<'a> SolveSession<'a> {
         steps: usize,
         watch_dofs: &[usize],
     ) -> DynamicRunOutput {
-        let p = match &self.input {
-            SessionInput::Mesh(p) => p,
-            SessionInput::Systems { .. } => {
-                panic!("run_dynamic needs the mesh-level problem (mass assembly)")
-            }
+        let SessionInput::Mesh(p) = &self.input else {
+            panic!("run_dynamic needs the mesh-level problem (mass assembly)")
         };
-        let part = match &self.strategy {
-            Some(Strategy::Edd(part)) => part,
-            _ => panic!("the transient driver is EDD-only: set .strategy(Strategy::Edd(..))"),
+        let Some(Strategy::Edd(part)) = &self.strategy else {
+            panic!("the transient driver is EDD-only: set .strategy(Strategy::Edd(..))")
         };
         assert!(
             !self.cfg.precond.needs_coarse(),
@@ -724,101 +761,76 @@ impl<'a> SolveSession<'a> {
             Physics::Elasticity2d,
             "the transient driver integrates the 2-D elasticity equations of motion only"
         );
-        let cfg = DynamicRunConfig {
-            solver: self.cfg.clone(),
-            params,
-            steps,
-        };
         run_dynamic_edd(
-            p.quad_mesh("run_dynamic"),
-            p.dof_map,
-            p.material,
-            p.loads,
+            p,
             part,
             self.model.clone(),
-            &cfg,
+            &self.cfg,
+            params,
+            steps,
             watch_dofs,
         )
     }
 }
 
-/// Partitions the mesh and assembles the per-subdomain systems under
-/// host-side spans.
-fn assemble_edd(
-    p: &Problem<'_>,
-    part: &ElementPartition,
-    sink: &TraceSink,
-) -> Vec<SubdomainSystem> {
-    let subdomains = host_span(sink, "partition", || p.subdomains(part));
-    host_span(sink, "assembly", || {
-        subdomains.iter().map(|s| p.build_subdomain(s)).collect()
-    })
-}
-
-/// Stamps the end-of-solve summary (consumed by `parfem report` and the
+/// Stamps the end-of-run summary (consumed by `parfem report` and the
 /// convergence renderer) onto the trace as a host-side `solve_summary`
-/// instant event.
+/// instant event: `iterations` and `restarts` summed over the `n_rhs`
+/// right-hand sides, `converged` when all did, the worst final residual.
 ///
 /// `host_alloc_start` is the host thread's allocation-counter snapshot
-/// taken when the solve began; when the process runs under a
-/// [`parfem_trace::alloc::CountingAlloc`] (the `parfem` binary's
-/// `count-allocs` feature, or an instrumented test harness), the summary
-/// additionally carries `alloc_count` / `alloc_bytes` for the whole solve —
-/// the host thread's share plus every rank thread's — so workspace
+/// taken when the run began, before partitioning and assembly; when the
+/// process runs under a [`parfem_trace::alloc::CountingAlloc`] (the `parfem`
+/// binary's `count-allocs` feature, or an instrumented test harness), the
+/// summary additionally carries `alloc_count` / `alloc_bytes` for the whole
+/// run — the host thread's share plus every rank thread's — so workspace
 /// regressions surface directly in `parfem report`. A two-level solve also
 /// carries the `coarse_*` record of its rank-side coarse build.
 fn emit_solve_summary(
     sink: &TraceSink,
     variant: &str,
-    spec: &PrecondSpec,
-    overlap: bool,
-    out: &DdSolveOutput,
+    cfg: &SolverConfig,
+    out: &MultiSolveOutput,
     host_alloc_start: alloc::AllocStats,
 ) {
-    if let Some(tracer) = sink.host_tracer() {
-        let mut fields = vec![
-            (
-                "converged".to_string(),
-                Value::U64(out.history.converged() as u64),
-            ),
-            (
-                "iterations".to_string(),
-                Value::U64(out.history.iterations() as u64),
-            ),
-            (
-                "restarts".to_string(),
-                Value::U64(out.history.restarts as u64),
-            ),
-            (
-                "final_rel_res".to_string(),
-                Value::F64(
-                    out.history
-                        .relative_residuals
-                        .last()
-                        .copied()
-                        .unwrap_or(f64::NAN),
-                ),
-            ),
-            ("modeled_time".to_string(), Value::F64(out.modeled_time)),
-            ("precond".to_string(), Value::Str(spec.name())),
-            ("variant".to_string(), Value::Str(variant.to_string())),
-            ("overlap".to_string(), Value::U64(overlap as u64)),
-        ];
-        if alloc::is_counting() {
-            let d = out
-                .reports
-                .iter()
-                .fold(alloc::stats().since(host_alloc_start), |acc, r| {
-                    acc.merged(r.allocs)
-                });
-            fields.push(("alloc_count".to_string(), Value::U64(d.count)));
-            fields.push(("alloc_bytes".to_string(), Value::U64(d.bytes)));
-        }
-        if let Some(coarse) = CoarseBuildStats::over_ranks(&out.coarse) {
-            fields.extend(coarse.fields());
-        }
-        tracer.instant("solve_summary", 0.0, fields);
+    let Some(tracer) = sink.host_tracer() else {
+        return;
+    };
+    let total = |f: fn(&ConvergenceHistory) -> usize| -> u64 {
+        out.histories.iter().map(|h| f(h) as u64).sum()
+    };
+    let worst_final = (out.histories.iter())
+        .map(|h| h.relative_residuals.last().copied().unwrap_or(f64::NAN))
+        .reduce(f64::max)
+        .unwrap_or(f64::NAN);
+    let mut fields: Vec<(String, Value)> = [
+        ("converged", Value::U64(out.all_converged() as u64)),
+        ("iterations", Value::U64(total(|h| h.iterations()))),
+        ("restarts", Value::U64(total(|h| h.restarts))),
+        ("final_rel_res", Value::F64(worst_final)),
+        ("modeled_time", Value::F64(out.modeled_time)),
+        ("precond", Value::Str(cfg.precond.name())),
+        ("variant", Value::Str(variant.to_string())),
+        ("overlap", Value::U64(cfg.overlap as u64)),
+        ("n_rhs", Value::U64(out.histories.len() as u64)),
+    ]
+    .into_iter()
+    .map(|(k, v)| (k.to_string(), v))
+    .collect();
+    if alloc::is_counting() {
+        let d = out
+            .reports
+            .iter()
+            .fold(alloc::stats().since(host_alloc_start), |acc, r| {
+                acc.merged(r.allocs)
+            });
+        fields.push(("alloc_count".to_string(), Value::U64(d.count)));
+        fields.push(("alloc_bytes".to_string(), Value::U64(d.bytes)));
     }
+    if let Some(coarse) = CoarseBuildStats::over_ranks(&out.coarse) {
+        fields.extend(coarse.fields());
+    }
+    tracer.instant("solve_summary", 0.0, fields);
 }
 
 /// Sums the per-rank [`parfem_msg::CommStats`] into aggregate
@@ -834,26 +846,18 @@ fn record_comm_metrics(metrics: &MetricsRegistry, reports: &[RankReport], modele
         total = total.merged(&r.stats);
         h_virt.observe((r.virtual_time * 1e6).round().max(0.0) as u64);
     }
-    metrics.counter("parfem_msg_sends_total").add(total.sends);
-    metrics
-        .counter("parfem_msg_sent_bytes_total")
-        .add(total.bytes_sent);
-    metrics.counter("parfem_msg_recvs_total").add(total.recvs);
-    metrics
-        .counter("parfem_msg_recv_bytes_total")
-        .add(total.bytes_received);
-    metrics
-        .counter("parfem_msg_allreduces_total")
-        .add(total.allreduces);
-    metrics
-        .counter("parfem_msg_barriers_total")
-        .add(total.barriers);
-    metrics
-        .counter("parfem_msg_exchanges_total")
-        .add(total.neighbor_exchanges);
-    metrics
-        .counter("parfem_compute_flops_total")
-        .add(total.flops);
+    for (name, value) in [
+        ("parfem_msg_sends_total", total.sends),
+        ("parfem_msg_sent_bytes_total", total.bytes_sent),
+        ("parfem_msg_recvs_total", total.recvs),
+        ("parfem_msg_recv_bytes_total", total.bytes_received),
+        ("parfem_msg_allreduces_total", total.allreduces),
+        ("parfem_msg_barriers_total", total.barriers),
+        ("parfem_msg_exchanges_total", total.neighbor_exchanges),
+        ("parfem_compute_flops_total", total.flops),
+    ] {
+        metrics.counter(name).add(value);
+    }
     metrics
         .gauge("parfem_session_last_modeled_seconds")
         .set(modeled_time);
@@ -865,22 +869,16 @@ fn record_fault_metrics(metrics: &MetricsRegistry, stats: &FaultStats) {
     if !metrics.is_enabled() {
         return;
     }
-    metrics.counter("parfem_fault_drops_total").add(stats.drops);
-    metrics
-        .counter("parfem_fault_retransmits_total")
-        .add(stats.retransmits);
-    metrics
-        .counter("parfem_fault_duplicates_total")
-        .add(stats.duplicates);
-    metrics
-        .counter("parfem_fault_delays_total")
-        .add(stats.delays);
-    metrics
-        .counter("parfem_fault_reorders_total")
-        .add(stats.reorders);
-    metrics
-        .counter("parfem_fault_discards_total")
-        .add(stats.discards);
+    for (name, value) in [
+        ("parfem_fault_drops_total", stats.drops),
+        ("parfem_fault_retransmits_total", stats.retransmits),
+        ("parfem_fault_duplicates_total", stats.duplicates),
+        ("parfem_fault_delays_total", stats.delays),
+        ("parfem_fault_reorders_total", stats.reorders),
+        ("parfem_fault_discards_total", stats.discards),
+    ] {
+        metrics.counter(name).add(value);
+    }
 }
 
 /// Bumps the session outcome counters around a run result. A disabled
@@ -901,7 +899,7 @@ fn record_session_outcome<T>(
 }
 
 /// Runs `f` under a named host-side (wall-clock) span.
-fn host_span<R>(sink: &TraceSink, name: &str, f: impl FnOnce() -> R) -> R {
+pub(crate) fn host_span<R>(sink: &TraceSink, name: &str, f: impl FnOnce() -> R) -> R {
     let tracer = sink.host_tracer();
     if let Some(t) = &tracer {
         t.span_begin(name, 0.0);
@@ -913,232 +911,152 @@ fn host_span<R>(sink: &TraceSink, name: &str, f: impl FnOnce() -> R) -> R {
     r
 }
 
-/// The coarse-space component of a two-level preconditioner spec, if any.
-fn coarse_spec(spec: &PrecondSpec) -> Option<&CoarseSpec> {
-    match spec {
-        PrecondSpec::TwoLevel { coarse, .. } => Some(coarse),
-        _ => None,
-    }
-}
-
-/// What the host hands the ranks for their coarse build: the spec and each
-/// rank's own part geometry. Nothing of the coarse space itself is built
-/// here.
-struct CoarsePrep<'s> {
-    spec: &'s CoarseSpec,
-    n_comp: usize,
-    parts: Vec<CoarsePartGeometry>,
-}
-
-impl CoarsePrep<'_> {
-    fn plan(&self, rank: usize) -> CoarsePlan<'_> {
-        CoarsePlan {
-            spec: self.spec,
-            n_comp: self.n_comp,
-            geo: &self.parts[rank],
-        }
-    }
-}
-
 /// Host-side preparation of a two-level run, under the `coarse-build` host
-/// span: extracts the per-part geometry the ranks start from (`None` for
-/// one-level specs). A spec the input cannot serve is rejected here, as a
-/// typed error, before any rank spawns.
+/// span: the spec's coarse component and the per-part geometry the ranks
+/// start from (`None` for one-level specs). Nothing of the coarse space
+/// itself is built here. A spec the input cannot serve is rejected here, as
+/// a typed error, before any rank spawns.
 fn prepare_coarse<'s>(
     spec: &'s PrecondSpec,
-    n_comp: usize,
     sink: &TraceSink,
     geometry: impl FnOnce(&CoarseSpec) -> Result<Vec<CoarsePartGeometry>, SolveError>,
-) -> Result<Option<CoarsePrep<'s>>, SolveFailures> {
-    let Some(cs) = coarse_spec(spec) else {
+) -> Result<Option<(&'s CoarseSpec, Vec<CoarsePartGeometry>)>, SolveFailures> {
+    let PrecondSpec::TwoLevel { coarse, .. } = spec else {
         return Ok(None);
     };
-    let parts =
-        host_span(sink, "coarse-build", || geometry(cs)).map_err(SolveFailures::before_spawn)?;
-    Ok(Some(CoarsePrep {
-        spec: cs,
-        n_comp,
-        parts,
-    }))
+    let parts = host_span(sink, "coarse-build", || geometry(coarse))
+        .map_err(SolveFailures::before_spawn)?;
+    Ok(Some((coarse, parts)))
 }
 
-/// The rank-side EDD preconditioner build (the `precond-build` rank span):
-/// the two-level coarse space over the rank's own scaled matrix and
-/// interface layout when the spec asks for one, then the registry
-/// instantiation.
-fn edd_build_precond<C: Communicator>(
-    comm: &C,
-    sys: &SubdomainSystem,
-    layout: &EddLayout,
-    sc: &DistributedScaling,
-    a: &CsrMatrix,
-    coarse: Option<CoarsePlan<'_>>,
-    cfg: &SolverConfig,
-) -> (SpecPrecond, Option<CoarseBuildStats>) {
-    if let Some(t) = comm.tracer() {
-        t.span_begin("precond-build", comm.virtual_time());
-    }
-    let (solver, stats) = coarse
-        .map(|plan| {
-            let op = EddOperator::new(a, layout, comm);
-            let (built, stats) = build_rank_coarse(&op, plan, &sys.multiplicity, &sc.d);
-            (built.solver(op.partition_weights()), stats)
-        })
-        .unzip();
-    // The rank-local scaled matrix feeds the `direct` spec (exact local
-    // solve); the lazy closure feeds Jacobi its assembled diagonal.
-    let pc = cfg.precond.instantiate_full(solver, Some(a), || {
-        let mut d = a.diagonal();
-        let mut bufs = crate::dist_vec::ExchangeBuffers::new();
-        layout.interface_sum_buffered(comm, &mut d, &mut bufs);
-        d
-    });
-    if let Some(t) = comm.tracer() {
-        t.span_end("precond-build", comm.virtual_time());
-    }
-    (pc, stats)
+/// The right-hand sides one engine run solves for.
+#[derive(Clone, Copy)]
+enum Loads<'a> {
+    /// The load the session's systems were assembled with — the only source
+    /// that carries an inhomogeneous-Dirichlet lift (`f − K ū` on the free
+    /// rows, `ū` on the fixed ones), which is why `run()` is not `run_multi`
+    /// of one global vector.
+    Own,
+    /// Global load vectors, restricted and scaled on the ranks with the
+    /// constrained rows zeroed: exact for homogeneous constraints only.
+    Global(&'a [Vec<f64>]),
 }
 
-/// The rank-side RDD preconditioner build (the `precond-build` rank span):
-/// the two-level coarse space over the rank's block row and halo lists when
-/// the spec asks for one, then the registry instantiation. `a` and `d` are
-/// the host-scaled assembled operator and its scaling diagonal, read at
-/// this rank's own rows only.
-fn rdd_build_precond<C: Communicator>(
-    comm: &C,
-    sys: &RddSystem,
-    a: &CsrMatrix,
-    d: &[f64],
-    coarse: Option<CoarsePlan<'_>>,
-    cfg: &SolverConfig,
-) -> (SpecPrecond, Option<CoarseBuildStats>) {
-    if let Some(t) = comm.tracer() {
-        t.span_begin("precond-build", comm.virtual_time());
-    }
-    let (solver, stats) = coarse
-        .map(|plan| {
-            let op = RddOperator::new(sys, comm);
-            let d_loc: Vec<f64> = sys.rows.iter().map(|&g| d[g]).collect();
-            let (built, stats) = build_rank_coarse(&op, plan, &vec![1.0; sys.n_local()], &d_loc);
-            (built.solver(op.partition_weights()), stats)
-        })
-        .unzip();
-    // `a_loc` (the owned diagonal block) feeds the `direct` spec; the lazy
-    // closure feeds Jacobi its diagonal.
-    let pc = cfg.precond.instantiate_full(solver, Some(&sys.a_loc), || {
-        sys.rows.iter().map(|&g| a.get(g, g)).collect()
-    });
-    if let Some(t) = comm.tracer() {
-        t.span_end("precond-build", comm.virtual_time());
-    }
-    (pc, stats)
-}
-
-/// What a single-RHS rank body returns: its solution slice, the convergence
-/// history, and the record of its coarse build (two-level specs only).
-type RankSolve = (Vec<f64>, ConvergenceHistory, Option<CoarseBuildStats>);
-
-/// The per-rank EDD pipeline: distributed scaling, preconditioner build,
-/// and the flexible GMRES, over any [`Communicator`] — the raw
-/// [`ThreadComm`] in fault-free runs, a [`FaultyComm`] under chaos.
-fn edd_rank_body<C: Communicator>(
-    comm: &C,
-    sys: &SubdomainSystem,
-    coarse: Option<CoarsePlan<'_>>,
-    cfg: &SolverConfig,
-) -> Result<RankSolve, SolveError> {
-    if let Some(t) = comm.tracer() {
-        t.span_begin("scaling", comm.virtual_time());
-    }
-    let mut layout = EddLayout::from_system(sys);
-    layout.set_overlap(cfg.overlap);
-    let sc = DistributedScaling::build(comm, &layout, &sys.k_local);
-    let mut b = sys.f_local.clone();
-    let a = sc.apply(&sys.k_local, &mut b);
-    if let Some(t) = comm.tracer() {
-        t.span_end("scaling", comm.virtual_time());
-    }
-    let x0 = vec![0.0; b.len()];
-    let (pc, coarse) = edd_build_precond(comm, sys, &layout, &sc, &a, coarse, cfg);
-    let res = edd_fgmres_metered(
-        comm,
-        &layout,
-        &a,
-        &pc,
-        &b,
-        &x0,
-        &cfg.gmres,
-        cfg.variant,
-        &mut KrylovWorkspace::new(),
-        &cfg.metrics,
-    )?;
-    let mut u = res.x;
-    sc.unscale(&mut u);
-    Ok((u, res.history, coarse))
-}
-
-/// The per-rank multi-RHS EDD pipeline: layout, scaling, preconditioner
-/// and Krylov workspace built once, then one FGMRES per right-hand side.
-fn edd_multi_rank_body<C: Communicator>(
-    comm: &C,
-    sys: &SubdomainSystem,
-    coarse: Option<CoarsePlan<'_>>,
-    fixed_local: &[usize],
-    rhs_set: &[Vec<f64>],
-    cfg: &SolverConfig,
-) -> Result<(Vec<Vec<f64>>, Vec<ConvergenceHistory>), SolveError> {
-    if let Some(t) = comm.tracer() {
-        t.span_begin("scaling", comm.virtual_time());
-    }
-    let mut layout = EddLayout::from_system(sys);
-    layout.set_overlap(cfg.overlap);
-    let n = sys.n_local_dofs();
-    let sc = DistributedScaling::build(comm, &layout, &sys.k_local);
-    let mut dummy_rhs = vec![0.0; n];
-    let a = sc.apply(&sys.k_local, &mut dummy_rhs);
-    if let Some(t) = comm.tracer() {
-        t.span_end("scaling", comm.virtual_time());
-    }
-    // A concrete `SpecPrecond` (not the boxed form): the operator type is
-    // re-instantiated at every solve, so the per-RHS `b` borrows below do
-    // not have to outlive the preconditioner.
-    let (pc, _) = edd_build_precond(comm, sys, &layout, &sc, &a, coarse, cfg);
-    let x0 = vec![0.0; n];
-    let mut ws = KrylovWorkspace::new();
-    let mut solutions = Vec::with_capacity(rhs_set.len());
-    let mut histories = Vec::with_capacity(rhs_set.len());
-    for rhs in rhs_set {
-        // Local distributed load: global entries split by multiplicity,
-        // constrained rows zeroed (homogeneous BCs — asserted by the
-        // caller). This reproduces `SubdomainSystem::build`'s f_local.
-        let mut b: Vec<f64> = sys
-            .global_dofs
-            .iter()
-            .zip(&sys.multiplicity)
-            .map(|(&g, &m)| rhs[g] / m)
-            .collect();
-        for &l in fixed_local {
-            b[l] = 0.0;
+impl<'a> Loads<'a> {
+    fn count(&self) -> usize {
+        match self {
+            Loads::Own => 1,
+            Loads::Global(set) => set.len(),
         }
-        dense::diag_mul(&sc.d, &mut b);
-        let res = edd_fgmres_metered(
-            comm,
-            &layout,
-            &a,
-            &pc,
-            &b,
-            &x0,
-            &cfg.gmres,
-            cfg.variant,
-            &mut ws,
-            &cfg.metrics,
-        )?;
-        let mut u = res.x;
-        sc.unscale(&mut u);
-        solutions.push(u);
-        histories.push(res.history);
     }
-    Ok((solutions, histories))
+
+    /// The `k`-th global load vector; `None` stands for the systems' own.
+    fn get(&self, k: usize) -> Option<&'a [f64]> {
+        match self {
+            Loads::Own => None,
+            Loads::Global(set) => Some(&set[k]),
+        }
+    }
+}
+
+/// The strategy seam of the engine: everything the two decompositions do
+/// differently, and nothing else. One value describes the whole partitioned
+/// problem on the host; the ranks share it by reference. Launch, fault
+/// wrap, the right-hand-side loop, metrics, collection, the `gather` span
+/// and the summary are the engine's.
+pub(crate) trait Decomposition: Sync {
+    /// What a rank holds once its setup ran.
+    type Rank;
+
+    fn n_ranks(&self) -> usize;
+
+    fn dofs_per_node(&self) -> usize;
+
+    /// The `variant` label of the `solve_summary`.
+    fn label(&self, cfg: &SolverConfig) -> &'static str;
+
+    /// Per-part geometry for a two-level spec, or the typed reason this
+    /// input cannot serve it.
+    fn coarse_geometry(&self, spec: &CoarseSpec) -> Result<Vec<CoarsePartGeometry>, SolveError>;
+
+    /// The rank's setup up to and including its preconditioner.
+    fn rank_setup<C: Communicator>(
+        &self,
+        comm: &C,
+        coarse: Option<CoarsePlan<'_>>,
+        cfg: &SolverConfig,
+    ) -> (Self::Rank, Option<CoarseBuildStats>);
+
+    /// One FGMRES on this rank for `load` (see [`Loads::get`]), returning
+    /// the rank's piece of the solution in the form [`Self::gather`] takes.
+    fn rank_solve<C: Communicator>(
+        &self,
+        comm: &C,
+        rank: &Self::Rank,
+        load: Option<&[f64]>,
+        cfg: &SolverConfig,
+        ws: &mut KrylovWorkspace,
+    ) -> Result<DdResult, SolveError>;
+
+    /// The physical global solution from every rank's piece, in rank order.
+    fn gather<'r>(&self, pieces: impl Iterator<Item = &'r [f64]>) -> Vec<f64>;
+}
+
+/// The rank-side preconditioner build (the `precond-build` rank span): the
+/// two-level coarse space over the rank's operator `op` when the spec asks
+/// for one (`mult` and `d` are the dof multiplicity and scaling diagonal
+/// over the rank's rows), then the registry instantiation from the rank's
+/// scaled `local` matrix and the lazily assembled diagonal.
+pub(crate) fn build_precond<Op>(
+    op: &Op,
+    coarse: Option<CoarsePlan<'_>>,
+    mult: &[f64],
+    d: &[f64],
+    local: &CsrMatrix,
+    diag: impl FnOnce() -> Vec<f64>,
+    spec: &PrecondSpec,
+) -> (SpecPrecond, Option<CoarseBuildStats>)
+where
+    Op: CoarseSetup + DistributedOperator,
+{
+    let comm = op.comm();
+    if let Some(t) = comm.tracer() {
+        t.span_begin("precond-build", comm.virtual_time());
+    }
+    let (solver, stats) = coarse
+        .map(|plan| {
+            let (built, stats) = build_rank_coarse(op, plan, mult, d);
+            (built.solver(op.partition_weights()), stats)
+        })
+        .unzip();
+    let precond = spec.instantiate_full(solver, Some(local), diag);
+    if let Some(t) = comm.tracer() {
+        t.span_end("precond-build", comm.virtual_time());
+    }
+    (precond, stats)
+}
+
+/// What one rank returns: its piece of the solution and the convergence
+/// history per right-hand side, and the record of its coarse build
+/// (two-level specs only).
+type RankSolves = (Vec<DdResult>, Option<CoarseBuildStats>);
+
+/// The one rank body, over any [`Communicator`] — the raw [`ThreadComm`] in
+/// fault-free runs, a [`FaultyComm`] under chaos: setup and preconditioner
+/// once, then one FGMRES per right-hand side on a shared Krylov workspace.
+fn rank_body<D: Decomposition, C: Communicator>(
+    parts: &D,
+    comm: &C,
+    coarse: Option<CoarsePlan<'_>>,
+    loads: Loads<'_>,
+    cfg: &SolverConfig,
+) -> Result<RankSolves, SolveError> {
+    let (rank, coarse) = parts.rank_setup(comm, coarse, cfg);
+    let mut ws = KrylovWorkspace::new();
+    let solves = (0..loads.count())
+        .map(|k| parts.rank_solve(comm, &rank, loads.get(k), cfg, &mut ws))
+        .collect::<Result<_, _>>()?;
+    Ok((solves, coarse))
 }
 
 /// Splits the per-rank outcomes of a fallible run. A rank *panic* is a bug
@@ -1167,351 +1085,4 @@ fn collect_rank_results<R>(
             modeled_time,
         })
     }
-}
-
-/// The EDD engine over prebuilt systems: distributed scaling →
-/// preconditioner → FGMRES → gather, one rank per system.
-///
-/// When `cfg.faults` is set, every rank's communicator is wrapped in a
-/// [`FaultyComm`] driven by the shared [`FaultPlan`], and `cfg.comm_timeout`
-/// bounds every blocking wait, so even a killed rank tears the run down
-/// with errors on every survivor instead of a hang.
-fn run_edd_systems(
-    systems: &[SubdomainSystem],
-    n_dofs: usize,
-    coords: Option<&[[f64; 3]]>,
-    dofs_per_node: usize,
-    model: MachineModel,
-    cfg: &SolverConfig,
-    sink: &TraceSink,
-) -> Result<DdSolveOutput, SolveFailures> {
-    let p = systems.len();
-    assert!(p > 0, "need at least one subdomain system");
-    let alloc_start = alloc::stats();
-    let coarse = match prepare_coarse(&cfg.precond, dofs_per_node, sink, |cs| {
-        edd_part_geometry(cs, systems, coords, dofs_per_node)
-    }) {
-        Ok(coarse) => coarse,
-        Err(rejected) => return record_session_outcome(&cfg.metrics, Err(rejected)),
-    };
-    let opts = RunOptions {
-        comm_timeout: cfg.comm_timeout,
-    };
-    let out = try_run_ranks(p, model, opts, sink, |comm: &ThreadComm| {
-        let sys = &systems[comm.rank()];
-        let csol = coarse.as_ref().map(|c| c.plan(comm.rank()));
-        match &cfg.faults {
-            Some(plan) => {
-                let faulty = FaultyComm::new(comm, plan.clone());
-                let r = edd_rank_body(&faulty, sys, csol, cfg);
-                record_fault_metrics(&cfg.metrics, &faulty.fault_stats());
-                r
-            }
-            None => edd_rank_body(comm, sys, csol, cfg),
-        }
-    });
-    record_comm_metrics(&cfg.metrics, &out.reports, out.modeled_time);
-    let (results, reports, modeled_time) = record_session_outcome(
-        &cfg.metrics,
-        collect_rank_results(out.results, out.reports, out.modeled_time),
-    )?;
-
-    let mut u = vec![0.0; n_dofs];
-    host_span(sink, "gather", || {
-        for (rank, (ul, _, _)) in results.iter().enumerate() {
-            for (l, &g) in systems[rank].global_dofs.iter().enumerate() {
-                u[g] = ul[l];
-            }
-        }
-    });
-    let solved = DdSolveOutput {
-        u,
-        history: results[0].1.clone(),
-        reports,
-        modeled_time,
-        coarse: results.iter().filter_map(|r| r.2).collect(),
-    };
-    emit_solve_summary(
-        sink,
-        edd_variant_label(cfg.variant),
-        &cfg.precond,
-        cfg.overlap,
-        &solved,
-        alloc_start,
-    );
-    Ok(solved)
-}
-
-fn edd_variant_label(variant: EddVariant) -> &'static str {
-    match variant {
-        EddVariant::Basic => "edd-basic",
-        EddVariant::Enhanced => "edd-enhanced",
-    }
-}
-
-/// The multi-RHS EDD engine: one partition/assembly/scaling/preconditioner,
-/// then one solve per right-hand side, gathered per RHS.
-fn run_multi_edd(
-    p: &Problem<'_>,
-    part: &ElementPartition,
-    rhs_set: &[Vec<f64>],
-    model: MachineModel,
-    cfg: &SolverConfig,
-    sink: &TraceSink,
-) -> Result<MultiSolveOutput, SolveFailures> {
-    let systems = assemble_edd(p, part, sink);
-    let fixed_local: Vec<Vec<usize>> = systems
-        .iter()
-        .map(|sys| {
-            sys.global_dofs
-                .iter()
-                .enumerate()
-                .filter(|(_, &g)| p.dof_map.is_fixed(g))
-                .map(|(l, _)| l)
-                .collect()
-        })
-        .collect();
-    let dpn = p.dof_map.dofs_per_node();
-    // A mesh-level session always has coordinates: this cannot be rejected.
-    let coarse = prepare_coarse(&cfg.precond, dpn, sink, |cs| {
-        edd_part_geometry(cs, &systems, Some(&p.coords3()), dpn)
-    })?;
-    let opts = RunOptions {
-        comm_timeout: cfg.comm_timeout,
-    };
-    let out = try_run_ranks(systems.len(), model, opts, sink, |comm: &ThreadComm| {
-        let sys = &systems[comm.rank()];
-        let csol = coarse.as_ref().map(|c| c.plan(comm.rank()));
-        let fixed = &fixed_local[comm.rank()];
-        match &cfg.faults {
-            Some(plan) => {
-                let faulty = FaultyComm::new(comm, plan.clone());
-                let r = edd_multi_rank_body(&faulty, sys, csol, fixed, rhs_set, cfg);
-                record_fault_metrics(&cfg.metrics, &faulty.fault_stats());
-                r
-            }
-            None => edd_multi_rank_body(comm, sys, csol, fixed, rhs_set, cfg),
-        }
-    });
-    record_comm_metrics(&cfg.metrics, &out.reports, out.modeled_time);
-    let (results, reports, modeled_time) = record_session_outcome(
-        &cfg.metrics,
-        collect_rank_results(out.results, out.reports, out.modeled_time),
-    )?;
-
-    let n_dofs = p.dof_map.n_dofs();
-    let (solutions, histories) = host_span(sink, "gather", || {
-        let mut solutions = Vec::with_capacity(rhs_set.len());
-        for k in 0..rhs_set.len() {
-            let mut u = vec![0.0; n_dofs];
-            for (rank, (sols, _)) in results.iter().enumerate() {
-                for (l, &g) in systems[rank].global_dofs.iter().enumerate() {
-                    u[g] = sols[k][l];
-                }
-            }
-            solutions.push(u);
-        }
-        (solutions, results[0].1.clone())
-    });
-    Ok(MultiSolveOutput {
-        solutions,
-        histories,
-        reports,
-        modeled_time,
-    })
-}
-
-/// The per-rank RDD pipeline: preconditioner build plus the block-row
-/// FGMRES, over any [`Communicator`].
-fn rdd_rank_body<C: Communicator>(
-    comm: &C,
-    sys: &RddSystem,
-    a: &CsrMatrix,
-    d: &[f64],
-    coarse: Option<CoarsePlan<'_>>,
-    cfg: &SolverConfig,
-) -> Result<RankSolve, SolveError> {
-    let x0 = vec![0.0; sys.n_local()];
-    let (pc, coarse) = rdd_build_precond(comm, sys, a, d, coarse, cfg);
-    let res = rdd_fgmres_metered(
-        comm,
-        sys,
-        &pc,
-        &x0,
-        &cfg.gmres,
-        &mut KrylovWorkspace::new(),
-        &cfg.metrics,
-    )?;
-    Ok((res.x, res.history, coarse))
-}
-
-/// The RDD engine: host-side assembly and scaling, block-row split, one
-/// FGMRES per rank, scatter + unscale.
-fn run_rdd(
-    p: &Problem<'_>,
-    node_part: &NodePartition,
-    model: MachineModel,
-    cfg: &SolverConfig,
-    sink: &TraceSink,
-) -> Result<DdSolveOutput, SolveFailures> {
-    let alloc_start = alloc::stats();
-    let assembled = host_span(sink, "assembly", || p.build_static());
-    let (a, b, sc) = host_span(sink, "scaling", || {
-        scale_system(&assembled.stiffness, &assembled.rhs).expect("square assembled system")
-    });
-    let mut systems = RddSystem::build_all(&a, &b, node_part);
-    for sys in &mut systems {
-        sys.overlap = cfg.overlap;
-    }
-    let coarse = prepare_coarse(&cfg.precond, p.dof_map.dofs_per_node(), sink, |_| {
-        Ok(rdd_part_geometry(node_part, p.dof_map, &p.coords3()))
-    })?;
-    let nparts = node_part.n_parts();
-    let opts = RunOptions {
-        comm_timeout: cfg.comm_timeout,
-    };
-
-    let out = try_run_ranks(nparts, model, opts, sink, |comm: &ThreadComm| {
-        let sys = &systems[comm.rank()];
-        let csol = coarse.as_ref().map(|c| c.plan(comm.rank()));
-        match &cfg.faults {
-            Some(plan) => {
-                let faulty = FaultyComm::new(comm, plan.clone());
-                let r = rdd_rank_body(&faulty, sys, &a, sc.diagonal(), csol, cfg);
-                record_fault_metrics(&cfg.metrics, &faulty.fault_stats());
-                r
-            }
-            None => rdd_rank_body(comm, sys, &a, sc.diagonal(), csol, cfg),
-        }
-    });
-    record_comm_metrics(&cfg.metrics, &out.reports, out.modeled_time);
-    let (results, reports, modeled_time) = record_session_outcome(
-        &cfg.metrics,
-        collect_rank_results(out.results, out.reports, out.modeled_time),
-    )?;
-
-    let mut x = vec![0.0; p.dof_map.n_dofs()];
-    let solved = host_span(sink, "gather", || {
-        for (rank, (xl, _, _)) in results.iter().enumerate() {
-            systems[rank].scatter(xl, &mut x);
-        }
-        DdSolveOutput {
-            u: sc.unscale_solution(&x),
-            history: results[0].1.clone(),
-            reports,
-            modeled_time,
-            coarse: results.iter().filter_map(|r| r.2).collect(),
-        }
-    });
-    emit_solve_summary(sink, "rdd", &cfg.precond, cfg.overlap, &solved, alloc_start);
-    Ok(solved)
-}
-
-/// The multi-RHS RDD engine: one assembly/scaling/split, then one
-/// block-row FGMRES per right-hand side on a per-rank system whose local
-/// load is swapped between solves.
-fn run_multi_rdd(
-    p: &Problem<'_>,
-    node_part: &NodePartition,
-    rhs_set: &[Vec<f64>],
-    model: MachineModel,
-    cfg: &SolverConfig,
-    sink: &TraceSink,
-) -> Result<MultiSolveOutput, SolveFailures> {
-    let assembled = host_span(sink, "assembly", || p.build_static());
-    let (a, b, sc) = host_span(sink, "scaling", || {
-        scale_system(&assembled.stiffness, &assembled.rhs).expect("square assembled system")
-    });
-    // Per-RHS scaled global loads (constrained entries zeroed — homogeneous
-    // BCs asserted by the caller, matching `build_static`'s RHS fixups).
-    let scaled_rhs: Vec<Vec<f64>> = host_span(sink, "scaling", || {
-        rhs_set
-            .iter()
-            .map(|rhs| {
-                let mut g = rhs.clone();
-                for (d, _) in p.dof_map.fixed_dofs() {
-                    g[d] = 0.0;
-                }
-                sc.apply_in_place(&mut g);
-                g
-            })
-            .collect()
-    });
-    let mut systems = RddSystem::build_all(&a, &b, node_part);
-    for sys in &mut systems {
-        sys.overlap = cfg.overlap;
-    }
-    let coarse = prepare_coarse(&cfg.precond, p.dof_map.dofs_per_node(), sink, |_| {
-        Ok(rdd_part_geometry(node_part, p.dof_map, &p.coords3()))
-    })?;
-    let nparts = node_part.n_parts();
-    let opts = RunOptions {
-        comm_timeout: cfg.comm_timeout,
-    };
-    let out = try_run_ranks(nparts, model, opts, sink, |comm: &ThreadComm| {
-        let template = &systems[comm.rank()];
-        let csol = coarse.as_ref().map(|c| c.plan(comm.rank()));
-        let d = sc.diagonal();
-        match &cfg.faults {
-            Some(plan) => {
-                let faulty = FaultyComm::new(comm, plan.clone());
-                let r = rdd_multi_rank_body(&faulty, template, csol, &scaled_rhs, &a, d, cfg);
-                record_fault_metrics(&cfg.metrics, &faulty.fault_stats());
-                r
-            }
-            None => rdd_multi_rank_body(comm, template, csol, &scaled_rhs, &a, d, cfg),
-        }
-    });
-    record_comm_metrics(&cfg.metrics, &out.reports, out.modeled_time);
-    let (results, reports, modeled_time) = record_session_outcome(
-        &cfg.metrics,
-        collect_rank_results(out.results, out.reports, out.modeled_time),
-    )?;
-
-    let (solutions, histories) = host_span(sink, "gather", || {
-        let mut solutions = Vec::with_capacity(rhs_set.len());
-        for k in 0..rhs_set.len() {
-            let mut x = vec![0.0; p.dof_map.n_dofs()];
-            for (rank, (sols, _)) in results.iter().enumerate() {
-                systems[rank].scatter(&sols[k], &mut x);
-            }
-            solutions.push(sc.unscale_solution(&x));
-        }
-        (solutions, results[0].1.clone())
-    });
-    Ok(MultiSolveOutput {
-        solutions,
-        histories,
-        reports,
-        modeled_time,
-    })
-}
-
-/// The per-rank multi-RHS RDD pipeline: the preconditioner and Krylov
-/// workspace are shared; each right-hand side runs on a copy of the local
-/// block whose `b_loc` is the restriction of that (scaled) global load.
-fn rdd_multi_rank_body<C: Communicator>(
-    comm: &C,
-    template: &RddSystem,
-    coarse: Option<CoarsePlan<'_>>,
-    scaled_rhs: &[Vec<f64>],
-    a: &CsrMatrix,
-    d: &[f64],
-    cfg: &SolverConfig,
-) -> Result<(Vec<Vec<f64>>, Vec<ConvergenceHistory>), SolveError> {
-    // Concrete `SpecPrecond`, so the local system can be mutated between
-    // solves (a boxed trait object would pin the operator's lifetime).
-    let (pc, _) = rdd_build_precond(comm, template, a, d, coarse, cfg);
-    let mut sys = template.clone();
-    let x0 = vec![0.0; template.n_local()];
-    let mut ws = KrylovWorkspace::new();
-    let mut solutions = Vec::with_capacity(scaled_rhs.len());
-    let mut histories = Vec::with_capacity(scaled_rhs.len());
-    for g in scaled_rhs {
-        sys.b_loc = sys.rows.iter().map(|&d| g[d]).collect();
-        let res = rdd_fgmres_metered(comm, &sys, &pc, &x0, &cfg.gmres, &mut ws, &cfg.metrics)?;
-        solutions.push(res.x);
-        histories.push(res.history);
-    }
-    Ok((solutions, histories))
 }

@@ -9,15 +9,16 @@
 //! inner product, the residual, and the flop accounting of a dot. The
 //! [`DistributedOperator`] trait captures exactly those hooks, and
 //! [`dd_fgmres`] runs the shared loop over any implementor; `edd_fgmres`
-//! and `rdd_fgmres` are thin wrappers that construct their operator and
-//! delegate here.
+//! and `rdd_fgmres` construct their operator and delegate here, so the
+//! rank's `fgmres` span and the kernel-variant record are emitted in this
+//! one place.
 //!
 //! The layering (bottom-up) is
-//! `Communicator → DistributedOperator → dd_fgmres → drivers`:
+//! `Communicator → DistributedOperator → dd_fgmres → session`:
 //! the communicator moves bytes and accounts virtual time, the operator
 //! turns them into a distributed matrix action and inner products, this
-//! module turns the operator into a solver, and the drivers in
-//! [`crate::driver`] wire meshes and preconditioners to it.
+//! module turns the operator into a solver, and the engine in
+//! [`crate::session`] wires meshes and preconditioners to it.
 //!
 //! Every floating-point operation in this loop preserves the exact
 //! evaluation order of the two solvers it replaced, per operator — the
@@ -31,6 +32,7 @@ use parfem_krylov::history::{ConvergenceHistory, StopReason};
 use parfem_krylov::KrylovWorkspace;
 use parfem_msg::Communicator;
 use parfem_precond::Preconditioner;
+use parfem_sparse::variant::VariantChoice;
 use parfem_sparse::LinearOperator;
 use parfem_trace::{EventKind, MetricsRegistry, Value};
 
@@ -85,6 +87,13 @@ pub trait DistributedOperator: LinearOperator {
         &DISABLED
     }
 
+    /// The kernel variant this operator's local SpMV dispatches to, for
+    /// operators that select one (`None` otherwise). [`dd_fgmres`] records
+    /// it per solve on the trace and in the metrics registry.
+    fn kernel_variant(&self) -> Option<VariantChoice> {
+        None
+    }
+
     /// Produces the flexible vector `z_j` from the basis vector `v_j`
     /// through `precond`. The default is a plain scratch-buffered
     /// application; EDD's basic variant (Algorithm 5) overrides it to wrap
@@ -117,7 +126,10 @@ pub struct DdResult {
 }
 
 /// Restarted flexible GMRES over any [`DistributedOperator`] — the single
-/// solver loop behind `edd_fgmres` and `rdd_fgmres`.
+/// solver loop behind `edd_fgmres` and `rdd_fgmres`. The solve runs inside
+/// the rank's `fgmres` trace span, after the operator's kernel variant (if
+/// it selects one) is recorded as the `kernel_variant_<label>` rank counter
+/// and the `parfem_kernel_variant_<label>_solves_total` metric.
 ///
 /// Once the workspace (and the operator's exchange staging) are warm,
 /// restarts and iterations perform no heap allocation on this rank, and
@@ -135,6 +147,38 @@ pub struct DdResult {
 /// # Panics
 /// Panics on dimension mismatches or a non-positive restart length.
 pub fn dd_fgmres<Op, P>(
+    op: &Op,
+    precond: &P,
+    x0: &[f64],
+    cfg: &GmresConfig,
+    ws: &mut KrylovWorkspace,
+) -> Result<DdResult, SolveError>
+where
+    Op: DistributedOperator,
+    P: Preconditioner<Op> + ?Sized,
+{
+    let comm = op.comm();
+    if let Some(tracer) = comm.tracer() {
+        tracer.span_begin("fgmres", comm.virtual_time());
+    }
+    if let Some(choice) = op.kernel_variant() {
+        let label = choice.label();
+        op.metrics()
+            .counter(&format!("parfem_kernel_variant_{label}_solves_total"))
+            .incr();
+        if let Some(tracer) = comm.tracer() {
+            tracer.add_count(&format!("kernel_variant_{label}"), 1);
+        }
+    }
+    let res = restarted_fgmres(op, precond, x0, cfg, ws);
+    if let Some(tracer) = comm.tracer() {
+        tracer.span_end("fgmres", comm.virtual_time());
+    }
+    res
+}
+
+/// The restarted Arnoldi loop of [`dd_fgmres`].
+fn restarted_fgmres<Op, P>(
     op: &Op,
     precond: &P,
     x0: &[f64],

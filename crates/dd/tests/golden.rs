@@ -21,11 +21,12 @@ use parfem_dd::{
 };
 use parfem_fem::{assembly, Material, SubdomainSystem};
 use parfem_krylov::gmres::GmresConfig;
-use parfem_krylov::ConvergenceHistory;
+use parfem_krylov::{ConvergenceHistory, KrylovWorkspace};
 use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, QuadMesh};
 use parfem_msg::{run_ranks, Communicator, FaultPlan, FaultyComm, MachineModel};
 use parfem_precond::{GlsPrecond, IdentityPrecond};
 use parfem_sparse::scaling::scale_system;
+use parfem_trace::MetricsRegistry;
 
 /// FNV-1a over a stream of u64 words (stable, dependency-free).
 struct Fnv(u64);
@@ -86,9 +87,13 @@ fn edd_rank_body<C: Communicator>(
     let mut b = sys.f_local.clone();
     let a = sc.apply(&sys.k_local, &mut b);
     let x0 = vec![0.0; b.len()];
+    let (ws, off) = (&mut KrylovWorkspace::new(), &MetricsRegistry::disabled());
     let res = match gls {
-        Some(g) => edd_fgmres(comm, &layout, &a, g, &b, &x0, cfg, variant),
-        None => edd_fgmres(comm, &layout, &a, &IdentityPrecond, &b, &x0, cfg, variant),
+        Some(g) => edd_fgmres(comm, &layout, &a, g, &b, &x0, cfg, variant, ws, off),
+        None => {
+            let id = &IdentityPrecond;
+            edd_fgmres(comm, &layout, &a, id, &b, &x0, cfg, variant, ws, off)
+        }
     }
     .expect("recoverable golden run must solve");
     let mut u = res.x;
@@ -164,13 +169,18 @@ fn rdd_rank_body<C: Communicator>(
     cfg: &GmresConfig,
 ) -> (Vec<f64>, ConvergenceHistory) {
     let x0 = vec![0.0; sys.n_local()];
+    let (b, ws, off) = (
+        &sys.b_loc,
+        &mut KrylovWorkspace::new(),
+        &MetricsRegistry::disabled(),
+    );
     let res = if let Some(g) = gls {
-        rdd_fgmres(comm, sys, g, &x0, cfg)
+        rdd_fgmres(comm, sys, g, b, &x0, cfg, ws, off)
     } else if ilu {
         let f = RddLocalIlu::factorize(sys).expect("factorize");
-        rdd_fgmres(comm, sys, &f, &x0, cfg)
+        rdd_fgmres(comm, sys, &f, b, &x0, cfg, ws, off)
     } else {
-        rdd_fgmres(comm, sys, &IdentityPrecond, &x0, cfg)
+        rdd_fgmres(comm, sys, &IdentityPrecond, b, &x0, cfg, ws, off)
     }
     .expect("recoverable golden run must solve");
     (res.x, res.history)
@@ -561,64 +571,86 @@ fn rdd_under_duplicate_plan_matches_fault_free_digest() {
 // trips the same wire as the raw-solver cases.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn session_reproduces_edd_enhanced_gls5_history() {
-    // Same case as `edd_enhanced_gls5` above, through the builder.
-    let mesh = QuadMesh::cantilever(8, 3);
+/// The cantilever of the session cases, clamped left and sheared right.
+fn session_problem(nx: usize, ny: usize) -> (QuadMesh, DofMap, Material, Vec<f64>) {
+    let mesh = QuadMesh::cantilever(nx, ny);
     let mut dm = DofMap::new(mesh.n_nodes());
     dm.clamp_edge(&mesh, Edge::Left);
-    let mat = Material::unit();
     let mut loads = vec![0.0; dm.n_dofs()];
     assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
-    let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-        .strategy(Strategy::Edd(ElementPartition::strips_x(&mesh, 4)))
-        .config(SolverConfig {
-            gmres: cfg(1e-8),
-            precond: PrecondSpec::Gls {
-                degree: 5,
-                theta: None,
-            },
-            ..SolverConfig::default()
-        })
+    (mesh, dm, Material::unit(), loads)
+}
+
+fn session_cfg(tol: f64) -> SolverConfig {
+    SolverConfig {
+        gmres: cfg(tol),
+        precond: PrecondSpec::Gls {
+            degree: 5,
+            theta: None,
+        },
+        ..SolverConfig::default()
+    }
+}
+
+/// Pins a session history to a named raw-solver digest above.
+fn check_history(name: &str, history: &ConvergenceHistory, res_hash: u64) {
+    assert_eq!(history.iterations(), 13, "{name}");
+    assert_eq!(history.restarts, 0, "{name}");
+    let mut rh = Fnv::new();
+    rh.f64s(&history.relative_residuals);
+    assert_eq!(
+        rh.0, res_hash,
+        "{name} drifted from the pinned raw-solver history"
+    );
+}
+
+#[test]
+fn session_reproduces_edd_enhanced_gls5_history() {
+    // Same case as `edd_enhanced_gls5` above, through the builder: `run()`,
+    // `run_multi` of the same load, and prebuilt systems all reproduce it,
+    // and agree on the solution bit for bit.
+    const PINNED: u64 = 0x04b565949448c04f;
+    let (mesh, dm, mat, loads) = session_problem(8, 3);
+    let part = ElementPartition::strips_x(&mesh, 4);
+    let session = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+        .strategy(Strategy::Edd(part.clone()))
+        .config(session_cfg(1e-8));
+    let out = session.run().expect("golden session must solve");
+    check_history("session EDD run", &out.history, PINNED);
+
+    let multi = session
+        .run_multi(std::slice::from_ref(&loads))
+        .expect("golden session must solve");
+    check_history("session EDD run_multi", &multi.histories[0], PINNED);
+    assert_eq!(multi.solutions[0], out.u, "run_multi(&[loads]) ≡ run()");
+
+    let systems: Vec<SubdomainSystem> = part
+        .subdomains(&mesh)
+        .iter()
+        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
+        .collect();
+    let prebuilt = SolveSession::from_systems(&systems, dm.n_dofs())
+        .config(session_cfg(1e-8))
         .run()
         .expect("golden session must solve");
-    assert_eq!(out.history.iterations(), 13);
-    assert_eq!(out.history.restarts, 0);
-    let mut rh = Fnv::new();
-    rh.f64s(&out.history.relative_residuals);
-    assert_eq!(
-        rh.0, 0x04b565949448c04f,
-        "session EDD path drifted from the pinned edd_enhanced_gls5 history"
-    );
+    check_history("session from_systems", &prebuilt.history, PINNED);
+    assert_eq!(prebuilt.u, out.u, "from_systems ≡ mesh-level run()");
 }
 
 #[test]
 fn session_reproduces_rdd_gls5_history() {
     // Same case as `rdd_gls5` above, through the builder.
-    let mesh = QuadMesh::cantilever(8, 2);
-    let mut dm = DofMap::new(mesh.n_nodes());
-    dm.clamp_edge(&mesh, Edge::Left);
-    let mat = Material::unit();
-    let mut loads = vec![0.0; dm.n_dofs()];
-    assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
-    let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+    const PINNED: u64 = 0xa284689e9f354307;
+    let (mesh, dm, mat, loads) = session_problem(8, 2);
+    let session = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
         .strategy(Strategy::Rdd(NodePartition::contiguous(mesh.n_nodes(), 4)))
-        .config(SolverConfig {
-            gmres: cfg(1e-9),
-            precond: PrecondSpec::Gls {
-                degree: 5,
-                theta: None,
-            },
-            ..SolverConfig::default()
-        })
-        .run()
+        .config(session_cfg(1e-9));
+    let out = session.run().expect("golden session must solve");
+    check_history("session RDD run", &out.history, PINNED);
+
+    let multi = session
+        .run_multi(std::slice::from_ref(&loads))
         .expect("golden session must solve");
-    assert_eq!(out.history.iterations(), 13);
-    assert_eq!(out.history.restarts, 0);
-    let mut rh = Fnv::new();
-    rh.f64s(&out.history.relative_residuals);
-    assert_eq!(
-        rh.0, 0xa284689e9f354307,
-        "session RDD path drifted from the pinned rdd_gls5 history"
-    );
+    check_history("session RDD run_multi", &multi.histories[0], PINNED);
+    assert_eq!(multi.solutions[0], out.u, "run_multi(&[loads]) ≡ run()");
 }

@@ -15,7 +15,8 @@ use parfem_krylov::gmres::GmresConfig;
 use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, PartitionerSpec, QuadMesh};
 use parfem_msg::{CommStats, FaultPlan, MachineModel};
 use parfem_trace::{
-    export_chrome_trace, json, CritPath, MetricsRegistry, SegmentKind, TraceReport, TraceSink,
+    export_chrome_trace, json, CritPath, EventKind, MetricsRegistry, SegmentKind, TraceReport,
+    TraceSink,
 };
 use std::time::Duration;
 
@@ -352,6 +353,90 @@ fn twolevel_setup_is_charged_traced_and_summarized() {
         .run()
         .unwrap();
     assert!(one.coarse.is_empty());
+}
+
+/// `run_multi` explains itself exactly as `run` does: one `solve_summary`
+/// per run with the totals over its right-hand sides, the coarse record on
+/// the output and the summary, one session outcome, and on every rank the
+/// spans `scaling → precond-build → fgmres × k` tiling the timeline.
+#[test]
+fn run_multi_is_summarized_and_its_rank_spans_tile_the_timeline() {
+    let (mesh, dm, mat, loads) = problem(24, 6);
+    let mut pull = vec![0.0; dm.n_dofs()];
+    assembly::edge_load(&mesh, &dm, Edge::Right, 1.0, 0.0, &mut pull);
+    let mixed: Vec<f64> = loads.iter().zip(&pull).map(|(a, b)| a + 0.5 * b).collect();
+    let rhs = [loads.clone(), pull, mixed];
+    let strategies = [
+        Strategy::Edd(ElementPartition::strips_x(&mesh, 4)),
+        Strategy::Rdd(NodePartition::strips_x(&mesh, 4)),
+    ];
+    for strategy in strategies {
+        let is_edd = matches!(strategy, Strategy::Edd(_));
+        let sink = TraceSink::recording();
+        let metrics = MetricsRegistry::new();
+        let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+            .strategy(strategy)
+            .config(cfg())
+            .precond(PrecondSpec::parse("twolevel:rbm.s3:gls-3").unwrap())
+            .machine(MachineModel::ibm_sp2())
+            .metrics(&metrics)
+            .trace(&sink)
+            .run_multi(&rhs)
+            .expect("fault-free multi-RHS solve");
+        assert!(out.all_converged());
+        let events = sink.take_events();
+
+        let summaries = events
+            .iter()
+            .filter(|e| e.kind == EventKind::Instant && e.name == "solve_summary")
+            .count();
+        assert_eq!(summaries, 1, "one summary per run_multi");
+        let report = TraceReport::from_events(&events);
+        let summary = report.solve.as_ref().expect("solve_summary");
+        let sum = |f: fn(&parfem_krylov::ConvergenceHistory) -> usize| -> u64 {
+            out.histories.iter().map(|h| f(h) as u64).sum()
+        };
+        assert_eq!(summary.n_rhs, 3);
+        assert!(summary.converged);
+        assert_eq!(summary.iterations, sum(|h| h.iterations()));
+        assert_eq!(summary.restarts, sum(|h| h.restarts));
+        assert_eq!(summary.modeled_time, out.modeled_time);
+        assert_eq!(summary.variant, if is_edd { "edd-enhanced" } else { "rdd" });
+        assert_eq!(out.coarse.len(), 4, "the coarse record reaches the output");
+        assert_eq!(summary.coarse.as_ref().expect("coarse record").modes, 12);
+        let c = |name: &str| metrics.counter_value(name).unwrap_or(0);
+        assert_eq!(c("parfem_session_solves_total"), 1);
+        assert_eq!(c("parfem_solver_solves_total"), 3);
+        assert_eq!(c("parfem_solver_iterations_total"), summary.iterations);
+
+        for r in &report.ranks {
+            // Top-level spans in the order they opened (`coarse-build`
+            // nests inside `precond-build`).
+            let opened: Vec<&str> = events
+                .iter()
+                .filter(|e| e.rank == Some(r.rank) && e.kind == EventKind::SpanBegin)
+                .map(|e| e.name.as_str())
+                .filter(|name| *name != "coarse-build")
+                .collect();
+            let mut want = vec!["precond-build", "fgmres", "fgmres", "fgmres"];
+            if is_edd {
+                want.insert(0, "scaling");
+            }
+            assert_eq!(opened, want, "rank {}", r.rank);
+            let top: f64 = r
+                .phases
+                .iter()
+                .filter(|p| ["scaling", "precond-build", "fgmres"].contains(&p.name.as_str()))
+                .map(|p| p.virt_s)
+                .sum();
+            assert!(
+                (top - r.final_virt).abs() <= 1e-9 * r.final_virt,
+                "rank {}: spans sum to {top} but the rank ends at {}",
+                r.rank,
+                r.final_virt
+            );
+        }
+    }
 }
 
 /// The metrics registry observes a whole session end to end: solver

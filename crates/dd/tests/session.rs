@@ -1,28 +1,27 @@
-//! Contract tests for the [`SolveSession`] builder: the single pipeline
-//! behind every legacy `solve_*` entry point.
+//! Contract tests for the [`SolveSession`] builder, the one way into the
+//! distributed solvers.
 //!
-//! Three layers of guarantee:
+//! Three layers of guarantee (the golden digests in `golden.rs` pin the
+//! absolute values; here we pin *relative* identities between call forms):
 //!
-//! - **shim equivalence** — each deprecated entry point is a thin delegate,
-//!   so the session path reproduces its solution bits and residual history
-//!   exactly (the golden digests in `golden.rs` pin the absolute values;
-//!   here we pin the *relative* identity between the two call forms);
 //! - **option orthogonality** — tracing, fault injection and overlapped
 //!   exchange compose on one builder without changing the numbers;
 //! - **multi-RHS reuse** — `run_multi` shares scaling/layout/workspace
 //!   across right-hand sides yet stays bit-identical to independent
-//!   single-RHS runs.
-
-#![allow(deprecated)] // exercising the frozen legacy shims on purpose
+//!   single-RHS runs;
+//! - **inhomogeneous Dirichlet data** — `run()` carries the lift of
+//!   non-zero prescribed values for both strategies, and `run_multi`
+//!   refuses what it cannot represent.
 
 use parfem_dd::{
-    solve_edd, solve_rdd, DdSolveOutput, EddVariant, PrecondSpec, Problem, SolveSession,
-    SolverConfig, Strategy,
+    DdSolveOutput, EddVariant, PrecondSpec, Problem, SolveSession, SolverConfig, Strategy,
 };
 use parfem_fem::{assembly, Material, NewmarkParams, SubdomainSystem};
-use parfem_krylov::gmres::GmresConfig;
+use parfem_krylov::gmres::{fgmres, GmresConfig};
 use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, PartitionerSpec, QuadMesh};
 use parfem_msg::{FaultPlan, MachineModel};
+use parfem_precond::GlsPrecond;
+use parfem_sparse::scaling::scale_system;
 use parfem_trace::TraceSink;
 use std::time::Duration;
 
@@ -62,31 +61,6 @@ fn assert_bit_identical(a: &DdSolveOutput, b: &DdSolveOutput, what: &str) {
     );
 }
 
-/// The deprecated EDD shim and the session builder produce bit-identical
-/// output — the shim really is a delegate, not a fork.
-#[test]
-fn edd_shim_delegates_to_session() {
-    let (mesh, dm, mat, loads) = problem(8, 3);
-    let part = ElementPartition::strips_x(&mesh, 3);
-    let legacy = solve_edd(
-        &mesh,
-        &dm,
-        &mat,
-        &loads,
-        &part,
-        MachineModel::ibm_sp2(),
-        &cfg(),
-    );
-    let session = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-        .strategy(Strategy::Edd(part))
-        .config(cfg())
-        .machine(MachineModel::ibm_sp2())
-        .run()
-        .expect("fault-free session must not fail");
-    assert!(session.history.converged());
-    assert_bit_identical(&legacy, &session, "EDD shim vs session");
-}
-
 /// `.partitioned(spec, p)` is sugar for `.strategy(Strategy::Edd(..))`
 /// with the partition the spec produces — bit-identical for strips, and a
 /// converging solve for the seeded graph partitioner whose solution agrees
@@ -123,30 +97,6 @@ fn partitioned_builder_selects_edd_partitions() {
         .sum::<f64>()
         .sqrt();
     assert!(diff <= 1e-5 * norm.max(1.0), "diff {diff} vs norm {norm}");
-}
-
-/// Same for the RDD shim.
-#[test]
-fn rdd_shim_delegates_to_session() {
-    let (mesh, dm, mat, loads) = problem(8, 3);
-    let part = NodePartition::strips_x(&mesh, 3);
-    let legacy = solve_rdd(
-        &mesh,
-        &dm,
-        &mat,
-        &loads,
-        &part,
-        MachineModel::sgi_origin(),
-        &cfg(),
-    );
-    let session = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-        .strategy(Strategy::Rdd(part))
-        .config(cfg())
-        .machine(MachineModel::sgi_origin())
-        .run()
-        .expect("fault-free session must not fail");
-    assert!(session.history.converged());
-    assert_bit_identical(&legacy, &session, "RDD shim vs session");
 }
 
 /// Tracing + recoverable fault injection + overlapped exchange compose on
@@ -306,4 +256,101 @@ fn unrecoverable_fault_returns_solve_failures() {
         !err.errors.is_empty(),
         "failure must name the failing ranks"
     );
+}
+
+/// The cantilever with its right edge *pulled* to a prescribed, non-zero
+/// x-displacement (and sheared by the usual edge load): the constrained
+/// system carries the lift `f − K ū`, which only the session's own load
+/// does.
+fn prescribed_problem() -> (QuadMesh, DofMap, Material, Vec<f64>) {
+    let (mesh, mut dm, mat, loads) = problem(8, 3);
+    for node in mesh.edge_nodes(Edge::Right) {
+        dm.fix_dof(dm.dof(node, 0), 0.01);
+    }
+    (mesh, dm, mat, loads)
+}
+
+/// `run()` solves inhomogeneous Dirichlet data under both strategies, at
+/// P = 1 and P = 3: prescribed values come back to solver accuracy, and the
+/// solution matches a tight sequential solve of the lifted system to a tolerance
+/// derived from the session's residual target.
+#[test]
+fn run_carries_inhomogeneous_dirichlet_data() {
+    let (mesh, dm, mat, loads) = prescribed_problem();
+    let lifted = assembly::build_static(&mesh, &dm, &mat, &loads);
+    let (a, b, scaling) = scale_system(&lifted.stiffness, &lifted.rhs).unwrap();
+    let tight = GmresConfig {
+        tol: 1e-13,
+        max_iters: 10_000,
+        ..Default::default()
+    };
+    let pc = GlsPrecond::for_scaled_system(7);
+    let reference = fgmres(&a, &pc, &b, &vec![0.0; b.len()], &tight);
+    assert!(reference.history.converged());
+    let u_ref = scaling.unscale_solution(&reference.x);
+    let norm = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>().sqrt();
+
+    let tol = 1e-10;
+    for p in [1, 3] {
+        let strategies = [
+            ("edd", Strategy::Edd(ElementPartition::strips_x(&mesh, p))),
+            ("rdd", Strategy::Rdd(NodePartition::strips_x(&mesh, p))),
+        ];
+        for (name, strategy) in strategies {
+            let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+                .strategy(strategy)
+                .gmres(GmresConfig {
+                    tol,
+                    ..Default::default()
+                })
+                .run()
+                .expect("fault-free solve");
+            assert!(out.history.converged(), "{name} P={p}");
+            // Constrained rows are identity rows of the iterated system, so
+            // they hold to the residual target at the scale of the data.
+            for (d, v) in dm.fixed_dofs() {
+                assert!(
+                    (out.u[d] - v).abs() <= 1e3 * tol * 0.01,
+                    "{name} P={p}: dof {d} is {} but {v} was prescribed",
+                    out.u[d]
+                );
+            }
+            // The true residual of the lifted system, then the error it
+            // bounds (‖e‖ ≤ κ ‖r‖/‖f‖ ‖u‖; κ of this beam is below 1e5).
+            let ku = lifted.stiffness.spmv(&out.u);
+            let r: Vec<f64> = ku.iter().zip(&lifted.rhs).map(|(a, b)| b - a).collect();
+            let rel_res = norm(&r) / norm(&lifted.rhs);
+            assert!(
+                rel_res <= 1e3 * tol,
+                "{name} P={p}: true residual {rel_res}"
+            );
+            let e: Vec<f64> = out.u.iter().zip(&u_ref).map(|(a, b)| a - b).collect();
+            assert!(
+                norm(&e) <= 1e5 * rel_res.max(tol) * norm(&u_ref),
+                "{name} P={p}: error {} vs reference norm {}",
+                norm(&e),
+                norm(&u_ref)
+            );
+        }
+    }
+}
+
+/// `run_multi` rebuilds each local load from a global vector, which cannot
+/// represent the lift — it refuses inhomogeneous constraints outright.
+#[test]
+#[should_panic(expected = "run_multi requires homogeneous BCs")]
+fn run_multi_refuses_inhomogeneous_constraints_under_edd() {
+    let (mesh, dm, mat, loads) = prescribed_problem();
+    let _ = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+        .strategy(Strategy::Edd(ElementPartition::strips_x(&mesh, 3)))
+        .run_multi(std::slice::from_ref(&loads));
+}
+
+#[test]
+#[should_panic(expected = "run_multi requires homogeneous BCs")]
+fn run_multi_refuses_inhomogeneous_constraints_under_rdd() {
+    let (mesh, dm, mat, loads) = prescribed_problem();
+    let _ = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+        .strategy(Strategy::Rdd(NodePartition::strips_x(&mesh, 3)))
+        .run_multi(std::slice::from_ref(&loads));
 }

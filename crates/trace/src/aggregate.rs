@@ -106,17 +106,21 @@ pub struct IterRecord {
     pub t_virt: f64,
 }
 
-/// The end-of-solve summary the driver stamps on the stream.
+/// The end-of-run summary the session engine stamps on the stream — one per
+/// `run()` or `run_multi()`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveSummary {
-    /// Whether the solve converged.
+    /// Whether every right-hand side converged.
     pub converged: bool,
-    /// Total iterations.
+    /// Total iterations, summed over the right-hand sides.
     pub iterations: u64,
-    /// Restart cycles used.
+    /// Restart cycles used, summed over the right-hand sides.
     pub restarts: u64,
-    /// Final relative residual.
+    /// Final relative residual (the worst one over the right-hand sides).
     pub final_rel_res: f64,
+    /// Right-hand sides solved in the run (1 for traces that predate the
+    /// field).
+    pub n_rhs: u64,
     /// Modeled (virtual) time of the whole solve.
     pub modeled_time: f64,
     /// Preconditioner name.
@@ -323,6 +327,7 @@ impl TraceReport {
                         iterations: ev.u64("iterations").unwrap_or(0),
                         restarts: ev.u64("restarts").unwrap_or(0),
                         final_rel_res: ev.f64("final_rel_res").unwrap_or(f64::NAN),
+                        n_rhs: ev.u64("n_rhs").unwrap_or(1),
                         modeled_time: ev.f64("modeled_time").unwrap_or(f64::NAN),
                         precond: ev.str("precond").unwrap_or("?").to_string(),
                         variant: ev.str("variant").unwrap_or("?").to_string(),
@@ -546,6 +551,8 @@ mod tests {
         assert_eq!(s.precond, "gls(m=3)");
         assert_eq!(s.variant, "edd-enhanced");
         assert!(s.overlap);
+        // A stream without `n_rhs` is a single-right-hand-side run.
+        assert_eq!(s.n_rhs, 1);
         // No counting allocator was advertised in the stream.
         assert_eq!(s.alloc_count, None);
         assert_eq!(s.alloc_bytes, None);

@@ -153,12 +153,17 @@ pub fn render_convergence(report: &TraceReport) -> String {
     if let Some(s) = &report.solve {
         let _ = writeln!(
             out,
-            "solve: {}{} precond={} {} in {} iterations ({} restarts), final rel res {:.3e}, modeled time {:.6e}s",
+            "solve: {}{} precond={} {} in {} iterations{} ({} restarts), final rel res {:.3e}, modeled time {:.6e}s",
             s.variant,
             if s.overlap { " (overlapped)" } else { "" },
             s.precond,
             if s.converged { "converged" } else { "did NOT converge" },
             s.iterations,
+            if s.n_rhs > 1 {
+                format!(" over {} right-hand sides", s.n_rhs)
+            } else {
+                String::new()
+            },
             s.restarts,
             s.final_rel_res,
             s.modeled_time
