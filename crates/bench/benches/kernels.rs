@@ -3,13 +3,11 @@
 //! the row-partitioned threaded SpMV, the blocked Gram–Schmidt sweeps
 //! (`dot_sweep` / `axpy_sweep_neg`) against their scalar loops, the
 //! kernel-variant storage formats (SELL-C-σ, 2×2 block CSR, lane CSR)
-//! against scalar CSR, the lane Gram–Schmidt kernels, and the `f32`
-//! polynomial preconditioner against its `f64` reference.
+//! against scalar CSR, and the lane Gram–Schmidt kernels.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use parfem::prelude::*;
-use parfem_precond::{GlsPrecond, GlsPrecondF32, Preconditioner};
-use parfem_sparse::{dense, kernels, scaling, simd, BcsrMatrix, SellMatrix};
+use parfem_sparse::{dense, kernels, simd, BcsrMatrix, SellMatrix};
 use std::hint::black_box;
 
 fn bench_fused_spmv(c: &mut Criterion) {
@@ -164,53 +162,11 @@ fn bench_lane_gram_schmidt(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_mixed_precision_precond(c: &mut Criterion) {
-    let p = CantileverProblem::paper_mesh(4);
-    let sys = p.static_system();
-    let f = vec![1.0; sys.stiffness.n_rows()];
-    let (scaled, b_rhs, _) = scaling::scale_system(&sys.stiffness, &f).unwrap();
-    let n = scaled.n_rows();
-
-    let gls64 = GlsPrecond::for_scaled_system(7);
-    let gls32 = GlsPrecondF32::for_scaled_system(7).with_matrix(&scaled);
-    let mut z = vec![0.0; n];
-    let n_scratch =
-        Preconditioner::<CsrMatrix>::scratch_vectors(&gls64)
-            .max(Preconditioner::<CsrMatrix>::scratch_vectors(&gls32));
-    let mut scratch: Vec<Vec<f64>> = vec![vec![0.0; n]; n_scratch];
-
-    let mut group = c.benchmark_group("kernels_mixed_precision");
-    // Degree-7 polynomial: 7 SpMVs plus vector updates per application.
-    group.throughput(Throughput::Elements(7 * scaled.nnz() as u64));
-    group.bench_function("gls7_apply_f64", |b| {
-        b.iter(|| {
-            gls64.apply_scratch(
-                black_box(&scaled),
-                black_box(&b_rhs),
-                black_box(&mut z),
-                &mut scratch,
-            )
-        })
-    });
-    group.bench_function("gls7_apply_f32", |b| {
-        b.iter(|| {
-            gls32.apply_scratch(
-                black_box(&scaled),
-                black_box(&b_rhs),
-                black_box(&mut z),
-                &mut scratch,
-            )
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_fused_spmv,
     bench_gram_schmidt_sweeps,
     bench_kernel_variants,
-    bench_lane_gram_schmidt,
-    bench_mixed_precision_precond
+    bench_lane_gram_schmidt
 );
 criterion_main!(benches);

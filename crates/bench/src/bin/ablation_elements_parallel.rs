@@ -51,7 +51,6 @@ fn run_rdd(a: &parfem::sparse::CsrMatrix, b: &[f64], part: &NodePartition) -> (f
             &vec![0.0; sys.n_local()],
             &cfg,
             &mut parfem::krylov::KrylovWorkspace::new(),
-            &parfem::trace::MetricsRegistry::disabled(),
         )
         .expect("fault-free solve must not error");
         assert!(res.history.converged());

@@ -21,7 +21,7 @@
 use parfem::prelude::{CantileverProblem, LoadCase, MachineModel, Material, PrecondSpec};
 use parfem_bench::harness::Case;
 use parfem_krylov::{fgmres_with, GmresConfig, KrylovWorkspace};
-use parfem_precond::{GlsPrecond, GlsPrecondF32, IdentityPrecond, Preconditioner};
+use parfem_precond::{GlsPrecond, IdentityPrecond, Preconditioner};
 use parfem_sparse::{scaling, variant, BcsrMatrix, CooMatrix, CsrMatrix, KernelPolicy, SellMatrix};
 use parfem_trace::alloc::{self, CountingAlloc};
 use std::fmt::Write as _;
@@ -194,39 +194,6 @@ fn bench_precond_apply() -> BenchLine {
     }
 }
 
-/// The mixed-precision mirror of `bench_precond_apply`: the same GLS(7)
-/// polynomial evaluated in `f32` through the attached single-precision
-/// matrix copy. The rate counts the same nominal flops as the `f64` bench,
-/// so the ratio of the two is the raw mixed-precision speedup.
-fn bench_precond_apply_f32() -> BenchLine {
-    let nx = 256;
-    let k = laplacian_2d(nx);
-    let n = k.n_rows();
-    let f = vec![1.0; n];
-    let (a, _b, _sc) = scaling::scale_system(&k, &f).expect("scale");
-    let p = GlsPrecondF32::for_scaled_system(7).with_matrix(&a);
-    let v: Vec<f64> = (0..n).map(|i| ((i % 11) as f64 - 5.0) / 5.0).collect();
-    let mut z = vec![0.0; n];
-    let mut scratch = vec![vec![0.0; n]; Preconditioner::<CsrMatrix>::scratch_vectors(&p)];
-    let ops = Preconditioner::<CsrMatrix>::operator_applications(&p) as f64;
-    let reps = 10;
-    let secs = time_best(20, || {
-        for _ in 0..reps {
-            p.apply_scratch(&a, &v, &mut z, &mut scratch);
-            std::hint::black_box(&z);
-        }
-    }) / reps as f64;
-    BenchLine {
-        name: "precond_apply_gls7_f32",
-        n,
-        secs,
-        rate: ops * a.spmv_flops() as f64 / secs / 1e6,
-        rate_unit: "mflops",
-        allocs_per_iter: None,
-        alloc_bytes_per_iter: None,
-    }
-}
-
 /// FGMRES iteration throughput: a fixed iteration budget on the scaled
 /// Laplacian with `tol = 0` so every run performs exactly `iters` inner
 /// iterations regardless of convergence. Runs through a caller-owned
@@ -388,7 +355,6 @@ fn run_all() -> Vec<BenchLine> {
         bench_spmv_sellcs(),
         bench_spmv_bcsr(),
         bench_precond_apply(),
-        bench_precond_apply_f32(),
         bench_fgmres(
             "fgmres_iteration",
             &IdentityPrecond,

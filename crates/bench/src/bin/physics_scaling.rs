@@ -186,7 +186,7 @@ fn run_series(
         };
         let x0 = vec![0.0; b.len()];
         let spec = PrecondSpec::parse(SPEC).expect("bench spec parses");
-        let pc = spec.instantiate_with_coarse(Some(basis.solver()), || scaled.diagonal());
+        let pc = spec.instantiate(Some(basis.solver()), None, || scaled.diagonal());
         let res = fgmres_with(&scaled, &pc, &b, &x0, &cfg, &mut KrylovWorkspace::new());
         assert!(
             res.history.converged(),

@@ -327,7 +327,7 @@ fn solve_iters(
     };
     let x0 = vec![0.0; b.len()];
     let spec = PrecondSpec::parse(spec_str).expect("bench spec parses");
-    let pc = spec.instantiate_with_coarse(coarse, || scaled.diagonal());
+    let pc = spec.instantiate(coarse, None, || scaled.diagonal());
     let res = fgmres_with(scaled, &pc, b, &x0, &cfg, &mut KrylovWorkspace::new());
     (res.history.iterations(), res.history.converged())
 }

@@ -5,7 +5,7 @@
 //! parfem spectrum --mesh 40x8            # spectrum bounds of the scaled operator
 //! parfem solve --mesh 100x100 --parts 8 --strategy edd --precond gls:7 \
 //!              --machine origin --tol 1e-6 --load pull:1.0 [--mtx-out prefix] \
-//!              [--trace run.jsonl] [--profile] [--metrics]
+//!              [--trace run.jsonl] [--profile]
 //! parfem report --trace run.jsonl        # phase/comm/convergence report from a trace
 //! parfem report --trace run.jsonl --critical-path   # cross-rank critical path
 //! parfem export-trace --trace run.jsonl --out run.trace.json   # Perfetto/chrome
@@ -19,7 +19,7 @@ use parfem::prelude::*;
 use parfem::sparse::{gershgorin, io as mmio, scaling::scale_system, KernelPolicy};
 use parfem::trace::{
     export_chrome_trace, jsonl, render_comm_table, render_convergence, render_critical_path,
-    render_phase_table, render_timeline, CritPath, MetricsRegistry,
+    render_phase_table, render_timeline, CritPath,
 };
 use std::process::ExitCode;
 
@@ -87,7 +87,6 @@ solve options:
                         (default 30)
   --trace FILE.jsonl    record a structured event trace to FILE
   --profile             print per-rank phase/comm tables after the solve
-  --metrics             print the metrics-registry exposition after the solve
   --mtx-out PREFIX      write PREFIX_k.mtx / PREFIX_f.mtx / PREFIX_u.mtx
   exit status           0 converged; 1 the solve failed or did not converge;
                         2 malformed command line; 3 the options do not fit
@@ -308,11 +307,6 @@ fn cmd_solve(args: &Args) -> ExitCode {
             }
         },
     };
-    let metrics = if args.has_flag("--metrics") {
-        MetricsRegistry::new()
-    } else {
-        MetricsRegistry::disabled()
-    };
     let kernels = match args.value_of("--kernels") {
         None => KernelPolicy::Scalar,
         Some(s) => match KernelPolicy::parse(s) {
@@ -346,7 +340,6 @@ fn cmd_solve(args: &Args) -> ExitCode {
                 .map(|s| s.parse().unwrap_or(30.0))
                 .unwrap_or(30.0),
         ),
-        metrics: metrics.clone(),
     };
 
     let trace_path = args.value_of("--trace");
@@ -443,10 +436,6 @@ fn cmd_solve(args: &Args) -> ExitCode {
         s0.bytes_sent,
         s0.flops as f64 / 1e6
     );
-
-    if metrics.is_enabled() {
-        print!("\n{}", metrics.render());
-    }
 
     if sink.is_enabled() {
         let events = sink.take_events();

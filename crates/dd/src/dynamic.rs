@@ -19,7 +19,6 @@ use parfem_krylov::history::{ConvergenceHistory, StopReason};
 use parfem_krylov::KrylovWorkspace;
 use parfem_mesh::ElementPartition;
 use parfem_msg::{run_ranks, Communicator, MachineModel};
-use parfem_trace::MetricsRegistry;
 
 /// Output of a parallel transient run.
 #[derive(Debug, Clone)]
@@ -135,7 +134,6 @@ pub(crate) fn run_dynamic_edd(
                 &cfg.gmres,
                 cfg.variant,
                 ws,
-                &MetricsRegistry::disabled(),
             )
         };
 

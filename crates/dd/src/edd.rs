@@ -45,7 +45,7 @@ use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSpec, SpecPrecond};
 use parfem_precond::{InterfaceConsistency, Preconditioner};
 use parfem_sparse::variant::{select, SelectedKernel, VariantChoice};
 use parfem_sparse::{dense, kernels, CsrMatrix, KernelPolicy, LinearOperator};
-use parfem_trace::{MetricsRegistry, TraceSink};
+use parfem_trace::TraceSink;
 use std::borrow::Cow;
 use std::cell::RefCell;
 
@@ -88,9 +88,6 @@ pub struct EddOperator<'a, C: Communicator> {
     /// in-flight exchange. `interface_flops + interior_flops` equals
     /// [`CsrMatrix::spmv_flops`] exactly.
     interior_flops: u64,
-    /// Live metrics surface for solves driven through this operator
-    /// (disabled outside [`edd_fgmres`]).
-    metrics: MetricsRegistry,
     /// Kernel variant for the *blocking* local SpMV, chosen by
     /// [`EddOperator::with_kernels`]. `None` keeps the scalar CSR path
     /// (the golden reference). The overlapped interface/interior split
@@ -102,20 +99,17 @@ pub struct EddOperator<'a, C: Communicator> {
 impl<'a, C: Communicator> EddOperator<'a, C> {
     /// Wraps a subdomain's local distributed matrix as the global operator.
     pub fn new(a_local: &'a CsrMatrix, layout: &'a EddLayout, comm: &'a C) -> Self {
-        let off = MetricsRegistry::disabled();
-        Self::for_solve(a_local, layout, comm, None, EddVariant::Enhanced, off)
+        Self::for_solve(a_local, layout, comm, None, EddVariant::Enhanced)
     }
 
     /// Like [`EddOperator::new`], but carrying what a solve needs: the
-    /// right-hand side, the algorithm variant, and the registry
-    /// [`dd_fgmres`] records its solver aggregates through (rank 0 only).
+    /// right-hand side and the algorithm variant.
     fn for_solve(
         a_local: &'a CsrMatrix,
         layout: &'a EddLayout,
         comm: &'a C,
         b_local: Option<&'a [f64]>,
         variant: EddVariant,
-        metrics: MetricsRegistry,
     ) -> Self {
         let row_nnz_flops = |rows: &[usize]| -> u64 {
             let row_ptr = a_local.raw_parts().0;
@@ -133,7 +127,6 @@ impl<'a, C: Communicator> EddOperator<'a, C> {
             xbufs: RefCell::new(ExchangeBuffers::new()),
             interface_flops: row_nnz_flops(layout.interface_rows()),
             interior_flops: row_nnz_flops(layout.interior_rows()),
-            metrics,
             local_variant: None,
         }
     }
@@ -142,13 +135,21 @@ impl<'a, C: Communicator> EddOperator<'a, C> {
     /// [`parfem_sparse::variant::select`]). [`KernelPolicy::Scalar`] keeps
     /// the plain CSR path untouched; other policies replace the blocking
     /// local SpMV only — the overlapped split schedule and the residual
-    /// recompute stay on the (bit-identical) row-indexed scalar kernels.
+    /// recompute stay on the (bit-identical) row-indexed scalar kernels, so
+    /// an operator on the split schedule selects nothing (no format
+    /// conversion, no `auto` timing) and reports `scalar`.
     pub fn with_kernels(mut self, policy: KernelPolicy) -> Self {
         self.local_variant = match policy {
             KernelPolicy::Scalar => None,
+            _ if self.split_schedule() => None,
             p => Some(select(self.a_local, p)),
         };
         self
+    }
+
+    /// `true` when matvecs run the overlapped interface/interior split.
+    fn split_schedule(&self) -> bool {
+        self.layout.overlap() && !self.layout.neighbors.is_empty()
     }
 
     /// The kernel variant the blocking local SpMV dispatches to.
@@ -156,56 +157,6 @@ impl<'a, C: Communicator> EddOperator<'a, C> {
         self.local_variant
             .as_ref()
             .map_or(VariantChoice::Scalar, |s| s.choice())
-    }
-
-    /// Fused `y = ⊕Σ (Â⁽ˢ⁾ diag(s) x)`: scaling, local SpMV and interface
-    /// exchange in one pass, without materialising `diag(s) x`.
-    ///
-    /// Each CSR row accumulates `v·(s[c]·x[c])` terms in the same 4-way
-    /// tree as the plain kernel on a pre-scaled vector, so the result is
-    /// **bit-identical** to `tmp[i] = s[i]*x[i]; self.apply_into(&tmp, y)`
-    /// — only the intermediate store/reload of `tmp` is eliminated. The
-    /// overlapped schedule is preserved: interface rows finish first, the
-    /// exchange posts, interior rows compute in flight.
-    pub fn apply_scaled_into(&self, s: &[f64], x: &[f64], y: &mut [f64]) {
-        assert_eq!(s.len(), x.len(), "scale/vector length mismatch");
-        let (row_ptr, col_idx, values) = self.a_local.raw_parts();
-        // Fused arithmetic is 3 flops per stored entry (scale, multiply,
-        // add) versus 2 for the plain SpMV; charge the modeled machine
-        // accordingly so overlap studies stay honest.
-        let fused = |flops: u64| flops + flops / 2;
-        if self.layout.overlap() && !self.layout.neighbors.is_empty() {
-            kernels::spmv_scaled_rows_indexed(
-                row_ptr,
-                col_idx,
-                values,
-                s,
-                x,
-                y,
-                self.layout.interface_rows(),
-            );
-            self.comm.work(fused(self.interface_flops));
-            self.trace_spmv();
-            self.layout
-                .interface_sum_split(self.comm, y, &mut self.bufs.borrow_mut(), |y| {
-                    kernels::spmv_scaled_rows_indexed(
-                        row_ptr,
-                        col_idx,
-                        values,
-                        s,
-                        x,
-                        y,
-                        self.layout.interior_rows(),
-                    );
-                    self.comm.work(fused(self.interior_flops));
-                });
-        } else {
-            kernels::spmv_scaled_raw_range(row_ptr, col_idx, values, s, x, y, 0..y.len());
-            self.comm.work(fused(self.a_local.spmv_flops()));
-            self.trace_spmv();
-            self.layout
-                .interface_sum_buffered(self.comm, y, &mut self.bufs.borrow_mut());
-        }
     }
 
     fn trace_spmv(&self) {
@@ -223,7 +174,7 @@ impl<C: Communicator> LinearOperator for EddOperator<'_, C> {
     }
 
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        if self.layout.overlap() && !self.layout.neighbors.is_empty() {
+        if self.split_schedule() {
             // Overlapped schedule: finish only the interface rows, post the
             // exchange, and compute the interior rows while the messages
             // fly. Each row's dot product is the identical arithmetic in
@@ -313,10 +264,6 @@ impl<C: Communicator> DistributedOperator for EddOperator<'_, C> {
 
     fn dot_flops_factor(&self) -> u64 {
         3 // multiply, multiplicity weight, accumulate
-    }
-
-    fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     fn kernel_variant(&self) -> Option<VariantChoice> {
@@ -430,9 +377,7 @@ pub fn edd_lambda_max<C: Communicator>(
 /// assembled); `x0` is an initial guess, and the returned `x` the solution,
 /// in *global distributed* format over this rank's DOFs.
 /// Once `ws` (and the operator's exchange buffers) are warm, restarts and
-/// iterations perform no heap allocation on this rank. An enabled `metrics`
-/// registry receives the solver aggregates [`dd_fgmres`] records (rank 0
-/// only).
+/// iterations perform no heap allocation on this rank.
 ///
 /// # Errors
 /// [`SolveError::Comm`] when the communication substrate degrades mid-solve
@@ -451,7 +396,6 @@ pub fn edd_fgmres<'a, C, P>(
     cfg: &GmresConfig,
     variant: EddVariant,
     ws: &mut KrylovWorkspace,
-    metrics: &MetricsRegistry,
 ) -> Result<DdResult, SolveError>
 where
     C: Communicator,
@@ -462,15 +406,8 @@ where
         a_local.n_rows(),
         "edd_fgmres: b length mismatch"
     );
-    let op = EddOperator::for_solve(
-        a_local,
-        layout,
-        comm,
-        Some(b_local),
-        variant,
-        metrics.clone(),
-    )
-    .with_kernels(cfg.kernels);
+    let op = EddOperator::for_solve(a_local, layout, comm, Some(b_local), variant)
+        .with_kernels(cfg.kernels);
     dd_fgmres(&op, precond, x0, cfg, ws)
 }
 
@@ -645,7 +582,6 @@ impl Decomposition for EddParts<'_> {
             &cfg.gmres,
             cfg.variant,
             ws,
-            &cfg.metrics,
         )?;
         rank.scaling.unscale(&mut res.x);
         Ok(res)
@@ -719,12 +655,12 @@ mod tests {
             let mut b = sys.f_local.clone();
             let a = sc.apply(&sys.k_local, &mut b);
             let x0 = vec![0.0; b.len()];
-            let (ws, off) = (&mut KrylovWorkspace::new(), &MetricsRegistry::disabled());
+            let ws = &mut KrylovWorkspace::new();
             let res = match &gls {
-                Some(g) => edd_fgmres(comm, &layout, &a, g, &b, &x0, cfg, variant, ws, off),
+                Some(g) => edd_fgmres(comm, &layout, &a, g, &b, &x0, cfg, variant, ws),
                 None => {
                     let id = &IdentityPrecond;
-                    edd_fgmres(comm, &layout, &a, id, &b, &x0, cfg, variant, ws, off)
+                    edd_fgmres(comm, &layout, &a, id, &b, &x0, cfg, variant, ws)
                 }
             }
             .expect("fault-free solve must not error");
@@ -861,31 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_scaled_apply_is_bit_identical_to_scale_then_apply() {
-        let fx = fixture(6, 2, 3);
-        for overlap in [false, true] {
-            let out = run_ranks(3, MachineModel::ideal(), |comm| {
-                let sys = &fx.systems[comm.rank()];
-                let mut layout = EddLayout::from_system(sys);
-                layout.set_overlap(overlap);
-                let op = EddOperator::new(&sys.k_local, &layout, comm);
-                let n = sys.k_local.n_rows();
-                let s: Vec<f64> = (0..n).map(|i| 0.5 + (i % 7) as f64 * 0.25).collect();
-                let x: Vec<f64> = (0..n).map(|i| ((i * 13) % 11) as f64 - 5.0).collect();
-                let mut fused = vec![0.0; n];
-                op.apply_scaled_into(&s, &x, &mut fused);
-                let sx: Vec<f64> = s.iter().zip(&x).map(|(si, xi)| si * xi).collect();
-                let mut reference = vec![0.0; n];
-                op.apply_into(&sx, &mut reference);
-                (fused, reference)
-            });
-            for (fused, reference) in &out.results {
-                assert_eq!(fused, reference, "fused path drifted (overlap={overlap})");
-            }
-        }
-    }
-
-    #[test]
     fn simd_local_variant_is_bit_identical_and_recorded() {
         let fx = fixture(5, 2, 2);
         let out = run_ranks(2, MachineModel::ideal(), |comm| {
@@ -896,6 +807,13 @@ mod tests {
                 EddOperator::new(&sys.k_local, &layout, comm).with_kernels(KernelPolicy::Simd);
             assert_eq!(scalar_op.kernel_choice(), VariantChoice::Scalar);
             assert_eq!(simd_op.kernel_choice(), VariantChoice::Simd);
+            // The overlapped split schedule only has scalar row kernels, so
+            // it must not report (or build) a format it never runs.
+            let mut split = EddLayout::from_system(sys);
+            split.set_overlap(true);
+            let split_op =
+                EddOperator::new(&sys.k_local, &split, comm).with_kernels(KernelPolicy::Bcsr2x2);
+            assert_eq!(split_op.kernel_choice(), VariantChoice::Scalar);
             let n = sys.k_local.n_rows();
             let x: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64 * 0.5 - 3.0).collect();
             let mut want = vec![0.0; n];
@@ -977,7 +895,6 @@ mod tests {
                 &cfg,
                 EddVariant::Enhanced,
                 &mut KrylovWorkspace::new(),
-                &MetricsRegistry::disabled(),
             )
             .expect("fault-free solve must not error");
             let mut u = res.x;

@@ -30,7 +30,7 @@ use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSpec, SpecPrecond};
 use parfem_precond::{InterfaceConsistency, Preconditioner};
 use parfem_sparse::scaling::scale_system;
 use parfem_sparse::{kernels, CooMatrix, CsrMatrix, DiagonalScaling, LinearOperator};
-use parfem_trace::{MetricsRegistry, TraceSink};
+use parfem_trace::TraceSink;
 use std::borrow::Cow;
 use std::cell::RefCell;
 
@@ -230,32 +230,22 @@ pub struct RddOperator<'a, C: Communicator> {
     /// Halo staging, behind interior mutability because
     /// [`LinearOperator::apply_into`] takes `&self`.
     halo: RefCell<RddHaloBuffers>,
-    /// Solver-level metrics sink (disabled by default).
-    metrics: MetricsRegistry,
 }
 
 impl<'a, C: Communicator> RddOperator<'a, C> {
     /// Wraps a block-row system as the distributed operator.
     pub fn new(sys: &'a RddSystem, comm: &'a C) -> Self {
-        Self::for_solve(sys, comm, None, MetricsRegistry::disabled())
+        Self::for_solve(sys, comm, None)
     }
 
-    /// Like [`RddOperator::new`], but carrying what a solve needs: the
-    /// right-hand side, and the registry [`dd_fgmres`] records its solver
-    /// counters through (rank 0 only, to avoid double counting in SPMD
-    /// runs).
-    fn for_solve(
-        sys: &'a RddSystem,
-        comm: &'a C,
-        b_loc: Option<&'a [f64]>,
-        metrics: MetricsRegistry,
-    ) -> Self {
+    /// Like [`RddOperator::new`], but carrying the right-hand side a solve
+    /// needs.
+    fn for_solve(sys: &'a RddSystem, comm: &'a C, b_loc: Option<&'a [f64]>) -> Self {
         RddOperator {
             sys,
             comm,
             b_loc,
             halo: RefCell::new(RddHaloBuffers::default()),
-            metrics,
         }
     }
 
@@ -360,10 +350,6 @@ impl<C: Communicator> DistributedOperator for RddOperator<'_, C> {
         self.comm
     }
 
-    fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
     /// `r ← b_loc − A x` over the owned rows (one halo exchange).
     fn residual_into(&self, x: &[f64], r: &mut [f64]) {
         let b_loc = self
@@ -434,9 +420,7 @@ impl<C: Communicator> Preconditioner<RddOperator<'_, C>> for RddLocalIlu {
 /// the owned rows — `&sys.b_loc` for the
 /// load the system was split with, or the restriction of any other scaled
 /// global load. Once `ws` (and the operator's halo buffers) are warm,
-/// restarts and iterations perform no heap allocation on this rank. An
-/// enabled `metrics` registry receives the solver counters [`dd_fgmres`]
-/// records (rank 0 only).
+/// restarts and iterations perform no heap allocation on this rank.
 ///
 /// # Errors
 /// [`SolveError::Comm`] when the communication substrate degrades mid-solve
@@ -444,7 +428,6 @@ impl<C: Communicator> Preconditioner<RddOperator<'_, C>> for RddLocalIlu {
 ///
 /// # Panics
 /// Panics on dimension mismatches.
-#[allow(clippy::too_many_arguments)]
 pub fn rdd_fgmres<'a, C, P>(
     comm: &'a C,
     sys: &'a RddSystem,
@@ -453,14 +436,13 @@ pub fn rdd_fgmres<'a, C, P>(
     x0: &[f64],
     cfg: &GmresConfig,
     ws: &mut KrylovWorkspace,
-    metrics: &MetricsRegistry,
 ) -> Result<DdResult, SolveError>
 where
     C: Communicator,
     P: Preconditioner<RddOperator<'a, C>> + ?Sized,
 {
     assert_eq!(b_loc.len(), sys.n_local(), "rdd_fgmres: b length mismatch");
-    let op = RddOperator::for_solve(sys, comm, Some(b_loc), metrics.clone());
+    let op = RddOperator::for_solve(sys, comm, Some(b_loc));
     dd_fgmres(&op, precond, x0, cfg, ws)
 }
 
@@ -579,7 +561,7 @@ impl Decomposition for RddParts<'_> {
             }
         };
         let x0 = vec![0.0; sys.n_local()];
-        rdd_fgmres(comm, sys, precond, &b, &x0, &cfg.gmres, ws, &cfg.metrics)
+        rdd_fgmres(comm, sys, precond, &b, &x0, &cfg.gmres, ws)
     }
 
     fn gather<'r>(&self, pieces: impl Iterator<Item = &'r [f64]>) -> Vec<f64> {
@@ -617,7 +599,6 @@ mod tests {
             &vec![0.0; sys.n_local()],
             cfg,
             &mut KrylovWorkspace::new(),
-            &MetricsRegistry::disabled(),
         )
         .expect("fault-free solve must not error")
     }

@@ -38,8 +38,8 @@
 //! `run` and `run_multi` are one engine: host prepare (partition, assembly,
 //! for RDD the global scaling) → coarse geometry → one rank launch, with
 //! one fault wrap → one rank body (setup, `precond-build`, then one FGMRES
-//! per right-hand side on a shared Krylov workspace) → metrics, collection,
-//! `gather` and the `solve_summary`. What EDD and RDD do differently sits
+//! per right-hand side on a shared Krylov workspace) → collection, `gather`
+//! and the `solve_summary`. What EDD and RDD do differently sits
 //! behind the crate-private `Decomposition` trait, implemented next to each
 //! operator (`EddParts` in [`crate::edd`], `RddParts` in [`crate::rdd`]);
 //! `run` feeds the engine the systems' own load (the only one that carries
@@ -60,14 +60,14 @@ use parfem_mesh::{
     DofMap, ElementPartition, HexMesh, NodePartition, PartitionerSpec, QuadMesh, Subdomain,
 };
 use parfem_msg::{
-    try_run_ranks, Communicator, FaultPlan, FaultStats, FaultyComm, MachineModel, RankReport,
-    RunOptions, ThreadComm,
+    try_run_ranks, Communicator, FaultPlan, FaultyComm, MachineModel, RankReport, RunOptions,
+    ThreadComm,
 };
 use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSetup, CoarseSpec, SpecPrecond};
 pub use parfem_precond::PrecondSpec;
 
 use parfem_sparse::{CsrMatrix, KernelPolicy};
-use parfem_trace::{alloc, MetricsRegistry, TraceSink, Value};
+use parfem_trace::{alloc, TraceSink, Value};
 use std::fmt;
 use std::time::Duration;
 
@@ -96,16 +96,6 @@ pub struct SolverConfig {
     /// surfaces as a typed [`parfem_msg::CommError::Timeout`] instead of a
     /// hang.
     pub comm_timeout: Duration,
-    /// Metrics sink for the whole session. Disabled by default (zero
-    /// overhead); an enabled registry collects solver counters (iterations,
-    /// restarts, preconditioner applies, convergence outcomes — recorded on
-    /// rank 0 to avoid SPMD double counting), aggregate communication and
-    /// flop counters summed over the per-rank [`CommStats`], fault-injection
-    /// counters from the [`FaultyComm`] machinery, and session-level gauges
-    /// and histograms. Render with [`MetricsRegistry::render`].
-    ///
-    /// [`CommStats`]: parfem_msg::CommStats
-    pub metrics: MetricsRegistry,
 }
 
 impl Default for SolverConfig {
@@ -120,7 +110,6 @@ impl Default for SolverConfig {
             overlap: false,
             faults: None,
             comm_timeout: Duration::from_secs(30),
-            metrics: MetricsRegistry::disabled(),
         }
     }
 }
@@ -529,9 +518,8 @@ impl<'a> SolveSession<'a> {
     /// [`KernelPolicy::Scalar`], the bit-exact golden reference).
     /// [`KernelPolicy::Auto`] micro-benchmarks the candidate formats
     /// against each rank's local matrix at operator build time and keeps
-    /// the fastest; the winning choice is recorded per solve in the
-    /// metrics registry (`parfem_kernel_variant_<label>_solves_total`)
-    /// and on the trace. The policy drives the EDD local SpMV and the
+    /// the fastest; the winning choice is recorded per solve on the trace
+    /// (`kernel_variant_<label>`). The policy drives the EDD local SpMV and the
     /// lane-kernel Gram–Schmidt path inside FGMRES; the RDD baseline and
     /// the overlapped split schedule keep their scalar row kernels.
     pub fn kernels(mut self, policy: KernelPolicy) -> Self {
@@ -569,14 +557,6 @@ impl<'a> SolveSession<'a> {
     /// per-iteration convergence, the `solve_summary` instant) into `sink`.
     pub fn trace(mut self, sink: &'a TraceSink) -> Self {
         self.sink = Some(sink);
-        self
-    }
-
-    /// Records solver, communication, fault and session counters into the
-    /// given [`MetricsRegistry`] (see [`SolverConfig::metrics`]). Pass an
-    /// enabled registry; the default is disabled (zero overhead).
-    pub fn metrics(mut self, metrics: &MetricsRegistry) -> Self {
-        self.cfg.metrics = metrics.clone();
         self
     }
 
@@ -642,7 +622,7 @@ impl<'a> SolveSession<'a> {
     /// Dispatches input × strategy to the one engine; the arms differ only
     /// in how the host prepares the partitioned problem.
     fn solve(&self, loads: Loads<'_>) -> Result<MultiSolveOutput, SolveFailures> {
-        let res = match (&self.input, &self.strategy) {
+        match (&self.input, &self.strategy) {
             (SessionInput::Systems { systems, n_dofs }, None) => {
                 self.engine(loads, |_| EddParts::prebuilt(systems, *n_dofs))
             }
@@ -658,14 +638,13 @@ impl<'a> SolveSession<'a> {
             (SessionInput::Mesh(_), None) => {
                 panic!("SolveSession over a mesh needs .strategy(Strategy::Edd(..) | Strategy::Rdd(..))")
             }
-        };
-        record_session_outcome(&self.cfg.metrics, res)
+        }
     }
 
     /// The engine behind [`SolveSession::run`] and
     /// [`SolveSession::run_multi`]: host prepare → coarse geometry → one
-    /// launch of the one rank body → metrics → collection → gather →
-    /// summary, over whichever [`Decomposition`] `prepare` builds.
+    /// launch of the one rank body → collection → gather → summary, over
+    /// whichever [`Decomposition`] `prepare` builds.
     ///
     /// When `cfg.faults` is set, every rank's communicator is wrapped in a
     /// [`FaultyComm`] driven by the shared [`FaultPlan`], and
@@ -696,15 +675,12 @@ impl<'a> SolveSession<'a> {
             match &cfg.faults {
                 Some(faults) => {
                     let faulty = FaultyComm::new(comm, faults.clone());
-                    let r = rank_body(&parts, &faulty, plan, loads, cfg);
-                    record_fault_metrics(&cfg.metrics, &faulty.fault_stats());
-                    r
+                    rank_body(&parts, &faulty, plan, loads, cfg)
                 }
                 None => rank_body(&parts, comm, plan, loads, cfg),
             }
         };
         let out = try_run_ranks(parts.n_ranks(), self.model.clone(), opts, sink, body);
-        record_comm_metrics(&cfg.metrics, &out.reports, out.modeled_time);
         let (mut results, reports, modeled_time) =
             collect_rank_results(out.results, out.reports, out.modeled_time)?;
 
@@ -833,71 +809,6 @@ fn emit_solve_summary(
     tracer.instant("solve_summary", 0.0, fields);
 }
 
-/// Sums the per-rank [`parfem_msg::CommStats`] into aggregate
-/// communication/compute counters and records the modeled session time. A
-/// disabled registry makes this a no-op.
-fn record_comm_metrics(metrics: &MetricsRegistry, reports: &[RankReport], modeled_time: f64) {
-    if !metrics.is_enabled() {
-        return;
-    }
-    let mut total = parfem_msg::CommStats::default();
-    let h_virt = metrics.histogram("parfem_rank_virtual_microseconds");
-    for r in reports {
-        total = total.merged(&r.stats);
-        h_virt.observe((r.virtual_time * 1e6).round().max(0.0) as u64);
-    }
-    for (name, value) in [
-        ("parfem_msg_sends_total", total.sends),
-        ("parfem_msg_sent_bytes_total", total.bytes_sent),
-        ("parfem_msg_recvs_total", total.recvs),
-        ("parfem_msg_recv_bytes_total", total.bytes_received),
-        ("parfem_msg_allreduces_total", total.allreduces),
-        ("parfem_msg_barriers_total", total.barriers),
-        ("parfem_msg_exchanges_total", total.neighbor_exchanges),
-        ("parfem_compute_flops_total", total.flops),
-    ] {
-        metrics.counter(name).add(value);
-    }
-    metrics
-        .gauge("parfem_session_last_modeled_seconds")
-        .set(modeled_time);
-}
-
-/// Folds one rank's [`FaultStats`] into the fault-injection counters. A
-/// disabled registry makes this a no-op.
-fn record_fault_metrics(metrics: &MetricsRegistry, stats: &FaultStats) {
-    if !metrics.is_enabled() {
-        return;
-    }
-    for (name, value) in [
-        ("parfem_fault_drops_total", stats.drops),
-        ("parfem_fault_retransmits_total", stats.retransmits),
-        ("parfem_fault_duplicates_total", stats.duplicates),
-        ("parfem_fault_delays_total", stats.delays),
-        ("parfem_fault_reorders_total", stats.reorders),
-        ("parfem_fault_discards_total", stats.discards),
-    ] {
-        metrics.counter(name).add(value);
-    }
-}
-
-/// Bumps the session outcome counters around a run result. A disabled
-/// registry makes this the identity.
-fn record_session_outcome<T>(
-    metrics: &MetricsRegistry,
-    res: Result<T, SolveFailures>,
-) -> Result<T, SolveFailures> {
-    if metrics.is_enabled() {
-        match &res {
-            Ok(_) => metrics.counter("parfem_session_solves_total").incr(),
-            Err(_) => metrics
-                .counter("parfem_session_solve_failures_total")
-                .incr(),
-        }
-    }
-    res
-}
-
 /// Runs `f` under a named host-side (wall-clock) span.
 pub(crate) fn host_span<R>(sink: &TraceSink, name: &str, f: impl FnOnce() -> R) -> R {
     let tracer = sink.host_tracer();
@@ -962,8 +873,8 @@ impl<'a> Loads<'a> {
 /// The strategy seam of the engine: everything the two decompositions do
 /// differently, and nothing else. One value describes the whole partitioned
 /// problem on the host; the ranks share it by reference. Launch, fault
-/// wrap, the right-hand-side loop, metrics, collection, the `gather` span
-/// and the summary are the engine's.
+/// wrap, the right-hand-side loop, collection, the `gather` span and the
+/// summary are the engine's.
 pub(crate) trait Decomposition: Sync {
     /// What a rank holds once its setup ran.
     type Rank;
@@ -1029,7 +940,7 @@ where
             (built.solver(op.partition_weights()), stats)
         })
         .unzip();
-    let precond = spec.instantiate_full(solver, Some(local), diag);
+    let precond = spec.instantiate(solver, Some(local), diag);
     if let Some(t) = comm.tracer() {
         t.span_end("precond-build", comm.virtual_time());
     }

@@ -34,7 +34,7 @@ use parfem_msg::Communicator;
 use parfem_precond::Preconditioner;
 use parfem_sparse::variant::VariantChoice;
 use parfem_sparse::LinearOperator;
-use parfem_trace::{EventKind, MetricsRegistry, Value};
+use parfem_trace::{EventKind, Value};
 
 /// The hooks a domain decomposition must provide to run under
 /// [`dd_fgmres`].
@@ -77,19 +77,9 @@ pub trait DistributedOperator: LinearOperator {
     /// with themselves) sweep kernels.
     fn gs_dots(&self, w: &[f64], basis: &[Vec<f64>], reduce: &mut [f64]);
 
-    /// Live metrics surface for this operator's solves
-    /// ([`MetricsRegistry::disabled`] unless the implementor carries one).
-    /// [`dd_fgmres`] records its per-iteration and per-solve aggregates
-    /// through it **on rank 0 only**, so fleet-wide totals are not
-    /// multiplied by the rank count.
-    fn metrics(&self) -> &MetricsRegistry {
-        static DISABLED: MetricsRegistry = MetricsRegistry::disabled();
-        &DISABLED
-    }
-
     /// The kernel variant this operator's local SpMV dispatches to, for
     /// operators that select one (`None` otherwise). [`dd_fgmres`] records
-    /// it per solve on the trace and in the metrics registry.
+    /// it per solve on the trace.
     fn kernel_variant(&self) -> Option<VariantChoice> {
         None
     }
@@ -128,8 +118,7 @@ pub struct DdResult {
 /// Restarted flexible GMRES over any [`DistributedOperator`] — the single
 /// solver loop behind `edd_fgmres` and `rdd_fgmres`. The solve runs inside
 /// the rank's `fgmres` trace span, after the operator's kernel variant (if
-/// it selects one) is recorded as the `kernel_variant_<label>` rank counter
-/// and the `parfem_kernel_variant_<label>_solves_total` metric.
+/// it selects one) is recorded as the `kernel_variant_<label>` rank counter.
 ///
 /// Once the workspace (and the operator's exchange staging) are warm,
 /// restarts and iterations perform no heap allocation on this rank, and
@@ -161,14 +150,8 @@ where
     if let Some(tracer) = comm.tracer() {
         tracer.span_begin("fgmres", comm.virtual_time());
     }
-    if let Some(choice) = op.kernel_variant() {
-        let label = choice.label();
-        op.metrics()
-            .counter(&format!("parfem_kernel_variant_{label}_solves_total"))
-            .incr();
-        if let Some(tracer) = comm.tracer() {
-            tracer.add_count(&format!("kernel_variant_{label}"), 1);
-        }
+    if let (Some(choice), Some(tracer)) = (op.kernel_variant(), comm.tracer()) {
+        tracer.add_count(&format!("kernel_variant_{}", choice.label()), 1);
     }
     let res = restarted_fgmres(op, precond, x0, cfg, ws);
     if let Some(tracer) = comm.tracer() {
@@ -197,16 +180,6 @@ where
     let dot_f = op.dot_flops_factor();
     ws.ensure(n, m, precond.scratch_vectors());
 
-    // Convergence is identical on every rank, so live aggregates are
-    // recorded on rank 0 only — other ranks get no-op handles.
-    let metrics = if comm.rank() == 0 {
-        op.metrics().clone()
-    } else {
-        MetricsRegistry::disabled()
-    };
-    let m_iters = metrics.counter("parfem_solver_iterations_total");
-    let m_precond = metrics.counter("parfem_solver_precond_applies_total");
-
     let mut x = x0.to_vec();
     // Reserve to the workspace's history high-water mark, not to
     // `max_iters`: a `max_iters`-scaled reservation reads as per-iteration
@@ -232,7 +205,6 @@ where
             restarts: 0,
         };
         ws.history_hint = ws.history_hint.max(history.relative_residuals.len());
-        record_solve_end(&metrics, &history);
         return Ok(DdResult { x, history });
     }
     let breakdown_tol = 1e-14 * r0_norm;
@@ -246,7 +218,6 @@ where
                 restarts,
             };
             ws.history_hint = ws.history_hint.max(history.relative_residuals.len());
-            record_solve_end(&metrics, &history);
             return Ok(DdResult { x, history });
         }
 
@@ -268,7 +239,6 @@ where
                 break;
             }
             total_iters += 1;
-            m_iters.incr();
             let iter_start_stats = comm.stats();
             let degree = precond.current_operator_applications();
 
@@ -278,7 +248,6 @@ where
             if let Some(tracer) = comm.tracer() {
                 tracer.add_count("precond_applies", 1);
             }
-            m_precond.incr();
             op.apply_precond(
                 precond,
                 &ws.v[j],
@@ -404,7 +373,6 @@ where
                     restarts,
                 };
                 ws.history_hint = ws.history_hint.max(history.relative_residuals.len());
-                record_solve_end(&metrics, &history);
                 return Ok(DdResult { x, history });
             }
             None => {
@@ -414,29 +382,4 @@ where
             }
         }
     }
-}
-
-/// Rolls one finished solve into the live metrics surface (no-op when the
-/// registry is disabled).
-fn record_solve_end(metrics: &MetricsRegistry, history: &ConvergenceHistory) {
-    if !metrics.is_enabled() {
-        return;
-    }
-    metrics.counter("parfem_solver_solves_total").incr();
-    metrics
-        .counter("parfem_solver_restarts_total")
-        .add(history.restarts as u64);
-    if history.converged() {
-        metrics.counter("parfem_solver_converged_total").incr();
-    }
-    metrics.gauge("parfem_solver_last_rel_res").set(
-        history
-            .relative_residuals
-            .last()
-            .copied()
-            .unwrap_or(f64::NAN),
-    );
-    metrics
-        .histogram("parfem_solver_iterations")
-        .observe(history.iterations() as u64);
 }

@@ -47,7 +47,6 @@ fn cfg_with(faults: Option<FaultPlan>, overlap: bool) -> SolverConfig {
         overlap,
         faults,
         comm_timeout: Duration::from_secs(10),
-        ..Default::default()
     }
 }
 

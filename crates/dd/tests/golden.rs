@@ -26,7 +26,6 @@ use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, QuadMesh};
 use parfem_msg::{run_ranks, Communicator, FaultPlan, FaultyComm, MachineModel};
 use parfem_precond::{GlsPrecond, IdentityPrecond};
 use parfem_sparse::scaling::scale_system;
-use parfem_trace::MetricsRegistry;
 
 /// FNV-1a over a stream of u64 words (stable, dependency-free).
 struct Fnv(u64);
@@ -87,12 +86,12 @@ fn edd_rank_body<C: Communicator>(
     let mut b = sys.f_local.clone();
     let a = sc.apply(&sys.k_local, &mut b);
     let x0 = vec![0.0; b.len()];
-    let (ws, off) = (&mut KrylovWorkspace::new(), &MetricsRegistry::disabled());
+    let ws = &mut KrylovWorkspace::new();
     let res = match gls {
-        Some(g) => edd_fgmres(comm, &layout, &a, g, &b, &x0, cfg, variant, ws, off),
+        Some(g) => edd_fgmres(comm, &layout, &a, g, &b, &x0, cfg, variant, ws),
         None => {
             let id = &IdentityPrecond;
-            edd_fgmres(comm, &layout, &a, id, &b, &x0, cfg, variant, ws, off)
+            edd_fgmres(comm, &layout, &a, id, &b, &x0, cfg, variant, ws)
         }
     }
     .expect("recoverable golden run must solve");
@@ -169,18 +168,14 @@ fn rdd_rank_body<C: Communicator>(
     cfg: &GmresConfig,
 ) -> (Vec<f64>, ConvergenceHistory) {
     let x0 = vec![0.0; sys.n_local()];
-    let (b, ws, off) = (
-        &sys.b_loc,
-        &mut KrylovWorkspace::new(),
-        &MetricsRegistry::disabled(),
-    );
+    let (b, ws) = (&sys.b_loc, &mut KrylovWorkspace::new());
     let res = if let Some(g) = gls {
-        rdd_fgmres(comm, sys, g, b, &x0, cfg, ws, off)
+        rdd_fgmres(comm, sys, g, b, &x0, cfg, ws)
     } else if ilu {
         let f = RddLocalIlu::factorize(sys).expect("factorize");
-        rdd_fgmres(comm, sys, &f, b, &x0, cfg, ws, off)
+        rdd_fgmres(comm, sys, &f, b, &x0, cfg, ws)
     } else {
-        rdd_fgmres(comm, sys, &IdentityPrecond, b, &x0, cfg, ws, off)
+        rdd_fgmres(comm, sys, &IdentityPrecond, b, &x0, cfg, ws)
     }
     .expect("recoverable golden run must solve");
     (res.x, res.history)

@@ -1,6 +1,6 @@
 //! End-to-end contracts for the observability stack: the critical-path
-//! analyzer, the chrome exporter and the metrics registry, all driven by
-//! real [`SolveSession`] runs.
+//! analyzer, the chrome exporter and the trace report, all driven by real
+//! [`SolveSession`] runs.
 //!
 //! The load-bearing assertion (the PR's acceptance criterion) is
 //! [`critical_path_length_equals_makespan_on_p8_overlapped_solve`]: on a
@@ -15,8 +15,7 @@ use parfem_krylov::gmres::GmresConfig;
 use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, PartitionerSpec, QuadMesh};
 use parfem_msg::{CommStats, FaultPlan, MachineModel};
 use parfem_trace::{
-    export_chrome_trace, json, CritPath, EventKind, MetricsRegistry, SegmentKind, TraceReport,
-    TraceSink,
+    export_chrome_trace, json, jsonl, CritPath, EventKind, SegmentKind, TraceReport, TraceSink,
 };
 use std::time::Duration;
 
@@ -357,8 +356,9 @@ fn twolevel_setup_is_charged_traced_and_summarized() {
 
 /// `run_multi` explains itself exactly as `run` does: one `solve_summary`
 /// per run with the totals over its right-hand sides, the coarse record on
-/// the output and the summary, one session outcome, and on every rank the
-/// spans `scaling → precond-build → fgmres × k` tiling the timeline.
+/// the output and the summary, rank counters and traffic that agree with
+/// the live [`CommStats`], and on every rank the spans
+/// `scaling → precond-build → fgmres × k` tiling the timeline.
 #[test]
 fn run_multi_is_summarized_and_its_rank_spans_tile_the_timeline() {
     let (mesh, dm, mat, loads) = problem(24, 6);
@@ -373,13 +373,11 @@ fn run_multi_is_summarized_and_its_rank_spans_tile_the_timeline() {
     for strategy in strategies {
         let is_edd = matches!(strategy, Strategy::Edd(_));
         let sink = TraceSink::recording();
-        let metrics = MetricsRegistry::new();
         let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
             .strategy(strategy)
             .config(cfg())
             .precond(PrecondSpec::parse("twolevel:rbm.s3:gls-3").unwrap())
             .machine(MachineModel::ibm_sp2())
-            .metrics(&metrics)
             .trace(&sink)
             .run_multi(&rhs)
             .expect("fault-free multi-RHS solve");
@@ -404,12 +402,17 @@ fn run_multi_is_summarized_and_its_rank_spans_tile_the_timeline() {
         assert_eq!(summary.variant, if is_edd { "edd-enhanced" } else { "rdd" });
         assert_eq!(out.coarse.len(), 4, "the coarse record reaches the output");
         assert_eq!(summary.coarse.as_ref().expect("coarse record").modes, 12);
-        let c = |name: &str| metrics.counter_value(name).unwrap_or(0);
-        assert_eq!(c("parfem_session_solves_total"), 1);
-        assert_eq!(c("parfem_solver_solves_total"), 3);
-        assert_eq!(c("parfem_solver_iterations_total"), summary.iterations);
 
-        for r in &report.ranks {
+        for (r, live) in report.ranks.iter().zip(&out.reports) {
+            // One preconditioner application per iteration, and the
+            // event-counted traffic is what the communicator counted live.
+            let applies = r.counters.iter().find(|(n, _)| n == "precond_applies");
+            assert_eq!(applies.map(|(_, v)| *v), Some(summary.iterations));
+            assert_eq!(r.comm.sends, live.stats.sends);
+            assert_eq!(r.comm.bytes_sent, live.stats.bytes_sent);
+            assert_eq!(r.comm.neighbor_exchanges, live.stats.neighbor_exchanges);
+            assert_eq!(r.comm.allreduces, live.stats.allreduces);
+            assert_eq!(r.comm.flops, live.stats.flops);
             // Top-level spans in the order they opened (`coarse-build`
             // nests inside `precond-build`).
             let opened: Vec<&str> = events
@@ -439,15 +442,15 @@ fn run_multi_is_summarized_and_its_rank_spans_tile_the_timeline() {
     }
 }
 
-/// The metrics registry observes a whole session end to end: solver
-/// counters agree with the convergence history, aggregate comm counters
-/// agree with [`CommStats`], fault counters fire under injection, and the
-/// text exposition renders every family.
+/// Fault injection explains itself on the trace alone: under a
+/// drop/duplicate/delay plan every rank's `fault_*` counters fire where the
+/// plan injects, every drop is answered by a retransmission, and the
+/// counters survive the JSON-Lines round trip `parfem report` reads.
 #[test]
-fn metrics_registry_observes_a_faulted_session() {
+fn fault_counters_reach_the_trace_and_round_trip_jsonl() {
     let (mesh, dm, mat, loads) = problem(16, 4);
     let part = ElementPartition::strips_x(&mesh, 4);
-    let metrics = MetricsRegistry::new();
+    let sink = TraceSink::recording();
     let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
         .strategy(Strategy::Edd(part))
         .config(cfg())
@@ -455,77 +458,37 @@ fn metrics_registry_observes_a_faulted_session() {
         .faults(
             FaultPlan::new(5)
                 .with_drops(0.2)
+                .with_duplicates(0.2)
+                .with_delays(0.2, 1e-4)
                 .with_retry_policy(30, 1e-3, 2.0),
         )
-        .metrics(&metrics)
+        .trace(&sink)
         .run()
         .expect("recoverable faults must not fail the solve");
     assert!(out.history.converged());
 
-    let c = |name: &str| metrics.counter_value(name).unwrap_or(0);
-    // Solver counters are recorded on rank 0 only, so they match the
-    // (rank-identical) history exactly — no SPMD multiplication.
-    assert_eq!(
-        c("parfem_solver_iterations_total"),
-        out.history.iterations() as u64
-    );
-    assert_eq!(
-        c("parfem_solver_restarts_total"),
-        out.history.restarts as u64
-    );
-    assert_eq!(c("parfem_solver_solves_total"), 1);
-    assert_eq!(c("parfem_solver_converged_total"), 1);
-    assert_eq!(c("parfem_session_solves_total"), 1);
-    assert_eq!(c("parfem_session_solve_failures_total"), 0);
-    assert!(c("parfem_solver_precond_applies_total") > 0);
-
-    // Aggregate comm counters equal the summed CommStats.
-    let mut stats = CommStats::default();
-    for r in &out.reports {
-        stats = stats.merged(&r.stats);
-    }
-    assert_eq!(c("parfem_msg_sends_total"), stats.sends);
-    assert_eq!(c("parfem_msg_sent_bytes_total"), stats.bytes_sent);
-    assert_eq!(c("parfem_msg_exchanges_total"), stats.neighbor_exchanges);
-    assert_eq!(c("parfem_msg_allreduces_total"), stats.allreduces);
-    assert_eq!(c("parfem_compute_flops_total"), stats.flops);
-
-    // Fault machinery: a 20% drop plan over a whole solve must drop and
-    // retransmit, and every drop is answered by exactly one retransmission.
-    let drops = c("parfem_fault_drops_total");
+    let events = sink.take_events();
+    let count = |report: &TraceReport, name: &str| -> u64 {
+        (report.ranks.iter().flat_map(|r| &r.counters))
+            .filter(|(n, _)| n == name)
+            .map(|(_, v)| *v)
+            .sum()
+    };
+    let live = TraceReport::from_events(&events);
+    let drops = count(&live, "fault_drops");
     assert!(drops > 0, "a 20% drop plan must drop frames");
-    assert_eq!(drops, c("parfem_fault_retransmits_total"));
+    assert!(count(&live, "fault_retransmits") >= drops);
+    assert!(count(&live, "fault_duplicates") > 0);
+    assert!(count(&live, "fault_delays") > 0);
 
-    // The gauge mirrors the output, and the exposition renders counters,
-    // gauges and histograms.
-    let text = metrics.render();
-    assert!(text.contains("# TYPE parfem_solver_iterations_total counter"));
-    assert!(text.contains("# TYPE parfem_session_last_modeled_seconds gauge"));
-    assert!(text.contains("parfem_rank_virtual_microseconds_p95"));
-    assert!(
-        text.contains(&format!("parfem_msg_sends_total {}", stats.sends)),
-        "exposition:\n{text}"
-    );
-}
-
-/// A disabled registry (the default) records nothing and renders empty —
-/// the zero-overhead contract.
-#[test]
-fn disabled_registry_stays_empty() {
-    let (mesh, dm, mat, loads) = problem(8, 2);
-    let part = ElementPartition::strips_x(&mesh, 2);
-    let metrics = MetricsRegistry::disabled();
-    let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-        .strategy(Strategy::Edd(part))
-        .config(cfg())
-        .metrics(&metrics)
-        .run()
-        .expect("fault-free solve");
-    assert!(out.history.converged());
-    assert!(!metrics.is_enabled());
-    assert_eq!(
-        metrics.counter_value("parfem_solver_iterations_total"),
-        None
-    );
-    assert_eq!(metrics.render(), "");
+    let text = jsonl::encode_all(&events);
+    let decoded = TraceReport::from_events(&jsonl::decode_all(&text).expect("valid JSONL"));
+    for name in [
+        "fault_drops",
+        "fault_retransmits",
+        "fault_duplicates",
+        "fault_delays",
+    ] {
+        assert_eq!(count(&decoded, name), count(&live, name), "{name}");
+    }
 }

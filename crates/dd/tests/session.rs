@@ -49,7 +49,6 @@ fn cfg() -> SolverConfig {
         overlap: false,
         faults: None,
         comm_timeout: Duration::from_secs(10),
-        ..Default::default()
     }
 }
 

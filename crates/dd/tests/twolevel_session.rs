@@ -44,7 +44,6 @@ fn cfg(spec: &str) -> SolverConfig {
         overlap: false,
         faults: None,
         comm_timeout: Duration::from_secs(10),
-        ..Default::default()
     }
 }
 

@@ -547,7 +547,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parfem_precond::{GlsPrecond, IdentityPrecond, Ilu0Precond, JacobiPrecond};
+    use parfem_precond::{GlsPrecond, IdentityPrecond, Ilu0Precond, JacobiPrecond, NeumannPrecond};
     use parfem_sparse::{scaling, CooMatrix, CsrMatrix};
 
     fn laplacian(n: usize) -> CsrMatrix {
@@ -691,6 +691,61 @@ mod tests {
             pre.history.iterations(),
             plain.history.iterations()
         );
+    }
+
+    /// Golden counts of the paper's two polynomial families on the 24×24
+    /// 5-point Laplacian: a change in their convergence must be a conscious
+    /// decision, not drift. The delivered solution solves the scaled system
+    /// to the tolerance and the original one after unscaling.
+    #[test]
+    fn polynomial_preconditioners_hold_their_golden_counts_on_the_2d_laplacian() {
+        let (nx, n) = (24, 24 * 24);
+        let mut coo = CooMatrix::new(n, n);
+        for r in 0..n {
+            coo.push(r, r, 4.0).unwrap();
+            for nb in [(r % nx + 1 < nx).then_some(r + 1), Some(r + nx)] {
+                if let Some(c) = nb.filter(|&c| c < n) {
+                    coo.push(r, c, -1.0).unwrap();
+                    coo.push(c, r, -1.0).unwrap();
+                }
+            }
+        }
+        let k = coo.to_csr();
+        // A smooth, non-constant load so convergence exercises many modes.
+        let f: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.37).sin()).collect();
+        let (a, b, sc) = scaling::scale_system(&k, &f).unwrap();
+        let cfg = GmresConfig {
+            restart: 30,
+            max_iters: 400,
+            tol: 1e-10,
+            ..Default::default()
+        };
+        let solve = |p: &dyn Preconditioner<CsrMatrix>, golden: usize| {
+            let res = fgmres(&a, p, &b, &vec![0.0; n], &cfg);
+            assert!(
+                res.history.converged(),
+                "{}: {:?}",
+                p.name(),
+                res.history.stop
+            );
+            assert_eq!(res.history.iterations(), golden, "{} count moved", p.name());
+            let scaled_res = residual_norm(&a, &res.x, &b) / dense::norm2(&b);
+            assert!(scaled_res <= 1e-10, "{}: residual {scaled_res}", p.name());
+            let u: Vec<f64> = res
+                .x
+                .iter()
+                .zip(sc.diagonal())
+                .map(|(x, d)| x * d)
+                .collect();
+            let unscaled = residual_norm(&k, &u, &f) / dense::norm2(&f);
+            assert!(
+                unscaled <= 1e-9,
+                "{}: unscaled residual {unscaled}",
+                p.name()
+            );
+        };
+        solve(&GlsPrecond::for_scaled_system(7), 14);
+        solve(&NeumannPrecond::for_scaled_system(7), 29);
     }
 
     #[test]

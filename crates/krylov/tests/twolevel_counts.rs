@@ -65,7 +65,7 @@ fn strip_parts(nx: usize, ny: usize, p: usize) -> Vec<CoarsePartGeometry> {
 }
 
 /// Solves the scaled system through the registry path (spec string →
-/// [`PrecondSpec`] → `instantiate_with_coarse`) and returns the converged
+/// [`PrecondSpec`] → `instantiate`) and returns the converged
 /// iteration count.
 fn iterations(scaled: &CsrMatrix, b: &[f64], d: &[f64], p: usize, spec_str: &str) -> usize {
     let spec = PrecondSpec::parse(spec_str).expect("test spec parses");
@@ -78,7 +78,7 @@ fn iterations(scaled: &CsrMatrix, b: &[f64], d: &[f64], p: usize, spec_str: &str
         let ones = vec![1.0; scaled.n_rows()];
         build_coarse_basis(&coarse_spec, &parts, &ones, d, scaled, DEFAULT_PIVOT_TOL).solver()
     });
-    let pc = spec.instantiate_with_coarse(coarse, || scaled.diagonal());
+    let pc = spec.instantiate(coarse, None, || scaled.diagonal());
     let cfg = GmresConfig {
         restart: 30,
         max_iters: 400,

@@ -16,8 +16,6 @@
 //! - [`jacobi`], [`identity`] — the trivial comparators,
 //! - [`ilu0`] — a [`Preconditioner`] wrapper around
 //!   [`parfem_sparse::Ilu0`], the sequential comparator of Figs. 11–12,
-//! - [`mixed`] — `f32` mirrors of the polynomial preconditioners for
-//!   mixed-precision runs (outer FGMRES stays `f64`),
 //! - [`direct`] — the exact rank-local sparse direct solve (RCM-ordered
 //!   profile LDLᵀ), pivot-tolerant where ILU(0) fails on floating
 //!   subdomains,
@@ -46,7 +44,6 @@ pub mod gls;
 pub mod identity;
 pub mod ilu0;
 pub mod jacobi;
-pub mod mixed;
 pub mod neumann;
 pub mod poly;
 pub mod registry;
@@ -60,7 +57,6 @@ pub use gls::{GlsPrecond, IntervalUnion};
 pub use identity::IdentityPrecond;
 pub use ilu0::Ilu0Precond;
 pub use jacobi::JacobiPrecond;
-pub use mixed::{GlsPrecondF32, NeumannPrecondF32};
 pub use neumann::NeumannPrecond;
 pub use registry::{BuiltPrecond, ParseSpecError, PrecondSpec};
 pub use schwarz::BlockJacobiPrecond;

@@ -7,7 +7,7 @@
 //! 1. [`PrecondSpec::parse`] turns a spec string (`gls:7`, `neumann:3`,
 //!    `gls-escalating:5`, …) into a typed [`PrecondSpec`], with a typed
 //!    [`ParseSpecError`] for every malformed arm,
-//! 2. [`PrecondSpec::build`] constructs the boxed scratch-aware
+//! 2. [`PrecondSpec::instantiate`] constructs the scratch-aware
 //!    [`Preconditioner`] for **any** [`LinearOperator`] — the identical
 //!    factory serves the sequential solver, the element-based and the
 //!    row-based distributed operators,
@@ -20,9 +20,8 @@
 
 use crate::twolevel::{CoarseSolver, CoarseSpec, Composition, SpecPrecond, TwoLevelPrecond};
 use crate::{
-    ChebyshevPrecond, DirectPrecond, EscalatingGls, GlsPrecond, GlsPrecondF32, IdentityPrecond,
-    InterfaceConsistency, IntervalUnion, JacobiPrecond, NeumannPrecond, NeumannPrecondF32,
-    Preconditioner,
+    ChebyshevPrecond, DirectPrecond, EscalatingGls, GlsPrecond, IdentityPrecond,
+    InterfaceConsistency, IntervalUnion, JacobiPrecond, NeumannPrecond, Preconditioner,
 };
 use parfem_sparse::{CsrMatrix, LinearOperator};
 use std::fmt;
@@ -47,17 +46,6 @@ pub enum PrecondSpec {
         /// Polynomial degree `m`.
         degree: usize,
     },
-    /// GLS polynomial applied in `f32` (mixed precision; outer solver stays
-    /// `f64`), on the post-scaling `(ε, 1)`.
-    GlsF32 {
-        /// Polynomial degree `m`.
-        degree: usize,
-    },
-    /// Neumann series applied in `f32` (mixed precision; `ω = 1`).
-    NeumannF32 {
-        /// Polynomial degree `m`.
-        degree: usize,
-    },
     /// Chebyshev (min-max) polynomial on the post-scaling interval.
     Chebyshev {
         /// Polynomial degree `m`.
@@ -74,16 +62,12 @@ pub enum PrecondSpec {
     /// Exact rank-local sparse direct solve (RCM-ordered profile LDLᵀ with
     /// pivot skipping — well-defined even on floating subdomains where
     /// ILU(0) hits the paper's Eq. 45 zero pivot). Needs the rank-local
-    /// matrix at build time — see [`PrecondSpec::instantiate_full`]; the
-    /// plain [`PrecondSpec::build`]/[`PrecondSpec::instantiate`] panic for
-    /// this arm.
+    /// matrix at build time — see [`PrecondSpec::instantiate`].
     Direct,
     /// Two-level preconditioning: a per-subdomain coarse space composed
     /// around a one-level smoother (`twolevel:<coarse>:<smoother>[:add]`).
     /// Needs a coarse solver at build time — see
-    /// [`PrecondSpec::instantiate_with_coarse`]; the plain
-    /// [`PrecondSpec::build`]/[`PrecondSpec::instantiate`] panic for this
-    /// arm.
+    /// [`PrecondSpec::instantiate`].
     TwoLevel {
         /// Which coarse space to build per part.
         coarse: CoarseSpec,
@@ -98,15 +82,13 @@ pub enum PrecondSpec {
 
 /// Renders a smoother as a `twolevel` sub-segment, with `-` standing in
 /// for the degree separator so the segment stays colon-free: `gls-3`,
-/// `neumann-f32-2`, `jacobi`.
+/// `neumann-2`, `jacobi`.
 fn smoother_token(spec: &PrecondSpec) -> String {
     match spec {
         PrecondSpec::None => "none".into(),
         PrecondSpec::Jacobi => "jacobi".into(),
         PrecondSpec::Gls { degree, .. } => format!("gls-{degree}"),
         PrecondSpec::Neumann { degree } => format!("neumann-{degree}"),
-        PrecondSpec::GlsF32 { degree } => format!("gls-f32-{degree}"),
-        PrecondSpec::NeumannF32 { degree } => format!("neumann-f32-{degree}"),
         PrecondSpec::Chebyshev { degree } => format!("chebyshev-{degree}"),
         PrecondSpec::Direct => "direct".into(),
         // Not parseable back (the registry rejects stateful smoothers
@@ -133,8 +115,6 @@ fn parse_smoother(tok: &str) -> Result<PrecondSpec, ParseSpecError> {
                     theta: None,
                 }),
                 "neumann" => Ok(PrecondSpec::Neumann { degree }),
-                "gls-f32" => Ok(PrecondSpec::GlsF32 { degree }),
-                "neumann-f32" => Ok(PrecondSpec::NeumannF32 { degree }),
                 "chebyshev" => Ok(PrecondSpec::Chebyshev { degree }),
                 _ => Err(bad()),
             }
@@ -153,8 +133,6 @@ impl PrecondSpec {
             PrecondSpec::Jacobi => "jacobi".into(),
             PrecondSpec::Gls { degree, .. } => format!("gls({degree})"),
             PrecondSpec::Neumann { degree } => format!("neumann({degree})"),
-            PrecondSpec::GlsF32 { degree } => format!("gls-f32({degree})"),
-            PrecondSpec::NeumannF32 { degree } => format!("neumann-f32({degree})"),
             PrecondSpec::Chebyshev { degree } => format!("chebyshev({degree})"),
             PrecondSpec::GlsEscalating { period } => format!("gls-escalating(x{period})"),
             PrecondSpec::Direct => "direct".into(),
@@ -171,8 +149,6 @@ impl PrecondSpec {
             PrecondSpec::Jacobi => "jacobi".into(),
             PrecondSpec::Gls { degree, .. } => format!("gls:{degree}"),
             PrecondSpec::Neumann { degree } => format!("neumann:{degree}"),
-            PrecondSpec::GlsF32 { degree } => format!("gls-f32:{degree}"),
-            PrecondSpec::NeumannF32 { degree } => format!("neumann-f32:{degree}"),
             PrecondSpec::Chebyshev { degree } => format!("chebyshev:{degree}"),
             PrecondSpec::GlsEscalating { period } => format!("gls-escalating:{period}"),
             PrecondSpec::Direct => "direct".into(),
@@ -238,12 +214,6 @@ impl PrecondSpec {
             "neumann" => Ok(PrecondSpec::Neumann {
                 degree: degree(arg)?,
             }),
-            "gls-f32" => Ok(PrecondSpec::GlsF32 {
-                degree: degree(arg)?,
-            }),
-            "neumann-f32" => Ok(PrecondSpec::NeumannF32 {
-                degree: degree(arg)?,
-            }),
             "chebyshev" => Ok(PrecondSpec::Chebyshev {
                 degree: degree(arg)?,
             }),
@@ -290,32 +260,59 @@ impl PrecondSpec {
         }
     }
 
-    /// Builds the boxed preconditioner this spec describes, for any
-    /// operator type.
+    /// `true` iff building this spec requires a [`CoarseSolver`] — i.e. the
+    /// spec is a [`PrecondSpec::TwoLevel`]. Callers that can supply one
+    /// (the `SolveSession` pipeline, the benches) build it when this holds;
+    /// callers that cannot (the transient driver) reject such specs up
+    /// front.
+    pub fn needs_coarse(&self) -> bool {
+        matches!(self, PrecondSpec::TwoLevel { .. })
+    }
+
+    /// `true` iff building this spec requires the rank-local matrix — i.e.
+    /// the spec is [`PrecondSpec::Direct`], directly or as a `twolevel`
+    /// smoother. Callers that hold the post-scaling local matrix (the
+    /// `SolveSession` rank bodies, the sequential driver) pass it to
+    /// [`PrecondSpec::instantiate`]; callers that cannot supply one reject
+    /// such specs up front.
+    pub fn needs_local_matrix(&self) -> bool {
+        match self {
+            PrecondSpec::Direct => true,
+            PrecondSpec::TwoLevel { smoother, .. } => smoother.needs_local_matrix(),
+            _ => false,
+        }
+    }
+
+    /// Builds this spec as a [`SpecPrecond`] from everything a caller can
+    /// supply: a coarse solver (for two-level specs) and the rank-local
+    /// post-scaling matrix (for [`PrecondSpec::Direct`], standalone or as a
+    /// `twolevel` smoother). Specs needing neither ignore both arguments.
     ///
     /// `diag` supplies the **assembled** operator diagonal and is invoked
     /// only when the spec actually needs it (Jacobi) — in the distributed
     /// solvers it hides an interface sum, so laziness matters.
     ///
-    /// The constructors are exactly those the historical per-driver
-    /// dispatchers used, so results are bit-identical through the registry.
-    pub fn build<Op: LinearOperator + InterfaceConsistency + ?Sized>(
-        &self,
-        diag: impl FnOnce() -> Vec<f64>,
-    ) -> Box<dyn Preconditioner<Op>> {
-        Box::new(self.instantiate(diag))
-    }
-
-    /// Builds the preconditioner as a concrete [`BuiltPrecond`] value.
+    /// The result names no operator type, so one preconditioner serves a
+    /// loop of solves whose operator borrows differ per iteration (the
+    /// transient driver, multi-right-hand-side sessions).
     ///
-    /// Use this instead of [`PrecondSpec::build`] when one preconditioner
-    /// must serve a *loop* of solves whose operator borrows differ per
-    /// iteration (the transient driver, multi-right-hand-side sessions): a
-    /// `Box<dyn Preconditioner<Op<'a>>>` pins one `'a` through trait-object
-    /// invariance, while `BuiltPrecond` names no operator type at all and
-    /// instantiates the bound freshly at every call site.
-    pub fn instantiate(&self, diag: impl FnOnce() -> Vec<f64>) -> BuiltPrecond {
-        match self {
+    /// # Panics
+    /// Panics when the spec [`PrecondSpec::needs_coarse`] but `coarse` is
+    /// `None`, or [`PrecondSpec::needs_local_matrix`] but `local` is
+    /// `None`.
+    pub fn instantiate(
+        &self,
+        coarse: Option<CoarseSolver>,
+        local: Option<&CsrMatrix>,
+        diag: impl FnOnce() -> Vec<f64>,
+    ) -> SpecPrecond {
+        let (one_level, additive) = match self {
+            PrecondSpec::TwoLevel {
+                smoother, additive, ..
+            } => (&**smoother, Some(*additive)),
+            _ => (self, None),
+        };
+        let built = match one_level {
             PrecondSpec::None => BuiltPrecond::None(IdentityPrecond),
             PrecondSpec::Jacobi => BuiltPrecond::Jacobi(JacobiPrecond::from_diagonal(&diag())),
             PrecondSpec::Gls { degree, theta } => {
@@ -325,135 +322,46 @@ impl PrecondSpec {
             PrecondSpec::Neumann { degree } => {
                 BuiltPrecond::Neumann(NeumannPrecond::for_scaled_system(*degree))
             }
-            PrecondSpec::GlsF32 { degree } => {
-                BuiltPrecond::GlsF32(GlsPrecondF32::for_scaled_system(*degree))
-            }
-            PrecondSpec::NeumannF32 { degree } => {
-                BuiltPrecond::NeumannF32(NeumannPrecondF32::for_scaled_system(*degree))
-            }
             PrecondSpec::Chebyshev { degree } => {
                 BuiltPrecond::Chebyshev(ChebyshevPrecond::for_scaled_system(*degree))
             }
             PrecondSpec::GlsEscalating { period } => {
                 BuiltPrecond::Escalating(EscalatingGls::default_for_scaled_system(*period))
             }
-            PrecondSpec::Direct => panic!(
-                "direct spec needs the rank-local matrix; build it through \
-                 PrecondSpec::instantiate_full"
-            ),
+            PrecondSpec::Direct => BuiltPrecond::Direct(DirectPrecond::new(
+                local.expect("direct spec requires the rank-local matrix at build time"),
+            )),
             PrecondSpec::TwoLevel { .. } => panic!(
-                "two-level spec `{}` needs a coarse solver; build it through \
-                 PrecondSpec::instantiate_with_coarse",
+                "two-level spec `{}` cannot smooth with another two-level spec",
                 self.name()
             ),
-        }
-    }
-
-    /// Builds a one-level spec as a [`BuiltPrecond`], factoring the
-    /// rank-local matrix for [`PrecondSpec::Direct`] and delegating to
-    /// [`PrecondSpec::instantiate`] for everything else (bit-identical to
-    /// the historical path).
-    fn instantiate_one_level(
-        &self,
-        local: Option<&CsrMatrix>,
-        diag: impl FnOnce() -> Vec<f64>,
-    ) -> BuiltPrecond {
-        match self {
-            PrecondSpec::Direct => {
-                let a = local.unwrap_or_else(|| {
-                    panic!("direct spec requires the rank-local matrix at build time")
-                });
-                BuiltPrecond::Direct(DirectPrecond::new(a))
-            }
-            _ => self.instantiate(diag),
-        }
-    }
-
-    /// `true` iff building this spec requires a [`CoarseSolver`] — i.e. the
-    /// spec is a [`PrecondSpec::TwoLevel`]. Callers that can supply one
-    /// (the `SolveSession` pipeline, the benches) branch on this to
-    /// [`PrecondSpec::instantiate_with_coarse`]; callers that cannot (the
-    /// transient driver) reject such specs up front.
-    pub fn needs_coarse(&self) -> bool {
-        matches!(self, PrecondSpec::TwoLevel { .. })
-    }
-
-    /// `true` iff building this spec requires the rank-local matrix — i.e.
-    /// the spec is [`PrecondSpec::Direct`], directly or as a `twolevel`
-    /// smoother. Callers that hold the post-scaling local matrix (the
-    /// `SolveSession` rank bodies, the sequential driver) branch on this to
-    /// [`PrecondSpec::instantiate_full`]; callers that cannot supply one
-    /// reject such specs up front.
-    pub fn needs_local_matrix(&self) -> bool {
-        match self {
-            PrecondSpec::Direct => true,
-            PrecondSpec::TwoLevel { smoother, .. } => smoother.needs_local_matrix(),
-            _ => false,
-        }
-    }
-
-    /// Builds this spec as a [`SpecPrecond`], attaching `coarse` when the
-    /// spec is two-level. One-level specs ignore `coarse` and wrap the
-    /// identical [`PrecondSpec::instantiate`] result, so results are
-    /// bit-identical to the plain path.
-    ///
-    /// # Panics
-    /// Panics when the spec [`PrecondSpec::needs_coarse`] but `coarse` is
-    /// `None`.
-    pub fn instantiate_with_coarse(
-        &self,
-        coarse: Option<CoarseSolver>,
-        diag: impl FnOnce() -> Vec<f64>,
-    ) -> SpecPrecond {
-        self.instantiate_full(coarse, None, diag)
-    }
-
-    /// Builds this spec as a [`SpecPrecond`] from everything a rank can
-    /// supply: a coarse solver (for two-level specs) and the rank-local
-    /// post-scaling matrix (for [`PrecondSpec::Direct`], standalone or as a
-    /// `twolevel` smoother). Specs needing neither ignore both arguments
-    /// and wrap the identical [`PrecondSpec::instantiate`] result, so
-    /// results are bit-identical to the plain path.
-    ///
-    /// # Panics
-    /// Panics when the spec [`PrecondSpec::needs_coarse`] but `coarse` is
-    /// `None`, or [`PrecondSpec::needs_local_matrix`] but `local` is
-    /// `None`.
-    pub fn instantiate_full(
-        &self,
-        coarse: Option<CoarseSolver>,
-        local: Option<&CsrMatrix>,
-        diag: impl FnOnce() -> Vec<f64>,
-    ) -> SpecPrecond {
-        match self {
-            PrecondSpec::TwoLevel {
-                smoother, additive, ..
-            } => {
+        };
+        match additive {
+            None => SpecPrecond::Plain(built),
+            Some(additive) => {
                 let solver = coarse.unwrap_or_else(|| {
                     panic!("two-level spec `{}` requires a coarse solver", self.name())
                 });
-                let composition = if *additive {
+                let composition = if additive {
                     Composition::Additive
                 } else {
                     Composition::Multiplicative
                 };
                 SpecPrecond::TwoLevel(TwoLevelPrecond::new(
-                    smoother.instantiate_one_level(local, diag),
+                    built,
                     solver,
                     composition,
                     self.name(),
                 ))
             }
-            _ => SpecPrecond::Plain(self.instantiate_one_level(local, diag)),
         }
     }
 }
 
 /// A registry-built preconditioner as one concrete (operator-free) value.
 ///
-/// Every variant wraps the same constructor [`PrecondSpec::build`] boxes;
-/// the [`Preconditioner`] impl delegates method-for-method, so the two
-/// forms are interchangeable bit for bit.
+/// Every variant wraps one concrete preconditioner; the
+/// [`Preconditioner`] impl delegates method-for-method.
 pub enum BuiltPrecond {
     /// [`PrecondSpec::None`].
     None(IdentityPrecond),
@@ -463,10 +371,6 @@ pub enum BuiltPrecond {
     Gls(GlsPrecond),
     /// [`PrecondSpec::Neumann`].
     Neumann(NeumannPrecond),
-    /// [`PrecondSpec::GlsF32`].
-    GlsF32(GlsPrecondF32),
-    /// [`PrecondSpec::NeumannF32`].
-    NeumannF32(NeumannPrecondF32),
     /// [`PrecondSpec::Chebyshev`].
     Chebyshev(ChebyshevPrecond),
     /// [`PrecondSpec::GlsEscalating`].
@@ -482,8 +386,6 @@ macro_rules! delegate {
             BuiltPrecond::Jacobi($p) => $e,
             BuiltPrecond::Gls($p) => $e,
             BuiltPrecond::Neumann($p) => $e,
-            BuiltPrecond::GlsF32($p) => $e,
-            BuiltPrecond::NeumannF32($p) => $e,
             BuiltPrecond::Chebyshev($p) => $e,
             BuiltPrecond::Escalating($p) => $e,
             BuiltPrecond::Direct($p) => $e,
@@ -556,8 +458,7 @@ pub enum ParseSpecError {
     /// `twolevel:<coarse>` came without its smoother segment.
     MissingSmoother,
     /// The smoother segment is not in the accepted one-level set
-    /// (`none`, `jacobi`, `direct`, `gls-M`, `neumann-M`, `gls-f32-M`,
-    /// `neumann-f32-M`, `chebyshev-M`).
+    /// (`none`, `jacobi`, `direct`, `gls-M`, `neumann-M`, `chebyshev-M`).
     BadSmoother(String),
     /// The composition segment is not `add` or `mult` (or the spec has
     /// trailing segments).
@@ -609,7 +510,7 @@ impl fmt::Display for ParseSpecError {
                 write!(
                     f,
                     "bad smoother {given}: expected none, jacobi, direct, gls-M, \
-                     neumann-M, gls-f32-M, neumann-f32-M or chebyshev-M"
+                     neumann-M or chebyshev-M"
                 )
             }
             ParseSpecError::BadComposition(given) => {
@@ -622,8 +523,8 @@ impl fmt::Display for ParseSpecError {
 impl std::error::Error for ParseSpecError {}
 
 /// The accepted `--precond` grammar, one spec per alternative.
-pub const GRAMMAR: &str = "none|jacobi|direct|gls:M|neumann:M|gls-f32:M|neumann-f32:M|\
-                           chebyshev:M|gls-escalating:PERIOD|twolevel:COARSE:SMOOTHER[:add]";
+pub const GRAMMAR: &str = "none|jacobi|direct|gls:M|neumann:M|chebyshev:M|\
+                           gls-escalating:PERIOD|twolevel:COARSE:SMOOTHER[:add]";
 
 /// Multi-line help text for the grammar — rendered by the CLI usage screen
 /// and quoted by the README, so the documentation always matches the
@@ -637,15 +538,12 @@ pub fn grammar_help() -> String {
                               pivot-tolerant on floating subdomains where ILU(0) fails)\n\
          gls:M                degree-M generalized least-squares polynomial on (eps, 1)\n\
          neumann:M            degree-M Neumann series (omega = 1 after scaling)\n\
-         gls-f32:M            degree-M GLS applied in f32 (mixed precision)\n\
-         neumann-f32:M        degree-M Neumann series applied in f32 (mixed precision)\n\
          chebyshev:M          degree-M Chebyshev (min-max) polynomial\n\
          gls-escalating:P     GLS degree schedule 1->3->7->10, advancing every P applies\n\
          twolevel:C:S         coarse space C (const|rbm|lowrank-K, each optionally .sK\n\
                               for K prolongator-smoothing passes, e.g. rbm.s3) around\n\
                               smoother S (none, jacobi, direct, gls-M, neumann-M,\n\
-                              gls-f32-M, neumann-f32-M, chebyshev-M); multiplicative\n\
-                              unless :add is appended"
+                              chebyshev-M); multiplicative unless :add is appended"
     )
 }
 
@@ -660,8 +558,6 @@ pub fn examples() -> Vec<PrecondSpec> {
             theta: None,
         },
         PrecondSpec::Neumann { degree: 3 },
-        PrecondSpec::GlsF32 { degree: 7 },
-        PrecondSpec::NeumannF32 { degree: 2 },
         PrecondSpec::Chebyshev { degree: 8 },
         PrecondSpec::GlsEscalating { period: 5 },
         PrecondSpec::Direct,
@@ -718,13 +614,12 @@ mod tests {
     fn builds_every_example_against_a_csr_operator() {
         let a = CsrMatrix::identity(4);
         for spec in examples() {
-            if spec.needs_coarse() || spec.needs_local_matrix() {
-                // Two-level and direct specs need a coarse solver / local
-                // matrix — covered by the instantiate_full tests below.
+            if spec.needs_coarse() {
+                // Two-level specs need a coarse solver — covered below.
                 continue;
             }
-            let pc = spec.build::<CsrMatrix>(|| a.diagonal());
-            let z = pc.apply(&a, &[1.0, 2.0, 3.0, 4.0]);
+            let pc = spec.instantiate(None, Some(&a), || a.diagonal());
+            let z = Preconditioner::<CsrMatrix>::apply(&pc, &a, &[1.0, 2.0, 3.0, 4.0]);
             assert_eq!(z.len(), 4);
             assert!(z.iter().all(|v| v.is_finite()));
         }
@@ -736,7 +631,7 @@ mod tests {
         let spec = PrecondSpec::parse("direct").unwrap();
         assert!(spec.needs_local_matrix());
         assert!(!spec.needs_coarse());
-        let pc = spec.instantiate_full(None, Some(&a), || a.diagonal());
+        let pc = spec.instantiate(None, Some(&a), || a.diagonal());
         let z = Preconditioner::<CsrMatrix>::apply(&pc, &a, &[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(z, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(Preconditioner::<CsrMatrix>::name(&pc), "direct");
@@ -762,25 +657,12 @@ mod tests {
             };
             let basis = build_coarse_basis(coarse, &parts, &mult, &d, &a, 1e-12);
             let local = spec.needs_local_matrix().then_some(&a);
-            let pc = spec.instantiate_full(Some(basis.solver()), local, || a.diagonal());
+            let pc = spec.instantiate(Some(basis.solver()), local, || a.diagonal());
             let z = Preconditioner::<CsrMatrix>::apply(&pc, &a, &[1.0, 2.0, 3.0, 4.0]);
             assert_eq!(z.len(), 4);
             assert!(z.iter().all(|v| v.is_finite()));
             assert_eq!(Preconditioner::<CsrMatrix>::name(&pc), spec.name());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "needs a coarse solver")]
-    fn plain_instantiate_rejects_twolevel() {
-        let spec = PrecondSpec::parse("twolevel:rbm:gls-3").unwrap();
-        let _ = spec.instantiate(Vec::new);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs the rank-local matrix")]
-    fn plain_instantiate_rejects_direct() {
-        let _ = PrecondSpec::Direct.instantiate(Vec::new);
     }
 
     #[test]
@@ -804,7 +686,7 @@ mod tests {
             unreachable!()
         };
         let basis = build_coarse_basis(coarse, &parts, &mult, &d, &a, 1e-12);
-        let pc = spec.instantiate_full(Some(basis.solver()), Some(&a), || a.diagonal());
+        let pc = spec.instantiate(Some(basis.solver()), Some(&a), || a.diagonal());
         let z = Preconditioner::<CsrMatrix>::apply(&pc, &a, &[1.0, 2.0, 3.0, 4.0]);
         assert!(z.iter().all(|v| v.is_finite()));
         assert_eq!(Preconditioner::<CsrMatrix>::name(&pc), spec.name());

@@ -113,90 +113,6 @@ pub fn spmv_raw(row_ptr: &[usize], col_idx: &[usize], values: &[f64], x: &[f64],
     spmv_raw_range(row_ptr, col_idx, values, x, y, 0..n_rows);
 }
 
-/// One CSR row dot product against an implicitly scaled vector:
-/// `Σ vals[e] · (s[cols[e]] · x[cols[e]])`, 4-way unrolled.
-///
-/// Each product is computed as `v * (s[c] * x[c])` — exactly the arithmetic
-/// [`row_dot`] performs on a pre-scaled vector `x'[c] = s[c] * x[c]`, with
-/// the same `(a0 + a1) + (a2 + a3)` combination — so fusing the scaling into
-/// the SpMV is **bit-identical** to scaling first and multiplying second,
-/// while skipping the extra full pass over `x`.
-#[inline(always)]
-pub fn row_dot_scaled(cols: &[usize], vals: &[f64], s: &[f64], x: &[f64]) -> f64 {
-    debug_assert_eq!(cols.len(), vals.len());
-    let mut c4 = cols.chunks_exact(4);
-    let mut v4 = vals.chunks_exact(4);
-    let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
-    for (c, v) in (&mut c4).zip(&mut v4) {
-        a0 += v[0] * (s[c[0]] * x[c[0]]);
-        a1 += v[1] * (s[c[1]] * x[c[1]]);
-        a2 += v[2] * (s[c[2]] * x[c[2]]);
-        a3 += v[3] * (s[c[3]] * x[c[3]]);
-    }
-    let mut acc = (a0 + a1) + (a2 + a3);
-    for (&c, &v) in c4.remainder().iter().zip(v4.remainder()) {
-        acc += v * (s[c] * x[c]);
-    }
-    acc
-}
-
-/// Fused scale + SpMV over a row range: `y[r] = A (s ∘ x)` without
-/// materializing the scaled vector. Bit-identical to scaling `x` first and
-/// calling [`spmv_raw_range`] (see [`row_dot_scaled`]).
-///
-/// # Panics
-/// Panics if the range or `y` length is inconsistent with the arrays.
-pub fn spmv_scaled_raw_range(
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    values: &[f64],
-    s: &[f64],
-    x: &[f64],
-    y: &mut [f64],
-    rows: core::ops::Range<usize>,
-) {
-    assert_eq!(y.len(), rows.len(), "spmv_scaled_raw_range: y length");
-    assert!(
-        rows.end < row_ptr.len(),
-        "spmv_scaled_raw_range: rows out of range"
-    );
-    let base = rows.start;
-    for (i, yr) in y.iter_mut().enumerate() {
-        let lo = row_ptr[base + i];
-        let hi = row_ptr[base + i + 1];
-        *yr = row_dot_scaled(&col_idx[lo..hi], &values[lo..hi], s, x);
-    }
-}
-
-/// Fused scale + SpMV for the listed rows only (full-length `y`): the
-/// scaled analogue of [`spmv_rows_indexed`], used by the overlapped
-/// distributed matvec to fold a diagonal scaling into the interface and
-/// interior row sweeps. Bit-identical to scaling first (see
-/// [`row_dot_scaled`]).
-///
-/// # Panics
-/// Panics if `y` does not cover all rows or an index is out of range.
-pub fn spmv_scaled_rows_indexed(
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    values: &[f64],
-    s: &[f64],
-    x: &[f64],
-    y: &mut [f64],
-    rows: &[usize],
-) {
-    assert_eq!(
-        y.len(),
-        row_ptr.len() - 1,
-        "spmv_scaled_rows_indexed: y length mismatch"
-    );
-    for &r in rows {
-        let lo = row_ptr[r];
-        let hi = row_ptr[r + 1];
-        y[r] = row_dot_scaled(&col_idx[lo..hi], &values[lo..hi], s, x);
-    }
-}
-
 /// `y += A x` on raw CSR arrays.
 pub fn spmv_add_raw(
     row_ptr: &[usize],

@@ -24,8 +24,6 @@
 //!   Gram–Schmidt sweeps) selectable via [`variant::KernelPolicy`],
 //! - [`sell`] / [`bcsr`] — cache-aware SELL-C-σ and 2×2 block-CSR storage
 //!   formats, convertible to and from CSR without loss,
-//! - [`f32csr`] — a single-precision CSR mirror for mixed-precision
-//!   preconditioning,
 //! - [`skyline`] — a pivot-tolerant skyline/profile LDLᵀ direct solver for
 //!   the two-level preconditioner's Galerkin coarse operator,
 //! - [`direct`] — a general sparse direct solver (deterministic
@@ -52,7 +50,6 @@ pub mod csr;
 pub mod dense;
 pub mod direct;
 pub mod error;
-pub mod f32csr;
 pub mod gershgorin;
 pub mod ilu;
 pub mod io;
@@ -69,7 +66,6 @@ pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use direct::SparseDirect;
 pub use error::SparseError;
-pub use f32csr::CsrMatrixF32;
 pub use ilu::Ilu0;
 pub use op::LinearOperator;
 pub use scaling::DiagonalScaling;

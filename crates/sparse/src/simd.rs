@@ -9,7 +9,7 @@
 //!
 //! Reduction-order contract, per kernel:
 //!
-//! - [`dot_lanes`] / [`dot_sweep_lanes`] combine the four partial sums as
+//! - [`dot_lanes`] / [`dot_many_lanes`] combine the four partial sums as
 //!   `(a0 + a1) + (a2 + a3)` — the same tree as
 //!   [`crate::kernels::row_dot`], but **different** from the scalar
 //!   [`crate::kernels::dot_block`] (single sequential accumulator), so SIMD
@@ -23,8 +23,6 @@
 //! - [`spmv_lanes`] keeps the per-row [`crate::kernels::row_dot`]
 //!   arithmetic verbatim (it unrolls across *rows*), so it is
 //!   **bit-identical** to the scalar CSR SpMV.
-//! - [`scale_lanes`] multiplies each element by the same factor in element
-//!   order — bit-identical to a plain scalar loop with the same factor.
 
 use crate::kernels::row_dot;
 
@@ -132,25 +130,13 @@ fn dot2_lanes(w: &[f64], a: &[f64], b: &[f64]) -> (f64, f64) {
     (p, q)
 }
 
-/// Batched Gram–Schmidt reductions with lane trees:
-/// `out[i] = ⟨w, vs[i]⟩` for every basis vector plus `out[vs.len()] = ⟨w, w⟩`,
-/// walking `w` once per *block of four* vectors (pairs/singles on the tail).
-///
-/// The SIMD counterpart of [`crate::kernels::dot_sweep`]; results are
-/// ULP-bounded against it (lane tree vs sequential accumulator).
-///
-/// # Panics
-/// Panics if `out` is shorter than `vs.len() + 1` or on length mismatches.
-pub fn dot_sweep_lanes(w: &[f64], vs: &[Vec<f64>], out: &mut [f64]) {
-    assert!(out.len() > vs.len(), "dot_sweep_lanes: out too short");
-    dot_many_lanes(w, vs, out);
-    out[vs.len()] = dot_lanes(w, w);
-}
-
 /// Lane-tree dot products of `w` against every basis vector —
 /// `out[i] = ⟨w, vs[i]⟩` — walking `w` once per *block of four* vectors
-/// (sixteen accumulators live per pass), without the trailing `⟨w, w⟩` of
-/// [`dot_sweep_lanes`].
+/// (sixteen accumulators live per pass).
+///
+/// The SIMD counterpart of [`crate::kernels::dot_sweep`] without its trailing
+/// `⟨w, w⟩`; results are ULP-bounded against it (lane tree vs sequential
+/// accumulator).
 ///
 /// This is the reduction half of the SIMD classical Gram–Schmidt step,
 /// where `Σw²` comes for free from [`axpy_sweep_neg_lanes`] afterwards.
@@ -329,22 +315,6 @@ pub fn axpy_sweep_neg_lanes(coeffs: &[f64], vs: &[Vec<f64>], w: &mut [f64]) -> f
     sq
 }
 
-/// `v *= s` element-wise — the reciprocal-multiply normalization used by
-/// the SIMD policy (`w / h` becomes `w · (1/h)`, trading one ULP of the
-/// scalar path's per-element division for a ~4× cheaper pass).
-pub fn scale_lanes(s: f64, v: &mut [f64]) {
-    let mut v4 = v.chunks_exact_mut(4);
-    for c in &mut v4 {
-        c[0] *= s;
-        c[1] *= s;
-        c[2] *= s;
-        c[3] *= s;
-    }
-    for x in v4.into_remainder() {
-        *x *= s;
-    }
-}
-
 /// CSR SpMV unrolled two rows at a time, each row using the verbatim
 /// [`row_dot`] reduction — **bit-identical** to the scalar
 /// [`crate::kernels::spmv_raw`], with better load overlap on short rows.
@@ -396,21 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_sweep_lanes_matches_scalar_sweep_closely() {
-        for k in [0usize, 1, 2, 3, 5, 8] {
-            let (w, vs) = vecs(513, k);
-            let mut got = vec![0.0; k + 1];
-            let mut want = vec![0.0; k + 1];
-            dot_sweep_lanes(&w, &vs, &mut got);
-            kernels::dot_sweep(&w, &vs, &mut want);
-            want[k] = w.iter().map(|x| x * x).sum();
-            for (g, wv) in got.iter().zip(&want) {
-                assert!((g - wv).abs() <= 1e-11 * (1.0 + wv.abs()), "{g} vs {wv}");
-            }
-        }
-    }
-
-    #[test]
     fn axpy_sweep_lanes_updates_bit_identically() {
         for k in [1usize, 2, 3, 4, 6, 9] {
             let (w, vs) = vecs(257, k);
@@ -422,18 +377,5 @@ mod tests {
             assert_eq!(w_simd, w_ref, "k={k}: updated vector must be bit-identical");
             assert!((ww_simd - ww_ref).abs() <= 1e-11 * (1.0 + ww_ref.abs()));
         }
-    }
-
-    #[test]
-    fn scale_lanes_is_bit_identical_to_scalar_loop() {
-        let (w, _) = vecs(101, 0);
-        let s = 1.0 / 3.0;
-        let mut a = w.clone();
-        let mut b = w;
-        scale_lanes(s, &mut a);
-        for x in &mut b {
-            *x *= s;
-        }
-        assert_eq!(a, b);
     }
 }

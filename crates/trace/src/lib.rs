@@ -14,8 +14,8 @@
 //!   costs nothing when off.
 //! * [`jsonl`] — a hand-rolled JSON-Lines encoder/decoder (no serde): one
 //!   event per line, round-trip exact for finite floats.
-//! * [`Counter`] / [`Histogram`] — low-overhead monotonic counters and
-//!   power-of-two-bucket histograms for hot paths (SpMV, message sizes).
+//! * [`Histogram`] — low-overhead power-of-two-bucket histograms for hot
+//!   paths (message sizes).
 //! * [`alloc`] — an opt-in counting global allocator; when a binary or test
 //!   installs it, solve summaries gain `alloc_bytes` / `alloc_count` fields
 //!   so allocation regressions in the Krylov hot path show up in
@@ -29,9 +29,6 @@
 //!   dependency DAG from the recorded send/recv/collective events and walks
 //!   back the makespan-bounding chain, attributing it to compute, message
 //!   flight, and collective segments.
-//! * [`MetricsRegistry`] — a thread-safe live-aggregate surface (named
-//!   counters, gauges, histograms) with a stable text exposition, for
-//!   long-running sessions that need scraping rather than post-hoc traces.
 //! * [`chrome`] — a Chrome/Perfetto `trace_event` exporter for interactive
 //!   per-rank timelines at high rank counts.
 //! * [`json`] — a small generic JSON reader shared by the perf-gate and the
@@ -54,7 +51,6 @@ mod event;
 pub mod json;
 pub mod jsonl;
 mod metrics;
-mod registry;
 mod report;
 mod sink;
 
@@ -64,7 +60,6 @@ pub use aggregate::{
 pub use chrome::export_chrome_trace;
 pub use critpath::{render_critical_path, CritPath, PathSegment, RankWaits, SegmentKind};
 pub use event::{EventKind, TraceEvent, Value};
-pub use metrics::{Counter, Histogram};
-pub use registry::{MetricCounter, MetricGauge, MetricHistogram, MetricsRegistry};
+pub use metrics::Histogram;
 pub use report::{render_comm_table, render_convergence, render_phase_table, render_timeline};
 pub use sink::{RankTracer, TraceSink};

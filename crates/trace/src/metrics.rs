@@ -1,45 +1,8 @@
-//! Low-overhead hot-path metrics: monotonic counters and power-of-two
-//! histograms. [`Counter`] uses interior mutability (`Cell`) so instrumented
-//! structures can stay `&self` in hot loops, matching the rest of the stack
-//! (for example `EscalatingGls`'s call counter); [`Histogram`] is plain data
-//! meant to live behind whatever cell its owner already has (`ThreadComm`
-//! keeps its statistics in a `RefCell`).
+//! Low-overhead hot-path metrics: power-of-two histograms. [`Histogram`] is
+//! plain data meant to live behind whatever cell its owner already has
+//! (`ThreadComm` keeps its statistics in a `RefCell`).
 
 use crate::event::Value;
-use std::cell::Cell;
-
-/// A monotonic `u64` counter with interior mutability.
-#[derive(Debug, Default)]
-pub struct Counter(Cell<u64>);
-
-impl Counter {
-    /// A fresh zeroed counter.
-    pub const fn new() -> Self {
-        Counter(Cell::new(0))
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.set(self.0.get().wrapping_add(n));
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
-
-    /// Resets to zero and returns the previous value.
-    pub fn take(&self) -> u64 {
-        self.0.replace(0)
-    }
-}
 
 /// A histogram over `u64` samples with power-of-two buckets: bucket `i`
 /// holds samples whose value needs `i` significant bits (`0 → [0,0]`,
@@ -217,16 +180,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_adds_and_takes() {
-        let c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.take(), 10);
-        assert_eq!(c.get(), 0);
-    }
 
     #[test]
     fn histogram_bucketing_is_power_of_two() {

@@ -209,4 +209,16 @@ fn bad_arguments_fail_with_usage() {
         .output()
         .expect("run parfem");
     assert!(!out.status.success());
+
+    // There is no f32 preconditioner arm and no `--metrics` flag (the trace
+    // is the one reporting channel): asking for one is a malformed command
+    // line, and the usage text offers neither.
+    let out = parfem()
+        .args(["solve", "--mesh", "8x2", "--precond", "gls-f32:7"])
+        .output()
+        .expect("run parfem");
+    assert_eq!(out.status.code(), Some(2));
+    let usage = String::from_utf8_lossy(&out.stderr);
+    assert!(usage.contains("unknown preconditioner gls-f32"));
+    assert!(!usage.contains("f32:") && !usage.contains("--metrics"));
 }
