@@ -22,7 +22,7 @@ use parfem::prelude::{CantileverProblem, LoadCase, MachineModel, Material, Preco
 use parfem_bench::harness::Case;
 use parfem_krylov::{fgmres_with, GmresConfig, KrylovWorkspace};
 use parfem_precond::{GlsPrecond, IdentityPrecond, Preconditioner};
-use parfem_sparse::{scaling, variant, BcsrMatrix, CooMatrix, CsrMatrix, KernelPolicy, SellMatrix};
+use parfem_sparse::{scaling, BcsrMatrix, CooMatrix, CsrMatrix};
 use parfem_trace::alloc::{self, CountingAlloc};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -112,33 +112,6 @@ fn bench_spmv() -> BenchLine {
     }
 }
 
-/// SpMV throughput of the SELL-C-σ storage format (same Laplacian as
-/// `bench_spmv`, so the MFLOP/s are directly comparable).
-fn bench_spmv_sellcs() -> BenchLine {
-    let nx = 256;
-    let a = laplacian_2d(nx);
-    let sell = SellMatrix::from_csr(&a, 8, 64);
-    let n = a.n_rows();
-    let x: Vec<f64> = (0..n).map(|i| (i % 7) as f64 - 3.0).collect();
-    let mut y = vec![0.0; n];
-    let reps = 50;
-    let secs = time_best(20, || {
-        for _ in 0..reps {
-            sell.spmv_into(&x, &mut y);
-            std::hint::black_box(&y);
-        }
-    }) / reps as f64;
-    BenchLine {
-        name: "spmv_sellcs",
-        n,
-        secs,
-        rate: a.spmv_flops() as f64 / secs / 1e6,
-        rate_unit: "mflops",
-        allocs_per_iter: None,
-        alloc_bytes_per_iter: None,
-    }
-}
-
 /// SpMV throughput of the 2×2 block-CSR format on a 2-D elasticity
 /// stiffness matrix (the DOF structure the format targets).
 fn bench_spmv_bcsr() -> BenchLine {
@@ -199,57 +172,27 @@ fn bench_precond_apply() -> BenchLine {
 /// iterations regardless of convergence. Runs through a caller-owned
 /// [`KrylovWorkspace`] warmed by one untimed solve, so the timed/measured
 /// solves are the production zero-allocation configuration.
-fn bench_fgmres<P>(
-    name: &'static str,
-    precond: &P,
-    iters: usize,
-    kernels: KernelPolicy,
-) -> BenchLine
+fn bench_fgmres<P>(name: &'static str, precond: &P, iters: usize) -> BenchLine
 where
-    P: Preconditioner<CsrMatrix> + for<'s> Preconditioner<variant::SelectedKernel<'s>>,
+    P: Preconditioner<CsrMatrix>,
 {
     let nx = 200;
     let k = laplacian_2d(nx);
     let n = k.n_rows();
     let f = vec![1.0; n];
     let (a, b, _sc) = scaling::scale_system(&k, &f).expect("scale");
-    // A non-scalar policy runs the solve through the per-matrix selector —
-    // the operator the SolveSession would pick at build time.
-    if !matches!(kernels, KernelPolicy::Scalar) {
-        let sel = variant::select(&a, kernels);
-        return bench_fgmres_op(name, &sel, n, &b, precond, iters, kernels);
-    }
-    bench_fgmres_op(name, &a, n, &b, precond, iters, kernels)
-}
-
-/// The measured FGMRES body of [`bench_fgmres`], generic over the operator
-/// variant chosen by the policy.
-fn bench_fgmres_op<Op, P>(
-    name: &'static str,
-    a: &Op,
-    n: usize,
-    b: &[f64],
-    precond: &P,
-    iters: usize,
-    kernels: KernelPolicy,
-) -> BenchLine
-where
-    Op: parfem_sparse::LinearOperator + ?Sized,
-    P: Preconditioner<Op> + ?Sized,
-{
     let x0 = vec![0.0; n];
     let cfg = |max_iters: usize| GmresConfig {
         restart: 25,
         max_iters,
         tol: 0.0,
-        kernels,
         ..Default::default()
     };
     let mut ws = KrylovWorkspace::new();
     // Warm: size every buffer and record the history high-water mark.
-    let _ = std::hint::black_box(fgmres_with(a, precond, b, &x0, &cfg(iters), &mut ws));
+    let _ = std::hint::black_box(fgmres_with(&a, precond, &b, &x0, &cfg(iters), &mut ws));
     let secs = time_best(5, || {
-        let res = fgmres_with(a, precond, b, &x0, &cfg(iters), &mut ws);
+        let res = fgmres_with(&a, precond, &b, &x0, &cfg(iters), &mut ws);
         assert_eq!(res.history.iterations(), iters, "{name}: fixed-work solve");
         std::hint::black_box(&res.x);
     });
@@ -260,7 +203,8 @@ where
     // workspace this is exactly zero.
     let short = iters / 4;
     let mut solve = |n| {
-        alloc::measure(|| std::hint::black_box(fgmres_with(a, precond, b, &x0, &cfg(n), &mut ws))).1
+        alloc::measure(|| std::hint::black_box(fgmres_with(&a, precond, &b, &x0, &cfg(n), &mut ws)))
+            .1
     };
     let d_short = solve(short);
     let d_long = solve(iters);
@@ -352,26 +296,13 @@ fn render_overlap(lines: &[OverlapLine]) -> String {
 fn run_all() -> Vec<BenchLine> {
     vec![
         bench_spmv(),
-        bench_spmv_sellcs(),
         bench_spmv_bcsr(),
         bench_precond_apply(),
-        bench_fgmres(
-            "fgmres_iteration",
-            &IdentityPrecond,
-            400,
-            KernelPolicy::Scalar,
-        ),
-        bench_fgmres(
-            "fgmres_iteration_simd",
-            &IdentityPrecond,
-            400,
-            KernelPolicy::Auto,
-        ),
+        bench_fgmres("fgmres_iteration", &IdentityPrecond, 400),
         bench_fgmres(
             "fgmres_iteration_gls7",
             &GlsPrecond::for_scaled_system(7),
             200,
-            KernelPolicy::Scalar,
         ),
     ]
 }

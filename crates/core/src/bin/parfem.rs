@@ -14,6 +14,7 @@
 //!
 //! Argument parsing is deliberately dependency-free.
 
+use parfem::mesh::Cells;
 use parfem::perfgate;
 use parfem::prelude::*;
 use parfem::sparse::{gershgorin, io as mmio, scaling::scale_system, KernelPolicy};
@@ -22,6 +23,7 @@ use parfem::trace::{
     render_phase_table, render_timeline, CritPath,
 };
 use std::process::ExitCode;
+use std::time::Duration;
 
 // With `--features count-allocs`, count every allocation so solve summaries
 // (and `parfem report`) include `alloc_count` / `alloc_bytes`.
@@ -74,9 +76,9 @@ solve options:
                         interior matvec (bit-identical; changes modeled time)
   --tol T               relative residual tolerance (default 1e-6)
   --restart M           GMRES restart dimension (default 25)
-  --kernels POLICY      kernel variant: scalar|simd|sellcs|bcsr|auto
-                        (default scalar, the bit-exact reference; auto
-                        micro-benchmarks the formats per local matrix)
+  --kernels scalar|bcsr storage of the EDD local matrix (default scalar,
+                        the bit-exact CSR reference; bcsr applies 2x2
+                        blocks where the local dimension is even)
   --faults SEED:P       deterministic chaos: inject drops/duplicates/delays/
                         reorders at intensity P in [0,1], seeded by SEED
                         (bit-reproducible; recoverable faults change only
@@ -126,9 +128,28 @@ impl Args {
     fn has_flag(&self, key: &str) -> bool {
         self.0.iter().any(|a| a == key)
     }
+
+    /// The value of numeric option `key`, `default` when the option is
+    /// absent. A value that does not parse or that `ok` rejects is an error
+    /// naming the option and the accepted `range`.
+    fn number<T: std::str::FromStr + Copy>(
+        &self,
+        key: &str,
+        default: T,
+        range: &str,
+        ok: impl Fn(T) -> bool,
+    ) -> Result<T, String> {
+        let Some(raw) = self.value_of(key) else {
+            return Ok(default);
+        };
+        (raw.parse().ok())
+            .filter(|&v| ok(v))
+            .ok_or_else(|| format!("bad {key} {raw}: expected {range}"))
+    }
 }
 
-/// `NXxNY` or `NXxNYxNZ` (the 3-D depth defaults to 1 when absent).
+/// `NXxNY` or `NXxNYxNZ` with every extent at least 1 (the 3-D depth
+/// defaults to 1 when absent).
 fn parse_grid(s: &str) -> Option<(usize, usize, usize)> {
     let mut it = s.split(['x', 'X']);
     let nx = it.next()?.parse().ok()?;
@@ -137,10 +158,48 @@ fn parse_grid(s: &str) -> Option<(usize, usize, usize)> {
         None => 1,
         Some(z) => z.parse().ok()?,
     };
-    if it.next().is_some() {
+    if it.next().is_some() || nx == 0 || ny == 0 || nz == 0 {
         return None;
     }
     Some((nx, ny, nz))
+}
+
+/// Why `parts` subdomains cannot be cut from the problem's mesh, `None`
+/// when they can — the preconditions the partitioners assert, checked here
+/// so a misfit is a message instead of a panic.
+fn parts_misfit(
+    problem: &PhysicsProblem,
+    rdd: bool,
+    partitioner: &PartitionerSpec,
+    parts: usize,
+) -> Option<String> {
+    fn dims<M: Cells>(m: &M) -> (usize, usize, usize) {
+        let (nx, ny) = m.grid_dims().expect("cantilever meshes are structured");
+        (nx, ny, m.n_cells())
+    }
+    let (nx, ny, n_cells) = match &problem.mesh {
+        WorkloadMesh::Quad(m) => dims(m),
+        WorkloadMesh::Hex(m) => dims(m),
+    };
+    let (fits, limit) = match partitioner {
+        _ if rdd => (
+            parts <= nx + 1,
+            format!("at most {} strips of node columns", nx + 1),
+        ),
+        PartitionerSpec::Strips => (
+            parts <= nx,
+            format!("at most {nx} strips of element columns"),
+        ),
+        PartitionerSpec::Blocks => (
+            (1..=parts).any(|py| parts.is_multiple_of(py) && parts / py <= nx && py <= ny),
+            format!("a PXxPY block grid within {nx}x{ny} cells"),
+        ),
+        PartitionerSpec::Graph { .. } => (
+            parts <= n_cells,
+            format!("at most {n_cells} parts, one cell each"),
+        ),
+    };
+    (!fits).then(|| format!("--parts {parts} does not fit the mesh: it allows {limit}"))
 }
 
 fn build_problem(args: &Args) -> Result<PhysicsProblem, String> {
@@ -172,21 +231,26 @@ fn build_problem(args: &Args) -> Result<PhysicsProblem, String> {
                  pass --mesh for --problem {physics}"
             ));
         }
-        let k: usize = k.parse().map_err(|_| "bad --paper-mesh".to_string())?;
+        let k = (k.parse().ok())
+            .filter(|k| (1..=PAPER_MESHES.len()).contains(k))
+            .ok_or_else(|| format!("bad --paper-mesh {k}: expected 1..{}", PAPER_MESHES.len()))?;
         return Ok(CantileverProblem::paper_mesh(k).into_physics_problem());
     }
     let grid = args
         .value_of("--mesh")
         .ok_or_else(|| "need --mesh or --paper-mesh".to_string())?;
-    let (nx, ny, nz) = parse_grid(grid).ok_or_else(|| format!("bad --mesh {grid}"))?;
+    let (nx, ny, nz) = parse_grid(grid)
+        .ok_or_else(|| format!("bad --mesh {grid}: expected NXxNY[xNZ], every extent >= 1"))?;
     if physics != Physics::Elasticity3d && grid.matches(['x', 'X']).count() > 1 {
         return Err(format!("--problem {physics} takes a 2-D grid NXxNY"));
     }
-    if let Some(a) = args.value_of("--distort") {
+    if args.value_of("--distort").is_some() {
         if physics != Physics::Elasticity2d {
             return Err("--distort supports --problem elasticity2d only".to_string());
         }
-        let amp: f64 = a.parse().map_err(|_| "bad --distort".to_string())?;
+        let amp = args.number("--distort", 0.0, "an amplitude in [0, 0.5)", |a: f64| {
+            (0.0..0.5).contains(&a)
+        })?;
         let mesh = QuadMesh::distorted(nx, ny, nx as f64, ny as f64, amp, 0x5eed);
         let mut dof_map = DofMap::new(mesh.n_nodes());
         dof_map.clamp_edge(&mesh, Edge::Left);
@@ -263,10 +327,26 @@ fn cmd_solve(args: &Args) -> ExitCode {
             return usage();
         }
     };
-    let parts: usize = args
-        .value_of("--parts")
-        .map(|s| s.parse().unwrap_or(4))
-        .unwrap_or(4);
+    let numbers = (|| {
+        Ok::<_, String>((
+            args.number("--parts", 4usize, "an integer >= 1", |p| p >= 1)?,
+            args.number("--tol", 1e-6, "a finite number > 0", |t: f64| {
+                t.is_finite() && t > 0.0
+            })?,
+            args.number("--restart", 25usize, "an integer >= 1", |m| m >= 1)?,
+            args.number("--comm-timeout", 30.0, "seconds > 0", |s: f64| {
+                s > 0.0 && Duration::try_from_secs_f64(s).is_ok()
+            })?,
+            args.number("--comm-retries", 30u32, "an integer >= 0", |_| true)?,
+        ))
+    })();
+    let (parts, tol, restart, comm_timeout, comm_retries) = match numbers {
+        Ok(n) => n,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return usage();
+        }
+    };
     let machine_name = args.value_of("--machine").unwrap_or("origin");
     let machine = match MachineModel::by_name(machine_name) {
         Ok(m) => m,
@@ -294,13 +374,7 @@ fn cmd_solve(args: &Args) -> ExitCode {
     let faults = match args.value_of("--faults") {
         None => None,
         Some(spec) => match FaultPlan::from_spec(spec) {
-            Ok(plan) => {
-                let retries = args
-                    .value_of("--comm-retries")
-                    .map(|s| s.parse().unwrap_or(30))
-                    .unwrap_or(30);
-                Some(plan.with_retry_policy(retries, 1e-3, 2.0))
-            }
+            Ok(plan) => Some(plan.with_retry_policy(comm_retries, 1e-3, 2.0)),
             Err(e) => {
                 eprintln!("error: {e}");
                 return usage();
@@ -319,14 +393,8 @@ fn cmd_solve(args: &Args) -> ExitCode {
     };
     let cfg = SolverConfig {
         gmres: GmresConfig {
-            tol: args
-                .value_of("--tol")
-                .map(|s| s.parse().unwrap_or(1e-6))
-                .unwrap_or(1e-6),
-            restart: args
-                .value_of("--restart")
-                .map(|s| s.parse().unwrap_or(25))
-                .unwrap_or(25),
+            tol,
+            restart,
             max_iters: 200_000,
             kernels,
             ..Default::default()
@@ -335,11 +403,7 @@ fn cmd_solve(args: &Args) -> ExitCode {
         variant,
         overlap: args.has_flag("--overlap"),
         faults,
-        comm_timeout: std::time::Duration::from_secs_f64(
-            args.value_of("--comm-timeout")
-                .map(|s| s.parse().unwrap_or(30.0))
-                .unwrap_or(30.0),
-        ),
+        comm_timeout: Duration::from_secs_f64(comm_timeout),
     };
 
     let trace_path = args.value_of("--trace");
@@ -359,19 +423,26 @@ fn cmd_solve(args: &Args) -> ExitCode {
             }
         };
     let strategy_name = args.value_of("--strategy").unwrap_or("edd");
-    let strategy = match strategy_name {
-        "edd" => Strategy::Edd(problem.element_partition(&partitioner, parts)),
+    let rdd = match strategy_name {
+        "edd" => false,
+        "rdd" if partitioner == PartitionerSpec::Strips => true,
         "rdd" => {
-            if partitioner != PartitionerSpec::Strips {
-                eprintln!("error: --partitioner {partitioner} only applies to --strategy edd");
-                return usage();
-            }
-            Strategy::Rdd(problem.node_partition(parts))
+            eprintln!("error: --partitioner {partitioner} only applies to --strategy edd");
+            return usage();
         }
         s => {
             eprintln!("unknown strategy {s}");
             return usage();
         }
+    };
+    if let Some(why) = parts_misfit(&problem, rdd, &partitioner, parts) {
+        eprintln!("error: {why}");
+        return ExitCode::from(EXIT_CONFIG);
+    }
+    let strategy = if rdd {
+        Strategy::Rdd(problem.node_partition(parts))
+    } else {
+        Strategy::Edd(problem.element_partition(&partitioner, parts))
     };
     println!(
         "solving {} {} equations with {} on {} ranks ({}, {}, {})",

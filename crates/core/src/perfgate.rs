@@ -705,19 +705,19 @@ mod tests {
         // single byte per iteration fails, slack or not.
         let baseline = r#"{
             "schema": "parfem-bench-perf-v1",
-            "fgmres_iteration_simd": { "allocs_per_iter": 0.0,
+            "fgmres_iteration_gls7": { "allocs_per_iter": 0.0,
                                        "alloc_bytes_per_iter": 0.0 }
         }"#;
         let perf = r#"{
             "schema": "parfem-bench-perf-v1",
-            "current": { "fgmres_iteration_simd": { "allocs_per_iter": 0.0,
+            "current": { "fgmres_iteration_gls7": { "allocs_per_iter": 0.0,
                                                     "alloc_bytes_per_iter": 1.0 } }
         }"#;
         let report = evaluate_texts(perf, baseline, &GateConfig::default()).unwrap();
         assert!(!report.passed());
         assert_eq!(
             report.failures()[0].name,
-            "fgmres_iteration_simd.alloc_bytes_per_iter"
+            "fgmres_iteration_gls7.alloc_bytes_per_iter"
         );
     }
 

@@ -43,8 +43,7 @@ use parfem_mesh::ElementPartition;
 use parfem_msg::Communicator;
 use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSpec, SpecPrecond};
 use parfem_precond::{InterfaceConsistency, Preconditioner};
-use parfem_sparse::variant::{select, SelectedKernel, VariantChoice};
-use parfem_sparse::{dense, kernels, CsrMatrix, KernelPolicy, LinearOperator};
+use parfem_sparse::{dense, kernels, BcsrMatrix, CsrMatrix, KernelPolicy, LinearOperator};
 use parfem_trace::TraceSink;
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -88,12 +87,12 @@ pub struct EddOperator<'a, C: Communicator> {
     /// in-flight exchange. `interface_flops + interior_flops` equals
     /// [`CsrMatrix::spmv_flops`] exactly.
     interior_flops: u64,
-    /// Kernel variant for the *blocking* local SpMV, chosen by
+    /// 2×2 block copy of `a_local` for the *blocking* local SpMV, built by
     /// [`EddOperator::with_kernels`]. `None` keeps the scalar CSR path
     /// (the golden reference). The overlapped interface/interior split
     /// always uses the row-indexed CSR kernels regardless — the split
-    /// schedule needs per-row addressing the packed formats don't expose.
-    local_variant: Option<SelectedKernel<'a>>,
+    /// schedule needs per-row addressing the block format doesn't expose.
+    local_variant: Option<BcsrMatrix>,
 }
 
 impl<'a, C: Communicator> EddOperator<'a, C> {
@@ -131,18 +130,19 @@ impl<'a, C: Communicator> EddOperator<'a, C> {
         }
     }
 
-    /// Selects a local-SpMV kernel variant for `policy` (see
-    /// [`parfem_sparse::variant::select`]). [`KernelPolicy::Scalar`] keeps
-    /// the plain CSR path untouched; other policies replace the blocking
-    /// local SpMV only — the overlapped split schedule and the residual
-    /// recompute stay on the (bit-identical) row-indexed scalar kernels, so
-    /// an operator on the split schedule selects nothing (no format
-    /// conversion, no `auto` timing) and reports `scalar`.
+    /// Chooses the storage of the local SpMV. [`KernelPolicy::Scalar`]
+    /// keeps the plain CSR path untouched; [`KernelPolicy::Bcsr2x2`]
+    /// replaces the blocking local SpMV only — the overlapped split
+    /// schedule and the residual recompute stay on the (bit-identical)
+    /// row-indexed scalar kernels, so an operator on the split schedule
+    /// converts nothing and reports `scalar`, as does one whose local
+    /// dimension is odd (no 2×2 block structure).
     pub fn with_kernels(mut self, policy: KernelPolicy) -> Self {
         self.local_variant = match policy {
-            KernelPolicy::Scalar => None,
-            _ if self.split_schedule() => None,
-            p => Some(select(self.a_local, p)),
+            KernelPolicy::Bcsr2x2 if !self.split_schedule() => {
+                BcsrMatrix::try_from_csr(self.a_local)
+            }
+            _ => None,
         };
         self
     }
@@ -152,11 +152,12 @@ impl<'a, C: Communicator> EddOperator<'a, C> {
         self.layout.overlap() && !self.layout.neighbors.is_empty()
     }
 
-    /// The kernel variant the blocking local SpMV dispatches to.
-    pub fn kernel_choice(&self) -> VariantChoice {
-        self.local_variant
-            .as_ref()
-            .map_or(VariantChoice::Scalar, |s| s.choice())
+    /// The storage the blocking local SpMV actually applies.
+    pub fn kernel_choice(&self) -> KernelPolicy {
+        match self.local_variant {
+            Some(_) => KernelPolicy::Bcsr2x2,
+            None => KernelPolicy::Scalar,
+        }
     }
 
     fn trace_spmv(&self) {
@@ -206,7 +207,7 @@ impl<C: Communicator> LinearOperator for EddOperator<'_, C> {
                 });
         } else {
             match &self.local_variant {
-                Some(sel) => sel.apply_into(x, y),
+                Some(blocks) => blocks.spmv_into(x, y),
                 None => self.a_local.spmv_into(x, y),
             }
             self.comm.work(self.a_local.spmv_flops());
@@ -266,7 +267,7 @@ impl<C: Communicator> DistributedOperator for EddOperator<'_, C> {
         3 // multiply, multiplicity weight, accumulate
     }
 
-    fn kernel_variant(&self) -> Option<VariantChoice> {
+    fn kernel_variant(&self) -> Option<KernelPolicy> {
         Some(self.kernel_choice())
     }
 
@@ -797,34 +798,76 @@ mod tests {
     }
 
     #[test]
-    fn simd_local_variant_is_bit_identical_and_recorded() {
+    fn bcsr_local_variant_is_recorded_and_within_reassociation_bound() {
         let fx = fixture(5, 2, 2);
         let out = run_ranks(2, MachineModel::ideal(), |comm| {
             let sys = &fx.systems[comm.rank()];
             let layout = EddLayout::from_system(sys);
             let scalar_op = EddOperator::new(&sys.k_local, &layout, comm);
-            let simd_op =
-                EddOperator::new(&sys.k_local, &layout, comm).with_kernels(KernelPolicy::Simd);
-            assert_eq!(scalar_op.kernel_choice(), VariantChoice::Scalar);
-            assert_eq!(simd_op.kernel_choice(), VariantChoice::Simd);
+            let bcsr_op =
+                EddOperator::new(&sys.k_local, &layout, comm).with_kernels(KernelPolicy::Bcsr2x2);
+            assert_eq!(scalar_op.kernel_choice(), KernelPolicy::Scalar);
+            assert_eq!(bcsr_op.kernel_choice(), KernelPolicy::Bcsr2x2);
             // The overlapped split schedule only has scalar row kernels, so
             // it must not report (or build) a format it never runs.
             let mut split = EddLayout::from_system(sys);
             split.set_overlap(true);
             let split_op =
                 EddOperator::new(&sys.k_local, &split, comm).with_kernels(KernelPolicy::Bcsr2x2);
-            assert_eq!(split_op.kernel_choice(), VariantChoice::Scalar);
+            assert_eq!(split_op.kernel_choice(), KernelPolicy::Scalar);
             let n = sys.k_local.n_rows();
             let x: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64 * 0.5 - 3.0).collect();
             let mut want = vec![0.0; n];
             scalar_op.apply_into(&x, &mut want);
             let mut got = vec![0.0; n];
-            simd_op.apply_into(&x, &mut got);
-            (got, want)
+            bcsr_op.apply_into(&x, &mut got);
+            // The row-sum reassociation bound of the sparse proptests,
+            // interface-summed like the product itself: a shared row may
+            // be off by the sum of its sharers' local bounds.
+            let (row_ptr, col_idx, values) = sys.k_local.raw_parts();
+            let mut bound: Vec<f64> = (0..n)
+                .map(|r| {
+                    let row = row_ptr[r]..row_ptr[r + 1];
+                    let mag: f64 = row.clone().map(|e| (values[e] * x[col_idx[e]]).abs()).sum();
+                    4.0 * (row.len() + 1) as f64 * f64::EPSILON * (mag + 1.0)
+                })
+                .collect();
+            layout.interface_sum_buffered(comm, &mut bound, &mut ExchangeBuffers::new());
+            (got, want, bound)
         });
-        for (got, want) in &out.results {
-            assert_eq!(got, want, "SIMD local variant must match scalar exactly");
+        for (got, want, bound) in &out.results {
+            for ((g, w), b) in got.iter().zip(want).zip(bound) {
+                assert!((g - w).abs() <= *b, "bcsr {g} vs scalar {w}");
+            }
         }
+    }
+
+    #[test]
+    fn bcsr_policy_on_an_odd_local_dimension_applies_and_reports_scalar() {
+        // One dof per node on 3 x 3 nodes per strip: no 2x2 block structure.
+        let mesh = QuadMesh::cantilever(4, 2);
+        let dm = DofMap::with_dofs(mesh.n_nodes(), 1);
+        let loads = vec![1.0; dm.n_dofs()];
+        let part = ElementPartition::strips_x(&mesh, 2);
+        let systems: Vec<SubdomainSystem> = part
+            .subdomains(&mesh)
+            .iter()
+            .map(|s| SubdomainSystem::build_heat(&mesh, &dm, &Material::unit(), s, &loads))
+            .collect();
+        run_ranks(2, MachineModel::ideal(), |comm| {
+            let sys = &systems[comm.rank()];
+            assert_eq!(sys.k_local.n_rows() % 2, 1);
+            let layout = EddLayout::from_system(sys);
+            let op =
+                EddOperator::new(&sys.k_local, &layout, comm).with_kernels(KernelPolicy::Bcsr2x2);
+            assert_eq!(op.kernel_choice(), KernelPolicy::Scalar);
+            let x = vec![1.0; sys.k_local.n_rows()];
+            let mut got = vec![0.0; x.len()];
+            op.apply_into(&x, &mut got);
+            let mut want = vec![0.0; x.len()];
+            EddOperator::new(&sys.k_local, &layout, comm).apply_into(&x, &mut want);
+            assert_eq!(got, want);
+        });
     }
 
     #[test]

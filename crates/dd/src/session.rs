@@ -514,14 +514,15 @@ impl<'a> SolveSession<'a> {
         self
     }
 
-    /// Selects the kernel-variant policy (default
+    /// Selects the storage of the EDD rank-local matrix (default
     /// [`KernelPolicy::Scalar`], the bit-exact golden reference).
-    /// [`KernelPolicy::Auto`] micro-benchmarks the candidate formats
-    /// against each rank's local matrix at operator build time and keeps
-    /// the fastest; the winning choice is recorded per solve on the trace
-    /// (`kernel_variant_<label>`). The policy drives the EDD local SpMV and the
-    /// lane-kernel Gram–Schmidt path inside FGMRES; the RDD baseline and
-    /// the overlapped split schedule keep their scalar row kernels.
+    /// [`KernelPolicy::Bcsr2x2`] converts each rank's local matrix to 2×2
+    /// blocks at operator build time; what each rank applies is recorded
+    /// per solve on the trace (`kernel_variant_<label>`): `scalar` on the
+    /// overlapped split schedule and on a rank whose local dimension is
+    /// odd, which keep the CSR row kernels. The RDD operator has no block
+    /// path, so a non-scalar policy under [`Strategy::Rdd`] is rejected as
+    /// [`SolveError::Config`].
     pub fn kernels(mut self, policy: KernelPolicy) -> Self {
         self.cfg.gmres.kernels = policy;
         self
@@ -567,7 +568,8 @@ impl<'a> SolveSession<'a> {
     /// with a typed [`SolveError`] (possible only under fault injection or
     /// communicator timeouts), or the [`SolveError::Config`] that rejected
     /// the option combination before any rank spawned (`twolevel:rbm*` on
-    /// prebuilt systems, which carry no node coordinates).
+    /// prebuilt systems, which carry no node coordinates; a non-scalar
+    /// kernel policy under RDD).
     ///
     /// # Panics
     /// Panics on API misuse: a mesh-level session without a strategy, or a
@@ -632,9 +634,22 @@ impl<'a> SolveSession<'a> {
             (SessionInput::Mesh(p), Some(Strategy::Edd(part))) => {
                 self.engine(loads, |sink| EddParts::assemble(p, part, sink))
             }
-            (SessionInput::Mesh(p), Some(Strategy::Rdd(part))) => self.engine(loads, |sink| {
-                RddParts::assemble(p, part, self.cfg.overlap, sink)
-            }),
+            (SessionInput::Mesh(p), Some(Strategy::Rdd(part))) => {
+                if self.cfg.gmres.kernels != KernelPolicy::Scalar {
+                    return Err(SolveFailures::before_spawn(SolveError::Config {
+                        what: format!(
+                            "kernel policy '{}' with the RDD strategy",
+                            self.cfg.gmres.kernels
+                        ),
+                        advice: "the block format applies to the EDD local matrix only — use \
+                                 Strategy::Edd (--strategy edd) or the scalar policy"
+                            .to_string(),
+                    }));
+                }
+                self.engine(loads, |sink| {
+                    RddParts::assemble(p, part, self.cfg.overlap, sink)
+                })
+            }
             (SessionInput::Mesh(_), None) => {
                 panic!("SolveSession over a mesh needs .strategy(Strategy::Edd(..) | Strategy::Rdd(..))")
             }

@@ -32,8 +32,7 @@ use parfem_krylov::history::{ConvergenceHistory, StopReason};
 use parfem_krylov::KrylovWorkspace;
 use parfem_msg::Communicator;
 use parfem_precond::Preconditioner;
-use parfem_sparse::variant::VariantChoice;
-use parfem_sparse::LinearOperator;
+use parfem_sparse::{KernelPolicy, LinearOperator};
 use parfem_trace::{EventKind, Value};
 
 /// The hooks a domain decomposition must provide to run under
@@ -77,10 +76,10 @@ pub trait DistributedOperator: LinearOperator {
     /// with themselves) sweep kernels.
     fn gs_dots(&self, w: &[f64], basis: &[Vec<f64>], reduce: &mut [f64]);
 
-    /// The kernel variant this operator's local SpMV dispatches to, for
-    /// operators that select one (`None` otherwise). [`dd_fgmres`] records
-    /// it per solve on the trace.
-    fn kernel_variant(&self) -> Option<VariantChoice> {
+    /// The storage this operator's local SpMV applies, for operators that
+    /// have a choice (`None` otherwise). [`dd_fgmres`] records it per solve
+    /// on the trace.
+    fn kernel_variant(&self) -> Option<KernelPolicy> {
         None
     }
 
@@ -151,7 +150,7 @@ where
         tracer.span_begin("fgmres", comm.virtual_time());
     }
     if let (Some(choice), Some(tracer)) = (op.kernel_variant(), comm.tracer()) {
-        tracer.add_count(&format!("kernel_variant_{}", choice.label()), 1);
+        tracer.add_count(&format!("kernel_variant_{choice}"), 1);
     }
     let res = restarted_fgmres(op, precond, x0, cfg, ws);
     if let Some(tracer) = comm.tracer() {

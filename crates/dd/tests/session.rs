@@ -22,7 +22,8 @@ use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, PartitionerSpec
 use parfem_msg::{FaultPlan, MachineModel};
 use parfem_precond::GlsPrecond;
 use parfem_sparse::scaling::scale_system;
-use parfem_trace::TraceSink;
+use parfem_sparse::KernelPolicy;
+use parfem_trace::{TraceReport, TraceSink};
 use std::time::Duration;
 
 fn problem(nx: usize, ny: usize) -> (QuadMesh, DofMap, Material, Vec<f64>) {
@@ -160,6 +161,58 @@ fn granular_setters_equal_wholesale_config() {
         .run()
         .unwrap();
     assert_bit_identical(&wholesale, &granular, "wholesale vs granular");
+}
+
+/// `.kernels(..)` matters and is reported truthfully: the block format
+/// reaches every EDD rank's local matvec (same iteration count, solution
+/// equal up to reassociated row sums), the overlapped split schedule keeps
+/// the scalar row kernels and says so, and RDD — which has no block path —
+/// refuses the policy instead of ignoring it.
+#[test]
+fn kernel_policy_reaches_every_edd_rank_and_is_recorded() {
+    let (mesh, dm, mat, loads) = problem(24, 8);
+    let run = |policy: KernelPolicy, overlap: bool| {
+        let sink = TraceSink::recording();
+        let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+            .strategy(Strategy::Edd(ElementPartition::strips_x(&mesh, 2)))
+            .precond(PrecondSpec::Gls {
+                degree: 7,
+                theta: None,
+            })
+            .kernels(policy)
+            .overlap(overlap)
+            .trace(&sink)
+            .run()
+            .expect("edd run");
+        assert!(out.history.converged());
+        let report = TraceReport::from_events(&sink.take_events());
+        assert_eq!(report.ranks.len(), 2);
+        let labels: Vec<String> = (report.ranks.iter())
+            .flat_map(|r| r.counters.iter())
+            .filter(|(name, _)| name.starts_with("kernel_variant_"))
+            .map(|(name, count)| format!("{name}={count}"))
+            .collect();
+        (out, labels)
+    };
+    let (scalar, scalar_labels) = run(KernelPolicy::Scalar, false);
+    let (bcsr, bcsr_labels) = run(KernelPolicy::Bcsr2x2, false);
+    let (_, split_labels) = run(KernelPolicy::Bcsr2x2, true);
+    assert_eq!(scalar_labels, ["kernel_variant_scalar=1"; 2]);
+    assert_eq!(bcsr_labels, ["kernel_variant_bcsr=1"; 2]);
+    assert_eq!(split_labels, ["kernel_variant_scalar=1"; 2]);
+
+    assert_eq!(scalar.history.iterations(), bcsr.history.iterations());
+    let scale = scalar.u.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+    for (a, b) in scalar.u.iter().zip(&bcsr.u) {
+        assert!((a - b).abs() <= 1e-9 * scale, "{a} vs {b}");
+    }
+
+    let refused = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+        .strategy(Strategy::Rdd(NodePartition::strips_x(&mesh, 2)))
+        .kernels(KernelPolicy::Bcsr2x2)
+        .run()
+        .expect_err("RDD has no block format");
+    assert!(refused.is_config_error() && refused.reports.is_empty());
 }
 
 /// `run_multi` shares one scaling/layout/preconditioner across right-hand

@@ -17,7 +17,7 @@ use crate::givens::Givens;
 use crate::history::{ConvergenceHistory, StopReason};
 use crate::workspace::KrylovWorkspace;
 use parfem_precond::Preconditioner;
-use parfem_sparse::{dense, kernels, simd, KernelPolicy, LinearOperator};
+use parfem_sparse::{dense, kernels, KernelPolicy, LinearOperator};
 use parfem_trace::{EventKind, RankTracer, Value};
 
 /// Arnoldi orthogonalization scheme.
@@ -47,13 +47,12 @@ pub struct GmresConfig {
     pub tol: f64,
     /// Gram–Schmidt variant.
     pub ortho: Orthogonalization,
-    /// Vector-kernel policy for the iteration loop. [`KernelPolicy::Scalar`]
-    /// (the default) keeps the bit-identical golden-reference kernels; any
-    /// other policy switches the classical Gram–Schmidt reductions to the
-    /// lane kernels of [`parfem_sparse::simd`] (results agree to ULP
-    /// bounds, pinned by the kernel-equivalence tests). The *operator*
-    /// variant is chosen by the caller — pass a
-    /// [`parfem_sparse::SelectedKernel`] as `op` to pair both.
+    /// Storage policy for the rank-local matrix of the distributed EDD
+    /// solve. This field only carries the value from the solve session to
+    /// the distributed FGMRES, whose operator converts its matrix; the
+    /// sequential [`fgmres`] ignores it (its operator is whatever the
+    /// caller passes as `op`, and its vector kernels are always the scalar
+    /// ones).
     pub kernels: KernelPolicy,
 }
 
@@ -252,19 +251,6 @@ fn cgs_orthogonalize(vs: &[Vec<f64>], w: &mut [f64], hcol: &mut [f64]) -> f64 {
     sq.sqrt()
 }
 
-/// Lane-kernel classical Gram–Schmidt step (the [`KernelPolicy::Simd`]
-/// counterpart of [`cgs_orthogonalize`]): batched lane-tree dot products,
-/// then the fused projection-subtraction whose vector update is
-/// bit-identical to the scalar kernels and whose returned norm uses the
-/// lane tree (ULP-bounded; pinned by the kernel-equivalence tests).
-fn cgs_orthogonalize_lanes(vs: &[Vec<f64>], w: &mut [f64], hcol: &mut [f64]) -> f64 {
-    if vs.is_empty() {
-        return simd::dot_lanes(w, w).sqrt();
-    }
-    simd::dot_many_lanes(w, vs, hcol);
-    simd::axpy_sweep_neg_lanes(&hcol[..vs.len()], vs, w).sqrt()
-}
-
 fn fgmres_inner<Op, P>(
     op: &Op,
     precond: &P,
@@ -338,9 +324,6 @@ where
     // Breakdown threshold relative to the initial residual scale.
     let breakdown_tol = 1e-14 * r0_norm;
 
-    // Any non-scalar policy engages the lane kernels for the vector work of
-    // the loop (the operator variant is the caller's choice of `op`).
-    let lanes = !matches!(cfg.kernels, KernelPolicy::Scalar);
     // With the exact identity preconditioner, z_j ≡ v_j bit-for-bit: skip
     // the `z = C v` copy entirely and alias the basis column wherever a
     // flexible vector is read (operator application and solution update).
@@ -398,13 +381,8 @@ where
                 Orthogonalization::Classical => {
                     // All projections off the same w: fused blocked dots,
                     // AXPYs and trailing norm (bit-identical to the unfused
-                    // form — see `cgs_orthogonalize`). The lane variant
-                    // regroups the reductions (ULP-bounded).
-                    if lanes {
-                        cgs_orthogonalize_lanes(&ws.v[..j + 1], &mut ws.w, hcol)
-                    } else {
-                        cgs_orthogonalize(&ws.v[..j + 1], &mut ws.w, hcol)
-                    }
+                    // form — see `cgs_orthogonalize`).
+                    cgs_orthogonalize(&ws.v[..j + 1], &mut ws.w, hcol)
                 }
                 Orthogonalization::Modified => {
                     // Sequential projections off the running w.
@@ -860,35 +838,6 @@ mod tests {
         );
         for (x, y) in rc.x.iter().zip(&rm.x) {
             assert!((x - y).abs() < 1e-6 * (1.0 + y.abs()));
-        }
-    }
-
-    #[test]
-    fn simd_policy_agrees_with_scalar_reference() {
-        let n = 80;
-        let k = laplacian(n);
-        let f = vec![1.0; n];
-        let (a, b, _) = scaling::scale_system(&k, &f).unwrap();
-        let scalar_cfg = GmresConfig {
-            tol: 1e-9,
-            ..Default::default()
-        };
-        let simd_cfg = GmresConfig {
-            kernels: KernelPolicy::Simd,
-            ..scalar_cfg
-        };
-        let gls = GlsPrecond::for_scaled_system(7);
-        let rs = fgmres(&a, &gls, &b, &vec![0.0; n], &scalar_cfg);
-        let rv = fgmres(&a, &gls, &b, &vec![0.0; n], &simd_cfg);
-        assert!(rs.history.converged() && rv.history.converged());
-        assert!(
-            rs.history.iterations().abs_diff(rv.history.iterations()) <= 1,
-            "scalar {} vs simd {}",
-            rs.history.iterations(),
-            rv.history.iterations()
-        );
-        for (x, y) in rs.x.iter().zip(&rv.x) {
-            assert!((x - y).abs() <= 1e-7 * (1.0 + y.abs()), "{x} vs {y}");
         }
     }
 

@@ -7,7 +7,7 @@
 use parfem_krylov::gmres::{fgmres_with, GmresConfig};
 use parfem_krylov::KrylovWorkspace;
 use parfem_precond::{GlsPrecond, IdentityPrecond, Preconditioner};
-use parfem_sparse::{scaling, variant, CooMatrix, CsrMatrix, KernelPolicy, LinearOperator};
+use parfem_sparse::{scaling, BcsrMatrix, CooMatrix, CsrMatrix, LinearOperator};
 use parfem_trace::alloc::{self, CountingAlloc};
 
 #[global_allocator]
@@ -118,21 +118,15 @@ fn every_kernel_variant_is_iteration_free() {
     let a = laplacian(n);
     let b = vec![1.0; n];
 
-    for policy in [
-        KernelPolicy::Scalar,
-        KernelPolicy::Simd,
-        KernelPolicy::SellCSigma,
-        KernelPolicy::Bcsr2x2,
-        KernelPolicy::Auto,
-    ] {
-        // The selection itself may allocate (format conversion, probe
-        // buffers); once selected, the iteration loop must not.
-        let op = variant::select(&a, policy);
+    // Converting to the block format allocates; once built, the iteration
+    // loop over either storage must not.
+    let blocks = BcsrMatrix::try_from_csr(&a).expect("even dimensions");
+    let operators: [(&str, &dyn LinearOperator); 2] = [("scalar", &a), ("bcsr", &blocks)];
+    for (label, op) in operators {
         let short = GmresConfig {
             restart: 10,
             max_iters: 5,
             tol: 0.0,
-            kernels: policy,
             ..Default::default()
         };
         let long = GmresConfig {
@@ -141,16 +135,13 @@ fn every_kernel_variant_is_iteration_free() {
         };
 
         let mut ws = KrylovWorkspace::new();
-        alloc_delta(&op, &IdentityPrecond, &b, &long, &mut ws);
+        alloc_delta(op, &IdentityPrecond, &b, &long, &mut ws);
 
-        let d_short = alloc_delta(&op, &IdentityPrecond, &b, &short, &mut ws);
-        let d_long = alloc_delta(&op, &IdentityPrecond, &b, &long, &mut ws);
+        let d_short = alloc_delta(op, &IdentityPrecond, &b, &short, &mut ws);
+        let d_long = alloc_delta(op, &IdentityPrecond, &b, &long, &mut ws);
         assert_eq!(
-            d_short,
-            d_long,
-            "{policy:?} ({}) allocated in the loop: 5 iters cost {d_short} calls, \
-             80 iters cost {d_long}",
-            op.choice().label(),
+            d_short, d_long,
+            "{label} allocated in the loop: 5 iters cost {d_short} calls, 80 iters cost {d_long}"
         );
     }
 }

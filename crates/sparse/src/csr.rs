@@ -240,35 +240,6 @@ impl CsrMatrix {
         crate::kernels::spmv_raw(&self.row_ptr, &self.col_idx, &self.values, x, y);
     }
 
-    /// Row-partitioned multithreaded `y = A x` (bit-identical to
-    /// [`CsrMatrix::spmv_into`] for any thread count); see
-    /// [`crate::kernels::par_spmv_into`].
-    ///
-    /// # Panics
-    /// Panics if the vector lengths mismatch the matrix shape.
-    pub fn par_spmv_into(&self, x: &[f64], y: &mut [f64], threads: usize) {
-        crate::kernels::par_spmv_into(self, x, y, threads);
-    }
-
-    /// Fused `y = alpha * A x + beta * y` in one pass over `y`; see
-    /// [`crate::kernels::spmv_axpby_raw`].
-    ///
-    /// # Panics
-    /// Panics if the vector lengths mismatch the matrix shape.
-    pub fn spmv_axpby(&self, alpha: f64, x: &[f64], beta: f64, y: &mut [f64]) {
-        assert_eq!(x.len(), self.n_cols, "spmv_axpby: x length mismatch");
-        assert_eq!(y.len(), self.n_rows, "spmv_axpby: y length mismatch");
-        crate::kernels::spmv_axpby_raw(
-            alpha,
-            &self.row_ptr,
-            &self.col_idx,
-            &self.values,
-            x,
-            beta,
-            y,
-        );
-    }
-
     /// Allocating variant of [`CsrMatrix::spmv_into`].
     pub fn spmv(&self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.n_rows];

@@ -1,14 +1,13 @@
-//! Tuned hot-path kernels: unrolled CSR SpMV, fused SpMV/vector updates,
-//! blocked Gram–Schmidt primitives, and a row-partitioned multithreaded
-//! SpMV.
+//! Tuned hot-path kernels: unrolled CSR SpMV and the blocked Gram–Schmidt
+//! primitives.
 //!
 //! Design rules (they are what the solver correctness tests rely on):
 //!
 //! 1. **Per-row arithmetic is fixed.** Every SpMV variant here accumulates a
 //!    row as four independent partial sums over `chunks_exact(4)` combined
-//!    as `(a0 + a1) + (a2 + a3)` plus a sequential remainder. Sequential,
-//!    fused, and threaded SpMV therefore produce **bit-identical** results
-//!    for any thread count.
+//!    as `(a0 + a1) + (a2 + a3)` plus a sequential remainder. The full,
+//!    accumulating and row-subset SpMV therefore produce **bit-identical**
+//!    row sums.
 //! 2. **Blocked vector kernels preserve element order.** [`dot_block`]
 //!    keeps one accumulator per basis vector and walks elements in order,
 //!    so it equals the corresponding sequence of individual dot products
@@ -18,11 +17,9 @@
 //!    of `K`), never floating-point semantics.
 //! 3. No allocation anywhere; callers provide every buffer.
 //!
-//! The raw-slice entry points (`spmv_raw_*`) exist so kernels can run on
-//! sub-ranges during row partitioning; [`crate::CsrMatrix`] forwards its
-//! `spmv_into` / `spmv_add_into` / `spmv_axpby` methods here.
-
-use crate::csr::CsrMatrix;
+//! [`crate::CsrMatrix`] forwards its `spmv_into` / `spmv_add_into` methods
+//! to the raw-slice entry points here; the overlapped distributed matvec
+//! calls [`spmv_rows_indexed`] directly.
 
 /// One CSR row dot product, 4-way unrolled.
 ///
@@ -46,34 +43,6 @@ pub fn row_dot(cols: &[usize], vals: &[f64], x: &[f64]) -> f64 {
         acc += v * x[c];
     }
     acc
-}
-
-/// `y[r] = A x` over the row range `rows`, on raw CSR arrays.
-///
-/// `y` holds only the rows of the range (`y.len() == rows.len()`), which is
-/// what lets [`par_spmv_into`] hand each thread a disjoint `&mut` chunk.
-///
-/// # Panics
-/// Panics if the range or `y` length is inconsistent with the arrays.
-pub fn spmv_raw_range(
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    values: &[f64],
-    x: &[f64],
-    y: &mut [f64],
-    rows: core::ops::Range<usize>,
-) {
-    assert_eq!(y.len(), rows.len(), "spmv_raw_range: y length mismatch");
-    assert!(
-        rows.end < row_ptr.len(),
-        "spmv_raw_range: rows out of range"
-    );
-    let base = rows.start;
-    for (i, yr) in y.iter_mut().enumerate() {
-        let lo = row_ptr[base + i];
-        let hi = row_ptr[base + i + 1];
-        *yr = row_dot(&col_idx[lo..hi], &values[lo..hi], x);
-    }
 }
 
 /// `y[r] = A x` for the listed rows only, on raw CSR arrays.
@@ -108,9 +77,16 @@ pub fn spmv_rows_indexed(
 }
 
 /// `y = A x` on raw CSR arrays (all rows).
+///
+/// # Panics
+/// Panics if `y` does not hold one entry per row.
 pub fn spmv_raw(row_ptr: &[usize], col_idx: &[usize], values: &[f64], x: &[f64], y: &mut [f64]) {
-    let n_rows = row_ptr.len() - 1;
-    spmv_raw_range(row_ptr, col_idx, values, x, y, 0..n_rows);
+    assert_eq!(y.len(), row_ptr.len() - 1, "spmv_raw: y length mismatch");
+    for (r, yr) in y.iter_mut().enumerate() {
+        let lo = row_ptr[r];
+        let hi = row_ptr[r + 1];
+        *yr = row_dot(&col_idx[lo..hi], &values[lo..hi], x);
+    }
 }
 
 /// `y += A x` on raw CSR arrays.
@@ -131,77 +107,6 @@ pub fn spmv_add_raw(
         let hi = row_ptr[r + 1];
         *yr += row_dot(&col_idx[lo..hi], &values[lo..hi], x);
     }
-}
-
-/// Fused `y = alpha * A x + beta * y` in a single pass over `y`.
-///
-/// Row sums use exactly the [`row_dot`] reduction, so the result is
-/// bit-identical to `spmv_into` followed by a manual `axpby` (asserted by a
-/// property test in `crates/sparse/tests`).
-pub fn spmv_axpby_raw(
-    alpha: f64,
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    values: &[f64],
-    x: &[f64],
-    beta: f64,
-    y: &mut [f64],
-) {
-    assert_eq!(y.len(), row_ptr.len() - 1, "spmv_axpby: y length mismatch");
-    for (r, yr) in y.iter_mut().enumerate() {
-        let lo = row_ptr[r];
-        let hi = row_ptr[r + 1];
-        let acc = row_dot(&col_idx[lo..hi], &values[lo..hi], x);
-        *yr = alpha * acc + beta * *yr;
-    }
-}
-
-/// Row-partitioned multithreaded `y = A x` over `std::thread::scope`.
-///
-/// Rows are split into `threads` contiguous chunks balanced by stored-entry
-/// count; each thread computes its rows with the same per-row arithmetic as
-/// the sequential kernel, so the result is **bit-identical** for any thread
-/// count. Falls back to the sequential kernel when one thread suffices or
-/// the matrix is too small to amortize thread spawns.
-///
-/// # Panics
-/// Panics on vector/matrix dimension mismatches.
-pub fn par_spmv_into(a: &CsrMatrix, x: &[f64], y: &mut [f64], threads: usize) {
-    assert_eq!(x.len(), a.n_cols(), "par_spmv: x length mismatch");
-    assert_eq!(y.len(), a.n_rows(), "par_spmv: y length mismatch");
-    let threads = threads.max(1).min(a.n_rows().max(1));
-    // Below ~64k stored entries per extra thread the spawn/join overhead
-    // dominates; stay sequential.
-    if threads == 1 || a.nnz() < 64 * 1024 {
-        a.spmv_into(x, y);
-        return;
-    }
-    let (row_ptr, col_idx, values) = a.raw_parts();
-    let n_rows = a.n_rows();
-    let target = a.nnz().div_ceil(threads);
-
-    std::thread::scope(|scope| {
-        let mut rest = &mut y[..];
-        let mut row0 = 0usize;
-        while row0 < n_rows {
-            // Grow the chunk until it holds ~nnz/threads stored entries.
-            let mut row1 = row0 + 1;
-            while row1 < n_rows && row_ptr[row1] - row_ptr[row0] < target {
-                row1 += 1;
-            }
-            let (chunk, tail) = rest.split_at_mut(row1 - row0);
-            rest = tail;
-            if row1 == n_rows && row0 == 0 {
-                // Single chunk: run on the caller's thread.
-                spmv_raw_range(row_ptr, col_idx, values, x, chunk, row0..row1);
-            } else {
-                scope.spawn(move || {
-                    spmv_raw_range(row_ptr, col_idx, values, x, chunk, row0..row1);
-                });
-            }
-            row0 = row1;
-        }
-    });
 }
 
 /// `K` simultaneous dot products `out[j] = <w, vs[j]>` in one pass over `w`.
@@ -360,6 +265,7 @@ pub fn axpy_sweep_neg(coeffs: &[f64], vs: &[Vec<f64>], w: &mut [f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::CsrMatrix;
     use crate::dense;
 
     /// Deterministic pseudo-random CSR matrix (xorshift) for kernel tests.
@@ -427,29 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn spmv_axpby_is_bit_identical_to_spmv_plus_axpby() {
-        for n in [1, 4, 33, 100] {
-            let a = random_csr(n, 7 + n as u64);
-            let x = random_vec(n, 1 + n as u64);
-            let y0 = random_vec(n, 2 + n as u64);
-            let (alpha, beta) = (1.75, -0.5);
-
-            let mut fused = y0.clone();
-            let (rp, ci, vals) = a.raw_parts();
-            spmv_axpby_raw(alpha, rp, ci, vals, &x, beta, &mut fused);
-
-            let mut ax = vec![0.0; n];
-            spmv_raw(rp, ci, vals, &x, &mut ax);
-            let manual: Vec<f64> = ax
-                .iter()
-                .zip(&y0)
-                .map(|(a, y)| alpha * a + beta * y)
-                .collect();
-            assert_eq!(fused, manual, "n={n}");
-        }
-    }
-
-    #[test]
     fn indexed_row_subsets_reassemble_full_spmv_bit_for_bit() {
         for n in [1, 5, 64, 193] {
             let a = random_csr(n, 0xABCD + n as u64);
@@ -480,33 +363,6 @@ mod tests {
         spmv_raw(rp, ci, vals, &x, &mut ax);
         let manual: Vec<f64> = ax.iter().zip(&y0).map(|(a, y)| y + a).collect();
         assert_eq!(y, manual);
-    }
-
-    #[test]
-    fn threaded_spmv_is_bit_identical_for_any_thread_count() {
-        // Large enough to clear the sequential-fallback threshold.
-        let n = 6000;
-        let a = random_csr(n, 99);
-        assert!(a.nnz() >= 64 * 1024 / 3, "workload sanity");
-        let x = random_vec(n, 100);
-        let mut seq = vec![0.0; n];
-        a.spmv_into(&x, &mut seq);
-        for threads in [1, 2, 3, 7, 16] {
-            let mut par = vec![0.0; n];
-            par_spmv_into(&a, &x, &mut par, threads);
-            assert_eq!(par, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn threaded_spmv_small_matrix_falls_back() {
-        let a = random_csr(10, 1);
-        let x = random_vec(10, 2);
-        let mut y = vec![0.0; 10];
-        par_spmv_into(&a, &x, &mut y, 8);
-        let mut seq = vec![0.0; 10];
-        a.spmv_into(&x, &mut seq);
-        assert_eq!(y, seq);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   assembly, with duplicate summation on conversion,
 //! - [`csr`] — compressed sparse row matrices and matrix–vector products,
 //! - [`kernels`] — the tuned hot-path kernels behind them: 4-way-unrolled
-//!   and row-partitioned multithreaded SpMV, fused `spmv_axpby`, and the
-//!   blocked dot/AXPY/nrm2 primitives of the Gram–Schmidt step,
+//!   SpMV (full, accumulating, row-subset) and the blocked dot/AXPY/nrm2
+//!   primitives of the Gram–Schmidt step,
 //! - [`scaling`] — the paper's norm-1 diagonal scaling (Theorem 1 /
 //!   Algorithms 3–4) that maps the matrix spectrum into `(0, 1)`,
 //! - [`gershgorin`] — spectrum estimation (Gershgorin discs, power iteration)
@@ -20,17 +20,14 @@
 //! - [`op`] — the [`LinearOperator`] abstraction shared by the sequential
 //!   and distributed solvers,
 //! - [`io`] — MatrixMarket import/export for reproducibility,
-//! - [`simd`] — hand-unrolled `f64x4`-style lane kernels (SpMV, dots,
-//!   Gram–Schmidt sweeps) selectable via [`variant::KernelPolicy`],
-//! - [`sell`] / [`bcsr`] — cache-aware SELL-C-σ and 2×2 block-CSR storage
-//!   formats, convertible to and from CSR without loss,
+//! - [`bcsr`] — 2×2 block-CSR storage, convertible to and from CSR without
+//!   loss; the one alternative to CSR, chosen by [`variant::KernelPolicy`],
 //! - [`skyline`] — a pivot-tolerant skyline/profile LDLᵀ direct solver for
 //!   the two-level preconditioner's Galerkin coarse operator,
 //! - [`direct`] — a general sparse direct solver (deterministic
 //!   fill-reducing RCM ordering + the profile LDLᵀ) used as the exact
 //!   `direct` subdomain preconditioner and sequential comparator,
-//! - [`variant`] — the kernel-variant policy and the per-matrix
-//!   (format × kernel) selector.
+//! - [`variant`] — the two-valued kernel policy (`scalar` | `bcsr`).
 //!
 //! All matrices are real, square-or-rectangular, `f64`-valued. Row and column
 //! indices are `usize`. Nothing in this crate allocates in per-iteration hot
@@ -56,8 +53,6 @@ pub mod io;
 pub mod kernels;
 pub mod op;
 pub mod scaling;
-pub mod sell;
-pub mod simd;
 pub mod skyline;
 pub mod variant;
 
@@ -69,6 +64,5 @@ pub use error::SparseError;
 pub use ilu::Ilu0;
 pub use op::LinearOperator;
 pub use scaling::DiagonalScaling;
-pub use sell::SellMatrix;
 pub use skyline::SkylineLdlt;
-pub use variant::{KernelPolicy, SelectedKernel, VariantChoice};
+pub use variant::KernelPolicy;

@@ -56,59 +56,6 @@ impl LinearOperator for CsrMatrix {
     }
 }
 
-/// A [`CsrMatrix`] applied with the row-partitioned multithreaded SpMV.
-///
-/// Results are **bit-identical** to the plain matrix for any thread count
-/// (see [`crate::kernels::par_spmv_into`]), so swapping this wrapper into a
-/// solver changes wall time only — never iteration counts or solutions.
-///
-/// ```
-/// use parfem_sparse::{op::ThreadedCsr, CsrMatrix, LinearOperator};
-///
-/// let a = CsrMatrix::from_dense(2, 2, &[2.0, -1.0, -1.0, 2.0]);
-/// let t = ThreadedCsr::new(&a, 4);
-/// assert_eq!(t.apply(&[1.0, 1.0]), a.spmv(&[1.0, 1.0]));
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadedCsr<'a> {
-    matrix: &'a CsrMatrix,
-    threads: usize,
-}
-
-impl<'a> ThreadedCsr<'a> {
-    /// Wraps `matrix` to apply with `threads` threads (clamped to ≥ 1).
-    pub fn new(matrix: &'a CsrMatrix, threads: usize) -> Self {
-        ThreadedCsr {
-            matrix,
-            threads: threads.max(1),
-        }
-    }
-
-    /// The wrapped matrix.
-    pub fn matrix(&self) -> &CsrMatrix {
-        self.matrix
-    }
-
-    /// The configured thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl LinearOperator for ThreadedCsr<'_> {
-    fn dim(&self) -> usize {
-        self.matrix.dim()
-    }
-
-    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        self.matrix.par_spmv_into(x, y, self.threads);
-    }
-
-    fn apply_flops(&self) -> u64 {
-        self.matrix.spmv_flops()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,52 +1,22 @@
-//! Kernel-variant policy and the per-matrix (format × kernel) selector.
+//! The kernel policy: which storage applies a rank's local matrix.
 //!
-//! One matrix, several ways to apply it: the scalar CSR kernels (the
-//! bit-identical golden reference), the hand-unrolled lane kernels of
-//! [`crate::simd`], the cache-aware [`SellMatrix`] and [`BcsrMatrix`]
-//! storage formats. [`KernelPolicy`] names the choice; [`select`] resolves
-//! a policy against a concrete matrix — honouring an explicit policy
-//! directly, and for [`KernelPolicy::Auto`] picking the fastest applicable
-//! variant by a short micro-benchmark (a few timed SpMVs per candidate,
-//! run once at operator-build time).
-//!
-//! The result, [`SelectedKernel`], is a [`LinearOperator`] whose
-//! `apply_into` dispatches to the chosen variant, plus the metadata
-//! (variant label, padding/fill diagnostics) the solve session records in
-//! its trace and metrics. The default policy is
-//! [`KernelPolicy::Scalar`], so every existing entry point keeps its
+//! One matrix, two ways to apply it: the scalar CSR kernels of
+//! [`crate::kernels`] (the bit-identical golden reference) and the 2×2
+//! block format [`crate::BcsrMatrix`]. [`KernelPolicy`] names the choice;
+//! the operator that owns the matrix converts it (the EDD operator of the
+//! `parfem-dd` crate, which falls back to CSR when a dimension is odd) and
+//! records the format it applies in the trace. The default is
+//! [`KernelPolicy::Scalar`], so every entry point keeps its
 //! golden-digest-pinned arithmetic unless a caller opts in.
 
-use crate::bcsr::BcsrMatrix;
-use crate::csr::CsrMatrix;
-use crate::op::LinearOperator;
-use crate::sell::SellMatrix;
-use crate::simd;
-
-/// Default SELL chunk height used by the selector.
-pub const SELL_DEFAULT_C: usize = 8;
-/// Default SELL sorting window used by the selector.
-pub const SELL_DEFAULT_SIGMA: usize = 64;
-/// Above this 2×2 fill ratio the block format pads too much to win.
-const BCSR_MAX_FILL: f64 = 1.6;
-/// Below this stored-entry count Auto skips the micro-benchmark (timing
-/// noise beats any kernel difference) and keeps the bit-identical lanes.
-const AUTO_BENCH_MIN_NNZ: usize = 16 * 1024;
-
-/// Which kernel/storage variant to use for a matrix's hot-path operations.
+/// Which storage to use for a matrix's hot-path matvec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPolicy {
     /// Scalar CSR kernels — the bit-identical golden reference (default).
     #[default]
     Scalar,
-    /// Hand-unrolled lane kernels on CSR (SpMV bit-identical to scalar;
-    /// dot reductions lane-tree, ULP-bounded).
-    Simd,
-    /// SELL-C-σ storage (ULP-bounded row sums).
-    SellCSigma,
     /// 2×2 block-CSR storage (ULP-bounded row sums; requires even dims).
     Bcsr2x2,
-    /// Pick the fastest applicable variant per matrix by micro-benchmark.
-    Auto,
 }
 
 impl KernelPolicy {
@@ -57,24 +27,18 @@ impl KernelPolicy {
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "scalar" => Ok(KernelPolicy::Scalar),
-            "simd" => Ok(KernelPolicy::Simd),
-            "sellcs" | "sell" => Ok(KernelPolicy::SellCSigma),
             "bcsr" => Ok(KernelPolicy::Bcsr2x2),
-            "auto" => Ok(KernelPolicy::Auto),
             other => Err(format!(
-                "unknown kernel policy '{other}' (expected scalar|simd|sellcs|bcsr|auto)"
+                "unknown kernel policy '{other}' (expected scalar|bcsr)"
             )),
         }
     }
 
-    /// The canonical CLI name.
+    /// The canonical CLI name, also the label in traces and reports.
     pub fn as_str(&self) -> &'static str {
         match self {
             KernelPolicy::Scalar => "scalar",
-            KernelPolicy::Simd => "simd",
-            KernelPolicy::SellCSigma => "sellcs",
             KernelPolicy::Bcsr2x2 => "bcsr",
-            KernelPolicy::Auto => "auto",
         }
     }
 }
@@ -92,178 +56,12 @@ impl std::str::FromStr for KernelPolicy {
     }
 }
 
-/// The resolved variant of a [`SelectedKernel`] (never `Auto`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VariantChoice {
-    /// Scalar CSR kernels.
-    Scalar,
-    /// Lane-unrolled CSR kernels.
-    Simd,
-    /// SELL-C-σ storage.
-    SellCSigma,
-    /// 2×2 block-CSR storage.
-    Bcsr2x2,
-}
-
-impl VariantChoice {
-    /// Short label for traces, metrics and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            VariantChoice::Scalar => "scalar",
-            VariantChoice::Simd => "simd",
-            VariantChoice::SellCSigma => "sellcs",
-            VariantChoice::Bcsr2x2 => "bcsr",
-        }
-    }
-}
-
-enum Form {
-    Scalar,
-    Simd,
-    Sell(SellMatrix),
-    Bcsr(BcsrMatrix),
-}
-
-/// A matrix bound to its selected kernel variant; applies through
-/// [`LinearOperator`] and reports the choice for the trace/metrics layer.
-pub struct SelectedKernel<'a> {
-    source: &'a CsrMatrix,
-    form: Form,
-}
-
-impl<'a> SelectedKernel<'a> {
-    /// The source matrix (always available — residuals, diagonals and the
-    /// overlapped row-split path keep using the CSR arrays).
-    pub fn source(&self) -> &'a CsrMatrix {
-        self.source
-    }
-
-    /// The resolved variant.
-    pub fn choice(&self) -> VariantChoice {
-        match &self.form {
-            Form::Scalar => VariantChoice::Scalar,
-            Form::Simd => VariantChoice::Simd,
-            Form::Sell(_) => VariantChoice::SellCSigma,
-            Form::Bcsr(_) => VariantChoice::Bcsr2x2,
-        }
-    }
-
-    /// Whether this variant's SpMV is bit-identical to the scalar CSR
-    /// reference (true for the scalar and lane kernels, false for the
-    /// reordered-reduction storage formats).
-    pub fn bit_identical(&self) -> bool {
-        matches!(self.form, Form::Scalar | Form::Simd)
-    }
-}
-
-impl LinearOperator for SelectedKernel<'_> {
-    fn dim(&self) -> usize {
-        self.source.n_rows()
-    }
-
-    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        match &self.form {
-            Form::Scalar => self.source.spmv_into(x, y),
-            Form::Simd => {
-                let (row_ptr, col_idx, values) = self.source.raw_parts();
-                simd::spmv_lanes(row_ptr, col_idx, values, x, y);
-            }
-            Form::Sell(m) => m.spmv_into(x, y),
-            Form::Bcsr(m) => m.spmv_into(x, y),
-        }
-    }
-
-    fn apply_flops(&self) -> u64 {
-        self.source.spmv_flops()
-    }
-}
-
-/// Resolves a [`KernelPolicy`] against a matrix.
-///
-/// Explicit policies are honoured directly ([`KernelPolicy::Bcsr2x2`] falls
-/// back to the lane kernels when the dimensions are odd). `Auto` builds the
-/// applicable candidates and times a few SpMVs of each, keeping the fastest;
-/// matrices too small to time reliably keep the bit-identical lane kernels.
-pub fn select(a: &CsrMatrix, policy: KernelPolicy) -> SelectedKernel<'_> {
-    let form = match policy {
-        KernelPolicy::Scalar => Form::Scalar,
-        KernelPolicy::Simd => Form::Simd,
-        KernelPolicy::SellCSigma => {
-            Form::Sell(SellMatrix::from_csr(a, SELL_DEFAULT_C, SELL_DEFAULT_SIGMA))
-        }
-        KernelPolicy::Bcsr2x2 => match BcsrMatrix::try_from_csr(a) {
-            Some(b) => Form::Bcsr(b),
-            None => Form::Simd,
-        },
-        KernelPolicy::Auto => auto_select(a),
-    };
-    SelectedKernel { source: a, form }
-}
-
-fn auto_select(a: &CsrMatrix) -> Form {
-    if a.nnz() < AUTO_BENCH_MIN_NNZ {
-        return Form::Simd;
-    }
-    let mut candidates: Vec<Form> = vec![Form::Simd];
-    candidates.push(Form::Sell(SellMatrix::from_csr(
-        a,
-        SELL_DEFAULT_C,
-        SELL_DEFAULT_SIGMA,
-    )));
-    if let Some(b) = BcsrMatrix::try_from_csr(a) {
-        if b.fill_ratio() <= BCSR_MAX_FILL {
-            candidates.push(Form::Bcsr(b));
-        }
-    }
-    // Deterministic probe vector; timing decides, values do not.
-    let mut s = 0x853c_49e6_748f_ea9bu64;
-    let x: Vec<f64> = (0..a.n_cols())
-        .map(|_| {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-        })
-        .collect();
-    let mut y = vec![0.0; a.n_rows()];
-    let mut best_idx = 0usize;
-    let mut best_time = f64::INFINITY;
-    for (i, form) in candidates.iter().enumerate() {
-        let probe = SelectedKernel {
-            source: a,
-            form: form_ref(form),
-        };
-        // One warm-up, then best-of-3.
-        probe.apply_into(&x, &mut y);
-        let mut t_min = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = std::time::Instant::now();
-            probe.apply_into(&x, &mut y);
-            t_min = t_min.min(t0.elapsed().as_secs_f64());
-        }
-        if t_min < best_time {
-            best_time = t_min;
-            best_idx = i;
-        }
-    }
-    candidates.swap_remove(best_idx)
-}
-
-/// Cheap by-reference clone of a candidate form for probing (the owned
-/// formats are borrowed via a shallow rebuild-free view).
-fn form_ref(form: &Form) -> Form {
-    match form {
-        Form::Scalar => Form::Scalar,
-        Form::Simd => Form::Simd,
-        Form::Sell(m) => Form::Sell(m.clone()),
-        Form::Bcsr(m) => Form::Bcsr(m.clone()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bcsr::BcsrMatrix;
     use crate::coo::CooMatrix;
+    use crate::csr::CsrMatrix;
 
     fn laplacian(n: usize) -> CsrMatrix {
         let mut coo = CooMatrix::new(n, n);
@@ -279,29 +77,12 @@ mod tests {
 
     #[test]
     fn policy_parsing_round_trips() {
-        for p in [
-            KernelPolicy::Scalar,
-            KernelPolicy::Simd,
-            KernelPolicy::SellCSigma,
-            KernelPolicy::Bcsr2x2,
-            KernelPolicy::Auto,
-        ] {
+        for p in [KernelPolicy::Scalar, KernelPolicy::Bcsr2x2] {
             assert_eq!(KernelPolicy::parse(p.as_str()), Ok(p));
         }
-        assert!(KernelPolicy::parse("avx1024").is_err());
-    }
-
-    #[test]
-    fn scalar_and_simd_selections_are_bit_identical() {
-        let a = laplacian(200);
-        let x: Vec<f64> = (0..200).map(|i| (i as f64).sin()).collect();
-        let want = a.spmv(&x);
-        for policy in [KernelPolicy::Scalar, KernelPolicy::Simd] {
-            let sel = select(&a, policy);
-            assert!(sel.bit_identical());
-            let mut y = vec![0.0; 200];
-            sel.apply_into(&x, &mut y);
-            assert_eq!(y, want, "{policy}");
+        for gone in ["simd", "sellcs", "sell", "auto", "avx1024"] {
+            let err = KernelPolicy::parse(gone).unwrap_err();
+            assert!(err.ends_with("(expected scalar|bcsr)"), "{err}");
         }
     }
 
@@ -310,27 +91,9 @@ mod tests {
         let a = laplacian(128);
         let x: Vec<f64> = (0..128).map(|i| ((i % 11) as f64) - 5.0).collect();
         let want = a.spmv(&x);
-        for policy in [KernelPolicy::SellCSigma, KernelPolicy::Bcsr2x2] {
-            let sel = select(&a, policy);
-            let mut y = vec![0.0; 128];
-            sel.apply_into(&x, &mut y);
-            for (g, w) in y.iter().zip(&want) {
-                assert!((g - w).abs() <= 1e-12 * (1.0 + w.abs()), "{policy}");
-            }
+        let got = BcsrMatrix::try_from_csr(&a).unwrap().spmv(&x);
+        for (g, w) in got.iter().zip(&want) {
+            assert!((g - w).abs() <= 1e-12 * (1.0 + w.abs()));
         }
-    }
-
-    #[test]
-    fn bcsr_policy_falls_back_on_odd_dims() {
-        let a = laplacian(33);
-        let sel = select(&a, KernelPolicy::Bcsr2x2);
-        assert_eq!(sel.choice(), VariantChoice::Simd);
-    }
-
-    #[test]
-    fn auto_on_small_matrices_keeps_bit_identity() {
-        let a = laplacian(64);
-        let sel = select(&a, KernelPolicy::Auto);
-        assert!(sel.bit_identical());
     }
 }

@@ -1,12 +1,8 @@
-//! Property-based tests for the sparse kernels, including the kernel-variant
-//! equivalence contracts: the lane (SIMD) kernels are bit-identical to the
-//! scalar reference wherever they preserve the reduction order, ULP-bounded
-//! where they regroup it, and the SELL-C-σ / block-CSR storage formats
-//! round-trip exactly and multiply within a pinned error bound.
+//! Property-based tests for the sparse kernels, including the block-CSR
+//! contract: the format round-trips exactly and multiplies within a pinned
+//! error bound of the scalar CSR reference.
 
-use parfem_sparse::{
-    coo::CooMatrix, csr::CsrMatrix, dense, scaling::DiagonalScaling, simd, BcsrMatrix, SellMatrix,
-};
+use parfem_sparse::{coo::CooMatrix, csr::CsrMatrix, dense, scaling::DiagonalScaling, BcsrMatrix};
 use proptest::prelude::*;
 
 /// Pinned error bound for a reordered row reduction: a sum of `terms`
@@ -188,115 +184,11 @@ proptest! {
             prop_assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()));
         }
     }
-
-    #[test]
-    fn spmv_axpby_matches_unfused_reference(ts in triplets(16, 96),
-                                            x in prop::collection::vec(-5.0..5.0f64, 16),
-                                            y0 in prop::collection::vec(-5.0..5.0f64, 16),
-                                            alpha in -3.0..3.0f64,
-                                            beta in -3.0..3.0f64) {
-        // The fused kernel computes `y = alpha*(A x) + beta*y` per row as
-        // `alpha*acc + beta*y[r]`, exactly the unfused reference expression,
-        // so the comparison is bit-for-bit.
-        let mut coo = CooMatrix::new(16, 16);
-        for &(r, c, v) in &ts {
-            coo.push(r, c, v).unwrap();
-        }
-        let a = coo.to_csr();
-
-        let mut fused = y0.clone();
-        a.spmv_axpby(alpha, &x, beta, &mut fused);
-
-        let mut t = vec![0.0; 16];
-        a.spmv_into(&x, &mut t);
-        let reference: Vec<f64> = t
-            .iter()
-            .zip(&y0)
-            .map(|(ti, yi)| alpha * ti + beta * yi)
-            .collect();
-        prop_assert_eq!(fused, reference);
-    }
-
-    #[test]
-    fn par_spmv_matches_sequential_bitwise(ts in triplets(24, 160),
-                                           x in prop::collection::vec(-5.0..5.0f64, 24),
-                                           threads in 1usize..5) {
-        // Row partitioning never changes per-row arithmetic, so the
-        // threaded product is bit-identical to the sequential one.
-        let mut coo = CooMatrix::new(24, 24);
-        for &(r, c, v) in &ts {
-            coo.push(r, c, v).unwrap();
-        }
-        let a = coo.to_csr();
-        let mut seq = vec![0.0; 24];
-        a.spmv_into(&x, &mut seq);
-        let mut par = vec![0.0; 24];
-        a.par_spmv_into(&x, &mut par, threads);
-        prop_assert_eq!(par, seq);
-    }
 }
 
-// Kernel-variant equivalence contracts (PR 7): every storage format and lane
-// kernel is pinned against the scalar CSR reference — exactly where the
-// reduction order is preserved, within `reduction_bound` where it is not.
+// Block-format contract: pinned against the scalar CSR reference — exact
+// round trip, row sums within `reduction_bound`.
 proptest! {
-    #[test]
-    fn spmv_lanes_matches_scalar_bitwise(ts in triplets(17, 100),
-                                         x in prop::collection::vec(-5.0..5.0f64, 17)) {
-        // The two-row-unrolled lane SpMV keeps the verbatim row_dot
-        // reduction, so it is bit-identical to the scalar path.
-        let mut coo = CooMatrix::new(17, 17);
-        for &(r, c, v) in &ts {
-            coo.push(r, c, v).unwrap();
-        }
-        let a = coo.to_csr();
-        let mut scalar = vec![0.0; 17];
-        a.spmv_into(&x, &mut scalar);
-        let (row_ptr, col_idx, values) = a.raw_parts();
-        let mut lanes = vec![0.0; 17];
-        simd::spmv_lanes(row_ptr, col_idx, values, &x, &mut lanes);
-        prop_assert_eq!(lanes, scalar);
-    }
-
-    #[test]
-    fn sell_round_trips_csr_exactly(ts in triplets(19, 140),
-                                    c in 1usize..9,
-                                    sigma in 1usize..33) {
-        // CSR -> SELL-C-sigma -> CSR is the identity, for any chunk height
-        // and sorting window: padding and row permutation must both vanish.
-        let mut coo = CooMatrix::new(19, 19);
-        for &(r, c_, v) in &ts {
-            coo.push(r, c_, v).unwrap();
-        }
-        let a = coo.to_csr();
-        let sell = SellMatrix::from_csr(&a, c, sigma);
-        prop_assert_eq!(sell.nnz(), a.nnz());
-        prop_assert_eq!(sell.to_csr(), a);
-    }
-
-    #[test]
-    fn sell_spmv_within_reduction_bound(ts in triplets(19, 140),
-                                        x in prop::collection::vec(-5.0..5.0f64, 19),
-                                        c in 1usize..9,
-                                        sigma in 1usize..33) {
-        // SELL accumulates each row sequentially in column order like CSR,
-        // but padding entries contribute exact `+ 0.0 * x[pad]` terms, so
-        // pin it within the reassociation bound rather than bit-for-bit.
-        let mut coo = CooMatrix::new(19, 19);
-        for &(r, c_, v) in &ts {
-            coo.push(r, c_, v).unwrap();
-        }
-        let a = coo.to_csr();
-        let mut scalar = vec![0.0; 19];
-        a.spmv_into(&x, &mut scalar);
-        let sell = SellMatrix::from_csr(&a, c, sigma);
-        let got = sell.spmv(&x);
-        for r in 0..19 {
-            prop_assert!((got[r] - scalar[r]).abs() <= reduction_bound(&a, &x, r),
-                "sell row {}: {} vs {}", r, got[r], scalar[r]);
-        }
-    }
-
     #[test]
     fn bcsr_round_trips_csr_exactly(ts in triplets(18, 120)) {
         // Even dimensions: 2x2 blocking must reconstruct the source exactly,
@@ -330,47 +222,6 @@ proptest! {
             prop_assert!((got[r] - scalar[r]).abs() <= reduction_bound(&a, &x, r),
                 "bcsr row {}: {} vs {}", r, got[r], scalar[r]);
         }
-    }
-
-    #[test]
-    fn lane_dots_within_ulp_bound(w in prop::collection::vec(-5.0..5.0f64, 1..96),
-                                  k in 1usize..7) {
-        // dot_many_lanes uses a 4-lane accumulator tree per vector; bound
-        // the reassociation error by the magnitude sum of the products.
-        let vs: Vec<Vec<f64>> = (0..k)
-            .map(|i| w.iter().map(|&x| (x * (i as f64 + 0.5)).sin()).collect())
-            .collect();
-        let mut out = vec![0.0; k];
-        simd::dot_many_lanes(&w, &vs, &mut out);
-        for (i, v) in vs.iter().enumerate() {
-            let seq: f64 = w.iter().zip(v).map(|(a, b)| a * b).sum();
-            let mag: f64 = w.iter().zip(v).map(|(a, b)| (a * b).abs()).sum();
-            let bound = 4.0 * (w.len() + 1) as f64 * f64::EPSILON * (mag + 1.0);
-            prop_assert!((out[i] - seq).abs() <= bound,
-                "lane dot {}: {} vs {}", i, out[i], seq);
-        }
-    }
-
-    #[test]
-    fn lane_axpy_sweep_updates_bit_identically(w0 in prop::collection::vec(-5.0..5.0f64, 1..96),
-                                               coeffs in prop::collection::vec(-2.0..2.0f64, 0..7)) {
-        // The lane projection-subtraction sweep must update `w` bit-for-bit
-        // like the scalar sweep (same 4s + tail vector grouping, same
-        // left-associated per-element subtraction chain); only the fused
-        // Σw² reduction is allowed to differ, within the lane-tree bound.
-        let vs: Vec<Vec<f64>> = (0..coeffs.len())
-            .map(|i| w0.iter().map(|&x| (x + i as f64).cos()).collect())
-            .collect();
-        let mut scalar_w = w0.clone();
-        let scalar_sq =
-            parfem_sparse::kernels::axpy_sweep_neg(&coeffs, &vs, &mut scalar_w);
-        let mut lane_w = w0;
-        let lane_sq = simd::axpy_sweep_neg_lanes(&coeffs, &vs, &mut lane_w);
-        prop_assert_eq!(&lane_w, &scalar_w);
-        let mag: f64 = scalar_w.iter().map(|&x| x * x).sum();
-        let bound = 4.0 * (scalar_w.len() + 1) as f64 * f64::EPSILON * (mag + 1.0);
-        prop_assert!((lane_sq - scalar_sq).abs() <= bound,
-            "sq mismatch: {} vs {}", lane_sq, scalar_sq);
     }
 
     #[test]

@@ -222,3 +222,119 @@ fn bad_arguments_fail_with_usage() {
     assert!(usage.contains("unknown preconditioner gls-f32"));
     assert!(!usage.contains("f32:") && !usage.contains("--metrics"));
 }
+
+#[test]
+fn malformed_and_out_of_range_values_exit_cleanly() {
+    // (arguments after `solve`, expected exit status, text stderr must name).
+    // 2 = malformed command line, 3 = the options do not fit the input.
+    let cases: &[(&[&str], i32, &str)] = &[
+        (&["--mesh", "8x4", "--parts", "abc"], 2, "--parts"),
+        (&["--mesh", "8x4", "--parts", "0"], 2, "--parts"),
+        (&["--mesh", "8x4", "--tol", "foo"], 2, "--tol"),
+        (&["--mesh", "8x4", "--tol", "0"], 2, "--tol"),
+        (&["--mesh", "8x4", "--tol", "-1"], 2, "--tol"),
+        (&["--mesh", "8x4", "--tol", "nan"], 2, "--tol"),
+        (&["--mesh", "8x4", "--restart", "0"], 2, "--restart"),
+        (&["--mesh", "8x4", "--restart", "many"], 2, "--restart"),
+        (
+            &["--mesh", "8x4", "--comm-timeout", "-1"],
+            2,
+            "--comm-timeout",
+        ),
+        (
+            &["--mesh", "8x4", "--comm-timeout", "soon"],
+            2,
+            "--comm-timeout",
+        ),
+        (
+            &["--mesh", "8x4", "--comm-retries", "x"],
+            2,
+            "--comm-retries",
+        ),
+        (&["--mesh", "0x4"], 2, "--mesh"),
+        (&["--mesh", "8x4", "--distort", "0.9"], 2, "--distort"),
+        (&["--paper-mesh", "11"], 2, "--paper-mesh"),
+        (&["--mesh", "8x4", "--kernels", "simd"], 2, "scalar|bcsr"),
+        (&["--mesh", "8x4", "--kernels", "sellcs"], 2, "scalar|bcsr"),
+        (&["--mesh", "8x4", "--kernels", "auto"], 2, "scalar|bcsr"),
+        (&["--mesh", "4x4", "--parts", "9"], 3, "--parts 9"),
+        (
+            &["--mesh", "4x4", "--parts", "6", "--strategy", "rdd"],
+            3,
+            "--parts 6",
+        ),
+        (
+            &["--mesh", "4x4", "--parts", "5", "--partitioner", "blocks"],
+            3,
+            "--parts 5",
+        ),
+        (
+            &["--mesh", "4x4", "--parts", "17", "--partitioner", "graph:1"],
+            3,
+            "--parts 17",
+        ),
+    ];
+    for (args, status, names) in cases {
+        let out = parfem()
+            .arg("solve")
+            .args(*args)
+            .args(["--machine", "ideal"])
+            .output()
+            .expect("run parfem");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(*status), "{args:?}: {stderr}");
+        assert!(stderr.contains(names), "{args:?}: {stderr}");
+        assert!(
+            !stderr.contains("panicked") && !stderr.contains("stack backtrace"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn kernels_option_is_rejected_under_rdd_and_labelled_per_rank() {
+    // The block format exists for the EDD local matrix only.
+    let out = parfem()
+        .args([
+            "solve",
+            "--mesh",
+            "40x8",
+            "--parts",
+            "4",
+            "--strategy",
+            "rdd",
+        ])
+        .args(["--kernels", "bcsr", "--machine", "ideal"])
+        .output()
+        .expect("run parfem");
+    assert_eq!(out.status.code(), Some(3));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("EDD local matrix only"), "{stderr}");
+
+    // 22 x 11 nodes cut into two strips at one dof per node: rank 0 holds
+    // 12 x 11 = 132 rows, rank 1 holds 11 x 11 = 121 — no 2x2 blocks there,
+    // so it applies CSR and must say so.
+    let out = parfem()
+        .args([
+            "solve",
+            "--problem",
+            "heat2d",
+            "--mesh",
+            "21x10",
+            "--parts",
+            "2",
+        ])
+        .args(["--kernels", "bcsr", "--machine", "ideal", "--profile"])
+        .output()
+        .expect("run parfem");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("rank 0 counters: kernel_variant_bcsr=1"),
+        "{text}"
+    );
+    assert!(
+        text.contains("rank 1 counters: kernel_variant_scalar=1"),
+        "{text}"
+    );
+}
