@@ -30,8 +30,8 @@ use parfem_krylov::{GmresConfig, KrylovWorkspace};
 use parfem_mesh::Cells;
 use parfem_precond::twolevel::build_coarse_basis;
 use parfem_precond::{CoarsePartGeometry, PrecondSpec};
+use parfem_sparse::ldlt::DEFAULT_PIVOT_TOL;
 use parfem_sparse::scaling;
-use parfem_sparse::skyline::DEFAULT_PIVOT_TOL;
 
 /// The production two-level configuration the sweep measures. The s5
 /// prolongator smoothing (vs the elasticity2d sweep's s3) is what keeps the

@@ -49,8 +49,8 @@ use parfem_mesh::numbering::DOFS_PER_NODE;
 use parfem_mesh::DofMap;
 use parfem_precond::twolevel::{build_coarse_basis, CoarseSolver};
 use parfem_precond::CoarsePartGeometry;
+use parfem_sparse::ldlt::DEFAULT_PIVOT_TOL;
 use parfem_sparse::scaling;
-use parfem_sparse::skyline::DEFAULT_PIVOT_TOL;
 
 const GRAPH_SEED: u64 = 0;
 
@@ -223,7 +223,7 @@ const ONELEVEL_SPEC: &str = "gls:3";
 /// The gate threshold on two-level iteration growth from `p_min` to
 /// `p_max` — must match `GateConfig::default().max_twolevel_iter_growth`.
 const MAX_TWOLEVEL_ITER_GROWTH: f64 = 1.3;
-/// Per-mode flops of the replicated coarse back-solve (skyline forward +
+/// Per-mode flops of the replicated coarse back-solve (forward +
 /// backward sweep over a narrow strip-coupled band).
 const COARSE_SOLVE_FLOPS_PER_MODE: f64 = 50.0;
 
@@ -387,7 +387,7 @@ fn run_twolevel_series(
 
         // Modeled per-iteration times on the strip partition. The
         // two-level apply adds: one n_modes-double all-reduce for the
-        // coarse residual moments, the replicated skyline back-solve, and
+        // coarse residual moments, the replicated coarse back-solve, and
         // (multiplicative composition) one extra operator application.
         let cost = cost();
         let stats = rank_stats(&prob.mesh, &owners, p, &cost);

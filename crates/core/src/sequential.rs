@@ -22,8 +22,8 @@ pub enum SeqPrecond {
     Jacobi,
     /// Incomplete LU with zero fill (the paper's sequential comparator).
     Ilu0,
-    /// Exact sparse-direct factorization of the scaled operator (RCM +
-    /// skyline LDLᵀ) — the one-iteration reference that keeps working on
+    /// Exact sparse-direct factorization of the scaled operator (minimum
+    /// degree + sparse LDLᵀ) — the one-iteration reference that keeps working on
     /// floating/semi-definite systems where ILU(0) hits a zero pivot
     /// (Eq. 45).
     Direct,

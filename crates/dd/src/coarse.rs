@@ -60,7 +60,7 @@ use parfem_precond::twolevel::{
     build_coarse, mode_slot, BuiltCoarse, CoarseBuildInfo, CoarsePartGeometry, CoarseReduce,
     CoarseSetup, CoarseSpec, LiveMode, LocalRows,
 };
-use parfem_sparse::skyline::DEFAULT_PIVOT_TOL;
+use parfem_sparse::ldlt::DEFAULT_PIVOT_TOL;
 use parfem_trace::alloc::{self, AllocStats};
 use parfem_trace::Value;
 

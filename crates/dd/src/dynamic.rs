@@ -252,6 +252,7 @@ pub(crate) fn run_dynamic_edd(
             reports: out.reports,
             modeled_time: out.modeled_time,
             coarse: Vec::new(),
+            factor: Vec::new(),
         },
         watch_histories,
         total_iterations,

@@ -30,11 +30,13 @@
 //! bites), keeping the global communication at one reduction per iteration
 //! as Table 1 claims.
 
-use crate::coarse::{edd_part_geometry, CoarseBuildStats, CoarsePlan};
+use crate::coarse::{edd_part_geometry, CoarsePlan};
 use crate::dist_vec::{EddLayout, ExchangeBuffers};
 use crate::error::SolveError;
 use crate::scaling::DistributedScaling;
-use crate::session::{build_precond, host_span, Decomposition, Problem, SolverConfig};
+use crate::session::{
+    build_precond, host_span, Decomposition, PrecondBuildStats, Problem, SolverConfig,
+};
 use crate::solver::{dd_fgmres, DdResult, DistributedOperator};
 use parfem_fem::SubdomainSystem;
 use parfem_krylov::gmres::GmresConfig;
@@ -472,7 +474,7 @@ pub(crate) fn edd_rank_setup<C: Communicator>(
     k_local: &CsrMatrix,
     coarse: Option<CoarsePlan<'_>>,
     cfg: &SolverConfig,
-) -> (EddRank, Option<CoarseBuildStats>) {
+) -> (EddRank, PrecondBuildStats) {
     if let Some(t) = comm.tracer() {
         t.span_begin("scaling", comm.virtual_time());
     }
@@ -537,7 +539,7 @@ impl Decomposition for EddParts<'_> {
         comm: &C,
         coarse: Option<CoarsePlan<'_>>,
         cfg: &SolverConfig,
-    ) -> (EddRank, Option<CoarseBuildStats>) {
+    ) -> (EddRank, PrecondBuildStats) {
         let sys = &self.systems[comm.rank()];
         edd_rank_setup(comm, sys, &sys.k_local, coarse, cfg)
     }

@@ -51,7 +51,7 @@ pub use error::SolveError;
 pub use parfem_sparse::KernelPolicy;
 pub use rdd::{rdd_fgmres, RddLocalIlu, RddOperator, RddSystem};
 pub use session::{
-    DdSolveOutput, MultiSolveOutput, PrecondSpec, Problem, ProblemMesh, SolveFailures,
+    DdSolveOutput, FactorStats, MultiSolveOutput, PrecondSpec, Problem, ProblemMesh, SolveFailures,
     SolveSession, SolverConfig, Strategy,
 };
 pub use solver::{dd_fgmres, DdResult, DistributedOperator};

@@ -18,9 +18,11 @@
 //! products are trivially deduplicated (rows are disjoint): one local dot
 //! plus an all-reduce.
 
-use crate::coarse::{rdd_part_geometry, CoarseBuildStats, CoarsePlan};
+use crate::coarse::{rdd_part_geometry, CoarsePlan};
 use crate::error::SolveError;
-use crate::session::{build_precond, host_span, Decomposition, Problem, SolverConfig};
+use crate::session::{
+    build_precond, host_span, Decomposition, PrecondBuildStats, Problem, SolverConfig,
+};
 use crate::solver::{dd_fgmres, DdResult, DistributedOperator};
 use parfem_krylov::gmres::GmresConfig;
 use parfem_krylov::KrylovWorkspace;
@@ -510,7 +512,7 @@ impl Decomposition for RddParts<'_> {
         comm: &C,
         coarse: Option<CoarsePlan<'_>>,
         cfg: &SolverConfig,
-    ) -> (SpecPrecond, Option<CoarseBuildStats>) {
+    ) -> (SpecPrecond, PrecondBuildStats) {
         let sys = &self.systems[comm.rank()];
         // Rows are disjoint (multiplicity 1); the coarse build reads the
         // host diagonal at the owned rows.

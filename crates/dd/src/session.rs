@@ -66,7 +66,7 @@ use parfem_msg::{
 use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSetup, CoarseSpec, SpecPrecond};
 pub use parfem_precond::PrecondSpec;
 
-use parfem_sparse::{CsrMatrix, KernelPolicy};
+use parfem_sparse::{CsrMatrix, KernelPolicy, SparseLdlt};
 use parfem_trace::{alloc, TraceSink, Value};
 use std::fmt;
 use std::time::Duration;
@@ -128,6 +128,9 @@ pub struct DdSolveOutput {
     /// Per-rank record of the two-level coarse build — what it produced
     /// and what it charged to the rank's clock. Empty for one-level specs.
     pub coarse: Vec<CoarseBuildStats>,
+    /// Per-rank record of the subdomain factorization. Empty unless the
+    /// spec is `direct`, standalone or as a two-level smoother.
+    pub factor: Vec<FactorStats>,
 }
 
 /// Output of a multi-right-hand-side session ([`SolveSession::run_multi`]).
@@ -148,6 +151,9 @@ pub struct MultiSolveOutput {
     /// Per-rank record of the two-level coarse build, as in
     /// [`DdSolveOutput::coarse`].
     pub coarse: Vec<CoarseBuildStats>,
+    /// Per-rank record of the subdomain factorization, as in
+    /// [`DdSolveOutput::factor`].
+    pub factor: Vec<FactorStats>,
 }
 
 impl MultiSolveOutput {
@@ -582,6 +588,7 @@ impl<'a> SolveSession<'a> {
             reports: out.reports,
             modeled_time: out.modeled_time,
             coarse: out.coarse,
+            factor: out.factor,
         })
     }
 
@@ -706,7 +713,8 @@ impl<'a> SolveSession<'a> {
         });
         let solved = MultiSolveOutput {
             solutions,
-            coarse: results.iter().filter_map(|r| r.1).collect(),
+            coarse: results.iter().filter_map(|r| r.1.coarse).collect(),
+            factor: results.iter().filter_map(|r| r.1.factor).collect(),
             // The history is identical on every rank; keep rank 0's.
             histories: (results.swap_remove(0).0.into_iter())
                 .map(|solve| solve.history)
@@ -776,7 +784,8 @@ impl<'a> SolveSession<'a> {
 /// summary additionally carries `alloc_count` / `alloc_bytes` for the whole
 /// run — the host thread's share plus every rank thread's — so workspace
 /// regressions surface directly in `parfem report`. A two-level solve also
-/// carries the `coarse_*` record of its rank-side coarse build.
+/// carries the `coarse_*` record of its rank-side coarse build, a solve
+/// under `direct` the `factor_*` record of its subdomain factorizations.
 fn emit_solve_summary(
     sink: &TraceSink,
     variant: &str,
@@ -820,6 +829,9 @@ fn emit_solve_summary(
     }
     if let Some(coarse) = CoarseBuildStats::over_ranks(&out.coarse) {
         fields.extend(coarse.fields());
+    }
+    if let Some(factor) = FactorStats::over_ranks(&out.factor) {
+        fields.extend(factor.fields());
     }
     tracer.instant("solve_summary", 0.0, fields);
 }
@@ -911,7 +923,7 @@ pub(crate) trait Decomposition: Sync {
         comm: &C,
         coarse: Option<CoarsePlan<'_>>,
         cfg: &SolverConfig,
-    ) -> (Self::Rank, Option<CoarseBuildStats>);
+    ) -> (Self::Rank, PrecondBuildStats);
 
     /// One FGMRES on this rank for `load` (see [`Loads::get`]), returning
     /// the rank's piece of the solution in the form [`Self::gather`] takes.
@@ -928,11 +940,73 @@ pub(crate) trait Decomposition: Sync {
     fn gather<'r>(&self, pieces: impl Iterator<Item = &'r [f64]>) -> Vec<f64>;
 }
 
+/// What one rank's subdomain factorization produced — the `factor_*` record
+/// of `solve_summary` and [`DdSolveOutput::factor`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FactorStats {
+    /// Stored entries of the strictly lower `L`.
+    pub nnz_l: u64,
+    /// `nnz(L)` over the strict lower triangle of the factored block.
+    pub fill: f64,
+    /// Flops of the factorization, charged to the rank clock.
+    pub flops: u64,
+    /// Heap bytes the factor holds.
+    pub bytes: u64,
+    /// Pivots skipped (the block's detected rank deficiency).
+    pub skipped: u64,
+}
+
+impl FactorStats {
+    fn of(factor: &SparseLdlt) -> Self {
+        FactorStats {
+            nnz_l: factor.nnz_l() as u64,
+            fill: factor.fill(),
+            flops: factor.factor_flops(),
+            bytes: factor.bytes() as u64,
+            skipped: factor.n_skipped() as u64,
+        }
+    }
+
+    /// One record for a whole run: the largest rank's sizes, the skipped
+    /// pivots summed over the ranks. `None` when no rank factored.
+    pub fn over_ranks(ranks: &[FactorStats]) -> Option<FactorStats> {
+        let mut total = *ranks.first()?;
+        for r in &ranks[1..] {
+            total.nnz_l = total.nnz_l.max(r.nnz_l);
+            total.fill = total.fill.max(r.fill);
+            total.flops = total.flops.max(r.flops);
+            total.bytes = total.bytes.max(r.bytes);
+            total.skipped += r.skipped;
+        }
+        Some(total)
+    }
+
+    /// The record as trace fields (`factor_*` keys).
+    pub fn fields(&self) -> Vec<(String, Value)> {
+        vec![
+            ("factor_nnz_l".to_string(), Value::U64(self.nnz_l)),
+            ("factor_fill".to_string(), Value::F64(self.fill)),
+            ("factor_flops".to_string(), Value::U64(self.flops)),
+            ("factor_bytes".to_string(), Value::U64(self.bytes)),
+            ("factor_skipped".to_string(), Value::U64(self.skipped)),
+        ]
+    }
+}
+
+/// What the rank-side preconditioner build recorded: the coarse build of a
+/// two-level spec, the subdomain factorization of a `direct` one.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PrecondBuildStats {
+    pub coarse: Option<CoarseBuildStats>,
+    pub factor: Option<FactorStats>,
+}
+
 /// The rank-side preconditioner build (the `precond-build` rank span): the
 /// two-level coarse space over the rank's operator `op` when the spec asks
 /// for one (`mult` and `d` are the dof multiplicity and scaling diagonal
 /// over the rank's rows), then the registry instantiation from the rank's
-/// scaled `local` matrix and the lazily assembled diagonal.
+/// scaled `local` matrix and the lazily assembled diagonal. A subdomain
+/// factorization is charged to the rank clock here, once.
 pub(crate) fn build_precond<Op>(
     op: &Op,
     coarse: Option<CoarsePlan<'_>>,
@@ -941,7 +1015,7 @@ pub(crate) fn build_precond<Op>(
     local: &CsrMatrix,
     diag: impl FnOnce() -> Vec<f64>,
     spec: &PrecondSpec,
-) -> (SpecPrecond, Option<CoarseBuildStats>)
+) -> (SpecPrecond, PrecondBuildStats)
 where
     Op: CoarseSetup + DistributedOperator,
 {
@@ -949,23 +1023,26 @@ where
     if let Some(t) = comm.tracer() {
         t.span_begin("precond-build", comm.virtual_time());
     }
-    let (solver, stats) = coarse
+    let (solver, coarse) = coarse
         .map(|plan| {
             let (built, stats) = build_rank_coarse(op, plan, mult, d);
             (built.solver(op.partition_weights()), stats)
         })
         .unzip();
     let precond = spec.instantiate(solver, Some(local), diag);
+    let factor = precond.subdomain_factor().map(FactorStats::of);
+    if let Some(f) = &factor {
+        comm.work(f.flops);
+    }
     if let Some(t) = comm.tracer() {
         t.span_end("precond-build", comm.virtual_time());
     }
-    (precond, stats)
+    (precond, PrecondBuildStats { coarse, factor })
 }
 
 /// What one rank returns: its piece of the solution and the convergence
-/// history per right-hand side, and the record of its coarse build
-/// (two-level specs only).
-type RankSolves = (Vec<DdResult>, Option<CoarseBuildStats>);
+/// history per right-hand side, and the record of its preconditioner build.
+type RankSolves = (Vec<DdResult>, PrecondBuildStats);
 
 /// The one rank body, over any [`Communicator`] — the raw [`ThreadComm`] in
 /// fault-free runs, a [`FaultyComm`] under chaos: setup and preconditioner
@@ -977,12 +1054,12 @@ fn rank_body<D: Decomposition, C: Communicator>(
     loads: Loads<'_>,
     cfg: &SolverConfig,
 ) -> Result<RankSolves, SolveError> {
-    let (rank, coarse) = parts.rank_setup(comm, coarse, cfg);
+    let (rank, built) = parts.rank_setup(comm, coarse, cfg);
     let mut ws = KrylovWorkspace::new();
     let solves = (0..loads.count())
         .map(|k| parts.rank_solve(comm, &rank, loads.get(k), cfg, &mut ws))
         .collect::<Result<_, _>>()?;
-    Ok((solves, coarse))
+    Ok((solves, built))
 }
 
 /// Splits the per-rank outcomes of a fallible run. A rank *panic* is a bug

@@ -28,8 +28,8 @@ use parfem_mesh::{
 use parfem_msg::{run_ranks, Communicator, MachineModel};
 use parfem_precond::twolevel::BuiltCoarse;
 use parfem_precond::{build_coarse_basis, CoarseBasis, CoarseSpec};
+use parfem_sparse::ldlt::DEFAULT_PIVOT_TOL;
 use parfem_sparse::scaling::scale_system;
-use parfem_sparse::skyline::DEFAULT_PIVOT_TOL;
 use proptest::prelude::*;
 
 /// What one rank built, with its mode entries renumbered to global dofs.
@@ -47,7 +47,7 @@ fn view(built: BuiltCoarse, stats: CoarseBuildStats, dofs: &[usize]) -> RankView
     RankView {
         dofs: dofs.to_vec(),
         a_c: built.a_c.to_dense(),
-        skipped: built.factor.skipped_modes(),
+        skipped: built.factor.skipped_modes().to_vec(),
         modes: built
             .modes
             .iter()

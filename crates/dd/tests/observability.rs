@@ -9,7 +9,7 @@
 //! the modeled parallel time is attributed to compute, a message in
 //! flight, or a collective on some rank.
 
-use parfem_dd::{PrecondSpec, Problem, SolveSession, SolverConfig, Strategy};
+use parfem_dd::{FactorStats, PrecondSpec, Problem, SolveSession, SolverConfig, Strategy};
 use parfem_fem::{assembly, Material};
 use parfem_krylov::gmres::GmresConfig;
 use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, PartitionerSpec, QuadMesh};
@@ -352,6 +352,29 @@ fn twolevel_setup_is_charged_traced_and_summarized() {
         .run()
         .unwrap();
     assert!(one.coarse.is_empty());
+
+    // A `direct` solve carries the `factor_*` record of its subdomain
+    // factorizations instead: the largest rank's sizes, skips summed.
+    let sink = TraceSink::recording();
+    let direct = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+        .strategy(Strategy::Rdd(NodePartition::strips_x(&mesh, 4)))
+        .config(cfg())
+        .precond(PrecondSpec::Direct)
+        .trace(&sink)
+        .run()
+        .unwrap();
+    let report = TraceReport::from_events(&sink.take_events());
+    let summary = report.solve.as_ref().expect("solve_summary");
+    assert!(summary.coarse.is_none());
+    let factor = summary.factor.as_ref().expect("factor record");
+    let want = FactorStats::over_ranks(&direct.factor).expect("four rank records");
+    assert_eq!(
+        (factor.nnz_l, factor.fill, factor.flops, factor.bytes),
+        (want.nnz_l, want.fill, want.flops, want.bytes)
+    );
+    assert_eq!(factor.skipped, 0);
+    let text = parfem_trace::render_convergence(&report);
+    assert!(text.contains("subdomain factor: nnz(L) = "), "{text}");
 }
 
 /// `run_multi` explains itself exactly as `run` does: one `solve_summary`

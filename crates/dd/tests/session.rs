@@ -275,6 +275,50 @@ fn from_systems_matches_mesh_level_session() {
     assert_bit_identical(&mesh_level, &prebuilt, "mesh-level vs from_systems");
 }
 
+/// The subdomain factorization is charged to the rank clocks, once per
+/// rank: with the Krylov loop cut off (`max_iters = 0`, so set-up and the
+/// initial residual are all that runs) a `direct` session counts exactly the
+/// factor's flops more than the same session without it — standalone and as
+/// a two-level smoother, EDD and RDD — and its modeled time grows.
+#[test]
+fn subdomain_factorization_is_charged_to_the_rank_clock() {
+    let (mesh, dm, mat, loads) = problem(12, 6);
+    let setup_only = |strategy: Strategy, spec: &str| {
+        let mut cfg = cfg();
+        cfg.gmres.max_iters = 0;
+        cfg.precond = PrecondSpec::parse(spec).unwrap();
+        SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+            .strategy(strategy)
+            .config(cfg)
+            .run()
+            .unwrap()
+    };
+    let strategies = [
+        Strategy::Edd(ElementPartition::strips_x(&mesh, 3)),
+        Strategy::Rdd(NodePartition::strips_x(&mesh, 3)),
+    ];
+    for strategy in strategies {
+        for (without, with) in [
+            ("none", "direct"),
+            ("twolevel:const:none", "twolevel:const:direct"),
+        ] {
+            let plain = setup_only(strategy.clone(), without);
+            let direct = setup_only(strategy.clone(), with);
+            assert!(plain.factor.is_empty(), "{without} factors nothing");
+            assert_eq!(direct.factor.len(), 3, "{with}: one record per rank");
+            for (r, f) in direct.factor.iter().enumerate() {
+                assert!(f.flops > 0 && f.nnz_l > 0 && f.fill >= 1.0, "{f:?}");
+                assert_eq!(
+                    direct.reports[r].stats.flops - plain.reports[r].stats.flops,
+                    f.flops,
+                    "{with} rank {r}: the factor is charged exactly once"
+                );
+            }
+            assert!(direct.modeled_time > plain.modeled_time, "{with}");
+        }
+    }
+}
+
 /// The transient driver runs through the session builder and converges at
 /// every step.
 #[test]

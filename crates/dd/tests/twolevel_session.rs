@@ -8,7 +8,7 @@
 //! its own baseline. On top of that, the constructions the paper's Eq. 45
 //! flags as fatal for local factorizations (floating subdomains with no
 //! Dirichlet rows, one-element parts with rank-deficient mode blocks) must
-//! produce well-posed coarse solves through the pivoting skyline LDLᵀ.
+//! produce well-posed coarse solves through the pivoting sparse LDLᵀ.
 
 mod common;
 
@@ -306,7 +306,7 @@ fn floating_subdomains_coarse_solve_is_well_posed() {
 /// **One-element subdomains**: every part is a single element, so each
 /// rigid-body mode block is maximally rank-deficient relative to its
 /// neighbours (shared interface dofs, duplicated constants). The pivoting
-/// skyline factorization drops the dependent modes and the solve still
+/// factorization drops the dependent modes and the solve still
 /// converges to the true solution.
 #[test]
 fn one_element_subdomains_produce_valid_coarse_blocks() {
@@ -330,7 +330,7 @@ fn one_element_subdomains_produce_valid_coarse_blocks() {
 #[test]
 fn rigid_body_modes_span_the_null_space_of_unconstrained_stiffness() {
     use parfem_precond::{build_coarse_basis, CoarseSpec};
-    use parfem_sparse::skyline::DEFAULT_PIVOT_TOL;
+    use parfem_sparse::ldlt::DEFAULT_PIVOT_TOL;
     use parfem_sparse::LinearOperator;
 
     let mesh = QuadMesh::cantilever(6, 3);

@@ -2,8 +2,7 @@
 
 use parfem_fem::{hex8, physics, quad4, tri3, Material};
 use parfem_mesh::{DofMap, Edge, Face, HexMesh, QuadMesh};
-use parfem_sparse::direct::SparseDirect;
-use parfem_sparse::skyline::DEFAULT_PIVOT_TOL;
+use parfem_sparse::ldlt::{SparseLdlt, DEFAULT_PIVOT_TOL};
 use proptest::prelude::*;
 
 /// Strategy: a convex, non-degenerate quadrilateral built by perturbing the
@@ -79,7 +78,7 @@ fn assert_spd(a: &parfem_sparse::CsrMatrix) {
             );
         }
     }
-    let factor = SparseDirect::factorize(a, DEFAULT_PIVOT_TOL);
+    let factor = SparseLdlt::factor(a, DEFAULT_PIVOT_TOL);
     assert_eq!(
         factor.n_skipped(),
         0,

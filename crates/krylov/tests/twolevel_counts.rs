@@ -1,7 +1,7 @@
 //! Golden iteration counts for two-level FGMRES: every (system, part
 //! count, coarse space, smoother) cell is pinned, so a silent convergence
 //! regression — in the coarse construction, the Galerkin assembly, the
-//! skyline solve, or the composition — fails loudly.
+//! coarse solve, or the composition — fails loudly.
 //!
 //! The systems are sequential analogues of the paper's meshes: 2-D 5-point
 //! Laplacians cut into hand-built strip partitions (the krylov crate sits
@@ -14,7 +14,7 @@ use parfem_krylov::gmres::{fgmres_with, GmresConfig};
 use parfem_krylov::KrylovWorkspace;
 use parfem_precond::twolevel::build_coarse_basis;
 use parfem_precond::{CoarsePartGeometry, PrecondSpec};
-use parfem_sparse::skyline::DEFAULT_PIVOT_TOL;
+use parfem_sparse::ldlt::DEFAULT_PIVOT_TOL;
 use parfem_sparse::{dense, scaling, CooMatrix, CsrMatrix};
 
 /// 2-D 5-point Laplacian on `nx × ny`, with a smooth non-constant load,

@@ -6,7 +6,7 @@
 
 use parfem_krylov::gmres::{fgmres_with, GmresConfig};
 use parfem_krylov::KrylovWorkspace;
-use parfem_precond::{GlsPrecond, IdentityPrecond, Preconditioner};
+use parfem_precond::{DirectPrecond, GlsPrecond, IdentityPrecond, Preconditioner};
 use parfem_sparse::{scaling, BcsrMatrix, CooMatrix, CsrMatrix, LinearOperator};
 use parfem_trace::alloc::{self, CountingAlloc};
 
@@ -144,4 +144,25 @@ fn every_kernel_variant_is_iteration_free() {
             "{label} allocated in the loop: 5 iters cost {d_short} calls, 80 iters cost {d_long}"
         );
     }
+}
+
+/// The exact subdomain solve is part of the loop under `direct`: once the
+/// factor is built, an application (permute, two triangular sweeps, permute
+/// back, through the preallocated scratch) must not allocate.
+#[test]
+fn direct_precond_apply_is_allocation_free() {
+    assert!(alloc::is_counting(), "counting allocator not installed");
+    let n = 64;
+    let a = laplacian(n);
+    let direct = DirectPrecond::new(&a);
+    let v = vec![1.0; n];
+    let mut z = vec![0.0; n];
+    let ((), delta) = alloc::measure(|| {
+        for _ in 0..8 {
+            direct.apply_into(&a, &v, &mut z);
+        }
+    });
+    assert_eq!(delta.count, 0, "direct apply allocated {delta:?}");
+    let az = a.spmv(&z);
+    assert!(az.iter().all(|r| (r - 1.0).abs() < 1e-12));
 }

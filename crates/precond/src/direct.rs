@@ -1,8 +1,8 @@
 //! Exact rank-local sparse direct preconditioning.
 //!
-//! [`DirectPrecond`] wraps the sparse direct solver of
-//! [`parfem_sparse::direct`] (deterministic RCM fill-reducing ordering over
-//! a pivot-tolerant profile LDLᵀ) as a [`Preconditioner`]: each application
+//! [`DirectPrecond`] wraps the sparse factorization of
+//! [`parfem_sparse::ldlt`] (a pivot-tolerant LDLᵀ under a deterministic
+//! minimum-degree ordering) as a [`Preconditioner`]: each application
 //! solves the factored rank-local matrix exactly, `z = A_local⁻¹ v`.
 //!
 //! Two properties make this the right comparator and smoother where ILU(0)
@@ -10,7 +10,7 @@
 //!
 //! - **Floating subdomains.** A subdomain with no Dirichlet boundary has a
 //!   singular local matrix and ILU(0) hits an exact zero pivot (the paper's
-//!   Eq. 45 failure path). The profile LDLᵀ underneath this preconditioner
+//!   Eq. 45 failure path). The sparse LDLᵀ underneath this preconditioner
 //!   pivot-shifts instead: rank-deficient directions are skipped and the
 //!   solve acts as a pseudo-inverse on the complement, so the
 //!   preconditioner stays well-defined.
@@ -28,7 +28,8 @@
 //! RDD block rows make that hook a no-op, leaving the apply purely local.
 
 use crate::{InterfaceConsistency, Preconditioner};
-use parfem_sparse::{CsrMatrix, LinearOperator, SparseDirect};
+use parfem_sparse::ldlt::DEFAULT_PIVOT_TOL;
+use parfem_sparse::{CsrMatrix, LinearOperator, SparseLdlt};
 use std::sync::{Arc, Mutex};
 
 /// An exact sparse-direct preconditioner over a rank-local matrix.
@@ -39,7 +40,7 @@ use std::sync::{Arc, Mutex};
 /// be handed across rank threads.
 #[derive(Debug)]
 pub struct DirectPrecond {
-    factor: Arc<SparseDirect>,
+    factor: Arc<SparseLdlt>,
     scratch: Mutex<Vec<f64>>,
 }
 
@@ -57,7 +58,7 @@ impl DirectPrecond {
     /// pivot tolerance. Singular local matrices (floating subdomains) are
     /// handled by the pivot-shift fallback — near-null pivots are detected
     /// and replaced at the stiffness scale (see
-    /// [`SparseDirect::set_null_shift`]), so the preconditioner is
+    /// [`SparseLdlt::set_null_shift`]), so the preconditioner is
     /// *nonsingular*: it solves exactly on the factorable complement and
     /// passes the rigid modes through instead of erasing them. A plain
     /// pseudo-inverse here is singular, and a singular preconditioner
@@ -67,7 +68,7 @@ impl DirectPrecond {
     /// # Panics
     /// Panics when `a` is not square.
     pub fn from_matrix(a: &CsrMatrix, pivot_tol: f64) -> Self {
-        let mut factor = SparseDirect::factorize(a, pivot_tol);
+        let mut factor = SparseLdlt::factor(a, pivot_tol);
         let shift = factor.diag_scale().max(1.0);
         factor.set_null_shift(shift);
         let scratch = Mutex::new(vec![0.0; factor.dim()]);
@@ -77,9 +78,9 @@ impl DirectPrecond {
         }
     }
 
-    /// Factors `a` with the skyline solver's default pivot tolerance.
+    /// Factors `a` with the factorization's default pivot tolerance.
     pub fn new(a: &CsrMatrix) -> Self {
-        Self::from_matrix(a, parfem_sparse::skyline::DEFAULT_PIVOT_TOL)
+        Self::from_matrix(a, DEFAULT_PIVOT_TOL)
     }
 
     /// Pivots the factorization skipped (0 on a nonsingular local matrix;
@@ -93,9 +94,10 @@ impl DirectPrecond {
         self.factor.dim()
     }
 
-    /// Local flops of one application, for the virtual-time model.
-    pub fn solve_flops(&self) -> u64 {
-        self.factor.solve_flops()
+    /// The factorization behind the applications — its size, fill and
+    /// flop counts are what the session records about the build.
+    pub fn factor(&self) -> &SparseLdlt {
+        &self.factor
     }
 }
 

@@ -16,8 +16,8 @@
 //! - [`jacobi`], [`identity`] — the trivial comparators,
 //! - [`ilu0`] — a [`Preconditioner`] wrapper around
 //!   [`parfem_sparse::Ilu0`], the sequential comparator of Figs. 11–12,
-//! - [`direct`] — the exact rank-local sparse direct solve (RCM-ordered
-//!   profile LDLᵀ), pivot-tolerant where ILU(0) fails on floating
+//! - [`direct`] — the exact rank-local sparse direct solve (minimum-degree
+//!   sparse LDLᵀ), pivot-tolerant where ILU(0) fails on floating
 //!   subdomains,
 //! - [`twolevel`] — the two-level coarse-space correction (per-subdomain
 //!   constant/rigid-body/low-rank modes, a directly factored Galerkin

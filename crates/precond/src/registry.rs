@@ -23,7 +23,7 @@ use crate::{
     ChebyshevPrecond, DirectPrecond, EscalatingGls, GlsPrecond, IdentityPrecond,
     InterfaceConsistency, IntervalUnion, JacobiPrecond, NeumannPrecond, Preconditioner,
 };
-use parfem_sparse::{CsrMatrix, LinearOperator};
+use parfem_sparse::{CsrMatrix, LinearOperator, SparseLdlt};
 use std::fmt;
 
 /// Which preconditioner a solver should build.
@@ -59,7 +59,7 @@ pub enum PrecondSpec {
         /// Applications per schedule stage.
         period: usize,
     },
-    /// Exact rank-local sparse direct solve (RCM-ordered profile LDLᵀ with
+    /// Exact rank-local sparse direct solve (minimum-degree sparse LDLᵀ with
     /// pivot skipping — well-defined even on floating subdomains where
     /// ILU(0) hits the paper's Eq. 45 zero pivot). Needs the rank-local
     /// matrix at build time — see [`PrecondSpec::instantiate`].
@@ -379,6 +379,16 @@ pub enum BuiltPrecond {
     Direct(DirectPrecond),
 }
 
+impl BuiltPrecond {
+    /// The subdomain factorization, when this is the `direct` spec.
+    pub fn subdomain_factor(&self) -> Option<&SparseLdlt> {
+        match self {
+            BuiltPrecond::Direct(p) => Some(p.factor()),
+            _ => None,
+        }
+    }
+}
+
 macro_rules! delegate {
     ($self:ident, $p:pat => $e:expr) => {
         match $self {
@@ -534,7 +544,7 @@ pub fn grammar_help() -> String {
         "{GRAMMAR}\n\
          none                 unpreconditioned FGMRES\n\
          jacobi               assembled-diagonal scaling\n\
-         direct               exact rank-local sparse direct solve (RCM + profile LDLt;\n\
+         direct               exact rank-local sparse direct solve (min-degree sparse LDLt;\n\
                               pivot-tolerant on floating subdomains where ILU(0) fails)\n\
          gls:M                degree-M generalized least-squares polynomial on (eps, 1)\n\
          neumann:M            degree-M Neumann series (omega = 1 after scaling)\n\

@@ -23,7 +23,7 @@
 //!   matrix whose hooks are no-ops,
 //! - [`CoarseSolver`] — the runtime object: sparse restriction
 //!   `y = Ẑᵀ v`, a cross-rank [`CoarseReduce::coarse_reduce`] sum, a
-//!   redundant skyline-LDLᵀ solve, and sparse prolongation `z += Ẑ y`,
+//!   redundant sparse-LDLᵀ solve, and sparse prolongation `z += Ẑ y`,
 //!   allocation-free after construction,
 //! - [`TwoLevelPrecond`] — the composition `z = M_s v + Ẑ A_c⁻¹ Ẑᵀ v`
 //!   (additive) or `z_c = Ẑ A_c⁻¹ Ẑᵀ v; z = z_c + M_s (v − A z_c)`
@@ -71,8 +71,7 @@
 use crate::registry::BuiltPrecond;
 use crate::{InterfaceConsistency, Preconditioner};
 use parfem_sparse::dense::{dot, sym_eigen_jacobi};
-use parfem_sparse::skyline::SkylineLdlt;
-use parfem_sparse::{CooMatrix, CsrMatrix, LinearOperator};
+use parfem_sparse::{CooMatrix, CsrMatrix, LinearOperator, SparseLdlt};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -426,8 +425,8 @@ pub struct BuiltCoarse {
     pub modes: Vec<LiveMode>,
     /// The Galerkin operator `A_c = Ẑᵀ A Ẑ` (identical on every rank).
     pub a_c: CsrMatrix,
-    /// Its skyline factorization (every rank factors its own copy).
-    pub factor: Arc<SkylineLdlt>,
+    /// Its factorization (every rank factors its own copy).
+    pub factor: Arc<SparseLdlt>,
     /// Sizes and smoothing constants of this build.
     pub info: CoarseBuildInfo,
 }
@@ -461,14 +460,14 @@ impl BuiltCoarse {
 pub struct CoarseBasis {
     /// Mode `m`'s sparse column: sorted `(global dof, Ẑ[dof, m])` pairs.
     /// Mode numbering is `part · modes_per_part + k`, with empty columns
-    /// kept (the skyline factorization pivots them out) so numbering never
+    /// kept (the factorization pivots them out) so numbering never
     /// depends on which parts happen to be constrained away.
     pub modes: Vec<Vec<(usize, f64)>>,
     /// The Galerkin coarse operator `Ẑᵀ A Ẑ`, symmetric bit for bit.
     pub a_c: CsrMatrix,
     /// Its factorization, shared by every [`CoarseSolver`] built from this
     /// basis.
-    pub factor: Arc<SkylineLdlt>,
+    pub factor: Arc<SparseLdlt>,
 }
 
 impl CoarseBasis {
@@ -563,7 +562,7 @@ pub fn build_coarse_basis(
 /// Deterministic: fixed mode numbering, products in stored row order, dots
 /// in ascending row order, the rank-ordered reduce. Rank-deficient mode
 /// blocks (fully-constrained parts, 1-element parts, duplicated modes)
-/// survive — the skyline factorization pivots them out rather than
+/// survive — the factorization pivots them out rather than
 /// failing, which is exactly where ILU(0) broke down on floating
 /// subdomains (the paper's Eq. 45 path).
 ///
@@ -646,7 +645,7 @@ pub fn build_coarse<Op: CoarseSetup + ?Sized>(
     }
     let lower = galerkin_lower(op, &rows, &modes, &mut scratch);
     let a_c = assemble_coarse_operator(op, n_modes, &lower);
-    let factor = SkylineLdlt::factor_csr(&a_c, pivot_tol);
+    let factor = SparseLdlt::factor(&a_c, pivot_tol);
     op.coarse_work(factor.factor_flops());
 
     let n_rows = rows.n_rows();
@@ -1106,8 +1105,9 @@ fn assemble_coarse_operator<Op: CoarseSetup + ?Sized>(
 /// (`Arc`) and solved redundantly on every rank after the deterministic
 /// [`CoarseReduce::coarse_reduce`], so no second communication round is
 /// needed and interface values agree bit for bit. Application is
-/// allocation-free: the coarse-vector buffer is preallocated (behind an
-/// uncontended `Mutex`, because application takes `&self`).
+/// allocation-free: the coarse vector and the solve's permutation scratch
+/// are preallocated (behind an uncontended `Mutex`, because application
+/// takes `&self`).
 #[derive(Debug)]
 pub struct CoarseSolver {
     n_modes: usize,
@@ -1119,7 +1119,8 @@ pub struct CoarseSolver {
     /// `(row, mode)` so shared dofs accumulate in identical order on every
     /// rank that holds them.
     prolong: Vec<(usize, usize, f64)>,
-    factor: Arc<SkylineLdlt>,
+    factor: Arc<SparseLdlt>,
+    /// The coarse vector `y` followed by the solve scratch, `n_modes` each.
     y: Mutex<Vec<f64>>,
 }
 
@@ -1130,7 +1131,7 @@ impl CoarseSolver {
         n_modes: usize,
         mut restrict: Vec<(usize, usize, f64)>,
         mut prolong: Vec<(usize, usize, f64)>,
-        factor: Arc<SkylineLdlt>,
+        factor: Arc<SparseLdlt>,
     ) -> Self {
         assert_eq!(factor.dim(), n_modes, "coarse factor dimension");
         restrict.sort_by_key(|&(r, m, _)| (m, r));
@@ -1140,7 +1141,7 @@ impl CoarseSolver {
             restrict,
             prolong,
             factor,
-            y: Mutex::new(vec![0.0; n_modes]),
+            y: Mutex::new(vec![0.0; 2 * n_modes]),
         }
     }
 
@@ -1150,7 +1151,7 @@ impl CoarseSolver {
     }
 
     /// Modes the coarse factorization pivoted out (rank-deficient blocks).
-    pub fn skipped_modes(&self) -> Vec<usize> {
+    pub fn skipped_modes(&self) -> &[usize] {
         self.factor.skipped_modes()
     }
 
@@ -1183,15 +1184,16 @@ impl CoarseSolver {
     }
 
     fn apply_impl<Op: CoarseReduce + ?Sized>(&self, op: &Op, v: &[f64], z: &mut [f64], add: bool) {
-        let mut y = self.y.lock().expect("coarse scratch lock");
+        let mut buffers = self.y.lock().expect("coarse scratch lock");
+        let (y, scratch) = buffers.split_at_mut(self.n_modes);
         for e in y.iter_mut() {
             *e = 0.0;
         }
         for &(r, m, w) in &self.restrict {
             y[m] += w * v[r];
         }
-        op.coarse_reduce(&mut y);
-        self.factor.solve_in_place(&mut y);
+        op.coarse_reduce(y);
+        self.factor.solve_in_place_with(y, scratch);
         if !add {
             for e in z.iter_mut() {
                 *e = 0.0;
@@ -1326,6 +1328,17 @@ pub enum SpecPrecond {
     Plain(BuiltPrecond),
     /// A two-level spec with its coarse solver attached.
     TwoLevel(TwoLevelPrecond<BuiltPrecond>),
+}
+
+impl SpecPrecond {
+    /// The subdomain factorization a `direct` spec holds, standalone or as
+    /// the smoother of a two-level spec.
+    pub fn subdomain_factor(&self) -> Option<&SparseLdlt> {
+        match self {
+            SpecPrecond::Plain(p) => p.subdomain_factor(),
+            SpecPrecond::TwoLevel(p) => p.smoother().subdomain_factor(),
+        }
+    }
 }
 
 impl<Op: LinearOperator + CoarseReduce + InterfaceConsistency + ?Sized> Preconditioner<Op>

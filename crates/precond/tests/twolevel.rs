@@ -13,7 +13,7 @@
 //! diagonally dominant, hence SPD — cut into random contiguous parts.
 
 use parfem_precond::{build_coarse_basis, CoarsePartGeometry, CoarseSpec};
-use parfem_sparse::skyline::DEFAULT_PIVOT_TOL;
+use parfem_sparse::ldlt::DEFAULT_PIVOT_TOL;
 use parfem_sparse::{CooMatrix, CsrMatrix};
 use proptest::prelude::*;
 

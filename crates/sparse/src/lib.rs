@@ -22,11 +22,10 @@
 //! - [`io`] — MatrixMarket import/export for reproducibility,
 //! - [`bcsr`] — 2×2 block-CSR storage, convertible to and from CSR without
 //!   loss; the one alternative to CSR, chosen by [`variant::KernelPolicy`],
-//! - [`skyline`] — a pivot-tolerant skyline/profile LDLᵀ direct solver for
-//!   the two-level preconditioner's Galerkin coarse operator,
-//! - [`direct`] — a general sparse direct solver (deterministic
-//!   fill-reducing RCM ordering + the profile LDLᵀ) used as the exact
-//!   `direct` subdomain preconditioner and sequential comparator,
+//! - [`ldlt`] — the one factorization: a pivot-tolerant sparse LDLᵀ under a
+//!   deterministic minimum-degree ordering, behind both the exact `direct`
+//!   subdomain preconditioner and the two-level preconditioner's Galerkin
+//!   coarse solve,
 //! - [`variant`] — the two-valued kernel policy (`scalar` | `bcsr`).
 //!
 //! All matrices are real, square-or-rectangular, `f64`-valued. Row and column
@@ -45,24 +44,22 @@ pub mod bcsr;
 pub mod coo;
 pub mod csr;
 pub mod dense;
-pub mod direct;
 pub mod error;
 pub mod gershgorin;
 pub mod ilu;
 pub mod io;
 pub mod kernels;
+pub mod ldlt;
 pub mod op;
 pub mod scaling;
-pub mod skyline;
 pub mod variant;
 
 pub use bcsr::BcsrMatrix;
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
-pub use direct::SparseDirect;
 pub use error::SparseError;
 pub use ilu::Ilu0;
+pub use ldlt::SparseLdlt;
 pub use op::LinearOperator;
 pub use scaling::DiagonalScaling;
-pub use skyline::SkylineLdlt;
 pub use variant::KernelPolicy;

@@ -304,7 +304,7 @@ fn floating_laplacian(n: usize) -> impl Strategy<Value = CsrMatrix> {
         })
 }
 
-// Sparse-direct contracts (PR 10): the fill-reducing profile LDL^T solver is
+// Sparse-direct contracts (PR 10): the fill-reducing LDL^T solver is
 // pinned against dense LU on well-conditioned subdomain-sized matrices, and
 // its pivot-skipping pseudo-inverse solves range RHS on floating (singular)
 // operators exactly where ILU(0) breaks down.
@@ -312,9 +312,9 @@ proptest! {
     #[test]
     fn direct_matches_dense_lu(a in spd_matrix(10),
                                xe in prop::collection::vec(-2.0..2.0f64, 10)) {
-        use parfem_sparse::direct::SparseDirect;
+        use parfem_sparse::ldlt::{SparseLdlt, DEFAULT_PIVOT_TOL};
         let b = a.spmv(&xe);
-        let factor = SparseDirect::factorize(&a, parfem_sparse::skyline::DEFAULT_PIVOT_TOL);
+        let factor = SparseLdlt::factor(&a, DEFAULT_PIVOT_TOL);
         prop_assert_eq!(factor.n_skipped(), 0);
         let mut z = b.clone();
         factor.solve_in_place(&mut z);
@@ -329,10 +329,9 @@ proptest! {
     #[test]
     fn direct_solve_is_deterministic(a in spd_matrix(9),
                                      b in prop::collection::vec(-3.0..3.0f64, 9)) {
-        use parfem_sparse::direct::SparseDirect;
-        let tol = parfem_sparse::skyline::DEFAULT_PIVOT_TOL;
-        let f1 = SparseDirect::factorize(&a, tol);
-        let f2 = SparseDirect::factorize(&a, tol);
+        use parfem_sparse::ldlt::{SparseLdlt, DEFAULT_PIVOT_TOL};
+        let f1 = SparseLdlt::factor(&a, DEFAULT_PIVOT_TOL);
+        let f2 = SparseLdlt::factor(&a, DEFAULT_PIVOT_TOL);
         prop_assert_eq!(f1.permutation(), f2.permutation());
         let mut z1 = b.clone();
         let mut z2 = b;
@@ -344,10 +343,10 @@ proptest! {
     #[test]
     fn direct_solves_floating_operators_on_range_rhs(a in floating_laplacian(11),
                                                      xe in prop::collection::vec(-2.0..2.0f64, 11)) {
-        use parfem_sparse::direct::SparseDirect;
+        use parfem_sparse::ldlt::{SparseLdlt, DEFAULT_PIVOT_TOL};
         // The constant mode is in the null space, so A xe is in the range.
         let b = a.spmv(&xe);
-        let factor = SparseDirect::factorize(&a, parfem_sparse::skyline::DEFAULT_PIVOT_TOL);
+        let factor = SparseLdlt::factor(&a, DEFAULT_PIVOT_TOL);
         prop_assert_eq!(factor.n_skipped(), 1, "chain Laplacian has one null mode");
         let mut z = b.clone();
         factor.solve_in_place(&mut z);

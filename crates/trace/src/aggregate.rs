@@ -137,6 +137,40 @@ pub struct SolveSummary {
     /// The rank-side coarse build of a two-level solve (absent for
     /// one-level preconditioners).
     pub coarse: Option<CoarseSetupSummary>,
+    /// The subdomain factorization of a solve under `direct` (absent
+    /// otherwise).
+    pub factor: Option<FactorSummary>,
+}
+
+/// What the subdomain factorizations produced — the `factor_*` fields of the
+/// `solve_summary` event: the largest rank's sizes, skipped pivots summed
+/// over the ranks.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FactorSummary {
+    /// Stored entries of the strictly lower `L`.
+    pub nnz_l: u64,
+    /// `nnz(L)` over the strict lower triangle of the factored block.
+    pub fill: f64,
+    /// Flops of one rank's factorization, as charged to its clock.
+    pub flops: u64,
+    /// Heap bytes one rank's factor holds.
+    pub bytes: u64,
+    /// Pivots skipped over all ranks.
+    pub skipped: u64,
+}
+
+impl FactorSummary {
+    /// Reads the `factor_*` fields of a `solve_summary` event; `None` when
+    /// it carries none.
+    pub fn from_event(ev: &TraceEvent) -> Option<Self> {
+        Some(FactorSummary {
+            nnz_l: ev.u64("factor_nnz_l")?,
+            fill: ev.f64("factor_fill").unwrap_or(0.0),
+            flops: ev.u64("factor_flops").unwrap_or(0),
+            bytes: ev.u64("factor_bytes").unwrap_or(0),
+            skipped: ev.u64("factor_skipped").unwrap_or(0),
+        })
+    }
 }
 
 /// What the two-level coarse build produced and what it charged to the rank
@@ -335,6 +369,7 @@ impl TraceReport {
                         alloc_count: ev.u64("alloc_count"),
                         alloc_bytes: ev.u64("alloc_bytes"),
                         coarse: CoarseSetupSummary::from_event(ev),
+                        factor: FactorSummary::from_event(ev),
                     });
                 }
                 _ => {}

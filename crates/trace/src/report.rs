@@ -191,6 +191,13 @@ pub fn render_convergence(report: &TraceReport) -> String {
                 fmt_secs(c.virtual_s)
             );
         }
+        if let Some(f) = &s.factor {
+            let _ = writeln!(
+                out,
+                "subdomain factor: nnz(L) = {} (fill {:.2}), {} flops and {} bytes on the largest rank, {} skipped pivots",
+                f.nnz_l, f.fill, f.flops, f.bytes, f.skipped
+            );
+        }
     }
     if report.iters.is_empty() {
         return out;
