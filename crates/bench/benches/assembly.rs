@@ -60,5 +60,25 @@ fn bench_assembly(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_assembly);
+/// One rank's share of the `elas3d-edd-twolevel` workload: the x-slab half
+/// of the 28×14×14 hex cantilever (2744 elements, 9450 local dofs).
+fn bench_hex_half_block(c: &mut Criterion) {
+    use parfem::mesh::{DofMap, Face, HexMesh};
+    let mesh = HexMesh::cantilever(28, 14, 14);
+    let mut dm = DofMap::with_dofs(mesh.n_nodes(), 3);
+    for node in mesh.face_nodes(Face::XMin) {
+        dm.clamp_node(node);
+    }
+    let loads = vec![0.0; dm.n_dofs()];
+    let mat = Material::unit();
+    let sub = &ElementPartition::blocks_of(&mesh, 2, 1).subdomains_of(&mesh)[0];
+    let mut group = c.benchmark_group("assembly_hex_half_block");
+    group.sample_size(20);
+    group.bench_function("build_hex", |b| {
+        b.iter(|| black_box(SubdomainSystem::build_hex(&mesh, &dm, &mat, sub, &loads)))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_assembly, bench_hex_half_block);
 criterion_main!(benches);

@@ -53,7 +53,6 @@ use crate::edd::EddOperator;
 use crate::error::SolveError;
 use crate::rdd::{RddOperator, RddSystem};
 use crate::solver::DistributedOperator;
-use parfem_fem::SubdomainSystem;
 use parfem_mesh::{DofMap, NodePartition};
 use parfem_msg::Communicator;
 use parfem_precond::twolevel::{
@@ -302,14 +301,16 @@ pub struct CoarsePlan<'a> {
 }
 
 /// Per-part coarse geometry of an EDD element partition: one part per
-/// subdomain system, dofs in the system's own local order.
+/// subdomain, given as the global dof of each of its local dofs, in the
+/// subdomain system's own local order.
 ///
-/// Constrained dofs are detected structurally: `build_from_elements`
-/// stores a Dirichlet row as a single diagonal entry, so a row whose only
-/// entry is its own diagonal carries no stiffness coupling and is excluded
-/// from the coarse modes. (A floating interior dof whose every in-part
-/// neighbour is constrained matches too — harmless, it merely leaves that
-/// dof to the smoother.)
+/// `constrained(part, local_dof)` says which dofs carry a Dirichlet
+/// condition and are excluded from the coarse modes: the `DofMap`'s flag
+/// for a mesh-level problem. Prebuilt systems have no `DofMap`; for them a
+/// row stored as a lone diagonal (how `SubdomainSystem` stores a Dirichlet
+/// row) counts. A floating interior dof whose every in-part neighbour is
+/// constrained matches that too — harmless, it merely leaves the dof to the
+/// smoother.
 ///
 /// `coords` are the mesh node positions (`z = 0` for 2-D meshes); prebuilt
 /// raw systems carry none, which leaves only the geometry-free coarse
@@ -322,9 +323,10 @@ pub struct CoarsePlan<'a> {
 /// [`SolveError::Config`] when `spec` is [`CoarseSpec::Rbm`] (plain or
 /// smoothed) and `coords` is `None`: rigid-body rotations need node
 /// positions.
-pub fn edd_part_geometry(
+pub fn edd_part_geometry<'a>(
     spec: &CoarseSpec,
-    systems: &[SubdomainSystem],
+    parts: impl Iterator<Item = &'a [usize]>,
+    constrained: impl Fn(usize, usize) -> bool,
     coords: Option<&[[f64; 3]]>,
     dofs_per_node: usize,
 ) -> Result<Vec<CoarsePartGeometry>, SolveError> {
@@ -337,24 +339,18 @@ pub fn edd_part_geometry(
                 .to_string(),
         });
     }
-    Ok(systems
-        .iter()
-        .map(|sys| {
-            let n = sys.global_dofs.len();
-            let mut geo = CoarsePartGeometry {
+    Ok(parts
+        .enumerate()
+        .map(|(part, global_dofs)| {
+            let n = global_dofs.len();
+            CoarsePartGeometry {
                 dofs: (0..n).collect(),
-                pos: Vec::with_capacity(n),
-                comp: Vec::with_capacity(n),
-                constrained: Vec::with_capacity(n),
-            };
-            for (l, &g) in sys.global_dofs.iter().enumerate() {
-                geo.comp.push(g % dofs_per_node);
-                geo.pos
-                    .push(coords.map_or([0.0; 3], |c| c[g / dofs_per_node]));
-                let (cols, _) = sys.k_local.row(l);
-                geo.constrained.push(cols.len() == 1 && cols[0] == l);
+                pos: (global_dofs.iter())
+                    .map(|&g| coords.map_or([0.0; 3], |c| c[g / dofs_per_node]))
+                    .collect(),
+                comp: global_dofs.iter().map(|&g| g % dofs_per_node).collect(),
+                constrained: (0..n).map(|l| constrained(part, l)).collect(),
             }
-            geo
         })
         .collect())
 }

@@ -12,8 +12,8 @@
 //! every update is the same linear combination on every sharing rank.
 
 use crate::dist_vec::ExchangeBuffers;
-use crate::edd::{edd_fgmres, edd_rank_setup, EddRank};
-use crate::session::{DdSolveOutput, Problem, ProblemMesh, SolverConfig};
+use crate::edd::{assemble_on_rank, edd_fgmres, edd_rank_setup, EddRank};
+use crate::session::{DdSolveOutput, Problem, SolverConfig};
 use parfem_fem::{NewmarkParams, SubdomainSystem};
 use parfem_krylov::history::{ConvergenceHistory, StopReason};
 use parfem_krylov::KrylovWorkspace;
@@ -37,7 +37,8 @@ pub struct DynamicRunOutput {
 }
 
 /// The transient engine behind [`SolveSession::run_dynamic`]
-/// (`crate::SolveSession`): one `run_ranks` launch whose rank body runs the
+/// (`crate::SolveSession`): one `run_ranks` launch whose rank body assembles
+/// its own stiffness and lumped mass ([`assemble_on_rank`]) and runs the
 /// session's EDD rank setup ([`edd_rank_setup`]) on the effective matrix —
 /// distributed scaling and the registry preconditioner, once — then
 /// time-steps with a warm-started, shared-workspace FGMRES per step. The
@@ -55,19 +56,12 @@ pub(crate) fn run_dynamic_edd(
     steps: usize,
     watch_dofs: &[usize],
 ) -> DynamicRunOutput {
-    let ProblemMesh::Quad(mesh) = problem.mesh() else {
-        unreachable!("run_dynamic admits 2-D elasticity only, which lives on a quadrilateral mesh")
-    };
-    let (dm, material, loads) = (problem.dof_map, problem.material, problem.loads);
+    let dm = problem.dof_map;
     for (d, v) in dm.fixed_dofs() {
         assert_eq!(v, 0.0, "dynamic driver requires homogeneous BCs (dof {d})");
     }
     let p = part.n_parts();
-    let systems: Vec<SubdomainSystem> = part
-        .subdomains(mesh)
-        .iter()
-        .map(|s| SubdomainSystem::build(mesh, dm, material, s, loads, Some(true)))
-        .collect();
+    let subdomains = problem.subdomains(part);
     let (alpha, beta) = params.effective_coefficients();
     let dt = params.dt;
     let nm_beta = params.beta;
@@ -75,7 +69,8 @@ pub(crate) fn run_dynamic_edd(
 
     type RankResult = (Vec<f64>, Vec<Vec<f64>>, usize, bool, ConvergenceHistory);
     let out = run_ranks(p, model, |comm| -> RankResult {
-        let sys = &systems[comm.rank()];
+        // Stiffness and lumped mass, assembled by the rank itself.
+        let sys = &assemble_on_rank(comm, problem, &subdomains[comm.rank()], Some(true));
         let n = sys.n_local_dofs();
 
         // Effective local matrix, its distributed scaling and the
@@ -222,9 +217,9 @@ pub(crate) fn run_dynamic_edd(
 
     // Gather.
     let mut u = vec![0.0; dm.n_dofs()];
-    for (rank, (ul, ..)) in out.results.iter().enumerate() {
-        for (l, &g) in systems[rank].global_dofs.iter().enumerate() {
-            u[g] = ul[l];
+    for (sub, (ul, ..)) in subdomains.iter().zip(&out.results) {
+        for (g, &v) in SubdomainSystem::global_dofs_of(dm, sub).into_iter().zip(ul) {
+            u[g] = v;
         }
     }
     let mut watch_histories = vec![Vec::new(); watch_dofs.len()];

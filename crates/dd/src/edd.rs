@@ -41,7 +41,7 @@ use crate::solver::{dd_fgmres, DdResult, DistributedOperator};
 use parfem_fem::SubdomainSystem;
 use parfem_krylov::gmres::GmresConfig;
 use parfem_krylov::KrylovWorkspace;
-use parfem_mesh::ElementPartition;
+use parfem_mesh::{ElementPartition, Subdomain};
 use parfem_msg::Communicator;
 use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSpec, SpecPrecond};
 use parfem_precond::{InterfaceConsistency, Preconditioner};
@@ -417,40 +417,82 @@ where
 /// The EDD side of the session engine's strategy seam: unassembled
 /// subdomain systems, scaled on the ranks (Algorithms 3–4).
 pub(crate) struct EddParts<'a> {
-    systems: Cow<'a, [SubdomainSystem]>,
+    input: EddInput<'a>,
     n_dofs: usize,
     dofs_per_node: usize,
-    /// The mesh-level problem — node positions for the coarse geometry, the
-    /// constraints to zero the fixed rows of a global load. Prebuilt
-    /// systems carry none (and `run_multi` refuses them).
-    problem: Option<&'a Problem<'a>>,
+}
+
+/// Where the ranks' subdomain systems come from.
+enum EddInput<'a> {
+    /// Caller-assembled systems, borrowed; they carry no node positions,
+    /// constraints or global loads (`run_multi` refuses them).
+    Prebuilt(&'a [SubdomainSystem]),
+    /// A mesh-level problem: the host keeps the subdomains and their dof
+    /// topology (what `gather` and the coarse geometry read), every rank
+    /// assembles its own system.
+    Mesh {
+        problem: &'a Problem<'a>,
+        subdomains: Vec<Subdomain>,
+        global_dofs: Vec<Vec<usize>>,
+    },
 }
 
 impl<'a> EddParts<'a> {
     /// Caller-assembled systems: 2-D elasticity numbering, no geometry.
     pub(crate) fn prebuilt(systems: &'a [SubdomainSystem], n_dofs: usize) -> Self {
         EddParts {
-            systems: Cow::Borrowed(systems),
+            input: EddInput::Prebuilt(systems),
             n_dofs,
             dofs_per_node: parfem_mesh::numbering::DOFS_PER_NODE,
-            problem: None,
         }
     }
 
-    /// Partitions the mesh and assembles the per-subdomain systems under
-    /// host-side spans.
-    pub(crate) fn assemble(p: &'a Problem<'a>, part: &ElementPartition, sink: &TraceSink) -> Self {
+    /// Partitions the mesh and numbers each subdomain's dofs under host-side
+    /// spans; no element matrix is computed here.
+    pub(crate) fn partition(p: &'a Problem<'a>, part: &ElementPartition, sink: &TraceSink) -> Self {
         let subdomains = host_span(sink, "partition", || p.subdomains(part));
-        let systems = host_span(sink, "assembly", || {
-            subdomains.iter().map(|s| p.build_subdomain(s)).collect()
+        let global_dofs = host_span(sink, "assembly", || {
+            (subdomains.iter())
+                .map(|s| SubdomainSystem::global_dofs_of(p.dof_map, s))
+                .collect()
         });
         EddParts {
-            systems: Cow::Owned(systems),
+            input: EddInput::Mesh {
+                problem: p,
+                subdomains,
+                global_dofs,
+            },
             n_dofs: p.dof_map.n_dofs(),
             dofs_per_node: p.dof_map.dofs_per_node(),
-            problem: Some(p),
         }
     }
+
+    /// The global dof of every local dof of `rank`.
+    fn global_dofs(&self, rank: usize) -> &[usize] {
+        match &self.input {
+            EddInput::Prebuilt(systems) => &systems[rank].global_dofs,
+            EddInput::Mesh { global_dofs, .. } => &global_dofs[rank],
+        }
+    }
+}
+
+/// Assembles this rank's subdomain system on the rank's own thread, under
+/// the rank span `assembly`. The span records wall time only: no flops are
+/// charged, so it has zero width on the virtual clock.
+pub(crate) fn assemble_on_rank<C: Communicator>(
+    comm: &C,
+    problem: &Problem<'_>,
+    sub: &Subdomain,
+    with_mass: Option<bool>,
+) -> SubdomainSystem {
+    if let Some(t) = comm.tracer() {
+        t.span_begin("assembly", comm.virtual_time());
+    }
+    let sys = problem.build_subdomain(sub, with_mass);
+    if let Some(t) = comm.tracer() {
+        t.span_end("assembly", comm.virtual_time());
+    }
+    sys
 }
 
 /// One EDD rank after its setup: interface layout, the Algorithm 3
@@ -511,11 +553,16 @@ pub(crate) fn edd_rank_setup<C: Communicator>(
     (rank, stats)
 }
 
-impl Decomposition for EddParts<'_> {
-    type Rank = EddRank;
+impl<'a> Decomposition for EddParts<'a> {
+    /// The rank's system — borrowed from the caller or assembled by the rank
+    /// itself — and its setup.
+    type Rank = (Cow<'a, SubdomainSystem>, EddRank);
 
     fn n_ranks(&self) -> usize {
-        self.systems.len()
+        match &self.input {
+            EddInput::Prebuilt(systems) => systems.len(),
+            EddInput::Mesh { subdomains, .. } => subdomains.len(),
+        }
     }
 
     fn dofs_per_node(&self) -> usize {
@@ -529,9 +576,22 @@ impl Decomposition for EddParts<'_> {
         }
     }
 
+    /// Constrained dofs come from the problem's `DofMap`; prebuilt systems
+    /// have none, so there a row that is a lone diagonal — how
+    /// `SubdomainSystem` stores a Dirichlet row — counts as constrained.
     fn coarse_geometry(&self, spec: &CoarseSpec) -> Result<Vec<CoarsePartGeometry>, SolveError> {
-        let coords = self.problem.map(|p| p.coords3());
-        edd_part_geometry(spec, &self.systems, coords.as_deref(), self.dofs_per_node)
+        let parts = (0..self.n_ranks()).map(|r| self.global_dofs(r));
+        match &self.input {
+            EddInput::Prebuilt(systems) => {
+                let lone_diagonal = |r: usize, l: usize| systems[r].k_local.row(l).0 == [l];
+                edd_part_geometry(spec, parts, lone_diagonal, None, self.dofs_per_node)
+            }
+            EddInput::Mesh { problem, .. } => {
+                let fixed = |r: usize, l: usize| problem.dof_map.is_fixed(self.global_dofs(r)[l]);
+                let coords = problem.coords3();
+                edd_part_geometry(spec, parts, fixed, Some(&coords), self.dofs_per_node)
+            }
+        }
     }
 
     fn rank_setup<C: Communicator>(
@@ -539,29 +599,41 @@ impl Decomposition for EddParts<'_> {
         comm: &C,
         coarse: Option<CoarsePlan<'_>>,
         cfg: &SolverConfig,
-    ) -> (EddRank, PrecondBuildStats) {
-        let sys = &self.systems[comm.rank()];
-        edd_rank_setup(comm, sys, &sys.k_local, coarse, cfg)
+    ) -> (Self::Rank, PrecondBuildStats) {
+        let sys = match &self.input {
+            EddInput::Prebuilt(systems) => Cow::Borrowed(&systems[comm.rank()]),
+            EddInput::Mesh {
+                problem,
+                subdomains,
+                ..
+            } => Cow::Owned(assemble_on_rank(
+                comm,
+                problem,
+                &subdomains[comm.rank()],
+                None,
+            )),
+        };
+        let (rank, stats) = edd_rank_setup(comm, &sys, &sys.k_local, coarse, cfg);
+        ((sys, rank), stats)
     }
 
     fn rank_solve<C: Communicator>(
         &self,
         comm: &C,
-        rank: &EddRank,
+        (sys, rank): &Self::Rank,
         load: Option<&[f64]>,
         cfg: &SolverConfig,
         ws: &mut KrylovWorkspace,
     ) -> Result<DdResult, SolveError> {
-        let sys = &self.systems[comm.rank()];
         // A global load becomes the local distributed one `SubdomainSystem`
         // assembles: entries split by multiplicity, constrained rows zeroed.
-        let b: Cow<'_, [f64]> = match load {
-            None => Cow::Borrowed(&rank.b),
-            Some(global) => {
-                let fixed = self
-                    .problem
-                    .expect("global loads need the mesh-level problem")
-                    .dof_map;
+        let b: Cow<'_, [f64]> = match (load, &self.input) {
+            (None, _) => Cow::Borrowed(&rank.b),
+            (Some(_), EddInput::Prebuilt(_)) => {
+                unreachable!("global loads need the mesh-level problem")
+            }
+            (Some(global), EddInput::Mesh { problem, .. }) => {
+                let fixed = problem.dof_map;
                 let mut b: Vec<f64> = (sys.global_dofs.iter().zip(&sys.multiplicity))
                     .map(|(&g, &m)| {
                         if fixed.is_fixed(g) {
@@ -593,8 +665,8 @@ impl Decomposition for EddParts<'_> {
     /// Global distributed values are identical on every sharing rank.
     fn gather<'r>(&self, pieces: impl Iterator<Item = &'r [f64]>) -> Vec<f64> {
         let mut u = vec![0.0; self.n_dofs];
-        for (sys, piece) in self.systems.iter().zip(pieces) {
-            for (&g, &v) in sys.global_dofs.iter().zip(piece) {
+        for (rank, piece) in pieces.enumerate() {
+            for (&g, &v) in self.global_dofs(rank).iter().zip(piece) {
                 u[g] = v;
             }
         }

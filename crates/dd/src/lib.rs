@@ -7,7 +7,8 @@
 //! - [`edd`] — the element-based distributed operator and the EDD flexible
 //!   GMRES, in both the basic (Algorithm 5, three interface exchanges per
 //!   Arnoldi step) and enhanced (Algorithm 6, one exchange) variants, plus
-//!   the EDD side of the session engine (rank-side scaling and setup),
+//!   the EDD side of the session engine (rank-side assembly, scaling and
+//!   setup),
 //! - [`rdd`] — the row-based (block-row) distributed operator and FGMRES
 //!   (Algorithm 8), the PSPARSLIB/Aztec-style baseline, plus the RDD side
 //!   of the session engine (host-side scaling and block-row split),

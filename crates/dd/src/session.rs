@@ -35,8 +35,9 @@
 //! [`SolveSession::run_multi`]) vs transient
 //! ([`SolveSession::run_dynamic`]). Any combination composes.
 //!
-//! `run` and `run_multi` are one engine: host prepare (partition, assembly,
-//! for RDD the global scaling) → coarse geometry → one rank launch, with
+//! `run` and `run_multi` are one engine: host prepare (partition; for RDD
+//! the global assembly and scaling — EDD ranks assemble their own
+//! subdomain systems) → coarse geometry → one rank launch, with
 //! one fault wrap → one rank body (setup, `precond-build`, then one FGMRES
 //! per right-hand side on a shared Krylov workspace) → collection, `gather`
 //! and the `solve_summary`. What EDD and RDD do differently sits
@@ -374,11 +375,20 @@ impl<'a> Problem<'a> {
     }
 
     /// Assembles one subdomain's unassembled local system for this
-    /// problem's physics.
-    pub(crate) fn build_subdomain(&self, sub: &Subdomain) -> SubdomainSystem {
+    /// problem's physics — with the (lumped or consistent) mass under
+    /// `with_mass`, which only 2-D elasticity has.
+    pub(crate) fn build_subdomain(
+        &self,
+        sub: &Subdomain,
+        with_mass: Option<bool>,
+    ) -> SubdomainSystem {
+        assert!(
+            with_mass.is_none() || self.physics == Physics::Elasticity2d,
+            "only 2-D elasticity assembles a mass"
+        );
         match (self.mesh, self.physics) {
             (ProblemMesh::Quad(m), Physics::Elasticity2d) => {
-                SubdomainSystem::build(m, self.dof_map, self.material, sub, self.loads, None)
+                SubdomainSystem::build(m, self.dof_map, self.material, sub, self.loads, with_mass)
             }
             (ProblemMesh::Quad(m), Physics::Heat2d) => {
                 SubdomainSystem::build_heat(m, self.dof_map, self.material, sub, self.loads)
@@ -639,7 +649,7 @@ impl<'a> SolveSession<'a> {
                 "prebuilt subdomain systems already encode the partition; do not set .strategy(..)"
             ),
             (SessionInput::Mesh(p), Some(Strategy::Edd(part))) => {
-                self.engine(loads, |sink| EddParts::assemble(p, part, sink))
+                self.engine(loads, |sink| EddParts::partition(p, part, sink))
             }
             (SessionInput::Mesh(p), Some(Strategy::Rdd(part))) => {
                 if self.cfg.gmres.kernels != KernelPolicy::Scalar {

@@ -78,7 +78,14 @@ fn edd_case(
         .collect();
     let coords = coords3(mesh);
     let dpn = dm.dofs_per_node();
-    let geos = edd_part_geometry(spec, &systems, Some(&coords), dpn).expect("mesh has coordinates");
+    let geos = edd_part_geometry(
+        spec,
+        systems.iter().map(|s| s.global_dofs.as_slice()),
+        |rank, l| dm.is_fixed(systems[rank].global_dofs[l]),
+        Some(&coords),
+        dpn,
+    )
+    .expect("mesh has coordinates");
     let out = run_ranks(systems.len(), MachineModel::ideal(), |comm| {
         let sys = &systems[comm.rank()];
         let mut layout = EddLayout::from_system(sys);

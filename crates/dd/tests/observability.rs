@@ -179,14 +179,20 @@ fn trace_report_matches_comm_stats_under_faults_and_overlap() {
         "exchanges"
     );
 
-    // Phase coverage: scaling + precond-build + fgmres tile each rank's
-    // virtual timeline, so their virtual durations sum to its final clock.
+    // Phase coverage: assembly (wall time only, zero virtual width) +
+    // scaling + precond-build + fgmres tile each rank's virtual timeline,
+    // so their virtual durations sum to its final clock.
     assert_eq!(report.nranks(), 4);
     for r in &report.ranks {
+        let assembly = r.phases.first().expect("rank spans");
+        assert_eq!(assembly.name, "assembly", "rank {}", r.rank);
+        assert!(assembly.virt_s == 0.0 && assembly.wall_s > 0.0);
         let phase_sum: f64 = r
             .phases
             .iter()
-            .filter(|p| ["scaling", "precond-build", "fgmres"].contains(&p.name.as_str()))
+            .filter(|p| {
+                ["assembly", "scaling", "precond-build", "fgmres"].contains(&p.name.as_str())
+            })
             .map(|p| p.virt_s)
             .sum();
         assert!(
@@ -296,7 +302,12 @@ fn twolevel_setup_is_charged_traced_and_summarized() {
                     .map(|p| p.virt_s)
                     .sum::<f64>()
             };
-            let top = virt("scaling") + virt("precond-build") + virt("fgmres");
+            // Only EDD ranks assemble; theirs is a leading span of zero
+            // virtual width.
+            let assembled = r.phases.iter().any(|p| p.name == "assembly");
+            assert_eq!(assembled, name == "edd", "{name}");
+            let top = virt("assembly") + virt("scaling") + virt("precond-build") + virt("fgmres");
+            assert_eq!(virt("assembly"), 0.0, "{name}");
             assert!(
                 (top - r.final_virt).abs() <= 1e-9 * r.final_virt,
                 "{name} rank {}: spans sum to {top} but the rank ends at {}",
@@ -446,13 +457,15 @@ fn run_multi_is_summarized_and_its_rank_spans_tile_the_timeline() {
                 .collect();
             let mut want = vec!["precond-build", "fgmres", "fgmres", "fgmres"];
             if is_edd {
-                want.insert(0, "scaling");
+                want.splice(0..0, ["assembly", "scaling"]);
             }
             assert_eq!(opened, want, "rank {}", r.rank);
             let top: f64 = r
                 .phases
                 .iter()
-                .filter(|p| ["scaling", "precond-build", "fgmres"].contains(&p.name.as_str()))
+                .filter(|p| {
+                    ["assembly", "scaling", "precond-build", "fgmres"].contains(&p.name.as_str())
+                })
                 .map(|p| p.virt_s)
                 .sum();
             assert!(

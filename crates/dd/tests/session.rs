@@ -251,28 +251,43 @@ fn run_multi_matches_independent_single_runs() {
     }
 }
 
-/// `from_systems` (prebuilt subdomain systems) equals the mesh-level path
-/// for the same partition.
+/// `from_systems` (systems the caller assembled, borrowed by the ranks)
+/// equals the mesh-level path (every rank assembles its own) bit for bit,
+/// one- and two-level, for one to three ranks. Prebuilt systems carry no
+/// node coordinates, so the rigid-body coarse space is a typed refusal.
 #[test]
 fn from_systems_matches_mesh_level_session() {
     let (mesh, dm, mat, loads) = problem(8, 3);
-    let part = ElementPartition::strips_x(&mesh, 3);
-    let systems: Vec<SubdomainSystem> = part
-        .subdomains(&mesh)
-        .iter()
-        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
-        .collect();
-
-    let mesh_level = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-        .strategy(Strategy::Edd(part))
-        .config(cfg())
-        .run()
-        .unwrap();
-    let prebuilt = SolveSession::from_systems(&systems, dm.n_dofs())
-        .config(cfg())
-        .run()
-        .unwrap();
-    assert_bit_identical(&mesh_level, &prebuilt, "mesh-level vs from_systems");
+    for p in 1..=3 {
+        let part = ElementPartition::strips_x(&mesh, p);
+        let systems: Vec<SubdomainSystem> = part
+            .subdomains(&mesh)
+            .iter()
+            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
+            .collect();
+        for spec in ["gls:5", "gls:7", "twolevel:const:gls-3"] {
+            let spec = PrecondSpec::parse(spec).unwrap();
+            let rank_built = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+                .strategy(Strategy::Edd(part.clone()))
+                .config(cfg())
+                .precond(spec.clone())
+                .run()
+                .unwrap();
+            assert!(rank_built.history.converged());
+            let caller_built = SolveSession::from_systems(&systems, dm.n_dofs())
+                .config(cfg())
+                .precond(spec.clone())
+                .run()
+                .unwrap();
+            let what = format!("rank-built vs caller-built, {} on {p} ranks", spec.name());
+            assert_bit_identical(&rank_built, &caller_built, &what);
+        }
+        let refused = SolveSession::from_systems(&systems, dm.n_dofs())
+            .precond(PrecondSpec::parse("twolevel:rbm:gls-3").unwrap())
+            .run()
+            .unwrap_err();
+        assert!(refused.is_config_error(), "{refused}");
+    }
 }
 
 /// The subdomain factorization is charged to the rank clocks, once per

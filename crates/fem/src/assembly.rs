@@ -4,11 +4,17 @@
 //! replaced by the identity row `u_i = ū_i` and the coupling entries are
 //! moved to the right-hand side. No renumbering ever happens — the property
 //! the element-based decomposition exploits (paper claim ii).
+//!
+//! Every assembled matrix of the crate — the global `assemble_*` here and in
+//! [`crate::tri3`], [`crate::quad8s`], [`crate::truss`], and the
+//! per-subdomain systems of [`crate::subdomain`] — is built by one
+//! pattern-first core, `assemble`: it never holds triplets, and it sums
+//! duplicate contributions in ascending element order.
 
 use crate::material::Material;
 use crate::{hex8, physics, quad4};
 use parfem_mesh::{DofMap, Edge, Face, HexMesh, QuadMesh, TriMesh};
-use parfem_sparse::{CooMatrix, CsrMatrix};
+use parfem_sparse::CsrMatrix;
 
 /// A fully assembled, boundary-condition-applied static system `K u = f`.
 #[derive(Debug, Clone)]
@@ -19,17 +25,225 @@ pub struct StaticSystem {
     pub rhs: Vec<f64>,
 }
 
+/// The CSR sparsity pattern of an element assembly: the result of the
+/// symbolic pass, and the addressing of the numeric one.
+struct Pattern {
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+}
+
+/// Sorted node neighbourhoods (a node's neighbours are the nodes of the
+/// elements touching it, itself included) in CSR form, from the flattened
+/// `npe`-nodes-per-element connectivity `conn`.
+fn node_graph(n_nodes: usize, npe: usize, conn: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    // Node-to-element adjacency by counting sort.
+    let mut elems_ptr = vec![0usize; n_nodes + 1];
+    for &n in conn {
+        elems_ptr[n + 1] += 1;
+    }
+    for n in 0..n_nodes {
+        elems_ptr[n + 1] += elems_ptr[n];
+    }
+    let mut elems = vec![0usize; conn.len()];
+    let mut next = elems_ptr.clone();
+    for (k, &n) in conn.iter().enumerate() {
+        elems[next[n]] = k / npe;
+        next[n] += 1;
+    }
+    let mut nbr_ptr = Vec::with_capacity(n_nodes + 1);
+    let mut nbrs = Vec::new();
+    let mut seen_by = vec![usize::MAX; n_nodes];
+    nbr_ptr.push(0);
+    for n in 0..n_nodes {
+        let first = nbrs.len();
+        for &e in &elems[elems_ptr[n]..elems_ptr[n + 1]] {
+            for &m in &conn[e * npe..(e + 1) * npe] {
+                if seen_by[m] != n {
+                    seen_by[m] = n;
+                    nbrs.push(m);
+                }
+            }
+        }
+        nbrs[first..].sort_unstable();
+        nbr_ptr.push(nbrs.len());
+    }
+    (nbr_ptr, nbrs)
+}
+
+impl Pattern {
+    /// The dof-level pattern over a node graph with `dpn` interleaved dofs
+    /// per node: a free row holds the free dofs of its node's neighbours,
+    /// ascending; a constrained row holds its lone diagonal when
+    /// `fixed_diag` (stiffness) and nothing otherwise (mass); constrained
+    /// columns are left out. Sized exactly before it is filled.
+    fn over(
+        (nbr_ptr, nbrs): &(Vec<usize>, Vec<usize>),
+        dpn: usize,
+        fixed: &[bool],
+        fixed_diag: bool,
+    ) -> Self {
+        let n_nodes = nbr_ptr.len() - 1;
+        let nbrs_of = |n: usize| &nbrs[nbr_ptr[n]..nbr_ptr[n + 1]];
+        let free_dofs = |m: usize| (m * dpn..(m + 1) * dpn).filter(|&d| !fixed[d]);
+        let mut row_ptr = Vec::with_capacity(n_nodes * dpn + 1);
+        row_ptr.push(0);
+        for n in 0..n_nodes {
+            let free_len: usize = nbrs_of(n).iter().map(|&m| free_dofs(m).count()).sum();
+            for r in n * dpn..(n + 1) * dpn {
+                let len = if fixed[r] {
+                    fixed_diag as usize
+                } else {
+                    free_len
+                };
+                row_ptr.push(row_ptr[r] + len);
+            }
+        }
+        let mut col_idx = Vec::with_capacity(row_ptr[n_nodes * dpn]);
+        for r in 0..n_nodes * dpn {
+            if fixed[r] {
+                col_idx.extend(fixed_diag.then_some(r));
+            } else {
+                col_idx.extend(nbrs_of(r / dpn).iter().flat_map(|&m| free_dofs(m)));
+            }
+        }
+        Pattern { row_ptr, col_idx }
+    }
+
+    /// Adds the dense row-major `block` of the element over `nodes` (`dpn`
+    /// interleaved dofs each) into `values`. Constrained rows are skipped;
+    /// an entry in a constrained column goes to `lift(row, col, value)`
+    /// instead of the matrix.
+    fn add_block(
+        &self,
+        values: &mut [f64],
+        nodes: &[usize],
+        dpn: usize,
+        block: &[f64],
+        fixed: &[bool],
+        mut lift: impl FnMut(usize, usize, f64),
+    ) {
+        let nd = nodes.len() * dpn;
+        let first_free = |n: usize| (n * dpn..(n + 1) * dpn).find(|&d| !fixed[d]);
+        for (ia, &a) in nodes.iter().enumerate() {
+            // The free rows of one node share their column list, in which a
+            // node's free dofs are adjacent: one search per node pair.
+            let Some(r0) = first_free(a) else { continue };
+            let cols = &self.col_idx[self.row_ptr[r0]..self.row_ptr[r0 + 1]];
+            for (ib, &b) in nodes.iter().enumerate() {
+                let at = first_free(b).map_or(0, |c0| {
+                    cols.binary_search(&c0)
+                        .expect("the pattern holds every free dof pair of an element")
+                });
+                for ca in (0..dpn).filter(|&ca| !fixed[a * dpn + ca]) {
+                    let r = a * dpn + ca;
+                    let entries = &block[(ia * dpn + ca) * nd + ib * dpn..][..dpn];
+                    let mut p = self.row_ptr[r] + at;
+                    for (cb, &v) in entries.iter().enumerate() {
+                        if fixed[b * dpn + cb] {
+                            lift(r, b * dpn + cb, v);
+                        } else {
+                            values[p] += v;
+                            p += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A zero per entry, written front to back rather than left as
+    /// `vec![0.0; n]`'s untouched zero pages: when the scatter's strided
+    /// writes are the first touch, on several rank threads at once, the page
+    /// faults make the numeric pass two to three times slower.
+    fn zeros(&self) -> Vec<f64> {
+        let mut values = Vec::with_capacity(self.col_idx.len());
+        values.resize(self.col_idx.len(), 0.0);
+        values
+    }
+
+    fn into_csr(self, values: Vec<f64>) -> CsrMatrix {
+        let n = self.row_ptr.len() - 1;
+        CsrMatrix::from_raw_parts(n, n, self.row_ptr, self.col_idx, values)
+            .expect("the symbolic pass produces valid CSR")
+    }
+}
+
+/// The one assembly core: a symbolic pass builds the CSR pattern from the
+/// element connectivity, then a numeric pass walks the elements in the order
+/// `conn` lists them and adds each dense element matrix into the preallocated
+/// values. Duplicate contributions to an entry are therefore summed **in
+/// ascending element order** — the summation-order contract of every
+/// assembled matrix in this crate.
+///
+/// `conn` holds `npe` node ids per element, in the numbering of the matrix
+/// rows (dof `dpn * node + c`). `fixed` flags the constrained dofs and
+/// `prescribed` holds their values: a constrained row keeps a lone zero
+/// diagonal for the caller to set, a constrained column is left out of the
+/// pattern and its entries move to the right-hand side per element,
+/// `rhs[row] -= k_rc * prescribed[col]`. `element(k, ke, me)` fills the
+/// stiffness (and, when `with_mass`, the mass) of the `k`-th listed element
+/// into caller-owned row-major buffers. The mass shares the stiffness
+/// pattern with the constrained rows emptied and lifts nothing.
+#[allow(clippy::too_many_arguments)] // one entry for every assembly in the crate
+pub(crate) fn assemble(
+    n_nodes: usize,
+    dpn: usize,
+    npe: usize,
+    conn: &[usize],
+    fixed: &[bool],
+    prescribed: &[f64],
+    rhs: &mut [f64],
+    with_mass: bool,
+    mut element: impl FnMut(usize, &mut [f64], Option<&mut [f64]>),
+) -> (CsrMatrix, Option<CsrMatrix>) {
+    assert_eq!(fixed.len(), n_nodes * dpn, "constraint flags do not match");
+    let graph = node_graph(n_nodes, npe, conn);
+    let k_pat = Pattern::over(&graph, dpn, fixed, true);
+    let m_pat = with_mass.then(|| Pattern::over(&graph, dpn, fixed, false));
+    drop(graph);
+    let mut k_vals = k_pat.zeros();
+    let mut m_vals = m_pat.as_ref().map(Pattern::zeros);
+
+    let nd = npe * dpn;
+    let mut ke = vec![0.0; nd * nd];
+    let mut me = with_mass.then(|| vec![0.0; nd * nd]);
+    for (k, nodes) in conn.chunks_exact(npe).enumerate() {
+        element(k, &mut ke, me.as_deref_mut());
+        k_pat.add_block(&mut k_vals, nodes, dpn, &ke, fixed, |r, c, v| {
+            rhs[r] -= v * prescribed[c];
+        });
+        if let (Some(pat), Some(vals), Some(me)) = (&m_pat, &mut m_vals, &me) {
+            pat.add_block(vals, nodes, dpn, me, fixed, |_, _, _| {});
+        }
+    }
+    (
+        k_pat.into_csr(k_vals),
+        m_pat.zip(m_vals).map(|(p, v)| p.into_csr(v)),
+    )
+}
+
+/// Raw (unconstrained) global assembly of one element family over the
+/// nodes of `dm`: `nodes_of(e)` and `block_of(e)` are the nodes and the dense
+/// matrix of element `e` of `n_elems`.
+pub(crate) fn assemble_raw<const N: usize, const M: usize>(
+    dm: &DofMap,
+    n_elems: usize,
+    nodes_of: impl Fn(usize) -> [usize; N],
+    mut block_of: impl FnMut(usize) -> [f64; M],
+) -> CsrMatrix {
+    let conn: Vec<usize> = (0..n_elems).flat_map(nodes_of).collect();
+    let free = vec![false; dm.n_dofs()];
+    let (n_nodes, dpn) = (dm.n_nodes(), dm.dofs_per_node());
+    let fill = |e: usize, ke: &mut [f64], _: Option<&mut [f64]>| ke.copy_from_slice(&block_of(e));
+    assemble(n_nodes, dpn, N, &conn, &free, &[], &mut [], false, fill).0
+}
+
 /// Assembles the raw global stiffness matrix (no boundary conditions).
 pub fn assemble_stiffness(mesh: &QuadMesh, dm: &DofMap, material: &Material) -> CsrMatrix {
-    let n = dm.n_dofs();
-    // Each Q4 element contributes a dense 8x8 block.
-    let mut coo = CooMatrix::with_capacity(n, n, mesh.n_elems() * 64);
-    for e in 0..mesh.n_elems() {
-        let ke = quad4::stiffness(&mesh.elem_coords(e), material);
-        let dofs = dm.elem_dofs(mesh.elem_nodes(e));
-        coo.push_block(&dofs, &ke).expect("element dofs in bounds");
-    }
-    coo.to_csr()
+    let nodes_of = |e| mesh.elem_nodes(e);
+    assemble_raw(dm, mesh.n_elems(), nodes_of, |e| {
+        quad4::stiffness(&mesh.elem_coords(e), material)
+    })
 }
 
 /// Assembles the raw global stiffness of an unstructured quadrilateral
@@ -39,14 +253,10 @@ pub fn assemble_stiffness_generic(
     dm: &DofMap,
     material: &Material,
 ) -> CsrMatrix {
-    let n = dm.n_dofs();
-    let mut coo = CooMatrix::with_capacity(n, n, mesh.n_elems() * 64);
-    for e in 0..mesh.n_elems() {
-        let ke = quad4::stiffness(&mesh.elem_coords(e), material);
-        let dofs = dm.elem_dofs(mesh.elem_nodes(e));
-        coo.push_block(&dofs, &ke).expect("element dofs in bounds");
-    }
-    coo.to_csr()
+    let nodes_of = |e| mesh.elem_nodes(e);
+    assemble_raw(dm, mesh.n_elems(), nodes_of, |e| {
+        quad4::stiffness(&mesh.elem_coords(e), material)
+    })
 }
 
 /// Assembles the raw scalar conduction stiffness of a quad mesh (no
@@ -57,18 +267,10 @@ pub fn assemble_stiffness_heat(mesh: &QuadMesh, dm: &DofMap, material: &Material
         1,
         "heat assembly needs a scalar DOF map"
     );
-    let n = dm.n_dofs();
-    let mut coo = CooMatrix::with_capacity(n, n, mesh.n_elems() * 16);
-    for e in 0..mesh.n_elems() {
-        let ke = physics::heat_stiffness_quad4(&mesh.elem_coords(e), material);
-        let nodes = mesh.elem_nodes(e);
-        let mut dofs = [0usize; 4];
-        for (k, &nd) in nodes.iter().enumerate() {
-            dofs[k] = dm.dof(nd, 0);
-        }
-        coo.push_block(&dofs, &ke).expect("element dofs in bounds");
-    }
-    coo.to_csr()
+    let nodes_of = |e| mesh.elem_nodes(e);
+    assemble_raw(dm, mesh.n_elems(), nodes_of, |e| {
+        physics::heat_stiffness_quad4(&mesh.elem_coords(e), material)
+    })
 }
 
 /// Assembles the raw scalar conduction stiffness of a triangle mesh (no
@@ -79,18 +281,10 @@ pub fn assemble_stiffness_heat_tri(mesh: &TriMesh, dm: &DofMap, material: &Mater
         1,
         "heat assembly needs a scalar DOF map"
     );
-    let n = dm.n_dofs();
-    let mut coo = CooMatrix::with_capacity(n, n, mesh.n_elems() * 9);
-    for e in 0..mesh.n_elems() {
-        let ke = physics::heat_stiffness_tri3(&mesh.elem_coords(e), material);
-        let nodes = mesh.elem_nodes(e);
-        let mut dofs = [0usize; 3];
-        for (k, &nd) in nodes.iter().enumerate() {
-            dofs[k] = dm.dof(nd, 0);
-        }
-        coo.push_block(&dofs, &ke).expect("element dofs in bounds");
-    }
-    coo.to_csr()
+    let nodes_of = |e| mesh.elem_nodes(e);
+    assemble_raw(dm, mesh.n_elems(), nodes_of, |e| {
+        physics::heat_stiffness_tri3(&mesh.elem_coords(e), material)
+    })
 }
 
 /// Assembles the raw 3-D elasticity stiffness of a hex mesh (no boundary
@@ -101,20 +295,10 @@ pub fn assemble_stiffness_hex(mesh: &HexMesh, dm: &DofMap, material: &Material) 
         3,
         "hex8 assembly needs a 3-DOF-per-node map"
     );
-    let n = dm.n_dofs();
-    let mut coo = CooMatrix::with_capacity(n, n, mesh.n_elems() * 576);
-    for e in 0..mesh.n_elems() {
-        let ke = hex8::stiffness(&mesh.elem_coords(e), material);
-        let nodes = mesh.elem_nodes(e);
-        let mut dofs = [0usize; 24];
-        for (k, &nd) in nodes.iter().enumerate() {
-            for c in 0..3 {
-                dofs[3 * k + c] = dm.dof(nd, c);
-            }
-        }
-        coo.push_block(&dofs, &ke).expect("element dofs in bounds");
-    }
-    coo.to_csr()
+    let nodes_of = |e| mesh.elem_nodes(e);
+    assemble_raw(dm, mesh.n_elems(), nodes_of, |e| {
+        hex8::stiffness(&mesh.elem_coords(e), material)
+    })
 }
 
 /// Assembles the raw global mass matrix (no boundary conditions).
@@ -122,23 +306,61 @@ pub fn assemble_stiffness_hex(mesh: &HexMesh, dm: &DofMap, material: &Material) 
 /// With `lumped = true` the row-sum lumped (diagonal) element mass is used;
 /// otherwise the consistent mass.
 pub fn assemble_mass(mesh: &QuadMesh, dm: &DofMap, material: &Material, lumped: bool) -> CsrMatrix {
-    let n = dm.n_dofs();
-    let mut coo = CooMatrix::with_capacity(n, n, mesh.n_elems() * 64);
-    for e in 0..mesh.n_elems() {
-        let dofs = dm.elem_dofs(mesh.elem_nodes(e));
-        if lumped {
-            // Scatter only the diagonal so the global matrix stays diagonal.
-            let me = quad4::lumped_mass(&mesh.elem_coords(e), material);
-            for (i, &d) in dofs.iter().enumerate() {
-                coo.push(d, d, me[i * 8 + i])
-                    .expect("element dofs in bounds");
+    if !lumped {
+        let nodes_of = |e| mesh.elem_nodes(e);
+        return assemble_raw(dm, mesh.n_elems(), nodes_of, |e| {
+            quad4::consistent_mass(&mesh.elem_coords(e), material)
+        });
+    }
+    // Only the diagonal is scattered, so the global matrix stays diagonal:
+    // every element dof is its own one-node, one-dof "element".
+    let dofs = DofMap::with_dofs(dm.n_dofs(), 1);
+    let dof_of = |k: usize| [dm.elem_dofs(mesh.elem_nodes(k / 8))[k % 8]];
+    let mut me = (usize::MAX, [0.0; 64]);
+    assemble_raw(&dofs, mesh.n_elems() * 8, dof_of, |k| {
+        if me.0 != k / 8 {
+            me = (
+                k / 8,
+                quad4::lumped_mass(&mesh.elem_coords(k / 8), material),
+            );
+        }
+        [me.1[(k % 8) * 9]]
+    })
+}
+
+/// Copies the rows of an assembled matrix with the constrained columns
+/// dropped. With a right-hand side (stiffness) a constrained row becomes the
+/// unit diagonal and dropped entries move to `rhs`; without one (mass) a
+/// constrained row is emptied.
+fn constrain(k: &CsrMatrix, dm: &DofMap, mut rhs: Option<&mut [f64]>) -> CsrMatrix {
+    let n = k.n_rows();
+    assert_eq!(n, dm.n_dofs(), "matrix does not match DOF map");
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    let mut col_idx = Vec::with_capacity(k.nnz());
+    let mut values = Vec::with_capacity(k.nnz());
+    row_ptr.push(0);
+    for r in 0..n {
+        if dm.is_fixed(r) {
+            if let Some(rhs) = &mut rhs {
+                col_idx.push(r);
+                values.push(1.0);
+                rhs[r] = dm.fixed_value(r);
             }
         } else {
-            let me = quad4::consistent_mass(&mesh.elem_coords(e), material);
-            coo.push_block(&dofs, &me).expect("element dofs in bounds");
+            let (cols, vals) = k.row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                if !dm.is_fixed(c) {
+                    col_idx.push(c);
+                    values.push(v);
+                } else if let Some(rhs) = &mut rhs {
+                    rhs[r] -= v * dm.fixed_value(c);
+                }
+            }
         }
+        row_ptr.push(col_idx.len());
     }
-    coo.to_csr()
+    CsrMatrix::from_raw_parts(n, n, row_ptr, col_idx, values)
+        .expect("a row-filtered CSR matrix stays valid")
 }
 
 /// Applies Dirichlet conditions to an assembled matrix and right-hand side.
@@ -148,47 +370,15 @@ pub fn assemble_mass(mesh: &QuadMesh, dm: &DofMap, material: &Material, lumped: 
 /// - free row `i`: coupling to constrained columns `j` moves to the RHS as
 ///   `rhs_i -= K_ij ū_j`.
 pub fn apply_dirichlet(k: &CsrMatrix, dm: &DofMap, rhs: &mut [f64]) -> CsrMatrix {
-    let n = k.n_rows();
-    assert_eq!(n, dm.n_dofs(), "matrix does not match DOF map");
-    assert_eq!(rhs.len(), n, "rhs does not match DOF map");
-    let mut coo = CooMatrix::with_capacity(n, n, k.nnz());
-    for r in 0..n {
-        if dm.is_fixed(r) {
-            coo.push(r, r, 1.0).expect("in bounds");
-            rhs[r] = dm.fixed_value(r);
-            continue;
-        }
-        let (cols, vals) = k.row(r);
-        for (&c, &v) in cols.iter().zip(vals) {
-            if dm.is_fixed(c) {
-                rhs[r] -= v * dm.fixed_value(c);
-            } else {
-                coo.push(r, c, v).expect("in bounds");
-            }
-        }
-    }
-    coo.to_csr()
+    assert_eq!(rhs.len(), dm.n_dofs(), "rhs does not match DOF map");
+    constrain(k, dm, Some(rhs))
 }
 
 /// Applies Dirichlet conditions to a *mass* matrix: constrained rows and
 /// columns are zeroed (no unit diagonal), so that `αM + βK` keeps the clean
 /// constraint rows of `K` scaled by `β`.
 pub fn apply_dirichlet_mass(m: &CsrMatrix, dm: &DofMap) -> CsrMatrix {
-    let n = m.n_rows();
-    assert_eq!(n, dm.n_dofs(), "matrix does not match DOF map");
-    let mut coo = CooMatrix::with_capacity(n, n, m.nnz());
-    for r in 0..n {
-        if dm.is_fixed(r) {
-            continue;
-        }
-        let (cols, vals) = m.row(r);
-        for (&c, &v) in cols.iter().zip(vals) {
-            if !dm.is_fixed(c) {
-                coo.push(r, c, v).expect("in bounds");
-            }
-        }
-    }
-    coo.to_csr()
+    constrain(m, dm, None)
 }
 
 /// Adds a point load `(fx, fy)` at `node` to the load vector.

@@ -14,8 +14,10 @@
 //!   workload,
 //! - [`truss`] — the 1-D two-node truss of the paper's Fig. 5, used to
 //!   explain local vs. global distributed formats,
-//! - [`assembly`] — global CSR assembly with Dirichlet boundary conditions
-//!   handled as identity rows (no renumbering), plus load vectors,
+//! - [`assembly`] — the one pattern-first assembly core (symbolic pass, then
+//!   an element-order scatter straight into CSR) behind every assembled
+//!   matrix of the crate, global CSR assembly with Dirichlet boundary
+//!   conditions handled as identity rows (no renumbering), plus load vectors,
 //! - [`subdomain`] — per-subdomain *unassembled* local systems for the
 //!   element-based domain decomposition: `K = Σ Bₛᵀ K̂⁽ˢ⁾ Bₛ` holds exactly,
 //! - [`dynamics`] — Newmark time integration of `M ü + K u = f` producing

@@ -16,7 +16,7 @@
 
 use crate::material::Material;
 use parfem_mesh::{DofMap, Quad8Mesh};
-use parfem_sparse::{CooMatrix, CsrMatrix};
+use parfem_sparse::CsrMatrix;
 
 /// Reference coordinates of the 8 nodes (corners CCW, then mid-edges
 /// bottom/right/top/left).
@@ -158,19 +158,10 @@ pub fn consistent_mass(coords: &[[f64; 2]; 8], material: &Material) -> [f64; 256
 /// Assembles the global Q8 stiffness matrix (no BCs). The DOF map must be
 /// built over `mesh.n_nodes()` nodes.
 pub fn assemble_stiffness(mesh: &Quad8Mesh, dm: &DofMap, material: &Material) -> CsrMatrix {
-    let n = dm.n_dofs();
-    let mut coo = CooMatrix::with_capacity(n, n, mesh.n_elems() * 256);
-    for e in 0..mesh.n_elems() {
-        let ke = stiffness(&mesh.elem_coords(e), material);
-        let nodes = mesh.elem_nodes(e);
-        let mut dofs = [0usize; 16];
-        for (k, &nd) in nodes.iter().enumerate() {
-            dofs[2 * k] = dm.dof(nd, 0);
-            dofs[2 * k + 1] = dm.dof(nd, 1);
-        }
-        coo.push_block(&dofs, &ke).expect("dofs in bounds");
-    }
-    coo.to_csr()
+    let nodes_of = |e| mesh.elem_nodes(e);
+    crate::assembly::assemble_raw(dm, mesh.n_elems(), nodes_of, |e| {
+        stiffness(&mesh.elem_coords(e), material)
+    })
 }
 
 #[cfg(test)]

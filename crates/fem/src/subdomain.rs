@@ -15,9 +15,9 @@
 //! divided by their node multiplicity so the assembled RHS is unchanged.
 
 use crate::material::Material;
-use crate::{hex8, physics, quad4};
+use crate::{assembly, hex8, physics, quad4};
 use parfem_mesh::{DofMap, HexMesh, QuadMesh, Subdomain};
-use parfem_sparse::{CooMatrix, CsrMatrix};
+use parfem_sparse::CsrMatrix;
 
 /// Interface DOFs shared with one neighbouring subdomain.
 ///
@@ -53,6 +53,20 @@ pub struct SubdomainSystem {
     pub global_dofs: Vec<usize>,
 }
 
+/// The Q4 elasticity stiffness and, under `with_mass` (`Some(lumped)`), mass
+/// of an element with corner coordinates `coords`.
+fn quad4_element(
+    coords: &[[f64; 2]; 4],
+    material: &Material,
+    with_mass: Option<bool>,
+) -> ([f64; 64], Option<[f64; 64]>) {
+    let mass = with_mass.map(|lumped| match lumped {
+        true => quad4::lumped_mass(coords, material),
+        false => quad4::consistent_mass(coords, material),
+    });
+    (quad4::stiffness(coords, material), mass)
+}
+
 impl SubdomainSystem {
     /// Assembles the subdomain system for a Q4 mesh.
     ///
@@ -67,16 +81,9 @@ impl SubdomainSystem {
         loads: &[f64],
         with_mass: Option<bool>,
     ) -> Self {
-        Self::build_from_elements(dm, sub, loads, with_mass.is_some(), |e| {
-            let ke = quad4::stiffness(&mesh.elem_coords(e), material).to_vec();
-            let me = with_mass.map(|lumped| {
-                if lumped {
-                    quad4::lumped_mass(&mesh.elem_coords(e), material).to_vec()
-                } else {
-                    quad4::consistent_mass(&mesh.elem_coords(e), material).to_vec()
-                }
-            });
-            (mesh.elem_nodes(e).to_vec(), ke, me)
+        let nodes_of = |e| mesh.elem_nodes(e);
+        Self::build_from_elements(dm, sub, loads, nodes_of, |e| {
+            quad4_element(&mesh.elem_coords(e), material, with_mass)
         })
     }
 
@@ -91,14 +98,13 @@ impl SubdomainSystem {
         loads: &[f64],
         with_mass: Option<bool>,
     ) -> Self {
-        Self::build_from_elements(dm, sub, loads, with_mass.is_some(), |e| {
-            let ke = crate::tri3::stiffness(&mesh.elem_coords(e), material).to_vec();
-            let me = with_mass.map(|_| {
-                // T3 mass: consistent only (lumping is rho*A/3 diag — use
-                // consistent here, the dynamic driver lumps by row sums).
-                crate::tri3::consistent_mass(&mesh.elem_coords(e), material).to_vec()
-            });
-            (mesh.elem_nodes(e).to_vec(), ke, me)
+        let nodes_of = |e| mesh.elem_nodes(e);
+        Self::build_from_elements(dm, sub, loads, nodes_of, |e| {
+            let coords = mesh.elem_coords(e);
+            // T3 mass: consistent only (lumping is rho*A/3 diag — use
+            // consistent here, the dynamic driver lumps by row sums).
+            let mass = with_mass.map(|_| crate::tri3::consistent_mass(&coords, material));
+            (crate::tri3::stiffness(&coords, material), mass)
         })
     }
 
@@ -112,16 +118,9 @@ impl SubdomainSystem {
         loads: &[f64],
         with_mass: Option<bool>,
     ) -> Self {
-        Self::build_from_elements(dm, sub, loads, with_mass.is_some(), |e| {
-            let ke = quad4::stiffness(&mesh.elem_coords(e), material).to_vec();
-            let me = with_mass.map(|lumped| {
-                if lumped {
-                    quad4::lumped_mass(&mesh.elem_coords(e), material).to_vec()
-                } else {
-                    quad4::consistent_mass(&mesh.elem_coords(e), material).to_vec()
-                }
-            });
-            (mesh.elem_nodes(e).to_vec(), ke, me)
+        let nodes_of = |e| mesh.elem_nodes(e);
+        Self::build_from_elements(dm, sub, loads, nodes_of, |e| {
+            quad4_element(&mesh.elem_coords(e), material, with_mass)
         })
     }
 
@@ -134,11 +133,11 @@ impl SubdomainSystem {
         loads: &[f64],
         with_mass: Option<bool>,
     ) -> Self {
-        Self::build_from_elements(dm, sub, loads, with_mass.is_some(), |e| {
-            let ke = crate::quad8s::stiffness(&mesh.elem_coords(e), material).to_vec();
-            let me = with_mass
-                .map(|_| crate::quad8s::consistent_mass(&mesh.elem_coords(e), material).to_vec());
-            (mesh.elem_nodes(e).to_vec(), ke, me)
+        let nodes_of = |e| mesh.elem_nodes(e);
+        Self::build_from_elements(dm, sub, loads, nodes_of, |e| {
+            let coords = mesh.elem_coords(e);
+            let mass = with_mass.map(|_| crate::quad8s::consistent_mass(&coords, material));
+            (crate::quad8s::stiffness(&coords, material), mass)
         })
     }
 
@@ -157,9 +156,10 @@ impl SubdomainSystem {
             1,
             "heat assembly needs a scalar DOF map"
         );
-        Self::build_from_elements(dm, sub, loads, false, |e| {
-            let ke = physics::heat_stiffness_quad4(&mesh.elem_coords(e), material).to_vec();
-            (mesh.elem_nodes(e).to_vec(), ke, None)
+        let nodes_of = |e| mesh.elem_nodes(e);
+        Self::build_from_elements(dm, sub, loads, nodes_of, |e| {
+            let ke = physics::heat_stiffness_quad4(&mesh.elem_coords(e), material);
+            (ke, None)
         })
     }
 
@@ -177,38 +177,41 @@ impl SubdomainSystem {
             3,
             "hex8 assembly needs a 3-DOF-per-node map"
         );
-        Self::build_from_elements(dm, sub, loads, false, |e| {
-            let ke = hex8::stiffness(&mesh.elem_coords(e), material).to_vec();
-            (mesh.elem_nodes(e).to_vec(), ke, None)
+        let nodes_of = |e| mesh.elem_nodes(e);
+        Self::build_from_elements(dm, sub, loads, nodes_of, |e| {
+            (hex8::stiffness(&mesh.elem_coords(e), material), None)
         })
     }
 
-    /// Element-generic assembly core: `element_of(e)` returns the global
-    /// node list plus dense stiffness (and optional mass) of element `e`,
-    /// row-major over `dofs_per_node × n_nodes` interleaved DOFs, where the
-    /// DOFs-per-node count comes from the `DofMap`.
-    pub fn build_from_elements(
+    /// The global DOF of every local DOF of `sub`, local nodes ascending
+    /// with the `DofMap`'s components interleaved — the row numbering of the
+    /// local matrices, and all the host needs to gather a solution.
+    pub fn global_dofs_of(dm: &DofMap, sub: &Subdomain) -> Vec<usize> {
+        let dpn = dm.dofs_per_node();
+        (sub.nodes.iter())
+            .flat_map(|&n| (0..dpn).map(move |c| dm.dof(n, c)))
+            .collect()
+    }
+
+    /// Element-generic assembly through [`crate::assembly`]'s pattern-first
+    /// core: `nodes_of(e)` is the global node list of element `e` and
+    /// `element_of(e)` its dense stiffness and — for every element or for
+    /// none — mass, row-major over `dofs_per_node × N` interleaved DOFs, where
+    /// the DOFs-per-node count comes from the `DofMap`. Dirichlet handling is
+    /// identical, per element, to the global `apply_dirichlet`.
+    pub fn build_from_elements<const N: usize, const M: usize>(
         dm: &DofMap,
         sub: &Subdomain,
         loads: &[f64],
-        with_mass: bool,
-        mut element_of: impl FnMut(usize) -> (Vec<usize>, Vec<f64>, Option<Vec<f64>>),
+        nodes_of: impl Fn(usize) -> [usize; N],
+        element_of: impl Fn(usize) -> ([f64; M], Option<[f64; M]>),
     ) -> Self {
         assert_eq!(loads.len(), dm.n_dofs(), "loads do not match DOF map");
         let dpn = dm.dofs_per_node();
-        let n_local_nodes = sub.n_local_nodes();
-        let n_local = n_local_nodes * dpn;
-
-        // Local DOF bookkeeping.
-        let mut global_dofs = Vec::with_capacity(n_local);
-        let mut multiplicity = Vec::with_capacity(n_local);
-        for (l, &g_node) in sub.nodes.iter().enumerate() {
-            let m = sub.multiplicity[l] as f64;
-            for c in 0..dpn {
-                global_dofs.push(dm.dof(g_node, c));
-                multiplicity.push(m);
-            }
-        }
+        let global_dofs = Self::global_dofs_of(dm, sub);
+        let multiplicity: Vec<f64> = (sub.multiplicity.iter())
+            .flat_map(|&m| std::iter::repeat_n(m as f64, dpn))
+            .collect();
 
         // Local distributed RHS: global loads split by multiplicity.
         let mut f_local: Vec<f64> = global_dofs
@@ -217,62 +220,38 @@ impl SubdomainSystem {
             .map(|(&g, &m)| loads[g] / m)
             .collect();
 
-        // Element assembly with Dirichlet handling identical (per element)
-        // to the global `apply_dirichlet`.
-        let mut k_coo = CooMatrix::with_capacity(n_local, n_local, sub.elements.len() * 64);
-        let mut m_coo =
-            with_mass.then(|| CooMatrix::with_capacity(n_local, n_local, sub.elements.len() * 64));
-        for &e in &sub.elements {
-            let (g_nodes, ke, me) = element_of(e);
-            let nd = g_nodes.len() * dpn;
-            assert_eq!(ke.len(), nd * nd, "element stiffness shape mismatch");
-            // Local dof of each element dof.
-            let mut ldofs = vec![0usize; nd];
-            let mut gdofs = vec![0usize; nd];
-            for (k, &gn) in g_nodes.iter().enumerate() {
-                let ln = sub
-                    .local_node(gn)
-                    .expect("owned element references a local node");
-                for c in 0..dpn {
-                    ldofs[dpn * k + c] = ln * dpn + c;
-                    gdofs[dpn * k + c] = dm.dof(gn, c);
+        let fixed: Vec<bool> = global_dofs.iter().map(|&g| dm.is_fixed(g)).collect();
+        let prescribed: Vec<f64> = global_dofs.iter().map(|&g| dm.fixed_value(g)).collect();
+        let conn: Vec<usize> = (sub.elements.iter())
+            .flat_map(|&e| nodes_of(e))
+            .map(|n| {
+                sub.local_node(n)
+                    .expect("owned element references a local node")
+            })
+            .collect();
+        let with_mass = (sub.elements.first()).is_some_and(|&e| element_of(e).1.is_some());
+        let (mut k_local, m_local) = assembly::assemble(
+            sub.n_local_nodes(),
+            dpn,
+            N,
+            &conn,
+            &fixed,
+            &prescribed,
+            &mut f_local,
+            with_mass,
+            |k, ke, me| {
+                let (stiffness, mass) = element_of(sub.elements[k]);
+                ke.copy_from_slice(&stiffness);
+                if let Some(me) = me {
+                    me.copy_from_slice(&mass.expect("every element has a mass or none"));
                 }
-            }
-            for i in 0..nd {
-                if dm.is_fixed(gdofs[i]) {
-                    continue; // constrained rows are identity, added below
-                }
-                for j in 0..nd {
-                    let v = ke[i * nd + j];
-                    if dm.is_fixed(gdofs[j]) {
-                        f_local[ldofs[i]] -= v * dm.fixed_value(gdofs[j]);
-                    } else {
-                        k_coo.push(ldofs[i], ldofs[j], v).expect("in bounds");
-                    }
-                }
-            }
-            if let (Some(coo), Some(me)) = (m_coo.as_mut(), me) {
-                assert_eq!(me.len(), nd * nd, "element mass shape mismatch");
-                for i in 0..nd {
-                    if dm.is_fixed(gdofs[i]) {
-                        continue;
-                    }
-                    for j in 0..nd {
-                        if !dm.is_fixed(gdofs[j]) {
-                            coo.push(ldofs[i], ldofs[j], me[i * nd + j])
-                                .expect("in bounds");
-                        }
-                    }
-                }
-            }
-        }
+            },
+        );
         // Constraint rows: diag 1/mult so the assembled diagonal is 1, and
         // the RHS carries ū/mult so the assembled RHS is ū.
-        for (l, &g) in global_dofs.iter().enumerate() {
-            if dm.is_fixed(g) {
-                k_coo.push(l, l, 1.0 / multiplicity[l]).expect("in bounds");
-                f_local[l] = dm.fixed_value(g) / multiplicity[l];
-            }
+        for l in (0..fixed.len()).filter(|&l| fixed[l]) {
+            k_local.row_values_mut(l)[0] = 1.0 / multiplicity[l];
+            f_local[l] = prescribed[l] / multiplicity[l];
         }
 
         // Neighbour DOF links from the node links.
@@ -292,8 +271,8 @@ impl SubdomainSystem {
         SubdomainSystem {
             rank: sub.rank,
             nodes: sub.nodes.clone(),
-            k_local: k_coo.to_csr(),
-            m_local: m_coo.map(|c| c.to_csr()),
+            k_local,
+            m_local,
             f_local,
             multiplicity,
             neighbors,

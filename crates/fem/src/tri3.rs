@@ -14,7 +14,7 @@
 
 use crate::material::Material;
 use parfem_mesh::{DofMap, TriMesh};
-use parfem_sparse::{CooMatrix, CsrMatrix};
+use parfem_sparse::CsrMatrix;
 
 /// Signed area of the triangle with counter-clockwise coordinates.
 pub fn area(coords: &[[f64; 2]; 3]) -> f64 {
@@ -93,19 +93,10 @@ pub fn consistent_mass(coords: &[[f64; 2]; 3], material: &Material) -> [f64; 36]
 
 /// Assembles the global stiffness matrix of a triangle mesh (no BCs).
 pub fn assemble_stiffness(mesh: &TriMesh, dm: &DofMap, material: &Material) -> CsrMatrix {
-    let n = dm.n_dofs();
-    let mut coo = CooMatrix::with_capacity(n, n, mesh.n_elems() * 36);
-    for e in 0..mesh.n_elems() {
-        let ke = stiffness(&mesh.elem_coords(e), material);
-        let nodes = mesh.elem_nodes(e);
-        let mut dofs = [0usize; 6];
-        for (k, &nd) in nodes.iter().enumerate() {
-            dofs[2 * k] = dm.dof(nd, 0);
-            dofs[2 * k + 1] = dm.dof(nd, 1);
-        }
-        coo.push_block(&dofs, &ke).expect("dofs in bounds");
-    }
-    coo.to_csr()
+    let nodes_of = |e| mesh.elem_nodes(e);
+    crate::assembly::assemble_raw(dm, mesh.n_elems(), nodes_of, |e| {
+        stiffness(&mesh.elem_coords(e), material)
+    })
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! and serves as the minimal fixture for the distributed-format tests in
 //! `parfem-dd`.
 
-use parfem_sparse::{CooMatrix, CsrMatrix};
+use parfem_sparse::CsrMatrix;
 
 /// A 1-D bar with axial stiffness only.
 #[derive(Debug, Clone, Copy)]
@@ -37,14 +37,8 @@ impl TrussElement {
 /// Assembles a chain of `n_elems` identical truss elements into the global
 /// `(n_elems+1) x (n_elems+1)` stiffness matrix.
 pub fn assemble_chain(elem: TrussElement, n_elems: usize) -> CsrMatrix {
-    let n = n_elems + 1;
-    let mut coo = CooMatrix::new(n, n);
-    let ke = elem.stiffness();
-    for e in 0..n_elems {
-        coo.push_block(&[e, e + 1], &ke)
-            .expect("chain dofs are in bounds");
-    }
-    coo.to_csr()
+    let nodes = parfem_mesh::DofMap::with_dofs(n_elems + 1, 1);
+    crate::assembly::assemble_raw(&nodes, n_elems, |e| [e, e + 1], |_| elem.stiffness())
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use crate::hex::HexMesh;
 use crate::quad8::Quad8Mesh;
 use crate::structured::QuadMesh;
 use crate::tri::TriMesh;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A partition of mesh *elements* into `P` subdomains (EDD).
@@ -262,7 +262,7 @@ impl ElementPartition {
             "partition does not match mesh"
         );
         let p = self.n_parts;
-        // Which parts touch each node, sorted (BTreeMap keyed by node).
+        // Which parts touch each node, sorted.
         let mut node_parts: Vec<Vec<usize>> = vec![Vec::new(); mesh.n_cell_nodes()];
         for (e, &o) in self.owner.iter().enumerate() {
             for &n in &mesh.cell_nodes(e) {
@@ -280,7 +280,6 @@ impl ElementPartition {
                 rank,
                 elements: Vec::new(),
                 nodes: Vec::new(),
-                global_to_local: BTreeMap::new(),
                 multiplicity: Vec::new(),
                 neighbors: Vec::new(),
             })
@@ -293,9 +292,7 @@ impl ElementPartition {
         // Local node sets in ascending global order.
         for (n, parts) in node_parts.iter().enumerate() {
             for &s in parts {
-                let local = subs[s].nodes.len();
                 subs[s].nodes.push(n);
-                subs[s].global_to_local.insert(n, local);
                 subs[s].multiplicity.push(parts.len());
             }
         }
@@ -308,9 +305,9 @@ impl ElementPartition {
             }
             for (ai, &a) in parts.iter().enumerate() {
                 for &b in &parts[ai + 1..] {
-                    let la = subs[a].global_to_local[&n];
+                    let local = |s: &Subdomain| s.local_node(n).expect("listed above");
+                    let (la, lb) = (local(&subs[a]), local(&subs[b]));
                     push_shared(&mut subs[a].neighbors, b, la);
-                    let lb = subs[b].global_to_local[&n];
                     push_shared(&mut subs[b].neighbors, a, lb);
                 }
             }
@@ -376,8 +373,6 @@ pub struct Subdomain {
     pub elements: Vec<usize>,
     /// Global ids of all nodes touched by those elements, ascending.
     pub nodes: Vec<usize>,
-    /// Map from global node id to local index in `nodes`.
-    global_to_local: BTreeMap<usize, usize>,
     /// For each local node, how many subdomains share it (1 = interior).
     pub multiplicity: Vec<usize>,
     /// Interface links to neighbouring subdomains, sorted by rank.
@@ -392,7 +387,7 @@ impl Subdomain {
 
     /// The local index of global node `n`, if present.
     pub fn local_node(&self, n: usize) -> Option<usize> {
-        self.global_to_local.get(&n).copied()
+        self.nodes.binary_search(&n).ok()
     }
 
     /// Whether the local node `l` lies on the subdomain interface.

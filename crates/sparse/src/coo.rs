@@ -104,7 +104,8 @@ impl CooMatrix {
         Ok(())
     }
 
-    /// Converts to CSR, sorting triplets and summing duplicates.
+    /// Converts to CSR, sorting triplets by position; duplicates are summed
+    /// in push order.
     pub fn to_csr(&self) -> CsrMatrix {
         // Count entries per row (duplicates included) to bucket-sort by row.
         let mut counts = vec![0usize; self.n_rows + 1];
@@ -134,7 +135,7 @@ impl CooMatrix {
             for &k in &order[counts[r]..counts[r + 1]] {
                 scratch.push((self.cols[k], self.vals[k]));
             }
-            scratch.sort_unstable_by_key(|&(c, _)| c);
+            scratch.sort_by_key(|&(c, _)| c);
             let mut i = 0;
             while i < scratch.len() {
                 let c = scratch[i].0;

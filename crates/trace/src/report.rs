@@ -2,7 +2,7 @@
 //! a Table-1-style communication table, a convergence summary, and an
 //! ASCII per-rank timeline over virtual time.
 
-use crate::aggregate::TraceReport;
+use crate::aggregate::{PhaseTotals, TraceReport};
 use std::fmt::Write as _;
 
 fn fmt_secs(s: f64) -> String {
@@ -19,8 +19,49 @@ fn fmt_secs(s: f64) -> String {
     }
 }
 
+/// One per-rank table of the phase breakdown: a column per phase name, the
+/// seconds `clock` reads off each phase, and — on the virtual clock, which
+/// the rank spans tile — the rank's final time.
+fn phase_rows(
+    out: &mut String,
+    report: &TraceReport,
+    phase_names: &[String],
+    title: &str,
+    clock: fn(&PhaseTotals) -> f64,
+    with_end: bool,
+) {
+    let _ = writeln!(out, "per-rank phase breakdown ({title})");
+    let mut header = format!("{:>5}", "rank");
+    for name in phase_names {
+        let _ = write!(header, "  {name:>14}");
+    }
+    if with_end {
+        let _ = write!(header, "  {:>14}", "end-of-rank");
+    }
+    let _ = writeln!(out, "{header}");
+    for rank in &report.ranks {
+        let mut row = format!("{:>5}", rank.rank);
+        for name in phase_names {
+            let cell = rank
+                .phases
+                .iter()
+                .find(|p| &p.name == name)
+                .map(|p| fmt_secs(clock(p)))
+                .unwrap_or_else(|| "-".to_string());
+            let _ = write!(row, "  {cell:>14}");
+        }
+        if with_end {
+            let _ = write!(row, "  {:>14}", fmt_secs(rank.final_virt));
+        }
+        let _ = writeln!(out, "{row}");
+    }
+}
+
 /// Renders the per-rank phase breakdown: one column per phase (in first-seen
-/// order), virtual seconds per cell, a host-phase section (wall-clock) below.
+/// order), virtual seconds per cell, then the same table in wall-clock
+/// seconds (where a phase that charges nothing to the virtual clock, like
+/// the rank-side `assembly`, shows its cost) and a host-phase section
+/// (wall-clock) below.
 pub fn render_phase_table(report: &TraceReport) -> String {
     let mut out = String::new();
     let mut phase_names: Vec<String> = Vec::new();
@@ -31,28 +72,22 @@ pub fn render_phase_table(report: &TraceReport) -> String {
             }
         }
     }
-
-    let _ = writeln!(out, "per-rank phase breakdown (virtual time)");
-    let mut header = format!("{:>5}", "rank");
-    for name in &phase_names {
-        let _ = write!(header, "  {name:>14}");
-    }
-    let _ = write!(header, "  {:>14}", "end-of-rank");
-    let _ = writeln!(out, "{header}");
-    for rank in &report.ranks {
-        let mut row = format!("{:>5}", rank.rank);
-        for name in &phase_names {
-            let cell = rank
-                .phases
-                .iter()
-                .find(|p| &p.name == name)
-                .map(|p| fmt_secs(p.virt_s))
-                .unwrap_or_else(|| "-".to_string());
-            let _ = write!(row, "  {cell:>14}");
-        }
-        let _ = write!(row, "  {:>14}", fmt_secs(rank.final_virt));
-        let _ = writeln!(out, "{row}");
-    }
+    phase_rows(
+        &mut out,
+        report,
+        &phase_names,
+        "virtual time",
+        |p| p.virt_s,
+        true,
+    );
+    phase_rows(
+        &mut out,
+        report,
+        &phase_names,
+        "wall clock",
+        |p| p.wall_s,
+        false,
+    );
 
     if !report.host_phases.is_empty() {
         let _ = writeln!(out, "host phases (wall clock)");
@@ -364,6 +399,8 @@ mod tests {
         assert!(text.contains("scaling"));
         assert!(text.contains("fgmres"));
         assert!(text.contains("assembly"));
+        assert!(text.contains("per-rank phase breakdown (virtual time)"));
+        assert!(text.contains("per-rank phase breakdown (wall clock)"));
         assert!(text.lines().any(|l| l.trim_start().starts_with("0 ")));
         assert!(text.lines().any(|l| l.trim_start().starts_with("1 ")));
     }
