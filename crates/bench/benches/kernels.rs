@@ -1,9 +1,10 @@
 //! Micro-benches for the unrolled sparse and dense kernels behind the
 //! zero-allocation FGMRES hot path: the blocked Gram–Schmidt sweeps
-//! (`dot_sweep` / `axpy_sweep_neg`) against their scalar loops, and the
-//! 2×2 block-CSR SpMV against scalar CSR.
+//! (`dot_sweep` / `dot_sweep_weighted` / `axpy_sweep_neg`) against their
+//! scalar loops, and the node-block SpMV against CSR on one EDD rank's matrix.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use parfem::fem::SubdomainSystem;
 use parfem::prelude::*;
 use parfem_sparse::{dense, kernels, BcsrMatrix};
 use std::hint::black_box;
@@ -30,6 +31,26 @@ fn bench_gram_schmidt_sweeps(c: &mut Criterion) {
             }
         })
     });
+    let m: Vec<f64> = (0..n).map(|i| 1.0 / (1 + i % 2) as f64).collect();
+    let mut out_w = vec![0.0; k + 1];
+    group.bench_function("dot_sweep_weighted", |b| {
+        b.iter(|| {
+            kernels::dot_sweep_weighted(
+                black_box(&w0),
+                black_box(&vs),
+                black_box(&m),
+                black_box(&mut out_w),
+            )
+        })
+    });
+    group.bench_function("dot_weighted_per_vector", |b| {
+        b.iter(|| {
+            for (o, v) in out_w.iter_mut().zip(vs.iter().chain([&w0])) {
+                *o = w0.iter().zip(v).zip(&m).map(|((a, b), w)| a * b * w).sum();
+            }
+            black_box(&out_w);
+        })
+    });
     let mut w = w0.clone();
     group.bench_function("axpy_sweep_neg", |b| {
         b.iter(|| {
@@ -53,25 +74,42 @@ fn bench_gram_schmidt_sweeps(c: &mut Criterion) {
     group.finish();
 }
 
+/// The local SpMV of one EDD rank in both storages, on the rank matrices of
+/// the two EDD benchmark workloads: half of the 100×100 plane cantilever
+/// (2×2 node blocks) and half of the 28×14×14 hex cantilever (3×3).
 fn bench_kernel_variants(c: &mut Criterion) {
-    let p = CantileverProblem::paper_mesh(4);
-    let sys = p.static_system();
-    let a = sys.stiffness;
-    let x = vec![1.0; a.n_cols()];
-    let mut y = vec![0.0; a.n_rows()];
+    use parfem::mesh::{DofMap, Edge, Face, HexMesh, QuadMesh};
+    let mat = Material::unit();
+    let quad = QuadMesh::cantilever(100, 100);
+    let mut dm = DofMap::new(quad.n_nodes());
+    dm.clamp_edge(&quad, Edge::Left);
+    let loads = vec![0.0; dm.n_dofs()];
+    let sub = &ElementPartition::strips_x(&quad, 2).subdomains(&quad)[0];
+    let plane = SubdomainSystem::build(&quad, &dm, &mat, sub, &loads, None).k_local;
 
-    let bcsr = BcsrMatrix::try_from_csr(&a);
+    let hex = HexMesh::cantilever(28, 14, 14);
+    let mut dm = DofMap::with_dofs(hex.n_nodes(), 3);
+    for node in hex.face_nodes(Face::XMin) {
+        dm.clamp_node(node);
+    }
+    let loads = vec![0.0; dm.n_dofs()];
+    let sub = &ElementPartition::blocks_of(&hex, 2, 1).subdomains_of(&hex)[0];
+    let solid = SubdomainSystem::build_hex(&hex, &dm, &mat, sub, &loads).k_local;
 
     let mut group = c.benchmark_group("kernels_variants");
-    group.throughput(Throughput::Elements(a.nnz() as u64));
-    group.bench_function("spmv_csr_scalar", |b| {
-        b.iter(|| a.spmv_into(black_box(&x), black_box(&mut y)))
-    });
-    // The 2-D cantilever mesh has 2 DOF per node, so the 2×2 block format
-    // is admissible; skip silently only if a mesh change ever breaks that.
-    if let Some(bcsr) = &bcsr {
-        group.bench_function("spmv_bcsr_2x2", |b| {
-            b.iter(|| bcsr.spmv_into(black_box(&x), black_box(&mut y)))
+    for (a, b, csr_name, block_name) in [
+        (&plane, 2, "spmv_csr_plane", "spmv_bcsr_2x2"),
+        (&solid, 3, "spmv_csr_hex", "spmv_bcsr_3x3"),
+    ] {
+        let blocks = BcsrMatrix::from_csr(a, b).expect("node-blocked local numbering");
+        let x: Vec<f64> = (0..a.n_cols()).map(|i| (i % 7) as f64 - 3.0).collect();
+        let mut y = vec![0.0; a.n_rows()];
+        group.throughput(Throughput::Elements(a.nnz() as u64));
+        group.bench_function(csr_name, |bench| {
+            bench.iter(|| a.spmv_into(black_box(&x), black_box(&mut y)))
+        });
+        group.bench_function(block_name, |bench| {
+            bench.iter(|| blocks.spmv_into(black_box(&x), black_box(&mut y)))
         });
     }
     group.finish();

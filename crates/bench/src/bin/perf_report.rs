@@ -117,7 +117,7 @@ fn bench_spmv() -> BenchLine {
 fn bench_spmv_bcsr() -> BenchLine {
     let p = CantileverProblem::new(160, 40, Material::unit(), LoadCase::PullX(1.0));
     let a = p.static_system().stiffness;
-    let bcsr = BcsrMatrix::try_from_csr(&a).expect("elasticity stiffness has even dimensions");
+    let bcsr = BcsrMatrix::from_csr(&a, 2).expect("two DOFs per node");
     let n = a.n_rows();
     let x: Vec<f64> = (0..n).map(|i| (i % 7) as f64 - 3.0).collect();
     let mut y = vec![0.0; n];

@@ -17,7 +17,7 @@
 use parfem::mesh::Cells;
 use parfem::perfgate;
 use parfem::prelude::*;
-use parfem::sparse::{gershgorin, io as mmio, scaling::scale_system, KernelPolicy};
+use parfem::sparse::{gershgorin, io as mmio, scaling::scale_system};
 use parfem::trace::{
     export_chrome_trace, jsonl, render_comm_table, render_convergence, render_critical_path,
     render_phase_table, render_timeline, CritPath,
@@ -76,9 +76,6 @@ solve options:
                         interior matvec (bit-identical; changes modeled time)
   --tol T               relative residual tolerance (default 1e-6)
   --restart M           GMRES restart dimension (default 25)
-  --kernels scalar|bcsr storage of the EDD local matrix (default scalar,
-                        the bit-exact CSR reference; bcsr applies 2x2
-                        blocks where the local dimension is even)
   --faults SEED:P       deterministic chaos: inject drops/duplicates/delays/
                         reorders at intensity P in [0,1], seeded by SEED
                         (bit-reproducible; recoverable faults change only
@@ -381,22 +378,19 @@ fn cmd_solve(args: &Args) -> ExitCode {
             }
         },
     };
-    let kernels = match args.value_of("--kernels") {
-        None => KernelPolicy::Scalar,
-        Some(s) => match KernelPolicy::parse(s) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return usage();
-            }
-        },
-    };
+    if args.has_flag("--kernels") {
+        eprintln!(
+            "error: --kernels is not an option: the storage of the local matrix follows \
+             from the physics (node blocks at 2 or 3 DOFs per node, CSR at 1) and \
+             every solve records the kernel it ran as kernel_variant_<label>"
+        );
+        return usage();
+    }
     let cfg = SolverConfig {
         gmres: GmresConfig {
             tol,
             restart,
             max_iters: 200_000,
-            kernels,
             ..Default::default()
         },
         precond,

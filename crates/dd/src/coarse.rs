@@ -85,7 +85,7 @@ impl<'a, C: Communicator> CoarseReduce for RddOperator<'a, C> {
 
 impl<C: Communicator> CoarseSetup for EddOperator<'_, C> {
     fn local_rows(&self) -> LocalRows<'_> {
-        LocalRows::square(self.a_local)
+        LocalRows::square(self.rows())
     }
 
     fn partition_weights(&self) -> Option<&[f64]> {

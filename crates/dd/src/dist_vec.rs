@@ -36,6 +36,9 @@ pub struct EddLayout {
     /// Whether operators over this layout should overlap communication with
     /// computation (split matvec through the nonblocking exchange).
     overlap: bool,
+    /// DOFs per node of the local numbering (`dof = dofs_per_node · node +
+    /// component`); a node's DOFs share its multiplicity.
+    dofs_per_node: usize,
 }
 
 /// Persistent send/receive buffers for
@@ -97,7 +100,14 @@ impl EddLayout {
             interface_rows,
             interior_rows,
             overlap: false,
+            dofs_per_node: sys.global_dofs.len() / sys.nodes.len().max(1),
         }
+    }
+
+    /// DOFs per node of the local numbering — what decides the storage of
+    /// the rank's local matrix (node blocks for 2 or 3, CSR for 1).
+    pub fn dofs_per_node(&self) -> usize {
+        self.dofs_per_node
     }
 
     /// Number of local DOFs.

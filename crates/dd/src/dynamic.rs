@@ -19,6 +19,7 @@ use parfem_krylov::history::{ConvergenceHistory, StopReason};
 use parfem_krylov::KrylovWorkspace;
 use parfem_mesh::ElementPartition;
 use parfem_msg::{run_ranks, Communicator, MachineModel};
+use std::borrow::Cow;
 
 /// Output of a parallel transient run.
 #[derive(Debug, Clone)]
@@ -75,8 +76,8 @@ pub(crate) fn run_dynamic_edd(
 
         // Effective local matrix, its distributed scaling and the
         // preconditioner (constructed once; theta = (eps, 1) post scaling).
-        let k_eff_local = sys.effective_local(alpha, beta);
-        let (setup, _) = edd_rank_setup(comm, sys, &k_eff_local, None, cfg);
+        let k_eff_local = Cow::Owned(sys.effective_local(alpha, beta));
+        let (setup, _) = edd_rank_setup(comm, sys, k_eff_local, None, cfg);
         let EddRank {
             layout,
             scaling: sc,

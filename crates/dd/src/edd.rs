@@ -45,7 +45,7 @@ use parfem_mesh::{ElementPartition, Subdomain};
 use parfem_msg::Communicator;
 use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSpec, SpecPrecond};
 use parfem_precond::{InterfaceConsistency, Preconditioner};
-use parfem_sparse::{dense, kernels, BcsrMatrix, CsrMatrix, KernelPolicy, LinearOperator};
+use parfem_sparse::{dense, kernels, BcsrMatrix, CsrMatrix, LinearOperator};
 use parfem_trace::TraceSink;
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -59,14 +59,186 @@ pub enum EddVariant {
     Enhanced,
 }
 
+/// One rank's local distributed matrix `Â⁽ˢ⁾` in the storage its physics
+/// gives it: a local numbering with `B ∈ {2, 3}` DOFs per node (elasticity)
+/// is `B × B` node blocks, one DOF per node (heat) is CSR. Nothing selects
+/// the format — it follows from [`EddLayout::dofs_per_node`].
+///
+/// The same storage serves the blocking matvec, the residual and the
+/// overlapped interface/interior split: a node's DOFs are all shared or all
+/// private, so the split falls on block rows, and each (block) row is the
+/// same arithmetic in either schedule.
+///
+/// Flop charges are those of the source pattern (`2·nnz`, block fill
+/// excluded), so the virtual clock does not depend on the storage.
+#[derive(Debug, Clone)]
+pub struct EddLocalMatrix {
+    storage: LocalStorage,
+    /// Flops of the rows that must finish before the exchange is posted
+    /// (`2·nnz` over the source rows shared with a neighbour).
+    interface_flops: u64,
+    /// Flops of the rows overlapped with the in-flight exchange;
+    /// `interface_flops + interior_flops` is [`EddLocalMatrix::spmv_flops`].
+    interior_flops: u64,
+}
+
+#[derive(Debug, Clone)]
+enum LocalStorage {
+    /// One DOF per node: the CSR kernels, split over the layout's row lists.
+    Csr(CsrMatrix),
+    /// Node blocks, with the block rows of the interface and interior nodes
+    /// (a block row with any shared DOF counts as interface).
+    Blocks {
+        a: BcsrMatrix,
+        interface: Vec<u32>,
+        interior: Vec<u32>,
+    },
+}
+
+/// Which half of the overlapped matvec to compute.
+#[derive(Clone, Copy)]
+enum Rows {
+    Interface,
+    Interior,
+}
+
+impl EddLocalMatrix {
+    /// Copies `a` (a rank's local matrix over `layout`'s numbering) into
+    /// the storage the layout's DOFs per node give it.
+    pub fn new(a: &CsrMatrix, layout: &EddLayout) -> Self {
+        Self::build(a, None, layout)
+    }
+
+    /// The scaled matrix `D̂ K̂ D̂` of Algorithm 4, built in one pass from the
+    /// unscaled `k_local`: block storage never sees a scaled CSR copy.
+    pub fn scaled(k_local: &CsrMatrix, d: &[f64], layout: &EddLayout) -> Self {
+        Self::build(k_local, Some(d), layout)
+    }
+
+    fn build(k: &CsrMatrix, d: Option<&[f64]>, layout: &EddLayout) -> Self {
+        assert_eq!(k.n_rows(), layout.n_local(), "local matrix vs layout");
+        let b = layout.dofs_per_node();
+        let blocks = match d {
+            Some(d) => BcsrMatrix::from_csr_scaled(k, b, d),
+            None => BcsrMatrix::from_csr(k, b),
+        };
+        let row_ptr = k.raw_parts().0;
+        let row_flops = |r: usize| 2 * (row_ptr[r + 1] - row_ptr[r]) as u64;
+        let (storage, interface_flops) = match blocks {
+            Some(a) => {
+                let mut shared = vec![false; a.n_block_rows()];
+                for &r in layout.interface_rows() {
+                    shared[r / b] = true;
+                }
+                let (interface, interior): (Vec<u32>, Vec<u32>) =
+                    (0..shared.len() as u32).partition(|&br| shared[br as usize]);
+                let flops = (interface.iter())
+                    .flat_map(|&br| (0..b).map(move |i| br as usize * b + i))
+                    .map(row_flops)
+                    .sum();
+                let storage = LocalStorage::Blocks {
+                    a,
+                    interface,
+                    interior,
+                };
+                (storage, flops)
+            }
+            None => {
+                let mut a = k.clone();
+                if let Some(d) = d {
+                    a.scale_symmetric(d);
+                }
+                let flops = layout.interface_rows().iter().map(|&r| row_flops(r)).sum();
+                (LocalStorage::Csr(a), flops)
+            }
+        };
+        EddLocalMatrix {
+            storage,
+            interface_flops,
+            interior_flops: k.spmv_flops() - interface_flops,
+        }
+    }
+
+    /// Local DOF count.
+    pub fn n_rows(&self) -> usize {
+        match &self.storage {
+            LocalStorage::Csr(a) => a.n_rows(),
+            LocalStorage::Blocks { a, .. } => a.n_rows(),
+        }
+    }
+
+    /// Flops of one local SpMV: `2·nnz` of the source pattern.
+    pub fn spmv_flops(&self) -> u64 {
+        self.interface_flops + self.interior_flops
+    }
+
+    /// The kernel that applies this matrix, as traces and reports name it:
+    /// `csr`, `bcsr2` or `bcsr3`.
+    pub fn kernel_label(&self) -> &'static str {
+        match &self.storage {
+            LocalStorage::Csr(_) => "csr",
+            LocalStorage::Blocks { a, .. } if a.block_size() == 2 => "bcsr2",
+            LocalStorage::Blocks { .. } => "bcsr3",
+        }
+    }
+
+    /// The CSR matrix, when that is the storage.
+    pub fn as_csr(&self) -> Option<&CsrMatrix> {
+        match &self.storage {
+            LocalStorage::Csr(a) => Some(a),
+            LocalStorage::Blocks { .. } => None,
+        }
+    }
+
+    /// The main diagonal.
+    pub fn diagonal(&self) -> Vec<f64> {
+        match &self.storage {
+            LocalStorage::Csr(a) => a.diagonal(),
+            LocalStorage::Blocks { a, .. } => a.diagonal(),
+        }
+    }
+
+    /// `y = Â x` over all local rows.
+    pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
+        match &self.storage {
+            LocalStorage::Csr(a) => a.spmv_into(x, y),
+            LocalStorage::Blocks { a, .. } => a.spmv_into(x, y),
+        }
+    }
+
+    /// One half of the split matvec; the two halves together write every
+    /// row with the bits of [`EddLocalMatrix::spmv_into`].
+    fn spmv_rows(&self, layout: &EddLayout, rows: Rows, x: &[f64], y: &mut [f64]) {
+        match (&self.storage, rows) {
+            (LocalStorage::Csr(a), _) => {
+                let (row_ptr, col_idx, values) = a.raw_parts();
+                let rows = match rows {
+                    Rows::Interface => layout.interface_rows(),
+                    Rows::Interior => layout.interior_rows(),
+                };
+                kernels::spmv_rows_indexed(row_ptr, col_idx, values, x, y, rows);
+            }
+            (LocalStorage::Blocks { a, interface, .. }, Rows::Interface) => {
+                a.spmv_block_rows(x, y, interface)
+            }
+            (LocalStorage::Blocks { a, interior, .. }, Rows::Interior) => {
+                a.spmv_block_rows(x, y, interior)
+            }
+        }
+    }
+}
+
 /// The element-based distributed operator `x̄ ↦ ⊕Σ (Â⁽ˢ⁾ x̄)`.
 pub struct EddOperator<'a, C: Communicator> {
     /// The (scaled) local distributed matrix `Â⁽ˢ⁾`.
-    pub a_local: &'a CsrMatrix,
+    pub a_local: &'a EddLocalMatrix,
     /// Interface layout.
     pub layout: &'a EddLayout,
     /// This rank's communicator endpoint.
     pub comm: &'a C,
+    /// The CSR rows of `a_local`, while a setup that walks matrix rows (the
+    /// two-level coarse build) runs over this operator.
+    rows: Option<&'a CsrMatrix>,
     /// The right-hand side in local distributed format, when this operator
     /// drives a solve (needed by [`DistributedOperator::residual_into`]).
     b_local: Option<&'a [f64]>,
@@ -81,85 +253,54 @@ pub struct EddOperator<'a, C: Communicator> {
     /// Separate staging for the residual recomputes and the basic variant's
     /// re-sums, so they never contend with an in-flight matvec exchange.
     xbufs: RefCell<ExchangeBuffers>,
-    /// Flops of the interface-row subset of one local SpMV (`2·nnz` over
-    /// rows shared with a neighbour) — the part that must finish before the
-    /// exchange can be posted.
-    interface_flops: u64,
-    /// Flops of the interior-row subset — the part overlapped with the
-    /// in-flight exchange. `interface_flops + interior_flops` equals
-    /// [`CsrMatrix::spmv_flops`] exactly.
-    interior_flops: u64,
-    /// 2×2 block copy of `a_local` for the *blocking* local SpMV, built by
-    /// [`EddOperator::with_kernels`]. `None` keeps the scalar CSR path
-    /// (the golden reference). The overlapped interface/interior split
-    /// always uses the row-indexed CSR kernels regardless — the split
-    /// schedule needs per-row addressing the block format doesn't expose.
-    local_variant: Option<BcsrMatrix>,
 }
 
 impl<'a, C: Communicator> EddOperator<'a, C> {
     /// Wraps a subdomain's local distributed matrix as the global operator.
-    pub fn new(a_local: &'a CsrMatrix, layout: &'a EddLayout, comm: &'a C) -> Self {
+    pub fn new(a_local: &'a EddLocalMatrix, layout: &'a EddLayout, comm: &'a C) -> Self {
         Self::for_solve(a_local, layout, comm, None, EddVariant::Enhanced)
     }
 
     /// Like [`EddOperator::new`], but carrying what a solve needs: the
     /// right-hand side and the algorithm variant.
     fn for_solve(
-        a_local: &'a CsrMatrix,
+        a_local: &'a EddLocalMatrix,
         layout: &'a EddLayout,
         comm: &'a C,
         b_local: Option<&'a [f64]>,
         variant: EddVariant,
     ) -> Self {
-        let row_nnz_flops = |rows: &[usize]| -> u64 {
-            let row_ptr = a_local.raw_parts().0;
-            rows.iter()
-                .map(|&r| 2 * (row_ptr[r + 1] - row_ptr[r]) as u64)
-                .sum()
-        };
         EddOperator {
             a_local,
             layout,
             comm,
+            rows: None,
             b_local,
             variant,
             bufs: RefCell::new(ExchangeBuffers::new()),
             xbufs: RefCell::new(ExchangeBuffers::new()),
-            interface_flops: row_nnz_flops(layout.interface_rows()),
-            interior_flops: row_nnz_flops(layout.interior_rows()),
-            local_variant: None,
         }
     }
 
-    /// Chooses the storage of the local SpMV. [`KernelPolicy::Scalar`]
-    /// keeps the plain CSR path untouched; [`KernelPolicy::Bcsr2x2`]
-    /// replaces the blocking local SpMV only — the overlapped split
-    /// schedule and the residual recompute stay on the (bit-identical)
-    /// row-indexed scalar kernels, so an operator on the split schedule
-    /// converts nothing and reports `scalar`, as does one whose local
-    /// dimension is odd (no 2×2 block structure).
-    pub fn with_kernels(mut self, policy: KernelPolicy) -> Self {
-        self.local_variant = match policy {
-            KernelPolicy::Bcsr2x2 if !self.split_schedule() => {
-                BcsrMatrix::try_from_csr(self.a_local)
-            }
-            _ => None,
-        };
+    /// Lends the operator the CSR rows of its matrix — what
+    /// [`parfem_precond::twolevel::CoarseSetup::local_rows`] hands the
+    /// coarse build. `rows` must hold the values of `a_local`.
+    pub fn with_rows(mut self, rows: &'a CsrMatrix) -> Self {
+        assert_eq!(rows.n_rows(), self.a_local.n_rows(), "rows vs operator");
+        self.rows = Some(rows);
         self
+    }
+
+    /// The CSR rows a row-walking setup reads: the matrix itself when it is
+    /// stored as CSR, else the rows lent by [`EddOperator::with_rows`].
+    pub(crate) fn rows(&self) -> &CsrMatrix {
+        (self.a_local.as_csr().or(self.rows))
+            .expect("EddOperator: a row-walking setup over block storage needs with_rows")
     }
 
     /// `true` when matvecs run the overlapped interface/interior split.
     fn split_schedule(&self) -> bool {
         self.layout.overlap() && !self.layout.neighbors.is_empty()
-    }
-
-    /// The storage the blocking local SpMV actually applies.
-    pub fn kernel_choice(&self) -> KernelPolicy {
-        match self.local_variant {
-            Some(_) => KernelPolicy::Bcsr2x2,
-            None => KernelPolicy::Scalar,
-        }
     }
 
     fn trace_spmv(&self) {
@@ -177,42 +318,25 @@ impl<C: Communicator> LinearOperator for EddOperator<'_, C> {
     }
 
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
+        let a = self.a_local;
         if self.split_schedule() {
             // Overlapped schedule: finish only the interface rows, post the
             // exchange, and compute the interior rows while the messages
-            // fly. Each row's dot product is the identical arithmetic in
-            // either schedule, and the received contributions are added in
-            // the same neighbour order, so the result is bit-identical to
-            // the blocking path — only the modeled time changes.
-            let (row_ptr, col_idx, values) = self.a_local.raw_parts();
-            kernels::spmv_rows_indexed(
-                row_ptr,
-                col_idx,
-                values,
-                x,
-                y,
-                self.layout.interface_rows(),
-            );
-            self.comm.work(self.interface_flops);
+            // fly. Each (block) row is the identical arithmetic in either
+            // schedule, and the received contributions are added in the
+            // same neighbour order, so the result is bit-identical to the
+            // blocking path — only the modeled time changes.
+            a.spmv_rows(self.layout, Rows::Interface, x, y);
+            self.comm.work(a.interface_flops);
             self.trace_spmv();
             self.layout
                 .interface_sum_split(self.comm, y, &mut self.bufs.borrow_mut(), |y| {
-                    kernels::spmv_rows_indexed(
-                        row_ptr,
-                        col_idx,
-                        values,
-                        x,
-                        y,
-                        self.layout.interior_rows(),
-                    );
-                    self.comm.work(self.interior_flops);
+                    a.spmv_rows(self.layout, Rows::Interior, x, y);
+                    self.comm.work(a.interior_flops);
                 });
         } else {
-            match &self.local_variant {
-                Some(blocks) => blocks.spmv_into(x, y),
-                None => self.a_local.spmv_into(x, y),
-            }
-            self.comm.work(self.a_local.spmv_flops());
+            a.spmv_into(x, y);
+            self.comm.work(a.spmv_flops());
             self.trace_spmv();
             self.layout
                 .interface_sum_buffered(self.comm, y, &mut self.bufs.borrow_mut());
@@ -269,15 +393,15 @@ impl<C: Communicator> DistributedOperator for EddOperator<'_, C> {
         3 // multiply, multiplicity weight, accumulate
     }
 
-    fn kernel_variant(&self) -> Option<KernelPolicy> {
-        Some(self.kernel_choice())
+    fn kernel_variant(&self) -> &'static str {
+        self.a_local.kernel_label()
     }
 
+    /// Four basis vectors per pass over `w`, `⟨w, w⟩` riding in the last
+    /// pass; every entry is bit-identical to its own
+    /// [`EddLayout::dot_partial`].
     fn gs_dots(&self, w: &[f64], basis: &[Vec<f64>], reduce: &mut [f64]) {
-        for (i, vi) in basis.iter().enumerate() {
-            reduce[i] = self.layout.dot_partial(w, vi);
-        }
-        reduce[basis.len()] = self.layout.dot_partial(w, w);
+        kernels::dot_sweep_weighted(w, basis, &self.layout.inv_multiplicity, reduce);
     }
 
     fn apply_precond<P>(
@@ -325,7 +449,7 @@ impl<C: Communicator> DistributedOperator for EddOperator<'_, C> {
 pub fn edd_lambda_max<C: Communicator>(
     comm: &C,
     layout: &EddLayout,
-    a_local: &CsrMatrix,
+    a_local: &EddLocalMatrix,
     global_dofs: &[usize],
     max_iters: usize,
     tol: f64,
@@ -392,7 +516,7 @@ pub fn edd_lambda_max<C: Communicator>(
 pub fn edd_fgmres<'a, C, P>(
     comm: &'a C,
     layout: &'a EddLayout,
-    a_local: &'a CsrMatrix,
+    a_local: &'a EddLocalMatrix,
     precond: &P,
     b_local: &'a [f64],
     x0: &[f64],
@@ -409,8 +533,7 @@ where
         a_local.n_rows(),
         "edd_fgmres: b length mismatch"
     );
-    let op = EddOperator::for_solve(a_local, layout, comm, Some(b_local), variant)
-        .with_kernels(cfg.kernels);
+    let op = EddOperator::for_solve(a_local, layout, comm, Some(b_local), variant);
     dd_fgmres(&op, precond, x0, cfg, ws)
 }
 
@@ -500,7 +623,7 @@ pub(crate) fn assemble_on_rank<C: Communicator>(
 pub(crate) struct EddRank {
     pub(crate) layout: EddLayout,
     pub(crate) scaling: DistributedScaling,
-    pub(crate) a: CsrMatrix,
+    pub(crate) a: EddLocalMatrix,
     /// `D̂ f̂` for the system's own load.
     b: Vec<f64>,
     pub(crate) precond: SpecPrecond,
@@ -508,12 +631,20 @@ pub(crate) struct EddRank {
 
 /// The EDD rank setup, shared by the engine and the transient driver (which
 /// passes its effective matrix `ᾱM̂ + K̂` as `k_local`): distributed scaling
-/// under the `scaling` rank span, then the preconditioner over the scaled
-/// matrix and interface layout.
+/// under the `scaling` rank span — the operator's storage built once, here,
+/// straight from the unscaled matrix — then the preconditioner over the
+/// scaled matrix and interface layout.
+///
+/// Only the preconditioner arms that factor or walk matrix rows (`direct`,
+/// `twolevel:*`) see a scaled CSR matrix: the operator's own when that is
+/// its storage, else `k_local` scaled in place (an owned `k_local` is not
+/// copied for it) and dropped when the setup returns. Under the polynomial
+/// arms an owned `k_local` is freed as soon as the operator's storage
+/// exists, so one matrix is live per rank from there on.
 pub(crate) fn edd_rank_setup<C: Communicator>(
     comm: &C,
     sys: &SubdomainSystem,
-    k_local: &CsrMatrix,
+    k_local: Cow<'_, CsrMatrix>,
     coarse: Option<CoarsePlan<'_>>,
     cfg: &SolverConfig,
 ) -> (EddRank, PrecondBuildStats) {
@@ -522,20 +653,28 @@ pub(crate) fn edd_rank_setup<C: Communicator>(
     }
     let mut layout = EddLayout::from_system(sys);
     layout.set_overlap(cfg.overlap);
-    let scaling = DistributedScaling::build(comm, &layout, k_local);
+    let scaling = DistributedScaling::build(comm, &layout, &k_local);
     let mut b = sys.f_local.clone();
-    let a = scaling.apply(k_local, &mut b);
+    let a = scaling.apply(&k_local, &mut b, &layout);
+    let reads_rows = cfg.precond.needs_local_matrix() || cfg.precond.needs_coarse();
+    let rows = (a.as_csr().is_none() && reads_rows).then(|| {
+        let mut k = k_local.into_owned();
+        k.scale_symmetric(&scaling.d);
+        k
+    });
     if let Some(t) = comm.tracer() {
         t.span_end("scaling", comm.virtual_time());
     }
-    // The scaled local matrix feeds the `direct` spec (exact local solve);
-    // the lazy closure feeds Jacobi its assembled diagonal.
+    let op = EddOperator::new(&a, &layout, comm);
     let (precond, stats) = build_precond(
-        &EddOperator::new(&a, &layout, comm),
+        &match &rows {
+            Some(rows) => op.with_rows(rows),
+            None => op,
+        },
         coarse,
         &sys.multiplicity,
         &scaling.d,
-        &a,
+        a.as_csr().or(rows.as_ref()),
         || {
             let mut d = a.diagonal();
             layout.interface_sum_buffered(comm, &mut d, &mut ExchangeBuffers::new());
@@ -554,8 +693,9 @@ pub(crate) fn edd_rank_setup<C: Communicator>(
 }
 
 impl<'a> Decomposition for EddParts<'a> {
-    /// The rank's system — borrowed from the caller or assembled by the rank
-    /// itself — and its setup.
+    /// The rank's system — borrowed from the caller, or assembled by the
+    /// rank itself and then left without its `k_local` (the setup consumed
+    /// it) — and its setup.
     type Rank = (Cow<'a, SubdomainSystem>, EddRank);
 
     fn n_ranks(&self) -> usize {
@@ -600,21 +740,26 @@ impl<'a> Decomposition for EddParts<'a> {
         coarse: Option<CoarsePlan<'_>>,
         cfg: &SolverConfig,
     ) -> (Self::Rank, PrecondBuildStats) {
-        let sys = match &self.input {
-            EddInput::Prebuilt(systems) => Cow::Borrowed(&systems[comm.rank()]),
+        match &self.input {
+            EddInput::Prebuilt(systems) => {
+                let sys = &systems[comm.rank()];
+                let k_local = Cow::Borrowed(&sys.k_local);
+                let (rank, stats) = edd_rank_setup(comm, sys, k_local, coarse, cfg);
+                ((Cow::Borrowed(sys), rank), stats)
+            }
             EddInput::Mesh {
                 problem,
                 subdomains,
                 ..
-            } => Cow::Owned(assemble_on_rank(
-                comm,
-                problem,
-                &subdomains[comm.rank()],
-                None,
-            )),
-        };
-        let (rank, stats) = edd_rank_setup(comm, &sys, &sys.k_local, coarse, cfg);
-        ((sys, rank), stats)
+            } => {
+                let mut sys = assemble_on_rank(comm, problem, &subdomains[comm.rank()], None);
+                // The setup consumes the unscaled stiffness: nothing after
+                // it reads `K̂`, only the scaled operator built from it.
+                let k_local = std::mem::replace(&mut sys.k_local, CsrMatrix::identity(0));
+                let (rank, stats) = edd_rank_setup(comm, &sys, Cow::Owned(k_local), coarse, cfg);
+                ((Cow::Owned(sys), rank), stats)
+            }
+        }
     }
 
     fn rank_solve<C: Communicator>(
@@ -728,7 +873,7 @@ mod tests {
             let layout = EddLayout::from_system(sys);
             let sc = DistributedScaling::build(comm, &layout, &sys.k_local);
             let mut b = sys.f_local.clone();
-            let a = sc.apply(&sys.k_local, &mut b);
+            let a = sc.apply(&sys.k_local, &mut b, &layout);
             let x0 = vec![0.0; b.len()];
             let ws = &mut KrylovWorkspace::new();
             let res = match &gls {
@@ -754,16 +899,35 @@ mod tests {
         (u, history, out.reports)
     }
 
-    /// Sequential reference with the *same* (distributed-sum) scaling.
-    fn run_seq(fx: &Fixture, degree: usize, cfg: &GmresConfig) -> (Vec<f64>, ConvergenceHistory) {
+    /// Sequential reference with the *same* (distributed-sum) scaling, over
+    /// CSR or — `blocked` — the 2×2 node blocks the EDD ranks apply.
+    fn run_seq(
+        fx: &Fixture,
+        degree: usize,
+        cfg: &GmresConfig,
+        blocked: bool,
+    ) -> (Vec<f64>, ConvergenceHistory) {
+        fn solve<Op: LinearOperator>(
+            a: &Op,
+            degree: usize,
+            b: &[f64],
+            cfg: &GmresConfig,
+        ) -> parfem_krylov::gmres::GmresResult {
+            let x0 = vec![0.0; b.len()];
+            if degree > 0 {
+                fgmres(a, &GlsPrecond::for_scaled_system(degree), b, &x0, cfg)
+            } else {
+                fgmres(a, &IdentityPrecond, b, &x0, cfg)
+            }
+        }
         let sc = edd_scaling_reference(&fx.systems, fx.n);
         let a = sc.scale_matrix(&fx.k);
         let b = sc.scale_rhs(&fx.f);
-        let res = if degree > 0 {
-            let g = GlsPrecond::for_scaled_system(degree);
-            fgmres(&a, &g, &b, &vec![0.0; fx.n], cfg)
+        let res = if blocked {
+            let blocks = BcsrMatrix::from_csr(&a, 2).expect("two DOFs per node");
+            solve(&blocks, degree, &b, cfg)
         } else {
-            fgmres(&a, &IdentityPrecond, &b, &vec![0.0; fx.n], cfg)
+            solve(&a, degree, &b, cfg)
         };
         (sc.unscale_solution(&res.x), res.history)
     }
@@ -796,7 +960,7 @@ mod tests {
             ..Default::default()
         };
         let (u_par, h_par, _) = run_edd(&fx, 4, 5, EddVariant::Enhanced, &cfg);
-        let (u_seq, h_seq) = run_seq(&fx, 5, &cfg);
+        let (u_seq, h_seq) = run_seq(&fx, 5, &cfg, false);
         assert_eq!(
             h_par.iterations(),
             h_seq.iterations(),
@@ -864,7 +1028,7 @@ mod tests {
             ..Default::default()
         };
         let (u_par, h_par, _) = run_edd(&fx, 1, 7, EddVariant::Enhanced, &cfg);
-        let (u_seq, h_seq) = run_seq(&fx, 7, &cfg);
+        let (u_seq, h_seq) = run_seq(&fx, 7, &cfg, true);
         assert_eq!(h_par.iterations(), h_seq.iterations());
         for (a, b) in u_par.iter().zip(&u_seq) {
             assert!((a - b).abs() < 1e-10 * (1.0 + b.abs()));
@@ -872,32 +1036,33 @@ mod tests {
     }
 
     #[test]
-    fn bcsr_local_variant_is_recorded_and_within_reassociation_bound() {
+    fn block_storage_is_labelled_and_within_reassociation_bound_of_csr() {
         let fx = fixture(5, 2, 2);
         let out = run_ranks(2, MachineModel::ideal(), |comm| {
             let sys = &fx.systems[comm.rank()];
-            let layout = EddLayout::from_system(sys);
-            let scalar_op = EddOperator::new(&sys.k_local, &layout, comm);
-            let bcsr_op =
-                EddOperator::new(&sys.k_local, &layout, comm).with_kernels(KernelPolicy::Bcsr2x2);
-            assert_eq!(scalar_op.kernel_choice(), KernelPolicy::Scalar);
-            assert_eq!(bcsr_op.kernel_choice(), KernelPolicy::Bcsr2x2);
-            // The overlapped split schedule only has scalar row kernels, so
-            // it must not report (or build) a format it never runs.
-            let mut split = EddLayout::from_system(sys);
-            split.set_overlap(true);
-            let split_op =
-                EddOperator::new(&sys.k_local, &split, comm).with_kernels(KernelPolicy::Bcsr2x2);
-            assert_eq!(split_op.kernel_choice(), KernelPolicy::Scalar);
+            let mut layout = EddLayout::from_system(sys);
+            assert_eq!(layout.dofs_per_node(), 2);
+            let a = EddLocalMatrix::new(&sys.k_local, &layout);
+            assert_eq!(a.spmv_flops(), sys.k_local.spmv_flops());
             let n = sys.k_local.n_rows();
             let x: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64 * 0.5 - 3.0).collect();
-            let mut want = vec![0.0; n];
-            scalar_op.apply_into(&x, &mut want);
             let mut got = vec![0.0; n];
-            bcsr_op.apply_into(&x, &mut got);
-            // The row-sum reassociation bound of the sparse proptests,
-            // interface-summed like the product itself: a shared row may
-            // be off by the sum of its sharers' local bounds.
+            let op = EddOperator::new(&a, &layout, comm);
+            assert_eq!(op.kernel_variant(), "bcsr2");
+            op.apply_into(&x, &mut got);
+            // The overlapped split runs the same storage, block row by
+            // block row: same label, same bits.
+            layout.set_overlap(true);
+            let split_op = EddOperator::new(&a, &layout, comm);
+            assert_eq!(split_op.kernel_variant(), "bcsr2");
+            let mut split = vec![f64::NAN; n];
+            split_op.apply_into(&x, &mut split);
+            assert_eq!(split, got);
+            // The CSR reference and the row-sum reassociation bound of the
+            // sparse proptests, interface-summed like the product itself: a
+            // shared row may be off by the sum of its sharers' local bounds.
+            let mut want = sys.k_local.spmv(&x);
+            layout.interface_sum_buffered(comm, &mut want, &mut ExchangeBuffers::new());
             let (row_ptr, col_idx, values) = sys.k_local.raw_parts();
             let mut bound: Vec<f64> = (0..n)
                 .map(|r| {
@@ -911,14 +1076,13 @@ mod tests {
         });
         for (got, want, bound) in &out.results {
             for ((g, w), b) in got.iter().zip(want).zip(bound) {
-                assert!((g - w).abs() <= *b, "bcsr {g} vs scalar {w}");
+                assert!((g - w).abs() <= *b, "blocks {g} vs csr {w}");
             }
         }
     }
 
     #[test]
-    fn bcsr_policy_on_an_odd_local_dimension_applies_and_reports_scalar() {
-        // One dof per node on 3 x 3 nodes per strip: no 2x2 block structure.
+    fn one_dof_per_node_keeps_the_csr_kernels_bit_for_bit() {
         let mesh = QuadMesh::cantilever(4, 2);
         let dm = DofMap::with_dofs(mesh.n_nodes(), 1);
         let loads = vec![1.0; dm.n_dofs()];
@@ -930,17 +1094,47 @@ mod tests {
             .collect();
         run_ranks(2, MachineModel::ideal(), |comm| {
             let sys = &systems[comm.rank()];
-            assert_eq!(sys.k_local.n_rows() % 2, 1);
+            let mut layout = EddLayout::from_system(sys);
+            assert_eq!(layout.dofs_per_node(), 1);
+            let a = EddLocalMatrix::new(&sys.k_local, &layout);
+            assert_eq!(a.as_csr(), Some(&sys.k_local));
+            let x: Vec<f64> = (0..a.n_rows()).map(|i| 1.0 + 0.25 * i as f64).collect();
+            let mut want = sys.k_local.spmv(&x);
+            layout.interface_sum_buffered(comm, &mut want, &mut ExchangeBuffers::new());
+            for overlap in [false, true] {
+                layout.set_overlap(overlap);
+                let op = EddOperator::new(&a, &layout, comm);
+                assert_eq!(op.kernel_variant(), "csr");
+                let mut got = vec![f64::NAN; x.len()];
+                op.apply_into(&x, &mut got);
+                assert_eq!(got, want, "overlap {overlap}");
+            }
+        });
+    }
+
+    #[test]
+    fn gs_dots_sweep_is_bit_identical_to_per_vector_dot_partial() {
+        let fx = fixture(6, 3, 2);
+        run_ranks(2, MachineModel::ideal(), |comm| {
+            let sys = &fx.systems[comm.rank()];
             let layout = EddLayout::from_system(sys);
-            let op =
-                EddOperator::new(&sys.k_local, &layout, comm).with_kernels(KernelPolicy::Bcsr2x2);
-            assert_eq!(op.kernel_choice(), KernelPolicy::Scalar);
-            let x = vec![1.0; sys.k_local.n_rows()];
-            let mut got = vec![0.0; x.len()];
-            op.apply_into(&x, &mut got);
-            let mut want = vec![0.0; x.len()];
-            EddOperator::new(&sys.k_local, &layout, comm).apply_into(&x, &mut want);
-            assert_eq!(got, want);
+            let a = EddLocalMatrix::new(&sys.k_local, &layout);
+            let op = EddOperator::new(&a, &layout, comm);
+            let n = layout.n_local();
+            let vec = |seed: usize| -> Vec<f64> {
+                (0..n)
+                    .map(|i| ((i * 37 + seed * 101) % 211) as f64 / 53.0 - 2.0)
+                    .collect()
+            };
+            let w = vec(0);
+            for cnt in 0..=9 {
+                let basis: Vec<Vec<f64>> = (1..=cnt).map(vec).collect();
+                let mut reduce = vec![f64::NAN; cnt + 1];
+                op.gs_dots(&w, &basis, &mut reduce);
+                for (got, v) in reduce.iter().zip(basis.iter().chain([&w])) {
+                    assert_eq!(got.to_bits(), layout.dot_partial(&w, v).to_bits(), "{cnt}");
+                }
+            }
         });
     }
 
@@ -975,7 +1169,7 @@ mod tests {
             let layout = EddLayout::from_system(sys);
             let scd = DistributedScaling::build(comm, &layout, &sys.k_local);
             let mut b = sys.f_local.clone();
-            let a = scd.apply(&sys.k_local, &mut b);
+            let a = scd.apply(&sys.k_local, &mut b, &layout);
             super::edd_lambda_max(comm, &layout, &a, &sys.global_dofs, 50_000, 1e-12)
         });
         for got in out.results {
@@ -1000,7 +1194,7 @@ mod tests {
             let layout = EddLayout::from_system(sys);
             let sc = DistributedScaling::build(comm, &layout, &sys.k_local);
             let mut b = sys.f_local.clone();
-            let a = sc.apply(&sys.k_local, &mut b);
+            let a = sc.apply(&sys.k_local, &mut b, &layout);
             let x0 = vec![0.0; b.len()];
             let res = edd_fgmres(
                 comm,

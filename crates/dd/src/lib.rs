@@ -47,9 +47,8 @@ pub use coarse::{
 };
 pub use dist_vec::{EddLayout, ExchangeBuffers};
 pub use dynamic::DynamicRunOutput;
-pub use edd::{edd_fgmres, edd_lambda_max, EddOperator, EddVariant};
+pub use edd::{edd_fgmres, edd_lambda_max, EddLocalMatrix, EddOperator, EddVariant};
 pub use error::SolveError;
-pub use parfem_sparse::KernelPolicy;
 pub use rdd::{rdd_fgmres, RddLocalIlu, RddOperator, RddSystem};
 pub use session::{
     DdSolveOutput, FactorStats, MultiSolveOutput, PrecondSpec, Problem, ProblemMesh, SolveFailures,

@@ -373,6 +373,11 @@ impl<C: Communicator> DistributedOperator for RddOperator<'_, C> {
         2 // multiply, accumulate — no multiplicity weighting
     }
 
+    /// Block rows stay CSR: `[A_loc | A_ext]` through the scalar kernels.
+    fn kernel_variant(&self) -> &'static str {
+        "csr"
+    }
+
     fn gs_dots(&self, w: &[f64], basis: &[Vec<f64>], reduce: &mut [f64]) {
         kernels::dot_sweep(w, basis, reduce);
         reduce[basis.len()] = self.dot_partial(w, w);
@@ -530,7 +535,7 @@ impl Decomposition for RddParts<'_> {
             coarse,
             &mult,
             &d,
-            &sys.a_loc,
+            Some(&sys.a_loc),
             || sys.a_loc.diagonal(),
             &cfg.precond,
         )

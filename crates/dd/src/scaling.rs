@@ -16,6 +16,7 @@
 //! runs can be compared iterate for iterate.
 
 use crate::dist_vec::{EddLayout, ExchangeBuffers};
+use crate::edd::EddLocalMatrix;
 use parfem_fem::subdomain::SubdomainSystem;
 use parfem_mesh::numbering::DOFS_PER_NODE;
 use parfem_msg::Communicator;
@@ -44,13 +45,17 @@ impl DistributedScaling {
         }
     }
 
-    /// Algorithm 4 step 1–2: returns the scaled local matrix `D̂K̂D̂` and
-    /// scales the local RHS in place.
-    pub fn apply(&self, k_local: &CsrMatrix, f_local: &mut [f64]) -> CsrMatrix {
-        let mut a = k_local.clone();
-        a.scale_symmetric(&self.d);
+    /// Algorithm 4 step 1–2: returns the scaled local matrix `D̂K̂D̂` — in the
+    /// storage the layout's DOFs per node give the operator, built straight
+    /// from `k_local` — and scales the local RHS in place.
+    pub fn apply(
+        &self,
+        k_local: &CsrMatrix,
+        f_local: &mut [f64],
+        layout: &EddLayout,
+    ) -> EddLocalMatrix {
         dense::diag_mul(&self.d, f_local);
-        a
+        EddLocalMatrix::scaled(k_local, &self.d, layout)
     }
 
     /// Recovers physical displacements from the scaled solution:
@@ -160,12 +165,17 @@ mod tests {
             let layout = EddLayout::from_system(sys);
             let sc = DistributedScaling::build(comm, &layout, &sys.k_local);
             let mut f = sys.f_local.clone();
-            let a = sc.apply(&sys.k_local, &mut f);
-            // A_ij = d_i K_ij d_j on the local matrix.
+            let a = sc.apply(&sys.k_local, &mut f, &layout);
+            // A_ij = d_i K_ij d_j on the local matrix, read back column by
+            // column (a product with a unit vector is exact).
             let mut max_err = 0.0_f64;
-            for r in 0..a.n_rows() {
-                let (cols, vals) = a.row(r);
-                for (&c, &v) in cols.iter().zip(vals) {
+            let n = a.n_rows();
+            for c in 0..n {
+                let mut e = vec![0.0; n];
+                e[c] = 1.0;
+                let mut col = vec![0.0; n];
+                a.spmv_into(&e, &mut col);
+                for (r, v) in col.iter().enumerate() {
                     let want = sc.d[r] * sys.k_local.get(r, c) * sc.d[c];
                     max_err = max_err.max((v - want).abs());
                 }

@@ -67,7 +67,7 @@ use parfem_msg::{
 use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSetup, CoarseSpec, SpecPrecond};
 pub use parfem_precond::PrecondSpec;
 
-use parfem_sparse::{CsrMatrix, KernelPolicy, SparseLdlt};
+use parfem_sparse::{CsrMatrix, SparseLdlt};
 use parfem_trace::{alloc, TraceSink, Value};
 use std::fmt;
 use std::time::Duration;
@@ -530,20 +530,6 @@ impl<'a> SolveSession<'a> {
         self
     }
 
-    /// Selects the storage of the EDD rank-local matrix (default
-    /// [`KernelPolicy::Scalar`], the bit-exact golden reference).
-    /// [`KernelPolicy::Bcsr2x2`] converts each rank's local matrix to 2×2
-    /// blocks at operator build time; what each rank applies is recorded
-    /// per solve on the trace (`kernel_variant_<label>`): `scalar` on the
-    /// overlapped split schedule and on a rank whose local dimension is
-    /// odd, which keep the CSR row kernels. The RDD operator has no block
-    /// path, so a non-scalar policy under [`Strategy::Rdd`] is rejected as
-    /// [`SolveError::Config`].
-    pub fn kernels(mut self, policy: KernelPolicy) -> Self {
-        self.cfg.gmres.kernels = policy;
-        self
-    }
-
     /// Sets the virtual machine model (default ideal — free communication).
     pub fn machine(mut self, model: MachineModel) -> Self {
         self.model = model;
@@ -584,8 +570,7 @@ impl<'a> SolveSession<'a> {
     /// with a typed [`SolveError`] (possible only under fault injection or
     /// communicator timeouts), or the [`SolveError::Config`] that rejected
     /// the option combination before any rank spawned (`twolevel:rbm*` on
-    /// prebuilt systems, which carry no node coordinates; a non-scalar
-    /// kernel policy under RDD).
+    /// prebuilt systems, which carry no node coordinates).
     ///
     /// # Panics
     /// Panics on API misuse: a mesh-level session without a strategy, or a
@@ -651,22 +636,9 @@ impl<'a> SolveSession<'a> {
             (SessionInput::Mesh(p), Some(Strategy::Edd(part))) => {
                 self.engine(loads, |sink| EddParts::partition(p, part, sink))
             }
-            (SessionInput::Mesh(p), Some(Strategy::Rdd(part))) => {
-                if self.cfg.gmres.kernels != KernelPolicy::Scalar {
-                    return Err(SolveFailures::before_spawn(SolveError::Config {
-                        what: format!(
-                            "kernel policy '{}' with the RDD strategy",
-                            self.cfg.gmres.kernels
-                        ),
-                        advice: "the block format applies to the EDD local matrix only — use \
-                                 Strategy::Edd (--strategy edd) or the scalar policy"
-                            .to_string(),
-                    }));
-                }
-                self.engine(loads, |sink| {
-                    RddParts::assemble(p, part, self.cfg.overlap, sink)
-                })
-            }
+            (SessionInput::Mesh(p), Some(Strategy::Rdd(part))) => self.engine(loads, |sink| {
+                RddParts::assemble(p, part, self.cfg.overlap, sink)
+            }),
             (SessionInput::Mesh(_), None) => {
                 panic!("SolveSession over a mesh needs .strategy(Strategy::Edd(..) | Strategy::Rdd(..))")
             }
@@ -1015,14 +987,15 @@ pub(crate) struct PrecondBuildStats {
 /// two-level coarse space over the rank's operator `op` when the spec asks
 /// for one (`mult` and `d` are the dof multiplicity and scaling diagonal
 /// over the rank's rows), then the registry instantiation from the rank's
-/// scaled `local` matrix and the lazily assembled diagonal. A subdomain
-/// factorization is charged to the rank clock here, once.
+/// scaled matrix as CSR (`local`; `None` when the spec reads no matrix and
+/// the rank keeps none in that form) and the lazily assembled diagonal. A
+/// subdomain factorization is charged to the rank clock here, once.
 pub(crate) fn build_precond<Op>(
     op: &Op,
     coarse: Option<CoarsePlan<'_>>,
     mult: &[f64],
     d: &[f64],
-    local: &CsrMatrix,
+    local: Option<&CsrMatrix>,
     diag: impl FnOnce() -> Vec<f64>,
     spec: &PrecondSpec,
 ) -> (SpecPrecond, PrecondBuildStats)
@@ -1039,7 +1012,7 @@ where
             (built.solver(op.partition_weights()), stats)
         })
         .unzip();
-    let precond = spec.instantiate(solver, Some(local), diag);
+    let precond = spec.instantiate(solver, local, diag);
     let factor = precond.subdomain_factor().map(FactorStats::of);
     if let Some(f) = &factor {
         comm.work(f.flops);
@@ -1065,6 +1038,13 @@ fn rank_body<D: Decomposition, C: Communicator>(
     cfg: &SolverConfig,
 ) -> Result<RankSolves, SolveError> {
     let (rank, built) = parts.rank_setup(comm, coarse, cfg);
+    // What the rank holds going into its solves, and the most it held while
+    // setting up (rank threads start empty, so the peak covers assembly,
+    // scaling and the preconditioner build).
+    if let (true, Some(t)) = (alloc::is_counting(), comm.tracer()) {
+        t.add_count("setup_live_bytes", alloc::live_bytes());
+        t.add_count("setup_peak_bytes", alloc::peak_bytes());
+    }
     let mut ws = KrylovWorkspace::new();
     let solves = (0..loads.count())
         .map(|k| parts.rank_solve(comm, &rank, loads.get(k), cfg, &mut ws))

@@ -32,7 +32,7 @@ use parfem_krylov::history::{ConvergenceHistory, StopReason};
 use parfem_krylov::KrylovWorkspace;
 use parfem_msg::Communicator;
 use parfem_precond::Preconditioner;
-use parfem_sparse::{KernelPolicy, LinearOperator};
+use parfem_sparse::LinearOperator;
 use parfem_trace::{EventKind, Value};
 
 /// The hooks a domain decomposition must provide to run under
@@ -76,12 +76,10 @@ pub trait DistributedOperator: LinearOperator {
     /// with themselves) sweep kernels.
     fn gs_dots(&self, w: &[f64], basis: &[Vec<f64>], reduce: &mut [f64]);
 
-    /// The storage this operator's local SpMV applies, for operators that
-    /// have a choice (`None` otherwise). [`dd_fgmres`] records it per solve
-    /// on the trace.
-    fn kernel_variant(&self) -> Option<KernelPolicy> {
-        None
-    }
+    /// The kernel this operator's local SpMV runs (`csr`, `bcsr2`,
+    /// `bcsr3`), the same on the blocking and the overlapped schedule.
+    /// [`dd_fgmres`] records it per solve on the trace.
+    fn kernel_variant(&self) -> &'static str;
 
     /// Produces the flexible vector `z_j` from the basis vector `v_j`
     /// through `precond`. The default is a plain scratch-buffered
@@ -116,8 +114,8 @@ pub struct DdResult {
 
 /// Restarted flexible GMRES over any [`DistributedOperator`] — the single
 /// solver loop behind `edd_fgmres` and `rdd_fgmres`. The solve runs inside
-/// the rank's `fgmres` trace span, after the operator's kernel variant (if
-/// it selects one) is recorded as the `kernel_variant_<label>` rank counter.
+/// the rank's `fgmres` trace span, after the operator's kernel is recorded as
+/// the `kernel_variant_<label>` rank counter.
 ///
 /// Once the workspace (and the operator's exchange staging) are warm,
 /// restarts and iterations perform no heap allocation on this rank, and
@@ -149,8 +147,8 @@ where
     if let Some(tracer) = comm.tracer() {
         tracer.span_begin("fgmres", comm.virtual_time());
     }
-    if let (Some(choice), Some(tracer)) = (op.kernel_variant(), comm.tracer()) {
-        tracer.add_count(&format!("kernel_variant_{choice}"), 1);
+    if let Some(tracer) = comm.tracer() {
+        tracer.add_count(&format!("kernel_variant_{}", op.kernel_variant()), 1);
     }
     let res = restarted_fgmres(op, precond, x0, cfg, ws);
     if let Some(tracer) = comm.tracer() {

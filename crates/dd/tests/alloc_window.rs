@@ -1,14 +1,16 @@
 //! The allocation totals on `solve_summary` cover the same window for both
 //! strategies: the whole run, partitioning and assembly (on the host for RDD,
-//! on the ranks for EDD) included. And the assembly itself allocates little
-//! more than the matrix it returns.
+//! on the ranks for EDD) included. The assembly itself allocates little more
+//! than the matrix it returns, and an EDD rank that assembled its own system
+//! goes into the Krylov loop holding one matrix, not an unscaled and a scaled
+//! copy (the `setup_live_bytes` / `setup_peak_bytes` rank counters).
 //!
 //! Runs under a counting allocator, so this binary holds nothing else.
 
-use parfem_dd::{Problem, SolveSession, Strategy};
+use parfem_dd::{PrecondSpec, Problem, SolveSession, Strategy};
 use parfem_fem::{assembly, Material, SubdomainSystem};
 use parfem_mesh::{DofMap, Edge, ElementPartition, Face, HexMesh, NodePartition, QuadMesh};
-use parfem_sparse::CsrMatrix;
+use parfem_sparse::{BcsrMatrix, CsrMatrix};
 use parfem_trace::alloc::{self, CountingAlloc};
 use parfem_trace::{TraceReport, TraceSink};
 
@@ -101,4 +103,106 @@ fn hex_half_block_assembly_allocates_little_more_than_its_matrix() {
         "assembly allocated {} B for a {csr} B matrix",
         allocated.bytes
     );
+}
+
+/// The `setup_live_bytes` and `setup_peak_bytes` counters of every rank of a
+/// traced run of `session`, and the run's iteration count.
+fn setup_memory(session: SolveSession<'_>) -> (Vec<(u64, u64)>, usize) {
+    let sink = TraceSink::recording();
+    let out = session.trace(&sink).run().expect("fault-free solve");
+    assert!(out.history.converged());
+    let report = TraceReport::from_events(&sink.take_events());
+    let counter = |rank: &parfem_trace::RankSummary, name: &str| -> u64 {
+        let found = rank.counters.iter().find(|(n, _)| n == name);
+        found.unwrap_or_else(|| panic!("no {name} counter")).1
+    };
+    let memory = (report.ranks.iter())
+        .map(|r| {
+            (
+                counter(r, "setup_live_bytes"),
+                counter(r, "setup_peak_bytes"),
+            )
+        })
+        .collect();
+    (memory, out.history.iterations())
+}
+
+/// After its setup under `gls:7` a rank of the `elas2d-edd-gls7` shape holds
+/// the block matrix and vectors, nothing matrix-sized besides: the unscaled
+/// stiffness it assembled is gone and no scaled CSR copy was ever made.
+#[test]
+fn edd_rank_holds_one_matrix_after_a_polynomial_setup() {
+    assert!(alloc::is_counting(), "counting allocator not installed");
+    let mesh = QuadMesh::cantilever(100, 100);
+    let mut dm = DofMap::new(mesh.n_nodes());
+    dm.clamp_edge(&mesh, Edge::Left);
+    let mat = Material::unit();
+    let mut loads = vec![0.0; dm.n_dofs()];
+    assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
+    let part = ElementPartition::strips_x(&mesh, 2);
+
+    // The ranks' matrices, rebuilt here to size them: (block matrix, its
+    // CSR source, a dozen n-vectors — f̂, D̂ f̂, d, 1/mult, multiplicity,
+    // global dofs, the node list, the row lists and the exchange lists).
+    let sized: Vec<(u64, u64, u64)> = (part.subdomains(&mesh).iter())
+        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None).k_local)
+        .map(|k| {
+            let blocks = BcsrMatrix::from_csr(&k, 2).expect("two DOFs per node");
+            let csr = csr_bytes(&k) + ((k.n_rows() + 1) * size_of::<usize>()) as u64;
+            let vectors = 12 * (k.n_rows() * size_of::<f64>()) as u64;
+            (blocks.bytes() as u64, csr, vectors)
+        })
+        .collect();
+
+    let session = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+        .strategy(Strategy::Edd(part))
+        .precond(PrecondSpec::parse("gls:7").unwrap());
+    let (memory, _) = setup_memory(session);
+    for ((live, peak), (blocks, csr, vectors)) in memory.iter().zip(&sized) {
+        eprintln!(
+            "rank after gls:7 setup: live {live} B, peak {peak} B; block matrix {blocks} B \
+             ({:.2} x its CSR source of {csr} B), vectors <= {vectors} B",
+            *blocks as f64 / *csr as f64
+        );
+        assert!(
+            *live as f64 <= 1.25 * (blocks + vectors) as f64,
+            "rank holds {live} B after setup; block matrix {blocks} B + vectors {vectors} B"
+        );
+        // Two CSR copies side by side — what the rank held before the block
+        // operator — would not fit under the bound.
+        assert!(2 * csr > (1.25 * (blocks + vectors) as f64) as u64);
+        assert!(*peak >= *live);
+    }
+}
+
+/// The two-level setup reads matrix rows, so it does see a scaled CSR — the
+/// rank's own stiffness scaled in place, next to the block operator, where
+/// there used to be the stiffness and a scaled CSR clone. The peak over
+/// assembly, scaling and the coarse build of one `elas3d-edd-twolevel`-shaped
+/// rank stays below what the CSR-clone setup reached.
+#[test]
+fn hex_twolevel_setup_peak_is_no_higher_than_with_two_csr_copies() {
+    assert!(alloc::is_counting(), "counting allocator not installed");
+    // Per-rank peaks at the parent commit (same mesh and spec, these
+    // counters patched in), reached with `K̂` and its scaled clone live.
+    const PARENT_PEAK: [u64; 2] = [32_239_928, 33_911_616];
+    let mesh = HexMesh::cantilever(28, 14, 14);
+    let mut dm = DofMap::with_dofs(mesh.n_nodes(), 3);
+    for node in mesh.face_nodes(Face::XMin) {
+        dm.clamp_node(node);
+    }
+    let mat = Material::unit();
+    let mut loads = vec![0.0; dm.n_dofs()];
+    assembly::face_load(&mesh, &dm, Face::XMax, [0.0, 0.0, -1.0], &mut loads);
+    let session = SolveSession::new(Problem::elasticity3d(&mesh, &dm, &mat, &loads))
+        .strategy(Strategy::Edd(ElementPartition::blocks_of(&mesh, 2, 1)))
+        .precond(PrecondSpec::parse("twolevel:rbm.s3:gls-3").unwrap());
+    let (memory, _) = setup_memory(session);
+    for ((live, peak), parent) in memory.into_iter().zip(PARENT_PEAK) {
+        eprintln!("hex two-level rank: live {live} B after setup, peak {peak} B ({parent} B)");
+        assert!(
+            peak <= parent,
+            "setup peaked at {peak} B, the two-CSR setup at {parent} B"
+        );
+    }
 }

@@ -91,8 +91,10 @@ fn edd_case(
         let mut layout = EddLayout::from_system(sys);
         layout.set_overlap(overlap);
         let sc = DistributedScaling::build(comm, &layout, &sys.k_local);
-        let a = sc.apply(&sys.k_local, &mut sys.f_local.clone());
-        let op = EddOperator::new(&a, &layout, comm);
+        let a = sc.apply(&sys.k_local, &mut sys.f_local.clone(), &layout);
+        let mut rows = sys.k_local.clone();
+        rows.scale_symmetric(&sc.d);
+        let op = EddOperator::new(&a, &layout, comm).with_rows(&rows);
         let plan = CoarsePlan {
             spec,
             n_comp: dpn,

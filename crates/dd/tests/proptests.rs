@@ -6,7 +6,8 @@ use parfem_dd::dist_vec::EddLayout;
 use parfem_dd::rdd::RddOperator;
 use parfem_dd::scaling::edd_scaling_reference;
 use parfem_dd::{
-    EddOperator, EddVariant, PrecondSpec, Problem, RddSystem, SolveSession, SolverConfig, Strategy,
+    EddLocalMatrix, EddOperator, EddVariant, PrecondSpec, Problem, RddSystem, SolveSession,
+    SolverConfig, Strategy,
 };
 use parfem_fem::{assembly, Material, SubdomainSystem};
 use parfem_krylov::gmres::GmresConfig;
@@ -130,15 +131,10 @@ proptest! {
             let sys = &sys_ref[comm.rank()];
             let mut layout = EddLayout::from_system(sys);
             let xl = sys.restrict(&x);
-            let y_blocking = {
-                let op = EddOperator::new(&sys.k_local, &layout, comm);
-                op.apply(&xl)
-            };
+            let a = EddLocalMatrix::new(&sys.k_local, &layout);
+            let y_blocking = EddOperator::new(&a, &layout, comm).apply(&xl);
             layout.set_overlap(true);
-            let y_overlapped = {
-                let op = EddOperator::new(&sys.k_local, &layout, comm);
-                op.apply(&xl)
-            };
+            let y_overlapped = EddOperator::new(&a, &layout, comm).apply(&xl);
             (y_blocking, y_overlapped)
         });
         for (blocking, overlapped) in out.results {

@@ -18,11 +18,12 @@ use parfem_dd::{
 };
 use parfem_fem::{assembly, Material, NewmarkParams, SubdomainSystem};
 use parfem_krylov::gmres::{fgmres, GmresConfig};
-use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, PartitionerSpec, QuadMesh};
+use parfem_mesh::{
+    DofMap, Edge, ElementPartition, Face, HexMesh, NodePartition, PartitionerSpec, QuadMesh,
+};
 use parfem_msg::{FaultPlan, MachineModel};
 use parfem_precond::GlsPrecond;
 use parfem_sparse::scaling::scale_system;
-use parfem_sparse::KernelPolicy;
 use parfem_trace::{TraceReport, TraceSink};
 use std::time::Duration;
 
@@ -163,56 +164,68 @@ fn granular_setters_equal_wholesale_config() {
     assert_bit_identical(&wholesale, &granular, "wholesale vs granular");
 }
 
-/// `.kernels(..)` matters and is reported truthfully: the block format
-/// reaches every EDD rank's local matvec (same iteration count, solution
-/// equal up to reassociated row sums), the overlapped split schedule keeps
-/// the scalar row kernels and says so, and RDD — which has no block path —
-/// refuses the policy instead of ignoring it.
+/// The kernel follows from the physics and every solve names it: an EDD
+/// rank applies node blocks of its DOFs per node (`bcsr2` plane elasticity,
+/// `bcsr3` solids, `csr` for the scalar heat problem), the overlapped split
+/// schedule runs — and reports — the same kernel with the same bits, and the
+/// RDD block rows report `csr`.
 #[test]
-fn kernel_policy_reaches_every_edd_rank_and_is_recorded() {
-    let (mesh, dm, mat, loads) = problem(24, 8);
-    let run = |policy: KernelPolicy, overlap: bool| {
+fn kernel_follows_the_physics_on_every_rank_and_is_recorded() {
+    fn labelled(session: SolveSession<'_>, overlap: bool) -> (DdSolveOutput, Vec<String>) {
         let sink = TraceSink::recording();
-        let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-            .strategy(Strategy::Edd(ElementPartition::strips_x(&mesh, 2)))
-            .precond(PrecondSpec::Gls {
-                degree: 7,
-                theta: None,
-            })
-            .kernels(policy)
-            .overlap(overlap)
-            .trace(&sink)
-            .run()
-            .expect("edd run");
+        let out = (session.overlap(overlap).trace(&sink).run()).expect("fault-free run");
         assert!(out.history.converged());
         let report = TraceReport::from_events(&sink.take_events());
-        assert_eq!(report.ranks.len(), 2);
-        let labels: Vec<String> = (report.ranks.iter())
+        let labels = (report.ranks.iter())
             .flat_map(|r| r.counters.iter())
             .filter(|(name, _)| name.starts_with("kernel_variant_"))
             .map(|(name, count)| format!("{name}={count}"))
             .collect();
         (out, labels)
-    };
-    let (scalar, scalar_labels) = run(KernelPolicy::Scalar, false);
-    let (bcsr, bcsr_labels) = run(KernelPolicy::Bcsr2x2, false);
-    let (_, split_labels) = run(KernelPolicy::Bcsr2x2, true);
-    assert_eq!(scalar_labels, ["kernel_variant_scalar=1"; 2]);
-    assert_eq!(bcsr_labels, ["kernel_variant_bcsr=1"; 2]);
-    assert_eq!(split_labels, ["kernel_variant_scalar=1"; 2]);
-
-    assert_eq!(scalar.history.iterations(), bcsr.history.iterations());
-    let scale = scalar.u.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-    for (a, b) in scalar.u.iter().zip(&bcsr.u) {
-        assert!((a - b).abs() <= 1e-9 * scale, "{a} vs {b}");
+    }
+    fn check<'a>(session: impl Fn() -> SolveSession<'a>, label: &str) {
+        let (blocking, labels) = labelled(session(), false);
+        assert_eq!(labels, vec![format!("kernel_variant_{label}=1"); 2]);
+        let (overlapped, split_labels) = labelled(session(), true);
+        assert_eq!(split_labels, labels, "overlapped schedule, same kernel");
+        assert_bit_identical(&blocking, &overlapped, label);
     }
 
-    let refused = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-        .strategy(Strategy::Rdd(NodePartition::strips_x(&mesh, 2)))
-        .kernels(KernelPolicy::Bcsr2x2)
-        .run()
-        .expect_err("RDD has no block format");
-    assert!(refused.is_config_error() && refused.reports.is_empty());
+    let (mesh, dm, mat, loads) = problem(24, 8);
+    let plane = Problem::new(&mesh, &dm, &mat, &loads);
+    let edd2 = ElementPartition::strips_x(&mesh, 2);
+    let rdd2 = NodePartition::strips_x(&mesh, 2);
+    check(
+        || SolveSession::new(plane).strategy(Strategy::Edd(edd2.clone())),
+        "bcsr2",
+    );
+    check(
+        || SolveSession::new(plane).strategy(Strategy::Rdd(rdd2.clone())),
+        "csr",
+    );
+
+    let mut heat_dm = DofMap::with_dofs(mesh.n_nodes(), 1);
+    heat_dm.clamp_edge(&mesh, Edge::Left);
+    let mut source = vec![0.0; heat_dm.n_dofs()];
+    assembly::edge_source(&mesh, &heat_dm, Edge::Right, 1.0, &mut source);
+    let heat = Problem::heat(&mesh, &heat_dm, &mat, &source);
+    check(
+        || SolveSession::new(heat).strategy(Strategy::Edd(edd2.clone())),
+        "csr",
+    );
+
+    let hex = HexMesh::cantilever(6, 3, 3);
+    let mut hex_dm = DofMap::with_dofs(hex.n_nodes(), 3);
+    for node in hex.face_nodes(Face::XMin) {
+        hex_dm.clamp_node(node);
+    }
+    let mut hex_loads = vec![0.0; hex_dm.n_dofs()];
+    assembly::face_load(&hex, &hex_dm, Face::XMax, [0.0, 0.0, -1.0], &mut hex_loads);
+    let solid = Problem::elasticity3d(&hex, &hex_dm, &mat, &hex_loads);
+    check(
+        || SolveSession::new(solid).partitioned(PartitionerSpec::Strips, 2),
+        "bcsr3",
+    );
 }
 
 /// `run_multi` shares one scaling/layout/preconditioner across right-hand

@@ -17,7 +17,7 @@ use crate::givens::Givens;
 use crate::history::{ConvergenceHistory, StopReason};
 use crate::workspace::KrylovWorkspace;
 use parfem_precond::Preconditioner;
-use parfem_sparse::{dense, kernels, KernelPolicy, LinearOperator};
+use parfem_sparse::{dense, kernels, LinearOperator};
 use parfem_trace::{EventKind, RankTracer, Value};
 
 /// Arnoldi orthogonalization scheme.
@@ -47,13 +47,6 @@ pub struct GmresConfig {
     pub tol: f64,
     /// Gram–Schmidt variant.
     pub ortho: Orthogonalization,
-    /// Storage policy for the rank-local matrix of the distributed EDD
-    /// solve. This field only carries the value from the solve session to
-    /// the distributed FGMRES, whose operator converts its matrix; the
-    /// sequential [`fgmres`] ignores it (its operator is whatever the
-    /// caller passes as `op`, and its vector kernels are always the scalar
-    /// ones).
-    pub kernels: KernelPolicy,
 }
 
 impl Default for GmresConfig {
@@ -63,7 +56,6 @@ impl Default for GmresConfig {
             max_iters: 10_000,
             tol: 1e-6,
             ortho: Orthogonalization::Classical,
-            kernels: KernelPolicy::Scalar,
         }
     }
 }

@@ -114,14 +114,16 @@ fn warm_workspace_alloc_count_is_iteration_free_with_polynomial_precond() {
 #[test]
 fn every_kernel_variant_is_iteration_free() {
     assert!(alloc::is_counting(), "counting allocator not installed");
-    let n = 64; // even, so the 2x2 block format is admissible
+    let n = 66; // 2 · 33 = 3 · 22, so both block formats are admissible
     let a = laplacian(n);
     let b = vec![1.0; n];
 
-    // Converting to the block format allocates; once built, the iteration
-    // loop over either storage must not.
-    let blocks = BcsrMatrix::try_from_csr(&a).expect("even dimensions");
-    let operators: [(&str, &dyn LinearOperator); 2] = [("scalar", &a), ("bcsr", &blocks)];
+    // Building the block format allocates; once built, the iteration loop
+    // over any of the three storages must not.
+    let blocks2 = BcsrMatrix::from_csr(&a, 2).expect("66 is a multiple of 2");
+    let blocks3 = BcsrMatrix::from_csr(&a, 3).expect("66 is a multiple of 3");
+    let operators: [(&str, &dyn LinearOperator); 3] =
+        [("csr", &a), ("bcsr2", &blocks2), ("bcsr3", &blocks3)];
     for (label, op) in operators {
         let short = GmresConfig {
             restart: 10,

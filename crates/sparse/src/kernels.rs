@@ -12,7 +12,8 @@
 //!    keeps one accumulator per basis vector and walks elements in order,
 //!    so it equals the corresponding sequence of individual dot products
 //!    bit-for-bit; [`axpy_block`] applies its updates to each element in
-//!    block order, matching a sequence of individual AXPYs bit-for-bit.
+//!    block order, matching a sequence of individual AXPYs bit-for-bit;
+//!    [`dot_block_weighted`] is [`dot_block`] with a per-element weight.
 //!    The blocking only changes *memory traffic* (one pass over `w` instead
 //!    of `K`), never floating-point semantics.
 //! 3. No allocation anywhere; callers provide every buffer.
@@ -199,6 +200,63 @@ pub fn dot_sweep(w: &[f64], vs: &[Vec<f64>], out: &mut [f64]) {
                 [vs[i].as_slice(), vs[i + 1].as_slice(), vs[i + 2].as_slice()],
             );
             out[i..i + 3].copy_from_slice(&d);
+        }
+        _ => {}
+    }
+}
+
+/// `K` simultaneous weighted dot products `out[j] = Σ_k (w_k · vs[j]_k) · m_k`
+/// in one pass over `w` and `m`.
+///
+/// One in-order accumulator per vector and the element expression
+/// `(w·v)·m`, so each result is bit-identical to the one-vector form — the
+/// multiplicity-weighted partial of the element-based decomposition.
+///
+/// # Panics
+/// Panics if any vector length differs from `w`.
+#[inline]
+pub fn dot_block_weighted<const K: usize>(w: &[f64], vs: [&[f64]; K], m: &[f64]) -> [f64; K] {
+    assert_eq!(
+        m.len(),
+        w.len(),
+        "dot_block_weighted: weight length mismatch"
+    );
+    for v in vs {
+        assert_eq!(v.len(), w.len(), "dot_block_weighted: length mismatch");
+    }
+    let mut acc = [0.0_f64; K];
+    for (k, (&wk, &mk)) in w.iter().zip(m).enumerate() {
+        for j in 0..K {
+            acc[j] += wk * vs[j][k] * mk;
+        }
+    }
+    acc
+}
+
+/// The weighted Gram–Schmidt dot pass: `out[i] = Σ_k (w_k · vs[i]_k) · m_k`
+/// for the whole basis and `out[vs.len()] = Σ_k (w_k · w_k) · m_k`, through
+/// [`dot_block_weighted`] in blocks of four with `w` itself as the last
+/// vector — `⌈(vs.len() + 1) / 4⌉` passes over `w` and `m` instead of
+/// `vs.len() + 1`, each result bit-identical to its own one-vector pass.
+///
+/// # Panics
+/// Panics if `out` is shorter than `vs.len() + 1` or a length differs from
+/// `w`.
+pub fn dot_sweep_weighted(w: &[f64], vs: &[Vec<f64>], m: &[f64], out: &mut [f64]) {
+    let cnt = vs.len() + 1;
+    assert!(out.len() >= cnt, "dot_sweep_weighted: output too short");
+    let at = |i: usize| if i < vs.len() { vs[i].as_slice() } else { w };
+    let mut i = 0;
+    while i + 4 <= cnt {
+        let d = dot_block_weighted(w, [at(i), at(i + 1), at(i + 2), at(i + 3)], m);
+        out[i..i + 4].copy_from_slice(&d);
+        i += 4;
+    }
+    match cnt - i {
+        1 => out[i] = dot_block_weighted(w, [at(i)], m)[0],
+        2 => out[i..i + 2].copy_from_slice(&dot_block_weighted(w, [at(i), at(i + 1)], m)),
+        3 => {
+            out[i..i + 3].copy_from_slice(&dot_block_weighted(w, [at(i), at(i + 1), at(i + 2)], m))
         }
         _ => {}
     }
@@ -426,6 +484,32 @@ mod tests {
             for (i, v) in vs.iter().enumerate() {
                 assert_eq!(out[i], dense::dot(&w, v), "cnt={cnt} i={i}");
             }
+        }
+    }
+
+    #[test]
+    fn dot_sweep_weighted_is_bit_identical_to_separate_weighted_dots() {
+        let n = 97;
+        let w = random_vec(n, 31);
+        // Weights 1, 1/2, 1/4 like inverse multiplicities.
+        let m: Vec<f64> = (0..n).map(|i| 1.0 / (1 << (i % 3)) as f64).collect();
+        let one = |v: &[f64]| -> f64 {
+            let mut acc = 0.0;
+            for k in 0..n {
+                acc += w[k] * v[k] * m[k];
+            }
+            acc
+        };
+        // Every remainder size (0..=3) of `cnt + 1` against the block width.
+        for cnt in 0..=9 {
+            let vs: Vec<Vec<f64>> = (0..cnt).map(|i| random_vec(n, 40 + i as u64)).collect();
+            let mut out = vec![f64::NAN; cnt + 2];
+            dot_sweep_weighted(&w, &vs, &m, &mut out);
+            for (i, v) in vs.iter().enumerate() {
+                assert_eq!(out[i].to_bits(), one(v).to_bits(), "cnt={cnt} i={i}");
+            }
+            assert_eq!(out[cnt].to_bits(), one(&w).to_bits(), "cnt={cnt} <w, w>");
+            assert!(out[cnt + 1].is_nan(), "wrote past cnt + 1");
         }
     }
 

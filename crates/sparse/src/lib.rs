@@ -20,13 +20,13 @@
 //! - [`op`] — the [`LinearOperator`] abstraction shared by the sequential
 //!   and distributed solvers,
 //! - [`io`] — MatrixMarket import/export for reproducibility,
-//! - [`bcsr`] — 2×2 block-CSR storage, convertible to and from CSR without
-//!   loss; the one alternative to CSR, chosen by [`variant::KernelPolicy`],
+//! - [`bcsr`] — node-block CSR storage (`B × B` blocks, `B ∈ {2, 3}`) built
+//!   from CSR; the one alternative to CSR, for matrices whose DOFs come `B`
+//!   to a node,
 //! - [`ldlt`] — the one factorization: a pivot-tolerant sparse LDLᵀ under a
 //!   deterministic minimum-degree ordering, behind both the exact `direct`
 //!   subdomain preconditioner and the two-level preconditioner's Galerkin
-//!   coarse solve,
-//! - [`variant`] — the two-valued kernel policy (`scalar` | `bcsr`).
+//!   coarse solve.
 //!
 //! All matrices are real, square-or-rectangular, `f64`-valued. Row and column
 //! indices are `usize`. Nothing in this crate allocates in per-iteration hot
@@ -52,7 +52,6 @@ pub mod kernels;
 pub mod ldlt;
 pub mod op;
 pub mod scaling;
-pub mod variant;
 
 pub use bcsr::BcsrMatrix;
 pub use coo::CooMatrix;
@@ -62,4 +61,3 @@ pub use ilu::Ilu0;
 pub use ldlt::SparseLdlt;
 pub use op::LinearOperator;
 pub use scaling::DiagonalScaling;
-pub use variant::KernelPolicy;

@@ -1,6 +1,7 @@
 //! Property-based tests for the sparse kernels, including the block-CSR
-//! contract: the format round-trips exactly and multiplies within a pinned
-//! error bound of the scalar CSR reference.
+//! contract: the format holds the source exactly, multiplies within a pinned
+//! error bound of the scalar CSR reference, and splits over block rows bit
+//! for bit.
 
 use parfem_sparse::{coo::CooMatrix, csr::CsrMatrix, dense, scaling::DiagonalScaling, BcsrMatrix};
 use proptest::prelude::*;
@@ -22,6 +23,45 @@ fn triplets(n: usize, max_len: usize) -> impl Strategy<Value = Vec<(usize, usize
         (0..n, 0..n, -100.0..100.0f64).prop_map(|(r, c, v)| (r, c, v)),
         0..max_len,
     )
+}
+
+/// Strategy: `(B, A)` with `A` a finite-element-shaped matrix over `n_nodes`
+/// nodes of `B ∈ {2, 3}` DOFs each — full `B × B` couplings between
+/// connected nodes, except that roughly one DOF in five is *constrained*:
+/// its row is a lone diagonal and its column is dropped everywhere else, so
+/// partly constrained nodes leave partly filled blocks.
+fn node_blocked_matrix(n_nodes: usize) -> impl Strategy<Value = (usize, CsrMatrix)> {
+    (
+        2..4usize,
+        prop::collection::vec((0..n_nodes, 0..n_nodes), 0..3 * n_nodes),
+        prop::collection::vec(0..5usize, 3 * n_nodes),
+        prop::collection::vec(-100.0..100.0f64, 64),
+    )
+        .prop_map(move |(b, edges, marks, vals)| {
+            let n = b * n_nodes;
+            let fixed = |dof: usize| marks[dof] == 0;
+            let mut coo = CooMatrix::new(n, n);
+            let mut k = 0;
+            let mut couple = |p: usize, q: usize, coo: &mut CooMatrix| {
+                for (r, c) in (0..b).flat_map(|i| (0..b).map(move |j| (b * p + i, b * q + j))) {
+                    k += 1;
+                    if !fixed(r) && !fixed(c) {
+                        coo.push(r, c, vals[k % vals.len()]).unwrap();
+                    }
+                }
+            };
+            for p in 0..n_nodes {
+                couple(p, p, &mut coo);
+            }
+            for &(p, q) in edges.iter().filter(|(p, q)| p != q) {
+                couple(p, q, &mut coo);
+                couple(q, p, &mut coo);
+            }
+            for dof in (0..n).filter(|&dof| fixed(dof)) {
+                coo.push(dof, dof, 0.5).unwrap();
+            }
+            (b, coo.to_csr())
+        })
 }
 
 /// Strategy: a random symmetric positive definite matrix built as
@@ -186,41 +226,60 @@ proptest! {
     }
 }
 
-// Block-format contract: pinned against the scalar CSR reference — exact
-// round trip, row sums within `reduction_bound`.
+// Block-format contract: pinned against the scalar CSR reference — every
+// source entry recovered exactly, row sums within `reduction_bound`, block-row
+// subsets bit-identical to the full product.
 proptest! {
     #[test]
-    fn bcsr_round_trips_csr_exactly(ts in triplets(18, 120)) {
-        // Even dimensions: 2x2 blocking must reconstruct the source exactly,
-        // with fill-in zeros dropped via the structural mask.
+    fn bcsr_round_trips_csr_exactly(ts in triplets(18, 120), b in 2..4usize) {
+        // 18 = 2·9 = 3·6: either blocking must hold every source entry
+        // exactly and nothing but zeros besides. Unit vectors read the
+        // columns back (a product with 1.0 and sums with 0.0 are exact).
         let mut coo = CooMatrix::new(18, 18);
         for &(r, c, v) in &ts {
             coo.push(r, c, v).unwrap();
         }
         let a = coo.to_csr();
-        let b = BcsrMatrix::try_from_csr(&a).expect("even dims must block");
-        prop_assert_eq!(b.nnz(), a.nnz());
-        prop_assert!(b.fill_ratio() >= 1.0 || a.nnz() == 0);
-        prop_assert_eq!(b.to_csr(), a);
+        let blocks = BcsrMatrix::from_csr(&a, b).expect("18 is a multiple of 2 and 3");
+        prop_assert_eq!(blocks.nnz(), a.nnz());
+        prop_assert!(blocks.fill_ratio() >= 1.0);
+        prop_assert_eq!(blocks.diagonal(), a.diagonal());
+        for c in 0..18 {
+            let mut e = vec![0.0; 18];
+            e[c] = 1.0;
+            for (r, &v) in blocks.spmv(&e).iter().enumerate() {
+                prop_assert_eq!(v, a.get(r, c), "entry ({}, {})", r, c);
+            }
+        }
     }
 
     #[test]
-    fn bcsr_spmv_within_reduction_bound(ts in triplets(18, 120),
-                                        x in prop::collection::vec(-5.0..5.0f64, 18)) {
-        // The 2x2 block kernel regroups each row reduction into block-column
-        // order with fused fill-in zeros — ULP-bounded, not bit-identical.
-        let mut coo = CooMatrix::new(18, 18);
-        for &(r, c, v) in &ts {
-            coo.push(r, c, v).unwrap();
+    fn bcsr_spmv_within_reduction_bound(
+        (b, a) in node_blocked_matrix(8),
+        xs in prop::collection::vec(-5.0..5.0f64, 24),
+        cut in prop::collection::vec(0..2usize, 12),
+    ) {
+        // The block kernel regroups each row reduction into block-column
+        // order with fused fill-in zeros — within the reassociation bound of
+        // the CSR reference, not bit-identical to it.
+        let x = &xs[..a.n_cols()];
+        let mut scalar = vec![0.0; a.n_rows()];
+        a.spmv_into(x, &mut scalar);
+        let blocks = BcsrMatrix::from_csr(&a, b).expect("node-blocked by construction");
+        let got = blocks.spmv(x);
+        for r in 0..a.n_rows() {
+            prop_assert!((got[r] - scalar[r]).abs() <= reduction_bound(&a, x, r),
+                "b={} row {}: {} vs {}", b, r, got[r], scalar[r]);
         }
-        let a = coo.to_csr();
-        let mut scalar = vec![0.0; 18];
-        a.spmv_into(&x, &mut scalar);
-        let b = BcsrMatrix::try_from_csr(&a).expect("even dims must block");
-        let got = b.spmv(&x);
-        for r in 0..18 {
-            prop_assert!((got[r] - scalar[r]).abs() <= reduction_bound(&a, &x, r),
-                "bcsr row {}: {} vs {}", r, got[r], scalar[r]);
+        // Any partition of the block rows into two indexed calls reassembles
+        // the full product bit for bit.
+        let (first, second): (Vec<u32>, Vec<u32>) =
+            (0..blocks.n_block_rows() as u32).partition(|&r| cut[r as usize] == 0);
+        let mut split = vec![f64::NAN; a.n_rows()];
+        blocks.spmv_block_rows(x, &mut split, &second);
+        blocks.spmv_block_rows(x, &mut split, &first);
+        for r in 0..a.n_rows() {
+            prop_assert_eq!(split[r].to_bits(), got[r].to_bits(), "split row {}", r);
         }
     }
 

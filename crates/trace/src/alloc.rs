@@ -20,9 +20,14 @@
 //! emitting `alloc_bytes` / `alloc_count` fields, so traces never carry
 //! misleading zeros.
 //!
-//! Deallocations are deliberately not subtracted: the counters measure
-//! allocator *traffic* (how often the hot path hits `malloc`), which is the
-//! quantity the zero-allocation Krylov workspace is designed to eliminate.
+//! Deallocations are deliberately not subtracted from those counters: they
+//! measure allocator *traffic* (how often the hot path hits `malloc`), which
+//! is the quantity the zero-allocation Krylov workspace is designed to
+//! eliminate. What a thread *holds* is tracked next to them:
+//! [`live_bytes`] (allocated minus freed on this thread) and its high-water
+//! mark [`peak_bytes`] — a rank's memory footprint, as long as the rank
+//! frees what it allocates (message payloads cross threads, a few hundred
+//! bytes either way).
 // The one unsafe impl in the crate: forwarding `GlobalAlloc` to `System`
 // around two thread-local counter bumps. Kept to this module; see lib.rs.
 #![allow(unsafe_code)]
@@ -37,6 +42,9 @@ thread_local! {
     // allocate nor run after thread-local teardown has freed them.
     static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
     static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+    // Signed: a thread that frees what another allocated dips below zero.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 // A statistic that publishes no other data: `Relaxed` suffices.
 static INSTALLED: AtomicBool = AtomicBool::new(false);
@@ -59,12 +67,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_free(layout.size());
         System.dealloc(ptr, layout);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // A grow/shrink is new allocator traffic of the new size.
+        // A grow/shrink is new allocator traffic of the new size; old and
+        // new block may coexist while it moves, and the peak says so.
         note_alloc(new_size);
+        note_free(layout.size());
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -78,6 +89,17 @@ fn note_alloc(bytes: usize) {
     // counted rather than a panic inside the allocator.
     let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
     let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+    if let Ok(live) = LIVE_BYTES.try_with(|c| {
+        c.set(c.get() + bytes as i64);
+        c.get()
+    }) {
+        let _ = PEAK_BYTES.try_with(|c| c.set(c.get().max(live)));
+    }
+}
+
+#[inline]
+fn note_free(bytes: usize) {
+    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() - bytes as i64));
 }
 
 /// Cumulative allocation counters of one thread at one instant; subtract
@@ -117,6 +139,17 @@ pub fn stats() -> AllocStats {
         count: ALLOC_CALLS.with(Cell::get),
         bytes: ALLOC_BYTES.with(Cell::get),
     }
+}
+
+/// Bytes the calling thread holds: allocated minus freed **on this thread**
+/// since it started (zero unless [`CountingAlloc`] is installed).
+pub fn live_bytes() -> u64 {
+    LIVE_BYTES.with(Cell::get).max(0) as u64
+}
+
+/// The high-water mark of [`live_bytes`] on the calling thread.
+pub fn peak_bytes() -> u64 {
+    PEAK_BYTES.with(Cell::get).max(0) as u64
 }
 
 /// Runs `f` and returns its value with what it allocated **on this

@@ -254,9 +254,10 @@ fn malformed_and_out_of_range_values_exit_cleanly() {
         (&["--mesh", "0x4"], 2, "--mesh"),
         (&["--mesh", "8x4", "--distort", "0.9"], 2, "--distort"),
         (&["--paper-mesh", "11"], 2, "--paper-mesh"),
-        (&["--mesh", "8x4", "--kernels", "simd"], 2, "scalar|bcsr"),
-        (&["--mesh", "8x4", "--kernels", "sellcs"], 2, "scalar|bcsr"),
-        (&["--mesh", "8x4", "--kernels", "auto"], 2, "scalar|bcsr"),
+        (&["--mesh", "8x4", "--kernels", "simd"], 2, "--kernels"),
+        (&["--mesh", "8x4", "--kernels", "scalar"], 2, "--kernels"),
+        (&["--mesh", "8x4", "--kernels", "bcsr"], 2, "--kernels"),
+        (&["--mesh", "8x4", "--kernels"], 2, "--kernels"),
         (&["--mesh", "4x4", "--parts", "9"], 3, "--parts 9"),
         (
             &["--mesh", "4x4", "--parts", "6", "--strategy", "rdd"],
@@ -292,49 +293,43 @@ fn malformed_and_out_of_range_values_exit_cleanly() {
 }
 
 #[test]
-fn kernels_option_is_rejected_under_rdd_and_labelled_per_rank() {
-    // The block format exists for the EDD local matrix only.
-    let out = parfem()
-        .args([
-            "solve",
-            "--mesh",
-            "40x8",
-            "--parts",
-            "4",
-            "--strategy",
-            "rdd",
-        ])
-        .args(["--kernels", "bcsr", "--machine", "ideal"])
-        .output()
-        .expect("run parfem");
-    assert_eq!(out.status.code(), Some(3));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("EDD local matrix only"), "{stderr}");
+fn kernels_option_is_rejected_and_the_kernel_is_labelled_per_rank() {
+    // The option is gone for every strategy: a malformed command line.
+    for strategy in ["edd", "rdd"] {
+        let out = parfem()
+            .args(["solve", "--mesh", "40x8", "--parts", "4"])
+            .args(["--strategy", strategy, "--kernels", "bcsr"])
+            .args(["--machine", "ideal"])
+            .output()
+            .expect("run parfem");
+        assert_eq!(out.status.code(), Some(2), "{strategy}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("follows from the physics"), "{stderr}");
+    }
 
-    // 22 x 11 nodes cut into two strips at one dof per node: rank 0 holds
-    // 12 x 11 = 132 rows, rank 1 holds 11 x 11 = 121 — no 2x2 blocks there,
-    // so it applies CSR and must say so.
-    let out = parfem()
-        .args([
-            "solve",
-            "--problem",
-            "heat2d",
-            "--mesh",
-            "21x10",
-            "--parts",
-            "2",
-        ])
-        .args(["--kernels", "bcsr", "--machine", "ideal", "--profile"])
-        .output()
-        .expect("run parfem");
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        text.contains("rank 0 counters: kernel_variant_bcsr=1"),
-        "{text}"
-    );
-    assert!(
-        text.contains("rank 1 counters: kernel_variant_scalar=1"),
-        "{text}"
-    );
+    // What ran is named per rank instead: node blocks for the two and three
+    // DOFs per node of elasticity, CSR for the scalar problem and for RDD.
+    let cases: [(&[&str], &str); 4] = [
+        (&["--mesh", "21x10"], "bcsr2"),
+        (&["--mesh", "21x10", "--strategy", "rdd"], "csr"),
+        (&["--problem", "heat2d", "--mesh", "21x10"], "csr"),
+        (&["--problem", "elasticity3d", "--mesh", "6x3x3"], "bcsr3"),
+    ];
+    for (args, label) in cases {
+        for overlap in [false, true] {
+            let out = parfem()
+                .arg("solve")
+                .args(args)
+                .args(["--parts", "2", "--machine", "ideal", "--profile"])
+                .args(overlap.then_some("--overlap"))
+                .output()
+                .expect("run parfem");
+            assert!(out.status.success(), "{args:?}");
+            let text = String::from_utf8_lossy(&out.stdout);
+            for rank in 0..2 {
+                let line = format!("rank {rank} counters: kernel_variant_{label}=1");
+                assert!(text.contains(&line), "{args:?} overlap {overlap}: {text}");
+            }
+        }
+    }
 }
