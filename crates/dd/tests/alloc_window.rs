@@ -3,13 +3,22 @@
 //! on the ranks for EDD) included. The assembly itself allocates little more
 //! than the matrix it returns, and an EDD rank that assembled its own system
 //! goes into the Krylov loop holding one matrix, not an unscaled and a scaled
-//! copy (the `setup_live_bytes` / `setup_peak_bytes` rank counters).
+//! copy (the `setup_live_bytes` / `setup_peak_bytes` rank counters). Once
+//! warm, a distributed Krylov loop allocates nothing on any rank — its
+//! neighbour exchanges and all-reduces included.
 //!
 //! Runs under a counting allocator, so this binary holds nothing else.
 
+use parfem_dd::scaling::DistributedScaling;
+use parfem_dd::{edd_fgmres, rdd_fgmres, EddLayout, EddVariant, RddSystem};
 use parfem_dd::{PrecondSpec, Problem, SolveSession, Strategy};
 use parfem_fem::{assembly, Material, SubdomainSystem};
+use parfem_krylov::gmres::GmresConfig;
+use parfem_krylov::KrylovWorkspace;
 use parfem_mesh::{DofMap, Edge, ElementPartition, Face, HexMesh, NodePartition, QuadMesh};
+use parfem_msg::{run_ranks, Communicator, MachineModel};
+use parfem_precond::GlsPrecond;
+use parfem_sparse::scaling::scale_system;
 use parfem_sparse::{BcsrMatrix, CsrMatrix};
 use parfem_trace::alloc::{self, CountingAlloc};
 use parfem_trace::{TraceReport, TraceSink};
@@ -205,4 +214,109 @@ fn hex_twolevel_setup_peak_is_no_higher_than_with_two_csr_copies() {
             "setup peaked at {peak} B, the two-CSR setup at {parent} B"
         );
     }
+}
+
+/// Warm-loop measurement attempts per rank; see
+/// [`warm_solves_are_iteration_free`].
+const ATTEMPTS: usize = 3;
+
+/// Runs `solve` (one distributed FGMRES on this rank; returns its iteration
+/// count) once for 80 iterations to warm the workspace and the message
+/// layer, then `ATTEMPTS` times a 5-iteration and an 80-iteration solve,
+/// returning each pair's allocation calls.
+fn short_and_long(mut solve: impl FnMut(&GmresConfig) -> usize) -> Vec<(u64, u64)> {
+    // tol = 0 runs the whole iteration budget (the meshes below do not
+    // reach the breakdown threshold within it).
+    let short = GmresConfig {
+        max_iters: 5,
+        tol: 0.0,
+        ..Default::default()
+    };
+    let long = GmresConfig {
+        max_iters: 80,
+        ..short
+    };
+    assert_eq!(solve(&long), 80);
+    let mut count = |cfg: &GmresConfig| {
+        let (iterations, allocs) = alloc::measure(|| solve(cfg));
+        assert_eq!(iterations, cfg.max_iters);
+        allocs.count
+    };
+    (0..ATTEMPTS)
+        .map(|_| (count(&short), count(&long)))
+        .collect()
+}
+
+/// Every rank's short and long warm solves allocate equally in one of the
+/// attempts. A mailbox adds a payload buffer to its pool the first time its
+/// queue reaches a new depth (at most two here), which scheduling decides,
+/// so one attempt may catch that; an allocation per message, per
+/// all-reduce or per iteration shows in every attempt.
+fn warm_solves_are_iteration_free(what: &str, ranks: &[Vec<(u64, u64)>]) {
+    eprintln!("{what}: (5-iteration, 80-iteration) allocation calls per rank {ranks:?}");
+    assert!(
+        (0..ATTEMPTS).any(|a| ranks.iter().all(|r| r[a].0 == r[a].1)),
+        "{what}: the warm Krylov loop allocates per iteration on some rank: {ranks:?}"
+    );
+}
+
+/// The `elas2d-edd-gls7` loop at P = 2 — eight interface exchanges and one
+/// batched Gram–Schmidt all-reduce per iteration under `gls:7` — allocates
+/// nothing once warm, on either rank.
+#[test]
+fn warm_edd_gls7_loop_allocates_nothing_per_iteration_on_any_rank() {
+    assert!(alloc::is_counting(), "counting allocator not installed");
+    let mesh = QuadMesh::cantilever(120, 6);
+    let mut dm = DofMap::new(mesh.n_nodes());
+    dm.clamp_edge(&mesh, Edge::Left);
+    let mat = Material::unit();
+    let mut loads = vec![0.0; dm.n_dofs()];
+    assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
+    let systems: Vec<SubdomainSystem> = (ElementPartition::strips_x(&mesh, 2).subdomains(&mesh))
+        .iter()
+        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
+        .collect();
+    let out = run_ranks(2, MachineModel::ideal(), |comm| {
+        let sys = &systems[comm.rank()];
+        let layout = EddLayout::from_system(sys);
+        let scaling = DistributedScaling::build(comm, &layout, &sys.k_local);
+        let mut b = sys.f_local.clone();
+        let a = scaling.apply(&sys.k_local, &mut b, &layout);
+        let gls = GlsPrecond::for_scaled_system(7);
+        let x0 = vec![0.0; b.len()];
+        let mut ws = KrylovWorkspace::new();
+        short_and_long(|cfg| {
+            let variant = EddVariant::Enhanced;
+            let res = edd_fgmres(comm, &layout, &a, &gls, &b, &x0, cfg, variant, &mut ws);
+            res.expect("fault-free solve").history.iterations()
+        })
+    });
+    warm_solves_are_iteration_free("EDD gls:7", &out.results);
+}
+
+/// The same for the RDD block-row loop of `heat2d-rdd-multirhs`: a halo
+/// exchange per matrix application, one all-reduce per iteration.
+#[test]
+fn warm_rdd_gls7_heat_loop_allocates_nothing_per_iteration_on_any_rank() {
+    assert!(alloc::is_counting(), "counting allocator not installed");
+    let mesh = QuadMesh::cantilever(120, 6);
+    let mut dm = DofMap::with_dofs(mesh.n_nodes(), 1);
+    dm.clamp_edge(&mesh, Edge::Left);
+    let mat = Material::unit();
+    let mut loads = vec![0.0; dm.n_dofs()];
+    assembly::edge_source(&mesh, &dm, Edge::Right, 1.0, &mut loads);
+    let global = assembly::build_static_heat(&mesh, &dm, &mat, &loads);
+    let (a, b, _) = scale_system(&global.stiffness, &global.rhs).expect("square system");
+    let systems = RddSystem::build_all(&a, &b, &NodePartition::strips_x(&mesh, 2));
+    let out = run_ranks(2, MachineModel::ideal(), |comm| {
+        let sys = &systems[comm.rank()];
+        let gls = GlsPrecond::for_scaled_system(7);
+        let x0 = vec![0.0; sys.n_local()];
+        let mut ws = KrylovWorkspace::new();
+        short_and_long(|cfg| {
+            let res = rdd_fgmres(comm, sys, &gls, &sys.b_loc, &x0, cfg, &mut ws);
+            res.expect("fault-free solve").history.iterations()
+        })
+    });
+    warm_solves_are_iteration_free("RDD heat gls:7", &out.results);
 }

@@ -206,9 +206,16 @@ pub trait Communicator {
         }
     }
 
-    /// Scalar convenience wrapper over [`Communicator::allreduce_sum`].
+    /// Scalar all-reduce, in place on the stack (no allocation). On
+    /// communication failure the error is latched and `v` is returned (the
+    /// single-rank identity).
     fn allreduce_sum_scalar(&self, v: f64) -> f64 {
-        self.allreduce_sum(&[v])[0]
+        let mut buf = [v];
+        if let Err(e) = self.try_allreduce_sum_into(&mut buf) {
+            self.post_error(e);
+            return v;
+        }
+        buf[0]
     }
 
     /// Fallible scalar all-reduce.

@@ -41,7 +41,7 @@ pub enum CommError {
     },
     /// The peer's endpoint was dropped — its rank returned early, errored
     /// out, or panicked. Unlike [`CommError::Timeout`] this is detected
-    /// immediately (the channel is closed), so surviving ranks fail fast.
+    /// immediately (the mailbox is closed), so surviving ranks fail fast.
     Disconnected {
         /// The rank that observed the disconnect.
         rank: usize,

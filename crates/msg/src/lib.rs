@@ -7,11 +7,16 @@
 //!   covering exactly the subset the paper's Algorithms 5/6/8 use:
 //!   point-to-point send/receive, summing all-reduce, and barrier;
 //! - [`thread`] — [`thread::ThreadComm`], a real implementation
-//!   over OS threads and `std::sync::mpsc` channels: `P` ranks run
-//!   concurrently and exchange actual messages, so the communication
-//!   structure (and every numerical result) is the same as an MPI run.
+//!   over OS threads and shared memory: `P` ranks run concurrently and
+//!   exchange actual messages through one mailbox per ordered rank pair and
+//!   one rank-ordered all-reduce rendezvous, so the communication structure
+//!   (and every numerical result) is the same as an MPI run. A warm
+//!   exchange or all-reduce allocates nothing, and a rank waiting for a
+//!   peer spins briefly before it parks when every rank has a hardware
+//!   thread.
 //!   [`thread::run_ranks_traced`] additionally records every communicator
-//!   operation as a structured `parfem-trace` event;
+//!   operation as a structured `parfem-trace` event, and each rank's
+//!   wall-clock wait;
 //! - [`model`] — a **virtual-time LogP-style machine model**. The host this
 //!   reproduction runs on may have a single core, where wall-clock speedup
 //!   is physically meaningless; instead every rank advances a virtual clock

@@ -269,21 +269,35 @@ impl Topology {
         }
     }
 
+    /// Link-sharing factor of the message `from → to` inside one rank's
+    /// batch of sends to `neighbors`: the number of batch messages
+    /// (including this one) that traverse its shared link, or `1.0` for a
+    /// dedicated path. Pure in `(topology, p, from, to, neighbors)` — thread
+    /// scheduling cannot perturb it — and allocation-free, so the thread
+    /// communicator evaluates it on every exchange.
+    pub(crate) fn contention_factor(
+        &self,
+        p: usize,
+        from: usize,
+        to: usize,
+        neighbors: &[usize],
+    ) -> f64 {
+        match self.shared_link(p, from, to) {
+            None => 1.0,
+            Some(link) => (neighbors.iter())
+                .filter(|&&other| self.shared_link(p, from, other) == Some(link))
+                .count() as f64,
+        }
+    }
+
     /// Link-sharing factors for one rank's batch of sends to `neighbors`:
     /// `factor[i]` is the number of batch messages (including message `i`
     /// itself) that traverse message `i`'s shared link, or `1.0` for a
     /// dedicated path. Pure in `(topology, p, from, neighbors)` — thread
     /// scheduling cannot perturb it.
     pub fn contention_factors(&self, p: usize, from: usize, neighbors: &[usize]) -> Vec<f64> {
-        let ids: Vec<Option<u64>> = neighbors
-            .iter()
-            .map(|&to| self.shared_link(p, from, to))
-            .collect();
-        ids.iter()
-            .map(|id| match id {
-                None => 1.0,
-                Some(v) => ids.iter().filter(|o| **o == Some(*v)).count() as f64,
-            })
+        (neighbors.iter())
+            .map(|&to| self.contention_factor(p, from, to, neighbors))
             .collect()
     }
 }

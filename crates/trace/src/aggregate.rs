@@ -321,6 +321,13 @@ impl RankAcc {
     }
 }
 
+impl RankSummary {
+    /// The value of the rank counter `name`, when the rank flushed one.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        (self.counters.iter().find(|(n, _)| n == name)).map(|(_, v)| *v)
+    }
+}
+
 impl TraceReport {
     /// Builds the report from an event stream (any order; events are
     /// bucketed per rank and spans matched within each rank).

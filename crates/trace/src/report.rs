@@ -19,9 +19,17 @@ fn fmt_secs(s: f64) -> String {
     }
 }
 
+/// Rank counters of wall-clock microseconds the wall-clock table shows as
+/// trailing columns: (column label, counter name).
+const WAIT_COLUMNS: [(&str, &str); 2] = [
+    ("recv-wait", "comm_wait_recv_us"),
+    ("collective-wait", "comm_wait_collective_us"),
+];
+
 /// One per-rank table of the phase breakdown: a column per phase name, the
-/// seconds `clock` reads off each phase, and — on the virtual clock, which
-/// the rank spans tile — the rank's final time.
+/// seconds `clock` reads off each phase, then — on the virtual clock, which
+/// the rank spans tile — the rank's final time, and one column per
+/// `counters` entry (microsecond rank counters, shown as seconds).
 fn phase_rows(
     out: &mut String,
     report: &TraceReport,
@@ -29,6 +37,7 @@ fn phase_rows(
     title: &str,
     clock: fn(&PhaseTotals) -> f64,
     with_end: bool,
+    counters: &[(&str, &str)],
 ) {
     let _ = writeln!(out, "per-rank phase breakdown ({title})");
     let mut header = format!("{:>5}", "rank");
@@ -37,6 +46,9 @@ fn phase_rows(
     }
     if with_end {
         let _ = write!(header, "  {:>14}", "end-of-rank");
+    }
+    for (label, _) in counters {
+        let _ = write!(header, "  {label:>15}");
     }
     let _ = writeln!(out, "{header}");
     for rank in &report.ranks {
@@ -53,6 +65,11 @@ fn phase_rows(
         if with_end {
             let _ = write!(row, "  {:>14}", fmt_secs(rank.final_virt));
         }
+        for (_, name) in counters {
+            let cell =
+                (rank.counter(name)).map_or("-".to_string(), |us| fmt_secs(us as f64 * 1e-6));
+            let _ = write!(row, "  {cell:>15}");
+        }
         let _ = writeln!(out, "{row}");
     }
 }
@@ -60,8 +77,9 @@ fn phase_rows(
 /// Renders the per-rank phase breakdown: one column per phase (in first-seen
 /// order), virtual seconds per cell, then the same table in wall-clock
 /// seconds (where a phase that charges nothing to the virtual clock, like
-/// the rank-side `assembly`, shows its cost) and a host-phase section
-/// (wall-clock) below.
+/// the rank-side `assembly`, shows its cost, and where the time each rank
+/// spent blocked in receives and collectives follows the phases, when the
+/// trace carries it) and a host-phase section (wall-clock) below.
 pub fn render_phase_table(report: &TraceReport) -> String {
     let mut out = String::new();
     let mut phase_names: Vec<String> = Vec::new();
@@ -79,7 +97,11 @@ pub fn render_phase_table(report: &TraceReport) -> String {
         "virtual time",
         |p| p.virt_s,
         true,
+        &[],
     );
+    let waits: Vec<_> = (WAIT_COLUMNS.into_iter())
+        .filter(|(_, name)| report.ranks.iter().any(|r| r.counter(name).is_some()))
+        .collect();
     phase_rows(
         &mut out,
         report,
@@ -87,6 +109,7 @@ pub fn render_phase_table(report: &TraceReport) -> String {
         "wall clock",
         |p| p.wall_s,
         false,
+        &waits,
     );
 
     if !report.host_phases.is_empty() {
@@ -403,6 +426,44 @@ mod tests {
         assert!(text.contains("per-rank phase breakdown (wall clock)"));
         assert!(text.lines().any(|l| l.trim_start().starts_with("0 ")));
         assert!(text.lines().any(|l| l.trim_start().starts_with("1 ")));
+    }
+
+    #[test]
+    fn wall_clock_table_shows_wait_counters_when_recorded() {
+        assert!(!render_phase_table(&sample_report()).contains("recv-wait"));
+        let mut events = Vec::new();
+        for (rank, recv_us, coll_us) in [(0usize, 1500u64, 20u64), (1, 0, 7)] {
+            let mut push = |kind, name: &str, fields| {
+                events.push(TraceEvent {
+                    rank: Some(rank),
+                    t_wall: 0.0,
+                    t_virt: 0.0,
+                    kind,
+                    name: name.to_string(),
+                    fields,
+                })
+            };
+            push(EventKind::SpanBegin, "fgmres", vec![]);
+            push(EventKind::SpanEnd, "fgmres", vec![]);
+            push(
+                EventKind::Counter,
+                "comm_wait_recv_us",
+                vec![("value".into(), recv_us.into())],
+            );
+            push(
+                EventKind::Counter,
+                "comm_wait_collective_us",
+                vec![("value".into(), coll_us.into())],
+            );
+        }
+        let text = render_phase_table(&TraceReport::from_events(&events));
+        let wall = text.split("(wall clock)").nth(1).expect("wall-clock table");
+        let header = wall.lines().nth(1).expect("header");
+        assert!(header.contains("recv-wait") && header.contains("collective-wait"));
+        assert!(wall.lines().nth(2).unwrap().contains("1.500ms"), "{text}");
+        assert!(wall.lines().nth(3).unwrap().contains("7.000us"), "{text}");
+        let virt = text.split("(wall clock)").next().unwrap();
+        assert!(!virt.contains("recv-wait"), "only the wall-clock table");
     }
 
     #[test]
