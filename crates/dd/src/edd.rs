@@ -360,6 +360,10 @@ impl<C: Communicator> InterfaceConsistency for EddOperator<'_, C> {
         self.layout
             .interface_sum_buffered(self.comm, z, &mut self.bufs.borrow_mut());
     }
+
+    fn local_work(&self, flops: u64) {
+        self.comm.work(flops);
+    }
 }
 
 impl<C: Communicator> DistributedOperator for EddOperator<'_, C> {

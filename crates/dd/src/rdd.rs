@@ -341,9 +341,13 @@ impl<C: Communicator> LinearOperator for RddOperator<'_, C> {
 }
 
 /// RDD block rows are disjoint — nothing is replicated, so rank-local
-/// solves are already globally consistent and the hook is the default
-/// no-op.
-impl<C: Communicator> InterfaceConsistency for RddOperator<'_, C> {}
+/// solves are already globally consistent and `make_consistent` is the
+/// default no-op; the solve's flops go to the rank clock.
+impl<C: Communicator> InterfaceConsistency for RddOperator<'_, C> {
+    fn local_work(&self, flops: u64) {
+        self.comm.work(flops);
+    }
+}
 
 impl<C: Communicator> DistributedOperator for RddOperator<'_, C> {
     type Comm = C;

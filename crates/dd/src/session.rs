@@ -932,10 +932,16 @@ pub struct FactorStats {
     pub fill: f64,
     /// Flops of the factorization, charged to the rank clock.
     pub flops: u64,
+    /// Flops of one solve, charged to the rank clock per application.
+    pub solve_flops: u64,
     /// Heap bytes the factor holds.
     pub bytes: u64,
     /// Pivots skipped (the block's detected rank deficiency).
     pub skipped: u64,
+    /// Supernodes: the dense panels the numeric phase factored.
+    pub supernodes: u64,
+    /// Entries of the largest panel, rows × width.
+    pub max_front: u64,
 }
 
 impl FactorStats {
@@ -944,8 +950,11 @@ impl FactorStats {
             nnz_l: factor.nnz_l() as u64,
             fill: factor.fill(),
             flops: factor.factor_flops(),
+            solve_flops: factor.solve_flops(),
             bytes: factor.bytes() as u64,
             skipped: factor.n_skipped() as u64,
+            supernodes: factor.supernodes() as u64,
+            max_front: factor.max_front() as u64,
         }
     }
 
@@ -957,8 +966,11 @@ impl FactorStats {
             total.nnz_l = total.nnz_l.max(r.nnz_l);
             total.fill = total.fill.max(r.fill);
             total.flops = total.flops.max(r.flops);
+            total.solve_flops = total.solve_flops.max(r.solve_flops);
             total.bytes = total.bytes.max(r.bytes);
             total.skipped += r.skipped;
+            total.supernodes = total.supernodes.max(r.supernodes);
+            total.max_front = total.max_front.max(r.max_front);
         }
         Some(total)
     }
@@ -969,8 +981,14 @@ impl FactorStats {
             ("factor_nnz_l".to_string(), Value::U64(self.nnz_l)),
             ("factor_fill".to_string(), Value::F64(self.fill)),
             ("factor_flops".to_string(), Value::U64(self.flops)),
+            (
+                "factor_solve_flops".to_string(),
+                Value::U64(self.solve_flops),
+            ),
             ("factor_bytes".to_string(), Value::U64(self.bytes)),
             ("factor_skipped".to_string(), Value::U64(self.skipped)),
+            ("factor_supernodes".to_string(), Value::U64(self.supernodes)),
+            ("factor_max_front".to_string(), Value::U64(self.max_front)),
         ]
     }
 }

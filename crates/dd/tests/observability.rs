@@ -384,8 +384,22 @@ fn twolevel_setup_is_charged_traced_and_summarized() {
         (want.nnz_l, want.fill, want.flops, want.bytes)
     );
     assert_eq!(factor.skipped, 0);
+    assert_eq!(
+        (factor.solve_flops, factor.supernodes, factor.max_front),
+        (want.solve_flops, want.supernodes, want.max_front)
+    );
+    // The two dofs of a mesh node share one pattern, so every rank's
+    // largest panel is at least a node wide and deep.
+    for f in &direct.factor {
+        assert!(f.supernodes > 0 && f.max_front >= 4, "{f:?}");
+    }
     let text = parfem_trace::render_convergence(&report);
     assert!(text.contains("subdomain factor: nnz(L) = "), "{text}");
+    let fronts = format!(
+        "{} supernodes, largest front {} entries",
+        want.supernodes, want.max_front
+    );
+    assert!(text.contains(&fronts), "{text}");
 }
 
 /// `run_multi` explains itself exactly as `run` does: one `solve_summary`

@@ -13,7 +13,7 @@
 //!   every physics;
 //! - **Eq. 45 in session form** — a floating hex subdomain breaks ILU(0)
 //!   at factorization time, while the `direct` sparse solve (pivot-shifted
-//!   profile LDLᵀ) carries the same session to convergence, standalone and
+//!   sparse LDLᵀ) carries the same session to convergence, standalone and
 //!   inside `twolevel:<coarse>:direct`.
 
 use parfem_dd::{DdSolveOutput, PrecondSpec, Problem, SolveSession, SolverConfig, Strategy};
@@ -146,8 +146,11 @@ fn hex_session_golden_iteration_counts() {
         ("gls:3", 15, 14),
         // EDD: the interior blocks float, so `direct` runs the pivot-shifted
         // solve, whose six pinned dofs follow the elimination order (172
-        // under the RCM profile order, 323 under minimum degree).
-        ("direct", 323, 19),
+        // under the RCM profile order, 323 under minimum degree) and whose
+        // count moves with the rounding of the factor: 322 since the
+        // supernodal numeric phase sums the updates between panels as dot
+        // products (same ordering, same fill).
+        ("direct", 322, 19),
         ("twolevel:rbm.s3:gls-3", 8, 8),
     ];
     for (spec, want_edd, want_rdd) in golden {

@@ -336,6 +336,8 @@ fn subdomain_factorization_is_charged_to_the_rank_clock() {
             assert_eq!(direct.factor.len(), 3, "{with}: one record per rank");
             for (r, f) in direct.factor.iter().enumerate() {
                 assert!(f.flops > 0 && f.nnz_l > 0 && f.fill >= 1.0, "{f:?}");
+                // A mesh node's two dofs share a panel at least.
+                assert!(f.supernodes > 0 && f.max_front >= 4, "{f:?}");
                 assert_eq!(
                     direct.reports[r].stats.flops - plain.reports[r].stats.flops,
                     f.flops,
@@ -343,6 +345,65 @@ fn subdomain_factorization_is_charged_to_the_rank_clock() {
                 );
             }
             assert!(direct.modeled_time > plain.modeled_time, "{with}");
+        }
+    }
+}
+
+/// Every application of the subdomain factorization is charged too: after
+/// `k` FGMRES iterations (one preconditioner application each) a `direct`
+/// session counts exactly `factor_flops + k · solve_flops` more per rank
+/// than the same session without it, standalone and as a two-level
+/// smoother, EDD and RDD. On EDD each application also averages the solve
+/// over the interface: one add per value received, which the extra
+/// exchange bytes count. (`k` stays below the iteration at which a
+/// two-level run first recomputes a norm with one more reduction, so the
+/// Krylov arithmetic around the two preconditioners is the same.)
+#[test]
+fn subdomain_solves_are_charged_to_the_rank_clock() {
+    let (mesh, dm, mat, loads) = problem(12, 6);
+    let k = 3;
+    let iterations = |strategy: Strategy, spec: &str| {
+        let mut cfg = cfg();
+        cfg.gmres.tol = 0.0;
+        cfg.gmres.max_iters = k;
+        cfg.precond = PrecondSpec::parse(spec).unwrap();
+        let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+            .strategy(strategy)
+            .config(cfg)
+            .run()
+            .unwrap();
+        assert_eq!(out.history.iterations(), k, "{spec}");
+        out
+    };
+    let strategies = [
+        (Strategy::Edd(ElementPartition::strips_x(&mesh, 3)), true),
+        (Strategy::Rdd(NodePartition::strips_x(&mesh, 3)), false),
+    ];
+    for (strategy, interface_sums) in strategies {
+        for (without, with) in [
+            ("none", "direct"),
+            ("twolevel:const:none", "twolevel:const:direct"),
+        ] {
+            let plain = iterations(strategy.clone(), without);
+            let direct = iterations(strategy.clone(), with);
+            for (r, f) in direct.factor.iter().enumerate() {
+                let (p, d) = (&plain.reports[r].stats, &direct.reports[r].stats);
+                // The same Krylov arithmetic ran around the preconditioner.
+                assert_eq!(d.allreduces, p.allreduces, "{with} rank {r}");
+                let averaged = if interface_sums {
+                    assert_eq!(d.neighbor_exchanges, p.neighbor_exchanges + k as u64);
+                    (d.bytes_received - p.bytes_received) / 8
+                } else {
+                    assert_eq!(d.neighbor_exchanges, p.neighbor_exchanges);
+                    0
+                };
+                assert!(f.solve_flops > f.nnz_l, "{f:?}");
+                assert_eq!(
+                    d.flops - p.flops,
+                    f.flops + k as u64 * f.solve_flops + averaged,
+                    "{with} rank {r}: factor once, one solve per application"
+                );
+            }
         }
     }
 }

@@ -108,6 +108,7 @@ impl<Op: LinearOperator + InterfaceConsistency + ?Sized> Preconditioner<Op> for 
             let mut scratch = self.scratch.lock().expect("direct scratch lock");
             self.factor.solve_in_place_with(z, &mut scratch);
         }
+        op.local_work(self.factor.solve_flops());
         op.make_consistent(z);
     }
 

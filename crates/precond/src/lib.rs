@@ -67,8 +67,9 @@ pub use twolevel::{
 
 use parfem_sparse::LinearOperator;
 
-/// The hook a rank-local *subdomain solve* needs from a distributed
-/// operator: re-imposing interface agreement on per-rank solutions.
+/// The hooks a rank-local *subdomain solve* needs from a distributed
+/// operator: re-imposing interface agreement on per-rank solutions, and
+/// paying for the solve on the rank's clock.
 ///
 /// Element-based (EDD) local vectors replicate interface entries across the
 /// subdomains sharing them, and an exact local solve gives each sharing
@@ -84,6 +85,13 @@ pub trait InterfaceConsistency {
     /// operators without replicated interface entries.
     fn make_consistent(&self, z: &mut [f64]) {
         let _ = z;
+    }
+
+    /// Accounts `flops` of a purely local subdomain solve to the operator's
+    /// virtual-time model, as [`CoarseReduce::coarse_work`] does for the
+    /// coarse solve. No-op by default.
+    fn local_work(&self, flops: u64) {
+        let _ = flops;
     }
 }
 

@@ -21,12 +21,26 @@
 //!    special case.
 //! 2. **Symbolic** — the elimination tree and the column counts of `L` in
 //!    one pass over the row subtrees, giving an exact allocation.
-//! 3. **Numeric** — up-looking: row `k` of `L` is one sparse triangular
-//!    solve against the rows above it, its pattern read off the tree.
+//! 3. **Numeric** — supernodal. Runs of columns that form a chain of the
+//!    tree with nested patterns (`parent[j] = j + 1`, `c_j = c_{j+1} + 1`,
+//!    `j + 1` has no other child) are *fundamental supernodes*: their
+//!    columns of `L` share one row list and are one dense panel. Each
+//!    panel is factored densely, four rows at a time against the columns
+//!    of its diagonal block, and then sends its update `L D Lᵀ` to its
+//!    ancestors: dense dot products, two rows by four columns at a time,
+//!    scattered through relative row indices, a bounded chunk of columns
+//!    per pass. The solves sweep the panels forwards and backwards.
 //!
-//! `L` is stored by columns with `u32` row indices: 12 bytes per entry,
-//! where `usize` indices would make the factor larger in bytes than the
-//! profile storage this type replaced.
+//!    Within a panel every entry takes its terms in ascending column
+//!    order, one at a time, as a column-by-column elimination does; a
+//!    matrix that is a single supernode (a dense element block, a small
+//!    coarse operator) therefore factors to the same bits as column
+//!    storage would give it. Across panels the updates are dot products,
+//!    so the bits of larger factors depend on the panel structure.
+//!
+//! The factor holds one `u32` row index per panel row, not per entry, and
+//! exactly `nnz(L)` values: the diagonal blocks are packed triangles and
+//! `D` is a vector of its own.
 //!
 //! Subdomain stiffness matrices are symmetric but **not** necessarily
 //! definite: a floating subdomain (no Dirichlet support) carries the full
@@ -54,10 +68,8 @@ pub const DEFAULT_PIVOT_TOL: f64 = 1e-12;
 pub struct SparseLdlt {
     /// `perm[new] = old`.
     perm: Vec<u32>,
-    /// Column `j` of the strictly lower `L` (in permuted numbering) is
-    /// `rows[col_ptr[j]..col_ptr[j + 1]]` / `vals[..]`, rows ascending.
-    col_ptr: Vec<usize>,
-    rows: Vec<u32>,
+    panels: Panels,
+    /// The strictly lower `L`, panel by panel (see [`Panels`]).
     vals: Vec<f64>,
     /// The pivots `D`; exactly `0.0` where skipped.
     d: Vec<f64>,
@@ -69,6 +81,53 @@ pub struct SparseLdlt {
     null_shift: f64,
     /// Stored entries of the strict lower triangle of the input.
     nnz_a: usize,
+}
+
+/// Where each supernode's columns, rows and values are.
+#[derive(Debug, Clone)]
+struct Panels {
+    /// Supernode `s` holds the columns `first[s]..first[s + 1]` of `L` (in
+    /// permuted numbering).
+    first: Vec<u32>,
+    /// The rows of `L` below supernode `s`'s diagonal block,
+    /// `rows[row_ptr[s]..row_ptr[s + 1]]`, ascending.
+    row_ptr: Vec<usize>,
+    rows: Vec<u32>,
+    /// Supernode `s`'s panel is `vals[val_ptr[s]..val_ptr[s + 1]]`: for a
+    /// width `w`, the strict lower triangle of its unit diagonal block
+    /// packed by columns (see [`col_start`]), then one row of `w` entries
+    /// per row below the block.
+    val_ptr: Vec<usize>,
+}
+
+impl Panels {
+    fn len(&self) -> usize {
+        self.first.len() - 1
+    }
+
+    fn first(&self, s: usize) -> usize {
+        self.first[s] as usize
+    }
+
+    fn width(&self, s: usize) -> usize {
+        (self.first[s + 1] - self.first[s]) as usize
+    }
+
+    fn below(&self, s: usize) -> &[u32] {
+        &self.rows[self.row_ptr[s]..self.row_ptr[s + 1]]
+    }
+
+    fn values(&self, s: usize) -> std::ops::Range<usize> {
+        self.val_ptr[s]..self.val_ptr[s + 1]
+    }
+
+    fn bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&*self.first)
+            + size_of_val(&*self.row_ptr)
+            + size_of_val(&*self.rows)
+            + size_of_val(&*self.val_ptr)
+    }
 }
 
 /// Tree root / "not yet visited" marker of the symbolic and numeric sweeps.
@@ -93,7 +152,7 @@ impl SparseLdlt {
         let perm = min_degree_ordering(a);
         let iperm = inverse(&perm);
         let (parent, col_ptr) = symbolic(a, &perm, &iperm);
-        numeric(a, perm, &iperm, &parent, col_ptr, pivot_tol)
+        numeric(a, perm, &iperm, &parent, &col_ptr, pivot_tol)
     }
 
     /// The system size.
@@ -161,12 +220,21 @@ impl SparseLdlt {
         for (xi, &old) in x.iter_mut().zip(&self.perm) {
             *xi = b[old as usize];
         }
-        // Forward, L y = b: a column sweep.
-        for j in 0..n {
-            let (rows, vals) = self.column(j);
-            let xj = x[j];
-            for (&r, &l) in rows.iter().zip(vals) {
-                x[r as usize] -= l * xj;
+        // Forward, L y = b: per panel, the diagonal block by columns, then
+        // one dot product per row below it.
+        for s in 0..self.supernodes() {
+            let (f, w, rows, diag, below) = self.panel(s);
+            let (head, tail) = x.split_at_mut(f + w);
+            let xs = &mut head[f..];
+            for q in 0..w {
+                let (done, rest) = xs.split_at_mut(q + 1);
+                let xq = done[q];
+                for (xi, &l) in rest.iter_mut().zip(&diag[col_start(w, q)..]) {
+                    *xi -= l * xq;
+                }
+            }
+            for (&r, l) in rows.iter().zip(below.chunks_exact(w)) {
+                tail[r as usize - f - w] -= dot(l, xs);
             }
         }
         for (xi, &d) in x.iter_mut().zip(&self.d) {
@@ -178,14 +246,22 @@ impl SparseLdlt {
                 0.0
             };
         }
-        // Backward, Lᵀ x = z: one dot product per column.
-        for j in (0..n).rev() {
-            let (rows, vals) = self.column(j);
-            let mut xj = x[j];
-            for (&r, &l) in rows.iter().zip(vals) {
-                xj -= l * x[r as usize];
+        // Backward, Lᵀ x = z: per panel in reverse, one AXPY per row below
+        // the diagonal block, then one dot product per column of the block.
+        for s in (0..self.supernodes()).rev() {
+            let (f, w, rows, diag, below) = self.panel(s);
+            let (head, tail) = x.split_at_mut(f + w);
+            let xs = &mut head[f..];
+            for (&r, l) in rows.iter().zip(below.chunks_exact(w)) {
+                let xr = tail[r as usize - f - w];
+                for (xi, &li) in xs.iter_mut().zip(l) {
+                    *xi -= li * xr;
+                }
             }
-            x[j] = xj;
+            for q in (0..w).rev() {
+                let (done, rest) = xs.split_at_mut(q + 1);
+                done[q] -= dot(&diag[col_start(w, q)..], rest);
+            }
         }
         for (xi, &old) in x.iter().zip(&self.perm) {
             b[old as usize] = *xi;
@@ -199,14 +275,34 @@ impl SparseLdlt {
         self.solve_in_place_with(b, &mut scratch);
     }
 
-    fn column(&self, j: usize) -> (&[u32], &[f64]) {
-        let span = self.col_ptr[j]..self.col_ptr[j + 1];
-        (&self.rows[span.clone()], &self.vals[span])
+    /// Supernode `s`: its first column and width, the rows below its
+    /// diagonal block, the packed strict lower diagonal block, and the
+    /// row-major rectangle below it.
+    fn panel(&self, s: usize) -> (usize, usize, &[u32], &[f64], &[f64]) {
+        let p = &self.panels;
+        let w = p.width(s);
+        let (diag, below) = self.vals[p.values(s)].split_at(tri(w));
+        (p.first(s), w, p.below(s), diag, below)
     }
 
     /// Stored entries of the strictly lower `L`.
     pub fn nnz_l(&self) -> usize {
-        self.rows.len()
+        self.vals.len()
+    }
+
+    /// Number of supernodes: the dense panels the numeric phase factored.
+    pub fn supernodes(&self) -> usize {
+        self.panels.len()
+    }
+
+    /// Entries of the largest panel as rows × width, its diagonal block
+    /// counted in full: the biggest dense front of the factorization.
+    pub fn max_front(&self) -> usize {
+        let p = &self.panels;
+        (0..p.len())
+            .map(|s| (p.width(s) + p.below(s).len()) * p.width(s))
+            .max()
+            .unwrap_or(0)
     }
 
     /// `nnz(L)` over the stored strict lower triangle of the input (`1.0`
@@ -219,8 +315,7 @@ impl SparseLdlt {
     pub fn bytes(&self) -> usize {
         use std::mem::size_of_val;
         size_of_val(&*self.perm)
-            + size_of_val(&*self.col_ptr)
-            + size_of_val(&*self.rows)
+            + self.panels.bytes()
             + size_of_val(&*self.vals)
             + size_of_val(&*self.d)
             + size_of_val(&*self.skipped)
@@ -229,9 +324,12 @@ impl SparseLdlt {
     /// Flops of the factorization itself (`Σ cⱼ²` over the column counts of
     /// `L`) — used by the virtual-time model.
     pub fn factor_flops(&self) -> u64 {
-        self.col_ptr
-            .windows(2)
-            .map(|w| ((w[1] - w[0]) as u64).pow(2))
+        let p = &self.panels;
+        // Column `q` of a panel has the `w − 1 − q` block rows below it and
+        // every row below the block.
+        (0..p.len())
+            .flat_map(|s| (0..p.width(s)).map(move |q| (q + p.below(s).len()) as u64))
+            .map(|c| c * c)
             .sum()
     }
 
@@ -422,79 +520,159 @@ fn symbolic(a: &CsrMatrix, perm: &[u32], iperm: &[u32]) -> (Vec<u32>, Vec<usize>
     (parent, col_ptr)
 }
 
-/// The up-looking numeric phase: for each row `k`, scatter the row of
-/// `P A Pᵀ` into `y`, collect its pattern in topological order off the
-/// tree, and solve `L[..k, ..k] D l = y` one column at a time, appending
-/// `l_ki` to column `i`. A skipped pivot leaves `d_i = 0` and a zero column.
+/// Fundamental supernodes of the elimination tree and the rows of `L` below
+/// each one's diagonal block. Column `j + 1` continues `j`'s supernode when
+/// it is `j`'s parent, has no other child, and their column counts nest
+/// (`c_j = c_{j+1} + 1`): the two columns then share every row below the
+/// block. Returns the panel layout and the supernode of every column.
+///
+/// Row `k` lies below supernode `s` exactly when the row subtree of `k`
+/// passes through `s`'s last column, so one walk over the row subtrees —
+/// a whole supernode per step — fills the row lists in ascending order.
+fn supernodes(
+    a: &CsrMatrix,
+    perm: &[u32],
+    iperm: &[u32],
+    parent: &[u32],
+    col_ptr: &[usize],
+) -> (Panels, Vec<u32>) {
+    let n = perm.len();
+    let count = |j: usize| col_ptr[j + 1] - col_ptr[j];
+    let mut children = vec![0u32; n];
+    for &p in parent.iter().filter(|&&p| p != NONE) {
+        children[p as usize] += 1;
+    }
+    let mut first = vec![0u32];
+    let mut owner = vec![0u32; n];
+    for j in 1..n {
+        let joins = parent[j - 1] == j as u32 && children[j] == 1 && count(j - 1) == count(j) + 1;
+        if !joins {
+            first.push(j as u32);
+        }
+        owner[j] = first.len() as u32 - 1;
+    }
+    if n > 0 {
+        first.push(n as u32);
+    }
+    let ns = first.len() - 1;
+    let last = |s: usize| first[s + 1] as usize - 1;
+
+    let mut row_ptr = vec![0usize; ns + 1];
+    let mut val_ptr = vec![0usize; ns + 1];
+    for s in 0..ns {
+        let (w, below) = ((first[s + 1] - first[s]) as usize, count(last(s)));
+        row_ptr[s + 1] = row_ptr[s] + below;
+        val_ptr[s + 1] = val_ptr[s] + tri(w) + w * below;
+    }
+    let mut next = row_ptr[..ns].to_vec();
+    let mut rows = vec![0u32; row_ptr[ns]];
+    let mut visited = vec![NONE; ns];
+    for k in 0..n {
+        for &j in a.row(perm[k] as usize).0 {
+            let i = iperm[j] as usize;
+            if i >= k {
+                continue;
+            }
+            let mut s = owner[i] as usize;
+            while s != owner[k] as usize && visited[s] != k as u32 {
+                visited[s] = k as u32;
+                rows[next[s]] = k as u32;
+                next[s] += 1;
+                s = owner[parent[last(s)] as usize] as usize;
+            }
+        }
+    }
+    debug_assert_eq!(next, row_ptr[1..]);
+    let panels = Panels {
+        first,
+        row_ptr,
+        rows,
+        val_ptr,
+    };
+    (panels, owner)
+}
+
+/// Columns of an ancestor one pass of [`update_ancestors`] serves: the
+/// `L D` buffer holds this many panel rows, whatever the front sizes.
+const UPDATE_CHUNK: usize = 32;
+
+/// The supernodal numeric phase. `P A Pᵀ`'s lower triangle, as stored by
+/// rows, is scattered into zeroed panels and into `D`; then, in column
+/// order, each panel is factored ([`factor_panel`]) and subtracts its
+/// update from its ancestors ([`update_ancestors`]). A skipped pivot leaves
+/// `d = 0` and a zero column of `L`.
 fn numeric(
     a: &CsrMatrix,
     perm: Vec<u32>,
     iperm: &[u32],
     parent: &[u32],
-    col_ptr: Vec<usize>,
+    col_ptr: &[usize],
     pivot_tol: f64,
 ) -> SparseLdlt {
     let n = perm.len();
-    let mut rows = vec![0u32; col_ptr[n]];
-    let mut vals = vec![0.0; col_ptr[n]];
+    let (panels, owner) = supernodes(a, &perm, iperm, parent, col_ptr);
+    let ns = panels.len();
+    let mut vals = vec![0.0; panels.val_ptr[ns]];
     let mut d = vec![0.0; n];
-    let mut next = col_ptr[..n].to_vec();
-    let mut y = vec![0.0; n];
-    let mut visited = vec![NONE; n];
-    let mut pattern = vec![0u32; n];
+    let mut nnz_a = 0;
+    for k in 0..n {
+        let (cols, a_vals) = a.row(perm[k] as usize);
+        for (&j, &v) in cols.iter().zip(a_vals) {
+            let i = iperm[j] as usize;
+            if i == k {
+                d[k] += v;
+            }
+            if i >= k {
+                continue;
+            }
+            nnz_a += 1;
+            let s = owner[i] as usize;
+            let f = panels.first(s);
+            let x = if k < f + panels.width(s) {
+                k - f
+            } else {
+                let below = panels.below(s).binary_search(&(k as u32));
+                panels.width(s) + below.expect("an entry of A lies in the pattern of L")
+            };
+            vals[panels.val_ptr[s] + entry(panels.width(s), x, i - f)] += v;
+        }
+    }
+
     let diag_scale = (0..n).fold(0.0f64, |m, i| m.max(a.get(i, i).abs()));
     let threshold = pivot_tol * diag_scale.max(1e-300);
     let mut skipped = Vec::new();
-    let mut nnz_a = 0;
-    for k in 0..n {
-        let mut top = n;
-        visited[k] = k as u32;
-        let (cols, a_vals) = a.row(perm[k] as usize);
-        for (&j, &v) in cols.iter().zip(a_vals) {
-            let mut i = iperm[j] as usize;
-            if i > k {
-                continue;
-            }
-            y[i] += v;
-            nnz_a += (i < k) as usize;
-            let mut len = 0;
-            while visited[i] != k as u32 {
-                pattern[len] = i as u32;
-                len += 1;
-                visited[i] = k as u32;
-                i = parent[i] as usize;
-            }
-            while len > 0 {
-                top -= 1;
-                len -= 1;
-                pattern[top] = pattern[len];
-            }
-        }
-        let mut dk = std::mem::take(&mut y[k]);
-        for &i in &pattern[top..] {
-            let i = i as usize;
-            let yi = std::mem::take(&mut y[i]);
-            let span = col_ptr[i]..next[i];
-            for (&r, &l) in rows[span.clone()].iter().zip(&vals[span]) {
-                y[r as usize] -= l * yi;
-            }
-            let l_ki = if d[i] == 0.0 { 0.0 } else { yi / d[i] };
-            dk -= l_ki * yi;
-            rows[next[i]] = k as u32;
-            vals[next[i]] = l_ki;
-            next[i] += 1;
-        }
-        if dk.abs() <= threshold {
-            skipped.push(perm[k] as usize);
-            dk = 0.0;
-        }
-        d[k] = dk;
+    // Only a supernode with rows below its block sends an update.
+    let sends = (0..ns).filter(|&s| !panels.below(s).is_empty());
+    let max_width = sends.map(|s| panels.width(s)).max().unwrap_or(0);
+    let max_below = (0..ns).map(|s| panels.below(s).len()).max().unwrap_or(0);
+    let mut ld = vec![0.0; UPDATE_CHUNK * max_width];
+    let mut rel = vec![0u32; max_below];
+    let mut quad = vec![0.0; 4 * (0..ns).map(|s| panels.width(s)).max().unwrap_or(0)];
+    for s in 0..ns {
+        let (f, w) = (panels.first(s), panels.width(s));
+        let (done, later) = vals.split_at_mut(panels.val_ptr[s + 1]);
+        let (d_done, d_later) = d.split_at_mut(f + w);
+        let panel = &mut done[panels.val_ptr[s]..];
+        let ds = &mut d_done[f..];
+        factor_panel(panel, ds, threshold, &mut quad);
+        // Only a skipped pivot is zero: a kept one exceeds the threshold.
+        skipped.extend(
+            (0..w)
+                .filter(|&p| ds[p] == 0.0)
+                .map(|p| perm[f + p] as usize),
+        );
+        let target = Ancestors {
+            vals: later,
+            d: d_later,
+            val_base: panels.val_ptr[s + 1],
+            col_base: f + w,
+        };
+        update_ancestors(&panels, &owner, s, panel, ds, target, &mut ld, &mut rel);
     }
     skipped.sort_unstable();
     SparseLdlt {
         perm,
-        col_ptr,
-        rows,
+        panels,
         vals,
         d,
         skipped,
@@ -502,6 +680,316 @@ fn numeric(
         null_shift: 0.0,
         nnz_a,
     }
+}
+
+/// Entries of a packed strict lower triangle of width `w`.
+#[inline(always)]
+fn tri(w: usize) -> usize {
+    w * w.saturating_sub(1) / 2
+}
+
+/// Where column `q` of a packed strict lower triangle of width `w` starts:
+/// columns are packed in order, each holding its `w − 1 − q` entries below
+/// the diagonal top down.
+#[inline(always)]
+fn col_start(w: usize, q: usize) -> usize {
+    q * (2 * w - q - 1) / 2
+}
+
+/// Position of the entry in row `x` (counted over the whole panel, block
+/// rows first) and column `y < x` of a panel of width `w`.
+#[inline(always)]
+fn entry(w: usize, x: usize, y: usize) -> usize {
+    if x < w {
+        col_start(w, y) + x - y - 1
+    } else {
+        tri(w) + (x - w) * w + y
+    }
+}
+
+/// Factors one panel in place. `d` enters as the diagonal of `A` less the
+/// descendants' updates and leaves as the pivots; the block and the rows
+/// below it leave as `L`. Every row is a forward substitution against the
+/// finished columns of the block ([`eliminate`]), which leaves `u = L D`
+/// row-wise, then `l_q = u_q / d_q`; a block row's pivot is
+/// `d_i = a_ii − Σ_q l_q u_q`. A pivot with `|d_i| ≤ threshold` is zeroed,
+/// and so is every `l` under it.
+///
+/// Rows go four at a time, so each column of the block is read once for
+/// four rows ([`eliminate4`]). Block rows are copied into `quad` (four rows
+/// of the panel width) to work on them contiguously: the four share the
+/// columns before the first of them, then each, in order, takes the terms
+/// that need the finished rows before it in the quad, one at a time in
+/// ascending column order like [`eliminate`].
+fn factor_panel(panel: &mut [f64], d: &mut [f64], threshold: f64, quad: &mut [f64]) {
+    let w = d.len();
+    let (block, below) = panel.split_at_mut(tri(w));
+    for i in (0..w).step_by(4) {
+        let rows = (w - i).min(4);
+        let quad = &mut quad[..rows * w];
+        for (k, row) in quad.chunks_exact_mut(w).enumerate() {
+            for (q, u) in row[..i + k].iter_mut().enumerate() {
+                *u = block[entry(w, i + k, q)];
+            }
+        }
+        if rows == 4 {
+            let (r0, rest) = quad.split_at_mut(w);
+            let (r1, rest) = rest.split_at_mut(w);
+            let (r2, r3) = rest.split_at_mut(w);
+            eliminate4([r0, r1, r2, r3].map(|r| &mut r[..i]), block, w, i);
+        } else {
+            for row in quad.chunks_exact_mut(w) {
+                eliminate(&mut row[..i], block, w);
+            }
+        }
+        for k in 0..rows {
+            let (done, row) = quad.split_at_mut(k * w);
+            let row = &mut row[..i + k];
+            for (j, l) in (i..).zip(done.chunks_exact(w)) {
+                let terms = l[..j].iter().zip(&row[..j]);
+                row[j] = terms.fold(row[j], |x, (&l, &u)| x - l * u);
+            }
+            let mut di = d[i + k];
+            for (u, &dq) in row.iter_mut().zip(&*d) {
+                let l = if dq == 0.0 { 0.0 } else { *u / dq };
+                di -= l * *u;
+                *u = l;
+            }
+            d[i + k] = if di.abs() <= threshold { 0.0 } else { di };
+            for (q, &l) in row.iter().enumerate() {
+                block[entry(w, i + k, q)] = l;
+            }
+        }
+    }
+    let mut quads = below.chunks_exact_mut(4 * w);
+    for quad in &mut quads {
+        let (r0, rest) = quad.split_at_mut(w);
+        let (r1, rest) = rest.split_at_mut(w);
+        let (r2, r3) = rest.split_at_mut(w);
+        eliminate4([r0, r1, r2, r3], block, w, w);
+    }
+    for row in quads.into_remainder().chunks_exact_mut(w) {
+        eliminate(row, block, w);
+    }
+    for row in below.chunks_exact_mut(w) {
+        for (u, &dq) in row.iter_mut().zip(&*d) {
+            *u = if dq == 0.0 { 0.0 } else { *u / dq };
+        }
+    }
+}
+
+/// The forward substitution of a panel row (or of its first `row.len()`
+/// entries) against the packed block of a width-`w` panel, column by
+/// column: `row_j −= l_jq row_q` for `j > q`. Each entry takes its terms in
+/// ascending `q`, one at a time — the order of a column-by-column
+/// elimination, so a matrix that is one supernode factors to the same bits
+/// however its rows are grouped.
+fn eliminate(row: &mut [f64], block: &[f64], w: usize) {
+    for q in 0..row.len() {
+        let (done, rest) = row.split_at_mut(q + 1);
+        let u = done[q];
+        for (x, &l) in rest.iter_mut().zip(&block[col_start(w, q)..]) {
+            *x -= l * u;
+        }
+    }
+}
+
+/// [`eliminate`] of four rows of one length over the columns `..upto`.
+fn eliminate4(rows: [&mut [f64]; 4], block: &[f64], w: usize, upto: usize) {
+    let [r0, r1, r2, r3] = rows;
+    for q in 0..upto {
+        let u = [r0[q], r1[q], r2[q], r3[q]];
+        let rest = q + 1..r0.len();
+        let col = &block[col_start(w, q)..];
+        let lanes = r0[rest.clone()].iter_mut().zip(&mut r1[rest.clone()]);
+        let lanes = lanes.zip(&mut r2[rest.clone()]).zip(&mut r3[rest]);
+        for ((((x0, x1), x2), x3), &l) in lanes.zip(col) {
+            *x0 -= l * u[0];
+            *x1 -= l * u[1];
+            *x2 -= l * u[2];
+            *x3 -= l * u[3];
+        }
+    }
+}
+
+/// The values still to be factored when a supernode sends its update: the
+/// panels and pivots after it, with their offsets in the whole arrays.
+struct Ancestors<'a> {
+    vals: &'a mut [f64],
+    d: &'a mut [f64],
+    val_base: usize,
+    col_base: usize,
+}
+
+/// Subtracts supernode `s`'s update `L_B D L_Bᵀ` (`B` = the rows below its
+/// block, `l` = their rows of the finished panel) from its ancestors. The
+/// rows of `B` are taken in chunks that each fall in one ancestor's columns;
+/// per chunk, `L D` of its rows goes to `ld`, the position of every later
+/// row of `B` in that ancestor's panel to `rel`, and each update entry is
+/// one dot product scattered there (a diagonal one into the pivot),
+/// computed two rows by four columns at a time where the chunk allows.
+#[allow(clippy::too_many_arguments)]
+fn update_ancestors(
+    panels: &Panels,
+    owner: &[u32],
+    s: usize,
+    panel: &[f64],
+    d: &[f64],
+    target: Ancestors<'_>,
+    ld: &mut [f64],
+    rel: &mut [u32],
+) {
+    let Ancestors {
+        vals,
+        d: pivots,
+        val_base,
+        col_base,
+    } = target;
+    let w = d.len();
+    let below = panels.below(s);
+    let l = &panel[tri(w)..];
+    let r = below.len();
+    let mut c0 = 0;
+    while c0 < r {
+        let t = owner[below[c0] as usize] as usize;
+        let (ft, wt) = (panels.first(t), panels.width(t));
+        let end = r.min(c0 + UPDATE_CHUNK);
+        let c1 = (c0..end)
+            .find(|&c| below[c] as usize >= ft + wt)
+            .unwrap_or(end);
+        for (out, row) in ld
+            .chunks_exact_mut(w)
+            .zip(l[c0 * w..c1 * w].chunks_exact(w))
+        {
+            for ((o, &x), &dq) in out.iter_mut().zip(row).zip(d) {
+                *o = x * dq;
+            }
+        }
+        let ldc = &ld[..(c1 - c0) * w];
+        // Rows of B inside t's columns sit in its block, the rest are a
+        // subset of the rows below t.
+        let below_t = panels.below(t);
+        let mut m = 0;
+        for (x, &g) in rel.iter_mut().zip(&below[c0..]) {
+            let g = g as usize;
+            *x = if g < ft + wt {
+                (g - ft) as u32
+            } else {
+                while below_t[m] as usize != g {
+                    m += 1;
+                }
+                (wt + m) as u32
+            };
+        }
+        let (cols, later) = rel[..r - c0].split_at(c1 - c0);
+        let span = panels.values(t);
+        let tv = &mut vals[span.start - val_base..span.end - val_base];
+        let td = &mut pivots[ft - col_base..ft + wt - col_base];
+        // Entry (x, y) of t's panel sits at `x − 1 + in_block[y]` for a row
+        // x of its block (see `entry`; x ≥ 1 whenever some y < x), at
+        // `tri(wt) + (x − wt) wt + y` below it.
+        let mut in_block = [0; UPDATE_CHUNK];
+        let mut in_rows = [0; UPDATE_CHUNK];
+        for ((b, r), &y) in in_block.iter_mut().zip(&mut in_rows).zip(cols) {
+            let y = y as usize;
+            (*b, *r) = (col_start(wt, y) - y, y);
+        }
+        let offsets = |x: usize| match x < wt {
+            true => (x.saturating_sub(1), &in_block),
+            false => (tri(wt) + (x - wt) * wt, &in_rows),
+        };
+        // One row of B against the first `m` chunk columns.
+        let single = |tv: &mut [f64], li: &[f64], x: u32, m: usize| {
+            let (base, at) = offsets(x as usize);
+            for (lc, &y) in ldc.chunks_exact(w).zip(at).take(m) {
+                tv[base + y] -= dot(li, lc);
+            }
+        };
+        // The chunk's own rows against the chunk columns up to their own.
+        for (i, (li, &x)) in l[c0 * w..c1 * w].chunks_exact(w).zip(cols).enumerate() {
+            single(tv, li, x, i);
+            td[x as usize] -= dot(li, &ldc[i * w..(i + 1) * w]);
+        }
+        // The later rows, two at a time, against every chunk column, four
+        // at a time.
+        let pairs = l[c1 * w..].chunks_exact(2 * w).zip(later.chunks_exact(2));
+        for (lp, xp) in pairs {
+            let li = lp.split_at(w);
+            let (b0, at0) = offsets(xp[0] as usize);
+            let (b1, at1) = offsets(xp[1] as usize);
+            let mut quads = ldc.chunks_exact(4 * w);
+            let mut c = 0;
+            for quad in &mut quads {
+                let (a0, quad) = quad.split_at(w);
+                let (a1, quad) = quad.split_at(w);
+                let (a2, a3) = quad.split_at(w);
+                let t = dot2x4([a0, a1, a2, a3], [li.0, li.1]);
+                for k in 0..4 {
+                    tv[b0 + at0[c + k]] -= t[0][k];
+                    tv[b1 + at1[c + k]] -= t[1][k];
+                }
+                c += 4;
+            }
+            for lc in quads.remainder().chunks_exact(w) {
+                tv[b0 + at0[c]] -= dot(li.0, lc);
+                tv[b1 + at1[c]] -= dot(li.1, lc);
+                c += 1;
+            }
+        }
+        let odd = l[c1 * w..].chunks_exact(2 * w).remainder();
+        if let (li, [x]) = (odd, later.chunks_exact(2).remainder()) {
+            single(tv, li, *x, c1 - c0);
+        }
+        c0 = c1;
+    }
+}
+
+/// `⟨a, b⟩` over `b`'s length, in four partial sums.
+#[inline(always)]
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    let a = &a[..b.len()];
+    let (mut a4, mut b4) = (a.chunks_exact(4), b.chunks_exact(4));
+    let mut acc = [0.0; 4];
+    for (x, y) in (&mut a4).zip(&mut b4) {
+        for l in 0..4 {
+            acc[l] += x[l] * y[l];
+        }
+    }
+    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    for (x, y) in a4.remainder().iter().zip(b4.remainder()) {
+        s += x * y;
+    }
+    s
+}
+
+/// `[[⟨a_k, b_r⟩; 4]; 2]` over `b`'s length, each in two partial sums:
+/// every vector is read once for the eight products.
+#[inline(always)]
+fn dot2x4(a: [&[f64]; 4], b: [&[f64]; 2]) -> [[f64; 4]; 2] {
+    let n = b[0].len();
+    let [a0, a1, a2, a3] = a.map(|r| &r[..n]);
+    let [b0, b1] = b.map(|r| &r[..n]);
+    let mut acc = [[[0.0; 2]; 4]; 2];
+    let pairs = b0.chunks_exact(2).zip(b1.chunks_exact(2));
+    let pairs = pairs.zip(a0.chunks_exact(2)).zip(a1.chunks_exact(2));
+    let pairs = pairs.zip(a2.chunks_exact(2)).zip(a3.chunks_exact(2));
+    for (((((y0, y1), x0), x1), x2), x3) in pairs {
+        for l in 0..2 {
+            for (k, x) in [x0, x1, x2, x3].into_iter().enumerate() {
+                acc[0][k][l] += x[l] * y0[l];
+                acc[1][k][l] += x[l] * y1[l];
+            }
+        }
+    }
+    let mut out = acc.map(|r| r.map(|s| s[0] + s[1]));
+    if n % 2 == 1 {
+        let q = n - 1;
+        for (k, x) in [a0, a1, a2, a3].into_iter().enumerate() {
+            out[0][k] += x[q] * b0[q];
+            out[1][k] += x[q] * b1[q];
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -727,7 +1215,7 @@ mod tests {
         let iperm = inverse(&perm);
         let (parent, col_ptr) = symbolic(&a, &perm, &iperm);
         let t = Instant::now();
-        let f = numeric(&a, perm, &iperm, &parent, col_ptr, DEFAULT_PIVOT_TOL);
+        let f = numeric(&a, perm, &iperm, &parent, &col_ptr, DEFAULT_PIVOT_TOL);
         let numeric_s = t.elapsed().as_secs_f64();
         let natural: Vec<u32> = (0..n as u32).collect();
         let unordered = symbolic(&a, &natural, &natural).1[n];
@@ -760,5 +1248,78 @@ mod tests {
         let mut scratch = vec![0.0; f.dim()];
         f.solve_in_place_with(&mut x2, &mut scratch);
         assert_eq!(x1, x2);
+    }
+
+    #[test]
+    fn rank_deficient_dense_block_skips_inside_its_one_supernode() {
+        // A dense, diagonally dominant block whose row and column 2 are
+        // copies of row and column 0: rank n − 1, and one pattern for every
+        // row, so one supervariable ordered naturally and one supernode.
+        let n: usize = 10;
+        let mut dense: Vec<f64> = (0..n * n)
+            .map(|k| {
+                let (i, j) = (k / n, k % n);
+                1.0 / (1.0 + i.abs_diff(j) as f64) + if i == j { n as f64 } else { 0.0 }
+            })
+            .collect();
+        for j in 0..n {
+            dense[2 * n + j] = dense[j];
+        }
+        for i in 0..n {
+            dense[i * n + 2] = dense[i * n];
+        }
+        let a = from_dense(n, &dense);
+        let f = SparseLdlt::factor(&a, DEFAULT_PIVOT_TOL);
+        assert_eq!((f.supernodes(), f.max_front()), (1, n * n));
+        assert_eq!(f.nnz_l(), n * (n - 1) / 2);
+        // The copy is the third pivot of the panel, not its last: the skip
+        // zeroes one column in the middle of the panel and the rest go on.
+        assert_eq!(f.skipped_modes(), [2]);
+        assert_eq!(f.permutation()[2], 2);
+        let y: Vec<f64> = (0..n).map(|i| (0.7 * i as f64).sin()).collect();
+        let b = a.spmv(&y);
+        let mut x = b.clone();
+        f.solve_in_place(&mut x);
+        for (got, want) in a.spmv(&x).iter().zip(&b) {
+            assert!((got - want).abs() < 1e-10, "{got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn interleaved_dirichlet_rows_mix_tiny_and_wide_supernodes() {
+        // Every seventh row and column of a 3-dof 27-point block becomes a
+        // Dirichlet identity: width-1 panels with nothing below them among
+        // the wide node-block panels of the rest.
+        let stencil = stencil27(4, 3);
+        let n = stencil.n_rows();
+        let fixed = |i: usize| i % 7 == 3;
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            let (cols, vals) = stencil.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                match (fixed(i) || fixed(j), i == j) {
+                    (false, _) => coo.push(i, j, v).unwrap(),
+                    (true, true) => coo.push(i, i, 1.0).unwrap(),
+                    (true, false) => {}
+                }
+            }
+        }
+        let a = coo.to_csr();
+        let f = SparseLdlt::factor(&a, DEFAULT_PIVOT_TOL);
+        assert_eq!(f.n_skipped(), 0);
+        let p = &f.panels;
+        let singles = (0..p.len())
+            .filter(|&s| p.width(s) == 1 && p.below(s).is_empty())
+            .count();
+        assert!(singles >= (0..n).filter(|&i| fixed(i)).count());
+        assert!((0..p.len()).any(|s| p.width(s) >= 8), "no wide panel");
+        assert!((0..p.len()).any(|s| p.width(s) > 1 && !p.below(s).is_empty()));
+        let b: Vec<f64> = (0..n).map(|i| (0.3 * i as f64).cos()).collect();
+        let mut x = b.clone();
+        f.solve_in_place(&mut x);
+        let want = solve_dense(n, &mut a.to_dense(), &b);
+        for (xi, wi) in x.iter().zip(&want) {
+            assert!((xi - wi).abs() < 1e-10, "{xi} vs {wi}");
+        }
     }
 }

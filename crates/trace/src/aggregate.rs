@@ -153,10 +153,16 @@ pub struct FactorSummary {
     pub fill: f64,
     /// Flops of one rank's factorization, as charged to its clock.
     pub flops: u64,
+    /// Flops of one of its solves, charged per application.
+    pub solve_flops: u64,
     /// Heap bytes one rank's factor holds.
     pub bytes: u64,
     /// Pivots skipped over all ranks.
     pub skipped: u64,
+    /// Supernodes (dense panels) of one rank's factor.
+    pub supernodes: u64,
+    /// Entries of one rank's largest panel, rows × width.
+    pub max_front: u64,
 }
 
 impl FactorSummary {
@@ -167,8 +173,11 @@ impl FactorSummary {
             nnz_l: ev.u64("factor_nnz_l")?,
             fill: ev.f64("factor_fill").unwrap_or(0.0),
             flops: ev.u64("factor_flops").unwrap_or(0),
+            solve_flops: ev.u64("factor_solve_flops").unwrap_or(0),
             bytes: ev.u64("factor_bytes").unwrap_or(0),
             skipped: ev.u64("factor_skipped").unwrap_or(0),
+            supernodes: ev.u64("factor_supernodes").unwrap_or(0),
+            max_front: ev.u64("factor_max_front").unwrap_or(0),
         })
     }
 }

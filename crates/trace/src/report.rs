@@ -252,8 +252,15 @@ pub fn render_convergence(report: &TraceReport) -> String {
         if let Some(f) = &s.factor {
             let _ = writeln!(
                 out,
-                "subdomain factor: nnz(L) = {} (fill {:.2}), {} flops and {} bytes on the largest rank, {} skipped pivots",
-                f.nnz_l, f.fill, f.flops, f.bytes, f.skipped
+                "subdomain factor: nnz(L) = {} (fill {:.2}), {} flops ({} per solve) and {} bytes on the largest rank, {} supernodes, largest front {} entries, {} skipped pivots",
+                f.nnz_l,
+                f.fill,
+                f.flops,
+                f.solve_flops,
+                f.bytes,
+                f.supernodes,
+                f.max_front,
+                f.skipped
             );
         }
     }
