@@ -17,7 +17,7 @@ fn bench_gram_schmidt_sweeps(c: &mut Criterion) {
         .collect();
     let w0: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
     let coeffs: Vec<f64> = (0..k).map(|j| 0.1 * (j as f64 + 1.0)).collect();
-    let mut out = vec![0.0; k];
+    let mut out = vec![0.0; k + 1];
 
     let mut group = c.benchmark_group("kernels_gram_schmidt");
     group.throughput(Throughput::Elements((n * k) as u64));
@@ -26,7 +26,7 @@ fn bench_gram_schmidt_sweeps(c: &mut Criterion) {
     });
     group.bench_function("dot_scalar", |b| {
         b.iter(|| {
-            for (o, v) in out.iter_mut().zip(&vs) {
+            for (o, v) in out.iter_mut().zip(vs.iter().chain([&w0])) {
                 *o = dense::dot(black_box(&w0), v);
             }
         })

@@ -20,7 +20,7 @@
 
 use parfem::prelude::{CantileverProblem, LoadCase, MachineModel, Material, PrecondSpec};
 use parfem_bench::harness::Case;
-use parfem_krylov::{fgmres_with, GmresConfig, KrylovWorkspace};
+use parfem_krylov::{fgmres_on, GmresConfig, GmresResult, KrylovWorkspace, OneRank};
 use parfem_precond::{GlsPrecond, IdentityPrecond, Preconditioner};
 use parfem_sparse::{scaling, BcsrMatrix, CooMatrix, CsrMatrix};
 use parfem_trace::alloc::{self, CountingAlloc};
@@ -189,10 +189,13 @@ where
         ..Default::default()
     };
     let mut ws = KrylovWorkspace::new();
+    let run = |max_iters, ws: &mut KrylovWorkspace| -> GmresResult {
+        fgmres_on(&OneRank(&a), precond, &b, &x0, &cfg(max_iters), ws).expect("one rank")
+    };
     // Warm: size every buffer and record the history high-water mark.
-    let _ = std::hint::black_box(fgmres_with(&a, precond, &b, &x0, &cfg(iters), &mut ws));
+    let _ = std::hint::black_box(run(iters, &mut ws));
     let secs = time_best(5, || {
-        let res = fgmres_with(&a, precond, &b, &x0, &cfg(iters), &mut ws);
+        let res = run(iters, &mut ws);
         assert_eq!(res.history.iterations(), iters, "{name}: fixed-work solve");
         std::hint::black_box(&res.x);
     });
@@ -202,10 +205,7 @@ where
     // (the returned history/solution vectors) cancel. With the warm
     // workspace this is exactly zero.
     let short = iters / 4;
-    let mut solve = |n| {
-        alloc::measure(|| std::hint::black_box(fgmres_with(&a, precond, &b, &x0, &cfg(n), &mut ws)))
-            .1
-    };
+    let mut solve = |n| alloc::measure(|| std::hint::black_box(run(n, &mut ws))).1;
     let d_short = solve(short);
     let d_long = solve(iters);
     let di = (iters - short) as f64;

@@ -25,8 +25,7 @@
 use parfem::prelude::*;
 use parfem_bench::harness::{banner, quick, Table};
 use parfem_bench::modeling::{modeled_edd, rank_stats, IterCostModel};
-use parfem_krylov::gmres::fgmres_with;
-use parfem_krylov::{GmresConfig, KrylovWorkspace};
+use parfem_krylov::{fgmres, GmresConfig};
 use parfem_mesh::Cells;
 use parfem_precond::twolevel::build_coarse_basis;
 use parfem_precond::{CoarsePartGeometry, PrecondSpec};
@@ -187,7 +186,7 @@ fn run_series(
         let x0 = vec![0.0; b.len()];
         let spec = PrecondSpec::parse(SPEC).expect("bench spec parses");
         let pc = spec.instantiate(Some(basis.solver()), None, || scaled.diagonal());
-        let res = fgmres_with(&scaled, &pc, &b, &x0, &cfg, &mut KrylovWorkspace::new());
+        let res = fgmres(&scaled, &pc, &b, &x0, &cfg);
         assert!(
             res.history.converged(),
             "{name} P={p}: {SPEC} must converge within {ITER_CAP} iterations"

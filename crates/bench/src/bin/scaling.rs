@@ -43,8 +43,7 @@
 use parfem::prelude::*;
 use parfem_bench::harness::{banner, quick, Table};
 use parfem_bench::modeling::{modeled_edd, rank_stats, IterCostModel};
-use parfem_krylov::gmres::fgmres_with;
-use parfem_krylov::KrylovWorkspace;
+use parfem_krylov::gmres::fgmres;
 use parfem_mesh::numbering::DOFS_PER_NODE;
 use parfem_mesh::DofMap;
 use parfem_precond::twolevel::{build_coarse_basis, CoarseSolver};
@@ -328,7 +327,7 @@ fn solve_iters(
     let x0 = vec![0.0; b.len()];
     let spec = PrecondSpec::parse(spec_str).expect("bench spec parses");
     let pc = spec.instantiate(coarse, None, || scaled.diagonal());
-    let res = fgmres_with(scaled, &pc, b, &x0, &cfg, &mut KrylovWorkspace::new());
+    let res = fgmres(scaled, &pc, b, &x0, &cfg);
     (res.history.iterations(), res.history.converged())
 }
 

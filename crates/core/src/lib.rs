@@ -13,7 +13,8 @@
 //!   static and elastodynamic load cases,
 //! - [`sequential`] — single-process solves with every preconditioner the
 //!   paper compares (none/Jacobi/ILU(0)/Neumann/GLS), regenerating the
-//!   convergence figures,
+//!   convergence figures; they run the distributed FGMRES loop on a
+//!   one-rank communicator ([`parfem_krylov::fgmres`]),
 //! - [`dynamic`] — Newmark first-step effective systems (`[αM + βK]u = f̂`)
 //!   and full transient simulation,
 //! - the re-exported [`parfem_dd::SolveSession`] builder for the parallel

@@ -2,7 +2,9 @@
 //! compares on a single processor (Figs. 11–14).
 //!
 //! The pipeline is the paper's Algorithm 4: norm-1 diagonal scaling,
-//! preconditioner construction on `Θ = (ε, 1)`, FGMRES, unscale.
+//! preconditioner construction on `Θ = (ε, 1)`, FGMRES, unscale. The
+//! FGMRES is the distributed loop on one rank ([`fgmres`]), so a P = 1
+//! session takes the sequential iteration count (±1).
 
 use crate::problems::CantileverProblem;
 use parfem_krylov::gmres::{fgmres, GmresConfig};

@@ -52,7 +52,7 @@ use crate::dist_vec::EddLayout;
 use crate::edd::EddOperator;
 use crate::error::SolveError;
 use crate::rdd::{RddOperator, RddSystem};
-use crate::solver::DistributedOperator;
+use parfem_krylov::DistributedOperator;
 use parfem_mesh::{DofMap, NodePartition};
 use parfem_msg::Communicator;
 use parfem_precond::twolevel::{

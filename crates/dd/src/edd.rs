@@ -25,10 +25,10 @@
 //! Inner products of global distributed vectors deduplicate interface
 //! entries by multiplicity weighting; classical Gram–Schmidt batches all of
 //! an iteration's inner products (plus `‖w‖²`) into a single all-reduce, and
-//! the post-orthogonalization norm comes from the Pythagorean identity
-//! `‖w'‖² = ‖w‖² − Σh²` (with a guarded recomputation when cancellation
-//! bites), keeping the global communication at one reduction per iteration
-//! as Table 1 claims.
+//! at P ≥ 2 the post-orthogonalization norm comes from the Pythagorean
+//! identity `‖w'‖² = ‖w‖² − Σh²` (with a guarded recomputation when
+//! cancellation bites), keeping the global communication at one reduction
+//! per iteration as Table 1 claims (see `parfem_krylov::fgmres_on`).
 
 use crate::coarse::{edd_part_geometry, CoarsePlan};
 use crate::dist_vec::{EddLayout, ExchangeBuffers};
@@ -37,10 +37,9 @@ use crate::scaling::DistributedScaling;
 use crate::session::{
     build_precond, host_span, Decomposition, PrecondBuildStats, Problem, SolverConfig,
 };
-use crate::solver::{dd_fgmres, DdResult, DistributedOperator};
 use parfem_fem::SubdomainSystem;
-use parfem_krylov::gmres::GmresConfig;
-use parfem_krylov::KrylovWorkspace;
+use parfem_krylov::gmres::{fgmres_on, GmresConfig, GmresResult};
+use parfem_krylov::{DistributedOperator, KrylovWorkspace};
 use parfem_mesh::{ElementPartition, Subdomain};
 use parfem_msg::Communicator;
 use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSpec, SpecPrecond};
@@ -239,9 +238,6 @@ pub struct EddOperator<'a, C: Communicator> {
     /// The CSR rows of `a_local`, while a setup that walks matrix rows (the
     /// two-level coarse build) runs over this operator.
     rows: Option<&'a CsrMatrix>,
-    /// The right-hand side in local distributed format, when this operator
-    /// drives a solve (needed by [`DistributedOperator::residual_into`]).
-    b_local: Option<&'a [f64]>,
     /// Which of the paper's EDD algorithms the flexible-preconditioning
     /// step follows.
     variant: EddVariant,
@@ -258,16 +254,14 @@ pub struct EddOperator<'a, C: Communicator> {
 impl<'a, C: Communicator> EddOperator<'a, C> {
     /// Wraps a subdomain's local distributed matrix as the global operator.
     pub fn new(a_local: &'a EddLocalMatrix, layout: &'a EddLayout, comm: &'a C) -> Self {
-        Self::for_solve(a_local, layout, comm, None, EddVariant::Enhanced)
+        Self::with_variant(a_local, layout, comm, EddVariant::Enhanced)
     }
 
-    /// Like [`EddOperator::new`], but carrying what a solve needs: the
-    /// right-hand side and the algorithm variant.
-    fn for_solve(
+    /// Like [`EddOperator::new`], for a solve that follows `variant`.
+    fn with_variant(
         a_local: &'a EddLocalMatrix,
         layout: &'a EddLayout,
         comm: &'a C,
-        b_local: Option<&'a [f64]>,
         variant: EddVariant,
     ) -> Self {
         EddOperator {
@@ -275,7 +269,6 @@ impl<'a, C: Communicator> EddOperator<'a, C> {
             layout,
             comm,
             rows: None,
-            b_local,
             variant,
             bufs: RefCell::new(ExchangeBuffers::new()),
             xbufs: RefCell::new(ExchangeBuffers::new()),
@@ -368,17 +361,20 @@ impl<C: Communicator> InterfaceConsistency for EddOperator<'_, C> {
 
 impl<C: Communicator> DistributedOperator for EddOperator<'_, C> {
     type Comm = C;
+    type PrecondOp = Self;
 
     fn comm(&self) -> &C {
         self.comm
     }
 
-    /// `r ← ⊕Σ (b_local − A_local x)`: the global distributed residual,
-    /// staged through the persistent exchange buffers.
-    fn residual_into(&self, x: &[f64], r: &mut [f64]) {
-        let b_local = self
-            .b_local
-            .expect("EddOperator: residual requires a right-hand side");
+    fn precond_op(&self) -> &Self {
+        self
+    }
+
+    /// `r ← ⊕Σ (b_local − A_local x)` for `b_local` in local distributed
+    /// format: the global distributed residual, staged through the
+    /// persistent exchange buffers.
+    fn residual_into(&self, b_local: &[f64], x: &[f64], r: &mut [f64]) {
         self.a_local.spmv_into(x, r);
         self.comm.work(self.a_local.spmv_flops());
         for (ri, bi) in r.iter_mut().zip(b_local) {
@@ -512,7 +508,7 @@ pub fn edd_lambda_max<C: Communicator>(
 ///
 /// # Errors
 /// [`SolveError::Comm`] when the communication substrate degrades mid-solve
-/// (see [`dd_fgmres`]).
+/// (see [`fgmres_on`]).
 ///
 /// # Panics
 /// Panics on dimension mismatches.
@@ -522,23 +518,18 @@ pub fn edd_fgmres<'a, C, P>(
     layout: &'a EddLayout,
     a_local: &'a EddLocalMatrix,
     precond: &P,
-    b_local: &'a [f64],
+    b_local: &[f64],
     x0: &[f64],
     cfg: &GmresConfig,
     variant: EddVariant,
     ws: &mut KrylovWorkspace,
-) -> Result<DdResult, SolveError>
+) -> Result<GmresResult, SolveError>
 where
     C: Communicator,
     P: Preconditioner<EddOperator<'a, C>> + ?Sized,
 {
-    assert_eq!(
-        b_local.len(),
-        a_local.n_rows(),
-        "edd_fgmres: b length mismatch"
-    );
-    let op = EddOperator::for_solve(a_local, layout, comm, Some(b_local), variant);
-    dd_fgmres(&op, precond, x0, cfg, ws)
+    let op = EddOperator::with_variant(a_local, layout, comm, variant);
+    Ok(fgmres_on(&op, precond, b_local, x0, cfg, ws)?)
 }
 
 /// The EDD side of the session engine's strategy seam: unassembled
@@ -773,7 +764,7 @@ impl<'a> Decomposition for EddParts<'a> {
         load: Option<&[f64]>,
         cfg: &SolverConfig,
         ws: &mut KrylovWorkspace,
-    ) -> Result<DdResult, SolveError> {
+    ) -> Result<GmresResult, SolveError> {
         // A global load becomes the local distributed one `SubdomainSystem`
         // assembles: entries split by multiplicity, constrained rows zeroed.
         let b: Cow<'_, [f64]> = match (load, &self.input) {

@@ -8,16 +8,15 @@
 //!   GMRES, in both the basic (Algorithm 5, three interface exchanges per
 //!   Arnoldi step) and enhanced (Algorithm 6, one exchange) variants, plus
 //!   the EDD side of the session engine (rank-side assembly, scaling and
-//!   setup),
+//!   setup). Both operators implement
+//!   [`parfem_krylov::DistributedOperator`], so both run the one FGMRES
+//!   loop, `parfem_krylov::fgmres_on`,
 //! - [`rdd`] — the row-based (block-row) distributed operator and FGMRES
 //!   (Algorithm 8), the PSPARSLIB/Aztec-style baseline, plus the RDD side
 //!   of the session engine (host-side scaling and block-row split),
 //! - [`coarse`] — two-level coarse-space construction on the ranks, over
 //!   both partitions: per-part geometry extraction, the live-mode exchange
 //!   hooks of both distributed operators, and the one rank-side build,
-//! - [`solver`] — the unified distributed FGMRES core: one restarted
-//!   flexible GMRES loop over the [`solver::DistributedOperator`] trait
-//!   that both [`edd`] and [`rdd`] implement,
 //! - [`session`] — the composable [`SolveSession`] builder, the one way in:
 //!   strategy, preconditioner, machine model, overlap, faults, tracing as
 //!   orthogonal options over one engine for single- and multi-RHS runs
@@ -40,7 +39,6 @@ pub mod error;
 pub mod rdd;
 pub mod scaling;
 pub mod session;
-pub mod solver;
 
 pub use coarse::{
     build_rank_coarse, edd_part_geometry, rdd_part_geometry, CoarseBuildStats, CoarsePlan,
@@ -54,7 +52,6 @@ pub use session::{
     DdSolveOutput, FactorStats, MultiSolveOutput, PrecondSpec, Problem, ProblemMesh, SolveFailures,
     SolveSession, SolverConfig, Strategy,
 };
-pub use solver::{dd_fgmres, DdResult, DistributedOperator};
 
 // End-to-end cases of the deleted legacy driver, now on `SolveSession`; the
 // module path is kept because the tier-1 floor tracks tests by name.

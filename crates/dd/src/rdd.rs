@@ -23,9 +23,8 @@ use crate::error::SolveError;
 use crate::session::{
     build_precond, host_span, Decomposition, PrecondBuildStats, Problem, SolverConfig,
 };
-use crate::solver::{dd_fgmres, DdResult, DistributedOperator};
-use parfem_krylov::gmres::GmresConfig;
-use parfem_krylov::KrylovWorkspace;
+use parfem_krylov::gmres::{fgmres_on, GmresConfig, GmresResult};
+use parfem_krylov::{DistributedOperator, KrylovWorkspace};
 use parfem_mesh::NodePartition;
 use parfem_msg::Communicator;
 use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSpec, SpecPrecond};
@@ -225,10 +224,6 @@ pub struct RddOperator<'a, C: Communicator> {
     pub sys: &'a RddSystem,
     /// Communicator endpoint.
     pub comm: &'a C,
-    /// The right-hand side over the owned rows, when this operator drives a
-    /// solve (needed by [`DistributedOperator::residual_into`]). Borrowed,
-    /// so several solves share one [`RddSystem`] without copying its blocks.
-    b_loc: Option<&'a [f64]>,
     /// Halo staging, behind interior mutability because
     /// [`LinearOperator::apply_into`] takes `&self`.
     halo: RefCell<RddHaloBuffers>,
@@ -237,16 +232,9 @@ pub struct RddOperator<'a, C: Communicator> {
 impl<'a, C: Communicator> RddOperator<'a, C> {
     /// Wraps a block-row system as the distributed operator.
     pub fn new(sys: &'a RddSystem, comm: &'a C) -> Self {
-        Self::for_solve(sys, comm, None)
-    }
-
-    /// Like [`RddOperator::new`], but carrying the right-hand side a solve
-    /// needs.
-    fn for_solve(sys: &'a RddSystem, comm: &'a C, b_loc: Option<&'a [f64]>) -> Self {
         RddOperator {
             sys,
             comm,
-            b_loc,
             halo: RefCell::new(RddHaloBuffers::default()),
         }
     }
@@ -351,16 +339,18 @@ impl<C: Communicator> InterfaceConsistency for RddOperator<'_, C> {
 
 impl<C: Communicator> DistributedOperator for RddOperator<'_, C> {
     type Comm = C;
+    type PrecondOp = Self;
 
     fn comm(&self) -> &C {
         self.comm
     }
 
+    fn precond_op(&self) -> &Self {
+        self
+    }
+
     /// `r ← b_loc − A x` over the owned rows (one halo exchange).
-    fn residual_into(&self, x: &[f64], r: &mut [f64]) {
-        let b_loc = self
-            .b_loc
-            .expect("RddOperator: residual requires a right-hand side");
+    fn residual_into(&self, b_loc: &[f64], x: &[f64], r: &mut [f64]) {
         self.apply_into(x, r);
         for (ri, bi) in r.iter_mut().zip(b_loc) {
             *ri = bi - *ri;
@@ -384,7 +374,6 @@ impl<C: Communicator> DistributedOperator for RddOperator<'_, C> {
 
     fn gs_dots(&self, w: &[f64], basis: &[Vec<f64>], reduce: &mut [f64]) {
         kernels::dot_sweep(w, basis, reduce);
-        reduce[basis.len()] = self.dot_partial(w, w);
     }
 }
 
@@ -435,7 +424,7 @@ impl<C: Communicator> Preconditioner<RddOperator<'_, C>> for RddLocalIlu {
 ///
 /// # Errors
 /// [`SolveError::Comm`] when the communication substrate degrades mid-solve
-/// (see [`dd_fgmres`]).
+/// (see [`fgmres_on`]).
 ///
 /// # Panics
 /// Panics on dimension mismatches.
@@ -443,18 +432,23 @@ pub fn rdd_fgmres<'a, C, P>(
     comm: &'a C,
     sys: &'a RddSystem,
     precond: &P,
-    b_loc: &'a [f64],
+    b_loc: &[f64],
     x0: &[f64],
     cfg: &GmresConfig,
     ws: &mut KrylovWorkspace,
-) -> Result<DdResult, SolveError>
+) -> Result<GmresResult, SolveError>
 where
     C: Communicator,
     P: Preconditioner<RddOperator<'a, C>> + ?Sized,
 {
-    assert_eq!(b_loc.len(), sys.n_local(), "rdd_fgmres: b length mismatch");
-    let op = RddOperator::for_solve(sys, comm, Some(b_loc));
-    dd_fgmres(&op, precond, x0, cfg, ws)
+    Ok(fgmres_on(
+        &RddOperator::new(sys, comm),
+        precond,
+        b_loc,
+        x0,
+        cfg,
+        ws,
+    )?)
 }
 
 /// The RDD side of the session engine's strategy seam: block rows of the
@@ -552,7 +546,7 @@ impl Decomposition for RddParts<'_> {
         load: Option<&[f64]>,
         cfg: &SolverConfig,
         ws: &mut KrylovWorkspace,
-    ) -> Result<DdResult, SolveError> {
+    ) -> Result<GmresResult, SolveError> {
         let sys = &self.systems[comm.rank()];
         // A global load becomes the owned rows of `D f` with the
         // constrained entries zeroed, as `build_static` + `scale_system` do.
@@ -597,7 +591,12 @@ mod tests {
 
     /// One solve for the load the system was split with, from a zero
     /// initial guess, on a throwaway workspace.
-    fn solve<'a, C, P>(comm: &'a C, sys: &'a RddSystem, precond: &P, cfg: &GmresConfig) -> DdResult
+    fn solve<'a, C, P>(
+        comm: &'a C,
+        sys: &'a RddSystem,
+        precond: &P,
+        cfg: &GmresConfig,
+    ) -> GmresResult
     where
         C: Communicator,
         P: Preconditioner<RddOperator<'a, C>> + ?Sized,

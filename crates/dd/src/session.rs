@@ -52,11 +52,10 @@ use crate::dynamic::{run_dynamic_edd, DynamicRunOutput};
 use crate::edd::{EddParts, EddVariant};
 use crate::error::SolveError;
 use crate::rdd::RddParts;
-use crate::solver::{DdResult, DistributedOperator};
 use parfem_fem::{assembly::StaticSystem, Material, NewmarkParams, Physics, SubdomainSystem};
-use parfem_krylov::gmres::GmresConfig;
+use parfem_krylov::gmres::{GmresConfig, GmresResult};
 use parfem_krylov::history::ConvergenceHistory;
-use parfem_krylov::KrylovWorkspace;
+use parfem_krylov::{DistributedOperator, KrylovWorkspace};
 use parfem_mesh::{
     DofMap, ElementPartition, HexMesh, NodePartition, PartitionerSpec, QuadMesh, Subdomain,
 };
@@ -916,7 +915,7 @@ pub(crate) trait Decomposition: Sync {
         load: Option<&[f64]>,
         cfg: &SolverConfig,
         ws: &mut KrylovWorkspace,
-    ) -> Result<DdResult, SolveError>;
+    ) -> Result<GmresResult, SolveError>;
 
     /// The physical global solution from every rank's piece, in rank order.
     fn gather<'r>(&self, pieces: impl Iterator<Item = &'r [f64]>) -> Vec<f64>;
@@ -1043,7 +1042,7 @@ where
 
 /// What one rank returns: its piece of the solution and the convergence
 /// history per right-hand side, and the record of its preconditioner build.
-type RankSolves = (Vec<DdResult>, PrecondBuildStats);
+type RankSolves = (Vec<GmresResult>, PrecondBuildStats);
 
 /// The one rank body, over any [`Communicator`] — the raw [`ThreadComm`] in
 /// fault-free runs, a [`FaultyComm`] under chaos: setup and preconditioner

@@ -1,8 +1,9 @@
-//! Golden bit-identity tests for the unified distributed FGMRES core.
+//! Golden bit-identity tests for the one FGMRES loop at P ≥ 2.
 //!
 //! The constants below were captured from the pre-refactor
 //! `edd_fgmres`/`rdd_fgmres` implementations (the hand-maintained twin
-//! solver loops, before both were collapsed onto `dd_fgmres`). Each case
+//! solver loops, before both were collapsed onto one loop, now
+//! `parfem_krylov::fgmres_on`). Each case
 //! pins the iteration count, restart count, and an FNV-1a hash over the
 //! exact bit patterns of the per-rank solutions and the residual history —
 //! so any change to the floating-point operation sequence of the shared

@@ -17,7 +17,7 @@ use parfem_dd::{
     DdSolveOutput, EddVariant, PrecondSpec, Problem, SolveSession, SolverConfig, Strategy,
 };
 use parfem_fem::{assembly, Material, NewmarkParams, SubdomainSystem};
-use parfem_krylov::gmres::{fgmres, GmresConfig};
+use parfem_krylov::gmres::{fgmres, GmresConfig, Orthogonalization};
 use parfem_mesh::{
     DofMap, Edge, ElementPartition, Face, HexMesh, NodePartition, PartitionerSpec, QuadMesh,
 };
@@ -405,6 +405,98 @@ fn subdomain_solves_are_charged_to_the_rank_clock() {
                 );
             }
         }
+    }
+}
+
+/// `GmresConfig::ortho` reaches the ranks: modified Gram–Schmidt reduces
+/// once per projection plus once for the norm, so at P = 2 it converges
+/// within two iterations of classical Gram–Schmidt while rank 0 pays at
+/// least one more all-reduce per iteration — under EDD and RDD alike.
+#[test]
+fn modified_gram_schmidt_reaches_the_ranks() {
+    let (mesh, dm, mat, loads) = problem(24, 8);
+    let strategies = [
+        ("edd", Strategy::Edd(ElementPartition::strips_x(&mesh, 2))),
+        ("rdd", Strategy::Rdd(NodePartition::strips_x(&mesh, 2))),
+    ];
+    for (name, strategy) in strategies {
+        let run = |ortho| {
+            let mut cfg = cfg();
+            cfg.gmres.ortho = ortho;
+            let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+                .strategy(strategy.clone())
+                .config(cfg)
+                .run()
+                .expect("fault-free run");
+            assert!(out.history.converged(), "{name} {ortho:?}");
+            out
+        };
+        let classical = run(Orthogonalization::Classical);
+        let modified = run(Orthogonalization::Modified);
+        let (ic, im) = (
+            classical.history.iterations(),
+            modified.history.iterations(),
+        );
+        assert!(
+            ic.abs_diff(im) <= 2,
+            "{name}: classical {ic} vs modified {im}"
+        );
+        let (rc, rm) = (
+            classical.reports[0].stats.allreduces,
+            modified.reports[0].stats.allreduces,
+        );
+        assert!(
+            rm >= rc + im as u64,
+            "{name}: modified {rm} vs classical {rc} all-reduces over {im} iterations"
+        );
+    }
+}
+
+/// On one rank a reduction is free, so the loop takes the exact norm of
+/// the orthogonalized vector instead of the Pythagorean shortcut: a P = 1
+/// session on paper Mesh2 (40 × 8, unit pull) under `gls:7` at 1e-10 needs
+/// the iterations of the sequential solve on the same scaled matrix, ±1,
+/// under EDD and RDD.
+#[test]
+fn one_rank_sessions_match_the_sequential_count() {
+    let mesh = QuadMesh::cantilever(40, 8);
+    let mut dm = DofMap::new(mesh.n_nodes());
+    dm.clamp_edge(&mesh, Edge::Left);
+    let mat = Material::unit();
+    let mut loads = vec![0.0; dm.n_dofs()];
+    assembly::edge_load(&mesh, &dm, Edge::Right, 1.0, 0.0, &mut loads);
+    let gmres = GmresConfig {
+        tol: 1e-10,
+        ..Default::default()
+    };
+    let sys = assembly::build_static(&mesh, &dm, &mat, &loads);
+    let (a, b, _) = scale_system(&sys.stiffness, &sys.rhs).unwrap();
+    let seq = fgmres(
+        &a,
+        &GlsPrecond::for_scaled_system(7),
+        &b,
+        &vec![0.0; b.len()],
+        &gmres,
+    );
+    assert!(seq.history.converged());
+    let want = seq.history.iterations();
+    let strategies = [
+        ("edd", Strategy::Edd(ElementPartition::strips_x(&mesh, 1))),
+        ("rdd", Strategy::Rdd(NodePartition::strips_x(&mesh, 1))),
+    ];
+    for (name, strategy) in strategies {
+        let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+            .strategy(strategy)
+            .gmres(gmres)
+            .precond(PrecondSpec::parse("gls:7").unwrap())
+            .run()
+            .expect("fault-free run");
+        assert!(out.history.converged(), "{name}");
+        let got = out.history.iterations();
+        assert!(
+            got.abs_diff(want) <= 1,
+            "{name}: P = 1 took {got}, sequential {want}"
+        );
     }
 }
 

@@ -1,4 +1,5 @@
-//! Restarted flexible GMRES (the paper's Algorithm 1).
+//! Restarted flexible GMRES (the paper's Algorithm 1) — the one Krylov loop
+//! of the workspace, sequential and distributed alike.
 //!
 //! Flexible GMRES stores the preconditioned vectors `z_j = C v_j` and builds
 //! the solution update from them (`x = x₀ + Z y`), which permits a different
@@ -8,25 +9,38 @@
 //! so the convergence monitor `‖r_i‖/‖r₀‖ ≤ tol` of the paper's Section 6
 //! comes for free.
 //!
-//! Orthogonalization is **classical Gram–Schmidt**, matching the parallel
-//! Algorithms 5/6/8 (classical GS batches the inner products into one
-//! global reduction, which is why the paper chooses it); the restart
-//! dimension default is the paper's `m̃ = 25`.
+//! Algorithm 1 and the parallel Algorithms 5/6 (element-based) and 8
+//! (row-based) are one skeleton that differs only in how the distributed
+//! pieces are realised: the matvec's interface completion, the local
+//! partial of a deduplicated inner product, the residual, and the flop
+//! accounting of a dot. The [`DistributedOperator`] trait captures exactly
+//! those hooks and [`fgmres_on`] runs the loop over any implementor. A
+//! whole operator on one rank is the [`OneRank`] adapter over
+//! [`SelfComm`]; [`fgmres`] is that solve on a throwaway workspace.
+//!
+//! Orthogonalization is **classical Gram–Schmidt** by default, as in the
+//! parallel algorithms: all projections and `‖w‖²` travel in one
+//! all-reduce. Across ranks the new norm then comes from the Pythagorean
+//! identity `‖w'‖² = ‖w‖² − Σh²`, with a guarded recomputation when the
+//! subtraction cancels; on one rank a reduction is free, so the norm is the
+//! exact local dot. **Modified** Gram–Schmidt reduces once per projection,
+//! then once for the norm. The restart dimension default is the paper's
+//! `m̃ = 25`.
 
 use crate::givens::Givens;
 use crate::history::{ConvergenceHistory, StopReason};
 use crate::workspace::KrylovWorkspace;
+use parfem_msg::{CommError, Communicator, SelfComm};
 use parfem_precond::Preconditioner;
 use parfem_sparse::{dense, kernels, LinearOperator};
-use parfem_trace::{EventKind, RankTracer, Value};
+use parfem_trace::{EventKind, Value};
 
 /// Arnoldi orthogonalization scheme.
 ///
 /// The paper's parallel algorithms use **classical** Gram–Schmidt because
 /// it batches all inner products of an iteration into a single global
 /// reduction; **modified** Gram–Schmidt is numerically sturdier but costs
-/// one reduction per basis vector in a distributed setting. The sequential
-/// solver offers both for the ablation study.
+/// one reduction per basis vector in a distributed setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Orthogonalization {
     /// Classical Gram–Schmidt (one batched reduction; the paper's choice).
@@ -36,7 +50,7 @@ pub enum Orthogonalization {
     Modified,
 }
 
-/// Configuration for [`fgmres`].
+/// Configuration for [`fgmres`] and [`fgmres_on`].
 #[derive(Debug, Clone, Copy)]
 pub struct GmresConfig {
     /// Krylov subspace dimension between restarts (the paper's `m̃`).
@@ -60,16 +74,144 @@ impl Default for GmresConfig {
     }
 }
 
-/// Result of a GMRES solve.
+/// Result of a GMRES solve on one rank.
 #[derive(Debug, Clone)]
 pub struct GmresResult {
-    /// The computed solution.
+    /// The computed solution, in the operator's vector format (the whole
+    /// vector on one rank, global distributed for EDD, owned rows for RDD).
     pub x: Vec<f64>,
-    /// The convergence history.
+    /// The convergence history (identical on every rank).
     pub history: ConvergenceHistory,
 }
 
-/// Solves `A x = b` by restarted flexible GMRES.
+/// The hooks a decomposition provides to run under [`fgmres_on`].
+///
+/// Implementors are [`LinearOperator`]s whose `apply_into` performs the
+/// full distributed matvec (local SpMV plus interface completion — the EDD
+/// `⊕Σ` sum or the RDD halo gather), so polynomial preconditioners run on
+/// them unchanged. The remaining methods expose the decomposition's
+/// inner-product semantics and residual. None has a default, so every
+/// implementation keeps its own floating-point sequence: EDD dots are
+/// multiplicity-weighted at 3 flops per element, RDD and one-rank dots are
+/// plain at 2.
+pub trait DistributedOperator: LinearOperator {
+    /// The communicator endpoint type this operator runs over.
+    type Comm: Communicator;
+
+    /// The operator preconditioners are applied through: a decomposition's
+    /// operator itself, the wrapped operator of a [`OneRank`].
+    type PrecondOp: LinearOperator + ?Sized;
+
+    /// This rank's communicator endpoint.
+    fn comm(&self) -> &Self::Comm;
+
+    /// See [`DistributedOperator::PrecondOp`].
+    fn precond_op(&self) -> &Self::PrecondOp;
+
+    /// `r ← b − A x` in the operator's vector format, including the
+    /// interface completion and its work accounting. `b` is this rank's
+    /// right-hand side in the form the decomposition assembles it (local
+    /// distributed for EDD, owned rows for RDD).
+    fn residual_into(&self, b: &[f64], x: &[f64], r: &mut [f64]);
+
+    /// Local partial of the deduplicated global inner product `⟨x, y⟩`;
+    /// summing the partials across ranks (one all-reduce) yields the true
+    /// global product.
+    fn dot_partial(&self, x: &[f64], y: &[f64]) -> f64;
+
+    /// Flops charged per vector element of one local dot partial.
+    fn dot_flops_factor(&self) -> u64;
+
+    /// Fills `reduce[0..=basis.len()]` with the batched Gram–Schmidt
+    /// partials: `reduce[i] = ⟨w, basis[i]⟩_partial` and
+    /// `reduce[basis.len()] = ⟨w, w⟩_partial`, each bit-identical to its
+    /// own [`DistributedOperator::dot_partial`].
+    fn gs_dots(&self, w: &[f64], basis: &[Vec<f64>], reduce: &mut [f64]);
+
+    /// The kernel this operator's local SpMV runs (`csr`, `bcsr2`,
+    /// `bcsr3`), the same on the blocking and the overlapped schedule.
+    /// [`fgmres_on`] records it per solve on the trace.
+    fn kernel_variant(&self) -> &'static str;
+
+    /// Produces the flexible vector `z_j` from the basis vector `v_j`
+    /// through `precond`. The default is a plain scratch-buffered
+    /// application; EDD's basic variant (Algorithm 5) overrides it to wrap
+    /// the application in its local-distributed round trips, using `w_tmp`
+    /// (free at this point of the iteration) as staging.
+    fn apply_precond<P>(
+        &self,
+        precond: &P,
+        v_j: &[f64],
+        z_j: &mut [f64],
+        scratch: &mut [Vec<f64>],
+        w_tmp: &mut [f64],
+    ) where
+        P: Preconditioner<Self::PrecondOp> + ?Sized,
+    {
+        let _ = w_tmp;
+        precond.apply_scratch(self.precond_op(), v_j, z_j, scratch);
+    }
+}
+
+/// A whole operator on one rank: any [`LinearOperator`] (CSR, node blocks,
+/// `&dyn`) as a [`DistributedOperator`] over [`SelfComm`]. Inner products
+/// are plain dots, and preconditioners see the wrapped operator.
+pub struct OneRank<'a, Op: ?Sized>(pub &'a Op);
+
+impl<Op: LinearOperator + ?Sized> LinearOperator for OneRank<'_, Op> {
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+
+    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
+        self.0.apply_into(x, y);
+    }
+
+    fn apply_flops(&self) -> u64 {
+        self.0.apply_flops()
+    }
+}
+
+impl<Op: LinearOperator + ?Sized> DistributedOperator for OneRank<'_, Op> {
+    type Comm = SelfComm;
+    type PrecondOp = Op;
+
+    fn comm(&self) -> &SelfComm {
+        &SelfComm
+    }
+
+    fn precond_op(&self) -> &Op {
+        self.0
+    }
+
+    fn residual_into(&self, b: &[f64], x: &[f64], r: &mut [f64]) {
+        self.0.apply_into(x, r);
+        for (ri, bi) in r.iter_mut().zip(b) {
+            *ri = bi - *ri;
+        }
+    }
+
+    fn dot_partial(&self, x: &[f64], y: &[f64]) -> f64 {
+        dense::dot(x, y)
+    }
+
+    fn dot_flops_factor(&self) -> u64 {
+        2
+    }
+
+    /// The storage behind a `&dyn` operator is unknown; one-rank solves
+    /// carry no tracer, so the label is never recorded.
+    fn kernel_variant(&self) -> &'static str {
+        "one-rank"
+    }
+
+    fn gs_dots(&self, w: &[f64], basis: &[Vec<f64>], reduce: &mut [f64]) {
+        kernels::dot_sweep(w, basis, reduce);
+    }
+}
+
+/// Solves `A x = b` by restarted flexible GMRES on one rank: [`fgmres_on`]
+/// over [`OneRank`] with a throwaway workspace.
 ///
 /// ```
 /// use parfem_krylov::{fgmres, GmresConfig};
@@ -90,191 +232,90 @@ where
     Op: LinearOperator + ?Sized,
     P: Preconditioner<Op> + ?Sized,
 {
-    fgmres_traced(op, precond, b, x0, cfg, None)
+    match fgmres_on(
+        &OneRank(op),
+        precond,
+        b,
+        x0,
+        cfg,
+        &mut KrylovWorkspace::new(),
+    ) {
+        Ok(res) => res,
+        Err(e) => unreachable!("a one-rank solve communicates nothing: {e}"),
+    }
 }
 
-/// [`fgmres`] with a caller-owned [`KrylovWorkspace`].
+/// Restarted flexible GMRES over any [`DistributedOperator`] — the one
+/// Krylov loop. `b` is this rank's right-hand side (see
+/// [`DistributedOperator::residual_into`]) and `x0` its initial guess. The
+/// solve runs inside the rank's `fgmres` trace span, after the operator's
+/// kernel is recorded as the `kernel_variant_<label>` rank counter.
 ///
-/// The workspace self-sizes on first use; once warm, restarts and
-/// iterations perform **no heap allocation**, and the result is
-/// bit-identical to [`fgmres`] (which is just this function with a
-/// throwaway workspace). Reuse one workspace across the repeated solves of
-/// a time-stepping or parameter-sweep loop to take per-solve allocation off
-/// the hot path.
-pub fn fgmres_with<Op, P>(
-    op: &Op,
-    precond: &P,
-    b: &[f64],
-    x0: &[f64],
-    cfg: &GmresConfig,
-    ws: &mut KrylovWorkspace,
-) -> GmresResult
-where
-    Op: LinearOperator + ?Sized,
-    P: Preconditioner<Op> + ?Sized,
-{
-    fgmres_traced_with(op, precond, b, x0, cfg, None, ws)
-}
-
-/// [`fgmres`] with optional tracing: brackets the solve in an `fgmres` span
-/// and emits one [`EventKind::Iter`] event per inner iteration (relative
-/// residual, restart index, cycle, active preconditioner degree). The
-/// sequential solver has no virtual clock, so event times carry wall time
-/// only (`tv = 0`).
-pub fn fgmres_traced<Op, P>(
-    op: &Op,
-    precond: &P,
-    b: &[f64],
-    x0: &[f64],
-    cfg: &GmresConfig,
-    tracer: Option<&RankTracer>,
-) -> GmresResult
-where
-    Op: LinearOperator + ?Sized,
-    P: Preconditioner<Op> + ?Sized,
-{
-    let mut ws = KrylovWorkspace::new();
-    fgmres_traced_with(op, precond, b, x0, cfg, tracer, &mut ws)
-}
-
-/// [`fgmres_traced`] with a caller-owned [`KrylovWorkspace`] — the most
-/// general entry point; every other `fgmres*` function is a thin wrapper
-/// around this one.
-pub fn fgmres_traced_with<Op, P>(
-    op: &Op,
-    precond: &P,
-    b: &[f64],
-    x0: &[f64],
-    cfg: &GmresConfig,
-    tracer: Option<&RankTracer>,
-    ws: &mut KrylovWorkspace,
-) -> GmresResult
-where
-    Op: LinearOperator + ?Sized,
-    P: Preconditioner<Op> + ?Sized,
-{
-    if let Some(t) = tracer {
-        t.span_begin("fgmres", 0.0);
-    }
-    let res = fgmres_inner(op, precond, b, x0, cfg, tracer, ws);
-    if let Some(t) = tracer {
-        t.span_end("fgmres", 0.0);
-    }
-    res
-}
-
-/// Fused classical Gram–Schmidt step: projects `w` against the basis `vs`
-/// (coefficients into `hcol[..vs.len()]`), subtracts the projections, and
-/// returns `‖w‖₂` of the orthogonalized vector.
+/// Once the workspace (and the operator's exchange staging) are warm,
+/// restarts and iterations perform no heap allocation on this rank, and
+/// solves that reuse a workspace are bit-identical to solves on a fresh
+/// one.
 ///
-/// Dot products and AXPY updates run in blocks of four through
-/// [`kernels::dot_block`] / [`kernels::axpy_block`], whose contracts make
-/// this **bit-identical** to the unfused
-/// `dot* / axpy* / norm2` sequence while passing over `w` four times fewer;
-/// the trailing norm comes free from the last AXPY block.
-fn cgs_orthogonalize(vs: &[Vec<f64>], w: &mut [f64], hcol: &mut [f64]) -> f64 {
-    let cnt = vs.len();
-    if cnt == 0 {
-        return dense::norm2(w);
-    }
-    let mut i = 0;
-    while i + 4 <= cnt {
-        let d = kernels::dot_block(
-            w,
-            [
-                vs[i].as_slice(),
-                vs[i + 1].as_slice(),
-                vs[i + 2].as_slice(),
-                vs[i + 3].as_slice(),
-            ],
-        );
-        hcol[i..i + 4].copy_from_slice(&d);
-        i += 4;
-    }
-    match cnt - i {
-        1 => hcol[i] = kernels::dot_block(w, [vs[i].as_slice()])[0],
-        2 => {
-            let d = kernels::dot_block(w, [vs[i].as_slice(), vs[i + 1].as_slice()]);
-            hcol[i..i + 2].copy_from_slice(&d);
-        }
-        3 => {
-            let d = kernels::dot_block(
-                w,
-                [vs[i].as_slice(), vs[i + 1].as_slice(), vs[i + 2].as_slice()],
-            );
-            hcol[i..i + 3].copy_from_slice(&d);
-        }
-        _ => {}
-    }
-
-    let mut sq = 0.0;
-    let mut i = 0;
-    while i + 4 <= cnt {
-        sq = kernels::axpy_block(
-            [-hcol[i], -hcol[i + 1], -hcol[i + 2], -hcol[i + 3]],
-            [
-                vs[i].as_slice(),
-                vs[i + 1].as_slice(),
-                vs[i + 2].as_slice(),
-                vs[i + 3].as_slice(),
-            ],
-            w,
-        );
-        i += 4;
-    }
-    match cnt - i {
-        1 => sq = kernels::axpy_block([-hcol[i]], [vs[i].as_slice()], w),
-        2 => {
-            sq = kernels::axpy_block(
-                [-hcol[i], -hcol[i + 1]],
-                [vs[i].as_slice(), vs[i + 1].as_slice()],
-                w,
-            );
-        }
-        3 => {
-            sq = kernels::axpy_block(
-                [-hcol[i], -hcol[i + 1], -hcol[i + 2]],
-                [vs[i].as_slice(), vs[i + 1].as_slice(), vs[i + 2].as_slice()],
-                w,
-            );
-        }
-        _ => {}
-    }
-    sq.sqrt()
-}
-
-fn fgmres_inner<Op, P>(
+/// # Errors
+/// The first [`CommError`] of a degrading substrate: the reductions are
+/// fallible, and the rank's latched error state ([`Communicator::status`])
+/// is checked after every matvec and preconditioner application, so an
+/// error inside an infallible exchange surfaces within the same iteration
+/// instead of corrupting the solve silently. [`SelfComm`] never fails.
+///
+/// # Panics
+/// Panics on dimension mismatches or a zero restart dimension.
+pub fn fgmres_on<Op, P>(
     op: &Op,
     precond: &P,
     b: &[f64],
     x0: &[f64],
     cfg: &GmresConfig,
-    tracer: Option<&RankTracer>,
     ws: &mut KrylovWorkspace,
-) -> GmresResult
+) -> Result<GmresResult, CommError>
 where
-    Op: LinearOperator + ?Sized,
-    P: Preconditioner<Op> + ?Sized,
+    Op: DistributedOperator,
+    P: Preconditioner<Op::PrecondOp> + ?Sized,
 {
-    let res = fgmres_core(op, precond, b, x0, cfg, tracer, ws);
+    let comm = op.comm();
+    if let Some(tracer) = comm.tracer() {
+        tracer.span_begin("fgmres", comm.virtual_time());
+        tracer.add_count(&format!("kernel_variant_{}", op.kernel_variant()), 1);
+    }
+    let res = restarted(op, precond, b, x0, cfg, ws);
+    if let Some(tracer) = comm.tracer() {
+        tracer.span_end("fgmres", comm.virtual_time());
+    }
+    let res = res?;
     // Remember the history length so the next solve on this workspace can
     // reserve it exactly (see `KrylovWorkspace::history_hint`).
     ws.history_hint = ws.history_hint.max(res.history.relative_residuals.len());
-    res
+    Ok(res)
 }
 
-fn fgmres_core<Op, P>(
+fn done(x: Vec<f64>, residuals: Vec<f64>, stop: StopReason, restarts: usize) -> GmresResult {
+    GmresResult {
+        x,
+        history: ConvergenceHistory {
+            relative_residuals: residuals,
+            stop,
+            restarts,
+        },
+    }
+}
+
+/// The restarted Arnoldi loop of [`fgmres_on`].
+fn restarted<Op, P>(
     op: &Op,
     precond: &P,
     b: &[f64],
     x0: &[f64],
     cfg: &GmresConfig,
-    tracer: Option<&RankTracer>,
     ws: &mut KrylovWorkspace,
-) -> GmresResult
+) -> Result<GmresResult, CommError>
 where
-    Op: LinearOperator + ?Sized,
-    P: Preconditioner<Op> + ?Sized,
+    Op: DistributedOperator,
+    P: Preconditioner<Op::PrecondOp> + ?Sized,
 {
     let n = op.dim();
     assert_eq!(b.len(), n, "fgmres: b length mismatch");
@@ -284,65 +325,50 @@ where
         "fgmres: restart dimension must be positive"
     );
     let m = cfg.restart;
+    let comm = op.comm();
+    let one_rank = comm.size() == 1;
+    let dot_f = op.dot_flops_factor();
     ws.ensure(n, m, precond.scratch_vectors());
 
     let mut x = x0.to_vec();
-    // Reserve the history to the workspace's high-water mark: after one
-    // solve of representative length the capacity is exact, so the
-    // iteration loop pushes without growing — allocation traffic per
-    // iteration is zero, independent of `max_iters` (a `max_iters`-scaled
-    // reservation would itself read as bytes-per-iteration to the alloc
-    // gate). A cold workspace just grows amortized on the first solve.
+    // Reserve to the workspace's history high-water mark, not to
+    // `max_iters`: a `max_iters`-scaled reservation reads as per-iteration
+    // bytes to the alloc gate, while the warm-workspace hint makes repeat
+    // solves push into an exactly-sized Vec with zero growth.
     let mut residuals = Vec::with_capacity(ws.history_hint);
     let mut restarts = 0usize;
     let mut total_iters = 0usize;
 
-    // Initial residual r = b - A x, with w as the matvec temporary.
-    op.apply_into(&x, &mut ws.w);
-    dense::sub_into(b, &ws.w, &mut ws.r);
-    let r0_norm = dense::norm2(&ws.r);
+    let global_norm = |v: &[f64]| -> Result<f64, CommError> {
+        comm.work(dot_f * n as u64);
+        Ok(comm.try_allreduce_sum_scalar(op.dot_partial(v, v))?.sqrt())
+    };
+
+    op.residual_into(b, &x, &mut ws.r);
+    comm.status()?;
+    let r0_norm = global_norm(&ws.r)?;
     residuals.push(1.0);
     if r0_norm == 0.0 {
-        return GmresResult {
-            x,
-            history: ConvergenceHistory {
-                relative_residuals: residuals,
-                stop: StopReason::Converged,
-                restarts: 0,
-            },
-        };
+        return Ok(done(x, residuals, StopReason::Converged, 0));
     }
-
     // Breakdown threshold relative to the initial residual scale.
     let breakdown_tol = 1e-14 * r0_norm;
 
-    // With the exact identity preconditioner, z_j ≡ v_j bit-for-bit: skip
-    // the `z = C v` copy entirely and alias the basis column wherever a
-    // flexible vector is read (operator application and solution update).
-    let identity = precond.is_identity();
-
     loop {
-        let beta = dense::norm2(&ws.r);
+        let beta = global_norm(&ws.r)?;
         if beta / r0_norm <= cfg.tol {
-            return GmresResult {
-                x,
-                history: ConvergenceHistory {
-                    relative_residuals: residuals,
-                    stop: StopReason::Converged,
-                    restarts,
-                },
-            };
+            return Ok(done(x, residuals, StopReason::Converged, restarts));
         }
-        // Arnoldi basis V, flexible vectors Z, Hessenberg columns (upper
-        // triangular after rotations), rotations, and the rhs g — all
-        // preallocated columns of the workspace. `g` must be re-zeroed:
-        // iteration j reads the still-virgin g[j + 1].
+
+        // `g` must be re-zeroed: iteration j reads the still-virgin g[j + 1].
         ws.rotations.clear();
         ws.g.fill(0.0);
         ws.g[0] = beta;
-        // Fused normalization: one pass instead of copy-then-scale, same
-        // per-element product either way (`scale_into` is bit-identical).
-        dense::scale_into(1.0 / beta, &ws.r, &mut ws.v[0]);
+        ws.v[0].copy_from_slice(&ws.r);
+        for vi in &mut ws.v[0] {
+            *vi /= beta;
+        }
+        comm.work(n as u64);
 
         let mut j_done = 0usize;
         let mut stop: Option<StopReason> = None;
@@ -353,39 +379,82 @@ where
                 break;
             }
             total_iters += 1;
+            let iter_start_stats = comm.stats();
             let degree = precond.current_operator_applications();
-            if let Some(t) = tracer {
-                t.add_count("precond_applies", 1);
+
+            // Flexible preconditioning (polynomial preconditioners run
+            // Algorithm 7 inside the operator: one exchange per internal
+            // matvec).
+            if let Some(tracer) = comm.tracer() {
+                tracer.add_count("precond_applies", 1);
             }
-            // Flexible preconditioning z_j = C v_j, into the preallocated
-            // column (apply_scratch overwrites it completely). The exact
-            // identity skips the copy and applies the operator to v_j
-            // directly — the same bits z_j would hold.
-            if identity {
-                op.apply_into(&ws.v[j], &mut ws.w);
-            } else {
-                precond.apply_scratch(op, &ws.v[j], &mut ws.z[j], &mut ws.precond_scratch);
-                op.apply_into(&ws.z[j], &mut ws.w);
-            }
+            op.apply_precond(
+                precond,
+                &ws.v[j],
+                &mut ws.z[j],
+                &mut ws.precond_scratch,
+                &mut ws.w,
+            );
+
+            // Matrix-vector product (the one exchange Algorithm 6 keeps).
+            op.apply_into(&ws.z[j], &mut ws.w);
+
+            // The preconditioner and matvec run over infallible (latching)
+            // exchanges; surface anything they latched before their output
+            // contaminates the Krylov basis.
+            comm.status()?;
 
             let hcol = &mut ws.h[j];
-            let h_next = match cfg.ortho {
+            let hh = match cfg.ortho {
                 Orthogonalization::Classical => {
-                    // All projections off the same w: fused blocked dots,
-                    // AXPYs and trailing norm (bit-identical to the unfused
-                    // form — see `cgs_orthogonalize`).
-                    cgs_orthogonalize(&ws.v[..j + 1], &mut ws.w, hcol)
+                    // All projections plus ‖w‖² in ONE all-reduce.
+                    op.gs_dots(&ws.w, &ws.v[..=j], &mut ws.reduce);
+                    comm.work(dot_f * (n * (j + 2)) as u64);
+                    comm.try_allreduce_sum_into(&mut ws.reduce[..(j + 2)])?;
+                    hcol[..=j].copy_from_slice(&ws.reduce[..=j]);
+                    kernels::axpy_sweep_neg(&hcol[..=j], &ws.v[..=j], &mut ws.w);
+                    comm.work((2 * n * (j + 1)) as u64);
+                    if one_rank {
+                        comm.work(dot_f * n as u64);
+                        op.dot_partial(&ws.w, &ws.w)
+                    } else {
+                        // The Pythagorean identity, with a guarded
+                        // recomputation (one extra reduction) whenever the
+                        // subtraction cancels more than two digits —
+                        // without the guard the Hessenberg entry loses
+                        // accuracy near convergence and the iteration
+                        // stalls.
+                        let ww = ws.reduce[j + 1];
+                        let h_sq: f64 = hcol[..=j].iter().map(|h| h * h).sum();
+                        let mut hh = ww - h_sq;
+                        if hh < 1e-2 * ww.max(1e-300) {
+                            hh = comm
+                                .try_allreduce_sum_scalar(op.dot_partial(&ws.w, &ws.w))?
+                                .max(0.0);
+                            comm.work(dot_f * n as u64);
+                        }
+                        hh
+                    }
                 }
                 Orthogonalization::Modified => {
-                    // Sequential projections off the running w.
-                    for (i, vi) in ws.v[..j + 1].iter().enumerate() {
-                        let h = dense::dot(&ws.w, vi);
+                    // Each projection off the running w, reduced on its own.
+                    for (i, vi) in ws.v[..=j].iter().enumerate() {
+                        comm.work(dot_f * n as u64);
+                        let h = comm.try_allreduce_sum_scalar(op.dot_partial(&ws.w, vi))?;
                         dense::axpy(-h, vi, &mut ws.w);
+                        comm.work(2 * n as u64);
                         hcol[i] = h;
                     }
-                    dense::norm2(&ws.w)
+                    comm.work(dot_f * n as u64);
+                    let ww = op.dot_partial(&ws.w, &ws.w);
+                    if one_rank {
+                        ww
+                    } else {
+                        comm.try_allreduce_sum_scalar(ww)?
+                    }
                 }
             };
+            let h_next = hh.max(0.0).sqrt();
             hcol[j + 1] = h_next;
 
             // Apply accumulated rotations to the new column.
@@ -405,17 +474,27 @@ where
 
             let rel = ws.g[j + 1].abs() / r0_norm;
             residuals.push(rel);
-            if let Some(t) = tracer {
-                t.emit(
+
+            if let Some(tracer) = comm.tracer() {
+                let st = comm.stats();
+                tracer.emit(
                     EventKind::Iter,
-                    "iter",
-                    0.0,
+                    "",
+                    comm.virtual_time(),
                     vec![
                         ("iter".to_string(), Value::U64(total_iters as u64)),
                         ("rel_res".to_string(), Value::F64(rel)),
                         ("restart_index".to_string(), Value::U64((j + 1) as u64)),
                         ("cycle".to_string(), Value::U64(restarts as u64)),
                         ("degree".to_string(), Value::U64(degree as u64)),
+                        (
+                            "exchanges".to_string(),
+                            Value::U64(st.neighbor_exchanges - iter_start_stats.neighbor_exchanges),
+                        ),
+                        (
+                            "allreduces".to_string(),
+                            Value::U64(st.allreduces - iter_start_stats.allreduces),
+                        ),
                     ],
                 );
             }
@@ -429,11 +508,14 @@ where
                 stop = Some(StopReason::Breakdown);
                 break;
             }
-            // Fused normalization (see the v[0] note above).
-            dense::scale_into(1.0 / h_next, &ws.w, &mut ws.v[j + 1]);
+            ws.v[j + 1].copy_from_slice(&ws.w);
+            for t in &mut ws.v[j + 1] {
+                *t /= h_next;
+            }
+            comm.work(n as u64);
         }
 
-        // Solve the triangular system R y = g for the iterations done.
+        // Solve the triangular system R y = g, then x += Σ y_k z_k.
         if j_done > 0 {
             for i in (0..j_done).rev() {
                 let mut acc = ws.g[i];
@@ -442,73 +524,22 @@ where
                 }
                 ws.y[i] = acc / ws.h[i][i];
             }
-            // Blocked solution update x += Σ y_k z_k: one pass over x per
-            // four flexible vectors instead of one per vector —
-            // bit-identical to the sequential AXPYs ([`kernels::axpy_block`]
-            // preserves the per-element update order).
-            let zs: &[Vec<f64>] = if identity { &ws.v } else { &ws.z };
-            let mut k = 0;
-            while k + 4 <= j_done {
-                kernels::axpy_block(
-                    [ws.y[k], ws.y[k + 1], ws.y[k + 2], ws.y[k + 3]],
-                    [
-                        zs[k].as_slice(),
-                        zs[k + 1].as_slice(),
-                        zs[k + 2].as_slice(),
-                        zs[k + 3].as_slice(),
-                    ],
-                    &mut x,
-                );
-                k += 4;
+            for k in 0..j_done {
+                let yk = ws.y[k];
+                for (xi, zi) in x.iter_mut().zip(&ws.z[k]) {
+                    *xi += yk * zi;
+                }
             }
-            match j_done - k {
-                1 => {
-                    kernels::axpy_block([ws.y[k]], [zs[k].as_slice()], &mut x);
-                }
-                2 => {
-                    kernels::axpy_block(
-                        [ws.y[k], ws.y[k + 1]],
-                        [zs[k].as_slice(), zs[k + 1].as_slice()],
-                        &mut x,
-                    );
-                }
-                3 => {
-                    kernels::axpy_block(
-                        [ws.y[k], ws.y[k + 1], ws.y[k + 2]],
-                        [zs[k].as_slice(), zs[k + 1].as_slice(), zs[k + 2].as_slice()],
-                        &mut x,
-                    );
-                }
-                _ => {}
-            }
+            comm.work((2 * n * j_done) as u64);
         }
 
         match stop {
-            Some(reason @ (StopReason::Converged | StopReason::Breakdown)) => {
-                return GmresResult {
-                    x,
-                    history: ConvergenceHistory {
-                        relative_residuals: residuals,
-                        stop: reason,
-                        restarts,
-                    },
-                };
-            }
-            Some(StopReason::MaxIterations) => {
-                return GmresResult {
-                    x,
-                    history: ConvergenceHistory {
-                        relative_residuals: residuals,
-                        stop: StopReason::MaxIterations,
-                        restarts,
-                    },
-                };
-            }
+            Some(reason) => return Ok(done(x, residuals, reason, restarts)),
             None => {
-                // Restart: recompute the true residual r = b - A x.
+                // Restart: recompute the true residual.
                 restarts += 1;
-                op.apply_into(&x, &mut ws.w);
-                dense::sub_into(b, &ws.w, &mut ws.r);
+                op.residual_into(b, &x, &mut ws.r);
+                comm.status()?;
             }
         }
     }
@@ -843,10 +874,13 @@ mod tests {
             ..Default::default()
         };
         let mut ws = KrylovWorkspace::new();
-        let first = fgmres_with(&a, &IdentityPrecond, &b, &vec![0.0; n], &cfg, &mut ws);
+        let solve = |ws: &mut KrylovWorkspace| {
+            fgmres_on(&OneRank(&a), &IdentityPrecond, &b, &vec![0.0; n], &cfg, ws).unwrap()
+        };
+        let first = solve(&mut ws);
         assert_eq!(ws.history_hint, first.history.relative_residuals.len());
         // A second identical solve must be bit-identical and keep the hint.
-        let second = fgmres_with(&a, &IdentityPrecond, &b, &vec![0.0; n], &cfg, &mut ws);
+        let second = solve(&mut ws);
         assert_eq!(
             first.history.relative_residuals,
             second.history.relative_residuals

@@ -1,4 +1,4 @@
-//! Reusable storage for the restarted FGMRES solvers.
+//! Reusable storage for the restarted FGMRES loop.
 //!
 //! One [`KrylovWorkspace`] owns every buffer the solver's restart and
 //! iteration loops touch: the Arnoldi basis `V`, the flexible vectors `Z`,
@@ -11,43 +11,40 @@
 //! loops, and solves that reuse a workspace are bit-identical to solves on
 //! a fresh one — the buffers carry no state between solves, only capacity.
 //!
-//! The same structure serves the sequential solver and the distributed
-//! EDD/RDD mirrors (there `n` is the subdomain-local dimension and
-//! [`reduce`](KrylovWorkspace::reduce) batches the Gram–Schmidt inner
+//! `n` is the rank-local dimension (the whole vector on one rank), and a
+//! packed `reduce` buffer batches the Gram–Schmidt inner
 //! products for the single per-iteration all-reduce of the paper's
-//! Algorithms 5/6/8).
+//! Algorithms 5/6/8.
 
 use crate::givens::Givens;
 
 /// Preallocated buffers for restarted FGMRES (see the module docs).
 ///
-/// Fields are public so the sequential and distributed solvers (separate
-/// crates) can borrow disjoint buffers simultaneously; treat the contents
-/// as scratch — nothing is preserved across solves.
+/// Treat the contents as scratch — nothing is preserved across solves.
 #[derive(Debug, Clone, Default)]
 pub struct KrylovWorkspace {
     /// Arnoldi basis vectors `v_0 … v_m` (`restart + 1` vectors of length `n`).
-    pub v: Vec<Vec<f64>>,
+    pub(crate) v: Vec<Vec<f64>>,
     /// Flexible (preconditioned) vectors `z_0 … z_{m-1}`.
-    pub z: Vec<Vec<f64>>,
+    pub(crate) z: Vec<Vec<f64>>,
     /// Hessenberg columns; column `j` uses entries `0 ..= j + 1`.
-    pub h: Vec<Vec<f64>>,
+    pub(crate) h: Vec<Vec<f64>>,
     /// Accumulated Givens rotations of the current cycle.
-    pub rotations: Vec<Givens>,
+    pub(crate) rotations: Vec<Givens>,
     /// Least-squares right-hand side `g` (length `restart + 1`).
-    pub g: Vec<f64>,
+    pub(crate) g: Vec<f64>,
     /// Residual vector (length `n`).
-    pub r: Vec<f64>,
+    pub(crate) r: Vec<f64>,
     /// Matvec / orthogonalization temporary `w` (length `n`).
-    pub w: Vec<f64>,
+    pub(crate) w: Vec<f64>,
     /// Back-substitution solution `y` (length `restart`).
-    pub y: Vec<f64>,
+    pub(crate) y: Vec<f64>,
     /// Scratch vectors for `Preconditioner::apply_scratch`.
-    pub precond_scratch: Vec<Vec<f64>>,
-    /// Packed buffer for batched reductions (distributed solvers put the
-    /// classical-Gram–Schmidt dot products of one iteration here so the
-    /// all-reduce is a single message).
-    pub reduce: Vec<f64>,
+    pub(crate) precond_scratch: Vec<Vec<f64>>,
+    /// Packed buffer for batched reductions (the classical-Gram–Schmidt
+    /// dot products of one iteration, so the all-reduce is a single
+    /// message).
+    pub(crate) reduce: Vec<f64>,
     /// High-water mark of convergence-history lengths seen by solves using
     /// this workspace. Solvers pre-reserve their residual history to this
     /// hint, so once a workspace is warm (one solve of representative
@@ -55,7 +52,7 @@ pub struct KrylovWorkspace {
     /// push into it without growth — the last per-iteration allocation the
     /// zero-alloc gates track. Purely a capacity hint: it never affects
     /// results.
-    pub history_hint: usize,
+    pub(crate) history_hint: usize,
 }
 
 /// Grows `pool` to `count` buffers, each of exact length `len`.

@@ -10,8 +10,7 @@
 //! tentpole makes is asserted cell by cell: adding the coarse level never
 //! increases the iteration count of its one-level smoother.
 
-use parfem_krylov::gmres::{fgmres_with, GmresConfig};
-use parfem_krylov::KrylovWorkspace;
+use parfem_krylov::gmres::{fgmres, GmresConfig};
 use parfem_precond::twolevel::build_coarse_basis;
 use parfem_precond::{CoarsePartGeometry, PrecondSpec};
 use parfem_sparse::ldlt::DEFAULT_PIVOT_TOL;
@@ -86,7 +85,7 @@ fn iterations(scaled: &CsrMatrix, b: &[f64], d: &[f64], p: usize, spec_str: &str
         ..Default::default()
     };
     let x0 = vec![0.0; b.len()];
-    let res = fgmres_with(scaled, &pc, b, &x0, &cfg, &mut KrylovWorkspace::new());
+    let res = fgmres(scaled, &pc, b, &x0, &cfg);
     assert!(
         res.history.converged(),
         "{spec_str} (P={p}) did not converge: {:?}",

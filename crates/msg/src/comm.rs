@@ -490,3 +490,75 @@ pub trait Communicator {
         }
     }
 }
+
+/// The one-rank communicator: the whole problem on rank 0 of 1. It has no
+/// neighbours to message, its all-reduce is the identity, it keeps no clock
+/// and no counters, and nothing on it can fail — which is what makes the
+/// distributed solver loop over it the sequential solver.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SelfComm;
+
+impl Communicator for SelfComm {
+    fn rank(&self) -> usize {
+        0
+    }
+
+    fn size(&self) -> usize {
+        1
+    }
+
+    fn try_send_delayed(&self, to: usize, _: &[f64], _: f64) -> Result<(), CommError> {
+        panic!("SelfComm: rank 0 of 1 has no peer {to}")
+    }
+
+    fn try_recv(&self, from: usize) -> Result<Vec<f64>, CommError> {
+        panic!("SelfComm: rank 0 of 1 has no peer {from}")
+    }
+
+    fn try_allreduce_sum_into(&self, _: &mut [f64]) -> Result<(), CommError> {
+        Ok(())
+    }
+
+    fn try_barrier(&self) -> Result<(), CommError> {
+        Ok(())
+    }
+
+    fn status(&self) -> Result<(), CommError> {
+        Ok(())
+    }
+
+    fn post_error(&self, _: CommError) {}
+
+    fn work(&self, _: u64) {}
+
+    fn virtual_time(&self) -> f64 {
+        0.0
+    }
+
+    fn stats(&self) -> CommStats {
+        CommStats::default()
+    }
+
+    fn count_neighbor_exchange(&self) {}
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn self_comm_reductions_are_the_identity() {
+        let comm = SelfComm;
+        assert_eq!((comm.rank(), comm.size()), (0, 1));
+        let mut buf = [1.5, -2.0];
+        comm.try_allreduce_sum_into(&mut buf).unwrap();
+        assert_eq!(buf, [1.5, -2.0]);
+        assert_eq!(comm.allreduce_sum_scalar(3.0), 3.0);
+        assert_eq!(comm.exchange(&[], &[]), Vec::<Vec<f64>>::new());
+        comm.barrier();
+        comm.work(1_000);
+        assert!(comm.status().is_ok());
+        assert_eq!(comm.stats(), CommStats::default());
+        assert_eq!(comm.virtual_time(), 0.0);
+    }
+}

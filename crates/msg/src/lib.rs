@@ -5,7 +5,9 @@
 //!
 //! - [`comm`] — an MPI-shaped [`comm::Communicator`] trait
 //!   covering exactly the subset the paper's Algorithms 5/6/8 use:
-//!   point-to-point send/receive, summing all-reduce, and barrier;
+//!   point-to-point send/receive, summing all-reduce, and barrier — and
+//!   [`comm::SelfComm`], the one-rank communicator the sequential solve
+//!   runs on;
 //! - [`thread`] — [`thread::ThreadComm`], a real implementation
 //!   over OS threads and shared memory: `P` ranks run concurrently and
 //!   exchange actual messages through one mailbox per ordered rank pair and
@@ -55,7 +57,7 @@ pub mod stats;
 pub mod thread;
 pub mod topology;
 
-pub use comm::{Communicator, ExchangeHandle};
+pub use comm::{Communicator, ExchangeHandle, SelfComm};
 pub use error::CommError;
 pub use fault::{FaultPlan, FaultStats, FaultyComm, RankKill};
 pub use model::{MachineModel, UnknownMachine};

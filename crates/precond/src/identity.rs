@@ -14,10 +14,6 @@ impl<Op: LinearOperator + ?Sized> Preconditioner<Op> for IdentityPrecond {
         z.copy_from_slice(v);
     }
 
-    fn is_identity(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> String {
         "none".to_string()
     }

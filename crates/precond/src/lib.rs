@@ -143,16 +143,6 @@ pub trait Preconditioner<Op: LinearOperator + ?Sized> {
         self.apply_into(op, v, z);
     }
 
-    /// `true` iff this preconditioner is exactly the identity (`z = v`,
-    /// bit-for-bit). Solvers use it to elide the `z = C v` copy and alias
-    /// the Krylov basis vector instead — a pure memory-traffic optimization
-    /// that cannot change any result. Only [`IdentityPrecond`] returns
-    /// `true`; preconditioners that merely *happen* to act as the identity
-    /// (e.g. a degree-0 polynomial) must not.
-    fn is_identity(&self) -> bool {
-        false
-    }
-
     /// Number of operator applications (matrix–vector products) one
     /// preconditioner application costs. Zero for matrix-free data-only
     /// preconditioners like Jacobi/ILU.

@@ -66,23 +66,6 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
     }
 }
 
-/// `y <- alpha * x`, writing into a caller-provided buffer.
-///
-/// Bit-identical to `copy(x, y); scale(alpha, y)` (each element is the
-/// same single product `alpha * x_i`) while touching `y` once instead of
-/// twice — the fused form GMRES uses to normalize a new basis vector out
-/// of the Arnoldi temporary.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn scale_into(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "scale_into: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = alpha * xi;
-    }
-}
-
 /// `z <- x - y`, writing into a caller-provided buffer.
 ///
 /// # Panics

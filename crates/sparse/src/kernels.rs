@@ -161,46 +161,30 @@ pub fn axpy_block<const K: usize>(coeffs: [f64; K], vs: [&[f64]; K], w: &mut [f6
     sq
 }
 
-/// Sweeps `out[i] = <w, vs[i]>` over a whole basis through [`dot_block`] in
-/// blocks of four (smaller blocks for the remainder).
-///
-/// Bit-identical to `vs.len()` separate [`crate::dense::dot`] calls — this
-/// is the fused Gram–Schmidt dot pass used by the distributed FGMRES
-/// solvers to fill their batched-reduction buffer.
+/// The Gram–Schmidt dot pass: `out[i] = <w, vs[i]>` for the whole basis and
+/// `out[vs.len()] = <w, w>`, through [`dot_block`] in blocks of four with
+/// `w` itself as the last vector — `⌈(vs.len() + 1) / 4⌉` passes over `w`
+/// instead of `vs.len() + 1`, each result bit-identical to its own
+/// [`crate::dense::dot`]. This fills the batched-reduction buffer of the
+/// FGMRES loop under plain (unweighted) inner products.
 ///
 /// # Panics
-/// Panics if `out` is shorter than `vs` or any vector length differs from
-/// `w`.
+/// Panics if `out` is shorter than `vs.len() + 1` or any vector length
+/// differs from `w`.
 pub fn dot_sweep(w: &[f64], vs: &[Vec<f64>], out: &mut [f64]) {
-    let cnt = vs.len();
+    let cnt = vs.len() + 1;
     assert!(out.len() >= cnt, "dot_sweep: output too short");
+    let at = |i: usize| if i < vs.len() { vs[i].as_slice() } else { w };
     let mut i = 0;
     while i + 4 <= cnt {
-        let d = dot_block(
-            w,
-            [
-                vs[i].as_slice(),
-                vs[i + 1].as_slice(),
-                vs[i + 2].as_slice(),
-                vs[i + 3].as_slice(),
-            ],
-        );
+        let d = dot_block(w, [at(i), at(i + 1), at(i + 2), at(i + 3)]);
         out[i..i + 4].copy_from_slice(&d);
         i += 4;
     }
     match cnt - i {
-        1 => out[i] = dot_block(w, [vs[i].as_slice()])[0],
-        2 => {
-            let d = dot_block(w, [vs[i].as_slice(), vs[i + 1].as_slice()]);
-            out[i..i + 2].copy_from_slice(&d);
-        }
-        3 => {
-            let d = dot_block(
-                w,
-                [vs[i].as_slice(), vs[i + 1].as_slice(), vs[i + 2].as_slice()],
-            );
-            out[i..i + 3].copy_from_slice(&d);
-        }
+        1 => out[i] = dot_block(w, [at(i)])[0],
+        2 => out[i..i + 2].copy_from_slice(&dot_block(w, [at(i), at(i + 1)])),
+        3 => out[i..i + 3].copy_from_slice(&dot_block(w, [at(i), at(i + 1), at(i + 2)])),
         _ => {}
     }
 }
@@ -482,8 +466,17 @@ mod tests {
             let mut out = vec![f64::NAN; cnt + 2];
             dot_sweep(&w, &vs, &mut out);
             for (i, v) in vs.iter().enumerate() {
-                assert_eq!(out[i], dense::dot(&w, v), "cnt={cnt} i={i}");
+                assert_eq!(
+                    out[i].to_bits(),
+                    dense::dot(&w, v).to_bits(),
+                    "cnt={cnt} i={i}"
+                );
             }
+            assert_eq!(
+                out[cnt].to_bits(),
+                dense::dot(&w, &w).to_bits(),
+                "cnt={cnt} <w, w>"
+            );
         }
     }
 

@@ -282,18 +282,6 @@ proptest! {
             prop_assert_eq!(split[r].to_bits(), got[r].to_bits(), "split row {}", r);
         }
     }
-
-    #[test]
-    fn scale_into_matches_copy_then_scale_bitwise(x in prop::collection::vec(-10.0..10.0f64, 0..64),
-                                                  alpha in -4.0..4.0f64) {
-        // The fused normalization write must equal copy-then-scale exactly —
-        // it is substituted on the solver hot path under that contract.
-        let mut reference = x.clone();
-        dense::scale(alpha, &mut reference);
-        let mut fused = vec![0.0; x.len()];
-        dense::scale_into(alpha, &x, &mut fused);
-        prop_assert_eq!(fused, reference);
-    }
 }
 
 /// Dense Gaussian elimination with partial pivoting — the reference the

@@ -104,18 +104,6 @@ impl Histogram {
         self.quantile(p / 100.0)
     }
 
-    /// Folds `other`'s samples into `self` bucket-wise. Exact: the merged
-    /// histogram equals recording both sample streams into one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, ob) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += ob;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Approximate quantile (`0.0..=1.0`): the inclusive upper bound of the
     /// bucket containing the `q`-th sample. Exact to within a factor of two.
     pub fn quantile(&self, q: f64) -> u64 {
@@ -250,31 +238,6 @@ mod tests {
         // p95/p99 of 0..100 sit in bucket 7 = [64,127], clamped to max 99.
         assert_eq!(h.percentile(95.0), 99);
         assert_eq!(h.percentile(99.0), 99);
-    }
-
-    #[test]
-    fn merge_equals_recording_both_streams() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut both = Histogram::new();
-        for v in [1u64, 5, 64, 300] {
-            a.record(v);
-            both.record(v);
-        }
-        for v in [0u64, 2, 4096] {
-            b.record(v);
-            both.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        assert_eq!(a.sum(), both.sum());
-        assert_eq!(a.min(), both.min());
-        assert_eq!(a.max(), both.max());
-        assert_eq!(a.to_fields(), both.to_fields());
-        // Merging an empty histogram is the identity (min stays sentinel).
-        let before = both.to_fields();
-        both.merge(&Histogram::new());
-        assert_eq!(both.to_fields(), before);
     }
 
     #[test]
