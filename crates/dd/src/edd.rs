@@ -35,7 +35,7 @@ use crate::dist_vec::{EddLayout, ExchangeBuffers};
 use crate::error::SolveError;
 use crate::scaling::DistributedScaling;
 use crate::session::{
-    build_precond, host_span, Decomposition, PrecondBuildStats, Problem, SolverConfig,
+    build_precond, host_span, rank_span, Decomposition, PrecondBuildStats, Problem, SolverConfig,
 };
 use parfem_fem::SubdomainSystem;
 use parfem_krylov::gmres::{fgmres_on, GmresConfig, GmresResult};
@@ -595,22 +595,19 @@ impl<'a> EddParts<'a> {
 }
 
 /// Assembles this rank's subdomain system on the rank's own thread, under
-/// the rank span `assembly`. The span records wall time only: no flops are
-/// charged, so it has zero width on the virtual clock.
+/// the rank span `assembly`, charging [`Problem::assembly_flops`] of its
+/// elements to the rank clock.
 pub(crate) fn assemble_on_rank<C: Communicator>(
     comm: &C,
     problem: &Problem<'_>,
     sub: &Subdomain,
     with_mass: Option<bool>,
 ) -> SubdomainSystem {
-    if let Some(t) = comm.tracer() {
-        t.span_begin("assembly", comm.virtual_time());
-    }
-    let sys = problem.build_subdomain(sub, with_mass);
-    if let Some(t) = comm.tracer() {
-        t.span_end("assembly", comm.virtual_time());
-    }
-    sys
+    rank_span(comm, "assembly", || {
+        let sys = problem.build_subdomain(sub, with_mass);
+        comm.work(problem.assembly_flops(sub.elements.len()));
+        sys
+    })
 }
 
 /// One EDD rank after its setup: interface layout, the Algorithm 3
@@ -643,23 +640,20 @@ pub(crate) fn edd_rank_setup<C: Communicator>(
     coarse: Option<CoarsePlan<'_>>,
     cfg: &SolverConfig,
 ) -> (EddRank, PrecondBuildStats) {
-    if let Some(t) = comm.tracer() {
-        t.span_begin("scaling", comm.virtual_time());
-    }
-    let mut layout = EddLayout::from_system(sys);
-    layout.set_overlap(cfg.overlap);
-    let scaling = DistributedScaling::build(comm, &layout, &k_local);
-    let mut b = sys.f_local.clone();
-    let a = scaling.apply(&k_local, &mut b, &layout);
-    let reads_rows = cfg.precond.needs_local_matrix() || cfg.precond.needs_coarse();
-    let rows = (a.as_csr().is_none() && reads_rows).then(|| {
-        let mut k = k_local.into_owned();
-        k.scale_symmetric(&scaling.d);
-        k
+    let (layout, scaling, a, b, rows) = rank_span(comm, "scaling", || {
+        let mut layout = EddLayout::from_system(sys);
+        layout.set_overlap(cfg.overlap);
+        let scaling = DistributedScaling::build(comm, &layout, &k_local);
+        let mut b = sys.f_local.clone();
+        let a = scaling.apply(&k_local, &mut b, &layout);
+        let reads_rows = cfg.precond.needs_local_matrix() || cfg.precond.needs_coarse();
+        let rows = (a.as_csr().is_none() && reads_rows).then(|| {
+            let mut k = k_local.into_owned();
+            k.scale_symmetric(&scaling.d);
+            k
+        });
+        (layout, scaling, a, b, rows)
     });
-    if let Some(t) = comm.tracer() {
-        t.span_end("scaling", comm.virtual_time());
-    }
     let op = EddOperator::new(&a, &layout, comm);
     let (precond, stats) = build_precond(
         &match &rows {

@@ -13,7 +13,8 @@
 //!   loop, `parfem_krylov::fgmres_on`,
 //! - [`rdd`] — the row-based (block-row) distributed operator and FGMRES
 //!   (Algorithm 8), the PSPARSLIB/Aztec-style baseline, plus the RDD side
-//!   of the session engine (host-side scaling and block-row split),
+//!   of the session engine (rank-side assembly, scaling and block-row
+//!   split),
 //! - [`coarse`] — two-level coarse-space construction on the ranks, over
 //!   both partitions: per-part geometry extraction, the live-mode exchange
 //!   hooks of both distributed operators, and the one rank-side build,

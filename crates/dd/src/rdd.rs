@@ -12,26 +12,28 @@
 //! ```
 //!
 //! needs one halo exchange per product — like EDD — but the exchanged
-//! values are *matrix-coupled* rows rather than interface sums, the
-//! assembled matrix must exist (assembly cost + interface communication at
-//! setup), and a local DOF reordering is required for the split. Inner
-//! products are trivially deduplicated (rows are disjoint): one local dot
-//! plus an all-reduce.
+//! values are *matrix-coupled* rows rather than interface sums, and a local
+//! DOF reordering is required for the split. Inner products are trivially
+//! deduplicated (rows are disjoint): one local dot plus an all-reduce.
+//!
+//! No rank needs the assembled matrix: each builds its own block row from
+//! the elements touching its nodes — one ghost layer — and scales it with
+//! its own row sums plus one halo exchange of the diagonal
+//! ([`RddSystem::assemble`]).
 
 use crate::coarse::{rdd_part_geometry, CoarsePlan};
 use crate::error::SolveError;
 use crate::session::{
-    build_precond, host_span, Decomposition, PrecondBuildStats, Problem, SolverConfig,
+    build_precond, rank_span, Decomposition, PrecondBuildStats, Problem, SolverConfig,
 };
 use parfem_krylov::gmres::{fgmres_on, GmresConfig, GmresResult};
 use parfem_krylov::{DistributedOperator, KrylovWorkspace};
-use parfem_mesh::NodePartition;
+use parfem_mesh::{DofMap, NodePartition};
 use parfem_msg::Communicator;
 use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSpec, SpecPrecond};
 use parfem_precond::{InterfaceConsistency, Preconditioner};
-use parfem_sparse::scaling::scale_system;
-use parfem_sparse::{kernels, CooMatrix, CsrMatrix, DiagonalScaling, LinearOperator};
-use parfem_trace::TraceSink;
+use parfem_sparse::scaling::inv_sqrt_scaling;
+use parfem_sparse::{dense, kernels, CsrMatrix, LinearOperator};
 use std::borrow::Cow;
 use std::cell::RefCell;
 
@@ -68,7 +70,10 @@ impl RddSystem {
         self.rows.len()
     }
 
-    /// Builds all `P` block-row systems from the assembled system.
+    /// Builds all `P` block-row systems from an assembled (and already
+    /// scaled) system, each through the same per-rank split as
+    /// [`RddSystem::assemble`], with unit scaling. For callers that hold a
+    /// global matrix; a session never builds one.
     ///
     /// # Panics
     /// Panics if shapes are inconsistent.
@@ -83,109 +88,310 @@ impl RddSystem {
         // DOFs per node follows from the matrix itself, so the same block
         // split serves every physics (1 scalar, 2 plane, 3 solid DOFs).
         let dofs_per_node = n / n_nodes;
-        let p = part.n_parts();
         let dof_owner = |d: usize| part.owner(d / dofs_per_node);
-
-        // Owned rows per rank, ascending, and global -> local row maps.
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); p];
+        // The columns are the global dofs; a dof's index among its owner's.
+        let global: Vec<usize> = (0..n).collect();
+        let mut index = vec![0; n];
+        let mut count = vec![0; part.n_parts()];
         for d in 0..n {
-            rows[dof_owner(d)].push(d);
+            index[d] = count[dof_owner(d)];
+            count[dof_owner(d)] += 1;
         }
-        let mut local_of = vec![usize::MAX; n];
-        for r in rows.iter() {
-            for (l, &d) in r.iter().enumerate() {
-                local_of[d] = l;
-            }
-        }
+        let ones = vec![1.0; n];
+        (0..part.n_parts())
+            .map(|s| {
+                let rows: Vec<usize> = (0..n).filter(|&d| dof_owner(d) == s).collect();
+                let mut row_ptr = vec![0];
+                let (mut cols, mut vals) = (Vec::new(), Vec::new());
+                for &d in &rows {
+                    let (c, v) = a.row(d);
+                    cols.extend_from_slice(c);
+                    vals.extend_from_slice(v);
+                    row_ptr.push(cols.len());
+                }
+                let local = (0..n)
+                    .map(|d| {
+                        if dof_owner(d) == s {
+                            index[d]
+                        } else {
+                            usize::MAX
+                        }
+                    })
+                    .collect();
+                let rhs = rows.iter().map(|&d| b[d]).collect();
+                let k = CsrMatrix::from_raw_parts(rows.len(), n, row_ptr, cols, vals)
+                    .expect("rows of a valid matrix");
+                let block = BlockRows { rows, k, rhs };
+                Split::new(s, block, &global, local, dof_owner).finish(&ones, &ones)
+            })
+            .collect()
+    }
 
-        // External column sets per rank.
-        let mut ext: Vec<Vec<usize>> = vec![Vec::new(); p];
-        for s in 0..p {
-            let mut set: Vec<usize> = Vec::new();
-            for &row in &rows[s] {
-                let (cols, _) = a.row(row);
-                for &c in cols {
-                    if dof_owner(c) != s && !set.contains(&c) {
-                        set.push(c);
+    /// Builds this rank's block row of `problem` on the rank's own thread —
+    /// the session's RDD setup — and returns it with its scaling diagonal
+    /// `d` over the owned rows.
+    ///
+    /// Under the rank span `assembly` the rank assembles the elements with
+    /// a node it owns, in ascending element order through the one
+    /// pattern-first core, and keeps its owned rows with the Dirichlet
+    /// constraints applied (constrained columns lifted into the right-hand
+    /// side in column order, constrained rows unit diagonals). Under
+    /// `scaling` it takes the norm-1 row sums of those rows (Algorithm 3),
+    /// fetches `d` at its external columns in one halo exchange, and splits
+    /// the rows into `a_loc = D A D` and `a_ext` (Algorithm 4). Every value
+    /// equals, bit for bit, the block row [`RddSystem::build_all`] cuts from
+    /// the scaled global system.
+    ///
+    /// The rank clock is charged what EDD charges: the element kernel's
+    /// documented flop count plus one add per scattered entry for every
+    /// element assembled, `2·nnz` for the row sums.
+    ///
+    /// The halo lists come from the rows' own pattern: toward rank `q`, the
+    /// owned rows with a column `q` owns. That is what `q` expects because a
+    /// finite-element matrix is structurally symmetric.
+    pub fn assemble<C: Communicator>(
+        comm: &C,
+        problem: &Problem<'_>,
+        part: &NodePartition,
+    ) -> (RddSystem, Vec<f64>) {
+        let rank = comm.rank();
+        let dpn = problem.dof_map.dofs_per_node();
+        let split = rank_span(comm, "assembly", || {
+            let (nodes, n_elems, k) = problem.assemble_touching(|n| part.owner(n) == rank);
+            comm.work(problem.assembly_flops(n_elems));
+            let global: Vec<usize> = (nodes.iter())
+                .flat_map(|&n| (0..dpn).map(move |c| n * dpn + c))
+                .collect();
+            let mut owned = 0;
+            let local: Vec<usize> = (0..global.len())
+                .map(|l| {
+                    if part.owner(nodes[l / dpn]) != rank {
+                        return usize::MAX;
                     }
-                }
-            }
-            set.sort_unstable();
-            ext[s] = set;
-        }
-
-        let mut out = Vec::with_capacity(p);
-        for s in 0..p {
-            let n_loc = rows[s].len();
-            let mut loc_coo = CooMatrix::new(n_loc, n_loc);
-            let mut ext_coo = CooMatrix::new(n_loc, ext[s].len().max(1));
-            for (lr, &row) in rows[s].iter().enumerate() {
-                let (cols, vals) = a.row(row);
-                for (&c, &v) in cols.iter().zip(vals) {
-                    if dof_owner(c) == s {
-                        loc_coo.push(lr, local_of[c], v).expect("in bounds");
-                    } else {
-                        let pos = ext[s].binary_search(&c).expect("ext col present");
-                        ext_coo.push(lr, pos, v).expect("in bounds");
-                    }
-                }
-            }
-            // Communication lists: I receive ext dofs grouped by owner; the
-            // owner sends its matching rows in the same ascending-dof order.
-            let mut recv_from: Vec<(usize, Vec<usize>)> = Vec::new();
-            for (pos, &d) in ext[s].iter().enumerate() {
-                let o = dof_owner(d);
-                match recv_from.iter_mut().find(|(r, _)| *r == o) {
-                    Some((_, list)) => list.push(pos),
-                    None => recv_from.push((o, vec![pos])),
-                }
-            }
-            recv_from.sort_by_key(|(r, _)| *r);
-            out.push(RddSystem {
-                rank: s,
-                rows: rows[s].clone(),
-                a_loc: loc_coo.to_csr(),
-                a_ext: ext_coo.to_csr(),
-                ext_dofs: ext[s].clone(),
-                b_loc: rows[s].iter().map(|&d| b[d]).collect(),
-                send_to: Vec::new(), // filled below
-                recv_from,
-                overlap: false,
-            });
-        }
-        // Fill send lists from the receivers' needs.
-        for s in 0..p {
-            let needs: Vec<(usize, Vec<usize>)> = out[s]
-                .recv_from
-                .iter()
-                .map(|(o, positions)| {
-                    (
-                        *o,
-                        positions.iter().map(|&pos| out[s].ext_dofs[pos]).collect(),
-                    )
+                    owned += 1;
+                    owned - 1
                 })
                 .collect();
-            for (o, dofs) in needs {
-                let send_rows: Vec<usize> = dofs.iter().map(|&d| local_of[d]).collect();
-                out[o].send_to.push((s, send_rows));
-            }
-        }
-        for sys in &mut out {
-            sys.send_to.sort_by_key(|(r, _)| *r);
-        }
-        out
+            let block = BlockRows::constrain(k, &global, &local, problem.dof_map, problem.loads);
+            Split::new(rank, block, &global, local, |g| part.owner(g / dpn))
+        });
+        rank_span(comm, "scaling", || {
+            let d = inv_sqrt_scaling(&split.block.k.row_abs_sums());
+            comm.work(2 * split.block.k.nnz() as u64);
+            let d_ext = split.exchange(comm, &d);
+            (split.finish(&d, &d_ext), d)
+        })
     }
 
     /// Restriction of a global vector to the owned rows.
     pub fn restrict(&self, global: &[f64]) -> Vec<f64> {
         self.rows.iter().map(|&d| global[d]).collect()
     }
+}
 
-    /// Scatters local values into a global vector.
-    pub fn scatter(&self, local: &[f64], global: &mut [f64]) {
-        for (&d, &v) in self.rows.iter().zip(local) {
-            global[d] = v;
+/// One rank's owned rows, constrained and unscaled.
+struct BlockRows {
+    /// Global dof of each row, ascending.
+    rows: Vec<usize>,
+    /// The rows over a column space whose ids ascend with the global dof.
+    k: CsrMatrix,
+    /// The rows' right-hand side.
+    rhs: Vec<f64>,
+}
+
+impl BlockRows {
+    /// The owned rows of the raw local matrix `k` (rows and columns over the
+    /// local dofs, `global[l]` the global dof of local dof `l`, `local[l]` its
+    /// owned-row index or `usize::MAX`) under the Dirichlet conditions of
+    /// `dm`, with the right-hand side from the global `loads` — the row
+    /// filter of the global `apply_dirichlet`, row by row the same
+    /// operations in the same order. Rewrites `k`'s storage in place.
+    fn constrain(
+        k: CsrMatrix,
+        global: &[usize],
+        local: &[usize],
+        dm: &DofMap,
+        loads: &[f64],
+    ) -> Self {
+        let (mut row_ptr, mut cols, mut vals) = k.into_raw_parts();
+        let (mut rows, mut rhs) = (Vec::new(), Vec::new());
+        // Entries are only ever moved towards the front: a kept row keeps
+        // at most the entries it had, and a constrained row has at least
+        // its diagonal.
+        let (mut w, mut start) = (0, 0);
+        for l in 0..global.len() {
+            let end = row_ptr[l + 1];
+            if local[l] != usize::MAX {
+                let g = global[l];
+                let mut b = loads[g];
+                if dm.is_fixed(g) {
+                    (cols[w], vals[w], b) = (l, 1.0, dm.fixed_value(g));
+                    w += 1;
+                } else {
+                    for e in start..end {
+                        let c = global[cols[e]];
+                        if dm.is_fixed(c) {
+                            b -= vals[e] * dm.fixed_value(c);
+                        } else {
+                            (cols[w], vals[w]) = (cols[e], vals[e]);
+                            w += 1;
+                        }
+                    }
+                }
+                rows.push(g);
+                rhs.push(b);
+                row_ptr[rows.len()] = w;
+            }
+            start = end;
         }
+        row_ptr.truncate(rows.len() + 1);
+        cols.truncate(w);
+        vals.truncate(w);
+        let k = CsrMatrix::from_raw_parts(rows.len(), global.len(), row_ptr, cols, vals)
+            .expect("a row filter keeps the CSR order");
+        BlockRows { rows, k, rhs }
+    }
+}
+
+/// The one block-row split, in two steps around the scaling exchange:
+/// [`Split::new`] derives the external columns and the halo lists from the
+/// pattern alone, [`Split::finish`] scales the values into `a_loc` (in the
+/// rows' own storage) and `a_ext`.
+struct Split {
+    rank: usize,
+    block: BlockRows,
+    /// Per column id: its owned-row index, `usize::MAX` for an external one.
+    local: Vec<usize>,
+    /// Per column id: its position among the external columns.
+    ext_pos: Vec<usize>,
+    ext_dofs: Vec<usize>,
+    send_to: Vec<(usize, Vec<usize>)>,
+    recv_from: Vec<(usize, Vec<usize>)>,
+}
+
+impl Split {
+    /// `global[c]` is the global dof of column `c`, `local[c]` its owned-row
+    /// index (`usize::MAX` when another rank owns it), `owner(g)` the rank
+    /// owning global dof `g`.
+    fn new(
+        rank: usize,
+        block: BlockRows,
+        global: &[usize],
+        local: Vec<usize>,
+        owner: impl Fn(usize) -> usize,
+    ) -> Self {
+        let mut is_ext = vec![false; global.len()];
+        for &c in block.k.raw_parts().1 {
+            is_ext[c] = local[c] == usize::MAX;
+        }
+        // External columns ascend with the global dof; each owner's share
+        // is received in that order.
+        let mut ext_pos = vec![usize::MAX; global.len()];
+        let (mut ext_dofs, mut recv_from) = (Vec::new(), Vec::new());
+        for c in (0..global.len()).filter(|&c| is_ext[c]) {
+            ext_pos[c] = ext_dofs.len();
+            push_to(&mut recv_from, owner(global[c]), ext_dofs.len());
+            ext_dofs.push(global[c]);
+        }
+        // What a neighbour receives is what it has columns for: by
+        // structural symmetry, the owned rows that have a column it owns.
+        let mut send_to: Vec<(usize, Vec<usize>)> = Vec::new();
+        for r in 0..block.rows.len() {
+            for &c in block.k.row(r).0 {
+                if local[c] == usize::MAX {
+                    push_to(&mut send_to, owner(global[c]), r);
+                }
+            }
+        }
+        recv_from.sort_by_key(|(q, _)| *q);
+        send_to.sort_by_key(|(q, _)| *q);
+        Split {
+            rank,
+            block,
+            local,
+            ext_pos,
+            ext_dofs,
+            send_to,
+            recv_from,
+        }
+    }
+
+    /// `d` at the external columns, from their owners: one halo exchange
+    /// over the split's lists.
+    fn exchange<C: Communicator>(&self, comm: &C, d: &[f64]) -> Vec<f64> {
+        let ranks: Vec<usize> = self.send_to.iter().map(|(q, _)| *q).collect();
+        let send: Vec<Vec<f64>> = (self.send_to.iter())
+            .map(|(_, rows)| rows.iter().map(|&r| d[r]).collect())
+            .collect();
+        let mut recv = vec![Vec::new(); ranks.len()];
+        comm.exchange_into(&ranks, &send, &mut recv);
+        // A failed exchange leaves zeros; the solve reports the latched error.
+        let mut d_ext = vec![0.0; self.ext_dofs.len()];
+        for ((_, positions), buf) in self.recv_from.iter().zip(&recv) {
+            for (&pos, &v) in positions.iter().zip(buf) {
+                d_ext[pos] = v;
+            }
+        }
+        d_ext
+    }
+
+    /// The system: `a_rc·(d_r·d_c)` — `scale_symmetric`'s expression — with
+    /// `d` over the owned rows and `d_ext` at the external columns, and
+    /// `b = D f`.
+    fn finish(self, d: &[f64], d_ext: &[f64]) -> RddSystem {
+        let BlockRows { rows, k, mut rhs } = self.block;
+        let (mut row_ptr, mut cols, mut vals) = k.into_raw_parts();
+        let n = rows.len();
+        let mut ext_ptr = Vec::with_capacity(n + 1);
+        ext_ptr.push(0);
+        let (mut ext_cols, mut ext_vals) = (Vec::new(), Vec::new());
+        let (mut w, mut start) = (0, 0);
+        for r in 0..n {
+            let end = row_ptr[r + 1];
+            for e in start..end {
+                let (c, v) = (cols[e], vals[e]);
+                match self.local[c] {
+                    usize::MAX => {
+                        let pos = self.ext_pos[c];
+                        ext_cols.push(pos);
+                        ext_vals.push(v * (d[r] * d_ext[pos]));
+                    }
+                    l => {
+                        (cols[w], vals[w]) = (l, v * (d[r] * d[l]));
+                        w += 1;
+                    }
+                }
+            }
+            row_ptr[r + 1] = w;
+            ext_ptr.push(ext_cols.len());
+            start = end;
+        }
+        cols.truncate(w);
+        vals.truncate(w);
+        dense::diag_mul(&d[..n], &mut rhs);
+        let n_ext = self.ext_dofs.len();
+        RddSystem {
+            rank: self.rank,
+            rows,
+            a_loc: CsrMatrix::from_raw_parts(n, n, row_ptr, cols, vals)
+                .expect("owned columns keep their order"),
+            a_ext: CsrMatrix::from_raw_parts(n, n_ext.max(1), ext_ptr, ext_cols, ext_vals)
+                .expect("external columns keep their order"),
+            ext_dofs: self.ext_dofs,
+            b_loc: rhs,
+            send_to: self.send_to,
+            recv_from: self.recv_from,
+            overlap: false,
+        }
+    }
+}
+
+/// Appends `item` to `rank`'s list in `lists`, once.
+fn push_to(lists: &mut Vec<(usize, Vec<usize>)>, rank: usize, item: usize) {
+    match lists.iter_mut().find(|(q, _)| *q == rank) {
+        Some((_, list)) if list.last() == Some(&item) => {}
+        Some((_, list)) => list.push(item),
+        None => lists.push((rank, vec![item])),
     }
 }
 
@@ -451,47 +657,33 @@ where
     )?)
 }
 
-/// The RDD side of the session engine's strategy seam: block rows of the
-/// assembled matrix, scaled on the host.
+/// The RDD side of the session engine's strategy seam: the host holds the
+/// problem and the node partition, every rank builds its own block row
+/// ([`RddSystem::assemble`]).
 pub(crate) struct RddParts<'a> {
-    systems: Vec<RddSystem>,
-    /// The host-side norm-1 scaling `D` of the assembled system.
-    scaling: DiagonalScaling,
     problem: &'a Problem<'a>,
     part: &'a NodePartition,
 }
 
 impl<'a> RddParts<'a> {
-    /// Host-side assembly and scaling of the global system, then the
-    /// block-row split; the global matrices are dropped on return.
-    pub(crate) fn assemble(
-        problem: &'a Problem<'a>,
-        part: &'a NodePartition,
-        overlap: bool,
-        sink: &TraceSink,
-    ) -> Self {
-        let assembled = host_span(sink, "assembly", || problem.build_static());
-        let (a, b, scaling) = host_span(sink, "scaling", || {
-            scale_system(&assembled.stiffness, &assembled.rhs).expect("square assembled system")
-        });
-        let mut systems = RddSystem::build_all(&a, &b, part);
-        for sys in &mut systems {
-            sys.overlap = overlap;
-        }
-        RddParts {
-            systems,
-            scaling,
-            problem,
-            part,
-        }
+    pub(crate) fn new(problem: &'a Problem<'a>, part: &'a NodePartition) -> Self {
+        RddParts { problem, part }
     }
 }
 
+/// One RDD rank after its setup: the block row, its scaling diagonal over
+/// the owned rows, and the preconditioner.
+pub(crate) struct RddRank {
+    sys: RddSystem,
+    d: Vec<f64>,
+    precond: SpecPrecond,
+}
+
 impl Decomposition for RddParts<'_> {
-    type Rank = SpecPrecond;
+    type Rank = RddRank;
 
     fn n_ranks(&self) -> usize {
-        self.systems.len()
+        self.part.n_parts()
     }
 
     fn dofs_per_node(&self) -> usize {
@@ -515,66 +707,72 @@ impl Decomposition for RddParts<'_> {
         comm: &C,
         coarse: Option<CoarsePlan<'_>>,
         cfg: &SolverConfig,
-    ) -> (SpecPrecond, PrecondBuildStats) {
-        let sys = &self.systems[comm.rank()];
-        // Rows are disjoint (multiplicity 1); the coarse build reads the
-        // host diagonal at the owned rows.
-        let (mult, d) = match coarse {
-            Some(_) => (
-                vec![1.0; sys.n_local()],
-                sys.restrict(self.scaling.diagonal()),
-            ),
-            None => (Vec::new(), Vec::new()),
+    ) -> (RddRank, PrecondBuildStats) {
+        let (mut sys, d) = RddSystem::assemble(comm, self.problem, self.part);
+        sys.overlap = cfg.overlap;
+        // Rows are disjoint: multiplicity 1 for the coarse build.
+        let mult = match coarse {
+            Some(_) => vec![1.0; sys.n_local()],
+            None => Vec::new(),
         };
         // `a_loc` (the owned diagonal block) feeds the `direct` spec and
         // Jacobi its diagonal.
-        build_precond(
-            &RddOperator::new(sys, comm),
+        let (precond, stats) = build_precond(
+            &RddOperator::new(&sys, comm),
             coarse,
             &mult,
             &d,
             Some(&sys.a_loc),
             || sys.a_loc.diagonal(),
             &cfg.precond,
-        )
+        );
+        (RddRank { sys, d, precond }, stats)
     }
 
     fn rank_solve<C: Communicator>(
         &self,
         comm: &C,
-        precond: &SpecPrecond,
+        rank: &RddRank,
         load: Option<&[f64]>,
         cfg: &SolverConfig,
         ws: &mut KrylovWorkspace,
     ) -> Result<GmresResult, SolveError> {
-        let sys = &self.systems[comm.rank()];
+        let RddRank { sys, d, precond } = rank;
         // A global load becomes the owned rows of `D f` with the
-        // constrained entries zeroed, as `build_static` + `scale_system` do.
+        // constrained entries zeroed, as the rank's own constraints do.
         let b: Cow<'_, [f64]> = match load {
             None => Cow::Borrowed(&sys.b_loc),
             Some(global) => {
-                let (fixed, d) = (self.problem.dof_map, self.scaling.diagonal());
-                (sys.rows.iter())
-                    .map(|&g| {
+                let fixed = self.problem.dof_map;
+                (sys.rows.iter().zip(d))
+                    .map(|(&g, &dg)| {
                         if fixed.is_fixed(g) {
                             0.0
                         } else {
-                            global[g] * d[g]
+                            global[g] * dg
                         }
                     })
                     .collect()
             }
         };
         let x0 = vec![0.0; sys.n_local()];
-        rdd_fgmres(comm, sys, precond, &b, &x0, &cfg.gmres, ws)
+        let mut res = rdd_fgmres(comm, sys, precond, &b, &x0, &cfg.gmres, ws)?;
+        dense::diag_mul(d, &mut res.x);
+        Ok(res)
     }
 
+    /// Each rank's piece is its owned rows, unscaled: node by node, the
+    /// next values of the node's owner.
     fn gather<'r>(&self, pieces: impl Iterator<Item = &'r [f64]>) -> Vec<f64> {
-        let mut x = vec![0.0; self.problem.dof_map.n_dofs()];
-        for (sys, piece) in self.systems.iter().zip(pieces) {
-            sys.scatter(piece, &mut x);
+        let dpn = self.dofs_per_node();
+        let pieces: Vec<&[f64]> = pieces.collect();
+        let mut next = vec![0; pieces.len()];
+        let mut x = Vec::with_capacity(self.problem.dof_map.n_dofs());
+        for run in self.part.owners().chunk_by(|a, b| a == b) {
+            let (owner, at, len) = (run[0], next[run[0]], run.len() * dpn);
+            x.extend_from_slice(&pieces[owner][at..at + len]);
+            next[owner] = at + len;
         }
-        self.scaling.apply_in_place(&mut x);
         x
     }
 }
@@ -699,8 +897,10 @@ mod tests {
             (res.x, res.history)
         });
         let mut x = vec![0.0; a.n_rows()];
-        for (rank, (xl, _)) in out.results.iter().enumerate() {
-            systems[rank].scatter(xl, &mut x);
+        for (sys, (xl, _)) in systems.iter().zip(&out.results) {
+            for (&d, &v) in sys.rows.iter().zip(xl) {
+                x[d] = v;
+            }
         }
         let u_par = sc.unscale_solution(&x);
         let h_par = &out.results[0].1;
@@ -807,22 +1007,32 @@ mod tests {
     #[test]
     fn communication_lists_are_symmetric() {
         let (a, b, n_nodes) = assembled(6, 2);
-        let part = NodePartition::contiguous(n_nodes, 3);
-        let systems = RddSystem::build_all(&a, &b, &part);
-        for sys in &systems {
-            assert_eq!(sys.send_to.len(), sys.recv_from.len());
-            for ((sr, sl), (rr, rl)) in sys.send_to.iter().zip(&sys.recv_from) {
-                assert_eq!(sr, rr, "send/recv neighbour sets must pair");
-                // My send list to neighbour matches what that neighbour
-                // expects to receive from me, entry for entry.
-                let other = &systems[*sr];
-                let (_, their_recv) = other
-                    .recv_from
-                    .iter()
-                    .find(|(r, _)| *r == sys.rank)
-                    .expect("symmetric link");
-                assert_eq!(sl.len(), their_recv.len());
-                let _ = rl;
+        // Contiguous blocks, and a scattered owner map whose parts touch
+        // each other everywhere (cross points, every rank a neighbour of
+        // every other).
+        let scattered = (0..n_nodes).map(|n| (n * 7 + n / 5) % 3).collect();
+        for part in [
+            NodePartition::contiguous(n_nodes, 3),
+            NodePartition::from_owner(3, scattered),
+        ] {
+            let systems = RddSystem::build_all(&a, &b, &part);
+            for sys in &systems {
+                assert_eq!(sys.send_to.len(), sys.recv_from.len());
+                for ((sr, sl), (rr, _)) in sys.send_to.iter().zip(&sys.recv_from) {
+                    assert_eq!(sr, rr, "send/recv neighbour sets must pair");
+                    // The global dofs of my send list are the neighbour's
+                    // external columns at its receive positions, entry for
+                    // entry.
+                    let other = &systems[*sr];
+                    let (_, their_recv) = (other.recv_from.iter())
+                        .find(|(r, _)| *r == sys.rank)
+                        .expect("symmetric link");
+                    let sent: Vec<usize> = sl.iter().map(|&l| sys.rows[l]).collect();
+                    let expected: Vec<usize> =
+                        their_recv.iter().map(|&pos| other.ext_dofs[pos]).collect();
+                    assert!(!sent.is_empty());
+                    assert_eq!(sent, expected, "rank {} -> {sr}", sys.rank);
+                }
             }
         }
     }

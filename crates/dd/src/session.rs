@@ -35,12 +35,12 @@
 //! [`SolveSession::run_multi`]) vs transient
 //! ([`SolveSession::run_dynamic`]). Any combination composes.
 //!
-//! `run` and `run_multi` are one engine: host prepare (partition; for RDD
-//! the global assembly and scaling — EDD ranks assemble their own
-//! subdomain systems) → coarse geometry → one rank launch, with
-//! one fault wrap → one rank body (setup, `precond-build`, then one FGMRES
-//! per right-hand side on a shared Krylov workspace) → collection, `gather`
-//! and the `solve_summary`. What EDD and RDD do differently sits
+//! `run` and `run_multi` are one engine: host prepare (the partition only;
+//! no global matrix is ever assembled) → coarse geometry → one rank launch,
+//! with one fault wrap → one rank body (`assembly` and `scaling` of the
+//! rank's own system, `precond-build`, then one FGMRES per right-hand side
+//! on a shared Krylov workspace) → collection, `gather` and the
+//! `solve_summary`. What EDD and RDD do differently sits
 //! behind the crate-private `Decomposition` trait, implemented next to each
 //! operator (`EddParts` in [`crate::edd`], `RddParts` in [`crate::rdd`]);
 //! `run` feeds the engine the systems' own load (the only one that carries
@@ -52,7 +52,9 @@ use crate::dynamic::{run_dynamic_edd, DynamicRunOutput};
 use crate::edd::{EddParts, EddVariant};
 use crate::error::SolveError;
 use crate::rdd::RddParts;
-use parfem_fem::{assembly::StaticSystem, Material, NewmarkParams, Physics, SubdomainSystem};
+use parfem_fem::{
+    assembly, hex8, physics, quad4, Material, NewmarkParams, Physics, SubdomainSystem,
+};
 use parfem_krylov::gmres::{GmresConfig, GmresResult};
 use parfem_krylov::history::ConvergenceHistory;
 use parfem_krylov::{DistributedOperator, KrylovWorkspace};
@@ -400,21 +402,49 @@ impl<'a> Problem<'a> {
         }
     }
 
-    /// Assembles the constrained global static system for this problem's
-    /// physics (the RDD baseline's input).
-    pub(crate) fn build_static(&self) -> StaticSystem {
+    /// The raw stiffness of the elements touching the nodes `keep` accepts,
+    /// over the nodes they touch (see [`assembly::assemble_touching`]): one
+    /// RDD rank's block rows before constraints, with the element count.
+    pub(crate) fn assemble_touching(
+        &self,
+        keep: impl Fn(usize) -> bool,
+    ) -> (Vec<usize>, usize, CsrMatrix) {
+        let (dpn, mat) = (self.dof_map.dofs_per_node(), self.material);
         match (self.mesh, self.physics) {
             (ProblemMesh::Quad(m), Physics::Elasticity2d) => {
-                parfem_fem::assembly::build_static(m, self.dof_map, self.material, self.loads)
+                let nodes_of = |e| m.elem_nodes(e);
+                assembly::assemble_touching(dpn, m.n_elems(), nodes_of, keep, |e| {
+                    quad4::stiffness(&m.elem_coords(e), mat)
+                })
             }
             (ProblemMesh::Quad(m), Physics::Heat2d) => {
-                parfem_fem::assembly::build_static_heat(m, self.dof_map, self.material, self.loads)
+                let nodes_of = |e| m.elem_nodes(e);
+                assembly::assemble_touching(dpn, m.n_elems(), nodes_of, keep, |e| {
+                    physics::heat_stiffness_quad4(&m.elem_coords(e), mat)
+                })
             }
             (ProblemMesh::Hex(m), Physics::Elasticity3d) => {
-                parfem_fem::assembly::build_static_hex(m, self.dof_map, self.material, self.loads)
+                let nodes_of = |e| m.elem_nodes(e);
+                assembly::assemble_touching(dpn, m.n_elems(), nodes_of, keep, |e| {
+                    hex8::stiffness(&m.elem_coords(e), mat)
+                })
             }
             _ => unreachable!("mesh/physics pairing validated at construction"),
         }
+    }
+
+    /// The flops a rank charges for assembling `n_elems` of this problem's
+    /// elements: the stiffness kernel's documented count
+    /// ([`quad4::STIFFNESS_FLOPS`], [`physics::HEAT_QUAD4_FLOPS`],
+    /// [`hex8::STIFFNESS_FLOPS`]) plus one add per element-matrix entry
+    /// scattered. A transient run's mass is not charged.
+    pub(crate) fn assembly_flops(&self, n_elems: usize) -> u64 {
+        let (kernel, nd) = match self.physics {
+            Physics::Elasticity2d => (quad4::STIFFNESS_FLOPS, 8),
+            Physics::Heat2d => (physics::HEAT_QUAD4_FLOPS, 4),
+            Physics::Elasticity3d => (hex8::STIFFNESS_FLOPS, 24),
+        };
+        n_elems as u64 * (kernel + nd * nd)
     }
 }
 
@@ -635,9 +665,9 @@ impl<'a> SolveSession<'a> {
             (SessionInput::Mesh(p), Some(Strategy::Edd(part))) => {
                 self.engine(loads, |sink| EddParts::partition(p, part, sink))
             }
-            (SessionInput::Mesh(p), Some(Strategy::Rdd(part))) => self.engine(loads, |sink| {
-                RddParts::assemble(p, part, self.cfg.overlap, sink)
-            }),
+            (SessionInput::Mesh(p), Some(Strategy::Rdd(part))) => {
+                self.engine(loads, |_| RddParts::new(p, part))
+            }
             (SessionInput::Mesh(_), None) => {
                 panic!("SolveSession over a mesh needs .strategy(Strategy::Edd(..) | Strategy::Rdd(..))")
             }
@@ -661,7 +691,7 @@ impl<'a> SolveSession<'a> {
         let disabled = TraceSink::disabled();
         let sink = self.sink.unwrap_or(&disabled);
         let cfg = &self.cfg;
-        // Taken before the host assembles anything, so the summary's
+        // Taken before the host prepares anything, so the summary's
         // allocation totals cover the same window for every strategy.
         let alloc_start = alloc::stats();
         let parts = prepare(sink);
@@ -826,6 +856,18 @@ pub(crate) fn host_span<R>(sink: &TraceSink, name: &str, f: impl FnOnce() -> R) 
     let r = f();
     if let Some(t) = &tracer {
         t.span_end(name, 0.0);
+    }
+    r
+}
+
+/// Runs `f` under a named rank-side span on the rank's virtual clock.
+pub(crate) fn rank_span<C: Communicator, R>(comm: &C, name: &str, f: impl FnOnce() -> R) -> R {
+    if let Some(t) = comm.tracer() {
+        t.span_begin(name, comm.virtual_time());
+    }
+    let r = f();
+    if let Some(t) = comm.tracer() {
+        t.span_end(name, comm.virtual_time());
     }
     r
 }
@@ -1020,24 +1062,20 @@ where
     Op: CoarseSetup + DistributedOperator,
 {
     let comm = op.comm();
-    if let Some(t) = comm.tracer() {
-        t.span_begin("precond-build", comm.virtual_time());
-    }
-    let (solver, coarse) = coarse
-        .map(|plan| {
-            let (built, stats) = build_rank_coarse(op, plan, mult, d);
-            (built.solver(op.partition_weights()), stats)
-        })
-        .unzip();
-    let precond = spec.instantiate(solver, local, diag);
-    let factor = precond.subdomain_factor().map(FactorStats::of);
-    if let Some(f) = &factor {
-        comm.work(f.flops);
-    }
-    if let Some(t) = comm.tracer() {
-        t.span_end("precond-build", comm.virtual_time());
-    }
-    (precond, PrecondBuildStats { coarse, factor })
+    rank_span(comm, "precond-build", || {
+        let (solver, coarse) = coarse
+            .map(|plan| {
+                let (built, stats) = build_rank_coarse(op, plan, mult, d);
+                (built.solver(op.partition_weights()), stats)
+            })
+            .unzip();
+        let precond = spec.instantiate(solver, local, diag);
+        let factor = precond.subdomain_factor().map(FactorStats::of);
+        if let Some(f) = &factor {
+            comm.work(f.flops);
+        }
+        (precond, PrecondBuildStats { coarse, factor })
+    })
 }
 
 /// What one rank returns: its piece of the solution and the convergence

@@ -216,6 +216,48 @@ fn hex_twolevel_setup_peak_is_no_higher_than_with_two_csr_copies() {
     }
 }
 
+/// No RDD session holds the assembled matrix: the host thread of a run
+/// whose global CSR is about 2 MB allocates less than a quarter of it, and no
+/// rank's setup peak — its ghosted assembly, its block row and its
+/// preconditioner — reaches the size of the global CSR.
+#[test]
+fn rdd_session_never_holds_the_global_matrix() {
+    assert!(alloc::is_counting(), "counting allocator not installed");
+    let mesh = QuadMesh::cantilever(60, 60);
+    let mut dm = DofMap::new(mesh.n_nodes());
+    dm.clamp_edge(&mesh, Edge::Left);
+    let mat = Material::unit();
+    let mut loads = vec![0.0; dm.n_dofs()];
+    assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
+    let global = csr_bytes(&assembly::build_static(&mesh, &dm, &mat, &loads).stiffness);
+    assert!(global >= 1 << 20, "global CSR of {global} B");
+
+    let session = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+        .strategy(Strategy::Rdd(NodePartition::strips_x(&mesh, 2)))
+        .precond(PrecondSpec::parse("gls:7").unwrap());
+    // Untraced, so that the host thread does nothing but the session's work.
+    let (out, host) = alloc::measure(|| session.run().expect("fault-free solve"));
+    assert!(out.history.converged());
+    let (memory, iterations) = setup_memory(session);
+    assert_eq!(iterations, out.history.iterations());
+    let peaks: Vec<u64> = memory.iter().map(|&(_, peak)| peak).collect();
+    eprintln!(
+        "global CSR {global} B; host thread allocated {} B; rank setup peaks {peaks:?} B",
+        host.bytes
+    );
+    assert!(
+        4 * host.bytes < global,
+        "the host allocated {} B next to a {global} B global matrix",
+        host.bytes
+    );
+    for peak in peaks {
+        assert!(
+            peak < global,
+            "a rank peaked at {peak} B, the global CSR is {global} B"
+        );
+    }
+}
+
 /// Warm-loop measurement attempts per rank; see
 /// [`warm_solves_are_iteration_free`].
 const ATTEMPTS: usize = 3;

@@ -10,7 +10,7 @@
 //! flight, or a collective on some rank.
 
 use parfem_dd::{FactorStats, PrecondSpec, Problem, SolveSession, SolverConfig, Strategy};
-use parfem_fem::{assembly, Material};
+use parfem_fem::{assembly, quad4, Material};
 use parfem_krylov::gmres::GmresConfig;
 use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, PartitionerSpec, QuadMesh};
 use parfem_msg::{CommStats, FaultPlan, MachineModel};
@@ -27,6 +27,28 @@ fn problem(nx: usize, ny: usize) -> (QuadMesh, DofMap, Material, Vec<f64>) {
     let mut loads = vec![0.0; dm.n_dofs()];
     assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
     (mesh, dm, mat, loads)
+}
+
+/// The flops rank `rank` charges for assembling its share of a quad4
+/// elasticity problem: its elements (EDD: its subdomain's, RDD: those with a
+/// node it owns) times the kernel's count plus one add per scattered entry.
+fn charged_assembly_flops(mesh: &QuadMesh, strategy: &Strategy, rank: usize) -> u64 {
+    let elems = match strategy {
+        Strategy::Edd(part) => part.subdomains(mesh)[rank].elements.len(),
+        Strategy::Rdd(part) => (0..mesh.n_elems())
+            .filter(|&e| mesh.elem_nodes(e).iter().any(|&n| part.owner(n) == rank))
+            .count(),
+    };
+    elems as u64 * (quad4::STIFFNESS_FLOPS + 8 * 8)
+}
+
+/// Asserts that a rank's `assembly` span is `flops` wide on `model`'s clock.
+fn assert_assembly_width(virt_s: f64, flops: u64, model: &MachineModel, what: &str) {
+    let want = model.compute_time(flops);
+    assert!(
+        flops > 0 && (virt_s - want).abs() <= 1e-12 * want,
+        "{what}: assembly span {virt_s} s, {flops} flops charged are {want} s"
+    );
 }
 
 fn cfg() -> SolverConfig {
@@ -141,10 +163,10 @@ fn critical_path_length_equals_makespan_on_p8_overlapped_solve() {
 #[test]
 fn trace_report_matches_comm_stats_under_faults_and_overlap() {
     let (mesh, dm, mat, loads) = problem(20, 6);
-    let part = ElementPartition::strips_x(&mesh, 4);
+    let strategy = Strategy::Edd(ElementPartition::strips_x(&mesh, 4));
     let sink = TraceSink::recording();
     let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-        .strategy(Strategy::Edd(part))
+        .strategy(strategy.clone())
         .config(cfg())
         .machine(MachineModel::ibm_sp2())
         .overlap(true)
@@ -179,14 +201,17 @@ fn trace_report_matches_comm_stats_under_faults_and_overlap() {
         "exchanges"
     );
 
-    // Phase coverage: assembly (wall time only, zero virtual width) +
-    // scaling + precond-build + fgmres tile each rank's virtual timeline,
-    // so their virtual durations sum to its final clock.
+    // Phase coverage: assembly (as wide as its charged flops) + scaling +
+    // precond-build + fgmres tile each rank's virtual timeline, so their
+    // virtual durations sum to its final clock.
     assert_eq!(report.nranks(), 4);
     for r in &report.ranks {
         let assembly = r.phases.first().expect("rank spans");
         assert_eq!(assembly.name, "assembly", "rank {}", r.rank);
-        assert!(assembly.virt_s == 0.0 && assembly.wall_s > 0.0);
+        assert!(assembly.wall_s > 0.0);
+        let flops = charged_assembly_flops(&mesh, &strategy, r.rank);
+        let what = format!("rank {}", r.rank);
+        assert_assembly_width(assembly.virt_s, flops, &MachineModel::ibm_sp2(), &what);
         let phase_sum: f64 = r
             .phases
             .iter()
@@ -237,7 +262,7 @@ fn twolevel_setup_is_charged_traced_and_summarized() {
     for (name, strategy) in strategies {
         let sink = TraceSink::recording();
         let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-            .strategy(strategy)
+            .strategy(strategy.clone())
             .config(cfg())
             .precond(spec.clone())
             .machine(MachineModel::ibm_sp2())
@@ -302,12 +327,11 @@ fn twolevel_setup_is_charged_traced_and_summarized() {
                     .map(|p| p.virt_s)
                     .sum::<f64>()
             };
-            // Only EDD ranks assemble; theirs is a leading span of zero
-            // virtual width.
-            let assembled = r.phases.iter().any(|p| p.name == "assembly");
-            assert_eq!(assembled, name == "edd", "{name}");
+            // Both strategies assemble on the ranks, and pay for it.
+            let flops = charged_assembly_flops(&mesh, &strategy, r.rank);
+            let what = format!("{name} rank {}", r.rank);
+            assert_assembly_width(virt("assembly"), flops, &MachineModel::ibm_sp2(), &what);
             let top = virt("assembly") + virt("scaling") + virt("precond-build") + virt("fgmres");
-            assert_eq!(virt("assembly"), 0.0, "{name}");
             assert!(
                 (top - r.final_virt).abs() <= 1e-9 * r.final_virt,
                 "{name} rank {}: spans sum to {top} but the rank ends at {}",
@@ -405,8 +429,9 @@ fn twolevel_setup_is_charged_traced_and_summarized() {
 /// `run_multi` explains itself exactly as `run` does: one `solve_summary`
 /// per run with the totals over its right-hand sides, the coarse record on
 /// the output and the summary, rank counters and traffic that agree with
-/// the live [`CommStats`], and on every rank the spans
-/// `scaling → precond-build → fgmres × k` tiling the timeline.
+/// the live [`CommStats`], and on every rank — either strategy — the spans
+/// `assembly → scaling → precond-build → fgmres × k` tiling the timeline,
+/// the first as wide as the assembly flops it charges.
 #[test]
 fn run_multi_is_summarized_and_its_rank_spans_tile_the_timeline() {
     let (mesh, dm, mat, loads) = problem(24, 6);
@@ -422,7 +447,7 @@ fn run_multi_is_summarized_and_its_rank_spans_tile_the_timeline() {
         let is_edd = matches!(strategy, Strategy::Edd(_));
         let sink = TraceSink::recording();
         let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-            .strategy(strategy)
+            .strategy(strategy.clone())
             .config(cfg())
             .precond(PrecondSpec::parse("twolevel:rbm.s3:gls-3").unwrap())
             .machine(MachineModel::ibm_sp2())
@@ -469,11 +494,19 @@ fn run_multi_is_summarized_and_its_rank_spans_tile_the_timeline() {
                 .map(|e| e.name.as_str())
                 .filter(|name| *name != "coarse-build")
                 .collect();
-            let mut want = vec!["precond-build", "fgmres", "fgmres", "fgmres"];
-            if is_edd {
-                want.splice(0..0, ["assembly", "scaling"]);
-            }
+            let want = [
+                "assembly",
+                "scaling",
+                "precond-build",
+                "fgmres",
+                "fgmres",
+                "fgmres",
+            ];
             assert_eq!(opened, want, "rank {}", r.rank);
+            let assembly = r.phases.iter().find(|p| p.name == "assembly").unwrap();
+            let flops = charged_assembly_flops(&mesh, &strategy, r.rank);
+            let what = format!("rank {}", r.rank);
+            assert_assembly_width(assembly.virt_s, flops, &MachineModel::ibm_sp2(), &what);
             let top: f64 = r
                 .phases
                 .iter()

@@ -1,0 +1,236 @@
+//! Rank-side RDD assembly against the global path, bit for bit.
+//!
+//! [`RddSystem::assemble`] builds a rank's block row from the elements that
+//! touch its nodes, constrains and scales it with its own row sums and one
+//! halo exchange of the diagonal. Everything it returns — `a_loc`, `a_ext`,
+//! `ext_dofs`, the halo lists, `b_loc` and `d` — must equal what
+//! [`RddSystem::build_all`] cuts from `scale_system(build_static(..))`, on
+//! every physics, partition shape and rank count, with homogeneous and
+//! inhomogeneous Dirichlet data.
+
+use parfem_dd::{Problem, RddSystem};
+use parfem_fem::assembly::{self, StaticSystem};
+use parfem_fem::{Material, Physics};
+use parfem_mesh::{DofMap, Edge, Face, HexMesh, NodePartition, QuadMesh};
+use parfem_msg::{run_ranks, MachineModel};
+use parfem_sparse::scaling::scale_system;
+use parfem_sparse::CsrMatrix;
+use proptest::prelude::*;
+
+enum Mesh {
+    Quad(QuadMesh),
+    Hex(HexMesh),
+}
+
+/// A cantilever of one physics: clamped (or, `inhomogeneous`, pulled to
+/// prescribed non-zero values) at `x = 0`, loaded at `x = L` and inside.
+struct Fixture {
+    physics: Physics,
+    mesh: Mesh,
+    dm: DofMap,
+    mat: Material,
+    loads: Vec<f64>,
+}
+
+impl Fixture {
+    fn new(physics: Physics, (nx, ny, nz): (usize, usize, usize), inhomogeneous: bool) -> Self {
+        let dpn = physics.dofs_per_node();
+        let (mesh, fixed_nodes) = match physics {
+            Physics::Elasticity3d => {
+                let m = HexMesh::cantilever(nx, ny, nz);
+                let nodes = m.face_nodes(Face::XMin);
+                (Mesh::Hex(m), nodes)
+            }
+            _ => {
+                let m = QuadMesh::cantilever(nx, ny);
+                let nodes = m.edge_nodes(Edge::Left);
+                (Mesh::Quad(m), nodes)
+            }
+        };
+        let n_nodes = match &mesh {
+            Mesh::Quad(m) => m.n_nodes(),
+            Mesh::Hex(m) => m.n_nodes(),
+        };
+        let mut dm = DofMap::with_dofs(n_nodes, dpn);
+        for (k, &node) in fixed_nodes.iter().enumerate() {
+            for c in 0..dpn {
+                let value = if inhomogeneous {
+                    0.01 * (1 + k + c) as f64
+                } else {
+                    0.0
+                };
+                dm.fix_dof(dm.dof(node, c), value);
+            }
+        }
+        let mut loads: Vec<f64> = (0..dm.n_dofs())
+            .map(|i| 0.001 * ((i * 37) % 11) as f64)
+            .collect();
+        match (&mesh, physics) {
+            (Mesh::Quad(m), Physics::Elasticity2d) => {
+                assembly::edge_load(m, &dm, Edge::Right, 0.3, -1.0, &mut loads)
+            }
+            (Mesh::Quad(m), _) => assembly::edge_source(m, &dm, Edge::Right, 1.0, &mut loads),
+            (Mesh::Hex(m), _) => {
+                assembly::face_load(m, &dm, Face::XMax, [0.2, 0.0, -1.0], &mut loads)
+            }
+        }
+        Fixture {
+            physics,
+            mesh,
+            dm,
+            mat: Material::unit(),
+            loads,
+        }
+    }
+
+    fn problem(&self) -> Problem<'_> {
+        let (dm, mat, loads) = (&self.dm, &self.mat, self.loads.as_slice());
+        match (&self.mesh, self.physics) {
+            (Mesh::Quad(m), Physics::Elasticity2d) => Problem::new(m, dm, mat, loads),
+            (Mesh::Quad(m), _) => Problem::heat(m, dm, mat, loads),
+            (Mesh::Hex(m), _) => Problem::elasticity3d(m, dm, mat, loads),
+        }
+    }
+
+    /// The global constrained system, assembled by the sequential path.
+    fn reference(&self) -> StaticSystem {
+        let (dm, mat, loads) = (&self.dm, &self.mat, self.loads.as_slice());
+        match (&self.mesh, self.physics) {
+            (Mesh::Quad(m), Physics::Elasticity2d) => assembly::build_static(m, dm, mat, loads),
+            (Mesh::Quad(m), _) => assembly::build_static_heat(m, dm, mat, loads),
+            (Mesh::Hex(m), _) => assembly::build_static_hex(m, dm, mat, loads),
+        }
+    }
+
+    /// Partition shape 0: node strips; 1: contiguous node ranges; 2: a
+    /// seeded scattered owner map — every part touches every other, with
+    /// cross points everywhere.
+    fn partition(&self, shape: usize, p: usize, seed: u64) -> NodePartition {
+        match (shape, &self.mesh) {
+            (0, Mesh::Quad(m)) => NodePartition::strips_x(m, p),
+            (0, Mesh::Hex(m)) => NodePartition::strips_x_hex(m, p),
+            (1, _) => NodePartition::contiguous(self.dm.n_nodes(), p),
+            _ => NodePartition::from_owner(
+                p,
+                (0..self.dm.n_nodes())
+                    .map(|n| {
+                        if n < p {
+                            n
+                        } else {
+                            (mix(seed ^ n as u64) % p as u64) as usize
+                        }
+                    })
+                    .collect(),
+            ),
+        }
+    }
+}
+
+/// SplitMix64's finalizer: a seeded, well-spread owner per node.
+fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn assert_same_csr(got: &CsrMatrix, want: &CsrMatrix, what: &str) {
+    assert_eq!(got.n_rows(), want.n_rows(), "{what}: rows");
+    assert_eq!(got.n_cols(), want.n_cols(), "{what}: columns");
+    let ((gp, gc, gv), (wp, wc, wv)) = (got.raw_parts(), want.raw_parts());
+    assert_eq!(gp, wp, "{what}: row pointers");
+    assert_eq!(gc, wc, "{what}: column indices");
+    assert_eq!(bits(gv), bits(wv), "{what}: value bits");
+}
+
+/// Builds every rank's block row on the ranks and compares it with the
+/// global split; returns the largest neighbour count of any rank.
+fn check(fx: &Fixture, part: &NodePartition, what: &str) -> usize {
+    let global = fx.reference();
+    let (a, b, scaling) = scale_system(&global.stiffness, &global.rhs).unwrap();
+    let want = RddSystem::build_all(&a, &b, part);
+    let problem = fx.problem();
+    let out = run_ranks(part.n_parts(), MachineModel::ideal(), |comm| {
+        RddSystem::assemble(comm, &problem, part)
+    });
+    for ((got, d), want) in out.results.iter().zip(&want) {
+        let what = format!("{what} rank {}", want.rank);
+        assert_eq!(got.rank, want.rank, "{what}");
+        assert_eq!(got.rows, want.rows, "{what}: rows");
+        assert_same_csr(&got.a_loc, &want.a_loc, &format!("{what}: a_loc"));
+        assert_same_csr(&got.a_ext, &want.a_ext, &format!("{what}: a_ext"));
+        assert_eq!(got.ext_dofs, want.ext_dofs, "{what}: ext_dofs");
+        assert_eq!(got.send_to, want.send_to, "{what}: send_to");
+        assert_eq!(got.recv_from, want.recv_from, "{what}: recv_from");
+        assert_eq!(bits(&got.b_loc), bits(&want.b_loc), "{what}: b_loc");
+        let want_d = want.restrict(scaling.diagonal());
+        assert_eq!(bits(d), bits(&want_d), "{what}: d");
+        assert!(!got.overlap, "{what}");
+    }
+    want.iter().map(|s| s.send_to.len()).max().unwrap_or(0)
+}
+
+/// Every partition shape at every rank count, both kinds of Dirichlet data.
+fn check_physics(physics: Physics, dims: (usize, usize, usize)) {
+    let mut most_neighbours = 0;
+    for inhomogeneous in [false, true] {
+        let fx = Fixture::new(physics, dims, inhomogeneous);
+        for p in [1, 2, 3, 4, 8] {
+            for shape in 0..3 {
+                let part = fx.partition(shape, p, 2026);
+                let what = format!("{physics} P={p} shape={shape} inhomogeneous={inhomogeneous}");
+                most_neighbours = most_neighbours.max(check(&fx, &part, &what));
+            }
+        }
+    }
+    // The scattered owner maps reach ranks with three or more neighbours.
+    assert!(most_neighbours >= 3, "{physics}: {most_neighbours}");
+}
+
+#[test]
+fn elasticity2d_rank_block_rows_equal_the_global_split() {
+    check_physics(Physics::Elasticity2d, (9, 4, 1));
+}
+
+#[test]
+fn heat2d_rank_block_rows_equal_the_global_split() {
+    check_physics(Physics::Heat2d, (11, 5, 1));
+}
+
+#[test]
+fn elasticity3d_rank_block_rows_equal_the_global_split() {
+    check_physics(Physics::Elasticity3d, (7, 3, 2));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random physics, mesh size, rank count, partition shape, seed and
+    /// Dirichlet data: the rank-built block rows equal the global split.
+    #[test]
+    fn rank_block_rows_equal_the_global_split(
+        physics in 0usize..3,
+        nx in 7usize..14,
+        ny in 2usize..6,
+        p_idx in 0usize..5,
+        shape in 0usize..3,
+        seed in 0u64..1000,
+        inhomogeneous in 0usize..2,
+    ) {
+        let physics = Physics::ALL[physics];
+        let p = [1usize, 2, 3, 4, 8][p_idx];
+        let dims = match physics {
+            Physics::Elasticity3d => (nx, ny.min(3), 2),
+            _ => (nx, ny, 1),
+        };
+        let fx = Fixture::new(physics, dims, inhomogeneous == 1);
+        let part = fx.partition(shape, p, seed);
+        let what = format!("{physics} {dims:?} P={p} shape={shape} seed={seed} \
+                            inhomogeneous={inhomogeneous}");
+        check(&fx, &part, &what);
+    }
+}

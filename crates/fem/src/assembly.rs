@@ -9,7 +9,8 @@
 //! [`crate::tri3`], [`crate::quad8s`], [`crate::truss`], and the
 //! per-subdomain systems of [`crate::subdomain`] — is built by one
 //! pattern-first core, `assemble`: it never holds triplets, and it sums
-//! duplicate contributions in ascending element order.
+//! duplicate contributions in ascending element order. So does
+//! [`assemble_touching`], the raw assembly of one rank's block rows.
 
 use crate::material::Material;
 use crate::{hex8, physics, quad4};
@@ -236,6 +237,44 @@ pub(crate) fn assemble_raw<const N: usize, const M: usize>(
     let (n_nodes, dpn) = (dm.n_nodes(), dm.dofs_per_node());
     let fill = |e: usize, ke: &mut [f64], _: Option<&mut [f64]>| ke.copy_from_slice(&block_of(e));
     assemble(n_nodes, dpn, N, &conn, &free, &[], &mut [], false, fill).0
+}
+
+/// Raw (unconstrained) assembly of the elements that touch a node set — a
+/// rank's share of a node partition. Of the `n_elems` elements, those with a
+/// node in `keep` are assembled, in ascending element order, over the nodes
+/// they touch; `dpn` dofs per node, interleaved. Returns those nodes (global
+/// ids, ascending: node `l` of the list is the local node of rows
+/// `dpn * l ..`), the number of elements assembled and the matrix.
+///
+/// A kept node has all its elements here, so its rows hold the entries of
+/// its rows of the global raw assembly, in the same column order and summed
+/// in the same element order: bit for bit the same values. The rows of the
+/// other nodes are partial sums.
+pub fn assemble_touching<const N: usize, const M: usize>(
+    dpn: usize,
+    n_elems: usize,
+    nodes_of: impl Fn(usize) -> [usize; N],
+    keep: impl Fn(usize) -> bool,
+    mut block_of: impl FnMut(usize) -> [f64; M],
+) -> (Vec<usize>, usize, CsrMatrix) {
+    let elems: Vec<usize> = (0..n_elems)
+        .filter(|&e| nodes_of(e).into_iter().any(&keep))
+        .collect();
+    let mut nodes: Vec<usize> = elems.iter().flat_map(|&e| nodes_of(e)).collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    let conn: Vec<usize> = (elems.iter().flat_map(|&e| nodes_of(e)))
+        .map(|n| {
+            nodes
+                .binary_search(&n)
+                .expect("an element's node is listed")
+        })
+        .collect();
+    let free = vec![false; nodes.len() * dpn];
+    let fill =
+        |k: usize, ke: &mut [f64], _: Option<&mut [f64]>| ke.copy_from_slice(&block_of(elems[k]));
+    let (k, _) = assemble(nodes.len(), dpn, N, &conn, &free, &[], &mut [], false, fill);
+    (nodes, elems.len(), k)
 }
 
 /// Assembles the raw global stiffness matrix (no boundary conditions).

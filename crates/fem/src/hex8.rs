@@ -17,6 +17,14 @@ const ZETA: [f64; 8] = [-1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0];
 /// 2×2×2 Gauss point abscissa.
 const GP: f64 = 0.577_350_269_189_625_8; // 1/sqrt(3)
 
+/// Flops of one [`stiffness`] call, counted from the code: per Gauss point
+/// (eight of them) 482 for [`physical_gradients`] (shape derivatives 168,
+/// Jacobian 144, determinant 14, inverse 36, gradients 120), 1728 for `D·B`
+/// (144 entries of a 6-term dot) and 8064 for the update of `kₑ` (576
+/// entries of a 6-term dot, a weight and an add). The constitutive matrix is
+/// not counted.
+pub const STIFFNESS_FLOPS: u64 = 8 * ((168 + 144 + 14 + 36 + 120) + 1728 + 8064);
+
 /// Shape function values at `(xi, eta, zeta)`.
 pub fn shape_functions(xi: f64, eta: f64, zeta: f64) -> [f64; 8] {
     let mut n = [0.0; 8];

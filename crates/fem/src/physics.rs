@@ -88,6 +88,11 @@ impl std::fmt::Display for Physics {
 /// 2×2 Gauss point abscissa (matches the quad4 elasticity rule).
 const GP: f64 = 0.577_350_269_189_625_8;
 
+/// Flops of one [`heat_stiffness_quad4`] call, counted from the code: 1 for
+/// `k t`, then per Gauss point (four of them) the quad4 gradients and 96 for
+/// the update of `kₑ` (16 entries of a 2-term dot, two scalings and an add).
+pub const HEAT_QUAD4_FLOPS: u64 = 1 + 4 * (quad4::GRADIENT_FLOPS + 96);
+
 /// The 4×4 conduction stiffness of a quad4 element (row-major):
 /// `kₑ = ∫ k ∇Nᵢ·∇Nⱼ t dΩ` with conductivity `k` and slab thickness `t`
 /// taken from the material, at 2×2 Gauss quadrature.

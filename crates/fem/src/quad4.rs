@@ -15,6 +15,17 @@ const ETA: [f64; 4] = [-1.0, -1.0, 1.0, 1.0];
 /// 2×2 Gauss point abscissa.
 const GP: f64 = 0.577_350_269_189_625_8; // 1/sqrt(3)
 
+/// Flops of one [`physical_gradients`] call, counted from the code: shape
+/// derivatives 32 (four per derivative), Jacobian 32, determinant 3, inverse
+/// 4 (the negations are free), gradients 24.
+pub(crate) const GRADIENT_FLOPS: u64 = 32 + 32 + 3 + 4 + 24;
+
+/// Flops of one [`stiffness`] call, counted from the code: per Gauss point
+/// (four of them) the gradients, 1 for the weight, 144 for `D·B` (24 entries
+/// of a 3-term dot) and 512 for the update of `kₑ` (64 entries of a 3-term
+/// dot, a weight and an add). The constitutive matrix is not counted.
+pub const STIFFNESS_FLOPS: u64 = 4 * (GRADIENT_FLOPS + 1 + 144 + 512);
+
 /// Shape function values at `(xi, eta)`.
 pub fn shape_functions(xi: f64, eta: f64) -> [f64; 4] {
     let mut n = [0.0; 4];

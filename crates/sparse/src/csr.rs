@@ -209,6 +209,12 @@ impl CsrMatrix {
         (&self.row_ptr, &self.col_idx, &self.values)
     }
 
+    /// The CSR arrays `(row_ptr, col_idx, values)`, moved out — for a caller
+    /// that rewrites a matrix in place, reusing its storage.
+    pub fn into_raw_parts(self) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+        (self.row_ptr, self.col_idx, self.values)
+    }
+
     /// Mutable access to the full values array (structure is immutable, so
     /// all CSR invariants are preserved).
     pub fn values_mut(&mut self) -> &mut [f64] {
