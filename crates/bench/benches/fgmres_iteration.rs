@@ -3,7 +3,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use parfem::prelude::*;
-use parfem::sequential::{solve_system, SeqPrecond};
 use std::hint::black_box;
 
 fn bench_fgmres(c: &mut Criterion) {
@@ -17,13 +16,8 @@ fn bench_fgmres(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("fgmres_solve_mesh3");
     group.sample_size(10);
-    for pc in [
-        SeqPrecond::Gls(3),
-        SeqPrecond::Gls(7),
-        SeqPrecond::Gls(10),
-        SeqPrecond::Neumann(20),
-        SeqPrecond::Ilu0,
-    ] {
+    for spec in ["gls:3", "gls:7", "gls:10", "neumann:20", "ilu0"] {
+        let pc = PrecondSpec::parse(spec).unwrap();
         group.bench_with_input(BenchmarkId::new("precond", pc.name()), &pc, |b, pc| {
             b.iter(|| {
                 let (u, h) = solve_system(black_box(&sys.stiffness), &sys.rhs, pc, &cfg).unwrap();

@@ -9,7 +9,6 @@
 
 use parfem::fem::assembly;
 use parfem::prelude::*;
-use parfem::sequential::SeqPrecond;
 use parfem_bench::harness::{banner, Table};
 
 fn main() {
@@ -30,9 +29,8 @@ fn main() {
         assembly::edge_load(&mesh, &dm, Edge::Right, 1.0, 0.0, &mut loads);
         let sys = assembly::build_static(&mesh, &dm, &Material::unit(), &loads);
         let mut cells = Vec::new();
-        for pc in [SeqPrecond::Gls(7), SeqPrecond::Ilu0, SeqPrecond::None] {
-            let (_, h) =
-                parfem::sequential::solve_system(&sys.stiffness, &sys.rhs, &pc, &cfg).unwrap();
+        for pc in ["gls:7", "ilu0", "none"].map(|s| PrecondSpec::parse(s).unwrap()) {
+            let (_, h) = solve_system(&sys.stiffness, &sys.rhs, &pc, &cfg).unwrap();
             assert!(h.converged(), "amp {amp} {}", pc.name());
             cells.push(h.iterations());
         }

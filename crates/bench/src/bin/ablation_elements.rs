@@ -115,13 +115,11 @@ fn main() {
                 (kbc, loads)
             }
         };
-        let (_, h) = parfem::sequential::solve_system(
-            &k,
-            &rhs,
-            &parfem::sequential::SeqPrecond::Gls(7),
-            &cfg,
-        )
-        .unwrap();
+        let gls7 = PrecondSpec::Gls {
+            degree: 7,
+            theta: None,
+        };
+        let (_, h) = solve_system(&k, &rhs, &gls7, &cfg).unwrap();
         assert!(h.converged(), "{name} static solve must converge");
         iter_table.row([
             name.to_string(),

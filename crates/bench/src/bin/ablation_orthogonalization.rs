@@ -7,7 +7,6 @@
 
 use parfem::krylov::gmres::Orthogonalization;
 use parfem::prelude::*;
-use parfem::sequential::SeqPrecond;
 use parfem_bench::harness::{banner, Table};
 
 fn main() {
@@ -16,11 +15,7 @@ fn main() {
     let mut max_delta = 0i64;
     for k in [1usize, 2, 3] {
         let p = CantileverProblem::paper_mesh(k);
-        for pc in [
-            SeqPrecond::None,
-            SeqPrecond::Gls(7),
-            SeqPrecond::Neumann(20),
-        ] {
+        for pc in ["none", "gls:7", "neumann:20"].map(|s| PrecondSpec::parse(s).unwrap()) {
             let mut iters = Vec::new();
             for ortho in [Orthogonalization::Classical, Orthogonalization::Modified] {
                 let cfg = GmresConfig {
@@ -29,7 +24,7 @@ fn main() {
                     ortho,
                     ..Default::default()
                 };
-                let (_, h) = parfem::sequential::solve_static(&p, &pc, &cfg).unwrap();
+                let (_, h) = solve_static(&p, &pc, &cfg).unwrap();
                 assert!(h.converged(), "Mesh{k} {} {ortho:?}", pc.name());
                 iters.push(h.iterations());
             }

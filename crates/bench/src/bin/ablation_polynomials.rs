@@ -1,6 +1,7 @@
 //! Ablation: the three polynomial preconditioner families at equal degree —
 //! Neumann series, Chebyshev (min-max) and GLS (weighted least squares) —
-//! plus block-Jacobi-ILU(0), on the paper's static workload.
+//! plus ILU(0) and block-Jacobi ILU(0) (`ilu0` on a 4-rank row-based
+//! session), on the paper's static workload.
 //!
 //! Expected shape (paper Section 2.1.3): Chebyshev/GLS, which use spectrum
 //! bounds, dominate Neumann at equal degree; GLS trades a slightly larger
@@ -8,7 +9,6 @@
 
 use parfem::precond::{ChebyshevPrecond, GlsPrecond, NeumannPrecond};
 use parfem::prelude::*;
-use parfem::sequential::SeqPrecond;
 use parfem_bench::harness::{banner, Table};
 
 fn main() {
@@ -67,18 +67,30 @@ fn main() {
         by_name.insert(name, iters);
     };
     for pc in [
-        SeqPrecond::Neumann(degree),
-        SeqPrecond::Gls(degree),
-        SeqPrecond::BlockJacobi(4),
-        SeqPrecond::Ilu0,
+        PrecondSpec::Neumann { degree },
+        PrecondSpec::Gls {
+            degree,
+            theta: None,
+        },
     ] {
-        let (_, h) = parfem::sequential::solve_static(&p, &pc, &cfg).unwrap();
-        let matvecs_per_iter = match &pc {
-            SeqPrecond::Neumann(m) | SeqPrecond::Gls(m) => m + 1,
-            _ => 1,
-        };
-        record(pc.name(), h.iterations(), matvecs_per_iter, h.converged());
+        let (_, h) = solve_static(&p, &pc, &cfg).unwrap();
+        record(pc.name(), h.iterations(), degree + 1, h.converged());
     }
+    // Block-Jacobi ILU(0): each of 4 row-based ranks factors its own
+    // diagonal block (contiguous node blocks).
+    {
+        let part = NodePartition::contiguous(p.mesh.n_nodes(), 4);
+        let out = SolveSession::new(p.as_problem())
+            .strategy(Strategy::Rdd(part))
+            .precond(PrecondSpec::Ilu0)
+            .gmres(cfg)
+            .run()
+            .expect("clamped row blocks factor");
+        let h = &out.history;
+        record("block-jacobi(4)".into(), h.iterations(), 1, h.converged());
+    }
+    let (_, h) = solve_static(&p, &PrecondSpec::Ilu0, &cfg).unwrap();
+    record(PrecondSpec::Ilu0.name(), h.iterations(), 1, h.converged());
     // Spectrum-informed Chebyshev on the scaled operator directly.
     {
         let b = {
@@ -111,6 +123,12 @@ fn main() {
     assert!(
         g_it < n_it && g_it < c_it,
         "gls must dominate at equal degree: neumann {n_it}, chebyshev {c_it}, gls {g_it}"
+    );
+    // Dropping the coupling between the row blocks costs iterations.
+    let (bj_it, ilu_it) = (by_name["block-jacobi(4)"], by_name["ilu(0)"]);
+    assert!(
+        bj_it > ilu_it,
+        "block-jacobi(4) {bj_it} must need more iterations than ilu(0) {ilu_it}"
     );
     println!(
         "\nshape checks passed: gls({degree}) dominates (gls {g_it} < neumann {n_it}, chebyshev {c_it});"

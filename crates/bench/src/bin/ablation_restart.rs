@@ -5,7 +5,6 @@
 //! paper's choice sits for its workloads.
 
 use parfem::prelude::*;
-use parfem::sequential::SeqPrecond;
 use parfem_bench::harness::{banner, Table};
 
 fn main() {
@@ -26,8 +25,12 @@ fn main() {
             restart,
             ..Default::default()
         };
-        let (_, hg) = parfem::sequential::solve_static(&p, &SeqPrecond::Gls(7), &cfg).unwrap();
-        let (_, hn) = parfem::sequential::solve_static(&p, &SeqPrecond::None, &cfg).unwrap();
+        let gls7 = PrecondSpec::Gls {
+            degree: 7,
+            theta: None,
+        };
+        let (_, hg) = solve_static(&p, &gls7, &cfg).unwrap();
+        let (_, hn) = solve_static(&p, &PrecondSpec::None, &cfg).unwrap();
         table.row([
             restart.to_string(),
             hg.iterations().to_string(),

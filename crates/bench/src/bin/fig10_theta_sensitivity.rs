@@ -6,7 +6,6 @@
 //! better converge faster, and badly wrong estimates stall.
 
 use parfem::prelude::*;
-use parfem::sequential::SeqPrecond;
 use parfem_bench::harness::{banner, Table};
 use parfem_sparse::gershgorin;
 
@@ -44,9 +43,16 @@ fn main() {
     println!();
     let mut table = Table::new(&["theta", "iterations", "converged"]);
     let mut iters = Vec::new();
-    // Ritz-estimated theta first (30-step Lanczos inside the harness).
+    let gls10 = |theta: IntervalUnion| PrecondSpec::Gls {
+        degree: 10,
+        theta: Some(theta),
+    };
+    // Ritz-estimated theta first (a 30-step Lanczos run on the scaled
+    // operator).
     {
-        let (_, h) = parfem::sequential::solve_static(&p, &SeqPrecond::GlsAuto(10), &cfg).unwrap();
+        let (lo, hi) = parfem::krylov::estimate_spectrum(&a, 30);
+        let ritz = IntervalUnion::single(lo.max(f64::EPSILON), hi.max(2.0 * f64::EPSILON));
+        let (_, h) = solve_static(&p, &gls10(ritz), &cfg).unwrap();
         table.row([
             "ritz-measured".to_string(),
             h.iterations().to_string(),
@@ -54,8 +60,7 @@ fn main() {
         ]);
     }
     for (label, theta) in &thetas {
-        let pc = SeqPrecond::GlsOnTheta(10, theta.clone());
-        let (_, h) = parfem::sequential::solve_static(&p, &pc, &cfg).unwrap();
+        let (_, h) = solve_static(&p, &gls10(theta.clone()), &cfg).unwrap();
         table.row([
             label.clone(),
             h.iterations().to_string(),

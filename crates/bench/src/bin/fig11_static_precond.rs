@@ -5,7 +5,6 @@
 //! the polynomial preconditioners are fully competitive with ILU(0).
 
 use parfem::prelude::*;
-use parfem::sequential::SeqPrecond;
 use parfem_bench::harness::{banner, write_csv};
 
 fn run_mesh(k: usize) {
@@ -19,12 +18,7 @@ fn run_mesh(k: usize) {
         max_iters: 20_000,
         ..Default::default()
     };
-    let precs = [
-        SeqPrecond::None,
-        SeqPrecond::Ilu0,
-        SeqPrecond::Neumann(20),
-        SeqPrecond::Gls(7),
-    ];
+    let precs = ["none", "ilu0", "neumann:20", "gls:7"].map(|s| PrecondSpec::parse(s).unwrap());
     let mut curves = Vec::new();
     let mut labels = Vec::new();
     for pc in &precs {

@@ -1,9 +1,7 @@
 //! Figure 12: ILU(0) versus polynomial preconditioners for the *dynamic*
 //! cantilever (first Newmark step effective system), Mesh1 and Mesh2.
 
-use parfem::dynamic::first_step_solve;
 use parfem::prelude::*;
-use parfem::sequential::SeqPrecond;
 use parfem_bench::harness::{banner, Table};
 
 fn run_mesh(k: usize, dt: f64) {
@@ -17,16 +15,12 @@ fn run_mesh(k: usize, dt: f64) {
         max_iters: 20_000,
         ..Default::default()
     };
-    let precs = [
-        SeqPrecond::None,
-        SeqPrecond::Ilu0,
-        SeqPrecond::Neumann(20),
-        SeqPrecond::Gls(7),
-    ];
+    let precs = ["none", "ilu0", "neumann:20", "gls:7"].map(|s| PrecondSpec::parse(s).unwrap());
+    let (keff, rhs) = first_step_system(&p, dt);
     let mut table = Table::new(&["preconditioner", "iterations", "converged"]);
     let mut iters = Vec::new();
     for pc in &precs {
-        let (_, h) = first_step_solve(&p, dt, pc, &cfg).expect("solve");
+        let (_, h) = solve_system(&keff, &rhs, pc, &cfg).expect("solve");
         table.row([
             pc.name(),
             h.iterations().to_string(),

@@ -5,7 +5,6 @@
 //! count on the small meshes (though not in total cost — see Table 3).
 
 use parfem::prelude::*;
-use parfem::sequential::SeqPrecond;
 use parfem_bench::harness::{banner, Table};
 
 const DEGREES: [usize; 5] = [1, 3, 7, 10, 20];
@@ -24,7 +23,11 @@ fn run_mesh(k: usize) -> Vec<usize> {
     let mut table = Table::new(&["degree", "iterations", "total_matvecs"]);
     let mut iters = Vec::new();
     for &m in &DEGREES {
-        let (_, h) = parfem::sequential::solve_static(&p, &SeqPrecond::Gls(m), &cfg).unwrap();
+        let gls = PrecondSpec::Gls {
+            degree: m,
+            theta: None,
+        };
+        let (_, h) = solve_static(&p, &gls, &cfg).unwrap();
         table.row([
             m.to_string(),
             h.iterations().to_string(),

@@ -1,9 +1,7 @@
 //! Figure 14: convergence versus increasing GLS polynomial degree for the
 //! *dynamic* cantilever (first Newmark step), Mesh1 and Mesh2.
 
-use parfem::dynamic::first_step_solve;
 use parfem::prelude::*;
-use parfem::sequential::SeqPrecond;
 use parfem_bench::harness::{banner, Table};
 
 const DEGREES: [usize; 5] = [1, 3, 7, 10, 20];
@@ -21,8 +19,13 @@ fn run_mesh(k: usize, dt: f64) -> Vec<usize> {
     };
     let mut table = Table::new(&["degree", "iterations"]);
     let mut iters = Vec::new();
+    let (keff, rhs) = first_step_system(&p, dt);
     for &m in &DEGREES {
-        let (_, h) = first_step_solve(&p, dt, &SeqPrecond::Gls(m), &cfg).unwrap();
+        let gls = PrecondSpec::Gls {
+            degree: m,
+            theta: None,
+        };
+        let (_, h) = solve_system(&keff, &rhs, &gls, &cfg).unwrap();
         table.row([m.to_string(), h.iterations().to_string()]);
         iters.push(h.iterations());
     }

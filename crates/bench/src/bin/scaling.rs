@@ -326,7 +326,9 @@ fn solve_iters(
     };
     let x0 = vec![0.0; b.len()];
     let spec = PrecondSpec::parse(spec_str).expect("bench spec parses");
-    let pc = spec.instantiate(coarse, None, || scaled.diagonal());
+    let pc = spec
+        .instantiate(coarse, None, || scaled.diagonal())
+        .expect("polynomial smoother");
     let res = fgmres(scaled, &pc, b, &x0, &cfg);
     (res.history.iterations(), res.history.converged())
 }

@@ -2,16 +2,17 @@
 //!
 //! The dynamic convergence figures study the linear system of the *first*
 //! Newmark step after a suddenly applied load — the effective system
-//! `[αM + βK] u₁ = f̂₁` — under the same preconditioners as the static case.
-//! [`simulate`] additionally runs full transients with an iterative solver
-//! in the loop.
+//! `[αM + βK] u₁ = f̂₁` — under the same preconditioners as the static case:
+//! [`first_step_system`] builds it, [`crate::sequential::solve_system`]
+//! solves it. Full transients run through the one Newmark time loop,
+//! [`parfem_dd::SolveSession::run_dynamic`] (one rank is
+//! `Strategy::Edd(ElementPartition::strips_x(&mesh, 1))`), which scales the
+//! effective matrix and builds its preconditioner once, then warm-starts
+//! every step.
 
 use crate::problems::CantileverProblem;
-use crate::sequential::{solve_system, SeqPrecond};
 use parfem_fem::{assembly, NewmarkIntegrator, NewmarkParams};
-use parfem_krylov::gmres::GmresConfig;
-use parfem_krylov::ConvergenceHistory;
-use parfem_sparse::{CsrMatrix, SparseError};
+use parfem_sparse::CsrMatrix;
 
 /// Builds the first-step Newmark effective system for a suddenly applied
 /// load: returns `(K̄, f̂₁)` with `K̄ = ᾱM + K` (lumped mass), zero initial
@@ -48,106 +49,46 @@ pub fn first_step_system(problem: &CantileverProblem, dt: f64) -> (CsrMatrix, Ve
     (integ.effective_stiffness().clone(), rhs)
 }
 
-/// Solves the first-step dynamic system with the given preconditioner —
-/// the measurement behind Figs. 12 and 14.
-///
-/// # Errors
-/// Propagates solver errors from [`solve_system`].
-pub fn first_step_solve(
-    problem: &CantileverProblem,
-    dt: f64,
-    precond: &SeqPrecond,
-    cfg: &GmresConfig,
-) -> Result<(Vec<f64>, ConvergenceHistory), SparseError> {
-    let (keff, rhs) = first_step_system(problem, dt);
-    solve_system(&keff, &rhs, precond, cfg)
-}
-
-/// Outcome of a transient simulation.
-#[derive(Debug, Clone)]
-pub struct DynamicOutcome {
-    /// Tip displacement (`u_y` at the top-right corner) per step.
-    pub tip_history: Vec<f64>,
-    /// Total FGMRES iterations over all steps.
-    pub total_iterations: usize,
-    /// Whether every step's solve converged.
-    pub all_converged: bool,
-}
-
-/// Runs `steps` Newmark steps with the load held constant, solving every
-/// effective system with FGMRES under `precond`.
-///
-/// # Errors
-/// Propagates scaling/factorization errors from the per-step solves.
-pub fn simulate(
-    problem: &CantileverProblem,
-    dt: f64,
-    steps: usize,
-    precond: &SeqPrecond,
-    cfg: &GmresConfig,
-) -> Result<DynamicOutcome, SparseError> {
-    let params = NewmarkParams::average_acceleration(dt);
-    let k_raw = assembly::assemble_stiffness(&problem.mesh, &problem.dof_map, &problem.material);
-    let m_raw = assembly::assemble_mass(&problem.mesh, &problem.dof_map, &problem.material, true);
-    let mut f = problem.loads.clone();
-    let k = assembly::apply_dirichlet(&k_raw, &problem.dof_map, &mut f);
-    let m = assembly::apply_dirichlet_mass(&m_raw, &problem.dof_map);
-    let fixed: Vec<(usize, f64)> = problem.dof_map.fixed_dofs().collect();
-    let n = k.n_rows();
-    let diag_solve = |a: &CsrMatrix, b: &[f64]| -> Vec<f64> {
-        a.diagonal()
-            .iter()
-            .zip(b)
-            .map(|(&d, &bi)| if d != 0.0 { bi / d } else { 0.0 })
-            .collect()
-    };
-    let mut integ = NewmarkIntegrator::new(
-        k,
-        m,
-        params,
-        fixed,
-        vec![0.0; n],
-        vec![0.0; n],
-        &f,
-        diag_solve,
-    );
-
-    let tip_dof = problem.dof_map.dof(
-        problem.mesh.node_at(problem.mesh.nx(), problem.mesh.ny()),
-        1,
-    );
-    let mut tip_history = Vec::with_capacity(steps);
-    let mut total_iterations = 0usize;
-    let mut all_converged = true;
-
-    for _ in 0..steps {
-        let mut step_iters = 0usize;
-        let mut converged = true;
-        integ.step(&f, |a, b| {
-            let (u, h) = solve_system(a, b, precond, cfg).expect("step solve");
-            step_iters = h.iterations();
-            converged = h.converged();
-            u
-        });
-        total_iterations += step_iters;
-        all_converged &= converged;
-        tip_history.push(integ.displacement()[tip_dof]);
-    }
-    Ok(DynamicOutcome {
-        tip_history,
-        total_iterations,
-        all_converged,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::problems::LoadCase;
+    use crate::sequential::{solve_static, solve_system};
+    use parfem_dd::{DynamicRunOutput, PrecondSpec, SolveSession, Strategy};
     use parfem_fem::Material;
+    use parfem_krylov::gmres::GmresConfig;
+    use parfem_mesh::ElementPartition;
 
     fn problem() -> CantileverProblem {
         CantileverProblem::new(8, 2, Material::unit(), LoadCase::ShearY(-1e-3))
+    }
+
+    fn gls(degree: usize) -> PrecondSpec {
+        PrecondSpec::Gls {
+            degree,
+            theta: None,
+        }
+    }
+
+    /// The tip's vertical displacement.
+    fn tip(p: &CantileverProblem) -> usize {
+        p.dof_map.dof(p.mesh.node_at(p.mesh.nx(), p.mesh.ny()), 1)
+    }
+
+    /// `steps` average-acceleration steps of size `dt` on one rank,
+    /// watching the tip.
+    fn transient(
+        p: &CantileverProblem,
+        dt: f64,
+        steps: usize,
+        degree: usize,
+        cfg: GmresConfig,
+    ) -> DynamicRunOutput {
+        SolveSession::new(p.as_problem())
+            .strategy(Strategy::Edd(ElementPartition::strips_x(&p.mesh, 1)))
+            .precond(gls(degree))
+            .gmres(cfg)
+            .run_dynamic(NewmarkParams::average_acceleration(dt), steps, &[tip(p)])
     }
 
     #[test]
@@ -171,8 +112,9 @@ mod tests {
             max_iters: 20_000,
             ..Default::default()
         };
-        let (_, h_static) = crate::sequential::solve_static(&p, &SeqPrecond::Gls(3), &cfg).unwrap();
-        let (_, h_dyn) = first_step_solve(&p, 1e-3, &SeqPrecond::Gls(3), &cfg).unwrap();
+        let (_, h_static) = solve_static(&p, &gls(3), &cfg).unwrap();
+        let (keff, rhs) = first_step_system(&p, 1e-3);
+        let (_, h_dyn) = solve_system(&keff, &rhs, &gls(3), &cfg).unwrap();
         assert!(h_dyn.converged());
         assert!(
             h_dyn.iterations() <= h_static.iterations(),
@@ -192,14 +134,12 @@ mod tests {
             max_iters: 50_000,
             ..Default::default()
         };
-        let (u_static, _) = crate::sequential::solve_static(&p, &SeqPrecond::Gls(7), &cfg).unwrap();
-        let tip = p.dof_map.dof(p.mesh.node_at(p.mesh.nx(), p.mesh.ny()), 1);
-        let u_s = u_static[tip];
+        let (u_static, _) = solve_static(&p, &gls(7), &cfg).unwrap();
+        let u_s = u_static[tip(&p)];
 
-        let out = simulate(&p, 0.5, 400, &SeqPrecond::Gls(7), &cfg).unwrap();
+        let out = transient(&p, 0.5, 400, 7, cfg);
         assert!(out.all_converged);
-        let min = out
-            .tip_history
+        let min = out.watch_histories[0]
             .iter()
             .cloned()
             .fold(f64::INFINITY, f64::min);
@@ -211,9 +151,8 @@ mod tests {
     #[test]
     fn simulation_accumulates_iterations() {
         let p = problem();
-        let cfg = GmresConfig::default();
-        let out = simulate(&p, 0.1, 5, &SeqPrecond::Gls(5), &cfg).unwrap();
-        assert_eq!(out.tip_history.len(), 5);
+        let out = transient(&p, 0.1, 5, 5, GmresConfig::default());
+        assert_eq!(out.watch_histories[0].len(), 5);
         assert!(out.total_iterations > 0);
         assert!(out.all_converged);
     }

@@ -13,13 +13,14 @@
 //!   static and elastodynamic load cases,
 //! - [`sequential`] — single-process solves with every preconditioner the
 //!   paper compares (none/Jacobi/ILU(0)/Neumann/GLS), regenerating the
-//!   convergence figures; they run the distributed FGMRES loop on a
-//!   one-rank communicator ([`parfem_krylov::fgmres`]),
-//! - [`dynamic`] — Newmark first-step effective systems (`[αM + βK]u = f̂`)
-//!   and full transient simulation,
+//!   convergence figures; they build the same [`PrecondSpec`](parfem_precond::PrecondSpec)
+//!   a session does and run the distributed FGMRES loop on a one-rank
+//!   communicator ([`parfem_krylov::fgmres`]),
+//! - [`dynamic`] — Newmark first-step effective systems (`[αM + βK]u = f̂`),
 //! - the re-exported [`parfem_dd::SolveSession`] builder for the parallel
 //!   runs (EDD/RDD, preconditioner, machine, overlap, faults, tracing as
-//!   orthogonal options).
+//!   orthogonal options) and for full transients
+//!   ([`parfem_dd::SolveSession::run_dynamic`], the one Newmark time loop).
 //!
 //! ## Quickstart
 //!
@@ -47,6 +48,7 @@ pub mod dynamic;
 pub mod paper;
 pub mod perfgate;
 pub mod problems;
+mod schwarz;
 pub mod sequential;
 
 pub use parfem_dd as dd;
@@ -60,11 +62,11 @@ pub use parfem_trace as trace;
 
 /// One-stop imports for examples and experiments.
 pub mod prelude {
-    pub use crate::dynamic::{first_step_system, simulate, DynamicOutcome};
+    pub use crate::dynamic::first_step_system;
     pub use crate::problems::{
         CantileverProblem, LoadCase, PhysicsProblem, WorkloadMesh, PAPER_MESHES,
     };
-    pub use crate::sequential::{solve_static, solve_system, SeqPrecond};
+    pub use crate::sequential::{solve_static, solve_system};
     pub use parfem_dd::{
         DdSolveOutput, DynamicRunOutput, EddVariant, MultiSolveOutput, PrecondSpec, Problem,
         SolveError, SolveFailures, SolveSession, SolverConfig, Strategy,

@@ -34,7 +34,7 @@
 //! | Algorithm 5 (3 exchanges/step) | [`parfem_dd::EddVariant::Basic`] |
 //! | Algorithm 6 (1 exchange/step) | [`parfem_dd::EddVariant::Enhanced`] |
 //! | Algorithm 7, EDD polynomial preconditioning | any [`parfem_precond::Preconditioner`] over [`parfem_dd::EddOperator`] |
-//! | Eq. 45, floating-subdomain ILU singularity | `ilu0_fails_with_zero_pivot_on_single_floating_element` test; [`parfem_sparse::SparseError::ZeroPivot`] |
+//! | Eq. 45, floating-subdomain ILU singularity | [`parfem_precond::PrecondSpec::Ilu0`] under [`parfem_dd::Strategy::Edd`] at P ≥ 2 → [`parfem_dd::SolveError::Precond`] ([`parfem_sparse::SparseError::ZeroPivot`]); `ilu0_fails_with_zero_pivot_on_single_floating_element` test |
 //!
 //! ## Section 4 — row-based decomposition (baseline)
 //!
@@ -43,7 +43,7 @@
 //! | Eqs. 46–49 block-row partition | [`parfem_dd::RddSystem`] |
 //! | Eq. 48 halo matvec | [`parfem_dd::RddOperator`] |
 //! | Algorithm 8, RDD FGMRES | [`parfem_dd::rdd_fgmres`] |
-//! | block-Jacobi / additive-Schwarz local solves | [`parfem_dd::RddLocalIlu`], [`parfem_precond::BlockJacobiPrecond`] |
+//! | block-Jacobi / additive-Schwarz local solves (ILU(0) per block row) | [`parfem_precond::PrecondSpec::Ilu0`] under [`parfem_dd::Strategy::Rdd`] |
 //!
 //! ## Section 5 — complexity and planarity
 //!
@@ -59,7 +59,7 @@
 //! |---|---|
 //! | Eq. 50 static / Eqs. 51–52 dynamics | [`crate::problems`], [`parfem_fem::dynamics`], [`parfem_dd::SolveSession::run_dynamic`] |
 //! | Table 2 meshes | [`crate::problems::PAPER_MESHES`] |
-//! | Figs. 10–14 convergence studies | [`crate::sequential`], `fig10`–`fig14` binaries |
+//! | Figs. 10–14 convergence studies | [`crate::sequential`] over [`parfem_precond::PrecondSpec`] (ILU(0) is `ilu0`; Fig. 10's Θ is `Gls { theta }`), [`crate::dynamic::first_step_system`] for Figs. 12/14; `fig10`–`fig14` binaries |
 //! | Figs. 15–17 / Table 3 speedups | [`parfem_dd::SolveSession`] (EDD/RDD strategies) on [`parfem_msg::MachineModel`]; `fig16`/`fig17`/`table3` binaries |
 //!
 //! The per-experiment parameters live in `DESIGN.md`; measured-vs-paper

@@ -47,7 +47,9 @@ pub struct DynamicRunOutput {
 ///
 /// # Panics
 /// Panics if the DOF map carries non-zero prescribed values (the transient
-/// driver supports homogeneous constraints only) or on shape mismatches.
+/// driver supports homogeneous constraints only), if a rank's
+/// preconditioner cannot be built (`ilu0` on a floating subdomain), or on
+/// shape mismatches.
 pub(crate) fn run_dynamic_edd(
     problem: &Problem<'_>,
     part: &ElementPartition,
@@ -77,7 +79,8 @@ pub(crate) fn run_dynamic_edd(
         // Effective local matrix, its distributed scaling and the
         // preconditioner (constructed once; theta = (eps, 1) post scaling).
         let k_eff_local = Cow::Owned(sys.effective_local(alpha, beta));
-        let (setup, _) = edd_rank_setup(comm, sys, k_eff_local, None, cfg);
+        let (setup, _) = edd_rank_setup(comm, sys, k_eff_local, None, cfg)
+            .unwrap_or_else(|e| panic!("rank {}: {e}", comm.rank()));
         let EddRank {
             layout,
             scaling: sc,

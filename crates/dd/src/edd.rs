@@ -639,7 +639,7 @@ pub(crate) fn edd_rank_setup<C: Communicator>(
     k_local: Cow<'_, CsrMatrix>,
     coarse: Option<CoarsePlan<'_>>,
     cfg: &SolverConfig,
-) -> (EddRank, PrecondBuildStats) {
+) -> Result<(EddRank, PrecondBuildStats), SolveError> {
     let (layout, scaling, a, b, rows) = rank_span(comm, "scaling", || {
         let mut layout = EddLayout::from_system(sys);
         layout.set_overlap(cfg.overlap);
@@ -670,7 +670,7 @@ pub(crate) fn edd_rank_setup<C: Communicator>(
             d
         },
         &cfg.precond,
-    );
+    )?;
     let rank = EddRank {
         layout,
         scaling,
@@ -678,7 +678,7 @@ pub(crate) fn edd_rank_setup<C: Communicator>(
         b,
         precond,
     };
-    (rank, stats)
+    Ok((rank, stats))
 }
 
 impl<'a> Decomposition for EddParts<'a> {
@@ -728,13 +728,13 @@ impl<'a> Decomposition for EddParts<'a> {
         comm: &C,
         coarse: Option<CoarsePlan<'_>>,
         cfg: &SolverConfig,
-    ) -> (Self::Rank, PrecondBuildStats) {
+    ) -> Result<(Self::Rank, PrecondBuildStats), SolveError> {
         match &self.input {
             EddInput::Prebuilt(systems) => {
                 let sys = &systems[comm.rank()];
                 let k_local = Cow::Borrowed(&sys.k_local);
-                let (rank, stats) = edd_rank_setup(comm, sys, k_local, coarse, cfg);
-                ((Cow::Borrowed(sys), rank), stats)
+                let (rank, stats) = edd_rank_setup(comm, sys, k_local, coarse, cfg)?;
+                Ok(((Cow::Borrowed(sys), rank), stats))
             }
             EddInput::Mesh {
                 problem,
@@ -745,8 +745,8 @@ impl<'a> Decomposition for EddParts<'a> {
                 // The setup consumes the unscaled stiffness: nothing after
                 // it reads `K̂`, only the scaled operator built from it.
                 let k_local = std::mem::replace(&mut sys.k_local, CsrMatrix::identity(0));
-                let (rank, stats) = edd_rank_setup(comm, &sys, Cow::Owned(k_local), coarse, cfg);
-                ((Cow::Owned(sys), rank), stats)
+                let (rank, stats) = edd_rank_setup(comm, &sys, Cow::Owned(k_local), coarse, cfg)?;
+                Ok(((Cow::Owned(sys), rank), stats))
             }
         }
     }

@@ -14,7 +14,8 @@
 //! - [`rdd`] — the row-based (block-row) distributed operator and FGMRES
 //!   (Algorithm 8), the PSPARSLIB/Aztec-style baseline, plus the RDD side
 //!   of the session engine (rank-side assembly, scaling and block-row
-//!   split),
+//!   split); its block-Jacobi ILU(0) is the registry's `ilu0` spec on each
+//!   rank's owned block,
 //! - [`coarse`] — two-level coarse-space construction on the ranks, over
 //!   both partitions: per-part geometry extraction, the live-mode exchange
 //!   hooks of both distributed operators, and the one rank-side build,
@@ -23,7 +24,9 @@
 //!   orthogonal options over one engine for single- and multi-RHS runs
 //!   (the strategies differ behind one crate-private trait),
 //! - [`dynamic`] — the Newmark transient run behind
-//!   [`SolveSession::run_dynamic`], on the same EDD rank setup.
+//!   [`SolveSession::run_dynamic`], on the same EDD rank setup: the one
+//!   Newmark time loop in the workspace (one rank is the sequential
+//!   transient).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -48,7 +51,7 @@ pub use dist_vec::{EddLayout, ExchangeBuffers};
 pub use dynamic::DynamicRunOutput;
 pub use edd::{edd_fgmres, edd_lambda_max, EddLocalMatrix, EddOperator, EddVariant};
 pub use error::SolveError;
-pub use rdd::{rdd_fgmres, RddLocalIlu, RddOperator, RddSystem};
+pub use rdd::{rdd_fgmres, RddOperator, RddSystem};
 pub use session::{
     DdSolveOutput, FactorStats, MultiSolveOutput, PrecondSpec, Problem, ProblemMesh, SolveFailures,
     SolveSession, SolverConfig, Strategy,

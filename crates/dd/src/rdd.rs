@@ -583,43 +583,6 @@ impl<C: Communicator> DistributedOperator for RddOperator<'_, C> {
     }
 }
 
-/// Rank-local ILU(0) preconditioning for the row-based solver — the
-/// non-overlapping additive Schwarz / block-Jacobi scheme the paper's
-/// Section 4 attributes to pARMS/PSPARSLIB ("additive Schwartz, Schur
-/// complement and ILU methods ... extensions of the block Jacobi method
-/// whose kernel is to solve the local system `K_loc z = v`").
-///
-/// Application is communication-free: each rank back-solves its own
-/// diagonal block. Construction fails on a singular local block, mirroring
-/// the floating-subdomain failure of EDD-local ILU.
-#[derive(Debug, Clone)]
-pub struct RddLocalIlu {
-    ilu: parfem_sparse::Ilu0,
-}
-
-impl RddLocalIlu {
-    /// Factorizes this rank's local block `A_loc`.
-    ///
-    /// # Errors
-    /// Propagates [`parfem_sparse::SparseError::ZeroPivot`] for singular
-    /// blocks.
-    pub fn factorize(sys: &RddSystem) -> Result<Self, parfem_sparse::SparseError> {
-        Ok(RddLocalIlu {
-            ilu: parfem_sparse::Ilu0::factorize(&sys.a_loc)?,
-        })
-    }
-}
-
-impl<C: Communicator> Preconditioner<RddOperator<'_, C>> for RddLocalIlu {
-    fn apply_into(&self, _op: &RddOperator<'_, C>, v: &[f64], z: &mut [f64]) {
-        self.ilu.solve_into(v, z);
-    }
-
-    fn name(&self) -> String {
-        "local-ilu0".to_string()
-    }
-}
-
 /// Restarted flexible GMRES on the block-row operator (Algorithm 8).
 ///
 /// `b_loc` is the right-hand side, and the returned `x` the solution, over
@@ -707,7 +670,7 @@ impl Decomposition for RddParts<'_> {
         comm: &C,
         coarse: Option<CoarsePlan<'_>>,
         cfg: &SolverConfig,
-    ) -> (RddRank, PrecondBuildStats) {
+    ) -> Result<(RddRank, PrecondBuildStats), SolveError> {
         let (mut sys, d) = RddSystem::assemble(comm, self.problem, self.part);
         sys.overlap = cfg.overlap;
         // Rows are disjoint: multiplicity 1 for the coarse build.
@@ -715,8 +678,9 @@ impl Decomposition for RddParts<'_> {
             Some(_) => vec![1.0; sys.n_local()],
             None => Vec::new(),
         };
-        // `a_loc` (the owned diagonal block) feeds the `direct` spec and
-        // Jacobi its diagonal.
+        // `a_loc` (the owned diagonal block) feeds the `direct` and `ilu0`
+        // specs — `ilu0` on it is block-Jacobi ILU(0) — and Jacobi its
+        // diagonal.
         let (precond, stats) = build_precond(
             &RddOperator::new(&sys, comm),
             coarse,
@@ -725,8 +689,8 @@ impl Decomposition for RddParts<'_> {
             Some(&sys.a_loc),
             || sys.a_loc.diagonal(),
             &cfg.precond,
-        );
-        (RddRank { sys, d, precond }, stats)
+        )?;
+        Ok((RddRank { sys, d, precond }, stats))
     }
 
     fn rank_solve<C: Communicator>(
@@ -784,7 +748,7 @@ mod tests {
     use parfem_krylov::gmres::fgmres;
     use parfem_mesh::{DofMap, Edge, QuadMesh};
     use parfem_msg::{run_ranks, MachineModel};
-    use parfem_precond::{GlsPrecond, IdentityPrecond};
+    use parfem_precond::{GlsPrecond, IdentityPrecond, PrecondSpec};
     use parfem_sparse::scaling::scale_system;
 
     /// One solve for the load the system was split with, from a zero
@@ -809,6 +773,11 @@ mod tests {
             &mut KrylovWorkspace::new(),
         )
         .expect("fault-free solve must not error")
+    }
+
+    /// The `ilu0` spec on the rank's owned block: block-Jacobi ILU(0).
+    fn local_ilu(sys: &RddSystem) -> Result<SpecPrecond, parfem_sparse::SparseError> {
+        PrecondSpec::Ilu0.instantiate(None, Some(&sys.a_loc), || sys.a_loc.diagonal())
     }
 
     fn assembled(nx: usize, ny: usize) -> (CsrMatrix, Vec<f64>, usize) {
@@ -964,7 +933,7 @@ mod tests {
         };
         let out = run_ranks(3, MachineModel::ideal(), |comm| {
             let sys = &systems[comm.rank()];
-            let ilu = RddLocalIlu::factorize(sys).expect("clamped blocks factorize");
+            let ilu = local_ilu(sys).expect("clamped blocks factorize");
             let pre = solve(comm, sys, &ilu, &cfg);
             let plain = solve(comm, sys, &IdentityPrecond, &cfg);
             (
@@ -990,7 +959,7 @@ mod tests {
         let systems = RddSystem::build_all(&a, &b, &part);
         let out = run_ranks(2, MachineModel::ideal(), |comm| {
             let sys = &systems[comm.rank()];
-            let ilu = RddLocalIlu::factorize(sys).unwrap();
+            let ilu = local_ilu(sys).unwrap();
             let before = comm.stats().sends;
             let op = RddOperator::new(sys, comm);
             let v = vec![1.0; sys.n_local()];

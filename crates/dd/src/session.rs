@@ -596,10 +596,13 @@ impl<'a> SolveSession<'a> {
     ///
     /// # Errors
     /// Returns [`SolveFailures`] listing every rank whose solve failed
-    /// with a typed [`SolveError`] (possible only under fault injection or
-    /// communicator timeouts), or the [`SolveError::Config`] that rejected
-    /// the option combination before any rank spawned (`twolevel:rbm*` on
-    /// prebuilt systems, which carry no node coordinates).
+    /// with a typed [`SolveError`] (under fault injection, communicator
+    /// timeouts, or a preconditioner that cannot be built — `ilu0` on a
+    /// floating EDD subdomain is [`SolveError::Precond`], and its
+    /// neighbours then fail as disconnected), or the [`SolveError::Config`]
+    /// that rejected the option combination before any rank spawned
+    /// (`twolevel:rbm*` on prebuilt systems, which carry no node
+    /// coordinates).
     ///
     /// # Panics
     /// Panics on API misuse: a mesh-level session without a strategy, or a
@@ -746,9 +749,10 @@ impl<'a> SolveSession<'a> {
     ///
     /// # Panics
     /// Panics unless the session holds a mesh-level problem with an EDD
-    /// strategy, if the DOF map carries non-zero prescribed values, or if
+    /// strategy, if the DOF map carries non-zero prescribed values, if
     /// the preconditioner spec is two-level (the transient driver has no
-    /// coarse-space plumbing).
+    /// coarse-space plumbing), or if a rank's preconditioner cannot be built
+    /// (`ilu0` on a floating subdomain).
     pub fn run_dynamic(
         &self,
         params: NewmarkParams,
@@ -940,13 +944,14 @@ pub(crate) trait Decomposition: Sync {
     /// input cannot serve it.
     fn coarse_geometry(&self, spec: &CoarseSpec) -> Result<Vec<CoarsePartGeometry>, SolveError>;
 
-    /// The rank's setup up to and including its preconditioner.
+    /// The rank's setup up to and including its preconditioner, or the
+    /// [`SolveError::Precond`] that stopped its build.
     fn rank_setup<C: Communicator>(
         &self,
         comm: &C,
         coarse: Option<CoarsePlan<'_>>,
         cfg: &SolverConfig,
-    ) -> (Self::Rank, PrecondBuildStats);
+    ) -> Result<(Self::Rank, PrecondBuildStats), SolveError>;
 
     /// One FGMRES on this rank for `load` (see [`Loads::get`]), returning
     /// the rank's piece of the solution in the form [`Self::gather`] takes.
@@ -1048,7 +1053,8 @@ pub(crate) struct PrecondBuildStats {
 /// over the rank's rows), then the registry instantiation from the rank's
 /// scaled matrix as CSR (`local`; `None` when the spec reads no matrix and
 /// the rank keeps none in that form) and the lazily assembled diagonal. A
-/// subdomain factorization is charged to the rank clock here, once.
+/// subdomain factorization is charged to the rank clock here, once. A failed
+/// build (ILU(0) on a floating subdomain) is [`SolveError::Precond`].
 pub(crate) fn build_precond<Op>(
     op: &Op,
     coarse: Option<CoarsePlan<'_>>,
@@ -1057,7 +1063,7 @@ pub(crate) fn build_precond<Op>(
     local: Option<&CsrMatrix>,
     diag: impl FnOnce() -> Vec<f64>,
     spec: &PrecondSpec,
-) -> (SpecPrecond, PrecondBuildStats)
+) -> Result<(SpecPrecond, PrecondBuildStats), SolveError>
 where
     Op: CoarseSetup + DistributedOperator,
 {
@@ -1069,12 +1075,12 @@ where
                 (built.solver(op.partition_weights()), stats)
             })
             .unzip();
-        let precond = spec.instantiate(solver, local, diag);
+        let precond = spec.instantiate(solver, local, diag)?;
         let factor = precond.subdomain_factor().map(FactorStats::of);
         if let Some(f) = &factor {
             comm.work(f.flops);
         }
-        (precond, PrecondBuildStats { coarse, factor })
+        Ok((precond, PrecondBuildStats { coarse, factor }))
     })
 }
 
@@ -1092,7 +1098,7 @@ fn rank_body<D: Decomposition, C: Communicator>(
     loads: Loads<'_>,
     cfg: &SolverConfig,
 ) -> Result<RankSolves, SolveError> {
-    let (rank, built) = parts.rank_setup(comm, coarse, cfg);
+    let (rank, built) = parts.rank_setup(comm, coarse, cfg)?;
     // What the rank holds going into its solves, and the most it held while
     // setting up (rank threads start empty, so the peak covers assembly,
     // scaling and the preconditioner build).

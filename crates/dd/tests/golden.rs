@@ -22,8 +22,8 @@
 
 use parfem_dd::scaling::DistributedScaling;
 use parfem_dd::{
-    edd_fgmres, rdd_fgmres, EddLayout, EddVariant, PrecondSpec, Problem, RddLocalIlu, RddSystem,
-    SolveSession, SolverConfig, Strategy,
+    edd_fgmres, rdd_fgmres, EddLayout, EddVariant, PrecondSpec, Problem, RddSystem, SolveSession,
+    SolverConfig, Strategy,
 };
 use parfem_fem::{assembly, Material, SubdomainSystem};
 use parfem_krylov::gmres::GmresConfig;
@@ -178,7 +178,11 @@ fn rdd_rank_body<C: Communicator>(
     let res = if let Some(g) = gls {
         rdd_fgmres(comm, sys, g, b, &x0, cfg, ws)
     } else if ilu {
-        let f = RddLocalIlu::factorize(sys).expect("factorize");
+        // Block-Jacobi ILU(0): the `ilu0` spec on the rank's owned block.
+        let a_loc = &sys.a_loc;
+        let f = PrecondSpec::Ilu0
+            .instantiate(None, Some(a_loc), || a_loc.diagonal())
+            .expect("factorize");
         rdd_fgmres(comm, sys, &f, b, &x0, cfg, ws)
     } else {
         rdd_fgmres(comm, sys, &IdentityPrecond, b, &x0, cfg, ws)

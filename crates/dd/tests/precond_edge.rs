@@ -12,7 +12,7 @@
 
 use parfem_fem::{assembly, Material, SubdomainSystem};
 use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, QuadMesh};
-use parfem_precond::{GlsPrecond, NeumannPrecond, Preconditioner};
+use parfem_precond::{GlsPrecond, NeumannPrecond, PrecondSpec, Preconditioner};
 use parfem_sparse::{scaling::scale_system, CsrMatrix, Ilu0, SparseError};
 
 /// The smallest legal problem: one quad element, left edge clamped.
@@ -115,17 +115,18 @@ fn ilu0_on_singular_floating_subdomain_returns_zero_pivot_not_nans() {
 
 #[test]
 fn rdd_local_ilu_on_floating_block_propagates_the_typed_error() {
-    // Same contract one layer up: the RDD local-ILU wrapper must surface
-    // the ZeroPivot rather than hand the solver a NaN factorization. Feed
-    // the demonstrably singular floating-strip stiffness in as the global
-    // matrix of a one-rank RDD system: its local block is then that same
-    // singular matrix.
+    // Same contract one layer up: the `ilu0` spec on an RDD rank's block
+    // must surface the ZeroPivot rather than hand the solver a NaN
+    // factorization. Feed the demonstrably singular floating-strip
+    // stiffness in as the global matrix of a one-rank RDD system: its local
+    // block is then that same singular matrix.
     let k = floating_subdomain_block();
     let rhs = vec![1.0; k.n_rows()];
     // Pair DOFs into pseudo-"nodes" so the node partition covers all rows.
     let part = NodePartition::contiguous(k.n_rows() / 2, 1);
     let systems = parfem_dd::RddSystem::build_all(&k, &rhs, &part);
-    match parfem_dd::RddLocalIlu::factorize(&systems[0]) {
+    let a_loc = &systems[0].a_loc;
+    match PrecondSpec::Ilu0.instantiate(None, Some(a_loc), || a_loc.diagonal()) {
         Err(SparseError::ZeroPivot { .. }) => {}
         Err(other) => panic!("expected ZeroPivot, got {other:?}"),
         Ok(_) => panic!("the singular floating block must fail to factorize"),

@@ -77,7 +77,9 @@ fn iterations(scaled: &CsrMatrix, b: &[f64], d: &[f64], p: usize, spec_str: &str
         let ones = vec![1.0; scaled.n_rows()];
         build_coarse_basis(&coarse_spec, &parts, &ones, d, scaled, DEFAULT_PIVOT_TOL).solver()
     });
-    let pc = spec.instantiate(coarse, None, || scaled.diagonal());
+    let pc = spec
+        .instantiate(coarse, None, || scaled.diagonal())
+        .expect("polynomial smoother");
     let cfg = GmresConfig {
         restart: 30,
         max_iters: 400,

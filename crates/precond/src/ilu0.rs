@@ -1,6 +1,15 @@
-//! ILU(0) as a [`Preconditioner`] — the paper's sequential comparator.
+//! ILU(0) as a [`Preconditioner`] — the `ilu0` spec. On one rank it is the
+//! paper's sequential comparator; on a row-based rank's owned block it is
+//! block-Jacobi ILU(0), the Sec. 4 baseline, and its application never
+//! communicates. On an element-based subdomain the factorization meets the
+//! paper's Eq. 45: a floating subdomain's local matrix is singular, and the
+//! factorization reports the zero pivot when the incomplete elimination
+//! reaches it. Where it survives, the local solves disagree at shared DOFs,
+//! so each application ends with the operator's
+//! [`InterfaceConsistency::make_consistent`], as [`crate::DirectPrecond`]'s
+//! does (a no-op on sequential matrices and RDD block rows).
 
-use crate::Preconditioner;
+use crate::{InterfaceConsistency, Preconditioner};
 use parfem_sparse::{CsrMatrix, Ilu0, LinearOperator, SparseError};
 
 /// Wraps an [`Ilu0`] factorization as a preconditioner.
@@ -24,9 +33,10 @@ impl Ilu0Precond {
     }
 }
 
-impl<Op: LinearOperator + ?Sized> Preconditioner<Op> for Ilu0Precond {
-    fn apply_into(&self, _op: &Op, v: &[f64], z: &mut [f64]) {
+impl<Op: LinearOperator + InterfaceConsistency + ?Sized> Preconditioner<Op> for Ilu0Precond {
+    fn apply_into(&self, op: &Op, v: &[f64], z: &mut [f64]) {
         self.ilu.solve_into(v, z);
+        op.make_consistent(z);
     }
 
     fn name(&self) -> String {

@@ -15,7 +15,10 @@
 //!   stability bound `mε Σ|a_i|` of Eq. 24 (Fig. 3),
 //! - [`jacobi`], [`identity`] — the trivial comparators,
 //! - [`ilu0`] — a [`Preconditioner`] wrapper around
-//!   [`parfem_sparse::Ilu0`], the sequential comparator of Figs. 11–12,
+//!   [`parfem_sparse::Ilu0`], built by the `ilu0` spec from the rank-local
+//!   matrix: the sequential comparator of Figs. 11–12, block-Jacobi ILU(0)
+//!   under row-based decomposition, and the Eq. 45 zero pivot on floating
+//!   element-based subdomains,
 //! - [`direct`] — the exact rank-local sparse direct solve (minimum-degree
 //!   sparse LDLᵀ), pivot-tolerant where ILU(0) fails on floating
 //!   subdomains,
@@ -47,7 +50,6 @@ pub mod jacobi;
 pub mod neumann;
 pub mod poly;
 pub mod registry;
-pub mod schwarz;
 pub mod twolevel;
 
 pub use adaptive::EscalatingGls;
@@ -59,7 +61,6 @@ pub use ilu0::Ilu0Precond;
 pub use jacobi::JacobiPrecond;
 pub use neumann::NeumannPrecond;
 pub use registry::{BuiltPrecond, ParseSpecError, PrecondSpec};
-pub use schwarz::BlockJacobiPrecond;
 pub use twolevel::{
     build_coarse_basis, CoarseBasis, CoarsePartGeometry, CoarseReduce, CoarseSolver, CoarseSpec,
     Composition, SpecPrecond, TwoLevelPrecond,

@@ -15,15 +15,15 @@
 //!    and the README document the registry itself rather than a copy.
 //!
 //! The parser also accepts the *display* form produced by
-//! [`PrecondSpec::name`] (`gls(7)`, `gls-escalating(x5)`), so
+//! [`PrecondSpec::name`] (`gls(7)`, `gls-escalating(x5)`, `ilu(0)`), so
 //! `parse(spec.name())` round-trips for every spec — pinned by proptest.
 
 use crate::twolevel::{CoarseSolver, CoarseSpec, Composition, SpecPrecond, TwoLevelPrecond};
 use crate::{
-    ChebyshevPrecond, DirectPrecond, EscalatingGls, GlsPrecond, IdentityPrecond,
+    ChebyshevPrecond, DirectPrecond, EscalatingGls, GlsPrecond, IdentityPrecond, Ilu0Precond,
     InterfaceConsistency, IntervalUnion, JacobiPrecond, NeumannPrecond, Preconditioner,
 };
-use parfem_sparse::{CsrMatrix, LinearOperator, SparseLdlt};
+use parfem_sparse::{CsrMatrix, LinearOperator, SparseError, SparseLdlt};
 use std::fmt;
 
 /// Which preconditioner a solver should build.
@@ -64,6 +64,13 @@ pub enum PrecondSpec {
     /// ILU(0) hits the paper's Eq. 45 zero pivot). Needs the rank-local
     /// matrix at build time — see [`PrecondSpec::instantiate`].
     Direct,
+    /// Rank-local ILU(0) of the scaled matrix: the paper's sequential
+    /// comparator at one rank, block-Jacobi ILU(0) on each row-based rank's
+    /// owned block. A floating element-based subdomain is singular, and
+    /// its factorization can meet the Eq. 45 zero pivot, which
+    /// [`PrecondSpec::instantiate`] reports. Needs the rank-local matrix at
+    /// build time.
+    Ilu0,
     /// Two-level preconditioning: a per-subdomain coarse space composed
     /// around a one-level smoother (`twolevel:<coarse>:<smoother>[:add]`).
     /// Needs a coarse solver at build time — see
@@ -91,8 +98,9 @@ fn smoother_token(spec: &PrecondSpec) -> String {
         PrecondSpec::Neumann { degree } => format!("neumann-{degree}"),
         PrecondSpec::Chebyshev { degree } => format!("chebyshev-{degree}"),
         PrecondSpec::Direct => "direct".into(),
-        // Not parseable back (the registry rejects stateful smoothers
-        // inside twolevel), but printable for hand-built specs.
+        // Not parseable back (the registry rejects stateful smoothers and
+        // ILU(0) inside twolevel), but printable for hand-built specs.
+        PrecondSpec::Ilu0 => "ilu0".into(),
         PrecondSpec::GlsEscalating { period } => format!("gls-escalating-{period}"),
         PrecondSpec::TwoLevel { .. } => "twolevel".into(),
     }
@@ -136,6 +144,7 @@ impl PrecondSpec {
             PrecondSpec::Chebyshev { degree } => format!("chebyshev({degree})"),
             PrecondSpec::GlsEscalating { period } => format!("gls-escalating(x{period})"),
             PrecondSpec::Direct => "direct".into(),
+            PrecondSpec::Ilu0 => "ilu(0)".into(),
             PrecondSpec::TwoLevel { .. } => self.spec_str(),
         }
     }
@@ -152,6 +161,7 @@ impl PrecondSpec {
             PrecondSpec::Chebyshev { degree } => format!("chebyshev:{degree}"),
             PrecondSpec::GlsEscalating { period } => format!("gls-escalating:{period}"),
             PrecondSpec::Direct => "direct".into(),
+            PrecondSpec::Ilu0 => "ilu0".into(),
             PrecondSpec::TwoLevel {
                 coarse,
                 smoother,
@@ -165,9 +175,9 @@ impl PrecondSpec {
         }
     }
 
-    /// Parses a spec string in either the CLI grammar (`gls:7`) or the
-    /// display form produced by [`PrecondSpec::name`] (`gls(7)`,
-    /// `gls-escalating(x5)`).
+    /// Parses a spec string in either the CLI grammar (`gls:7`, `ilu0`) or
+    /// the display form produced by [`PrecondSpec::name`] (`gls(7)`,
+    /// `gls-escalating(x5)`, `ilu(0)`).
     ///
     /// # Errors
     /// Returns a typed [`ParseSpecError`] naming exactly which part of the
@@ -207,6 +217,9 @@ impl PrecondSpec {
             "none" => no_arg(PrecondSpec::None),
             "jacobi" => no_arg(PrecondSpec::Jacobi),
             "direct" => no_arg(PrecondSpec::Direct),
+            "ilu0" => no_arg(PrecondSpec::Ilu0),
+            // The display form is the paper's label, `ilu(0)`, not a degree.
+            "ilu" if spec == "ilu(0)" => Ok(PrecondSpec::Ilu0),
             "gls" => Ok(PrecondSpec::Gls {
                 degree: degree(arg)?,
                 theta: None,
@@ -270,14 +283,14 @@ impl PrecondSpec {
     }
 
     /// `true` iff building this spec requires the rank-local matrix — i.e.
-    /// the spec is [`PrecondSpec::Direct`], directly or as a `twolevel`
-    /// smoother. Callers that hold the post-scaling local matrix (the
-    /// `SolveSession` rank bodies, the sequential driver) pass it to
-    /// [`PrecondSpec::instantiate`]; callers that cannot supply one reject
-    /// such specs up front.
+    /// the spec is [`PrecondSpec::Direct`] or [`PrecondSpec::Ilu0`],
+    /// directly or as a `twolevel` smoother. Callers that hold the
+    /// post-scaling local matrix (the `SolveSession` rank bodies, the
+    /// sequential driver) pass it to [`PrecondSpec::instantiate`]; callers
+    /// that cannot supply one reject such specs up front.
     pub fn needs_local_matrix(&self) -> bool {
         match self {
-            PrecondSpec::Direct => true,
+            PrecondSpec::Direct | PrecondSpec::Ilu0 => true,
             PrecondSpec::TwoLevel { smoother, .. } => smoother.needs_local_matrix(),
             _ => false,
         }
@@ -285,8 +298,9 @@ impl PrecondSpec {
 
     /// Builds this spec as a [`SpecPrecond`] from everything a caller can
     /// supply: a coarse solver (for two-level specs) and the rank-local
-    /// post-scaling matrix (for [`PrecondSpec::Direct`], standalone or as a
-    /// `twolevel` smoother). Specs needing neither ignore both arguments.
+    /// post-scaling matrix (for [`PrecondSpec::Direct`] and
+    /// [`PrecondSpec::Ilu0`], standalone or as a `twolevel` smoother). Specs
+    /// needing neither ignore both arguments.
     ///
     /// `diag` supplies the **assembled** operator diagonal and is invoked
     /// only when the spec actually needs it (Jacobi) — in the distributed
@@ -295,6 +309,10 @@ impl PrecondSpec {
     /// The result names no operator type, so one preconditioner serves a
     /// loop of solves whose operator borrows differ per iteration (the
     /// transient driver, multi-right-hand-side sessions).
+    ///
+    /// # Errors
+    /// [`SparseError::ZeroPivot`] when ILU(0) of `local` breaks down — the
+    /// paper's Eq. 45 failure on a floating subdomain.
     ///
     /// # Panics
     /// Panics when the spec [`PrecondSpec::needs_coarse`] but `coarse` is
@@ -305,7 +323,7 @@ impl PrecondSpec {
         coarse: Option<CoarseSolver>,
         local: Option<&CsrMatrix>,
         diag: impl FnOnce() -> Vec<f64>,
-    ) -> SpecPrecond {
+    ) -> Result<SpecPrecond, SparseError> {
         let (one_level, additive) = match self {
             PrecondSpec::TwoLevel {
                 smoother, additive, ..
@@ -331,12 +349,15 @@ impl PrecondSpec {
             PrecondSpec::Direct => BuiltPrecond::Direct(DirectPrecond::new(
                 local.expect("direct spec requires the rank-local matrix at build time"),
             )),
+            PrecondSpec::Ilu0 => BuiltPrecond::Ilu0(Ilu0Precond::factorize(
+                local.expect("ilu0 spec requires the rank-local matrix at build time"),
+            )?),
             PrecondSpec::TwoLevel { .. } => panic!(
                 "two-level spec `{}` cannot smooth with another two-level spec",
                 self.name()
             ),
         };
-        match additive {
+        Ok(match additive {
             None => SpecPrecond::Plain(built),
             Some(additive) => {
                 let solver = coarse.unwrap_or_else(|| {
@@ -354,7 +375,7 @@ impl PrecondSpec {
                     self.name(),
                 ))
             }
-        }
+        })
     }
 }
 
@@ -377,6 +398,8 @@ pub enum BuiltPrecond {
     Escalating(EscalatingGls),
     /// [`PrecondSpec::Direct`].
     Direct(DirectPrecond),
+    /// [`PrecondSpec::Ilu0`].
+    Ilu0(Ilu0Precond),
 }
 
 impl BuiltPrecond {
@@ -399,6 +422,7 @@ macro_rules! delegate {
             BuiltPrecond::Chebyshev($p) => $e,
             BuiltPrecond::Escalating($p) => $e,
             BuiltPrecond::Direct($p) => $e,
+            BuiltPrecond::Ilu0($p) => $e,
         }
     };
 }
@@ -533,7 +557,7 @@ impl fmt::Display for ParseSpecError {
 impl std::error::Error for ParseSpecError {}
 
 /// The accepted `--precond` grammar, one spec per alternative.
-pub const GRAMMAR: &str = "none|jacobi|direct|gls:M|neumann:M|chebyshev:M|\
+pub const GRAMMAR: &str = "none|jacobi|direct|ilu0|gls:M|neumann:M|chebyshev:M|\
                            gls-escalating:PERIOD|twolevel:COARSE:SMOOTHER[:add]";
 
 /// Multi-line help text for the grammar — rendered by the CLI usage screen
@@ -546,6 +570,9 @@ pub fn grammar_help() -> String {
          jacobi               assembled-diagonal scaling\n\
          direct               exact rank-local sparse direct solve (min-degree sparse LDLt;\n\
                               pivot-tolerant on floating subdomains where ILU(0) fails)\n\
+         ilu0                 rank-local ILU(0): the sequential comparator at one rank,\n\
+                              block-Jacobi ILU(0) under rdd; may meet a zero pivot on\n\
+                              floating edd subdomains (the paper's Eq. 45)\n\
          gls:M                degree-M generalized least-squares polynomial on (eps, 1)\n\
          neumann:M            degree-M Neumann series (omega = 1 after scaling)\n\
          chebyshev:M          degree-M Chebyshev (min-max) polynomial\n\
@@ -571,6 +598,7 @@ pub fn examples() -> Vec<PrecondSpec> {
         PrecondSpec::Chebyshev { degree: 8 },
         PrecondSpec::GlsEscalating { period: 5 },
         PrecondSpec::Direct,
+        PrecondSpec::Ilu0,
         PrecondSpec::TwoLevel {
             coarse: CoarseSpec::Rbm,
             smoother: Box::new(PrecondSpec::Gls {
@@ -628,7 +656,7 @@ mod tests {
                 // Two-level specs need a coarse solver — covered below.
                 continue;
             }
-            let pc = spec.instantiate(None, Some(&a), || a.diagonal());
+            let pc = spec.instantiate(None, Some(&a), || a.diagonal()).unwrap();
             let z = Preconditioner::<CsrMatrix>::apply(&pc, &a, &[1.0, 2.0, 3.0, 4.0]);
             assert_eq!(z.len(), 4);
             assert!(z.iter().all(|v| v.is_finite()));
@@ -641,10 +669,28 @@ mod tests {
         let spec = PrecondSpec::parse("direct").unwrap();
         assert!(spec.needs_local_matrix());
         assert!(!spec.needs_coarse());
-        let pc = spec.instantiate(None, Some(&a), || a.diagonal());
+        let pc = spec.instantiate(None, Some(&a), || a.diagonal()).unwrap();
         let z = Preconditioner::<CsrMatrix>::apply(&pc, &a, &[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(z, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(Preconditioner::<CsrMatrix>::name(&pc), "direct");
+    }
+
+    #[test]
+    fn ilu0_instantiates_from_a_local_matrix_or_reports_the_zero_pivot() {
+        for text in ["ilu0", "ilu(0)"] {
+            assert_eq!(PrecondSpec::parse(text).unwrap(), PrecondSpec::Ilu0);
+        }
+        assert!(PrecondSpec::Ilu0.needs_local_matrix());
+        let a = CsrMatrix::from_dense(2, 2, &[4.0, 1.0, 1.0, 3.0]);
+        let pc = PrecondSpec::Ilu0.instantiate(None, Some(&a), || a.diagonal());
+        let z = Preconditioner::<CsrMatrix>::apply(&pc.unwrap(), &a, &a.spmv(&[1.0, 2.0]));
+        assert!((z[0] - 1.0).abs() < 1e-12 && (z[1] - 2.0).abs() < 1e-12);
+        // A floating block: the paper's Eq. 45 failure, typed.
+        let floating = CsrMatrix::from_dense(2, 2, &[1.0, -1.0, -1.0, 1.0]);
+        assert!(matches!(
+            PrecondSpec::Ilu0.instantiate(None, Some(&floating), || floating.diagonal()),
+            Err(SparseError::ZeroPivot { row: 1, .. })
+        ));
     }
 
     #[test]
@@ -667,7 +713,9 @@ mod tests {
             };
             let basis = build_coarse_basis(coarse, &parts, &mult, &d, &a, 1e-12);
             let local = spec.needs_local_matrix().then_some(&a);
-            let pc = spec.instantiate(Some(basis.solver()), local, || a.diagonal());
+            let pc = spec
+                .instantiate(Some(basis.solver()), local, || a.diagonal())
+                .unwrap();
             let z = Preconditioner::<CsrMatrix>::apply(&pc, &a, &[1.0, 2.0, 3.0, 4.0]);
             assert_eq!(z.len(), 4);
             assert!(z.iter().all(|v| v.is_finite()));
@@ -696,7 +744,9 @@ mod tests {
             unreachable!()
         };
         let basis = build_coarse_basis(coarse, &parts, &mult, &d, &a, 1e-12);
-        let pc = spec.instantiate(Some(basis.solver()), Some(&a), || a.diagonal());
+        let pc = spec
+            .instantiate(Some(basis.solver()), Some(&a), || a.diagonal())
+            .unwrap();
         let z = Preconditioner::<CsrMatrix>::apply(&pc, &a, &[1.0, 2.0, 3.0, 4.0]);
         assert!(z.iter().all(|v| v.is_finite()));
         assert_eq!(Preconditioner::<CsrMatrix>::name(&pc), spec.name());

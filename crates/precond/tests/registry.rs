@@ -9,10 +9,10 @@ use proptest::prelude::*;
 /// Strategy: any spec the registry can print and re-parse — the one-level
 /// kinds with a random degree/period, plus the two-level compositions
 /// (any coarse space × any *smoother-grammar* one-level spec — everything
-/// except `gls-escalating`, which has no smoother token — × either
-/// composition).
+/// except `gls-escalating` and `ilu0`, which have no smoother token — ×
+/// either composition).
 fn any_spec() -> impl Strategy<Value = PrecondSpec> {
-    (0usize..10, 1usize..9, 0usize..6, 0usize..40, 0usize..2).prop_map(|(kind, k, s, n, comp)| {
+    (0usize..11, 1usize..9, 0usize..6, 0usize..40, 0usize..2).prop_map(|(kind, k, s, n, comp)| {
         match kind {
             0 => PrecondSpec::None,
             1 => PrecondSpec::Jacobi,
@@ -24,10 +24,11 @@ fn any_spec() -> impl Strategy<Value = PrecondSpec> {
             4 => PrecondSpec::Chebyshev { degree: n },
             5 => PrecondSpec::GlsEscalating { period: n + 1 },
             6 => PrecondSpec::Direct,
+            7 => PrecondSpec::Ilu0,
             _ => {
                 let coarse = match kind {
-                    7 => CoarseSpec::Const,
-                    8 => CoarseSpec::Rbm,
+                    8 => CoarseSpec::Const,
+                    9 => CoarseSpec::Rbm,
                     _ => CoarseSpec::LowRank(k),
                 };
                 let smoother = match s {
@@ -258,7 +259,16 @@ fn twolevel_missing_smoother_is_rejected() {
 
 #[test]
 fn twolevel_bad_smoother_names_the_choices() {
-    for bad in ["gls", "gls-x", "ssor-2", "gls-escalating-5", "gls-f32-4"] {
+    // ILU(0) is not a smoother: it breaks down on the floating blocks a
+    // coarse space exists for.
+    for bad in [
+        "gls",
+        "gls-x",
+        "ssor-2",
+        "gls-escalating-5",
+        "gls-f32-4",
+        "ilu0",
+    ] {
         let err = PrecondSpec::parse(&format!("twolevel:const:{bad}")).unwrap_err();
         assert_eq!(err, ParseSpecError::BadSmoother(bad.into()));
         assert_eq!(

@@ -5,9 +5,7 @@
 //!
 //! Run with: `cargo run --release --example dynamic_cantilever`
 
-use parfem::dynamic::{first_step_solve, simulate};
 use parfem::prelude::*;
-use parfem::sequential::SeqPrecond;
 
 fn main() {
     let problem = CantileverProblem::new(24, 4, Material::unit(), LoadCase::ShearY(-1e-3));
@@ -19,13 +17,10 @@ fn main() {
 
     // First-step convergence comparison (the Fig. 12 measurement).
     println!("== first Newmark step, dt = 0.1 ==");
-    for pc in [
-        SeqPrecond::Ilu0,
-        SeqPrecond::Neumann(20),
-        SeqPrecond::Gls(7),
-        SeqPrecond::Gls(20),
-    ] {
-        let (_, h) = first_step_solve(&problem, 0.1, &pc, &cfg).expect("first-step solve");
+    let (keff, rhs) = first_step_system(&problem, 0.1);
+    for spec in ["ilu0", "neumann:20", "gls:7", "gls:20"] {
+        let pc = PrecondSpec::parse(spec).unwrap();
+        let (_, h) = solve_system(&keff, &rhs, &pc, &cfg).expect("first-step solve");
         println!("{:>12}: {:4} iterations", pc.name(), h.iterations());
     }
 
@@ -34,19 +29,25 @@ fn main() {
     // bending period of this beam (E=1, rho=1, L=24, unit-square elements)
     // is ~900 s, so 400 steps of dt=3 cover ~1.3 periods.
     println!("\n== transient, 400 steps of dt = 3.0 ==");
-    let (u_static, _) =
-        parfem::sequential::solve_static(&problem, &SeqPrecond::Gls(7), &cfg).unwrap();
+    let gls7 = PrecondSpec::Gls {
+        degree: 7,
+        theta: None,
+    };
+    let (u_static, _) = solve_static(&problem, &gls7, &cfg).unwrap();
     let tip = problem.dof_map.dof(
         problem.mesh.node_at(problem.mesh.nx(), problem.mesh.ny()),
         1,
     );
-    let out = simulate(&problem, 3.0, 400, &SeqPrecond::Gls(7), &cfg).expect("transient");
-    let peak = out
-        .tip_history
-        .iter()
-        .cloned()
-        .fold(f64::INFINITY, f64::min);
-    let mean: f64 = out.tip_history.iter().sum::<f64>() / out.tip_history.len() as f64;
+    // The session's transient driver on one rank: the effective matrix is
+    // scaled and preconditioned once, and every step warm-starts FGMRES.
+    let out = SolveSession::new(problem.as_problem())
+        .strategy(Strategy::Edd(ElementPartition::strips_x(&problem.mesh, 1)))
+        .precond(gls7)
+        .gmres(cfg)
+        .run_dynamic(NewmarkParams::average_acceleration(3.0), 400, &[tip]);
+    let tip_history = &out.watch_histories[0];
+    let peak = tip_history.iter().cloned().fold(f64::INFINITY, f64::min);
+    let mean: f64 = tip_history.iter().sum::<f64>() / tip_history.len() as f64;
     println!("static tip deflection  {:.6e}", u_static[tip]);
     println!("dynamic mean           {mean:.6e}");
     println!("dynamic peak           {peak:.6e}");

@@ -9,7 +9,6 @@
 use parfem::fem::assembly;
 use parfem::krylov::lanczos;
 use parfem::prelude::*;
-use parfem::sequential::{solve_system, SeqPrecond};
 use parfem::sparse::dense;
 
 fn main() {
@@ -56,10 +55,22 @@ fn main() {
     }
     let nx0 = dense::norm2(&x);
     dense::scale(1.0 / nx0, &mut x);
+    // GLS(10) on the measured spectrum of the scaled operator: a 30-step
+    // Lanczos estimate of [λ_min, λ_max] (the sharper Θ of the paper's
+    // Fig. 10).
+    let (scaled, _, _) = parfem::sparse::scaling::scale_system(&b, &x).expect("square system");
+    let (lo, hi) = parfem::krylov::estimate_spectrum(&scaled, 30);
+    let gls = PrecondSpec::Gls {
+        degree: 10,
+        theta: Some(IntervalUnion::single(
+            lo.max(f64::EPSILON),
+            hi.max(2.0 * f64::EPSILON),
+        )),
+    };
     let mut lambda_min = 0.0;
     let mut total_inner_iters = 0usize;
     for sweep in 0..6 {
-        let (y, h) = solve_system(&b, &x, &SeqPrecond::GlsAuto(10), &cfg).expect("inner solve");
+        let (y, h) = solve_system(&b, &x, &gls, &cfg).expect("inner solve");
         assert!(h.converged(), "inverse-iteration solve failed");
         total_inner_iters += h.iterations();
         let mut y = y;

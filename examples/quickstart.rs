@@ -5,7 +5,6 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use parfem::prelude::*;
-use parfem::sequential::SeqPrecond;
 
 fn main() {
     // A 40x8-element cantilever plate (the paper's Mesh2), clamped on the
@@ -38,8 +37,7 @@ fn main() {
 
     // Sequential reference.
     let (u_seq, h_seq) =
-        parfem::sequential::solve_static(&problem, &SeqPrecond::Gls(7), &cfg.gmres)
-            .expect("sequential solve");
+        solve_static(&problem, &cfg.precond, &cfg.gmres).expect("sequential solve");
     println!(
         "sequential FGMRES-gls(7):     {} iterations, converged={}",
         h_seq.iterations(),

@@ -6,7 +6,6 @@
 //! Run with: `cargo run --release --example static_cantilever`
 
 use parfem::prelude::*;
-use parfem::sequential::SeqPrecond;
 
 fn main() {
     let problem = CantileverProblem::new(40, 8, Material::unit(), LoadCase::PullX(1.0));
@@ -20,14 +19,9 @@ fn main() {
         "== preconditioner comparison (paper Fig. 11), Mesh2, {} eqns ==",
         problem.n_eqn()
     );
-    for pc in [
-        SeqPrecond::None,
-        SeqPrecond::Jacobi,
-        SeqPrecond::Ilu0,
-        SeqPrecond::Neumann(20),
-        SeqPrecond::Gls(7),
-    ] {
-        match parfem::sequential::solve_static(&problem, &pc, &cfg) {
+    for spec in ["none", "jacobi", "ilu0", "neumann:20", "gls:7"] {
+        let pc = PrecondSpec::parse(spec).unwrap();
+        match solve_static(&problem, &pc, &cfg) {
             Ok((_, h)) => {
                 // Print a sparse sampling of the residual curve.
                 let r = &h.relative_residuals;
@@ -59,10 +53,13 @@ fn main() {
         let mut loads = vec![0.0; dm.n_dofs()];
         parfem::fem::assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, p_total, &mut loads);
         let sys = parfem::fem::assembly::build_static(&mesh, &dm, &Material::unit(), &loads);
-        let (u, h) = parfem::sequential::solve_system(
+        let (u, h) = solve_system(
             &sys.stiffness,
             &sys.rhs,
-            &SeqPrecond::Gls(7),
+            &PrecondSpec::Gls {
+                degree: 7,
+                theta: None,
+            },
             &GmresConfig {
                 tol: 1e-10,
                 max_iters: 100_000,

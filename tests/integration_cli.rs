@@ -333,3 +333,50 @@ fn kernels_option_is_rejected_and_the_kernel_is_labelled_per_rank() {
         }
     }
 }
+
+#[test]
+fn ilu0_precond_per_strategy_and_the_eq45_failure() {
+    let solve = |args: &[&str]| {
+        parfem()
+            .args(["solve", "--precond", "ilu0", "--machine", "ideal"])
+            .args(args)
+            .output()
+            .expect("run parfem")
+    };
+    // RDD: block-Jacobi ILU(0) on each rank's owned rows.
+    let out = solve(&["--mesh", "40x8", "--parts", "4", "--strategy", "rdd"]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{text}");
+    assert!(text.contains("with ilu(0) on 4 ranks"), "{text}");
+    assert!(text.contains("converged = true"), "{text}");
+
+    // One EDD rank is the sequential ILU(0): Fig. 11's Mesh1 count.
+    let out = solve(&["--paper-mesh", "1", "--parts", "1"]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{text}");
+    assert!(
+        text.contains("converged = true, iterations = 12,"),
+        "{text}"
+    );
+
+    // One-element EDD strips away from the clamp float: their local
+    // stiffness is singular and ILU(0) meets the zero pivot of the paper's
+    // Eq. 45. The failing ranks leave the run, so the clamped rank fails
+    // fast as disconnected instead of waiting out the 30 s watchdog.
+    let start = std::time::Instant::now();
+    let out = solve(&["--mesh", "4x1", "--parts", "4"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    for rank in 1..4 {
+        assert!(
+            stderr.contains(&format!("rank {rank}: preconditioner failure: zero pivot")),
+            "{stderr}"
+        );
+    }
+    assert!(stderr.contains("peer rank 1 disconnected"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        start.elapsed() < std::time::Duration::from_secs(10),
+        "no watchdog wait"
+    );
+}

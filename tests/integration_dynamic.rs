@@ -1,12 +1,17 @@
 //! End-to-end elastodynamics: Newmark time integration with iterative
 //! solves in the loop, across all crates.
 
-use parfem::dynamic::{first_step_solve, first_step_system, simulate};
 use parfem::prelude::*;
-use parfem::sequential::SeqPrecond;
 
 fn problem() -> CantileverProblem {
     CantileverProblem::new(16, 4, Material::unit(), LoadCase::ShearY(-1e-3))
+}
+
+fn gls(degree: usize) -> PrecondSpec {
+    PrecondSpec::Gls {
+        degree,
+        theta: None,
+    }
 }
 
 #[test]
@@ -33,7 +38,8 @@ fn smaller_time_steps_make_the_effective_system_easier() {
     };
     let mut prev = usize::MAX;
     for dt in [10.0, 1.0, 0.1] {
-        let (_, h) = first_step_solve(&p, dt, &SeqPrecond::Gls(3), &cfg).unwrap();
+        let (keff, rhs) = first_step_system(&p, dt);
+        let (_, h) = solve_system(&keff, &rhs, &gls(3), &cfg).unwrap();
         assert!(h.converged(), "dt={dt}");
         assert!(
             h.iterations() <= prev,
@@ -54,25 +60,26 @@ fn transient_converges_to_static_under_heavy_averaging() {
         max_iters: 100_000,
         ..Default::default()
     };
-    let (u_static, _) = parfem::sequential::solve_static(&p, &SeqPrecond::Gls(7), &cfg).unwrap();
+    let (u_static, _) = solve_static(&p, &gls(7), &cfg).unwrap();
     let tip = p.dof_map.dof(p.mesh.node_at(p.mesh.nx(), p.mesh.ny()), 1);
 
     // Fundamental period ~ 260 s for this 16x4 unit-material beam; average
-    // over ~4 periods.
-    let out = simulate(&p, 2.0, 520, &SeqPrecond::Gls(7), &cfg).unwrap();
+    // over ~4 periods, on the session's transient driver at one rank.
+    let out = SolveSession::new(p.as_problem())
+        .strategy(Strategy::Edd(ElementPartition::strips_x(&p.mesh, 1)))
+        .precond(gls(7))
+        .gmres(cfg)
+        .run_dynamic(NewmarkParams::average_acceleration(2.0), 520, &[tip]);
     assert!(out.all_converged);
-    let mean: f64 = out.tip_history.iter().sum::<f64>() / out.tip_history.len() as f64;
+    let tip_history = &out.watch_histories[0];
+    let mean: f64 = tip_history.iter().sum::<f64>() / tip_history.len() as f64;
     assert!(
         (mean - u_static[tip]).abs() < 0.15 * u_static[tip].abs(),
         "mean {mean} vs static {}",
         u_static[tip]
     );
     // Overshoot factor near 2.
-    let peak = out
-        .tip_history
-        .iter()
-        .cloned()
-        .fold(f64::INFINITY, f64::min);
+    let peak = tip_history.iter().cloned().fold(f64::INFINITY, f64::min);
     let factor = peak / u_static[tip];
     assert!(
         (1.6..=2.3).contains(&factor),
@@ -112,14 +119,10 @@ fn every_preconditioner_handles_the_dynamic_system() {
         max_iters: 50_000,
         ..Default::default()
     };
-    for pc in [
-        SeqPrecond::None,
-        SeqPrecond::Jacobi,
-        SeqPrecond::Ilu0,
-        SeqPrecond::Neumann(10),
-        SeqPrecond::Gls(7),
-    ] {
-        let (_, h) = first_step_solve(&p, 0.1, &pc, &cfg).expect("solve");
+    let (keff, rhs) = first_step_system(&p, 0.1);
+    for spec in ["none", "jacobi", "ilu0", "neumann:10", "gls:7"] {
+        let pc = PrecondSpec::parse(spec).unwrap();
+        let (_, h) = solve_system(&keff, &rhs, &pc, &cfg).expect("solve");
         assert!(h.converged(), "{} failed", pc.name());
     }
 }

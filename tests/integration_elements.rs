@@ -5,7 +5,14 @@ use parfem::fem::{assembly, quad8s, tri3};
 use parfem::mesh::graph::Adjacency;
 use parfem::mesh::{Quad8Mesh, TriMesh};
 use parfem::prelude::*;
-use parfem::sequential::SeqPrecond;
+
+/// The GLS polynomial of `degree` on the post-scaling `(ε, 1)`.
+fn gls(degree: usize) -> PrecondSpec {
+    PrecondSpec::Gls {
+        degree,
+        theta: None,
+    }
+}
 
 #[test]
 fn all_three_element_families_solve_the_same_physics() {
@@ -23,7 +30,7 @@ fn all_three_element_families_solve_the_same_physics() {
     // Q4.
     let q4 = {
         let p = CantileverProblem::new(nx, ny, mat, LoadCase::PullX(1.0));
-        let (u, h) = parfem::sequential::solve_static(&p, &SeqPrecond::Gls(7), &cfg).unwrap();
+        let (u, h) = solve_static(&p, &gls(7), &cfg).unwrap();
         assert!(h.converged());
         u[p.dof_map.dof(p.mesh.node_at(nx, ny / 2), 0)]
     };
@@ -40,8 +47,7 @@ fn all_three_element_families_solve_the_same_physics() {
         let qmesh = QuadMesh::cantilever(nx, ny);
         assembly::edge_load(&qmesh, &dm, Edge::Right, 1.0, 0.0, &mut loads);
         let kbc = assembly::apply_dirichlet(&k, &dm, &mut loads);
-        let (u, h) =
-            parfem::sequential::solve_system(&kbc, &loads, &SeqPrecond::Gls(7), &cfg).unwrap();
+        let (u, h) = solve_system(&kbc, &loads, &gls(7), &cfg).unwrap();
         assert!(h.converged());
         u[dm.dof(mesh.node_at(nx, ny / 2), 0)]
     };
@@ -61,8 +67,7 @@ fn all_three_element_families_solve_the_same_physics() {
             loads[dm.dof(n, 0)] = 1.0 / right.len() as f64;
         }
         let kbc = assembly::apply_dirichlet(&k, &dm, &mut loads);
-        let (u, h) =
-            parfem::sequential::solve_system(&kbc, &loads, &SeqPrecond::Gls(7), &cfg).unwrap();
+        let (u, h) = solve_system(&kbc, &loads, &gls(7), &cfg).unwrap();
         assert!(h.converged());
         // Middle of the right edge.
         let mid = *right

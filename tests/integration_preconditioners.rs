@@ -5,7 +5,14 @@ use parfem::precond::gls::GlsPrecond;
 use parfem::precond::neumann::NeumannPrecond;
 use parfem::precond::poly::stability_bound;
 use parfem::prelude::*;
-use parfem::sequential::SeqPrecond;
+
+/// The GLS polynomial of `degree` on the post-scaling `(ε, 1)`.
+fn gls(degree: usize) -> PrecondSpec {
+    PrecondSpec::Gls {
+        degree,
+        theta: None,
+    }
+}
 
 #[test]
 fn gls_residual_norm_predicts_iteration_ordering() {
@@ -20,7 +27,7 @@ fn gls_residual_norm_predicts_iteration_ordering() {
     let mut rows = Vec::new();
     for m in [1usize, 3, 7, 10] {
         let norm = GlsPrecond::for_scaled_system(m).weighted_residual_norm();
-        let (_, h) = parfem::sequential::solve_static(&p, &SeqPrecond::Gls(m), &cfg).unwrap();
+        let (_, h) = solve_static(&p, &gls(m), &cfg).unwrap();
         rows.push((m, norm, h.iterations()));
     }
     for w in rows.windows(2) {
@@ -48,8 +55,8 @@ fn neumann_residual_closed_form_bounds_convergence() {
         max_iters: 20_000,
         ..Default::default()
     };
-    let (_, h5) = parfem::sequential::solve_static(&p, &SeqPrecond::Neumann(5), &cfg).unwrap();
-    let (_, h20) = parfem::sequential::solve_static(&p, &SeqPrecond::Neumann(20), &cfg).unwrap();
+    let (_, h5) = solve_static(&p, &PrecondSpec::Neumann { degree: 5 }, &cfg).unwrap();
+    let (_, h20) = solve_static(&p, &PrecondSpec::Neumann { degree: 20 }, &cfg).unwrap();
     assert!(h5.converged() && h20.converged());
     assert!(
         h20.iterations() < h5.iterations(),
@@ -75,9 +82,9 @@ fn paper_fig11_ordering_gls_beats_others_on_mesh2() {
         max_iters: 20_000,
         ..Default::default()
     };
-    let (_, h_gls) = parfem::sequential::solve_static(&p, &SeqPrecond::Gls(7), &cfg).unwrap();
-    let (_, h_ilu) = parfem::sequential::solve_static(&p, &SeqPrecond::Ilu0, &cfg).unwrap();
-    let (_, h_neu) = parfem::sequential::solve_static(&p, &SeqPrecond::Neumann(20), &cfg).unwrap();
+    let (_, h_gls) = solve_static(&p, &gls(7), &cfg).unwrap();
+    let (_, h_ilu) = solve_static(&p, &PrecondSpec::Ilu0, &cfg).unwrap();
+    let (_, h_neu) = solve_static(&p, &PrecondSpec::Neumann { degree: 20 }, &cfg).unwrap();
     assert!(h_gls.converged() && h_ilu.converged() && h_neu.converged());
     assert!(
         h_gls.iterations() < h_ilu.iterations(),
@@ -123,8 +130,8 @@ fn high_degree_stops_paying_off_on_larger_meshes() {
         max_iters: 20_000,
         ..Default::default()
     };
-    let (_, h7) = parfem::sequential::solve_static(&p, &SeqPrecond::Gls(7), &cfg).unwrap();
-    let (_, h10) = parfem::sequential::solve_static(&p, &SeqPrecond::Gls(10), &cfg).unwrap();
+    let (_, h7) = solve_static(&p, &gls(7), &cfg).unwrap();
+    let (_, h10) = solve_static(&p, &gls(10), &cfg).unwrap();
     let cost7 = h7.iterations() * (7 + 1);
     let cost10 = h10.iterations() * (10 + 1);
     assert!(

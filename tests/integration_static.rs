@@ -2,7 +2,14 @@
 //! preconditioning → (parallel) FGMRES → physics, across all crates.
 
 use parfem::prelude::*;
-use parfem::sequential::SeqPrecond;
+
+/// The GLS polynomial of `degree` on the post-scaling `(ε, 1)`.
+fn gls(degree: usize) -> PrecondSpec {
+    PrecondSpec::Gls {
+        degree,
+        theta: None,
+    }
+}
 
 fn residual_norm(problem: &CantileverProblem, u: &[f64]) -> f64 {
     let sys = problem.static_system();
@@ -24,7 +31,7 @@ fn sequential_edd_and_rdd_agree_on_mesh2() {
         tol: 1e-8,
         ..Default::default()
     };
-    let (u_seq, h_seq) = parfem::sequential::solve_static(&p, &SeqPrecond::Gls(7), &cfg).unwrap();
+    let (u_seq, h_seq) = solve_static(&p, &gls(7), &cfg).unwrap();
     assert!(h_seq.converged());
 
     let solver_cfg = SolverConfig {
@@ -70,7 +77,7 @@ fn pulling_load_stretches_the_beam_uniformly() {
         max_iters: 100_000,
         ..Default::default()
     };
-    let (u, h) = parfem::sequential::solve_static(&p, &SeqPrecond::Gls(7), &cfg).unwrap();
+    let (u, h) = solve_static(&p, &gls(7), &cfg).unwrap();
     assert!(h.converged());
     let l = p.mesh.lx();
     let area = p.mesh.ly(); // unit thickness
@@ -150,8 +157,8 @@ fn stiffer_material_reduces_displacement_proportionally() {
     stiff.youngs_modulus = 10.0;
     let p1 = CantileverProblem::new(10, 3, soft, LoadCase::PullX(1.0));
     let p2 = CantileverProblem::new(10, 3, stiff, LoadCase::PullX(1.0));
-    let (u1, _) = parfem::sequential::solve_static(&p1, &SeqPrecond::Gls(7), &cfg).unwrap();
-    let (u2, _) = parfem::sequential::solve_static(&p2, &SeqPrecond::Gls(7), &cfg).unwrap();
+    let (u1, _) = solve_static(&p1, &gls(7), &cfg).unwrap();
+    let (u2, _) = solve_static(&p2, &gls(7), &cfg).unwrap();
     let scale = u1.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
     for (a, b) in u1.iter().zip(&u2) {
         assert!((a - 10.0 * b).abs() < 1e-6 * scale, "{a} vs 10*{b}");
