@@ -17,7 +17,7 @@
 //! | Sec. 2.1.2, Neumann series `P_m = ω Σ Gᵏ` | [`parfem_precond::NeumannPrecond`] |
 //! | Sec. 2.1.3, GLS polynomial on interval unions (Eqs. 18–22) | [`parfem_precond::GlsPrecond`] |
 //! | Eq. 24, floating-point stability bound (Fig. 3) | [`parfem_precond::poly::stability_bound`] |
-//! | Sec. 2.3 / Algorithm 1, flexible GMRES with restart | [`parfem_krylov::fgmres`] (the one loop [`parfem_krylov::fgmres_on`] on one rank) |
+//! | Sec. 2.3 / Algorithm 1, flexible GMRES with restart | [`parfem_krylov::fgmres`] (the one loop [`parfem_krylov::fgmres_on`] on one rank; restarts deflated, FGMRES-DR(m̃, m̃/4)) |
 //! | "different preconditioners at required stages" | [`parfem_precond::EscalatingGls`] |
 //!
 //! ## Section 3 — element-based domain decomposition

@@ -12,7 +12,10 @@
 //! The EDD-elasticity digests were re-pinned once, when the EDD local
 //! operator became 2×2 node blocks (row sums reassociated block by block;
 //! every iteration and restart count stayed as captured — CHANGES.md, PR 23,
-//! lists old → new). The RDD digests are the original capture.
+//! lists old → new). The RDD digests are the original capture. The two
+//! restart-8 digests were re-pinned once more when the restart became
+//! deflated (FGMRES-DR); the restart-3 digests, captured under plain
+//! restarting, pin that restarts below four still deflate nothing.
 //!
 //! Re-capture (only when a *deliberate* numerical change is made) with:
 //!
@@ -343,7 +346,10 @@ fn rdd_unpreconditioned_matches_pre_refactor() {
 
 #[test]
 fn edd_short_restart_matches_pre_refactor() {
-    // Small restart length: exercises the restart/residual-recompute path.
+    // Small restart length: exercises the deflated restart (k = 2 harmonic
+    // Ritz vectors carried, one Gram reduction per restart). Re-pinned once
+    // when the restart began to deflate: 1254 iterations, 156 restarts under
+    // plain restarting.
     let c = GmresConfig {
         tol: 1e-7,
         restart: 8,
@@ -354,16 +360,18 @@ fn edd_short_restart_matches_pre_refactor() {
         "edd_restart8",
         edd_digest(6, 2, 2, 0, EddVariant::Enhanced, &c),
         Digest {
-            iterations: 1254,
-            restarts: 156,
-            x_hash: 0x4251a5d7e4c3173f,
-            res_hash: 0x753149a65d2c0976,
+            iterations: 54,
+            restarts: 8,
+            x_hash: 0x2c17266214b2c207,
+            res_hash: 0x06fe7497096316e9,
         },
     );
 }
 
 #[test]
 fn rdd_short_restart_matches_pre_refactor() {
+    // Deflated restart as above; 397 iterations, 49 restarts under plain
+    // restarting.
     let c = GmresConfig {
         tol: 1e-7,
         restart: 8,
@@ -374,10 +382,44 @@ fn rdd_short_restart_matches_pre_refactor() {
         "rdd_restart8",
         rdd_digest(5, 2, 2, RddPre::Identity, &c),
         Digest {
-            iterations: 397,
-            restarts: 49,
-            x_hash: 0x07f3214e42152f98,
-            res_hash: 0xd122d8fdb2e7b98d,
+            iterations: 34,
+            restarts: 5,
+            x_hash: 0xced8a447d6017d8a,
+            res_hash: 0x1d958d48cc972eee,
+        },
+    );
+}
+
+/// Restart lengths below four deflate nothing (`k = m/4 = 0`): the restart
+/// recomputes the true residual exactly as plain restarted FGMRES. These
+/// digests were captured from plain restarting before the deflated restart
+/// existed and must hold bit for bit.
+#[test]
+fn plain_restart_below_four_matches_plain_restarting() {
+    let c = GmresConfig {
+        tol: 1e-7,
+        restart: 3,
+        max_iters: 2000,
+        ..Default::default()
+    };
+    check(
+        "edd_gls3_restart3",
+        edd_digest(6, 2, 2, 3, EddVariant::Enhanced, &c),
+        Digest {
+            iterations: 230,
+            restarts: 76,
+            x_hash: 0x1dcdd6ae8a7df1ff,
+            res_hash: 0xb7e427dab4eaba58,
+        },
+    );
+    check(
+        "rdd_gls3_restart3",
+        rdd_digest(5, 2, 2, RddPre::Gls(3), &c),
+        Digest {
+            iterations: 132,
+            restarts: 43,
+            x_hash: 0xe192e00463176c4b,
+            res_hash: 0x1ca95db0a8c14cd3,
         },
     );
 }

@@ -241,6 +241,61 @@ fn trace_report_matches_comm_stats_under_faults_and_overlap() {
     );
 }
 
+/// Every deflated restart leaves one `deflated_restart` instant on each
+/// rank, carrying the number `k` of carried vectors and the harmonic Ritz
+/// values it deflated (`theta{i}_re`, `theta{i}_im`); on a restarting P = 2
+/// solve the count per rank equals `history.restarts`, and the Gram
+/// reduction of each restart is in both the trace and [`CommStats`].
+#[test]
+fn deflated_restarts_are_traced_with_their_harmonic_ritz_values() {
+    let (mesh, dm, mat, loads) = problem(24, 6);
+    let sink = TraceSink::recording();
+    let mut config = cfg();
+    config.gmres.restart = 8;
+    let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+        .strategy(Strategy::Edd(ElementPartition::strips_x(&mesh, 2)))
+        .config(config)
+        .precond(PrecondSpec::Gls {
+            degree: 3,
+            theta: None,
+        })
+        .trace(&sink)
+        .run()
+        .unwrap();
+    assert!(out.history.converged());
+    let restarts = out.history.restarts;
+    assert!(restarts >= 2, "the solve must restart: {restarts}");
+    let events = sink.take_events();
+    for rank in 0..2 {
+        let deflations: Vec<_> = events
+            .iter()
+            .filter(|e| {
+                e.rank == Some(rank) && e.kind == EventKind::Instant && e.name == "deflated_restart"
+            })
+            .collect();
+        assert_eq!(deflations.len(), restarts, "rank {rank}");
+        for e in deflations {
+            let k = e.u64("k").expect("k") as usize;
+            assert!(
+                (1..=3).contains(&k),
+                "k = 8/4 = 2, or 3 with a whole pair: {k}"
+            );
+            for i in 0..k {
+                assert!(e.f64(&format!("theta{i}_re")).is_some(), "theta{i}_re");
+                assert!(e.f64(&format!("theta{i}_im")).is_some(), "theta{i}_im");
+            }
+        }
+    }
+    let mut stats = CommStats::default();
+    for r in &out.reports {
+        stats = stats.merged(&r.stats);
+    }
+    assert_eq!(
+        TraceReport::from_events(&events).comm_totals().allreduces,
+        stats.allreduces
+    );
+}
+
 /// The rank-side coarse build explains itself and is paid for: a two-level
 /// solve carries the per-rank build record, its exchanges and reductions
 /// show up in both the trace and [`CommStats`] (which still agree), the

@@ -7,6 +7,13 @@
 //! tridiagonal matrix whose eigenvalues (Ritz values) converge to `σ(A)`'s
 //! extremes first. Thirty matvecs typically pin `λ_max` to several digits
 //! and give a usable `λ_min` floor.
+//!
+//! Next to the symmetric tridiagonal QL sits the small **nonsymmetric**
+//! kernel the deflated FGMRES restart needs for its harmonic Ritz pairs
+//! (`m ≤ 50`): [`dense_eigenvalues`] (balancing, reduction to Hessenberg
+//! form, Francis double-shift QR) and [`dense_eigenvector`] (inverse
+//! iteration, in real arithmetic for complex pairs). Both work in
+//! caller-provided scratch and never allocate.
 
 use parfem_sparse::{dense, LinearOperator};
 
@@ -146,6 +153,392 @@ pub fn sym_tridiag_eigenvalues(alpha: &[f64], beta: &[f64]) -> Vec<f64> {
     d
 }
 
+/// Eigenvalues of the dense real `n × n` matrix `a` (row-major; destroyed)
+/// by balancing, reduction to upper Hessenberg form with stabilised
+/// elementary similarities, and the Francis double-shift QR iteration.
+/// Eigenvalue `i` is `wr[i] + i·wi[i]`; a complex-conjugate pair occupies
+/// two adjacent slots, negative imaginary part first. Returns `false` when
+/// the input is not finite or the iteration fails to converge (30 sweeps
+/// per eigenvalue). Allocation-free.
+///
+/// # Panics
+/// Panics when `a` holds fewer than `n²` values or `wr`/`wi` fewer than `n`.
+pub fn dense_eigenvalues(a: &mut [f64], n: usize, wr: &mut [f64], wi: &mut [f64]) -> bool {
+    assert!(a.len() >= n * n && wr.len() >= n && wi.len() >= n);
+    if !a[..n * n].iter().all(|v| v.is_finite()) {
+        return false;
+    }
+    balance(a, n);
+    to_hessenberg(a, n);
+    hessenberg_qr(a, n, wr, wi) && wr[..n].iter().chain(&wi[..n]).all(|v| v.is_finite())
+}
+
+/// Scales rows and columns of `a` by powers of two so that each row and
+/// its column have comparable norms (a similarity; the spectrum is exact).
+fn balance(a: &mut [f64], n: usize) {
+    const RADIX: f64 = 2.0;
+    let mut done = false;
+    while !done {
+        done = true;
+        for i in 0..n {
+            let (mut r, mut c) = (0.0, 0.0);
+            for j in (0..n).filter(|&j| j != i) {
+                c += a[j * n + i].abs();
+                r += a[i * n + j].abs();
+            }
+            if c == 0.0 || r == 0.0 {
+                continue;
+            }
+            let s = c + r;
+            let mut f = 1.0;
+            while c < r / RADIX {
+                f *= RADIX;
+                c *= RADIX * RADIX;
+            }
+            while c > r * RADIX {
+                f /= RADIX;
+                c /= RADIX * RADIX;
+            }
+            if (c + r) / f < 0.95 * s {
+                done = false;
+                for j in 0..n {
+                    a[i * n + j] /= f;
+                    a[j * n + i] *= f;
+                }
+            }
+        }
+    }
+}
+
+/// Reduces `a` to upper Hessenberg form by Gaussian elimination with
+/// pivoting (stabilised elementary similarities), zeroing below the
+/// subdiagonal.
+fn to_hessenberg(a: &mut [f64], n: usize) {
+    for m in 1..n.saturating_sub(1) {
+        let mut x = 0.0f64;
+        let mut piv = m;
+        for j in m..n {
+            if a[j * n + m - 1].abs() > x.abs() {
+                x = a[j * n + m - 1];
+                piv = j;
+            }
+        }
+        if piv != m {
+            for j in (m - 1)..n {
+                a.swap(piv * n + j, m * n + j);
+            }
+            for j in 0..n {
+                a.swap(j * n + piv, j * n + m);
+            }
+        }
+        if x != 0.0 {
+            for i in (m + 1)..n {
+                let y = a[i * n + m - 1] / x;
+                if y != 0.0 {
+                    for j in m..n {
+                        a[i * n + j] -= y * a[m * n + j];
+                    }
+                    for j in 0..n {
+                        a[j * n + m] += y * a[j * n + i];
+                    }
+                }
+            }
+        }
+    }
+    for i in 2..n {
+        a[i * n..i * n + i - 1].fill(0.0);
+    }
+}
+
+/// `|a|` carrying the sign of `b`.
+fn sign(a: f64, b: f64) -> f64 {
+    if b >= 0.0 {
+        a.abs()
+    } else {
+        -a.abs()
+    }
+}
+
+/// All eigenvalues of the upper Hessenberg `a` (destroyed) by the Francis
+/// double-shift QR iteration with exceptional shifts after 10 and 20
+/// sweeps. Indices are one-based inside, as in the classical formulation.
+fn hessenberg_qr(a: &mut [f64], n: usize, wr: &mut [f64], wi: &mut [f64]) -> bool {
+    macro_rules! at {
+        ($i:expr, $j:expr) => {
+            a[($i - 1) * n + ($j - 1)]
+        };
+    }
+    let mut anorm = 0.0;
+    for i in 1..=n {
+        for j in i.max(2) - 1..=n {
+            anorm += at!(i, j).abs();
+        }
+    }
+    let mut nn = n;
+    let mut t = 0.0;
+    while nn >= 1 {
+        let mut its = 0;
+        loop {
+            // Look for a negligible subdiagonal element to split at.
+            let mut l = nn;
+            while l >= 2 {
+                let mut s = at!(l - 1, l - 1).abs() + at!(l, l).abs();
+                if s == 0.0 {
+                    s = anorm;
+                }
+                if at!(l, l - 1).abs() + s == s {
+                    at!(l, l - 1) = 0.0;
+                    break;
+                }
+                l -= 1;
+            }
+            let mut x = at!(nn, nn);
+            if l == nn {
+                // One root found.
+                wr[nn - 1] = x + t;
+                wi[nn - 1] = 0.0;
+                nn -= 1;
+                break;
+            }
+            let mut y = at!(nn - 1, nn - 1);
+            let mut w = at!(nn, nn - 1) * at!(nn - 1, nn);
+            if l == nn - 1 {
+                // Two roots found: a real pair or a complex-conjugate pair.
+                let p = 0.5 * (y - x);
+                let q = p * p + w;
+                let z = q.abs().sqrt();
+                x += t;
+                if q >= 0.0 {
+                    let z = p + sign(z, p);
+                    wr[nn - 2] = x + z;
+                    wr[nn - 1] = if z != 0.0 { x - w / z } else { x + z };
+                    wi[nn - 2] = 0.0;
+                    wi[nn - 1] = 0.0;
+                } else {
+                    wr[nn - 2] = x + p;
+                    wr[nn - 1] = x + p;
+                    wi[nn - 2] = -z;
+                    wi[nn - 1] = z;
+                }
+                nn -= 2;
+                break;
+            }
+            if its == 30 {
+                return false;
+            }
+            if its == 10 || its == 20 {
+                // Exceptional shift.
+                t += x;
+                for i in 1..=nn {
+                    at!(i, i) -= x;
+                }
+                let s = at!(nn, nn - 1).abs() + at!(nn - 1, nn - 2).abs();
+                x = 0.75 * s;
+                y = x;
+                w = -0.4375 * s * s;
+            }
+            its += 1;
+            // Form the shift; look for two consecutive small subdiagonals.
+            let mut m = nn - 2;
+            let (mut p, mut q, mut r);
+            let mut z;
+            loop {
+                z = at!(m, m);
+                r = x - z;
+                let s = y - z;
+                p = (r * s - w) / at!(m + 1, m) + at!(m, m + 1);
+                q = at!(m + 1, m + 1) - z - r - s;
+                r = at!(m + 2, m + 1);
+                let s = p.abs() + q.abs() + r.abs();
+                p /= s;
+                q /= s;
+                r /= s;
+                if m == l {
+                    break;
+                }
+                let u = at!(m, m - 1).abs() * (q.abs() + r.abs());
+                let v = p.abs() * (at!(m - 1, m - 1).abs() + z.abs() + at!(m + 1, m + 1).abs());
+                if u + v == v {
+                    break;
+                }
+                m -= 1;
+            }
+            for i in (m + 2)..=nn {
+                at!(i, i - 2) = 0.0;
+                if i != m + 2 {
+                    at!(i, i - 3) = 0.0;
+                }
+            }
+            // Double QR step on rows l..=nn and columns m..=nn.
+            for k in m..nn {
+                if k != m {
+                    p = at!(k, k - 1);
+                    q = at!(k + 1, k - 1);
+                    r = if k != nn - 1 { at!(k + 2, k - 1) } else { 0.0 };
+                    x = p.abs() + q.abs() + r.abs();
+                    if x != 0.0 {
+                        p /= x;
+                        q /= x;
+                        r /= x;
+                    }
+                }
+                let s = sign((p * p + q * q + r * r).sqrt(), p);
+                if s == 0.0 {
+                    continue;
+                }
+                if k == m {
+                    if l != m {
+                        at!(k, k - 1) = -at!(k, k - 1);
+                    }
+                } else {
+                    at!(k, k - 1) = -s * x;
+                }
+                p += s;
+                x = p / s;
+                y = q / s;
+                z = r / s;
+                q /= p;
+                r /= p;
+                for j in k..=nn {
+                    p = at!(k, j) + q * at!(k + 1, j);
+                    if k != nn - 1 {
+                        p += r * at!(k + 2, j);
+                        at!(k + 2, j) -= p * z;
+                    }
+                    at!(k + 1, j) -= p * y;
+                    at!(k, j) -= p * x;
+                }
+                for i in l..=nn.min(k + 3) {
+                    p = x * at!(i, k) + y * at!(i, k + 1);
+                    if k != nn - 1 {
+                        p += z * at!(i, k + 2);
+                        at!(i, k + 2) -= p * r;
+                    }
+                    at!(i, k + 1) -= p * q;
+                    at!(i, k) -= p;
+                }
+            }
+        }
+    }
+    true
+}
+
+/// LU factorization with partial pivoting of the row-major `dim × dim`
+/// matrix in `lu`, in place; a pivot below `tiny` in magnitude is replaced
+/// by `tiny` (the shifted systems of inverse iteration are singular by
+/// design).
+fn lu_factor(lu: &mut [f64], dim: usize, piv: &mut [usize], tiny: f64) {
+    for col in 0..dim {
+        let mut best = col;
+        for r in col + 1..dim {
+            if lu[r * dim + col].abs() > lu[best * dim + col].abs() {
+                best = r;
+            }
+        }
+        piv[col] = best;
+        if best != col {
+            for c in 0..dim {
+                lu.swap(best * dim + c, col * dim + c);
+            }
+        }
+        if lu[col * dim + col].abs() < tiny {
+            lu[col * dim + col] = tiny;
+        }
+        let d = lu[col * dim + col];
+        for r in col + 1..dim {
+            let f = lu[r * dim + col] / d;
+            lu[r * dim + col] = f;
+            if f != 0.0 {
+                for c in col + 1..dim {
+                    lu[r * dim + c] -= f * lu[col * dim + c];
+                }
+            }
+        }
+    }
+}
+
+/// Solves `LU x = P b` in place with the factors of [`lu_factor`].
+fn lu_solve(lu: &[f64], dim: usize, piv: &[usize], x: &mut [f64]) {
+    for i in 0..dim {
+        x.swap(i, piv[i]);
+    }
+    for i in 0..dim {
+        let acc: f64 = (0..i).map(|j| lu[i * dim + j] * x[j]).sum();
+        x[i] -= acc;
+    }
+    for i in (0..dim).rev() {
+        let acc: f64 = (i + 1..dim).map(|j| lu[i * dim + j] * x[j]).sum();
+        x[i] = (x[i] - acc) / lu[i * dim + i];
+    }
+}
+
+/// Solves `a x = b` for the row-major `n × n` matrix `a` by Gaussian
+/// elimination with partial pivoting, overwriting `b` with `x`; `lu` and
+/// `piv` are scratch of `n²` and `n` entries. A vanishing pivot is
+/// replaced by `ε·‖a‖`, so the result is finite for finite input unless
+/// `a` is numerically singular. Allocation-free.
+pub fn dense_solve(a: &[f64], n: usize, b: &mut [f64], lu: &mut [f64], piv: &mut [usize]) {
+    lu[..n * n].copy_from_slice(&a[..n * n]);
+    let norm = a[..n * n].iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    lu_factor(
+        &mut lu[..n * n],
+        n,
+        piv,
+        f64::EPSILON * norm.max(f64::MIN_POSITIVE),
+    );
+    lu_solve(&lu[..n * n], n, piv, &mut b[..n]);
+}
+
+/// An eigenvector of the dense real `n × n` matrix `a` (row-major) for its
+/// eigenvalue `re + i·im` (as returned by [`dense_eigenvalues`]), by three
+/// steps of inverse iteration, scaled to unit 2-norm. The real part lands in
+/// `x[..n]`; for a complex eigenvalue the imaginary part lands in
+/// `x[n..2n]`, the shifted complex system running as the real `2n × 2n`
+/// system `[[A − re·I, im·I], [−im·I, A − re·I]]`. `lu`, `piv` and `x` are
+/// scratch of `(2n)²`, `2n` and `2n` entries (`n²`, `n`, `n` suffice for a
+/// real eigenvalue). Returns `false` on non-finite output. Allocation-free.
+pub fn dense_eigenvector(
+    a: &[f64],
+    n: usize,
+    (re, im): (f64, f64),
+    lu: &mut [f64],
+    piv: &mut [usize],
+    x: &mut [f64],
+) -> bool {
+    let dim = if im == 0.0 { n } else { 2 * n };
+    let norm = a[..n * n].iter().fold(0.0f64, |m, v| m.max(v.abs())) + re.abs() + im.abs();
+    let (lu, x) = (&mut lu[..dim * dim], &mut x[..dim]);
+    lu.fill(0.0);
+    for i in 0..n {
+        for j in 0..n {
+            let v = a[i * n + j] - if i == j { re } else { 0.0 };
+            lu[i * dim + j] = v;
+            if dim > n {
+                lu[(n + i) * dim + n + j] = v;
+            }
+        }
+        if dim > n {
+            lu[i * dim + n + i] = im;
+            lu[(n + i) * dim + i] = -im;
+        }
+    }
+    lu_factor(lu, dim, piv, f64::EPSILON * norm.max(f64::MIN_POSITIVE));
+    for (i, xi) in x.iter_mut().enumerate() {
+        *xi = 1.0 + (i as f64 * 0.618_033_988_75).fract();
+    }
+    for _ in 0..3 {
+        lu_solve(lu, dim, piv, x);
+        let scale = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        if !(scale.is_finite() && scale > 0.0) {
+            return false;
+        }
+        x.iter_mut().for_each(|v| *v /= scale);
+    }
+    let nrm = dense::norm2(x);
+    x.iter_mut().for_each(|v| *v /= nrm);
+    nrm.is_finite()
+}
+
 /// Estimated spectrum `(λ_min, λ_max)` of a symmetric operator from `steps`
 /// Lanczos iterations, with small safety margins (Ritz values bracket the
 /// spectrum from inside: the max is inflated by 2%, the min deflated by
@@ -248,6 +641,129 @@ mod tests {
             let exact = 2.0 - 2.0 * ((k as f64 + 1.0) * h).cos();
             assert!((e - exact).abs() < 1e-8, "eig {k}: {e} vs {exact}");
         }
+    }
+
+    /// Largest component of `A x − θ x` for an eigenpair stacked as
+    /// `[Re x; Im x]` (real part only for a real `θ`).
+    fn eigen_residual(a: &[f64], n: usize, (re, im): (f64, f64), x: &[f64]) -> f64 {
+        let at = |k: usize| if im == 0.0 && k >= n { 0.0 } else { x[k] };
+        let mut worst = 0.0f64;
+        for i in 0..n {
+            let ar: f64 = (0..n).map(|j| a[i * n + j] * at(j)).sum();
+            let ai: f64 = (0..n).map(|j| a[i * n + j] * at(n + j)).sum();
+            let (u, w) = (at(i), at(n + i));
+            worst = worst
+                .max((ar - (re * u - im * w)).abs())
+                .max((ai - (re * w + im * u)).abs());
+        }
+        worst
+    }
+
+    #[test]
+    fn dense_eigen_finds_a_complex_conjugate_pair() {
+        // Companion matrix of (x − 3)(x² − 2x + 5) = x³ − 5x² + 11x − 15:
+        // eigenvalues 3 and 1 ± 2i.
+        let a = [5.0, -11.0, 15.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0];
+        let (mut wr, mut wi) = ([0.0; 3], [0.0; 3]);
+        let mut work = a;
+        assert!(dense_eigenvalues(&mut work, 3, &mut wr, &mut wi));
+        let mut got: Vec<(f64, f64)> = wr.iter().copied().zip(wi).collect();
+        got.sort_by(|p, q| p.1.total_cmp(&q.1));
+        for (g, w) in got.iter().zip([(1.0, -2.0), (3.0, 0.0), (1.0, 2.0)]) {
+            assert!(
+                (g.0 - w.0).abs() < 1e-10 && (g.1 - w.1).abs() < 1e-10,
+                "{g:?}"
+            );
+        }
+        // The pair is adjacent, negative imaginary part first, exact conjugates.
+        let neg = wi.iter().position(|&v| v < 0.0).expect("a complex pair");
+        assert_eq!(wi[neg + 1], -wi[neg]);
+        assert_eq!(wr[neg + 1], wr[neg]);
+        let (mut lu, mut piv, mut x) = ([0.0; 36], [0usize; 6], [0.0; 6]);
+        for i in (0..3).filter(|&i| wi[i] >= 0.0) {
+            let theta = (wr[i], wi[i]);
+            assert!(dense_eigenvector(&a, 3, theta, &mut lu, &mut piv, &mut x));
+            let len = if theta.1 == 0.0 { 3 } else { 6 };
+            assert!((dense::norm2(&x[..len]) - 1.0).abs() < 1e-12);
+            let res = eigen_residual(&a, 3, theta, &x);
+            assert!(res < 1e-10, "θ = {theta:?}: residual {res}");
+        }
+    }
+
+    #[test]
+    fn dense_eigen_recovers_a_known_real_spectrum() {
+        // A = L B L⁻¹ with B upper triangular (spectrum = its diagonal) and
+        // L unit lower triangular: a full nonsymmetric matrix, real spectrum.
+        let n = 6;
+        let diag = [4.0, -1.0, 0.5, 2.0, 7.0, -3.0];
+        let mut b = vec![0.0; n * n];
+        let mut l = vec![0.0; n * n];
+        for i in 0..n {
+            b[i * n + i] = diag[i];
+            l[i * n + i] = 1.0;
+            for j in i + 1..n {
+                b[i * n + j] = 0.3 * (i + 2 * j) as f64 - 1.0;
+                l[j * n + i] = 0.5 * ((i + j) % 3) as f64 - 0.4;
+            }
+        }
+        // L⁻¹ column by column through the dense solver.
+        let (mut lu, mut piv) = (vec![0.0; 4 * n * n], vec![0usize; 2 * n]);
+        let mut linv = vec![0.0; n * n];
+        let mut col = vec![0.0; n];
+        for c in 0..n {
+            col.fill(0.0);
+            col[c] = 1.0;
+            dense_solve(&l, n, &mut col, &mut lu, &mut piv);
+            for r in 0..n {
+                linv[r * n + c] = col[r];
+            }
+        }
+        let mul = |x: &[f64], y: &[f64]| -> Vec<f64> {
+            let mut z = vec![0.0; n * n];
+            for i in 0..n {
+                for k in 0..n {
+                    for j in 0..n {
+                        z[i * n + j] += x[i * n + k] * y[k * n + j];
+                    }
+                }
+            }
+            z
+        };
+        let a = mul(&mul(&l, &b), &linv);
+        let (mut wr, mut wi) = (vec![0.0; n], vec![0.0; n]);
+        let mut work = a.clone();
+        assert!(dense_eigenvalues(&mut work, n, &mut wr, &mut wi));
+        assert!(
+            wi.iter().all(|&v| v == 0.0),
+            "spurious imaginary parts {wi:?}"
+        );
+        let mut sorted = wr.clone();
+        sorted.sort_by(f64::total_cmp);
+        let mut want = diag.to_vec();
+        want.sort_by(f64::total_cmp);
+        for (g, w) in sorted.iter().zip(&want) {
+            assert!((g - w).abs() < 1e-9, "{g} vs {w}");
+        }
+        let mut x = vec![0.0; 2 * n];
+        for &theta in &wr {
+            assert!(dense_eigenvector(
+                &a,
+                n,
+                (theta, 0.0),
+                &mut lu,
+                &mut piv,
+                &mut x
+            ));
+            let res = eigen_residual(&a, n, (theta, 0.0), &x);
+            assert!(res < 1e-9, "θ = {theta}: residual {res}");
+        }
+    }
+
+    #[test]
+    fn dense_eigenvalues_reject_non_finite_input() {
+        let mut a = [1.0, f64::NAN, 0.0, 2.0];
+        let (mut wr, mut wi) = ([0.0; 2], [0.0; 2]);
+        assert!(!dense_eigenvalues(&mut a, 2, &mut wr, &mut wi));
     }
 
     #[test]

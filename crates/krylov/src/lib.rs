@@ -3,12 +3,14 @@
 //! - [`gmres`] — restarted flexible GMRES (the paper's Algorithm 1), the
 //!   one loop behind every solve: Arnoldi with classical Gram–Schmidt (the
 //!   variant the paper parallelizes), Givens-rotation least squares, and
-//!   flexible per-iteration preconditioning, over any
+//!   flexible per-iteration preconditioning, deflated restarting that
+//!   carries `m/4` harmonic Ritz vectors across each restart, over any
 //!   [`DistributedOperator`] — an EDD or RDD rank, or a whole operator on
 //!   one rank ([`OneRank`] over [`parfem_msg::SelfComm`]),
 //! - [`history`] — convergence histories consumed by the experiment harness
 //!   (the per-iteration relative residuals plotted in Figs. 10–14),
-//! - [`lanczos`] — spectrum estimates for the GLS interval `Θ`.
+//! - [`lanczos`] — spectrum estimates for the GLS interval `Θ`, and the
+//!   small dense nonsymmetric eigensolver behind the deflated restart.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -14,7 +14,13 @@
 //! `n` is the rank-local dimension (the whole vector on one rank), and a
 //! packed `reduce` buffer batches the Gram–Schmidt inner
 //! products for the single per-iteration all-reduce of the paper's
-//! Algorithms 5/6/8.
+//! Algorithms 5/6/8 (and the Gram matrix of a deflated restart).
+//!
+//! The deflated restart's scratch (`Deflation`) is sized here as well:
+//! the unrotated Hessenberg, the harmonic-Ritz eigenproblem, the small
+//! recombination matrix `P_{k+1}`, the Gram matrix and a row-chunked
+//! recombination buffer of `(k + 1) × RECOMBINE_CHUNK` values — never an
+//! extra `n`-vector.
 
 use crate::givens::Givens;
 
@@ -29,8 +35,9 @@ pub struct KrylovWorkspace {
     pub(crate) z: Vec<Vec<f64>>,
     /// Hessenberg columns; column `j` uses entries `0 ..= j + 1`.
     pub(crate) h: Vec<Vec<f64>>,
-    /// Accumulated Givens rotations of the current cycle.
-    pub(crate) rotations: Vec<Givens>,
+    /// Accumulated Givens rotations of the current cycle, each with the
+    /// row `i` of the pair `(i, i + 1)` it acts on.
+    pub(crate) rotations: Vec<(usize, Givens)>,
     /// Least-squares right-hand side `g` (length `restart + 1`).
     pub(crate) g: Vec<f64>,
     /// Residual vector (length `n`).
@@ -42,9 +49,11 @@ pub struct KrylovWorkspace {
     /// Scratch vectors for `Preconditioner::apply_scratch`.
     pub(crate) precond_scratch: Vec<Vec<f64>>,
     /// Packed buffer for batched reductions (the classical-Gram–Schmidt
-    /// dot products of one iteration, so the all-reduce is a single
-    /// message).
+    /// dot products of one iteration, or the Gram matrix of a deflated
+    /// restart, so the all-reduce is a single message).
     pub(crate) reduce: Vec<f64>,
+    /// Scratch of the deflated restart.
+    pub(crate) defl: Deflation,
     /// High-water mark of convergence-history lengths seen by solves using
     /// this workspace. Solvers pre-reserve their residual history to this
     /// hint, so once a workspace is warm (one solve of representative
@@ -53,6 +62,85 @@ pub struct KrylovWorkspace {
     /// zero-alloc gates track. Purely a capacity hint: it never affects
     /// results.
     pub(crate) history_hint: usize,
+}
+
+/// Rows per block of the in-place basis recombination `V ← V P`.
+const RECOMBINE_CHUNK: usize = 256;
+
+/// The number of harmonic Ritz vectors a restart of dimension `m` carries:
+/// `m / 4` (zero below `m = 4`: plain restarting).
+pub(crate) fn deflation_dim(m: usize) -> usize {
+    m / 4
+}
+
+/// Scratch of the deflated restart (FGMRES-DR). With `k = m/4`, at most
+/// `k + 1` vectors are carried (a complex pair straddling the cut enters
+/// whole), so `P` has up to `k + 2` columns.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Deflation {
+    /// Unrotated Hessenberg columns `H̄_m` of the cycle (`m` × `m + 1`).
+    pub(crate) hbar: Vec<Vec<f64>>,
+    /// The cycle's starting least-squares right-hand side `c` (`m + 1`).
+    pub(crate) c: Vec<f64>,
+    /// The least-squares residual `s = c − H̄y` (`m + 1`).
+    pub(crate) s: Vec<f64>,
+    /// Row-major `m × m` harmonic-Ritz matrix, and a working copy.
+    pub(crate) mat: Vec<f64>,
+    pub(crate) work: Vec<f64>,
+    /// Eigenvalues (real, imaginary parts) and the `|θ|` order (`m`).
+    pub(crate) wr: Vec<f64>,
+    pub(crate) wi: Vec<f64>,
+    pub(crate) order: Vec<usize>,
+    /// Inverse-iteration scratch: `(2m)²` LU, `2m` pivots, `2m` iterate.
+    pub(crate) lu: Vec<f64>,
+    pub(crate) piv: Vec<usize>,
+    pub(crate) x: Vec<f64>,
+    /// Columns of `P_{k+1}` (each `m + 1` long).
+    pub(crate) p: Vec<Vec<f64>>,
+    /// Columns of `H̄_m P_k` (each `m + 1` long).
+    pub(crate) hp: Vec<Vec<f64>>,
+    /// Row-major Gram matrix of the recombined basis, then its Cholesky
+    /// factor `R` (`(k + 2)²`).
+    pub(crate) gram: Vec<f64>,
+    /// Row-chunked recombination buffer (`(k + 2) × RECOMBINE_CHUNK`).
+    pub(crate) chunk: Vec<f64>,
+    /// The harmonic Ritz values deflated at the last restart, `(re, im)`.
+    pub(crate) theta: Vec<(f64, f64)>,
+}
+
+impl Deflation {
+    fn ensure(&mut self, m: usize) {
+        let kc = deflation_dim(m) + 1;
+        ensure_pool(&mut self.hbar, m, m + 1);
+        ensure_pool(&mut self.p, kc + 1, m + 1);
+        ensure_pool(&mut self.hp, kc, m + 1);
+        for (buf, len) in [
+            (&mut self.c, m + 1),
+            (&mut self.s, m + 1),
+            (&mut self.mat, m * m),
+            (&mut self.work, m * m),
+            (&mut self.wr, m),
+            (&mut self.wi, m),
+            (&mut self.lu, 4 * m * m),
+            (&mut self.x, 2 * m),
+            (&mut self.gram, (kc + 1) * (kc + 1)),
+            (&mut self.chunk, (kc + 1) * RECOMBINE_CHUNK),
+        ] {
+            if buf.len() != len {
+                buf.resize(len, 0.0);
+            }
+        }
+        for (buf, len) in [(&mut self.order, m), (&mut self.piv, 2 * m)] {
+            if buf.len() != len {
+                buf.resize(len, 0);
+            }
+        }
+        // Dependent eigenvectors are skipped, so up to every θ may be tried.
+        self.theta.clear();
+        if self.theta.capacity() < m {
+            self.theta.reserve(m);
+        }
+    }
 }
 
 /// Grows `pool` to `count` buffers, each of exact length `len`.
@@ -105,14 +193,21 @@ impl KrylovWorkspace {
             self.y.resize(m, 0.0);
         }
         // One batched reduction carries up to m + 1 dot products plus the
-        // candidate norm contribution.
-        if self.reduce.len() != m + 2 {
-            self.reduce.resize(m + 2, 0.0);
+        // candidate norm contribution, or the lower triangle of the Gram
+        // matrix of up to k + 2 carried vectors.
+        let kc = deflation_dim(m) + 1;
+        let reduce = (m + 2).max((kc + 1) * (kc + 2) / 2);
+        if self.reduce.len() != reduce {
+            self.reduce.resize(reduce, 0.0);
         }
+        // A deflated cycle triangularises its dense (k + 1) × k head with
+        // k(k + 1)/2 rotations before its m − k Arnoldi ones.
+        let rotations = m + kc * (kc + 1) / 2;
         self.rotations.clear();
-        if self.rotations.capacity() < m {
-            self.rotations.reserve(m - self.rotations.capacity());
+        if self.rotations.capacity() < rotations {
+            self.rotations.reserve(rotations);
         }
+        self.defl.ensure(m);
     }
 }
 
@@ -135,6 +230,11 @@ mod tests {
         assert_eq!(ws.w.len(), 10);
         assert_eq!(ws.y.len(), 4);
         assert_eq!(ws.reduce.len(), 6);
+        // m = 4 carries up to k + 1 = 2 vectors: P has 3 columns, and the
+        // Gram matrix of 3 vectors fits the reduce buffer.
+        assert_eq!(ws.defl.p.len(), 3);
+        assert_eq!(ws.defl.hbar.len(), 4);
+        assert_eq!(ws.defl.lu.len(), 64);
     }
 
     #[test]

@@ -114,7 +114,8 @@ const GRID_NY: usize = 16;
 /// test and pin its convergence behaviour exactly.
 const GOLDEN: &[(usize, &str, &str, usize)] = &[
     (4, "twolevel:const:gls-3", "gls:3", 22),
-    (4, "twolevel:const:neumann-2", "neumann:2", 45),
+    // 45 under plain restarting: the only cell that restarts at m = 30.
+    (4, "twolevel:const:neumann-2", "neumann:2", 42),
     (4, "twolevel:lowrank-2:gls-3", "gls:3", 18),
     (8, "twolevel:const:gls-3", "gls:3", 21),
     (8, "twolevel:const:gls-3:add", "gls:3", 27),
