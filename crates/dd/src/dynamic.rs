@@ -152,8 +152,10 @@ pub(crate) fn run_dynamic_edd(
         };
         let mut u_star = vec![0.0; n];
         // One Krylov workspace reused by every time step: after the first
-        // solve sizes it, the per-step FGMRES loop runs allocation-free.
-        let mut ws = KrylovWorkspace::new();
+        // solve sizes it, the per-step FGMRES loop runs allocation-free, and
+        // since the effective matrix ᾱM + K is fixed across steps, each step
+        // recycles the deflation space of the step before it.
+        let mut ws = KrylovWorkspace::for_fixed_operator();
 
         for _ in 0..steps {
             // Predictor (local, consistent).

@@ -39,7 +39,8 @@
 //! no global matrix is ever assembled) → coarse geometry → one rank launch,
 //! with one fault wrap → one rank body (`assembly` and `scaling` of the
 //! rank's own system, `precond-build`, then one FGMRES per right-hand side
-//! on a shared Krylov workspace) → collection, `gather` and the
+//! on a shared fixed-operator Krylov workspace, so later right-hand sides
+//! recycle the first solve's deflation space) → collection, `gather` and the
 //! `solve_summary`. What EDD and RDD do differently sits
 //! behind the crate-private `Decomposition` trait, implemented next to each
 //! operator (`EddParts` in [`crate::edd`], `RddParts` in [`crate::rdd`]);
@@ -628,9 +629,15 @@ impl<'a> SolveSession<'a> {
     /// Requires the mesh-level problem (the load vectors are global) and
     /// **homogeneous** Dirichlet constraints — the per-RHS local load
     /// rebuild `f̂ᵢ = fᵢ/multᵢ` with zeroed constrained rows is exact only
-    /// when the prescribed values are zero. The first right-hand side
-    /// produces bit-identical results to [`SolveSession::run`] on the same
-    /// loads.
+    /// when the prescribed values are zero.
+    ///
+    /// The **first right-hand side** produces bit-identical results to
+    /// [`SolveSession::run`] on the same loads. Each later one starts from
+    /// the deflation space the solve before it found on the shared operator
+    /// (see [`parfem_krylov::gmres`]): when the first solve restarted, a
+    /// later right-hand side converges to the same tolerance in fewer
+    /// iterations, so its bits differ from a single run's; when it did not,
+    /// nothing is recycled and every right-hand side matches its single run.
     ///
     /// # Errors
     /// Returns [`SolveFailures`] exactly as [`SolveSession::run`].
@@ -1106,7 +1113,10 @@ fn rank_body<D: Decomposition, C: Communicator>(
         t.add_count("setup_live_bytes", alloc::live_bytes());
         t.add_count("setup_peak_bytes", alloc::peak_bytes());
     }
-    let mut ws = KrylovWorkspace::new();
+    // Every right-hand side runs against the same operator and
+    // preconditioner, so each solve after the first recycles the deflation
+    // space of the one before it.
+    let mut ws = KrylovWorkspace::for_fixed_operator();
     let solves = (0..loads.count())
         .map(|k| parts.rank_solve(comm, &rank, loads.get(k), cfg, &mut ws))
         .collect::<Result<_, _>>()?;

@@ -1,16 +1,19 @@
-//! Shared fixtures for the two-level tests: the **independent reference**
+//! Shared fixtures for the session tests: the **independent reference**
 //! the rank-side coarse build is compared against — the scaled operator
 //! assembled globally on the host and the part geometry in global dof
-//! numbering, fed to the sequential `build_coarse_basis`. None of this runs
-//! on the solve path; it exists so the tests have something that shares no
-//! exchange code with the ranks.
+//! numbering, fed to the sequential `build_coarse_basis` — and the
+//! `run_multi` contract checked against the globally assembled system.
+//! None of this runs on the solve path; it exists so the tests have
+//! something that shares no exchange code with the ranks.
 #![allow(dead_code)] // each test binary uses its own subset
 
 use parfem_dd::scaling::edd_scaling_reference;
-use parfem_fem::SubdomainSystem;
+use parfem_dd::{DdSolveOutput, MultiSolveOutput};
+use parfem_fem::{StaticSystem, SubdomainSystem};
+use parfem_krylov::estimate_spectrum;
 use parfem_mesh::{DofMap, NodePartition};
 use parfem_precond::CoarsePartGeometry;
-use parfem_sparse::{CooMatrix, CsrMatrix};
+use parfem_sparse::{dense, CooMatrix, CsrMatrix};
 
 /// The global scaled operator `A = D K D` assembled from EDD subdomain
 /// systems through a coordinate accumulator, with the scaling diagonal `d`
@@ -80,4 +83,57 @@ pub fn rdd_global_parts(
         }
     }
     parts
+}
+
+/// The true relative residual `‖f − Ku‖/‖f‖` of a physical solution
+/// against the globally assembled, constrained system.
+pub fn true_rel_residual(system: &StaticSystem, u: &[f64]) -> f64 {
+    let ku = system.stiffness.spmv(u);
+    let r: Vec<f64> = system.rhs.iter().zip(&ku).map(|(f, k)| f - k).collect();
+    dense::norm2(&r) / dense::norm2(&system.rhs)
+}
+
+/// The `run_multi` contract against independent single runs
+/// (`singles[i]` solves `systems[i]`) at tolerance `tol`:
+///
+/// - the first right-hand side is bit-identical to its `run()`;
+/// - when that first solve never restarted it left nothing to recycle,
+///   so every later right-hand side is bit-identical too;
+/// - otherwise each later right-hand side converges, meets
+///   `‖f − Ku‖/‖f‖ ≤ 2·tol`, and differs from its single run by at most
+///   `(‖r_multi‖ + ‖r_single‖)/λ_min(K)`, the distance the two residuals
+///   allow.
+pub fn assert_run_multi_contract(
+    multi: &MultiSolveOutput,
+    singles: &[DdSolveOutput],
+    systems: &[StaticSystem],
+    tol: f64,
+) {
+    assert!(multi.all_converged());
+    let recycled = multi.histories[0].restarts > 0;
+    for (i, (single, system)) in singles.iter().zip(systems).enumerate() {
+        let (u, history) = (&multi.solutions[i], &multi.histories[i]);
+        if i == 0 || !recycled {
+            assert_eq!(*u, single.u, "RHS {i}: bits differ from the single run");
+            assert_eq!(
+                history.relative_residuals, single.history.relative_residuals,
+                "RHS {i}: residual histories differ"
+            );
+            continue;
+        }
+        let f_norm = dense::norm2(&system.rhs);
+        let (rho, rho_single) = (
+            true_rel_residual(system, u),
+            true_rel_residual(system, &single.u),
+        );
+        assert!(rho <= 2.0 * tol, "RHS {i}: true residual {rho:e}");
+        let (lambda_min, _) = estimate_spectrum(&system.stiffness, system.rhs.len());
+        let diff: Vec<f64> = u.iter().zip(&single.u).map(|(a, b)| a - b).collect();
+        let bound = (rho + rho_single) * f_norm / lambda_min;
+        assert!(
+            dense::norm2(&diff) <= bound,
+            "RHS {i}: ‖u − u_single‖ = {:e} > {bound:e}",
+            dense::norm2(&diff)
+        );
+    }
 }

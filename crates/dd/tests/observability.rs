@@ -296,6 +296,78 @@ fn deflated_restarts_are_traced_with_their_harmonic_ritz_values() {
     );
 }
 
+/// Recycling explains itself: on a P = 2 four-right-hand-side run whose
+/// first solve restarts, every later right-hand side emits exactly one
+/// `recycled_start` instant on each rank, carrying the space's dimension
+/// `k` and the share `captured = ‖Cᵀr₀‖/‖r₀‖` of its initial residual; the
+/// report renders them next to the first solve's deflated restarts, and the
+/// trace's all-reduce totals still equal [`CommStats`].
+#[test]
+fn recycled_starts_are_traced_once_per_later_right_hand_side() {
+    let (mesh, dm, mat, loads) = problem(24, 6);
+    let mut pull = vec![0.0; dm.n_dofs()];
+    assembly::edge_load(&mesh, &dm, Edge::Right, 1.0, 0.0, &mut pull);
+    let mixed: Vec<f64> = loads.iter().zip(&pull).map(|(a, b)| a - 2.0 * b).collect();
+    let rhs = [
+        loads.clone(),
+        pull.clone(),
+        mixed,
+        loads.iter().map(|v| -v).collect(),
+    ];
+    let sink = TraceSink::recording();
+    let mut config = cfg();
+    config.gmres.restart = 8;
+    let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+        .strategy(Strategy::Rdd(NodePartition::strips_x(&mesh, 2)))
+        .config(config)
+        .precond(PrecondSpec::Gls {
+            degree: 3,
+            theta: None,
+        })
+        .trace(&sink)
+        .run_multi(&rhs)
+        .unwrap();
+    assert!(out.all_converged());
+    assert!(
+        out.histories[0].restarts >= 2,
+        "the first solve must restart"
+    );
+    let events = sink.take_events();
+    for rank in 0..2 {
+        let starts: Vec<_> = events
+            .iter()
+            .filter(|e| {
+                e.rank == Some(rank) && e.kind == EventKind::Instant && e.name == "recycled_start"
+            })
+            .collect();
+        assert_eq!(starts.len(), rhs.len() - 1, "rank {rank}");
+        for e in starts {
+            let k = e.u64("k").expect("k");
+            assert!(
+                (1..=3).contains(&k),
+                "k = 8/4 = 2, or 3 with a whole pair: {k}"
+            );
+            let captured = e.f64("captured").expect("captured");
+            assert!(
+                captured > 0.0 && captured <= 1.0,
+                "captured share {captured}"
+            );
+        }
+    }
+    let report = TraceReport::from_events(&events);
+    let text = parfem_trace::render_convergence(&report);
+    assert!(text.contains("deflated restarts: "), "{text}");
+    assert!(
+        text.contains("recycled starts: 3 from a space of k = "),
+        "{text}"
+    );
+    let mut stats = CommStats::default();
+    for r in &out.reports {
+        stats = stats.merged(&r.stats);
+    }
+    assert_eq!(report.comm_totals().allreduces, stats.allreduces);
+}
+
 /// The rank-side coarse build explains itself and is paid for: a two-level
 /// solve carries the per-rank build record, its exchanges and reductions
 /// show up in both the trace and [`CommStats`] (which still agree), the

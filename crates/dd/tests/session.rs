@@ -7,11 +7,14 @@
 //! - **option orthogonality** — tracing, fault injection and overlapped
 //!   exchange compose on one builder without changing the numbers;
 //! - **multi-RHS reuse** — `run_multi` shares scaling/layout/workspace
-//!   across right-hand sides yet stays bit-identical to independent
-//!   single-RHS runs;
+//!   across right-hand sides; its first right-hand side stays bit-identical
+//!   to an independent single-RHS run, and the later ones, which recycle
+//!   the first solve's deflation space, meet the true residual;
 //! - **inhomogeneous Dirichlet data** — `run()` carries the lift of
 //!   non-zero prescribed values for both strategies, and `run_multi`
 //!   refuses what it cannot represent.
+
+mod common;
 
 use parfem_dd::{
     DdSolveOutput, EddVariant, PrecondSpec, Problem, SolveSession, SolverConfig, Strategy,
@@ -229,7 +232,9 @@ fn kernel_follows_the_physics_on_every_rank_and_is_recorded() {
 }
 
 /// `run_multi` shares one scaling/layout/preconditioner across right-hand
-/// sides and still matches independent single-RHS sessions bit for bit.
+/// sides: its first right-hand side matches the single-RHS session bit for
+/// bit, and the later one meets the `run_multi` contract (see
+/// `common::assert_run_multi_contract`).
 #[test]
 fn run_multi_matches_independent_single_runs() {
     let (mesh, dm, mat, loads) = problem(8, 3);
@@ -244,24 +249,22 @@ fn run_multi_matches_independent_single_runs() {
         .config(cfg())
         .run_multi(&[loads.clone(), loads2.clone()])
         .expect("multi-RHS session");
-    assert!(multi.all_converged());
     assert_eq!(multi.solutions.len(), 2);
 
-    for (i, rhs) in [loads.clone(), loads2].into_iter().enumerate() {
-        let single = SolveSession::new(Problem::new(&mesh, &dm, &mat, &rhs))
-            .strategy(Strategy::Edd(part.clone()))
-            .config(cfg())
-            .run()
-            .unwrap();
-        assert_eq!(
-            multi.solutions[i], single.u,
-            "RHS {i}: multi-solve bits differ from the single-RHS session"
-        );
-        assert_eq!(
-            multi.histories[i].relative_residuals, single.history.relative_residuals,
-            "RHS {i}: residual histories differ"
-        );
-    }
+    let rhs_set = [loads, loads2];
+    let singles: Vec<_> = (rhs_set.iter())
+        .map(|rhs| {
+            SolveSession::new(Problem::new(&mesh, &dm, &mat, rhs))
+                .strategy(Strategy::Edd(part.clone()))
+                .config(cfg())
+                .run()
+                .unwrap()
+        })
+        .collect();
+    let systems: Vec<_> = (rhs_set.iter())
+        .map(|rhs| assembly::build_static(&mesh, &dm, &mat, rhs))
+        .collect();
+    common::assert_run_multi_contract(&multi, &singles, &systems, cfg().gmres.tol);
 }
 
 /// `from_systems` (systems the caller assembled, borrowed by the ranks)
@@ -516,6 +519,45 @@ fn run_dynamic_smoke() {
     assert_eq!(out.watch_histories[0].len(), 3);
 }
 
+/// The transient driver at `restart: 8`, where every step restarts: the
+/// step workspace recycles the deflation space of the fixed effective
+/// operator `ᾱM + K` across steps. The total iteration count must not rise
+/// above the count without recycling (94), and the watched tip history must
+/// agree with the one pinned from the solver without recycling.
+#[test]
+fn run_dynamic_restarting_steps_keep_their_history() {
+    let (mesh, dm, mat, loads) = problem(16, 4);
+    let part = ElementPartition::strips_x(&mesh, 2);
+    let tip = dm.dof(mesh.node_at(mesh.nx(), mesh.ny()), 1);
+    let mut config = cfg();
+    config.gmres.restart = 8;
+    let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+        .strategy(Strategy::Edd(part))
+        .config(config)
+        .run_dynamic(NewmarkParams::average_acceleration(10.0), 6, &[tip]);
+    assert!(out.all_converged, "every Newmark step must converge");
+    assert!(out.last.history.restarts >= 1, "the steps must restart");
+    assert!(
+        out.total_iterations <= 94,
+        "{} iterations over 6 steps",
+        out.total_iterations
+    );
+    let pinned = [
+        -7.240280795596487,
+        -21.43962454340828,
+        -39.76999853591528,
+        -61.351935574095016,
+        -84.8312843132599,
+        -110.7492473103577,
+    ];
+    for (step, (got, want)) in out.watch_histories[0].iter().zip(pinned).enumerate() {
+        assert!(
+            (got - want).abs() <= 1e-6 * want.abs(),
+            "step {step}: tip {got} vs pinned {want}"
+        );
+    }
+}
+
 /// A killed rank surfaces as a typed failure through the session path —
 /// the `Result` arm of `run` is real, not vestigial.
 #[test]
@@ -694,5 +736,82 @@ fn deflated_restart_keeps_the_true_residual_at_p2() {
             10 * its <= 13 * long_its,
             "{name}: {its} iterations at restart 25 vs {long_its} at restart 100"
         );
+    }
+}
+
+/// A pseudo-random nodal load in `[-1, 1)` on the free dofs (an LCG, so
+/// the loads are unrelated to each other and to the geometry).
+fn random_load(dm: &DofMap, seed: u64) -> Vec<f64> {
+    let step = |s: u64| {
+        s.wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407)
+    };
+    let mut state = step(seed);
+    (0..dm.n_dofs())
+        .map(|d| {
+            state = step(state);
+            let v = (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
+            if dm.is_fixed(d) {
+                0.0
+            } else {
+                v
+            }
+        })
+        .collect()
+}
+
+/// Recycling across right-hand sides at P = 2: three unrelated loads,
+/// where the first solve restarts at least twice. Each later right-hand
+/// side starts from the first solve's harmonic Ritz pair, takes at most
+/// 0.7× its iterations (113, then 57 and 56 under `gls:3` on both
+/// strategies), and meets the true residual ‖f − Ku‖/‖f‖ ≤ 2 tol.
+#[test]
+fn recycled_right_hand_sides_converge_faster_at_p2() {
+    let (mesh, dm, mat, _) = problem(40, 40);
+    let tol = 1e-8;
+    let rhs_set: Vec<Vec<f64>> = (1..=3).map(|seed| random_load(&dm, seed)).collect();
+    let config = SolverConfig {
+        gmres: GmresConfig {
+            tol,
+            max_iters: 2000,
+            ..Default::default()
+        },
+        precond: PrecondSpec::Gls {
+            degree: 3,
+            theta: None,
+        },
+        ..cfg()
+    };
+    let strategies = [
+        ("EDD", Strategy::Edd(ElementPartition::strips_x(&mesh, 2))),
+        (
+            "RDD",
+            Strategy::Rdd(NodePartition::contiguous(mesh.n_nodes(), 2)),
+        ),
+    ];
+    for (name, strategy) in &strategies {
+        let multi = SolveSession::new(Problem::new(&mesh, &dm, &mat, &rhs_set[0]))
+            .strategy(strategy.clone())
+            .config(config.clone())
+            .run_multi(&rhs_set)
+            .expect("P = 2 multi-RHS session");
+        let its: Vec<usize> = multi.histories.iter().map(|h| h.iterations()).collect();
+        assert!(multi.all_converged(), "{name}: {its:?}");
+        assert!(
+            multi.histories[0].restarts >= 2,
+            "{name}: the first solve restarted {} times",
+            multi.histories[0].restarts
+        );
+        for (i, (u, rhs)) in multi.solutions.iter().zip(&rhs_set).enumerate() {
+            let system = assembly::build_static(&mesh, &dm, &mat, rhs);
+            let rho = common::true_rel_residual(&system, u);
+            assert!(rho <= 2.0 * tol, "{name} RHS {i}: true residual {rho:e}");
+            assert!(
+                i == 0 || 10 * its[i] <= 7 * its[0],
+                "{name} RHS {i}: {} iterations vs the first {}",
+                its[i],
+                its[0]
+            );
+        }
     }
 }

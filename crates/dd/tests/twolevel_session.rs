@@ -115,36 +115,41 @@ fn twolevel_faulted_traced_matches_plain_run() {
 }
 
 /// `run_multi` with a two-level spec shares one coarse basis across
-/// right-hand sides and still matches independent single-RHS sessions.
+/// right-hand sides and meets the `run_multi` contract against independent
+/// single-RHS sessions (see `common::assert_run_multi_contract`).
 #[test]
 fn twolevel_run_multi_matches_single_runs() {
+    check_twolevel_run_multi(
+        |mesh| Strategy::Edd(ElementPartition::strips_x(mesh, 3)),
+        "twolevel:rbm:gls-3",
+    );
+}
+
+/// Runs `spec` over `strategy` with two load cases through `run_multi` and
+/// through one `run()` each, and checks the `run_multi` contract.
+fn check_twolevel_run_multi(strategy: impl Fn(&QuadMesh) -> Strategy, spec: &str) {
     let (mesh, dm, mat, loads) = problem(8, 3);
-    let part = ElementPartition::strips_x(&mesh, 3);
     let mut loads2 = vec![0.0; dm.n_dofs()];
     assembly::edge_load(&mesh, &dm, Edge::Right, 1.0, 0.0, &mut loads2);
-
-    let multi = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-        .strategy(Strategy::Edd(part.clone()))
-        .config(cfg("twolevel:rbm:gls-3"))
-        .run_multi(&[loads.clone(), loads2.clone()])
+    let rhs_set = [loads, loads2];
+    let multi = SolveSession::new(Problem::new(&mesh, &dm, &mat, &rhs_set[0]))
+        .strategy(strategy(&mesh))
+        .config(cfg(spec))
+        .run_multi(&rhs_set)
         .expect("two-level multi-RHS session");
-    assert!(multi.all_converged());
-
-    for (i, rhs) in [loads.clone(), loads2].into_iter().enumerate() {
-        let single = SolveSession::new(Problem::new(&mesh, &dm, &mat, &rhs))
-            .strategy(Strategy::Edd(part.clone()))
-            .config(cfg("twolevel:rbm:gls-3"))
-            .run()
-            .unwrap();
-        assert_eq!(
-            multi.solutions[i], single.u,
-            "RHS {i}: two-level multi-solve bits differ from the single run"
-        );
-        assert_eq!(
-            multi.histories[i].relative_residuals, single.history.relative_residuals,
-            "RHS {i}: residual histories differ"
-        );
-    }
+    let singles: Vec<_> = (rhs_set.iter())
+        .map(|rhs| {
+            SolveSession::new(Problem::new(&mesh, &dm, &mat, rhs))
+                .strategy(strategy(&mesh))
+                .config(cfg(spec))
+                .run()
+                .unwrap()
+        })
+        .collect();
+    let systems: Vec<_> = (rhs_set.iter())
+        .map(|rhs| assembly::build_static(&mesh, &dm, &mat, rhs))
+        .collect();
+    common::assert_run_multi_contract(&multi, &singles, &systems, cfg(spec).gmres.tol);
 }
 
 /// The graph partitioner composes with two-level preconditioning and is
@@ -252,26 +257,14 @@ fn twolevel_rdd_converges_in_both_compositions() {
     }
 }
 
-/// RDD multi-RHS with two-level matches the independent single runs.
+/// RDD multi-RHS with two-level meets the `run_multi` contract; its first
+/// right-hand side restarts, so the second one recycles.
 #[test]
 fn twolevel_rdd_run_multi_matches_single_runs() {
-    let (mesh, dm, mat, loads) = problem(8, 3);
-    let mut loads2 = vec![0.0; dm.n_dofs()];
-    assembly::edge_load(&mesh, &dm, Edge::Right, 1.0, 0.0, &mut loads2);
-    let multi = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-        .strategy(Strategy::Rdd(NodePartition::strips_x(&mesh, 3)))
-        .config(cfg("twolevel:rbm:neumann-2"))
-        .run_multi(&[loads.clone(), loads2.clone()])
-        .expect("RDD two-level multi-RHS session");
-    assert!(multi.all_converged());
-    for (i, rhs) in [loads, loads2].into_iter().enumerate() {
-        let single = SolveSession::new(Problem::new(&mesh, &dm, &mat, &rhs))
-            .strategy(Strategy::Rdd(NodePartition::strips_x(&mesh, 3)))
-            .config(cfg("twolevel:rbm:neumann-2"))
-            .run()
-            .unwrap();
-        assert_eq!(multi.solutions[i], single.u, "RHS {i}: bits differ");
-    }
+    check_twolevel_run_multi(
+        |mesh| Strategy::Rdd(NodePartition::strips_x(mesh, 3)),
+        "twolevel:rbm:neumann-2",
+    );
 }
 
 /// **Floating subdomains** (paper Eq. 45): in a cantilever strip partition

@@ -35,11 +35,27 @@
 //! `k = 0`, plain restarting from the true residual, and so does a restart
 //! whose small eigenproblem or Gram matrix is degenerate. A solve that
 //! converges inside its first cycle is unaffected.
+//!
+//! Across solves on **one operator**, a workspace made by
+//! [`KrylovWorkspace::for_fixed_operator`] **recycles** the deflation space
+//! (GCRO-DR with a fixed recycle space, after Parks, de Sturler, Mackey,
+//! Johnson & Maiti). A solve whose last cycle began from a deflated restart
+//! leaves that cycle's head `A Z_k = V_{k+1} H̄_k` in place; the next solve
+//! takes the thin QR `H̄_k = Q R` and forms `C = V_{k+1} Q`, `U = Z_k R⁻¹`,
+//! so `A U = C` with `C` orthonormal — for any preconditioner, flexible
+//! arms included, since both come from actual products `A z`. Every cycle
+//! of that solve starts from the head `[C, r̂]`, `r̂ = (I − CCᵀ) r`, with
+//! the raw head `H̄ = [I_k; 0]` and `c = [Cᵀr; ‖r̂‖]`; its restarts form `r̂`
+//! from the least-squares residual without a matvec or an eigen-solve, and
+//! are not re-deflated (the head columns are `U`, so `H̄` is no projection
+//! the harmonic Ritz formula applies to). The pair stays fixed and passes
+//! to the next solve unchanged. Each recycled start is traced as one
+//! `recycled_start` instant (`k`, and the share `captured = ‖Cᵀr₀‖/‖r₀‖`).
 
 use crate::givens::Givens;
 use crate::history::{ConvergenceHistory, StopReason};
 use crate::lanczos;
-use crate::workspace::{deflation_dim, KrylovWorkspace};
+use crate::workspace::{deflation_dim, Carry, KrylovWorkspace};
 use parfem_msg::{CommError, Communicator, SelfComm};
 use parfem_precond::Preconditioner;
 use parfem_sparse::{dense, kernels, LinearOperator};
@@ -264,9 +280,11 @@ where
 /// kernel is recorded as the `kernel_variant_<label>` rank counter.
 ///
 /// Once the workspace (and the operator's exchange staging) are warm,
-/// restarts and iterations perform no heap allocation on this rank, and
-/// solves that reuse a workspace are bit-identical to solves on a fresh
-/// one.
+/// restarts and iterations perform no heap allocation on this rank. Solves
+/// that reuse a [`KrylovWorkspace::new`] workspace are bit-identical to
+/// solves on a fresh one; on a [`KrylovWorkspace::for_fixed_operator`]
+/// workspace only the first is, and later ones recycle (see the module
+/// docs).
 ///
 /// # Errors
 /// The first [`CommError`] of a degrading substrate: the reductions are
@@ -297,6 +315,9 @@ where
     let res = restarted(op, precond, b, x0, cfg, ws);
     if let Some(tracer) = comm.tracer() {
         tracer.span_end("fgmres", comm.virtual_time());
+    }
+    if res.is_err() {
+        ws.carry = Carry::None;
     }
     let res = res?;
     // Remember the history length so the next solve on this workspace can
@@ -384,21 +405,80 @@ where
         Ok(comm.try_allreduce_sum_scalar(op.dot_partial(v, v))?.sqrt())
     };
 
+    // The recycled pair of a fixed-operator workspace (0: none), formed
+    // here from the head the previous solve left.
+    let mut pair = match ws.carry {
+        Carry::None => 0,
+        Carry::Head(k) => recycle_pair(op, ws, k),
+        Carry::Pair(k) => k,
+    };
+    ws.carry = if pair > 0 {
+        Carry::Pair(pair)
+    } else {
+        Carry::None
+    };
+
     op.residual_into(b, &x, &mut ws.r);
     comm.status()?;
-    let r0_norm = global_norm(&ws.r)?;
+    let r0_norm = if pair > 0 {
+        // Cᵀr and ‖r‖² in one all-reduce.
+        op.gs_dots(&ws.r, &ws.v[..pair], &mut ws.reduce);
+        comm.work(dot_f * (n * (pair + 1)) as u64);
+        comm.try_allreduce_sum_into(&mut ws.reduce[..=pair])?;
+        ws.reduce[pair].sqrt()
+    } else {
+        global_norm(&ws.r)?
+    };
     residuals.push(1.0);
     if r0_norm == 0.0 {
         return Ok(done(x, residuals, StopReason::Converged, 0));
     }
     // Breakdown threshold relative to the initial residual scale.
     let breakdown_tol = 1e-14 * r0_norm;
-    // Vectors carried into the current cycle by a deflated restart (0: the
-    // cycle starts from the true residual in `ws.r`).
+    // Vectors carried into the current cycle by a deflated or recycled
+    // restart (0: the cycle starts from the true residual in `ws.r`).
     let mut head = 0usize;
+    if pair > 0 {
+        // r̂ = r − C Cᵀr in v[k]; the cycle starts from the head [C, r̂].
+        let (c, rest) = ws.v.split_at_mut(pair);
+        rest[0].copy_from_slice(&ws.r);
+        kernels::axpy_sweep_neg(&ws.reduce[..pair], c, &mut rest[0]);
+        comm.work((2 * n * pair) as u64);
+        let captured = ws.reduce[..pair].iter().map(|h| h * h).sum::<f64>().sqrt();
+        ws.g.fill(0.0);
+        ws.g[..pair].copy_from_slice(&ws.reduce[..pair]);
+        let beta = global_norm(&ws.v[pair])?;
+        head = recycled_head(op, ws, pair, beta, breakdown_tol);
+        if head == 0 {
+            // r lies in span C to working precision: drop the pair and run
+            // from the true residual, which `ws.r` still holds.
+            pair = 0;
+        } else if let Some(tracer) = comm.tracer() {
+            tracer.instant(
+                "recycled_start",
+                comm.virtual_time(),
+                vec![
+                    ("k".to_string(), Value::U64(pair as u64)),
+                    ("captured".to_string(), Value::F64(captured / r0_norm)),
+                ],
+            );
+        }
+    }
 
     loop {
         ws.rotations.clear();
+        if ws.recycle {
+            // What the solve leaves for the next one if this cycle is its
+            // last: the recycled pair, fixed for the whole solve, or the
+            // deflated head this cycle begins from.
+            ws.carry = if pair > 0 {
+                Carry::Pair(pair)
+            } else if head > 0 {
+                Carry::Head(head)
+            } else {
+                Carry::None
+            };
+        }
         if head == 0 {
             let beta = global_norm(&ws.r)?;
             if beta / r0_norm <= cfg.tol {
@@ -579,13 +659,21 @@ where
             return Ok(done(x, residuals, reason, restarts));
         }
         restarts += 1;
-        head = deflate(op, ws, m)?;
+        head = if pair > 0 {
+            // A recycled cycle is not re-deflated: its head columns are U,
+            // not preconditioned basis vectors, so its H̄ is no projection
+            // the harmonic Ritz formula applies to.
+            recycled_restart(op, ws, m, pair, breakdown_tol)?
+        } else {
+            deflate(op, ws, m)?
+        };
         if head == 0 {
-            // Plain restart (m < 4, or a degenerate eigenproblem or Gram
-            // matrix): recompute the true residual.
+            // Plain restart (m < 4, or a degenerate eigenproblem, Gram
+            // matrix or recycled residual): recompute the true residual.
+            pair = 0;
             op.residual_into(b, &x, &mut ws.r);
             comm.status()?;
-        } else if let Some(tracer) = comm.tracer() {
+        } else if let (0, Some(tracer)) = (pair, comm.tracer()) {
             let mut fields = vec![("k".to_string(), Value::U64(head as u64))];
             for (i, &(re, im)) in ws.defl.theta.iter().enumerate() {
                 fields.push((format!("theta{i}_re"), Value::F64(re)));
@@ -760,6 +848,122 @@ fn deflate<Op: DistributedOperator>(
     Ok(kk)
 }
 
+/// Turns the head `A Z_k = V_{k+1} H̄_k` that the previous solve on this
+/// workspace left in place into the recycled pair: the thin QR
+/// `H̄_k = Q R` gives `C = V_{k+1} Q` in `v[..k]` and `U = Z_k R⁻¹` in
+/// `z[..k]`, so `A U = C` with `C` orthonormal. Local work only (the small
+/// matrices are identical on every rank). Returns `k`, or 0 when `H̄_k` is
+/// numerically rank-deficient.
+fn recycle_pair<Op: DistributedOperator>(op: &Op, ws: &mut KrylovWorkspace, k: usize) -> usize {
+    let n = op.dim();
+    let d = &mut ws.defl;
+    // Q in p[..k] by modified Gram–Schmidt, twice; R row-major in `gram`.
+    let r = &mut d.gram[..k * k];
+    r.fill(0.0);
+    for j in 0..k {
+        d.p[j].fill(0.0);
+        d.p[j][..=k].copy_from_slice(&d.hbar[j][..=k]);
+        let (prev, rest) = d.p.split_at_mut(j);
+        let q = &mut rest[0];
+        let before = dense::norm2(q);
+        for _ in 0..2 {
+            for (i, qi) in prev.iter().enumerate() {
+                let h = dense::dot(qi, q);
+                dense::axpy(-h, qi, q);
+                r[i * k + j] += h;
+            }
+        }
+        let after = dense::norm2(q);
+        if !(after > 1e-10 * before && after.is_finite()) {
+            return 0;
+        }
+        r[j * k + j] = after;
+        dense::scale(1.0 / after, q);
+    }
+    // The columns of R⁻¹ (upper triangular) in hp[..k].
+    for j in 0..k {
+        let col = &mut d.hp[j];
+        col.fill(0.0);
+        for i in (0..=j).rev() {
+            let mut acc = if i == j { 1.0 } else { 0.0 };
+            for l in i + 1..=j {
+                acc -= r[i * k + l] * col[l];
+            }
+            col[i] = acc / r[i * k + i];
+        }
+    }
+    recombine(&mut ws.v[..=k], &d.p[..k], &mut d.chunk);
+    recombine(&mut ws.z[..k], &d.hp[..k], &mut d.chunk);
+    op.comm().work((2 * n * k * (2 * k + 1)) as u64);
+    k
+}
+
+/// Completes the head `[C, r̂]` of a recycled cycle, with `r̂` (orthogonal
+/// to `C`) in `v[k]`, `‖r̂‖ = beta` and `Cᵀr` in `g[..k]`: normalises `r̂`,
+/// sets `g[k] = beta` and the raw head `H̄ = [I_k; 0]` in `h` and
+/// `defl.hbar`. Returns `k`, or 0 when `beta` is at the breakdown level
+/// (the residual lies in span `C`).
+fn recycled_head<Op: DistributedOperator>(
+    op: &Op,
+    ws: &mut KrylovWorkspace,
+    k: usize,
+    beta: f64,
+    breakdown_tol: f64,
+) -> usize {
+    if !(beta > breakdown_tol && beta.is_finite()) {
+        return 0;
+    }
+    ws.g[k] = beta;
+    dense::scale(1.0 / beta, &mut ws.v[k]);
+    op.comm().work(op.dim() as u64);
+    for j in 0..k {
+        for col in [&mut ws.h[j], &mut ws.defl.hbar[j]] {
+            col.fill(0.0);
+            col[j] = 1.0;
+        }
+    }
+    k
+}
+
+/// The restart of a recycled cycle of dimension `m` with head dimension
+/// `k`, with `ws.y` the cycle's least-squares solution: the residual is
+/// `V_{m+1} s` with `s = c − H̄y`, so `r̂ = V_{m+1}[k..] s[k..]` (no matvec,
+/// no eigen-solve), re-orthogonalised against `C` with `Cᵀr̂` and `‖r̂‖²` in
+/// one all-reduce, and the next cycle starts from `[C, r̂]` with
+/// `c = [s[..k] + Cᵀr̂; ‖r̂‖]`. Returns `k`, or 0 for a plain restart.
+fn recycled_restart<Op: DistributedOperator>(
+    op: &Op,
+    ws: &mut KrylovWorkspace,
+    m: usize,
+    k: usize,
+    breakdown_tol: f64,
+) -> Result<usize, CommError> {
+    let n = op.dim();
+    let comm = op.comm();
+    let d = &mut ws.defl;
+    d.s.copy_from_slice(&d.c);
+    for (col, &yj) in d.hbar[..m].iter().zip(&ws.y[..m]) {
+        dense::axpy(-yj, col, &mut d.s);
+    }
+    d.p[0].fill(0.0);
+    d.p[0][..=m - k].copy_from_slice(&d.s[k..]);
+    recombine(&mut ws.v[k..=m], &d.p[..1], &mut d.chunk);
+    comm.work((2 * n * (m + 1 - k)) as u64);
+    let (c, rest) = ws.v.split_at_mut(k);
+    op.gs_dots(&rest[0], c, &mut ws.reduce);
+    comm.work(op.dot_flops_factor() * (n * (k + 1)) as u64);
+    comm.try_allreduce_sum_into(&mut ws.reduce[..=k])?;
+    kernels::axpy_sweep_neg(&ws.reduce[..k], c, &mut rest[0]);
+    comm.work((2 * n * k) as u64);
+    let h_sq: f64 = ws.reduce[..k].iter().map(|h| h * h).sum();
+    let beta = (ws.reduce[k] - h_sq).max(0.0).sqrt();
+    ws.g.fill(0.0);
+    for i in 0..k {
+        ws.g[i] = ws.defl.s[i] + ws.reduce[i];
+    }
+    Ok(recycled_head(op, ws, k, beta, breakdown_tol))
+}
+
 /// Orthonormalises `cols[j]` against `cols[..j]` (two Gram–Schmidt passes)
 /// and normalises it; `false` when it is numerically dependent on them.
 fn orthonormalize_against(cols: &mut [Vec<f64>], j: usize) -> bool {
@@ -847,7 +1051,7 @@ fn cholesky_upper(r: &mut [f64], dim: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workspace::deflation_dim;
+    use crate::workspace::{deflation_dim, Carry};
     use parfem_precond::{GlsPrecond, IdentityPrecond, Ilu0Precond, JacobiPrecond, NeumannPrecond};
     use parfem_sparse::{scaling, CooMatrix, CsrMatrix};
 
@@ -1114,6 +1318,98 @@ mod tests {
         );
         let rel = residual_norm(&a, &dr.x, &b) / dense::norm2(&b);
         assert!(rel <= 2e-8, "true residual {rel}");
+    }
+
+    /// A pseudo-random load in `[-1, 1)` (an LCG, so the test needs no
+    /// dependency).
+    fn random_load(n: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+            })
+            .collect()
+    }
+
+    /// Recycling on a fixed-operator workspace: the pair the second solve
+    /// forms satisfies `A U = C` with `C` orthonormal, a recycled restart
+    /// leaves its new head vector orthogonal to `C`, the first solve is
+    /// bit-identical to one on a plain workspace, and every later
+    /// right-hand side takes at most 0.6× the first one's iterations while
+    /// meeting the true residual (1-D Laplacian under GLS(7), restart 25:
+    /// 72 iterations, then 34 and 38).
+    #[test]
+    fn recycled_pair_is_exact_and_cuts_later_solves() {
+        let n = 300;
+        let (a, _, _) = scaling::scale_system(&laplacian(n), &vec![1.0; n]).unwrap();
+        let gls = GlsPrecond::for_scaled_system(7);
+        let cfg = GmresConfig {
+            restart: 25,
+            max_iters: 2_000,
+            tol: 1e-8,
+            ..Default::default()
+        };
+        let loads: Vec<Vec<f64>> = (1..=3).map(|seed| random_load(n, seed)).collect();
+        let mut ws = KrylovWorkspace::for_fixed_operator();
+        let mut counts = Vec::new();
+        for (i, b) in loads.iter().enumerate() {
+            let res = fgmres_on(&OneRank(&a), &gls, b, &vec![0.0; n], &cfg, &mut ws).unwrap();
+            assert!(res.history.converged(), "RHS {i}: {:?}", res.history.stop);
+            let rel = residual_norm(&a, &res.x, b) / dense::norm2(b);
+            assert!(rel <= 2.0 * cfg.tol, "RHS {i}: true residual {rel:e}");
+            if i == 0 {
+                let plain = fgmres(&a, &gls, b, &vec![0.0; n], &cfg);
+                assert_eq!(res.x, plain.x, "the first solve must not move");
+                assert!(res.history.restarts >= 2);
+                assert!(matches!(ws.carry, Carry::Head(_)), "{:?}", ws.carry);
+            } else {
+                let Carry::Pair(k) = ws.carry else {
+                    panic!("RHS {i}: no recycled pair ({:?})", ws.carry)
+                };
+                assert!(k >= deflation_dim(cfg.restart));
+                let c_norm = (k as f64).sqrt();
+                let mut defect = 0.0;
+                for j in 0..k {
+                    let au = a.spmv(&ws.z[j]);
+                    defect += au
+                        .iter()
+                        .zip(&ws.v[j])
+                        .map(|(p, q)| (p - q).powi(2))
+                        .sum::<f64>();
+                    for l in 0..k {
+                        let want = if j == l { 1.0 } else { 0.0 };
+                        let got = dense::dot(&ws.v[j], &ws.v[l]);
+                        assert!((got - want).abs() <= 1e-12, "CᵀC[{j}][{l}] = {got}");
+                    }
+                }
+                assert!(
+                    defect.sqrt() <= 1e-10 * c_norm,
+                    "‖AU − C‖ = {:e}",
+                    defect.sqrt()
+                );
+                // The last restart's r̂, now v[k], is re-orthogonalised
+                // against C (without that pass the Arnoldi loss leaves
+                // ~1e-12 here).
+                assert!(res.history.restarts >= 1, "RHS {i} must restart");
+                for j in 0..k {
+                    let leak = dense::dot(&ws.v[j], &ws.v[k]).abs();
+                    assert!(leak <= 1e-14, "RHS {i}: c{j}ᵀr̂ = {leak:e}");
+                }
+            }
+            counts.push(res.history.iterations());
+        }
+        for (i, &its) in counts.iter().enumerate().skip(1) {
+            assert!(
+                10 * its <= 6 * counts[0],
+                "RHS {i}: {its} vs first {}",
+                counts[0]
+            );
+        }
     }
 
     #[test]

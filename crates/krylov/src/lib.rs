@@ -4,7 +4,9 @@
 //!   one loop behind every solve: Arnoldi with classical Gram–Schmidt (the
 //!   variant the paper parallelizes), Givens-rotation least squares, and
 //!   flexible per-iteration preconditioning, deflated restarting that
-//!   carries `m/4` harmonic Ritz vectors across each restart, over any
+//!   carries `m/4` harmonic Ritz vectors across each restart and, on a
+//!   [`KrylovWorkspace::for_fixed_operator`] workspace, recycles that space
+//!   from one solve to the next, over any
 //!   [`DistributedOperator`] — an EDD or RDD rank, or a whole operator on
 //!   one rank ([`OneRank`] over [`parfem_msg::SelfComm`]),
 //! - [`history`] — convergence histories consumed by the experiment harness

@@ -8,8 +8,22 @@
 //! [`Preconditioner::apply_scratch`](parfem_precond::Preconditioner::apply_scratch)).
 //! After [`KrylovWorkspace::ensure`] has sized the buffers once, a solve
 //! performs **zero heap allocation** inside its restart and iteration
-//! loops, and solves that reuse a workspace are bit-identical to solves on
-//! a fresh one — the buffers carry no state between solves, only capacity.
+//! loops.
+//!
+//! What a workspace carries between solves depends on how it was made:
+//!
+//! - [`KrylovWorkspace::new`] (and [`KrylovWorkspace::with_capacity`])
+//!   carries capacity only. Solves that reuse it are bit-identical to
+//!   solves on a fresh one.
+//! - [`KrylovWorkspace::for_fixed_operator`] is the opt-in of a caller that
+//!   runs every solve on this workspace against **one** operator. When a
+//!   solve ends in a cycle that began from a deflated restart, its head
+//!   `A Z_k = V_{k+1} H̄_k` is left in `v`, `z` and the unrotated Hessenberg;
+//!   the next solve turns it into the recycled pair `A U = C` and starts
+//!   every cycle from it (see the `gmres` module docs). The first solve on
+//!   such a workspace is bit-identical to one on [`KrylovWorkspace::new`].
+//!   Resizing it to a new `n` or `m`, or a solve that returns an error,
+//!   drops whatever it carries.
 //!
 //! `n` is the rank-local dimension (the whole vector on one rank), and a
 //! packed `reduce` buffer batches the Gram–Schmidt inner
@@ -26,7 +40,9 @@ use crate::givens::Givens;
 
 /// Preallocated buffers for restarted FGMRES (see the module docs).
 ///
-/// Treat the contents as scratch — nothing is preserved across solves.
+/// Treat the contents as scratch: only a workspace made by
+/// [`KrylovWorkspace::for_fixed_operator`] hands anything from one solve
+/// to the next.
 #[derive(Debug, Clone, Default)]
 pub struct KrylovWorkspace {
     /// Arnoldi basis vectors `v_0 … v_m` (`restart + 1` vectors of length `n`).
@@ -62,6 +78,27 @@ pub struct KrylovWorkspace {
     /// zero-alloc gates track. Purely a capacity hint: it never affects
     /// results.
     pub(crate) history_hint: usize,
+    /// Whether the owner solves one fixed operator on this workspace, so a
+    /// solve may hand its deflation space to the next.
+    pub(crate) recycle: bool,
+    /// What the last solve left for the next one.
+    pub(crate) carry: Carry,
+}
+
+/// The deflation space a solve hands to the next solve on a
+/// [`KrylovWorkspace::for_fixed_operator`] workspace.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum Carry {
+    /// Nothing to recycle.
+    #[default]
+    None,
+    /// The head of a deflated cycle, `A Z_k = V_{k+1} H̄_k`, with `V_{k+1}`
+    /// in `v[..=k]`, `Z_k` in `z[..k]` and the raw `H̄_k` in
+    /// `defl.hbar[..k]`.
+    Head(usize),
+    /// The recycled pair `A U = C`, `C` orthonormal, with `C` in `v[..k]`
+    /// and `U` in `z[..k]`.
+    Pair(usize),
 }
 
 /// Rows per block of the in-place basis recombination `V ← V P`.
@@ -162,6 +199,18 @@ impl KrylovWorkspace {
         Self::default()
     }
 
+    /// An empty workspace for a caller whose every solve on it is against
+    /// one fixed operator (and one preconditioner): each solve after the
+    /// first starts from the deflation space the solve before it found (see
+    /// the module docs). The first solve is bit-identical to one on
+    /// [`KrylovWorkspace::new`].
+    pub fn for_fixed_operator() -> Self {
+        KrylovWorkspace {
+            recycle: true,
+            ..Self::default()
+        }
+    }
+
     /// A workspace pre-sized for problem dimension `n`, restart dimension
     /// `m`, and `scratch` preconditioner scratch vectors, so the first
     /// solve is already allocation-free.
@@ -176,6 +225,9 @@ impl KrylovWorkspace {
     /// already fits, no allocation is performed — this is what the solvers
     /// call at entry, making reuse zero-cost and first use self-sizing.
     pub fn ensure(&mut self, n: usize, m: usize, scratch: usize) {
+        if self.g.len() != m + 1 || self.r.len() != n {
+            self.carry = Carry::None;
+        }
         ensure_pool(&mut self.v, m + 1, n);
         ensure_pool(&mut self.z, m, n);
         ensure_pool(&mut self.h, m, m + 1);

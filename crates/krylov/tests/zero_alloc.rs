@@ -112,6 +112,40 @@ fn warm_workspace_alloc_count_is_iteration_free_with_polynomial_precond() {
     );
 }
 
+/// A warm recycling window: on a fixed-operator workspace the second solve
+/// forms the recycled pair and the third reuses it, and neither allocates
+/// per iteration or per restart.
+#[test]
+fn warm_recycling_window_is_iteration_free() {
+    assert!(alloc::is_counting(), "counting allocator not installed");
+    let n = 64;
+    let a = laplacian(n);
+    let b = vec![1.0; n];
+    let long = GmresConfig {
+        restart: 8,
+        max_iters: 80,
+        tol: 1e-10,
+        ..Default::default()
+    };
+    // Past one recycled restart, but short of convergence.
+    let short = GmresConfig {
+        max_iters: 12,
+        ..long
+    };
+
+    let mut ws = KrylovWorkspace::for_fixed_operator();
+    // Warm-up: restarts, so its last cycle leaves a deflated head.
+    alloc_delta(&a, &IdentityPrecond, &b, &long, &mut ws);
+
+    let d_short = alloc_delta(&a, &IdentityPrecond, &b, &short, &mut ws);
+    let d_long = alloc_delta(&a, &IdentityPrecond, &b, &long, &mut ws);
+    assert_eq!(
+        d_short, d_long,
+        "recycled solves allocated in the loop: 12 iters cost {d_short} calls, \
+         a converged solve {d_long}"
+    );
+}
+
 #[test]
 fn every_kernel_variant_is_iteration_free() {
     assert!(alloc::is_counting(), "counting allocator not installed");

@@ -106,6 +106,52 @@ pub struct IterRecord {
     pub t_virt: f64,
 }
 
+/// A Krylov cycle that began from a carried space, as rank 0 recorded it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CarriedSpace {
+    /// A `deflated_restart`: the restart carried `k` harmonic Ritz vectors,
+    /// the smallest of whose values has modulus `theta_min`.
+    Deflated {
+        /// Vectors carried into the next cycle.
+        k: u64,
+        /// Smallest `|θ|` among the deflated harmonic Ritz values.
+        theta_min: f64,
+    },
+    /// A `recycled_start`: a solve began from the previous solve's
+    /// recycled pair of dimension `k`, which held the share `captured =
+    /// ‖Cᵀr₀‖/‖r₀‖` of its initial residual.
+    Recycled {
+        /// Dimension of the recycled space.
+        k: u64,
+        /// Share of the initial residual inside the recycled space.
+        captured: f64,
+    },
+}
+
+impl CarriedSpace {
+    /// Reads a `deflated_restart` or `recycled_start` instant; `None` for
+    /// any other event.
+    fn from_event(ev: &TraceEvent) -> Option<Self> {
+        let k = ev.u64("k")?;
+        match ev.name.as_str() {
+            "deflated_restart" => {
+                let theta_min = (0..)
+                    .map_while(|i| {
+                        let re = ev.f64(&format!("theta{i}_re"))?;
+                        Some(re.hypot(ev.f64(&format!("theta{i}_im")).unwrap_or(0.0)))
+                    })
+                    .fold(f64::INFINITY, f64::min);
+                Some(CarriedSpace::Deflated { k, theta_min })
+            }
+            "recycled_start" => Some(CarriedSpace::Recycled {
+                k,
+                captured: ev.f64("captured").unwrap_or(f64::NAN),
+            }),
+            _ => None,
+        }
+    }
+}
+
 /// The end-of-run summary the session engine stamps on the stream — one per
 /// `run()` or `run_multi()`.
 #[derive(Debug, Clone, PartialEq)]
@@ -246,6 +292,8 @@ pub struct TraceReport {
     pub iters: Vec<IterRecord>,
     /// End-of-solve summary, when present.
     pub solve: Option<SolveSummary>,
+    /// Rank-0 deflated restarts and recycled starts, in stream order.
+    pub carried: Vec<CarriedSpace>,
 }
 
 #[derive(Default)]
@@ -345,6 +393,7 @@ impl TraceReport {
         let mut ranks: Vec<(usize, RankAcc)> = Vec::new();
         let mut iters = Vec::new();
         let mut solve = None;
+        let mut carried = Vec::new();
 
         for ev in events {
             let acc = match ev.rank {
@@ -388,6 +437,9 @@ impl TraceReport {
                         factor: FactorSummary::from_event(ev),
                     });
                 }
+                EventKind::Instant if ev.rank == Some(0) => {
+                    carried.extend(CarriedSpace::from_event(ev));
+                }
                 _ => {}
             }
         }
@@ -414,6 +466,7 @@ impl TraceReport {
             ranks,
             iters,
             solve,
+            carried,
         }
     }
 

@@ -55,8 +55,8 @@ mod report;
 mod sink;
 
 pub use aggregate::{
-    CoarseSetupSummary, CommCounts, FactorSummary, IterRecord, PhaseTotals, RankSummary,
-    SolveSummary, TraceReport,
+    CarriedSpace, CoarseSetupSummary, CommCounts, FactorSummary, IterRecord, PhaseTotals,
+    RankSummary, SolveSummary, TraceReport,
 };
 pub use chrome::export_chrome_trace;
 pub use critpath::{render_critical_path, CritPath, PathSegment, RankWaits, SegmentKind};

@@ -2,7 +2,7 @@
 //! a Table-1-style communication table, a convergence summary, and an
 //! ASCII per-rank timeline over virtual time.
 
-use crate::aggregate::{PhaseTotals, TraceReport};
+use crate::aggregate::{CarriedSpace, PhaseTotals, TraceReport};
 use std::fmt::Write as _;
 
 fn fmt_secs(s: f64) -> String {
@@ -264,6 +264,7 @@ pub fn render_convergence(report: &TraceReport) -> String {
             );
         }
     }
+    render_carried(&report.carried, &mut out);
     if report.iters.is_empty() {
         return out;
     }
@@ -285,6 +286,52 @@ pub fn render_convergence(report: &TraceReport) -> String {
         );
     }
     out
+}
+
+/// One line per kind of carried Krylov space: the deflated restarts with
+/// the smallest harmonic Ritz value they deflated, and the solves that began
+/// from a recycled space with the share of their initial residual it held.
+fn render_carried(carried: &[CarriedSpace], out: &mut String) {
+    let range = |lo: f64, hi: f64, prec: usize| {
+        if lo == hi {
+            format!("{lo:.prec$}")
+        } else {
+            format!("{lo:.prec$}..{hi:.prec$}")
+        }
+    };
+    let (mut deflated, mut theta_min) = (Vec::new(), f64::INFINITY);
+    let (mut recycled, mut captured) = (Vec::new(), Vec::new());
+    for c in carried {
+        match *c {
+            CarriedSpace::Deflated { k, theta_min: t } => {
+                deflated.push(k as f64);
+                theta_min = theta_min.min(t);
+            }
+            CarriedSpace::Recycled { k, captured: share } => {
+                recycled.push(k as f64);
+                captured.push(share);
+            }
+        }
+    }
+    let lo = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = |v: &[f64]| v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    if !deflated.is_empty() {
+        let _ = writeln!(
+            out,
+            "deflated restarts: {} carrying k = {} harmonic Ritz vectors, smallest |theta| {theta_min:.3e}",
+            deflated.len(),
+            range(lo(&deflated), hi(&deflated), 0)
+        );
+    }
+    if !recycled.is_empty() {
+        let _ = writeln!(
+            out,
+            "recycled starts: {} from a space of k = {} vectors, holding {} of ||r0||",
+            recycled.len(),
+            range(lo(&recycled), hi(&recycled), 0),
+            range(lo(&captured), hi(&captured), 3)
+        );
+    }
 }
 
 /// Renders a Gantt-style per-rank timeline over virtual time: one row per
@@ -487,6 +534,55 @@ mod tests {
         assert!(text.contains("converged"));
         assert!(text.contains("edd-enhanced"));
         assert!(text.contains("1.0000e-3") || text.contains("1.0000e3") || text.contains("e-3"));
+    }
+
+    #[test]
+    fn convergence_renders_deflated_restarts_and_recycled_starts() {
+        assert!(!render_convergence(&sample_report()).contains("deflated"));
+        let instant = |rank, name: &str, fields: Vec<(String, Value)>| TraceEvent {
+            rank: Some(rank),
+            t_wall: 0.0,
+            t_virt: 0.0,
+            kind: EventKind::Instant,
+            name: name.to_string(),
+            fields,
+        };
+        let mut events = Vec::new();
+        for rank in 0..2 {
+            for theta in [2e-3, 9.9e-4] {
+                events.push(instant(
+                    rank,
+                    "deflated_restart",
+                    vec![
+                        ("k".into(), 6u64.into()),
+                        ("theta0_re".into(), 0.5.into()),
+                        ("theta0_im".into(), 0.0.into()),
+                        ("theta1_re".into(), theta.into()),
+                        ("theta1_im".into(), 0.0.into()),
+                    ],
+                ));
+            }
+            for share in [0.25, 0.5] {
+                events.push(instant(
+                    rank,
+                    "recycled_start",
+                    vec![("k".into(), 6u64.into()), ("captured".into(), share.into())],
+                ));
+            }
+        }
+        let report = TraceReport::from_events(&events);
+        assert_eq!(report.carried.len(), 4, "rank 0's events only");
+        let text = render_convergence(&report);
+        assert!(
+            text.contains("deflated restarts: 2 carrying k = 6 harmonic Ritz vectors, smallest |theta| 9.900e-4"),
+            "{text}"
+        );
+        assert!(
+            text.contains(
+                "recycled starts: 2 from a space of k = 6 vectors, holding 0.250..0.500 of ||r0||"
+            ),
+            "{text}"
+        );
     }
 
     #[test]
