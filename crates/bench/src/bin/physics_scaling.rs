@@ -186,7 +186,7 @@ fn run_series(
         let x0 = vec![0.0; b.len()];
         let spec = PrecondSpec::parse(SPEC).expect("bench spec parses");
         let pc = spec
-            .instantiate(Some(basis.solver()), None, || scaled.diagonal())
+            .instantiate(Some(basis.solver()), Some(&scaled), || scaled.diagonal())
             .expect("polynomial smoother");
         let res = fgmres(&scaled, &pc, &b, &x0, &cfg);
         assert!(

@@ -327,7 +327,7 @@ fn solve_iters(
     let x0 = vec![0.0; b.len()];
     let spec = PrecondSpec::parse(spec_str).expect("bench spec parses");
     let pc = spec
-        .instantiate(coarse, None, || scaled.diagonal())
+        .instantiate(coarse, Some(scaled), || scaled.diagonal())
         .expect("polynomial smoother");
     let res = fgmres(scaled, &pc, b, &x0, &cfg);
     (res.history.iterations(), res.history.converged())

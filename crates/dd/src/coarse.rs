@@ -60,6 +60,7 @@ use parfem_precond::twolevel::{
     CoarseSetup, CoarseSpec, LiveMode, LocalRows,
 };
 use parfem_sparse::ldlt::DEFAULT_PIVOT_TOL;
+use parfem_sparse::{CsrMatrix, NodeMatrix};
 use parfem_trace::alloc::{self, AllocStats};
 use parfem_trace::Value;
 
@@ -84,8 +85,10 @@ impl<'a, C: Communicator> CoarseReduce for RddOperator<'a, C> {
 }
 
 impl<C: Communicator> CoarseSetup for EddOperator<'_, C> {
-    fn local_rows(&self) -> LocalRows<'_> {
-        LocalRows::square(self.rows())
+    type Rows = NodeMatrix;
+
+    fn local_rows(&self) -> LocalRows<'_, NodeMatrix> {
+        LocalRows::square(self.a_local.matrix())
     }
 
     fn partition_weights(&self) -> Option<&[f64]> {
@@ -102,6 +105,8 @@ impl<C: Communicator> CoarseSetup for EddOperator<'_, C> {
 }
 
 impl<C: Communicator> CoarseSetup for RddOperator<'_, C> {
+    type Rows = CsrMatrix;
+
     fn local_rows(&self) -> LocalRows<'_> {
         LocalRows::with_ghosts(&self.sys.a_loc, &self.sys.a_ext, self.sys.ext_dofs.len())
     }

@@ -410,7 +410,7 @@ mod tests {
             let sys = &systems[comm.rank()];
             let layout = EddLayout::from_system(sys);
             let xl = sys.restrict(&x);
-            let mut yl = sys.k_local.spmv(&xl);
+            let mut yl = parfem_sparse::CsrMatrix::from_rows(&sys.k_local).spmv(&xl);
             let mut bufs = ExchangeBuffers::new();
             layout.interface_sum_buffered(comm, &mut yl, &mut bufs);
             // Compare with the restriction of the global product.

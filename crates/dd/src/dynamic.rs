@@ -19,7 +19,6 @@ use parfem_krylov::history::{ConvergenceHistory, StopReason};
 use parfem_krylov::KrylovWorkspace;
 use parfem_mesh::ElementPartition;
 use parfem_msg::{run_ranks, Communicator, MachineModel};
-use std::borrow::Cow;
 
 /// Output of a parallel transient run.
 #[derive(Debug, Clone)]
@@ -78,7 +77,7 @@ pub(crate) fn run_dynamic_edd(
 
         // Effective local matrix, its distributed scaling and the
         // preconditioner (constructed once; theta = (eps, 1) post scaling).
-        let k_eff_local = Cow::Owned(sys.effective_local(alpha, beta));
+        let k_eff_local = sys.effective_local(alpha, beta);
         let (setup, _) = edd_rank_setup(comm, sys, k_eff_local, None, cfg)
             .unwrap_or_else(|e| panic!("rank {}: {e}", comm.rank()));
         let EddRank {

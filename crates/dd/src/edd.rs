@@ -44,7 +44,7 @@ use parfem_mesh::{ElementPartition, Subdomain};
 use parfem_msg::Communicator;
 use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSpec, SpecPrecond};
 use parfem_precond::{InterfaceConsistency, Preconditioner};
-use parfem_sparse::{dense, kernels, BcsrMatrix, CsrMatrix, LinearOperator};
+use parfem_sparse::{dense, kernels, CsrMatrix, LinearOperator, NodeMatrix, SparseRows};
 use parfem_trace::TraceSink;
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -60,38 +60,31 @@ pub enum EddVariant {
 
 /// One rank's local distributed matrix `Â⁽ˢ⁾` in the storage its physics
 /// gives it: a local numbering with `B ∈ {2, 3}` DOFs per node (elasticity)
-/// is `B × B` node blocks, one DOF per node (heat) is CSR. Nothing selects
-/// the format — it follows from [`EddLayout::dofs_per_node`].
+/// is `B × B` node blocks, one DOF per node (heat) is CSR — the
+/// [`NodeMatrix`] the subdomain was assembled into, scaled in place. Nothing
+/// selects the format, and no second copy exists.
 ///
 /// The same storage serves the blocking matvec, the residual and the
 /// overlapped interface/interior split: a node's DOFs are all shared or all
 /// private, so the split falls on block rows, and each (block) row is the
 /// same arithmetic in either schedule.
 ///
-/// Flop charges are those of the source pattern (`2·nnz`, block fill
+/// Flop charges are those of the scalar pattern (`2·nnz`, block fill
 /// excluded), so the virtual clock does not depend on the storage.
 #[derive(Debug, Clone)]
 pub struct EddLocalMatrix {
-    storage: LocalStorage,
+    a: NodeMatrix,
+    /// Block rows of the interface and interior nodes (a block row with any
+    /// shared DOF counts as interface); empty for CSR, which splits over the
+    /// layout's scalar row lists.
+    interface: Vec<u32>,
+    interior: Vec<u32>,
     /// Flops of the rows that must finish before the exchange is posted
-    /// (`2·nnz` over the source rows shared with a neighbour).
+    /// (`2·nnz` over the rows shared with a neighbour).
     interface_flops: u64,
     /// Flops of the rows overlapped with the in-flight exchange;
     /// `interface_flops + interior_flops` is [`EddLocalMatrix::spmv_flops`].
     interior_flops: u64,
-}
-
-#[derive(Debug, Clone)]
-enum LocalStorage {
-    /// One DOF per node: the CSR kernels, split over the layout's row lists.
-    Csr(CsrMatrix),
-    /// Node blocks, with the block rows of the interface and interior nodes
-    /// (a block row with any shared DOF counts as interface).
-    Blocks {
-        a: BcsrMatrix,
-        interface: Vec<u32>,
-        interior: Vec<u32>,
-    },
 }
 
 /// Which half of the overlapped matvec to compute.
@@ -102,71 +95,43 @@ enum Rows {
 }
 
 impl EddLocalMatrix {
-    /// Copies `a` (a rank's local matrix over `layout`'s numbering) into
-    /// the storage the layout's DOFs per node give it.
-    pub fn new(a: &CsrMatrix, layout: &EddLayout) -> Self {
-        Self::build(a, None, layout)
-    }
-
-    /// The scaled matrix `D̂ K̂ D̂` of Algorithm 4, built in one pass from the
-    /// unscaled `k_local`: block storage never sees a scaled CSR copy.
-    pub fn scaled(k_local: &CsrMatrix, d: &[f64], layout: &EddLayout) -> Self {
-        Self::build(k_local, Some(d), layout)
-    }
-
-    fn build(k: &CsrMatrix, d: Option<&[f64]>, layout: &EddLayout) -> Self {
-        assert_eq!(k.n_rows(), layout.n_local(), "local matrix vs layout");
-        let b = layout.dofs_per_node();
-        let blocks = match d {
-            Some(d) => BcsrMatrix::from_csr_scaled(k, b, d),
-            None => BcsrMatrix::from_csr(k, b),
-        };
-        let row_ptr = k.raw_parts().0;
-        let row_flops = |r: usize| 2 * (row_ptr[r + 1] - row_ptr[r]) as u64;
-        let (storage, interface_flops) = match blocks {
-            Some(a) => {
-                let mut shared = vec![false; a.n_block_rows()];
+    /// Wraps `a`, a rank's local matrix over `layout`'s numbering.
+    pub fn new(a: NodeMatrix, layout: &EddLayout) -> Self {
+        assert_eq!(a.n_rows(), layout.n_local(), "local matrix vs layout");
+        let interface_flops = (layout.interface_rows().iter())
+            .map(|&r| 2 * a.row_len(r) as u64)
+            .sum();
+        let (interface, interior) = match &a {
+            NodeMatrix::Csr(_) => (Vec::new(), Vec::new()),
+            NodeMatrix::Blocks(blocks) => {
+                let b = blocks.block_size();
+                let mut shared = vec![false; blocks.n_block_rows()];
                 for &r in layout.interface_rows() {
                     shared[r / b] = true;
                 }
-                let (interface, interior): (Vec<u32>, Vec<u32>) =
-                    (0..shared.len() as u32).partition(|&br| shared[br as usize]);
-                let flops = (interface.iter())
-                    .flat_map(|&br| (0..b).map(move |i| br as usize * b + i))
-                    .map(row_flops)
-                    .sum();
-                let storage = LocalStorage::Blocks {
-                    a,
-                    interface,
-                    interior,
-                };
-                (storage, flops)
-            }
-            None => {
-                let mut a = k.clone();
-                if let Some(d) = d {
-                    a.scale_symmetric(d);
-                }
-                let flops = layout.interface_rows().iter().map(|&r| row_flops(r)).sum();
-                (LocalStorage::Csr(a), flops)
+                (0..shared.len() as u32).partition(|&br| shared[br as usize])
             }
         };
         EddLocalMatrix {
-            storage,
+            interior_flops: a.spmv_flops() - interface_flops,
+            a,
+            interface,
+            interior,
             interface_flops,
-            interior_flops: k.spmv_flops() - interface_flops,
         }
+    }
+
+    /// The matrix, in its storage.
+    pub fn matrix(&self) -> &NodeMatrix {
+        &self.a
     }
 
     /// Local DOF count.
     pub fn n_rows(&self) -> usize {
-        match &self.storage {
-            LocalStorage::Csr(a) => a.n_rows(),
-            LocalStorage::Blocks { a, .. } => a.n_rows(),
-        }
+        self.a.n_rows()
     }
 
-    /// Flops of one local SpMV: `2·nnz` of the source pattern.
+    /// Flops of one local SpMV: `2·nnz` of the scalar pattern.
     pub fn spmv_flops(&self) -> u64 {
         self.interface_flops + self.interior_flops
     }
@@ -174,42 +139,28 @@ impl EddLocalMatrix {
     /// The kernel that applies this matrix, as traces and reports name it:
     /// `csr`, `bcsr2` or `bcsr3`.
     pub fn kernel_label(&self) -> &'static str {
-        match &self.storage {
-            LocalStorage::Csr(_) => "csr",
-            LocalStorage::Blocks { a, .. } if a.block_size() == 2 => "bcsr2",
-            LocalStorage::Blocks { .. } => "bcsr3",
-        }
-    }
-
-    /// The CSR matrix, when that is the storage.
-    pub fn as_csr(&self) -> Option<&CsrMatrix> {
-        match &self.storage {
-            LocalStorage::Csr(a) => Some(a),
-            LocalStorage::Blocks { .. } => None,
+        match &self.a {
+            NodeMatrix::Csr(_) => "csr",
+            NodeMatrix::Blocks(a) if a.block_size() == 2 => "bcsr2",
+            NodeMatrix::Blocks(_) => "bcsr3",
         }
     }
 
     /// The main diagonal.
     pub fn diagonal(&self) -> Vec<f64> {
-        match &self.storage {
-            LocalStorage::Csr(a) => a.diagonal(),
-            LocalStorage::Blocks { a, .. } => a.diagonal(),
-        }
+        self.a.diagonal()
     }
 
     /// `y = Â x` over all local rows.
     pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
-        match &self.storage {
-            LocalStorage::Csr(a) => a.spmv_into(x, y),
-            LocalStorage::Blocks { a, .. } => a.spmv_into(x, y),
-        }
+        self.a.spmv_into(x, y)
     }
 
     /// One half of the split matvec; the two halves together write every
     /// row with the bits of [`EddLocalMatrix::spmv_into`].
     fn spmv_rows(&self, layout: &EddLayout, rows: Rows, x: &[f64], y: &mut [f64]) {
-        match (&self.storage, rows) {
-            (LocalStorage::Csr(a), _) => {
+        match &self.a {
+            NodeMatrix::Csr(a) => {
                 let (row_ptr, col_idx, values) = a.raw_parts();
                 let rows = match rows {
                     Rows::Interface => layout.interface_rows(),
@@ -217,11 +168,12 @@ impl EddLocalMatrix {
                 };
                 kernels::spmv_rows_indexed(row_ptr, col_idx, values, x, y, rows);
             }
-            (LocalStorage::Blocks { a, interface, .. }, Rows::Interface) => {
-                a.spmv_block_rows(x, y, interface)
-            }
-            (LocalStorage::Blocks { a, interior, .. }, Rows::Interior) => {
-                a.spmv_block_rows(x, y, interior)
+            NodeMatrix::Blocks(a) => {
+                let rows = match rows {
+                    Rows::Interface => &self.interface,
+                    Rows::Interior => &self.interior,
+                };
+                a.spmv_block_rows(x, y, rows)
             }
         }
     }
@@ -235,9 +187,6 @@ pub struct EddOperator<'a, C: Communicator> {
     pub layout: &'a EddLayout,
     /// This rank's communicator endpoint.
     pub comm: &'a C,
-    /// The CSR rows of `a_local`, while a setup that walks matrix rows (the
-    /// two-level coarse build) runs over this operator.
-    rows: Option<&'a CsrMatrix>,
     /// Which of the paper's EDD algorithms the flexible-preconditioning
     /// step follows.
     variant: EddVariant,
@@ -268,27 +217,10 @@ impl<'a, C: Communicator> EddOperator<'a, C> {
             a_local,
             layout,
             comm,
-            rows: None,
             variant,
             bufs: RefCell::new(ExchangeBuffers::new()),
             xbufs: RefCell::new(ExchangeBuffers::new()),
         }
-    }
-
-    /// Lends the operator the CSR rows of its matrix — what
-    /// [`parfem_precond::twolevel::CoarseSetup::local_rows`] hands the
-    /// coarse build. `rows` must hold the values of `a_local`.
-    pub fn with_rows(mut self, rows: &'a CsrMatrix) -> Self {
-        assert_eq!(rows.n_rows(), self.a_local.n_rows(), "rows vs operator");
-        self.rows = Some(rows);
-        self
-    }
-
-    /// The CSR rows a row-walking setup reads: the matrix itself when it is
-    /// stored as CSR, else the rows lent by [`EddOperator::with_rows`].
-    pub(crate) fn rows(&self) -> &CsrMatrix {
-        (self.a_local.as_csr().or(self.rows))
-            .expect("EddOperator: a row-walking setup over block storage needs with_rows")
     }
 
     /// `true` when matvecs run the overlapped interface/interior split.
@@ -623,47 +555,31 @@ pub(crate) struct EddRank {
 
 /// The EDD rank setup, shared by the engine and the transient driver (which
 /// passes its effective matrix `ᾱM̂ + K̂` as `k_local`): distributed scaling
-/// under the `scaling` rank span — the operator's storage built once, here,
-/// straight from the unscaled matrix — then the preconditioner over the
-/// scaled matrix and interface layout.
-///
-/// Only the preconditioner arms that factor or walk matrix rows (`direct`,
-/// `twolevel:*`) see a scaled CSR matrix: the operator's own when that is
-/// its storage, else `k_local` scaled in place (an owned `k_local` is not
-/// copied for it) and dropped when the setup returns. Under the polynomial
-/// arms an owned `k_local` is freed as soon as the operator's storage
-/// exists, so one matrix is live per rank from there on.
+/// under the `scaling` rank span — `k_local` scaled in place into the
+/// operator's matrix — then the preconditioner over that matrix and the
+/// interface layout. Every arm, `direct` and `twolevel:*` included, reads
+/// the operator's own matrix: one matrix is live per rank throughout.
 pub(crate) fn edd_rank_setup<C: Communicator>(
     comm: &C,
     sys: &SubdomainSystem,
-    k_local: Cow<'_, CsrMatrix>,
+    k_local: NodeMatrix,
     coarse: Option<CoarsePlan<'_>>,
     cfg: &SolverConfig,
 ) -> Result<(EddRank, PrecondBuildStats), SolveError> {
-    let (layout, scaling, a, b, rows) = rank_span(comm, "scaling", || {
+    let (layout, scaling, a, b) = rank_span(comm, "scaling", || {
         let mut layout = EddLayout::from_system(sys);
         layout.set_overlap(cfg.overlap);
         let scaling = DistributedScaling::build(comm, &layout, &k_local);
         let mut b = sys.f_local.clone();
-        let a = scaling.apply(&k_local, &mut b, &layout);
-        let reads_rows = cfg.precond.needs_local_matrix() || cfg.precond.needs_coarse();
-        let rows = (a.as_csr().is_none() && reads_rows).then(|| {
-            let mut k = k_local.into_owned();
-            k.scale_symmetric(&scaling.d);
-            k
-        });
-        (layout, scaling, a, b, rows)
+        let a = scaling.apply(k_local, &mut b, &layout);
+        (layout, scaling, a, b)
     });
-    let op = EddOperator::new(&a, &layout, comm);
     let (precond, stats) = build_precond(
-        &match &rows {
-            Some(rows) => op.with_rows(rows),
-            None => op,
-        },
+        &EddOperator::new(&a, &layout, comm),
         coarse,
         &sys.multiplicity,
         &scaling.d,
-        a.as_csr().or(rows.as_ref()),
+        a.matrix(),
         || {
             let mut d = a.diagonal();
             layout.interface_sum_buffered(comm, &mut d, &mut ExchangeBuffers::new());
@@ -683,8 +599,8 @@ pub(crate) fn edd_rank_setup<C: Communicator>(
 
 impl<'a> Decomposition for EddParts<'a> {
     /// The rank's system — borrowed from the caller, or assembled by the
-    /// rank itself and then left without its `k_local` (the setup consumed
-    /// it) — and its setup.
+    /// rank itself and then left without its `k_local` (the setup scaled it
+    /// into the operator) — and its setup.
     type Rank = (Cow<'a, SubdomainSystem>, EddRank);
 
     fn n_ranks(&self) -> usize {
@@ -712,7 +628,8 @@ impl<'a> Decomposition for EddParts<'a> {
         let parts = (0..self.n_ranks()).map(|r| self.global_dofs(r));
         match &self.input {
             EddInput::Prebuilt(systems) => {
-                let lone_diagonal = |r: usize, l: usize| systems[r].k_local.row(l).0 == [l];
+                let lone_diagonal =
+                    |r: usize, l: usize| systems[r].k_local.row_entries(l).map(|(c, _)| c).eq([l]);
                 edd_part_geometry(spec, parts, lone_diagonal, None, self.dofs_per_node)
             }
             EddInput::Mesh { problem, .. } => {
@@ -732,7 +649,7 @@ impl<'a> Decomposition for EddParts<'a> {
         match &self.input {
             EddInput::Prebuilt(systems) => {
                 let sys = &systems[comm.rank()];
-                let k_local = Cow::Borrowed(&sys.k_local);
+                let k_local = sys.k_local.clone();
                 let (rank, stats) = edd_rank_setup(comm, sys, k_local, coarse, cfg)?;
                 Ok(((Cow::Borrowed(sys), rank), stats))
             }
@@ -742,10 +659,11 @@ impl<'a> Decomposition for EddParts<'a> {
                 ..
             } => {
                 let mut sys = assemble_on_rank(comm, problem, &subdomains[comm.rank()], None);
-                // The setup consumes the unscaled stiffness: nothing after
-                // it reads `K̂`, only the scaled operator built from it.
-                let k_local = std::mem::replace(&mut sys.k_local, CsrMatrix::identity(0));
-                let (rank, stats) = edd_rank_setup(comm, &sys, Cow::Owned(k_local), coarse, cfg)?;
+                // The setup scales the stiffness in place into the operator:
+                // nothing after it reads the unscaled `K̂`.
+                let empty = NodeMatrix::Csr(CsrMatrix::identity(0));
+                let k_local = std::mem::replace(&mut sys.k_local, empty);
+                let (rank, stats) = edd_rank_setup(comm, &sys, k_local, coarse, cfg)?;
                 Ok(((Cow::Owned(sys), rank), stats))
             }
         }
@@ -818,6 +736,7 @@ mod tests {
     use parfem_mesh::{DofMap, Edge, ElementPartition, QuadMesh};
     use parfem_msg::{run_ranks, MachineModel};
     use parfem_precond::{GlsPrecond, IdentityPrecond, NeumannPrecond};
+    use parfem_sparse::BcsrMatrix;
 
     struct Fixture {
         systems: Vec<SubdomainSystem>,
@@ -862,7 +781,7 @@ mod tests {
             let layout = EddLayout::from_system(sys);
             let sc = DistributedScaling::build(comm, &layout, &sys.k_local);
             let mut b = sys.f_local.clone();
-            let a = sc.apply(&sys.k_local, &mut b, &layout);
+            let a = sc.apply(sys.k_local.clone(), &mut b, &layout);
             let x0 = vec![0.0; b.len()];
             let ws = &mut KrylovWorkspace::new();
             let res = match &gls {
@@ -1031,7 +950,7 @@ mod tests {
             let sys = &fx.systems[comm.rank()];
             let mut layout = EddLayout::from_system(sys);
             assert_eq!(layout.dofs_per_node(), 2);
-            let a = EddLocalMatrix::new(&sys.k_local, &layout);
+            let a = EddLocalMatrix::new(sys.k_local.clone(), &layout);
             assert_eq!(a.spmv_flops(), sys.k_local.spmv_flops());
             let n = sys.k_local.n_rows();
             let x: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64 * 0.5 - 3.0).collect();
@@ -1050,9 +969,10 @@ mod tests {
             // The CSR reference and the row-sum reassociation bound of the
             // sparse proptests, interface-summed like the product itself: a
             // shared row may be off by the sum of its sharers' local bounds.
-            let mut want = sys.k_local.spmv(&x);
+            let csr = CsrMatrix::from_rows(&sys.k_local);
+            let mut want = csr.spmv(&x);
             layout.interface_sum_buffered(comm, &mut want, &mut ExchangeBuffers::new());
-            let (row_ptr, col_idx, values) = sys.k_local.raw_parts();
+            let (row_ptr, col_idx, values) = csr.raw_parts();
             let mut bound: Vec<f64> = (0..n)
                 .map(|r| {
                     let row = row_ptr[r]..row_ptr[r + 1];
@@ -1085,10 +1005,11 @@ mod tests {
             let sys = &systems[comm.rank()];
             let mut layout = EddLayout::from_system(sys);
             assert_eq!(layout.dofs_per_node(), 1);
-            let a = EddLocalMatrix::new(&sys.k_local, &layout);
-            assert_eq!(a.as_csr(), Some(&sys.k_local));
+            let a = EddLocalMatrix::new(sys.k_local.clone(), &layout);
+            assert!(matches!(a.matrix(), NodeMatrix::Csr(_)));
+            assert_eq!(a.matrix(), &sys.k_local);
             let x: Vec<f64> = (0..a.n_rows()).map(|i| 1.0 + 0.25 * i as f64).collect();
-            let mut want = sys.k_local.spmv(&x);
+            let mut want = CsrMatrix::from_rows(&sys.k_local).spmv(&x);
             layout.interface_sum_buffered(comm, &mut want, &mut ExchangeBuffers::new());
             for overlap in [false, true] {
                 layout.set_overlap(overlap);
@@ -1107,7 +1028,7 @@ mod tests {
         run_ranks(2, MachineModel::ideal(), |comm| {
             let sys = &fx.systems[comm.rank()];
             let layout = EddLayout::from_system(sys);
-            let a = EddLocalMatrix::new(&sys.k_local, &layout);
+            let a = EddLocalMatrix::new(sys.k_local.clone(), &layout);
             let op = EddOperator::new(&a, &layout, comm);
             let n = layout.n_local();
             let vec = |seed: usize| -> Vec<f64> {
@@ -1158,7 +1079,7 @@ mod tests {
             let layout = EddLayout::from_system(sys);
             let scd = DistributedScaling::build(comm, &layout, &sys.k_local);
             let mut b = sys.f_local.clone();
-            let a = scd.apply(&sys.k_local, &mut b, &layout);
+            let a = scd.apply(sys.k_local.clone(), &mut b, &layout);
             super::edd_lambda_max(comm, &layout, &a, &sys.global_dofs, 50_000, 1e-12)
         });
         for got in out.results {
@@ -1183,7 +1104,7 @@ mod tests {
             let layout = EddLayout::from_system(sys);
             let sc = DistributedScaling::build(comm, &layout, &sys.k_local);
             let mut b = sys.f_local.clone();
-            let a = sc.apply(&sys.k_local, &mut b, &layout);
+            let a = sc.apply(sys.k_local.clone(), &mut b, &layout);
             let x0 = vec![0.0; b.len()];
             let res = edd_fgmres(
                 comm,

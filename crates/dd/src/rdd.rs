@@ -48,6 +48,9 @@ pub struct RddSystem {
     pub a_loc: CsrMatrix,
     /// Coupling to external DOFs (`n_loc × n_ext`).
     pub a_ext: CsrMatrix,
+    /// The owned rows with an entry in `a_ext`, ascending: the only rows
+    /// the halo product adds to.
+    pub halo_rows: Vec<usize>,
     /// Global DOFs of the external columns, ascending.
     pub ext_dofs: Vec<usize>,
     /// Local right-hand side (owned rows of the global RHS).
@@ -68,6 +71,16 @@ impl RddSystem {
     /// Number of owned DOFs.
     pub fn n_local(&self) -> usize {
         self.rows.len()
+    }
+
+    /// `y += A_ext x_ext` over the halo rows, one [`kernels::row_dot`] per
+    /// row; the rows without external entries are not visited.
+    fn add_halo_product(&self, x_ext: &[f64], y: &mut [f64]) {
+        let (row_ptr, col_idx, values) = self.a_ext.raw_parts();
+        for &r in &self.halo_rows {
+            let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
+            y[r] += kernels::row_dot(&col_idx[lo..hi], &values[lo..hi], x_ext);
+        }
     }
 
     /// Builds all `P` block-row systems from an assembled (and already
@@ -368,6 +381,7 @@ impl Split {
         }
         cols.truncate(w);
         vals.truncate(w);
+        let halo_rows = (0..n).filter(|&r| ext_ptr[r + 1] > ext_ptr[r]).collect();
         dense::diag_mul(&d[..n], &mut rhs);
         let n_ext = self.ext_dofs.len();
         RddSystem {
@@ -377,6 +391,7 @@ impl Split {
                 .expect("owned columns keep their order"),
             a_ext: CsrMatrix::from_raw_parts(n, n_ext.max(1), ext_ptr, ext_cols, ext_vals)
                 .expect("external columns keep their order"),
+            halo_rows,
             ext_dofs: self.ext_dofs,
             b_loc: rhs,
             send_to: self.send_to,
@@ -506,16 +521,12 @@ impl<C: Communicator> LinearOperator for RddOperator<'_, C> {
                     halo.x_ext[pos] = v;
                 }
             }
-            if !sys.ext_dofs.is_empty() {
-                sys.a_ext.spmv_add_into(&halo.x_ext, y);
-            }
+            sys.add_halo_product(&halo.x_ext, y);
             self.comm.work(sys.a_ext.spmv_flops());
         } else {
             self.gather_ext(x, &mut halo);
             sys.a_loc.spmv_into(x, y);
-            if !sys.ext_dofs.is_empty() {
-                sys.a_ext.spmv_add_into(&halo.x_ext, y);
-            }
+            sys.add_halo_product(&halo.x_ext, y);
             self.comm
                 .work(sys.a_loc.spmv_flops() + sys.a_ext.spmv_flops());
         }
@@ -686,7 +697,7 @@ impl Decomposition for RddParts<'_> {
             coarse,
             &mult,
             &d,
-            Some(&sys.a_loc),
+            &sys.a_loc,
             || sys.a_loc.diagonal(),
             &cfg.precond,
         )?;

@@ -20,7 +20,7 @@ use crate::edd::EddLocalMatrix;
 use parfem_fem::subdomain::SubdomainSystem;
 use parfem_mesh::numbering::DOFS_PER_NODE;
 use parfem_msg::Communicator;
-use parfem_sparse::{dense, scaling::inv_sqrt_scaling, CsrMatrix, DiagonalScaling};
+use parfem_sparse::{dense, scaling::inv_sqrt_scaling, DiagonalScaling, NodeMatrix};
 
 /// The per-subdomain result of the distributed scaling.
 #[derive(Debug, Clone)]
@@ -31,8 +31,9 @@ pub struct DistributedScaling {
 }
 
 impl DistributedScaling {
-    /// Algorithm 3: local row sums, interface accumulation, `1/√·`.
-    pub fn build<C: Communicator>(comm: &C, layout: &EddLayout, k_local: &CsrMatrix) -> Self {
+    /// Algorithm 3: local row sums (in column order, so either storage gives
+    /// the same bits), interface accumulation, `1/√·`.
+    pub fn build<C: Communicator>(comm: &C, layout: &EddLayout, k_local: &NodeMatrix) -> Self {
         let mut sums = k_local.row_abs_sums();
         comm.work(2 * k_local.nnz() as u64);
         let mut bufs = ExchangeBuffers::new();
@@ -45,17 +46,18 @@ impl DistributedScaling {
         }
     }
 
-    /// Algorithm 4 step 1–2: returns the scaled local matrix `D̂K̂D̂` — in the
-    /// storage the layout's DOFs per node give the operator, built straight
-    /// from `k_local` — and scales the local RHS in place.
+    /// Algorithm 4 step 1–2: scales `k_local` in place into the operator's
+    /// matrix `D̂K̂D̂` (every entry `k_rc·(d_r·d_c)`, in the storage it was
+    /// assembled into) and the local RHS in place.
     pub fn apply(
         &self,
-        k_local: &CsrMatrix,
+        mut k_local: NodeMatrix,
         f_local: &mut [f64],
         layout: &EddLayout,
     ) -> EddLocalMatrix {
         dense::diag_mul(&self.d, f_local);
-        EddLocalMatrix::scaled(k_local, &self.d, layout)
+        k_local.scale_symmetric(&self.d);
+        EddLocalMatrix::new(k_local, layout)
     }
 
     /// Recovers physical displacements from the scaled solution:
@@ -94,6 +96,7 @@ mod tests {
     use parfem_fem::{assembly, Material};
     use parfem_mesh::{DofMap, Edge, ElementPartition, QuadMesh};
     use parfem_msg::{run_ranks, MachineModel};
+    use parfem_sparse::{CsrMatrix, SparseRows};
 
     fn fixture(p: usize) -> (Vec<SubdomainSystem>, CsrMatrix, usize) {
         let mesh = QuadMesh::cantilever(6, 2);
@@ -165,7 +168,7 @@ mod tests {
             let layout = EddLayout::from_system(sys);
             let sc = DistributedScaling::build(comm, &layout, &sys.k_local);
             let mut f = sys.f_local.clone();
-            let a = sc.apply(&sys.k_local, &mut f, &layout);
+            let a = sc.apply(sys.k_local.clone(), &mut f, &layout);
             // A_ij = d_i K_ij d_j on the local matrix, read back column by
             // column (a product with a unit vector is exact).
             let mut max_err = 0.0_f64;

@@ -69,7 +69,7 @@ use parfem_msg::{
 use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSetup, CoarseSpec, SpecPrecond};
 pub use parfem_precond::PrecondSpec;
 
-use parfem_sparse::{CsrMatrix, SparseLdlt};
+use parfem_sparse::{CsrMatrix, SparseLdlt, SparseRows};
 use parfem_trace::{alloc, TraceSink, Value};
 use std::fmt;
 use std::time::Duration;
@@ -1058,21 +1058,22 @@ pub(crate) struct PrecondBuildStats {
 /// two-level coarse space over the rank's operator `op` when the spec asks
 /// for one (`mult` and `d` are the dof multiplicity and scaling diagonal
 /// over the rank's rows), then the registry instantiation from the rank's
-/// scaled matrix as CSR (`local`; `None` when the spec reads no matrix and
-/// the rank keeps none in that form) and the lazily assembled diagonal. A
+/// scaled matrix in the storage it holds (`local`; only `direct` and `ilu0`
+/// read it) and the lazily assembled diagonal. A
 /// subdomain factorization is charged to the rank clock here, once. A failed
 /// build (ILU(0) on a floating subdomain) is [`SolveError::Precond`].
-pub(crate) fn build_precond<Op>(
+pub(crate) fn build_precond<Op, M>(
     op: &Op,
     coarse: Option<CoarsePlan<'_>>,
     mult: &[f64],
     d: &[f64],
-    local: Option<&CsrMatrix>,
+    local: &M,
     diag: impl FnOnce() -> Vec<f64>,
     spec: &PrecondSpec,
 ) -> Result<(SpecPrecond, PrecondBuildStats), SolveError>
 where
     Op: CoarseSetup + DistributedOperator,
+    M: SparseRows + ?Sized,
 {
     let comm = op.comm();
     rank_span(comm, "precond-build", || {
@@ -1082,7 +1083,7 @@ where
                 (built.solver(op.partition_weights()), stats)
             })
             .unzip();
-        let precond = spec.instantiate(solver, local, diag)?;
+        let precond = spec.instantiate(solver, Some(local), diag)?;
         let factor = precond.subdomain_factor().map(FactorStats::of);
         if let Some(f) = &factor {
             comm.work(f.flops);

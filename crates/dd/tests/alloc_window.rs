@@ -19,7 +19,7 @@ use parfem_mesh::{DofMap, Edge, ElementPartition, Face, HexMesh, NodePartition, 
 use parfem_msg::{run_ranks, Communicator, MachineModel};
 use parfem_precond::GlsPrecond;
 use parfem_sparse::scaling::scale_system;
-use parfem_sparse::{BcsrMatrix, CsrMatrix};
+use parfem_sparse::{CsrMatrix, NodeMatrix};
 use parfem_trace::alloc::{self, CountingAlloc};
 use parfem_trace::{TraceReport, TraceSink};
 
@@ -30,6 +30,20 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// building it allocates.
 fn csr_bytes(a: &CsrMatrix) -> u64 {
     (a.nnz() * (size_of::<f64>() + size_of::<usize>())) as u64
+}
+
+/// Bytes a subdomain matrix of this pattern would take as CSR:
+/// `16·nnz + 8·(n + 1)`.
+fn subdomain_csr_bytes(a: &NodeMatrix) -> u64 {
+    (a.nnz() * (size_of::<f64>() + size_of::<usize>()) + (a.n_rows() + 1) * size_of::<usize>())
+        as u64
+}
+
+/// Bytes of the node blocks an elasticity subdomain is assembled into.
+fn block_bytes(a: &NodeMatrix) -> u64 {
+    a.as_blocks()
+        .expect("elasticity subdomains are node blocks")
+        .bytes() as u64
 }
 
 /// `alloc_bytes` of the one `solve_summary` a traced run of `session` emits.
@@ -59,20 +73,24 @@ fn summary_allocations_include_host_assembly_for_edd_and_rdd() {
     // EDD: the same systems assembled by the caller (outside the window)
     // and by the session's ranks (inside it, summed into the summary with
     // everything else the rank threads allocate). The ranks do identical
-    // work otherwise, so the difference is the partition + assembly.
+    // work otherwise — except that a borrowed system's stiffness is copied
+    // before it is scaled in place, where an assembled one is scaled as it
+    // is — so the difference is the partition + assembly, less that copy.
     let part = ElementPartition::strips_x(&mesh, 3);
-    let systems: Vec<SubdomainSystem> = part
-        .subdomains(&mesh)
-        .iter()
-        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
-        .collect();
-    let k_local_bytes: u64 = systems.iter().map(|s| csr_bytes(&s.k_local)).sum();
+    let subdomains = part.subdomains(&mesh);
+    let (systems, assembly) = alloc::measure(|| {
+        (subdomains.iter())
+            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
+            .collect::<Vec<_>>()
+    });
+    let k_local_bytes: u64 = systems.iter().map(|s| block_bytes(&s.k_local)).sum();
     let prebuilt = summary_alloc_bytes(SolveSession::from_systems(&systems, dm.n_dofs()));
     let assembled = summary_alloc_bytes(SolveSession::new(problem).strategy(Strategy::Edd(part)));
     assert!(
-        assembled >= prebuilt + k_local_bytes,
+        assembled + k_local_bytes >= prebuilt + assembly.bytes,
         "EDD summary misses the assembly: {assembled} B with it, {prebuilt} B without, \
-         k_local alone is {k_local_bytes} B"
+         the assembly alone is {} B, the copied k_local {k_local_bytes} B",
+        assembly.bytes
     );
 
     // RDD: the window has always covered the global matrix.
@@ -86,8 +104,9 @@ fn summary_allocations_include_host_assembly_for_edd_and_rdd() {
 /// The pattern-first assembly holds no transient larger than its result:
 /// building one rank's share of the `elas3d-edd-twolevel` workload (an
 /// x-slab half of the 28×14×14 hex cantilever) allocates at most three times
-/// the bytes of the CSR arrays it returns. The triplet path it replaced
-/// allocated more than ten times as much.
+/// the bytes of the node blocks it returns, and less than the CSR arrays the
+/// same pattern would take. The triplet path it replaced allocated more than
+/// ten times as much as those.
 #[test]
 fn hex_half_block_assembly_allocates_little_more_than_its_matrix() {
     assert!(alloc::is_counting(), "counting allocator not installed");
@@ -100,16 +119,20 @@ fn hex_half_block_assembly_allocates_little_more_than_its_matrix() {
     let sub = &ElementPartition::blocks_of(&mesh, 2, 1).subdomains_of(&mesh)[0];
     let (sys, allocated) =
         alloc::measure(|| SubdomainSystem::build_hex(&mesh, &dm, &Material::unit(), sub, &loads));
-    let k = &sys.k_local;
-    let csr = csr_bytes(k) + ((k.n_rows() + 1) * size_of::<usize>()) as u64;
+    let (blocks, csr) = (block_bytes(&sys.k_local), subdomain_csr_bytes(&sys.k_local));
     eprintln!(
-        "hex half block: {} B allocated, CSR arrays {csr} B ({:.2} x)",
+        "hex half block: {} B allocated, node blocks {blocks} B ({:.2} x), CSR arrays {csr} B",
         allocated.bytes,
-        allocated.bytes as f64 / csr as f64
+        allocated.bytes as f64 / blocks as f64
     );
     assert!(
-        allocated.bytes <= 3 * csr,
-        "assembly allocated {} B for a {csr} B matrix",
+        allocated.bytes <= 3 * blocks,
+        "assembly allocated {} B for a {blocks} B matrix",
+        allocated.bytes
+    );
+    assert!(
+        allocated.bytes < csr,
+        "assembly allocated {} B",
         allocated.bytes
     );
 }
@@ -150,16 +173,15 @@ fn edd_rank_holds_one_matrix_after_a_polynomial_setup() {
     assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
     let part = ElementPartition::strips_x(&mesh, 2);
 
-    // The ranks' matrices, rebuilt here to size them: (block matrix, its
-    // CSR source, a dozen n-vectors — f̂, D̂ f̂, d, 1/mult, multiplicity,
-    // global dofs, the node list, the row lists and the exchange lists).
+    // The ranks' matrices, rebuilt here to size them: (block matrix, the
+    // CSR arrays of its pattern, a dozen n-vectors — f̂, D̂ f̂, d, 1/mult,
+    // multiplicity, global dofs, the node list, the row lists and the
+    // exchange lists).
     let sized: Vec<(u64, u64, u64)> = (part.subdomains(&mesh).iter())
         .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None).k_local)
         .map(|k| {
-            let blocks = BcsrMatrix::from_csr(&k, 2).expect("two DOFs per node");
-            let csr = csr_bytes(&k) + ((k.n_rows() + 1) * size_of::<usize>()) as u64;
             let vectors = 12 * (k.n_rows() * size_of::<f64>()) as u64;
-            (blocks.bytes() as u64, csr, vectors)
+            (block_bytes(&k), subdomain_csr_bytes(&k), vectors)
         })
         .collect();
 
@@ -212,6 +234,47 @@ fn hex_twolevel_setup_peak_is_no_higher_than_with_two_csr_copies() {
         assert!(
             peak <= parent,
             "setup peaked at {peak} B, the two-CSR setup at {parent} B"
+        );
+    }
+}
+
+/// An elasticity EDD rank holds one matrix from assembly on: its subdomain
+/// is assembled straight into node blocks, scaled in place, and the
+/// two-level build walks those blocks. A small `elas3d-edd-twolevel`-shaped
+/// session at P = 2 therefore peaks, on every rank, lower than the parent
+/// commit's setup — which assembled CSR, converted it to blocks and kept a
+/// scaled CSR copy for the coarse build — by at least 90 % of the CSR
+/// arrays of that rank's subdomain.
+#[test]
+fn hex_twolevel_setup_peak_falls_by_the_subdomain_csr() {
+    assert!(alloc::is_counting(), "counting allocator not installed");
+    // `setup_peak_bytes` per rank at the parent commit, the lowest of five
+    // runs (they spread by about 15 kB with the message pools).
+    const PARENT_PEAK: [u64; 2] = [2_590_996, 2_942_532];
+    let mesh = HexMesh::cantilever(12, 6, 6);
+    let mut dm = DofMap::with_dofs(mesh.n_nodes(), 3);
+    for node in mesh.face_nodes(Face::XMin) {
+        dm.clamp_node(node);
+    }
+    let mat = Material::unit();
+    let mut loads = vec![0.0; dm.n_dofs()];
+    assembly::face_load(&mesh, &dm, Face::XMax, [0.0, 0.0, -1.0], &mut loads);
+    let part = ElementPartition::blocks_of(&mesh, 2, 1);
+    let csr: Vec<u64> = (part.subdomains_of(&mesh).iter())
+        .map(|s| SubdomainSystem::build_hex(&mesh, &dm, &mat, s, &loads).k_local)
+        .map(|k| subdomain_csr_bytes(&k))
+        .collect();
+    let session = SolveSession::new(Problem::elasticity3d(&mesh, &dm, &mat, &loads))
+        .strategy(Strategy::Edd(part))
+        .precond(PrecondSpec::parse("twolevel:rbm.s3:gls-3").unwrap());
+    let (memory, iterations) = setup_memory(session);
+    assert_eq!(iterations, 16, "the parent's iteration count");
+    for (((_, peak), parent), csr) in memory.into_iter().zip(PARENT_PEAK).zip(csr) {
+        eprintln!("small hex two-level rank: peak {peak} B (parent {parent} B), CSR {csr} B");
+        assert!(
+            10 * (parent.saturating_sub(peak)) >= 9 * csr,
+            "setup peaked at {peak} B, the parent at {parent} B: less than 90 % of the \
+             {csr} B subdomain CSR saved"
         );
     }
 }
@@ -323,7 +386,7 @@ fn warm_edd_gls7_loop_allocates_nothing_per_iteration_on_any_rank() {
         let layout = EddLayout::from_system(sys);
         let scaling = DistributedScaling::build(comm, &layout, &sys.k_local);
         let mut b = sys.f_local.clone();
-        let a = scaling.apply(&sys.k_local, &mut b, &layout);
+        let a = scaling.apply(sys.k_local.clone(), &mut b, &layout);
         let gls = GlsPrecond::for_scaled_system(7);
         let x0 = vec![0.0; b.len()];
         let mut ws = KrylovWorkspace::new();

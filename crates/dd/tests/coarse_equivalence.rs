@@ -91,10 +91,8 @@ fn edd_case(
         let mut layout = EddLayout::from_system(sys);
         layout.set_overlap(overlap);
         let sc = DistributedScaling::build(comm, &layout, &sys.k_local);
-        let a = sc.apply(&sys.k_local, &mut sys.f_local.clone(), &layout);
-        let mut rows = sys.k_local.clone();
-        rows.scale_symmetric(&sc.d);
-        let op = EddOperator::new(&a, &layout, comm).with_rows(&rows);
+        let a = sc.apply(sys.k_local.clone(), &mut sys.f_local.clone(), &layout);
+        let op = EddOperator::new(&a, &layout, comm);
         let plan = CoarsePlan {
             spec,
             n_comp: dpn,

@@ -13,7 +13,7 @@ use parfem_fem::{StaticSystem, SubdomainSystem};
 use parfem_krylov::estimate_spectrum;
 use parfem_mesh::{DofMap, NodePartition};
 use parfem_precond::CoarsePartGeometry;
-use parfem_sparse::{dense, CooMatrix, CsrMatrix};
+use parfem_sparse::{dense, CooMatrix, CsrMatrix, SparseRows};
 
 /// The global scaled operator `A = D K D` assembled from EDD subdomain
 /// systems through a coordinate accumulator, with the scaling diagonal `d`
@@ -25,8 +25,7 @@ pub fn edd_scaled_operator(systems: &[SubdomainSystem], n_dofs: usize) -> (CsrMa
         let k = &sys.k_local;
         for l1 in 0..k.n_rows() {
             let g1 = sys.global_dofs[l1];
-            let (cols, vals) = k.row(l1);
-            for (&l2, &v) in cols.iter().zip(vals) {
+            for (l2, v) in k.row_entries(l1) {
                 let g2 = sys.global_dofs[l2];
                 coo.push(g1, g2, d[g1] * v * d[g2]).unwrap();
             }
@@ -54,8 +53,8 @@ pub fn edd_global_parts(
                 geo.dofs.push(g);
                 geo.comp.push(g % dofs_per_node);
                 geo.pos.push(coords[g / dofs_per_node]);
-                let (cols, _) = sys.k_local.row(l);
-                geo.constrained.push(cols.len() == 1 && cols[0] == l);
+                let cols = sys.k_local.row_entries(l).map(|(c, _)| c);
+                geo.constrained.push(cols.eq([l]));
             }
             geo
         })

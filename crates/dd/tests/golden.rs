@@ -93,7 +93,7 @@ fn edd_rank_body<C: Communicator>(
     layout.set_overlap(overlap);
     let sc = DistributedScaling::build(comm, &layout, &sys.k_local);
     let mut b = sys.f_local.clone();
-    let a = sc.apply(&sys.k_local, &mut b, &layout);
+    let a = sc.apply(sys.k_local.clone(), &mut b, &layout);
     let x0 = vec![0.0; b.len()];
     let ws = &mut KrylovWorkspace::new();
     let res = match gls {

@@ -131,7 +131,7 @@ proptest! {
             let sys = &sys_ref[comm.rank()];
             let mut layout = EddLayout::from_system(sys);
             let xl = sys.restrict(&x);
-            let a = EddLocalMatrix::new(&sys.k_local, &layout);
+            let a = EddLocalMatrix::new(sys.k_local.clone(), &layout);
             let y_blocking = EddOperator::new(&a, &layout, comm).apply(&xl);
             layout.set_overlap(true);
             let y_overlapped = EddOperator::new(&a, &layout, comm).apply(&xl);

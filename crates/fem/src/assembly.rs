@@ -10,12 +10,14 @@
 //! per-subdomain systems of [`crate::subdomain`] — is built by one
 //! pattern-first core, `assemble`: it never holds triplets, and it sums
 //! duplicate contributions in ascending element order. So does
-//! [`assemble_touching`], the raw assembly of one rank's block rows.
+//! [`assemble_touching`], the raw assembly of one rank's block rows. Global
+//! and block-row matrices are CSR; a subdomain's stiffness scatters straight
+//! into `B × B` node blocks when its nodes carry 2 or 3 dofs.
 
 use crate::material::Material;
 use crate::{hex8, physics, quad4};
 use parfem_mesh::{DofMap, Edge, Face, HexMesh, QuadMesh, TriMesh};
-use parfem_sparse::CsrMatrix;
+use parfem_sparse::{BcsrMatrix, CsrMatrix, NodeMatrix};
 
 /// A fully assembled, boundary-condition-applied static system `K u = f`.
 #[derive(Debug, Clone)]
@@ -26,9 +28,45 @@ pub struct StaticSystem {
     pub rhs: Vec<f64>,
 }
 
-/// The CSR sparsity pattern of an element assembly: the result of the
-/// symbolic pass, and the addressing of the numeric one.
-struct Pattern {
+/// Where the numeric pass scatters: a pattern built from the node graph by
+/// the symbolic pass, and the addressing of the values behind it.
+pub(crate) trait Scatter: Sized {
+    /// What the pattern and its values become.
+    type Matrix;
+
+    /// The dof-level pattern over a node graph with `dpn` interleaved dofs
+    /// per node: a free row holds the free dofs of its node's neighbours,
+    /// ascending; a constrained row holds its lone diagonal when
+    /// `fixed_diag` (stiffness) and nothing otherwise (mass); constrained
+    /// columns are left out.
+    fn over(graph: &(Vec<usize>, Vec<usize>), dpn: usize, fixed: &[bool], fixed_diag: bool)
+        -> Self;
+
+    /// Number of stored values.
+    fn len(&self) -> usize;
+
+    /// Adds the dense row-major `block` of the element over `nodes` (`dpn`
+    /// interleaved dofs each) into `values`. Constrained rows are skipped;
+    /// an entry in a constrained column goes to `lift(row, col, value)`
+    /// instead of the matrix.
+    fn add_block(
+        &self,
+        values: &mut [f64],
+        nodes: &[usize],
+        dpn: usize,
+        block: &[f64],
+        fixed: &[bool],
+        lift: impl FnMut(usize, usize, f64),
+    );
+
+    /// Where row `r`'s diagonal is stored.
+    fn diagonal(&self, r: usize) -> usize;
+
+    fn into_matrix(self, values: Vec<f64>) -> Self::Matrix;
+}
+
+/// The CSR sparsity pattern of an element assembly.
+pub(crate) struct Pattern {
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
 }
@@ -71,12 +109,20 @@ fn node_graph(n_nodes: usize, npe: usize, conn: &[usize]) -> (Vec<usize>, Vec<us
     (nbr_ptr, nbrs)
 }
 
-impl Pattern {
-    /// The dof-level pattern over a node graph with `dpn` interleaved dofs
-    /// per node: a free row holds the free dofs of its node's neighbours,
-    /// ascending; a constrained row holds its lone diagonal when
-    /// `fixed_diag` (stiffness) and nothing otherwise (mass); constrained
-    /// columns are left out. Sized exactly before it is filled.
+/// A zero per value, written front to back rather than left as
+/// `vec![0.0; n]`'s untouched zero pages: when the scatter's strided
+/// writes are the first touch, on several rank threads at once, the page
+/// faults make the numeric pass two to three times slower.
+fn zeros(len: usize) -> Vec<f64> {
+    let mut values = Vec::with_capacity(len);
+    values.resize(len, 0.0);
+    values
+}
+
+impl Scatter for Pattern {
+    type Matrix = CsrMatrix;
+
+    /// Sized exactly before it is filled.
     fn over(
         (nbr_ptr, nbrs): &(Vec<usize>, Vec<usize>),
         dpn: usize,
@@ -110,10 +156,10 @@ impl Pattern {
         Pattern { row_ptr, col_idx }
     }
 
-    /// Adds the dense row-major `block` of the element over `nodes` (`dpn`
-    /// interleaved dofs each) into `values`. Constrained rows are skipped;
-    /// an entry in a constrained column goes to `lift(row, col, value)`
-    /// instead of the matrix.
+    fn len(&self) -> usize {
+        self.col_idx.len()
+    }
+
     fn add_block(
         &self,
         values: &mut [f64],
@@ -152,58 +198,238 @@ impl Pattern {
         }
     }
 
-    /// A zero per entry, written front to back rather than left as
-    /// `vec![0.0; n]`'s untouched zero pages: when the scatter's strided
-    /// writes are the first touch, on several rank threads at once, the page
-    /// faults make the numeric pass two to three times slower.
-    fn zeros(&self) -> Vec<f64> {
-        let mut values = Vec::with_capacity(self.col_idx.len());
-        values.resize(self.col_idx.len(), 0.0);
-        values
+    fn diagonal(&self, r: usize) -> usize {
+        let cols = &self.col_idx[self.row_ptr[r]..self.row_ptr[r + 1]];
+        self.row_ptr[r] + cols.binary_search(&r).expect("a stored diagonal")
     }
 
-    fn into_csr(self, values: Vec<f64>) -> CsrMatrix {
+    fn into_matrix(self, values: Vec<f64>) -> CsrMatrix {
         let n = self.row_ptr.len() - 1;
         CsrMatrix::from_raw_parts(n, n, self.row_ptr, self.col_idx, values)
             .expect("the symbolic pass produces valid CSR")
     }
 }
 
-/// The one assembly core: a symbolic pass builds the CSR pattern from the
+/// The same pattern as `dpn × dpn` node blocks: a block row per node, a
+/// block per neighbour with a free dof (a wholly constrained node's row
+/// holds its diagonal block alone, or nothing without `fixed_diag`), and for
+/// each block that is not full the mask of the entries the scalar pattern
+/// holds. The rest of such a block is fill, zero: exactly what
+/// [`BcsrMatrix::from_csr`] makes of the CSR pattern.
+pub(crate) struct BlockPattern {
+    brow_ptr: Vec<usize>,
+    bcol_idx: Vec<u32>,
+    fill: Vec<(u32, u16)>,
+    dpn: usize,
+}
+
+impl Scatter for BlockPattern {
+    type Matrix = BcsrMatrix;
+
+    fn over(
+        (nbr_ptr, nbrs): &(Vec<usize>, Vec<usize>),
+        dpn: usize,
+        fixed: &[bool],
+        fixed_diag: bool,
+    ) -> Self {
+        let n_nodes = nbr_ptr.len() - 1;
+        let any_free = |m: usize| (m * dpn..(m + 1) * dpn).any(|d| !fixed[d]);
+        let full = (1u16 << (dpn * dpn)) - 1;
+        let mask = |n: usize, m: usize| {
+            let mut bits = 0u16;
+            for i in 0..dpn {
+                for j in 0..dpn {
+                    let (r, c) = (n * dpn + i, m * dpn + j);
+                    if (!fixed[r] && !fixed[c]) || (fixed_diag && r == c) {
+                        bits |= 1 << (i * dpn + j);
+                    }
+                }
+            }
+            bits
+        };
+        // A node is its own neighbour, so no row has more blocks than
+        // neighbours.
+        let mut brow_ptr = Vec::with_capacity(n_nodes + 1);
+        let mut bcol_idx = Vec::with_capacity(nbrs.len());
+        let mut fill = Vec::new();
+        let mut push = |bcol_idx: &mut Vec<u32>, n: usize, m: usize| {
+            let bits = mask(n, m);
+            if bits != full {
+                fill.push((bcol_idx.len() as u32, bits));
+            }
+            bcol_idx.push(m as u32);
+        };
+        brow_ptr.push(0);
+        for n in 0..n_nodes {
+            if any_free(n) {
+                let free_nbrs = nbrs[nbr_ptr[n]..nbr_ptr[n + 1]]
+                    .iter()
+                    .filter(|&&m| any_free(m));
+                for &m in free_nbrs {
+                    push(&mut bcol_idx, n, m);
+                }
+            } else if fixed_diag {
+                push(&mut bcol_idx, n, n);
+            }
+            brow_ptr.push(bcol_idx.len());
+        }
+        BlockPattern {
+            brow_ptr,
+            bcol_idx,
+            fill,
+            dpn,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.bcol_idx.len() * self.dpn * self.dpn
+    }
+
+    fn add_block(
+        &self,
+        values: &mut [f64],
+        nodes: &[usize],
+        dpn: usize,
+        block: &[f64],
+        fixed: &[bool],
+        mut lift: impl FnMut(usize, usize, f64),
+    ) {
+        let nd = nodes.len() * dpn;
+        for (ia, &a) in nodes.iter().enumerate() {
+            if (a * dpn..(a + 1) * dpn).all(|r| fixed[r]) {
+                continue;
+            }
+            let lo = self.brow_ptr[a];
+            let cols = &self.bcol_idx[lo..self.brow_ptr[a + 1]];
+            for (ib, &b) in nodes.iter().enumerate() {
+                // No block when `b` is wholly constrained: every entry lifts.
+                let at = (cols.binary_search(&(b as u32)).ok()).map(|k| (lo + k) * dpn * dpn);
+                for ca in (0..dpn).filter(|&ca| !fixed[a * dpn + ca]) {
+                    let r = a * dpn + ca;
+                    let entries = &block[(ia * dpn + ca) * nd + ib * dpn..][..dpn];
+                    for (cb, &v) in entries.iter().enumerate() {
+                        if fixed[b * dpn + cb] {
+                            lift(r, b * dpn + cb, v);
+                        } else {
+                            let at =
+                                at.expect("the pattern holds every free dof pair of an element");
+                            values[at + ca * dpn + cb] += v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn diagonal(&self, r: usize) -> usize {
+        let (n, i) = (r / self.dpn, r % self.dpn);
+        let cols = &self.bcol_idx[self.brow_ptr[n]..self.brow_ptr[n + 1]];
+        let k = cols.binary_search(&(n as u32)).expect("a stored diagonal");
+        (self.brow_ptr[n] + k) * self.dpn * self.dpn + i * self.dpn + i
+    }
+
+    fn into_matrix(self, values: Vec<f64>) -> BcsrMatrix {
+        let n = (self.brow_ptr.len() - 1) * self.dpn;
+        BcsrMatrix::from_raw_parts(self.dpn, n, self.brow_ptr, self.bcol_idx, values, self.fill)
+    }
+}
+
+/// The stiffness storage of a local matrix: node blocks for 2 or 3 dofs per
+/// node, CSR otherwise.
+pub(crate) enum NodePattern {
+    Csr(Pattern),
+    Blocks(BlockPattern),
+}
+
+impl Scatter for NodePattern {
+    type Matrix = NodeMatrix;
+
+    fn over(
+        graph: &(Vec<usize>, Vec<usize>),
+        dpn: usize,
+        fixed: &[bool],
+        fixed_diag: bool,
+    ) -> Self {
+        match dpn {
+            2 | 3 => NodePattern::Blocks(BlockPattern::over(graph, dpn, fixed, fixed_diag)),
+            _ => NodePattern::Csr(Pattern::over(graph, dpn, fixed, fixed_diag)),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            NodePattern::Csr(p) => p.len(),
+            NodePattern::Blocks(p) => p.len(),
+        }
+    }
+
+    fn add_block(
+        &self,
+        values: &mut [f64],
+        nodes: &[usize],
+        dpn: usize,
+        block: &[f64],
+        fixed: &[bool],
+        lift: impl FnMut(usize, usize, f64),
+    ) {
+        match self {
+            NodePattern::Csr(p) => p.add_block(values, nodes, dpn, block, fixed, lift),
+            NodePattern::Blocks(p) => p.add_block(values, nodes, dpn, block, fixed, lift),
+        }
+    }
+
+    fn diagonal(&self, r: usize) -> usize {
+        match self {
+            NodePattern::Csr(p) => p.diagonal(r),
+            NodePattern::Blocks(p) => p.diagonal(r),
+        }
+    }
+
+    fn into_matrix(self, values: Vec<f64>) -> NodeMatrix {
+        match self {
+            NodePattern::Csr(p) => NodeMatrix::Csr(p.into_matrix(values)),
+            NodePattern::Blocks(p) => NodeMatrix::Blocks(p.into_matrix(values)),
+        }
+    }
+}
+
+/// The one assembly core: a symbolic pass builds the pattern from the
 /// element connectivity, then a numeric pass walks the elements in the order
 /// `conn` lists them and adds each dense element matrix into the preallocated
 /// values. Duplicate contributions to an entry are therefore summed **in
 /// ascending element order** — the summation-order contract of every
-/// assembled matrix in this crate.
+/// assembled matrix in this crate, whatever its storage.
 ///
 /// `conn` holds `npe` node ids per element, in the numbering of the matrix
 /// rows (dof `dpn * node + c`). `fixed` flags the constrained dofs and
-/// `prescribed` holds their values: a constrained row keeps a lone zero
-/// diagonal for the caller to set, a constrained column is left out of the
-/// pattern and its entries move to the right-hand side per element,
+/// `prescribed` holds their values: a constrained row keeps a lone diagonal
+/// `fixed_diag(row)`, a constrained column is left out of the pattern and
+/// its entries move to the right-hand side per element,
 /// `rhs[row] -= k_rc * prescribed[col]`. `element(k, ke, me)` fills the
 /// stiffness (and, when `with_mass`, the mass) of the `k`-th listed element
-/// into caller-owned row-major buffers. The mass shares the stiffness
-/// pattern with the constrained rows emptied and lifts nothing.
+/// into caller-owned row-major buffers. The stiffness goes into the storage
+/// `K` lays out; the mass is CSR over the stiffness pattern with the
+/// constrained rows emptied, and lifts nothing.
 #[allow(clippy::too_many_arguments)] // one entry for every assembly in the crate
-pub(crate) fn assemble(
+pub(crate) fn assemble<K: Scatter>(
     n_nodes: usize,
     dpn: usize,
     npe: usize,
     conn: &[usize],
     fixed: &[bool],
     prescribed: &[f64],
+    fixed_diag: impl Fn(usize) -> f64,
     rhs: &mut [f64],
     with_mass: bool,
     mut element: impl FnMut(usize, &mut [f64], Option<&mut [f64]>),
-) -> (CsrMatrix, Option<CsrMatrix>) {
+) -> (K::Matrix, Option<CsrMatrix>) {
     assert_eq!(fixed.len(), n_nodes * dpn, "constraint flags do not match");
     let graph = node_graph(n_nodes, npe, conn);
-    let k_pat = Pattern::over(&graph, dpn, fixed, true);
+    let k_pat = K::over(&graph, dpn, fixed, true);
     let m_pat = with_mass.then(|| Pattern::over(&graph, dpn, fixed, false));
     drop(graph);
-    let mut k_vals = k_pat.zeros();
-    let mut m_vals = m_pat.as_ref().map(Pattern::zeros);
+    let mut k_vals = zeros(k_pat.len());
+    let mut m_vals = m_pat.as_ref().map(|p| zeros(p.len()));
 
     let nd = npe * dpn;
     let mut ke = vec![0.0; nd * nd];
@@ -217,9 +443,12 @@ pub(crate) fn assemble(
             pat.add_block(vals, nodes, dpn, me, fixed, |_, _, _| {});
         }
     }
+    for r in (0..fixed.len()).filter(|&r| fixed[r]) {
+        k_vals[k_pat.diagonal(r)] = fixed_diag(r);
+    }
     (
-        k_pat.into_csr(k_vals),
-        m_pat.zip(m_vals).map(|(p, v)| p.into_csr(v)),
+        k_pat.into_matrix(k_vals),
+        m_pat.zip(m_vals).map(|(p, v)| p.into_matrix(v)),
     )
 }
 
@@ -236,7 +465,20 @@ pub(crate) fn assemble_raw<const N: usize, const M: usize>(
     let free = vec![false; dm.n_dofs()];
     let (n_nodes, dpn) = (dm.n_nodes(), dm.dofs_per_node());
     let fill = |e: usize, ke: &mut [f64], _: Option<&mut [f64]>| ke.copy_from_slice(&block_of(e));
-    assemble(n_nodes, dpn, N, &conn, &free, &[], &mut [], false, fill).0
+    let none = |_| unreachable!("no dof is constrained");
+    assemble::<Pattern>(
+        n_nodes,
+        dpn,
+        N,
+        &conn,
+        &free,
+        &[],
+        none,
+        &mut [],
+        false,
+        fill,
+    )
+    .0
 }
 
 /// Raw (unconstrained) assembly of the elements that touch a node set — a
@@ -273,7 +515,19 @@ pub fn assemble_touching<const N: usize, const M: usize>(
     let free = vec![false; nodes.len() * dpn];
     let fill =
         |k: usize, ke: &mut [f64], _: Option<&mut [f64]>| ke.copy_from_slice(&block_of(elems[k]));
-    let (k, _) = assemble(nodes.len(), dpn, N, &conn, &free, &[], &mut [], false, fill);
+    let none = |_| unreachable!("no dof is constrained");
+    let (k, _) = assemble::<Pattern>(
+        nodes.len(),
+        dpn,
+        N,
+        &conn,
+        &free,
+        &[],
+        none,
+        &mut [],
+        false,
+        fill,
+    );
     (nodes, elems.len(), k)
 }
 

@@ -17,7 +17,7 @@
 use crate::material::Material;
 use crate::{assembly, hex8, physics, quad4};
 use parfem_mesh::{DofMap, HexMesh, QuadMesh, Subdomain};
-use parfem_sparse::CsrMatrix;
+use parfem_sparse::{CsrMatrix, NodeMatrix};
 
 /// Interface DOFs shared with one neighbouring subdomain.
 ///
@@ -39,8 +39,9 @@ pub struct SubdomainSystem {
     pub rank: usize,
     /// Global node ids of the local nodes, ascending.
     pub nodes: Vec<usize>,
-    /// Local stiffness `K̂⁽ˢ⁾` over local DOFs, boundary conditions applied.
-    pub k_local: CsrMatrix,
+    /// Local stiffness `K̂⁽ˢ⁾` over local DOFs, boundary conditions applied:
+    /// `B × B` node blocks for 2 or 3 DOFs per node, CSR for one.
+    pub k_local: NodeMatrix,
     /// Local mass `M̂⁽ˢ⁾` (zero rows/columns at constrained DOFs).
     pub m_local: Option<CsrMatrix>,
     /// Local distributed right-hand side `f̂⁽ˢ⁾`.
@@ -198,7 +199,9 @@ impl SubdomainSystem {
     /// `element_of(e)` its dense stiffness and — for every element or for
     /// none — mass, row-major over `dofs_per_node × N` interleaved DOFs, where
     /// the DOFs-per-node count comes from the `DofMap`. Dirichlet handling is
-    /// identical, per element, to the global `apply_dirichlet`.
+    /// identical, per element, to the global `apply_dirichlet`. The stiffness
+    /// is scattered straight into the storage the DOFs per node give it; the
+    /// mass is CSR.
     pub fn build_from_elements<const N: usize, const M: usize>(
         dm: &DofMap,
         sub: &Subdomain,
@@ -230,13 +233,16 @@ impl SubdomainSystem {
             })
             .collect();
         let with_mass = (sub.elements.first()).is_some_and(|&e| element_of(e).1.is_some());
-        let (mut k_local, m_local) = assembly::assemble(
+        // Constraint rows: diag 1/mult so the assembled diagonal is 1, and
+        // the RHS carries ū/mult so the assembled RHS is ū.
+        let (k_local, m_local) = assembly::assemble::<assembly::NodePattern>(
             sub.n_local_nodes(),
             dpn,
             N,
             &conn,
             &fixed,
             &prescribed,
+            |l| 1.0 / multiplicity[l],
             &mut f_local,
             with_mass,
             |k, ke, me| {
@@ -247,10 +253,7 @@ impl SubdomainSystem {
                 }
             },
         );
-        // Constraint rows: diag 1/mult so the assembled diagonal is 1, and
-        // the RHS carries ū/mult so the assembled RHS is ū.
         for l in (0..fixed.len()).filter(|&l| fixed[l]) {
-            k_local.row_values_mut(l)[0] = 1.0 / multiplicity[l];
             f_local[l] = prescribed[l] / multiplicity[l];
         }
 
@@ -299,23 +302,19 @@ impl SubdomainSystem {
         }
     }
 
-    /// The effective local matrix `α M̂ + β K̂` of the paper's Eq. 52.
+    /// The effective local matrix `α M̂ + β K̂` of the paper's Eq. 52, in the
+    /// stiffness's storage (the mass pattern lies within it).
     ///
     /// # Panics
     /// Panics if the mass was not assembled.
-    pub fn effective_local(&self, alpha: f64, beta: f64) -> CsrMatrix {
+    pub fn effective_local(&self, alpha: f64, beta: f64) -> NodeMatrix {
         let m = self
             .m_local
             .as_ref()
             .expect("effective_local requires an assembled mass");
-        // beta*K + alpha*M, keeping K's sparsity union.
-        let mut k_scaled = self.k_local.clone();
-        for v in k_scaled.values_mut() {
-            *v *= beta;
-        }
-        k_scaled
-            .add_scaled(alpha, m)
-            .expect("local matrices share the shape")
+        let mut eff = self.k_local.clone();
+        eff.scale_add(beta, alpha, m);
+        eff
     }
 }
 
@@ -324,6 +323,7 @@ mod tests {
     use super::*;
     use crate::assembly;
     use parfem_mesh::{Edge, ElementPartition};
+    use parfem_sparse::SparseRows;
 
     fn fixture(
         nx: usize,
@@ -354,7 +354,7 @@ mod tests {
         let n = dm.n_dofs();
         let mut dense_sum = vec![0.0; n * n];
         for s in &systems {
-            let kd = s.k_local.to_dense();
+            let kd = CsrMatrix::from_rows(&s.k_local).to_dense();
             let nl = s.n_local_dofs();
             for i in 0..nl {
                 for j in 0..nl {
@@ -399,7 +399,7 @@ mod tests {
         let mut y_sum = vec![0.0; dm.n_dofs()];
         for s in &systems {
             let xl = s.restrict(&x);
-            let yl = s.k_local.spmv(&xl);
+            let yl = CsrMatrix::from_rows(&s.k_local).spmv(&xl);
             s.scatter_add(&yl, &mut y_sum);
         }
         for (a, b) in y_sum.iter().zip(&y_global) {
@@ -456,7 +456,7 @@ mod tests {
                 tx[l] = 1.0;
             }
         }
-        let r = s_last.k_local.spmv(&tx);
+        let r = CsrMatrix::from_rows(&s_last.k_local).spmv(&tx);
         let norm: f64 = r.iter().map(|v| v * v).sum::<f64>().sqrt();
         assert!(norm < 1e-9, "floating subdomain should be singular: {norm}");
     }
@@ -531,10 +531,9 @@ mod tests {
         let k = &s.k_local;
         let m = s.m_local.as_ref().unwrap();
         for r in 0..eff.n_rows() {
-            let (cols, vals) = eff.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
+            for (c, v) in eff.row_entries(r) {
                 let want = 3.0 * k.get(r, c) + 2.0 * m.get(r, c);
-                assert!((v - want).abs() < 1e-12);
+                assert_eq!(v.to_bits(), want.to_bits());
             }
         }
     }
@@ -571,7 +570,7 @@ mod tests {
         let mut dense_sum = vec![0.0; n * n];
         let mut f_sum = vec![0.0; n];
         for s in &systems {
-            let kd = s.k_local.to_dense();
+            let kd = CsrMatrix::from_rows(&s.k_local).to_dense();
             let nl = s.n_local_dofs();
             for i in 0..nl {
                 for j in 0..nl {
@@ -610,7 +609,7 @@ mod tests {
         let mut f_sum = vec![0.0; n];
         for s in &systems {
             assert_eq!(s.n_local_dofs(), s.nodes.len());
-            let kd = s.k_local.to_dense();
+            let kd = CsrMatrix::from_rows(&s.k_local).to_dense();
             let nl = s.n_local_dofs();
             for i in 0..nl {
                 for j in 0..nl {
@@ -650,7 +649,7 @@ mod tests {
         let mut f_sum = vec![0.0; n];
         for s in &systems {
             assert_eq!(s.n_local_dofs(), 3 * s.nodes.len());
-            let kd = s.k_local.to_dense();
+            let kd = CsrMatrix::from_rows(&s.k_local).to_dense();
             let nl = s.n_local_dofs();
             for i in 0..nl {
                 for j in 0..nl {
@@ -688,7 +687,7 @@ mod tests {
         for l in (2..nl).step_by(3) {
             tz[l] = 1.0;
         }
-        let r = right.k_local.spmv(&tz);
+        let r = CsrMatrix::from_rows(&right.k_local).spmv(&tz);
         let norm: f64 = r.iter().map(|v| v * v).sum::<f64>().sqrt();
         assert!(norm < 1e-9, "floating hex subdomain singular: {norm}");
         assert!(matches!(
@@ -718,7 +717,7 @@ mod tests {
         let n = dm.n_dofs();
         let mut dense_sum = vec![0.0; n * n];
         for s in &systems {
-            let kd = s.k_local.to_dense();
+            let kd = CsrMatrix::from_rows(&s.k_local).to_dense();
             let nl = s.n_local_dofs();
             for i in 0..nl {
                 for j in 0..nl {

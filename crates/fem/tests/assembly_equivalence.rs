@@ -5,13 +5,18 @@
 //! For every element family, partition shape and Dirichlet kind the core's
 //! `row_ptr`, `col_idx`, value bits and right-hand-side bits must equal it:
 //! the pattern and the summation-order contract (ascending element id), pinned.
+//! A subdomain stiffness with 2 or 3 dofs per node is assembled straight into
+//! node blocks: those must hold exactly what `BcsrMatrix::from_csr` makes of
+//! the reference — fill zeros and masks included — and keep doing so once
+//! scaled in place.
 
 use parfem_fem::{assembly, hex8, physics, quad4, quad8s, tri3, Material, SubdomainSystem};
 use parfem_mesh::{
     Cells, DofMap, ElementPartition, HexMesh, PartitionerSpec, Quad8Mesh, QuadMesh, Subdomain,
     TriMesh,
 };
-use parfem_sparse::{CooMatrix, CsrMatrix};
+use parfem_sparse::scaling::inv_sqrt_scaling;
+use parfem_sparse::{BcsrMatrix, CooMatrix, CsrMatrix, NodeMatrix};
 
 /// Global nodes, dense stiffness and dense mass of one element.
 type Element = (Vec<usize>, Vec<f64>, Vec<f64>);
@@ -25,6 +30,33 @@ fn assert_same_matrix(got: &CsrMatrix, want: &CsrMatrix, what: &str) {
     assert_eq!(g_ptr, w_ptr, "{what}: row_ptr");
     assert_eq!(g_col, w_col, "{what}: col_idx");
     assert_same_bits(g_val, w_val, what);
+}
+
+/// Block storage bit for bit: pattern, masks, and every value, fill included.
+fn assert_same_blocks(got: &BcsrMatrix, want: &BcsrMatrix, what: &str) {
+    let (g_ptr, g_col, g_val) = got.raw_parts();
+    let (w_ptr, w_col, w_val) = want.raw_parts();
+    assert_eq!(got.block_size(), want.block_size(), "{what}: block size");
+    assert_eq!(g_ptr, w_ptr, "{what}: brow_ptr");
+    assert_eq!(g_col, w_col, "{what}: bcol_idx");
+    assert_eq!(got.fill(), want.fill(), "{what}: fill masks");
+    assert_eq!(got.nnz(), want.nnz(), "{what}: nnz");
+    assert_same_bits(g_val, w_val, what);
+}
+
+/// A subdomain stiffness against its CSR reference: CSR for one dof per
+/// node, the reference's node blocks otherwise.
+fn assert_same_local(got: &NodeMatrix, want: &CsrMatrix, dpn: usize, what: &str) {
+    match got {
+        NodeMatrix::Csr(got) => {
+            assert_eq!(dpn, 1, "{what}: CSR storage at {dpn} dofs per node");
+            assert_same_matrix(got, want, what);
+        }
+        NodeMatrix::Blocks(got) => {
+            let want = BcsrMatrix::from_csr(want, dpn).expect("node-blocked dimension");
+            assert_same_blocks(got, &want, what);
+        }
+    }
 }
 
 fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
@@ -204,7 +236,7 @@ fn check<M: Cells>(fam: Family<'_, M>) {
                 let what = format!("{what} / {shape} / rank {}", sub.rank);
                 let sys = (fam.build)(&dm, &sub, &loads, fam.has_mass);
                 let (k, m, f) = reference_subdomain(&dm, &sub, &loads, fam.element);
-                assert_same_matrix(&sys.k_local, &k, &format!("{what} / k_local"));
+                assert_same_local(&sys.k_local, &k, fam.dpn, &format!("{what} / k_local"));
                 assert_same_bits(&sys.f_local, &f, &format!("{what} / f_local"));
                 assert_eq!(sys.m_local.is_some(), fam.has_mass);
                 if let Some(m_local) = &sys.m_local {
@@ -401,6 +433,75 @@ fn hex8_elasticity() {
             ("strips", ElementPartition::blocks_of(&mesh, 2, 1)),
             ("blocks", ElementPartition::blocks_of(&mesh, 2, 2)),
             graph(&mesh, 7, 4),
+        ],
+    });
+}
+
+/// The scaling an EDD rank applies, in place on the directly assembled
+/// blocks, against the CSR reference scaled by `scale_symmetric`
+/// (`a_rc·(d_r·d_c)`) and then copied into blocks: the same bits, fill zeros
+/// included, and the same row sums the scaling is taken from.
+fn check_scaled_blocks<M: Cells>(fam: Family<'_, M>) {
+    let n_nodes = fam.mesh.n_cell_nodes();
+    for (kind, dm) in constraints(n_nodes, fam.dpn, &fam.support) {
+        let loads = loads_for(&dm);
+        for (shape, part) in &fam.partitions {
+            for sub in part.subdomains_of(fam.mesh) {
+                let what = format!("{} / {kind} / {shape} / rank {}", fam.name, sub.rank);
+                let mut sys = (fam.build)(&dm, &sub, &loads, false);
+                let (mut k, _, _) = reference_subdomain(&dm, &sub, &loads, fam.element);
+                assert!(k.n_rows() > 0, "{what}: empty subdomain");
+                let sums = sys.k_local.row_abs_sums();
+                assert_same_bits(&sums, &k.row_abs_sums(), &format!("{what} / row sums"));
+                let d = inv_sqrt_scaling(&sums);
+                sys.k_local.scale_symmetric(&d);
+                k.scale_symmetric(&d);
+                assert_same_local(&sys.k_local, &k, fam.dpn, &format!("{what} / scaled"));
+            }
+        }
+    }
+}
+
+#[test]
+fn node_blocks_scaled_in_place_hold_the_scaled_csr_bits() {
+    let mat = Material::unit();
+    let quad = QuadMesh::distorted(6, 4, 6.0, 4.0, 0.3, 42);
+    check_scaled_blocks(Family {
+        name: "quad4 blocks",
+        mesh: &quad,
+        dpn: 2,
+        support: (0..=quad.ny()).map(|j| quad.node_at(0, j)).collect(),
+        element: &|e| {
+            let c = quad.elem_coords(e);
+            let ke = quad4::stiffness(&c, &mat).to_vec();
+            (quad.elem_nodes(e).to_vec(), ke, vec![0.0; 64])
+        },
+        global: &|dm| assembly::assemble_stiffness(&quad, dm, &mat),
+        build: &|dm, sub, loads, _| SubdomainSystem::build(&quad, dm, &mat, sub, loads, None),
+        has_mass: false,
+        partitions: vec![
+            ("strips", ElementPartition::strips_x(&quad, 3)),
+            ("blocks", ElementPartition::blocks_of(&quad, 2, 2)),
+            graph(&quad, 7, 4),
+        ],
+    });
+    let hex = HexMesh::cantilever(4, 3, 2);
+    check_scaled_blocks(Family {
+        name: "hex8 blocks",
+        mesh: &hex,
+        dpn: 3,
+        support: hex.face_nodes(parfem_mesh::Face::XMin),
+        element: &|e| {
+            let ke = hex8::stiffness(&hex.elem_coords(e), &mat);
+            (hex.elem_nodes(e).to_vec(), ke.to_vec(), vec![0.0; 576])
+        },
+        global: &|dm| assembly::assemble_stiffness_hex(&hex, dm, &mat),
+        build: &|dm, sub, loads, _| SubdomainSystem::build_hex(&hex, dm, &mat, sub, loads),
+        has_mass: false,
+        partitions: vec![
+            ("strips", ElementPartition::blocks_of(&hex, 2, 1)),
+            ("blocks", ElementPartition::blocks_of(&hex, 2, 2)),
+            graph(&hex, 7, 4),
         ],
     });
 }

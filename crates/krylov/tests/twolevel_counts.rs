@@ -78,7 +78,7 @@ fn iterations(scaled: &CsrMatrix, b: &[f64], d: &[f64], p: usize, spec_str: &str
         build_coarse_basis(&coarse_spec, &parts, &ones, d, scaled, DEFAULT_PIVOT_TOL).solver()
     });
     let pc = spec
-        .instantiate(coarse, None, || scaled.diagonal())
+        .instantiate(coarse, Some(scaled), || scaled.diagonal())
         .expect("polynomial smoother");
     let cfg = GmresConfig {
         restart: 30,

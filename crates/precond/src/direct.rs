@@ -29,7 +29,7 @@
 
 use crate::{InterfaceConsistency, Preconditioner};
 use parfem_sparse::ldlt::DEFAULT_PIVOT_TOL;
-use parfem_sparse::{CsrMatrix, LinearOperator, SparseLdlt};
+use parfem_sparse::{LinearOperator, SparseLdlt, SparseRows};
 use std::sync::{Arc, Mutex};
 
 /// An exact sparse-direct preconditioner over a rank-local matrix.
@@ -67,7 +67,7 @@ impl DirectPrecond {
     ///
     /// # Panics
     /// Panics when `a` is not square.
-    pub fn from_matrix(a: &CsrMatrix, pivot_tol: f64) -> Self {
+    pub fn from_matrix<A: SparseRows + ?Sized>(a: &A, pivot_tol: f64) -> Self {
         let mut factor = SparseLdlt::factor(a, pivot_tol);
         let shift = factor.diag_scale().max(1.0);
         factor.set_null_shift(shift);
@@ -79,7 +79,7 @@ impl DirectPrecond {
     }
 
     /// Factors `a` with the factorization's default pivot tolerance.
-    pub fn new(a: &CsrMatrix) -> Self {
+    pub fn new<A: SparseRows + ?Sized>(a: &A) -> Self {
         Self::from_matrix(a, DEFAULT_PIVOT_TOL)
     }
 
@@ -120,7 +120,7 @@ impl<Op: LinearOperator + InterfaceConsistency + ?Sized> Preconditioner<Op> for 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parfem_sparse::{CooMatrix, Ilu0, LinearOperator, SparseError};
+    use parfem_sparse::{CooMatrix, CsrMatrix, Ilu0, LinearOperator, SparseError};
 
     /// 2-D grid Laplacian with the first row Dirichlet-pinned.
     fn pinned_laplacian(nx: usize, ny: usize) -> CsrMatrix {

@@ -10,7 +10,7 @@
 //! does (a no-op on sequential matrices and RDD block rows).
 
 use crate::{InterfaceConsistency, Preconditioner};
-use parfem_sparse::{CsrMatrix, Ilu0, LinearOperator, SparseError};
+use parfem_sparse::{Ilu0, LinearOperator, SparseError, SparseRows};
 
 /// Wraps an [`Ilu0`] factorization as a preconditioner.
 #[derive(Debug, Clone)]
@@ -26,7 +26,7 @@ impl Ilu0Precond {
     /// matrices this is the paper's floating-subdomain failure
     /// (Section 3.2.3), which is exactly why the paper prefers polynomial
     /// preconditioning there.
-    pub fn factorize(a: &CsrMatrix) -> Result<Self, SparseError> {
+    pub fn factorize<A: SparseRows + ?Sized>(a: &A) -> Result<Self, SparseError> {
         Ok(Ilu0Precond {
             ilu: Ilu0::factorize(a)?,
         })
@@ -47,6 +47,7 @@ impl<Op: LinearOperator + InterfaceConsistency + ?Sized> Preconditioner<Op> for 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parfem_sparse::CsrMatrix;
 
     #[test]
     fn wraps_ilu_solve() {

@@ -23,7 +23,7 @@ use crate::{
     ChebyshevPrecond, DirectPrecond, EscalatingGls, GlsPrecond, IdentityPrecond, Ilu0Precond,
     InterfaceConsistency, IntervalUnion, JacobiPrecond, NeumannPrecond, Preconditioner,
 };
-use parfem_sparse::{CsrMatrix, LinearOperator, SparseError, SparseLdlt};
+use parfem_sparse::{LinearOperator, SparseError, SparseLdlt, SparseRows};
 use std::fmt;
 
 /// Which preconditioner a solver should build.
@@ -318,10 +318,10 @@ impl PrecondSpec {
     /// Panics when the spec [`PrecondSpec::needs_coarse`] but `coarse` is
     /// `None`, or [`PrecondSpec::needs_local_matrix`] but `local` is
     /// `None`.
-    pub fn instantiate(
+    pub fn instantiate<A: SparseRows + ?Sized>(
         &self,
         coarse: Option<CoarseSolver>,
-        local: Option<&CsrMatrix>,
+        local: Option<&A>,
         diag: impl FnOnce() -> Vec<f64>,
     ) -> Result<SpecPrecond, SparseError> {
         let (one_level, additive) = match self {

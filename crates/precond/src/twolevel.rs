@@ -71,7 +71,7 @@
 use crate::registry::BuiltPrecond;
 use crate::{InterfaceConsistency, Preconditioner};
 use parfem_sparse::dense::{dot, sym_eigen_jacobi};
-use parfem_sparse::{CooMatrix, CsrMatrix, LinearOperator, SparseLdlt};
+use parfem_sparse::{CooMatrix, CsrMatrix, LinearOperator, SparseLdlt, SparseRows};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -270,21 +270,22 @@ pub fn mode_slot(modes: &mut Vec<LiveMode>, id: usize) -> &mut LiveMode {
 /// The rows a coarse builder multiplies with, over its local index space:
 /// indices `0..n_rows()` are rows it owns products for, indices
 /// `n_rows()..n_index()` are ghost columns whose values arrive from other
-/// ranks. The square block must be structurally symmetric (finite-element
-/// matrices are), because the rows a changed entry `j` feeds are found by
-/// walking row `j`.
-pub struct LocalRows<'a> {
-    a: &'a CsrMatrix,
+/// ranks. The square block is read in whatever storage its holder keeps
+/// (CSR, or an EDD rank's node blocks, fill left out) and must be
+/// structurally symmetric (finite-element matrices are), because the rows a
+/// changed entry `j` feeds are found by walking row `j`.
+pub struct LocalRows<'a, A: SparseRows + ?Sized = CsrMatrix> {
+    a: &'a A,
     /// `(A_ext, A_extᵀ)`: the ghost-column block and its transpose, whose
     /// rows list the owned rows each ghost column feeds.
     ghosts: Option<(&'a CsrMatrix, CsrMatrix)>,
     n_ghost: usize,
 }
 
-impl<'a> LocalRows<'a> {
+impl<'a, A: SparseRows + ?Sized> LocalRows<'a, A> {
     /// A square matrix over its own index space (sequential operators, EDD
     /// subdomain matrices).
-    pub fn square(a: &'a CsrMatrix) -> Self {
+    pub fn square(a: &'a A) -> Self {
         LocalRows {
             a,
             ghosts: None,
@@ -294,7 +295,7 @@ impl<'a> LocalRows<'a> {
 
     /// A block row `[a_loc | a_ext]` whose last `n_ghost` indices are ghost
     /// columns (RDD block rows).
-    pub fn with_ghosts(a_loc: &'a CsrMatrix, a_ext: &'a CsrMatrix, n_ghost: usize) -> Self {
+    pub fn with_ghosts(a_loc: &'a A, a_ext: &'a CsrMatrix, n_ghost: usize) -> Self {
         LocalRows {
             a: a_loc,
             ghosts: Some((a_ext, a_ext.transpose())),
@@ -312,24 +313,30 @@ impl<'a> LocalRows<'a> {
         self.a.n_rows() + self.n_ghost
     }
 
-    /// The owned rows with a stored entry in column `j`.
-    fn rows_touching(&self, j: usize) -> &[usize] {
+    /// Calls `f` on each owned row with a stored entry in column `j`.
+    fn for_rows_touching(&self, j: usize, mut f: impl FnMut(usize)) {
         let n = self.a.n_rows();
         if j < n {
-            self.a.row(j).0
+            self.a.row_entries(j).for_each(|(r, _)| f(r));
         } else {
             let (_, ext_t) = self.ghosts.as_ref().expect("ghost index without ghosts");
-            ext_t.row(j - n).0
+            ext_t.row(j - n).0.iter().for_each(|&r| f(r));
         }
     }
 
     /// `Σ_j a_rj z_j` over row `r`, `z` dense over the index space.
     fn row_dot(&self, r: usize, z: &[f64]) -> f64 {
-        let (cols, vals) = self.a.row(r);
-        let mut acc = 0.0;
-        for (&j, &a_rj) in cols.iter().zip(vals) {
-            acc += a_rj * z[j];
-        }
+        self.ghost_dot(r, self.a.row_dot(r, z), z)
+    }
+
+    /// [`LocalRows::row_dot`] of every row, ascending, into `out`.
+    fn rows_dot(&self, z: &[f64], out: &mut Vec<(usize, f64)>) {
+        self.a
+            .rows_dot(z, |r, acc| out.push((r, self.ghost_dot(r, acc, z))));
+    }
+
+    /// `acc` continued over row `r`'s ghost columns.
+    fn ghost_dot(&self, r: usize, mut acc: f64, z: &[f64]) -> f64 {
         if let Some((ext, _)) = &self.ghosts {
             let n = self.a.n_rows();
             let (cols, vals) = ext.row(r);
@@ -340,8 +347,13 @@ impl<'a> LocalRows<'a> {
         acc
     }
 
+    /// Stored entries of all rows, ghost columns included.
+    fn nnz(&self) -> usize {
+        self.a.nnz() + self.ghosts.as_ref().map_or(0, |(ext, _)| ext.nnz())
+    }
+
     fn row_nnz(&self, r: usize) -> usize {
-        self.a.row(r).0.len()
+        self.a.row_len(r)
             + self
                 .ghosts
                 .as_ref()
@@ -357,8 +369,11 @@ impl<'a> LocalRows<'a> {
 /// no-op reduce — so [`build_coarse`] is one construction for the
 /// sequential solver and for both distributed operators.
 pub trait CoarseSetup: LinearOperator + CoarseReduce {
+    /// The storage of the holder's own square block.
+    type Rows: SparseRows + ?Sized;
+
     /// The rows this holder computes products for.
-    fn local_rows(&self) -> LocalRows<'_>;
+    fn local_rows(&self) -> LocalRows<'_, Self::Rows>;
 
     /// Partition-of-unity weights per row for inner products and for the
     /// restriction `Ẑᵀ v` (`1/mult` where interface entries are replicated
@@ -394,6 +409,8 @@ pub trait CoarseSetup: LinearOperator + CoarseReduce {
 }
 
 impl CoarseSetup for CsrMatrix {
+    type Rows = CsrMatrix;
+
     fn local_rows(&self) -> LocalRows<'_> {
         LocalRows::square(self)
     }
@@ -751,10 +768,10 @@ fn geometric_modes(
 /// **unassembled** matrix under EDD: the interface–interface entries are
 /// not completed from the neighbours, so on a floating subdomain the lowest
 /// eigenvectors are its scaled rigid-body modes themselves.
-fn lowrank_modes(
+fn lowrank_modes<A: SparseRows + ?Sized>(
     geo: &CoarsePartGeometry,
     mult: &[f64],
-    a: &CsrMatrix,
+    a: &A,
     k: usize,
 ) -> Vec<Vec<(usize, f64)>> {
     let mut modes = vec![Vec::new(); k];
@@ -765,10 +782,17 @@ fn lowrank_modes(
     if n == 0 {
         return modes;
     }
+    // Position of each of the holder's rows in the principal block.
+    let mut at = vec![usize::MAX; a.n_rows()];
+    for (i, &e) in free.iter().enumerate() {
+        at[geo.dofs[e]] = i;
+    }
     let mut block = vec![0.0; n * n];
     for (i, &ei) in free.iter().enumerate() {
-        for (j, &ej) in free.iter().enumerate() {
-            block[i * n + j] = a.get(geo.dofs[ei], geo.dofs[ej]);
+        for (c, v) in a.row_entries(geo.dofs[ei]) {
+            if at[c] != usize::MAX {
+                block[i * n + at[c]] = v;
+            }
         }
     }
     let (_vals, vecs) = sym_eigen_jacobi(n, &block);
@@ -824,8 +848,8 @@ const DENSE_SUPPORT_SHARE: usize = 4;
 /// one stencil layer, found by walking the support's rows (structural
 /// symmetry). Cost is proportional to the mode's footprint, not to the
 /// holder's size. Returns the flops performed.
-fn mode_product(
-    rows: &LocalRows<'_>,
+fn mode_product<A: SparseRows + ?Sized>(
+    rows: &LocalRows<'_, A>,
     z: &[(usize, f64)],
     y: &mut Vec<(usize, f64)>,
     s: &mut Scratch,
@@ -836,32 +860,34 @@ fn mode_product(
     for &(g, v) in z {
         s.dense[g] = v;
     }
-    if DENSE_SUPPORT_SHARE * z.len() >= n_rows {
+    let flops = if DENSE_SUPPORT_SHARE * z.len() >= n_rows {
         // The mode covers a good share of the holder (a part's own modes
         // after the first pass): walking its rows would cost as much as the
         // product itself and reach nearly every row anyway. Rows outside
         // the true reach come out exactly zero and are dropped by the
         // update, so the result is the same.
-        y.extend((0..n_rows).map(|r| (r, 0.0)));
+        rows.rows_dot(&s.dense, y);
+        2 * rows.nnz() as u64
     } else {
         for &(g, _) in z {
             if g < n_rows && s.mark[g] != epoch {
                 s.mark[g] = epoch;
                 y.push((g, 0.0));
             }
-            for &r in rows.rows_touching(g) {
+            rows.for_rows_touching(g, |r| {
                 if s.mark[r] != epoch {
                     s.mark[r] = epoch;
                     y.push((r, 0.0));
                 }
-            }
+            });
         }
-    }
-    let mut flops = 0;
-    for (r, yr) in y.iter_mut() {
-        *yr = rows.row_dot(*r, &s.dense);
-        flops += 2 * rows.row_nnz(*r) as u64;
-    }
+        let mut flops = 0;
+        for (r, yr) in y.iter_mut() {
+            *yr = rows.row_dot(*r, &s.dense);
+            flops += 2 * rows.row_nnz(*r) as u64;
+        }
+        flops
+    };
     for &(g, _) in z {
         s.dense[g] = 0.0;
     }
@@ -897,7 +923,7 @@ fn smoothing_update(mode: &mut LiveMode, omega: f64, inv_diag: &[f64], s: &mut S
 /// modes are live on it.
 fn smooth_modes<Op: CoarseSetup + ?Sized>(
     op: &Op,
-    rows: &LocalRows<'_>,
+    rows: &LocalRows<'_, Op::Rows>,
     modes: &mut Vec<LiveMode>,
     passes: usize,
     omega: f64,
@@ -924,7 +950,10 @@ fn smooth_modes<Op: CoarseSetup + ?Sized>(
 /// `1 / diag(A)` over the holder's rows, from the assembled diagonal: the
 /// local diagonal completed like any product, so shared rows get the same
 /// bits on every sharing rank. Zero diagonals invert to zero.
-fn inverse_assembled_diagonal<Op: CoarseSetup + ?Sized>(op: &Op, rows: &LocalRows<'_>) -> Vec<f64> {
+fn inverse_assembled_diagonal<Op: CoarseSetup + ?Sized>(
+    op: &Op,
+    rows: &LocalRows<'_, Op::Rows>,
+) -> Vec<f64> {
     let n = rows.n_rows();
     let mut diag = vec![LiveMode {
         id: 0,
@@ -991,7 +1020,7 @@ fn power_iteration_lambda<Op: CoarseSetup + ?Sized>(op: &Op, inv_diag: &[f64]) -
 /// table). `modes` must be sorted by id with entries sorted by index.
 fn galerkin_lower<Op: CoarseSetup + ?Sized>(
     op: &Op,
-    rows: &LocalRows<'_>,
+    rows: &LocalRows<'_, Op::Rows>,
     modes: &[LiveMode],
     s: &mut Scratch,
 ) -> Vec<(usize, usize, f64)> {

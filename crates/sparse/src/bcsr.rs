@@ -1,4 +1,4 @@
-//! Block-CSR storage with `B × B` node blocks, `B ∈ {2, 3}`, built from CSR.
+//! Block-CSR storage with `B × B` node blocks, `B ∈ {2, 3}`.
 //!
 //! A finite-element discretization with `B` DOFs per node (2-D elasticity:
 //! `u_x`, `u_y`; 3-D: `u_x`, `u_y`, `u_z`) numbers a node's DOFs
@@ -9,12 +9,16 @@
 //! into a dense `y_a += K_ab x_b` update that loads each `x` value once per
 //! block instead of once per entry.
 //!
-//! Blocks are filled with explicit zeros where the scalar pattern is
-//! incomplete — the lone diagonal of a constrained DOF, the columns dropped
-//! next to one — so the format holds a little more than the source
+//! The element assembly scatters straight into this format
+//! ([`BcsrMatrix::from_raw_parts`]); [`BcsrMatrix::from_csr`] copies a CSR
+//! matrix into it. Blocks are filled with explicit zeros where the scalar
+//! pattern is incomplete — the lone diagonal of a constrained DOF, the
+//! columns dropped next to one — and the few blocks holding fill carry a
+//! mask of the entries the scalar pattern holds, so [`SparseRows`] walks
+//! exactly that pattern
 //! ([`BcsrMatrix::fill_ratio`], 1.001–1.002 on the workspace's meshes).
-//! [`BcsrMatrix::nnz`] and [`BcsrMatrix::spmv_flops`] keep counting the
-//! *source* entries: the fill is storage, not work the model charges.
+//! [`BcsrMatrix::nnz`] and [`BcsrMatrix::spmv_flops`] count the scalar
+//! pattern: the fill is storage, not work the model charges.
 //!
 //! Reduction-order contract: a row accumulates block by block, each block
 //! contributing `((b₀·x₀ + b₁·x₁) + b₂·x₂)` in one add — a different
@@ -26,9 +30,10 @@
 
 use crate::csr::CsrMatrix;
 use crate::op::LinearOperator;
+use crate::rows::SparseRows;
 
 /// A sparse matrix in `B × B` block-CSR format. Build with
-/// [`BcsrMatrix::from_csr`] or [`BcsrMatrix::from_csr_scaled`].
+/// [`BcsrMatrix::from_raw_parts`] or [`BcsrMatrix::from_csr`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BcsrMatrix {
     /// Block edge `B` (2 or 3).
@@ -44,7 +49,12 @@ pub struct BcsrMatrix {
     bcol_idx: Vec<u32>,
     /// Row-major `B × B` blocks, back to back.
     blocks: Vec<f64>,
-    /// Stored entries of the source matrix (fill-in excluded).
+    /// The blocks holding fill, ascending by block index, each with its
+    /// mask: bit `i·B + j` set where the scalar pattern stores entry
+    /// `(i, j)`. Every other block is full. Fill sits next to constrained
+    /// DOFs only, so the list is short.
+    fill: Vec<(u32, u16)>,
+    /// Stored entries of the scalar pattern (fill excluded).
     nnz: usize,
 }
 
@@ -84,33 +94,54 @@ fn merge_block_row(
 }
 
 impl BcsrMatrix {
-    /// Copies a CSR matrix into `b × b` blocks. `None` unless `b` is 2 or 3
+    /// A square block matrix from its arrays: `n_rows` scalar rows in
+    /// `n_rows / b` block rows, `brow_ptr`/`bcol_idx` the block pattern
+    /// (block columns ascending within a row), `blocks` the row-major
+    /// `b × b` blocks and `fill` the blocks that are not full, ascending,
+    /// each with the mask of the entries the scalar pattern holds (bit
+    /// `i·b + j`; the others must be zero).
+    ///
+    /// # Panics
+    /// Panics when `b` is not 2 or 3 or the arrays disagree.
+    pub fn from_raw_parts(
+        b: usize,
+        n_rows: usize,
+        brow_ptr: Vec<usize>,
+        bcol_idx: Vec<u32>,
+        blocks: Vec<f64>,
+        fill: Vec<(u32, u16)>,
+    ) -> Self {
+        assert!(matches!(b, 2 | 3), "node blocks are 2 x 2 or 3 x 3");
+        assert_eq!(brow_ptr.len() * b, n_rows + b, "block row pointers");
+        assert_eq!(brow_ptr.last(), Some(&bcol_idx.len()), "block columns");
+        assert_eq!(blocks.len(), bcol_idx.len() * b * b, "block values");
+        assert!(
+            fill.windows(2).all(|w| w[0].0 < w[1].0)
+                && fill.last().is_none_or(|f| (f.0 as usize) < bcol_idx.len()),
+            "fill blocks ascending and in range"
+        );
+        let missing: usize = (fill.iter())
+            .map(|&(_, m)| b * b - m.count_ones() as usize)
+            .sum();
+        BcsrMatrix {
+            b,
+            n_rows,
+            n_cols: n_rows,
+            nnz: blocks.len() - missing,
+            brow_ptr,
+            bcol_idx,
+            blocks,
+            fill,
+        }
+    }
+
+    /// Copies a CSR matrix into `b × b` blocks: the reference the directly
+    /// assembled blocks are checked against. `None` unless `b` is 2 or 3
     /// and divides both dimensions (no node-block structure to follow).
     ///
     /// # Panics
     /// Panics if a block column index does not fit in `u32`.
     pub fn from_csr(a: &CsrMatrix, b: usize) -> Option<Self> {
-        Self::build(a, b, |_, _, v| v)
-    }
-
-    /// The symmetrically scaled matrix `D A D`, `D = diag(d)`, in `b × b`
-    /// blocks, straight from the unscaled CSR source: every stored value is
-    /// `a_rc · (d_r · d_c)`, the expression of
-    /// [`CsrMatrix::scale_symmetric`], so the blocks hold exactly the bits a
-    /// scaled CSR copy would — without that copy existing.
-    ///
-    /// # Panics
-    /// Panics if `d` does not match the (square) dimension, or on block
-    /// column overflow.
-    pub fn from_csr_scaled(a: &CsrMatrix, b: usize, d: &[f64]) -> Option<Self> {
-        assert_eq!(a.n_rows(), a.n_cols(), "from_csr_scaled: square only");
-        assert_eq!(d.len(), a.n_rows(), "from_csr_scaled: d length mismatch");
-        Self::build(a, b, |r, c, v| v * (d[r] * d[c]))
-    }
-
-    /// Two linear passes over the source pattern: count the blocks of every
-    /// block row, allocate exactly, fill.
-    fn build(a: &CsrMatrix, b: usize, value: impl Fn(usize, usize, f64) -> f64) -> Option<Self> {
         if !matches!(b, 2 | 3) || !a.n_rows().is_multiple_of(b) || !a.n_cols().is_multiple_of(b) {
             return None;
         }
@@ -126,14 +157,20 @@ impl BcsrMatrix {
         }
         let mut bcol_idx: Vec<u32> = Vec::with_capacity(n_blocks);
         let mut blocks = vec![0.0; n_blocks * b * b];
+        let mut fill = Vec::new();
         for br in 0..nb {
             merge_block_row(b, br, row_ptr, col_idx, |bc, ranges| {
                 let block = &mut blocks[bcol_idx.len() * b * b..][..b * b];
+                let mut bits = 0u16;
                 for (i, &(lo, hi)) in ranges[..b].iter().enumerate() {
                     for e in lo..hi {
-                        let c = col_idx[e];
-                        block[i * b + c % b] = value(br * b + i, c, values[e]);
+                        let at = i * b + col_idx[e] % b;
+                        block[at] = values[e];
+                        bits |= 1 << at;
                     }
+                }
+                if bits != full_mask(b) {
+                    fill.push((bcol_idx.len() as u32, bits));
                 }
                 bcol_idx.push(bc as u32);
             });
@@ -145,8 +182,21 @@ impl BcsrMatrix {
             brow_ptr,
             bcol_idx,
             blocks,
+            fill,
             nnz: a.nnz(),
         })
+    }
+
+    /// The arrays: block row pointers, block columns and the row-major
+    /// blocks, fill included.
+    pub fn raw_parts(&self) -> (&[usize], &[u32], &[f64]) {
+        (&self.brow_ptr, &self.bcol_idx, &self.blocks)
+    }
+
+    /// The blocks holding fill, ascending, each with the mask of the entries
+    /// the scalar pattern holds (bit `i·B + j`).
+    pub fn fill(&self) -> &[(u32, u16)] {
+        &self.fill
     }
 
     /// The block edge `B`.
@@ -169,7 +219,7 @@ impl BcsrMatrix {
         self.brow_ptr.len() - 1
     }
 
-    /// Stored entries of the source matrix (fill-in excluded).
+    /// Stored entries of the scalar pattern (fill-in excluded).
     pub fn nnz(&self) -> usize {
         self.nnz
     }
@@ -179,8 +229,8 @@ impl BcsrMatrix {
         self.bcol_idx.len()
     }
 
-    /// Fill-in ratio: stored block entries over source entries (1.0 means
-    /// the scalar pattern was perfectly node-blocked).
+    /// Fill-in ratio: stored block entries over scalar-pattern entries (1.0
+    /// means the scalar pattern is perfectly node-blocked).
     pub fn fill_ratio(&self) -> f64 {
         if self.nnz == 0 {
             1.0
@@ -195,11 +245,80 @@ impl BcsrMatrix {
         2 * self.nnz as u64
     }
 
-    /// Heap bytes the three arrays hold.
+    /// Heap bytes the four arrays hold.
     pub fn bytes(&self) -> usize {
         self.brow_ptr.len() * size_of::<usize>()
             + self.bcol_idx.len() * size_of::<u32>()
             + self.blocks.len() * size_of::<f64>()
+            + self.fill.len() * size_of::<(u32, u16)>()
+    }
+
+    /// The mask of block `k`, for ascending `k` from `lo` on: full, except
+    /// the blocks listed in `fill`.
+    fn masks_from(&self, lo: usize) -> impl FnMut(usize) -> u16 + '_ {
+        let mut fill = &self.fill[self.fill.partition_point(|f| (f.0 as usize) < lo)..];
+        let full = full_mask(self.b);
+        move |k| match fill.first() {
+            Some(&(at, mask)) if at as usize == k => {
+                fill = &fill[1..];
+                mask
+            }
+            _ => full,
+        }
+    }
+
+    /// `A ← D A D` in place: every stored value becomes `a_rc·(d_r·d_c)`,
+    /// the expression of [`CsrMatrix::scale_symmetric`], so the blocks hold
+    /// the bits a scaled CSR copy would (fill stays zero).
+    ///
+    /// # Panics
+    /// Panics if `d` does not match the (square) dimension.
+    pub fn scale_symmetric(&mut self, d: &[f64]) {
+        assert_eq!(self.n_rows, self.n_cols, "scale_symmetric: square only");
+        assert_eq!(d.len(), self.n_rows, "scale_symmetric: d length mismatch");
+        let b = self.b;
+        for br in 0..self.n_block_rows() {
+            let (lo, hi) = (self.brow_ptr[br], self.brow_ptr[br + 1]);
+            let blocks = self.blocks[lo * b * b..hi * b * b].chunks_exact_mut(b * b);
+            for (&bc, block) in self.bcol_idx[lo..hi].iter().zip(blocks) {
+                let dc = &d[bc as usize * b..][..b];
+                for (i, row) in block.chunks_exact_mut(b).enumerate() {
+                    let dr = d[br * b + i];
+                    for (v, &dc) in row.iter_mut().zip(dc) {
+                        *v *= dr * dc;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every stored value times `s`.
+    pub(crate) fn scale(&mut self, s: f64) {
+        self.blocks.iter_mut().for_each(|v| *v *= s);
+    }
+
+    /// The stored value `(r, c)` of the scalar pattern, for update.
+    pub(crate) fn entry_mut(&mut self, r: usize, c: usize) -> Option<&mut f64> {
+        let (b, br) = (self.b, r / self.b);
+        let (lo, hi) = (self.brow_ptr[br], self.brow_ptr[br + 1]);
+        let k = lo
+            + self.bcol_idx[lo..hi]
+                .binary_search(&((c / b) as u32))
+                .ok()?;
+        let at = (r % b) * b + c % b;
+        let mask = match self.fill.binary_search_by_key(&(k as u32), |f| f.0) {
+            Ok(f) => self.fill[f].1,
+            Err(_) => full_mask(b),
+        };
+        (mask >> at & 1 != 0).then(|| &mut self.blocks[k * b * b + at])
+    }
+
+    /// Row-wise absolute sums `‖a_r‖₁` over the scalar pattern, in column
+    /// order: the bits [`CsrMatrix::row_abs_sums`] gives the same matrix.
+    pub fn row_abs_sums(&self) -> Vec<f64> {
+        (0..self.n_rows)
+            .map(|r| self.row_entries(r).map(|(_, v)| v.abs()).sum())
+            .collect()
     }
 
     /// The main diagonal (0 where a diagonal block is not stored).
@@ -246,6 +365,48 @@ impl BcsrMatrix {
         assert_eq!(y.len(), self.n_rows, "bcsr spmv: y length mismatch");
     }
 
+    /// [`SparseRows::row_dot`] at block size `B`: the scalar pattern of row
+    /// `r`, one add at a time in column order.
+    #[inline(always)]
+    fn row_dot_b<const B: usize>(&self, r: usize, z: &[f64]) -> f64 {
+        let (br, i) = (r / B, r % B);
+        let (lo, hi) = (self.brow_ptr[br], self.brow_ptr[br + 1]);
+        let blocks = self.blocks[lo * B * B..hi * B * B].chunks_exact(B * B);
+        let (mut mask_of, full) = (self.masks_from(lo), full_mask(B));
+        let mut acc = 0.0;
+        for (k, (&bc, block)) in (lo..).zip(self.bcol_idx[lo..hi].iter().zip(blocks)) {
+            let (mask, zs) = (mask_of(k), &z[bc as usize * B..][..B]);
+            for j in (0..B).filter(|&j| mask == full || mask >> (i * B + j) & 1 != 0) {
+                acc += block[i * B + j] * zs[j];
+            }
+        }
+        acc
+    }
+
+    /// [`SparseRows::rows_dot`] at block size `B`: the `B` rows of a block
+    /// row side by side, each its own chain of adds in column order.
+    #[inline(always)]
+    fn rows_dot_b<const B: usize>(&self, z: &[f64], mut out: impl FnMut(usize, f64)) {
+        let mut mask_of = self.masks_from(0);
+        let full = full_mask(B);
+        for br in 0..self.n_block_rows() {
+            let (lo, hi) = (self.brow_ptr[br], self.brow_ptr[br + 1]);
+            let blocks = self.blocks[lo * B * B..hi * B * B].chunks_exact(B * B);
+            let mut acc = [0.0; B];
+            for (k, (&bc, block)) in (lo..).zip(self.bcol_idx[lo..hi].iter().zip(blocks)) {
+                let (mask, zs) = (mask_of(k), &z[bc as usize * B..][..B]);
+                for (i, acc) in acc.iter_mut().enumerate() {
+                    for j in (0..B).filter(|&j| mask == full || mask >> (i * B + j) & 1 != 0) {
+                        *acc += block[i * B + j] * zs[j];
+                    }
+                }
+            }
+            for (i, &v) in acc.iter().enumerate() {
+                out(br * B + i, v);
+            }
+        }
+    }
+
     /// `y = A x` via dense `B × B` block updates.
     ///
     /// # Panics
@@ -284,6 +445,101 @@ impl BcsrMatrix {
     }
 }
 
+impl SparseRows for BcsrMatrix {
+    fn n_rows(&self) -> usize {
+        self.n_rows
+    }
+
+    fn n_cols(&self) -> usize {
+        self.n_cols
+    }
+
+    fn row_entries(&self, r: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (b, br) = (self.b, r / self.b);
+        let (lo, hi) = (self.brow_ptr[br], self.brow_ptr[br + 1]);
+        RowEntries {
+            b,
+            shift: (r % b) * b,
+            lo,
+            bcols: &self.bcol_idx[lo..hi],
+            blocks: &self.blocks[lo * b * b..hi * b * b],
+            mask_of: self.masks_from(lo),
+            k: 0,
+            bits: 0,
+        }
+    }
+
+    fn row_dot(&self, r: usize, z: &[f64]) -> f64 {
+        match self.b {
+            2 => self.row_dot_b::<2>(r, z),
+            _ => self.row_dot_b::<3>(r, z),
+        }
+    }
+
+    fn rows_dot(&self, z: &[f64], out: impl FnMut(usize, f64)) {
+        match self.b {
+            2 => self.rows_dot_b::<2>(z, out),
+            _ => self.rows_dot_b::<3>(z, out),
+        }
+    }
+
+    fn nnz(&self) -> usize {
+        self.nnz
+    }
+
+    fn row_len(&self, r: usize) -> usize {
+        let (b, br, i) = (self.b, r / self.b, r % self.b);
+        let row_bits = ((1u16 << b) - 1) << (i * b);
+        let (lo, hi) = (self.brow_ptr[br], self.brow_ptr[br + 1]);
+        let mut mask_of = self.masks_from(lo);
+        (lo..hi)
+            .map(|k| (mask_of(k) & row_bits).count_ones() as usize)
+            .sum()
+    }
+}
+
+/// All `B²` entries of a block in the scalar pattern.
+fn full_mask(b: usize) -> u16 {
+    (1 << (b * b)) - 1
+}
+
+/// The scalar-pattern entries of one row of a block row: the set bits of
+/// each block's mask in that row, lowest first.
+struct RowEntries<'a, M> {
+    b: usize,
+    /// `i·B` for scalar row `i` of the block row.
+    shift: usize,
+    /// Index of the block row's first block.
+    lo: usize,
+    bcols: &'a [u32],
+    blocks: &'a [f64],
+    mask_of: M,
+    /// The next block to load, and the unvisited entries of the current one.
+    k: usize,
+    bits: u16,
+}
+
+impl<M: FnMut(usize) -> u16> Iterator for RowEntries<'_, M> {
+    type Item = (usize, f64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, f64)> {
+        while self.bits == 0 {
+            if self.k == self.bcols.len() {
+                return None;
+            }
+            let mask = (self.mask_of)(self.lo + self.k);
+            self.bits = (mask >> self.shift) & ((1 << self.b) - 1);
+            self.k += 1;
+        }
+        let j = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        let k = self.k - 1;
+        let v = self.blocks[k * self.b * self.b + self.shift + j];
+        Some((self.bcols[k] as usize * self.b + j, v))
+    }
+}
+
 impl LinearOperator for BcsrMatrix {
     fn dim(&self) -> usize {
         self.n_rows
@@ -302,23 +558,6 @@ impl LinearOperator for BcsrMatrix {
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
-
-    impl BcsrMatrix {
-        /// Row-major dense copy, fill-in zeros included.
-        fn to_dense(&self) -> Vec<f64> {
-            let b = self.b;
-            let mut dense = vec![0.0; self.n_rows * self.n_cols];
-            for br in 0..self.n_block_rows() {
-                for k in self.brow_ptr[br]..self.brow_ptr[br + 1] {
-                    let c0 = b * self.bcol_idx[k] as usize;
-                    for (e, &v) in self.blocks[k * b * b..][..b * b].iter().enumerate() {
-                        dense[(br * b + e / b) * self.n_cols + c0 + e % b] = v;
-                    }
-                }
-            }
-            dense
-        }
-    }
 
     fn blocky(nb: usize, b: usize) -> CsrMatrix {
         // Block-tridiagonal with full b x b blocks — the elasticity shape.
@@ -374,7 +613,7 @@ mod tests {
             let blocks = BcsrMatrix::from_csr(&a, b).unwrap();
             assert_eq!(blocks.fill_ratio(), 1.0);
             assert_eq!(blocks.bytes(), (10 + 25 * b * b) * 8 + 25 * 4);
-            assert_eq!(blocks.to_dense(), a.to_dense());
+            assert_eq!(CsrMatrix::from_rows(&blocks).to_dense(), a.to_dense());
             assert_eq!(blocks.diagonal(), a.diagonal());
         }
     }
@@ -386,7 +625,7 @@ mod tests {
             let blocks = BcsrMatrix::from_csr(&a, b).unwrap();
             assert!(blocks.fill_ratio() > 1.0);
             assert_eq!(blocks.nnz(), a.nnz());
-            assert_eq!(blocks.to_dense(), a.to_dense());
+            assert_eq!(CsrMatrix::from_rows(&blocks).to_dense(), a.to_dense());
             assert_eq!(blocks.diagonal(), a.diagonal());
         }
     }
@@ -400,9 +639,43 @@ mod tests {
                 .collect();
             let mut scaled = a.clone();
             scaled.scale_symmetric(&d);
-            let blocks = BcsrMatrix::from_csr_scaled(&a, b, &d).unwrap();
-            assert_eq!(blocks.to_dense(), scaled.to_dense());
+            let mut blocks = BcsrMatrix::from_csr(&a, b).unwrap();
+            blocks.scale_symmetric(&d);
+            assert_eq!(CsrMatrix::from_rows(&blocks).to_dense(), scaled.to_dense());
+            assert_eq!(blocks, BcsrMatrix::from_csr(&scaled, b).unwrap());
         }
+    }
+
+    #[test]
+    fn rows_walk_the_scalar_pattern_with_the_fill_left_out() {
+        for b in [2, 3] {
+            let a = partial_blocks(12);
+            let blocks = BcsrMatrix::from_csr(&a, b).unwrap();
+            assert_eq!(CsrMatrix::from_rows(&blocks), a);
+            assert_eq!(blocks.row_abs_sums(), a.row_abs_sums());
+            for r in 0..a.n_rows() {
+                assert_eq!(blocks.row_len(r), a.row(r).0.len());
+                for c in 0..a.n_cols() {
+                    assert_eq!(SparseRows::get(&blocks, r, c), a.get(r, c));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn raw_parts_rebuild_the_copied_matrix() {
+        let a = partial_blocks(12);
+        let c = BcsrMatrix::from_csr(&a, 3).unwrap();
+        let rebuilt = BcsrMatrix::from_raw_parts(
+            3,
+            12,
+            c.brow_ptr.clone(),
+            c.bcol_idx.clone(),
+            c.blocks.clone(),
+            c.fill.clone(),
+        );
+        assert_eq!(rebuilt, c);
+        assert_eq!(rebuilt.nnz(), a.nnz());
     }
 
     #[test]

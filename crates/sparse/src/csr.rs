@@ -253,16 +253,6 @@ impl CsrMatrix {
         y
     }
 
-    /// `y += A x` (no zeroing of `y`).
-    ///
-    /// # Panics
-    /// Panics if the vector lengths mismatch the matrix shape.
-    pub fn spmv_add_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n_cols, "spmv_add: x length mismatch");
-        assert_eq!(y.len(), self.n_rows, "spmv_add: y length mismatch");
-        crate::kernels::spmv_add_raw(&self.row_ptr, &self.col_idx, &self.values, x, y);
-    }
-
     /// Floating-point operations of one SpMV with this matrix.
     #[inline]
     pub fn spmv_flops(&self) -> u64 {
@@ -423,15 +413,6 @@ mod tests {
         let x = [1.0, 2.0, 3.0];
         let y = a.spmv(&x);
         assert_eq!(y, vec![0.0, 0.0, 4.0]);
-    }
-
-    #[test]
-    fn spmv_add_accumulates() {
-        let a = sample();
-        let x = [1.0, 0.0, 0.0];
-        let mut y = vec![10.0, 10.0, 10.0];
-        a.spmv_add_into(&x, &mut y);
-        assert_eq!(y, vec![12.0, 9.0, 10.0]);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
+use crate::rows::SparseRows;
 
 /// An ILU(0) factorization `A ≈ L U` stored on the sparsity pattern of `A`.
 ///
@@ -24,14 +25,15 @@ pub struct Ilu0 {
 
 impl Ilu0 {
     /// Factorizes `a` in ILU(0) fashion (IKJ variant restricted to the
-    /// pattern of `a`).
+    /// pattern of `a`, read through its scalar rows: node blocks factor on
+    /// their scalar pattern, fill left out).
     ///
     /// # Errors
     /// - [`SparseError::NotSquare`] for a rectangular matrix;
     /// - [`SparseError::ZeroPivot`] when a diagonal entry is structurally
     ///   missing or numerically negligible — for subdomain stiffness matrices
     ///   this is the paper's floating-subdomain singularity.
-    pub fn factorize(a: &CsrMatrix) -> Result<Self, SparseError> {
+    pub fn factorize<A: SparseRows + ?Sized>(a: &A) -> Result<Self, SparseError> {
         let n = a.n_rows();
         if n != a.n_cols() {
             return Err(SparseError::NotSquare {
@@ -39,7 +41,7 @@ impl Ilu0 {
                 n_cols: a.n_cols(),
             });
         }
-        let mut lu = a.clone();
+        let mut lu = CsrMatrix::from_rows(a);
         // Locate diagonal positions first; a missing diagonal is a structural
         // zero pivot.
         let mut diag_pos = Vec::with_capacity(n);

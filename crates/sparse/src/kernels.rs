@@ -5,9 +5,10 @@
 //!
 //! 1. **Per-row arithmetic is fixed.** Every SpMV variant here accumulates a
 //!    row as four independent partial sums over `chunks_exact(4)` combined
-//!    as `(a0 + a1) + (a2 + a3)` plus a sequential remainder. The full,
-//!    accumulating and row-subset SpMV therefore produce **bit-identical**
-//!    row sums.
+//!    as `(a0 + a1) + (a2 + a3)` plus a sequential remainder ([`row_dot`]).
+//!    The full and row-subset SpMV, and the RDD halo product that adds one
+//!    [`row_dot`] per halo row, therefore produce **bit-identical** row
+//!    sums.
 //! 2. **Blocked vector kernels preserve element order.** [`dot_block`]
 //!    keeps one accumulator per basis vector and walks elements in order,
 //!    so it equals the corresponding sequence of individual dot products
@@ -18,9 +19,9 @@
 //!    of `K`), never floating-point semantics.
 //! 3. No allocation anywhere; callers provide every buffer.
 //!
-//! [`crate::CsrMatrix`] forwards its `spmv_into` / `spmv_add_into` methods
-//! to the raw-slice entry points here; the overlapped distributed matvec
-//! calls [`spmv_rows_indexed`] directly.
+//! [`crate::CsrMatrix`] forwards its `spmv_into` method to the raw-slice
+//! entry point here; the overlapped distributed matvec calls
+//! [`spmv_rows_indexed`] directly.
 
 /// One CSR row dot product, 4-way unrolled.
 ///
@@ -87,26 +88,6 @@ pub fn spmv_raw(row_ptr: &[usize], col_idx: &[usize], values: &[f64], x: &[f64],
         let lo = row_ptr[r];
         let hi = row_ptr[r + 1];
         *yr = row_dot(&col_idx[lo..hi], &values[lo..hi], x);
-    }
-}
-
-/// `y += A x` on raw CSR arrays.
-pub fn spmv_add_raw(
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    values: &[f64],
-    x: &[f64],
-    y: &mut [f64],
-) {
-    assert_eq!(
-        y.len(),
-        row_ptr.len() - 1,
-        "spmv_add_raw: y length mismatch"
-    );
-    for (r, yr) in y.iter_mut().enumerate() {
-        let lo = row_ptr[r];
-        let hi = row_ptr[r + 1];
-        *yr += row_dot(&col_idx[lo..hi], &values[lo..hi], x);
     }
 }
 
@@ -391,20 +372,6 @@ mod tests {
             spmv_rows_indexed(rp, ci, vals, &x, &mut split, &even);
             assert_eq!(split, full, "n={n}");
         }
-    }
-
-    #[test]
-    fn spmv_add_raw_accumulates() {
-        let a = random_csr(20, 3);
-        let x = random_vec(20, 4);
-        let y0 = random_vec(20, 5);
-        let (rp, ci, vals) = a.raw_parts();
-        let mut y = y0.clone();
-        spmv_add_raw(rp, ci, vals, &x, &mut y);
-        let mut ax = vec![0.0; 20];
-        spmv_raw(rp, ci, vals, &x, &mut ax);
-        let manual: Vec<f64> = ax.iter().zip(&y0).map(|(a, y)| y + a).collect();
-        assert_eq!(y, manual);
     }
 
     #[test]

@@ -51,7 +51,7 @@
 //! that component — the pseudo-inverse on the factorable complement —
 //! unless [`SparseLdlt::set_null_shift`] arms the nonsingular variant.
 
-use crate::csr::CsrMatrix;
+use crate::rows::SparseRows;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -134,15 +134,16 @@ impl Panels {
 const NONE: u32 = u32::MAX;
 
 impl SparseLdlt {
-    /// Orders and factors a symmetric sparse matrix given in CSR form with
-    /// both triangles stored, as assembly produces. `pivot_tol` is relative
+    /// Orders and factors a symmetric sparse matrix with both triangles
+    /// stored, as assembly produces, read through its scalar rows — CSR or
+    /// node blocks give the same pattern, order and bits. `pivot_tol` is relative
     /// to the largest diagonal magnitude; pivots under it are skipped (see
     /// the module docs), so singular matrices factor into a pseudo-inverse
     /// instead of failing.
     ///
     /// # Panics
     /// Panics on a non-square input or one too large for `u32` indices.
-    pub fn factor(a: &CsrMatrix, pivot_tol: f64) -> Self {
+    pub fn factor<A: SparseRows + ?Sized>(a: &A, pivot_tol: f64) -> Self {
         let n = a.n_rows();
         assert_eq!(n, a.n_cols(), "SparseLdlt::factor: square input");
         assert!(
@@ -351,18 +352,18 @@ fn inverse(perm: &[u32]) -> Vec<u32> {
 
 /// Minimum-degree ordering of the supervariable graph of `a`'s pattern.
 /// Returns `perm` with `perm[new] = old`.
-fn min_degree_ordering(a: &CsrMatrix) -> Vec<u32> {
+fn min_degree_ordering<A: SparseRows + ?Sized>(a: &A) -> Vec<u32> {
     let n = a.n_rows();
     // Supervariables: a row joins the first earlier neighbour with the same
     // stored pattern (diagonal included — the closed adjacency).
     let mut sv = vec![0u32; n];
     let mut rep: Vec<usize> = Vec::new();
     let mut weight: Vec<u32> = Vec::new();
+    let cols = |i: usize| a.row_entries(i).map(|(j, _)| j);
     for i in 0..n {
-        let cols = a.row(i).0;
-        let mut earlier = cols.iter().take_while(|&&j| j < i);
-        match earlier.find(|&&j| a.row(j).0 == cols) {
-            Some(&twin) => {
+        let mut earlier = cols(i).take_while(|&j| j < i);
+        match earlier.find(|&j| cols(j).eq(cols(i))) {
+            Some(twin) => {
                 sv[i] = sv[twin];
                 weight[sv[i] as usize] += 1;
             }
@@ -386,7 +387,7 @@ fn min_degree_ordering(a: &CsrMatrix) -> Vec<u32> {
         .map(|s| {
             mark[s] = s;
             let mut list = Vec::new();
-            for &j in a.row(rep[s]).0 {
+            for j in cols(rep[s]) {
                 let t = sv[j];
                 if mark[t as usize] != s {
                     mark[t as usize] = s;
@@ -493,14 +494,14 @@ fn min_degree_ordering(a: &CsrMatrix) -> Vec<u32> {
 /// The elimination tree (`parent`, [`NONE`] at roots) and the column
 /// pointers of `L` for `P A Pᵀ`: the pattern of row `k` is the union of the
 /// tree paths from each `j < k` with `a_kj ≠ 0` up to `k`.
-fn symbolic(a: &CsrMatrix, perm: &[u32], iperm: &[u32]) -> (Vec<u32>, Vec<usize>) {
+fn symbolic<A: SparseRows + ?Sized>(a: &A, perm: &[u32], iperm: &[u32]) -> (Vec<u32>, Vec<usize>) {
     let n = perm.len();
     let mut parent = vec![NONE; n];
     let mut visited = vec![NONE; n];
     let mut count = vec![0usize; n];
     for k in 0..n {
         visited[k] = k as u32;
-        for &j in a.row(perm[k] as usize).0 {
+        for (j, _) in a.row_entries(perm[k] as usize) {
             let mut i = iperm[j] as usize;
             while i < k && visited[i] != k as u32 {
                 if parent[i] == NONE {
@@ -529,8 +530,8 @@ fn symbolic(a: &CsrMatrix, perm: &[u32], iperm: &[u32]) -> (Vec<u32>, Vec<usize>
 /// Row `k` lies below supernode `s` exactly when the row subtree of `k`
 /// passes through `s`'s last column, so one walk over the row subtrees —
 /// a whole supernode per step — fills the row lists in ascending order.
-fn supernodes(
-    a: &CsrMatrix,
+fn supernodes<A: SparseRows + ?Sized>(
+    a: &A,
     perm: &[u32],
     iperm: &[u32],
     parent: &[u32],
@@ -568,7 +569,7 @@ fn supernodes(
     let mut rows = vec![0u32; row_ptr[ns]];
     let mut visited = vec![NONE; ns];
     for k in 0..n {
-        for &j in a.row(perm[k] as usize).0 {
+        for (j, _) in a.row_entries(perm[k] as usize) {
             let i = iperm[j] as usize;
             if i >= k {
                 continue;
@@ -601,8 +602,8 @@ const UPDATE_CHUNK: usize = 32;
 /// order, each panel is factored ([`factor_panel`]) and subtracts its
 /// update from its ancestors ([`update_ancestors`]). A skipped pivot leaves
 /// `d = 0` and a zero column of `L`.
-fn numeric(
-    a: &CsrMatrix,
+fn numeric<A: SparseRows + ?Sized>(
+    a: &A,
     perm: Vec<u32>,
     iperm: &[u32],
     parent: &[u32],
@@ -616,8 +617,7 @@ fn numeric(
     let mut d = vec![0.0; n];
     let mut nnz_a = 0;
     for k in 0..n {
-        let (cols, a_vals) = a.row(perm[k] as usize);
-        for (&j, &v) in cols.iter().zip(a_vals) {
+        for (j, v) in a.row_entries(perm[k] as usize) {
             let i = iperm[j] as usize;
             if i == k {
                 d[k] += v;
@@ -996,6 +996,7 @@ fn dot2x4(a: [&[f64]; 4], b: [&[f64]; 2]) -> [[f64; 4]; 2] {
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
+    use crate::csr::CsrMatrix;
     use crate::dense::solve_dense;
 
     fn from_dense(n: usize, a: &[f64]) -> CsrMatrix {

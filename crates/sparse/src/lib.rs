@@ -20,9 +20,11 @@
 //! - [`op`] — the [`LinearOperator`] abstraction shared by the sequential
 //!   and distributed solvers,
 //! - [`io`] — MatrixMarket import/export for reproducibility,
-//! - [`bcsr`] — node-block CSR storage (`B × B` blocks, `B ∈ {2, 3}`) built
-//!   from CSR; the one alternative to CSR, for matrices whose DOFs come `B`
-//!   to a node,
+//! - [`bcsr`] — node-block CSR storage (`B × B` blocks, `B ∈ {2, 3}`); the
+//!   one alternative to CSR, for matrices whose DOFs come `B` to a node,
+//! - [`rows`] — [`SparseRows`], the row view both storages share (block fill
+//!   left out), and [`NodeMatrix`], a local matrix in the storage its DOFs
+//!   per node give it,
 //! - [`ldlt`] — the one factorization: a pivot-tolerant sparse LDLᵀ under a
 //!   deterministic minimum-degree ordering, behind both the exact `direct`
 //!   subdomain preconditioner and the two-level preconditioner's Galerkin
@@ -51,6 +53,7 @@ pub mod io;
 pub mod kernels;
 pub mod ldlt;
 pub mod op;
+pub mod rows;
 pub mod scaling;
 
 pub use bcsr::BcsrMatrix;
@@ -60,4 +63,5 @@ pub use error::SparseError;
 pub use ilu::Ilu0;
 pub use ldlt::SparseLdlt;
 pub use op::LinearOperator;
+pub use rows::{NodeMatrix, SparseRows};
 pub use scaling::DiagonalScaling;
