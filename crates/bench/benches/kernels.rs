@@ -1,7 +1,8 @@
 //! Micro-benches for the unrolled sparse and dense kernels behind the
 //! zero-allocation FGMRES hot path: the blocked Gram–Schmidt sweeps
 //! (`dot_sweep` / `dot_sweep_weighted` / `axpy_sweep_neg`) against their
-//! scalar loops, and the node-block SpMV against CSR on one EDD rank's matrix.
+//! scalar loops, the node-block SpMV against CSR on one EDD rank's matrix,
+//! and the sparse LDLᵀ's factorization and solve on one RDD rank's block.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use parfem::fem::SubdomainSystem;
@@ -118,5 +119,47 @@ fn bench_kernel_variants(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gram_schmidt_sweeps, bench_kernel_variants);
+/// The one LDLᵀ on the block it factors in the `elas3d-rdd-direct`
+/// benchmark workload: rank 0's 3000-row diagonal block of the 18×9×9 hex
+/// cantilever split in two x-slabs. `factor` is the whole factorization —
+/// the nested-dissection ordering (which has no entry point of its own),
+/// the symbolic pass and the supernodal numeric phase — and `solve` one
+/// allocation-free solve with the factor.
+fn bench_ldlt_factor(c: &mut Criterion) {
+    use parfem::dd::RddSystem;
+    use parfem::sparse::ldlt::{SparseLdlt, DEFAULT_PIVOT_TOL};
+    use parfem::sparse::scaling::scale_system;
+    let hex = PhysicsProblem::cantilever(
+        Physics::Elasticity3d,
+        (18, 9, 9),
+        Material::unit(),
+        LoadCase::PullX(1.0),
+    );
+    let sys = hex.static_system();
+    let (a, b, _) = scale_system(&sys.stiffness, &sys.rhs).unwrap();
+    let block = RddSystem::build_all(&a, &b, &hex.node_partition(2)).swap_remove(0);
+    let factor = SparseLdlt::factor(&block.a_loc, DEFAULT_PIVOT_TOL);
+    let mut x = block.b_loc.clone();
+    let mut scratch = vec![0.0; x.len()];
+    let mut group = c.benchmark_group("ldlt_factor");
+    group.bench_function("factor_hex_half_block", |bench| {
+        bench.iter(|| {
+            black_box(SparseLdlt::factor(
+                black_box(&block.a_loc),
+                DEFAULT_PIVOT_TOL,
+            ))
+        })
+    });
+    group.bench_function("solve_hex_half_block", |bench| {
+        bench.iter(|| factor.solve_in_place_with(black_box(&mut x), black_box(&mut scratch)))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_gram_schmidt_sweeps,
+    bench_kernel_variants,
+    bench_ldlt_factor
+);
 criterion_main!(benches);

@@ -1,13 +1,11 @@
 //! Preconditioner application cost: GLS(m) and Neumann(m) are `m` SpMVs,
 //! ILU(0) is one triangular sweep — the cost trade-off behind the paper's
-//! Table 3 CPU-time discussion. The sparse LDLᵀ behind `direct` is timed on
-//! the block it factors in the `elas3d-rdd-direct` benchmark workload.
+//! Table 3 CPU-time discussion. The sparse LDLᵀ behind `direct` is timed in
+//! `kernels.rs` (`ldlt_factor`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use parfem::dd::RddSystem;
 use parfem::precond::{GlsPrecond, Ilu0Precond, JacobiPrecond, NeumannPrecond, Preconditioner};
 use parfem::prelude::*;
-use parfem::sparse::ldlt::{SparseLdlt, DEFAULT_PIVOT_TOL};
 use parfem::sparse::scaling::scale_system;
 use std::hint::black_box;
 
@@ -47,34 +45,6 @@ fn bench_precond(c: &mut Criterion) {
     });
     group.bench_function("ilu0_factorize", |b| {
         b.iter(|| black_box(Ilu0Precond::factorize(&a).unwrap()))
-    });
-    group.finish();
-
-    // The 3000-row diagonal block of the 18×9×9 hex cantilever split in two
-    // x-slabs of nodes (rank 0 of the `elas3d-rdd-direct` workload).
-    let hex = PhysicsProblem::cantilever(
-        Physics::Elasticity3d,
-        (18, 9, 9),
-        Material::unit(),
-        LoadCase::PullX(1.0),
-    );
-    let sys = hex.static_system();
-    let (a, b, _) = scale_system(&sys.stiffness, &sys.rhs).unwrap();
-    let block = RddSystem::build_all(&a, &b, &hex.node_partition(2)).swap_remove(0);
-    let factor = SparseLdlt::factor(&block.a_loc, DEFAULT_PIVOT_TOL);
-    let mut x = block.b_loc.clone();
-    let mut scratch = vec![0.0; x.len()];
-    let mut group = c.benchmark_group("ldlt_hex_half_block");
-    group.bench_function("ldlt_factorize_hex", |b| {
-        b.iter(|| {
-            black_box(SparseLdlt::factor(
-                black_box(&block.a_loc),
-                DEFAULT_PIVOT_TOL,
-            ))
-        })
-    });
-    group.bench_function("ldlt_solve_hex", |b| {
-        b.iter(|| factor.solve_in_place_with(black_box(&mut x), black_box(&mut scratch)))
     });
     group.finish();
 }

@@ -995,6 +995,9 @@ pub struct FactorStats {
     pub supernodes: u64,
     /// Entries of the largest panel, rows × width.
     pub max_front: u64,
+    /// Rows in the root separator of the ordering (`0` when minimum degree
+    /// ordered the whole block).
+    pub separator: u64,
 }
 
 impl FactorStats {
@@ -1008,6 +1011,7 @@ impl FactorStats {
             skipped: factor.n_skipped() as u64,
             supernodes: factor.supernodes() as u64,
             max_front: factor.max_front() as u64,
+            separator: factor.separator() as u64,
         }
     }
 
@@ -1024,6 +1028,7 @@ impl FactorStats {
             total.skipped += r.skipped;
             total.supernodes = total.supernodes.max(r.supernodes);
             total.max_front = total.max_front.max(r.max_front);
+            total.separator = total.separator.max(r.separator);
         }
         Some(total)
     }
@@ -1042,6 +1047,7 @@ impl FactorStats {
             ("factor_skipped".to_string(), Value::U64(self.skipped)),
             ("factor_supernodes".to_string(), Value::U64(self.supernodes)),
             ("factor_max_front".to_string(), Value::U64(self.max_front)),
+            ("factor_separator".to_string(), Value::U64(self.separator)),
         ]
     }
 }

@@ -539,6 +539,7 @@ fn twolevel_setup_is_charged_traced_and_summarized() {
         (factor.solve_flops, factor.supernodes, factor.max_front),
         (want.solve_flops, want.supernodes, want.max_front)
     );
+    assert_eq!(factor.separator, want.separator);
     // The two dofs of a mesh node share one pattern, so every rank's
     // largest panel is at least a node wide and deep.
     for f in &direct.factor {
@@ -547,8 +548,8 @@ fn twolevel_setup_is_charged_traced_and_summarized() {
     let text = parfem_trace::render_convergence(&report);
     assert!(text.contains("subdomain factor: nnz(L) = "), "{text}");
     let fronts = format!(
-        "{} supernodes, largest front {} entries",
-        want.supernodes, want.max_front
+        "{} supernodes, largest front {} entries, root separator {} rows",
+        want.supernodes, want.max_front, want.separator
     );
     assert!(text.contains(&fronts), "{text}");
 }

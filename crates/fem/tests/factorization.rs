@@ -52,24 +52,30 @@ fn hex_half_block_fill_stays_under_the_pin() {
     let f = SparseLdlt::factor(&block, DEFAULT_PIVOT_TOL);
     eprintln!(
         "hex half block: nnz(L) = {}, fill = {:.2}, {} factor flops, {:.1} ms, \
-         {} supernodes, largest front {}, {} bytes",
+         {} supernodes, largest front {}, root separator {} rows, {} bytes",
         f.nnz_l(),
         f.fill(),
         f.factor_flops(),
         t.elapsed().as_secs_f64() * 1e3,
         f.supernodes(),
         f.max_front(),
+        f.separator(),
         f.bytes()
     );
     assert_eq!(f.n_skipped(), 0);
     // 917 544 stored entries under the RCM profile this replaced, 732 k in
-    // the natural order, 580 k under exact minimum degree.
-    assert!(f.nnz_l() <= 650_000, "nnz(L) = {}", f.nnz_l());
+    // the natural order, 580 k (190.3 M flops, a 594-row top front) under
+    // the minimum degree that ordered the whole block before nested
+    // dissection.
+    assert!(f.nnz_l() <= 490_000, "nnz(L) = {}", f.nnz_l());
     // The counts are symbolic, so the supernodal numeric phase keeps them
     // to the entry; its panels take fewer bytes than the 7 016 612 of the
-    // column storage (12 bytes per entry) it replaced.
-    assert_eq!((f.nnz_l(), f.factor_flops()), (579_717, 190_261_485));
-    assert!(f.bytes() <= 7_016_612, "{} bytes", f.bytes());
+    // column storage (12 bytes per entry) and the 4 807 168 of the minimum
+    // degree factor.
+    assert_eq!((f.nnz_l(), f.factor_flops()), (479_331, 110_438_901));
+    assert!(f.bytes() <= 4_100_000, "{} bytes", f.bytes());
+    // The root separator is a plane of 90 nodes across the slab.
+    assert_eq!(f.separator(), 270);
 
     let x: Vec<f64> = (0..3000).map(|i| (0.37 * i as f64).sin()).collect();
     let b = block.spmv(&x);

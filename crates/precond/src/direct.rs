@@ -2,7 +2,7 @@
 //!
 //! [`DirectPrecond`] wraps the sparse factorization of
 //! [`parfem_sparse::ldlt`] (a pivot-tolerant LDLᵀ under a deterministic
-//! minimum-degree ordering) as a [`Preconditioner`]: each application
+//! nested-dissection ordering) as a [`Preconditioner`]: each application
 //! solves the factored rank-local matrix exactly, `z = A_local⁻¹ v`.
 //!
 //! Two properties make this the right comparator and smoother where ILU(0)

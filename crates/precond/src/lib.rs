@@ -19,8 +19,8 @@
 //!   matrix: the sequential comparator of Figs. 11–12, block-Jacobi ILU(0)
 //!   under row-based decomposition, and the Eq. 45 zero pivot on floating
 //!   element-based subdomains,
-//! - [`direct`] — the exact rank-local sparse direct solve (minimum-degree
-//!   sparse LDLᵀ), pivot-tolerant where ILU(0) fails on floating
+//! - [`direct`] — the exact rank-local sparse direct solve
+//!   (nested-dissection sparse LDLᵀ), pivot-tolerant where ILU(0) fails on floating
 //!   subdomains,
 //! - [`twolevel`] — the two-level coarse-space correction (per-subdomain
 //!   constant/rigid-body/low-rank modes, a directly factored Galerkin

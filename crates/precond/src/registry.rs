@@ -59,8 +59,8 @@ pub enum PrecondSpec {
         /// Applications per schedule stage.
         period: usize,
     },
-    /// Exact rank-local sparse direct solve (minimum-degree sparse LDLᵀ with
-    /// pivot skipping — well-defined even on floating subdomains where
+    /// Exact rank-local sparse direct solve (nested-dissection sparse LDLᵀ
+    /// with pivot skipping — well-defined even on floating subdomains where
     /// ILU(0) hits the paper's Eq. 45 zero pivot). Needs the rank-local
     /// matrix at build time — see [`PrecondSpec::instantiate`].
     Direct,
@@ -568,7 +568,7 @@ pub fn grammar_help() -> String {
         "{GRAMMAR}\n\
          none                 unpreconditioned FGMRES\n\
          jacobi               assembled-diagonal scaling\n\
-         direct               exact rank-local sparse direct solve (min-degree sparse LDLt;\n\
+         direct               exact rank-local sparse direct solve (nested-dissection LDLt;\n\
                               pivot-tolerant on floating subdomains where ILU(0) fails)\n\
          ilu0                 rank-local ILU(0): the sequential comparator at one rank,\n\
                               block-Jacobi ILU(0) under rdd; may meet a zero pivot on\n\

@@ -7,18 +7,26 @@
 //! to any iterative DD result) and the two-level preconditioner's Galerkin
 //! coarse operator.
 //!
-//! Three phases, each a private function:
+//! Three phases, each private:
 //!
-//! 1. **Ordering** — minimum degree on the *supervariable* graph. Rows with
-//!    identical closed adjacency (the 2 or 3 dofs of a mesh node) are merged
-//!    first, which shrinks a hex8 graph 3×; elimination then runs on a
-//!    quotient graph with element absorption and approximate external
-//!    degrees, so it costs a few percent of the numeric phase (the unit
-//!    test on a 27-point stencil prints both). Ties go to the lowest index,
-//!    so the permutation — and every factor bit — is reproducible across
-//!    runs and platforms. Isolated rows (Dirichlet identities) have degree
-//!    zero and are eliminated first; disconnected components need no
-//!    special case.
+//! 1. **Ordering** (the `ordering` module) — rows with identical closed
+//!    adjacency (the 2 or 3 dofs of a mesh node) are merged into
+//!    supervariables, which shrinks a hex8 graph 3×. A graph of at most 64
+//!    supervariables (a coarse operator, a small block) is ordered by
+//!    minimum degree on a quotient graph with element absorption and
+//!    approximate external degrees. A larger one is ordered by nested dissection: multilevel
+//!    vertex separators (heavy-edge coarsening, greedy growth, FM
+//!    refinement on every level, a minimum cover of the cut edges),
+//!    each side before its separator, minimum degree below 64
+//!    supervariables. On the 3000-row hex block of the
+//!    `elas3d-rdd-direct` workload this cuts the factor flops from 190 M to
+//!    110 M, and the ordering costs about a fifth of the numeric phase
+//!    (4.3–5.6 ms against 19–30 ms on a loaded 2-vCPU host); the
+//!    `ordering_is_cheap…` unit test prints both on a 27-point stencil.
+//!    Ties go to the lowest index and nothing is random, so the
+//!    permutation — and every factor bit — is reproducible across runs and
+//!    platforms. Isolated rows (Dirichlet identities) come first and every
+//!    disconnected component is ordered on its own.
 //! 2. **Symbolic** — the elimination tree and the column counts of `L` in
 //!    one pass over the row subtrees, giving an exact allocation.
 //! 3. **Numeric** — supernodal. Runs of columns that form a chain of the
@@ -51,9 +59,9 @@
 //! that component — the pseudo-inverse on the factorable complement —
 //! unless [`SparseLdlt::set_null_shift`] arms the nonsingular variant.
 
+mod ordering;
+
 use crate::rows::SparseRows;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Relative pivot tolerance of [`SparseLdlt::factor`]: a pivot whose
 /// magnitude falls below `tol × max |a_ii|` is treated as a zero mode and
@@ -81,6 +89,8 @@ pub struct SparseLdlt {
     null_shift: f64,
     /// Stored entries of the strict lower triangle of the input.
     nnz_a: usize,
+    /// Rows in the root separator of the ordering.
+    separator: usize,
 }
 
 /// Where each supernode's columns, rows and values are.
@@ -150,10 +160,12 @@ impl SparseLdlt {
             u32::try_from(n).is_ok_and(|n| n < NONE),
             "SparseLdlt::factor: dimension exceeds the u32 index range"
         );
-        let perm = min_degree_ordering(a);
+        let (perm, separator) = ordering::order(a);
         let iperm = inverse(&perm);
         let (parent, col_ptr) = symbolic(a, &perm, &iperm);
-        numeric(a, perm, &iperm, &parent, &col_ptr, pivot_tol)
+        let mut factor = numeric(a, perm, &iperm, &parent, &col_ptr, pivot_tol);
+        factor.separator = separator;
+        factor
     }
 
     /// The system size.
@@ -306,6 +318,14 @@ impl SparseLdlt {
             .unwrap_or(0)
     }
 
+    /// Rows in the root separator of the nested-dissection ordering — the
+    /// columns eliminated last, whose dense front bounds the factor's cost
+    /// (the largest over the components; `0` when minimum degree ordered the
+    /// whole matrix).
+    pub fn separator(&self) -> usize {
+        self.separator
+    }
+
     /// `nnz(L)` over the stored strict lower triangle of the input (`1.0`
     /// when that triangle is empty).
     pub fn fill(&self) -> f64 {
@@ -348,147 +368,6 @@ fn inverse(perm: &[u32]) -> Vec<u32> {
         iperm[old as usize] = new as u32;
     }
     iperm
-}
-
-/// Minimum-degree ordering of the supervariable graph of `a`'s pattern.
-/// Returns `perm` with `perm[new] = old`.
-fn min_degree_ordering<A: SparseRows + ?Sized>(a: &A) -> Vec<u32> {
-    let n = a.n_rows();
-    // Supervariables: a row joins the first earlier neighbour with the same
-    // stored pattern (diagonal included — the closed adjacency).
-    let mut sv = vec![0u32; n];
-    let mut rep: Vec<usize> = Vec::new();
-    let mut weight: Vec<u32> = Vec::new();
-    let cols = |i: usize| a.row_entries(i).map(|(j, _)| j);
-    for i in 0..n {
-        let mut earlier = cols(i).take_while(|&j| j < i);
-        match earlier.find(|&j| cols(j).eq(cols(i))) {
-            Some(twin) => {
-                sv[i] = sv[twin];
-                weight[sv[i] as usize] += 1;
-            }
-            None => {
-                sv[i] = rep.len() as u32;
-                rep.push(i);
-                weight.push(1);
-            }
-        }
-    }
-    let ns = rep.len();
-
-    // The quotient graph. A variable `v` keeps its uneliminated neighbours
-    // not yet covered by an element in `adj[v]` and the elements it belongs
-    // to in `elems[v]`; an element `e` (an eliminated pivot) keeps its
-    // uneliminated variables in `members[e]`, of total weight `size[e]`.
-    // `mark` holds stamps: `0..ns` while the graph is built, `ns + k` during
-    // the `k`-th elimination.
-    let mut mark = vec![usize::MAX; ns];
-    let mut adj: Vec<Vec<u32>> = (0..ns)
-        .map(|s| {
-            mark[s] = s;
-            let mut list = Vec::new();
-            for j in cols(rep[s]) {
-                let t = sv[j];
-                if mark[t as usize] != s {
-                    mark[t as usize] = s;
-                    list.push(t);
-                }
-            }
-            list
-        })
-        .collect();
-    let mut elems: Vec<Vec<u32>> = vec![Vec::new(); ns];
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); ns];
-    let mut size = vec![0u32; ns];
-    let mut absorbed = vec![false; ns];
-    // `outside[e] = |Lₑ \ Lₚ|` for the current pivot `p`, valid where
-    // `outside_stamp[e]` is the current stamp.
-    let mut outside = vec![0u32; ns];
-    let mut outside_stamp = vec![usize::MAX; ns];
-    let weigh = |list: &[u32]| -> u32 { list.iter().map(|&u| weight[u as usize]).sum() };
-    let mut degree: Vec<u32> = adj.iter().map(|list| weigh(list)).collect();
-    // Lowest (degree, index) first. An entry goes stale when its variable's
-    // degree changes or the variable is eliminated (`degree = NONE`).
-    let mut queue: BinaryHeap<Reverse<(u32, u32)>> = (0..ns as u32)
-        .map(|s| Reverse((degree[s as usize], s)))
-        .collect();
-    let mut order: Vec<u32> = Vec::with_capacity(ns);
-    let mut remaining = n as u32;
-
-    while let Some(Reverse((d, p))) = queue.pop() {
-        if degree[p as usize] != d {
-            continue;
-        }
-        degree[p as usize] = NONE;
-        let stamp = ns + order.len();
-        order.push(p);
-        remaining -= weight[p as usize];
-        // Lₚ: the pivot's variable neighbours and the variables of its
-        // elements, which are absorbed into the new element `p`.
-        mark[p as usize] = stamp;
-        let mut lp = std::mem::take(&mut adj[p as usize]);
-        for &v in &lp {
-            mark[v as usize] = stamp;
-        }
-        for e in std::mem::take(&mut elems[p as usize]) {
-            absorbed[e as usize] = true;
-            for v in std::mem::take(&mut members[e as usize]) {
-                if mark[v as usize] != stamp {
-                    mark[v as usize] = stamp;
-                    lp.push(v);
-                }
-            }
-        }
-        let lp_weight = weigh(&lp);
-        for &v in &lp {
-            // Edges inside Lₚ ∪ {p} are covered by the new element.
-            adj[v as usize].retain(|&u| mark[u as usize] != stamp);
-            elems[v as usize].retain(|&e| {
-                let e = e as usize;
-                if !absorbed[e] {
-                    if outside_stamp[e] != stamp {
-                        outside_stamp[e] = stamp;
-                        outside[e] = size[e];
-                    }
-                    outside[e] -= weight[v as usize];
-                }
-                !absorbed[e]
-            });
-        }
-        for &v in &lp {
-            let vi = v as usize;
-            // An element wholly inside Lₚ adds nothing: absorb it too.
-            let mut beyond = 0u64;
-            elems[vi].retain(|&e| {
-                absorbed[e as usize] |= outside[e as usize] == 0;
-                beyond += u64::from(outside[e as usize]);
-                !absorbed[e as usize]
-            });
-            // Approximate external degree: exact for up to two elements, an
-            // upper bound beyond (overlaps outside Lₚ are counted twice, so
-            // the sums are taken in u64).
-            let rest = u64::from(lp_weight - weight[vi]);
-            let d = (rest + u64::from(weigh(&adj[vi])) + beyond)
-                .min(u64::from(degree[vi]) + rest)
-                .min(u64::from(remaining - weight[vi])) as u32;
-            if d != degree[vi] {
-                degree[vi] = d;
-                queue.push(Reverse((d, v)));
-            }
-            elems[vi].push(p);
-        }
-        size[p as usize] = lp_weight;
-        members[p as usize] = lp;
-    }
-
-    let mut rank = vec![0u32; ns];
-    for (k, &p) in order.iter().enumerate() {
-        rank[p as usize] = k as u32;
-    }
-    let mut perm: Vec<u32> = (0..n as u32).collect();
-    // Stable: the rows of a supervariable stay in ascending order.
-    perm.sort_by_key(|&i| rank[sv[i as usize] as usize]);
-    perm
 }
 
 /// The elimination tree (`parent`, [`NONE`] at roots) and the column
@@ -679,6 +558,7 @@ fn numeric<A: SparseRows + ?Sized>(
         diag_scale,
         null_shift: 0.0,
         nnz_a,
+        separator: 0,
     }
 }
 
@@ -1147,13 +1027,60 @@ mod tests {
         for (xi, wi) in x.iter().zip(&want) {
             assert!((xi - wi).abs() < 1e-12);
         }
+
+        // Above the leaf size: two grids, each larger than a leaf, numbered
+        // into each other, and isolated rows among them. The isolated rows
+        // come first, then each component's rows together, each component
+        // dissected on its own.
+        let (g1, g2) = (grid_laplacian(9, 9), grid_laplacian(10, 8));
+        let n = g1.n_rows() + g2.n_rows() + 7;
+        let isolated = |i: usize| i % 25 == 11;
+        let free: Vec<usize> = (0..n).filter(|&i| !isolated(i)).collect();
+        // Free rows alternate between the grids while both have rows left.
+        let (mut in1, mut in2) = (Vec::new(), Vec::new());
+        for (k, &i) in free.iter().enumerate() {
+            if (k % 2 == 0 && in1.len() < g1.n_rows()) || in2.len() == g2.n_rows() {
+                in1.push(i);
+            } else {
+                in2.push(i);
+            }
+        }
+        let mut coo = CooMatrix::new(n, n);
+        for i in (0..n).filter(|&i| isolated(i)) {
+            coo.push(i, i, 3.0).unwrap();
+        }
+        for (grid, rows) in [(&g1, &in1), (&g2, &in2)] {
+            for r in 0..grid.n_rows() {
+                let (cols, vals) = grid.row(r);
+                for (&c, &v) in cols.iter().zip(vals) {
+                    coo.push(rows[r], rows[c], v).unwrap();
+                }
+            }
+        }
+        let a = coo.to_csr();
+        assert!(ordering::supervariable_count(&a) > ordering::LEAF);
+        let f = SparseLdlt::factor(&a, DEFAULT_PIVOT_TOL);
+        let perm: Vec<usize> = f.permutation().iter().map(|&p| p as usize).collect();
+        let n_isolated = (0..n).filter(|&i| isolated(i)).count();
+        assert!(perm[..n_isolated].iter().all(|&i| isolated(i)));
+        let component = |i: usize| usize::from(in2.contains(&i));
+        let switches = (perm[n_isolated..].windows(2))
+            .filter(|w| component(w[0]) != component(w[1]))
+            .count();
+        assert_eq!(switches, 1, "each component's rows are contiguous");
+        assert!(f.separator() > 0);
+        let b: Vec<f64> = (0..n).map(|i| (0.4 * i as f64).sin()).collect();
+        let mut x = b.clone();
+        f.solve_in_place(&mut x);
+        let want = solve_dense(n, &mut a.to_dense(), &b);
+        for (xi, wi) in x.iter().zip(&want) {
+            assert!((xi - wi).abs() < 1e-12, "{xi} vs {wi}");
+        }
     }
 
-    #[test]
-    fn supervariables_keep_the_solve_exact() {
-        // Two dofs per grid node with a dense 2×2 coupling: every node's
-        // rows share one closed pattern and are merged before ordering.
-        let grid = grid_laplacian(4, 3);
+    /// Two dofs per node of [`grid_laplacian`] with a dense 2×2 coupling.
+    fn two_dof_grid(nx: usize, ny: usize) -> CsrMatrix {
+        let grid = grid_laplacian(nx, ny);
         let n = 2 * grid.n_rows();
         let mut coo = CooMatrix::new(n, n);
         for i in 0..grid.n_rows() {
@@ -1164,7 +1091,15 @@ mod tests {
                 }
             }
         }
-        let a = coo.to_csr();
+        coo.to_csr()
+    }
+
+    #[test]
+    fn supervariables_keep_the_solve_exact() {
+        // Every node's rows share one closed pattern and are merged before
+        // ordering.
+        let a = two_dof_grid(4, 3);
+        let n = a.n_rows();
         let f = SparseLdlt::factor(&a, DEFAULT_PIVOT_TOL);
         assert_eq!(f.n_skipped(), 0);
         for pair in f.permutation().chunks(2) {
@@ -1211,7 +1146,7 @@ mod tests {
         let a = stencil27(8, 3);
         let n = a.n_rows();
         let t = Instant::now();
-        let perm = min_degree_ordering(&a);
+        let (perm, _) = ordering::order(&a);
         let ordering_s = t.elapsed().as_secs_f64();
         let iperm = inverse(&perm);
         let (parent, col_ptr) = symbolic(&a, &perm, &iperm);
@@ -1306,8 +1241,17 @@ mod tests {
             }
         }
         let a = coo.to_csr();
+        // Above the leaf size, so nested dissection orders it: the
+        // identities come first, ascending.
+        assert!(ordering::supervariable_count(&a) > ordering::LEAF);
         let f = SparseLdlt::factor(&a, DEFAULT_PIVOT_TOL);
         assert_eq!(f.n_skipped(), 0);
+        let n_fixed = (0..n).filter(|&i| fixed(i)).count();
+        let first: Vec<usize> = f.permutation()[..n_fixed]
+            .iter()
+            .map(|&i| i as usize)
+            .collect();
+        assert_eq!(first, (0..n).filter(|&i| fixed(i)).collect::<Vec<_>>());
         let p = &f.panels;
         let singles = (0..p.len())
             .filter(|&s| p.width(s) == 1 && p.below(s).is_empty())
@@ -1321,6 +1265,99 @@ mod tests {
         let want = solve_dense(n, &mut a.to_dense(), &b);
         for (xi, wi) in x.iter().zip(&want) {
             assert!((xi - wi).abs() < 1e-10, "{xi} vs {wi}");
+        }
+    }
+
+    /// FNV-1a of a permutation.
+    fn digest(perm: &[u32]) -> u64 {
+        perm.iter().fold(0xcbf2_9ce4_8422_2325, |h, &p| {
+            (h ^ u64::from(p)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// `Σ cⱼ²` over the column counts of `L` under `perm`: the
+    /// [`SparseLdlt::factor_flops`] of that order, without the numeric phase.
+    fn flops_under(a: &CsrMatrix, perm: &[u32]) -> u64 {
+        let (_, col_ptr) = symbolic(a, perm, &inverse(perm));
+        col_ptr
+            .windows(2)
+            .map(|c| ((c[1] - c[0]) as u64).pow(2))
+            .sum()
+    }
+
+    #[test]
+    fn small_matrices_keep_the_minimum_degree_permutation() {
+        // At most a leaf of supervariables: minimum degree orders the whole
+        // matrix, to the permutation (digest) and counts it gave before
+        // nested dissection existed.
+        let cases = [
+            (grid_laplacian(8, 8), 0x20f9_4534_2b49_f88f, 296, 1638),
+            (stencil27(4, 3), 0x3c00_d410_0e6a_fa69, 7653, 368_321),
+            (two_dof_grid(4, 3), 0xf89b_7fcf_3abf_fb29, 116, 644),
+            (grid_laplacian(7, 9), 0xfc7e_8530_d0ea_e9c4, 285, 1537),
+        ];
+        for (a, want, nnz_l, flops) in cases {
+            assert!(ordering::supervariable_count(&a) <= ordering::LEAF);
+            let f = SparseLdlt::factor(&a, DEFAULT_PIVOT_TOL);
+            assert_eq!(f.permutation(), ordering::min_degree_ordering(&a));
+            assert_eq!(digest(f.permutation()), want);
+            assert_eq!((f.nnz_l(), f.factor_flops()), (nnz_l, flops));
+            assert_eq!(f.separator(), 0);
+        }
+    }
+
+    #[test]
+    fn two_factorizations_give_one_permutation() {
+        for a in [stencil27(6, 3), grid_laplacian(30, 30)] {
+            assert!(ordering::supervariable_count(&a) > ordering::LEAF);
+            let (f1, f2) = (
+                SparseLdlt::factor(&a, DEFAULT_PIVOT_TOL),
+                SparseLdlt::factor(&a, DEFAULT_PIVOT_TOL),
+            );
+            assert_eq!(f1.permutation(), f2.permutation());
+            assert_eq!(f1.separator(), f2.separator());
+            let b: Vec<f64> = (0..a.n_rows()).map(|i| (0.9 * i as f64).cos()).collect();
+            let (mut x1, mut x2) = (b.clone(), b);
+            f1.solve_in_place(&mut x1);
+            f2.solve_in_place(&mut x2);
+            assert_eq!(x1, x2);
+        }
+    }
+
+    /// The 9-point (bilinear element) pattern of an `nx × ny` node grid,
+    /// diagonally dominant.
+    fn grid9(nx: usize, ny: usize) -> CsrMatrix {
+        let n = nx * ny;
+        let mut coo = CooMatrix::new(n, n);
+        for (y, x) in (0..ny).flat_map(|y| (0..nx).map(move |x| (y, x))) {
+            for (dy, dx) in (0..9).map(|k| (k / 3, k % 3)) {
+                let (qx, qy) = (x + dx, y + dy);
+                if qx == 0 || qy == 0 || qx > nx || qy > ny {
+                    continue;
+                }
+                let (i, j) = (y * nx + x, (qy - 1) * nx + qx - 1);
+                coo.push(i, j, if i == j { 8.5 } else { -1.0 }).unwrap();
+            }
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn nested_dissection_cuts_the_flops_of_3d_and_2d_meshes() {
+        // 10³ nodes of a 3-dof 27-point stencil and a 60 × 60 9-point grid:
+        // nested dissection needs at most 3/4 of minimum degree's flops
+        // (measured: 0.46 and 0.59 of it), pinned to the flop.
+        for (a, pinned) in [(stencil27(10, 3), 143_928_725), (grid9(60, 60), 3_850_681)] {
+            let (perm, separator) = ordering::order(&a);
+            let nd = flops_under(&a, &perm);
+            let md = flops_under(&a, &ordering::min_degree_ordering(&a));
+            eprintln!(
+                "{} rows: nested dissection {nd} flops, minimum degree {md} ({:.2}), root separator {separator} rows",
+                a.n_rows(),
+                nd as f64 / md as f64
+            );
+            assert!(4 * nd <= 3 * md, "{nd} vs {md}");
+            assert_eq!(nd, pinned);
         }
     }
 }

@@ -1,0 +1,1035 @@
+//! The fill-reducing ordering of [`SparseLdlt::factor`](super::SparseLdlt::factor).
+//!
+//! Rows with identical closed adjacency (the 2 or 3 dofs of a mesh node)
+//! are merged into *supervariables* first. A supervariable graph of at most
+//! [`LEAF`] vertices is ordered by minimum degree ([`min_degree`]); a larger
+//! one by nested dissection ([`dissect`]): its isolated vertices (Dirichlet
+//! identities) first, then every connected component on its own, each
+//! bisected by a multilevel vertex separator ([`bisect`]) whose two sides are
+//! ordered the same way before the separator, down to subgraphs of at most
+//! [`LEAF`] vertices, which minimum degree orders. Nothing draws on a clock
+//! or a random source and every tie goes to the lowest index, so the
+//! permutation is reproducible across runs and platforms.
+
+use super::NONE;
+use crate::rows::SparseRows;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Largest supervariable graph minimum degree orders whole, and the leaf
+/// size of nested dissection.
+pub(super) const LEAF: usize = 64;
+
+/// Coarsening stops at this many vertices (or when a level stops
+/// shrinking); the initial bisection runs on that graph.
+const COARSEST: usize = 48;
+
+/// A side of a bisection may hold `1/2 + IMBALANCE` of the vertex weight
+/// (and always one heaviest vertex over half; see [`balance_cap`]).
+const IMBALANCE: f64 = 0.05;
+
+/// FM passes per level; a pass that does not improve the cut ends them.
+const FM_PASSES: usize = 8;
+
+/// Greedy growths tried on the coarsest graph.
+const INITIAL_TRIES: usize = 4;
+
+/// The ordering `perm[new] = old` of `a`'s rows and the rows in its root
+/// separator (`0` when minimum degree ordered the whole matrix; the largest
+/// over the components otherwise).
+pub(super) fn order<A: SparseRows + ?Sized>(a: &A) -> (Vec<u32>, usize) {
+    let (sv, g) = supervariables(a);
+    let ns = g.n();
+    let (order, separator) = if ns <= LEAF {
+        (min_degree(&g), 0)
+    } else {
+        let mut order: Vec<u32> = (0..ns as u32).filter(|&v| g.degree(v) == 0).collect();
+        let rest: Vec<u32> = (0..ns as u32).filter(|&v| g.degree(v) > 0).collect();
+        let ids: Vec<u32> = (0..ns as u32).collect();
+        let separator = dissect(&g, &rest, &ids, &mut order);
+        (order, separator as usize)
+    };
+    (rows_in(&sv, &order), separator)
+}
+
+/// The rows in the order of their supervariables (`sv[row]`) in `order`,
+/// the rows of one supervariable ascending.
+fn rows_in(sv: &[u32], order: &[u32]) -> Vec<u32> {
+    // `next[s]`: where supervariable `s`'s next row goes.
+    let mut next = vec![0u32; order.len()];
+    for &s in sv {
+        next[s as usize] += 1;
+    }
+    let mut at = 0;
+    for &s in order {
+        let rows = next[s as usize];
+        next[s as usize] = at;
+        at += rows;
+    }
+    let mut perm = vec![0u32; sv.len()];
+    for (row, &s) in sv.iter().enumerate() {
+        perm[next[s as usize] as usize] = row as u32;
+        next[s as usize] += 1;
+    }
+    perm
+}
+
+/// An undirected graph in CSR form with vertex and edge weights, no
+/// self-loops.
+#[derive(Default)]
+struct Graph {
+    xadj: Vec<u32>,
+    adj: Vec<u32>,
+    /// Edge weights, parallel to `adj`.
+    ew: Vec<u32>,
+    /// Vertex weights: rows per supervariable, summed when coarsened.
+    vw: Vec<u32>,
+}
+
+impl Graph {
+    fn n(&self) -> usize {
+        self.vw.len()
+    }
+
+    fn range(&self, v: u32) -> std::ops::Range<usize> {
+        self.xadj[v as usize] as usize..self.xadj[v as usize + 1] as usize
+    }
+
+    fn neighbours(&self, v: u32) -> &[u32] {
+        &self.adj[self.range(v)]
+    }
+
+    /// `(neighbour, edge weight)` of `v`.
+    fn edges(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let r = self.range(v);
+        self.adj[r.clone()]
+            .iter()
+            .copied()
+            .zip(self.ew[r].iter().copied())
+    }
+
+    fn degree(&self, v: u32) -> usize {
+        self.range(v).len()
+    }
+
+    fn total_weight(&self) -> u64 {
+        self.vw.iter().map(|&w| u64::from(w)).sum()
+    }
+
+    /// Closes the adjacency list of the vertex just pushed.
+    fn close_vertex(&mut self, weight: u32) {
+        self.vw.push(weight);
+        self.xadj.push(self.adj.len() as u32);
+    }
+}
+
+/// The supervariable of every row and the supervariable graph of `a`'s
+/// pattern (unit edge weights). A row joins the first earlier neighbour
+/// with the same stored pattern (diagonal included — the closed adjacency);
+/// a supervariable's neighbours are listed in the order its first row
+/// meets them.
+fn supervariables<A: SparseRows + ?Sized>(a: &A) -> (Vec<u32>, Graph) {
+    let n = a.n_rows();
+    // The pattern, read once: row `i` is `cols[ptr[i]..ptr[i + 1]]`.
+    let mut ptr = Vec::with_capacity(n + 1);
+    let mut cols: Vec<u32> = Vec::new();
+    ptr.push(0);
+    for i in 0..n {
+        cols.extend(a.row_entries(i).map(|(j, _)| j as u32));
+        ptr.push(cols.len());
+    }
+    let row = |i: usize| &cols[ptr[i]..ptr[i + 1]];
+    // Rows of one pattern share its column sum: only such a pair is
+    // compared entry by entry.
+    let key: Vec<u64> = (0..n)
+        .map(|i| row(i).iter().map(|&j| u64::from(j)).sum())
+        .collect();
+    let mut sv = vec![0u32; n];
+    let mut rep: Vec<usize> = Vec::new();
+    let mut weight: Vec<u32> = Vec::new();
+    for i in 0..n {
+        let mut earlier = row(i).iter().map(|&j| j as usize).take_while(|&j| j < i);
+        match earlier.find(|&j| key[j] == key[i] && row(j) == row(i)) {
+            Some(twin) => {
+                sv[i] = sv[twin];
+                weight[sv[i] as usize] += 1;
+            }
+            None => {
+                sv[i] = rep.len() as u32;
+                rep.push(i);
+                weight.push(1);
+            }
+        }
+    }
+    let ns = rep.len();
+    let mut g = Graph {
+        xadj: Vec::with_capacity(ns + 1),
+        vw: Vec::with_capacity(ns),
+        ..Graph::default()
+    };
+    g.xadj.push(0);
+    let mut mark = vec![NONE; ns];
+    for (s, (&r, &w)) in rep.iter().zip(&weight).enumerate() {
+        mark[s] = s as u32;
+        for &j in row(r) {
+            let t = sv[j as usize];
+            if mark[t as usize] != s as u32 {
+                mark[t as usize] = s as u32;
+                g.adj.push(t);
+            }
+        }
+        g.close_vertex(w);
+    }
+    g.ew = vec![1; g.adj.len()];
+    (sv, g)
+}
+
+/// Minimum-degree order of `g`'s vertices (weighted by `g.vw`).
+fn min_degree(g: &Graph) -> Vec<u32> {
+    let ns = g.n();
+    let weight = &g.vw;
+    // The quotient graph. A variable `v` keeps its uneliminated neighbours
+    // not yet covered by an element in `adj[v]` and the elements it belongs
+    // to in `elems[v]`; an element `e` (an eliminated pivot) keeps its
+    // uneliminated variables in `members[e]`, of total weight `size[e]`.
+    // `mark` holds stamps: `ns + k` during the `k`-th elimination.
+    let mut mark = vec![usize::MAX; ns];
+    let mut adj: Vec<Vec<u32>> = (0..ns as u32).map(|v| g.neighbours(v).to_vec()).collect();
+    let mut elems: Vec<Vec<u32>> = vec![Vec::new(); ns];
+    let mut members: Vec<Vec<u32>> = vec![Vec::new(); ns];
+    let mut size = vec![0u32; ns];
+    let mut absorbed = vec![false; ns];
+    // `outside[e] = |Lₑ \ Lₚ|` for the current pivot `p`, valid where
+    // `outside_stamp[e]` is the current stamp.
+    let mut outside = vec![0u32; ns];
+    let mut outside_stamp = vec![usize::MAX; ns];
+    let weigh = |list: &[u32]| -> u32 { list.iter().map(|&u| weight[u as usize]).sum() };
+    let mut degree: Vec<u32> = adj.iter().map(|list| weigh(list)).collect();
+    // Lowest (degree, index) first. An entry goes stale when its variable's
+    // degree changes or the variable is eliminated (`degree = NONE`).
+    let mut queue: BinaryHeap<Reverse<(u32, u32)>> = (0..ns as u32)
+        .map(|s| Reverse((degree[s as usize], s)))
+        .collect();
+    let mut order: Vec<u32> = Vec::with_capacity(ns);
+    let mut remaining: u32 = weight.iter().sum();
+
+    while let Some(Reverse((d, p))) = queue.pop() {
+        if degree[p as usize] != d {
+            continue;
+        }
+        degree[p as usize] = NONE;
+        let stamp = ns + order.len();
+        order.push(p);
+        remaining -= weight[p as usize];
+        // Lₚ: the pivot's variable neighbours and the variables of its
+        // elements, which are absorbed into the new element `p`.
+        mark[p as usize] = stamp;
+        let mut lp = std::mem::take(&mut adj[p as usize]);
+        for &v in &lp {
+            mark[v as usize] = stamp;
+        }
+        for e in std::mem::take(&mut elems[p as usize]) {
+            absorbed[e as usize] = true;
+            for v in std::mem::take(&mut members[e as usize]) {
+                if mark[v as usize] != stamp {
+                    mark[v as usize] = stamp;
+                    lp.push(v);
+                }
+            }
+        }
+        let lp_weight = weigh(&lp);
+        for &v in &lp {
+            // Edges inside Lₚ ∪ {p} are covered by the new element.
+            adj[v as usize].retain(|&u| mark[u as usize] != stamp);
+            elems[v as usize].retain(|&e| {
+                let e = e as usize;
+                if !absorbed[e] {
+                    if outside_stamp[e] != stamp {
+                        outside_stamp[e] = stamp;
+                        outside[e] = size[e];
+                    }
+                    outside[e] -= weight[v as usize];
+                }
+                !absorbed[e]
+            });
+        }
+        for &v in &lp {
+            let vi = v as usize;
+            // An element wholly inside Lₚ adds nothing: absorb it too.
+            let mut beyond = 0u64;
+            elems[vi].retain(|&e| {
+                absorbed[e as usize] |= outside[e as usize] == 0;
+                beyond += u64::from(outside[e as usize]);
+                !absorbed[e as usize]
+            });
+            // Approximate external degree: exact for up to two elements, an
+            // upper bound beyond (overlaps outside Lₚ are counted twice, so
+            // the sums are taken in u64).
+            let rest = u64::from(lp_weight - weight[vi]);
+            let d = (rest + u64::from(weigh(&adj[vi])) + beyond)
+                .min(u64::from(degree[vi]) + rest)
+                .min(u64::from(remaining - weight[vi])) as u32;
+            if d != degree[vi] {
+                degree[vi] = d;
+                queue.push(Reverse((d, v)));
+            }
+            elems[vi].push(p);
+        }
+        size[p as usize] = lp_weight;
+        members[p as usize] = lp;
+    }
+    order
+}
+
+/// Appends the nested-dissection order of the subgraph of `g` over `verts`
+/// (ascending) to `out`, as the ids `ids[v]`, and returns the weight of its
+/// root separator (the largest over its components; `0` for a leaf).
+fn dissect(g: &Graph, verts: &[u32], ids: &[u32], out: &mut Vec<u32>) -> u64 {
+    if verts.len() <= LEAF {
+        let (sub, sub_ids) = induced(g, verts, ids);
+        out.extend(min_degree(&sub).into_iter().map(|v| sub_ids[v as usize]));
+        return 0;
+    }
+    let components = components(g, verts);
+    if components.len() > 1 {
+        return (components.iter())
+            .map(|c| dissect(g, c, ids, out))
+            .max()
+            .unwrap_or(0);
+    }
+    let (sub, sub_ids) = induced(g, verts, ids);
+    let side = bisect(&sub);
+    if !side.contains(&SEPARATOR) {
+        // Only a vertex heavier than the balance allows leaves one side
+        // empty, and no separator: no dissection is left to find.
+        out.extend(min_degree(&sub).into_iter().map(|v| sub_ids[v as usize]));
+        return 0;
+    }
+    for part in [0, 1] {
+        let half: Vec<u32> = (0..sub.n() as u32)
+            .filter(|&v| side[v as usize] == part)
+            .collect();
+        dissect(&sub, &half, &sub_ids, out);
+    }
+    let separator = (0..sub.n() as u32).filter(|&v| side[v as usize] == SEPARATOR);
+    let mut weight = 0;
+    for v in separator {
+        weight += u64::from(sub.vw[v as usize]);
+        out.push(sub_ids[v as usize]);
+    }
+    weight
+}
+
+/// The subgraph of `g` over `verts` (ascending) and its vertices' ids.
+fn induced(g: &Graph, verts: &[u32], ids: &[u32]) -> (Graph, Vec<u32>) {
+    let mut local = vec![NONE; g.n()];
+    for (l, &v) in verts.iter().enumerate() {
+        local[v as usize] = l as u32;
+    }
+    let edges = verts.iter().map(|&v| g.degree(v)).sum();
+    let mut sub = Graph {
+        xadj: Vec::with_capacity(verts.len() + 1),
+        adj: Vec::with_capacity(edges),
+        ew: Vec::with_capacity(edges),
+        vw: Vec::with_capacity(verts.len()),
+    };
+    sub.xadj.push(0);
+    for &v in verts {
+        for (u, w) in g.edges(v) {
+            if local[u as usize] != NONE {
+                sub.adj.push(local[u as usize]);
+                sub.ew.push(w);
+            }
+        }
+        sub.close_vertex(g.vw[v as usize]);
+    }
+    (sub, verts.iter().map(|&v| ids[v as usize]).collect())
+}
+
+/// The connected components of the subgraph of `g` over `verts`
+/// (ascending), each ascending, in the order of their lowest vertex.
+fn components(g: &Graph, verts: &[u32]) -> Vec<Vec<u32>> {
+    // 0: outside `verts`, 1: not yet reached, 2: reached.
+    let mut state = vec![0u8; g.n()];
+    for &v in verts {
+        state[v as usize] = 1;
+    }
+    let mut out = Vec::new();
+    let mut stack = Vec::new();
+    for &root in verts {
+        if state[root as usize] != 1 {
+            continue;
+        }
+        state[root as usize] = 2;
+        stack.push(root);
+        let mut component = Vec::new();
+        while let Some(v) = stack.pop() {
+            component.push(v);
+            for &u in g.neighbours(v) {
+                if state[u as usize] == 1 {
+                    state[u as usize] = 2;
+                    stack.push(u);
+                }
+            }
+        }
+        if component.len() == verts.len() {
+            // Connected: `verts` is the one component, already ascending.
+            return vec![verts.to_vec()];
+        }
+        component.sort_unstable();
+        out.push(component);
+    }
+    out
+}
+
+/// [`bisect`]'s label of a separator vertex; the two sides are `0` and `1`.
+const SEPARATOR: u8 = 2;
+
+/// A vertex separator of the connected graph `g`: the label of every vertex
+/// (`0`, `1` or [`SEPARATOR`]). Heavy-edge matching coarsens `g` level by
+/// level; the coarsest graph is bisected by greedy growth and FM; the
+/// bisection is projected back and FM-refined on every level; the separator
+/// is a minimum vertex cover of the finest cut's edges, FM-refined as a
+/// vertex separator.
+fn bisect(g: &Graph) -> Vec<u8> {
+    // No coarse vertex may outweigh this share of the graph.
+    let max_vw = (3 * g.total_weight() / (2 * COARSEST as u64)).max(1);
+    let mut coarse: Vec<(Graph, Vec<u32>)> = Vec::new();
+    loop {
+        let fine = coarse.last().map_or(g, |(c, _)| c);
+        let lightest = u64::from(fine.vw.iter().copied().min().unwrap_or(0));
+        if fine.n() <= COARSEST || 2 * lightest > max_vw {
+            break;
+        }
+        let (next, map) = coarsen(fine, max_vw);
+        if 20 * next.n() > 19 * fine.n() {
+            break;
+        }
+        coarse.push((next, map));
+    }
+    let coarsest = coarse.last().map_or(g, |(c, _)| c);
+    let mut side = initial_bisection(coarsest);
+    for level in (0..coarse.len()).rev() {
+        let fine = if level == 0 { g } else { &coarse[level - 1].0 };
+        let map = &coarse[level].1;
+        side = map.iter().map(|&c| side[c as usize]).collect();
+        refine(fine, &mut side);
+    }
+    cover_cut(g, &mut side);
+    refine_separator(g, &mut side);
+    side
+}
+
+/// One level of heavy-edge matching: every vertex, in ascending degree
+/// order, pairs with its unmatched neighbour over the heaviest edge (the
+/// lowest index among equals) unless the pair would weigh more than
+/// `max_vw`. Returns the coarse graph and the coarse vertex of every fine
+/// one.
+fn coarsen(g: &Graph, max_vw: u64) -> (Graph, Vec<u32>) {
+    let n = g.n();
+    let mut mate = vec![NONE; n];
+    let mut visit: Vec<u32> = (0..n as u32).collect();
+    visit.sort_unstable_by_key(|&v| (g.degree(v), v));
+    for u in visit {
+        if mate[u as usize] != NONE {
+            continue;
+        }
+        let mut best = (0, NONE);
+        for (v, w) in g.edges(u) {
+            let heavier = w > best.0 || (w == best.0 && v < best.1);
+            if mate[v as usize] == NONE
+                && heavier
+                && u64::from(g.vw[u as usize] + g.vw[v as usize]) <= max_vw
+            {
+                best = (w, v);
+            }
+        }
+        let v = if best.1 == NONE { u } else { best.1 };
+        mate[u as usize] = v;
+        mate[v as usize] = u;
+    }
+    let mut map = vec![NONE; n];
+    let mut members = Vec::with_capacity(n);
+    for u in 0..n as u32 {
+        if map[u as usize] == NONE {
+            let c = members.len() as u32;
+            map[u as usize] = c;
+            map[mate[u as usize] as usize] = c;
+            members.push((u, mate[u as usize]));
+        }
+    }
+    let nc = members.len();
+    let mut c = Graph {
+        xadj: Vec::with_capacity(nc + 1),
+        adj: Vec::with_capacity(g.adj.len()),
+        ew: Vec::with_capacity(g.adj.len()),
+        vw: Vec::with_capacity(nc),
+    };
+    c.xadj.push(0);
+    // `at[t]`: where coarse vertex `t` sits in the list being built, valid
+    // when at least the list's start.
+    let mut at = vec![usize::MAX; nc];
+    for (cv, &(u, v)) in members.iter().enumerate() {
+        let start = c.adj.len();
+        let pair = if u == v { &[u][..] } else { &[u, v][..] };
+        for &x in pair {
+            for (y, w) in g.edges(x) {
+                let t = map[y as usize];
+                if t as usize == cv {
+                    continue;
+                }
+                let k = at[t as usize];
+                if k != usize::MAX && k >= start && c.adj[k] == t {
+                    c.ew[k] += w;
+                } else {
+                    at[t as usize] = c.adj.len();
+                    c.adj.push(t);
+                    c.ew.push(w);
+                }
+            }
+        }
+        let weight = pair.iter().map(|&x| g.vw[x as usize]).sum();
+        c.close_vertex(weight);
+    }
+    (c, map)
+}
+
+/// A vertex whose breadth-first level structure is (locally) deepest:
+/// repeatedly the first vertex of the last level of a search from the
+/// previous one, starting at vertex 0.
+fn pseudo_peripheral(g: &Graph) -> u32 {
+    let n = g.n();
+    let mut level = vec![NONE; n];
+    let mut queue = Vec::with_capacity(n);
+    let mut root = 0u32;
+    let mut depth = 0;
+    for _ in 0..8 {
+        level.fill(NONE);
+        queue.clear();
+        queue.push(root);
+        level[root as usize] = 0;
+        let mut head = 0;
+        while head < queue.len() {
+            let v = queue[head];
+            head += 1;
+            for &u in g.neighbours(v) {
+                if level[u as usize] == NONE {
+                    level[u as usize] = level[v as usize] + 1;
+                    queue.push(u);
+                }
+            }
+        }
+        let last = level[*queue.last().expect("a vertex") as usize];
+        if last <= depth {
+            break;
+        }
+        depth = last;
+        root = *(queue.iter())
+            .filter(|&&v| level[v as usize] == last)
+            .min()
+            .expect("the last level");
+    }
+    root
+}
+
+/// The best of [`INITIAL_TRIES`] greedy growths (the lowest cut, the first
+/// among equals) — from a pseudo-peripheral vertex, then from vertices
+/// spread evenly over the index range — refined by FM.
+fn initial_bisection(g: &Graph) -> Vec<u8> {
+    let n = g.n();
+    let seeds = std::iter::once(pseudo_peripheral(g))
+        .chain((1..INITIAL_TRIES).map(|k| (k * n / INITIAL_TRIES) as u32));
+    let mut best: Option<(i64, Vec<u8>)> = None;
+    for seed in seeds {
+        let (cut, side) = grow(g, seed);
+        if best.as_ref().is_none_or(|(c, _)| cut < *c) {
+            best = Some((cut, side));
+        }
+    }
+    let mut side = best.expect("at least one try").1;
+    refine(g, &mut side);
+    side
+}
+
+/// Greedy graph growing from `seed`: side 0 takes the frontier vertex that
+/// adds the least cut (the lowest index among equals) until it holds half
+/// the weight. Returns the cut and the sides.
+fn grow(g: &Graph, seed: u32) -> (i64, Vec<u8>) {
+    let n = g.n();
+    let mut side = vec![1u8; n];
+    let half = g.total_weight() / 2;
+    // Gain of moving `v` to side 0: its edge weight into side 0 less the
+    // rest.
+    let mut gain: Vec<i64> = (0..n as u32)
+        .map(|v| -g.edges(v).map(|(_, w)| i64::from(w)).sum::<i64>())
+        .collect();
+    let mut heap = GainQueue::default();
+    heap.push(gain[seed as usize], seed);
+    let (mut weight, mut cut) = (0, 0);
+    let mut next_unreached = 0;
+    while weight < half {
+        let v = match heap.pop() {
+            Some((gv, v)) => {
+                if side[v as usize] == 0 || gain[v as usize] != gv {
+                    continue;
+                }
+                v
+            }
+            // A disconnected remainder: restart from its lowest vertex.
+            None => {
+                while side[next_unreached] == 0 {
+                    next_unreached += 1;
+                }
+                next_unreached as u32
+            }
+        };
+        side[v as usize] = 0;
+        weight += u64::from(g.vw[v as usize]);
+        cut -= gain[v as usize];
+        for (u, w) in g.edges(v) {
+            if side[u as usize] == 1 {
+                gain[u as usize] += 2 * i64::from(w);
+                heap.push(gain[u as usize], u);
+            }
+        }
+    }
+    (cut, side)
+}
+
+/// Fiduccia–Mattheyses refinement of the edge bisection `side` (labels `0`
+/// and `1`). Each pass moves boundary vertices one at a time, each from the
+/// heavier side, the highest gain first (the lowest index among equals),
+/// negative gains included, and locks them; after a patience of moves
+/// without a better cut it rolls back to the best cut seen with both sides
+/// under the balance cap.
+fn refine(g: &Graph, side: &mut [u8]) {
+    let n = g.n();
+    let cap = balance_cap(g);
+    let mut c = Cut::new(g, side);
+    let mut locked = vec![false; n];
+    let mut moves: Vec<u32> = Vec::new();
+    let mut heaps = [GainQueue::default(), GainQueue::default()];
+    let balanced = |w: &[u64; 2]| w[0] <= cap && w[1] <= cap;
+    for _ in 0..FM_PASSES {
+        heaps.iter_mut().for_each(GainQueue::clear);
+        for v in (0..n as u32).filter(|&v| c.on_cut(v)) {
+            heaps[c.side[v as usize] as usize].push(c.gain(v), v);
+        }
+        locked.fill(false);
+        moves.clear();
+        let start = c.cut;
+        let diff = |w: &[u64; 2]| w[0].abs_diff(w[1]);
+        let mut best = (
+            if balanced(&c.weight) { start } else { i64::MAX },
+            0,
+            diff(&c.weight),
+        );
+        loop {
+            let from = usize::from(c.weight[1] > c.weight[0]);
+            let current = |(gv, v): (i64, u32)| {
+                !locked[v as usize]
+                    && c.side[v as usize] as usize == from
+                    && c.on_cut(v)
+                    && gv == c.gain(v)
+            };
+            let Some((_, v)) = std::iter::from_fn(|| heaps[from].pop()).find(|&e| current(e))
+            else {
+                break;
+            };
+            c.flip(v);
+            locked[v as usize] = true;
+            moves.push(v);
+            for &u in g.neighbours(v) {
+                if !locked[u as usize] && c.on_cut(u) {
+                    heaps[c.side[u as usize] as usize].push(c.gain(u), u);
+                }
+            }
+            if balanced(&c.weight) && (c.cut, diff(&c.weight)) < (best.0, best.2) {
+                best = (c.cut, moves.len(), diff(&c.weight));
+            } else if moves.len() - best.1 > patience(n) {
+                break;
+            }
+        }
+        for &v in moves[best.1..].iter().rev() {
+            c.flip(v);
+        }
+        if best.1 == 0 || c.cut >= start {
+            break;
+        }
+    }
+}
+
+/// The most vertex weight a side may hold: `1/2 + IMBALANCE` of the total,
+/// and always the heaviest vertex over half.
+fn balance_cap(g: &Graph) -> u64 {
+    let total = g.total_weight();
+    let heaviest = u64::from(g.vw.iter().copied().max().unwrap_or(0));
+    ((total as f64 * (0.5 + IMBALANCE)) as u64).max(total / 2 + heaviest)
+}
+
+/// Non-improving moves an FM pass over `n` vertices makes before it rolls
+/// back to its best state: 1 % of them, within 15..=100 (METIS's limit).
+fn patience(n: usize) -> usize {
+    (n / 100).clamp(15, 100)
+}
+
+/// An edge bisection being refined: the sides, each vertex's edge weight to
+/// its own side and to the other, the side weights and the cut.
+struct Cut<'a> {
+    g: &'a Graph,
+    side: &'a mut [u8],
+    internal: Vec<i64>,
+    external: Vec<i64>,
+    weight: [u64; 2],
+    cut: i64,
+}
+
+impl<'a> Cut<'a> {
+    fn new(g: &'a Graph, side: &'a mut [u8]) -> Self {
+        let n = g.n();
+        let mut c = Cut {
+            g,
+            side,
+            internal: vec![0; n],
+            external: vec![0; n],
+            weight: [0; 2],
+            cut: 0,
+        };
+        for v in 0..n as u32 {
+            let (vi, s) = (v as usize, c.side[v as usize]);
+            c.weight[s as usize] += u64::from(g.vw[vi]);
+            for (u, w) in g.edges(v) {
+                if c.side[u as usize] == s {
+                    c.internal[vi] += i64::from(w);
+                } else {
+                    c.external[vi] += i64::from(w);
+                    c.cut += i64::from(w);
+                }
+            }
+        }
+        c.cut /= 2;
+        c
+    }
+
+    fn on_cut(&self, v: u32) -> bool {
+        self.external[v as usize] > 0
+    }
+
+    /// The cut weight moving `v` to the other side saves.
+    fn gain(&self, v: u32) -> i64 {
+        self.external[v as usize] - self.internal[v as usize]
+    }
+
+    /// Moves `v` to the other side, keeping the weights and the cut current.
+    fn flip(&mut self, v: u32) {
+        let vi = v as usize;
+        self.cut -= self.gain(v);
+        let from = self.side[vi];
+        self.side[vi] = 1 - from;
+        self.weight[from as usize] -= u64::from(self.g.vw[vi]);
+        self.weight[1 - from as usize] += u64::from(self.g.vw[vi]);
+        std::mem::swap(&mut self.internal[vi], &mut self.external[vi]);
+        for (u, w) in self.g.edges(v) {
+            let (ui, w) = (u as usize, i64::from(w));
+            if self.side[ui] == from {
+                self.internal[ui] -= w;
+                self.external[ui] += w;
+            } else {
+                self.internal[ui] += w;
+                self.external[ui] -= w;
+            }
+        }
+    }
+}
+
+/// Turns the edge bisection `side` into a vertex separator: a minimum
+/// vertex cover of the cut edges (König's theorem over a maximum matching
+/// of the bipartite cut graph) is relabelled [`SEPARATOR`].
+fn cover_cut(g: &Graph, side: &mut [u8]) {
+    let n = g.n();
+    let on_cut = |v: u32| {
+        let s = side[v as usize];
+        g.neighbours(v).iter().any(|&u| side[u as usize] != s)
+    };
+    let (left, right): (Vec<u32>, Vec<u32>) = (0..n as u32)
+        .filter(|&v| on_cut(v))
+        .partition(|&v| side[v as usize] == 0);
+    // A maximum matching: each left vertex takes its first free right
+    // neighbour, then augmenting paths start from each one left unmatched.
+    let mut mate = vec![NONE; n];
+    for &v in &left {
+        let free = |&&u: &&u32| side[u as usize] == 1 && mate[u as usize] == NONE;
+        if let Some(&u) = g.neighbours(v).iter().find(free) {
+            mate[v as usize] = u;
+            mate[u as usize] = v;
+        }
+    }
+    let mut seen = vec![NONE; n];
+    let mut path: Vec<(u32, usize)> = Vec::new();
+    for (k, &root) in left.iter().enumerate() {
+        if mate[root as usize] != NONE {
+            continue;
+        }
+        // Depth-first search over alternating paths: `path` holds each left
+        // vertex on the path and how far through its neighbours it is.
+        path.clear();
+        path.push((root, 0));
+        'search: while let Some(&(v, start)) = path.last() {
+            let neighbours = g.neighbours(v);
+            for (i, &u) in neighbours.iter().enumerate().skip(start) {
+                if side[u as usize] != 1 || seen[u as usize] == k as u32 {
+                    continue;
+                }
+                seen[u as usize] = k as u32;
+                let m = mate[u as usize];
+                if m == NONE {
+                    // Augment along the path, ending at `u`.
+                    let mut free = u;
+                    for &(x, _) in path.iter().rev() {
+                        let prev = mate[x as usize];
+                        mate[x as usize] = free;
+                        mate[free as usize] = x;
+                        free = prev;
+                    }
+                    break 'search;
+                }
+                path.last_mut().expect("on the path").1 = i + 1;
+                path.push((m, 0));
+                continue 'search;
+            }
+            path.pop();
+        }
+    }
+    // König: from the unmatched left vertices, the vertices alternating
+    // paths reach (`reached`); the cover is the unreached left vertices and
+    // the reached right ones.
+    let mut reached = vec![false; n];
+    let mut stack: Vec<u32> = left
+        .iter()
+        .copied()
+        .filter(|&v| mate[v as usize] == NONE)
+        .collect();
+    for &v in &stack {
+        reached[v as usize] = true;
+    }
+    while let Some(v) = stack.pop() {
+        for &u in g.neighbours(v) {
+            if side[u as usize] == 1 && !reached[u as usize] {
+                reached[u as usize] = true;
+                let m = mate[u as usize];
+                if m != NONE && !reached[m as usize] {
+                    reached[m as usize] = true;
+                    stack.push(m);
+                }
+            }
+        }
+    }
+    for v in left.into_iter().filter(|&v| !reached[v as usize]) {
+        side[v as usize] = SEPARATOR;
+    }
+    for v in right.into_iter().filter(|&v| reached[v as usize]) {
+        side[v as usize] = SEPARATOR;
+    }
+}
+
+/// Fiduccia–Mattheyses refinement of the vertex separator `side`. A move
+/// takes a separator vertex into side `to` and pulls its neighbours on the
+/// other side into the separator; its gain is the separator weight it
+/// saves, `vw(v)` less the weight pulled in. Each pass moves the
+/// highest-gain admissible vertex (the lower-weight side among equal gains,
+/// then the lowest index), negative gains included, locks it, and rolls
+/// back to the lightest separator seen with both sides under the balance
+/// cap once a patience of moves brings nothing better.
+fn refine_separator(g: &Graph, side: &mut [u8]) {
+    let n = g.n();
+    let cap = balance_cap(g);
+    let mut s = Separator {
+        g,
+        side,
+        weight: [0; 3],
+        near: vec![[0; 2]; n],
+    };
+    for v in 0..n {
+        let sv = s.side[v];
+        s.weight[sv as usize] += u64::from(g.vw[v]);
+        if sv != SEPARATOR {
+            for &u in g.neighbours(v as u32) {
+                s.near[u as usize][sv as usize] += g.vw[v];
+            }
+        }
+    }
+    let mut locked = vec![false; n];
+    // The move after which a vertex was last queued anew.
+    let mut queued = vec![0; n];
+    // Each move: the vertex, its side, and where its pulled vertices start
+    // in `pulled`.
+    let mut moves: Vec<(u32, u8, usize)> = Vec::new();
+    let mut pulled: Vec<u32> = Vec::new();
+    let mut heaps = [GainQueue::default(), GainQueue::default()];
+    let balanced = |w: &[u64; 3]| w[0] <= cap && w[1] <= cap;
+    let diff = |w: &[u64; 3]| w[0].abs_diff(w[1]);
+    for _ in 0..FM_PASSES {
+        for (to, heap) in heaps.iter_mut().enumerate() {
+            heap.clear();
+            for v in (0..n as u32).filter(|&v| s.side[v as usize] == SEPARATOR) {
+                heap.push(s.gain(v, to), v);
+            }
+        }
+        locked.fill(false);
+        queued.fill(0);
+        moves.clear();
+        pulled.clear();
+        let start = s.weight[2];
+        let mut best = (
+            if balanced(&s.weight) { start } else { u64::MAX },
+            0,
+            diff(&s.weight),
+        );
+        loop {
+            // Drop stale tops; a top stays when it is current.
+            let mut top = [None, None];
+            for (to, heap) in heaps.iter_mut().enumerate() {
+                while let Some((gv, v)) = heap.peek() {
+                    let vi = v as usize;
+                    if s.side[vi] == SEPARATOR && !locked[vi] && gv == s.gain(v, to) {
+                        top[to] = Some((gv, v));
+                        break;
+                    }
+                    heap.pop();
+                }
+            }
+            let admissible = |to: usize| {
+                top[to].filter(|&(_, v)| s.weight[to] + u64::from(g.vw[v as usize]) <= cap)
+            };
+            let to = match (admissible(0), admissible(1)) {
+                (None, None) => break,
+                (Some(_), None) => 0,
+                (None, Some(_)) => 1,
+                (Some((g0, v0)), Some((g1, v1))) => {
+                    let key = |gv: i64, to: usize, v: u32| (gv, Reverse(s.weight[to]), Reverse(v));
+                    usize::from(key(g1, 1, v1) > key(g0, 0, v0))
+                }
+            };
+            let (_, v) = top[to].expect("admissible");
+            heaps[to].pop();
+            locked[v as usize] = true;
+            moves.push((v, to as u8, pulled.len()));
+            let first = pulled.len();
+            s.relabel(v, to as u8);
+            for &u in g.neighbours(v) {
+                if s.side[u as usize] == 1 - to as u8 {
+                    s.relabel(u, SEPARATOR);
+                    pulled.push(u);
+                }
+            }
+            // The separator vertices whose gains moved, once each: `v`'s
+            // neighbours and the pulled vertices with theirs.
+            let touched = (g.neighbours(v).iter())
+                .chain(pulled[first..].iter().flat_map(|&u| g.neighbours(u).iter()));
+            for &w in touched {
+                let wi = w as usize;
+                if s.side[wi] == SEPARATOR && !locked[wi] && queued[wi] != moves.len() {
+                    queued[wi] = moves.len();
+                    for (t, heap) in heaps.iter_mut().enumerate() {
+                        heap.push(s.gain(w, t), w);
+                    }
+                }
+            }
+            if balanced(&s.weight) && (s.weight[2], diff(&s.weight)) < (best.0, best.2) {
+                best = (s.weight[2], moves.len(), diff(&s.weight));
+            } else if moves.len() - best.1 > patience(n) {
+                break;
+            }
+        }
+        for &(v, to, first) in moves[best.1..].iter().rev() {
+            for &u in &pulled[first..] {
+                s.relabel(u, 1 - to);
+            }
+            pulled.truncate(first);
+            s.relabel(v, SEPARATOR);
+        }
+        if best.1 == 0 || s.weight[2] >= start {
+            break;
+        }
+    }
+}
+
+/// A vertex separator being refined: the labels, the weight of each label,
+/// and each vertex's neighbour weight on sides 0 and 1.
+struct Separator<'a> {
+    g: &'a Graph,
+    side: &'a mut [u8],
+    weight: [u64; 3],
+    near: Vec<[u32; 2]>,
+}
+
+impl Separator<'_> {
+    /// The separator weight moving separator vertex `v` into side `to`
+    /// saves: its own weight less its neighbours' on the other side.
+    fn gain(&self, v: u32, to: usize) -> i64 {
+        i64::from(self.g.vw[v as usize]) - i64::from(self.near[v as usize][1 - to])
+    }
+
+    /// Gives `v` the label `to`, keeping the weights current.
+    fn relabel(&mut self, v: u32, to: u8) {
+        let (vi, w) = (v as usize, self.g.vw[v as usize]);
+        let from = std::mem::replace(&mut self.side[vi], to);
+        self.weight[from as usize] -= u64::from(w);
+        self.weight[to as usize] += u64::from(w);
+        for &u in self.g.neighbours(v) {
+            let near = &mut self.near[u as usize];
+            if from != SEPARATOR {
+                near[from as usize] -= w;
+            }
+            if to != SEPARATOR {
+                near[to as usize] += w;
+            }
+        }
+    }
+}
+
+/// A max-queue of `(gain, vertex)`, the highest gain first and the lowest
+/// vertex among equal gains, packed into one `u64` key per entry. Entries
+/// are not updated in place: a caller pushes a vertex again when its gain
+/// changes and skips the stale entries it pops.
+#[derive(Default)]
+struct GainQueue(BinaryHeap<u64>);
+
+impl GainQueue {
+    const BIAS: i64 = 1 << 31;
+
+    fn push(&mut self, gain: i64, v: u32) {
+        let g = (gain + Self::BIAS).clamp(0, u32::MAX as i64) as u64;
+        self.0.push(g << 32 | u64::from(!v));
+    }
+
+    fn unpack(key: u64) -> (i64, u32) {
+        ((key >> 32) as i64 - Self::BIAS, !(key as u32))
+    }
+
+    fn pop(&mut self) -> Option<(i64, u32)> {
+        self.0.pop().map(Self::unpack)
+    }
+
+    fn peek(&self) -> Option<(i64, u32)> {
+        self.0.peek().copied().map(Self::unpack)
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+/// Minimum degree over the whole supervariable graph of `a`, whatever its
+/// size: the reference nested dissection is measured against.
+#[cfg(test)]
+pub(super) fn min_degree_ordering<A: SparseRows + ?Sized>(a: &A) -> Vec<u32> {
+    let (sv, g) = supervariables(a);
+    rows_in(&sv, &min_degree(&g))
+}
+
+/// Vertices of `a`'s supervariable graph.
+#[cfg(test)]
+pub(super) fn supervariable_count<A: SparseRows + ?Sized>(a: &A) -> usize {
+    supervariables(a).1.n()
+}

@@ -26,9 +26,10 @@
 //!   left out), and [`NodeMatrix`], a local matrix in the storage its DOFs
 //!   per node give it,
 //! - [`ldlt`] — the one factorization: a pivot-tolerant sparse LDLᵀ under a
-//!   deterministic minimum-degree ordering, behind both the exact `direct`
-//!   subdomain preconditioner and the two-level preconditioner's Galerkin
-//!   coarse solve.
+//!   deterministic fill-reducing ordering (nested dissection, minimum degree
+//!   on small graphs), behind both the exact `direct` subdomain
+//!   preconditioner and the two-level preconditioner's Galerkin coarse
+//!   solve.
 //!
 //! All matrices are real, square-or-rectangular, `f64`-valued. Row and column
 //! indices are `usize`. Nothing in this crate allocates in per-iteration hot

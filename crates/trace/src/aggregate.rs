@@ -209,6 +209,8 @@ pub struct FactorSummary {
     pub supernodes: u64,
     /// Entries of one rank's largest panel, rows × width.
     pub max_front: u64,
+    /// Rows in one rank's root separator (`0` under minimum degree).
+    pub separator: u64,
 }
 
 impl FactorSummary {
@@ -224,6 +226,7 @@ impl FactorSummary {
             skipped: ev.u64("factor_skipped").unwrap_or(0),
             supernodes: ev.u64("factor_supernodes").unwrap_or(0),
             max_front: ev.u64("factor_max_front").unwrap_or(0),
+            separator: ev.u64("factor_separator").unwrap_or(0),
         })
     }
 }

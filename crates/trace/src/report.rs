@@ -252,7 +252,7 @@ pub fn render_convergence(report: &TraceReport) -> String {
         if let Some(f) = &s.factor {
             let _ = writeln!(
                 out,
-                "subdomain factor: nnz(L) = {} (fill {:.2}), {} flops ({} per solve) and {} bytes on the largest rank, {} supernodes, largest front {} entries, {} skipped pivots",
+                "subdomain factor: nnz(L) = {} (fill {:.2}), {} flops ({} per solve) and {} bytes on the largest rank, {} supernodes, largest front {} entries, root separator {} rows, {} skipped pivots",
                 f.nnz_l,
                 f.fill,
                 f.flops,
@@ -260,6 +260,7 @@ pub fn render_convergence(report: &TraceReport) -> String {
                 f.bytes,
                 f.supernodes,
                 f.max_front,
+                f.separator,
                 f.skipped
             );
         }
