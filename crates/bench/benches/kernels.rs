@@ -2,7 +2,8 @@
 //! zero-allocation FGMRES hot path: the blocked Gram–Schmidt sweeps
 //! (`dot_sweep` / `dot_sweep_weighted` / `axpy_sweep_neg`) against their
 //! scalar loops, the node-block SpMV against CSR on one EDD rank's matrix,
-//! and the sparse LDLᵀ's factorization and solve on one RDD rank's block.
+//! the coarse build's mode products one by one against one panel sweep, and
+//! the sparse LDLᵀ's factorization and solve on one RDD rank's block.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use parfem::fem::SubdomainSystem;
@@ -119,6 +120,44 @@ fn bench_kernel_variants(c: &mut Criterion) {
     group.finish();
 }
 
+/// The rank coarse build's products on the matrix it sweeps: the node
+/// blocks of one rank of the `elas3d-edd-twolevel` shape (half of the
+/// 28×14×14 hex cantilever, 10 125 rows). Twelve dense-support modes, as a
+/// rank holds under `rbm.s3`, multiplied one at a time (a width-1 panel per
+/// mode, the mode-by-mode product) and as one 12-column panel; each column
+/// has the same bits either way.
+fn bench_coarse_panel(c: &mut Criterion) {
+    use parfem::mesh::{DofMap, Face, HexMesh};
+    use parfem_sparse::SparseRows;
+    let hex = HexMesh::cantilever(28, 14, 14);
+    let mut dm = DofMap::with_dofs(hex.n_nodes(), 3);
+    for node in hex.face_nodes(Face::XMin) {
+        dm.clamp_node(node);
+    }
+    let loads = vec![0.0; dm.n_dofs()];
+    let sub = &ElementPartition::blocks_of(&hex, 2, 1).subdomains_of(&hex)[0];
+    let a = SubdomainSystem::build_hex(&hex, &dm, &Material::unit(), sub, &loads).k_local;
+    let (n, k) = (a.n_rows(), 12);
+    let columns: Vec<Vec<f64>> = (0..k)
+        .map(|c| (0..n).map(|g| ((g * (c + 3)) % 17) as f64 - 8.0).collect())
+        .collect();
+    let panel: Vec<f64> = (0..n * k).map(|e| columns[e % k][e / k]).collect();
+    let (mut y, mut y_panel) = (vec![0.0; n], vec![0.0; n * k]);
+    let mut group = c.benchmark_group("coarse_panel");
+    group.throughput(Throughput::Elements((a.nnz() * k) as u64));
+    group.bench_function("mode_by_mode_x12", |bench| {
+        bench.iter(|| {
+            for z in &columns {
+                a.mul_panel(black_box(z), 1, black_box(&mut y));
+            }
+        })
+    });
+    group.bench_function("panel_12", |bench| {
+        bench.iter(|| a.mul_panel(black_box(&panel), k, black_box(&mut y_panel)))
+    });
+    group.finish();
+}
+
 /// The one LDLᵀ on the block it factors in the `elas3d-rdd-direct`
 /// benchmark workload: rank 0's 3000-row diagonal block of the 18×9×9 hex
 /// cantilever split in two x-slabs. `factor` is the whole factorization —
@@ -160,6 +199,7 @@ criterion_group!(
     benches,
     bench_gram_schmidt_sweeps,
     bench_kernel_variants,
+    bench_coarse_panel,
     bench_ldlt_factor
 );
 criterion_main!(benches);

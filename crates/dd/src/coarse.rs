@@ -39,6 +39,10 @@
 //! its support reaches — strips narrower than the smoothing depth need no
 //! one-ring assumption.
 //!
+//! A rank's dense-support modes keep their values as columns of the
+//! [`ModeSet`]'s panel instead of lists; both exchange points read and
+//! write those columns in place, and the messages are the same bits.
+//!
 //! ## Summation order
 //!
 //! `A_c[m, m'] = Σ_s ẑ_m|ₛᵀ (A_s ẑ_m'|ₛ)`: on each rank the dot runs over
@@ -57,7 +61,7 @@ use parfem_mesh::{DofMap, NodePartition};
 use parfem_msg::Communicator;
 use parfem_precond::twolevel::{
     build_coarse, mode_slot, BuiltCoarse, CoarseBuildInfo, CoarsePartGeometry, CoarseReduce,
-    CoarseSetup, CoarseSpec, LiveMode, LocalRows,
+    CoarseSetup, CoarseSpec, LiveMode, LocalRows, ModePanel, ModeSet,
 };
 use parfem_sparse::ldlt::DEFAULT_PIVOT_TOL;
 use parfem_sparse::{CsrMatrix, NodeMatrix};
@@ -99,7 +103,7 @@ impl<C: Communicator> CoarseSetup for EddOperator<'_, C> {
         true
     }
 
-    fn complete_products(&self, modes: &mut Vec<LiveMode>) {
+    fn complete_products(&self, modes: &mut ModeSet) {
         sum_mode_interfaces(self.comm, self.layout, modes);
     }
 }
@@ -115,31 +119,34 @@ impl<C: Communicator> CoarseSetup for RddOperator<'_, C> {
         true
     }
 
-    fn refresh_ghosts(&self, modes: &mut Vec<LiveMode>) {
+    fn refresh_ghosts(&self, modes: &mut ModeSet) {
         gather_mode_ghosts(self.comm, self.sys, modes);
     }
 }
 
 /// Stages one message per neighbour: for every mode (ascending id) whose
-/// `values` are not all zero on that neighbour's dof list, the mode id
-/// followed by its value at every listed dof.
+/// values are not all zero on that neighbour's dof list, the mode id
+/// followed by its value at every listed dof. A list mode's values are
+/// `list(mode)`, a panel column's are read through `column(panel, dof, c)`.
 fn stage_mode_messages(
     n_local: usize,
     lists: &[&[usize]],
-    modes: &[LiveMode],
-    values: impl Fn(&LiveMode) -> &[(usize, f64)],
+    set: &ModeSet,
+    list: impl Fn(&LiveMode) -> &[(usize, f64)],
+    column: impl Fn(&ModePanel, usize, usize) -> f64,
 ) -> Vec<Vec<f64>> {
     let mut send = vec![Vec::new(); lists.len()];
     let mut dense = vec![0.0; n_local];
-    for mode in modes {
-        let entries = values(mode);
+    for mode in &set.modes {
+        let entries = list(mode);
         for &(l, v) in entries.iter().filter(|&&(l, _)| l < n_local) {
             dense[l] = v;
         }
+        let value = |l: usize| mode.column.map_or(dense[l], |c| column(&set.panel, l, c));
         for (dofs, out) in lists.iter().zip(send.iter_mut()) {
-            if dofs.iter().any(|&l| dense[l] != 0.0) {
+            if dofs.iter().any(|&l| value(l) != 0.0) {
                 out.push(mode.id as f64);
-                out.extend(dofs.iter().map(|&l| dense[l]));
+                out.extend(dofs.iter().map(|&l| value(l)));
             }
         }
         for &(l, _) in entries.iter().filter(|&&(l, _)| l < n_local) {
@@ -157,16 +164,21 @@ fn record_id(buf: &[f64], offset: usize, len: usize) -> Option<usize> {
     (offset + 1 + len <= buf.len()).then(|| buf[offset] as usize)
 }
 
-/// The EDD completion: sums every mode's staged `y` over the interface,
-/// contributions in ascending rank order so all sharers of a dof compute
-/// the same bits. Modes arriving for the first time are inserted (empty
-/// `z`), keeping `modes` sorted by id.
-fn sum_mode_interfaces<C: Communicator>(comm: &C, layout: &EddLayout, modes: &mut Vec<LiveMode>) {
+/// The EDD completion: sums every mode's staged product (its `y` list or
+/// its panel column) over the interface, contributions in ascending rank
+/// order so all sharers of a dof compute the same bits. Modes arriving for
+/// the first time are inserted as list modes (empty `z`), keeping the set
+/// sorted by id.
+fn sum_mode_interfaces<C: Communicator>(comm: &C, layout: &EddLayout, set: &mut ModeSet) {
     let n = layout.n_local();
     let me = comm.rank();
     let ranks: Vec<usize> = layout.neighbors.iter().map(|(r, _)| *r).collect();
     let shared: Vec<&[usize]> = layout.neighbors.iter().map(|(_, l)| l.as_slice()).collect();
-    let send = stage_mode_messages(n, &shared, modes, |mode| &mode.y);
+    let send = stage_mode_messages(n, &shared, set, |mode| &mode.y, ModePanel::y);
+    let interface: Vec<usize> = (0..n)
+        .filter(|&l| layout.inv_multiplicity[l] < 1.0)
+        .collect();
+    let (modes, panel) = (&mut set.modes, &mut set.panel);
     let mut recv = vec![Vec::new(); ranks.len()];
     comm.exchange_into(&ranks, &send, &mut recv);
 
@@ -214,6 +226,9 @@ fn sum_mode_interfaces<C: Communicator>(comm: &C, layout: &EddLayout, modes: &mu
         for k in 0..=ranks.len() {
             if own_pending && ranks.get(k).is_none_or(|&r| r > me) {
                 own_pending = false;
+                if let Some(c) = modes[own].column {
+                    interface.iter().for_each(|&l| add(l, panel.y(l, c)));
+                }
                 for &(l, v) in &modes[own].y {
                     if layout.inv_multiplicity[l] < 1.0 {
                         add(l, v);
@@ -231,7 +246,16 @@ fn sum_mode_interfaces<C: Communicator>(comm: &C, layout: &EddLayout, modes: &mu
                 cursor[k] += 1 + dofs.len();
             }
         }
-        if has_own {
+        if !has_own {
+            fresh.push(LiveMode {
+                id,
+                y: touched.iter().map(|&l| (l, acc[l])).collect(),
+                ..LiveMode::default()
+            });
+        } else if let Some(c) = modes[own].column {
+            touched.iter().for_each(|&l| *panel.y_mut(l, c) = acc[l]);
+            own += 1;
+        } else {
             let y = &mut modes[own].y;
             for (l, v) in y.iter_mut() {
                 if mark[*l] == epoch {
@@ -246,12 +270,6 @@ fn sum_mode_interfaces<C: Communicator>(comm: &C, layout: &EddLayout, modes: &mu
                     .map(|&l| (l, acc[l])),
             );
             own += 1;
-        } else {
-            fresh.push(LiveMode {
-                id,
-                z: Vec::new(),
-                y: touched.iter().map(|&l| (l, acc[l])).collect(),
-            });
         }
     }
     if !fresh.is_empty() {
@@ -262,28 +280,32 @@ fn sum_mode_interfaces<C: Communicator>(comm: &C, layout: &EddLayout, modes: &mu
 }
 
 /// The RDD refresh: replaces every mode's ghost entries (indices past the
-/// owned rows) with the owners' current values. Modes arriving for the
-/// first time are inserted, keeping `modes` sorted by id.
-fn gather_mode_ghosts<C: Communicator>(comm: &C, sys: &RddSystem, modes: &mut Vec<LiveMode>) {
+/// owned rows, in its list or its panel column) with the owners' current
+/// values. Modes arriving for the first time are inserted as list modes,
+/// keeping the set sorted by id.
+fn gather_mode_ghosts<C: Communicator>(comm: &C, sys: &RddSystem, set: &mut ModeSet) {
     let n_loc = sys.n_local();
     // One merged neighbour set: FEM matrices are structurally symmetric, so
     // senders and receivers pair up (as in the operator's own halo gather).
     let ranks: Vec<usize> = sys.send_to.iter().map(|(r, _)| *r).collect();
     let boundary: Vec<&[usize]> = sys.send_to.iter().map(|(_, l)| l.as_slice()).collect();
-    let send = stage_mode_messages(n_loc, &boundary, modes, |mode| &mode.z);
+    let send = stage_mode_messages(n_loc, &boundary, set, |mode| &mode.z, ModePanel::z);
     let mut recv = vec![Vec::new(); ranks.len()];
     comm.exchange_into(&ranks, &send, &mut recv);
-    for mode in modes.iter_mut() {
+    for mode in set.modes.iter_mut() {
         mode.z.retain(|&(g, _)| g < n_loc);
     }
+    set.panel.clear_ghosts(n_loc);
     for ((_, positions), buf) in sys.recv_from.iter().zip(&recv) {
         let mut offset = 0;
         while let Some(id) = record_id(buf, offset, positions.len()) {
             let values = &buf[offset + 1..offset + 1 + positions.len()];
-            let mode = mode_slot(modes, id);
+            let mode = mode_slot(&mut set.modes, id);
             for (&pos, &v) in positions.iter().zip(values) {
-                if v != 0.0 {
-                    mode.z.push((n_loc + pos, v));
+                match mode.column {
+                    Some(c) => *set.panel.z_mut(n_loc + pos, c) = v,
+                    None if v != 0.0 => mode.z.push((n_loc + pos, v)),
+                    None => {}
                 }
             }
             offset += 1 + positions.len();

@@ -206,17 +206,10 @@ fn edd_rank_holds_one_matrix_after_a_polynomial_setup() {
     }
 }
 
-/// The two-level setup reads matrix rows, so it does see a scaled CSR — the
-/// rank's own stiffness scaled in place, next to the block operator, where
-/// there used to be the stiffness and a scaled CSR clone. The peak over
-/// assembly, scaling and the coarse build of one `elas3d-edd-twolevel`-shaped
-/// rank stays below what the CSR-clone setup reached.
-#[test]
-fn hex_twolevel_setup_peak_is_no_higher_than_with_two_csr_copies() {
-    assert!(alloc::is_counting(), "counting allocator not installed");
-    // Per-rank peaks at the parent commit (same mesh and spec, these
-    // counters patched in), reached with `K̂` and its scaled clone live.
-    const PARENT_PEAK: [u64; 2] = [32_239_928, 33_911_616];
+/// `setup_memory` of the `elas3d-edd-twolevel`-shaped session: the 28×14×14
+/// hex cantilever, clamped at `x = 0` and pulled down at the far face, in
+/// two EDD blocks under `twolevel:rbm.s3:gls-3`.
+fn hex_twolevel_setup_memory() -> Vec<(u64, u64)> {
     let mesh = HexMesh::cantilever(28, 14, 14);
     let mut dm = DofMap::with_dofs(mesh.n_nodes(), 3);
     for node in mesh.face_nodes(Face::XMin) {
@@ -228,13 +221,51 @@ fn hex_twolevel_setup_peak_is_no_higher_than_with_two_csr_copies() {
     let session = SolveSession::new(Problem::elasticity3d(&mesh, &dm, &mat, &loads))
         .strategy(Strategy::Edd(ElementPartition::blocks_of(&mesh, 2, 1)))
         .precond(PrecondSpec::parse("twolevel:rbm.s3:gls-3").unwrap());
-    let (memory, _) = setup_memory(session);
-    for ((live, peak), parent) in memory.into_iter().zip(PARENT_PEAK) {
+    setup_memory(session).0
+}
+
+/// The two-level setup reads matrix rows, so it does see a scaled CSR — the
+/// rank's own stiffness scaled in place, next to the block operator, where
+/// there used to be the stiffness and a scaled CSR clone. The peak over
+/// assembly, scaling and the coarse build of one `elas3d-edd-twolevel`-shaped
+/// rank stays below what the CSR-clone setup reached.
+#[test]
+fn hex_twolevel_setup_peak_is_no_higher_than_with_two_csr_copies() {
+    assert!(alloc::is_counting(), "counting allocator not installed");
+    // Per-rank peaks at the parent commit (same mesh and spec, these
+    // counters patched in), reached with `K̂` and its scaled clone live.
+    const PARENT_PEAK: [u64; 2] = [32_239_928, 33_911_616];
+    for ((live, peak), parent) in hex_twolevel_setup_memory().into_iter().zip(PARENT_PEAK) {
         eprintln!("hex two-level rank: live {live} B after setup, peak {peak} B ({parent} B)");
         assert!(
             peak <= parent,
             "setup peaked at {peak} B, the two-CSR setup at {parent} B"
         );
+    }
+}
+
+/// A rank's two-level setup peaks where the coarse solver's triplet lists
+/// are filled from the built modes. Those lists are sized up front and
+/// sorted in place, and the dense-support modes are multiplied as one panel
+/// that replaces their mode lists during the smoothing passes, so each rank
+/// of the `elas3d-edd-twolevel` shape peaks below the mode-by-mode build
+/// (whose lists grew by doubling and whose stable sorts took a buffer of
+/// their own) — pinned at the new peak.
+#[test]
+fn hex_twolevel_setup_peak_stays_under_the_block_coarse_build_pin() {
+    assert!(alloc::is_counting(), "counting allocator not installed");
+    // `setup_peak_bytes` per rank before the block coarse build (same mesh
+    // and spec), and the pin: the peak measured with it plus 1 %.
+    const MODE_BY_MODE_PEAK: [u64; 2] = [16_552_620, 17_029_772];
+    const PINNED_PEAK: [u64; 2] = [11_374_000, 12_020_000];
+    let memory = hex_twolevel_setup_memory();
+    for (((_, peak), before), pin) in memory.into_iter().zip(MODE_BY_MODE_PEAK).zip(PINNED_PEAK) {
+        eprintln!("hex two-level rank: peak {peak} B (mode by mode {before} B, pin {pin} B)");
+        assert!(
+            peak <= before,
+            "setup peaked at {peak} B, the mode-by-mode build at {before} B"
+        );
+        assert!(peak <= pin, "setup peaked at {peak} B, pinned at {pin} B");
     }
 }
 

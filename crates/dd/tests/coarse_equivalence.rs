@@ -23,7 +23,8 @@ use parfem_dd::{
 };
 use parfem_fem::{assembly, Material, SubdomainSystem};
 use parfem_mesh::{
-    DofMap, Edge, ElementPartition, NodePartition, PartitionerSpec, QuadMesh, Subdomain,
+    DofMap, Edge, ElementPartition, Face, HexMesh, NodePartition, PartitionerSpec, QuadMesh,
+    Subdomain,
 };
 use parfem_msg::{run_ranks, Communicator, MachineModel};
 use parfem_precond::twolevel::BuiltCoarse;
@@ -77,12 +78,28 @@ fn edd_case(
         .map(|s| SubdomainSystem::build(mesh, dm, &mat, s, &loads, None))
         .collect();
     let coords = coords3(mesh);
+    let views = edd_rank_views(&systems, dm, &coords, spec, overlap);
+    let dpn = dm.dofs_per_node();
+    let (a, d) = common::edd_scaled_operator(&systems, dm.n_dofs());
+    let (parts, mult) = common::edd_global_parts(&systems, dm.n_dofs(), &coords, dpn);
+    let reference = build_coarse_basis(spec, &parts, &mult, &d, &a, DEFAULT_PIVOT_TOL);
+    (views, reference)
+}
+
+/// The rank-side EDD build over prebuilt subdomain systems.
+fn edd_rank_views(
+    systems: &[SubdomainSystem],
+    dm: &DofMap,
+    coords: &[[f64; 3]],
+    spec: &CoarseSpec,
+    overlap: bool,
+) -> Vec<RankView> {
     let dpn = dm.dofs_per_node();
     let geos = edd_part_geometry(
         spec,
         systems.iter().map(|s| s.global_dofs.as_slice()),
         |rank, l| dm.is_fixed(systems[rank].global_dofs[l]),
-        Some(&coords),
+        Some(coords),
         dpn,
     )
     .expect("mesh has coordinates");
@@ -101,10 +118,7 @@ fn edd_case(
         let (built, stats) = build_rank_coarse(&op, plan, &sys.multiplicity, &sc.d);
         view(built, stats, &sys.global_dofs)
     });
-    let (a, d) = common::edd_scaled_operator(&systems, dm.n_dofs());
-    let (parts, mult) = common::edd_global_parts(&systems, dm.n_dofs(), &coords, dpn);
-    let reference = build_coarse_basis(spec, &parts, &mult, &d, &a, DEFAULT_PIVOT_TOL);
-    (out.results, reference)
+    out.results
 }
 
 /// Runs the rank-side RDD build over `node_part` and the reference.
@@ -341,6 +355,83 @@ fn single_rank_matches_the_sequential_build() {
             rdd_case(&mesh, &dm, &NodePartition::strips_x(&mesh, 1), &spec, false);
         check(&views, &reference, dm.n_dofs(), "rdd P=1");
     }
+}
+
+/// FNV-1a over a stream of u64 words (stable, dependency-free).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 ^= byte as u64;
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
+/// `(A_c digest, modes digest, flops)` of a rank-side build: the bits of
+/// `A_c` (rank 0's; `check` holds the others to them), every rank's smoothed
+/// modes in rank order as `(id, global dof, value bits)`, and the flops the
+/// build charged to the rank clocks, summed.
+fn build_digest(views: &[RankView]) -> (u64, u64, u64) {
+    let mut a_c = Fnv::new();
+    views[0].a_c.iter().for_each(|v| a_c.word(v.to_bits()));
+    let mut modes = Fnv::new();
+    for v in views {
+        for (id, entries) in &v.modes {
+            modes.word(*id as u64);
+            for &(g, val) in entries {
+                modes.word(g as u64);
+                modes.word(val.to_bits());
+            }
+        }
+    }
+    (a_c.0, modes.0, views.iter().map(|v| v.stats.flops).sum())
+}
+
+/// The rank-side build is pinned bit for bit — `A_c`, every rank's smoothed
+/// modes and the flops charged — on the three shapes the block coarse build
+/// runs: hex node blocks (`B = 3`) with own modes covering the rank, a
+/// ragged quad graph partition (`B = 2`, cross points, modes arriving from
+/// neighbours), and RDD block rows with ghost columns. The digests were
+/// taken before the dense-support modes were multiplied as one panel.
+#[test]
+fn rank_builds_keep_their_pinned_bits() {
+    let spec = smoothed(CoarseSpec::Rbm, 3);
+
+    let mesh = HexMesh::cantilever(12, 6, 6);
+    let mut dm = DofMap::with_dofs(mesh.n_nodes(), 3);
+    for node in mesh.face_nodes(Face::XMin) {
+        dm.clamp_node(node);
+    }
+    let mat = Material::unit();
+    let loads = vec![0.0; dm.n_dofs()];
+    let systems: Vec<SubdomainSystem> = (ElementPartition::blocks_of(&mesh, 2, 1))
+        .subdomains_of(&mesh)
+        .iter()
+        .map(|s| SubdomainSystem::build_hex(&mesh, &dm, &mat, s, &loads))
+        .collect();
+    let views = edd_rank_views(&systems, &dm, mesh.coords(), &spec, false);
+    let hex = build_digest(&views);
+
+    let (mesh, dm) = cantilever(32, 12);
+    let graph = PartitionerSpec::Graph { seed: 7 }.element_partition(&mesh, 8);
+    let (views, reference) = edd_case(&mesh, &dm, &graph, &spec, false);
+    check(&views, &reference, dm.n_dofs(), "edd 32x12 graph:7");
+    let quad = build_digest(&views);
+    let (views, reference) = rdd_case(&mesh, &dm, &NodePartition::strips_x(&mesh, 8), &spec, false);
+    check(&views, &reference, dm.n_dofs(), "rdd 32x12 strips");
+    let rdd = build_digest(&views);
+
+    let hex_want = (0x78e8_ad52_cc9a_b108, 0x0a66_4a1e_a5e5_5283, 13_332_906);
+    assert_eq!(hex, hex_want, "edd hex 12x6x6 P=2");
+    let quad_want = (0x2207_15c0_63e5_e7b4, 0x188e_d599_4af0_014b, 1_849_073);
+    assert_eq!(quad, quad_want, "edd quad 32x12 P=8 graph:7");
+    let rdd_want = (0x9ecf_2c8d_f41a_97d2, 0x19f2_0d84_db32_ba26, 1_368_016);
+    assert_eq!(rdd, rdd_want, "rdd 32x12 P=8");
 }
 
 proptest! {

@@ -51,6 +51,12 @@
 //! counters `comm_wait_recv_us` / `comm_wait_collective_us`. [`run_ranks`]
 //! passes a disabled sink, so the untraced path pays one `Option` branch
 //! per operation.
+//!
+//! Placement is the scheduler's. A host whose cpuset does not balance load
+//! (`cpuset.sched_load_balance = 0`) can leave every rank thread on the CPU
+//! that spawned them, so a traced rank stamps the CPU it ended on as the
+//! rank counter `rank_cpu` (Linux `sched_getcpu`): a co-located run shows
+//! one CPU for all ranks.
 
 use crate::comm::Communicator;
 use crate::error::CommError;
@@ -82,6 +88,24 @@ const SPIN_BUDGET: Duration = Duration::from_micros(200);
 fn spins(ranks: usize) -> bool {
     static CORES: OnceLock<usize> = OnceLock::new();
     ranks <= *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// The CPU the calling thread runs on (Linux `sched_getcpu`, which every
+/// Rust program there already links from the C library; `None` elsewhere
+/// or when the call fails).
+fn current_cpu() -> Option<usize> {
+    #[cfg(target_os = "linux")]
+    {
+        extern "C" {
+            fn sched_getcpu() -> i32;
+        }
+        // SAFETY: no arguments; returns -1 on failure.
+        usize::try_from(unsafe { sched_getcpu() }).ok()
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        None
+    }
 }
 
 /// Locks `m`, ignoring poison: nothing panics while holding these locks,
@@ -889,6 +913,9 @@ where
                         let micros = |d: &Cell<Duration>| d.get().as_micros() as u64;
                         tracer.add_count("comm_wait_recv_us", micros(&comm.wait_recv));
                         tracer.add_count("comm_wait_collective_us", micros(&comm.wait_collective));
+                        if let Some(cpu) = current_cpu() {
+                            tracer.add_count("rank_cpu", cpu as u64);
+                        }
                         let mut fields = vec![
                             ("flops".to_string(), Value::U64(report.stats.flops)),
                             ("t_virt_final".to_string(), Value::F64(report.virtual_time)),

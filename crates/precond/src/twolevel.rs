@@ -53,6 +53,15 @@
 //! - the damped-Jacobi update `ẑ ← ẑ − ω D_A⁻¹ y`,
 //! - the lower triangle of `Ẑᵀ A Ẑ` from per-holder dots, mirrored.
 //!
+//! On a rank, the modes whose support covers a good share of its rows (its
+//! own part's, and its neighbours' once smoothing has spread them) are the
+//! columns of one row-major [`ModePanel`] instead: each smoothing pass and
+//! the Galerkin product multiply all of them in one sweep of the matrix
+//! ([`SparseRows::mul_panel`]), the update runs on the panel, and their
+//! pair dots come from one sweep over its rows. Every column keeps the
+//! chain of adds of its own mode-by-mode product and dot, so the build has
+//! the same bits either way.
+//!
 //! Between them sit the two [`CoarseSetup`] exchange points — an interface
 //! *sum* after the product (EDD) and a halo *gather* before it (RDD) — and
 //! the [`CoarseReduce`] sum for the `λ̂` norms and the coarse operator. A
@@ -240,12 +249,194 @@ pub struct CoarsePartGeometry {
 pub struct LiveMode {
     /// Global mode number `part · modes_per_part + k`.
     pub id: usize,
-    /// Current entries `(index, ẑ_m[index])`, each index at most once.
+    /// Current entries `(index, ẑ_m[index])`, each index at most once
+    /// (empty while the mode is a panel column).
     pub z: Vec<(usize, f64)>,
     /// Staging for values awaiting [`CoarseSetup::complete_products`]: the
     /// partial product `A_loc ẑ_m` during a smoothing pass, or a freshly
-    /// built mode waiting to be published to the ranks sharing its dofs.
+    /// built mode waiting to be published to the ranks sharing its dofs
+    /// (empty while the mode is a panel column).
     pub y: Vec<(usize, f64)>,
+    /// The column of the holder's [`ModePanel`] holding `ẑ_m` and its staged
+    /// product in place of `z` and `y`; `None` for a mode kept as lists.
+    pub column: Option<usize>,
+}
+
+/// The dense-support modes of a distributed holder as the columns of one
+/// row-major panel: `ẑ` over the index space (ghost rows included) and the
+/// staged products over the rows. A column is the dense form of the lists
+/// a [`LiveMode`] would hold — zero where the list has no entry — and an
+/// exchange reads and writes it in their place.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ModePanel {
+    width: usize,
+    /// Entry `(g, c)` of `ẑ` at `g·width + c`.
+    z: Vec<f64>,
+    /// Entry `(r, c)` of the staged products at `r·width + c`.
+    y: Vec<f64>,
+}
+
+impl ModePanel {
+    /// Number of columns.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Entry `g` of column `c`'s `ẑ`.
+    pub fn z(&self, g: usize, c: usize) -> f64 {
+        self.z[g * self.width + c]
+    }
+
+    /// Entry `g` of column `c`'s `ẑ`, for update.
+    pub fn z_mut(&mut self, g: usize, c: usize) -> &mut f64 {
+        &mut self.z[g * self.width + c]
+    }
+
+    /// Row `r` of column `c`'s staged product.
+    pub fn y(&self, r: usize, c: usize) -> f64 {
+        self.y[r * self.width + c]
+    }
+
+    /// Row `r` of column `c`'s staged product, for update.
+    pub fn y_mut(&mut self, r: usize, c: usize) -> &mut f64 {
+        &mut self.y[r * self.width + c]
+    }
+
+    /// Zeroes every column's ghost entries, the indices from `n_rows` on.
+    pub fn clear_ghosts(&mut self, n_rows: usize) {
+        self.z[n_rows * self.width..].fill(0.0);
+    }
+
+    /// The `(index, column)` of every non-zero `ẑ` entry below index `end`,
+    /// index by index.
+    fn for_each_nonzero(&self, end: usize, mut f: impl FnMut(usize, usize, f64)) {
+        if self.width == 0 {
+            return;
+        }
+        for (g, zr) in self.z[..end * self.width]
+            .chunks_exact(self.width)
+            .enumerate()
+        {
+            for (c, &v) in zr.iter().enumerate().filter(|&(_, &v)| v != 0.0) {
+                f(g, c, v);
+            }
+        }
+    }
+
+    /// Non-zero `ẑ` entries of every column below index `end`: the lengths
+    /// of the lists the columns stand for once exact zeros are dropped.
+    fn nonzeros(&self, end: usize) -> Vec<usize> {
+        let mut count = vec![0; self.width];
+        self.for_each_nonzero(end, |_, c, _| count[c] += 1);
+        count
+    }
+
+    /// The damped-Jacobi update `ẑ ← ẑ − ω D_A⁻¹ y` of every column over the
+    /// rows: the expression of [`smoothing_update`], so a row outside a
+    /// column's support (`ẑ = 0`) gets the `−step` the list would append.
+    fn update(&mut self, omega: f64, inv_diag: &[f64]) {
+        if self.width == 0 {
+            return;
+        }
+        let rows = self
+            .z
+            .chunks_exact_mut(self.width)
+            .zip(self.y.chunks_exact(self.width));
+        for ((zr, yr), &q) in rows.zip(inv_diag) {
+            for (z, &y) in zr.iter_mut().zip(yr) {
+                *z -= omega * y * q;
+            }
+        }
+    }
+
+    /// `G[c, c'] = Σ_r ẑ_c'[r] · y_c[r]` over the rows, ascending: the pair
+    /// dots of the Galerkin product in one sweep. A zero `ẑ` entry adds a
+    /// signed zero, which leaves every partial sum as it was, so each entry
+    /// has the bits of the dot over `ẑ_c'`'s non-zero entries.
+    fn gram(&self) -> Vec<f64> {
+        let w = self.width;
+        let mut g = vec![0.0; w * w];
+        if w == 0 {
+            return g;
+        }
+        for (zr, yr) in self.z.chunks_exact(w).zip(self.y.chunks_exact(w)) {
+            for (gc, &y) in g.chunks_exact_mut(w).zip(yr) {
+                for (gcc, &z) in gc.iter_mut().zip(zr) {
+                    *gcc += z * y;
+                }
+            }
+        }
+        g
+    }
+}
+
+/// A holder's live modes, ascending by id, and the panel holding the values
+/// of those that are its columns.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ModeSet {
+    /// The modes, ascending by id.
+    pub modes: Vec<LiveMode>,
+    /// The values of the modes with a [`LiveMode::column`].
+    pub panel: ModePanel,
+}
+
+impl ModeSet {
+    /// Mode `i`'s entries `(index, ẑ)` below `end`, ascending when its list
+    /// is sorted: the list's, or its panel column's non-zero ones.
+    fn entries(&self, i: usize, end: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let mode = &self.modes[i];
+        let column = (mode.column.into_iter())
+            .flat_map(move |c| (0..end).map(move |g| (g, self.panel.z(g, c))))
+            .filter(|&(_, v)| v != 0.0);
+        (mode.z.iter().copied())
+            .filter(move |&(g, _)| g < end)
+            .chain(column)
+    }
+
+    /// Re-lays the panel out when its membership changes: every list mode
+    /// with a dense support ([`dense_support`]) joins as a column, and every
+    /// column `leave` names goes back to a list of its non-zero entries.
+    /// Columns keep ascending id order.
+    fn regather(&mut self, n_rows: usize, n_index: usize, leave: impl Fn(usize) -> bool) {
+        let joins = |m: &LiveMode| m.column.is_none() && dense_support(m.z.len(), n_rows);
+        let stays = |m: &LiveMode| m.column.is_some_and(|c| !leave(c));
+        let width = self.modes.iter().filter(|m| joins(m) || stays(m)).count();
+        let moved = self.modes.iter().filter(|m| joins(m)).count();
+        if moved == 0 && width == self.panel.width {
+            return;
+        }
+        let old = std::mem::take(&mut self.panel);
+        let mut z = vec![0.0; n_index * width];
+        let mut next = 0;
+        for mode in &mut self.modes {
+            let joining = joins(mode);
+            match mode.column {
+                Some(c) if leave(c) => {
+                    mode.z = (0..n_index)
+                        .map(|g| (g, old.z(g, c)))
+                        .filter(|&(_, v)| v != 0.0)
+                        .collect();
+                    mode.column = None;
+                    continue;
+                }
+                Some(c) => (0..n_index).for_each(|g| z[g * width + next] = old.z(g, c)),
+                None if joining => {
+                    for (g, v) in std::mem::take(&mut mode.z) {
+                        z[g * width + next] = v;
+                    }
+                    mode.y = Vec::new();
+                }
+                None => continue,
+            }
+            mode.column = Some(next);
+            next += 1;
+        }
+        self.panel = ModePanel {
+            width,
+            z,
+            y: vec![0.0; n_rows * width],
+        };
+    }
 }
 
 /// Finds mode `id` in an id-sorted mode list, inserting an empty mode at
@@ -269,7 +460,7 @@ pub fn mode_slot(modes: &mut Vec<LiveMode>, id: usize) -> &mut LiveMode {
 
 /// The rows a coarse builder multiplies with, over its local index space:
 /// indices `0..n_rows()` are rows it owns products for, indices
-/// `n_rows()..n_index()` are ghost columns whose values arrive from other
+/// `n_rows()..n_cols()` are ghost columns whose values arrive from other
 /// ranks. The square block is read in whatever storage its holder keeps
 /// (CSR, or an EDD rank's node blocks, fill left out) and must be
 /// structurally symmetric (finite-element matrices are), because the rows a
@@ -303,16 +494,6 @@ impl<'a, A: SparseRows + ?Sized> LocalRows<'a, A> {
         }
     }
 
-    /// Number of rows products are computed for.
-    pub fn n_rows(&self) -> usize {
-        self.a.n_rows()
-    }
-
-    /// Size of the index space (rows plus ghost columns).
-    pub fn n_index(&self) -> usize {
-        self.a.n_rows() + self.n_ghost
-    }
-
     /// Calls `f` on each owned row with a stored entry in column `j`.
     fn for_rows_touching(&self, j: usize, mut f: impl FnMut(usize)) {
         let n = self.a.n_rows();
@@ -324,40 +505,81 @@ impl<'a, A: SparseRows + ?Sized> LocalRows<'a, A> {
         }
     }
 
-    /// `Σ_j a_rj z_j` over row `r`, `z` dense over the index space.
-    fn row_dot(&self, r: usize, z: &[f64]) -> f64 {
-        self.ghost_dot(r, self.a.row_dot(r, z), z)
-    }
-
-    /// [`LocalRows::row_dot`] of every row, ascending, into `out`.
-    fn rows_dot(&self, z: &[f64], out: &mut Vec<(usize, f64)>) {
-        self.a
-            .rows_dot(z, |r, acc| out.push((r, self.ghost_dot(r, acc, z))));
-    }
-
-    /// `acc` continued over row `r`'s ghost columns.
-    fn ghost_dot(&self, r: usize, mut acc: f64, z: &[f64]) -> f64 {
-        if let Some((ext, _)) = &self.ghosts {
-            let n = self.a.n_rows();
-            let (cols, vals) = ext.row(r);
-            for (&j, &a_rj) in cols.iter().zip(vals) {
-                acc += a_rj * z[n + j];
+    /// Row `r` of a panel product continued over the ghost columns: the
+    /// square block's chain of adds goes on, one add per ghost entry.
+    fn ghost_panel_row(&self, r: usize, z: &[f64], y: &mut [f64]) {
+        let (n, k) = (self.a.n_rows(), y.len());
+        let (cols, vals) = self.ghost_row(r);
+        for (&j, &a_rj) in cols.iter().zip(vals) {
+            for (yc, &zc) in y.iter_mut().zip(&z[(n + j) * k..][..k]) {
+                *yc += a_rj * zc;
             }
         }
-        acc
     }
 
-    /// Stored entries of all rows, ghost columns included.
+    /// Row `r` of the ghost-column block, columns in the ghost numbering.
+    fn ghost_row(&self, r: usize) -> (&[usize], &[f64]) {
+        self.ghosts
+            .as_ref()
+            .map_or((&[], &[]), |(ext, _)| ext.row(r))
+    }
+}
+
+/// The rows of the index space: the square block's entries, then the ghost
+/// columns' (numbered from `n_rows` on), so a row's columns stay ascending
+/// and its products continue the square block's chain of adds.
+impl<A: SparseRows + ?Sized> SparseRows for LocalRows<'_, A> {
+    fn n_rows(&self) -> usize {
+        self.a.n_rows()
+    }
+
+    /// Size of the index space (rows plus ghost columns).
+    fn n_cols(&self) -> usize {
+        self.a.n_rows() + self.n_ghost
+    }
+
+    fn row_entries(&self, r: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let n = self.a.n_rows();
+        let (cols, vals) = self.ghost_row(r);
+        let ghosts = cols.iter().zip(vals).map(move |(&j, &v)| (n + j, v));
+        self.a.row_entries(r).chain(ghosts)
+    }
+
+    fn row_len(&self, r: usize) -> usize {
+        self.a.row_len(r) + self.ghost_row(r).0.len()
+    }
+
     fn nnz(&self) -> usize {
         self.a.nnz() + self.ghosts.as_ref().map_or(0, |(ext, _)| ext.nnz())
     }
 
-    fn row_nnz(&self, r: usize) -> usize {
-        self.a.row_len(r)
-            + self
-                .ghosts
-                .as_ref()
-                .map_or(0, |(ext, _)| ext.row(r).0.len())
+    fn row_dot(&self, r: usize, z: &[f64]) -> f64 {
+        let n = self.a.n_rows();
+        let mut acc = self.a.row_dot(r, z);
+        let (cols, vals) = self.ghost_row(r);
+        for (&j, &a_rj) in cols.iter().zip(vals) {
+            acc += a_rj * z[n + j];
+        }
+        acc
+    }
+
+    fn mul_panel(&self, z: &[f64], k: usize, y: &mut [f64]) {
+        self.a.mul_panel(z, k, y);
+        if k == 0 || self.ghosts.is_none() {
+            return;
+        }
+        for (r, yr) in y[..self.a.n_rows() * k].chunks_exact_mut(k).enumerate() {
+            self.ghost_panel_row(r, z, yr);
+        }
+    }
+
+    fn mul_panel_row(&self, r: usize, z: &[f64], k: usize, y: &mut [f64]) {
+        self.a.mul_panel_row(r, z, k, y);
+        self.ghost_panel_row(r, z, &mut y[..k]);
+    }
+
+    fn diagonal(&self) -> Vec<f64> {
+        self.a.diagonal()
     }
 }
 
@@ -391,19 +613,20 @@ pub trait CoarseSetup: LinearOperator + CoarseReduce {
         false
     }
 
-    /// Before a product: brings the ghost entries of every mode's `z` up
-    /// to date with their owners (a halo *gather*). A mode whose values
-    /// arrive non-zero for the first time becomes live here.
-    fn refresh_ghosts(&self, modes: &mut Vec<LiveMode>) {
+    /// Before a product: brings the ghost entries of every mode's `ẑ` up
+    /// to date with their owners (a halo *gather*), in its list or its
+    /// panel column. A mode whose values arrive non-zero for the first time
+    /// becomes live here, as a list mode.
+    fn refresh_ghosts(&self, modes: &mut ModeSet) {
         let _ = modes;
     }
 
-    /// After a product: completes every mode's staged `y` with the other
-    /// holders' contributions at shared rows (an interface *sum*), in an
-    /// order that leaves bit-identical values on every sharing rank. A mode
-    /// whose contributions arrive non-zero for the first time becomes live
-    /// here, with an empty `z`.
-    fn complete_products(&self, modes: &mut Vec<LiveMode>) {
+    /// After a product: completes every mode's staged product, list or
+    /// panel column, with the other holders' contributions at shared rows
+    /// (an interface *sum*), in an order that leaves bit-identical values on
+    /// every sharing rank. A mode whose contributions arrive non-zero for
+    /// the first time becomes live here, as a list mode with an empty `z`.
+    fn complete_products(&self, modes: &mut ModeSet) {
         let _ = modes;
     }
 }
@@ -454,8 +677,9 @@ impl BuiltCoarse {
     /// holder's partition-of-unity `weights` (see
     /// [`CoarseSetup::partition_weights`]).
     pub fn solver(&self, weights: Option<&[f64]>) -> CoarseSolver {
-        let mut restrict = Vec::new();
-        let mut prolong = Vec::new();
+        let entries = self.modes.iter().map(|mode| mode.z.len()).sum();
+        let mut restrict = Vec::with_capacity(entries);
+        let mut prolong = Vec::with_capacity(entries);
         for mode in &self.modes {
             for &(r, v) in &mode.z {
                 restrict.push((r, mode.id, weights.map_or(v, |w| v * w[r])));
@@ -569,12 +793,14 @@ pub fn build_coarse_basis(
 ///    every rank sharing a dof starts from bit-identical values;
 /// 2. for `.sK` specs, `λ̂` comes from 12 power-iteration steps through the
 ///    operator's own `apply_into` and the weighted inner product, and each
-///    of the `K` passes is one support-local product per live mode, one
-///    completion, and the damped-Jacobi update;
+///    of the `K` passes is one sweep of the matrix over the dense-support
+///    modes (a rank's [`ModePanel`]), one walked-reach product per other
+///    live mode, one completion, and the damped-Jacobi update;
 /// 3. the lower triangle of `Ẑᵀ A Ẑ` is summed from per-holder products
-///    `ẑ_m|ᵀ (A_loc ẑ_m')` — through [`CoarseReduce::coarse_reduce`] on a
-///    dense packed triangle when distributed — mirrored, and factored
-///    redundantly by every holder.
+///    `ẑ_m|ᵀ (A_loc ẑ_m')` — one more sweep over the panel, whose pair dots
+///    come from one pass over its rows — through
+///    [`CoarseReduce::coarse_reduce`] on a dense packed triangle when
+///    distributed, mirrored, and factored redundantly by every holder.
 ///
 /// Deterministic: fixed mode numbering, products in stored row order, dots
 /// in ascending row order, the rank-ordered reduce. Rank-deficient mode
@@ -600,9 +826,9 @@ pub fn build_coarse<Op: CoarseSetup + ?Sized>(
     let rows = op.local_rows();
     let mpp = spec.modes_per_part(n_comp);
     let n_modes = mpp * n_parts;
-    let mut scratch = Scratch::new(rows.n_index());
+    let mut scratch = Scratch::new(rows.n_cols());
 
-    let mut modes: Vec<LiveMode> = Vec::new();
+    let mut set = ModeSet::default();
     for &(p, geo) in parts {
         assert_eq!(geo.dofs.len(), geo.pos.len(), "part {p}: pos length");
         assert_eq!(geo.dofs.len(), geo.comp.len(), "part {p}: comp length");
@@ -620,12 +846,12 @@ pub fn build_coarse<Op: CoarseSetup + ?Sized>(
         };
         for (k, y) in columns.into_iter().enumerate() {
             if !y.is_empty() {
-                mode_slot(&mut modes, p * mpp + k).y = y;
+                mode_slot(&mut set.modes, p * mpp + k).y = y;
             }
         }
     }
-    op.complete_products(&mut modes);
-    for mode in &mut modes {
+    op.complete_products(&mut set);
+    for mode in &mut set.modes {
         mode.z = std::mem::take(&mut mode.y);
     }
 
@@ -636,39 +862,46 @@ pub fn build_coarse<Op: CoarseSetup + ?Sized>(
         lambda_hat = power_iteration_lambda(op, &inv_diag);
         omega = 4.0 / (3.0 * lambda_hat.max(f64::MIN_POSITIVE));
         if op.is_distributed() {
-            smooth_modes(
-                op,
-                &rows,
-                &mut modes,
-                passes,
-                omega,
-                &inv_diag,
-                &mut scratch,
-            );
+            smooth_modes(op, &rows, &mut set, passes, omega, &inv_diag, &mut scratch);
         } else {
-            let mut one = Vec::with_capacity(1);
-            for i in 0..modes.len() {
-                one.push(std::mem::take(&mut modes[i]));
+            let mut one = ModeSet::default();
+            for i in 0..set.modes.len() {
+                one.modes.push(std::mem::take(&mut set.modes[i]));
                 smooth_modes(op, &rows, &mut one, passes, omega, &inv_diag, &mut scratch);
-                modes[i] = one.pop().expect("the one mode smoothed");
+                set.modes[i] = one.modes.pop().expect("the one mode smoothed");
             }
         }
     }
 
-    op.refresh_ghosts(&mut modes);
-    for mode in &mut modes {
+    op.refresh_ghosts(&mut set);
+    for mode in &mut set.modes {
         mode.z.retain(|&(_, v)| v != 0.0);
         mode.z.sort_unstable_by_key(|&(g, _)| g);
     }
-    let lower = galerkin_lower(op, &rows, &modes, &mut scratch);
+    let n_rows = rows.n_rows();
+    if op.is_distributed() {
+        // A column leaves the panel only if exact cancellation has thinned
+        // its support below the share since it joined.
+        let lens = set.panel.nonzeros(rows.n_cols());
+        set.regather(n_rows, rows.n_cols(), |c| !dense_support(lens[c], n_rows));
+    }
+    let lower = galerkin_lower(op, &rows, &mut set, &mut scratch);
     let a_c = assemble_coarse_operator(op, n_modes, &lower);
     let factor = SparseLdlt::factor(&a_c, pivot_tol);
     op.coarse_work(factor.factor_flops());
 
-    let n_rows = rows.n_rows();
-    for mode in &mut modes {
-        mode.z.retain(|&(g, _)| g < n_rows);
+    set.panel.y = Vec::new();
+    let mut columns: Vec<Vec<(usize, f64)>> = (set.panel.nonzeros(n_rows).into_iter())
+        .map(Vec::with_capacity)
+        .collect();
+    (set.panel).for_each_nonzero(n_rows, |g, c, v| columns[c].push((g, v)));
+    for mode in &mut set.modes {
+        match mode.column.take() {
+            Some(c) => mode.z = std::mem::take(&mut columns[c]),
+            None => mode.z.retain(|&(g, _)| g < n_rows),
+        }
     }
+    let mut modes = set.modes;
     modes.retain(|mode| !mode.z.is_empty());
     let info = CoarseBuildInfo {
         n_modes,
@@ -808,12 +1041,20 @@ fn lowrank_modes<A: SparseRows + ?Sized>(
     modes
 }
 
-/// Flat-array workspace of the support-local kernels: a dense staging
-/// vector over the index space and an epoch marker with a slot table, so a
-/// support is a touched list plus O(1) membership — never an ordered set.
+/// Flat-array workspace of the support-local kernels: dense staging over
+/// the index space, an epoch marker with a slot table, and per-index masks
+/// of up to 64 modes, so a support is a touched list plus O(1) membership —
+/// never an ordered set.
 struct Scratch {
     /// Dense staging, all zero between kernel calls.
     dense: Vec<f64>,
+    /// The values of a group of list modes as a row-major panel, grown to
+    /// the widest group; all zero between kernel calls.
+    panel: Vec<f64>,
+    /// Per index: which modes of a group hold it in their support, and
+    /// which reach it. All zero between kernel calls.
+    support: Vec<u64>,
+    reach: Vec<u64>,
     mark: Vec<u32>,
     slot: Vec<u32>,
     epoch: u32,
@@ -823,6 +1064,9 @@ impl Scratch {
     fn new(n_index: usize) -> Self {
         Scratch {
             dense: vec![0.0; n_index],
+            panel: Vec::new(),
+            support: vec![0; n_index],
+            reach: vec![0; n_index],
             mark: vec![0; n_index],
             slot: vec![0; n_index],
             epoch: 0,
@@ -844,57 +1088,116 @@ impl Scratch {
 /// its support is multiplied over all rows instead of its walked reach.
 const DENSE_SUPPORT_SHARE: usize = 4;
 
-/// `y = A_loc ẑ` over the rows `ẑ`'s support can reach: its own rows plus
-/// one stencil layer, found by walking the support's rows (structural
-/// symmetry). Cost is proportional to the mode's footprint, not to the
-/// holder's size. Returns the flops performed.
-fn mode_product<A: SparseRows + ?Sized>(
+/// Whether a mode with `len` entries is multiplied over all `n_rows` rows:
+/// walking its rows would cost as much as the product itself and reach
+/// nearly every row anyway (a part's own modes after the first pass). Rows
+/// outside the true reach come out exactly zero and are dropped by the
+/// update, so the result is the same. On a distributed holder such a mode
+/// is a [`ModePanel`] column.
+fn dense_support(len: usize, n_rows: usize) -> bool {
+    DENSE_SUPPORT_SHARE * len >= n_rows
+}
+
+/// A list mode's entries and the list its product `y = A_loc ẑ` goes to.
+type ListProduct<'m> = (&'m [(usize, f64)], &'m mut Vec<(usize, f64)>);
+
+/// `y = A_loc ẑ` of list modes. A mode whose support is dense is multiplied
+/// over all rows (a width-1 panel; only a sequential holder keeps such a
+/// mode as a list). The others are multiplied over the rows their support
+/// can reach — their own rows plus one stencil layer, found by walking the
+/// support's rows (structural symmetry) — at a cost proportional to their
+/// footprint, not to the holder's size: up to 64 at a time, the union of
+/// their supports walked once with a mask per row of which modes reach it,
+/// and the reached rows multiplied as one panel of their values. Every
+/// value has the bits of its own [`SparseRows::row_dot`]. Returns the flops
+/// performed: `2·nnz` per dense mode, each row's entries per mode reaching it.
+fn list_products<A: SparseRows + ?Sized>(
     rows: &LocalRows<'_, A>,
-    z: &[(usize, f64)],
-    y: &mut Vec<(usize, f64)>,
+    products: &mut [ListProduct<'_>],
     s: &mut Scratch,
 ) -> u64 {
-    y.clear();
-    let epoch = s.next_epoch();
     let n_rows = rows.n_rows();
-    for &(g, v) in z {
-        s.dense[g] = v;
+    let mut flops = 0;
+    let mut walked = Vec::new();
+    for (z, y) in products.iter_mut() {
+        if !dense_support(z.len(), n_rows) {
+            walked.push((*z, &mut **y));
+            continue;
+        }
+        for &(g, v) in z.iter() {
+            s.dense[g] = v;
+        }
+        let mut out = vec![0.0; n_rows];
+        rows.mul_panel(&s.dense, 1, &mut out);
+        y.clear();
+        y.extend(out.into_iter().enumerate());
+        for &(g, _) in z.iter() {
+            s.dense[g] = 0.0;
+        }
+        flops += 2 * rows.nnz() as u64;
     }
-    let flops = if DENSE_SUPPORT_SHARE * z.len() >= n_rows {
-        // The mode covers a good share of the holder (a part's own modes
-        // after the first pass): walking its rows would cost as much as the
-        // product itself and reach nearly every row anyway. Rows outside
-        // the true reach come out exactly zero and are dropped by the
-        // update, so the result is the same.
-        rows.rows_dot(&s.dense, y);
-        2 * rows.nnz() as u64
-    } else {
-        for &(g, _) in z {
-            if g < n_rows && s.mark[g] != epoch {
-                s.mark[g] = epoch;
-                y.push((g, 0.0));
-            }
-            rows.for_rows_touching(g, |r| {
-                if s.mark[r] != epoch {
-                    s.mark[r] = epoch;
-                    y.push((r, 0.0));
-                }
-            });
-        }
-        let mut flops = 0;
-        for (r, yr) in y.iter_mut() {
-            *yr = rows.row_dot(*r, &s.dense);
-            flops += 2 * rows.row_nnz(*r) as u64;
-        }
-        flops
-    };
-    for &(g, _) in z {
-        s.dense[g] = 0.0;
+    for group in walked.chunks_mut(64) {
+        flops += reach_products(rows, group, s);
     }
     flops
 }
 
-/// The damped-Jacobi update `ẑ ← ẑ − ω D_A⁻¹ y` of one mode from its
+/// The walked-reach products of up to 64 list modes (see [`list_products`]).
+fn reach_products<A: SparseRows + ?Sized>(
+    rows: &LocalRows<'_, A>,
+    group: &mut [ListProduct<'_>],
+    s: &mut Scratch,
+) -> u64 {
+    let (n_rows, k) = (rows.n_rows(), group.len());
+    if s.panel.len() < rows.n_cols() * k {
+        s.panel.resize(rows.n_cols() * k, 0.0);
+    }
+    let mut support = Vec::new();
+    for (c, (z, _)) in group.iter().enumerate() {
+        for &(g, v) in z.iter() {
+            s.panel[g * k + c] = v;
+            if s.support[g] == 0 {
+                support.push(g);
+            }
+            s.support[g] |= 1 << c;
+        }
+    }
+    let mut reached = Vec::new();
+    for &g in &support {
+        let modes = s.support[g];
+        let mut reach = |r: usize| {
+            if s.reach[r] == 0 {
+                reached.push(r);
+            }
+            s.reach[r] |= modes;
+        };
+        if g < n_rows {
+            reach(g);
+        }
+        rows.for_rows_touching(g, reach);
+    }
+    let mut flops = 0;
+    let mut values = vec![0.0; reached.len() * k];
+    for (&r, yr) in reached.iter().zip(values.chunks_exact_mut(k)) {
+        rows.mul_panel_row(r, &s.panel, k, yr);
+        flops += 2 * (rows.row_len(r) as u64) * u64::from(s.reach[r].count_ones());
+    }
+    for (c, (z, y)) in group.iter_mut().enumerate() {
+        let mine = (reached.iter().zip(values.chunks_exact(k)))
+            .filter(|&(&r, _)| s.reach[r] >> c & 1 != 0)
+            .map(|(&r, yr)| (r, yr[c]));
+        y.clear();
+        y.extend(mine);
+        for &(g, _) in z.iter() {
+            s.panel[g * k + c] = 0.0;
+        }
+    }
+    support.iter().for_each(|&g| s.support[g] = 0);
+    reached.iter().for_each(|&r| s.reach[r] = 0);
+    flops
+}
+
+/// The damped-Jacobi update `ẑ ← ẑ − ω D_A⁻¹ y` of one list mode from its
 /// completed product, widening the support by the rows `y` reached.
 fn smoothing_update(mode: &mut LiveMode, omega: f64, inv_diag: &[f64], s: &mut Scratch) {
     let epoch = s.next_epoch();
@@ -915,31 +1218,42 @@ fn smoothing_update(mode: &mut LiveMode, omega: f64, inv_diag: &[f64], s: &mut S
 }
 
 /// `passes` smoothing passes `ẑ ← (I − ω D_A⁻¹ A) ẑ` over every mode in
-/// `modes` (the smoothed-aggregation prolongator). Each pass widens a
+/// `set` (the smoothed-aggregation prolongator). Each pass widens a
 /// mode's support by one stencil layer, which is exactly what repairs the
 /// energy boundedness plain aggregation lacks on elasticity. One pass is
-/// one ghost refresh, one support-local product per mode, one completion
-/// and the update — so a rank pays one exchange per pass however many
-/// modes are live on it.
+/// one ghost refresh, one sweep of the matrix over the panel plus one
+/// support-local product per list mode, one completion and the update — so
+/// a rank pays one exchange per pass however many modes are live on it. A
+/// distributed holder moves each mode into the panel the pass its support
+/// turns dense; supports only grow, so it stays there.
 fn smooth_modes<Op: CoarseSetup + ?Sized>(
     op: &Op,
     rows: &LocalRows<'_, Op::Rows>,
-    modes: &mut Vec<LiveMode>,
+    set: &mut ModeSet,
     passes: usize,
     omega: f64,
     inv_diag: &[f64],
     s: &mut Scratch,
 ) {
+    let n_rows = rows.n_rows();
     for _ in 0..passes {
-        op.refresh_ghosts(modes);
-        let mut flops = 0;
-        for mode in modes.iter_mut() {
-            flops += mode_product(rows, &mode.z, &mut mode.y, s);
+        op.refresh_ghosts(set);
+        if op.is_distributed() {
+            set.regather(n_rows, rows.n_cols(), |_| false);
         }
+        let panel = &mut set.panel;
+        rows.mul_panel(&panel.z, panel.width, &mut panel.y);
+        let mut flops = 2 * (rows.nnz() * panel.width) as u64;
+        let mut lists: Vec<ListProduct<'_>> = (set.modes.iter_mut())
+            .filter(|m| m.column.is_none())
+            .map(|m| (&m.z[..], &mut m.y))
+            .collect();
+        flops += list_products(rows, &mut lists, s);
         op.coarse_work(flops);
-        op.complete_products(modes);
-        let mut updates = 0;
-        for mode in modes.iter_mut() {
+        op.complete_products(set);
+        set.panel.update(omega, inv_diag);
+        let mut updates = (n_rows * set.panel.width) as u64;
+        for mode in set.modes.iter_mut().filter(|m| m.column.is_none()) {
             updates += mode.y.len() as u64;
             smoothing_update(mode, omega, inv_diag, s);
         }
@@ -955,14 +1269,16 @@ fn inverse_assembled_diagonal<Op: CoarseSetup + ?Sized>(
     rows: &LocalRows<'_, Op::Rows>,
 ) -> Vec<f64> {
     let n = rows.n_rows();
-    let mut diag = vec![LiveMode {
-        id: 0,
-        z: Vec::new(),
-        y: (0..n).map(|r| (r, rows.a.get(r, r))).collect(),
-    }];
+    let mut diag = ModeSet {
+        modes: vec![LiveMode {
+            y: rows.diagonal().into_iter().enumerate().collect(),
+            ..LiveMode::default()
+        }],
+        panel: ModePanel::default(),
+    };
     op.complete_products(&mut diag);
     let mut inv = vec![0.0; n];
-    for &(r, q) in &diag[0].y {
+    for &(r, q) in &diag.modes[0].y {
         if q != 0.0 {
             inv[r] = 1.0 / q;
         }
@@ -1015,65 +1331,102 @@ fn power_iteration_lambda<Op: CoarseSetup + ?Sized>(op: &Op, inv_diag: &[f64]) -
 
 /// This holder's contribution to the lower triangle of `Ẑᵀ A Ẑ`, as
 /// `(m, m', value)` triplets with `m ≥ m'` in ascending `(m, m')` order:
-/// for each mode, `y = A_loc ẑ_m` over the reachable rows, dotted with
-/// every mode sharing support (found through a flat row → modes incidence
-/// table). `modes` must be sorted by id with entries sorted by index.
+/// for each mode, `y = A_loc ẑ_m` — one sweep for all panel columns, the
+/// reachable rows of each list mode — dotted with every mode sharing
+/// support (found through a flat row → modes incidence table; a column's
+/// product covers every row), pairs of columns from one sweep over the
+/// panel's rows. `set` must be sorted by id with list entries sorted by
+/// index.
 fn galerkin_lower<Op: CoarseSetup + ?Sized>(
     op: &Op,
     rows: &LocalRows<'_, Op::Rows>,
-    modes: &[LiveMode],
+    set: &mut ModeSet,
     s: &mut Scratch,
 ) -> Vec<(usize, usize, f64)> {
     let n_rows = rows.n_rows();
+    let panel = &mut set.panel;
+    let w = panel.width;
+    rows.mul_panel(&panel.z, w, &mut panel.y);
+    let mut flops = 2 * (rows.nnz() * w) as u64;
+    let gram = panel.gram();
+    let set = &*set;
+    let modes = &set.modes;
+    // Stored entries per mode (ghosts included): what a dot with it costs.
+    let columns = set.panel.nonzeros(rows.n_cols());
+    let len: Vec<usize> = (modes.iter())
+        .map(|m| m.column.map_or(m.z.len(), |c| columns[c]))
+        .collect();
+
     // Row → positions of the modes with an entry there, as one flat table.
-    let mut start = vec![0usize; n_rows + 1];
-    for mode in modes {
-        for &(g, _) in mode.z.iter().filter(|&&(g, _)| g < n_rows) {
-            start[g + 1] += 1;
+    let mut at_column = vec![0u32; w];
+    (modes.iter().enumerate())
+        .filter_map(|(i, m)| m.column.map(|c| (i, c)))
+        .for_each(|(i, c)| at_column[c] = i as u32);
+    let owned_entries = |f: &mut dyn FnMut(usize, u32)| {
+        for (i, mode) in modes.iter().enumerate() {
+            for &(g, _) in mode.z.iter().filter(|&&(g, _)| g < n_rows) {
+                f(g, i as u32);
+            }
         }
-    }
+        set.panel
+            .for_each_nonzero(n_rows, |g, c, _| f(g, at_column[c]));
+    };
+    let mut start = vec![0usize; n_rows + 1];
+    owned_entries(&mut |g, _| start[g + 1] += 1);
     for g in 0..n_rows {
         start[g + 1] += start[g];
     }
     let mut incident = vec![0u32; start[n_rows]];
     let mut next = start.clone();
-    for (i, mode) in modes.iter().enumerate() {
-        for &(g, _) in mode.z.iter().filter(|&&(g, _)| g < n_rows) {
-            incident[next[g]] = i as u32;
-            next[g] += 1;
-        }
-    }
+    let mut owns_a_row = vec![false; modes.len()];
+    owned_entries(&mut |g, i| {
+        incident[next[g]] = i;
+        next[g] += 1;
+        owns_a_row[i as usize] = true;
+    });
 
     let mut lower = Vec::new();
     let mut y = Vec::new();
     let mut seen = vec![false; modes.len()];
     let mut partners: Vec<u32> = Vec::new();
-    let mut flops = 0;
     for (i, mode) in modes.iter().enumerate() {
-        flops += mode_product(rows, &mode.z, &mut y, s);
-        for &(r, yr) in &y {
-            s.dense[r] = yr;
-            for &i2 in &incident[start[r]..start[r + 1]] {
-                if (i2 as usize) <= i && !seen[i2 as usize] {
-                    seen[i2 as usize] = true;
-                    partners.push(i2);
+        if let Some(c) = mode.column {
+            for (r, yr) in s.dense[..n_rows].iter_mut().enumerate() {
+                *yr = set.panel.y(r, c);
+            }
+            partners.extend((0..=i as u32).filter(|&i2| owns_a_row[i2 as usize]));
+        } else {
+            flops += list_products(rows, &mut [(&mode.z[..], &mut y)], s);
+            for &(r, yr) in &y {
+                s.dense[r] = yr;
+                for &i2 in &incident[start[r]..start[r + 1]] {
+                    if (i2 as usize) <= i && !seen[i2 as usize] {
+                        seen[i2 as usize] = true;
+                        partners.push(i2);
+                    }
                 }
             }
+            partners.sort_unstable();
         }
-        partners.sort_unstable();
         for &i2 in &partners {
             seen[i2 as usize] = false;
             let other = &modes[i2 as usize];
-            let mut acc = 0.0;
-            for &(g, v) in other.z.iter().filter(|&&(g, _)| g < n_rows) {
-                acc += v * s.dense[g];
-            }
-            flops += 2 * other.z.len() as u64;
+            let acc = match (mode.column, other.column) {
+                (Some(c), Some(c2)) => gram[c * w + c2],
+                _ => {
+                    (set.entries(i2 as usize, n_rows)).fold(0.0, |acc, (g, v)| acc + v * s.dense[g])
+                }
+            };
+            flops += 2 * len[i2 as usize] as u64;
             lower.push((mode.id, other.id, acc));
         }
         partners.clear();
-        for &(r, _) in &y {
-            s.dense[r] = 0.0;
+        if mode.column.is_some() {
+            s.dense[..n_rows].fill(0.0);
+        } else {
+            for &(r, _) in &y {
+                s.dense[r] = 0.0;
+            }
         }
     }
     op.coarse_work(flops);
@@ -1154,8 +1507,9 @@ pub struct CoarseSolver {
 }
 
 impl CoarseSolver {
-    /// Builds a solver from raw triplet lists (sorted internally) and the
-    /// shared coarse factorization.
+    /// Builds a solver from raw triplet lists (sorted internally; each
+    /// `(row, mode)` at most once per list) and the shared coarse
+    /// factorization.
     pub fn new(
         n_modes: usize,
         mut restrict: Vec<(usize, usize, f64)>,
@@ -1163,8 +1517,10 @@ impl CoarseSolver {
         factor: Arc<SparseLdlt>,
     ) -> Self {
         assert_eq!(factor.dim(), n_modes, "coarse factor dimension");
-        restrict.sort_by_key(|&(r, m, _)| (m, r));
-        prolong.sort_by_key(|&(r, m, _)| (r, m));
+        // Each `(row, mode)` appears once, so the unstable sorts (which
+        // allocate nothing) give the one order.
+        restrict.sort_unstable_by_key(|&(r, m, _)| (m, r));
+        prolong.sort_unstable_by_key(|&(r, m, _)| (r, m));
         CoarseSolver {
             n_modes,
             restrict,

@@ -1,9 +1,11 @@
-//! Property-based tests for the polynomial preconditioners.
+//! Property-based tests for the polynomial preconditioners, and for the
+//! panel kernel of the coarse build's ghosted row view.
 
 use parfem_precond::gls::{GlsPrecond, IntervalUnion};
 use parfem_precond::neumann::NeumannPrecond;
+use parfem_precond::twolevel::LocalRows;
 use parfem_precond::Preconditioner;
-use parfem_sparse::CsrMatrix;
+use parfem_sparse::{BcsrMatrix, CooMatrix, CsrMatrix, SparseRows};
 use proptest::prelude::*;
 
 /// Strategy: a random single positive interval bounded away from 0.
@@ -108,6 +110,68 @@ proptest! {
         for ((l, x), y) in lhs.iter().zip(&pv).zip(&pw) {
             let rhs = alpha * x + y;
             prop_assert!((l - rhs).abs() < 1e-9 * (1.0 + rhs.abs()));
+        }
+    }
+}
+
+/// The first entry where `Y = A Z` from [`SparseRows::mul_panel`] (width
+/// `k`), or one row of it from [`SparseRows::mul_panel_row`], differs from
+/// [`SparseRows::row_dot`] of the same column of `Z`, bit for bit (a NaN
+/// matches a NaN); `None` when every column agrees.
+fn panel_mismatch<A: SparseRows + ?Sized>(a: &A, z: &[f64], k: usize) -> Option<String> {
+    let mut y = vec![f64::NAN; a.n_rows() * k];
+    a.mul_panel(z, k, &mut y);
+    let mut row = vec![f64::NAN; k];
+    for r in 0..a.n_rows() {
+        a.mul_panel_row(r, z, k, &mut row);
+        for c in 0..k {
+            let column: Vec<f64> = (0..a.n_cols()).map(|j| z[j * k + c]).collect();
+            let want = a.row_dot(r, &column);
+            for (what, got) in [("panel", y[r * k + c]), ("panel row", row[c])] {
+                if got.to_bits() != want.to_bits() && !(got.is_nan() && want.is_nan()) {
+                    return Some(format!(
+                        "{what}, width {k}, row {r}, column {c}: {got:e} vs {want:e}"
+                    ));
+                }
+            }
+        }
+    }
+    None
+}
+
+/// A matrix of `rows × cols` from triplets (duplicates summed).
+fn from_triplets(rows: usize, cols: usize, ts: &[(usize, usize, f64)]) -> CsrMatrix {
+    let mut coo = CooMatrix::new(rows, cols);
+    for &(r, c, v) in ts {
+        coo.push(r % rows, c % cols, v).unwrap();
+    }
+    coo.to_csr()
+}
+
+// The RDD row view `[A_loc | A_ext]`: a panel over the owned rows and the
+// ghost columns gives every column the chain of its own row dot, which runs
+// on from the square block into the ghost block — with the square block as
+// CSR and as 3×3 node blocks whose fill is skipped.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn ghost_view_panel_columns_have_the_bits_of_their_row_dots(
+        square in prop::collection::vec((0usize..12, 0usize..12, -9.0..9.0f64), 0..60),
+        ghost in prop::collection::vec((0usize..12, 0usize..5, -9.0..9.0f64), 0..20),
+        zs in prop::collection::vec(-5.0..5.0f64, 17 * 13),
+        nan_row in 0usize..17,
+    ) {
+        let a_loc = from_triplets(12, 12, &square);
+        let a_ext = from_triplets(12, 5, &ghost);
+        let blocks = BcsrMatrix::from_csr(&a_loc, 3).expect("12 rows of 3-dof nodes");
+        for k in [1, 3, 12, 13] {
+            let mut z = zs[..17 * k].to_vec();
+            z[nan_row * k + k / 2] = f64::NAN;
+            let csr = panel_mismatch(&LocalRows::with_ghosts(&a_loc, &a_ext, 5), &z, k);
+            prop_assert!(csr.is_none(), "csr: {}", csr.unwrap_or_default());
+            let bcsr = panel_mismatch(&LocalRows::with_ghosts(&blocks, &a_ext, 5), &z, k);
+            prop_assert!(bcsr.is_none(), "bcsr: {}", bcsr.unwrap_or_default());
         }
     }
 }

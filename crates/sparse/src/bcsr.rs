@@ -30,7 +30,7 @@
 
 use crate::csr::CsrMatrix;
 use crate::op::LinearOperator;
-use crate::rows::SparseRows;
+use crate::rows::{axpy_row, SparseRows};
 
 /// A sparse matrix in `B × B` block-CSR format. Build with
 /// [`BcsrMatrix::from_raw_parts`] or [`BcsrMatrix::from_csr`].
@@ -383,27 +383,37 @@ impl BcsrMatrix {
         acc
     }
 
-    /// [`SparseRows::rows_dot`] at block size `B`: the `B` rows of a block
-    /// row side by side, each its own chain of adds in column order.
+    /// [`SparseRows::mul_panel`] at block size `B`: the `B` rows of a block
+    /// row side by side, one block at a time for every column.
     #[inline(always)]
-    fn rows_dot_b<const B: usize>(&self, z: &[f64], mut out: impl FnMut(usize, f64)) {
+    fn mul_panel_b<const B: usize>(&self, z: &[f64], k: usize, y: &mut [f64]) {
         let mut mask_of = self.masks_from(0);
-        let full = full_mask(B);
-        for br in 0..self.n_block_rows() {
+        let rows = y[..self.n_rows * k].chunks_exact_mut(B * k);
+        for (br, yb) in rows.enumerate() {
+            yb.fill(0.0);
             let (lo, hi) = (self.brow_ptr[br], self.brow_ptr[br + 1]);
             let blocks = self.blocks[lo * B * B..hi * B * B].chunks_exact(B * B);
-            let mut acc = [0.0; B];
-            for (k, (&bc, block)) in (lo..).zip(self.bcol_idx[lo..hi].iter().zip(blocks)) {
-                let (mask, zs) = (mask_of(k), &z[bc as usize * B..][..B]);
-                for (i, acc) in acc.iter_mut().enumerate() {
-                    for j in (0..B).filter(|&j| mask == full || mask >> (i * B + j) & 1 != 0) {
-                        *acc += block[i * B + j] * zs[j];
-                    }
+            for (kb, (&bc, block)) in (lo..).zip(self.bcol_idx[lo..hi].iter().zip(blocks)) {
+                let (mask, zb) = (mask_of(kb), &z[bc as usize * B * k..][..B * k]);
+                let block_rows = yb.chunks_exact_mut(k).zip(block.chunks_exact(B));
+                for (i, (yr, a)) in block_rows.enumerate() {
+                    block_row_panel::<B>(yr, a, zb, k, mask >> (i * B));
                 }
             }
-            for (i, &v) in acc.iter().enumerate() {
-                out(br * B + i, v);
-            }
+        }
+    }
+
+    /// [`SparseRows::mul_panel_row`] at block size `B`.
+    #[inline(always)]
+    fn mul_panel_row_b<const B: usize>(&self, r: usize, z: &[f64], k: usize, y: &mut [f64]) {
+        let (br, i) = (r / B, r % B);
+        let (lo, hi) = (self.brow_ptr[br], self.brow_ptr[br + 1]);
+        let blocks = self.blocks[lo * B * B..hi * B * B].chunks_exact(B * B);
+        let (mut mask_of, yr) = (self.masks_from(lo), &mut y[..k]);
+        yr.fill(0.0);
+        for (kb, (&bc, block)) in (lo..).zip(self.bcol_idx[lo..hi].iter().zip(blocks)) {
+            let zb = &z[bc as usize * B * k..][..B * k];
+            block_row_panel::<B>(yr, &block[i * B..][..B], zb, k, mask_of(kb) >> (i * B));
         }
     }
 
@@ -476,11 +486,27 @@ impl SparseRows for BcsrMatrix {
         }
     }
 
-    fn rows_dot(&self, z: &[f64], out: impl FnMut(usize, f64)) {
-        match self.b {
-            2 => self.rows_dot_b::<2>(z, out),
-            _ => self.rows_dot_b::<3>(z, out),
+    fn mul_panel(&self, z: &[f64], k: usize, y: &mut [f64]) {
+        match (k, self.b) {
+            (0, _) => {}
+            // One column: each row's dot in registers.
+            (1, _) => (y[..self.n_rows].iter_mut().enumerate()).for_each(|(r, yr)| {
+                *yr = self.row_dot(r, z);
+            }),
+            (_, 2) => self.mul_panel_b::<2>(z, k, y),
+            _ => self.mul_panel_b::<3>(z, k, y),
         }
+    }
+
+    fn mul_panel_row(&self, r: usize, z: &[f64], k: usize, y: &mut [f64]) {
+        match self.b {
+            2 => self.mul_panel_row_b::<2>(r, z, k, y),
+            _ => self.mul_panel_row_b::<3>(r, z, k, y),
+        }
+    }
+
+    fn diagonal(&self) -> Vec<f64> {
+        BcsrMatrix::diagonal(self)
     }
 
     fn nnz(&self) -> usize {
@@ -491,16 +517,43 @@ impl SparseRows for BcsrMatrix {
         let (b, br, i) = (self.b, r / self.b, r % self.b);
         let row_bits = ((1u16 << b) - 1) << (i * b);
         let (lo, hi) = (self.brow_ptr[br], self.brow_ptr[br + 1]);
-        let mut mask_of = self.masks_from(lo);
-        (lo..hi)
-            .map(|k| (mask_of(k) & row_bits).count_ones() as usize)
-            .sum()
+        // Every block holds `b` entries of the row, less what fill leaves out.
+        let from = self.fill.partition_point(|f| (f.0 as usize) < lo);
+        let fill = self.fill[from..].iter().take_while(|f| (f.0 as usize) < hi);
+        let missing: usize = fill
+            .map(|&(_, mask)| b - (mask & row_bits).count_ones() as usize)
+            .sum();
+        b * (hi - lo) - missing
     }
 }
 
 /// All `B²` entries of a block in the scalar pattern.
 fn full_mask(b: usize) -> u16 {
     (1 << (b * b)) - 1
+}
+
+/// One block's contribution to one row of a panel product: `y_c += a_j ·
+/// z_j[c]` for each of the row's `B` entries `a` the low `B` bits of `mask`
+/// keep (the pattern's; fill left out), in column order, for every column
+/// `c` of the panel rows `zb` (`B` rows of `k`) — one add per entry, the
+/// order [`SparseRows::row_dot`] takes.
+#[inline(always)]
+fn block_row_panel<const B: usize>(y: &mut [f64], a: &[f64], zb: &[f64], k: usize, mask: u16) {
+    let zs: [&[f64]; B] = std::array::from_fn(|j| &zb[j * k..][..k]);
+    let row = (1 << B) - 1;
+    if mask & row == row {
+        for (c, yc) in y.iter_mut().enumerate() {
+            let mut t = *yc;
+            for j in 0..B {
+                t += a[j] * zs[j][c];
+            }
+            *yc = t;
+        }
+    } else {
+        for j in (0..B).filter(|&j| mask >> j & 1 != 0) {
+            axpy_row(y, a[j], zs[j]);
+        }
+    }
 }
 
 /// The scalar-pattern entries of one row of a block row: the set bits of

@@ -43,18 +43,52 @@ pub trait SparseRows {
         acc
     }
 
-    /// [`SparseRows::row_dot`] of every row, ascending: `out(r, Σ_j a_rj z_j)`
-    /// with each row's bits (block storage runs a block row's rows side by
-    /// side).
-    fn rows_dot(&self, z: &[f64], mut out: impl FnMut(usize, f64)) {
-        for r in 0..self.n_rows() {
-            out(r, self.row_dot(r, z));
+    /// `Y = A Z` for a row-major panel `Z` of `k` columns: `z[j·k + c]` is
+    /// entry `(j, c)` of `Z` (at least `n_cols` rows), `y[r·k + c]` receives
+    /// entry `(r, c)` of `Y` for every row. Column `c` of `Y` is
+    /// [`SparseRows::row_dot`] of column `c` of `Z`, row by row — one add at
+    /// a time in column order, block fill left out — so every column has the
+    /// bits of its own `row_dot`, however wide the panel; one sweep of the
+    /// matrix serves all `k` columns.
+    fn mul_panel(&self, z: &[f64], k: usize, y: &mut [f64]) {
+        if k <= 1 {
+            let rows = y[..self.n_rows() * k].iter_mut().enumerate();
+            rows.for_each(|(r, yr)| *yr = self.row_dot(r, z));
+            return;
+        }
+        for (r, yr) in y[..self.n_rows() * k].chunks_exact_mut(k).enumerate() {
+            self.mul_panel_row(r, z, k, yr);
+        }
+    }
+
+    /// Row `r` of [`SparseRows::mul_panel`] into `y[..k]`: the same chains
+    /// of adds, for a product over a few rows.
+    fn mul_panel_row(&self, r: usize, z: &[f64], k: usize, y: &mut [f64]) {
+        let yr = &mut y[..k];
+        yr.fill(0.0);
+        for (j, a_rj) in self.row_entries(r) {
+            axpy_row(yr, a_rj, &z[j * k..][..k]);
         }
     }
 
     /// Entry `(r, c)`, `0.0` when it is not stored.
     fn get(&self, r: usize, c: usize) -> f64 {
         (self.row_entries(r).find(|&(j, _)| j == c)).map_or(0.0, |(_, v)| v)
+    }
+
+    /// The main diagonal, `0.0` where it is not stored: [`SparseRows::get`]
+    /// of every `(r, r)`.
+    fn diagonal(&self) -> Vec<f64> {
+        (0..self.n_rows()).map(|r| self.get(r, r)).collect()
+    }
+}
+
+/// `y_c += a · z_c` for every column `c` of one panel row: the step each
+/// column's chain of adds takes per stored entry.
+#[inline(always)]
+pub(crate) fn axpy_row(y: &mut [f64], a: f64, z: &[f64]) {
+    for (yc, &zc) in y.iter_mut().zip(z) {
+        *yc += a * zc;
     }
 }
 
@@ -82,6 +116,10 @@ impl SparseRows for CsrMatrix {
 
     fn get(&self, r: usize, c: usize) -> f64 {
         CsrMatrix::get(self, r, c)
+    }
+
+    fn diagonal(&self) -> Vec<f64> {
+        CsrMatrix::diagonal(self)
     }
 }
 
@@ -242,11 +280,22 @@ impl SparseRows for NodeMatrix {
         }
     }
 
-    fn rows_dot(&self, z: &[f64], out: impl FnMut(usize, f64)) {
+    fn mul_panel(&self, z: &[f64], k: usize, y: &mut [f64]) {
         match self {
-            NodeMatrix::Csr(a) => a.rows_dot(z, out),
-            NodeMatrix::Blocks(a) => a.rows_dot(z, out),
+            NodeMatrix::Csr(a) => a.mul_panel(z, k, y),
+            NodeMatrix::Blocks(a) => a.mul_panel(z, k, y),
         }
+    }
+
+    fn mul_panel_row(&self, r: usize, z: &[f64], k: usize, y: &mut [f64]) {
+        match self {
+            NodeMatrix::Csr(a) => a.mul_panel_row(r, z, k, y),
+            NodeMatrix::Blocks(a) => a.mul_panel_row(r, z, k, y),
+        }
+    }
+
+    fn diagonal(&self) -> Vec<f64> {
+        NodeMatrix::diagonal(self)
     }
 }
 

@@ -1,9 +1,12 @@
 //! Property-based tests for the sparse kernels, including the block-CSR
 //! contract: the format holds the source exactly, multiplies within a pinned
 //! error bound of the scalar CSR reference, and splits over block rows bit
-//! for bit.
+//! for bit — and the multi-column panel kernel gives every column the bits
+//! of its own row dot in every storage.
 
-use parfem_sparse::{coo::CooMatrix, csr::CsrMatrix, dense, scaling::DiagonalScaling, BcsrMatrix};
+use parfem_sparse::{
+    coo::CooMatrix, csr::CsrMatrix, dense, scaling::DiagonalScaling, BcsrMatrix, SparseRows,
+};
 use proptest::prelude::*;
 
 /// Pinned error bound for a reordered row reduction: a sum of `terms`
@@ -280,6 +283,54 @@ proptest! {
         blocks.spmv_block_rows(x, &mut split, &first);
         for r in 0..a.n_rows() {
             prop_assert_eq!(split[r].to_bits(), got[r].to_bits(), "split row {}", r);
+        }
+    }
+}
+
+/// The first entry where `Y = A Z` from [`SparseRows::mul_panel`] (width
+/// `k`), or one row of it from [`SparseRows::mul_panel_row`], differs from
+/// [`SparseRows::row_dot`] of the same column of `Z`, bit for bit (a NaN
+/// matches a NaN); `None` when every column agrees.
+fn panel_mismatch<A: SparseRows + ?Sized>(a: &A, z: &[f64], k: usize) -> Option<String> {
+    let mut y = vec![f64::NAN; a.n_rows() * k];
+    a.mul_panel(z, k, &mut y);
+    let mut row = vec![f64::NAN; k];
+    for r in 0..a.n_rows() {
+        a.mul_panel_row(r, z, k, &mut row);
+        for c in 0..k {
+            let column: Vec<f64> = (0..a.n_cols()).map(|j| z[j * k + c]).collect();
+            let want = a.row_dot(r, &column);
+            for (what, got) in [("panel", y[r * k + c]), ("panel row", row[c])] {
+                if got.to_bits() != want.to_bits() && !(got.is_nan() && want.is_nan()) {
+                    return Some(format!(
+                        "{what}, width {k}, row {r}, column {c}: {got:e} vs {want:e}"
+                    ));
+                }
+            }
+        }
+    }
+    None
+}
+
+// Panel contract: one sweep over `k` columns gives each column the chain of
+// adds of its own `row_dot` — CSR, and node blocks with their fill left
+// out. A NaN planted in one row of `Z` shows a fill entry that is not
+// skipped: `0 · NaN` would poison a row whose pattern does not hold it.
+proptest! {
+    #[test]
+    fn panel_columns_have_the_bits_of_their_row_dots(
+        (b, a) in node_blocked_matrix(8),
+        zs in prop::collection::vec(-5.0..5.0f64, 24 * 13),
+        nan_row in 0..24usize,
+    ) {
+        let blocks = BcsrMatrix::from_csr(&a, b).expect("node-blocked by construction");
+        for k in [1, 3, 12, 13] {
+            let mut z = zs[..a.n_cols() * k].to_vec();
+            z[(nan_row % a.n_cols()) * k + k / 2] = f64::NAN;
+            let csr = panel_mismatch(&a, &z, k);
+            prop_assert!(csr.is_none(), "csr: {}", csr.unwrap_or_default());
+            let bcsr = panel_mismatch(&blocks, &z, k);
+            prop_assert!(bcsr.is_none(), "bcsr b={}: {}", b, bcsr.unwrap_or_default());
         }
     }
 }
