@@ -51,8 +51,6 @@ use parfem_precond::CoarsePartGeometry;
 use parfem_sparse::ldlt::DEFAULT_PIVOT_TOL;
 use parfem_sparse::scaling;
 
-const GRAPH_SEED: u64 = 0;
-
 /// The paper's 2-D elasticity FGMRES + gls(7) iteration cost model.
 fn cost() -> IterCostModel {
     IterCostModel::paper_gls7()
@@ -134,7 +132,7 @@ fn run_series(
         let mesh = mesh_for(p);
         let n = mesh.n_elems();
         let strips = PartitionerSpec::Strips.element_partition(&mesh, p);
-        let graph = PartitionerSpec::Graph { seed: GRAPH_SEED }.element_partition(&mesh, p);
+        let graph = PartitionerSpec::Graph.element_partition(&mesh, p);
         let (strips_cut, graph_cut) = (
             strips.edge_cut().expect("strips cut recorded"),
             graph.edge_cut().expect("graph cut recorded"),

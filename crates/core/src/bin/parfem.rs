@@ -35,6 +35,11 @@ static ALLOC: parfem::trace::alloc::CountingAlloc = parfem::trace::alloc::Counti
 /// ([`SolveFailures::is_config_error`](parfem::dd::SolveFailures::is_config_error)).
 const EXIT_CONFIG: u8 = 3;
 
+/// A solve whose relative residual on the assembled system exceeds this
+/// many times `--tol` failed, whatever the Krylov loop reported: healthy
+/// solves read at most about 1.2 × tol there, broken ones 1e8 × tol or more.
+const TRUE_RESIDUAL_SLACK: f64 = 10.0;
+
 fn usage() -> ExitCode {
     // The `--precond` and `--machine` help lines come straight from the
     // registries, so the usage screen can never drift from the parsers.
@@ -65,9 +70,10 @@ solve options:
                         heat2d reads the magnitude as the total edge flux)
   --parts P             number of subdomains/ranks (default 4)
   --strategy edd|rdd    decomposition strategy (default edd)
-  --partitioner SPEC    element partitioner: strips|blocks|graph:<seed>
-                        (default strips; EDD only — RDD always partitions
-                        node columns into strips)
+  --partitioner SPEC    element partitioner: strips|blocks|graph, graph
+                        being recursive multilevel bisection of the element
+                        graph (default strips; EDD only — RDD always
+                        partitions node columns into strips)
   --variant basic|enhanced   EDD algorithm variant (default enhanced)
   --precond SPEC        preconditioner (default gls:7), one of:
 {precond_help}
@@ -87,7 +93,8 @@ solve options:
   --trace FILE.jsonl    record a structured event trace to FILE
   --profile             print per-rank phase/comm tables after the solve
   --mtx-out PREFIX      write PREFIX_k.mtx / PREFIX_f.mtx / PREFIX_u.mtx
-  exit status           0 converged; 1 the solve failed or did not converge;
+  exit status           0 converged; 1 the solve failed, did not converge,
+                        or left a true relative residual above 10 x tol;
                         2 malformed command line; 3 the options do not fit
                         the input (rejected before any rank ran)
 
@@ -191,7 +198,7 @@ fn parts_misfit(
             (1..=parts).any(|py| parts.is_multiple_of(py) && parts / py <= nx && py <= ny),
             format!("a PXxPY block grid within {nx}x{ny} cells"),
         ),
-        PartitionerSpec::Graph { .. } => (
+        PartitionerSpec::Graph => (
             parts <= n_cells,
             format!("at most {n_cells} parts, one cell each"),
         ),
@@ -482,6 +489,7 @@ fn cmd_solve(args: &Args) -> ExitCode {
         .sum::<f64>()
         .sqrt();
     let rhs_norm: f64 = sys.rhs.iter().map(|v| v * v).sum::<f64>().sqrt();
+    let true_residual = res / rhs_norm.max(1e-300);
     println!(
         "converged = {}, iterations = {}, restarts = {}",
         out.history.converged(),
@@ -490,8 +498,7 @@ fn cmd_solve(args: &Args) -> ExitCode {
     );
     println!(
         "true relative residual = {:.3e}, modeled time = {:.4} s",
-        res / rhs_norm.max(1e-300),
-        out.modeled_time
+        true_residual, out.modeled_time
     );
     let s0 = &out.reports[0].stats;
     println!(
@@ -532,11 +539,18 @@ fn cmd_solve(args: &Args) -> ExitCode {
         write("f", &|w| mmio::write_vector(w, &sys.rhs));
         write("u", &|w| mmio::write_vector(w, &out.u));
     }
-    if out.history.converged() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    if !out.history.converged() {
+        return ExitCode::FAILURE;
     }
+    if true_residual.is_nan() || true_residual > TRUE_RESIDUAL_SLACK * tol {
+        eprintln!(
+            "error: converged by the Krylov estimate, but the true relative residual \
+             {true_residual:.3e} exceeds {TRUE_RESIDUAL_SLACK} x tol = {:.1e}",
+            TRUE_RESIDUAL_SLACK * tol
+        );
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
 
 fn cmd_report(args: &Args) -> ExitCode {

@@ -26,7 +26,7 @@
 //! |---|---|
 //! | Definitions 1–2, local/global distributed formats | [`parfem_dd::dist_vec`] |
 //! | Eq. 28, nearest-neighbour interface sum `⊕Σ` | [`parfem_dd::EddLayout::interface_sum_buffered`] |
-//! | Eqs. 29–31, 1-D truss illustration (Fig. 5) | [`parfem_fem::truss`] |
+//! | Eqs. 29–31, 1-D truss illustration (Fig. 5) | [`parfem_dd::dist_vec`] |
 //! | Eq. 32, `K = Σ Bᵀ K̂ B` unassembled subdomains | [`parfem_fem::SubdomainSystem`] |
 //! | Eqs. 33–35, deduplicated inner products | [`parfem_dd::EddLayout::dot_partial`] |
 //! | Eqs. 36–37, local matvec | [`parfem_dd::EddOperator`] |

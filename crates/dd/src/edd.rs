@@ -367,69 +367,6 @@ impl<C: Communicator> DistributedOperator for EddOperator<'_, C> {
     }
 }
 
-/// Distributed power iteration for `λ_max` of the EDD operator.
-///
-/// Runs the same Rayleigh-quotient iteration as
-/// [`parfem_sparse::gershgorin::power_iteration_lambda_max`] but with
-/// deduplicated (multiplicity-weighted) inner products and the interface
-/// exchange inside the operator — so a spectrum estimate `Θ` can be
-/// measured *in place* on the distributed system, without ever assembling
-/// it (the paper's Fig. 10 study needs exactly this).
-///
-/// Deterministic: starts from the restriction of a fixed pseudo-random
-/// global vector, so every rank iterates on a consistent state.
-pub fn edd_lambda_max<C: Communicator>(
-    comm: &C,
-    layout: &EddLayout,
-    a_local: &EddLocalMatrix,
-    global_dofs: &[usize],
-    max_iters: usize,
-    tol: f64,
-) -> f64 {
-    let op = EddOperator::new(a_local, layout, comm);
-    let n = a_local.n_rows();
-    assert_eq!(global_dofs.len(), n, "global dof map length mismatch");
-    // Deterministic start: hash of the global dof id (consistent at
-    // interfaces across ranks by construction).
-    let mut x: Vec<f64> = global_dofs
-        .iter()
-        .map(|&g| {
-            let mut s = g as u64 ^ 0x9e37_79b9_7f4a_7c15;
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-        })
-        .collect();
-    let norm = |v: &[f64]| -> f64 {
-        comm.work(3 * n as u64);
-        comm.allreduce_sum_scalar(layout.dot_partial(v, v)).sqrt()
-    };
-    let nx = norm(&x).max(1e-300);
-    for xi in &mut x {
-        *xi /= nx;
-    }
-    let mut y = vec![0.0; n];
-    let mut lambda = 0.0;
-    for it in 0..max_iters {
-        op.apply_into(&x, &mut y);
-        comm.work(3 * n as u64);
-        let new_lambda = comm.allreduce_sum_scalar(layout.dot_partial(&x, &y));
-        let ny = norm(&y);
-        if ny == 0.0 {
-            return 0.0;
-        }
-        for (xi, yi) in x.iter_mut().zip(&y) {
-            *xi = yi / ny;
-        }
-        if it > 0 && (new_lambda - lambda).abs() <= tol * new_lambda.abs().max(1e-300) {
-            return new_lambda;
-        }
-        lambda = new_lambda;
-    }
-    lambda
-}
-
 /// Restarted flexible GMRES on the EDD operator.
 ///
 /// `b_local` is the right-hand side in *local distributed* format (as
@@ -1065,29 +1002,6 @@ mod tests {
             h_gls.iterations(),
             h_plain.iterations()
         );
-    }
-
-    #[test]
-    fn distributed_lambda_max_matches_sequential_power_iteration() {
-        let fx = fixture(8, 3, 4);
-        // Sequential reference on the assembled scaled operator.
-        let sc = edd_scaling_reference(&fx.systems, fx.n);
-        let a_seq = sc.scale_matrix(&fx.k);
-        let want = parfem_sparse::gershgorin::power_iteration_lambda_max(&a_seq, 50_000, 1e-12);
-        let out = run_ranks(4, MachineModel::ideal(), |comm| {
-            let sys = &fx.systems[comm.rank()];
-            let layout = EddLayout::from_system(sys);
-            let scd = DistributedScaling::build(comm, &layout, &sys.k_local);
-            let mut b = sys.f_local.clone();
-            let a = scd.apply(sys.k_local.clone(), &mut b, &layout);
-            super::edd_lambda_max(comm, &layout, &a, &sys.global_dofs, 50_000, 1e-12)
-        });
-        for got in out.results {
-            assert!(
-                (got - want).abs() < 1e-6 * want,
-                "distributed {got} vs sequential {want}"
-            );
-        }
     }
 
     #[test]

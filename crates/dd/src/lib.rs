@@ -49,7 +49,7 @@ pub use coarse::{
 };
 pub use dist_vec::{EddLayout, ExchangeBuffers};
 pub use dynamic::DynamicRunOutput;
-pub use edd::{edd_fgmres, edd_lambda_max, EddLocalMatrix, EddOperator, EddVariant};
+pub use edd::{edd_fgmres, EddLocalMatrix, EddOperator, EddVariant};
 pub use error::SolveError;
 pub use rdd::{rdd_fgmres, RddOperator, RddSystem};
 pub use session::{

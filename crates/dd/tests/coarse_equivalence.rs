@@ -242,10 +242,10 @@ fn smoothed(base: CoarseSpec, k: usize) -> CoarseSpec {
     }
 }
 
-/// A ragged node partition derived from a seeded graph element partition:
-/// each node goes to the lowest-numbered part among its elements' owners.
-fn graph_node_partition(mesh: &QuadMesh, p: usize, seed: u64) -> NodePartition {
-    let part = PartitionerSpec::Graph { seed }.element_partition(mesh, p);
+/// A ragged node partition derived from a graph element partition: each
+/// node goes to the lowest-numbered part among its elements' owners.
+fn graph_node_partition(mesh: &QuadMesh, p: usize) -> NodePartition {
+    let part = PartitionerSpec::Graph.element_partition(mesh, p);
     let mut owner = vec![usize::MAX; mesh.n_nodes()];
     for sub in part.subdomains(mesh) {
         for &n in &sub.nodes {
@@ -325,7 +325,7 @@ fn fully_constrained_part_is_pivoted_out_identically() {
 }
 
 /// Cross points: a 2×2 block partition has a node shared by four ranks, a
-/// seeded graph partition ragged ones. The rank-ordered interface sum must
+/// graph partition ragged ones. The rank-ordered interface sum must
 /// leave the same bits on every sharer.
 #[test]
 fn cross_points_hold_identical_bits_on_every_sharer() {
@@ -334,12 +334,12 @@ fn cross_points_hold_identical_bits_on_every_sharer() {
     let blocks = ElementPartition::blocks(&mesh, 2, 2);
     let (views, reference) = edd_case(&mesh, &dm, &blocks, &spec, false);
     check(&views, &reference, dm.n_dofs(), "edd blocks");
-    let graph = PartitionerSpec::Graph { seed: 7 }.element_partition(&mesh, 8);
+    let graph = PartitionerSpec::Graph.element_partition(&mesh, 8);
     let (views, reference) = edd_case(&mesh, &dm, &graph, &spec, false);
-    check(&views, &reference, dm.n_dofs(), "edd graph:7");
-    let nodes = graph_node_partition(&mesh, 8, 7);
+    check(&views, &reference, dm.n_dofs(), "edd graph");
+    let nodes = graph_node_partition(&mesh, 8);
     let (views, reference) = rdd_case(&mesh, &dm, &nodes, &spec, false);
-    check(&views, &reference, dm.n_dofs(), "rdd graph:7");
+    check(&views, &reference, dm.n_dofs(), "rdd graph");
 }
 
 /// One rank: the build degenerates to the sequential one (no neighbours,
@@ -418,9 +418,9 @@ fn rank_builds_keep_their_pinned_bits() {
     let hex = build_digest(&views);
 
     let (mesh, dm) = cantilever(32, 12);
-    let graph = PartitionerSpec::Graph { seed: 7 }.element_partition(&mesh, 8);
+    let graph = PartitionerSpec::Graph.element_partition(&mesh, 8);
     let (views, reference) = edd_case(&mesh, &dm, &graph, &spec, false);
-    check(&views, &reference, dm.n_dofs(), "edd 32x12 graph:7");
+    check(&views, &reference, dm.n_dofs(), "edd 32x12 graph");
     let quad = build_digest(&views);
     let (views, reference) = rdd_case(&mesh, &dm, &NodePartition::strips_x(&mesh, 8), &spec, false);
     check(&views, &reference, dm.n_dofs(), "rdd 32x12 strips");
@@ -429,7 +429,7 @@ fn rank_builds_keep_their_pinned_bits() {
     let hex_want = (0x78e8_ad52_cc9a_b108, 0x0a66_4a1e_a5e5_5283, 13_332_906);
     assert_eq!(hex, hex_want, "edd hex 12x6x6 P=2");
     let quad_want = (0x2207_15c0_63e5_e7b4, 0x188e_d599_4af0_014b, 1_849_073);
-    assert_eq!(quad, quad_want, "edd quad 32x12 P=8 graph:7");
+    assert_eq!(quad, quad_want, "edd quad 32x12 P=8 graph");
     let rdd_want = (0x9ecf_2c8d_f41a_97d2, 0x19f2_0d84_db32_ba26, 1_368_016);
     assert_eq!(rdd, rdd_want, "rdd 32x12 P=8");
 }
@@ -445,7 +445,6 @@ proptest! {
         ny in 2usize..6,
         p_idx in 0usize..5,
         shape in 0usize..3,
-        seed in 0u64..1000,
         rbm in 0usize..2,
         passes in 0usize..6,
         rdd in 0usize..2,
@@ -455,18 +454,18 @@ proptest! {
         let (mesh, dm) = cantilever(nx, ny);
         let base = if rbm == 1 { CoarseSpec::Rbm } else { CoarseSpec::Const };
         let spec = smoothed(base, passes);
-        let what = format!("{nx}x{ny} P={p} shape={shape} seed={seed} {spec} rdd={rdd}");
+        let what = format!("{nx}x{ny} P={p} shape={shape} {spec} rdd={rdd}");
         let (views, reference) = if rdd == 1 {
             let node_part = match shape {
                 0 | 1 => NodePartition::strips_x(&mesh, p),
-                _ => graph_node_partition(&mesh, p, seed),
+                _ => graph_node_partition(&mesh, p),
             };
             rdd_case(&mesh, &dm, &node_part, &spec, false)
         } else {
             let part = match shape {
                 0 => PartitionerSpec::Strips,
                 1 => PartitionerSpec::Blocks,
-                _ => PartitionerSpec::Graph { seed },
+                _ => PartitionerSpec::Graph,
             }
             .element_partition(&mesh, p);
             edd_case(&mesh, &dm, &part, &spec, false)

@@ -382,7 +382,7 @@ fn twolevel_setup_is_charged_traced_and_summarized() {
     let strategies = [
         (
             "edd",
-            Strategy::Edd(PartitionerSpec::Graph { seed: 7 }.element_partition(&mesh, 4)),
+            Strategy::Edd(PartitionerSpec::Graph.element_partition(&mesh, 4)),
         ),
         ("rdd", Strategy::Rdd(NodePartition::strips_x(&mesh, 4))),
     ];

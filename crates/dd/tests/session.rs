@@ -67,7 +67,7 @@ fn assert_bit_identical(a: &DdSolveOutput, b: &DdSolveOutput, what: &str) {
 
 /// `.partitioned(spec, p)` is sugar for `.strategy(Strategy::Edd(..))`
 /// with the partition the spec produces — bit-identical for strips, and a
-/// converging solve for the seeded graph partitioner whose solution agrees
+/// converging solve for the graph partitioner whose solution agrees
 /// with the strips run to solver tolerance.
 #[test]
 fn partitioned_builder_selects_edd_partitions() {
@@ -85,7 +85,7 @@ fn partitioned_builder_selects_edd_partitions() {
     assert_bit_identical(&explicit, &sugar, "partitioned(strips) vs explicit");
 
     let graph = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-        .partitioned(PartitionerSpec::Graph { seed: 1 }, 4)
+        .partitioned(PartitionerSpec::Graph, 4)
         .config(cfg())
         .run()
         .expect("partitioned(graph) run");

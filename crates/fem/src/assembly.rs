@@ -6,7 +6,7 @@
 //! the element-based decomposition exploits (paper claim ii).
 //!
 //! Every assembled matrix of the crate — the global `assemble_*` here and in
-//! [`crate::tri3`], [`crate::quad8s`], [`crate::truss`], and the
+//! [`crate::tri3`], [`crate::quad8s`], and the
 //! per-subdomain systems of [`crate::subdomain`] — is built by one
 //! pattern-first core, `assemble`: it never holds triplets, and it sums
 //! duplicate contributions in ascending element order. So does

@@ -12,8 +12,6 @@
 //!   Gauss quadrature,
 //! - [`hex8`] — the 8-node trilinear hexahedron of the 3-D elasticity
 //!   workload,
-//! - [`truss`] — the 1-D two-node truss of the paper's Fig. 5, used to
-//!   explain local vs. global distributed formats,
 //! - [`assembly`] — the one pattern-first assembly core (symbolic pass, then
 //!   an element-order scatter straight into CSR) behind every assembled
 //!   matrix of the crate, global CSR assembly with Dirichlet boundary
@@ -40,7 +38,6 @@ pub mod quad8s;
 pub mod stress;
 pub mod subdomain;
 pub mod tri3;
-pub mod truss;
 
 pub use assembly::{assemble_mass, assemble_stiffness, StaticSystem};
 pub use dynamics::{NewmarkIntegrator, NewmarkParams};

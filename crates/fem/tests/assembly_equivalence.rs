@@ -248,11 +248,8 @@ fn check<M: Cells>(fam: Family<'_, M>) {
     assert!(cross_points, "{}: no partition has a cross point", fam.name);
 }
 
-fn graph(mesh: &impl Cells, seed: u64, p: usize) -> (&'static str, ElementPartition) {
-    (
-        "graph",
-        PartitionerSpec::Graph { seed }.element_partition(mesh, p),
-    )
+fn graph(mesh: &impl Cells, p: usize) -> (&'static str, ElementPartition) {
+    ("graph", PartitionerSpec::Graph.element_partition(mesh, p))
 }
 
 fn quad4_family(name: &'static str, mesh: &QuadMesh, lumped: Option<bool>) {
@@ -282,7 +279,7 @@ fn quad4_family(name: &'static str, mesh: &QuadMesh, lumped: Option<bool>) {
         partitions: vec![
             ("strips", ElementPartition::strips_x(mesh, 3)),
             ("blocks", ElementPartition::blocks_of(mesh, 2, 2)),
-            graph(mesh, 7, 4),
+            graph(mesh, 4),
         ],
     });
 }
@@ -354,7 +351,7 @@ fn tri3_elasticity() {
         partitions: vec![
             ("strips", ElementPartition::strips_x_tri(&mesh, 3)),
             ("blocks", ElementPartition::blocks_of(&mesh, 2, 2)),
-            graph(&mesh, 7, 4),
+            graph(&mesh, 4),
         ],
     });
 }
@@ -384,7 +381,7 @@ fn quad8_elasticity() {
         partitions: vec![
             ("strips", ElementPartition::strips_x_quad8(&mesh, 2)),
             ("blocks", ElementPartition::blocks_of(&mesh, 2, 2)),
-            graph(&mesh, 3, 4),
+            graph(&mesh, 4),
         ],
     });
 }
@@ -408,7 +405,7 @@ fn heat_quad4() {
         partitions: vec![
             ("strips", ElementPartition::strips_x(&mesh, 3)),
             ("blocks", ElementPartition::blocks_of(&mesh, 2, 2)),
-            graph(&mesh, 11, 5),
+            graph(&mesh, 5),
         ],
     });
 }
@@ -432,7 +429,7 @@ fn hex8_elasticity() {
         partitions: vec![
             ("strips", ElementPartition::blocks_of(&mesh, 2, 1)),
             ("blocks", ElementPartition::blocks_of(&mesh, 2, 2)),
-            graph(&mesh, 7, 4),
+            graph(&mesh, 4),
         ],
     });
 }
@@ -482,7 +479,7 @@ fn node_blocks_scaled_in_place_hold_the_scaled_csr_bits() {
         partitions: vec![
             ("strips", ElementPartition::strips_x(&quad, 3)),
             ("blocks", ElementPartition::blocks_of(&quad, 2, 2)),
-            graph(&quad, 7, 4),
+            graph(&quad, 4),
         ],
     });
     let hex = HexMesh::cantilever(4, 3, 2);
@@ -501,7 +498,7 @@ fn node_blocks_scaled_in_place_hold_the_scaled_csr_bits() {
         partitions: vec![
             ("strips", ElementPartition::blocks_of(&hex, 2, 1)),
             ("blocks", ElementPartition::blocks_of(&hex, 2, 2)),
-            graph(&hex, 7, 4),
+            graph(&hex, 4),
         ],
     });
 }

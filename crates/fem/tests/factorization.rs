@@ -3,10 +3,11 @@
 //! count of floating subdomain blocks under the fill-reducing ordering.
 
 use parfem_fem::assembly::{
-    assemble_stiffness, assemble_stiffness_heat, assemble_stiffness_hex, build_static_hex,
+    assemble_stiffness, assemble_stiffness_heat, assemble_stiffness_hex, build_static,
+    build_static_heat, build_static_hex,
 };
-use parfem_fem::Material;
-use parfem_mesh::{DofMap, Face, HexMesh, NodePartition, QuadMesh};
+use parfem_fem::{Material, SubdomainSystem};
+use parfem_mesh::{DofMap, Edge, ElementPartition, Face, HexMesh, NodePartition, QuadMesh};
 use parfem_sparse::ldlt::{SparseLdlt, DEFAULT_PIVOT_TOL};
 use parfem_sparse::{CooMatrix, CsrMatrix};
 use std::time::Instant;
@@ -27,6 +28,20 @@ fn diagonal_block(a: &CsrMatrix, rows: &[usize]) -> CsrMatrix {
         }
     }
     coo.to_csr()
+}
+
+/// The rows of `nodes`' `dofs` components each, node by node.
+fn node_rows(dm: &DofMap, nodes: &[usize], dofs: usize) -> Vec<usize> {
+    (nodes.iter())
+        .flat_map(|&n| (0..dofs).map(move |c| dm.dof(n, c)))
+        .collect()
+}
+
+/// FNV-1a of a permutation.
+fn digest(perm: &[u32]) -> u64 {
+    perm.iter().fold(0xcbf2_9ce4_8422_2325, |h, &p| {
+        (h ^ u64::from(p)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// The block row the `elas3d-rdd-direct` benchmark workload factors on rank
@@ -134,5 +149,81 @@ fn null_shift_on_a_floating_hex_block_matches_a_dense_solve() {
     let scale = want.iter().fold(0.0f64, |m, v| m.max(v.abs()));
     for (xi, wi) in x.iter().zip(&want) {
         assert!((xi - wi).abs() < 1e-8 * scale, "{xi} vs {wi}");
+    }
+}
+
+/// The nested-dissection permutation and root separator of four real
+/// blocks, pinned to the row: an RDD hex half block, a 2-D elasticity node
+/// strip, a floating EDD hex subdomain and a heat node strip. A change to
+/// the graph bisection under the ordering must leave all four unmoved.
+#[test]
+fn dissection_permutations_stay_pinned() {
+    let mat = Material::unit();
+    let hex = HexMesh::cantilever(18, 9, 9);
+    let mut hex_dm = DofMap::with_dofs(hex.n_nodes(), 3);
+    for node in hex.face_nodes(Face::XMin) {
+        hex_dm.clamp_node(node);
+    }
+    let loads = vec![0.0; hex_dm.n_dofs()];
+    let k = build_static_hex(&hex, &hex_dm, &mat, &loads).stiffness;
+    let rows = node_rows(
+        &hex_dm,
+        &NodePartition::strips_x_hex(&hex, 2).nodes_of(0),
+        3,
+    );
+    let hex_half = diagonal_block(&k, &rows);
+
+    let quad = QuadMesh::cantilever(48, 48);
+    let mut dm = DofMap::new(quad.n_nodes());
+    dm.clamp_edge(&quad, Edge::Left);
+    let k = build_static(&quad, &dm, &mat, &vec![0.0; dm.n_dofs()]).stiffness;
+    let rows = node_rows(&dm, &NodePartition::strips_x(&quad, 2).nodes_of(0), 2);
+    let quad_strip = diagonal_block(&k, &rows);
+
+    let box_mesh = HexMesh::cantilever(12, 6, 6);
+    let dm = DofMap::with_dofs(box_mesh.n_nodes(), 3);
+    let sub = &ElementPartition::blocks_of(&box_mesh, 2, 1).subdomains_of(&box_mesh)[0];
+    let loads = vec![0.0; dm.n_dofs()];
+    let k = SubdomainSystem::build_hex(&box_mesh, &dm, &mat, sub, &loads).k_local;
+    let floating = SparseLdlt::factor(&k, DEFAULT_PIVOT_TOL);
+    assert_eq!(floating.n_skipped(), 6);
+
+    let heat = QuadMesh::cantilever(40, 20);
+    let mut dm = DofMap::with_dofs(heat.n_nodes(), 1);
+    dm.clamp_edge(&heat, Edge::Left);
+    let k = build_static_heat(&heat, &dm, &mat, &vec![0.0; dm.n_dofs()]).stiffness;
+    let rows = node_rows(&dm, &NodePartition::strips_x(&heat, 2).nodes_of(0), 1);
+    let heat_strip = diagonal_block(&k, &rows);
+
+    let factor = |a: &CsrMatrix| SparseLdlt::factor(a, DEFAULT_PIVOT_TOL);
+    let cases = [
+        (
+            "hex 18x9x9 RDD half block",
+            factor(&hex_half),
+            0xbe9f_51c9_25d8_5535,
+            270,
+        ),
+        (
+            "quad 48x48 P=2 node strip",
+            factor(&quad_strip),
+            0xb922_b576_a67a_8992,
+            48,
+        ),
+        (
+            "hex 12x6x6 P=2 floating EDD rank 0",
+            floating,
+            0xd11c_0dd4_0613_733f,
+            147,
+        ),
+        (
+            "heat 40x20 P=2 node strip",
+            factor(&heat_strip),
+            0x50c9_77fb_e604_4913,
+            21,
+        ),
+    ];
+    for (name, f, want, separator) in cases {
+        let got = (digest(f.permutation()), f.separator());
+        assert_eq!(got, (want, separator), "{name}: {:#018x}", got.0);
     }
 }

@@ -1,17 +1,18 @@
-//! Multilevel-style graph partitioning of mesh elements.
+//! Graph partitioning of mesh elements.
 //!
 //! The strip and block partitions of [`crate::partition`] exploit the
 //! structured cantilever grids; real large-P runs need a partitioner that
-//! works from connectivity alone, like the "specific graph methods" the
-//! paper cites for unstructured meshes. This module provides one:
+//! works from connectivity alone, like the "specific graph methods" (METIS)
+//! the paper cites for unstructured meshes. This module provides one:
 //!
-//! 1. **Recursive bisection** over [`Adjacency::element_graph_of`]: each
-//!    bisection grows one side greedily from a pseudo-peripheral seed
-//!    vertex (picking, at every step, the frontier vertex with the most
-//!    links into the growing region), then
-//! 2. **boundary KL/FM refinement** sweeps vertices across the boundary
-//!    whenever the move strictly reduces the edge cut without violating
-//!    the balance tolerance, and
+//! 1. **Recursive bisection** of [`Adjacency::element_graph_of`] with
+//!    [`parfem_sparse::graph::bisect`] — the multilevel edge bisection
+//!    (heavy-edge coarsening, greedy growth, FM refinement on every level)
+//!    the nested-dissection ordering of the sparse LDLᵀ also splits with;
+//!    a split of `k` parts gives side 0 `⌊k/2⌋/k` of the elements;
+//! 2. **k-way boundary refinement** moves a vertex to the adjacent part it
+//!    is most connected to whenever that strictly reduces the edge cut
+//!    without violating the balance tolerance;
 //! 3. a **candidate pool** also evaluates the structured strip and block
 //!    layouts (when the mesh has a logical grid), refines them the same
 //!    way, and keeps whichever candidate cuts fewest node-adjacent
@@ -21,14 +22,13 @@
 //!    part to the neighbouring part they touch most, so every part is
 //!    connected in the element graph whenever the mesh itself is.
 //!
-//! Everything is deterministic for a fixed seed: randomness comes from a
-//! private xorshift generator, ties break on the lowest vertex id, and no
-//! hash-map iteration order is ever observed.
+//! Nothing is random and ties break on the lowest vertex id, so a mesh and
+//! a part count determine the partition.
 
 use crate::cells::Cells;
 use crate::graph::Adjacency;
 use crate::partition::ElementPartition;
-use std::collections::BinaryHeap;
+use parfem_sparse::graph::{self, induced, Graph};
 use std::fmt;
 
 /// Which element partitioner to use — parsed from CLI `--partitioner`.
@@ -38,29 +38,23 @@ pub enum PartitionerSpec {
     Strips,
     /// A near-square `px x py` grid of element blocks.
     Blocks,
-    /// The seeded graph partitioner of this module.
-    Graph {
-        /// Seed for the partitioner's deterministic RNG.
-        seed: u64,
-    },
+    /// The graph partitioner of this module.
+    Graph,
 }
 
 impl PartitionerSpec {
-    /// Parses `strips`, `blocks`, `graph` or `graph:<seed>`.
+    /// Parses `strips`, `blocks` or `graph`.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "strips" => Ok(PartitionerSpec::Strips),
             "blocks" => Ok(PartitionerSpec::Blocks),
-            "graph" => Ok(PartitionerSpec::Graph { seed: 0 }),
-            _ => match s.strip_prefix("graph:") {
-                Some(seed) => seed
-                    .parse::<u64>()
-                    .map(|seed| PartitionerSpec::Graph { seed })
-                    .map_err(|_| format!("bad graph partitioner seed '{seed}'")),
-                None => Err(format!(
-                    "unknown partitioner '{s}' (valid: strips|blocks|graph:<seed>)"
-                )),
-            },
+            "graph" => Ok(PartitionerSpec::Graph),
+            _ if s.starts_with("graph:") => Err(format!(
+                "the graph partitioner takes no seed: use 'graph', not '{s}'"
+            )),
+            _ => Err(format!(
+                "unknown partitioner '{s}' (valid: strips|blocks|graph)"
+            )),
         }
     }
 
@@ -81,7 +75,7 @@ impl PartitionerSpec {
                 let (px, py) = balanced_grid(p, nx, ny);
                 ElementPartition::blocks_of(mesh, px, py)
             }
-            PartitionerSpec::Graph { seed } => graph_partition(mesh, p, seed),
+            PartitionerSpec::Graph => graph_partition(mesh, p),
         }
     }
 }
@@ -91,7 +85,7 @@ impl fmt::Display for PartitionerSpec {
         match self {
             PartitionerSpec::Strips => write!(f, "strips"),
             PartitionerSpec::Blocks => write!(f, "blocks"),
-            PartitionerSpec::Graph { seed } => write!(f, "graph:{seed}"),
+            PartitionerSpec::Graph => write!(f, "graph"),
         }
     }
 }
@@ -103,29 +97,11 @@ impl fmt::Display for PartitionerSpec {
 /// Panics if no factorization fits the grid.
 pub fn balanced_grid(p: usize, nx: usize, ny: usize) -> (usize, usize) {
     assert!(p > 0, "need at least one part");
-    let mut best: Option<(usize, usize)> = None;
-    let mut best_score = f64::INFINITY;
-    for py in 1..=p {
-        if !p.is_multiple_of(py) {
-            continue;
-        }
-        let px = p / py;
-        if px > nx || py > ny {
-            continue;
-        }
-        // Squareness of the resulting blocks: an (nx/px) x (ny/py) block is
-        // ideal when its aspect ratio is 1.
-        let aspect = (nx as f64 / px as f64) / (ny as f64 / py as f64);
-        let score = aspect.max(1.0 / aspect);
-        if score < best_score {
-            best_score = score;
-            best = Some((px, py));
-        }
-    }
-    best.unwrap_or_else(|| panic!("no {p}-part block grid fits a {nx}x{ny} mesh"))
+    try_balanced_grid(p, nx, ny)
+        .unwrap_or_else(|| panic!("no {p}-part block grid fits a {nx}x{ny} mesh"))
 }
 
-/// Seeded multilevel-style graph partition of the mesh elements.
+/// Graph partition of the mesh elements.
 ///
 /// See the module docs for the algorithm. The returned partition records
 /// its edge cut (node-adjacent element pairs straddling part boundaries —
@@ -134,53 +110,34 @@ pub fn balanced_grid(p: usize, nx: usize, ny: usize) -> (usize, usize) {
 ///
 /// # Panics
 /// Panics if `p` is zero or exceeds the cell count.
-pub fn graph_partition<M: Cells>(mesh: &M, p: usize, seed: u64) -> ElementPartition {
+pub fn graph_partition<M: Cells>(mesh: &M, p: usize) -> ElementPartition {
     let n = mesh.n_cells();
     assert!(p > 0 && p <= n, "part count must be in 1..=n_elems");
     // Vertex adjacency (elements sharing >= 1 node): its cut IS the
     // node-adjacent pair count that ElementPartition reports.
-    let graph = Adjacency::element_graph_of(mesh, 1);
+    let graph = unit_graph(&Adjacency::element_graph_of(mesh, 1));
 
+    // The structured layouts come first, so they keep a tie.
     let mut candidates: Vec<Vec<usize>> = Vec::new();
-    candidates.push(bisection_owner(&graph, p, seed));
     if let Some((nx, ny)) = mesh.grid_dims() {
+        // Blocks of a `px x py` grid; `px = p, py = 1` are the strips.
+        let layout = |px: usize, py: usize| -> Vec<usize> {
+            (0..n)
+                .map(|e| {
+                    let (i, j) = mesh.grid_cell(e).expect("structured cell");
+                    ((j * py) / ny) * px + (i * px) / nx
+                })
+                .collect()
+        };
         if p <= nx {
-            candidates.push(
-                (0..n)
-                    .map(|e| {
-                        let (i, _) = mesh.grid_cell(e).expect("structured cell");
-                        (i * p) / nx
-                    })
-                    .collect(),
-            );
+            candidates.push(layout(p, 1));
         }
         if let Some((px, py)) = try_balanced_grid(p, nx, ny) {
-            candidates.push(
-                (0..n)
-                    .map(|e| {
-                        let (i, j) = mesh.grid_cell(e).expect("structured cell");
-                        ((j * py) / ny) * px + (i * px) / nx
-                    })
-                    .collect(),
-            );
+            candidates.push(layout(px, py));
         }
     }
-
-    let max_size = balance_cap(n, p);
-    let mut best: Option<(usize, Vec<usize>)> = None;
-    for mut owner in candidates {
-        refine_kway(&graph, &mut owner, p, max_size);
-        let cut = cut_of(&graph, &owner);
-        let better = match &best {
-            None => true,
-            Some((c, _)) => cut < *c,
-        };
-        if better {
-            best = Some((cut, owner));
-        }
-    }
-    let (_, mut owner) = best.expect("at least one candidate");
-    absorb_fragments(&graph, &mut owner, p);
+    candidates.push(bisection_owner(&graph, p));
+    let owner = refine_best(&graph, candidates, p);
     ElementPartition::from_owner(p, owner).with_edge_cut(mesh)
 }
 
@@ -190,21 +147,37 @@ pub fn graph_partition<M: Cells>(mesh: &M, p: usize, seed: u64) -> ElementPartit
 ///
 /// # Panics
 /// Panics if `p` is zero or exceeds the vertex count.
-pub fn partition_adjacency(graph: &Adjacency, p: usize, seed: u64) -> Vec<usize> {
-    let n = graph.n_vertices();
+pub fn partition_adjacency(adjacency: &Adjacency, p: usize) -> Vec<usize> {
+    let n = adjacency.n_vertices();
     assert!(p > 0 && p <= n, "part count must be in 1..=n_vertices");
-    let mut owner = bisection_owner(graph, p, seed);
-    refine_kway(graph, &mut owner, p, balance_cap(n, p));
+    let graph = unit_graph(adjacency);
+    refine_best(&graph, vec![bisection_owner(&graph, p)], p)
+}
+
+/// The candidate (a part per vertex) that cuts fewest edges once k-way
+/// refined, the first among equals, with its fragments absorbed.
+fn refine_best(graph: &Graph, candidates: Vec<Vec<usize>>, p: usize) -> Vec<usize> {
+    let max_size = balance_cap(graph.n(), p);
+    let refined = candidates.into_iter().map(|mut owner| {
+        refine_kway(graph, &mut owner, p, max_size);
+        (cut_of(graph, &owner), owner)
+    });
+    let (_, mut owner) = refined.min_by_key(|(cut, _)| *cut).expect("a candidate");
     absorb_fragments(graph, &mut owner, p);
     owner
 }
 
+/// `adjacency` as a CSR graph with unit vertex and edge weights.
+fn unit_graph(adjacency: &Adjacency) -> Graph {
+    Graph::unit((0..adjacency.n_vertices()).map(|v| adjacency.neighbors(v)))
+}
+
 /// Undirected edges whose endpoints live in different parts.
-pub fn cut_of(graph: &Adjacency, owner: &[usize]) -> usize {
+fn cut_of(graph: &Graph, owner: &[usize]) -> usize {
     let mut cut = 0usize;
-    for v in 0..graph.n_vertices() {
-        for &w in graph.neighbors(v) {
-            if w > v && owner[v] != owner[w] {
+    for v in 0..graph.n() {
+        for &w in graph.neighbours(v as u32) {
+            if w as usize > v && owner[v] != owner[w as usize] {
                 cut += 1;
             }
         }
@@ -218,7 +191,10 @@ fn balance_cap(n: usize, p: usize) -> usize {
     n.div_ceil(p).max((n * 21).div_ceil(p * 20))
 }
 
+/// [`balanced_grid`], or `None` when no factorization fits.
 fn try_balanced_grid(p: usize, nx: usize, ny: usize) -> Option<(usize, usize)> {
+    // Squareness of the resulting blocks: an (nx/px) x (ny/py) block is
+    // ideal when its aspect ratio is 1; the first of equals wins.
     (1..=p)
         .filter(|&py| p.is_multiple_of(py) && p / py <= nx && py <= ny)
         .map(|py| {
@@ -230,228 +206,42 @@ fn try_balanced_grid(p: usize, nx: usize, ny: usize) -> Option<(usize, usize)> {
         .map(|(px, py, _)| (px, py))
 }
 
-/// Splitmix-style xorshift: deterministic, seedable, no external crates.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        // Avoid the all-zeros fixed point of xorshift.
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-/// Recursive bisection: returns a per-vertex owner array over `0..p`.
-///
-/// Every recursion level works on a compact local-index copy of its
-/// subgraph, so per-call cost is `O(subset)` rather than `O(n)` — the
-/// difference between seconds and minutes on million-element meshes at
-/// large part counts.
-fn bisection_owner(graph: &Adjacency, p: usize, seed: u64) -> Vec<usize> {
-    let n = graph.n_vertices();
-    let mut owner = vec![0usize; n];
-    let mut rng = Rng::new(seed);
-    let adj: Vec<Vec<u32>> = (0..n)
-        .map(|v| graph.neighbors(v).iter().map(|&w| w as u32).collect())
-        .collect();
-    let ids: Vec<usize> = (0..n).collect();
-    bisect(&adj, &ids, p, 0, &mut owner, &mut rng);
+/// Recursive bisection: the part (`0..p`) of every vertex. A subgraph of
+/// `k` parts splits into `⌊k/2⌋` and `⌈k/2⌉` parts in proportion to its
+/// vertices, each side keeping at least as many vertices as it has parts.
+fn bisection_owner(graph: &Graph, p: usize) -> Vec<usize> {
+    let mut owner = vec![0usize; graph.n()];
+    let ids: Vec<u32> = (0..graph.n() as u32).collect();
+    split(graph, &ids, p, 0, &mut owner);
     owner
 }
 
-/// One bisection level over a compact subgraph. `adj` is the subgraph in
-/// local indices; `ids` maps local index -> original vertex id.
-fn bisect(
-    adj: &[Vec<u32>],
-    ids: &[usize],
-    k: usize,
-    first_part: usize,
-    owner: &mut [usize],
-    rng: &mut Rng,
-) {
+/// Gives the vertices of `g` (the vertices `ids` of the whole graph) the
+/// parts `first..first + k`.
+fn split(g: &Graph, ids: &[u32], k: usize, first: usize, owner: &mut [usize]) {
     if k == 1 {
         for &v in ids {
-            owner[v] = first_part;
+            owner[v as usize] = first;
         }
         return;
     }
-    let m = ids.len();
-    let k1 = k / 2;
-    let k2 = k - k1;
-    // Proportional split, clamped so both sides can feed all their parts.
-    let n1 = (m * k1 / k).clamp(k1, m - k2);
-    let mut in_a = grow_region(adj, n1, rng);
-    // Balance tolerance, clamped so each side can still feed k1/k2 parts.
-    let tol = (n1 / 20).max(1);
-    let min_a = n1.saturating_sub(tol).max(k1);
-    let max_a = (n1 + tol).min(m - k2);
-    refine_bisection(adj, &mut in_a, min_a, max_a);
-    let ((adj_a, ids_a), (adj_b, ids_b)) = split(adj, ids, &in_a);
-    bisect(&adj_a, &ids_a, k1, first_part, owner, rng);
-    bisect(&adj_b, &ids_b, k2, first_part + k1, owner, rng);
-}
-
-/// Splits a local subgraph into compact side-A / side-B subgraphs with
-/// their id maps, dropping the (cut) edges between the sides.
-#[allow(clippy::type_complexity)]
-fn split(
-    adj: &[Vec<u32>],
-    ids: &[usize],
-    in_a: &[bool],
-) -> ((Vec<Vec<u32>>, Vec<usize>), (Vec<Vec<u32>>, Vec<usize>)) {
-    let m = adj.len();
-    let mut local = vec![0u32; m];
-    let (mut ids_a, mut ids_b) = (Vec::new(), Vec::new());
-    for v in 0..m {
-        if in_a[v] {
-            local[v] = ids_a.len() as u32;
-            ids_a.push(ids[v]);
-        } else {
-            local[v] = ids_b.len() as u32;
-            ids_b.push(ids[v]);
-        }
-    }
-    let mut adj_a: Vec<Vec<u32>> = Vec::with_capacity(ids_a.len());
-    let mut adj_b: Vec<Vec<u32>> = Vec::with_capacity(ids_b.len());
-    for v in 0..m {
-        let nbs: Vec<u32> = adj[v]
-            .iter()
-            .filter(|&&w| in_a[w as usize] == in_a[v])
-            .map(|&w| local[w as usize])
+    let parts = [k / 2, k - k / 2];
+    let side = graph::bisect(g, parts);
+    for (s, first) in [(0, first), (1, first + parts[0])] {
+        let verts: Vec<u32> = (0..g.n() as u32)
+            .filter(|&v| side[v as usize] == s as u8)
             .collect();
-        if in_a[v] {
-            adj_a.push(nbs);
-        } else {
-            adj_b.push(nbs);
-        }
-    }
-    ((adj_a, ids_a), (adj_b, ids_b))
-}
-
-/// Grows a region of exactly `target` vertices, starting from a
-/// pseudo-peripheral seed and always absorbing the frontier vertex with
-/// the most links into the region (lowest id on ties). Returns the
-/// membership mask.
-fn grow_region(adj: &[Vec<u32>], target: usize, rng: &mut Rng) -> Vec<bool> {
-    let m = adj.len();
-    // Pseudo-peripheral seed: farthest vertex from a random start, twice.
-    let start = rng.below(m);
-    let far = bfs_farthest(adj, start);
-    let seed = bfs_farthest(adj, far);
-
-    let mut in_region = vec![false; m];
-    let mut size = 0usize;
-    // conn[v] = links from v into the region; lazily-invalidated max-heap
-    // keyed by (conn, highest priority = lowest id).
-    let mut conn = vec![0usize; m];
-    let mut heap: BinaryHeap<(usize, std::cmp::Reverse<usize>)> = BinaryHeap::new();
-
-    let absorb = |v: usize,
-                  in_region: &mut Vec<bool>,
-                  size: &mut usize,
-                  conn: &mut Vec<usize>,
-                  heap: &mut BinaryHeap<(usize, std::cmp::Reverse<usize>)>| {
-        in_region[v] = true;
-        *size += 1;
-        for &w in &adj[v] {
-            let w = w as usize;
-            if !in_region[w] {
-                conn[w] += 1;
-                heap.push((conn[w], std::cmp::Reverse(w)));
-            }
-        }
-    };
-    absorb(seed, &mut in_region, &mut size, &mut conn, &mut heap);
-    while size < target {
-        // Pop stale entries (conn changed since push, or already absorbed).
-        let next = loop {
-            match heap.pop() {
-                Some((c, std::cmp::Reverse(v))) => {
-                    if !in_region[v] && conn[v] == c {
-                        break Some(v);
-                    }
-                }
-                // Frontier exhausted (disconnected subgraph): restart from
-                // the lowest unabsorbed vertex.
-                None => break (0..m).find(|&v| !in_region[v]),
-            }
-        };
-        let Some(v) = next else { break };
-        absorb(v, &mut in_region, &mut size, &mut conn, &mut heap);
-    }
-    in_region
-}
-
-/// BFS from `start`; returns the last vertex reached (a pseudo-peripheral
-/// vertex after two applications).
-fn bfs_farthest(adj: &[Vec<u32>], start: usize) -> usize {
-    let mut seen = vec![false; adj.len()];
-    let mut queue = std::collections::VecDeque::from([start]);
-    seen[start] = true;
-    let mut last = start;
-    while let Some(v) = queue.pop_front() {
-        last = v;
-        for &w in &adj[v] {
-            let w = w as usize;
-            if !seen[w] {
-                seen[w] = true;
-                queue.push_back(w);
-            }
-        }
-    }
-    last
-}
-
-/// FM-style boundary refinement of one bisection: sweeps vertices in id
-/// order, moving a vertex to the other side when that strictly reduces
-/// the cut and keeps side A's size within `[min_a, max_a]`.
-fn refine_bisection(adj: &[Vec<u32>], in_a: &mut [bool], min_a: usize, max_a: usize) {
-    let mut size_a = in_a.iter().filter(|&&b| b).count();
-    for _pass in 0..8 {
-        let mut moved = false;
-        for v in 0..adj.len() {
-            let (mut same, mut other) = (0usize, 0usize);
-            for &w in &adj[v] {
-                if in_a[w as usize] == in_a[v] {
-                    same += 1;
-                } else {
-                    other += 1;
-                }
-            }
-            if other <= same {
-                continue;
-            }
-            let new_a = if in_a[v] { size_a - 1 } else { size_a + 1 };
-            if new_a < min_a || new_a > max_a {
-                continue;
-            }
-            in_a[v] = !in_a[v];
-            size_a = new_a;
-            moved = true;
-        }
-        if !moved {
-            break;
-        }
+        debug_assert!(verts.len() >= parts[s], "fewer vertices than parts");
+        let (sub, sub_ids) = induced(g, &verts, ids);
+        split(&sub, &sub_ids, parts[s], first, owner);
     }
 }
 
 /// Greedy k-way boundary refinement: repeatedly moves a boundary vertex
 /// to the adjacent part it is most connected to, when the move strictly
 /// reduces the cut and respects `max_size` (and never empties a part).
-fn refine_kway(graph: &Adjacency, owner: &mut [usize], p: usize, max_size: usize) {
-    let n = graph.n_vertices();
+fn refine_kway(graph: &Graph, owner: &mut [usize], p: usize, max_size: usize) {
+    let n = graph.n();
     let mut sizes = vec![0usize; p];
     for &o in owner.iter() {
         sizes[o] += 1;
@@ -466,8 +256,8 @@ fn refine_kway(graph: &Adjacency, owner: &mut [usize], p: usize, max_size: usize
             }
             // Connection counts to each adjacent part.
             let mut touched: Vec<usize> = Vec::new();
-            for &w in graph.neighbors(v) {
-                let q = owner[w];
+            for &w in graph.neighbours(v as u32) {
+                let q = owner[w as usize];
                 if conn[q] == 0 {
                     touched.push(q);
                 }
@@ -509,16 +299,15 @@ fn refine_kway(graph: &Adjacency, owner: &mut [usize], p: usize, max_size: usize
 /// each move strictly reduces the total number of per-part fragments,
 /// and never increases the cut (a fragment has no edges to the rest of
 /// its own part, so its boundary can only shrink).
-fn absorb_fragments(graph: &Adjacency, owner: &mut [usize], p: usize) {
-    loop {
-        let fragments = part_fragments(graph, owner, p);
-        let Some(frag) = fragments else { break };
+fn absorb_fragments(graph: &Graph, owner: &mut [usize], p: usize) {
+    while let Some(frag) = part_fragments(graph, owner, p) {
         // Most-connected neighbouring part of the fragment.
         let mut conn = vec![0usize; p];
         for &v in &frag {
-            for &w in graph.neighbors(v) {
-                if owner[w] != owner[v] {
-                    conn[owner[w]] += 1;
+            for &w in graph.neighbours(v as u32) {
+                let q = owner[w as usize];
+                if q != owner[v] {
+                    conn[q] += 1;
                 }
             }
         }
@@ -540,8 +329,8 @@ fn absorb_fragments(graph: &Adjacency, owner: &mut [usize], p: usize) {
 
 /// Finds one non-largest connected fragment of some part, or `None` when
 /// every part is connected.
-fn part_fragments(graph: &Adjacency, owner: &[usize], p: usize) -> Option<Vec<usize>> {
-    let n = graph.n_vertices();
+fn part_fragments(graph: &Graph, owner: &[usize], p: usize) -> Option<Vec<usize>> {
+    let n = graph.n();
     let mut comp = vec![usize::MAX; n];
     let mut comp_part: Vec<usize> = Vec::new();
     let mut comp_members: Vec<Vec<usize>> = Vec::new();
@@ -555,7 +344,8 @@ fn part_fragments(graph: &Adjacency, owner: &[usize], p: usize) -> Option<Vec<us
         comp[v] = c;
         let mut stack = vec![v];
         while let Some(u) = stack.pop() {
-            for &w in graph.neighbors(u) {
+            for &w in graph.neighbours(u as u32) {
+                let w = w as usize;
                 if owner[w] == owner[v] && comp[w] == usize::MAX {
                     comp[w] = c;
                     members.push(w);
@@ -595,17 +385,14 @@ mod tests {
             PartitionerSpec::parse("blocks"),
             Ok(PartitionerSpec::Blocks)
         );
-        assert_eq!(
-            PartitionerSpec::parse("graph"),
-            Ok(PartitionerSpec::Graph { seed: 0 })
-        );
-        assert_eq!(
-            PartitionerSpec::parse("graph:42"),
-            Ok(PartitionerSpec::Graph { seed: 42 })
-        );
+        assert_eq!(PartitionerSpec::parse("graph"), Ok(PartitionerSpec::Graph));
+        // The partitioner has no seed: a seeded spelling is an error that
+        // names the one spelling.
+        let seeded = PartitionerSpec::parse("graph:42").unwrap_err();
+        assert!(seeded.contains("use 'graph'"), "{seeded}");
         assert!(PartitionerSpec::parse("metis").is_err());
         assert!(PartitionerSpec::parse("graph:x").is_err());
-        assert_eq!(PartitionerSpec::Graph { seed: 7 }.to_string(), "graph:7");
+        assert_eq!(PartitionerSpec::Graph.to_string(), "graph");
     }
 
     #[test]
@@ -630,7 +417,7 @@ mod tests {
     #[test]
     fn graph_partition_is_total_and_balanced() {
         let mesh = QuadMesh::rectangle(12, 8, 12.0, 8.0);
-        let part = graph_partition(&mesh, 6, 0);
+        let part = graph_partition(&mesh, 6);
         assert_eq!(part.n_parts(), 6);
         let mut sizes = [0usize; 6];
         for e in 0..96 {
@@ -644,8 +431,8 @@ mod tests {
     #[test]
     fn graph_partition_is_deterministic_per_seed() {
         let mesh = QuadMesh::rectangle(10, 10, 10.0, 10.0);
-        let a = graph_partition(&mesh, 5, 3);
-        let b = graph_partition(&mesh, 5, 3);
+        let a = graph_partition(&mesh, 5);
+        let b = graph_partition(&mesh, 5);
         assert_eq!(a.owners(), b.owners());
     }
 
@@ -654,7 +441,7 @@ mod tests {
         for &(nx, ny, p) in &[(16usize, 16usize, 8usize), (24, 6, 6), (32, 2, 4)] {
             let mesh = QuadMesh::rectangle(nx, ny, nx as f64, ny as f64);
             let strips = ElementPartition::strips_x(&mesh, p);
-            let graph = graph_partition(&mesh, p, 0);
+            let graph = graph_partition(&mesh, p);
             assert!(
                 graph.edge_cut().unwrap() <= strips.edge_cut().unwrap(),
                 "{nx}x{ny} p={p}: graph {:?} > strips {:?}",
@@ -667,14 +454,14 @@ mod tests {
     #[test]
     fn partition_adjacency_covers_plain_graphs() {
         let mesh = QuadMesh::rectangle(6, 6, 6.0, 6.0);
-        let graph = Adjacency::element_graph_of(&mesh, 1);
-        let owner = partition_adjacency(&graph, 4, 1);
+        let adjacency = Adjacency::element_graph_of(&mesh, 1);
+        let owner = partition_adjacency(&adjacency, 4);
         assert_eq!(owner.len(), 36);
         let mut seen = [false; 4];
         for &o in &owner {
             seen[o] = true;
         }
         assert!(seen.iter().all(|&s| s));
-        assert!(cut_of(&graph, &owner) > 0);
+        assert!(cut_of(&unit_graph(&adjacency), &owner) > 0);
     }
 }

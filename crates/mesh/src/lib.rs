@@ -12,9 +12,10 @@
 //!   subdomain interface graphs that drive nearest-neighbour communication,
 //! - [`graph`] — mesh adjacency graphs and a greedy BFS partitioner for
 //!   unstructured input,
-//! - [`gpart`] — a seeded multilevel-style graph partitioner (recursive
-//!   bisection + KL/FM boundary refinement) and the [`PartitionerSpec`]
-//!   selector wired through the CLI's `--partitioner` flag.
+//! - [`gpart`] — the graph partitioner (recursive bisection with the
+//!   multilevel edge bisection of `parfem_sparse::graph`, k-way boundary
+//!   refinement) and the [`PartitionerSpec`] selector wired through the
+//!   CLI's `--partitioner` flag.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -1,4 +1,4 @@
-//! Property-based tests for the seeded graph partitioner: total ownership,
+//! Property-based tests for the graph partitioner: total ownership,
 //! part counts, per-part connectivity on structured meshes, determinism,
 //! and the no-regression guarantee against the strip layout on the paper's
 //! Table-2 cantilever meshes.
@@ -8,12 +8,12 @@ use parfem_mesh::graph::Adjacency;
 use parfem_mesh::{ElementPartition, QuadMesh};
 use proptest::prelude::*;
 
-/// Strategy: a structured mesh plus a valid part count and seed. The raw
-/// part draw is folded into `1..=min(n_elems, 9)` so every sample is valid.
-fn mesh_and_parts() -> impl Strategy<Value = (usize, usize, usize, u64)> {
-    (2usize..14, 1usize..8, 0usize..64, 0u64..64).prop_map(|(nx, ny, p_raw, seed)| {
+/// Strategy: a structured mesh plus a valid part count. The raw part draw
+/// is folded into `1..=min(n_elems, 9)` so every sample is valid.
+fn mesh_and_parts() -> impl Strategy<Value = (usize, usize, usize)> {
+    (2usize..14, 1usize..8, 0usize..64).prop_map(|(nx, ny, p_raw)| {
         let p = 1 + p_raw % (nx * ny).min(9);
-        (nx, ny, p, seed)
+        (nx, ny, p)
     })
 }
 
@@ -46,9 +46,9 @@ fn parts_connected(graph: &Adjacency, owner: &[usize], p: usize) -> bool {
 
 proptest! {
     #[test]
-    fn every_element_is_owned_exactly_once((nx, ny, p, seed) in mesh_and_parts()) {
+    fn every_element_is_owned_exactly_once((nx, ny, p) in mesh_and_parts()) {
         let mesh = QuadMesh::cantilever(nx, ny);
-        let part = graph_partition(&mesh, p, seed);
+        let part = graph_partition(&mesh, p);
         prop_assert_eq!(part.n_parts(), p);
         prop_assert_eq!(part.owners().len(), nx * ny);
         let mut sizes = vec![0usize; p];
@@ -64,9 +64,9 @@ proptest! {
     }
 
     #[test]
-    fn parts_are_connected_on_structured_meshes((nx, ny, p, seed) in mesh_and_parts()) {
+    fn parts_are_connected_on_structured_meshes((nx, ny, p) in mesh_and_parts()) {
         let mesh = QuadMesh::cantilever(nx, ny);
-        let part = graph_partition(&mesh, p, seed);
+        let part = graph_partition(&mesh, p);
         // Connectivity in the node-sharing element graph — the graph the
         // partitioner optimizes and whose cut the partition reports.
         let graph = Adjacency::element_graph_of(&mesh, 1);
@@ -78,22 +78,22 @@ proptest! {
     }
 
     #[test]
-    fn fixed_seed_is_deterministic((nx, ny, p, seed) in mesh_and_parts()) {
+    fn fixed_seed_is_deterministic((nx, ny, p) in mesh_and_parts()) {
         let mesh = QuadMesh::cantilever(nx, ny);
-        let a = graph_partition(&mesh, p, seed);
-        let b = graph_partition(&mesh, p, seed);
+        let a = graph_partition(&mesh, p);
+        let b = graph_partition(&mesh, p);
         prop_assert_eq!(a.owners(), b.owners());
         prop_assert_eq!(a.edge_cut(), b.edge_cut());
         // The spec round-trips to the same partition.
-        let via_spec = PartitionerSpec::Graph { seed }.element_partition(&mesh, p);
+        let via_spec = PartitionerSpec::Graph.element_partition(&mesh, p);
         prop_assert_eq!(a.owners(), via_spec.owners());
     }
 
     #[test]
-    fn adjacency_partition_matches_mesh_contract((nx, ny, p, seed) in mesh_and_parts()) {
+    fn adjacency_partition_matches_mesh_contract((nx, ny, p) in mesh_and_parts()) {
         let mesh = QuadMesh::cantilever(nx, ny);
         let graph = Adjacency::element_graph_of(&mesh, 1);
-        let owner = partition_adjacency(&graph, p, seed);
+        let owner = partition_adjacency(&graph, p);
         prop_assert_eq!(owner.len(), nx * ny);
         let mut seen = vec![false; p];
         for &o in &owner {
@@ -119,7 +119,7 @@ fn graph_cut_never_worse_than_strips_on_paper_meshes() {
                 continue;
             }
             let strips = ElementPartition::strips_x(&mesh, p);
-            let graph = graph_partition(&mesh, p, 0);
+            let graph = graph_partition(&mesh, p);
             let (gc, sc) = (graph.edge_cut().unwrap(), strips.edge_cut().unwrap());
             assert!(
                 gc <= sc,

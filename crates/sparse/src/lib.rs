@@ -15,6 +15,9 @@
 //!   Algorithms 3–4) that maps the matrix spectrum into `(0, 1)`,
 //! - [`gershgorin`] — spectrum estimation (Gershgorin discs, power iteration)
 //!   used to pick polynomial-preconditioner intervals,
+//! - [`graph`] — the one graph bisection: multilevel edge bisection of a
+//!   weighted CSR graph, under both the nested-dissection ordering and
+//!   `parfem-mesh`'s element partitioner,
 //! - [`ilu`] — ILU(0), the sequential comparator preconditioner in the
 //!   paper's Figures 11–12,
 //! - [`op`] — the [`LinearOperator`] abstraction shared by the sequential
@@ -49,6 +52,7 @@ pub mod csr;
 pub mod dense;
 pub mod error;
 pub mod gershgorin;
+pub mod graph;
 pub mod ilu;
 pub mod io;
 pub mod kernels;

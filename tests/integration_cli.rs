@@ -270,9 +270,14 @@ fn malformed_and_out_of_range_values_exit_cleanly() {
             "--parts 5",
         ),
         (
-            &["--mesh", "4x4", "--parts", "17", "--partitioner", "graph:1"],
+            &["--mesh", "4x4", "--parts", "17", "--partitioner", "graph"],
             3,
             "--parts 17",
+        ),
+        (
+            &["--mesh", "4x4", "--partitioner", "graph:1"],
+            2,
+            "use 'graph'",
         ),
     ];
     for (args, status, names) in cases {
@@ -290,6 +295,36 @@ fn malformed_and_out_of_range_values_exit_cleanly() {
             "{args:?}: {stderr}"
         );
     }
+}
+
+/// A solve the Krylov loop calls converged but whose residual on the
+/// assembled system is far above the tolerance exits 1 with an `error:`
+/// line: one-level EDD `direct` on the 48×48 cantilever at P = 4 reads a
+/// true relative residual near 1e5 at tol 1e-6.
+#[test]
+fn false_convergence_exits_nonzero() {
+    let out = parfem()
+        .args(["solve", "--mesh", "48x48", "--parts", "4"])
+        .args([
+            "--strategy",
+            "edd",
+            "--precond",
+            "direct",
+            "--machine",
+            "ideal",
+        ])
+        .output()
+        .expect("run parfem");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(1), "{stdout}{stderr}");
+    assert!(stdout.contains("converged = true"), "{stdout}");
+    assert!(
+        stderr.contains("error:") && stderr.contains("true relative residual"),
+        "{stderr}"
+    );
 }
 
 #[test]
