@@ -6,8 +6,9 @@
 //! cargo run --release -p parfem-bench --bin perf_report -- --baseline
 //!     # measure and (over)write BENCH_BASELINE.json
 //! cargo run --release -p parfem-bench --bin perf_report
-//!     # measure, read BENCH_BASELINE.json, write BENCH_PERF.json
-//!     # (baseline + current + per-bench speedups)
+//!     # measure, read BENCH_BASELINE.json, and replace the `baseline`,
+//!     # `current`, `speedup` and `overlap_modeled` sections of
+//!     # BENCH_PERF.json; every other section stays as it was
 //! ```
 //!
 //! The workloads are fixed so the numbers are comparable across runs on the
@@ -19,12 +20,12 @@
 //! loop — the quantity the reusable Krylov workspace drives to zero.
 
 use parfem::prelude::{CantileverProblem, LoadCase, MachineModel, Material, PrecondSpec};
-use parfem_bench::harness::Case;
+use parfem_bench::harness::{decimals, merge_sections, significant, Case};
 use parfem_krylov::{fgmres_on, GmresConfig, GmresResult, KrylovWorkspace, OneRank};
 use parfem_precond::{GlsPrecond, IdentityPrecond, Preconditioner};
 use parfem_sparse::{scaling, BcsrMatrix, CooMatrix, CsrMatrix};
 use parfem_trace::alloc::{self, CountingAlloc};
-use std::fmt::Write as _;
+use parfem_trace::json::{self, Json};
 use std::time::Instant;
 
 #[global_allocator]
@@ -32,6 +33,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const BASELINE_PATH: &str = "BENCH_BASELINE.json";
 const REPORT_PATH: &str = "BENCH_PERF.json";
+const SCHEMA: &str = "parfem-bench-perf-v1";
 
 /// 5-point finite-difference Laplacian on an `nx` × `nx` grid.
 fn laplacian_2d(nx: usize) -> CsrMatrix {
@@ -85,6 +87,27 @@ struct BenchLine {
     allocs_per_iter: Option<f64>,
     /// Allocated bytes per FGMRES iteration (solve benches only).
     alloc_bytes_per_iter: Option<f64>,
+}
+
+impl BenchLine {
+    /// The bench's entry (the same in the baseline file and in the
+    /// `baseline` / `current` sections of the report).
+    fn to_json(&self) -> Json {
+        let mut members = vec![
+            ("n", self.n.into()),
+            ("secs", significant(self.secs)),
+            (self.rate_unit, decimals(self.rate, 4)),
+        ];
+        members.extend(
+            self.allocs_per_iter
+                .map(|a| ("allocs_per_iter", decimals(a, 2))),
+        );
+        members.extend(
+            self.alloc_bytes_per_iter
+                .map(|b| ("alloc_bytes_per_iter", decimals(b, 1))),
+        );
+        Json::obj(members)
+    }
 }
 
 fn bench_spmv() -> BenchLine {
@@ -275,24 +298,6 @@ fn bench_overlap() -> Vec<OverlapLine> {
     .collect()
 }
 
-fn render_overlap(lines: &[OverlapLine]) -> String {
-    let mut out = String::new();
-    for (i, l) in lines.iter().enumerate() {
-        let comma = if i + 1 == lines.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    \"{}\": {{ \"blocking_secs\": {:.6e}, \"overlapped_secs\": {:.6e}, \
-             \"speedup\": {:.4}, \"iterations\": {} }}{comma}",
-            l.machine,
-            l.blocking_secs,
-            l.overlapped_secs,
-            l.blocking_secs / l.overlapped_secs,
-            l.iterations
-        );
-    }
-    out
-}
-
 fn run_all() -> Vec<BenchLine> {
     vec![
         bench_spmv(),
@@ -305,45 +310,6 @@ fn run_all() -> Vec<BenchLine> {
             200,
         ),
     ]
-}
-
-/// Renders the benches as a JSON object body (the same layout in the
-/// baseline file and in the `baseline` / `current` sections of the report).
-fn render_benches(lines: &[BenchLine], indent: &str) -> String {
-    let mut out = String::new();
-    for (i, l) in lines.iter().enumerate() {
-        let comma = if i + 1 == lines.len() { "" } else { "," };
-        let mut extra = String::new();
-        if let Some(a) = l.allocs_per_iter {
-            let _ = write!(extra, ", \"allocs_per_iter\": {a:.2}");
-        }
-        if let Some(b) = l.alloc_bytes_per_iter {
-            let _ = write!(extra, ", \"alloc_bytes_per_iter\": {b:.1}");
-        }
-        let _ = writeln!(
-            out,
-            "{indent}\"{}\": {{ \"n\": {}, \"secs\": {:.6e}, \"{}\": {:.4}{extra} }}{comma}",
-            l.name, l.n, l.secs, l.rate_unit, l.rate
-        );
-    }
-    out
-}
-
-/// Pulls `key` out of the section `"bench": { ... }` of a JSON string this
-/// binary wrote earlier. A full JSON parser is overkill for our own output.
-fn extract_number(json: &str, bench: &str, key: &str) -> Option<f64> {
-    let sect_start = json.find(&format!("\"{bench}\":"))?;
-    let sect = &json[sect_start..];
-    let sect_end = sect.find('}')?;
-    let sect = &sect[..sect_end];
-    let key_start = sect.find(&format!("\"{key}\":"))?;
-    let after = sect[key_start..].split_once(':')?.1;
-    let num: String = after
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-        .collect();
-    num.parse().ok()
 }
 
 fn main() {
@@ -366,62 +332,60 @@ fn main() {
                 .unwrap_or_default()
         );
     }
+    let benches = lines.iter().map(|l| (l.name, l.to_json()));
 
     if baseline_mode {
-        let mut out = String::from("{\n  \"schema\": \"parfem-bench-perf-v1\",\n");
-        out.push_str(&render_benches(&lines, "  "));
-        out.push_str("}\n");
-        std::fs::write(BASELINE_PATH, out).expect("write baseline");
+        let doc = Json::obj([("schema", SCHEMA.into())].into_iter().chain(benches));
+        std::fs::write(BASELINE_PATH, doc.to_indented()).expect("write baseline");
         eprintln!("perf_report: wrote {BASELINE_PATH}");
         return;
     }
 
-    let baseline = std::fs::read_to_string(BASELINE_PATH).unwrap_or_else(|e| {
-        panic!("perf_report: cannot read {BASELINE_PATH} ({e}); run with --baseline first")
+    let read = |path: &str| {
+        let text = std::fs::read_to_string(path).ok()?;
+        Some(json::parse(&text).unwrap_or_else(|e| panic!("perf_report: {path}: {e}")))
+    };
+    let baseline = read(BASELINE_PATH).unwrap_or_else(|| {
+        panic!("perf_report: cannot read {BASELINE_PATH}; run with --baseline first")
     });
-    let mut out = String::from("{\n  \"schema\": \"parfem-bench-perf-v1\",\n  \"baseline\": {\n");
-    for line in baseline.lines() {
-        // Re-indent the baseline bench lines into the report's nested object.
-        let t = line.trim();
-        if t.starts_with('{') || t.starts_with('}') || t.starts_with("\"schema\"") {
-            continue;
-        }
-        out.push_str("    ");
-        out.push_str(t.trim_end_matches(','));
-        // Separators re-added below via fixed ordering.
-        out.push_str(",\n");
-    }
-    // Drop the trailing comma of the last copied line.
-    if out.ends_with(",\n") {
-        out.truncate(out.len() - 2);
-        out.push('\n');
-    }
-    out.push_str("  },\n  \"current\": {\n");
-    out.push_str(&render_benches(&lines, "    "));
-    out.push_str("  },\n  \"speedup\": {\n");
-    for (i, l) in lines.iter().enumerate() {
-        let base = extract_number(&baseline, l.name, l.rate_unit).unwrap_or(f64::NAN);
-        let speedup = l.rate / base;
-        let comma = if i + 1 == lines.len() { "" } else { "," };
-        out.push_str(&format!("    \"{}\": {:.4}{}\n", l.name, speedup, comma));
+    let speedup = lines.iter().map(|l| {
+        let base = baseline.get(l.name).and_then(|b| b.get(l.rate_unit));
+        let speedup = l.rate / base.and_then(Json::as_f64).unwrap_or(f64::NAN);
         eprintln!("  speedup {:<24} {:.3}x", l.name, speedup);
-    }
+        (l.name, decimals(speedup, 4))
+    });
+    let speedup = Json::obj(speedup);
     // Modeled (virtual-time) win from the nonblocking overlapped interface
     // exchange; deterministic, so only recorded in the report, not baselined.
     eprintln!("perf_report: measuring overlapped-exchange modeled times ...");
-    let overlap = bench_overlap();
-    for l in &overlap {
+    let overlap = bench_overlap().into_iter().map(|l| {
+        let speedup = l.blocking_secs / l.overlapped_secs;
         eprintln!(
-            "  overlap {:<12} blocking {:.4e} s  overlapped {:.4e} s  ({:.3}x)",
-            l.machine,
-            l.blocking_secs,
-            l.overlapped_secs,
-            l.blocking_secs / l.overlapped_secs
+            "  overlap {:<12} blocking {:.4e} s  overlapped {:.4e} s  ({speedup:.3}x)",
+            l.machine, l.blocking_secs, l.overlapped_secs
         );
-    }
-    out.push_str("  },\n  \"overlap_modeled\": {\n");
-    out.push_str(&render_overlap(&overlap));
-    out.push_str("  }\n}\n");
-    std::fs::write(REPORT_PATH, out).expect("write report");
+        let entry = Json::obj([
+            ("blocking_secs", significant(l.blocking_secs)),
+            ("overlapped_secs", significant(l.overlapped_secs)),
+            ("speedup", decimals(speedup, 4)),
+            ("iterations", l.iterations.into()),
+        ]);
+        (l.machine, entry)
+    });
+    let overlap = Json::obj(overlap);
+    let baseline_benches = baseline.as_object().unwrap_or(&[]).iter();
+    let baseline_benches = baseline_benches.filter(|(k, _)| k != "schema").cloned();
+
+    let mut doc = read(REPORT_PATH).unwrap_or_else(|| Json::obj([("schema", SCHEMA.into())]));
+    merge_sections(
+        &mut doc,
+        vec![
+            ("baseline".into(), Json::Obj(baseline_benches.collect())),
+            ("current".into(), Json::obj(benches)),
+            ("speedup".into(), speedup),
+            ("overlap_modeled".into(), overlap),
+        ],
+    );
+    std::fs::write(REPORT_PATH, doc.to_indented()).expect("write report");
     eprintln!("perf_report: wrote {REPORT_PATH}");
 }

@@ -22,8 +22,9 @@
 //!
 //! `PARFEM_QUICK=1` shrinks the sweep to CI smoke size.
 
+use parfem::perfgate::MAX_PHYSICS_ITER_GROWTH;
 use parfem::prelude::*;
-use parfem_bench::harness::{banner, quick, Table};
+use parfem_bench::harness::{banner, decimals, print_section, quick, significant, Table};
 use parfem_bench::modeling::{modeled_edd, rank_stats, IterCostModel};
 use parfem_krylov::{fgmres, GmresConfig};
 use parfem_mesh::Cells;
@@ -31,6 +32,7 @@ use parfem_precond::twolevel::build_coarse_basis;
 use parfem_precond::{CoarsePartGeometry, PrecondSpec};
 use parfem_sparse::ldlt::DEFAULT_PIVOT_TOL;
 use parfem_sparse::scaling;
+use parfem_trace::json::Json;
 
 /// The production two-level configuration the sweep measures. The s5
 /// prolongator smoothing (vs the elasticity2d sweep's s3) is what keeps the
@@ -38,9 +40,6 @@ use parfem_sparse::scaling;
 const SPEC: &str = "twolevel:rbm.s5:gls-3";
 /// Iteration cap — every point must converge under it.
 const ITER_CAP: usize = 2000;
-/// Gate bound on iteration growth from `p_min` to `p_max`; must match
-/// `GateConfig::default().max_physics_iter_growth`.
-const MAX_ITER_GROWTH: f64 = 1.5;
 /// Per-mode flops of the replicated coarse back-solve (as in `scaling`).
 const COARSE_SOLVE_FLOPS_PER_MODE: f64 = 50.0;
 
@@ -223,8 +222,8 @@ fn run_series(
     }
     let growth = points.last().unwrap().iters as f64 / points.first().unwrap().iters as f64;
     assert!(
-        growth <= MAX_ITER_GROWTH,
-        "{name}: iteration growth {growth:.4} exceeds {MAX_ITER_GROWTH}"
+        growth <= MAX_PHYSICS_ITER_GROWTH,
+        "{name}: iteration growth {growth:.4} exceeds {MAX_PHYSICS_ITER_GROWTH}"
     );
     Series {
         name,
@@ -234,22 +233,25 @@ fn run_series(
 }
 
 fn emit_summary(series: &[Series]) {
-    println!("\nBENCH_PERF.json `physics_modeled` section:");
-    println!("  \"physics_modeled\": {{");
-    for (i, s) in series.iter().enumerate() {
-        println!("    \"{}\": {{", s.name);
-        println!("      \"p_min\": {},", s.points.first().unwrap().p);
-        println!("      \"p_max\": {},", s.points.last().unwrap().p);
+    let series = series.iter().map(|s| {
+        let (first, last) = (&s.points[0], &s.points[s.points.len() - 1]);
+        let mut entry = vec![
+            ("p_min".to_string(), first.p.into()),
+            ("p_max".into(), last.p.into()),
+        ];
         for pt in &s.points {
-            println!("      \"iters_p{}\": {},", pt.p, pt.iters);
+            entry.push((format!("iters_p{}", pt.p), pt.iters.into()));
         }
         for pt in &s.points {
-            println!("      \"modeled_time_p{}\": {:.6e},", pt.p, pt.modeled_time);
+            entry.push((
+                format!("modeled_time_p{}", pt.p),
+                significant(pt.modeled_time),
+            ));
         }
-        println!("      \"iter_growth\": {:.4}", s.growth);
-        println!("    }}{}", if i + 1 < series.len() { "," } else { "" });
-    }
-    println!("  }}");
+        entry.push(("iter_growth".into(), decimals(s.growth, 4)));
+        (s.name, Json::Obj(entry))
+    });
+    print_section("physics_modeled", Json::obj(series));
 }
 
 fn main() {

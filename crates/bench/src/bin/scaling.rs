@@ -40,8 +40,9 @@
 //!
 //! `PARFEM_QUICK=1` shrinks both sweeps to CI smoke size.
 
+use parfem::perfgate::MAX_TWOLEVEL_ITER_GROWTH;
 use parfem::prelude::*;
-use parfem_bench::harness::{banner, quick, Table};
+use parfem_bench::harness::{banner, decimals, print_section, quick, Table};
 use parfem_bench::modeling::{modeled_edd, rank_stats, IterCostModel};
 use parfem_krylov::gmres::fgmres;
 use parfem_mesh::numbering::DOFS_PER_NODE;
@@ -50,6 +51,7 @@ use parfem_precond::twolevel::{build_coarse_basis, CoarseSolver};
 use parfem_precond::CoarsePartGeometry;
 use parfem_sparse::ldlt::DEFAULT_PIVOT_TOL;
 use parfem_sparse::scaling;
+use parfem_trace::json::Json;
 
 /// The paper's 2-D elasticity FGMRES + gls(7) iteration cost model.
 fn cost() -> IterCostModel {
@@ -217,9 +219,6 @@ fn run_series(
 /// smoother it is compared against.
 const TWOLEVEL_SPEC: &str = "twolevel:rbm.s3:gls-3";
 const ONELEVEL_SPEC: &str = "gls:3";
-/// The gate threshold on two-level iteration growth from `p_min` to
-/// `p_max` — must match `GateConfig::default().max_twolevel_iter_growth`.
-const MAX_TWOLEVEL_ITER_GROWTH: f64 = 1.3;
 /// Per-mode flops of the replicated coarse back-solve (forward +
 /// backward sweep over a narrow strip-coupled band).
 const COARSE_SOLVE_FLOPS_PER_MODE: f64 = 50.0;
@@ -455,53 +454,44 @@ fn run_twolevel_series(
 }
 
 fn emit_twolevel_summary(s: &TwoLevelSummary) {
-    println!("\nBENCH_PERF.json `twolevel_modeled` section:");
-    println!("  \"twolevel_modeled\": {{");
-    println!("    \"weak\": {{");
-    println!("      \"p_min\": {},", s.p_min);
-    println!("      \"p_max\": {},", s.p_max);
+    let mut weak = vec![
+        ("p_min".to_string(), s.p_min.into()),
+        ("p_max".into(), s.p_max.into()),
+    ];
     for pt in &s.points {
-        println!("      \"iters_twolevel_p{}\": {},", pt.p, pt.iters_two);
+        weak.push((format!("iters_twolevel_p{}", pt.p), pt.iters_two.into()));
     }
     for pt in &s.points {
-        println!("      \"iters_onelevel_p{}\": {},", pt.p, pt.iters_one);
+        weak.push((format!("iters_onelevel_p{}", pt.p), pt.iters_one.into()));
     }
-    println!(
-        "      \"onelevel_censored\": {},",
-        if s.one_censored_any { 1 } else { 0 }
-    );
-    println!("      \"twolevel_iter_growth\": {:.4},", s.growth_two);
-    println!("      \"onelevel_iter_growth\": {:.4},", s.growth_one);
-    let rows: Vec<String> = s
-        .speedup_at_pmax
-        .iter()
-        .map(|(m, v)| format!("      \"modeled_speedup_{m}_p{}\": {v:.4}", s.p_max))
-        .collect();
-    println!("{}", rows.join(",\n"));
-    println!("    }}");
-    println!("  }}");
+    weak.push((
+        "onelevel_censored".into(),
+        u64::from(s.one_censored_any).into(),
+    ));
+    weak.push(("twolevel_iter_growth".into(), decimals(s.growth_two, 4)));
+    weak.push(("onelevel_iter_growth".into(), decimals(s.growth_one, 4)));
+    for (m, v) in &s.speedup_at_pmax {
+        weak.push((format!("modeled_speedup_{m}_p{}", s.p_max), decimals(*v, 4)));
+    }
+    print_section("twolevel_modeled", Json::obj([("weak", Json::Obj(weak))]));
 }
 
 fn emit_summary(series: &[(&str, SeriesSummary)]) {
-    println!("\nBENCH_PERF.json `scaling_modeled` section:");
-    println!("  \"scaling_modeled\": {{");
-    for (i, (name, s)) in series.iter().enumerate() {
-        let effs: Vec<String> = s
-            .eff_at_pmax
-            .iter()
-            .map(|(m, e)| format!("      \"efficiency_{m}_p{}\": {e:.4}", s.p_max))
-            .collect();
-        println!("    \"{name}\": {{");
-        println!("      \"p_max\": {},", s.p_max);
-        println!("      \"graph_cut_ratio_max\": {:.4},", s.cut_ratio_max);
-        println!(
-            "      \"overlap_speedup_min\": {:.4},",
-            s.overlap_speedup_min
-        );
-        println!("{}", effs.join(",\n"));
-        println!("    }}{}", if i + 1 < series.len() { "," } else { "" });
-    }
-    println!("  }}");
+    let series = series.iter().map(|(name, s)| {
+        let mut entry = vec![
+            ("p_max".to_string(), s.p_max.into()),
+            ("graph_cut_ratio_max".into(), decimals(s.cut_ratio_max, 4)),
+            (
+                "overlap_speedup_min".into(),
+                decimals(s.overlap_speedup_min, 4),
+            ),
+        ];
+        for (m, e) in &s.eff_at_pmax {
+            entry.push((format!("efficiency_{m}_p{}", s.p_max), decimals(*e, 4)));
+        }
+        (*name, Json::Obj(entry))
+    });
+    print_section("scaling_modeled", Json::obj(series));
 }
 
 fn main() {

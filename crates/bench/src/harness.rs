@@ -10,6 +10,7 @@
 //! binary reduces to the sweep grid and its shape checks.
 
 use parfem::prelude::*;
+use parfem_trace::json::Json;
 
 pub use crate::{banner, fmt, results_dir, write_csv};
 
@@ -262,9 +263,82 @@ impl Table {
     }
 }
 
+/// `v` rounded to `decimals` places, as a snapshot number.
+pub fn decimals(v: f64, decimals: usize) -> Json {
+    Json::Num(format!("{v:.decimals$}").parse().unwrap_or(v))
+}
+
+/// `v` rounded to seven significant digits, as a snapshot number.
+pub fn significant(v: f64) -> Json {
+    Json::Num(format!("{v:.6e}").parse().unwrap_or(v))
+}
+
+/// Replaces the members of the object `doc` that `sections` names, in
+/// place, and appends the ones it lacks. Every other member — a section
+/// some other binary regenerates — stays as it was, value for value.
+///
+/// # Panics
+/// Panics if `doc` is not an object.
+pub fn merge_sections(doc: &mut Json, sections: Vec<(String, Json)>) {
+    let Json::Obj(members) = doc else {
+        panic!("a bench snapshot must be a JSON object");
+    };
+    for (name, section) in sections {
+        match members.iter_mut().find(|(k, _)| *k == name) {
+            Some((_, old)) => *old = section,
+            None => members.push((name, section)),
+        }
+    }
+}
+
+/// Prints one `BENCH_PERF.json` section, as the document `{name: section}`
+/// in the snapshot's indented layout, for pasting into the snapshot.
+pub fn print_section(name: &str, section: Json) {
+    println!("\nBENCH_PERF.json `{name}` section:");
+    print!("{}", Json::obj([(name, section)]).to_indented());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn merge_replaces_measured_sections_and_keeps_foreign_ones() {
+        let mut doc = parfem_trace::json::parse(
+            r#"{"schema": "parfem-bench-perf-v1", "current": {"spmv": {"mflops": 1.0}},
+                "scaling_modeled": {"weak": {"p_max": 4096, "graph_cut_ratio_max": 0.4254}}}"#,
+        )
+        .unwrap();
+        let foreign = doc.get("scaling_modeled").cloned();
+        let current = Json::obj([("spmv", Json::obj([("mflops", decimals(2.0, 4))]))]);
+        let speedup = Json::obj([("spmv", decimals(2.0, 4))]);
+        merge_sections(
+            &mut doc,
+            vec![
+                ("current".to_string(), current.clone()),
+                ("speedup".to_string(), speedup.clone()),
+            ],
+        );
+        let names: Vec<&str> = doc
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(names, ["schema", "current", "scaling_modeled", "speedup"]);
+        assert_eq!(doc.get("current"), Some(&current));
+        assert_eq!(doc.get("speedup"), Some(&speedup));
+        assert_eq!(doc.get("scaling_modeled").cloned(), foreign);
+        let text = doc.to_indented();
+        assert!(text.contains("\"graph_cut_ratio_max\": 0.4254"), "{text}");
+    }
+
+    #[test]
+    fn rounding_keeps_the_snapshot_spelling() {
+        assert_eq!(decimals(1.29204, 4).to_compact(), "1.292");
+        assert_eq!(significant(3.4301684e-4).to_compact(), "0.0003430168");
+        assert_eq!(decimals(f64::NAN, 4).to_compact(), "null");
+    }
 
     #[test]
     fn case_runs_and_speedups_normalize() {

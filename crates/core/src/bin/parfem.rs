@@ -20,7 +20,7 @@ use parfem::prelude::*;
 use parfem::sparse::{gershgorin, io as mmio, scaling::scale_system};
 use parfem::trace::{
     export_chrome_trace, jsonl, render_comm_table, render_convergence, render_critical_path,
-    render_phase_table, render_timeline, CritPath,
+    render_phase_table, render_timeline, CritPath, TraceEvent,
 };
 use std::process::ExitCode;
 use std::time::Duration;
@@ -553,24 +553,27 @@ fn cmd_solve(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The file's text, or `None` after an `error:` line.
+fn read_file(path: &str) -> Option<String> {
+    let text = std::fs::read_to_string(path);
+    text.map_err(|e| eprintln!("error: cannot read {path}: {e}"))
+        .ok()
+}
+
+/// The events of a recorded `.jsonl` trace, or `None` after an `error:`
+/// line.
+fn read_trace(path: &str) -> Option<Vec<TraceEvent>> {
+    let events = jsonl::decode_all(&read_file(path)?);
+    events.map_err(|e| eprintln!("error: {path}: {e}")).ok()
+}
+
 fn cmd_report(args: &Args) -> ExitCode {
     let Some(path) = args.value_of("--trace") else {
         eprintln!("error: report needs --trace FILE.jsonl");
         return usage();
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let events = match jsonl::decode_all(&text) {
-        Ok(ev) => ev,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(events) = read_trace(path) else {
+        return ExitCode::FAILURE;
     };
     let width = args
         .value_of("--width")
@@ -608,19 +611,8 @@ fn cmd_export_trace(args: &Args) -> ExitCode {
         eprintln!("error: export-trace needs --out FILE.trace.json");
         return usage();
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let events = match jsonl::decode_all(&text) {
-        Ok(ev) => ev,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(events) = read_trace(path) else {
+        return ExitCode::FAILURE;
     };
     let chrome = export_chrome_trace(&events);
     match std::fs::write(out, &chrome) {
@@ -640,17 +632,10 @@ fn cmd_export_trace(args: &Args) -> ExitCode {
 fn cmd_perf_gate(args: &Args) -> ExitCode {
     let perf_path = args.value_of("--perf").unwrap_or("BENCH_PERF.json");
     let baseline_path = args.value_of("--baseline").unwrap_or("BENCH_BASELINE.json");
-    let read = |path: &str| match std::fs::read_to_string(path) {
-        Ok(t) => Some(t),
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            None
-        }
-    };
-    let (Some(perf), Some(baseline)) = (read(perf_path), read(baseline_path)) else {
+    let (Some(perf), Some(baseline)) = (read_file(perf_path), read_file(baseline_path)) else {
         return ExitCode::FAILURE;
     };
-    match perfgate::evaluate_texts(&perf, &baseline, &perfgate::GateConfig::default()) {
+    match perfgate::evaluate_texts(&perf, &baseline) {
         Ok(report) => {
             print!("{}", report.render());
             if report.passed() {

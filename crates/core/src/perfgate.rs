@@ -1,97 +1,165 @@
 //! The CI performance-regression gate.
 //!
-//! Compares the committed benchmark snapshot (`BENCH_PERF.json`, its
-//! `current` section) against the frozen reference (`BENCH_BASELINE.json`)
-//! and fails — with a non-zero exit from `parfem perf-gate` — when any
-//! tracked metric regresses past its threshold. The thresholds are
-//! deliberately generous: the gate catches *structural* regressions (a lost
-//! workspace reuse, an accidentally quadratic kernel, a broken overlap
-//! schedule), not machine-to-machine noise.
+//! Compares the committed benchmark snapshot (`BENCH_PERF.json`) against
+//! the frozen reference (`BENCH_BASELINE.json`) and fails — with a non-zero
+//! exit from `parfem perf-gate` — when any bounded value crosses its limit.
+//! The limits are deliberately generous: the gate catches *structural*
+//! regressions (a lost workspace reuse, an accidentally quadratic kernel, a
+//! broken overlap schedule, a coarse space that stops flattening the
+//! iteration counts), not machine-to-machine noise.
 //!
-//! Four families of checks:
-//!
-//! - **throughput** (`mflops`, `iters_per_s`) — higher is better; fail when
-//!   `current < threshold × reference`,
-//! - **allocation** (`allocs_per_iter`, `alloc_bytes_per_iter`) — lower is
-//!   better; fail when `current > threshold × reference + slack` (the
-//!   additive slack keeps a zero-allocation reference from forbidding any
-//!   future allocation at all),
-//! - **overlap** (`overlap_modeled.*.speedup`) — the modeled
-//!   overlapped-exchange speedup must stay ≥ 1: overlapping may never be
-//!   modeled as slower than blocking,
-//! - **scaling** (`scaling_modeled.*`, the large-P series the `scaling`
-//!   bench bin regenerates) — the graph partitioner's worst edge-cut ratio
-//!   against strips must stay ≤ 1, each series' worst modeled overlap
-//!   speedup must stay ≥ 1, and every recorded parallel efficiency must
-//!   lie in `(0, 1]` (an efficiency above 1 or at 0 means the machine
-//!   model is broken, not that the machine got faster),
-//! - **two-level convergence** (`twolevel_modeled.*`, real FGMRES solves
-//!   over the weak-scaling family) — the two-level iteration growth from
-//!   `p_min` to `p_max` must stay ≤ 1.3, and the one-level growth over the
-//!   same range must stay strictly larger than the two-level growth: the
-//!   coarse space earns its keep only if it flattens the iteration curve
-//!   that the one-level smoother cannot,
-//! - **physics workloads** (`physics_modeled.*`, real FGMRES solves over
-//!   the heat2d and elasticity3d weak families the `physics_scaling` bin
-//!   regenerates) — each problem's two-level iteration growth from `p_min`
-//!   to `p_max` must stay ≤ 1.5, and every recorded modeled solve time
-//!   must be positive and finite (a zero or non-finite time means the
-//!   machine model broke, not that the solve got free).
+//! Every bound is one row of the `BOUNDS` table: a snapshot section, a
+//! pattern over `entry.key` inside it, a rule and a limit. A key takes the first row
+//! whose pattern it matches; a section or key the snapshot lacks is
+//! skipped, so the gate checks what both sides recorded.
 
 use parfem_trace::json::{self, Json};
 use std::fmt;
 
-/// Gate thresholds. [`GateConfig::default`] matches what CI runs.
-#[derive(Debug, Clone)]
-pub struct GateConfig {
-    /// Minimum allowed `current / reference` for higher-is-better
-    /// throughput metrics (default `0.6`: a 40% drop fails).
-    pub min_throughput_ratio: f64,
-    /// Maximum allowed `current / reference` for lower-is-better
-    /// allocation metrics (default `1.25`).
-    pub max_alloc_ratio: f64,
-    /// Additive slack for allocation metrics, in the metric's own unit
-    /// (default `16.0` — a zero-allocation reference still admits a few
-    /// allocations per iteration before failing).
-    pub alloc_slack: f64,
-    /// Minimum allowed modeled overlap speedup (default `1.0`).
-    pub min_overlap_speedup: f64,
-    /// Maximum allowed `scaling_modeled.*.graph_cut_ratio_max` — the graph
-    /// partitioner's worst edge cut relative to strips across a scaling
-    /// series (default `1.0`: the graph partitioner may never lose to the
-    /// structured strips it refines).
-    pub max_graph_cut_ratio: f64,
-    /// Maximum allowed `twolevel_modeled.*.twolevel_iter_growth` — the
-    /// two-level iteration count at `p_max` relative to `p_min` (default
-    /// `1.3`: near-flat counts are the whole point of the coarse space).
-    pub max_twolevel_iter_growth: f64,
-    /// Maximum allowed `physics_modeled.*.iter_growth` — each non-paper
-    /// workload's two-level iteration count at `p_max` relative to `p_min`
-    /// (default `1.5`: slightly looser than the elasticity2d bound, since
-    /// the 3-D rigid-body coarse space has six modes to smooth instead of
-    /// three and the heat family anchors at a very small count).
-    pub max_physics_iter_growth: f64,
-    /// Per-metric **absolute** caps on allocation metrics, overriding the
-    /// ratio-plus-slack rule wherever tighter. Each entry is a
-    /// (check-name prefix, cap) pair matched against `bench.metric`; the
-    /// default caps every `fgmres_iteration*` bench at **zero** allocations
-    /// and bytes per iteration — the warm-workspace solvers are exactly
-    /// allocation-free and must stay that way.
-    pub alloc_caps: Vec<(String, f64)>,
+/// Lowest allowed `current / reference` for throughput (a 40 % drop fails).
+const MIN_THROUGHPUT_RATIO: f64 = 0.6;
+/// Highest allowed `current / reference` for allocation metrics, on top of
+/// `ALLOC_SLACK`.
+const MAX_ALLOC_RATIO: f64 = 1.25;
+/// Additive slack for allocation metrics, in the metric's own unit: a
+/// zero-allocation reference still admits a few allocations per iteration.
+const ALLOC_SLACK: f64 = 16.0;
+/// Highest allowed two-level iteration growth from `p_min` to `p_max` in
+/// the `scaling` bin's weak family (near-flat counts are the whole point
+/// of the coarse space).
+pub const MAX_TWOLEVEL_ITER_GROWTH: f64 = 1.3;
+/// Highest allowed iteration growth of a `physics_scaling` series:
+/// slightly looser than [`MAX_TWOLEVEL_ITER_GROWTH`], since the 3-D
+/// rigid-body coarse space has six modes to smooth instead of three and
+/// the heat family anchors at a very small count.
+pub const MAX_PHYSICS_ITER_GROWTH: f64 = 1.5;
+
+/// How one bounded value is checked against its row's limit.
+#[derive(Debug, Clone, Copy)]
+enum Rule {
+    /// Higher is better: `value >= limit × reference`, the reference being
+    /// the same `bench.metric` in the baseline document.
+    AtLeastTimesBaseline,
+    /// Lower is better: `value <= limit × reference + ALLOC_SLACK`.
+    AtMostTimesBaselinePlusSlack,
+    /// Lower is better, absolute: `value <= limit`, shown against the
+    /// baseline's value.
+    AtMostWithBaseline,
+    /// `value >= limit`.
+    AtLeast,
+    /// `value <= limit`.
+    AtMost,
+    /// `0 < value <= limit` (a parallel efficiency above 1 or at 0 means
+    /// the machine model is broken, not that the machine got faster).
+    PositiveAtMost,
+    /// `value > 0` and finite (a zero or non-finite modeled time means the
+    /// machine model broke, not that the solve got free).
+    Positive,
+    /// `value >` the named sibling key of the same entry.
+    Exceeds(&'static str),
 }
 
-impl Default for GateConfig {
-    fn default() -> Self {
-        GateConfig {
-            min_throughput_ratio: 0.6,
-            max_alloc_ratio: 1.25,
-            alloc_slack: 16.0,
-            min_overlap_speedup: 1.0,
-            max_graph_cut_ratio: 1.0,
-            max_twolevel_iter_growth: 1.3,
-            max_physics_iter_growth: 1.5,
-            alloc_caps: vec![("fgmres_iteration".to_string(), 0.0)],
-        }
+/// One row of the bounds table.
+#[derive(Debug, Clone, Copy)]
+struct Bound {
+    /// Top-level section of the snapshot (`current`, `scaling_modeled`, …).
+    section: &'static str,
+    /// `entry.key` inside the section; either part may be `*`, and a key
+    /// part ending in `*` matches by prefix.
+    pattern: &'static str,
+    /// The check.
+    rule: Rule,
+    /// The rule's limit (unused by [`Rule::Positive`] and [`Rule::Exceeds`]).
+    limit: f64,
+}
+
+const fn bound(section: &'static str, pattern: &'static str, rule: Rule, limit: f64) -> Bound {
+    Bound {
+        section,
+        pattern,
+        rule,
+        limit,
+    }
+}
+
+/// Every bound the gate holds, in report order.
+#[rustfmt::skip]
+const BOUNDS: &[Bound] = &[
+    bound("current", "*.mflops", Rule::AtLeastTimesBaseline, MIN_THROUGHPUT_RATIO),
+    bound("current", "*.iters_per_s", Rule::AtLeastTimesBaseline, MIN_THROUGHPUT_RATIO),
+    // The warm-workspace FGMRES benches are exactly allocation-free and
+    // must stay that way, slack or not.
+    bound("current", "fgmres_iteration*.allocs_per_iter", Rule::AtMostWithBaseline, 0.0),
+    bound("current", "fgmres_iteration*.alloc_bytes_per_iter", Rule::AtMostWithBaseline, 0.0),
+    bound("current", "*.allocs_per_iter", Rule::AtMostTimesBaselinePlusSlack, MAX_ALLOC_RATIO),
+    bound("current", "*.alloc_bytes_per_iter", Rule::AtMostTimesBaselinePlusSlack, MAX_ALLOC_RATIO),
+    // Overlapping may never be modeled as slower than blocking.
+    bound("overlap_modeled", "*.speedup", Rule::AtLeast, 1.0),
+    // The graph partitioner may never lose to the strips it refines.
+    bound("scaling_modeled", "*.graph_cut_ratio_max", Rule::AtMost, 1.0),
+    bound("scaling_modeled", "*.overlap_speedup_min", Rule::AtLeast, 1.0),
+    bound("scaling_modeled", "*.efficiency_*", Rule::PositiveAtMost, 1.0),
+    bound("twolevel_modeled", "*.twolevel_iter_growth", Rule::AtMost, MAX_TWOLEVEL_ITER_GROWTH),
+    // One-level counts must grow strictly faster, or the coarse space buys
+    // nothing. (A censored one-level endpoint is a lower bound, which only
+    // makes this conservative.)
+    bound("twolevel_modeled", "*.onelevel_iter_growth", Rule::Exceeds("twolevel_iter_growth"), 0.0),
+    bound("physics_modeled", "*.iter_growth", Rule::AtMost, MAX_PHYSICS_ITER_GROWTH),
+    bound("physics_modeled", "*.modeled_time_*", Rule::Positive, 0.0),
+];
+
+/// Whether `name` matches one part of a [`Bound::pattern`].
+fn matches(part: &str, name: &str) -> bool {
+    match part.strip_suffix('*') {
+        Some(prefix) => name.starts_with(prefix),
+        None => part == name,
+    }
+}
+
+impl Bound {
+    fn matches(&self, entry: &str, key: &str) -> bool {
+        let (e, k) = self.pattern.split_once('.').expect("pattern is entry.key");
+        matches(e, entry) && matches(k, key)
+    }
+
+    /// The check of `value` (`entry.key` of this row's section), or `None`
+    /// when the reference it needs is missing.
+    fn check(
+        &self,
+        entry: &Json,
+        name: String,
+        value: f64,
+        reference: Option<f64>,
+    ) -> Option<GateCheck> {
+        let limit = self.limit;
+        let (reference, limit, pass, direction) = match self.rule {
+            Rule::AtLeastTimesBaseline => {
+                let r = reference?;
+                (r, limit * r, value >= limit * r, ">=")
+            }
+            Rule::AtMostTimesBaselinePlusSlack => {
+                let r = reference?;
+                let l = limit * r + ALLOC_SLACK;
+                (r, l, value <= l, "<=")
+            }
+            Rule::AtMostWithBaseline => (reference?, limit, value <= limit, "<="),
+            Rule::AtLeast => (1.0, limit, value >= limit, ">="),
+            Rule::AtMost => (1.0, limit, value <= limit, "<="),
+            Rule::PositiveAtMost => (1.0, limit, value > 0.0 && value <= limit + 1e-9, "<="),
+            Rule::Positive => (0.0, 0.0, value.is_finite() && value > 0.0, ">"),
+            Rule::Exceeds(sibling) => {
+                let s = entry.get(sibling).and_then(Json::as_f64)?;
+                (s, s, value > s, ">")
+            }
+        };
+        Some(GateCheck {
+            name,
+            current: value,
+            reference,
+            limit,
+            pass,
+            direction,
+        })
     }
 }
 
@@ -105,7 +173,7 @@ pub struct GateCheck {
     /// The reference value from `BENCH_BASELINE.json`.
     pub reference: f64,
     /// The limit `current` was compared against.
-    pub limit: f64,
+    limit: f64,
     /// Whether the check passed.
     pub pass: bool,
     /// `>=` for higher-is-better metrics, `<=` for lower-is-better ones.
@@ -189,11 +257,6 @@ impl fmt::Display for GateError {
 
 impl std::error::Error for GateError {}
 
-/// The throughput metrics of the committed bench schema, per bench.
-const THROUGHPUT_METRICS: &[&str] = &["mflops", "iters_per_s"];
-/// The allocation metrics of the committed bench schema, per bench.
-const ALLOC_METRICS: &[&str] = &["allocs_per_iter", "alloc_bytes_per_iter"];
-
 fn expect_schema(doc: &Json, which: &'static str) -> Result<(), GateError> {
     match doc.get("schema").and_then(Json::as_str) {
         Some("parfem-bench-perf-v1") => Ok(()),
@@ -206,187 +269,47 @@ fn expect_schema(doc: &Json, which: &'static str) -> Result<(), GateError> {
     }
 }
 
-/// Evaluates the gate over the two parsed documents.
+/// Evaluates the `BOUNDS` table over the two parsed documents.
 ///
-/// `perf` is `BENCH_PERF.json` (its `current` and `overlap_modeled`
-/// sections are read); `baseline` is `BENCH_BASELINE.json` (benches at the
-/// top level). Benches or metrics present on only one side are skipped —
-/// the gate compares what both sides measured.
+/// `perf` is `BENCH_PERF.json`; `baseline` is `BENCH_BASELINE.json`
+/// (benches at the top level), the reference of the `current` rows. Checks
+/// come out section by section in table order, each section's entries in
+/// file order, each entry's keys row by row.
 ///
 /// # Errors
 /// [`GateError::Schema`] when either document lacks the expected schema
 /// tag or the perf document has no `current` section.
-pub fn evaluate(perf: &Json, baseline: &Json, cfg: &GateConfig) -> Result<GateReport, GateError> {
+pub fn evaluate(perf: &Json, baseline: &Json) -> Result<GateReport, GateError> {
     expect_schema(perf, "perf")?;
     expect_schema(baseline, "baseline")?;
-    let current = perf
-        .get("current")
-        .and_then(Json::as_object)
-        .ok_or_else(|| GateError::Schema("perf: missing \"current\" section".to_string()))?;
-
+    if perf.get("current").and_then(Json::as_object).is_none() {
+        return Err(GateError::Schema(
+            "perf: missing \"current\" section".to_string(),
+        ));
+    }
+    let mut sections: Vec<&str> = BOUNDS.iter().map(|b| b.section).collect();
+    sections.dedup();
     let mut checks = Vec::new();
-    for (bench, cur_bench) in current {
-        let Some(ref_bench) = baseline.get(bench) else {
-            continue;
-        };
-        for &metric in THROUGHPUT_METRICS {
-            let (Some(cur), Some(reference)) = (
-                cur_bench.get(metric).and_then(Json::as_f64),
-                ref_bench.get(metric).and_then(Json::as_f64),
-            ) else {
-                continue;
-            };
-            let limit = cfg.min_throughput_ratio * reference;
-            checks.push(GateCheck {
-                name: format!("{bench}.{metric}"),
-                current: cur,
-                reference,
-                limit,
-                pass: cur >= limit,
-                direction: ">=",
-            });
-        }
-        for &metric in ALLOC_METRICS {
-            let (Some(cur), Some(reference)) = (
-                cur_bench.get(metric).and_then(Json::as_f64),
-                ref_bench.get(metric).and_then(Json::as_f64),
-            ) else {
-                continue;
-            };
-            let name = format!("{bench}.{metric}");
-            let limit = cfg
-                .alloc_caps
-                .iter()
-                .filter(|(prefix, _)| name.starts_with(prefix.as_str()))
-                .map(|&(_, cap)| cap)
-                .fold(cfg.max_alloc_ratio * reference + cfg.alloc_slack, f64::min);
-            checks.push(GateCheck {
-                name,
-                current: cur,
-                reference,
-                limit,
-                pass: cur <= limit,
-                direction: "<=",
-            });
-        }
-    }
-    if let Some(overlap) = perf.get("overlap_modeled").and_then(Json::as_object) {
-        for (machine, entry) in overlap {
-            let Some(speedup) = entry.get("speedup").and_then(Json::as_f64) else {
-                continue;
-            };
-            checks.push(GateCheck {
-                name: format!("overlap_modeled.{machine}.speedup"),
-                current: speedup,
-                reference: 1.0,
-                limit: cfg.min_overlap_speedup,
-                pass: speedup >= cfg.min_overlap_speedup,
-                direction: ">=",
-            });
-        }
-    }
-    if let Some(scaling) = perf.get("scaling_modeled").and_then(Json::as_object) {
-        for (series, entry) in scaling {
-            if let Some(ratio) = entry.get("graph_cut_ratio_max").and_then(Json::as_f64) {
-                checks.push(GateCheck {
-                    name: format!("scaling_modeled.{series}.graph_cut_ratio_max"),
-                    current: ratio,
-                    reference: 1.0,
-                    limit: cfg.max_graph_cut_ratio,
-                    pass: ratio <= cfg.max_graph_cut_ratio,
-                    direction: "<=",
-                });
-            }
-            if let Some(speedup) = entry.get("overlap_speedup_min").and_then(Json::as_f64) {
-                checks.push(GateCheck {
-                    name: format!("scaling_modeled.{series}.overlap_speedup_min"),
-                    current: speedup,
-                    reference: 1.0,
-                    limit: cfg.min_overlap_speedup,
-                    pass: speedup >= cfg.min_overlap_speedup,
-                    direction: ">=",
-                });
-            }
-            let Some(fields) = entry.as_object() else {
-                continue;
-            };
-            for (key, value) in fields {
-                if !key.starts_with("efficiency_") {
-                    continue;
+    for section in sections {
+        let rows: Vec<&Bound> = BOUNDS.iter().filter(|b| b.section == section).collect();
+        let entries = perf.get(section).and_then(Json::as_object).unwrap_or(&[]);
+        for (entry_name, entry) in entries {
+            let keys = entry.as_object().unwrap_or(&[]);
+            for (i, row) in rows.iter().enumerate() {
+                for (key, value) in keys {
+                    // A key belongs to the first row that matches it.
+                    let first = rows.iter().position(|r| r.matches(entry_name, key));
+                    let Some(value) = value.as_f64().filter(|_| first == Some(i)) else {
+                        continue;
+                    };
+                    let reference = baseline.get(entry_name).and_then(|b| b.get(key));
+                    // `current` checks are named `bench.metric`.
+                    let name = match section {
+                        "current" => format!("{entry_name}.{key}"),
+                        _ => format!("{section}.{entry_name}.{key}"),
+                    };
+                    checks.extend(row.check(entry, name, value, reference.and_then(Json::as_f64)));
                 }
-                let Some(eff) = value.as_f64() else { continue };
-                checks.push(GateCheck {
-                    name: format!("scaling_modeled.{series}.{key}"),
-                    current: eff,
-                    reference: 1.0,
-                    limit: 1.0,
-                    pass: eff > 0.0 && eff <= 1.0 + 1e-9,
-                    direction: "<=",
-                });
-            }
-        }
-    }
-    if let Some(twolevel) = perf.get("twolevel_modeled").and_then(Json::as_object) {
-        for (series, entry) in twolevel {
-            let growth_two = entry.get("twolevel_iter_growth").and_then(Json::as_f64);
-            if let Some(g2) = growth_two {
-                checks.push(GateCheck {
-                    name: format!("twolevel_modeled.{series}.twolevel_iter_growth"),
-                    current: g2,
-                    reference: 1.0,
-                    limit: cfg.max_twolevel_iter_growth,
-                    pass: g2 <= cfg.max_twolevel_iter_growth,
-                    direction: "<=",
-                });
-            }
-            if let (Some(g1), Some(g2)) = (
-                entry.get("onelevel_iter_growth").and_then(Json::as_f64),
-                growth_two,
-            ) {
-                // One-level growth is the reference *and* the limit: the
-                // one-level counts must grow strictly faster, so the
-                // two-level growth has to sit strictly below it. (With a
-                // censored one-level endpoint `g1` is a lower bound, which
-                // only makes this check conservative.)
-                checks.push(GateCheck {
-                    name: format!("twolevel_modeled.{series}.onelevel_iter_growth"),
-                    current: g1,
-                    reference: g2,
-                    limit: g2,
-                    pass: g1 > g2,
-                    direction: ">",
-                });
-            }
-        }
-    }
-    if let Some(physics) = perf.get("physics_modeled").and_then(Json::as_object) {
-        for (series, entry) in physics {
-            if let Some(growth) = entry.get("iter_growth").and_then(Json::as_f64) {
-                checks.push(GateCheck {
-                    name: format!("physics_modeled.{series}.iter_growth"),
-                    current: growth,
-                    reference: 1.0,
-                    limit: cfg.max_physics_iter_growth,
-                    pass: growth <= cfg.max_physics_iter_growth,
-                    direction: "<=",
-                });
-            }
-            let Some(fields) = entry.as_object() else {
-                continue;
-            };
-            for (key, value) in fields {
-                if !key.starts_with("modeled_time_") {
-                    continue;
-                }
-                let Some(t) = value.as_f64() else { continue };
-                checks.push(GateCheck {
-                    name: format!("physics_modeled.{series}.{key}"),
-                    current: t,
-                    reference: 0.0,
-                    limit: 0.0,
-                    pass: t.is_finite() && t > 0.0,
-                    direction: ">",
-                });
             }
         }
     }
@@ -398,20 +321,17 @@ pub fn evaluate(perf: &Json, baseline: &Json, cfg: &GateConfig) -> Result<GateRe
 /// # Errors
 /// [`GateError::Parse`] when either text is not valid JSON, plus
 /// everything [`evaluate`] reports.
-pub fn evaluate_texts(
-    perf_text: &str,
-    baseline_text: &str,
-    cfg: &GateConfig,
-) -> Result<GateReport, GateError> {
-    let perf = json::parse(perf_text).map_err(|e| GateError::Parse {
-        which: "perf",
-        detail: e.to_string(),
-    })?;
-    let baseline = json::parse(baseline_text).map_err(|e| GateError::Parse {
-        which: "baseline",
-        detail: e.to_string(),
-    })?;
-    evaluate(&perf, &baseline, cfg)
+pub fn evaluate_texts(perf_text: &str, baseline_text: &str) -> Result<GateReport, GateError> {
+    let parse = |which, text| {
+        json::parse(text).map_err(|e| GateError::Parse {
+            which,
+            detail: e.to_string(),
+        })
+    };
+    evaluate(
+        &parse("perf", perf_text)?,
+        &parse("baseline", baseline_text)?,
+    )
 }
 
 #[cfg(test)]
@@ -444,8 +364,7 @@ mod tests {
 
     #[test]
     fn healthy_snapshot_passes() {
-        let report =
-            evaluate_texts(&perf(2400.0, 0.0, 1.29), BASELINE, &GateConfig::default()).unwrap();
+        let report = evaluate_texts(&perf(2400.0, 0.0, 1.29), BASELINE).unwrap();
         assert!(report.passed(), "{}", report.render());
         // spmv.mflops, fgmres iters_per_s + 2 alloc metrics, 1 overlap.
         assert_eq!(report.checks.len(), 5);
@@ -453,8 +372,7 @@ mod tests {
 
     #[test]
     fn throughput_collapse_fails() {
-        let report =
-            evaluate_texts(&perf(400.0, 0.0, 1.29), BASELINE, &GateConfig::default()).unwrap();
+        let report = evaluate_texts(&perf(400.0, 0.0, 1.29), BASELINE).unwrap();
         assert!(!report.passed());
         let failures = report.failures();
         assert_eq!(failures.len(), 1);
@@ -464,8 +382,7 @@ mod tests {
 
     #[test]
     fn allocation_regression_fails() {
-        let report =
-            evaluate_texts(&perf(2400.0, 50.0, 1.29), BASELINE, &GateConfig::default()).unwrap();
+        let report = evaluate_texts(&perf(2400.0, 50.0, 1.29), BASELINE).unwrap();
         assert!(!report.passed());
         assert_eq!(
             report.failures()[0].name,
@@ -475,8 +392,7 @@ mod tests {
 
     #[test]
     fn lost_overlap_speedup_fails() {
-        let report =
-            evaluate_texts(&perf(2400.0, 0.0, 0.97), BASELINE, &GateConfig::default()).unwrap();
+        let report = evaluate_texts(&perf(2400.0, 0.0, 0.97), BASELINE).unwrap();
         assert!(!report.passed());
         assert_eq!(report.failures()[0].name, "overlap_modeled.ibm_sp2.speedup");
     }
@@ -500,12 +416,7 @@ mod tests {
 
     #[test]
     fn healthy_scaling_series_passes() {
-        let report = evaluate_texts(
-            &scaling_perf(0.43, 1.14, 0.51),
-            BASELINE,
-            &GateConfig::default(),
-        )
-        .unwrap();
+        let report = evaluate_texts(&scaling_perf(0.43, 1.14, 0.51), BASELINE).unwrap();
         assert!(report.passed(), "{}", report.render());
         // cut ratio + overlap minimum + one efficiency field.
         assert_eq!(report.checks.len(), 3);
@@ -513,12 +424,7 @@ mod tests {
 
     #[test]
     fn graph_partitioner_losing_to_strips_fails() {
-        let report = evaluate_texts(
-            &scaling_perf(1.02, 1.14, 0.51),
-            BASELINE,
-            &GateConfig::default(),
-        )
-        .unwrap();
+        let report = evaluate_texts(&scaling_perf(1.02, 1.14, 0.51), BASELINE).unwrap();
         assert!(!report.passed());
         assert_eq!(
             report.failures()[0].name,
@@ -528,12 +434,7 @@ mod tests {
 
     #[test]
     fn scaling_overlap_regression_fails() {
-        let report = evaluate_texts(
-            &scaling_perf(0.43, 0.96, 0.51),
-            BASELINE,
-            &GateConfig::default(),
-        )
-        .unwrap();
+        let report = evaluate_texts(&scaling_perf(0.43, 0.96, 0.51), BASELINE).unwrap();
         assert!(!report.passed());
         assert_eq!(
             report.failures()[0].name,
@@ -544,12 +445,7 @@ mod tests {
     #[test]
     fn nonphysical_efficiency_fails_in_both_directions() {
         for bad in [1.2, 0.0, -0.1] {
-            let report = evaluate_texts(
-                &scaling_perf(0.43, 1.14, bad),
-                BASELINE,
-                &GateConfig::default(),
-            )
-            .unwrap();
+            let report = evaluate_texts(&scaling_perf(0.43, 1.14, bad), BASELINE).unwrap();
             assert!(!report.passed(), "efficiency {bad} must fail");
             assert_eq!(
                 report.failures()[0].name,
@@ -578,8 +474,7 @@ mod tests {
 
     #[test]
     fn healthy_twolevel_series_passes() {
-        let report =
-            evaluate_texts(&twolevel_perf(1.23, 24.0), BASELINE, &GateConfig::default()).unwrap();
+        let report = evaluate_texts(&twolevel_perf(1.23, 24.0), BASELINE).unwrap();
         assert!(report.passed(), "{}", report.render());
         // growth bound + strict one-level comparison.
         assert_eq!(report.checks.len(), 2);
@@ -587,8 +482,7 @@ mod tests {
 
     #[test]
     fn twolevel_iteration_growth_past_bound_fails() {
-        let report =
-            evaluate_texts(&twolevel_perf(1.5, 24.0), BASELINE, &GateConfig::default()).unwrap();
+        let report = evaluate_texts(&twolevel_perf(1.5, 24.0), BASELINE).unwrap();
         assert!(!report.passed());
         assert_eq!(
             report.failures()[0].name,
@@ -601,8 +495,7 @@ mod tests {
         // Equality fails too: the one-level counts must grow *strictly*
         // faster, otherwise the coarse space buys nothing.
         for g1 in [1.23, 1.1] {
-            let report =
-                evaluate_texts(&twolevel_perf(1.23, g1), BASELINE, &GateConfig::default()).unwrap();
+            let report = evaluate_texts(&twolevel_perf(1.23, g1), BASELINE).unwrap();
             assert!(!report.passed(), "one-level growth {g1} must fail");
             assert_eq!(
                 report.failures()[0].name,
@@ -642,12 +535,7 @@ mod tests {
 
     #[test]
     fn healthy_physics_series_passes() {
-        let report = evaluate_texts(
-            &physics_perf(1.42, "4.6e-3"),
-            BASELINE,
-            &GateConfig::default(),
-        )
-        .unwrap();
+        let report = evaluate_texts(&physics_perf(1.42, "4.6e-3"), BASELINE).unwrap();
         assert!(report.passed(), "{}", report.render());
         // Two series × (1 growth + 2 modeled-time checks).
         assert_eq!(report.checks.len(), 6);
@@ -657,12 +545,7 @@ mod tests {
     fn physics_iteration_growth_past_bound_fails() {
         // The degraded-snapshot self-test: a coarse space that stops
         // flattening a physics workload's counts must trip the gate.
-        let report = evaluate_texts(
-            &physics_perf(1.75, "4.6e-3"),
-            BASELINE,
-            &GateConfig::default(),
-        )
-        .unwrap();
+        let report = evaluate_texts(&physics_perf(1.75, "4.6e-3"), BASELINE).unwrap();
         assert!(!report.passed());
         assert_eq!(
             report.failures()[0].name,
@@ -673,8 +556,7 @@ mod tests {
     #[test]
     fn nonpositive_physics_modeled_time_fails() {
         for bad in ["0.0", "-1.0e-3"] {
-            let report =
-                evaluate_texts(&physics_perf(1.42, bad), BASELINE, &GateConfig::default()).unwrap();
+            let report = evaluate_texts(&physics_perf(1.42, bad), BASELINE).unwrap();
             assert!(!report.passed(), "modeled time {bad} must fail");
             assert_eq!(
                 report.failures()[0].name,
@@ -695,7 +577,7 @@ mod tests {
             "schema": "parfem-bench-perf-v1",
             "current": { "precond_apply_gls7": { "allocs_per_iter": 4.0 } }
         }"#;
-        let report = evaluate_texts(perf, baseline, &GateConfig::default()).unwrap();
+        let report = evaluate_texts(perf, baseline).unwrap();
         assert!(report.passed(), "{}", report.render());
     }
 
@@ -713,7 +595,7 @@ mod tests {
             "current": { "fgmres_iteration_gls7": { "allocs_per_iter": 0.0,
                                                     "alloc_bytes_per_iter": 1.0 } }
         }"#;
-        let report = evaluate_texts(perf, baseline, &GateConfig::default()).unwrap();
+        let report = evaluate_texts(perf, baseline).unwrap();
         assert!(!report.passed());
         assert_eq!(
             report.failures()[0].name,
@@ -727,14 +609,14 @@ mod tests {
         // BENCH_BASELINE.json must pass deterministically.
         let perf = include_str!("../../../BENCH_PERF.json");
         let baseline = include_str!("../../../BENCH_BASELINE.json");
-        let report = evaluate_texts(perf, baseline, &GateConfig::default()).unwrap();
+        let report = evaluate_texts(perf, baseline).unwrap();
         assert!(report.passed(), "{}", report.render());
         assert!(report.checks.len() >= 8, "{}", report.render());
     }
 
     #[test]
     fn malformed_json_is_a_parse_error() {
-        let err = evaluate_texts("{not json", BASELINE, &GateConfig::default()).unwrap_err();
+        let err = evaluate_texts("{not json", BASELINE).unwrap_err();
         assert!(
             matches!(err, GateError::Parse { which: "perf", .. }),
             "{err}"
@@ -746,7 +628,6 @@ mod tests {
         let err = evaluate_texts(
             r#"{"schema": "parfem-bench-perf-v2", "current": {}}"#,
             BASELINE,
-            &GateConfig::default(),
         )
         .unwrap_err();
         assert!(matches!(err, GateError::Schema(_)), "{err}");

@@ -9,13 +9,16 @@
 //! the modeled parallel time is attributed to compute, a message in
 //! flight, or a collective on some rank.
 
-use parfem_dd::{FactorStats, PrecondSpec, Problem, SolveSession, SolverConfig, Strategy};
+use parfem_dd::{
+    DdSolveOutput, FactorStats, PrecondSpec, Problem, SolveSession, SolverConfig, Strategy,
+};
 use parfem_fem::{assembly, quad4, Material};
 use parfem_krylov::gmres::GmresConfig;
 use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, PartitionerSpec, QuadMesh};
 use parfem_msg::{CommStats, FaultPlan, MachineModel};
 use parfem_trace::{
-    export_chrome_trace, json, jsonl, CritPath, EventKind, SegmentKind, TraceReport, TraceSink,
+    export_chrome_trace, json, jsonl, CritPath, EventKind, SegmentKind, TraceEvent, TraceReport,
+    TraceSink,
 };
 use std::time::Duration;
 
@@ -62,11 +65,9 @@ fn cfg() -> SolverConfig {
     }
 }
 
-/// Acceptance: on a P=8 overlapped solve on the virtual IBM SP2, the
-/// critical path's virtual-time length equals the observed makespan, and
-/// its segments tile `[0, makespan]` without gaps or overlaps.
-#[test]
-fn critical_path_length_equals_makespan_on_p8_overlapped_solve() {
+/// The traced P = 8 overlapped EDD solve on the virtual IBM SP2 that the
+/// critical-path and exporter contracts below read.
+fn p8_overlapped_solve() -> (DdSolveOutput, Vec<TraceEvent>) {
     let (mesh, dm, mat, loads) = problem(48, 12);
     let part = ElementPartition::strips_x(&mesh, 8);
     let sink = TraceSink::recording();
@@ -79,7 +80,15 @@ fn critical_path_length_equals_makespan_on_p8_overlapped_solve() {
         .run()
         .expect("fault-free solve");
     assert!(out.history.converged());
-    let events = sink.take_events();
+    (out, sink.take_events())
+}
+
+/// Acceptance: on a P=8 overlapped solve on the virtual IBM SP2, the
+/// critical path's virtual-time length equals the observed makespan, and
+/// its segments tile `[0, makespan]` without gaps or overlaps.
+#[test]
+fn critical_path_length_equals_makespan_on_p8_overlapped_solve() {
+    let (out, events) = p8_overlapped_solve();
     let cp = CritPath::from_events(&events);
 
     assert_eq!(cp.nranks, 8);
@@ -154,6 +163,70 @@ fn critical_path_length_equals_makespan_on_p8_overlapped_solve() {
         .expect("traceEvents array")
         .len();
     assert!(n > events.len(), "metadata records plus one per event");
+}
+
+/// FNV-1a over a parsed JSON tree: numbers by their `f64` bits, strings by
+/// their bytes, arrays and objects by length and members in order. Two
+/// documents that parse to the same tree share a digest whatever their
+/// whitespace or number spelling.
+fn tree_digest(v: &json::Json, h: &mut u64) {
+    fn eat(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    if let Some(x) = v.as_f64() {
+        eat(h, b"n");
+        eat(h, &x.to_bits().to_le_bytes());
+    } else if let Some(s) = v.as_str() {
+        eat(h, b"s");
+        eat(h, &s.len().to_le_bytes());
+        eat(h, s.as_bytes());
+    } else if let Some(items) = v.as_array() {
+        eat(h, b"a");
+        eat(h, &items.len().to_le_bytes());
+        items.iter().for_each(|item| tree_digest(item, h));
+    } else if let Some(members) = v.as_object() {
+        eat(h, b"o");
+        eat(h, &members.len().to_le_bytes());
+        for (k, m) in members {
+            eat(h, &k.len().to_le_bytes());
+            eat(h, k.as_bytes());
+            tree_digest(m, h);
+        }
+    } else {
+        eat(h, format!("{v:?}").as_bytes());
+    }
+}
+
+fn digest_of(text: &str) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    tree_digest(&json::parse(text).expect("exported JSON parses"), &mut h);
+    h
+}
+
+/// The JSON exports of the P = 8 session keep the trees they had before
+/// they were written through the shared codec: the critical path as is, the
+/// chrome export over the deterministic part of the trace (rank events in
+/// rank order, wall clocks zeroed, wall-clock counters dropped). Their bytes
+/// may change; these digests may not.
+#[test]
+fn exported_json_trees_stay_pinned() {
+    let (_, events) = p8_overlapped_solve();
+    let cp = CritPath::from_events(&events);
+    let mut det: Vec<TraceEvent> = events
+        .into_iter()
+        .filter(|e| {
+            e.rank.is_some()
+                && !(e.kind == EventKind::Counter
+                    && (e.name.starts_with("comm_wait_") || e.name == "rank_cpu"))
+        })
+        .map(|e| TraceEvent { t_wall: 0.0, ..e })
+        .collect();
+    det.sort_by_key(|e| e.rank);
+    assert_eq!(digest_of(&cp.to_json()), 0x04f8_40fb_38cb_1652);
+    assert_eq!(digest_of(&export_chrome_trace(&det)), 0xa5a9_3217_3c6c_6754);
 }
 
 /// Trace-consistency under the full option stack: a traced + overlapped +

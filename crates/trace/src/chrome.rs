@@ -22,108 +22,51 @@
 //! machine model scheduled them. Host events run on wall time in their own
 //! row — a different clock, kept for orientation rather than alignment.
 
-use crate::event::{EventKind, TraceEvent, Value};
-use crate::jsonl::encode_json_string;
-use std::fmt::Write as _;
+use crate::event::{EventKind, TraceEvent};
+use crate::json::Json;
 
-/// Converts seconds to integer-ish microseconds with sub-µs remainder kept
-/// (the format accepts fractional `ts`).
-fn us(seconds: f64) -> f64 {
-    seconds * 1e6
+/// One `trace_event` record; `ts` and `dur` in seconds, written in µs (the
+/// format accepts fractional microseconds).
+fn record(ph: &str, name: &str, tid: u64, ts: f64, dur: Option<f64>, args: Option<Json>) -> Json {
+    let mut members = vec![
+        ("name", name.into()),
+        ("ph", ph.into()),
+        ("pid", 0u64.into()),
+        ("tid", tid.into()),
+        ("ts", (ts * 1e6).into()),
+    ];
+    members.extend(dur.map(|d| ("dur", (d * 1e6).into())));
+    members.extend(args.map(|a| ("args", a)));
+    Json::obj(members)
 }
 
-fn push_args(out: &mut String, fields: &[(String, Value)]) {
-    out.push('{');
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&encode_json_string(k));
-        out.push(':');
-        match v {
-            Value::U64(u) => {
-                let _ = write!(out, "{u}");
-            }
-            Value::F64(f) => {
-                if f.is_finite() {
-                    let _ = write!(out, "{f}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Value::Str(s) => out.push_str(&encode_json_string(s)),
-        }
-    }
-    out.push('}');
-}
-
-struct Record<'a> {
-    ph: char,
-    name: &'a str,
-    tid: u64,
-    ts: f64,
-    dur: Option<f64>,
-    args: Option<&'a [(String, Value)]>,
-}
-
-fn push_record(out: &mut String, first: &mut bool, rec: &Record<'_>) {
-    if !*first {
-        out.push_str(",\n");
-    }
-    *first = false;
-    let _ = write!(
-        out,
-        "  {{\"name\":{},\"ph\":\"{}\",\"pid\":0,\"tid\":{},\"ts\":{}",
-        encode_json_string(rec.name),
-        rec.ph,
-        rec.tid,
-        us(rec.ts)
-    );
-    if let Some(dur) = rec.dur {
-        let _ = write!(out, ",\"dur\":{}", us(dur));
-    }
-    if let Some(fields) = rec.args {
-        out.push_str(",\"args\":");
-        push_args(out, fields);
-    }
-    out.push('}');
+fn args(ev: &TraceEvent) -> Option<Json> {
+    Some(Json::obj(
+        ev.fields.iter().map(|(k, v)| (k.as_str(), v.into())),
+    ))
 }
 
 /// Renders the event stream as one `trace_event` JSON document
-/// (`{"traceEvents":[...]}`). The output always parses as valid JSON (the
-/// exporter tests pin this via [`crate::json::parse`]).
+/// (`{"traceEvents":[...]}`, compact layout) through [`crate::json`].
 pub fn export_chrome_trace(events: &[TraceEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 128 + 256);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    let mut first = true;
-
     // Thread-name metadata: host row + one row per rank seen.
-    let mut max_rank: Option<usize> = None;
-    let mut has_host = false;
-    for ev in events {
-        match ev.rank {
-            Some(r) => max_rank = Some(max_rank.map_or(r, |m: usize| m.max(r))),
-            None => has_host = true,
-        }
-    }
-    let name_meta = |out: &mut String, first: &mut bool, tid: u64, label: &str| {
-        if !*first {
-            out.push_str(",\n");
-        }
-        *first = false;
-        let _ = write!(
-            out,
-            "  {{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"args\":{{\"name\":{}}}}}",
-            encode_json_string(label)
-        );
+    let max_rank = events.iter().filter_map(|ev| ev.rank).max();
+    let has_host = events.iter().any(|ev| ev.rank.is_none());
+    let name_meta = |tid: u64, label: String| {
+        Json::obj([
+            ("name", "thread_name".into()),
+            ("ph", "M".into()),
+            ("pid", 0u64.into()),
+            ("tid", tid.into()),
+            ("args", Json::obj([("name", label.into())])),
+        ])
     };
+    let mut records: Vec<Json> = Vec::with_capacity(events.len() + 16);
     if has_host {
-        name_meta(&mut out, &mut first, 0, "host (wall clock)");
+        records.push(name_meta(0, "host (wall clock)".to_string()));
     }
-    if let Some(m) = max_rank {
-        for r in 0..=m {
-            name_meta(&mut out, &mut first, r as u64 + 1, &format!("rank {r}"));
-        }
+    for r in max_rank.map_or(0..0, |m| 0..m + 1) {
+        records.push(name_meta(r as u64 + 1, format!("rank {r}")));
     }
 
     for ev in events {
@@ -132,130 +75,46 @@ pub fn export_chrome_trace(events: &[TraceEvent]) -> String {
             Some(r) => (r as u64 + 1, ev.t_virt),
             None => (0, ev.t_wall),
         };
-        match ev.kind {
-            EventKind::SpanBegin => push_record(
-                &mut out,
-                &mut first,
-                &Record {
-                    ph: 'B',
-                    name: &ev.name,
-                    tid,
-                    ts,
-                    dur: None,
-                    args: None,
-                },
-            ),
-            EventKind::SpanEnd => push_record(
-                &mut out,
-                &mut first,
-                &Record {
-                    ph: 'E',
-                    name: &ev.name,
-                    tid,
-                    ts,
-                    dur: None,
-                    args: None,
-                },
-            ),
-            EventKind::Recv => {
-                // A blocked receive renders as a wait slice; the instant
-                // carries the matching fields either way.
-                let before = ev.f64("t_before").unwrap_or(ev.t_virt);
-                if ev.t_virt > before {
-                    push_record(
-                        &mut out,
-                        &mut first,
-                        &Record {
-                            ph: 'X',
-                            name: "recv-wait",
-                            tid,
-                            ts: before,
-                            dur: Some(ev.t_virt - before),
-                            args: Some(&ev.fields),
-                        },
-                    );
-                } else {
-                    push_record(
-                        &mut out,
-                        &mut first,
-                        &Record {
-                            ph: 'i',
-                            name: "recv",
-                            tid,
-                            ts,
-                            dur: None,
-                            args: Some(&ev.fields),
-                        },
-                    );
-                }
+        let before = ev.f64("t_before").unwrap_or(ev.t_virt);
+        records.push(match ev.kind {
+            EventKind::SpanBegin => record("B", &ev.name, tid, ts, None, None),
+            EventKind::SpanEnd => record("E", &ev.name, tid, ts, None, None),
+            // A blocked receive renders as a wait slice; the instant
+            // carries the matching fields either way.
+            EventKind::Recv if ev.t_virt > before => {
+                let dur = Some(ev.t_virt - before);
+                record("X", "recv-wait", tid, before, dur, args(ev))
             }
             EventKind::Allreduce | EventKind::Barrier => {
-                let name = if ev.kind == EventKind::Allreduce {
-                    "allreduce"
-                } else {
-                    "barrier"
-                };
-                let before = ev.f64("t_before").unwrap_or(ev.t_virt);
-                push_record(
-                    &mut out,
-                    &mut first,
-                    &Record {
-                        ph: 'X',
-                        name,
-                        tid,
-                        ts: before.min(ev.t_virt),
-                        dur: Some((ev.t_virt - before).max(0.0)),
-                        args: Some(&ev.fields),
-                    },
-                );
+                let dur = Some((ev.t_virt - before).max(0.0));
+                let name = ev.kind.as_str();
+                record("X", name, tid, before.min(ev.t_virt), dur, args(ev))
             }
             EventKind::Counter => {
-                if !first {
-                    out.push_str(",\n");
-                }
-                first = false;
-                let _ = write!(
-                    out,
-                    "  {{\"name\":{},\"ph\":\"C\",\"pid\":0,\"tid\":{tid},\"ts\":{},\"args\":{{\"value\":{}}}}}",
-                    encode_json_string(&ev.name),
-                    us(ts),
-                    ev.u64("value").unwrap_or(0)
-                );
+                let value = Json::obj([("value", ev.u64("value").unwrap_or(0).into())]);
+                record("C", &ev.name, tid, ts, None, Some(value))
             }
-            EventKind::Send
-            | EventKind::Instant
+            EventKind::Instant => record("i", &ev.name, tid, ts, None, args(ev)),
+            EventKind::Recv
+            | EventKind::Send
             | EventKind::Exchange
             | EventKind::Iter
-            | EventKind::RankEnd => {
-                let name: &str = match ev.kind {
-                    EventKind::Send => "send",
-                    EventKind::Exchange => "exchange",
-                    EventKind::Iter => "iter",
-                    EventKind::RankEnd => "rank_end",
-                    _ => &ev.name,
-                };
-                push_record(
-                    &mut out,
-                    &mut first,
-                    &Record {
-                        ph: 'i',
-                        name,
-                        tid,
-                        ts,
-                        dur: None,
-                        args: Some(&ev.fields),
-                    },
-                );
-            }
-        }
+            | EventKind::RankEnd => record("i", ev.kind.as_str(), tid, ts, None, args(ev)),
+        });
     }
-    out.push_str("\n]}\n");
+    let mut out = Json::obj([
+        ("displayTimeUnit", "ms".into()),
+        ("traceEvents", Json::Arr(records)),
+    ])
+    .to_compact();
+    out.push('\n');
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Value;
     use crate::json;
 
     fn sample_events() -> Vec<TraceEvent> {

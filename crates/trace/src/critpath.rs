@@ -37,6 +37,7 @@
 
 use crate::aggregate::TraceReport;
 use crate::event::{EventKind, TraceEvent};
+use crate::json::Json;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -447,67 +448,45 @@ impl CritPath {
     }
 
     /// Exports the analysis as one JSON document (schema
-    /// `parfem-critpath-v1`), parseable by [`crate::json`].
+    /// `parfem-critpath-v1`, indented layout of [`crate::json`]).
     pub fn to_json(&self) -> String {
-        fn num(out: &mut String, v: f64) {
-            if v.is_finite() {
-                let _ = write!(out, "{v}");
-            } else {
-                out.push_str("null");
-            }
-        }
-        let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"parfem-critpath-v1\",\n");
-        let _ = writeln!(out, "  \"nranks\": {},", self.nranks);
-        let _ = writeln!(out, "  \"bound_rank\": {},", self.bound_rank);
-        out.push_str("  \"makespan\": ");
-        num(&mut out, self.makespan);
-        out.push_str(",\n  \"efficiency\": ");
-        num(&mut out, self.efficiency);
-        out.push_str(",\n  \"path\": { \"compute\": ");
-        num(&mut out, self.path_compute);
-        out.push_str(", \"message\": ");
-        num(&mut out, self.path_message);
-        out.push_str(", \"contention\": ");
-        num(&mut out, self.path_contention);
-        out.push_str(", \"collective\": ");
-        num(&mut out, self.path_collective);
-        out.push_str(" },\n  \"segments\": [\n");
-        for (i, s) in self.segments.iter().enumerate() {
-            let _ = write!(out, "    {{ \"rank\": {}, \"t0\": ", s.rank);
-            num(&mut out, s.t0);
-            out.push_str(", \"t1\": ");
-            num(&mut out, s.t1);
-            let _ = writeln!(
-                out,
-                ", \"kind\": \"{}\", \"detail\": {} }}{}",
-                s.kind.as_str(),
-                crate::jsonl::encode_json_string(&s.detail),
-                if i + 1 < self.segments.len() { "," } else { "" }
-            );
-        }
-        out.push_str("  ],\n  \"ranks\": [\n");
-        for (i, r) in self.ranks.iter().enumerate() {
-            let _ = write!(out, "    {{ \"rank\": {}, \"final_virt\": ", r.rank);
-            num(&mut out, r.final_virt);
-            out.push_str(", \"recv_wait\": ");
-            num(&mut out, r.recv_wait);
-            out.push_str(", \"collective_wait\": ");
-            num(&mut out, r.collective_wait);
-            out.push_str(", \"collective_cost\": ");
-            num(&mut out, r.collective_cost);
-            out.push_str(", \"busy\": ");
-            num(&mut out, r.busy);
-            out.push_str(", \"idle_tail\": ");
-            num(&mut out, r.idle_tail);
-            let _ = writeln!(
-                out,
-                " }}{}",
-                if i + 1 < self.ranks.len() { "," } else { "" }
-            );
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let segments = self.segments.iter().map(|s| {
+            Json::obj([
+                ("rank", s.rank.into()),
+                ("t0", s.t0.into()),
+                ("t1", s.t1.into()),
+                ("kind", s.kind.as_str().into()),
+                ("detail", s.detail.as_str().into()),
+            ])
+        });
+        let ranks = self.ranks.iter().map(|r| {
+            Json::obj([
+                ("rank", r.rank.into()),
+                ("final_virt", r.final_virt.into()),
+                ("recv_wait", r.recv_wait.into()),
+                ("collective_wait", r.collective_wait.into()),
+                ("collective_cost", r.collective_cost.into()),
+                ("busy", r.busy.into()),
+                ("idle_tail", r.idle_tail.into()),
+            ])
+        });
+        let path = Json::obj([
+            ("compute", self.path_compute.into()),
+            ("message", self.path_message.into()),
+            ("contention", self.path_contention.into()),
+            ("collective", self.path_collective.into()),
+        ]);
+        Json::obj([
+            ("schema", "parfem-critpath-v1".into()),
+            ("nranks", self.nranks.into()),
+            ("bound_rank", self.bound_rank.into()),
+            ("makespan", self.makespan.into()),
+            ("efficiency", self.efficiency.into()),
+            ("path", path),
+            ("segments", Json::Arr(segments.collect())),
+            ("ranks", Json::Arr(ranks.collect())),
+        ])
+        .to_indented()
     }
 }
 

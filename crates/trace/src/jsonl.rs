@@ -1,95 +1,53 @@
-//! Hand-rolled JSON-Lines codec for [`TraceEvent`] streams.
+//! The JSON-Lines codec for [`TraceEvent`] streams, over [`crate::json`].
 //!
 //! One JSON object per line. Reserved keys: `rank` (integer or `null`),
 //! `tw`, `tv` (numbers), `kind` (string), `name` (string, omitted when
 //! empty). Every other key/value pair is an event field. Values are limited
 //! to non-negative integers, floats, strings, and `null` (non-finite float);
-//! Rust's shortest-round-trip float formatting makes encode → parse exact
-//! for finite values.
+//! the writer's shortest-round-trip float formatting makes encode → parse
+//! exact for finite values.
 
 use crate::event::{EventKind, TraceEvent, Value};
-use std::fmt::Write as _;
+use crate::json::{self, Json};
+
+impl From<&Value> for Json {
+    fn from(v: &Value) -> Json {
+        match v {
+            Value::U64(u) => Json::Int(*u),
+            Value::F64(f) => Json::Num(*f),
+            Value::Str(s) => Json::from(s.as_str()),
+        }
+    }
+}
+
+fn to_json(ev: &TraceEvent) -> Json {
+    let rank = ev.rank.map_or(Json::Null, Json::from);
+    let mut members = vec![
+        ("rank", rank),
+        ("tw", ev.t_wall.into()),
+        ("tv", ev.t_virt.into()),
+        ("kind", ev.kind.as_str().into()),
+    ];
+    if !ev.name.is_empty() {
+        members.push(("name", ev.name.as_str().into()));
+    }
+    let fields = ev.fields.iter().map(|(k, v)| (k.as_str(), v.into()));
+    Json::obj(members.into_iter().chain(fields))
+}
 
 /// Encodes one event as a single JSON line (no trailing newline).
 pub fn encode(ev: &TraceEvent) -> String {
-    let mut out = String::with_capacity(96);
-    out.push('{');
-    match ev.rank {
-        Some(r) => {
-            let _ = write!(out, "\"rank\":{r}");
-        }
-        None => out.push_str("\"rank\":null"),
-    }
-    let _ = write!(out, ",\"tw\":");
-    push_f64(&mut out, ev.t_wall);
-    let _ = write!(out, ",\"tv\":");
-    push_f64(&mut out, ev.t_virt);
-    let _ = write!(out, ",\"kind\":\"{}\"", ev.kind.as_str());
-    if !ev.name.is_empty() {
-        out.push_str(",\"name\":");
-        push_str(&mut out, &ev.name);
-    }
-    for (k, v) in &ev.fields {
-        out.push(',');
-        push_str(&mut out, k);
-        out.push(':');
-        match v {
-            Value::U64(u) => {
-                let _ = write!(out, "{u}");
-            }
-            Value::F64(f) => push_f64(&mut out, *f),
-            Value::Str(s) => push_str(&mut out, s),
-        }
-    }
-    out.push('}');
-    out
+    to_json(ev).to_compact()
 }
 
 /// Encodes a whole event stream as JSON-Lines text (one `\n` per event).
 pub fn encode_all(events: &[TraceEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 96);
     for ev in events {
-        out.push_str(&encode(ev));
+        to_json(ev).write_compact(&mut out);
         out.push('\n');
     }
     out
-}
-
-/// Encodes `s` as one quoted JSON string literal (the crate's canonical
-/// escaping, shared with the JSONL codec). Used by the other JSON-emitting
-/// exporters ([`crate::chrome`], [`crate::CritPath::to_json`]).
-pub fn encode_json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    push_str(&mut out, s);
-    out
-}
-
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // `{}` on f64 is shortest-round-trip, so parse() recovers the bits.
-        let _ = write!(out, "{v}");
-        // Bare integers like `3` must still parse as f64 — fine for str::parse.
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn push_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// A parse failure: the offending line (1-based) and a short reason.
@@ -111,72 +69,46 @@ impl std::error::Error for ParseError {}
 
 /// Parses one JSON line back into an event.
 pub fn decode(line: &str) -> Result<TraceEvent, String> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
+    let Json::Obj(members) = json::parse(line).map_err(|e| e.to_string())? else {
+        return Err("a trace line must be a JSON object".to_string());
     };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut rank: Option<usize> = None;
-    let mut t_wall = 0.0;
-    let mut t_virt = 0.0;
-    let mut kind: Option<EventKind> = None;
-    let mut name = String::new();
-    let mut fields = Vec::new();
-    loop {
-        p.skip_ws();
-        if p.eat(b'}') {
-            break;
-        }
-        let key = p.parse_string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        let value = p.parse_value()?;
-        match key.as_str() {
-            "rank" => {
-                rank = match value {
-                    Json::Null => None,
-                    Json::U64(u) => Some(u as usize),
-                    other => return Err(format!("rank must be integer or null, got {other:?}")),
-                }
-            }
-            "tw" => t_wall = value.to_f64().ok_or("tw must be a number")?,
-            "tv" => t_virt = value.to_f64().ok_or("tv must be a number")?,
-            "kind" => {
-                let s = value.into_string().ok_or("kind must be a string")?;
+    // `null` stands for a non-finite float.
+    let number = |key: &str, v: &Json| match v {
+        Json::Null => Ok(f64::NAN),
+        v => v.as_f64().ok_or(format!("{key} must be a number")),
+    };
+    let mut ev = TraceEvent {
+        rank: None,
+        t_wall: 0.0,
+        t_virt: 0.0,
+        kind: EventKind::Instant,
+        name: String::new(),
+        fields: Vec::new(),
+    };
+    let mut kind = None;
+    for (key, value) in members {
+        match (key.as_str(), value) {
+            ("rank", Json::Null) => ev.rank = None,
+            ("rank", Json::Int(r)) => ev.rank = Some(r as usize),
+            ("rank", other) => return Err(format!("rank must be integer or null, got {other:?}")),
+            ("tw", v) => ev.t_wall = number("tw", &v)?,
+            ("tv", v) => ev.t_virt = number("tv", &v)?,
+            ("kind", Json::Str(s)) => {
                 kind = Some(EventKind::parse(&s).ok_or_else(|| format!("unknown kind {s:?}"))?);
             }
-            "name" => name = value.into_string().ok_or("name must be a string")?,
-            _ => fields.push((
-                key,
-                match value {
-                    Json::U64(u) => Value::U64(u),
-                    Json::F64(f) => Value::F64(f),
-                    Json::Str(s) => Value::Str(s),
-                    Json::Null => Value::F64(f64::NAN),
-                },
-            )),
-        }
-        p.skip_ws();
-        if !p.eat(b',') {
-            p.skip_ws();
-            p.expect(b'}')?;
-            break;
+            ("kind", _) => return Err("kind must be a string".to_string()),
+            ("name", Json::Str(s)) => ev.name = s,
+            ("name", _) => return Err("name must be a string".to_string()),
+            (_, Json::Int(u)) => ev.fields.push((key, Value::U64(u))),
+            (_, Json::Str(s)) => ev.fields.push((key, Value::Str(s))),
+            (_, v) => {
+                let f = number(&key, &v)?;
+                ev.fields.push((key, Value::F64(f)));
+            }
         }
     }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err("trailing characters after object".to_string());
-    }
-    Ok(TraceEvent {
-        rank,
-        t_wall,
-        t_virt,
-        kind: kind.ok_or("missing kind")?,
-        name,
-        fields,
-    })
+    ev.kind = kind.ok_or("missing kind")?;
+    Ok(ev)
 }
 
 /// Parses a JSON-Lines document (blank lines ignored) into events.
@@ -192,157 +124,6 @@ pub fn decode_all(text: &str) -> Result<Vec<TraceEvent>, ParseError> {
         })?);
     }
     Ok(events)
-}
-
-#[derive(Debug)]
-enum Json {
-    Null,
-    U64(u64),
-    F64(f64),
-    Str(String),
-}
-
-impl Json {
-    fn to_f64(&self) -> Option<f64> {
-        match self {
-            Json::U64(u) => Some(*u as f64),
-            Json::F64(f) => Some(*f),
-            Json::Null => Some(f64::NAN),
-            Json::Str(_) => None,
-        }
-    }
-
-    fn into_string(self) -> Option<String> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.peek().ok_or("unterminated string")? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.peek().ok_or("unterminated escape")? {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            s.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (we operate on byte offsets).
-                    let rest = &self.bytes[self.pos..];
-                    let text =
-                        std::str::from_utf8(rest).map_err(|_| "invalid utf-8".to_string())?;
-                    let c = text.chars().next().ok_or("unterminated string")?;
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json, String> {
-        match self.peek().ok_or("unexpected end of line")? {
-            b'"' => Ok(Json::Str(self.parse_string()?)),
-            b'n' => {
-                if self.bytes[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(Json::Null)
-                } else {
-                    Err("bad literal".to_string())
-                }
-            }
-            _ => {
-                let start = self.pos;
-                while self.peek().is_some_and(|b| {
-                    b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-                }) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid number".to_string())?;
-                if text.is_empty() {
-                    return Err(format!("expected value at byte {start}"));
-                }
-                if text.bytes().all(|b| b.is_ascii_digit()) {
-                    // Huge all-digit literals (e.g. the Display form of
-                    // f64::MAX) overflow u64; fall back to f64.
-                    text.parse::<u64>().map(Json::U64).or_else(|_| {
-                        text.parse::<f64>()
-                            .map(Json::F64)
-                            .map_err(|e| format!("bad number {text:?}: {e}"))
-                    })
-                } else {
-                    text.parse::<f64>()
-                        .map(Json::F64)
-                        .map_err(|e| format!("bad number {text:?}: {e}"))
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -445,6 +226,21 @@ mod tests {
         let bad = format!("{}\nnot json\n", encode(&ev));
         let err = decode_all(&bad).unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn fields_hold_only_numbers_strings_and_null() {
+        let head = "{\"rank\":0,\"tw\":0,\"tv\":0,\"kind\":\"send\",\"x\":";
+        for bad in ["true", "[1]", "{\"a\":1}"] {
+            let err = decode(&format!("{head}{bad}}}")).unwrap_err();
+            assert!(err.contains("x must be a number"), "{bad}: {err}");
+        }
+        assert!(decode(&format!("{head}null}}"))
+            .unwrap()
+            .f64("x")
+            .unwrap()
+            .is_nan());
+        assert!(decode("[1]").is_err());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   locally and flushes them into the sink when dropped. A disabled sink is
 //!   a `None` and every emission short-circuits on one branch, so tracing
 //!   costs nothing when off.
-//! * [`jsonl`] — a hand-rolled JSON-Lines encoder/decoder (no serde): one
-//!   event per line, round-trip exact for finite floats.
+//! * [`jsonl`] — the JSON-Lines trace codec over [`json`]: one event per
+//!   line, round-trip exact for finite floats.
 //! * [`Histogram`] — low-overhead power-of-two-bucket histograms for hot
 //!   paths (message sizes).
 //! * [`alloc`] — an opt-in counting global allocator; when a binary or test
@@ -31,8 +31,10 @@
 //!   flight, and collective segments.
 //! * [`chrome`] — a Chrome/Perfetto `trace_event` exporter for interactive
 //!   per-rank timelines at high rank counts.
-//! * [`json`] — a small generic JSON reader shared by the perf-gate and the
-//!   exporter tests.
+//! * [`json`] — the workspace's one JSON codec (no serde): a value type,
+//!   one parser with a nesting bound, and one writer with a compact and an
+//!   indented layout. The trace codec, the exporters, the perf gate and the
+//!   bench snapshots all read and write through it.
 //!
 //! The event schema is documented on [`TraceEvent`]; the stable JSON keys are
 //! documented in [`jsonl`].

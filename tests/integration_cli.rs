@@ -198,6 +198,34 @@ fn report_on_missing_file_fails_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
 }
 
+/// A document nested 100 000 deep is a clean `error:` line and exit 1 on
+/// both commands that parse JSON from a file, not a stack overflow.
+#[test]
+fn deeply_nested_json_fails_cleanly() {
+    let dir = std::env::temp_dir().join("parfem_cli_deep_json_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let perf = dir.join("deep.json");
+    std::fs::write(&perf, "[".repeat(100_000)).unwrap();
+    let trace = dir.join("deep.jsonl");
+    let line = "{\"rank\":0,\"tw\":0,\"tv\":0,\"kind\":\"send\",\"x\":";
+    std::fs::write(&trace, format!("{line}{}\n", "[".repeat(100_000))).unwrap();
+    let root = env!("CARGO_MANIFEST_DIR").to_string() + "/../..";
+    for args in [
+        ["perf-gate", "--perf", perf.to_str().unwrap()],
+        ["report", "--trace", trace.to_str().unwrap()],
+    ] {
+        let out = parfem()
+            .args(args)
+            .current_dir(&root)
+            .output()
+            .expect("run parfem");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error:"), "{args:?}: {stderr}");
+        assert!(stderr.contains("nested deeper"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn bad_arguments_fail_with_usage() {
     let out = parfem().arg("frobnicate").output().expect("run parfem");
