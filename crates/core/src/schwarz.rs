@@ -18,7 +18,7 @@ mod tests {
     use parfem_krylov::GmresConfig;
     use parfem_mesh::NodePartition;
     use parfem_precond::{PrecondSpec, Preconditioner, SpecPrecond};
-    use parfem_sparse::{CooMatrix, CsrMatrix, SparseError};
+    use parfem_sparse::{CooMatrix, CsrMatrix, NodeMatrix, SparseError};
 
     fn laplacian(n: usize) -> CsrMatrix {
         let mut coo = CooMatrix::new(n, n);
@@ -51,7 +51,10 @@ mod tests {
     fn block_jacobi_apply(a: &CsrMatrix, p: usize, v: &[f64]) -> Vec<f64> {
         let mut z = vec![0.0; v.len()];
         for (sys, pc) in blocks(a, p).expect("nonsingular blocks") {
-            let z_loc = Preconditioner::<CsrMatrix>::apply(&pc, &sys.a_loc, &sys.restrict(v));
+            let NodeMatrix::Csr(a_loc) = &sys.a_loc else {
+                unreachable!("one dof per node is stored as CSR")
+            };
+            let z_loc = Preconditioner::<CsrMatrix>::apply(&pc, a_loc, &sys.restrict(v));
             for (&row, zi) in sys.rows.iter().zip(z_loc) {
                 z[row] = zi;
             }

@@ -64,7 +64,7 @@ use parfem_precond::twolevel::{
     CoarseSetup, CoarseSpec, LiveMode, LocalRows, ModePanel, ModeSet,
 };
 use parfem_sparse::ldlt::DEFAULT_PIVOT_TOL;
-use parfem_sparse::{CsrMatrix, NodeMatrix};
+use parfem_sparse::NodeMatrix;
 use parfem_trace::alloc::{self, AllocStats};
 use parfem_trace::Value;
 
@@ -109,9 +109,9 @@ impl<C: Communicator> CoarseSetup for EddOperator<'_, C> {
 }
 
 impl<C: Communicator> CoarseSetup for RddOperator<'_, C> {
-    type Rows = CsrMatrix;
+    type Rows = NodeMatrix;
 
-    fn local_rows(&self) -> LocalRows<'_> {
+    fn local_rows(&self) -> LocalRows<'_, NodeMatrix> {
         LocalRows::with_ghosts(&self.sys.a_loc, &self.sys.a_ext, self.sys.ext_dofs.len())
     }
 

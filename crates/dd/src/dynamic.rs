@@ -36,8 +36,8 @@ pub struct DynamicRunOutput {
     pub all_converged: bool,
 }
 
-/// The transient engine behind [`SolveSession::run_dynamic`]
-/// (`crate::SolveSession`): one `run_ranks` launch whose rank body assembles
+/// The transient engine behind
+/// [`SolveSession::run_dynamic`](crate::SolveSession::run_dynamic): one `run_ranks` launch whose rank body assembles
 /// its own stiffness and lumped mass ([`assemble_on_rank`]) and runs the
 /// session's EDD rank setup ([`edd_rank_setup`]) on the effective matrix —
 /// distributed scaling and the registry preconditioner, once — then

@@ -136,16 +136,6 @@ impl EddLocalMatrix {
         self.interface_flops + self.interior_flops
     }
 
-    /// The kernel that applies this matrix, as traces and reports name it:
-    /// `csr`, `bcsr2` or `bcsr3`.
-    pub fn kernel_label(&self) -> &'static str {
-        match &self.a {
-            NodeMatrix::Csr(_) => "csr",
-            NodeMatrix::Blocks(a) if a.block_size() == 2 => "bcsr2",
-            NodeMatrix::Blocks(_) => "bcsr3",
-        }
-    }
-
     /// The main diagonal.
     pub fn diagonal(&self) -> Vec<f64> {
         self.a.diagonal()
@@ -326,7 +316,7 @@ impl<C: Communicator> DistributedOperator for EddOperator<'_, C> {
     }
 
     fn kernel_variant(&self) -> &'static str {
-        self.a_local.kernel_label()
+        self.a_local.matrix().kernel_label()
     }
 
     /// Four basis vectors per pass over `w`, `⟨w, w⟩` riding in the last

@@ -19,21 +19,24 @@
 //! No rank needs the assembled matrix: each builds its own block row from
 //! the elements touching its nodes — one ghost layer — and scales it with
 //! its own row sums plus one halo exchange of the diagonal
-//! ([`RddSystem::assemble`]).
+//! ([`RddSystem::assemble`]). `A_loc` takes the storage of a local matrix,
+//! `B × B` node blocks at 2 or 3 DOFs per node and CSR for one, assembled
+//! and scaled in place; `A_ext` is scalar CSR over the ghost DOFs.
 
 use crate::coarse::{rdd_part_geometry, CoarsePlan};
 use crate::error::SolveError;
 use crate::session::{
     build_precond, rank_span, Decomposition, PrecondBuildStats, Problem, SolverConfig,
 };
+use parfem_fem::assembly::OwnedRows;
 use parfem_krylov::gmres::{fgmres_on, GmresConfig, GmresResult};
 use parfem_krylov::{DistributedOperator, KrylovWorkspace};
-use parfem_mesh::{DofMap, NodePartition};
+use parfem_mesh::NodePartition;
 use parfem_msg::Communicator;
 use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSpec, SpecPrecond};
 use parfem_precond::{InterfaceConsistency, Preconditioner};
 use parfem_sparse::scaling::inv_sqrt_scaling;
-use parfem_sparse::{dense, kernels, CsrMatrix, LinearOperator};
+use parfem_sparse::{dense, kernels, CsrMatrix, LinearOperator, NodeMatrix};
 use std::borrow::Cow;
 use std::cell::RefCell;
 
@@ -44,9 +47,11 @@ pub struct RddSystem {
     pub rank: usize,
     /// Global DOFs of the owned rows, ascending.
     pub rows: Vec<usize>,
-    /// Coupling among owned DOFs (`n_loc × n_loc`, locally renumbered).
-    pub a_loc: CsrMatrix,
-    /// Coupling to external DOFs (`n_loc × n_ext`).
+    /// Coupling among owned DOFs (`n_loc × n_loc`, locally renumbered), in
+    /// the storage its DOFs per node give it: `B × B` node blocks for 2 or
+    /// 3, CSR for one.
+    pub a_loc: NodeMatrix,
+    /// Coupling to external DOFs (`n_loc × n_ext`), scalar CSR.
     pub a_ext: CsrMatrix,
     /// The owned rows with an entry in `a_ext`, ascending: the only rows
     /// the halo product adds to.
@@ -85,8 +90,10 @@ impl RddSystem {
 
     /// Builds all `P` block-row systems from an assembled (and already
     /// scaled) system, each through the same per-rank split as
-    /// [`RddSystem::assemble`], with unit scaling. For callers that hold a
-    /// global matrix; a session never builds one.
+    /// [`RddSystem::assemble`], with unit scaling: `a_loc` is the owned
+    /// columns of the rank's rows in the storage the DOFs per node give it
+    /// ([`NodeMatrix::from_csr`]). For callers that hold a global matrix; a
+    /// session never builds one.
     ///
     /// # Panics
     /// Panics if shapes are inconsistent.
@@ -102,8 +109,7 @@ impl RddSystem {
         // split serves every physics (1 scalar, 2 plane, 3 solid DOFs).
         let dofs_per_node = n / n_nodes;
         let dof_owner = |d: usize| part.owner(d / dofs_per_node);
-        // The columns are the global dofs; a dof's index among its owner's.
-        let global: Vec<usize> = (0..n).collect();
+        // A dof's index among its owner's.
         let mut index = vec![0; n];
         let mut count = vec![0; part.n_parts()];
         for d in 0..n {
@@ -114,28 +120,39 @@ impl RddSystem {
         (0..part.n_parts())
             .map(|s| {
                 let rows: Vec<usize> = (0..n).filter(|&d| dof_owner(d) == s).collect();
-                let mut row_ptr = vec![0];
-                let (mut cols, mut vals) = (Vec::new(), Vec::new());
-                for &d in &rows {
-                    let (c, v) = a.row(d);
-                    cols.extend_from_slice(c);
-                    vals.extend_from_slice(v);
-                    row_ptr.push(cols.len());
-                }
-                let local = (0..n)
-                    .map(|d| {
-                        if dof_owner(d) == s {
-                            index[d]
-                        } else {
-                            usize::MAX
-                        }
-                    })
+                let mut ext_dofs: Vec<usize> = (rows.iter().flat_map(|&d| a.row(d).0))
+                    .copied()
+                    .filter(|&c| dof_owner(c) != s)
                     .collect();
-                let rhs = rows.iter().map(|&d| b[d]).collect();
-                let k = CsrMatrix::from_raw_parts(rows.len(), n, row_ptr, cols, vals)
-                    .expect("rows of a valid matrix");
-                let block = BlockRows { rows, k, rhs };
-                Split::new(s, block, &global, local, dof_owner).finish(&ones, &ones)
+                ext_dofs.sort_unstable();
+                ext_dofs.dedup();
+                let mut loc = (vec![0], Vec::new(), Vec::new());
+                let mut ext = (vec![0], Vec::new(), Vec::new());
+                for &d in &rows {
+                    let (cols, vals) = a.row(d);
+                    for (&c, &v) in cols.iter().zip(vals) {
+                        let (to, j) = match dof_owner(c) == s {
+                            true => (&mut loc, index[c]),
+                            false => (&mut ext, ext_dofs.binary_search(&c).expect("listed")),
+                        };
+                        to.1.push(j);
+                        to.2.push(v);
+                    }
+                    loc.0.push(loc.1.len());
+                    ext.0.push(ext.1.len());
+                }
+                let csr = |(row_ptr, cols, vals), n_cols| {
+                    CsrMatrix::from_raw_parts(rows.len(), n_cols, row_ptr, cols, vals)
+                        .expect("rows of a valid matrix")
+                };
+                let block = OwnedRows {
+                    a_loc: NodeMatrix::from_csr(csr(loc, rows.len()), dofs_per_node),
+                    a_ext: csr(ext, ext_dofs.len().max(1)),
+                    rhs: rows.iter().map(|&d| b[d]).collect(),
+                    rows,
+                    ext_dofs,
+                };
+                Split::new(s, block, dof_owner).finish(&ones[..count[s]], &ones)
             })
             .collect()
     }
@@ -144,16 +161,18 @@ impl RddSystem {
     /// the session's RDD setup — and returns it with its scaling diagonal
     /// `d` over the owned rows.
     ///
-    /// Under the rank span `assembly` the rank assembles the elements with
-    /// a node it owns, in ascending element order through the one
-    /// pattern-first core, and keeps its owned rows with the Dirichlet
-    /// constraints applied (constrained columns lifted into the right-hand
-    /// side in column order, constrained rows unit diagonals). Under
-    /// `scaling` it takes the norm-1 row sums of those rows (Algorithm 3),
-    /// fetches `d` at its external columns in one halo exchange, and splits
-    /// the rows into `a_loc = D A D` and `a_ext` (Algorithm 4). Every value
-    /// equals, bit for bit, the block row [`RddSystem::build_all`] cuts from
-    /// the scaled global system.
+    /// Under the rank span `assembly` the rank assembles its owned rows
+    /// from the elements with a node it owns, in ascending element order
+    /// through the one pattern-first core, with the Dirichlet constraints
+    /// applied (constrained columns lifted into the right-hand side in
+    /// column order, constrained rows unit diagonals): the owned columns
+    /// straight into `a_loc`'s storage, the ghost columns into `a_ext`
+    /// ([`parfem_fem::assembly::assemble_owned`]). Under `scaling` it takes
+    /// the norm-1 row sums of those rows in global column order
+    /// (Algorithm 3), fetches `d` at its external columns in one halo
+    /// exchange, and scales both blocks in place into `a_loc = D A D` and
+    /// `a_ext` (Algorithm 4). Every value equals, bit for bit, the block row
+    /// [`RddSystem::build_all`] cuts from the scaled global system.
     ///
     /// The rank clock is charged what EDD charges: the element kernel's
     /// documented flop count plus one add per scattered entry for every
@@ -170,27 +189,13 @@ impl RddSystem {
         let rank = comm.rank();
         let dpn = problem.dof_map.dofs_per_node();
         let split = rank_span(comm, "assembly", || {
-            let (nodes, n_elems, k) = problem.assemble_touching(|n| part.owner(n) == rank);
+            let (block, n_elems) = problem.assemble_owned(|n| part.owner(n) == rank);
             comm.work(problem.assembly_flops(n_elems));
-            let global: Vec<usize> = (nodes.iter())
-                .flat_map(|&n| (0..dpn).map(move |c| n * dpn + c))
-                .collect();
-            let mut owned = 0;
-            let local: Vec<usize> = (0..global.len())
-                .map(|l| {
-                    if part.owner(nodes[l / dpn]) != rank {
-                        return usize::MAX;
-                    }
-                    owned += 1;
-                    owned - 1
-                })
-                .collect();
-            let block = BlockRows::constrain(k, &global, &local, problem.dof_map, problem.loads);
-            Split::new(rank, block, &global, local, |g| part.owner(g / dpn))
+            Split::new(rank, block, |g| part.owner(g / dpn))
         });
         rank_span(comm, "scaling", || {
-            let d = inv_sqrt_scaling(&split.block.k.row_abs_sums());
-            comm.work(2 * split.block.k.nnz() as u64);
+            let d = inv_sqrt_scaling(&split.block.row_abs_sums());
+            comm.work(2 * split.block.nnz() as u64);
             let d_ext = split.exchange(comm, &d);
             (split.finish(&d, &d_ext), d)
         })
@@ -202,118 +207,31 @@ impl RddSystem {
     }
 }
 
-/// One rank's owned rows, constrained and unscaled.
-struct BlockRows {
-    /// Global dof of each row, ascending.
-    rows: Vec<usize>,
-    /// The rows over a column space whose ids ascend with the global dof.
-    k: CsrMatrix,
-    /// The rows' right-hand side.
-    rhs: Vec<f64>,
-}
-
-impl BlockRows {
-    /// The owned rows of the raw local matrix `k` (rows and columns over the
-    /// local dofs, `global[l]` the global dof of local dof `l`, `local[l]` its
-    /// owned-row index or `usize::MAX`) under the Dirichlet conditions of
-    /// `dm`, with the right-hand side from the global `loads` — the row
-    /// filter of the global `apply_dirichlet`, row by row the same
-    /// operations in the same order. Rewrites `k`'s storage in place.
-    fn constrain(
-        k: CsrMatrix,
-        global: &[usize],
-        local: &[usize],
-        dm: &DofMap,
-        loads: &[f64],
-    ) -> Self {
-        let (mut row_ptr, mut cols, mut vals) = k.into_raw_parts();
-        let (mut rows, mut rhs) = (Vec::new(), Vec::new());
-        // Entries are only ever moved towards the front: a kept row keeps
-        // at most the entries it had, and a constrained row has at least
-        // its diagonal.
-        let (mut w, mut start) = (0, 0);
-        for l in 0..global.len() {
-            let end = row_ptr[l + 1];
-            if local[l] != usize::MAX {
-                let g = global[l];
-                let mut b = loads[g];
-                if dm.is_fixed(g) {
-                    (cols[w], vals[w], b) = (l, 1.0, dm.fixed_value(g));
-                    w += 1;
-                } else {
-                    for e in start..end {
-                        let c = global[cols[e]];
-                        if dm.is_fixed(c) {
-                            b -= vals[e] * dm.fixed_value(c);
-                        } else {
-                            (cols[w], vals[w]) = (cols[e], vals[e]);
-                            w += 1;
-                        }
-                    }
-                }
-                rows.push(g);
-                rhs.push(b);
-                row_ptr[rows.len()] = w;
-            }
-            start = end;
-        }
-        row_ptr.truncate(rows.len() + 1);
-        cols.truncate(w);
-        vals.truncate(w);
-        let k = CsrMatrix::from_raw_parts(rows.len(), global.len(), row_ptr, cols, vals)
-            .expect("a row filter keeps the CSR order");
-        BlockRows { rows, k, rhs }
-    }
-}
-
 /// The one block-row split, in two steps around the scaling exchange:
-/// [`Split::new`] derives the external columns and the halo lists from the
-/// pattern alone, [`Split::finish`] scales the values into `a_loc` (in the
-/// rows' own storage) and `a_ext`.
+/// [`Split::new`] derives the halo lists from the pattern alone,
+/// [`Split::finish`] scales both blocks in place.
 struct Split {
     rank: usize,
-    block: BlockRows,
-    /// Per column id: its owned-row index, `usize::MAX` for an external one.
-    local: Vec<usize>,
-    /// Per column id: its position among the external columns.
-    ext_pos: Vec<usize>,
-    ext_dofs: Vec<usize>,
+    block: OwnedRows,
     send_to: Vec<(usize, Vec<usize>)>,
     recv_from: Vec<(usize, Vec<usize>)>,
 }
 
 impl Split {
-    /// `global[c]` is the global dof of column `c`, `local[c]` its owned-row
-    /// index (`usize::MAX` when another rank owns it), `owner(g)` the rank
-    /// owning global dof `g`.
-    fn new(
-        rank: usize,
-        block: BlockRows,
-        global: &[usize],
-        local: Vec<usize>,
-        owner: impl Fn(usize) -> usize,
-    ) -> Self {
-        let mut is_ext = vec![false; global.len()];
-        for &c in block.k.raw_parts().1 {
-            is_ext[c] = local[c] == usize::MAX;
-        }
+    /// `owner(g)` is the rank owning global dof `g`.
+    fn new(rank: usize, block: OwnedRows, owner: impl Fn(usize) -> usize) -> Self {
         // External columns ascend with the global dof; each owner's share
         // is received in that order.
-        let mut ext_pos = vec![usize::MAX; global.len()];
-        let (mut ext_dofs, mut recv_from) = (Vec::new(), Vec::new());
-        for c in (0..global.len()).filter(|&c| is_ext[c]) {
-            ext_pos[c] = ext_dofs.len();
-            push_to(&mut recv_from, owner(global[c]), ext_dofs.len());
-            ext_dofs.push(global[c]);
+        let mut recv_from = Vec::new();
+        for (pos, &g) in block.ext_dofs.iter().enumerate() {
+            push_to(&mut recv_from, owner(g), pos);
         }
         // What a neighbour receives is what it has columns for: by
         // structural symmetry, the owned rows that have a column it owns.
         let mut send_to: Vec<(usize, Vec<usize>)> = Vec::new();
         for r in 0..block.rows.len() {
-            for &c in block.k.row(r).0 {
-                if local[c] == usize::MAX {
-                    push_to(&mut send_to, owner(global[c]), r);
-                }
+            for &j in block.a_ext.row(r).0 {
+                push_to(&mut send_to, owner(block.ext_dofs[j]), r);
             }
         }
         recv_from.sort_by_key(|(q, _)| *q);
@@ -321,9 +239,6 @@ impl Split {
         Split {
             rank,
             block,
-            local,
-            ext_pos,
-            ext_dofs,
             send_to,
             recv_from,
         }
@@ -339,7 +254,7 @@ impl Split {
         let mut recv = vec![Vec::new(); ranks.len()];
         comm.exchange_into(&ranks, &send, &mut recv);
         // A failed exchange leaves zeros; the solve reports the latched error.
-        let mut d_ext = vec![0.0; self.ext_dofs.len()];
+        let mut d_ext = vec![0.0; self.block.ext_dofs.len()];
         for ((_, positions), buf) in self.recv_from.iter().zip(&recv) {
             for (&pos, &v) in positions.iter().zip(buf) {
                 d_ext[pos] = v;
@@ -348,51 +263,36 @@ impl Split {
         d_ext
     }
 
-    /// The system: `a_rc·(d_r·d_c)` — `scale_symmetric`'s expression — with
-    /// `d` over the owned rows and `d_ext` at the external columns, and
-    /// `b = D f`.
+    /// The system: every entry `a_rc·(d_r·d_c)` — `scale_symmetric`'s
+    /// expression — with `d` over the owned rows and `d_ext` at the
+    /// external columns, and `b = D f`.
     fn finish(self, d: &[f64], d_ext: &[f64]) -> RddSystem {
-        let BlockRows { rows, k, mut rhs } = self.block;
-        let (mut row_ptr, mut cols, mut vals) = k.into_raw_parts();
+        let OwnedRows {
+            rows,
+            mut a_loc,
+            a_ext,
+            ext_dofs,
+            mut rhs,
+        } = self.block;
         let n = rows.len();
-        let mut ext_ptr = Vec::with_capacity(n + 1);
-        ext_ptr.push(0);
-        let (mut ext_cols, mut ext_vals) = (Vec::new(), Vec::new());
-        let (mut w, mut start) = (0, 0);
+        a_loc.scale_symmetric(d);
+        let (row_ptr, cols, mut vals) = a_ext.into_raw_parts();
         for r in 0..n {
-            let end = row_ptr[r + 1];
-            for e in start..end {
-                let (c, v) = (cols[e], vals[e]);
-                match self.local[c] {
-                    usize::MAX => {
-                        let pos = self.ext_pos[c];
-                        ext_cols.push(pos);
-                        ext_vals.push(v * (d[r] * d_ext[pos]));
-                    }
-                    l => {
-                        (cols[w], vals[w]) = (l, v * (d[r] * d[l]));
-                        w += 1;
-                    }
-                }
+            for k in row_ptr[r]..row_ptr[r + 1] {
+                vals[k] *= d[r] * d_ext[cols[k]];
             }
-            row_ptr[r + 1] = w;
-            ext_ptr.push(ext_cols.len());
-            start = end;
         }
-        cols.truncate(w);
-        vals.truncate(w);
-        let halo_rows = (0..n).filter(|&r| ext_ptr[r + 1] > ext_ptr[r]).collect();
-        dense::diag_mul(&d[..n], &mut rhs);
-        let n_ext = self.ext_dofs.len();
+        let halo_rows = (0..n).filter(|&r| row_ptr[r + 1] > row_ptr[r]).collect();
+        let a_ext = CsrMatrix::from_raw_parts(n, ext_dofs.len().max(1), row_ptr, cols, vals)
+            .expect("scaling keeps the pattern");
+        dense::diag_mul(d, &mut rhs);
         RddSystem {
             rank: self.rank,
             rows,
-            a_loc: CsrMatrix::from_raw_parts(n, n, row_ptr, cols, vals)
-                .expect("owned columns keep their order"),
-            a_ext: CsrMatrix::from_raw_parts(n, n_ext.max(1), ext_ptr, ext_cols, ext_vals)
-                .expect("external columns keep their order"),
+            a_loc,
+            a_ext,
             halo_rows,
-            ext_dofs: self.ext_dofs,
+            ext_dofs,
             b_loc: rhs,
             send_to: self.send_to,
             recv_from: self.recv_from,
@@ -460,26 +360,25 @@ impl<'a, C: Communicator> RddOperator<'a, C> {
         }
     }
 
-    /// Performs the halo exchange for `x_loc`, leaving the external values
-    /// in `halo.x_ext` (in `ext_dofs` order).
-    fn gather_ext(&self, x: &[f64], halo: &mut RddHaloBuffers) {
-        let sys = self.sys;
+    /// Stages the halo sends: for each neighbour, the owned values of `x`
+    /// it has columns for.
+    fn stage(&self, x: &[f64], halo: &mut RddHaloBuffers) {
         // One merged neighbour set: FEM matrices are structurally symmetric,
         // so senders and receivers pair up.
-        halo.ensure(sys);
-        for ((_, idx), out) in sys.send_to.iter().zip(halo.send.iter_mut()) {
+        halo.ensure(self.sys);
+        for ((_, idx), out) in self.sys.send_to.iter().zip(halo.send.iter_mut()) {
             out.clear();
             out.extend(idx.iter().map(|&l| x[l]));
         }
-        self.comm
-            .exchange_into(&halo.ranks, &halo.send, &mut halo.recv);
+    }
+
+    /// Unpacks the received halo into `halo.x_ext` (in `ext_dofs` order).
+    fn unpack(&self, halo: &mut RddHaloBuffers) {
+        let sys = self.sys;
+        debug_assert!((sys.recv_from.iter().map(|(q, _)| q)).eq(sys.send_to.iter().map(|(q, _)| q)));
         halo.x_ext.clear();
         halo.x_ext.resize(sys.ext_dofs.len().max(1), 0.0);
-        for ((rank, positions), buf) in sys.recv_from.iter().zip(&halo.recv) {
-            debug_assert_eq!(
-                *rank,
-                sys.send_to[sys.recv_from.iter().position(|(r, _)| r == rank).unwrap()].0
-            );
+        for ((_, positions), buf) in sys.recv_from.iter().zip(&halo.recv) {
             for (&pos, &v) in positions.iter().zip(buf) {
                 halo.x_ext[pos] = v;
             }
@@ -495,36 +394,27 @@ impl<C: Communicator> LinearOperator for RddOperator<'_, C> {
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         let sys = self.sys;
         assert_eq!(x.len(), sys.n_local(), "rdd apply: x length mismatch");
-        let mut halo = self.halo.borrow_mut();
+        let halo = &mut *self.halo.borrow_mut();
+        self.stage(x, halo);
         if sys.overlap && !sys.send_to.is_empty() {
-            // Overlapped schedule: stage and post the halo sends, compute
-            // the (dominant) A_loc product while the messages fly, then
-            // complete the exchange and apply A_ext. The arithmetic and its
-            // order are identical to the blocking path — A_loc rows never
-            // read external values — so the result is bit-identical; only
-            // the modeled time changes (max instead of sum).
-            let halo = &mut *halo;
-            halo.ensure(sys);
-            for ((_, idx), out) in sys.send_to.iter().zip(halo.send.iter_mut()) {
-                out.clear();
-                out.extend(idx.iter().map(|&l| x[l]));
-            }
+            // Overlapped schedule: post the halo sends, compute the
+            // (dominant) A_loc product while the messages fly, then complete
+            // the exchange and apply A_ext. The arithmetic and its order are
+            // identical to the blocking path — A_loc rows never read
+            // external values — so the result is bit-identical; only the
+            // modeled time changes (max instead of sum).
             let handle = self.comm.start_exchange(&halo.ranks, &halo.send);
             sys.a_loc.spmv_into(x, y);
             self.comm.work(sys.a_loc.spmv_flops());
             self.comm
                 .finish_exchange(handle, &halo.ranks, &mut halo.recv);
-            halo.x_ext.clear();
-            halo.x_ext.resize(sys.ext_dofs.len().max(1), 0.0);
-            for ((_, positions), buf) in sys.recv_from.iter().zip(&halo.recv) {
-                for (&pos, &v) in positions.iter().zip(buf) {
-                    halo.x_ext[pos] = v;
-                }
-            }
+            self.unpack(halo);
             sys.add_halo_product(&halo.x_ext, y);
             self.comm.work(sys.a_ext.spmv_flops());
         } else {
-            self.gather_ext(x, &mut halo);
+            self.comm
+                .exchange_into(&halo.ranks, &halo.send, &mut halo.recv);
+            self.unpack(halo);
             sys.a_loc.spmv_into(x, y);
             sys.add_halo_product(&halo.x_ext, y);
             self.comm
@@ -584,9 +474,10 @@ impl<C: Communicator> DistributedOperator for RddOperator<'_, C> {
         2 // multiply, accumulate — no multiplicity weighting
     }
 
-    /// Block rows stay CSR: `[A_loc | A_ext]` through the scalar kernels.
+    /// The storage of `A_loc`, whose kernel does nearly all of the product:
+    /// `bcsr2`, `bcsr3` or `csr` (`A_ext` is always scalar).
     fn kernel_variant(&self) -> &'static str {
-        "csr"
+        self.sys.a_loc.kernel_label()
     }
 
     fn gs_dots(&self, w: &[f64], basis: &[Vec<f64>], reduce: &mut [f64]) {
@@ -761,6 +652,7 @@ mod tests {
     use parfem_msg::{run_ranks, MachineModel};
     use parfem_precond::{GlsPrecond, IdentityPrecond, PrecondSpec};
     use parfem_sparse::scaling::scale_system;
+    use parfem_sparse::SparseRows;
 
     /// One solve for the load the system was split with, from a zero
     /// initial guess, on a throwaway workspace.

@@ -69,7 +69,7 @@ use parfem_msg::{
 use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSetup, CoarseSpec, SpecPrecond};
 pub use parfem_precond::PrecondSpec;
 
-use parfem_sparse::{CsrMatrix, SparseLdlt, SparseRows};
+use parfem_sparse::{SparseLdlt, SparseRows};
 use parfem_trace::{alloc, TraceSink, Value};
 use std::fmt;
 use std::time::Duration;
@@ -403,30 +403,30 @@ impl<'a> Problem<'a> {
         }
     }
 
-    /// The raw stiffness of the elements touching the nodes `keep` accepts,
-    /// over the nodes they touch (see [`assembly::assemble_touching`]): one
-    /// RDD rank's block rows before constraints, with the element count.
-    pub(crate) fn assemble_touching(
+    /// One RDD rank's rows: those of the nodes `owned` accepts, assembled
+    /// from the elements touching them under this problem's constraints and
+    /// loads (see [`assembly::assemble_owned`]), with the element count.
+    pub(crate) fn assemble_owned(
         &self,
-        keep: impl Fn(usize) -> bool,
-    ) -> (Vec<usize>, usize, CsrMatrix) {
-        let (dpn, mat) = (self.dof_map.dofs_per_node(), self.material);
+        owned: impl Fn(usize) -> bool,
+    ) -> (assembly::OwnedRows, usize) {
+        let (dm, loads, mat) = (self.dof_map, self.loads, self.material);
         match (self.mesh, self.physics) {
             (ProblemMesh::Quad(m), Physics::Elasticity2d) => {
                 let nodes_of = |e| m.elem_nodes(e);
-                assembly::assemble_touching(dpn, m.n_elems(), nodes_of, keep, |e| {
+                assembly::assemble_owned(dm, loads, m.n_elems(), nodes_of, owned, |e| {
                     quad4::stiffness(&m.elem_coords(e), mat)
                 })
             }
             (ProblemMesh::Quad(m), Physics::Heat2d) => {
                 let nodes_of = |e| m.elem_nodes(e);
-                assembly::assemble_touching(dpn, m.n_elems(), nodes_of, keep, |e| {
+                assembly::assemble_owned(dm, loads, m.n_elems(), nodes_of, owned, |e| {
                     physics::heat_stiffness_quad4(&m.elem_coords(e), mat)
                 })
             }
             (ProblemMesh::Hex(m), Physics::Elasticity3d) => {
                 let nodes_of = |e| m.elem_nodes(e);
-                assembly::assemble_touching(dpn, m.n_elems(), nodes_of, keep, |e| {
+                assembly::assemble_owned(dm, loads, m.n_elems(), nodes_of, owned, |e| {
                     hex8::stiffness(&m.elem_coords(e), mat)
                 })
             }

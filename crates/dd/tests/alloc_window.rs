@@ -18,6 +18,7 @@ use parfem_krylov::KrylovWorkspace;
 use parfem_mesh::{DofMap, Edge, ElementPartition, Face, HexMesh, NodePartition, QuadMesh};
 use parfem_msg::{run_ranks, Communicator, MachineModel};
 use parfem_precond::GlsPrecond;
+use parfem_sparse::ldlt::{SparseLdlt, DEFAULT_PIVOT_TOL};
 use parfem_sparse::scaling::scale_system;
 use parfem_sparse::{CsrMatrix, NodeMatrix};
 use parfem_trace::alloc::{self, CountingAlloc};
@@ -203,6 +204,73 @@ fn edd_rank_holds_one_matrix_after_a_polynomial_setup() {
         // operator — would not fit under the bound.
         assert!(2 * csr > (1.25 * (blocks + vectors) as f64) as u64);
         assert!(*peak >= *live);
+    }
+}
+
+/// After its setup under `direct` a rank of the `elas3d-rdd-direct` shape
+/// (the 18×9×9 hex cantilever pulled along `x`, two node slabs) holds its
+/// block row — the owned columns in 3×3 node blocks, the ghost columns in
+/// CSR — the LDLᵀ factor of the blocks and a dozen vectors, nothing
+/// matrix-sized besides: no CSR copy of its owned rows survives assembly.
+/// The parent commit's ranks, whose owned rows were CSR (with the capacity
+/// of the ghost rows they had dropped), held more than the bound.
+#[test]
+fn rdd_direct_rank_holds_its_blocks_and_factor_after_setup() {
+    assert!(alloc::is_counting(), "counting allocator not installed");
+    // `setup_live_bytes` and `setup_peak_bytes` per rank at the parent
+    // commit, whose ranks kept their owned rows in CSR.
+    const PARENT: [(u64, u64); 2] = [(7_814_641, 7_894_080), (7_455_905, 7_531_744)];
+    let mesh = HexMesh::cantilever(18, 9, 9);
+    let mut dm = DofMap::with_dofs(mesh.n_nodes(), 3);
+    for node in mesh.face_nodes(Face::XMin) {
+        dm.clamp_node(node);
+    }
+    let mat = Material::unit();
+    let mut loads = vec![0.0; dm.n_dofs()];
+    assembly::face_load(&mesh, &dm, Face::XMax, [1.0, 0.0, 0.0], &mut loads);
+    let part = NodePartition::strips_x_hex(&mesh, 2);
+
+    // The ranks' rows, cut here from the global system to size them: (the
+    // block row as held, the same with the owned columns in CSR, the factor,
+    // a dozen n-vectors — b, d, the row list, the halo lists and the
+    // preconditioner's scratch).
+    let global = assembly::build_static_hex(&mesh, &dm, &mat, &loads);
+    let (a, b, _) = scale_system(&global.stiffness, &global.rhs).expect("square system");
+    let sized: Vec<(u64, u64, u64, u64)> = (RddSystem::build_all(&a, &b, &part).iter())
+        .map(|sys| {
+            let ext = csr_bytes(&sys.a_ext) + ((sys.n_local() + 1) * size_of::<usize>()) as u64;
+            let factor = SparseLdlt::factor(&sys.a_loc, DEFAULT_PIVOT_TOL).bytes() as u64;
+            let vectors = 12 * (sys.n_local() * size_of::<f64>()) as u64;
+            let (blocks, csr) = (block_bytes(&sys.a_loc), subdomain_csr_bytes(&sys.a_loc));
+            (blocks + ext, csr + ext, factor, vectors)
+        })
+        .collect();
+    drop((global, a, b));
+
+    let session = SolveSession::new(Problem::elasticity3d(&mesh, &dm, &mat, &loads))
+        .strategy(Strategy::Rdd(part))
+        .precond(PrecondSpec::parse("direct").unwrap());
+    let (memory, _) = setup_memory(session);
+    for (((live, peak), (rows, csr, factor, vectors)), parent) in
+        memory.iter().zip(&sized).zip(PARENT)
+    {
+        eprintln!(
+            "rdd direct rank: live {live} B, peak {peak} B (parent {parent:?}); block row \
+             {rows} B ({csr} B with CSR owned columns), factor {factor} B, vectors {vectors} B"
+        );
+        let bound = 1.25 * (rows + factor + vectors) as f64;
+        assert!(
+            *live as f64 <= bound,
+            "rank holds {live} B after setup; rows {rows} B + factor {factor} B + vectors \
+             {vectors} B"
+        );
+        // The parent's ranks, holding their rows in CSR, did not meet it.
+        assert!(parent.0 as f64 > bound);
+        // Less than the factor and the rows with their owned columns in CSR:
+        // no CSR copy of the owned rows is alive, beside the blocks or
+        // instead of them.
+        assert!(*live < csr + factor, "rank holds {live} B after setup");
+        assert!(*live <= *peak && *peak < parent.0);
     }
 }
 

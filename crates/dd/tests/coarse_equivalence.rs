@@ -397,7 +397,11 @@ fn build_digest(views: &[RankView]) -> (u64, u64, u64) {
 /// runs: hex node blocks (`B = 3`) with own modes covering the rank, a
 /// ragged quad graph partition (`B = 2`, cross points, modes arriving from
 /// neighbours), and RDD block rows with ghost columns. The digests were
-/// taken before the dense-support modes were multiplied as one panel.
+/// taken before the dense-support modes were multiplied as one panel. The
+/// RDD digest was re-taken once, when the rank's `a_loc` became 2×2 node
+/// blocks: the `λ̂` power iteration applies the operator, whose block rows
+/// associate each row sum differently, so `ω`, the smoothed modes and the
+/// flops of their non-zero entries (1 368 016 → 1 368 040) moved with it.
 #[test]
 fn rank_builds_keep_their_pinned_bits() {
     let spec = smoothed(CoarseSpec::Rbm, 3);
@@ -430,7 +434,7 @@ fn rank_builds_keep_their_pinned_bits() {
     assert_eq!(hex, hex_want, "edd hex 12x6x6 P=2");
     let quad_want = (0x2207_15c0_63e5_e7b4, 0x188e_d599_4af0_014b, 1_849_073);
     assert_eq!(quad, quad_want, "edd quad 32x12 P=8 graph");
-    let rdd_want = (0x9ecf_2c8d_f41a_97d2, 0x19f2_0d84_db32_ba26, 1_368_016);
+    let rdd_want = (0x450f_4c3f_0641_7a54, 0x6673_ab1e_11e4_073d, 1_368_040);
     assert_eq!(rdd, rdd_want, "rdd 32x12 P=8");
 }
 

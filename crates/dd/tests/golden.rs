@@ -12,9 +12,12 @@
 //! The EDD-elasticity digests were re-pinned once, when the EDD local
 //! operator became 2×2 node blocks (row sums reassociated block by block;
 //! every iteration and restart count stayed as captured — CHANGES.md, PR 23,
-//! lists old → new). The RDD digests are the original capture. The two
-//! restart-8 digests were re-pinned once more when the restart became
-//! deflated (FGMRES-DR); the restart-3 digests, captured under plain
+//! lists old → new). The RDD (plane elasticity) digests were re-pinned once
+//! when the RDD `a_loc` became 2×2 node blocks, for the same reason and with
+//! the same counts (CHANGES.md lists old → new); the block product is held
+//! to the CSR one by `rdd_block_product_stays_within_the_reassociation_bound`.
+//! The two restart-8 digests were re-pinned once more when the restart
+//! became deflated (FGMRES-DR); the restart-3 digests, captured under plain
 //! restarting, pin that restarts below four still deflate nothing.
 //!
 //! Re-capture (only when a *deliberate* numerical change is made) with:
@@ -25,8 +28,8 @@
 
 use parfem_dd::scaling::DistributedScaling;
 use parfem_dd::{
-    edd_fgmres, rdd_fgmres, EddLayout, EddVariant, PrecondSpec, Problem, RddSystem, SolveSession,
-    SolverConfig, Strategy,
+    edd_fgmres, rdd_fgmres, EddLayout, EddVariant, PrecondSpec, Problem, RddOperator, RddSystem,
+    SolveSession, SolverConfig, Strategy,
 };
 use parfem_fem::{assembly, Material, SubdomainSystem};
 use parfem_krylov::gmres::GmresConfig;
@@ -35,6 +38,7 @@ use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, QuadMesh};
 use parfem_msg::{run_ranks, Communicator, FaultPlan, FaultyComm, MachineModel};
 use parfem_precond::{GlsPrecond, IdentityPrecond};
 use parfem_sparse::scaling::scale_system;
+use parfem_sparse::{CsrMatrix, LinearOperator, NodeMatrix};
 
 /// FNV-1a over a stream of u64 words (stable, dependency-free).
 struct Fnv(u64);
@@ -311,6 +315,55 @@ fn edd_enhanced_unpreconditioned_matches_pre_refactor() {
     );
 }
 
+/// Why the RDD plane-elasticity digests were re-pinned: the block product
+/// `[A_loc | A_ext] x` with `A_loc` in 2×2 node blocks differs from the same
+/// rows applied as CSR only by the association of each row's sum, so on
+/// every rank of the `rdd_gls5` case each entry stays within
+/// `2·k·ε·Σ_j |a_ij x_j|` (`k` the row's entry count) of the CSR product.
+#[test]
+fn rdd_block_product_stays_within_the_reassociation_bound() {
+    let mesh = QuadMesh::cantilever(8, 2);
+    let mut dm = DofMap::new(mesh.n_nodes());
+    dm.clamp_edge(&mesh, Edge::Left);
+    let mut loads = vec![0.0; dm.n_dofs()];
+    assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
+    let sys = assembly::build_static(&mesh, &dm, &Material::unit(), &loads);
+    let (a, b, _) = scale_system(&sys.stiffness, &sys.rhs).unwrap();
+    let systems = RddSystem::build_all(&a, &b, &NodePartition::contiguous(mesh.n_nodes(), 4));
+    let x: Vec<f64> = (0..a.n_rows()).map(|i| (0.7 * i as f64).sin()).collect();
+    let out = run_ranks(4, MachineModel::ideal(), |comm| {
+        let blocks = &systems[comm.rank()];
+        assert!(
+            blocks.a_loc.as_blocks().is_some(),
+            "plane elasticity is 2x2 blocks"
+        );
+        let scalar = RddSystem {
+            a_loc: NodeMatrix::Csr(CsrMatrix::from_rows(&blocks.a_loc)),
+            ..blocks.clone()
+        };
+        let xl = blocks.restrict(&x);
+        let y_blocks = RddOperator::new(blocks, comm).apply(&xl);
+        let y_csr = RddOperator::new(&scalar, comm).apply(&xl);
+        let mut differ = 0;
+        for (r, (yb, yc)) in y_blocks.iter().zip(&y_csr).enumerate() {
+            let row = a.row(blocks.rows[r]);
+            let magnitude: f64 = (row.0.iter().zip(row.1))
+                .map(|(&c, v)| (v * x[c]).abs())
+                .sum();
+            let bound = 2.0 * row.0.len() as f64 * f64::EPSILON * magnitude;
+            assert!(
+                (yb - yc).abs() <= bound,
+                "rank {} row {r}: {yb} vs {yc}",
+                blocks.rank
+            );
+            differ += usize::from(yb != yc);
+        }
+        differ
+    });
+    // The association does change the bits somewhere.
+    assert!(out.results.iter().sum::<usize>() > 0);
+}
+
 #[test]
 fn rdd_gls5_matches_pre_refactor() {
     check(
@@ -319,8 +372,8 @@ fn rdd_gls5_matches_pre_refactor() {
         Digest {
             iterations: 13,
             restarts: 0,
-            x_hash: 0x09911e4844f6b481,
-            res_hash: 0xa284689e9f354307,
+            x_hash: 0x85c50bc4cd896c19,
+            res_hash: 0xed16b6675ee01650,
         },
     );
 }
@@ -338,8 +391,8 @@ fn rdd_unpreconditioned_matches_pre_refactor() {
         Digest {
             iterations: 15,
             restarts: 0,
-            x_hash: 0x5948d314a21be0e4,
-            res_hash: 0xb4b4db4aff3d035a,
+            x_hash: 0x8833724a2a1ad8b0,
+            res_hash: 0xcf061355d328c99e,
         },
     );
 }
@@ -384,8 +437,8 @@ fn rdd_short_restart_matches_pre_refactor() {
         Digest {
             iterations: 34,
             restarts: 5,
-            x_hash: 0xced8a447d6017d8a,
-            res_hash: 0x1d958d48cc972eee,
+            x_hash: 0xf689abaafbf74f37,
+            res_hash: 0x3f1a2b27c87a99e6,
         },
     );
 }
@@ -418,8 +471,8 @@ fn plain_restart_below_four_matches_plain_restarting() {
         Digest {
             iterations: 132,
             restarts: 43,
-            x_hash: 0xe192e00463176c4b,
-            res_hash: 0x1ca95db0a8c14cd3,
+            x_hash: 0x31dded941b95d688,
+            res_hash: 0x0e7ed45a00775fe6,
         },
     );
 }
@@ -459,8 +512,8 @@ fn rdd_overlapped_matches_pre_refactor_blocking_digest() {
         Digest {
             iterations: 13,
             restarts: 0,
-            x_hash: 0x09911e4844f6b481,
-            res_hash: 0xa284689e9f354307,
+            x_hash: 0x85c50bc4cd896c19,
+            res_hash: 0xed16b6675ee01650,
         },
     );
     check(
@@ -469,8 +522,8 @@ fn rdd_overlapped_matches_pre_refactor_blocking_digest() {
         Digest {
             iterations: 13,
             restarts: 0,
-            x_hash: 0x47a6ca904898afdd,
-            res_hash: 0x6d5045eb980f57ac,
+            x_hash: 0x01c853ec77412fbd,
+            res_hash: 0xad4cd630e1bb66d8,
         },
     );
 }
@@ -483,8 +536,8 @@ fn rdd_local_ilu_matches_pre_refactor() {
         Digest {
             iterations: 13,
             restarts: 0,
-            x_hash: 0x47a6ca904898afdd,
-            res_hash: 0x6d5045eb980f57ac,
+            x_hash: 0x01c853ec77412fbd,
+            res_hash: 0xad4cd630e1bb66d8,
         },
     );
 }
@@ -564,8 +617,8 @@ fn rdd_under_delay_plan_matches_fault_free_digest() {
     let want = || Digest {
         iterations: 13,
         restarts: 0,
-        x_hash: 0x09911e4844f6b481,
-        res_hash: 0xa284689e9f354307,
+        x_hash: 0x85c50bc4cd896c19,
+        res_hash: 0xed16b6675ee01650,
     };
     for overlap in [false, true] {
         check(
@@ -589,8 +642,8 @@ fn rdd_under_duplicate_plan_matches_fault_free_digest() {
     let want = || Digest {
         iterations: 13,
         restarts: 0,
-        x_hash: 0x47a6ca904898afdd,
-        res_hash: 0x6d5045eb980f57ac,
+        x_hash: 0x01c853ec77412fbd,
+        res_hash: 0xad4cd630e1bb66d8,
     };
     for overlap in [false, true] {
         check(
@@ -687,7 +740,7 @@ fn session_reproduces_edd_enhanced_gls5_history() {
 #[test]
 fn session_reproduces_rdd_gls5_history() {
     // Same case as `rdd_gls5` above, through the builder.
-    const PINNED: u64 = 0xa284689e9f354307;
+    const PINNED: u64 = 0xed16b6675ee01650;
     let (mesh, dm, mat, loads) = session_problem(8, 2);
     let session = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
         .strategy(Strategy::Rdd(NodePartition::contiguous(mesh.n_nodes(), 4)))

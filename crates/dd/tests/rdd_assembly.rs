@@ -1,20 +1,23 @@
 //! Rank-side RDD assembly against the global path, bit for bit.
 //!
 //! [`RddSystem::assemble`] builds a rank's block row from the elements that
-//! touch its nodes, constrains and scales it with its own row sums and one
-//! halo exchange of the diagonal. Everything it returns — `a_loc`, `a_ext`,
-//! `ext_dofs`, the halo lists, `b_loc` and `d` — must equal what
-//! [`RddSystem::build_all`] cuts from `scale_system(build_static(..))`, on
-//! every physics, partition shape and rank count, with homogeneous and
-//! inhomogeneous Dirichlet data.
+//! touch its nodes, constrains it and scales it in place with its own row
+//! sums and one halo exchange of the diagonal. Everything it returns —
+//! `a_loc` (node blocks and fill masks at 2 or 3 DOFs per node, CSR for
+//! heat), `a_ext`, `ext_dofs`, the halo lists, `b_loc` and `d` — must equal
+//! what [`RddSystem::build_all`] cuts from `scale_system(build_static(..))`,
+//! and `a_loc` must be [`BcsrMatrix::from_csr`] of the owned columns of the
+//! scaled global rows, on every physics, partition shape and rank count,
+//! with homogeneous and inhomogeneous Dirichlet data.
 
 use parfem_dd::{Problem, RddSystem};
 use parfem_fem::assembly::{self, StaticSystem};
 use parfem_fem::{Material, Physics};
 use parfem_mesh::{DofMap, Edge, Face, HexMesh, NodePartition, QuadMesh};
 use parfem_msg::{run_ranks, MachineModel};
+use parfem_sparse::ldlt::{SparseLdlt, DEFAULT_PIVOT_TOL};
 use parfem_sparse::scaling::scale_system;
-use parfem_sparse::CsrMatrix;
+use parfem_sparse::{BcsrMatrix, CsrMatrix, NodeMatrix};
 use proptest::prelude::*;
 
 enum Mesh {
@@ -147,6 +150,44 @@ fn assert_same_csr(got: &CsrMatrix, want: &CsrMatrix, what: &str) {
     assert_eq!(bits(gv), bits(wv), "{what}: value bits");
 }
 
+fn assert_same_local(got: &NodeMatrix, want: &NodeMatrix, what: &str) {
+    match (got, want) {
+        (NodeMatrix::Csr(got), NodeMatrix::Csr(want)) => assert_same_csr(got, want, what),
+        (NodeMatrix::Blocks(got), NodeMatrix::Blocks(want)) => {
+            assert_eq!(got.block_size(), want.block_size(), "{what}: block size");
+            assert_eq!(got.n_rows(), want.n_rows(), "{what}: rows");
+            let ((gp, gc, gv), (wp, wc, wv)) = (got.raw_parts(), want.raw_parts());
+            assert_eq!(gp, wp, "{what}: block row pointers");
+            assert_eq!(gc, wc, "{what}: block columns");
+            assert_eq!(
+                bits(gv),
+                bits(wv),
+                "{what}: block value bits, fill zeros included"
+            );
+            assert_eq!(got.fill(), want.fill(), "{what}: fill masks");
+            assert_eq!(got.nnz(), want.nnz(), "{what}: nnz");
+        }
+        _ => panic!("{what}: storage differs"),
+    }
+}
+
+/// The owned columns of the global rows `rows` of `a`, renumbered by their
+/// position among `rows`.
+fn owned_columns(a: &CsrMatrix, rows: &[usize]) -> CsrMatrix {
+    let (mut row_ptr, mut cols, mut vals) = (vec![0], Vec::new(), Vec::new());
+    for &d in rows {
+        let (c, v) = a.row(d);
+        for (&c, &v) in c.iter().zip(v) {
+            if let Ok(l) = rows.binary_search(&c) {
+                cols.push(l);
+                vals.push(v);
+            }
+        }
+        row_ptr.push(cols.len());
+    }
+    CsrMatrix::from_raw_parts(rows.len(), rows.len(), row_ptr, cols, vals).unwrap()
+}
+
 /// Builds every rank's block row on the ranks and compares it with the
 /// global split; returns the largest neighbour count of any rank.
 fn check(fx: &Fixture, part: &NodePartition, what: &str) -> usize {
@@ -157,13 +198,30 @@ fn check(fx: &Fixture, part: &NodePartition, what: &str) -> usize {
     let out = run_ranks(part.n_parts(), MachineModel::ideal(), |comm| {
         RddSystem::assemble(comm, &problem, part)
     });
+    let dpn = fx.physics.dofs_per_node();
     for ((got, d), want) in out.results.iter().zip(&want) {
         let what = format!("{what} rank {}", want.rank);
         assert_eq!(got.rank, want.rank, "{what}");
         assert_eq!(got.rows, want.rows, "{what}: rows");
-        assert_same_csr(&got.a_loc, &want.a_loc, &format!("{what}: a_loc"));
+        // The definition: the owned columns of the scaled global rows, in
+        // node blocks at 2 or 3 DOFs per node and unchanged CSR at one.
+        let cut = owned_columns(&a, &want.rows);
+        match BcsrMatrix::from_csr(&cut, dpn) {
+            Some(blocks) if dpn > 1 => assert_same_local(
+                &got.a_loc,
+                &NodeMatrix::Blocks(blocks),
+                &format!("{what}: a_loc"),
+            ),
+            _ => assert_same_local(&got.a_loc, &NodeMatrix::Csr(cut), &format!("{what}: a_loc")),
+        }
+        assert_same_local(
+            &got.a_loc,
+            &want.a_loc,
+            &format!("{what}: a_loc vs build_all"),
+        );
         assert_same_csr(&got.a_ext, &want.a_ext, &format!("{what}: a_ext"));
         assert_eq!(got.ext_dofs, want.ext_dofs, "{what}: ext_dofs");
+        assert_eq!(got.halo_rows, want.halo_rows, "{what}: halo_rows");
         assert_eq!(got.send_to, want.send_to, "{what}: send_to");
         assert_eq!(got.recv_from, want.recv_from, "{what}: recv_from");
         assert_eq!(bits(&got.b_loc), bits(&want.b_loc), "{what}: b_loc");
@@ -204,6 +262,52 @@ fn heat2d_rank_block_rows_equal_the_global_split() {
 #[test]
 fn elasticity3d_rank_block_rows_equal_the_global_split() {
     check_physics(Physics::Elasticity3d, (7, 3, 2));
+}
+
+/// Each rank's `a_loc` is in the storage its DOFs per node give it: node
+/// blocks for both elasticities, CSR for heat.
+#[test]
+fn rank_block_rows_take_the_storage_of_their_dofs_per_node() {
+    for (physics, dims, label) in [
+        (Physics::Elasticity2d, (9, 4, 1), "bcsr2"),
+        (Physics::Heat2d, (9, 4, 1), "csr"),
+        (Physics::Elasticity3d, (5, 2, 2), "bcsr3"),
+    ] {
+        let fx = Fixture::new(physics, dims, false);
+        let part = fx.partition(0, 3, 0);
+        let problem = fx.problem();
+        let out = run_ranks(3, MachineModel::ideal(), |comm| {
+            RddSystem::assemble(comm, &problem, &part)
+                .0
+                .a_loc
+                .kernel_label()
+        });
+        assert_eq!(out.results, vec![label; 3], "{physics}");
+    }
+}
+
+/// The `direct` spec factors a rank's `a_loc` through its row view: from
+/// the node blocks and from a CSR copy of the same rows, the ordering picks
+/// the same permutation and the solves produce the same bits.
+#[test]
+fn an_rdd_block_factors_the_same_from_blocks_and_from_csr() {
+    let fx = Fixture::new(Physics::Elasticity3d, (10, 4, 4), true);
+    let global = fx.reference();
+    let (a, b, _) = scale_system(&global.stiffness, &global.rhs).unwrap();
+    let part = fx.partition(0, 2, 0);
+    for sys in RddSystem::build_all(&a, &b, &part) {
+        assert!(sys.a_loc.as_blocks().is_some());
+        let csr = CsrMatrix::from_rows(&sys.a_loc);
+        let from_blocks = SparseLdlt::factor(&sys.a_loc, DEFAULT_PIVOT_TOL);
+        let from_csr = SparseLdlt::factor(&csr, DEFAULT_PIVOT_TOL);
+        assert_eq!(from_blocks.permutation(), from_csr.permutation());
+        assert_eq!(from_blocks.nnz_l(), from_csr.nnz_l());
+        assert_eq!(from_blocks.factor_flops(), from_csr.factor_flops());
+        let (mut x_blocks, mut x_csr) = (sys.b_loc.clone(), sys.b_loc.clone());
+        from_blocks.solve_in_place(&mut x_blocks);
+        from_csr.solve_in_place(&mut x_csr);
+        assert_eq!(bits(&x_blocks), bits(&x_csr), "rank {}", sys.rank);
+    }
 }
 
 proptest! {

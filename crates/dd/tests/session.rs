@@ -167,11 +167,11 @@ fn granular_setters_equal_wholesale_config() {
     assert_bit_identical(&wholesale, &granular, "wholesale vs granular");
 }
 
-/// The kernel follows from the physics and every solve names it: an EDD
-/// rank applies node blocks of its DOFs per node (`bcsr2` plane elasticity,
-/// `bcsr3` solids, `csr` for the scalar heat problem), the overlapped split
-/// schedule runs — and reports — the same kernel with the same bits, and the
-/// RDD block rows report `csr`.
+/// The kernel follows from the physics and every solve names it: a rank of
+/// either strategy applies node blocks of its DOFs per node (`bcsr2` plane
+/// elasticity, `bcsr3` solids, `csr` for the scalar heat problem), and the
+/// overlapped schedule runs — and reports — the same kernel with the same
+/// bits.
 #[test]
 fn kernel_follows_the_physics_on_every_rank_and_is_recorded() {
     fn labelled(session: SolveSession<'_>, overlap: bool) -> (DdSolveOutput, Vec<String>) {
@@ -204,7 +204,7 @@ fn kernel_follows_the_physics_on_every_rank_and_is_recorded() {
     );
     check(
         || SolveSession::new(plane).strategy(Strategy::Rdd(rdd2.clone())),
-        "csr",
+        "bcsr2",
     );
 
     let mut heat_dm = DofMap::with_dofs(mesh.n_nodes(), 1);
@@ -214,6 +214,10 @@ fn kernel_follows_the_physics_on_every_rank_and_is_recorded() {
     let heat = Problem::heat(&mesh, &heat_dm, &mat, &source);
     check(
         || SolveSession::new(heat).strategy(Strategy::Edd(edd2.clone())),
+        "csr",
+    );
+    check(
+        || SolveSession::new(heat).strategy(Strategy::Rdd(rdd2.clone())),
         "csr",
     );
 
@@ -227,6 +231,11 @@ fn kernel_follows_the_physics_on_every_rank_and_is_recorded() {
     let solid = Problem::elasticity3d(&hex, &hex_dm, &mat, &hex_loads);
     check(
         || SolveSession::new(solid).partitioned(PartitionerSpec::Strips, 2),
+        "bcsr3",
+    );
+    let solid_rdd = NodePartition::strips_x_hex(&hex, 2);
+    check(
+        || SolveSession::new(solid).strategy(Strategy::Rdd(solid_rdd.clone())),
         "bcsr3",
     );
 }

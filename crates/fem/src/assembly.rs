@@ -6,18 +6,19 @@
 //! the element-based decomposition exploits (paper claim ii).
 //!
 //! Every assembled matrix of the crate — the global `assemble_*` here and in
-//! [`crate::tri3`], [`crate::quad8s`], and the
-//! per-subdomain systems of [`crate::subdomain`] — is built by one
-//! pattern-first core, `assemble`: it never holds triplets, and it sums
-//! duplicate contributions in ascending element order. So does
-//! [`assemble_touching`], the raw assembly of one rank's block rows. Global
-//! and block-row matrices are CSR; a subdomain's stiffness scatters straight
-//! into `B × B` node blocks when its nodes carry 2 or 3 dofs.
+//! [`crate::tri3`], [`crate::quad8s`], the per-subdomain systems of
+//! [`crate::subdomain`] and one rank's block rows ([`assemble_owned`]) — is
+//! built by one pattern-first core, `assemble`: it never holds triplets, and
+//! it sums duplicate contributions in ascending element order. Global
+//! matrices are CSR; a subdomain's stiffness, and the owned-column block of
+//! a rank's rows, scatter straight into `B × B` node blocks when their nodes
+//! carry 2 or 3 dofs.
 
 use crate::material::Material;
 use crate::{hex8, physics, quad4};
 use parfem_mesh::{DofMap, Edge, Face, HexMesh, QuadMesh, TriMesh};
-use parfem_sparse::{BcsrMatrix, CsrMatrix, NodeMatrix};
+use parfem_sparse::{BcsrMatrix, CsrMatrix, NodeMatrix, SparseRows};
+use std::ops::Range;
 
 /// A fully assembled, boundary-condition-applied static system `K u = f`.
 #[derive(Debug, Clone)]
@@ -34,21 +35,28 @@ pub(crate) trait Scatter: Sized {
     /// What the pattern and its values become.
     type Matrix;
 
-    /// The dof-level pattern over a node graph with `dpn` interleaved dofs
-    /// per node: a free row holds the free dofs of its node's neighbours,
-    /// ascending; a constrained row holds its lone diagonal when
-    /// `fixed_diag` (stiffness) and nothing otherwise (mass); constrained
-    /// columns are left out.
-    fn over(graph: &(Vec<usize>, Vec<usize>), dpn: usize, fixed: &[bool], fixed_diag: bool)
-        -> Self;
+    /// The dof-level pattern of the rows of the nodes `0..rows` of a node
+    /// graph with `dpn` interleaved dofs per node, over the columns of the
+    /// nodes in `cols`: a free row holds the free dofs of its node's
+    /// neighbours in `cols`, ascending; a constrained row holds its lone
+    /// diagonal when `fixed_diag` (stiffness) and nothing otherwise (mass);
+    /// constrained columns are left out.
+    fn over(
+        graph: &(Vec<usize>, Vec<usize>),
+        dpn: usize,
+        fixed: &[bool],
+        fixed_diag: bool,
+        rows: usize,
+        cols: Range<usize>,
+    ) -> Self;
 
     /// Number of stored values.
     fn len(&self) -> usize;
 
     /// Adds the dense row-major `block` of the element over `nodes` (`dpn`
-    /// interleaved dofs each) into `values`. Constrained rows are skipped;
-    /// an entry in a constrained column goes to `lift(row, col, value)`
-    /// instead of the matrix.
+    /// interleaved dofs each) into `values`, for the node pairs the pattern
+    /// covers. Constrained rows are skipped; an entry in a constrained
+    /// column goes to `lift(row, col, value)` instead of the matrix.
     fn add_block(
         &self,
         values: &mut [f64],
@@ -69,6 +77,11 @@ pub(crate) trait Scatter: Sized {
 pub(crate) struct Pattern {
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
+    /// The nodes whose rows are stored (`0..rows`) and whose columns are,
+    /// `dpn` dofs each.
+    rows: usize,
+    cols: Range<usize>,
+    dpn: usize,
 }
 
 /// Sorted node neighbourhoods (a node's neighbours are the nodes of the
@@ -109,6 +122,19 @@ fn node_graph(n_nodes: usize, npe: usize, conn: &[usize]) -> (Vec<usize>, Vec<us
     (nbr_ptr, nbrs)
 }
 
+/// The nodes of the ascending list `nbrs` that lie in `cols`.
+/// Most lists lie wholly inside or outside: two comparisons.
+fn window<'a>(nbrs: &'a [usize], cols: &Range<usize>) -> &'a [usize] {
+    match (nbrs.first(), nbrs.last()) {
+        (Some(lo), Some(hi)) if cols.contains(lo) && cols.contains(hi) => nbrs,
+        (Some(&lo), Some(&hi)) if hi < cols.start || lo >= cols.end => &[],
+        _ => {
+            let lo = nbrs.partition_point(|&m| m < cols.start);
+            &nbrs[lo..lo + nbrs[lo..].partition_point(|&m| m < cols.end)]
+        }
+    }
+}
+
 /// A zero per value, written front to back rather than left as
 /// `vec![0.0; n]`'s untouched zero pages: when the scatter's strided
 /// writes are the first touch, on several rank threads at once, the page
@@ -128,13 +154,14 @@ impl Scatter for Pattern {
         dpn: usize,
         fixed: &[bool],
         fixed_diag: bool,
+        rows: usize,
+        cols: Range<usize>,
     ) -> Self {
-        let n_nodes = nbr_ptr.len() - 1;
-        let nbrs_of = |n: usize| &nbrs[nbr_ptr[n]..nbr_ptr[n + 1]];
+        let nbrs_of = |n: usize| window(&nbrs[nbr_ptr[n]..nbr_ptr[n + 1]], &cols);
         let free_dofs = |m: usize| (m * dpn..(m + 1) * dpn).filter(|&d| !fixed[d]);
-        let mut row_ptr = Vec::with_capacity(n_nodes * dpn + 1);
+        let mut row_ptr = Vec::with_capacity(rows * dpn + 1);
         row_ptr.push(0);
-        for n in 0..n_nodes {
+        for n in 0..rows {
             let free_len: usize = nbrs_of(n).iter().map(|&m| free_dofs(m).count()).sum();
             for r in n * dpn..(n + 1) * dpn {
                 let len = if fixed[r] {
@@ -145,15 +172,21 @@ impl Scatter for Pattern {
                 row_ptr.push(row_ptr[r] + len);
             }
         }
-        let mut col_idx = Vec::with_capacity(row_ptr[n_nodes * dpn]);
-        for r in 0..n_nodes * dpn {
+        let mut col_idx = Vec::with_capacity(row_ptr[rows * dpn]);
+        for r in 0..rows * dpn {
             if fixed[r] {
                 col_idx.extend(fixed_diag.then_some(r));
             } else {
                 col_idx.extend(nbrs_of(r / dpn).iter().flat_map(|&m| free_dofs(m)));
             }
         }
-        Pattern { row_ptr, col_idx }
+        Pattern {
+            row_ptr,
+            col_idx,
+            rows,
+            cols,
+            dpn,
+        }
     }
 
     fn len(&self) -> usize {
@@ -169,14 +202,24 @@ impl Scatter for Pattern {
         fixed: &[bool],
         mut lift: impl FnMut(usize, usize, f64),
     ) {
+        // Most elements lie wholly inside the column window, or outside.
+        let inside = nodes.iter().all(|b| self.cols.contains(b));
+        if !inside && !nodes.iter().any(|b| self.cols.contains(b)) {
+            return;
+        }
         let nd = nodes.len() * dpn;
         let first_free = |n: usize| (n * dpn..(n + 1) * dpn).find(|&d| !fixed[d]);
         for (ia, &a) in nodes.iter().enumerate() {
             // The free rows of one node share their column list, in which a
             // node's free dofs are adjacent: one search per node pair.
-            let Some(r0) = first_free(a) else { continue };
+            let Some(r0) = first_free(a).filter(|_| a < self.rows) else {
+                continue;
+            };
             let cols = &self.col_idx[self.row_ptr[r0]..self.row_ptr[r0 + 1]];
             for (ib, &b) in nodes.iter().enumerate() {
+                if !inside && !self.cols.contains(&b) {
+                    continue;
+                }
                 let at = first_free(b).map_or(0, |c0| {
                     cols.binary_search(&c0)
                         .expect("the pattern holds every free dof pair of an element")
@@ -204,8 +247,8 @@ impl Scatter for Pattern {
     }
 
     fn into_matrix(self, values: Vec<f64>) -> CsrMatrix {
-        let n = self.row_ptr.len() - 1;
-        CsrMatrix::from_raw_parts(n, n, self.row_ptr, self.col_idx, values)
+        let (n_rows, n_cols) = (self.rows * self.dpn, self.cols.end * self.dpn);
+        CsrMatrix::from_raw_parts(n_rows, n_cols, self.row_ptr, self.col_idx, values)
             .expect("the symbolic pass produces valid CSR")
     }
 }
@@ -215,7 +258,8 @@ impl Scatter for Pattern {
 /// holds its diagonal block alone, or nothing without `fixed_diag`), and for
 /// each block that is not full the mask of the entries the scalar pattern
 /// holds. The rest of such a block is fill, zero: exactly what
-/// [`BcsrMatrix::from_csr`] makes of the CSR pattern.
+/// [`BcsrMatrix::from_csr`] makes of the CSR pattern. Its columns are those
+/// of its rows' nodes (`cols` is `0..rows`), so the blocks are square.
 pub(crate) struct BlockPattern {
     brow_ptr: Vec<usize>,
     bcol_idx: Vec<u32>,
@@ -231,8 +275,10 @@ impl Scatter for BlockPattern {
         dpn: usize,
         fixed: &[bool],
         fixed_diag: bool,
+        rows: usize,
+        cols: Range<usize>,
     ) -> Self {
-        let n_nodes = nbr_ptr.len() - 1;
+        assert_eq!(cols, 0..rows, "node blocks are square");
         let any_free = |m: usize| (m * dpn..(m + 1) * dpn).any(|d| !fixed[d]);
         let full = (1u16 << (dpn * dpn)) - 1;
         let mask = |n: usize, m: usize| {
@@ -249,8 +295,8 @@ impl Scatter for BlockPattern {
         };
         // A node is its own neighbour, so no row has more blocks than
         // neighbours.
-        let mut brow_ptr = Vec::with_capacity(n_nodes + 1);
-        let mut bcol_idx = Vec::with_capacity(nbrs.len());
+        let mut brow_ptr = Vec::with_capacity(rows + 1);
+        let mut bcol_idx = Vec::with_capacity(nbr_ptr[rows]);
         let mut fill = Vec::new();
         let mut push = |bcol_idx: &mut Vec<u32>, n: usize, m: usize| {
             let bits = mask(n, m);
@@ -260,12 +306,10 @@ impl Scatter for BlockPattern {
             bcol_idx.push(m as u32);
         };
         brow_ptr.push(0);
-        for n in 0..n_nodes {
+        for n in 0..rows {
             if any_free(n) {
-                let free_nbrs = nbrs[nbr_ptr[n]..nbr_ptr[n + 1]]
-                    .iter()
-                    .filter(|&&m| any_free(m));
-                for &m in free_nbrs {
+                let nbrs = window(&nbrs[nbr_ptr[n]..nbr_ptr[n + 1]], &cols);
+                for &m in nbrs.iter().filter(|&&m| any_free(m)) {
                     push(&mut bcol_idx, n, m);
                 }
             } else if fixed_diag {
@@ -294,14 +338,14 @@ impl Scatter for BlockPattern {
         fixed: &[bool],
         mut lift: impl FnMut(usize, usize, f64),
     ) {
-        let nd = nodes.len() * dpn;
+        let (nd, rows) = (nodes.len() * dpn, self.brow_ptr.len() - 1);
         for (ia, &a) in nodes.iter().enumerate() {
-            if (a * dpn..(a + 1) * dpn).all(|r| fixed[r]) {
+            if a >= rows || (a * dpn..(a + 1) * dpn).all(|r| fixed[r]) {
                 continue;
             }
             let lo = self.brow_ptr[a];
             let cols = &self.bcol_idx[lo..self.brow_ptr[a + 1]];
-            for (ib, &b) in nodes.iter().enumerate() {
+            for (ib, &b) in nodes.iter().enumerate().filter(|&(_, &b)| b < rows) {
                 // No block when `b` is wholly constrained: every entry lifts.
                 let at = (cols.binary_search(&(b as u32)).ok()).map(|k| (lo + k) * dpn * dpn);
                 for ca in (0..dpn).filter(|&ca| !fixed[a * dpn + ca]) {
@@ -349,10 +393,14 @@ impl Scatter for NodePattern {
         dpn: usize,
         fixed: &[bool],
         fixed_diag: bool,
+        rows: usize,
+        cols: Range<usize>,
     ) -> Self {
         match dpn {
-            2 | 3 => NodePattern::Blocks(BlockPattern::over(graph, dpn, fixed, fixed_diag)),
-            _ => NodePattern::Csr(Pattern::over(graph, dpn, fixed, fixed_diag)),
+            2 | 3 => NodePattern::Blocks(BlockPattern::over(
+                graph, dpn, fixed, fixed_diag, rows, cols,
+            )),
+            _ => NodePattern::Csr(Pattern::over(graph, dpn, fixed, fixed_diag, rows, cols)),
         }
     }
 
@@ -393,6 +441,65 @@ impl Scatter for NodePattern {
     }
 }
 
+/// One rank's rows split by column owner: over rows `0..rows`, the columns
+/// of the row nodes in the storage of a local matrix ([`NodePattern`]) and
+/// the columns of the other nodes (`rows..`) as scalar CSR. Each node pair
+/// of an element lands in exactly one of the two; their values are stored
+/// back to back, the owned columns' first.
+struct SplitPattern {
+    own: NodePattern,
+    ghost: Pattern,
+}
+
+impl Scatter for SplitPattern {
+    type Matrix = (NodeMatrix, CsrMatrix);
+
+    fn over(
+        graph: &(Vec<usize>, Vec<usize>),
+        dpn: usize,
+        fixed: &[bool],
+        fixed_diag: bool,
+        rows: usize,
+        cols: Range<usize>,
+    ) -> Self {
+        SplitPattern {
+            own: NodePattern::over(graph, dpn, fixed, fixed_diag, rows, cols.start..rows),
+            ghost: Pattern::over(graph, dpn, fixed, false, rows, rows..cols.end),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.own.len() + self.ghost.len()
+    }
+
+    fn add_block(
+        &self,
+        values: &mut [f64],
+        nodes: &[usize],
+        dpn: usize,
+        block: &[f64],
+        fixed: &[bool],
+        mut lift: impl FnMut(usize, usize, f64),
+    ) {
+        let (own, ghost) = values.split_at_mut(self.own.len());
+        self.own.add_block(own, nodes, dpn, block, fixed, &mut lift);
+        self.ghost
+            .add_block(ghost, nodes, dpn, block, fixed, &mut lift);
+    }
+
+    fn diagonal(&self, r: usize) -> usize {
+        self.own.diagonal(r)
+    }
+
+    /// The ghost columns' values move to an allocation of their own; the
+    /// owned columns' keep theirs, shrunk to fit.
+    fn into_matrix(self, mut values: Vec<f64>) -> (NodeMatrix, CsrMatrix) {
+        let ghost = values.split_off(self.own.len());
+        values.shrink_to_fit();
+        (self.own.into_matrix(values), self.ghost.into_matrix(ghost))
+    }
+}
+
 /// The one assembly core: a symbolic pass builds the pattern from the
 /// element connectivity, then a numeric pass walks the elements in the order
 /// `conn` lists them and adds each dense element matrix into the preallocated
@@ -401,11 +508,11 @@ impl Scatter for NodePattern {
 /// assembled matrix in this crate, whatever its storage.
 ///
 /// `conn` holds `npe` node ids per element, in the numbering of the matrix
-/// rows (dof `dpn * node + c`). `fixed` flags the constrained dofs and
-/// `prescribed` holds their values: a constrained row keeps a lone diagonal
-/// `fixed_diag(row)`, a constrained column is left out of the pattern and
-/// its entries move to the right-hand side per element,
-/// `rhs[row] -= k_rc * prescribed[col]`. `element(k, ke, me)` fills the
+/// (dof `dpn * node + c`); the rows are those of the nodes `0..rows`, the
+/// columns those of all `n_nodes`. `fixed` flags the constrained dofs: a
+/// constrained row keeps a lone diagonal `fixed_diag(row)`, and a
+/// constrained column is left out of the pattern, its entries handed to
+/// `lift(row, col, value)` per element. `element(k, ke, me)` fills the
 /// stiffness (and, when `with_mass`, the mass) of the `k`-th listed element
 /// into caller-owned row-major buffers. The stiffness goes into the storage
 /// `K` lays out; the mass is CSR over the stiffness pattern with the
@@ -413,20 +520,20 @@ impl Scatter for NodePattern {
 #[allow(clippy::too_many_arguments)] // one entry for every assembly in the crate
 pub(crate) fn assemble<K: Scatter>(
     n_nodes: usize,
+    rows: usize,
     dpn: usize,
     npe: usize,
     conn: &[usize],
     fixed: &[bool],
-    prescribed: &[f64],
     fixed_diag: impl Fn(usize) -> f64,
-    rhs: &mut [f64],
+    mut lift: impl FnMut(usize, usize, f64),
     with_mass: bool,
     mut element: impl FnMut(usize, &mut [f64], Option<&mut [f64]>),
 ) -> (K::Matrix, Option<CsrMatrix>) {
     assert_eq!(fixed.len(), n_nodes * dpn, "constraint flags do not match");
     let graph = node_graph(n_nodes, npe, conn);
-    let k_pat = K::over(&graph, dpn, fixed, true);
-    let m_pat = with_mass.then(|| Pattern::over(&graph, dpn, fixed, false));
+    let k_pat = K::over(&graph, dpn, fixed, true, rows, 0..n_nodes);
+    let m_pat = with_mass.then(|| Pattern::over(&graph, dpn, fixed, false, rows, 0..n_nodes));
     drop(graph);
     let mut k_vals = zeros(k_pat.len());
     let mut m_vals = m_pat.as_ref().map(|p| zeros(p.len()));
@@ -436,14 +543,12 @@ pub(crate) fn assemble<K: Scatter>(
     let mut me = with_mass.then(|| vec![0.0; nd * nd]);
     for (k, nodes) in conn.chunks_exact(npe).enumerate() {
         element(k, &mut ke, me.as_deref_mut());
-        k_pat.add_block(&mut k_vals, nodes, dpn, &ke, fixed, |r, c, v| {
-            rhs[r] -= v * prescribed[c];
-        });
+        k_pat.add_block(&mut k_vals, nodes, dpn, &ke, fixed, &mut lift);
         if let (Some(pat), Some(vals), Some(me)) = (&m_pat, &mut m_vals, &me) {
             pat.add_block(vals, nodes, dpn, me, fixed, |_, _, _| {});
         }
     }
-    for r in (0..fixed.len()).filter(|&r| fixed[r]) {
+    for r in (0..rows * dpn).filter(|&r| fixed[r]) {
         k_vals[k_pat.diagonal(r)] = fixed_diag(r);
     }
     (
@@ -466,69 +571,161 @@ pub(crate) fn assemble_raw<const N: usize, const M: usize>(
     let (n_nodes, dpn) = (dm.n_nodes(), dm.dofs_per_node());
     let fill = |e: usize, ke: &mut [f64], _: Option<&mut [f64]>| ke.copy_from_slice(&block_of(e));
     let none = |_| unreachable!("no dof is constrained");
+    let no_lift = |_, _, _| unreachable!("no dof is constrained");
     assemble::<Pattern>(
-        n_nodes,
-        dpn,
-        N,
-        &conn,
-        &free,
-        &[],
-        none,
-        &mut [],
-        false,
-        fill,
+        n_nodes, n_nodes, dpn, N, &conn, &free, none, no_lift, false, fill,
     )
     .0
 }
 
-/// Raw (unconstrained) assembly of the elements that touch a node set — a
-/// rank's share of a node partition. Of the `n_elems` elements, those with a
-/// node in `keep` are assembled, in ascending element order, over the nodes
-/// they touch; `dpn` dofs per node, interleaved. Returns those nodes (global
-/// ids, ascending: node `l` of the list is the local node of rows
-/// `dpn * l ..`), the number of elements assembled and the matrix.
+/// One rank's rows of a node partition, constrained and unscaled, split by
+/// the owner of their columns: the block row of the row-based decomposition
+/// before its scaling.
+#[derive(Debug, Clone)]
+pub struct OwnedRows {
+    /// Global dof of each row: the dofs of the rank's nodes, ascending.
+    pub rows: Vec<usize>,
+    /// The coupling among the rows (columns numbered like the rows), in the
+    /// storage of a local matrix: `B × B` node blocks for 2 or 3 dofs per
+    /// node, CSR for one.
+    pub a_loc: NodeMatrix,
+    /// The coupling to other ranks' dofs, column `j` being `ext_dofs[j]`.
+    pub a_ext: CsrMatrix,
+    /// Global dofs of the `a_ext` columns, ascending.
+    pub ext_dofs: Vec<usize>,
+    /// The rows' right-hand side.
+    pub rhs: Vec<f64>,
+}
+
+impl OwnedRows {
+    /// `‖a_r‖₁` of every row, its owned and external entries taken in one
+    /// ascending global column order: the bits of
+    /// [`CsrMatrix::row_abs_sums`] on the rows of the global matrix.
+    pub fn row_abs_sums(&self) -> Vec<f64> {
+        let mut sums = self.a_loc.row_abs_sums();
+        for (r, sum) in sums.iter_mut().enumerate() {
+            let (cols, vals) = self.a_ext.row(r);
+            if cols.is_empty() {
+                continue;
+            }
+            let (mut acc, mut k) = (0.0, 0);
+            for (l, v) in self.a_loc.row_entries(r) {
+                while k < cols.len() && self.ext_dofs[cols[k]] < self.rows[l] {
+                    acc += vals[k].abs();
+                    k += 1;
+                }
+                acc += v.abs();
+            }
+            *sum = vals[k..].iter().fold(acc, |acc, w| acc + w.abs());
+        }
+        sums
+    }
+
+    /// Stored entries of both blocks.
+    pub fn nnz(&self) -> usize {
+        self.a_loc.nnz() + self.a_ext.nnz()
+    }
+}
+
+/// Assembles one rank's rows of a node partition: those of the nodes
+/// `owned` accepts, from the `n_elems` elements that have such a node, in
+/// ascending element order. The Dirichlet conditions of `dm` apply as the
+/// global [`apply_dirichlet`] applies them, with the right-hand side taken
+/// from the global `loads`; the other ranks' nodes touched (one ghost
+/// layer) give the columns of `a_ext`. Returns the rows and the number of
+/// elements assembled.
 ///
-/// A kept node has all its elements here, so its rows hold the entries of
-/// its rows of the global raw assembly, in the same column order and summed
-/// in the same element order: bit for bit the same values. The rows of the
-/// other nodes are partial sums.
-pub fn assemble_touching<const N: usize, const M: usize>(
-    dpn: usize,
+/// An owned node has all its elements here, so each row holds the entries
+/// of that row of the global constrained matrix, summed in the same element
+/// order, and its right-hand side the same lifted values subtracted in the
+/// same column order: bit for bit the same values.
+pub fn assemble_owned<const N: usize, const M: usize>(
+    dm: &DofMap,
+    loads: &[f64],
     n_elems: usize,
     nodes_of: impl Fn(usize) -> [usize; N],
-    keep: impl Fn(usize) -> bool,
+    owned: impl Fn(usize) -> bool,
     mut block_of: impl FnMut(usize) -> [f64; M],
-) -> (Vec<usize>, usize, CsrMatrix) {
+) -> (OwnedRows, usize) {
     let elems: Vec<usize> = (0..n_elems)
-        .filter(|&e| nodes_of(e).into_iter().any(&keep))
+        .filter(|&e| nodes_of(e).into_iter().any(&owned))
         .collect();
+    // The owned nodes are the local nodes `0..n_own`, the ghosts follow;
+    // each group ascends with the global id.
     let mut nodes: Vec<usize> = elems.iter().flat_map(|&e| nodes_of(e)).collect();
     nodes.sort_unstable();
     nodes.dedup();
+    let ghost: Vec<usize> = nodes.iter().copied().filter(|&n| !owned(n)).collect();
+    nodes.retain(|&n| owned(n));
+    let n_own = nodes.len();
+    nodes.extend(ghost);
+    let (own, ghost) = nodes.split_at(n_own);
+    let listed = "an element's node is listed";
     let conn: Vec<usize> = (elems.iter().flat_map(|&e| nodes_of(e)))
-        .map(|n| {
-            nodes
-                .binary_search(&n)
-                .expect("an element's node is listed")
+        .map(|n| match owned(n) {
+            true => own.binary_search(&n).expect(listed),
+            false => n_own + ghost.binary_search(&n).expect(listed),
         })
         .collect();
-    let free = vec![false; nodes.len() * dpn];
+    let dpn = dm.dofs_per_node();
+    let global: Vec<usize> = (nodes.iter())
+        .flat_map(|&n| (0..dpn).map(move |c| dm.dof(n, c)))
+        .collect();
+    let fixed: Vec<bool> = global.iter().map(|&g| dm.is_fixed(g)).collect();
+    let mut lifted = Vec::new();
     let fill =
         |k: usize, ke: &mut [f64], _: Option<&mut [f64]>| ke.copy_from_slice(&block_of(elems[k]));
-    let none = |_| unreachable!("no dof is constrained");
-    let (k, _) = assemble::<Pattern>(
+    let lift = |r: usize, c: usize, v: f64| lifted.push((r, global[c], v));
+    let ((a_loc, a_ext), _) = assemble::<SplitPattern>(
         nodes.len(),
+        n_own,
         dpn,
         N,
         &conn,
-        &free,
-        &[],
-        none,
-        &mut [],
+        &fixed,
+        |_| 1.0,
+        lift,
         false,
         fill,
     );
-    (nodes, elems.len(), k)
+
+    let n = n_own * dpn;
+    let mut rhs: Vec<f64> = (global[..n].iter())
+        .map(|&g| match dm.is_fixed(g) {
+            true => dm.fixed_value(g),
+            false => loads[g],
+        })
+        .collect();
+    // Each lifted entry summed over its elements in element order (a stable
+    // sort keeps it), a row's entries subtracted in global column order.
+    lifted.sort_by_key(|&(r, g, _)| (r, g));
+    for run in lifted.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let (r, g) = (run[0].0, run[0].1);
+        let k_rg = run.iter().fold(0.0, |sum, &(_, _, v)| sum + v);
+        rhs[r] -= k_rg * dm.fixed_value(g);
+    }
+
+    // The ghost dofs with an entry become the external columns, in order.
+    let (row_ptr, mut cols, vals) = a_ext.into_raw_parts();
+    let mut pos = vec![usize::MAX; global.len() - n];
+    cols.iter().for_each(|&c| pos[c - n] = 0);
+    let mut ext_dofs = Vec::new();
+    for (p, &g) in pos.iter_mut().zip(&global[n..]).filter(|(p, _)| **p == 0) {
+        *p = ext_dofs.len();
+        ext_dofs.push(g);
+    }
+    cols.iter_mut().for_each(|c| *c = pos[*c - n]);
+    let a_ext = CsrMatrix::from_raw_parts(n, ext_dofs.len().max(1), row_ptr, cols, vals)
+        .expect("a renumbering that keeps the column order");
+    let rows = global[..n].to_vec();
+    let owned_rows = OwnedRows {
+        rows,
+        a_loc,
+        a_ext,
+        ext_dofs,
+        rhs,
+    };
+    (owned_rows, elems.len())
 }
 
 /// Assembles the raw global stiffness matrix (no boundary conditions).

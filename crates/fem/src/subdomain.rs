@@ -235,15 +235,16 @@ impl SubdomainSystem {
         let with_mass = (sub.elements.first()).is_some_and(|&e| element_of(e).1.is_some());
         // Constraint rows: diag 1/mult so the assembled diagonal is 1, and
         // the RHS carries ū/mult so the assembled RHS is ū.
+        let n_nodes = sub.n_local_nodes();
         let (k_local, m_local) = assembly::assemble::<assembly::NodePattern>(
-            sub.n_local_nodes(),
+            n_nodes,
+            n_nodes,
             dpn,
             N,
             &conn,
             &fixed,
-            &prescribed,
             |l| 1.0 / multiplicity[l],
-            &mut f_local,
+            |r, c, v| f_local[r] -= v * prescribed[c],
             with_mass,
             |k, ke, me| {
                 let (stiffness, mass) = element_of(sub.elements[k]);

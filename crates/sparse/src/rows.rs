@@ -155,6 +155,25 @@ pub enum NodeMatrix {
 }
 
 impl NodeMatrix {
+    /// The storage `dpn` dofs per node give the rows of `a`: `a` copied into
+    /// node blocks ([`BcsrMatrix::from_csr`]) for 2 or 3, `a` itself for one.
+    pub fn from_csr(a: CsrMatrix, dpn: usize) -> Self {
+        match BcsrMatrix::from_csr(&a, dpn) {
+            Some(blocks) => NodeMatrix::Blocks(blocks),
+            None => NodeMatrix::Csr(a),
+        }
+    }
+
+    /// The kernel that applies this matrix, as traces and reports name it:
+    /// `csr`, `bcsr2` or `bcsr3`.
+    pub fn kernel_label(&self) -> &'static str {
+        match self {
+            NodeMatrix::Csr(_) => "csr",
+            NodeMatrix::Blocks(a) if a.block_size() == 2 => "bcsr2",
+            NodeMatrix::Blocks(_) => "bcsr3",
+        }
+    }
+
     /// Scalar row count.
     pub fn n_rows(&self) -> usize {
         match self {

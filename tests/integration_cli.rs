@@ -371,12 +371,35 @@ fn kernels_option_is_rejected_and_the_kernel_is_labelled_per_rank() {
     }
 
     // What ran is named per rank instead: node blocks for the two and three
-    // DOFs per node of elasticity, CSR for the scalar problem and for RDD.
-    let cases: [(&[&str], &str); 4] = [
+    // DOFs per node of elasticity, CSR for the scalar problem, under either
+    // strategy.
+    let cases: [(&[&str], &str); 6] = [
         (&["--mesh", "21x10"], "bcsr2"),
-        (&["--mesh", "21x10", "--strategy", "rdd"], "csr"),
+        (&["--mesh", "21x10", "--strategy", "rdd"], "bcsr2"),
         (&["--problem", "heat2d", "--mesh", "21x10"], "csr"),
+        (
+            &[
+                "--problem",
+                "heat2d",
+                "--mesh",
+                "21x10",
+                "--strategy",
+                "rdd",
+            ],
+            "csr",
+        ),
         (&["--problem", "elasticity3d", "--mesh", "6x3x3"], "bcsr3"),
+        (
+            &[
+                "--problem",
+                "elasticity3d",
+                "--mesh",
+                "6x3x3",
+                "--strategy",
+                "rdd",
+            ],
+            "bcsr3",
+        ),
     ];
     for (args, label) in cases {
         for overlap in [false, true] {
