@@ -33,7 +33,7 @@ fn bench_assembly(c: &mut Criterion) {
     });
 
     for parts in [2usize, 4, 8] {
-        let subs = ElementPartition::strips_x(&p.mesh, parts).subdomains(&p.mesh);
+        let subs = ElementPartition::strips_x(&p.mesh, parts).subdomains_of(&p.mesh);
         group.bench_with_input(
             BenchmarkId::new("all_subdomains", parts),
             &subs,
@@ -74,8 +74,8 @@ fn bench_hex_half_block(c: &mut Criterion) {
     let sub = &ElementPartition::blocks_of(&mesh, 2, 1).subdomains_of(&mesh)[0];
     let mut group = c.benchmark_group("assembly_hex_half_block");
     group.sample_size(20);
-    group.bench_function("build_hex", |b| {
-        b.iter(|| black_box(SubdomainSystem::build_hex(&mesh, &dm, &mat, sub, &loads)))
+    group.bench_function("subdomain_build", |b| {
+        b.iter(|| black_box(SubdomainSystem::build(&mesh, &dm, &mat, sub, &loads, None)))
     });
     group.finish();
 }

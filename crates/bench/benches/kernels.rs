@@ -86,7 +86,7 @@ fn bench_kernel_variants(c: &mut Criterion) {
     let mut dm = DofMap::new(quad.n_nodes());
     dm.clamp_edge(&quad, Edge::Left);
     let loads = vec![0.0; dm.n_dofs()];
-    let sub = &ElementPartition::strips_x(&quad, 2).subdomains(&quad)[0];
+    let sub = &ElementPartition::strips_x(&quad, 2).subdomains_of(&quad)[0];
     let plane = SubdomainSystem::build(&quad, &dm, &mat, sub, &loads, None).k_local;
 
     let hex = HexMesh::cantilever(28, 14, 14);
@@ -96,7 +96,7 @@ fn bench_kernel_variants(c: &mut Criterion) {
     }
     let loads = vec![0.0; dm.n_dofs()];
     let sub = &ElementPartition::blocks_of(&hex, 2, 1).subdomains_of(&hex)[0];
-    let solid = SubdomainSystem::build_hex(&hex, &dm, &mat, sub, &loads).k_local;
+    let solid = SubdomainSystem::build(&hex, &dm, &mat, sub, &loads, None).k_local;
 
     let mut group = c.benchmark_group("kernels_variants");
     for (blocks, csr_name, block_name) in [
@@ -136,7 +136,7 @@ fn bench_coarse_panel(c: &mut Criterion) {
     }
     let loads = vec![0.0; dm.n_dofs()];
     let sub = &ElementPartition::blocks_of(&hex, 2, 1).subdomains_of(&hex)[0];
-    let a = SubdomainSystem::build_hex(&hex, &dm, &Material::unit(), sub, &loads).k_local;
+    let a = SubdomainSystem::build(&hex, &dm, &Material::unit(), sub, &loads, None).k_local;
     let (n, k) = (a.n_rows(), 12);
     let columns: Vec<Vec<f64>> = (0..k)
         .map(|c| (0..n).map(|g| ((g * (c + 3)) % 17) as f64 - 8.0).collect())

@@ -6,7 +6,7 @@
 //! - Q4 adds cell diagonals and violates the bound;
 //! - Q8 couples 7+ neighbours per node and is densest.
 
-use parfem::fem::{assembly, quad8s, tri3, Material};
+use parfem::fem::{assembly, Material};
 use parfem::mesh::graph::Adjacency;
 use parfem::prelude::*;
 use parfem_bench::harness::{banner, Table};
@@ -19,7 +19,7 @@ fn main() {
     // T3.
     let tmesh = parfem::mesh::TriMesh::cantilever(nx, ny);
     let tdm = DofMap::new(tmesh.n_nodes());
-    let kt = tri3::assemble_stiffness(&tmesh, &tdm, &mat);
+    let kt = assembly::assemble_stiffness(&tmesh, &tdm, &mat);
     let gt = Adjacency::node_graph_from_cells(
         tmesh.n_nodes(),
         (0..tmesh.n_elems()).map(|e| tmesh.elem_nodes(e).to_vec()),
@@ -34,7 +34,7 @@ fn main() {
     // Q8.
     let emesh = parfem::mesh::Quad8Mesh::cantilever(nx, ny);
     let edm = DofMap::new(emesh.n_nodes());
-    let ke = quad8s::assemble_stiffness(&emesh, &edm, &mat);
+    let ke = assembly::assemble_stiffness(&emesh, &edm, &mat);
     let ge = Adjacency::node_graph_from_cells(
         emesh.n_nodes(),
         (0..emesh.n_elems()).map(|e| emesh.elem_nodes(e).to_vec()),
@@ -85,7 +85,7 @@ fn main() {
                 for n in tmesh.edge_nodes(Edge::Left) {
                     dm.clamp_node(n);
                 }
-                let kraw = tri3::assemble_stiffness(&tmesh, &dm, &mat);
+                let kraw = assembly::assemble_stiffness(&tmesh, &dm, &mat);
                 let mut loads = vec![0.0; dm.n_dofs()];
                 for n in tmesh.edge_nodes(Edge::Right) {
                     loads[dm.dof(n, 0)] = 1.0;
@@ -106,7 +106,7 @@ fn main() {
                 for n in emesh.edge_nodes(Edge::Left) {
                     dm.clamp_node(n);
                 }
-                let kraw = quad8s::assemble_stiffness(&emesh, &edm, &mat);
+                let kraw = assembly::assemble_stiffness(&emesh, &edm, &mat);
                 let mut loads = vec![0.0; dm.n_dofs()];
                 for n in emesh.edge_nodes(Edge::Right) {
                     loads[dm.dof(n, 0)] = 1.0;

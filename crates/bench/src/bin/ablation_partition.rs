@@ -15,8 +15,8 @@ fn main() {
 
     let parts: Vec<(&str, ElementPartition)> = vec![
         ("strips_x", ElementPartition::strips_x(&p.mesh, 4)),
-        ("blocks_2x2", ElementPartition::blocks(&p.mesh, 2, 2)),
-        ("blocks_1x4", ElementPartition::blocks(&p.mesh, 1, 4)),
+        ("blocks_2x2", ElementPartition::blocks_of(&p.mesh, 2, 2)),
+        ("blocks_1x4", ElementPartition::blocks_of(&p.mesh, 1, 4)),
         (
             "greedy_bfs",
             parfem::mesh::graph::greedy_bfs_partition(&p.mesh, 4),
@@ -37,7 +37,7 @@ fn main() {
 
     for (name, part) in &parts {
         // Interface size: nodes with multiplicity > 1, summed over subs.
-        let subs = part.subdomains(&p.mesh);
+        let subs = part.subdomains_of(&p.mesh);
         let iface: usize = subs.iter().map(|s| s.n_interface_nodes()).sum();
         let out = case.run_strategy(Strategy::Edd(part.clone()));
         let bytes_per_iter =

@@ -31,8 +31,8 @@ use std::time::Duration;
 #[global_allocator]
 static ALLOC: parfem::trace::alloc::CountingAlloc = parfem::trace::alloc::CountingAlloc;
 
-/// Exit status of a session rejected as misconfigured
-/// ([`SolveFailures::is_config_error`](parfem::dd::SolveFailures::is_config_error)).
+/// Exit status of options that do not fit the input (more `--parts` than
+/// the mesh can be cut into): nothing ran.
 const EXIT_CONFIG: u8 = 3;
 
 /// A solve whose relative residual on the assembled system exceeds this
@@ -463,13 +463,6 @@ fn cmd_solve(args: &Args) -> ExitCode {
         .run();
     let out = match result {
         Ok(out) => out,
-        Err(failures) if failures.is_config_error() => {
-            // Rejected before any rank ran: the options do not fit the
-            // input. Distinct from a solve that ran and failed (1) and from
-            // a malformed command line (2).
-            eprintln!("error: {failures}");
-            return ExitCode::from(EXIT_CONFIG);
-        }
         Err(failures) => {
             eprintln!("error: {failures}");
             for (rank, e) in &failures.errors {

@@ -11,7 +11,7 @@
 //! every step.
 
 use crate::problems::CantileverProblem;
-use parfem_fem::{assembly, NewmarkIntegrator, NewmarkParams};
+use parfem_fem::{assembly, Mass, NewmarkIntegrator, NewmarkParams};
 use parfem_sparse::CsrMatrix;
 
 /// Builds the first-step Newmark effective system for a suddenly applied
@@ -20,7 +20,12 @@ use parfem_sparse::CsrMatrix;
 pub fn first_step_system(problem: &CantileverProblem, dt: f64) -> (CsrMatrix, Vec<f64>) {
     let params = NewmarkParams::average_acceleration(dt);
     let k_raw = assembly::assemble_stiffness(&problem.mesh, &problem.dof_map, &problem.material);
-    let m_raw = assembly::assemble_mass(&problem.mesh, &problem.dof_map, &problem.material, true);
+    let m_raw = assembly::assemble_mass(
+        &problem.mesh,
+        &problem.dof_map,
+        &problem.material,
+        Mass::Lumped,
+    );
     let mut f = problem.loads.clone();
     let k = assembly::apply_dirichlet(&k_raw, &problem.dof_map, &mut f);
     let m = assembly::apply_dirichlet_mass(&m_raw, &problem.dof_map);

@@ -71,7 +71,7 @@ pub mod prelude {
         DdSolveOutput, DynamicRunOutput, EddVariant, MultiSolveOutput, PrecondSpec, Problem,
         SolveError, SolveFailures, SolveSession, SolverConfig, Strategy,
     };
-    pub use parfem_fem::{Material, NewmarkParams, Physics};
+    pub use parfem_fem::{Discretization, Material, NewmarkParams, Physics};
     pub use parfem_krylov::{ConvergenceHistory, GmresConfig};
     pub use parfem_mesh::{
         DofMap, Edge, ElementPartition, Face, HexMesh, NodePartition, PartitionerSpec, QuadMesh,

@@ -11,7 +11,7 @@
 //!
 //! | Paper | Code |
 //! |---|---|
-//! | Eq. 1 `K u = f`, FEM assembly | [`parfem_fem::assembly`] |
+//! | Eq. 1 `K u = f`, FEM assembly | [`parfem_fem::assembly`] over one [`parfem_fem::Discretization`] (mesh × physics) |
 //! | Theorem 1 (Gershgorin row-sum bound) | [`parfem_sparse::gershgorin`] |
 //! | Eqs. 9–12, norm-1 diagonal scaling | [`parfem_sparse::scaling`] |
 //! | Sec. 2.1.2, Neumann series `P_m = ω Σ Gᵏ` | [`parfem_precond::NeumannPrecond`] |
@@ -51,6 +51,7 @@
 //! |---|---|
 //! | Table 1 comm counts (measured, not hand-counted) | `table1_comm_counts` binary; [`parfem_msg::CommStats`] |
 //! | planar `G(K)` for triangles | [`parfem_mesh::graph::Adjacency::satisfies_planar_edge_bound`] |
+//! | T3 / Q4 / Q8 element families through both strategies | [`parfem_fem::Discretization`] ([`parfem_fem::tri3`], [`parfem_fem::quad4`], [`parfem_fem::quad8s`]) in a [`parfem_dd::Problem`]; `ablation_elements_parallel` runs both columns through [`parfem_dd::SolveSession`] |
 //! | 4-/8-noded quadrilateral densification | [`parfem_fem::quad8s`], `ablation_elements*` binaries |
 //!
 //! ## Section 6 — numerical results

@@ -6,7 +6,7 @@
 //! default material is the dimensionless unit material since only iteration
 //! counts and timings are reported.
 
-use parfem_fem::{assembly, Material, Physics};
+use parfem_fem::{assembly, Discretization, Material, Physics};
 use parfem_mesh::{
     DofMap, Edge, ElementPartition, Face, HexMesh, NodePartition, PartitionerSpec, QuadMesh,
 };
@@ -207,48 +207,33 @@ impl PhysicsProblem {
         self.dof_map.n_dofs()
     }
 
+    /// The mesh paired with this problem's physics.
+    pub fn discretization(&self) -> Discretization<'_> {
+        match &self.mesh {
+            WorkloadMesh::Quad(m) => Discretization::new(m, self.physics),
+            WorkloadMesh::Hex(m) => Discretization::new(m, self.physics),
+        }
+    }
+
     /// Assembles the constrained static system `K u = f` for this
     /// problem's physics.
     pub fn static_system(&self) -> assembly::StaticSystem {
-        match (&self.mesh, self.physics) {
-            (WorkloadMesh::Quad(m), Physics::Elasticity2d) => {
-                assembly::build_static(m, &self.dof_map, &self.material, &self.loads)
-            }
-            (WorkloadMesh::Quad(m), Physics::Heat2d) => {
-                assembly::build_static_heat(m, &self.dof_map, &self.material, &self.loads)
-            }
-            (WorkloadMesh::Hex(m), Physics::Elasticity3d) => {
-                assembly::build_static_hex(m, &self.dof_map, &self.material, &self.loads)
-            }
-            _ => unreachable!("mesh/physics pairing validated at construction"),
-        }
+        let (dm, mat) = (&self.dof_map, &self.material);
+        assembly::build_static(self.discretization(), dm, mat, &self.loads)
     }
 
     /// The borrowed [`parfem_dd::Problem`] view — what
     /// [`parfem_dd::SolveSession::new`] takes.
     pub fn as_problem(&self) -> parfem_dd::Problem<'_> {
-        match (&self.mesh, self.physics) {
-            (WorkloadMesh::Quad(m), Physics::Elasticity2d) => {
-                parfem_dd::Problem::new(m, &self.dof_map, &self.material, &self.loads)
-            }
-            (WorkloadMesh::Quad(m), Physics::Heat2d) => {
-                parfem_dd::Problem::heat(m, &self.dof_map, &self.material, &self.loads)
-            }
-            (WorkloadMesh::Hex(m), Physics::Elasticity3d) => {
-                parfem_dd::Problem::elasticity3d(m, &self.dof_map, &self.material, &self.loads)
-            }
-            _ => unreachable!("mesh/physics pairing validated at construction"),
-        }
+        let (dm, mat) = (&self.dof_map, &self.material);
+        parfem_dd::Problem::new(self.discretization(), dm, mat, &self.loads)
     }
 
     /// The EDD element partition `spec` produces for `parts` subdomains —
     /// the partitioner registry is generic over structured cell meshes, so
     /// every spec works for both mesh families.
     pub fn element_partition(&self, spec: &PartitionerSpec, parts: usize) -> ElementPartition {
-        match &self.mesh {
-            WorkloadMesh::Quad(m) => spec.element_partition(m, parts),
-            WorkloadMesh::Hex(m) => spec.element_partition(m, parts),
-        }
+        spec.element_partition(&self.discretization().mesh(), parts)
     }
 
     /// The RDD node partition into `parts` vertical strips (slabs of

@@ -54,7 +54,6 @@
 
 use crate::dist_vec::EddLayout;
 use crate::edd::EddOperator;
-use crate::error::SolveError;
 use crate::rdd::{RddOperator, RddSystem};
 use parfem_krylov::DistributedOperator;
 use parfem_mesh::{DofMap, NodePartition};
@@ -332,54 +331,31 @@ pub struct CoarsePlan<'a> {
 /// subdomain system's own local order.
 ///
 /// `constrained(part, local_dof)` says which dofs carry a Dirichlet
-/// condition and are excluded from the coarse modes: the `DofMap`'s flag
-/// for a mesh-level problem. Prebuilt systems have no `DofMap`; for them a
-/// row stored as a lone diagonal (how `SubdomainSystem` stores a Dirichlet
-/// row) counts. A floating interior dof whose every in-part neighbour is
-/// constrained matches that too — harmless, it merely leaves the dof to the
-/// smoother.
-///
-/// `coords` are the mesh node positions (`z = 0` for 2-D meshes); prebuilt
-/// raw systems carry none, which leaves only the geometry-free coarse
-/// spaces ([`CoarseSpec::Const`], [`CoarseSpec::LowRank`]). `dofs_per_node`
-/// is the physics' DOF count per node (1 scalar, 2 plane elasticity, 3
-/// solid) — it decodes the interleaved global numbering
-/// `dof = dofs_per_node * node + comp`.
-///
-/// # Errors
-/// [`SolveError::Config`] when `spec` is [`CoarseSpec::Rbm`] (plain or
-/// smoothed) and `coords` is `None`: rigid-body rotations need node
-/// positions.
+/// condition and are excluded from the coarse modes. `coords` are the mesh
+/// node positions (`z = 0` for 2-D meshes). `dofs_per_node` is the physics'
+/// DOF count per node (1 scalar, 2 plane elasticity, 3 solid) — it decodes
+/// the interleaved global numbering `dof = dofs_per_node * node + comp`.
 pub fn edd_part_geometry<'a>(
-    spec: &CoarseSpec,
     parts: impl Iterator<Item = &'a [usize]>,
     constrained: impl Fn(usize, usize) -> bool,
-    coords: Option<&[[f64; 3]]>,
+    coords: &[[f64; 3]],
     dofs_per_node: usize,
-) -> Result<Vec<CoarsePartGeometry>, SolveError> {
+) -> Vec<CoarsePartGeometry> {
     assert!(dofs_per_node > 0, "need at least one DOF per node");
-    if matches!(spec.base(), CoarseSpec::Rbm) && coords.is_none() {
-        return Err(SolveError::Config {
-            what: format!("twolevel:{spec} on prebuilt subdomain systems"),
-            advice: "rigid-body coarse modes need node coordinates — build the session from \
-                     a mesh or use twolevel:const / twolevel:lowrank-K"
-                .to_string(),
-        });
-    }
-    Ok(parts
+    parts
         .enumerate()
         .map(|(part, global_dofs)| {
             let n = global_dofs.len();
             CoarsePartGeometry {
                 dofs: (0..n).collect(),
                 pos: (global_dofs.iter())
-                    .map(|&g| coords.map_or([0.0; 3], |c| c[g / dofs_per_node]))
+                    .map(|&g| coords[g / dofs_per_node])
                     .collect(),
                 comp: global_dofs.iter().map(|&g| g % dofs_per_node).collect(),
                 constrained: (0..n).map(|l| constrained(part, l)).collect(),
             }
         })
-        .collect())
+        .collect()
 }
 
 /// Per-part coarse geometry of an RDD node partition: one part per rank,

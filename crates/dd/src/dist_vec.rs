@@ -259,7 +259,7 @@ mod tests {
         assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
         let part = ElementPartition::strips_x(&mesh, p);
         let systems: Vec<SubdomainSystem> = part
-            .subdomains(&mesh)
+            .subdomains_of(&mesh)
             .iter()
             .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
             .collect();
@@ -398,7 +398,7 @@ mod tests {
         let sys_global = assembly::build_static(&mesh, &dm, &mat, &loads);
         let part = ElementPartition::strips_x(&mesh, 3);
         let systems: Vec<SubdomainSystem> = part
-            .subdomains(&mesh)
+            .subdomains_of(&mesh)
             .iter()
             .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
             .collect();

@@ -1,11 +1,11 @@
-//! End-to-end cases of the deleted legacy driver (`solve_edd`, `solve_rdd`,
-//! their traced and prebuilt-systems twins), ported onto [`SolveSession`].
+//! End-to-end cases of the deleted legacy driver (`solve_edd`, `solve_rdd`
+//! and their traced twins), ported onto [`SolveSession`].
 //! They stay in the library's test build, under their historical
 //! `driver::tests::*` names, because the tier-1 floor tracks tests by name.
 
 use crate::edd::EddVariant;
 use crate::session::{DdSolveOutput, PrecondSpec, Problem, SolveSession, SolverConfig, Strategy};
-use parfem_fem::{assembly, Material, SubdomainSystem};
+use parfem_fem::{assembly, Material};
 use parfem_krylov::gmres::GmresConfig;
 use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, QuadMesh};
 use parfem_msg::MachineModel;
@@ -72,8 +72,11 @@ fn solve_edd_traced(
     solve(p, strategy, model, &SolverConfig::default(), Some(sink))
 }
 
-fn solve_systems(systems: &[SubdomainSystem], n_dofs: usize) -> DdSolveOutput {
-    SolveSession::from_systems(systems, n_dofs)
+/// A mesh-level EDD session over the element strips of any mesh.
+fn solve_strips(problem: Problem<'_>, parts: usize) -> DdSolveOutput {
+    let part = ElementPartition::blocks_of(&problem.discretization.mesh(), parts, 1);
+    SolveSession::new(problem)
+        .strategy(Strategy::Edd(part))
         .run()
         .unwrap_or_else(|failures| panic!("distributed solve failed: {failures}"))
 }
@@ -180,16 +183,10 @@ fn edd_runs_on_triangle_meshes() {
     let mat = Material::unit();
     let mut loads = vec![0.0; dm.n_dofs()];
     loads[dm.dof(tmesh.node_at(8, 3), 1)] = -1.0;
-    let part = ElementPartition::strips_x_tri(&tmesh, 3);
-    let systems: Vec<SubdomainSystem> = part
-        .subdomains_of(&tmesh)
-        .iter()
-        .map(|s| SubdomainSystem::build_tri(&tmesh, &dm, &mat, s, &loads, None))
-        .collect();
-    let out = solve_systems(&systems, dm.n_dofs());
+    let out = solve_strips(Problem::new(&tmesh, &dm, &mat, &loads), 3);
     assert!(out.history.converged());
     // Residual against the assembled T3 system.
-    let k_raw = parfem_fem::tri3::assemble_stiffness(&tmesh, &dm, &mat);
+    let k_raw = assembly::assemble_stiffness(&tmesh, &dm, &mat);
     let mut rhs = loads.clone();
     let k_bc = assembly::apply_dirichlet(&k_raw, &dm, &mut rhs);
     let r = k_bc.spmv(&out.u);
@@ -214,15 +211,9 @@ fn edd_runs_on_quad8_meshes() {
     for n in emesh.edge_nodes(Edge::Right) {
         loads[dm.dof(n, 0)] = 0.2;
     }
-    let part = ElementPartition::strips_x_quad8(&emesh, 3);
-    let systems: Vec<SubdomainSystem> = part
-        .subdomains_of(&emesh)
-        .iter()
-        .map(|s| SubdomainSystem::build_quad8(&emesh, &dm, &mat, s, &loads, None))
-        .collect();
-    let out = solve_systems(&systems, dm.n_dofs());
+    let out = solve_strips(Problem::new(&emesh, &dm, &mat, &loads), 3);
     assert!(out.history.converged());
-    let k_raw = parfem_fem::quad8s::assemble_stiffness(&emesh, &dm, &mat);
+    let k_raw = assembly::assemble_stiffness(&emesh, &dm, &mat);
     let mut rhs = loads.clone();
     let k_bc = assembly::apply_dirichlet(&k_raw, &dm, &mut rhs);
     let r = k_bc.spmv(&out.u);

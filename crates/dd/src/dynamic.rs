@@ -14,7 +14,7 @@
 use crate::dist_vec::ExchangeBuffers;
 use crate::edd::{assemble_on_rank, edd_fgmres, edd_rank_setup, EddRank};
 use crate::session::{DdSolveOutput, Problem, SolverConfig};
-use parfem_fem::{NewmarkParams, SubdomainSystem};
+use parfem_fem::{Mass, NewmarkParams, SubdomainSystem};
 use parfem_krylov::history::{ConvergenceHistory, StopReason};
 use parfem_krylov::KrylovWorkspace;
 use parfem_mesh::ElementPartition;
@@ -63,7 +63,7 @@ pub(crate) fn run_dynamic_edd(
         assert_eq!(v, 0.0, "dynamic driver requires homogeneous BCs (dof {d})");
     }
     let p = part.n_parts();
-    let subdomains = problem.subdomains(part);
+    let subdomains = part.subdomains_of(&problem.mesh());
     let (alpha, beta) = params.effective_coefficients();
     let dt = params.dt;
     let nm_beta = params.beta;
@@ -72,7 +72,7 @@ pub(crate) fn run_dynamic_edd(
     type RankResult = (Vec<f64>, Vec<Vec<f64>>, usize, bool, ConvergenceHistory);
     let out = run_ranks(p, model, |comm| -> RankResult {
         // Stiffness and lumped mass, assembled by the rank itself.
-        let sys = &assemble_on_rank(comm, problem, &subdomains[comm.rank()], Some(true));
+        let sys = &assemble_on_rank(comm, problem, &subdomains[comm.rank()], Some(Mass::Lumped));
         let n = sys.n_local_dofs();
 
         // Effective local matrix, its distributed scaling and the
@@ -323,7 +323,7 @@ mod tests {
 
         // Sequential reference.
         let k_raw = assembly::assemble_stiffness(mesh, dm, mat);
-        let m_raw = assembly::assemble_mass(mesh, dm, mat, true);
+        let m_raw = assembly::assemble_mass(mesh, dm, mat, parfem_fem::Mass::Lumped);
         let mut f = loads.clone();
         let k = assembly::apply_dirichlet(&k_raw, dm, &mut f);
         let m = assembly::apply_dirichlet_mass(&m_raw, dm);

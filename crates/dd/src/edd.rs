@@ -37,7 +37,7 @@ use crate::scaling::DistributedScaling;
 use crate::session::{
     build_precond, host_span, rank_span, Decomposition, PrecondBuildStats, Problem, SolverConfig,
 };
-use parfem_fem::SubdomainSystem;
+use parfem_fem::{Mass, SubdomainSystem};
 use parfem_krylov::gmres::{fgmres_on, GmresConfig, GmresResult};
 use parfem_krylov::{DistributedOperator, KrylovWorkspace};
 use parfem_mesh::{ElementPartition, Subdomain};
@@ -392,79 +392,47 @@ where
 }
 
 /// The EDD side of the session engine's strategy seam: unassembled
-/// subdomain systems, scaled on the ranks (Algorithms 3–4).
+/// subdomain systems, scaled on the ranks (Algorithms 3–4). The host keeps
+/// the subdomains and their dof topology (what `gather` and the coarse
+/// geometry read); every rank assembles its own system.
 pub(crate) struct EddParts<'a> {
-    input: EddInput<'a>,
-    n_dofs: usize,
-    dofs_per_node: usize,
-}
-
-/// Where the ranks' subdomain systems come from.
-enum EddInput<'a> {
-    /// Caller-assembled systems, borrowed; they carry no node positions,
-    /// constraints or global loads (`run_multi` refuses them).
-    Prebuilt(&'a [SubdomainSystem]),
-    /// A mesh-level problem: the host keeps the subdomains and their dof
-    /// topology (what `gather` and the coarse geometry read), every rank
-    /// assembles its own system.
-    Mesh {
-        problem: &'a Problem<'a>,
-        subdomains: Vec<Subdomain>,
-        global_dofs: Vec<Vec<usize>>,
-    },
+    problem: &'a Problem<'a>,
+    subdomains: Vec<Subdomain>,
+    global_dofs: Vec<Vec<usize>>,
 }
 
 impl<'a> EddParts<'a> {
-    /// Caller-assembled systems: 2-D elasticity numbering, no geometry.
-    pub(crate) fn prebuilt(systems: &'a [SubdomainSystem], n_dofs: usize) -> Self {
-        EddParts {
-            input: EddInput::Prebuilt(systems),
-            n_dofs,
-            dofs_per_node: parfem_mesh::numbering::DOFS_PER_NODE,
-        }
-    }
-
     /// Partitions the mesh and numbers each subdomain's dofs under host-side
     /// spans; no element matrix is computed here.
     pub(crate) fn partition(p: &'a Problem<'a>, part: &ElementPartition, sink: &TraceSink) -> Self {
-        let subdomains = host_span(sink, "partition", || p.subdomains(part));
+        let subdomains = host_span(sink, "partition", || part.subdomains_of(&p.mesh()));
         let global_dofs = host_span(sink, "assembly", || {
             (subdomains.iter())
                 .map(|s| SubdomainSystem::global_dofs_of(p.dof_map, s))
                 .collect()
         });
         EddParts {
-            input: EddInput::Mesh {
-                problem: p,
-                subdomains,
-                global_dofs,
-            },
-            n_dofs: p.dof_map.n_dofs(),
-            dofs_per_node: p.dof_map.dofs_per_node(),
-        }
-    }
-
-    /// The global dof of every local dof of `rank`.
-    fn global_dofs(&self, rank: usize) -> &[usize] {
-        match &self.input {
-            EddInput::Prebuilt(systems) => &systems[rank].global_dofs,
-            EddInput::Mesh { global_dofs, .. } => &global_dofs[rank],
+            problem: p,
+            subdomains,
+            global_dofs,
         }
     }
 }
 
 /// Assembles this rank's subdomain system on the rank's own thread, under
-/// the rank span `assembly`, charging [`Problem::assembly_flops`] of its
+/// the rank span `assembly`, charging the discretization's
+/// [`assembly_flops`](parfem_fem::Discretization::assembly_flops) of its
 /// elements to the rank clock.
 pub(crate) fn assemble_on_rank<C: Communicator>(
     comm: &C,
-    problem: &Problem<'_>,
+    p: &Problem<'_>,
     sub: &Subdomain,
-    with_mass: Option<bool>,
+    with_mass: Option<Mass>,
 ) -> SubdomainSystem {
     rank_span(comm, "assembly", || {
-        let sys = problem.build_subdomain(sub, with_mass);
-        comm.work(problem.assembly_flops(sub.elements.len()));
+        let disc = p.discretization;
+        let sys = SubdomainSystem::build(disc, p.dof_map, p.material, sub, p.loads, with_mass);
+        comm.work(disc.assembly_flops(sub.elements.len()));
         sys
     })
 }
@@ -525,20 +493,17 @@ pub(crate) fn edd_rank_setup<C: Communicator>(
 }
 
 impl<'a> Decomposition for EddParts<'a> {
-    /// The rank's system — borrowed from the caller, or assembled by the
-    /// rank itself and then left without its `k_local` (the setup scaled it
-    /// into the operator) — and its setup.
-    type Rank = (Cow<'a, SubdomainSystem>, EddRank);
+    /// The rank's system — assembled by the rank itself and then left
+    /// without its `k_local` (the setup scaled it into the operator) — and
+    /// its setup.
+    type Rank = (SubdomainSystem, EddRank);
 
     fn n_ranks(&self) -> usize {
-        match &self.input {
-            EddInput::Prebuilt(systems) => systems.len(),
-            EddInput::Mesh { subdomains, .. } => subdomains.len(),
-        }
+        self.subdomains.len()
     }
 
     fn dofs_per_node(&self) -> usize {
-        self.dofs_per_node
+        self.problem.dof_map.dofs_per_node()
     }
 
     fn label(&self, cfg: &SolverConfig) -> &'static str {
@@ -548,23 +513,13 @@ impl<'a> Decomposition for EddParts<'a> {
         }
     }
 
-    /// Constrained dofs come from the problem's `DofMap`; prebuilt systems
-    /// have none, so there a row that is a lone diagonal — how
-    /// `SubdomainSystem` stores a Dirichlet row — counts as constrained.
-    fn coarse_geometry(&self, spec: &CoarseSpec) -> Result<Vec<CoarsePartGeometry>, SolveError> {
-        let parts = (0..self.n_ranks()).map(|r| self.global_dofs(r));
-        match &self.input {
-            EddInput::Prebuilt(systems) => {
-                let lone_diagonal =
-                    |r: usize, l: usize| systems[r].k_local.row_entries(l).map(|(c, _)| c).eq([l]);
-                edd_part_geometry(spec, parts, lone_diagonal, None, self.dofs_per_node)
-            }
-            EddInput::Mesh { problem, .. } => {
-                let fixed = |r: usize, l: usize| problem.dof_map.is_fixed(self.global_dofs(r)[l]);
-                let coords = problem.coords3();
-                edd_part_geometry(spec, parts, fixed, Some(&coords), self.dofs_per_node)
-            }
-        }
+    /// Constrained dofs come from the problem's `DofMap`.
+    fn coarse_geometry(&self, _: &CoarseSpec) -> Vec<CoarsePartGeometry> {
+        let dm = self.problem.dof_map;
+        let fixed = |r: usize, l: usize| dm.is_fixed(self.global_dofs[r][l]);
+        let coords = self.problem.mesh().coords3();
+        let parts = self.global_dofs.iter().map(Vec::as_slice);
+        edd_part_geometry(parts, fixed, &coords, dm.dofs_per_node())
     }
 
     fn rank_setup<C: Communicator>(
@@ -573,27 +528,14 @@ impl<'a> Decomposition for EddParts<'a> {
         coarse: Option<CoarsePlan<'_>>,
         cfg: &SolverConfig,
     ) -> Result<(Self::Rank, PrecondBuildStats), SolveError> {
-        match &self.input {
-            EddInput::Prebuilt(systems) => {
-                let sys = &systems[comm.rank()];
-                let k_local = sys.k_local.clone();
-                let (rank, stats) = edd_rank_setup(comm, sys, k_local, coarse, cfg)?;
-                Ok(((Cow::Borrowed(sys), rank), stats))
-            }
-            EddInput::Mesh {
-                problem,
-                subdomains,
-                ..
-            } => {
-                let mut sys = assemble_on_rank(comm, problem, &subdomains[comm.rank()], None);
-                // The setup scales the stiffness in place into the operator:
-                // nothing after it reads the unscaled `K̂`.
-                let empty = NodeMatrix::Csr(CsrMatrix::identity(0));
-                let k_local = std::mem::replace(&mut sys.k_local, empty);
-                let (rank, stats) = edd_rank_setup(comm, &sys, k_local, coarse, cfg)?;
-                Ok(((Cow::Owned(sys), rank), stats))
-            }
-        }
+        let sub = &self.subdomains[comm.rank()];
+        let mut sys = assemble_on_rank(comm, self.problem, sub, None);
+        // The setup scales the stiffness in place into the operator: nothing
+        // after it reads the unscaled `K̂`.
+        let empty = NodeMatrix::Csr(CsrMatrix::identity(0));
+        let k_local = std::mem::replace(&mut sys.k_local, empty);
+        let (rank, stats) = edd_rank_setup(comm, &sys, k_local, coarse, cfg)?;
+        Ok(((sys, rank), stats))
     }
 
     fn rank_solve<C: Communicator>(
@@ -606,13 +548,10 @@ impl<'a> Decomposition for EddParts<'a> {
     ) -> Result<GmresResult, SolveError> {
         // A global load becomes the local distributed one `SubdomainSystem`
         // assembles: entries split by multiplicity, constrained rows zeroed.
-        let b: Cow<'_, [f64]> = match (load, &self.input) {
-            (None, _) => Cow::Borrowed(&rank.b),
-            (Some(_), EddInput::Prebuilt(_)) => {
-                unreachable!("global loads need the mesh-level problem")
-            }
-            (Some(global), EddInput::Mesh { problem, .. }) => {
-                let fixed = problem.dof_map;
+        let b: Cow<'_, [f64]> = match load {
+            None => Cow::Borrowed(&rank.b),
+            Some(global) => {
+                let fixed = self.problem.dof_map;
                 let mut b: Vec<f64> = (sys.global_dofs.iter().zip(&sys.multiplicity))
                     .map(|(&g, &m)| {
                         if fixed.is_fixed(g) {
@@ -643,9 +582,9 @@ impl<'a> Decomposition for EddParts<'a> {
 
     /// Global distributed values are identical on every sharing rank.
     fn gather<'r>(&self, pieces: impl Iterator<Item = &'r [f64]>) -> Vec<f64> {
-        let mut u = vec![0.0; self.n_dofs];
+        let mut u = vec![0.0; self.problem.dof_map.n_dofs()];
         for (rank, piece) in pieces.enumerate() {
-            for (&g, &v) in self.global_dofs(rank).iter().zip(piece) {
+            for (&g, &v) in self.global_dofs[rank].iter().zip(piece) {
                 u[g] = v;
             }
         }
@@ -681,7 +620,7 @@ mod tests {
         assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
         let part = ElementPartition::strips_x(&mesh, p);
         let systems: Vec<SubdomainSystem> = part
-            .subdomains(&mesh)
+            .subdomains_of(&mesh)
             .iter()
             .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
             .collect();
@@ -923,10 +862,11 @@ mod tests {
         let dm = DofMap::with_dofs(mesh.n_nodes(), 1);
         let loads = vec![1.0; dm.n_dofs()];
         let part = ElementPartition::strips_x(&mesh, 2);
+        let heat = parfem_fem::Discretization::new(&mesh, parfem_fem::Physics::Heat2d);
         let systems: Vec<SubdomainSystem> = part
-            .subdomains(&mesh)
+            .subdomains_of(&mesh)
             .iter()
-            .map(|s| SubdomainSystem::build_heat(&mesh, &dm, &Material::unit(), s, &loads))
+            .map(|s| SubdomainSystem::build(heat, &dm, &Material::unit(), s, &loads, None))
             .collect();
         run_ranks(2, MachineModel::ideal(), |comm| {
             let sys = &systems[comm.rank()];

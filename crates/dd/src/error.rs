@@ -1,8 +1,6 @@
 //! Typed solve failures.
 //!
-//! A distributed solve can fail for three structural reasons: the options
-//! asked for something the input cannot provide ([`SolveError::Config`],
-//! caught before any rank spawns), the
+//! A distributed solve can fail for two structural reasons: the
 //! communication substrate degraded (a peer died, a message was
 //! undeliverable, a collective timed out — [`parfem_msg::CommError`]), or a
 //! local factorization hit a numerical wall (a singular floating subdomain
@@ -26,14 +24,6 @@ pub enum SolveError {
     /// A preconditioner factorization failed (e.g. ILU(0) on a singular
     /// floating subdomain, the paper's Sec. 5 EDD failure mode).
     Precond(SparseError),
-    /// The requested option combination cannot run on this session's input
-    /// — a user error, reported before any rank spawns.
-    Config {
-        /// What was asked for.
-        what: String,
-        /// What to do instead.
-        advice: String,
-    },
 }
 
 impl fmt::Display for SolveError {
@@ -41,9 +31,6 @@ impl fmt::Display for SolveError {
         match self {
             SolveError::Comm(e) => write!(f, "communication failure: {e}"),
             SolveError::Precond(e) => write!(f, "preconditioner failure: {e}"),
-            SolveError::Config { what, advice } => {
-                write!(f, "invalid configuration: {what}: {advice}")
-            }
         }
     }
 }
@@ -53,7 +40,6 @@ impl std::error::Error for SolveError {
         match self {
             SolveError::Comm(e) => Some(e),
             SolveError::Precond(e) => Some(e),
-            SolveError::Config { .. } => None,
         }
     }
 }
@@ -82,11 +68,5 @@ mod tests {
         let p: SolveError = SparseError::ZeroPivot { row: 3, value: 0.0 }.into();
         assert!(p.to_string().contains("preconditioner failure"));
         assert!(std::error::Error::source(&p).is_some());
-        let c = SolveError::Config {
-            what: "twolevel:rbm on prebuilt systems".into(),
-            advice: "use twolevel:const".into(),
-        };
-        assert!(c.to_string().starts_with("invalid configuration"));
-        assert!(std::error::Error::source(&c).is_none());
     }
 }

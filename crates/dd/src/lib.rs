@@ -53,7 +53,7 @@ pub use edd::{edd_fgmres, EddLocalMatrix, EddOperator, EddVariant};
 pub use error::SolveError;
 pub use rdd::{rdd_fgmres, RddOperator, RddSystem};
 pub use session::{
-    DdSolveOutput, FactorStats, MultiSolveOutput, PrecondSpec, Problem, ProblemMesh, SolveFailures,
+    DdSolveOutput, FactorStats, MultiSolveOutput, PrecondSpec, Problem, SolveFailures,
     SolveSession, SolverConfig, Strategy,
 };
 

@@ -28,7 +28,7 @@ use crate::error::SolveError;
 use crate::session::{
     build_precond, rank_span, Decomposition, PrecondBuildStats, Problem, SolverConfig,
 };
-use parfem_fem::assembly::OwnedRows;
+use parfem_fem::assembly::{assemble_owned, OwnedRows};
 use parfem_krylov::gmres::{fgmres_on, GmresConfig, GmresResult};
 use parfem_krylov::{DistributedOperator, KrylovWorkspace};
 use parfem_mesh::NodePartition;
@@ -189,8 +189,10 @@ impl RddSystem {
         let rank = comm.rank();
         let dpn = problem.dof_map.dofs_per_node();
         let split = rank_span(comm, "assembly", || {
-            let (block, n_elems) = problem.assemble_owned(|n| part.owner(n) == rank);
-            comm.work(problem.assembly_flops(n_elems));
+            let (disc, dm) = (&problem.discretization, problem.dof_map);
+            let owned = |n| part.owner(n) == rank;
+            let (block, n_elems) = assemble_owned(disc, dm, problem.material, problem.loads, owned);
+            comm.work(disc.assembly_flops(n_elems));
             Split::new(rank, block, |g| part.owner(g / dpn))
         });
         rank_span(comm, "scaling", || {
@@ -559,12 +561,12 @@ impl Decomposition for RddParts<'_> {
         "rdd"
     }
 
-    fn coarse_geometry(&self, _: &CoarseSpec) -> Result<Vec<CoarsePartGeometry>, SolveError> {
-        Ok(rdd_part_geometry(
+    fn coarse_geometry(&self, _: &CoarseSpec) -> Vec<CoarsePartGeometry> {
+        rdd_part_geometry(
             self.part,
             self.problem.dof_map,
-            &self.problem.coords3(),
-        ))
+            &self.problem.mesh().coords3(),
+        )
     }
 
     fn rank_setup<C: Communicator>(

@@ -107,7 +107,7 @@ mod tests {
         assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
         let part = ElementPartition::strips_x(&mesh, p);
         let systems: Vec<SubdomainSystem> = part
-            .subdomains(&mesh)
+            .subdomains_of(&mesh)
             .iter()
             .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
             .collect();

@@ -53,15 +53,11 @@ use crate::dynamic::{run_dynamic_edd, DynamicRunOutput};
 use crate::edd::{EddParts, EddVariant};
 use crate::error::SolveError;
 use crate::rdd::RddParts;
-use parfem_fem::{
-    assembly, hex8, physics, quad4, Material, NewmarkParams, Physics, SubdomainSystem,
-};
+use parfem_fem::{Discretization, Material, Mesh, NewmarkParams, Physics};
 use parfem_krylov::gmres::{GmresConfig, GmresResult};
 use parfem_krylov::history::ConvergenceHistory;
 use parfem_krylov::{DistributedOperator, KrylovWorkspace};
-use parfem_mesh::{
-    DofMap, ElementPartition, HexMesh, NodePartition, PartitionerSpec, QuadMesh, Subdomain,
-};
+use parfem_mesh::{DofMap, ElementPartition, NodePartition, PartitionerSpec};
 use parfem_msg::{
     try_run_ranks, Communicator, FaultPlan, FaultyComm, MachineModel, RankReport, RunOptions,
     ThreadComm,
@@ -169,9 +165,7 @@ impl MultiSolveOutput {
 /// Everything a failed distributed solve still knows.
 ///
 /// Returned by [`SolveSession::run`] / [`SolveSession::run_multi`] when at
-/// least one rank hit a typed [`SolveError`], or when the session's options
-/// cannot run on its input ([`SolveError::Config`], reported before any
-/// rank spawns: `reports` is empty then). Ranks that completed normally
+/// least one rank hit a typed [`SolveError`]. Ranks that completed normally
 /// are not listed in `errors`; the per-rank [`RankReport`]s cover every
 /// rank up to the point its thread returned, so a post-mortem can still see
 /// who spent what before the failure.
@@ -191,9 +185,6 @@ impl fmt::Display for SolveFailures {
             Some((r, e)) => (*r, e),
             None => return write!(f, "distributed solve failed (no rank error recorded)"),
         };
-        if self.is_config_error() {
-            return write!(f, "{first}");
-        }
         write!(
             f,
             "{} of {} ranks failed; first: rank {}: {}",
@@ -205,23 +196,6 @@ impl fmt::Display for SolveFailures {
     }
 }
 
-impl SolveFailures {
-    /// A failure found while preparing the run, before any rank spawned.
-    fn before_spawn(error: SolveError) -> Self {
-        SolveFailures {
-            errors: vec![(0, error)],
-            reports: Vec::new(),
-            modeled_time: 0.0,
-        }
-    }
-
-    /// Whether the session was rejected as misconfigured (as opposed to
-    /// failing while it ran).
-    pub fn is_config_error(&self) -> bool {
-        matches!(self.errors.first(), Some((_, SolveError::Config { .. })))
-    }
-}
-
 impl std::error::Error for SolveFailures {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         self.errors
@@ -230,22 +204,13 @@ impl std::error::Error for SolveFailures {
     }
 }
 
-/// The mesh a [`Problem`] discretizes: the structured 2-D quadrilateral
-/// family (elasticity and scalar heat) or the 3-D hexahedral box.
-#[derive(Clone, Copy)]
-pub enum ProblemMesh<'a> {
-    /// A structured 2-D quadrilateral mesh.
-    Quad(&'a QuadMesh),
-    /// A structured 3-D hexahedral mesh.
-    Hex(&'a HexMesh),
-}
-
-/// A borrowed view of the mesh-level problem a session solves: geometry,
-/// physics, constraints, material and the global load vector.
+/// A borrowed view of the mesh-level problem a session solves: the
+/// discretization (mesh and physics), constraints, material and the global
+/// load vector.
 #[derive(Clone, Copy)]
 pub struct Problem<'a> {
-    mesh: ProblemMesh<'a>,
-    physics: Physics,
+    /// The mesh and the physics assembled on it.
+    pub discretization: Discretization<'a>,
     /// DOF numbering and Dirichlet constraints.
     pub dof_map: &'a DofMap,
     /// Material parameters.
@@ -255,71 +220,21 @@ pub struct Problem<'a> {
 }
 
 impl<'a> Problem<'a> {
-    /// The 2-D elasticity problem of the paper (two displacement DOFs per
-    /// node on a quadrilateral mesh) — the historical constructor; results
-    /// are bit-identical to the pre-physics-axis sessions.
-    pub fn new(
-        mesh: &'a QuadMesh,
-        dof_map: &'a DofMap,
-        material: &'a Material,
-        loads: &'a [f64],
-    ) -> Self {
-        Self::with_physics(
-            ProblemMesh::Quad(mesh),
-            Physics::Elasticity2d,
-            dof_map,
-            material,
-            loads,
-        )
-    }
-
-    /// A scalar Poisson/steady-heat problem on a quadrilateral mesh (one
-    /// temperature DOF per node).
-    pub fn heat(
-        mesh: &'a QuadMesh,
-        dof_map: &'a DofMap,
-        material: &'a Material,
-        loads: &'a [f64],
-    ) -> Self {
-        Self::with_physics(
-            ProblemMesh::Quad(mesh),
-            Physics::Heat2d,
-            dof_map,
-            material,
-            loads,
-        )
-    }
-
-    /// A 3-D elasticity problem on a hexahedral mesh (three displacement
-    /// DOFs per node).
-    pub fn elasticity3d(
-        mesh: &'a HexMesh,
-        dof_map: &'a DofMap,
-        material: &'a Material,
-        loads: &'a [f64],
-    ) -> Self {
-        Self::with_physics(
-            ProblemMesh::Hex(mesh),
-            Physics::Elasticity3d,
-            dof_map,
-            material,
-            loads,
-        )
-    }
-
-    /// The general constructor: any supported (mesh, physics) pairing.
+    /// A problem over any supported (mesh, physics) pairing; a bare mesh
+    /// reference stands for the elasticity of its dimension — on a
+    /// `&QuadMesh` the paper's 2-D plane problem.
     ///
     /// # Panics
     /// Panics when the load vector or the DOF map's DOFs-per-node count does
-    /// not match the physics, or when the physics' spatial dimension does
-    /// not match the mesh.
-    pub fn with_physics(
-        mesh: ProblemMesh<'a>,
-        physics: Physics,
+    /// not match the physics.
+    pub fn new(
+        discretization: impl Into<Discretization<'a>>,
         dof_map: &'a DofMap,
         material: &'a Material,
         loads: &'a [f64],
     ) -> Self {
+        let discretization = discretization.into();
+        let physics = discretization.physics();
         assert_eq!(
             loads.len(),
             dof_map.n_dofs(),
@@ -330,19 +245,8 @@ impl<'a> Problem<'a> {
             physics.dofs_per_node(),
             "DOF map carries the wrong DOFs-per-node count for {physics}"
         );
-        let mesh_dim = match mesh {
-            ProblemMesh::Quad(_) => 2,
-            ProblemMesh::Hex(_) => 3,
-        };
-        assert_eq!(
-            physics.dim(),
-            mesh_dim,
-            "{physics} needs a {}-D mesh",
-            physics.dim()
-        );
         Problem {
-            mesh,
-            physics,
+            discretization,
             dof_map,
             material,
             loads,
@@ -350,102 +254,8 @@ impl<'a> Problem<'a> {
     }
 
     /// The mesh this problem discretizes.
-    pub fn mesh(&self) -> ProblemMesh<'a> {
-        self.mesh
-    }
-
-    /// The physics assembled on the mesh.
-    pub fn physics(&self) -> Physics {
-        self.physics
-    }
-
-    /// Node coordinates lifted to 3-D (`z = 0` on 2-D meshes) — the
-    /// geometry the rigid-body coarse modes consume.
-    pub fn coords3(&self) -> Vec<[f64; 3]> {
-        match self.mesh {
-            ProblemMesh::Quad(m) => m.coords().iter().map(|c| [c[0], c[1], 0.0]).collect(),
-            ProblemMesh::Hex(m) => m.coords().to_vec(),
-        }
-    }
-
-    /// Element-partitions this problem's mesh into the subdomain node sets.
-    pub(crate) fn subdomains(&self, part: &ElementPartition) -> Vec<Subdomain> {
-        match self.mesh {
-            ProblemMesh::Quad(m) => part.subdomains(m),
-            ProblemMesh::Hex(m) => part.subdomains_of(m),
-        }
-    }
-
-    /// Assembles one subdomain's unassembled local system for this
-    /// problem's physics — with the (lumped or consistent) mass under
-    /// `with_mass`, which only 2-D elasticity has.
-    pub(crate) fn build_subdomain(
-        &self,
-        sub: &Subdomain,
-        with_mass: Option<bool>,
-    ) -> SubdomainSystem {
-        assert!(
-            with_mass.is_none() || self.physics == Physics::Elasticity2d,
-            "only 2-D elasticity assembles a mass"
-        );
-        match (self.mesh, self.physics) {
-            (ProblemMesh::Quad(m), Physics::Elasticity2d) => {
-                SubdomainSystem::build(m, self.dof_map, self.material, sub, self.loads, with_mass)
-            }
-            (ProblemMesh::Quad(m), Physics::Heat2d) => {
-                SubdomainSystem::build_heat(m, self.dof_map, self.material, sub, self.loads)
-            }
-            (ProblemMesh::Hex(m), Physics::Elasticity3d) => {
-                SubdomainSystem::build_hex(m, self.dof_map, self.material, sub, self.loads)
-            }
-            // `with_physics` pins the mesh dimension to the physics.
-            _ => unreachable!("mesh/physics pairing validated at construction"),
-        }
-    }
-
-    /// One RDD rank's rows: those of the nodes `owned` accepts, assembled
-    /// from the elements touching them under this problem's constraints and
-    /// loads (see [`assembly::assemble_owned`]), with the element count.
-    pub(crate) fn assemble_owned(
-        &self,
-        owned: impl Fn(usize) -> bool,
-    ) -> (assembly::OwnedRows, usize) {
-        let (dm, loads, mat) = (self.dof_map, self.loads, self.material);
-        match (self.mesh, self.physics) {
-            (ProblemMesh::Quad(m), Physics::Elasticity2d) => {
-                let nodes_of = |e| m.elem_nodes(e);
-                assembly::assemble_owned(dm, loads, m.n_elems(), nodes_of, owned, |e| {
-                    quad4::stiffness(&m.elem_coords(e), mat)
-                })
-            }
-            (ProblemMesh::Quad(m), Physics::Heat2d) => {
-                let nodes_of = |e| m.elem_nodes(e);
-                assembly::assemble_owned(dm, loads, m.n_elems(), nodes_of, owned, |e| {
-                    physics::heat_stiffness_quad4(&m.elem_coords(e), mat)
-                })
-            }
-            (ProblemMesh::Hex(m), Physics::Elasticity3d) => {
-                let nodes_of = |e| m.elem_nodes(e);
-                assembly::assemble_owned(dm, loads, m.n_elems(), nodes_of, owned, |e| {
-                    hex8::stiffness(&m.elem_coords(e), mat)
-                })
-            }
-            _ => unreachable!("mesh/physics pairing validated at construction"),
-        }
-    }
-
-    /// The flops a rank charges for assembling `n_elems` of this problem's
-    /// elements: the stiffness kernel's documented count
-    /// ([`quad4::STIFFNESS_FLOPS`], [`physics::HEAT_QUAD4_FLOPS`],
-    /// [`hex8::STIFFNESS_FLOPS`]) plus one add per element-matrix entry
-    /// scattered. A transient run's mass is not charged.
-    pub(crate) fn assembly_flops(&self, n_elems: usize) -> u64 {
-        let (kernel, nd) = match self.physics {
-            Physics::Elasticity2d => (quad4::STIFFNESS_FLOPS, 8),
-            Physics::Heat2d => (physics::HEAT_QUAD4_FLOPS, 4),
-            Physics::Elasticity3d => (hex8::STIFFNESS_FLOPS, 24),
-        };
-        n_elems as u64 * (kernel + nd * nd)
+    pub(crate) fn mesh(&self) -> Mesh<'a> {
+        self.discretization.mesh()
     }
 }
 
@@ -460,21 +270,13 @@ pub enum Strategy {
     Rdd(NodePartition),
 }
 
-enum SessionInput<'a> {
-    Mesh(Problem<'a>),
-    Systems {
-        systems: &'a [SubdomainSystem],
-        n_dofs: usize,
-    },
-}
-
-/// Builder-style distributed solve: construct from a [`Problem`] (or
-/// prebuilt subdomain systems), choose the orthogonal options, then
+/// Builder-style distributed solve: construct from a [`Problem`], choose
+/// the orthogonal options, then
 /// [`run`](SolveSession::run), [`run_multi`](SolveSession::run_multi) or
 /// [`run_dynamic`](SolveSession::run_dynamic). See the [module
 /// docs](self) for an example.
 pub struct SolveSession<'a> {
-    input: SessionInput<'a>,
+    problem: Problem<'a>,
     strategy: Option<Strategy>,
     cfg: SolverConfig,
     model: MachineModel,
@@ -485,27 +287,13 @@ impl<'a> SolveSession<'a> {
     /// Starts a session over a mesh-level [`Problem`]. A
     /// [`strategy`](SolveSession::strategy) must be chosen before running.
     pub fn new(problem: Problem<'a>) -> Self {
-        Self::over(SessionInput::Mesh(problem))
-    }
-
-    fn over(input: SessionInput<'a>) -> Self {
         SolveSession {
-            input,
+            problem,
             strategy: None,
             cfg: SolverConfig::default(),
             model: MachineModel::ideal(),
             sink: None,
         }
-    }
-
-    /// Starts a session over *prebuilt* per-subdomain systems — one rank
-    /// per system. This is the element-agnostic entry: build the systems
-    /// with [`SubdomainSystem::build`] (Q4), `build_tri` (T3) or
-    /// `build_quad8` (Q8) and hand them over. The strategy is implicitly
-    /// EDD; do not set [`strategy`](SolveSession::strategy).
-    pub fn from_systems(systems: &'a [SubdomainSystem], n_dofs: usize) -> Self {
-        assert!(!systems.is_empty(), "need at least one subdomain system");
-        Self::over(SessionInput::Systems { systems, n_dofs })
     }
 
     /// Chooses the decomposition strategy (and its partition).
@@ -516,21 +304,10 @@ impl<'a> SolveSession<'a> {
 
     /// Chooses EDD over the element partition `spec` produces for `parts`
     /// subdomains — the session-builder face of the CLI's `--partitioner`
-    /// flag (`strips`, `blocks`, or the seeded graph partitioner). Works
-    /// for every supported mesh: the partitioner registry is generic over
-    /// structured cell meshes, hexahedra included.
-    ///
-    /// # Panics
-    /// Panics for sessions built from prebuilt systems (those are already
-    /// partitioned).
+    /// flag (`strips`, `blocks`, or the graph partitioner). Works for every
+    /// supported mesh: the partitioner registry is generic over cell meshes.
     pub fn partitioned(mut self, spec: PartitionerSpec, parts: usize) -> Self {
-        let SessionInput::Mesh(ref p) = self.input else {
-            panic!("partitioned() needs a mesh-level session; prebuilt systems already are");
-        };
-        let part = match p.mesh() {
-            ProblemMesh::Quad(m) => spec.element_partition(m, parts),
-            ProblemMesh::Hex(m) => spec.element_partition(m, parts),
-        };
+        let part = spec.element_partition(&self.problem.mesh(), parts);
         self.strategy = Some(Strategy::Edd(part));
         self
     }
@@ -600,14 +377,10 @@ impl<'a> SolveSession<'a> {
     /// with a typed [`SolveError`] (under fault injection, communicator
     /// timeouts, or a preconditioner that cannot be built — `ilu0` on a
     /// floating EDD subdomain is [`SolveError::Precond`], and its
-    /// neighbours then fail as disconnected), or the [`SolveError::Config`]
-    /// that rejected the option combination before any rank spawned
-    /// (`twolevel:rbm*` on prebuilt systems, which carry no node
-    /// coordinates).
+    /// neighbours then fail as disconnected).
     ///
     /// # Panics
-    /// Panics on API misuse: a mesh-level session without a strategy, or a
-    /// prebuilt-systems session with one.
+    /// Panics on API misuse: a session without a strategy.
     pub fn run(&self) -> Result<DdSolveOutput, SolveFailures> {
         let mut out = self.solve(Loads::Own)?;
         Ok(DdSolveOutput {
@@ -626,8 +399,7 @@ impl<'a> SolveSession<'a> {
     /// vector (`dof_map.n_dofs()` long); `solutions[k]` is its physical
     /// solution.
     ///
-    /// Requires the mesh-level problem (the load vectors are global) and
-    /// **homogeneous** Dirichlet constraints — the per-RHS local load
+    /// Requires **homogeneous** Dirichlet constraints — the per-RHS local load
     /// rebuild `f̂ᵢ = fᵢ/multᵢ` with zeroed constrained rows is exact only
     /// when the prescribed values are zero.
     ///
@@ -643,12 +415,10 @@ impl<'a> SolveSession<'a> {
     /// Returns [`SolveFailures`] exactly as [`SolveSession::run`].
     ///
     /// # Panics
-    /// Panics on inhomogeneous constraints, wrong load-vector lengths, a
-    /// prebuilt-systems input, or a missing strategy.
+    /// Panics on inhomogeneous constraints, wrong load-vector lengths, or a
+    /// missing strategy.
     pub fn run_multi(&self, rhs_set: &[Vec<f64>]) -> Result<MultiSolveOutput, SolveFailures> {
-        let SessionInput::Mesh(p) = &self.input else {
-            panic!("run_multi needs the mesh-level problem: the right-hand sides are global load vectors");
-        };
+        let p = &self.problem;
         for (d, v) in p.dof_map.fixed_dofs() {
             assert_eq!(v, 0.0, "run_multi requires homogeneous BCs (dof {d})");
         }
@@ -662,24 +432,17 @@ impl<'a> SolveSession<'a> {
         self.solve(Loads::Global(rhs_set))
     }
 
-    /// Dispatches input × strategy to the one engine; the arms differ only
-    /// in how the host prepares the partitioned problem.
+    /// Dispatches the strategy to the one engine; the arms differ only in
+    /// how the host prepares the partitioned problem.
     fn solve(&self, loads: Loads<'_>) -> Result<MultiSolveOutput, SolveFailures> {
-        match (&self.input, &self.strategy) {
-            (SessionInput::Systems { systems, n_dofs }, None) => {
-                self.engine(loads, |_| EddParts::prebuilt(systems, *n_dofs))
-            }
-            (SessionInput::Systems { .. }, Some(_)) => panic!(
-                "prebuilt subdomain systems already encode the partition; do not set .strategy(..)"
-            ),
-            (SessionInput::Mesh(p), Some(Strategy::Edd(part))) => {
+        let p = &self.problem;
+        match &self.strategy {
+            Some(Strategy::Edd(part)) => {
                 self.engine(loads, |sink| EddParts::partition(p, part, sink))
             }
-            (SessionInput::Mesh(p), Some(Strategy::Rdd(part))) => {
-                self.engine(loads, |_| RddParts::new(p, part))
-            }
-            (SessionInput::Mesh(_), None) => {
-                panic!("SolveSession over a mesh needs .strategy(Strategy::Edd(..) | Strategy::Rdd(..))")
+            Some(Strategy::Rdd(part)) => self.engine(loads, |_| RddParts::new(p, part)),
+            None => {
+                panic!("SolveSession needs .strategy(Strategy::Edd(..) | Strategy::Rdd(..))")
             }
         }
     }
@@ -705,7 +468,7 @@ impl<'a> SolveSession<'a> {
         // allocation totals cover the same window for every strategy.
         let alloc_start = alloc::stats();
         let parts = prepare(sink);
-        let coarse = prepare_coarse(&cfg.precond, sink, |cs| parts.coarse_geometry(cs))?;
+        let coarse = prepare_coarse(&cfg.precond, sink, |cs| parts.coarse_geometry(cs));
         let opts = RunOptions {
             comm_timeout: cfg.comm_timeout,
         };
@@ -755,8 +518,9 @@ impl<'a> SolveSession<'a> {
     /// fault plans are ignored (the transient driver runs fault-free).
     ///
     /// # Panics
-    /// Panics unless the session holds a mesh-level problem with an EDD
-    /// strategy, if the DOF map carries non-zero prescribed values, if
+    /// Panics unless the session holds 2-D elasticity on a structured Q4
+    /// mesh with an EDD strategy, if the DOF map carries non-zero prescribed
+    /// values, if
     /// the preconditioner spec is two-level (the transient driver has no
     /// coarse-space plumbing), or if a rank's preconditioner cannot be built
     /// (`ilu0` on a floating subdomain).
@@ -766,9 +530,7 @@ impl<'a> SolveSession<'a> {
         steps: usize,
         watch_dofs: &[usize],
     ) -> DynamicRunOutput {
-        let SessionInput::Mesh(p) = &self.input else {
-            panic!("run_dynamic needs the mesh-level problem (mass assembly)")
-        };
+        let p = &self.problem;
         let Some(Strategy::Edd(part)) = &self.strategy else {
             panic!("the transient driver is EDD-only: set .strategy(Strategy::Edd(..))")
         };
@@ -777,10 +539,9 @@ impl<'a> SolveSession<'a> {
             "the transient driver does not support two-level preconditioning; \
              use a one-level preconditioner spec"
         );
-        assert_eq!(
-            p.physics,
-            Physics::Elasticity2d,
-            "the transient driver integrates the 2-D elasticity equations of motion only"
+        assert!(
+            p.discretization.physics() == Physics::Elasticity2d && matches!(p.mesh(), Mesh::Quad(_)),
+            "the transient driver integrates the 2-D elasticity equations of motion on Q4 meshes only"
         );
         run_dynamic_edd(
             p,
@@ -886,19 +647,16 @@ pub(crate) fn rank_span<C: Communicator, R>(comm: &C, name: &str, f: impl FnOnce
 /// Host-side preparation of a two-level run, under the `coarse-build` host
 /// span: the spec's coarse component and the per-part geometry the ranks
 /// start from (`None` for one-level specs). Nothing of the coarse space
-/// itself is built here. A spec the input cannot serve is rejected here, as
-/// a typed error, before any rank spawns.
+/// itself is built here.
 fn prepare_coarse<'s>(
     spec: &'s PrecondSpec,
     sink: &TraceSink,
-    geometry: impl FnOnce(&CoarseSpec) -> Result<Vec<CoarsePartGeometry>, SolveError>,
-) -> Result<Option<(&'s CoarseSpec, Vec<CoarsePartGeometry>)>, SolveFailures> {
+    geometry: impl FnOnce(&CoarseSpec) -> Vec<CoarsePartGeometry>,
+) -> Option<(&'s CoarseSpec, Vec<CoarsePartGeometry>)> {
     let PrecondSpec::TwoLevel { coarse, .. } = spec else {
-        return Ok(None);
+        return None;
     };
-    let parts = host_span(sink, "coarse-build", || geometry(coarse))
-        .map_err(SolveFailures::before_spawn)?;
-    Ok(Some((coarse, parts)))
+    Some((coarse, host_span(sink, "coarse-build", || geometry(coarse))))
 }
 
 /// The right-hand sides one engine run solves for.
@@ -947,9 +705,8 @@ pub(crate) trait Decomposition: Sync {
     /// The `variant` label of the `solve_summary`.
     fn label(&self, cfg: &SolverConfig) -> &'static str;
 
-    /// Per-part geometry for a two-level spec, or the typed reason this
-    /// input cannot serve it.
-    fn coarse_geometry(&self, spec: &CoarseSpec) -> Result<Vec<CoarsePartGeometry>, SolveError>;
+    /// Per-part geometry for a two-level spec.
+    fn coarse_geometry(&self, spec: &CoarseSpec) -> Vec<CoarsePartGeometry>;
 
     /// The rank's setup up to and including its preconditioner, or the
     /// [`SolveError::Precond`] that stopped its build.

@@ -12,7 +12,7 @@
 use parfem_dd::scaling::DistributedScaling;
 use parfem_dd::{edd_fgmres, rdd_fgmres, EddLayout, EddVariant, RddSystem};
 use parfem_dd::{PrecondSpec, Problem, SolveSession, Strategy};
-use parfem_fem::{assembly, Material, SubdomainSystem};
+use parfem_fem::{assembly, Discretization, Material, Physics, SubdomainSystem};
 use parfem_krylov::gmres::GmresConfig;
 use parfem_krylov::KrylovWorkspace;
 use parfem_mesh::{DofMap, Edge, ElementPartition, Face, HexMesh, NodePartition, QuadMesh};
@@ -71,26 +71,19 @@ fn summary_allocations_include_host_assembly_for_edd_and_rdd() {
     assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
     let problem = Problem::new(&mesh, &dm, &mat, &loads);
 
-    // EDD: the same systems assembled by the caller (outside the window)
-    // and by the session's ranks (inside it, summed into the summary with
-    // everything else the rank threads allocate). The ranks do identical
-    // work otherwise — except that a borrowed system's stiffness is copied
-    // before it is scaled in place, where an assembled one is scaled as it
-    // is — so the difference is the partition + assembly, less that copy.
+    // EDD: the ranks assemble their systems inside the window, so the
+    // summary covers at least what the same assembly allocates outside it.
     let part = ElementPartition::strips_x(&mesh, 3);
-    let subdomains = part.subdomains(&mesh);
-    let (systems, assembly) = alloc::measure(|| {
+    let subdomains = part.subdomains_of(&mesh);
+    let (_, assembly) = alloc::measure(|| {
         (subdomains.iter())
             .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
             .collect::<Vec<_>>()
     });
-    let k_local_bytes: u64 = systems.iter().map(|s| block_bytes(&s.k_local)).sum();
-    let prebuilt = summary_alloc_bytes(SolveSession::from_systems(&systems, dm.n_dofs()));
     let assembled = summary_alloc_bytes(SolveSession::new(problem).strategy(Strategy::Edd(part)));
     assert!(
-        assembled + k_local_bytes >= prebuilt + assembly.bytes,
-        "EDD summary misses the assembly: {assembled} B with it, {prebuilt} B without, \
-         the assembly alone is {} B, the copied k_local {k_local_bytes} B",
+        assembled >= assembly.bytes,
+        "EDD summary misses the assembly: {assembled} B, the assembly alone is {} B",
         assembly.bytes
     );
 
@@ -119,7 +112,7 @@ fn hex_half_block_assembly_allocates_little_more_than_its_matrix() {
     let loads = vec![0.0; dm.n_dofs()];
     let sub = &ElementPartition::blocks_of(&mesh, 2, 1).subdomains_of(&mesh)[0];
     let (sys, allocated) =
-        alloc::measure(|| SubdomainSystem::build_hex(&mesh, &dm, &Material::unit(), sub, &loads));
+        alloc::measure(|| SubdomainSystem::build(&mesh, &dm, &Material::unit(), sub, &loads, None));
     let (blocks, csr) = (block_bytes(&sys.k_local), subdomain_csr_bytes(&sys.k_local));
     eprintln!(
         "hex half block: {} B allocated, node blocks {blocks} B ({:.2} x), CSR arrays {csr} B",
@@ -178,7 +171,7 @@ fn edd_rank_holds_one_matrix_after_a_polynomial_setup() {
     // CSR arrays of its pattern, a dozen n-vectors — f̂, D̂ f̂, d, 1/mult,
     // multiplicity, global dofs, the node list, the row lists and the
     // exchange lists).
-    let sized: Vec<(u64, u64, u64)> = (part.subdomains(&mesh).iter())
+    let sized: Vec<(u64, u64, u64)> = (part.subdomains_of(&mesh).iter())
         .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None).k_local)
         .map(|k| {
             let vectors = 12 * (k.n_rows() * size_of::<f64>()) as u64;
@@ -234,7 +227,7 @@ fn rdd_direct_rank_holds_its_blocks_and_factor_after_setup() {
     // block row as held, the same with the owned columns in CSR, the factor,
     // a dozen n-vectors — b, d, the row list, the halo lists and the
     // preconditioner's scratch).
-    let global = assembly::build_static_hex(&mesh, &dm, &mat, &loads);
+    let global = assembly::build_static(&mesh, &dm, &mat, &loads);
     let (a, b, _) = scale_system(&global.stiffness, &global.rhs).expect("square system");
     let sized: Vec<(u64, u64, u64, u64)> = (RddSystem::build_all(&a, &b, &part).iter())
         .map(|sys| {
@@ -247,7 +240,7 @@ fn rdd_direct_rank_holds_its_blocks_and_factor_after_setup() {
         .collect();
     drop((global, a, b));
 
-    let session = SolveSession::new(Problem::elasticity3d(&mesh, &dm, &mat, &loads))
+    let session = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
         .strategy(Strategy::Rdd(part))
         .precond(PrecondSpec::parse("direct").unwrap());
     let (memory, _) = setup_memory(session);
@@ -286,7 +279,7 @@ fn hex_twolevel_setup_memory() -> Vec<(u64, u64)> {
     let mat = Material::unit();
     let mut loads = vec![0.0; dm.n_dofs()];
     assembly::face_load(&mesh, &dm, Face::XMax, [0.0, 0.0, -1.0], &mut loads);
-    let session = SolveSession::new(Problem::elasticity3d(&mesh, &dm, &mat, &loads))
+    let session = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
         .strategy(Strategy::Edd(ElementPartition::blocks_of(&mesh, 2, 1)))
         .precond(PrecondSpec::parse("twolevel:rbm.s3:gls-3").unwrap());
     setup_memory(session).0
@@ -360,10 +353,10 @@ fn hex_twolevel_setup_peak_falls_by_the_subdomain_csr() {
     assembly::face_load(&mesh, &dm, Face::XMax, [0.0, 0.0, -1.0], &mut loads);
     let part = ElementPartition::blocks_of(&mesh, 2, 1);
     let csr: Vec<u64> = (part.subdomains_of(&mesh).iter())
-        .map(|s| SubdomainSystem::build_hex(&mesh, &dm, &mat, s, &loads).k_local)
+        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None).k_local)
         .map(|k| subdomain_csr_bytes(&k))
         .collect();
-    let session = SolveSession::new(Problem::elasticity3d(&mesh, &dm, &mat, &loads))
+    let session = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
         .strategy(Strategy::Edd(part))
         .precond(PrecondSpec::parse("twolevel:rbm.s3:gls-3").unwrap());
     let (memory, iterations) = setup_memory(session);
@@ -476,7 +469,7 @@ fn warm_edd_gls7_loop_allocates_nothing_per_iteration_on_any_rank() {
     let mat = Material::unit();
     let mut loads = vec![0.0; dm.n_dofs()];
     assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
-    let systems: Vec<SubdomainSystem> = (ElementPartition::strips_x(&mesh, 2).subdomains(&mesh))
+    let systems: Vec<SubdomainSystem> = (ElementPartition::strips_x(&mesh, 2).subdomains_of(&mesh))
         .iter()
         .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
         .collect();
@@ -509,7 +502,12 @@ fn warm_rdd_gls7_heat_loop_allocates_nothing_per_iteration_on_any_rank() {
     let mat = Material::unit();
     let mut loads = vec![0.0; dm.n_dofs()];
     assembly::edge_source(&mesh, &dm, Edge::Right, 1.0, &mut loads);
-    let global = assembly::build_static_heat(&mesh, &dm, &mat, &loads);
+    let global = assembly::build_static(
+        Discretization::new(&mesh, Physics::Heat2d),
+        &dm,
+        &mat,
+        &loads,
+    );
     let (a, b, _) = scale_system(&global.stiffness, &global.rhs).expect("square system");
     let systems = RddSystem::build_all(&a, &b, &NodePartition::strips_x(&mesh, 2));
     let out = run_ranks(2, MachineModel::ideal(), |comm| {

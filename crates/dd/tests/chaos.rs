@@ -15,7 +15,7 @@
 use parfem_dd::{
     EddVariant, PrecondSpec, Problem, SolveError, SolveSession, SolverConfig, Strategy,
 };
-use parfem_fem::{assembly, Material, SubdomainSystem};
+use parfem_fem::{assembly, Material};
 use parfem_krylov::gmres::GmresConfig;
 use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, QuadMesh};
 use parfem_msg::{CommError, FaultPlan, MachineModel};
@@ -50,18 +50,16 @@ fn cfg_with(faults: Option<FaultPlan>, overlap: bool) -> SolverConfig {
     }
 }
 
-fn subdomain_systems(
-    mesh: &QuadMesh,
-    dm: &DofMap,
-    mat: &Material,
-    loads: &[f64],
+/// An EDD session over `p` element strips of the cantilever.
+fn edd_session<'a>(
+    mesh: &'a QuadMesh,
+    dm: &'a DofMap,
+    mat: &'a Material,
+    loads: &'a [f64],
     p: usize,
-) -> Vec<SubdomainSystem> {
-    ElementPartition::strips_x(mesh, p)
-        .subdomains(mesh)
-        .iter()
-        .map(|s| SubdomainSystem::build(mesh, dm, mat, s, loads, None))
-        .collect()
+) -> SolveSession<'a> {
+    SolveSession::new(Problem::new(mesh, dm, mat, loads))
+        .strategy(Strategy::Edd(ElementPartition::strips_x(mesh, p)))
 }
 
 proptest! {
@@ -113,9 +111,8 @@ proptest! {
         let (mesh, dm, mat, loads) = problem(6, 3);
         let plan = FaultPlan::from_seed_intensity(seed, intensity);
 
-        let systems = subdomain_systems(&mesh, &dm, &mat, &loads, 3);
         let esolve = |cfg: SolverConfig| {
-            SolveSession::from_systems(&systems, dm.n_dofs())
+            edd_session(&mesh, &dm, &mat, &loads, 3)
                 .config(cfg)
                 .machine(MachineModel::sgi_origin())
                 .run()
@@ -146,10 +143,9 @@ proptest! {
 #[test]
 fn same_seed_reproduces_the_same_faulted_solve() {
     let (mesh, dm, mat, loads) = problem(8, 3);
-    let systems = subdomain_systems(&mesh, &dm, &mat, &loads, 4);
     let plan = FaultPlan::from_seed_intensity(2026, 0.5);
     let run = || {
-        SolveSession::from_systems(&systems, dm.n_dofs())
+        edd_session(&mesh, &dm, &mat, &loads, 4)
             .config(cfg_with(Some(plan.clone()), false))
             .machine(MachineModel::ibm_sp2())
             .run()
@@ -167,9 +163,8 @@ fn same_seed_reproduces_the_same_faulted_solve() {
 #[test]
 fn injected_delays_stretch_modeled_time_but_not_the_solution() {
     let (mesh, dm, mat, loads) = problem(8, 3);
-    let systems = subdomain_systems(&mesh, &dm, &mat, &loads, 4);
     let run = |faults| {
-        SolveSession::from_systems(&systems, dm.n_dofs())
+        edd_session(&mesh, &dm, &mat, &loads, 4)
             .config(cfg_with(faults, false))
             .machine(MachineModel::sgi_origin())
             .run()
@@ -193,14 +188,13 @@ fn injected_delays_stretch_modeled_time_but_not_the_solution() {
 #[test]
 fn killed_rank_fails_the_solve_on_every_rank_within_budget() {
     let (mesh, dm, mat, loads) = problem(8, 3);
-    let systems = subdomain_systems(&mesh, &dm, &mat, &loads, 4);
     let cfg = SolverConfig {
         comm_timeout: Duration::from_millis(300),
         faults: Some(FaultPlan::new(0).with_kill(2, 25)),
         ..cfg_with(None, false)
     };
     let start = Instant::now();
-    let failures = SolveSession::from_systems(&systems, dm.n_dofs())
+    let failures = edd_session(&mesh, &dm, &mat, &loads, 4)
         .config(cfg)
         .machine(MachineModel::ibm_sp2())
         .run()
@@ -272,7 +266,6 @@ fn killed_rank_fails_rdd_within_budget() {
 #[test]
 fn undeliverable_messages_fail_the_solve_with_retries_exhausted() {
     let (mesh, dm, mat, loads) = problem(6, 2);
-    let systems = subdomain_systems(&mesh, &dm, &mat, &loads, 2);
     let cfg = SolverConfig {
         comm_timeout: Duration::from_secs(5),
         faults: Some(
@@ -282,7 +275,7 @@ fn undeliverable_messages_fail_the_solve_with_retries_exhausted() {
         ),
         ..cfg_with(None, false)
     };
-    let failures = SolveSession::from_systems(&systems, dm.n_dofs())
+    let failures = edd_session(&mesh, &dm, &mat, &loads, 2)
         .config(cfg)
         .run()
         .expect_err("certain drops with 2 retries are unrecoverable");
@@ -301,9 +294,8 @@ fn undeliverable_messages_fail_the_solve_with_retries_exhausted() {
 #[test]
 fn straggler_rank_stretches_modeled_time_but_not_the_solution() {
     let (mesh, dm, mat, loads) = problem(8, 3);
-    let systems = subdomain_systems(&mesh, &dm, &mat, &loads, 4);
     let run = |faults| {
-        SolveSession::from_systems(&systems, dm.n_dofs())
+        edd_session(&mesh, &dm, &mat, &loads, 4)
             .config(cfg_with(faults, false))
             .run()
             .expect("recoverable")
@@ -324,7 +316,6 @@ fn straggler_rank_stretches_modeled_time_but_not_the_solution() {
 #[test]
 fn fault_counters_reach_the_trace_report() {
     let (mesh, dm, mat, loads) = problem(6, 2);
-    let systems = subdomain_systems(&mesh, &dm, &mat, &loads, 2);
     let sink = TraceSink::recording();
     let cfg = cfg_with(
         Some(
@@ -335,7 +326,7 @@ fn fault_counters_reach_the_trace_report() {
         ),
         false,
     );
-    let out = SolveSession::from_systems(&systems, dm.n_dofs())
+    let out = edd_session(&mesh, &dm, &mat, &loads, 2)
         .config(cfg)
         .trace(&sink)
         .run()

@@ -72,7 +72,7 @@ fn edd_case(
 ) -> (Vec<RankView>, CoarseBasis) {
     let mat = Material::unit();
     let loads = vec![0.0; dm.n_dofs()];
-    let subs: Vec<Subdomain> = part.subdomains(mesh);
+    let subs: Vec<Subdomain> = part.subdomains_of(mesh);
     let systems: Vec<SubdomainSystem> = subs
         .iter()
         .map(|s| SubdomainSystem::build(mesh, dm, &mat, s, &loads, None))
@@ -86,7 +86,7 @@ fn edd_case(
     (views, reference)
 }
 
-/// The rank-side EDD build over prebuilt subdomain systems.
+/// The rank-side EDD build over subdomain systems the caller assembled.
 fn edd_rank_views(
     systems: &[SubdomainSystem],
     dm: &DofMap,
@@ -96,13 +96,11 @@ fn edd_rank_views(
 ) -> Vec<RankView> {
     let dpn = dm.dofs_per_node();
     let geos = edd_part_geometry(
-        spec,
         systems.iter().map(|s| s.global_dofs.as_slice()),
         |rank, l| dm.is_fixed(systems[rank].global_dofs[l]),
-        Some(coords),
+        coords,
         dpn,
-    )
-    .expect("mesh has coordinates");
+    );
     let out = run_ranks(systems.len(), MachineModel::ideal(), |comm| {
         let sys = &systems[comm.rank()];
         let mut layout = EddLayout::from_system(sys);
@@ -247,7 +245,7 @@ fn smoothed(base: CoarseSpec, k: usize) -> CoarseSpec {
 fn graph_node_partition(mesh: &QuadMesh, p: usize) -> NodePartition {
     let part = PartitionerSpec::Graph.element_partition(mesh, p);
     let mut owner = vec![usize::MAX; mesh.n_nodes()];
-    for sub in part.subdomains(mesh) {
+    for sub in part.subdomains_of(mesh) {
         for &n in &sub.nodes {
             owner[n] = owner[n].min(sub.rank);
         }
@@ -307,7 +305,7 @@ fn fully_constrained_part_is_pivoted_out_identically() {
     let mesh = QuadMesh::cantilever(8, 2);
     let part = ElementPartition::strips_x(&mesh, 4);
     let mut dm = DofMap::new(mesh.n_nodes());
-    for &n in &part.subdomains(&mesh)[0].nodes {
+    for &n in &part.subdomains_of(&mesh)[0].nodes {
         dm.clamp_node(n);
     }
     for spec in [CoarseSpec::Rbm, smoothed(CoarseSpec::Rbm, 2)] {
@@ -331,7 +329,7 @@ fn fully_constrained_part_is_pivoted_out_identically() {
 fn cross_points_hold_identical_bits_on_every_sharer() {
     let (mesh, dm) = cantilever(8, 6);
     let spec = smoothed(CoarseSpec::Rbm, 3);
-    let blocks = ElementPartition::blocks(&mesh, 2, 2);
+    let blocks = ElementPartition::blocks_of(&mesh, 2, 2);
     let (views, reference) = edd_case(&mesh, &dm, &blocks, &spec, false);
     check(&views, &reference, dm.n_dofs(), "edd blocks");
     let graph = PartitionerSpec::Graph.element_partition(&mesh, 8);
@@ -416,7 +414,7 @@ fn rank_builds_keep_their_pinned_bits() {
     let systems: Vec<SubdomainSystem> = (ElementPartition::blocks_of(&mesh, 2, 1))
         .subdomains_of(&mesh)
         .iter()
-        .map(|s| SubdomainSystem::build_hex(&mesh, &dm, &mat, s, &loads))
+        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
         .collect();
     let views = edd_rank_views(&systems, &dm, mesh.coords(), &spec, false);
     let hex = build_digest(&views);

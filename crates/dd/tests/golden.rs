@@ -132,7 +132,7 @@ fn edd_digest_overlap(
     assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
     let part = ElementPartition::strips_x(&mesh, p);
     let systems: Vec<SubdomainSystem> = part
-        .subdomains(&mesh)
+        .subdomains_of(&mesh)
         .iter()
         .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
         .collect();
@@ -706,14 +706,14 @@ fn check_history(name: &str, history: &ConvergenceHistory, res_hash: u64) {
 
 #[test]
 fn session_reproduces_edd_enhanced_gls5_history() {
-    // Same case as `edd_enhanced_gls5` above, through the builder: `run()`,
-    // `run_multi` of the same load, and prebuilt systems all reproduce it,
-    // and agree on the solution bit for bit.
+    // Same case as `edd_enhanced_gls5` above, through the builder: `run()`
+    // and `run_multi` of the same load both reproduce it, and agree on the
+    // solution bit for bit.
     const PINNED: u64 = 0x12809d64e1880512;
     let (mesh, dm, mat, loads) = session_problem(8, 3);
     let part = ElementPartition::strips_x(&mesh, 4);
     let session = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-        .strategy(Strategy::Edd(part.clone()))
+        .strategy(Strategy::Edd(part))
         .config(session_cfg(1e-8));
     let out = session.run().expect("golden session must solve");
     check_history("session EDD run", &out.history, PINNED);
@@ -723,18 +723,6 @@ fn session_reproduces_edd_enhanced_gls5_history() {
         .expect("golden session must solve");
     check_history("session EDD run_multi", &multi.histories[0], PINNED);
     assert_eq!(multi.solutions[0], out.u, "run_multi(&[loads]) ≡ run()");
-
-    let systems: Vec<SubdomainSystem> = part
-        .subdomains(&mesh)
-        .iter()
-        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
-        .collect();
-    let prebuilt = SolveSession::from_systems(&systems, dm.n_dofs())
-        .config(session_cfg(1e-8))
-        .run()
-        .expect("golden session must solve");
-    check_history("session from_systems", &prebuilt.history, PINNED);
-    assert_eq!(prebuilt.u, out.u, "from_systems ≡ mesh-level run()");
 }
 
 #[test]

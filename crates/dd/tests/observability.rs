@@ -37,7 +37,7 @@ fn problem(nx: usize, ny: usize) -> (QuadMesh, DofMap, Material, Vec<f64>) {
 /// node it owns) times the kernel's count plus one add per scattered entry.
 fn charged_assembly_flops(mesh: &QuadMesh, strategy: &Strategy, rank: usize) -> u64 {
     let elems = match strategy {
-        Strategy::Edd(part) => part.subdomains(mesh)[rank].elements.len(),
+        Strategy::Edd(part) => part.subdomains_of(mesh)[rank].elements.len(),
         Strategy::Rdd(part) => (0..mesh.n_elems())
             .filter(|&e| mesh.elem_nodes(e).iter().any(|&n| part.owner(n) == rank))
             .count(),

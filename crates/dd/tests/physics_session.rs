@@ -17,7 +17,7 @@
 //!   inside `twolevel:<coarse>:direct`.
 
 use parfem_dd::{DdSolveOutput, PrecondSpec, Problem, SolveSession, SolverConfig, Strategy};
-use parfem_fem::{assembly, Material, SubdomainSystem};
+use parfem_fem::{assembly, Discretization, Material, Physics, SubdomainSystem};
 use parfem_krylov::gmres::GmresConfig;
 use parfem_mesh::{DofMap, Edge, ElementPartition, Face, HexMesh, NodePartition, QuadMesh};
 use parfem_sparse::{Ilu0, SparseError};
@@ -91,7 +91,12 @@ fn heat_session_golden_iteration_counts() {
     for (spec, want_edd, want_rdd) in golden {
         let (mesh, dm, mat, loads) = heat_fixture(9, 4);
         let edd = run_edd(
-            Problem::heat(&mesh, &dm, &mat, &loads),
+            Problem::new(
+                Discretization::new(&mesh, Physics::Heat2d),
+                &dm,
+                &mat,
+                &loads,
+            ),
             ElementPartition::strips_x(&mesh, 3),
             spec,
             false,
@@ -103,7 +108,12 @@ fn heat_session_golden_iteration_counts() {
             "heat EDD {spec} iteration drift"
         );
         let edd_overlapped = run_edd(
-            Problem::heat(&mesh, &dm, &mat, &loads),
+            Problem::new(
+                Discretization::new(&mesh, Physics::Heat2d),
+                &dm,
+                &mat,
+                &loads,
+            ),
             ElementPartition::strips_x(&mesh, 3),
             spec,
             true,
@@ -114,7 +124,12 @@ fn heat_session_golden_iteration_counts() {
         );
 
         let rdd = run_rdd(
-            Problem::heat(&mesh, &dm, &mat, &loads),
+            Problem::new(
+                Discretization::new(&mesh, Physics::Heat2d),
+                &dm,
+                &mat,
+                &loads,
+            ),
             NodePartition::strips_x(&mesh, 3),
             spec,
             false,
@@ -126,7 +141,12 @@ fn heat_session_golden_iteration_counts() {
             "heat RDD {spec} iteration drift"
         );
         let rdd_overlapped = run_rdd(
-            Problem::heat(&mesh, &dm, &mat, &loads),
+            Problem::new(
+                Discretization::new(&mesh, Physics::Heat2d),
+                &dm,
+                &mat,
+                &loads,
+            ),
             NodePartition::strips_x(&mesh, 3),
             spec,
             true,
@@ -157,7 +177,7 @@ fn hex_session_golden_iteration_counts() {
     for (spec, want_edd, want_rdd) in golden {
         let (mesh, dm, mat, loads) = hex_fixture(6, 2, 2);
         let edd = run_edd(
-            Problem::elasticity3d(&mesh, &dm, &mat, &loads),
+            Problem::new(&mesh, &dm, &mat, &loads),
             ElementPartition::blocks_of(&mesh, 3, 1),
             spec,
             false,
@@ -169,7 +189,7 @@ fn hex_session_golden_iteration_counts() {
             "hex EDD {spec} iteration drift"
         );
         let edd_overlapped = run_edd(
-            Problem::elasticity3d(&mesh, &dm, &mat, &loads),
+            Problem::new(&mesh, &dm, &mat, &loads),
             ElementPartition::blocks_of(&mesh, 3, 1),
             spec,
             true,
@@ -180,7 +200,7 @@ fn hex_session_golden_iteration_counts() {
         );
 
         let rdd = run_rdd(
-            Problem::elasticity3d(&mesh, &dm, &mat, &loads),
+            Problem::new(&mesh, &dm, &mat, &loads),
             NodePartition::strips_x_hex(&mesh, 3),
             spec,
             false,
@@ -192,7 +212,7 @@ fn hex_session_golden_iteration_counts() {
             "hex RDD {spec} iteration drift"
         );
         let rdd_overlapped = run_rdd(
-            Problem::elasticity3d(&mesh, &dm, &mat, &loads),
+            Problem::new(&mesh, &dm, &mat, &loads),
             NodePartition::strips_x_hex(&mesh, 3),
             spec,
             true,
@@ -212,7 +232,12 @@ fn heat_twolevel_growth_is_near_flat_where_onelevel_grows() {
     let iters = |nx: usize, p: usize, spec: &str| {
         let (mesh, dm, mat, loads) = heat_fixture(nx, 4);
         let out = run_edd(
-            Problem::heat(&mesh, &dm, &mat, &loads),
+            Problem::new(
+                Discretization::new(&mesh, Physics::Heat2d),
+                &dm,
+                &mat,
+                &loads,
+            ),
             ElementPartition::strips_x(&mesh, p),
             spec,
             false,
@@ -255,7 +280,7 @@ fn direct_survives_the_floating_hex_subdomain_that_breaks_ilu0() {
     // The floating single-element blocks: singular, ILU(0) refuses them.
     let subs = part.subdomains_of(&mesh);
     for floating in [1, 2] {
-        let sys = SubdomainSystem::build_hex(&mesh, &dm, &mat, &subs[floating], &loads);
+        let sys = SubdomainSystem::build(&mesh, &dm, &mat, &subs[floating], &loads, None);
         match Ilu0::factorize(&sys.k_local) {
             Err(SparseError::ZeroPivot { value, .. }) => {
                 assert!(value.abs() < 1e-10, "pivot {value} should be ~0");
@@ -273,7 +298,7 @@ fn direct_survives_the_floating_hex_subdomain_that_breaks_ilu0() {
     // order; 15 before the 3x3 node-block matvec reassociated the row sums.)
     for (spec, want) in [("direct", 58), ("twolevel:rbm.s3:direct", 16)] {
         let out = run_edd(
-            Problem::elasticity3d(&mesh, &dm, &mat, &loads),
+            Problem::new(&mesh, &dm, &mat, &loads),
             part.clone(),
             spec,
             false,

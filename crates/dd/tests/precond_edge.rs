@@ -25,7 +25,7 @@ fn one_element_system() -> SubdomainSystem {
     let mut loads = vec![0.0; dm.n_dofs()];
     assembly::edge_load(&mesh, &dm, Edge::Right, 1.0, -1.0, &mut loads);
     let part = ElementPartition::strips_x(&mesh, 1);
-    let subs = part.subdomains(&mesh);
+    let subs = part.subdomains_of(&mesh);
     SubdomainSystem::build(&mesh, &dm, &mat, &subs[0], &loads, None)
 }
 
@@ -93,7 +93,7 @@ fn floating_subdomain_block() -> CsrMatrix {
     let mat = Material::unit();
     let loads = vec![0.0; dm.n_dofs()];
     let part = ElementPartition::strips_x(&mesh, 4);
-    let subs = part.subdomains(&mesh);
+    let subs = part.subdomains_of(&mesh);
     // Strip 2 touches neither the clamped left edge nor the loaded right
     // edge: a textbook floating subdomain.
     let k = SubdomainSystem::build(&mesh, &dm, &mat, &subs[2], &loads, None).k_local;

@@ -93,8 +93,8 @@ proptest! {
             nx in 4usize..9, ny in 4usize..9, px in 2usize..4, py in 2usize..4) {
         prop_assume!(px <= nx && py <= ny);
         let (mesh, dm, mat, loads) = problem(nx, ny, 0.0, -1.0);
-        let part = ElementPartition::blocks(&mesh, px, py);
-        let systems: Vec<SubdomainSystem> = part.subdomains(&mesh).iter()
+        let part = ElementPartition::blocks_of(&mesh, px, py);
+        let systems: Vec<SubdomainSystem> = part.subdomains_of(&mesh).iter()
             .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None)).collect();
         let n = dm.n_dofs();
         let u: Vec<f64> = (0..n).map(|i| ((i * 13 % 23) as f64) - 11.0).collect();
@@ -122,7 +122,7 @@ proptest! {
         prop_assume!(parts <= nx);
         let (mesh, dm, mat, loads) = problem(nx, ny, 1.0, -1.0);
         let systems: Vec<SubdomainSystem> = ElementPartition::strips_x(&mesh, parts)
-            .subdomains(&mesh).iter()
+            .subdomains_of(&mesh).iter()
             .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None)).collect();
         let n = dm.n_dofs();
         let x: Vec<f64> = (0..n).map(|i| ((i * 7 % 19) as f64) - 9.0).collect();
@@ -182,10 +182,10 @@ proptest! {
         // contiguous elements.
         let (mesh, dm, mat, loads) = problem(nx, ny, 1.0, 0.0);
         let s1: Vec<SubdomainSystem> = ElementPartition::strips_x(&mesh, 2)
-            .subdomains(&mesh).iter()
+            .subdomains_of(&mesh).iter()
             .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None)).collect();
         let s2: Vec<SubdomainSystem> = ElementPartition::strips_x(&mesh, nx.min(4))
-            .subdomains(&mesh).iter()
+            .subdomains_of(&mesh).iter()
             .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None)).collect();
         let d1 = edd_scaling_reference(&s1, dm.n_dofs());
         let d2 = edd_scaling_reference(&s2, dm.n_dofs());

@@ -12,7 +12,7 @@
 
 use parfem_dd::{Problem, RddSystem};
 use parfem_fem::assembly::{self, StaticSystem};
-use parfem_fem::{Material, Physics};
+use parfem_fem::{Discretization, Material, Physics};
 use parfem_mesh::{DofMap, Edge, Face, HexMesh, NodePartition, QuadMesh};
 use parfem_msg::{run_ranks, MachineModel};
 use parfem_sparse::ldlt::{SparseLdlt, DEFAULT_PIVOT_TOL};
@@ -86,23 +86,20 @@ impl Fixture {
         }
     }
 
-    fn problem(&self) -> Problem<'_> {
-        let (dm, mat, loads) = (&self.dm, &self.mat, self.loads.as_slice());
-        match (&self.mesh, self.physics) {
-            (Mesh::Quad(m), Physics::Elasticity2d) => Problem::new(m, dm, mat, loads),
-            (Mesh::Quad(m), _) => Problem::heat(m, dm, mat, loads),
-            (Mesh::Hex(m), _) => Problem::elasticity3d(m, dm, mat, loads),
+    fn disc(&self) -> Discretization<'_> {
+        match &self.mesh {
+            Mesh::Quad(m) => Discretization::new(m, self.physics),
+            Mesh::Hex(m) => Discretization::new(m, self.physics),
         }
+    }
+
+    fn problem(&self) -> Problem<'_> {
+        Problem::new(self.disc(), &self.dm, &self.mat, &self.loads)
     }
 
     /// The global constrained system, assembled by the sequential path.
     fn reference(&self) -> StaticSystem {
-        let (dm, mat, loads) = (&self.dm, &self.mat, self.loads.as_slice());
-        match (&self.mesh, self.physics) {
-            (Mesh::Quad(m), Physics::Elasticity2d) => assembly::build_static(m, dm, mat, loads),
-            (Mesh::Quad(m), _) => assembly::build_static_heat(m, dm, mat, loads),
-            (Mesh::Hex(m), _) => assembly::build_static_hex(m, dm, mat, loads),
-        }
+        assembly::build_static(self.disc(), &self.dm, &self.mat, &self.loads)
     }
 
     /// Partition shape 0: node strips; 1: contiguous node ranges; 2: a

@@ -19,10 +19,11 @@ mod common;
 use parfem_dd::{
     DdSolveOutput, EddVariant, PrecondSpec, Problem, SolveSession, SolverConfig, Strategy,
 };
-use parfem_fem::{assembly, Material, NewmarkParams, SubdomainSystem};
+use parfem_fem::{assembly, Discretization, Material, NewmarkParams, Physics};
 use parfem_krylov::gmres::{fgmres, GmresConfig, Orthogonalization};
 use parfem_mesh::{
-    DofMap, Edge, ElementPartition, Face, HexMesh, NodePartition, PartitionerSpec, QuadMesh,
+    DofMap, Edge, ElementPartition, Face, GenericQuadMesh, HexMesh, NodePartition, PartitionerSpec,
+    Quad8Mesh, QuadMesh, TriMesh,
 };
 use parfem_msg::{FaultPlan, MachineModel};
 use parfem_precond::GlsPrecond;
@@ -211,7 +212,12 @@ fn kernel_follows_the_physics_on_every_rank_and_is_recorded() {
     heat_dm.clamp_edge(&mesh, Edge::Left);
     let mut source = vec![0.0; heat_dm.n_dofs()];
     assembly::edge_source(&mesh, &heat_dm, Edge::Right, 1.0, &mut source);
-    let heat = Problem::heat(&mesh, &heat_dm, &mat, &source);
+    let heat = Problem::new(
+        Discretization::new(&mesh, Physics::Heat2d),
+        &heat_dm,
+        &mat,
+        &source,
+    );
     check(
         || SolveSession::new(heat).strategy(Strategy::Edd(edd2.clone())),
         "csr",
@@ -228,7 +234,7 @@ fn kernel_follows_the_physics_on_every_rank_and_is_recorded() {
     }
     let mut hex_loads = vec![0.0; hex_dm.n_dofs()];
     assembly::face_load(&hex, &hex_dm, Face::XMax, [0.0, 0.0, -1.0], &mut hex_loads);
-    let solid = Problem::elasticity3d(&hex, &hex_dm, &mat, &hex_loads);
+    let solid = Problem::new(&hex, &hex_dm, &mat, &hex_loads);
     check(
         || SolveSession::new(solid).partitioned(PartitionerSpec::Strips, 2),
         "bcsr3",
@@ -276,42 +282,63 @@ fn run_multi_matches_independent_single_runs() {
     common::assert_run_multi_contract(&multi, &singles, &systems, cfg().gmres.tol);
 }
 
-/// `from_systems` (systems the caller assembled, borrowed by the ranks)
-/// equals the mesh-level path (every rank assembles its own) bit for bit,
-/// one- and two-level, for one to three ranks. Prebuilt systems carry no
-/// node coordinates, so the rigid-body coarse space is a typed refusal.
+/// Every element family reaches both strategies through a mesh-level
+/// [`Problem`]: T3, Q8 and unstructured Q4 elasticity solve under EDD and
+/// RDD at one and three ranks, each to the true residual of the assembled
+/// global system.
 #[test]
-fn from_systems_matches_mesh_level_session() {
-    let (mesh, dm, mat, loads) = problem(8, 3);
-    for p in 1..=3 {
-        let part = ElementPartition::strips_x(&mesh, p);
-        let systems: Vec<SubdomainSystem> = part
-            .subdomains(&mesh)
-            .iter()
-            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
+fn element_families_solve_under_both_strategies() {
+    let quad = QuadMesh::cantilever(9, 3);
+    let tri = TriMesh::from_quad_mesh(&quad);
+    let quad8 = Quad8Mesh::cantilever(9, 3);
+    let generic = GenericQuadMesh::from_structured(&QuadMesh::distorted(9, 3, 9.0, 3.0, 0.2, 4));
+    let families: [(&str, Discretization, Vec<usize>, PartitionerSpec); 3] = [
+        (
+            "T3",
+            (&tri).into(),
+            tri.edge_nodes(Edge::Left),
+            PartitionerSpec::Strips,
+        ),
+        (
+            "Q8",
+            (&quad8).into(),
+            quad8.edge_nodes(Edge::Left),
+            PartitionerSpec::Strips,
+        ),
+        (
+            "generic Q4",
+            (&generic).into(),
+            generic.nodes_at_min_x(1e-9),
+            PartitionerSpec::Graph,
+        ),
+    ];
+    let mat = Material::unit();
+    for (name, disc, clamped, partitioner) in families {
+        let mesh = disc.mesh();
+        let mut dm = DofMap::new(mesh.n_nodes());
+        clamped.iter().for_each(|&n| dm.clamp_node(n));
+        let loads: Vec<f64> = (0..dm.n_dofs())
+            .map(|d| if d % 2 == 1 { -1e-3 } else { 0.0 })
             .collect();
-        for spec in ["gls:5", "gls:7", "twolevel:const:gls-3"] {
-            let spec = PrecondSpec::parse(spec).unwrap();
-            let rank_built = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-                .strategy(Strategy::Edd(part.clone()))
-                .config(cfg())
-                .precond(spec.clone())
-                .run()
-                .unwrap();
-            assert!(rank_built.history.converged());
-            let caller_built = SolveSession::from_systems(&systems, dm.n_dofs())
-                .config(cfg())
-                .precond(spec.clone())
-                .run()
-                .unwrap();
-            let what = format!("rank-built vs caller-built, {} on {p} ranks", spec.name());
-            assert_bit_identical(&rank_built, &caller_built, &what);
+        let global = assembly::build_static(disc, &dm, &mat, &loads);
+        for p in [1, 3] {
+            let session = || SolveSession::new(Problem::new(disc, &dm, &mat, &loads)).config(cfg());
+            let edd = session().partitioned(partitioner, p);
+            let rdd =
+                session().strategy(Strategy::Rdd(NodePartition::contiguous(mesh.n_nodes(), p)));
+            for (strategy, session) in [("EDD", edd), ("RDD", rdd)] {
+                let out = session.run().expect("fault-free solve");
+                let what = format!("{name} {strategy} P = {p}");
+                assert!(out.history.converged(), "{what}: no convergence");
+                let mut r = global.stiffness.spmv(&out.u);
+                dense::axpy(-1.0, &global.rhs, &mut r);
+                let rel = dense::norm2(&r) / dense::norm2(&global.rhs);
+                assert!(
+                    rel <= 10.0 * cfg().gmres.tol,
+                    "{what}: true residual {rel:e}"
+                );
+            }
         }
-        let refused = SolveSession::from_systems(&systems, dm.n_dofs())
-            .precond(PrecondSpec::parse("twolevel:rbm:gls-3").unwrap())
-            .run()
-            .unwrap_err();
-        assert!(refused.is_config_error(), "{refused}");
     }
 }
 

@@ -4,7 +4,7 @@
 //! The two-level coarse correction must be just another value of the
 //! preconditioner axis: every other session option — overlapped exchange,
 //! recoverable fault injection, tracing, multi-RHS reuse, the graph
-//! partitioner, prebuilt systems — composes with it **bit-identically** to
+//! partitioner — composes with it **bit-identically** to
 //! its own baseline. On top of that, the constructions the paper's Eq. 45
 //! flags as fatal for local factorizations (floating subdomains with no
 //! Dirichlet rows, one-element parts with rank-deficient mode blocks) must
@@ -13,8 +13,7 @@
 mod common;
 
 use parfem_dd::{
-    DdSolveOutput, EddVariant, PrecondSpec, Problem, SolveError, SolveSession, SolverConfig,
-    Strategy,
+    DdSolveOutput, EddVariant, PrecondSpec, Problem, SolveSession, SolverConfig, Strategy,
 };
 use parfem_fem::{assembly, Material, NewmarkParams, SubdomainSystem};
 use parfem_krylov::gmres::GmresConfig;
@@ -169,61 +168,6 @@ fn twolevel_graph_partitioner_is_deterministic() {
     assert_bit_identical(&a, &run(), "two-level graph partition, second run");
 }
 
-/// Prebuilt subdomain systems reproduce the mesh-level two-level session
-/// exactly, for the geometry-free coarse spaces that raw systems support.
-#[test]
-fn twolevel_from_systems_matches_mesh_level() {
-    let (mesh, dm, mat, loads) = problem(8, 3);
-    let part = ElementPartition::strips_x(&mesh, 3);
-    let systems: Vec<SubdomainSystem> = part
-        .subdomains(&mesh)
-        .iter()
-        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
-        .collect();
-    for spec in ["twolevel:const:gls-3", "twolevel:lowrank-2:gls-3"] {
-        let mesh_level = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-            .strategy(Strategy::Edd(part.clone()))
-            .config(cfg(spec))
-            .run()
-            .unwrap();
-        let prebuilt = SolveSession::from_systems(&systems, dm.n_dofs())
-            .config(cfg(spec))
-            .run()
-            .unwrap();
-        assert_bit_identical(&mesh_level, &prebuilt, spec);
-    }
-}
-
-/// Rigid-body modes need node coordinates, which prebuilt raw systems do
-/// not carry — the session is rejected with a typed, actionable error
-/// before any rank spawns (plain and smoothed `rbm` alike).
-#[test]
-fn twolevel_rbm_from_systems_is_a_config_error() {
-    let (mesh, dm, mat, loads) = problem(6, 2);
-    let part = ElementPartition::strips_x(&mesh, 2);
-    let systems: Vec<SubdomainSystem> = part
-        .subdomains(&mesh)
-        .iter()
-        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
-        .collect();
-    for spec in ["twolevel:rbm:gls-3", "twolevel:rbm.s3:gls-3"] {
-        let failures = SolveSession::from_systems(&systems, dm.n_dofs())
-            .config(cfg(spec))
-            .run()
-            .expect_err("rbm without coordinates must be rejected");
-        assert!(failures.is_config_error(), "{spec}: {failures}");
-        assert!(failures.reports.is_empty(), "{spec}: no rank may have run");
-        let (_, err) = &failures.errors[0];
-        assert!(matches!(err, SolveError::Config { .. }), "{spec}: {err:?}");
-        let text = failures.to_string();
-        assert!(
-            text.contains("rigid-body coarse modes need node coordinates")
-                && text.contains("twolevel:const"),
-            "{spec}: message must say what to do instead, got: {text}"
-        );
-    }
-}
-
 /// The transient driver has no coarse plumbing and must reject two-level
 /// specs instead of silently solving one-level.
 #[test]
@@ -332,7 +276,7 @@ fn rigid_body_modes_span_the_null_space_of_unconstrained_stiffness() {
     let loads = vec![0.0; dm.n_dofs()];
     let part = ElementPartition::strips_x(&mesh, 1);
     let systems: Vec<SubdomainSystem> = part
-        .subdomains(&mesh)
+        .subdomains_of(&mesh)
         .iter()
         .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
         .collect();

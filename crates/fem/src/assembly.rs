@@ -5,18 +5,18 @@
 //! moved to the right-hand side. No renumbering ever happens — the property
 //! the element-based decomposition exploits (paper claim ii).
 //!
-//! Every assembled matrix of the crate — the global `assemble_*` here and in
-//! [`crate::tri3`], [`crate::quad8s`], the per-subdomain systems of
-//! [`crate::subdomain`] and one rank's block rows ([`assemble_owned`]) — is
-//! built by one pattern-first core, `assemble`: it never holds triplets, and
+//! Every assembled matrix of the crate — the global [`assemble_stiffness`]
+//! and [`assemble_mass`], the per-subdomain systems of [`crate::subdomain`]
+//! and one rank's block rows ([`assemble_owned`]) — reads its elements from
+//! one [`Discretization`] and is built by one pattern-first core, `assemble`: it never holds triplets, and
 //! it sums duplicate contributions in ascending element order. Global
 //! matrices are CSR; a subdomain's stiffness, and the owned-column block of
 //! a rank's rows, scatter straight into `B × B` node blocks when their nodes
 //! carry 2 or 3 dofs.
 
+use crate::discretization::{Discretization, Mass};
 use crate::material::Material;
-use crate::{hex8, physics, quad4};
-use parfem_mesh::{DofMap, Edge, Face, HexMesh, QuadMesh, TriMesh};
+use parfem_mesh::{DofMap, Edge, Face, HexMesh, QuadMesh};
 use parfem_sparse::{BcsrMatrix, CsrMatrix, NodeMatrix, SparseRows};
 use std::ops::Range;
 
@@ -98,9 +98,11 @@ fn node_graph(n_nodes: usize, npe: usize, conn: &[usize]) -> (Vec<usize>, Vec<us
     }
     let mut elems = vec![0usize; conn.len()];
     let mut next = elems_ptr.clone();
-    for (k, &n) in conn.iter().enumerate() {
-        elems[next[n]] = k / npe;
-        next[n] += 1;
+    for (e, nodes) in conn.chunks_exact(npe).enumerate() {
+        for &n in nodes {
+            elems[next[n]] = e;
+            next[n] += 1;
+        }
     }
     let mut nbr_ptr = Vec::with_capacity(n_nodes + 1);
     let mut nbrs = Vec::new();
@@ -541,12 +543,21 @@ pub(crate) fn assemble<K: Scatter>(
     let nd = npe * dpn;
     let mut ke = vec![0.0; nd * nd];
     let mut me = with_mass.then(|| vec![0.0; nd * nd]);
-    for (k, nodes) in conn.chunks_exact(npe).enumerate() {
+    let mut scatter = |k: usize, nodes: &[usize]| {
         element(k, &mut ke, me.as_deref_mut());
         k_pat.add_block(&mut k_vals, nodes, dpn, &ke, fixed, &mut lift);
         if let (Some(pat), Some(vals), Some(me)) = (&m_pat, &mut m_vals, &me) {
             pat.add_block(vals, nodes, dpn, me, fixed, |_, _, _| {});
         }
+    };
+    // A node count that is a constant of the loop lets the scatter's node
+    // loops unroll, as they did when each element family had its own
+    // assembler.
+    match npe {
+        3 => (conn.as_chunks::<3>().0.iter().enumerate()).for_each(|(k, n)| scatter(k, n)),
+        4 => (conn.as_chunks::<4>().0.iter().enumerate()).for_each(|(k, n)| scatter(k, n)),
+        8 => (conn.as_chunks::<8>().0.iter().enumerate()).for_each(|(k, n)| scatter(k, n)),
+        _ => (conn.chunks_exact(npe).enumerate()).for_each(|(k, n)| scatter(k, n)),
     }
     for r in (0..rows * dpn).filter(|&r| fixed[r]) {
         k_vals[k_pat.diagonal(r)] = fixed_diag(r);
@@ -557,23 +568,22 @@ pub(crate) fn assemble<K: Scatter>(
     )
 }
 
-/// Raw (unconstrained) global assembly of one element family over the
-/// nodes of `dm`: `nodes_of(e)` and `block_of(e)` are the nodes and the dense
-/// matrix of element `e` of `n_elems`.
-pub(crate) fn assemble_raw<const N: usize, const M: usize>(
+/// Raw (unconstrained) global assembly over the nodes of `dm` of the
+/// `npe`-node elements `conn` lists, `fill(k, block)` writing the dense
+/// matrix of the `k`-th.
+fn assemble_raw(
     dm: &DofMap,
-    n_elems: usize,
-    nodes_of: impl Fn(usize) -> [usize; N],
-    mut block_of: impl FnMut(usize) -> [f64; M],
+    npe: usize,
+    conn: &[usize],
+    mut fill: impl FnMut(usize, &mut [f64]),
 ) -> CsrMatrix {
-    let conn: Vec<usize> = (0..n_elems).flat_map(nodes_of).collect();
     let free = vec![false; dm.n_dofs()];
     let (n_nodes, dpn) = (dm.n_nodes(), dm.dofs_per_node());
-    let fill = |e: usize, ke: &mut [f64], _: Option<&mut [f64]>| ke.copy_from_slice(&block_of(e));
+    let fill = |k: usize, ke: &mut [f64], _: Option<&mut [f64]>| fill(k, ke);
     let none = |_| unreachable!("no dof is constrained");
     let no_lift = |_, _, _| unreachable!("no dof is constrained");
     assemble::<Pattern>(
-        n_nodes, n_nodes, dpn, N, &conn, &free, none, no_lift, false, fill,
+        n_nodes, n_nodes, dpn, npe, conn, &free, none, no_lift, false, fill,
     )
     .0
 }
@@ -628,7 +638,7 @@ impl OwnedRows {
 }
 
 /// Assembles one rank's rows of a node partition: those of the nodes
-/// `owned` accepts, from the `n_elems` elements that have such a node, in
+/// `owned` accepts, from the elements of `disc` that have such a node, in
 /// ascending element order. The Dirichlet conditions of `dm` apply as the
 /// global [`apply_dirichlet`] applies them, with the right-hand side taken
 /// from the global `loads`; the other ranks' nodes touched (one ghost
@@ -639,20 +649,24 @@ impl OwnedRows {
 /// of that row of the global constrained matrix, summed in the same element
 /// order, and its right-hand side the same lifted values subtracted in the
 /// same column order: bit for bit the same values.
-pub fn assemble_owned<const N: usize, const M: usize>(
+pub fn assemble_owned(
+    disc: &Discretization,
     dm: &DofMap,
+    material: &Material,
     loads: &[f64],
-    n_elems: usize,
-    nodes_of: impl Fn(usize) -> [usize; N],
     owned: impl Fn(usize) -> bool,
-    mut block_of: impl FnMut(usize) -> [f64; M],
 ) -> (OwnedRows, usize) {
-    let elems: Vec<usize> = (0..n_elems)
-        .filter(|&e| nodes_of(e).into_iter().any(&owned))
+    disc.check(dm);
+    let (all, npe) = (disc.mesh().connectivity(), disc.mesh().nodes_per_elem());
+    let nodes_of = |e: usize| &all[e * npe..(e + 1) * npe];
+    let elems: Vec<usize> = (all.chunks_exact(npe).enumerate())
+        .filter(|(_, nodes)| nodes.iter().any(|&n| owned(n)))
+        .map(|(e, _)| e)
         .collect();
     // The owned nodes are the local nodes `0..n_own`, the ghosts follow;
     // each group ascends with the global id.
-    let mut nodes: Vec<usize> = elems.iter().flat_map(|&e| nodes_of(e)).collect();
+    let mut nodes = Vec::with_capacity(elems.len() * npe);
+    nodes.extend(elems.iter().flat_map(|&e| nodes_of(e)));
     nodes.sort_unstable();
     nodes.dedup();
     let ghost: Vec<usize> = nodes.iter().copied().filter(|&n| !owned(n)).collect();
@@ -661,12 +675,13 @@ pub fn assemble_owned<const N: usize, const M: usize>(
     nodes.extend(ghost);
     let (own, ghost) = nodes.split_at(n_own);
     let listed = "an element's node is listed";
-    let conn: Vec<usize> = (elems.iter().flat_map(|&e| nodes_of(e)))
-        .map(|n| match owned(n) {
+    let mut conn = Vec::with_capacity(elems.len() * npe);
+    conn.extend(
+        (elems.iter().flat_map(|&e| nodes_of(e))).map(|&n| match owned(n) {
             true => own.binary_search(&n).expect(listed),
             false => n_own + ghost.binary_search(&n).expect(listed),
-        })
-        .collect();
+        }),
+    );
     let dpn = dm.dofs_per_node();
     let global: Vec<usize> = (nodes.iter())
         .flat_map(|&n| (0..dpn).map(move |c| dm.dof(n, c)))
@@ -674,13 +689,13 @@ pub fn assemble_owned<const N: usize, const M: usize>(
     let fixed: Vec<bool> = global.iter().map(|&g| dm.is_fixed(g)).collect();
     let mut lifted = Vec::new();
     let fill =
-        |k: usize, ke: &mut [f64], _: Option<&mut [f64]>| ke.copy_from_slice(&block_of(elems[k]));
+        |k: usize, ke: &mut [f64], _: Option<&mut [f64]>| disc.stiffness(elems[k], material, ke);
     let lift = |r: usize, c: usize, v: f64| lifted.push((r, global[c], v));
     let ((a_loc, a_ext), _) = assemble::<SplitPattern>(
         nodes.len(),
         n_own,
         dpn,
-        N,
+        npe,
         &conn,
         &fixed,
         |_| 1.0,
@@ -728,93 +743,53 @@ pub fn assemble_owned<const N: usize, const M: usize>(
     (owned_rows, elems.len())
 }
 
-/// Assembles the raw global stiffness matrix (no boundary conditions).
-pub fn assemble_stiffness(mesh: &QuadMesh, dm: &DofMap, material: &Material) -> CsrMatrix {
-    let nodes_of = |e| mesh.elem_nodes(e);
-    assemble_raw(dm, mesh.n_elems(), nodes_of, |e| {
-        quad4::stiffness(&mesh.elem_coords(e), material)
-    })
-}
-
-/// Assembles the raw global stiffness of an unstructured quadrilateral
-/// mesh (no boundary conditions).
-pub fn assemble_stiffness_generic(
-    mesh: &parfem_mesh::GenericQuadMesh,
+/// Assembles the raw global stiffness matrix of `disc` (no boundary
+/// conditions). A bare mesh reference stands for the elasticity of its
+/// dimension.
+pub fn assemble_stiffness<'a>(
+    disc: impl Into<Discretization<'a>>,
     dm: &DofMap,
     material: &Material,
 ) -> CsrMatrix {
-    let nodes_of = |e| mesh.elem_nodes(e);
-    assemble_raw(dm, mesh.n_elems(), nodes_of, |e| {
-        quad4::stiffness(&mesh.elem_coords(e), material)
+    let disc = disc.into();
+    disc.check(dm);
+    let mesh = disc.mesh();
+    assemble_raw(dm, mesh.nodes_per_elem(), mesh.connectivity(), |e, ke| {
+        disc.stiffness(e, material, ke)
     })
 }
 
-/// Assembles the raw scalar conduction stiffness of a quad mesh (no
-/// boundary conditions). The map must carry one DOF per node.
-pub fn assemble_stiffness_heat(mesh: &QuadMesh, dm: &DofMap, material: &Material) -> CsrMatrix {
-    assert_eq!(
-        dm.dofs_per_node(),
-        1,
-        "heat assembly needs a scalar DOF map"
-    );
-    let nodes_of = |e| mesh.elem_nodes(e);
-    assemble_raw(dm, mesh.n_elems(), nodes_of, |e| {
-        physics::heat_stiffness_quad4(&mesh.elem_coords(e), material)
-    })
-}
-
-/// Assembles the raw scalar conduction stiffness of a triangle mesh (no
-/// boundary conditions). The map must carry one DOF per node.
-pub fn assemble_stiffness_heat_tri(mesh: &TriMesh, dm: &DofMap, material: &Material) -> CsrMatrix {
-    assert_eq!(
-        dm.dofs_per_node(),
-        1,
-        "heat assembly needs a scalar DOF map"
-    );
-    let nodes_of = |e| mesh.elem_nodes(e);
-    assemble_raw(dm, mesh.n_elems(), nodes_of, |e| {
-        physics::heat_stiffness_tri3(&mesh.elem_coords(e), material)
-    })
-}
-
-/// Assembles the raw 3-D elasticity stiffness of a hex mesh (no boundary
-/// conditions). The map must carry three DOFs per node.
-pub fn assemble_stiffness_hex(mesh: &HexMesh, dm: &DofMap, material: &Material) -> CsrMatrix {
-    assert_eq!(
-        dm.dofs_per_node(),
-        3,
-        "hex8 assembly needs a 3-DOF-per-node map"
-    );
-    let nodes_of = |e| mesh.elem_nodes(e);
-    assemble_raw(dm, mesh.n_elems(), nodes_of, |e| {
-        hex8::stiffness(&mesh.elem_coords(e), material)
-    })
-}
-
-/// Assembles the raw global mass matrix (no boundary conditions).
+/// Assembles the raw global `kind` mass matrix of `disc` (no boundary
+/// conditions). A lumped mass is diagonal: only the diagonal is scattered.
 ///
-/// With `lumped = true` the row-sum lumped (diagonal) element mass is used;
-/// otherwise the consistent mass.
-pub fn assemble_mass(mesh: &QuadMesh, dm: &DofMap, material: &Material, lumped: bool) -> CsrMatrix {
-    if !lumped {
-        let nodes_of = |e| mesh.elem_nodes(e);
-        return assemble_raw(dm, mesh.n_elems(), nodes_of, |e| {
-            quad4::consistent_mass(&mesh.elem_coords(e), material)
-        });
+/// # Panics
+/// Panics where [`Discretization::mass`] does.
+pub fn assemble_mass<'a>(
+    disc: impl Into<Discretization<'a>>,
+    dm: &DofMap,
+    material: &Material,
+    kind: Mass,
+) -> CsrMatrix {
+    let disc = disc.into();
+    disc.check(dm);
+    let mesh = disc.mesh();
+    let (npe, conn) = (mesh.nodes_per_elem(), mesh.connectivity());
+    if kind == Mass::Consistent {
+        return assemble_raw(dm, npe, conn, |e, me| disc.mass(e, material, kind, me));
     }
-    // Only the diagonal is scattered, so the global matrix stays diagonal:
-    // every element dof is its own one-node, one-dof "element".
+    // Every element dof is its own one-node, one-dof "element".
+    let (dpn, nd) = (dm.dofs_per_node(), disc.elem_dofs());
     let dofs = DofMap::with_dofs(dm.n_dofs(), 1);
-    let dof_of = |k: usize| [dm.elem_dofs(mesh.elem_nodes(k / 8))[k % 8]];
-    let mut me = (usize::MAX, [0.0; 64]);
-    assemble_raw(&dofs, mesh.n_elems() * 8, dof_of, |k| {
-        if me.0 != k / 8 {
-            me = (
-                k / 8,
-                quad4::lumped_mass(&mesh.elem_coords(k / 8), material),
-            );
+    let dof_conn: Vec<usize> = (conn.iter())
+        .flat_map(|&n| (0..dpn).map(move |c| dm.dof(n, c)))
+        .collect();
+    let mut me = (usize::MAX, vec![0.0; nd * nd]);
+    assemble_raw(&dofs, 1, &dof_conn, |k, diag| {
+        if me.0 != k / nd {
+            me.0 = k / nd;
+            disc.mass(me.0, material, kind, &mut me.1);
         }
-        [me.1[(k % 8) * 9]]
+        diag[0] = me.1[(k % nd) * (nd + 1)];
     })
 }
 
@@ -869,12 +844,6 @@ pub fn apply_dirichlet(k: &CsrMatrix, dm: &DofMap, rhs: &mut [f64]) -> CsrMatrix
 /// constraint rows of `K` scaled by `β`.
 pub fn apply_dirichlet_mass(m: &CsrMatrix, dm: &DofMap) -> CsrMatrix {
     constrain(m, dm, None)
-}
-
-/// Adds a point load `(fx, fy)` at `node` to the load vector.
-pub fn point_load(dm: &DofMap, node: usize, fx: f64, fy: f64, rhs: &mut [f64]) {
-    rhs[dm.dof(node, 0)] += fx;
-    rhs[dm.dof(node, 1)] += fy;
 }
 
 /// Adds a uniformly distributed edge traction with total force `(fx, fy)`,
@@ -953,60 +922,24 @@ pub fn face_load(mesh: &HexMesh, dm: &DofMap, face: Face, f: [f64; 3], rhs: &mut
     }
 }
 
-/// Assembles the complete constrained static system for a mesh with loads
+/// Assembles the complete constrained static system of `disc` with loads
 /// already accumulated in `loads` (length `dm.n_dofs()`).
-pub fn build_static(
-    mesh: &QuadMesh,
+pub fn build_static<'a>(
+    disc: impl Into<Discretization<'a>>,
     dm: &DofMap,
     material: &Material,
     loads: &[f64],
 ) -> StaticSystem {
-    let k = assemble_stiffness(mesh, dm, material);
+    let k = assemble_stiffness(disc, dm, material);
     let mut rhs = loads.to_vec();
-    let k_bc = apply_dirichlet(&k, dm, &mut rhs);
-    StaticSystem {
-        stiffness: k_bc,
-        rhs,
-    }
-}
-
-/// Assembles the complete constrained scalar conduction system for a quad
-/// mesh (one DOF per node).
-pub fn build_static_heat(
-    mesh: &QuadMesh,
-    dm: &DofMap,
-    material: &Material,
-    loads: &[f64],
-) -> StaticSystem {
-    let k = assemble_stiffness_heat(mesh, dm, material);
-    let mut rhs = loads.to_vec();
-    let k_bc = apply_dirichlet(&k, dm, &mut rhs);
-    StaticSystem {
-        stiffness: k_bc,
-        rhs,
-    }
-}
-
-/// Assembles the complete constrained 3-D elasticity system for a hex mesh
-/// (three DOFs per node).
-pub fn build_static_hex(
-    mesh: &HexMesh,
-    dm: &DofMap,
-    material: &Material,
-    loads: &[f64],
-) -> StaticSystem {
-    let k = assemble_stiffness_hex(mesh, dm, material);
-    let mut rhs = loads.to_vec();
-    let k_bc = apply_dirichlet(&k, dm, &mut rhs);
-    StaticSystem {
-        stiffness: k_bc,
-        rhs,
-    }
+    let stiffness = apply_dirichlet(&k, dm, &mut rhs);
+    StaticSystem { stiffness, rhs }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Physics;
     use parfem_sparse::dense;
 
     fn cantilever_fixture(nx: usize, ny: usize) -> (QuadMesh, DofMap, Material) {
@@ -1042,7 +975,7 @@ mod tests {
     fn constrained_system_is_nonsingular_and_consistent() {
         let (mesh, dm, mat) = cantilever_fixture(4, 2);
         let mut loads = vec![0.0; dm.n_dofs()];
-        point_load(&dm, mesh.node_at(4, 2), 0.0, -1.0, &mut loads);
+        loads[dm.dof(mesh.node_at(4, 2), 1)] = -1.0;
         let sys = build_static(&mesh, &dm, &mat, &loads);
         let u = dense_solve(&sys.stiffness, &sys.rhs);
         // Constrained DOFs stay at zero.
@@ -1130,8 +1063,8 @@ mod tests {
     #[test]
     fn mass_matrix_total_mass_is_density_times_area() {
         let (mesh, dm, mat) = cantilever_fixture(5, 3);
-        for lumped in [false, true] {
-            let m = assemble_mass(&mesh, &dm, &mat, lumped);
+        for kind in [Mass::Consistent, Mass::Lumped] {
+            let m = assemble_mass(&mesh, &dm, &mat, kind);
             let mut tx = vec![0.0; dm.n_dofs()];
             for node in 0..mesh.n_nodes() {
                 tx[dm.dof(node, 0)] = 1.0;
@@ -1139,17 +1072,14 @@ mod tests {
             let mx = m.spmv(&tx);
             let total = dense::dot(&tx, &mx);
             // rho * area * thickness = 1 * 15 * 1.
-            assert!(
-                (total - 15.0).abs() < 1e-9,
-                "total mass {total} lumped={lumped}"
-            );
+            assert!((total - 15.0).abs() < 1e-9, "total mass {total} {kind:?}");
         }
     }
 
     #[test]
     fn lumped_mass_is_diagonal_globally() {
         let (mesh, dm, mat) = cantilever_fixture(4, 4);
-        let m = assemble_mass(&mesh, &dm, &mat, true);
+        let m = assemble_mass(&mesh, &dm, &mat, Mass::Lumped);
         for r in 0..m.n_rows() {
             let (cols, _) = m.row(r);
             assert_eq!(cols, &[r], "row {r} has off-diagonal mass");
@@ -1159,7 +1089,7 @@ mod tests {
     #[test]
     fn apply_dirichlet_mass_zeroes_constrained_rows() {
         let (mesh, dm, mat) = cantilever_fixture(3, 1);
-        let m = assemble_mass(&mesh, &dm, &mat, false);
+        let m = assemble_mass(&mesh, &dm, &mat, Mass::Consistent);
         let mbc = apply_dirichlet_mass(&m, &dm);
         for (d, _) in dm.fixed_dofs() {
             let (cols, _) = mbc.row(d);
@@ -1193,7 +1123,8 @@ mod tests {
         dm.clamp_edge(&mesh, Edge::Left);
         let mut loads = vec![0.0; dm.n_dofs()];
         edge_source(&mesh, &dm, Edge::Right, 1.0, &mut loads);
-        let sys = build_static_heat(&mesh, &dm, &Material::unit(), &loads);
+        let heat = Discretization::new(&mesh, Physics::Heat2d);
+        let sys = build_static(heat, &dm, &Material::unit(), &loads);
         assert!(sys.stiffness.is_symmetric(1e-12));
         let u = dense_solve(&sys.stiffness, &sys.rhs);
         for node in 0..mesh.n_nodes() {
@@ -1208,31 +1139,6 @@ mod tests {
     }
 
     #[test]
-    fn heat_tri_assembly_matches_quad_on_linear_field() {
-        // The same 1-D conduction problem on the split-triangle mesh gives
-        // the same exact linear solution.
-        let tmesh = TriMesh::cantilever(4, 2);
-        let mut dm = DofMap::with_dofs(tmesh.n_nodes(), 1);
-        for node in tmesh.edge_nodes(Edge::Left) {
-            dm.clamp_node(node);
-        }
-        let k = assemble_stiffness_heat_tri(&tmesh, &dm, &Material::unit());
-        assert!(k.is_symmetric(1e-12));
-        let mut rhs = vec![0.0; dm.n_dofs()];
-        for (i, &node) in tmesh.edge_nodes(Edge::Right).iter().enumerate() {
-            // ny = 2 -> 3 edge nodes, trapezoidal weights over 2 segments.
-            let w = if i == 0 || i == 2 { 0.25 } else { 0.5 };
-            rhs[dm.dof(node, 0)] += w;
-        }
-        let kbc = apply_dirichlet(&k, &dm, &mut rhs);
-        let u = dense_solve(&kbc, &rhs);
-        for node in 0..tmesh.n_nodes() {
-            let [x, _] = tmesh.node_coords(node);
-            assert!((u[dm.dof(node, 0)] - x / 2.0).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn hex_cantilever_deflects_under_transverse_face_load() {
         let mesh = HexMesh::cantilever(3, 2, 2);
         let mut dm = DofMap::with_dofs(mesh.n_nodes(), 3);
@@ -1241,7 +1147,7 @@ mod tests {
         }
         let mut loads = vec![0.0; dm.n_dofs()];
         face_load(&mesh, &dm, Face::XMax, [0.0, 0.0, -1.0], &mut loads);
-        let sys = build_static_hex(&mesh, &dm, &Material::unit(), &loads);
+        let sys = build_static(&mesh, &dm, &Material::unit(), &loads);
         assert!(sys.stiffness.is_symmetric(1e-12));
         let u = dense_solve(&sys.stiffness, &sys.rhs);
         // Clamped DOFs stay put; the tip deflects in -z.
@@ -1260,7 +1166,7 @@ mod tests {
     fn hex_raw_stiffness_has_translation_null_modes() {
         let mesh = HexMesh::cantilever(2, 2, 2);
         let dm = DofMap::with_dofs(mesh.n_nodes(), 3);
-        let k = assemble_stiffness_hex(&mesh, &dm, &Material::unit());
+        let k = assemble_stiffness(&mesh, &dm, &Material::unit());
         for c in 0..3 {
             let mut t = vec![0.0; dm.n_dofs()];
             for node in 0..mesh.n_nodes() {

@@ -39,17 +39,6 @@ impl NewmarkParams {
         }
     }
 
-    /// The linear-acceleration rule (`β = 1/6`, `γ = 1/2`, conditionally
-    /// stable).
-    pub fn linear_acceleration(dt: f64) -> Self {
-        assert!(dt > 0.0, "time step must be positive");
-        NewmarkParams {
-            beta: 1.0 / 6.0,
-            gamma: 0.5,
-            dt,
-        }
-    }
-
     /// The paper's effective-matrix coefficients `(ᾱ, β)` such that
     /// `K̄ = ᾱ M + β K` (here always `β = 1`).
     pub fn effective_coefficients(&self) -> (f64, f64) {
@@ -279,11 +268,6 @@ impl NewmarkIntegrator {
         &self.a
     }
 
-    /// Whether the integrator carries a damping matrix.
-    pub fn is_damped(&self) -> bool {
-        self.c.is_some()
-    }
-
     /// Total mechanical energy `½ vᵀMv + ½ uᵀKu` of the current state.
     pub fn energy(&self) -> f64 {
         let mv = self.m.spmv(&self.v);
@@ -490,7 +474,6 @@ mod tests {
             &[0.0],
             dense_solver,
         );
-        assert!(integ.is_damped());
         // Integrate ~3 periods (T = 2 pi / (w sqrt(1-zeta^2)) ~ 3.16 s).
         let steps = 950;
         let mut peak_after_two_periods = 0.0_f64;

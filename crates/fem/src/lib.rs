@@ -6,12 +6,17 @@
 //!   strain / 3-D) constitutive matrices and the scalar conductivity,
 //! - [`physics`] — the [`physics::Physics`] axis (2-D elasticity, scalar
 //!   Poisson/heat, 3-D elasticity): DOFs per node, rigid-mode counts, and
-//!   the scalar conduction element kernels,
+//!   the scalar conduction element kernel,
 //! - [`quad4`] — the 4-node bilinear quadrilateral of the paper's cantilever
 //!   experiments: stiffness and (consistent or lumped) mass matrices by 2×2
 //!   Gauss quadrature,
+//! - [`tri3`] and [`quad8s`] — the 3-node triangle and the 8-node
+//!   serendipity quadrilateral of the paper's Section-5 element comparison,
 //! - [`hex8`] — the 8-node trilinear hexahedron of the 3-D elasticity
 //!   workload,
+//! - [`discretization`] — the one seam between meshes and assemblers: a
+//!   mesh (structured or generic Q4, T3, Q8, hex8) paired with its physics,
+//!   supplying each element's nodes, stiffness, mass and flop charge,
 //! - [`assembly`] — the one pattern-first assembly core (symbolic pass, then
 //!   an element-order scatter straight into CSR) behind every assembled
 //!   matrix of the crate, global CSR assembly with Dirichlet boundary
@@ -29,6 +34,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod assembly;
+pub mod discretization;
 pub mod dynamics;
 pub mod hex8;
 pub mod material;
@@ -40,6 +46,7 @@ pub mod subdomain;
 pub mod tri3;
 
 pub use assembly::{assemble_mass, assemble_stiffness, StaticSystem};
+pub use discretization::{Discretization, Mass, Mesh};
 pub use dynamics::{NewmarkIntegrator, NewmarkParams};
 pub use material::Material;
 pub use physics::Physics;

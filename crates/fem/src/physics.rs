@@ -112,29 +112,6 @@ pub fn heat_stiffness_quad4(coords: &[[f64; 2]; 4], material: &Material) -> [f64
     ke
 }
 
-/// The 3×3 conduction stiffness of a linear triangle (row-major). The
-/// constant-gradient element integrates exactly:
-/// `kₑ[i][j] = k t (bᵢbⱼ + cᵢcⱼ) / (4A)` with `bᵢ = yⱼ − yₖ`,
-/// `cᵢ = xₖ − xⱼ`.
-///
-/// # Panics
-/// Panics on degenerate (zero/negative-area) triangles.
-pub fn heat_stiffness_tri3(coords: &[[f64; 2]; 3], material: &Material) -> [f64; 9] {
-    let a = crate::tri3::area(coords);
-    assert!(a > 0.0, "degenerate element: triangle area {a}");
-    let kt = material.conductivity() * material.thickness;
-    let [p0, p1, p2] = *coords;
-    let b = [p1[1] - p2[1], p2[1] - p0[1], p0[1] - p1[1]];
-    let c = [p2[0] - p1[0], p0[0] - p2[0], p1[0] - p0[0]];
-    let mut ke = [0.0f64; 9];
-    for i in 0..3 {
-        for j in 0..3 {
-            ke[i * 3 + j] = kt * (b[i] * b[j] + c[i] * c[j]) / (4.0 * a);
-        }
-    }
-    ke
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,59 +172,5 @@ mod tests {
         for (a, b) in base.iter().zip(&scaled) {
             assert!((1.5 * a - b).abs() < 1e-13);
         }
-    }
-
-    #[test]
-    fn tri_conduction_matches_hand_computed_unit_triangle() {
-        // Right isoceles triangle (0,0)-(1,0)-(0,1), k = 1, t = 1:
-        // ke = 1/2 * [[2, -1, -1], [-1, 1, 0], [-1, 0, 1]].
-        let coords = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]];
-        let ke = heat_stiffness_tri3(&coords, &Material::unit());
-        let want = [1.0, -0.5, -0.5, -0.5, 0.5, 0.0, -0.5, 0.0, 0.5];
-        for (a, b) in ke.iter().zip(&want) {
-            assert!((a - b).abs() < 1e-14, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn tri_and_quad_agree_on_a_square_patch() {
-        // Two triangles tile the unit square; the assembled 4x4 operator
-        // must have the same row sums (zero) and total energy for the
-        // linear field T = x as the quad element.
-        let quad = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]];
-        let m = Material::unit();
-        let kq = heat_stiffness_quad4(&quad, &m);
-        let t1 = heat_stiffness_tri3(&[quad[0], quad[1], quad[2]], &m);
-        let t2 = heat_stiffness_tri3(&[quad[0], quad[2], quad[3]], &m);
-        // Assemble triangles onto quad node numbering.
-        let maps: [[usize; 3]; 2] = [[0, 1, 2], [0, 2, 3]];
-        let mut kt = [0.0f64; 16];
-        for (ke, map) in [(t1, maps[0]), (t2, maps[1])] {
-            for i in 0..3 {
-                for j in 0..3 {
-                    kt[map[i] * 4 + map[j]] += ke[i * 3 + j];
-                }
-            }
-        }
-        let x = [0.0, 1.0, 1.0, 0.0];
-        let energy = |k: &[f64; 16]| -> f64 {
-            let mut e = 0.0;
-            for i in 0..4 {
-                for j in 0..4 {
-                    e += x[i] * k[i * 4 + j] * x[j];
-                }
-            }
-            e
-        };
-        // Energy of grad T = (1, 0) over the unit square is 1 for both.
-        assert!((energy(&kq) - 1.0).abs() < 1e-14);
-        assert!((energy(&kt) - 1.0).abs() < 1e-14);
-    }
-
-    #[test]
-    #[should_panic(expected = "degenerate element")]
-    fn degenerate_triangle_rejected() {
-        let coords = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]];
-        heat_stiffness_tri3(&coords, &Material::unit());
     }
 }

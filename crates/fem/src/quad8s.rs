@@ -15,8 +15,6 @@
 //! ```
 
 use crate::material::Material;
-use parfem_mesh::{DofMap, Quad8Mesh};
-use parfem_sparse::CsrMatrix;
 
 /// Reference coordinates of the 8 nodes (corners CCW, then mid-edges
 /// bottom/right/top/left).
@@ -29,6 +27,19 @@ const G3: [(f64, f64); 3] = [
     (0.0, 8.0 / 9.0),
     (0.774_596_669_241_483_4, 5.0 / 9.0),
 ];
+
+/// Flops of one [`physical_gradients`] call, counted from the code: shape
+/// derivatives 100 (nine per corner derivative, three or four per mid-edge
+/// one), Jacobian 64, determinant 3, inverse 4 (the negations are free),
+/// gradients 48.
+const GRADIENT_FLOPS: u64 = 100 + 64 + 3 + 4 + 48;
+
+/// Flops of one [`stiffness`] call, counted from the code: per Gauss point
+/// (nine of them) the gradients, 3 for the weight, 288 for `D·B` (48 entries
+/// of a 3-term dot) and 2048 for the update of `kₑ` (256 entries of a
+/// 3-term dot, a weight and an add). The constitutive matrix is not
+/// counted.
+pub const STIFFNESS_FLOPS: u64 = 9 * (GRADIENT_FLOPS + 3 + 288 + 2048);
 
 /// Shape function values at `(xi, eta)`.
 pub fn shape_functions(xi: f64, eta: f64) -> [f64; 8] {
@@ -155,20 +166,11 @@ pub fn consistent_mass(coords: &[[f64; 2]; 8], material: &Material) -> [f64; 256
     me
 }
 
-/// Assembles the global Q8 stiffness matrix (no BCs). The DOF map must be
-/// built over `mesh.n_nodes()` nodes.
-pub fn assemble_stiffness(mesh: &Quad8Mesh, dm: &DofMap, material: &Material) -> CsrMatrix {
-    let nodes_of = |e| mesh.elem_nodes(e);
-    crate::assembly::assemble_raw(dm, mesh.n_elems(), nodes_of, |e| {
-        stiffness(&mesh.elem_coords(e), material)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assembly;
-    use parfem_mesh::Edge;
+    use crate::assembly::{self, assemble_stiffness};
+    use parfem_mesh::{DofMap, Edge, Quad8Mesh};
     use parfem_sparse::dense;
 
     fn unit_square() -> [[f64; 2]; 8] {

@@ -1,8 +1,10 @@
 //! Per-subdomain local systems for element-based domain decomposition.
 //!
-//! Each subdomain assembles **only its own elements** into a matrix over its
-//! *local* DOF numbering — the "local distributed format" of the paper's
-//! Definition 1. Nothing is ever assembled across the interface, so
+//! Each subdomain assembles **only its own elements** of one
+//! [`Discretization`] (any element family and physics it pairs) into a
+//! matrix over its *local* DOF numbering — the "local distributed format"
+//! of the paper's Definition 1. Nothing is ever assembled across the
+//! interface, so
 //!
 //! ```text
 //! K = Σₛ Bₛᵀ K̂⁽ˢ⁾ Bₛ          (paper Eq. 32)
@@ -14,9 +16,10 @@
 //! operator keeps clean unit identity rows, and shared load entries are
 //! divided by their node multiplicity so the assembled RHS is unchanged.
 
+use crate::assembly;
+use crate::discretization::{Discretization, Mass};
 use crate::material::Material;
-use crate::{assembly, hex8, physics, quad4};
-use parfem_mesh::{DofMap, HexMesh, QuadMesh, Subdomain};
+use parfem_mesh::{DofMap, Subdomain};
 use parfem_sparse::{CsrMatrix, NodeMatrix};
 
 /// Interface DOFs shared with one neighbouring subdomain.
@@ -54,161 +57,29 @@ pub struct SubdomainSystem {
     pub global_dofs: Vec<usize>,
 }
 
-/// The Q4 elasticity stiffness and, under `with_mass` (`Some(lumped)`), mass
-/// of an element with corner coordinates `coords`.
-fn quad4_element(
-    coords: &[[f64; 2]; 4],
-    material: &Material,
-    with_mass: Option<bool>,
-) -> ([f64; 64], Option<[f64; 64]>) {
-    let mass = with_mass.map(|lumped| match lumped {
-        true => quad4::lumped_mass(coords, material),
-        false => quad4::consistent_mass(coords, material),
-    });
-    (quad4::stiffness(coords, material), mass)
-}
-
 impl SubdomainSystem {
-    /// Assembles the subdomain system for a Q4 mesh.
+    /// Assembles the local system of `sub`'s elements of `disc` through
+    /// [`crate::assembly`]'s pattern-first core; a bare mesh reference
+    /// stands for the elasticity of its dimension. `loads` is the *global*
+    /// load vector (`dm.n_dofs()` long); its entries are split across
+    /// sharing subdomains by multiplicity. Dirichlet handling is identical,
+    /// per element, to the global `apply_dirichlet`. The stiffness is
+    /// scattered straight into the storage the DOFs per node give it;
+    /// `with_mass` also assembles the local mass of that kind, as CSR.
     ///
-    /// `loads` is the *global* load vector (`dm.n_dofs()` long); its entries
-    /// are split across sharing subdomains by multiplicity. Set
-    /// `with_mass` to also assemble the local (lumped or consistent) mass.
-    pub fn build(
-        mesh: &QuadMesh,
+    /// # Panics
+    /// Panics where [`Discretization::mass`] does, and on a load vector or
+    /// DOF map that does not match.
+    pub fn build<'a>(
+        disc: impl Into<Discretization<'a>>,
         dm: &DofMap,
         material: &Material,
         sub: &Subdomain,
         loads: &[f64],
-        with_mass: Option<bool>,
+        with_mass: Option<Mass>,
     ) -> Self {
-        let nodes_of = |e| mesh.elem_nodes(e);
-        Self::build_from_elements(dm, sub, loads, nodes_of, |e| {
-            quad4_element(&mesh.elem_coords(e), material, with_mass)
-        })
-    }
-
-    /// Assembles the subdomain system for a 3-node triangle mesh (partition
-    /// from [`parfem_mesh::ElementPartition::strips_x_tri`] or any
-    /// cells-generic partition).
-    pub fn build_tri(
-        mesh: &parfem_mesh::TriMesh,
-        dm: &DofMap,
-        material: &Material,
-        sub: &Subdomain,
-        loads: &[f64],
-        with_mass: Option<bool>,
-    ) -> Self {
-        let nodes_of = |e| mesh.elem_nodes(e);
-        Self::build_from_elements(dm, sub, loads, nodes_of, |e| {
-            let coords = mesh.elem_coords(e);
-            // T3 mass: consistent only (lumping is rho*A/3 diag — use
-            // consistent here, the dynamic driver lumps by row sums).
-            let mass = with_mass.map(|_| crate::tri3::consistent_mass(&coords, material));
-            (crate::tri3::stiffness(&coords, material), mass)
-        })
-    }
-
-    /// Assembles the subdomain system for an unstructured quadrilateral
-    /// mesh (imported via [`parfem_mesh::GenericQuadMesh`]).
-    pub fn build_generic(
-        mesh: &parfem_mesh::GenericQuadMesh,
-        dm: &DofMap,
-        material: &Material,
-        sub: &Subdomain,
-        loads: &[f64],
-        with_mass: Option<bool>,
-    ) -> Self {
-        let nodes_of = |e| mesh.elem_nodes(e);
-        Self::build_from_elements(dm, sub, loads, nodes_of, |e| {
-            quad4_element(&mesh.elem_coords(e), material, with_mass)
-        })
-    }
-
-    /// Assembles the subdomain system for an 8-node serendipity mesh.
-    pub fn build_quad8(
-        mesh: &parfem_mesh::Quad8Mesh,
-        dm: &DofMap,
-        material: &Material,
-        sub: &Subdomain,
-        loads: &[f64],
-        with_mass: Option<bool>,
-    ) -> Self {
-        let nodes_of = |e| mesh.elem_nodes(e);
-        Self::build_from_elements(dm, sub, loads, nodes_of, |e| {
-            let coords = mesh.elem_coords(e);
-            let mass = with_mass.map(|_| crate::quad8s::consistent_mass(&coords, material));
-            (crate::quad8s::stiffness(&coords, material), mass)
-        })
-    }
-
-    /// Assembles the subdomain system of a scalar conduction (heat) problem
-    /// on a quad mesh. The map must carry one DOF per node; mass is not
-    /// supported for the scalar physics.
-    pub fn build_heat(
-        mesh: &QuadMesh,
-        dm: &DofMap,
-        material: &Material,
-        sub: &Subdomain,
-        loads: &[f64],
-    ) -> Self {
-        assert_eq!(
-            dm.dofs_per_node(),
-            1,
-            "heat assembly needs a scalar DOF map"
-        );
-        let nodes_of = |e| mesh.elem_nodes(e);
-        Self::build_from_elements(dm, sub, loads, nodes_of, |e| {
-            let ke = physics::heat_stiffness_quad4(&mesh.elem_coords(e), material);
-            (ke, None)
-        })
-    }
-
-    /// Assembles the subdomain system of a 3-D elasticity problem on a hex
-    /// mesh (three DOFs per node).
-    pub fn build_hex(
-        mesh: &HexMesh,
-        dm: &DofMap,
-        material: &Material,
-        sub: &Subdomain,
-        loads: &[f64],
-    ) -> Self {
-        assert_eq!(
-            dm.dofs_per_node(),
-            3,
-            "hex8 assembly needs a 3-DOF-per-node map"
-        );
-        let nodes_of = |e| mesh.elem_nodes(e);
-        Self::build_from_elements(dm, sub, loads, nodes_of, |e| {
-            (hex8::stiffness(&mesh.elem_coords(e), material), None)
-        })
-    }
-
-    /// The global DOF of every local DOF of `sub`, local nodes ascending
-    /// with the `DofMap`'s components interleaved — the row numbering of the
-    /// local matrices, and all the host needs to gather a solution.
-    pub fn global_dofs_of(dm: &DofMap, sub: &Subdomain) -> Vec<usize> {
-        let dpn = dm.dofs_per_node();
-        (sub.nodes.iter())
-            .flat_map(|&n| (0..dpn).map(move |c| dm.dof(n, c)))
-            .collect()
-    }
-
-    /// Element-generic assembly through [`crate::assembly`]'s pattern-first
-    /// core: `nodes_of(e)` is the global node list of element `e` and
-    /// `element_of(e)` its dense stiffness and — for every element or for
-    /// none — mass, row-major over `dofs_per_node × N` interleaved DOFs, where
-    /// the DOFs-per-node count comes from the `DofMap`. Dirichlet handling is
-    /// identical, per element, to the global `apply_dirichlet`. The stiffness
-    /// is scattered straight into the storage the DOFs per node give it; the
-    /// mass is CSR.
-    pub fn build_from_elements<const N: usize, const M: usize>(
-        dm: &DofMap,
-        sub: &Subdomain,
-        loads: &[f64],
-        nodes_of: impl Fn(usize) -> [usize; N],
-        element_of: impl Fn(usize) -> ([f64; M], Option<[f64; M]>),
-    ) -> Self {
+        let disc = disc.into();
+        disc.check(dm);
         assert_eq!(loads.len(), dm.n_dofs(), "loads do not match DOF map");
         let dpn = dm.dofs_per_node();
         let global_dofs = Self::global_dofs_of(dm, sub);
@@ -225,14 +96,14 @@ impl SubdomainSystem {
 
         let fixed: Vec<bool> = global_dofs.iter().map(|&g| dm.is_fixed(g)).collect();
         let prescribed: Vec<f64> = global_dofs.iter().map(|&g| dm.fixed_value(g)).collect();
-        let conn: Vec<usize> = (sub.elements.iter())
-            .flat_map(|&e| nodes_of(e))
-            .map(|n| {
+        let (mesh, npe) = (disc.mesh(), disc.mesh().nodes_per_elem());
+        let mut conn = Vec::with_capacity(sub.elements.len() * npe);
+        conn.extend(
+            (sub.elements.iter().flat_map(|&e| mesh.elem_nodes(e))).map(|&n| {
                 sub.local_node(n)
                     .expect("owned element references a local node")
-            })
-            .collect();
-        let with_mass = (sub.elements.first()).is_some_and(|&e| element_of(e).1.is_some());
+            }),
+        );
         // Constraint rows: diag 1/mult so the assembled diagonal is 1, and
         // the RHS carries ū/mult so the assembled RHS is ū.
         let n_nodes = sub.n_local_nodes();
@@ -240,17 +111,17 @@ impl SubdomainSystem {
             n_nodes,
             n_nodes,
             dpn,
-            N,
+            npe,
             &conn,
             &fixed,
             |l| 1.0 / multiplicity[l],
             |r, c, v| f_local[r] -= v * prescribed[c],
-            with_mass,
+            with_mass.is_some(),
             |k, ke, me| {
-                let (stiffness, mass) = element_of(sub.elements[k]);
-                ke.copy_from_slice(&stiffness);
-                if let Some(me) = me {
-                    me.copy_from_slice(&mass.expect("every element has a mass or none"));
+                let e = sub.elements[k];
+                disc.stiffness(e, material, ke);
+                if let (Some(kind), Some(me)) = (with_mass, me) {
+                    disc.mass(e, material, kind, me);
                 }
             },
         );
@@ -284,6 +155,16 @@ impl SubdomainSystem {
         }
     }
 
+    /// The global DOF of every local DOF of `sub`, local nodes ascending
+    /// with the `DofMap`'s components interleaved — the row numbering of the
+    /// local matrices, and all the host needs to gather a solution.
+    pub fn global_dofs_of(dm: &DofMap, sub: &Subdomain) -> Vec<usize> {
+        let dpn = dm.dofs_per_node();
+        (sub.nodes.iter())
+            .flat_map(|&n| (0..dpn).map(move |c| dm.dof(n, c)))
+            .collect()
+    }
+
     /// Number of local DOFs.
     pub fn n_local_dofs(&self) -> usize {
         self.global_dofs.len()
@@ -293,14 +174,6 @@ impl SubdomainSystem {
     /// ("global distributed format" of a subdomain).
     pub fn restrict(&self, global: &[f64]) -> Vec<f64> {
         self.global_dofs.iter().map(|&g| global[g]).collect()
-    }
-
-    /// Scatter-add `global += Bₛᵀ local`.
-    pub fn scatter_add(&self, local: &[f64], global: &mut [f64]) {
-        assert_eq!(local.len(), self.n_local_dofs(), "local length mismatch");
-        for (&g, &v) in self.global_dofs.iter().zip(local) {
-            global[g] += v;
-        }
     }
 
     /// The effective local matrix `α M̂ + β K̂` of the paper's Eq. 52, in the
@@ -322,9 +195,16 @@ impl SubdomainSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assembly;
-    use parfem_mesh::{Edge, ElementPartition};
-    use parfem_sparse::SparseRows;
+    use crate::Physics;
+    use parfem_mesh::{Edge, ElementPartition, QuadMesh};
+    use parfem_sparse::{CsrMatrix, SparseRows};
+
+    /// `global += Bₛᵀ local`.
+    fn scatter_add(s: &SubdomainSystem, local: &[f64], global: &mut [f64]) {
+        for (&g, &v) in s.global_dofs.iter().zip(local) {
+            global[g] += v;
+        }
+    }
 
     fn fixture(
         nx: usize,
@@ -338,7 +218,7 @@ mod tests {
         let mut loads = vec![0.0; dm.n_dofs()];
         assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
         let part = ElementPartition::strips_x(&mesh, p);
-        let subs = part.subdomains(&mesh);
+        let subs = part.subdomains_of(&mesh);
         let systems = subs
             .iter()
             .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
@@ -380,7 +260,7 @@ mod tests {
         let sys = assembly::build_static(&mesh, &dm, &mat, &loads);
         let mut f_sum = vec![0.0; dm.n_dofs()];
         for s in &systems {
-            s.scatter_add(&s.f_local, &mut f_sum);
+            scatter_add(s, &s.f_local, &mut f_sum);
         }
         for (a, b) in f_sum.iter().zip(&sys.rhs) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
@@ -401,7 +281,7 @@ mod tests {
         for s in &systems {
             let xl = s.restrict(&x);
             let yl = CsrMatrix::from_rows(&s.k_local).spmv(&xl);
-            s.scatter_add(&yl, &mut y_sum);
+            scatter_add(s, &yl, &mut y_sum);
         }
         for (a, b) in y_sum.iter().zip(&y_global) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
@@ -476,7 +356,7 @@ mod tests {
         let mat = Material::unit();
         let loads = vec![0.0; dm.n_dofs()];
         let part = ElementPartition::strips_x(&mesh, 2);
-        let subs = part.subdomains(&mesh);
+        let subs = part.subdomains_of(&mesh);
         let right = SubdomainSystem::build(&mesh, &dm, &mat, &subs[1], &loads, None);
         assert!(matches!(
             parfem_sparse::Ilu0::factorize(&right.k_local),
@@ -496,11 +376,11 @@ mod tests {
         let loads = vec![0.0; dm.n_dofs()];
         let part = ElementPartition::strips_x(&mesh, 2);
         let systems: Vec<SubdomainSystem> = part
-            .subdomains(&mesh)
+            .subdomains_of(&mesh)
             .iter()
-            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, Some(false)))
+            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, Some(Mass::Consistent)))
             .collect();
-        let m_raw = assembly::assemble_mass(&mesh, &dm, &mat, false);
+        let m_raw = assembly::assemble_mass(&mesh, &dm, &mat, Mass::Consistent);
         let m_bc = assembly::apply_dirichlet_mass(&m_raw, &dm);
         let n = dm.n_dofs();
         let mut dense_sum = vec![0.0; n * n];
@@ -526,8 +406,8 @@ mod tests {
         let mat = Material::unit();
         let loads = vec![0.0; dm.n_dofs()];
         let part = ElementPartition::strips_x(&mesh, 1);
-        let sub = &part.subdomains(&mesh)[0];
-        let s = SubdomainSystem::build(&mesh, &dm, &mat, sub, &loads, Some(true));
+        let sub = &part.subdomains_of(&mesh)[0];
+        let s = SubdomainSystem::build(&mesh, &dm, &mat, sub, &loads, Some(Mass::Lumped));
         let eff = s.effective_local(2.0, 3.0);
         let k = &s.k_local;
         let m = s.m_local.as_ref().unwrap();
@@ -557,14 +437,14 @@ mod tests {
         let mut loads = vec![0.0; dm.n_dofs()];
         // Nodal load on the top-right node.
         loads[dm.dof(tmesh.node_at(6, 3), 1)] = -1.0;
-        let part = ElementPartition::strips_x_tri(&tmesh, 3);
+        let part = ElementPartition::blocks_of(&tmesh, 3, 1);
         let systems: Vec<SubdomainSystem> = part
             .subdomains_of(&tmesh)
             .iter()
-            .map(|s| SubdomainSystem::build_tri(&tmesh, &dm, &mat, s, &loads, None))
+            .map(|s| SubdomainSystem::build(&tmesh, &dm, &mat, s, &loads, None))
             .collect();
         // Global reference with the same BC handling.
-        let k_raw = crate::tri3::assemble_stiffness(&tmesh, &dm, &mat);
+        let k_raw = assembly::assemble_stiffness(&tmesh, &dm, &mat);
         let mut rhs = loads.clone();
         let k_bc = crate::assembly::apply_dirichlet(&k_raw, &dm, &mut rhs);
         let n = dm.n_dofs();
@@ -578,7 +458,7 @@ mod tests {
                     dense_sum[s.global_dofs[i] * n + s.global_dofs[j]] += kd[i * nl + j];
                 }
             }
-            s.scatter_add(&s.f_local, &mut f_sum);
+            scatter_add(s, &s.f_local, &mut f_sum);
         }
         for (a, b) in dense_sum.iter().zip(&k_bc.to_dense()) {
             assert!((a - b).abs() < 1e-10, "{a} vs {b}");
@@ -599,12 +479,13 @@ mod tests {
         let mut loads = vec![0.0; dm.n_dofs()];
         crate::assembly::edge_source(&mesh, &dm, Edge::Right, 1.0, &mut loads);
         let part = ElementPartition::strips_x(&mesh, 3);
+        let heat = Discretization::new(&mesh, Physics::Heat2d);
         let systems: Vec<SubdomainSystem> = part
-            .subdomains(&mesh)
+            .subdomains_of(&mesh)
             .iter()
-            .map(|s| SubdomainSystem::build_heat(&mesh, &dm, &mat, s, &loads))
+            .map(|s| SubdomainSystem::build(heat, &dm, &mat, s, &loads, None))
             .collect();
-        let sys = crate::assembly::build_static_heat(&mesh, &dm, &mat, &loads);
+        let sys = crate::assembly::build_static(heat, &dm, &mat, &loads);
         let n = dm.n_dofs();
         let mut dense_sum = vec![0.0; n * n];
         let mut f_sum = vec![0.0; n];
@@ -617,7 +498,7 @@ mod tests {
                     dense_sum[s.global_dofs[i] * n + s.global_dofs[j]] += kd[i * nl + j];
                 }
             }
-            s.scatter_add(&s.f_local, &mut f_sum);
+            scatter_add(s, &s.f_local, &mut f_sum);
         }
         for (a, b) in dense_sum.iter().zip(&sys.stiffness.to_dense()) {
             assert!((a - b).abs() < 1e-10, "{a} vs {b}");
@@ -642,9 +523,9 @@ mod tests {
         let systems: Vec<SubdomainSystem> = part
             .subdomains_of(&mesh)
             .iter()
-            .map(|s| SubdomainSystem::build_hex(&mesh, &dm, &mat, s, &loads))
+            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
             .collect();
-        let sys = crate::assembly::build_static_hex(&mesh, &dm, &mat, &loads);
+        let sys = crate::assembly::build_static(&mesh, &dm, &mat, &loads);
         let n = dm.n_dofs();
         let mut dense_sum = vec![0.0; n * n];
         let mut f_sum = vec![0.0; n];
@@ -657,7 +538,7 @@ mod tests {
                     dense_sum[s.global_dofs[i] * n + s.global_dofs[j]] += kd[i * nl + j];
                 }
             }
-            s.scatter_add(&s.f_local, &mut f_sum);
+            scatter_add(s, &s.f_local, &mut f_sum);
         }
         for (a, b) in dense_sum.iter().zip(&sys.stiffness.to_dense()) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
@@ -681,7 +562,7 @@ mod tests {
         let loads = vec![0.0; dm.n_dofs()];
         let part = ElementPartition::blocks_of(&mesh, 2, 1);
         let subs = part.subdomains_of(&mesh);
-        let right = SubdomainSystem::build_hex(&mesh, &dm, &mat, &subs[1], &loads);
+        let right = SubdomainSystem::build(&mesh, &dm, &mat, &subs[1], &loads, None);
         // Rigid z-translation of the floating strip is in the null space.
         let nl = right.n_local_dofs();
         let mut tz = vec![0.0; nl];
@@ -706,13 +587,13 @@ mod tests {
         }
         let mat = Material::unit();
         let loads = vec![0.0; dm.n_dofs()];
-        let part = ElementPartition::strips_x_quad8(&emesh, 2);
+        let part = ElementPartition::blocks_of(&emesh, 2, 1);
         let systems: Vec<SubdomainSystem> = part
             .subdomains_of(&emesh)
             .iter()
-            .map(|s| SubdomainSystem::build_quad8(&emesh, &dm, &mat, s, &loads, None))
+            .map(|s| SubdomainSystem::build(&emesh, &dm, &mat, s, &loads, None))
             .collect();
-        let k_raw = crate::quad8s::assemble_stiffness(&emesh, &dm, &mat);
+        let k_raw = assembly::assemble_stiffness(&emesh, &dm, &mat);
         let mut rhs = loads.clone();
         let k_bc = crate::assembly::apply_dirichlet(&k_raw, &dm, &mut rhs);
         let n = dm.n_dofs();
@@ -733,5 +614,47 @@ mod tests {
         // the vertical mid-edge node.
         let link = &systems[0].neighbors[0];
         assert_eq!(link.shared_local_dofs.len(), 2 * (2 * 2 + 1));
+    }
+
+    /// One unconstrained T3 subdomain holding the whole mesh, and its mass.
+    fn tri_mass(kind: Mass) -> SubdomainSystem {
+        let tmesh = parfem_mesh::TriMesh::cantilever(4, 2);
+        let dm = DofMap::new(tmesh.n_nodes());
+        let sub = &ElementPartition::blocks_of(&tmesh, 1, 1).subdomains_of(&tmesh)[0];
+        let loads = vec![0.0; dm.n_dofs()];
+        SubdomainSystem::build(&tmesh, &dm, &Material::unit(), sub, &loads, Some(kind))
+    }
+
+    #[test]
+    fn lumped_tri_mass_is_the_diagonal_of_row_sums() {
+        let lumped = tri_mass(Mass::Lumped).m_local.unwrap();
+        let consistent = tri_mass(Mass::Consistent).m_local.unwrap();
+        for r in 0..lumped.n_rows() {
+            let (cols, vals) = lumped.row(r);
+            let sum: f64 = consistent.row(r).1.iter().sum();
+            assert!(cols.iter().zip(vals).all(|(&c, &v)| c == r || v == 0.0));
+            let diag = lumped.get(r, r);
+            assert!(
+                diag > 0.0 && (diag - sum).abs() < 1e-14,
+                "row {r}: {diag} vs {sum}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lumped Q8 mass")]
+    fn lumped_quad8_mass_is_refused() {
+        let emesh = parfem_mesh::Quad8Mesh::cantilever(2, 1);
+        let dm = DofMap::new(emesh.n_nodes());
+        let sub = &ElementPartition::blocks_of(&emesh, 1, 1).subdomains_of(&emesh)[0];
+        let loads = vec![0.0; dm.n_dofs()];
+        SubdomainSystem::build(
+            &emesh,
+            &dm,
+            &Material::unit(),
+            sub,
+            &loads,
+            Some(Mass::Lumped),
+        );
     }
 }

@@ -1,28 +1,31 @@
-//! The pattern-first assembly core against a triplet reference.
+//! The pattern-first assembly core against a triplet reference, for every
+//! (mesh, physics) pairing of the one table below: a new pairing needs one
+//! new row.
 //!
 //! The reference pushes the same dense element blocks, in ascending element
 //! order, into a `CooMatrix` — whose `to_csr` sums duplicates in push order.
-//! For every element family, partition shape and Dirichlet kind the core's
+//! For every pairing, partition shape and Dirichlet kind the core's
 //! `row_ptr`, `col_idx`, value bits and right-hand-side bits must equal it:
 //! the pattern and the summation-order contract (ascending element id), pinned.
+//! The global raw assembly, the subdomain systems and one rank's owned rows
+//! agree with each other: the union of the owned rows is the constrained
+//! global matrix bit for bit, the subdomain sum `Σ Bₛᵀ K̂⁽ˢ⁾ Bₛ` is it up to
+//! the order interface entries are summed in.
 //! A subdomain stiffness with 2 or 3 dofs per node is assembled straight into
 //! node blocks: those must hold exactly what `BcsrMatrix::from_csr` makes of
 //! the reference — fill zeros and masks included — and keep doing so once
 //! scaled in place.
 
-use parfem_fem::{assembly, hex8, physics, quad4, quad8s, tri3, Material, SubdomainSystem};
+use parfem_fem::{assembly, Discretization, Mass, Material, Physics, SubdomainSystem};
 use parfem_mesh::{
-    Cells, DofMap, ElementPartition, HexMesh, PartitionerSpec, Quad8Mesh, QuadMesh, Subdomain,
-    TriMesh,
+    Cells, DofMap, Edge, ElementPartition, Face, GenericQuadMesh, HexMesh, NodePartition,
+    PartitionerSpec, Quad8Mesh, QuadMesh, Subdomain, TriMesh,
 };
 use parfem_sparse::scaling::inv_sqrt_scaling;
-use parfem_sparse::{BcsrMatrix, CooMatrix, CsrMatrix, NodeMatrix};
+use parfem_sparse::{BcsrMatrix, CooMatrix, CsrMatrix, NodeMatrix, SparseRows};
 
 /// Global nodes, dense stiffness and dense mass of one element.
 type Element = (Vec<usize>, Vec<f64>, Vec<f64>);
-
-/// The crate's subdomain build; the flag asks for the mass.
-type Build<'a> = &'a dyn Fn(&DofMap, &Subdomain, &[f64], bool) -> SubdomainSystem;
 
 fn assert_same_matrix(got: &CsrMatrix, want: &CsrMatrix, what: &str) {
     let (g_ptr, g_col, g_val) = got.raw_parts();
@@ -183,39 +186,137 @@ fn constraints(n_nodes: usize, dpn: usize, nodes: &[usize]) -> [(&'static str, D
     [("homogeneous", clamped), ("inhomogeneous", lifted)]
 }
 
-/// One element family on one mesh: what to compare, over which partitions.
-struct Family<'a, M> {
-    name: &'static str,
-    mesh: &'a M,
-    dpn: usize,
-    /// Nodes carrying the Dirichlet constraints.
-    support: Vec<usize>,
-    element: &'a dyn Fn(usize) -> Element,
-    /// The crate's raw global stiffness assembly.
-    global: &'a dyn Fn(&DofMap) -> CsrMatrix,
-    build: Build<'a>,
-    has_mass: bool,
-    partitions: Vec<(&'static str, ElementPartition)>,
+/// The meshes the table discretizes.
+struct Meshes {
+    quad: QuadMesh,
+    distorted: QuadMesh,
+    massive: QuadMesh,
+    generic: GenericQuadMesh,
+    tri: TriMesh,
+    quad8: Quad8Mesh,
+    heat: QuadMesh,
+    hex: HexMesh,
 }
 
-fn check<M: Cells>(fam: Family<'_, M>) {
-    let n_nodes = fam.mesh.n_cell_nodes();
-    let blocks = || {
-        (0..fam.mesh.n_cells()).map(|e| {
-            let (nodes, ke, _) = (fam.element)(e);
-            (nodes, ke)
+fn meshes() -> Meshes {
+    Meshes {
+        quad: QuadMesh::cantilever(6, 4),
+        distorted: QuadMesh::distorted(6, 4, 6.0, 4.0, 0.3, 42),
+        massive: QuadMesh::distorted(5, 4, 5.0, 4.0, 0.25, 3),
+        generic: GenericQuadMesh::from_structured(&QuadMesh::distorted(5, 4, 5.0, 4.0, 0.25, 7)),
+        tri: TriMesh::from_quad_mesh(&QuadMesh::distorted(6, 4, 6.0, 4.0, 0.2, 5)),
+        quad8: Quad8Mesh::cantilever(4, 4),
+        heat: QuadMesh::distorted(6, 5, 6.0, 5.0, 0.3, 9),
+        hex: HexMesh::cantilever(4, 3, 2),
+    }
+}
+
+/// One row of the table: a discretization, the nodes carrying its
+/// Dirichlet constraints and the masses it assembles.
+struct Pairing<'a> {
+    name: &'static str,
+    disc: Discretization<'a>,
+    support: Vec<usize>,
+    masses: &'static [Mass],
+}
+
+/// The one table: every supported (mesh, physics) pairing.
+fn pairings(m: &Meshes) -> Vec<Pairing<'_>> {
+    let left = |q: &QuadMesh| (0..=q.ny()).map(|j| q.node_at(0, j)).collect();
+    let both = &[Mass::Consistent, Mass::Lumped];
+    let row = |name, disc, support, masses| Pairing {
+        name,
+        disc,
+        support,
+        masses,
+    };
+    vec![
+        row("quad4", (&m.quad).into(), left(&m.quad), &[]),
+        row(
+            "quad4 distorted",
+            (&m.distorted).into(),
+            left(&m.distorted),
+            &[],
+        ),
+        row("quad4 + mass", (&m.massive).into(), left(&m.massive), both),
+        row(
+            "generic quad4",
+            (&m.generic).into(),
+            m.generic.nodes_at_min_x(1e-9),
+            both,
+        ),
+        row("tri3", (&m.tri).into(), m.tri.edge_nodes(Edge::Left), both),
+        row(
+            "quad8",
+            (&m.quad8).into(),
+            m.quad8.edge_nodes(Edge::Left),
+            &[Mass::Consistent],
+        ),
+        row(
+            "heat quad4",
+            Discretization::new(&m.heat, Physics::Heat2d),
+            left(&m.heat),
+            &[],
+        ),
+        row("hex8", (&m.hex).into(), m.hex.face_nodes(Face::XMin), &[]),
+    ]
+}
+
+/// Nodes, stiffness and (`kind`) mass of element `e`, through the seam.
+fn element(disc: &Discretization, e: usize, kind: Option<Mass>) -> Element {
+    let (mat, nd) = (Material::unit(), disc.elem_dofs());
+    let (mut ke, mut me) = (vec![0.0; nd * nd], vec![0.0; nd * nd]);
+    disc.stiffness(e, &mat, &mut ke);
+    if let Some(kind) = kind {
+        disc.mass(e, &mat, kind, &mut me);
+    }
+    (disc.mesh().elem_nodes(e).to_vec(), ke, me)
+}
+
+/// Strips and 2 × 2 blocks where the mesh has a grid, and a graph partition.
+fn partitions(disc: &Discretization) -> Vec<(&'static str, ElementPartition)> {
+    let mesh = disc.mesh();
+    let mut parts = Vec::new();
+    if let Some((nx, _)) = mesh.grid_dims() {
+        parts.push((
+            "strips",
+            ElementPartition::blocks_of(&mesh, nx.min(6) / 2, 1),
+        ));
+        parts.push(("blocks", ElementPartition::blocks_of(&mesh, 2, 2)));
+    }
+    parts.push(("graph", PartitionerSpec::Graph.element_partition(&mesh, 4)));
+    parts
+}
+
+fn check(p: &Pairing) {
+    let (disc, mat) = (&p.disc, Material::unit());
+    let (mesh, dpn) = (disc.mesh(), disc.physics().dofs_per_node());
+    let blocks = |kind: Option<Mass>| {
+        (0..mesh.n_elems()).map(move |e| {
+            let (nodes, ke, me) = element(disc, e, kind);
+            (nodes, if kind.is_some() { me } else { ke })
         })
     };
 
     // Global, raw: the pattern holds no constraint.
-    let free = DofMap::with_dofs(n_nodes, fam.dpn);
-    let raw = (fam.global)(&free);
-    assert_same_matrix(&raw, &reference_global(&free, blocks()), fam.name);
+    let free = DofMap::with_dofs(mesh.n_nodes(), dpn);
+    let raw = assembly::assemble_stiffness(*disc, &free, &mat);
+    assert_same_matrix(&raw, &reference_global(&free, blocks(None)), p.name);
+    // The global mass: consistent blocks whole, lumped diagonals only.
+    for &kind in p.masses {
+        let mut want = reference_global(&free, blocks(Some(kind)));
+        if kind == Mass::Lumped {
+            let diagonal = (0..want.n_rows()).map(|r| (vec![r], vec![want.get(r, r)]));
+            want = reference_global(&DofMap::with_dofs(free.n_dofs(), 1), diagonal);
+        }
+        let got = assembly::assemble_mass(*disc, &free, &mat, kind);
+        assert_same_matrix(&got, &want, &format!("{} / global {kind:?} mass", p.name));
+    }
 
     let mut cross_points = false;
-    for (kind, dm) in constraints(n_nodes, fam.dpn, &fam.support) {
+    for (kind, dm) in constraints(mesh.n_nodes(), dpn, &p.support) {
         let loads = loads_for(&dm);
-        let what = format!("{} / {kind}", fam.name);
+        let what = format!("{} / {kind}", p.name);
 
         // Global, constrained: the row filter keeps entries and order.
         let (mut got_rhs, mut want_rhs) = (loads.clone(), loads.clone());
@@ -228,232 +329,183 @@ fn check<M: Cells>(fam: Family<'_, M>) {
             &reference_dirichlet(&raw, &dm, None),
             &format!("{what} / apply_dirichlet_mass"),
         );
+        check_owned_rows(disc, &dm, &loads, (&got, &got_rhs), &what);
 
-        // Per subdomain.
-        for (shape, part) in &fam.partitions {
-            for sub in part.subdomains_of(fam.mesh) {
-                cross_points |= sub.multiplicity.iter().any(|&m| m >= 3);
-                let what = format!("{what} / {shape} / rank {}", sub.rank);
-                let sys = (fam.build)(&dm, &sub, &loads, fam.has_mass);
-                let (k, m, f) = reference_subdomain(&dm, &sub, &loads, fam.element);
-                assert_same_local(&sys.k_local, &k, fam.dpn, &format!("{what} / k_local"));
-                assert_same_bits(&sys.f_local, &f, &format!("{what} / f_local"));
-                assert_eq!(sys.m_local.is_some(), fam.has_mass);
-                if let Some(m_local) = &sys.m_local {
-                    assert_same_matrix(m_local, &m, &format!("{what} / m_local"));
+        // Per subdomain, each mass kind in turn.
+        let masses = std::iter::once(None).chain(p.masses.iter().map(|&m| Some(m)));
+        for mass in masses {
+            for (shape, part) in &partitions(disc) {
+                let subs = part.subdomains_of(&mesh);
+                let systems: Vec<SubdomainSystem> = (subs.iter())
+                    .map(|sub| SubdomainSystem::build(*disc, &dm, &mat, sub, &loads, mass))
+                    .collect();
+                for (sub, sys) in subs.iter().zip(&systems) {
+                    cross_points |= sub.multiplicity.iter().any(|&m| m >= 3);
+                    let what = format!("{what} / {mass:?} / {shape} / rank {}", sub.rank);
+                    let element = |e| element(disc, e, mass);
+                    let (k, m, f) = reference_subdomain(&dm, sub, &loads, &element);
+                    assert_same_local(&sys.k_local, &k, dpn, &format!("{what} / k_local"));
+                    assert_same_bits(&sys.f_local, &f, &format!("{what} / f_local"));
+                    assert_eq!(sys.m_local.is_some(), mass.is_some());
+                    if let Some(m_local) = &sys.m_local {
+                        assert_same_matrix(m_local, &m, &format!("{what} / m_local"));
+                    }
                 }
+                check_subdomain_sum(&systems, &got, &got_rhs, &format!("{what} / {shape}"));
             }
         }
     }
-    assert!(cross_points, "{}: no partition has a cross point", fam.name);
+    assert!(cross_points, "{}: no partition has a cross point", p.name);
 }
 
-fn graph(mesh: &impl Cells, p: usize) -> (&'static str, ElementPartition) {
-    ("graph", PartitionerSpec::Graph.element_partition(mesh, p))
+/// The union of three ranks' owned rows ([`assembly::assemble_owned`]) is
+/// the constrained global system, every entry and right-hand side bit for
+/// bit.
+fn check_owned_rows(
+    disc: &Discretization,
+    dm: &DofMap,
+    loads: &[f64],
+    (k, f): (&CsrMatrix, &[f64]),
+    what: &str,
+) {
+    let part = NodePartition::contiguous(dm.n_nodes(), 3);
+    let mut seen = vec![false; dm.n_dofs()];
+    for rank in 0..3 {
+        let owned = |n: usize| part.owner(n) == rank;
+        let (block, _) = assembly::assemble_owned(disc, dm, &Material::unit(), loads, owned);
+        for (i, &g) in block.rows.iter().enumerate() {
+            let loc = block.a_loc.row_entries(i).map(|(c, v)| (block.rows[c], v));
+            let (cols, vals) = block.a_ext.row(i);
+            let ext = cols.iter().zip(vals).map(|(&c, &v)| (block.ext_dofs[c], v));
+            let mut row: Vec<(usize, f64)> = loc.chain(ext).collect();
+            row.sort_by_key(|&(c, _)| c);
+            let (cols, vals): (Vec<usize>, Vec<f64>) = row.into_iter().unzip();
+            let what = format!("{what} / owned row {g}");
+            assert_eq!(cols, k.row(g).0, "{what}: columns");
+            assert_same_bits(&vals, k.row(g).1, &what);
+            assert_same_bits(&[block.rhs[i]], &[f[g]], &format!("{what} / rhs"));
+            seen[g] = true;
+        }
+    }
+    assert!(seen.iter().all(|&s| s), "{what}: every row owned once");
 }
 
-fn quad4_family(name: &'static str, mesh: &QuadMesh, lumped: Option<bool>) {
-    let mat = Material::unit();
-    check(Family {
-        name,
-        mesh,
-        dpn: 2,
-        support: (0..=mesh.ny()).map(|j| mesh.node_at(0, j)).collect(),
-        element: &|e| {
-            let c = mesh.elem_coords(e);
-            let me = match lumped {
-                Some(true) => quad4::lumped_mass(&c, &mat).to_vec(),
-                _ => quad4::consistent_mass(&c, &mat).to_vec(),
-            };
-            (
-                mesh.elem_nodes(e).to_vec(),
-                quad4::stiffness(&c, &mat).to_vec(),
-                me,
-            )
-        },
-        global: &|dm| assembly::assemble_stiffness(mesh, dm, &mat),
-        build: &|dm, sub, loads, mass| {
-            SubdomainSystem::build(mesh, dm, &mat, sub, loads, lumped.filter(|_| mass))
-        },
-        has_mass: lumped.is_some(),
-        partitions: vec![
-            ("strips", ElementPartition::strips_x(mesh, 3)),
-            ("blocks", ElementPartition::blocks_of(mesh, 2, 2)),
-            graph(mesh, 4),
-        ],
-    });
+/// `Σ Bₛᵀ K̂⁽ˢ⁾ Bₛ` and `Σ Bₛᵀ f̂⁽ˢ⁾` against the constrained global system.
+fn check_subdomain_sum(systems: &[SubdomainSystem], k: &CsrMatrix, f: &[f64], what: &str) {
+    let n = k.n_rows();
+    let (mut k_sum, mut f_sum) = (vec![0.0; n * n], vec![0.0; n]);
+    for s in systems {
+        for l in 0..s.n_local_dofs() {
+            let g = s.global_dofs[l];
+            f_sum[g] += s.f_local[l];
+            for (c, v) in s.k_local.row_entries(l) {
+                k_sum[g * n + s.global_dofs[c]] += v;
+            }
+        }
+    }
+    let scale = k.row_abs_sums().into_iter().fold(0.0, f64::max);
+    for (idx, (a, b)) in k_sum.iter().zip(k.to_dense()).enumerate() {
+        assert!(
+            (a - b).abs() <= 1e-13 * scale,
+            "{what}: Σ K̂ entry {idx}: {a} vs {b}"
+        );
+    }
+    for (g, (a, b)) in f_sum.iter().zip(f).enumerate() {
+        assert!(
+            (a - b).abs() <= 1e-13 * (1.0 + b.abs()),
+            "{what}: Σ f̂ {g}: {a} vs {b}"
+        );
+    }
+}
+
+/// Checks the rows of the table named `names`.
+fn check_named(names: &[&str]) {
+    let m = meshes();
+    let rows = pairings(&m);
+    for name in names {
+        check(
+            rows.iter()
+                .find(|p| p.name == *name)
+                .expect("a row of the table"),
+        );
+    }
 }
 
 #[test]
 fn quad4_elasticity_regular_and_distorted() {
-    quad4_family("quad4", &QuadMesh::cantilever(6, 4), None);
-    quad4_family(
-        "quad4 distorted",
-        &QuadMesh::distorted(6, 4, 6.0, 4.0, 0.3, 42),
-        None,
-    );
+    check_named(&["quad4", "quad4 distorted"]);
 }
 
 #[test]
 fn quad4_consistent_and_lumped_mass() {
-    let mesh = QuadMesh::distorted(5, 4, 5.0, 4.0, 0.25, 3);
-    quad4_family("quad4 + consistent mass", &mesh, Some(false));
-    quad4_family("quad4 + lumped mass", &mesh, Some(true));
+    check_named(&["quad4 + mass"]);
+}
 
-    // The global mass: consistent blocks whole, lumped diagonals only.
-    let mat = Material::unit();
-    let dm = DofMap::new(mesh.n_nodes());
-    let consistent = (0..mesh.n_elems()).map(|e| {
-        let me = quad4::consistent_mass(&mesh.elem_coords(e), &mat);
-        (mesh.elem_nodes(e).to_vec(), me.to_vec())
-    });
-    assert_same_matrix(
-        &assembly::assemble_mass(&mesh, &dm, &mat, false),
-        &reference_global(&dm, consistent),
-        "global consistent mass",
-    );
-    let mut coo = CooMatrix::new(dm.n_dofs(), dm.n_dofs());
-    for e in 0..mesh.n_elems() {
-        let me = quad4::lumped_mass(&mesh.elem_coords(e), &mat);
-        for (i, &d) in dm.elem_dofs(mesh.elem_nodes(e)).iter().enumerate() {
-            coo.push(d, d, me[i * 9]).unwrap();
-        }
-    }
-    assert_same_matrix(
-        &assembly::assemble_mass(&mesh, &dm, &mat, true),
-        &coo.to_csr(),
-        "global lumped mass",
-    );
+#[test]
+fn generic_quad4_elasticity_and_mass() {
+    check_named(&["generic quad4"]);
 }
 
 #[test]
 fn tri3_elasticity() {
-    let mesh = TriMesh::from_quad_mesh(&QuadMesh::distorted(6, 4, 6.0, 4.0, 0.2, 5));
-    let mat = Material::unit();
-    check(Family {
-        name: "tri3",
-        mesh: &mesh,
-        dpn: 2,
-        support: (0..=mesh.ny()).map(|j| mesh.node_at(0, j)).collect(),
-        element: &|e| {
-            let c = mesh.elem_coords(e);
-            (
-                mesh.elem_nodes(e).to_vec(),
-                tri3::stiffness(&c, &mat).to_vec(),
-                tri3::consistent_mass(&c, &mat).to_vec(),
-            )
-        },
-        global: &|dm| tri3::assemble_stiffness(&mesh, dm, &mat),
-        build: &|dm, sub, loads, mass| {
-            SubdomainSystem::build_tri(&mesh, dm, &mat, sub, loads, mass.then_some(false))
-        },
-        has_mass: true,
-        partitions: vec![
-            ("strips", ElementPartition::strips_x_tri(&mesh, 3)),
-            ("blocks", ElementPartition::blocks_of(&mesh, 2, 2)),
-            graph(&mesh, 4),
-        ],
-    });
+    check_named(&["tri3"]);
 }
 
 #[test]
 fn quad8_elasticity() {
-    let mesh = Quad8Mesh::cantilever(4, 4);
-    let mat = Material::unit();
-    check(Family {
-        name: "quad8",
-        mesh: &mesh,
-        dpn: 2,
-        support: mesh.edge_nodes(parfem_mesh::Edge::Left),
-        element: &|e| {
-            let c = mesh.elem_coords(e);
-            (
-                mesh.elem_nodes(e).to_vec(),
-                quad8s::stiffness(&c, &mat).to_vec(),
-                quad8s::consistent_mass(&c, &mat).to_vec(),
-            )
-        },
-        global: &|dm| quad8s::assemble_stiffness(&mesh, dm, &mat),
-        build: &|dm, sub, loads, mass| {
-            SubdomainSystem::build_quad8(&mesh, dm, &mat, sub, loads, mass.then_some(false))
-        },
-        has_mass: true,
-        partitions: vec![
-            ("strips", ElementPartition::strips_x_quad8(&mesh, 2)),
-            ("blocks", ElementPartition::blocks_of(&mesh, 2, 2)),
-            graph(&mesh, 4),
-        ],
-    });
+    check_named(&["quad8"]);
 }
 
 #[test]
 fn heat_quad4() {
-    let mesh = QuadMesh::distorted(6, 5, 6.0, 5.0, 0.3, 9);
-    let mat = Material::unit();
-    check(Family {
-        name: "heat quad4",
-        mesh: &mesh,
-        dpn: 1,
-        support: (0..=mesh.ny()).map(|j| mesh.node_at(0, j)).collect(),
-        element: &|e| {
-            let ke = physics::heat_stiffness_quad4(&mesh.elem_coords(e), &mat);
-            (mesh.elem_nodes(e).to_vec(), ke.to_vec(), vec![0.0; 16])
-        },
-        global: &|dm| assembly::assemble_stiffness_heat(&mesh, dm, &mat),
-        build: &|dm, sub, loads, _| SubdomainSystem::build_heat(&mesh, dm, &mat, sub, loads),
-        has_mass: false,
-        partitions: vec![
-            ("strips", ElementPartition::strips_x(&mesh, 3)),
-            ("blocks", ElementPartition::blocks_of(&mesh, 2, 2)),
-            graph(&mesh, 5),
-        ],
-    });
+    check_named(&["heat quad4"]);
 }
 
 #[test]
 fn hex8_elasticity() {
-    let mesh = HexMesh::cantilever(4, 3, 2);
-    let mat = Material::unit();
-    check(Family {
-        name: "hex8",
-        mesh: &mesh,
-        dpn: 3,
-        support: mesh.face_nodes(parfem_mesh::Face::XMin),
-        element: &|e| {
-            let ke = hex8::stiffness(&mesh.elem_coords(e), &mat);
-            (mesh.elem_nodes(e).to_vec(), ke.to_vec(), vec![0.0; 576])
-        },
-        global: &|dm| assembly::assemble_stiffness_hex(&mesh, dm, &mat),
-        build: &|dm, sub, loads, _| SubdomainSystem::build_hex(&mesh, dm, &mat, sub, loads),
-        has_mass: false,
-        partitions: vec![
-            ("strips", ElementPartition::blocks_of(&mesh, 2, 1)),
-            ("blocks", ElementPartition::blocks_of(&mesh, 2, 2)),
-            graph(&mesh, 4),
-        ],
-    });
+    check_named(&["hex8"]);
+}
+
+#[test]
+fn every_row_of_the_table_is_checked() {
+    let checked = [
+        "quad4",
+        "quad4 distorted",
+        "quad4 + mass",
+        "generic quad4",
+        "tri3",
+        "quad8",
+        "heat quad4",
+        "hex8",
+    ];
+    let m = meshes();
+    for p in pairings(&m) {
+        assert!(checked.contains(&p.name), "{} has no test", p.name);
+    }
 }
 
 /// The scaling an EDD rank applies, in place on the directly assembled
 /// blocks, against the CSR reference scaled by `scale_symmetric`
 /// (`a_rc·(d_r·d_c)`) and then copied into blocks: the same bits, fill zeros
 /// included, and the same row sums the scaling is taken from.
-fn check_scaled_blocks<M: Cells>(fam: Family<'_, M>) {
-    let n_nodes = fam.mesh.n_cell_nodes();
-    for (kind, dm) in constraints(n_nodes, fam.dpn, &fam.support) {
+fn check_scaled_blocks(p: &Pairing) {
+    let (disc, mat) = (&p.disc, Material::unit());
+    let (mesh, dpn) = (disc.mesh(), disc.physics().dofs_per_node());
+    for (kind, dm) in constraints(mesh.n_nodes(), dpn, &p.support) {
         let loads = loads_for(&dm);
-        for (shape, part) in &fam.partitions {
-            for sub in part.subdomains_of(fam.mesh) {
-                let what = format!("{} / {kind} / {shape} / rank {}", fam.name, sub.rank);
-                let mut sys = (fam.build)(&dm, &sub, &loads, false);
-                let (mut k, _, _) = reference_subdomain(&dm, &sub, &loads, fam.element);
+        for (shape, part) in &partitions(disc) {
+            for sub in part.subdomains_of(&mesh) {
+                let what = format!("{} / {kind} / {shape} / rank {}", p.name, sub.rank);
+                let mut sys = SubdomainSystem::build(*disc, &dm, &mat, &sub, &loads, None);
+                let element = |e| element(disc, e, None);
+                let (mut k, _, _) = reference_subdomain(&dm, &sub, &loads, &element);
                 assert!(k.n_rows() > 0, "{what}: empty subdomain");
                 let sums = sys.k_local.row_abs_sums();
                 assert_same_bits(&sums, &k.row_abs_sums(), &format!("{what} / row sums"));
                 let d = inv_sqrt_scaling(&sums);
                 sys.k_local.scale_symmetric(&d);
                 k.scale_symmetric(&d);
-                assert_same_local(&sys.k_local, &k, fam.dpn, &format!("{what} / scaled"));
+                assert_same_local(&sys.k_local, &k, dpn, &format!("{what} / scaled"));
             }
         }
     }
@@ -461,44 +513,11 @@ fn check_scaled_blocks<M: Cells>(fam: Family<'_, M>) {
 
 #[test]
 fn node_blocks_scaled_in_place_hold_the_scaled_csr_bits() {
-    let mat = Material::unit();
-    let quad = QuadMesh::distorted(6, 4, 6.0, 4.0, 0.3, 42);
-    check_scaled_blocks(Family {
-        name: "quad4 blocks",
-        mesh: &quad,
-        dpn: 2,
-        support: (0..=quad.ny()).map(|j| quad.node_at(0, j)).collect(),
-        element: &|e| {
-            let c = quad.elem_coords(e);
-            let ke = quad4::stiffness(&c, &mat).to_vec();
-            (quad.elem_nodes(e).to_vec(), ke, vec![0.0; 64])
-        },
-        global: &|dm| assembly::assemble_stiffness(&quad, dm, &mat),
-        build: &|dm, sub, loads, _| SubdomainSystem::build(&quad, dm, &mat, sub, loads, None),
-        has_mass: false,
-        partitions: vec![
-            ("strips", ElementPartition::strips_x(&quad, 3)),
-            ("blocks", ElementPartition::blocks_of(&quad, 2, 2)),
-            graph(&quad, 4),
-        ],
-    });
-    let hex = HexMesh::cantilever(4, 3, 2);
-    check_scaled_blocks(Family {
-        name: "hex8 blocks",
-        mesh: &hex,
-        dpn: 3,
-        support: hex.face_nodes(parfem_mesh::Face::XMin),
-        element: &|e| {
-            let ke = hex8::stiffness(&hex.elem_coords(e), &mat);
-            (hex.elem_nodes(e).to_vec(), ke.to_vec(), vec![0.0; 576])
-        },
-        global: &|dm| assembly::assemble_stiffness_hex(&hex, dm, &mat),
-        build: &|dm, sub, loads, _| SubdomainSystem::build_hex(&hex, dm, &mat, sub, loads),
-        has_mass: false,
-        partitions: vec![
-            ("strips", ElementPartition::blocks_of(&hex, 2, 1)),
-            ("blocks", ElementPartition::blocks_of(&hex, 2, 2)),
-            graph(&hex, 4),
-        ],
-    });
+    let m = meshes();
+    for p in pairings(&m)
+        .iter()
+        .filter(|p| p.disc.physics().dofs_per_node() > 1)
+    {
+        check_scaled_blocks(p);
+    }
 }

@@ -2,11 +2,8 @@
 //! ordering regression fails a test and not a benchmark, and the rigid-mode
 //! count of floating subdomain blocks under the fill-reducing ordering.
 
-use parfem_fem::assembly::{
-    assemble_stiffness, assemble_stiffness_heat, assemble_stiffness_hex, build_static,
-    build_static_heat, build_static_hex,
-};
-use parfem_fem::{Material, SubdomainSystem};
+use parfem_fem::assembly::{assemble_stiffness, build_static};
+use parfem_fem::{Discretization, Material, Physics, SubdomainSystem};
 use parfem_mesh::{DofMap, Edge, ElementPartition, Face, HexMesh, NodePartition, QuadMesh};
 use parfem_sparse::ldlt::{SparseLdlt, DEFAULT_PIVOT_TOL};
 use parfem_sparse::{CooMatrix, CsrMatrix};
@@ -55,7 +52,7 @@ fn hex_half_block_fill_stays_under_the_pin() {
         dm.clamp_node(node);
     }
     let loads = vec![0.0; dm.n_dofs()];
-    let k = build_static_hex(&mesh, &dm, &Material::unit(), &loads).stiffness;
+    let k = build_static(&mesh, &dm, &Material::unit(), &loads).stiffness;
     let dm = &dm;
     let rows: Vec<usize> = (NodePartition::strips_x_hex(&mesh, 2).nodes_of(0).iter())
         .flat_map(|&n| (0..3).map(move |c| dm.dof(n, c)))
@@ -107,14 +104,15 @@ fn hex_half_block_fill_stays_under_the_pin() {
 fn floating_blocks_skip_exactly_their_rigid_modes() {
     let mat = Material::unit();
     let hex = HexMesh::cantilever(4, 3, 3);
-    let k = assemble_stiffness_hex(&hex, &DofMap::with_dofs(hex.n_nodes(), 3), &mat);
+    let k = assemble_stiffness(&hex, &DofMap::with_dofs(hex.n_nodes(), 3), &mat);
     assert_eq!(SparseLdlt::factor(&k, DEFAULT_PIVOT_TOL).n_skipped(), 6);
 
     let quad = QuadMesh::cantilever(7, 5);
     let k = assemble_stiffness(&quad, &DofMap::new(quad.n_nodes()), &mat);
     assert_eq!(SparseLdlt::factor(&k, DEFAULT_PIVOT_TOL).n_skipped(), 3);
 
-    let k = assemble_stiffness_heat(&quad, &DofMap::with_dofs(quad.n_nodes(), 1), &mat);
+    let heat = Discretization::new(&quad, Physics::Heat2d);
+    let k = assemble_stiffness(heat, &DofMap::with_dofs(quad.n_nodes(), 1), &mat);
     assert_eq!(SparseLdlt::factor(&k, DEFAULT_PIVOT_TOL).n_skipped(), 1);
 }
 
@@ -126,7 +124,7 @@ fn floating_blocks_skip_exactly_their_rigid_modes() {
 #[test]
 fn null_shift_on_a_floating_hex_block_matches_a_dense_solve() {
     let hex = HexMesh::cantilever(3, 2, 2);
-    let k = assemble_stiffness_hex(
+    let k = assemble_stiffness(
         &hex,
         &DofMap::with_dofs(hex.n_nodes(), 3),
         &Material::unit(),
@@ -165,7 +163,7 @@ fn dissection_permutations_stay_pinned() {
         hex_dm.clamp_node(node);
     }
     let loads = vec![0.0; hex_dm.n_dofs()];
-    let k = build_static_hex(&hex, &hex_dm, &mat, &loads).stiffness;
+    let k = build_static(&hex, &hex_dm, &mat, &loads).stiffness;
     let rows = node_rows(
         &hex_dm,
         &NodePartition::strips_x_hex(&hex, 2).nodes_of(0),
@@ -184,14 +182,15 @@ fn dissection_permutations_stay_pinned() {
     let dm = DofMap::with_dofs(box_mesh.n_nodes(), 3);
     let sub = &ElementPartition::blocks_of(&box_mesh, 2, 1).subdomains_of(&box_mesh)[0];
     let loads = vec![0.0; dm.n_dofs()];
-    let k = SubdomainSystem::build_hex(&box_mesh, &dm, &mat, sub, &loads).k_local;
+    let k = SubdomainSystem::build(&box_mesh, &dm, &mat, sub, &loads, None).k_local;
     let floating = SparseLdlt::factor(&k, DEFAULT_PIVOT_TOL);
     assert_eq!(floating.n_skipped(), 6);
 
     let heat = QuadMesh::cantilever(40, 20);
     let mut dm = DofMap::with_dofs(heat.n_nodes(), 1);
     dm.clamp_edge(&heat, Edge::Left);
-    let k = build_static_heat(&heat, &dm, &mat, &vec![0.0; dm.n_dofs()]).stiffness;
+    let disc = Discretization::new(&heat, Physics::Heat2d);
+    let k = build_static(disc, &dm, &mat, &vec![0.0; dm.n_dofs()]).stiffness;
     let rows = node_rows(&dm, &NodePartition::strips_x(&heat, 2).nodes_of(0), 1);
     let heat_strip = diagonal_block(&k, &rows);
 

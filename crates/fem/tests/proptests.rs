@@ -225,18 +225,6 @@ proptest! {
         prop_assert!(e >= -1e-10, "negative heat energy {}", e);
     }
 
-    #[test]
-    fn heat_tri_stiffness_symmetric_with_constant_null_space(coords in tri_coords()) {
-        let ke = physics::heat_stiffness_tri3(&coords, &Material::unit());
-        for r in 0..3 {
-            for c in 0..3 {
-                prop_assert!((ke[r * 3 + c] - ke[c * 3 + r]).abs() < 1e-12);
-            }
-        }
-        for v in matvec(3, &ke, &[1.0; 3]) {
-            prop_assert!(v.abs() < 1e-10, "constant-field flux {}", v);
-        }
-    }
 
     #[test]
     fn hex_stiffness_symmetric_with_six_rigid_modes(coords in hex_coords(),
@@ -291,7 +279,8 @@ proptest! {
         let mut dm = DofMap::with_dofs(mesh.n_nodes(), 1);
         dm.clamp_edge(&mesh, Edge::Left);
         let loads = vec![0.0; dm.n_dofs()];
-        let sys = parfem_fem::assembly::build_static_heat(&mesh, &dm, &Material::unit(), &loads);
+        let heat = parfem_fem::Discretization::new(&mesh, parfem_fem::Physics::Heat2d);
+        let sys = parfem_fem::assembly::build_static(heat, &dm, &Material::unit(), &loads);
         assert_spd(&sys.stiffness);
     }
 
@@ -305,7 +294,7 @@ proptest! {
             dm.clamp_node(node);
         }
         let loads = vec![0.0; dm.n_dofs()];
-        let sys = parfem_fem::assembly::build_static_hex(&mesh, &dm, &Material::unit(), &loads);
+        let sys = parfem_fem::assembly::build_static(&mesh, &dm, &Material::unit(), &loads);
         assert_spd(&sys.stiffness);
     }
 }

@@ -68,6 +68,11 @@ impl GenericQuadMesh {
         self.coords.len()
     }
 
+    /// Element connectivity.
+    pub fn elems(&self) -> &[[usize; 4]] {
+        &self.elems
+    }
+
     /// Number of elements.
     pub fn n_elems(&self) -> usize {
         self.elems.len()

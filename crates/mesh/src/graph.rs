@@ -51,13 +51,9 @@ impl Adjacency {
         Adjacency { adj }
     }
 
-    /// Element adjacency: two elements are adjacent when they share at least
-    /// `min_shared` nodes (2 = edge neighbours, 1 = vertex neighbours).
-    pub fn element_graph(mesh: &QuadMesh, min_shared: usize) -> Self {
-        Self::element_graph_of(mesh, min_shared)
-    }
-
-    /// Element adjacency for any [`Cells`] mesh.
+    /// Element adjacency of any [`Cells`] mesh: two elements are adjacent
+    /// when they share at least `min_shared` nodes (2 = edge neighbours,
+    /// 1 = vertex neighbours).
     pub fn element_graph_of<M: Cells>(mesh: &M, min_shared: usize) -> Self {
         // Invert connectivity: node -> elements.
         let mut node_elems = vec![Vec::new(); mesh.n_cell_nodes()];
@@ -131,28 +127,6 @@ impl Adjacency {
             return 0.0;
         }
         2.0 * self.n_edges() as f64 / self.adj.len() as f64
-    }
-
-    /// Whether the graph is connected (empty graphs count as connected).
-    pub fn is_connected(&self) -> bool {
-        let n = self.adj.len();
-        if n == 0 {
-            return true;
-        }
-        let mut seen = vec![false; n];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(v) = stack.pop() {
-            for &w in &self.adj[v] {
-                if !seen[w] {
-                    seen[w] = true;
-                    count += 1;
-                    stack.push(w);
-                }
-            }
-        }
-        count == n
     }
 }
 
@@ -246,7 +220,6 @@ mod tests {
         assert_eq!(g.degree(0), 3);
         // Centre node 4 is in all four elements: adjacent to all 8 others.
         assert_eq!(g.degree(4), 8);
-        assert!(g.is_connected());
     }
 
     #[test]
@@ -304,7 +277,7 @@ mod tests {
     #[test]
     fn element_graph_edge_neighbors() {
         let mesh = QuadMesh::rectangle(3, 1, 3.0, 1.0);
-        let g = Adjacency::element_graph(&mesh, 2);
+        let g = Adjacency::element_graph_of(&mesh, 2);
         assert_eq!(g.neighbors(0), &[1]);
         assert_eq!(g.neighbors(1), &[0, 2]);
         assert_eq!(g.neighbors(2), &[1]);
@@ -313,8 +286,8 @@ mod tests {
     #[test]
     fn element_graph_vertex_neighbors_include_diagonals() {
         let mesh = QuadMesh::rectangle(2, 2, 2.0, 2.0);
-        let edge = Adjacency::element_graph(&mesh, 2);
-        let vertex = Adjacency::element_graph(&mesh, 1);
+        let edge = Adjacency::element_graph_of(&mesh, 2);
+        let vertex = Adjacency::element_graph_of(&mesh, 1);
         // Element 0 and element 3 share only the centre node.
         assert!(!edge.neighbors(0).contains(&3));
         assert!(vertex.neighbors(0).contains(&3));
@@ -356,7 +329,7 @@ mod tests {
         // data (pairing checked inside partition tests; here just smoke).
         let mesh = QuadMesh::rectangle(8, 8, 8.0, 8.0);
         let part = greedy_bfs_partition(&mesh, 5);
-        let subs = part.subdomains(&mesh);
+        let subs = part.subdomains_of(&mesh);
         assert_eq!(subs.len(), 5);
         let union: usize = subs.iter().map(|s| s.elements.len()).sum();
         assert_eq!(union, 64);

@@ -19,9 +19,7 @@
 
 use crate::cells::Cells;
 use crate::hex::HexMesh;
-use crate::quad8::Quad8Mesh;
 use crate::structured::QuadMesh;
-use crate::tri::TriMesh;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -137,62 +135,9 @@ impl ElementPartition {
         }
     }
 
-    /// Vertical element-column strips of a triangulated structured mesh
-    /// (each source quad cell contributes its two triangles to the same
-    /// strip, so the interfaces match [`ElementPartition::strips_x`]).
-    ///
-    /// # Panics
-    /// Panics if `p` is zero or exceeds the column count.
-    pub fn strips_x_tri(mesh: &TriMesh, p: usize) -> Self {
-        assert!(p > 0 && p <= mesh.nx(), "strip count must be in 1..=nx");
-        let nx = mesh.nx();
-        let owner: Vec<usize> = (0..mesh.n_elems())
-            .map(|e| {
-                let quad_cell = e / 2;
-                let i = quad_cell % nx;
-                (i * p) / nx
-            })
-            .collect();
-        let edge_cut = Some(edge_cut_of(mesh, &owner));
-        ElementPartition {
-            n_parts: p,
-            owner,
-            edge_cut,
-        }
-    }
-
-    /// Vertical element-column strips of an 8-node quadrilateral mesh.
-    ///
-    /// # Panics
-    /// Panics if `p` is zero or exceeds the column count.
-    pub fn strips_x_quad8(mesh: &Quad8Mesh, p: usize) -> Self {
-        assert!(p > 0 && p <= mesh.nx(), "strip count must be in 1..=nx");
-        let nx = mesh.nx();
-        let owner: Vec<usize> = (0..mesh.n_elems())
-            .map(|e| {
-                let i = e % nx;
-                (i * p) / nx
-            })
-            .collect();
-        let edge_cut = Some(edge_cut_of(mesh, &owner));
-        ElementPartition {
-            n_parts: p,
-            owner,
-            edge_cut,
-        }
-    }
-
-    /// Partition into a `px x py` grid of element blocks.
-    ///
-    /// # Panics
-    /// Panics if the grid is empty or exceeds the element grid.
-    pub fn blocks(mesh: &QuadMesh, px: usize, py: usize) -> Self {
-        Self::blocks_of(mesh, px, py)
-    }
-
-    /// [`ElementPartition::blocks`] over any structured [`Cells`] mesh
-    /// (T3, Q4, Q8, …): a `px x py` grid of cell blocks, balanced to within
-    /// one grid row/column. Cells mapping to the same grid coordinate (the
+    /// Partition of any structured [`Cells`] mesh (T3, Q4, Q8, hex8, …) into
+    /// a `px x py` grid of cell blocks, balanced to within one grid
+    /// row/column; `blocks_of(mesh, p, 1)` is [`ElementPartition::strips_x`]. Cells mapping to the same grid coordinate (the
     /// two triangles of a split quad) stay in the same part, so the
     /// interfaces match the quadrilateral blocks exactly.
     ///
@@ -247,11 +192,6 @@ impl ElementPartition {
     /// A partition with no elements reports `0.0`, never `NaN`.
     pub fn imbalance(&self) -> f64 {
         imbalance_of(self.n_parts, &self.owner)
-    }
-
-    /// Builds the full subdomain descriptions for a quadrilateral mesh.
-    pub fn subdomains(&self, mesh: &QuadMesh) -> Vec<Subdomain> {
-        self.subdomains_of(mesh)
     }
 
     /// Builds subdomain descriptions for any [`Cells`] mesh (T3, Q4, Q8, …).
@@ -388,11 +328,6 @@ impl Subdomain {
     /// The local index of global node `n`, if present.
     pub fn local_node(&self, n: usize) -> Option<usize> {
         self.nodes.binary_search(&n).ok()
-    }
-
-    /// Whether the local node `l` lies on the subdomain interface.
-    pub fn is_interface(&self, l: usize) -> bool {
-        self.multiplicity[l] > 1
     }
 
     /// Number of interface nodes.
@@ -588,7 +523,7 @@ mod tests {
     fn strip_subdomains_have_linear_neighbor_chain() {
         let mesh = QuadMesh::rectangle(8, 2, 8.0, 2.0);
         let part = ElementPartition::strips_x(&mesh, 4);
-        let subs = part.subdomains(&mesh);
+        let subs = part.subdomains_of(&mesh);
         assert_eq!(subs.len(), 4);
         // Interior strips have exactly two neighbours, end strips one.
         assert_eq!(subs[0].neighbors.len(), 1);
@@ -604,8 +539,8 @@ mod tests {
     #[test]
     fn shared_node_lists_pair_up() {
         let mesh = QuadMesh::rectangle(6, 4, 6.0, 4.0);
-        let part = ElementPartition::blocks(&mesh, 2, 2);
-        let subs = part.subdomains(&mesh);
+        let part = ElementPartition::blocks_of(&mesh, 2, 2);
+        let subs = part.subdomains_of(&mesh);
         for s in &subs {
             for link in &s.neighbors {
                 let t = &subs[link.rank];
@@ -628,8 +563,8 @@ mod tests {
         // Sum over subdomains of local node counts equals sum over nodes of
         // multiplicity.
         let mesh = QuadMesh::rectangle(5, 5, 5.0, 5.0);
-        let part = ElementPartition::blocks(&mesh, 2, 2);
-        let subs = part.subdomains(&mesh);
+        let part = ElementPartition::blocks_of(&mesh, 2, 2);
+        let subs = part.subdomains_of(&mesh);
         let total_local: usize = subs.iter().map(|s| s.n_local_nodes()).sum();
         assert!(total_local > mesh.n_nodes(), "interfaces are duplicated");
         // Each node appears exactly once per owning subdomain.
@@ -655,14 +590,13 @@ mod tests {
     #[test]
     fn corner_nodes_in_block_partition_have_multiplicity_four() {
         let mesh = QuadMesh::rectangle(4, 4, 4.0, 4.0);
-        let part = ElementPartition::blocks(&mesh, 2, 2);
-        let subs = part.subdomains(&mesh);
+        let part = ElementPartition::blocks_of(&mesh, 2, 2);
+        let subs = part.subdomains_of(&mesh);
         // The centre node (2,2) = node 12 touches all four blocks.
         let centre = mesh.node_at(2, 2);
         for s in &subs {
             let l = s.local_node(centre).expect("centre is in every block");
             assert_eq!(s.multiplicity[l], 4);
-            assert!(s.is_interface(l));
         }
         // All four blocks are pairwise neighbours through the centre node.
         assert_eq!(subs[0].neighbors.len(), 3);
@@ -672,12 +606,11 @@ mod tests {
     fn interior_nodes_have_multiplicity_one() {
         let mesh = QuadMesh::rectangle(6, 2, 6.0, 2.0);
         let part = ElementPartition::strips_x(&mesh, 2);
-        let subs = part.subdomains(&mesh);
+        let subs = part.subdomains_of(&mesh);
         let interior = mesh.node_at(1, 1); // deep inside strip 0
         let s0 = &subs[0];
         let l = s0.local_node(interior).unwrap();
         assert_eq!(s0.multiplicity[l], 1);
-        assert!(!s0.is_interface(l));
         assert!(subs[1].local_node(interior).is_none());
         assert_eq!(s0.n_interface_nodes(), 3);
     }
@@ -686,7 +619,7 @@ mod tests {
     fn single_part_partition_has_no_neighbors() {
         let mesh = QuadMesh::rectangle(3, 3, 3.0, 3.0);
         let part = ElementPartition::strips_x(&mesh, 1);
-        let subs = part.subdomains(&mesh);
+        let subs = part.subdomains_of(&mesh);
         assert_eq!(subs.len(), 1);
         assert!(subs[0].neighbors.is_empty());
         assert_eq!(subs[0].n_local_nodes(), mesh.n_nodes());
@@ -717,7 +650,7 @@ mod tests {
     #[test]
     fn blocks_of_matches_blocks_on_quads() {
         let mesh = QuadMesh::rectangle(6, 4, 6.0, 4.0);
-        let a = ElementPartition::blocks(&mesh, 3, 2);
+        let a = ElementPartition::blocks_of(&mesh, 3, 2);
         let b = ElementPartition::blocks_of(&mesh, 3, 2);
         assert_eq!(a.owners(), b.owners());
         assert_eq!(a.n_parts(), 6);
@@ -739,7 +672,7 @@ mod tests {
             assert_eq!(tp.owner(2 * e), qp.owner(e));
         }
 
-        let q8 = Quad8Mesh::rectangle(6, 4, 6.0, 4.0);
+        let q8 = crate::quad8::Quad8Mesh::rectangle(6, 4, 6.0, 4.0);
         let ep = ElementPartition::blocks_of(&q8, 2, 2);
         assert_eq!(ep.owners(), qp.owners());
         // Q8 edge midside nodes only join cells that already share corner

@@ -89,6 +89,11 @@ impl Quad8Mesh {
         self.coords.len()
     }
 
+    /// Element connectivity.
+    pub fn elems(&self) -> &[[usize; 8]] {
+        &self.elems
+    }
+
     /// Number of elements.
     pub fn n_elems(&self) -> usize {
         self.elems.len()

@@ -51,6 +51,11 @@ impl TriMesh {
         self.coords.len()
     }
 
+    /// Element connectivity.
+    pub fn elems(&self) -> &[[usize; 3]] {
+        &self.elems
+    }
+
     /// Number of triangles.
     pub fn n_elems(&self) -> usize {
         self.elems.len()

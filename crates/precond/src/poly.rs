@@ -64,11 +64,6 @@ impl Poly {
         }
     }
 
-    /// `x * self` (degree shift).
-    pub fn shift_up(&self) -> Poly {
-        self.mul_linear(1.0, 0.0)
-    }
-
     /// Sum of absolute monomial coefficients `Σ|aᵢ|` — the growth factor in
     /// the stability bound of Eq. 24.
     pub fn abs_coeff_sum(&self) -> f64 {
@@ -128,14 +123,6 @@ mod tests {
         };
         let r = p.mul_linear(2.0, 3.0);
         assert_eq!(r.coeffs, vec![3.0, 5.0, 2.0]);
-    }
-
-    #[test]
-    fn shift_up_multiplies_by_x() {
-        let p = Poly {
-            coeffs: vec![4.0, 5.0],
-        };
-        assert_eq!(p.shift_up().coeffs, vec![0.0, 4.0, 5.0]);
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl CooMatrix {
         self.n_cols
     }
 
-    /// Number of stored triplets (duplicates counted individually).
-    pub fn n_triplets(&self) -> usize {
-        self.vals.len()
-    }
-
     /// Adds `value` at `(row, col)`. Duplicates accumulate on conversion.
     ///
     /// # Errors
@@ -254,7 +249,6 @@ mod tests {
         let mut coo = CooMatrix::new(2, 2);
         coo.push(0, 0, 1.0).unwrap();
         coo.clear();
-        assert_eq!(coo.n_triplets(), 0);
         assert_eq!(coo.n_rows(), 2);
         let csr = coo.to_csr();
         assert_eq!(csr.nnz(), 0);

@@ -372,20 +372,6 @@ impl CsrMatrix {
         }
         Ok(coo.to_csr())
     }
-
-    /// Drops stored entries with `|value| <= threshold` (returns a new matrix).
-    pub fn prune(&self, threshold: f64) -> CsrMatrix {
-        let mut coo = CooMatrix::with_capacity(self.n_rows, self.n_cols, self.nnz());
-        for r in 0..self.n_rows {
-            let (cols, vals) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                if v.abs() > threshold {
-                    coo.push(r, c, v).expect("in-bounds by invariant");
-                }
-            }
-        }
-        coo.to_csr()
-    }
 }
 
 #[cfg(test)]
@@ -505,14 +491,6 @@ mod tests {
         let keff = m.add_scaled(0.25, &k).unwrap();
         assert_eq!(keff.get(0, 0), 2.5);
         assert_eq!(keff.get(0, 1), -0.25);
-    }
-
-    #[test]
-    fn prune_drops_small_entries() {
-        let a = CsrMatrix::from_dense(2, 2, &[1.0, 1e-15, 1e-15, 1.0]);
-        let p = a.prune(1e-12);
-        assert_eq!(p.nnz(), 2);
-        assert_eq!(p.get(0, 1), 0.0);
     }
 
     #[test]

@@ -46,18 +46,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// Discrete L1 norm `||x||_1 = sum |x_i|` (the norm of Theorem 1).
-#[inline]
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
-/// Max norm `||x||_inf`.
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-}
-
 /// `x <- alpha * x`.
 #[inline]
 pub fn scale(alpha: f64, x: &mut [f64]) {
@@ -252,16 +240,6 @@ pub fn sym_eigen_jacobi(n: usize, a: &[f64]) -> (Vec<f64>, Vec<f64>) {
     (eigenvalues, eigenvectors)
 }
 
-/// Floating-point operation count of one `axpy`/`dot` of length `n`.
-///
-/// Used by the virtual-time machine model; kept next to the kernels so the
-/// count stays in sync with the implementation (one multiply + one add per
-/// element).
-#[inline]
-pub fn vector_op_flops(n: usize) -> u64 {
-    2 * n as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,8 +302,6 @@ mod tests {
         let x = [3.0, -4.0];
         assert_close(dot(&x, &x), 25.0);
         assert_close(norm2(&x), 5.0);
-        assert_close(norm1(&x), 7.0);
-        assert_close(norm_inf(&x), 4.0);
     }
 
     #[test]
@@ -333,8 +309,6 @@ mod tests {
         let x: [f64; 0] = [];
         assert_eq!(dot(&x, &x), 0.0);
         assert_eq!(norm2(&x), 0.0);
-        assert_eq!(norm1(&x), 0.0);
-        assert_eq!(norm_inf(&x), 0.0);
     }
 
     #[test]
@@ -420,11 +394,5 @@ mod tests {
     fn solve_dense_rejects_singular() {
         let mut a = vec![1.0, 2.0, 2.0, 4.0];
         solve_dense(2, &mut a, &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn flop_count_is_two_per_element() {
-        assert_eq!(vector_op_flops(10), 20);
-        assert_eq!(vector_op_flops(0), 0);
     }
 }

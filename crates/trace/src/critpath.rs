@@ -35,7 +35,6 @@
 //! makespan, which the acceptance test asserts on a real P≥8 overlapped
 //! solve.
 
-use crate::aggregate::TraceReport;
 use crate::event::{EventKind, TraceEvent};
 use crate::json::Json;
 use std::collections::HashMap;
@@ -431,14 +430,6 @@ impl CritPath {
             ranks,
             efficiency,
         }
-    }
-
-    /// Convenience: analyze the same event stream a [`TraceReport`] was
-    /// built from and cross-check the makespans agree.
-    pub fn from_report_events(report: &TraceReport, events: &[TraceEvent]) -> CritPath {
-        let cp = Self::from_events(events);
-        debug_assert!((cp.makespan - report.makespan_virt()).abs() <= 1e-12 * cp.makespan.max(1.0));
-        cp
     }
 
     /// Total virtual length of the chain — equals [`CritPath::makespan`]

@@ -2,7 +2,6 @@
 
 use crate::event::{EventKind, TraceEvent, Value};
 use std::cell::RefCell;
-use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -68,16 +67,6 @@ impl TraceSink {
         let mut events = std::mem::take(&mut *shared.events.lock().unwrap());
         events.sort_by(|a, b| a.t_wall.total_cmp(&b.t_wall));
         events
-    }
-
-    /// Writes the current event stream as JSON-Lines without draining it.
-    pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let Some(shared) = self.0.as_ref() else {
-            return Ok(());
-        };
-        let mut events = shared.events.lock().unwrap().clone();
-        events.sort_by(|a, b| a.t_wall.total_cmp(&b.t_wall));
-        w.write_all(crate::jsonl::encode_all(&events).as_bytes())
     }
 }
 
@@ -207,9 +196,6 @@ mod tests {
         assert!(!sink.is_enabled());
         assert!(sink.tracer(Some(0)).is_none());
         assert!(sink.take_events().is_empty());
-        let mut out = Vec::new();
-        sink.write_jsonl(&mut out).unwrap();
-        assert!(out.is_empty());
     }
 
     #[test]
@@ -270,23 +256,5 @@ mod tests {
         for rank in 0..4 {
             assert_eq!(events.iter().filter(|e| e.rank == Some(rank)).count(), 10);
         }
-    }
-
-    #[test]
-    fn write_jsonl_is_parseable_and_non_draining() {
-        let sink = TraceSink::recording();
-        {
-            let t = sink.host_tracer().unwrap();
-            t.span_begin("assembly", 0.0);
-            t.span_end("assembly", 0.0);
-        }
-        let mut out = Vec::new();
-        sink.write_jsonl(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let parsed = crate::jsonl::decode_all(&text).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].rank, None);
-        // Still available afterwards.
-        assert_eq!(sink.take_events().len(), 2);
     }
 }

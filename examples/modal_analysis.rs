@@ -21,7 +21,7 @@ fn main() {
     let mat = Material::unit();
 
     let k_raw = assembly::assemble_stiffness(&mesh, &dm, &mat);
-    let m_raw = assembly::assemble_mass(&mesh, &dm, &mat, true);
+    let m_raw = assembly::assemble_mass(&mesh, &dm, &mat, parfem::fem::Mass::Lumped);
     let mut f0 = vec![0.0; dm.n_dofs()];
     let k = assembly::apply_dirichlet(&k_raw, &dm, &mut f0);
     let m = assembly::apply_dirichlet_mass(&m_raw, &dm);

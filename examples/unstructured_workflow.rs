@@ -5,11 +5,10 @@
 //!
 //! Run with: `cargo run --release --example unstructured_workflow`
 
-use parfem::fem::{assembly, SubdomainSystem};
+use parfem::fem::assembly;
 use parfem::mesh::graph::greedy_bfs_partition_cells;
 use parfem::mesh::GenericQuadMesh;
 use parfem::prelude::*;
-use parfem_dd::SolveSession;
 
 fn main() {
     // 1. Produce an "external" mesh file: a distorted cantilever written in
@@ -53,27 +52,24 @@ fn main() {
         dm.n_free()
     );
 
-    // 4. Graph partitioning (no grid knowledge) + per-subdomain assembly.
+    // 4. Graph partitioning (no grid knowledge); each rank assembles its
+    //    own subdomain.
     let parts = 4;
     let partition = greedy_bfs_partition_cells(&mesh, parts);
-    let mat = Material::unit();
-    let systems: Vec<SubdomainSystem> = partition
-        .subdomains_of(&mesh)
-        .iter()
-        .map(|s| SubdomainSystem::build_generic(&mesh, &dm, &mat, s, &loads, None))
-        .collect();
-    for s in &systems {
+    for s in partition.subdomains_of(&mesh) {
         println!(
             "  rank {}: {} local nodes, {} local dofs, {} neighbours",
             s.rank,
             s.nodes.len(),
-            s.n_local_dofs(),
+            s.nodes.len() * dm.dofs_per_node(),
             s.neighbors.len()
         );
     }
 
     // 5. Parallel solve.
-    let out = SolveSession::from_systems(&systems, dm.n_dofs())
+    let mat = Material::unit();
+    let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+        .strategy(Strategy::Edd(partition))
         .machine(MachineModel::sgi_origin())
         .run()
         .expect("fault-free solve");
@@ -85,9 +81,8 @@ fn main() {
     );
 
     // 6. Verify against the sequential assembled system.
-    let k_raw = assembly::assemble_stiffness_generic(&mesh, &dm, &mat);
-    let mut rhs = loads.clone();
-    let k_bc = assembly::apply_dirichlet(&k_raw, &dm, &mut rhs);
+    let sys = assembly::build_static(&mesh, &dm, &mat, &loads);
+    let (k_bc, rhs) = (sys.stiffness, sys.rhs);
     let r = k_bc.spmv(&out.u);
     let err: f64 = r
         .iter()

@@ -94,7 +94,12 @@ fn dynamic_effective_matrix_matches_paper_form() {
     let dt = 0.25;
     let (keff, _) = first_step_system(&p, dt);
     let k_raw = parfem::fem::assembly::assemble_stiffness(&p.mesh, &p.dof_map, &p.material);
-    let m_raw = parfem::fem::assembly::assemble_mass(&p.mesh, &p.dof_map, &p.material, true);
+    let m_raw = parfem::fem::assembly::assemble_mass(
+        &p.mesh,
+        &p.dof_map,
+        &p.material,
+        parfem::fem::Mass::Lumped,
+    );
     let mut f = p.loads.clone();
     let k = parfem::fem::assembly::apply_dirichlet(&k_raw, &p.dof_map, &mut f);
     let m = parfem::fem::assembly::apply_dirichlet_mass(&m_raw, &p.dof_map);

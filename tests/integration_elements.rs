@@ -1,7 +1,7 @@
 //! Cross-crate integration for the extended element family (T3, Q8,
 //! distorted Q4) and the Section-5 planarity analysis.
 
-use parfem::fem::{assembly, quad8s, tri3};
+use parfem::fem::assembly;
 use parfem::mesh::graph::Adjacency;
 use parfem::mesh::{Quad8Mesh, TriMesh};
 use parfem::prelude::*;
@@ -41,7 +41,7 @@ fn all_three_element_families_solve_the_same_physics() {
         for n in mesh.edge_nodes(Edge::Left) {
             dm.clamp_node(n);
         }
-        let k = tri3::assemble_stiffness(&mesh, &dm, &mat);
+        let k = assembly::assemble_stiffness(&mesh, &dm, &mat);
         let mut loads = vec![0.0; dm.n_dofs()];
         // Same consistent edge load as the quad (shared node numbering).
         let qmesh = QuadMesh::cantilever(nx, ny);
@@ -58,7 +58,7 @@ fn all_three_element_families_solve_the_same_physics() {
         for n in mesh.edge_nodes(Edge::Left) {
             dm.clamp_node(n);
         }
-        let k = quad8s::assemble_stiffness(&mesh, &dm, &mat);
+        let k = assembly::assemble_stiffness(&mesh, &dm, &mat);
         let mut loads = vec![0.0; dm.n_dofs()];
         // Equal split over right-edge nodes (uniform tension is insensitive
         // to the consistent-vs-equal distribution at this tolerance level).

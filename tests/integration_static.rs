@@ -116,7 +116,7 @@ fn solution_is_partition_invariant() {
             .expect("fault-free solve")
     };
     let strips = run(ElementPartition::strips_x(&p.mesh, 4));
-    let blocks = run(ElementPartition::blocks(&p.mesh, 2, 2));
+    let blocks = run(ElementPartition::blocks_of(&p.mesh, 2, 2));
     let bfs = run(parfem::mesh::graph::greedy_bfs_partition(&p.mesh, 4));
     let scale = strips.u.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
     for ((a, b), c) in strips.u.iter().zip(&blocks.u).zip(&bfs.u) {
