@@ -13,16 +13,23 @@
 //!
 //! The workloads are fixed so the numbers are comparable across runs on the
 //! same machine: a 5-point 2-D Laplacian SpMV (MFLOP/s from `spmv_flops`),
-//! a GLS(7) polynomial-preconditioner application, and restarted FGMRES
+//! a GLS(7) polynomial-preconditioner application, restarted FGMRES
 //! iteration throughput (iterations/s) with and without polynomial
-//! preconditioning. The process installs [`parfem_trace::alloc::CountingAlloc`],
+//! preconditioning, the sparse LDLᵀ of the `elas3d-rdd-direct` rank block
+//! (MFLOP/s from `factor_flops`) and hex8 element stiffness throughput
+//! (elements/s). The process installs [`parfem_trace::alloc::CountingAlloc`],
 //! so the report also carries allocations-per-iteration for the FGMRES hot
 //! loop — the quantity the reusable Krylov workspace drives to zero.
 
-use parfem::prelude::{CantileverProblem, LoadCase, MachineModel, Material, PrecondSpec};
+use parfem::dd::RddSystem;
+use parfem::prelude::{
+    CantileverProblem, Discretization, HexMesh, LoadCase, MachineModel, Material, Physics,
+    PhysicsProblem, PrecondSpec,
+};
 use parfem_bench::harness::{decimals, merge_sections, significant, Case};
 use parfem_krylov::{fgmres_on, GmresConfig, GmresResult, KrylovWorkspace, OneRank};
 use parfem_precond::{GlsPrecond, IdentityPrecond, Preconditioner};
+use parfem_sparse::ldlt::{SparseLdlt, DEFAULT_PIVOT_TOL};
 use parfem_sparse::{scaling, BcsrMatrix, CooMatrix, CsrMatrix};
 use parfem_trace::alloc::{self, CountingAlloc};
 use parfem_trace::json::{self, Json};
@@ -79,7 +86,8 @@ struct BenchLine {
     n: usize,
     /// Wall seconds for the timed unit.
     secs: f64,
-    /// Headline rate: MFLOP/s for kernels, iterations/s for solves.
+    /// Headline rate: MFLOP/s for kernels, iterations/s for solves,
+    /// elements/s for element stiffness.
     rate: f64,
     /// Unit of `rate` (documentation only).
     rate_unit: &'static str,
@@ -246,6 +254,62 @@ where
     }
 }
 
+/// The whole sparse LDLᵀ (ordering, analysis, numeric phase) of the block
+/// the `elas3d-rdd-direct` workload factors on rank 0: the 3000-row
+/// diagonal block of the scaled 18×9×9 hex cantilever split in two x-slabs.
+fn bench_ldlt_factor() -> BenchLine {
+    let hex = PhysicsProblem::cantilever(
+        Physics::Elasticity3d,
+        (18, 9, 9),
+        Material::unit(),
+        LoadCase::PullX(1.0),
+    );
+    let sys = hex.static_system();
+    let (a, b, _) = scaling::scale_system(&sys.stiffness, &sys.rhs).expect("scale");
+    let block = RddSystem::build_all(&a, &b, &hex.node_partition(2)).swap_remove(0);
+    let flops = SparseLdlt::factor(&block.a_loc, DEFAULT_PIVOT_TOL).factor_flops();
+    let secs = time_best(20, || {
+        std::hint::black_box(SparseLdlt::factor(&block.a_loc, DEFAULT_PIVOT_TOL));
+    });
+    BenchLine {
+        name: "ldlt_factor_hex_half",
+        n: block.b_loc.len(),
+        secs,
+        rate: flops as f64 / secs / 1e6,
+        rate_unit: "mflops",
+        allocs_per_iter: None,
+        alloc_bytes_per_iter: None,
+    }
+}
+
+/// Element stiffness throughput of hex8 elasticity through the
+/// discretization seam: every element of a 14×14×14 hex cantilever (2744
+/// elements, the x-slab half of the `elas3d-edd-twolevel` mesh in size).
+/// The rate counts elements, not flops, so it does not move with the
+/// kernel's flop count.
+fn bench_hex8_stiffness() -> BenchLine {
+    let mesh = HexMesh::cantilever(14, 14, 14);
+    let disc = Discretization::new(&mesh, Physics::Elasticity3d);
+    let mat = Material::unit();
+    let n = mesh.n_elems();
+    let mut ke = vec![0.0; 576];
+    let secs = time_best(20, || {
+        for e in 0..n {
+            disc.stiffness(e, &mat, &mut ke);
+            std::hint::black_box(&ke);
+        }
+    });
+    BenchLine {
+        name: "hex8_stiffness",
+        n,
+        secs,
+        rate: n as f64 / secs,
+        rate_unit: "elems_per_s",
+        allocs_per_iter: None,
+        alloc_bytes_per_iter: None,
+    }
+}
+
 /// Blocking-vs-overlapped interface exchange under a machine model: the same
 /// EDD solve run twice, once with the overlapped nonblocking exchange. The
 /// iterates are bit-identical, so only the modeled (virtual) parallel time
@@ -309,6 +373,8 @@ fn run_all() -> Vec<BenchLine> {
             &GlsPrecond::for_scaled_system(7),
             200,
         ),
+        bench_ldlt_factor(),
+        bench_hex8_stiffness(),
     ]
 }
 

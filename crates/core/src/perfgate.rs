@@ -87,6 +87,7 @@ const fn bound(section: &'static str, pattern: &'static str, rule: Rule, limit: 
 const BOUNDS: &[Bound] = &[
     bound("current", "*.mflops", Rule::AtLeastTimesBaseline, MIN_THROUGHPUT_RATIO),
     bound("current", "*.iters_per_s", Rule::AtLeastTimesBaseline, MIN_THROUGHPUT_RATIO),
+    bound("current", "*.elems_per_s", Rule::AtLeastTimesBaseline, MIN_THROUGHPUT_RATIO),
     // The warm-workspace FGMRES benches are exactly allocation-free and
     // must stay that way, slack or not.
     bound("current", "fgmres_iteration*.allocs_per_iter", Rule::AtMostWithBaseline, 0.0),
@@ -395,6 +396,27 @@ mod tests {
         let report = evaluate_texts(&perf(2400.0, 0.0, 0.97), BASELINE).unwrap();
         assert!(!report.passed());
         assert_eq!(report.failures()[0].name, "overlap_modeled.ibm_sp2.speedup");
+    }
+
+    #[test]
+    fn element_throughput_collapse_fails() {
+        let baseline = r#"{
+            "schema": "parfem-bench-perf-v1",
+            "hex8_stiffness": { "n": 2744, "elems_per_s": 400000.0 }
+        }"#;
+        let perf = |rate: f64| {
+            format!(
+                r#"{{
+                    "schema": "parfem-bench-perf-v1",
+                    "current": {{ "hex8_stiffness": {{ "elems_per_s": {rate} }} }}
+                }}"#
+            )
+        };
+        let report = evaluate_texts(&perf(420000.0), baseline).unwrap();
+        assert!(report.passed(), "{}", report.render());
+        assert_eq!(report.checks.len(), 1);
+        let report = evaluate_texts(&perf(200000.0), baseline).unwrap();
+        assert_eq!(report.failures()[0].name, "hex8_stiffness.elems_per_s");
     }
 
     fn scaling_perf(ratio: f64, overlap_min: f64, eff: f64) -> String {

@@ -5,7 +5,9 @@
 //! [`parfem_mesh::HexMesh`] connectivity (bottom face counter-clockwise
 //! seen from `+z`, then the top face). Stiffness `kₑ = ∫ Bᵀ D B dΩ` is
 //! integrated with 2×2×2 Gauss quadrature, exact for the trilinear element
-//! on a parallelepiped.
+//! on a parallelepiped. Each column of the 6×24 strain matrix `B` has three
+//! structural nonzeros; [`stiffness`] forms `D·B` and `Bᵀ (D·B)` from those
+//! alone, to the bits of the dense product.
 
 use crate::material::Material;
 
@@ -19,11 +21,11 @@ const GP: f64 = 0.577_350_269_189_625_8; // 1/sqrt(3)
 
 /// Flops of one [`stiffness`] call, counted from the code: per Gauss point
 /// (eight of them) 482 for [`physical_gradients`] (shape derivatives 168,
-/// Jacobian 144, determinant 14, inverse 36, gradients 120), 1728 for `D·B`
-/// (144 entries of a 6-term dot) and 8064 for the update of `kₑ` (576
-/// entries of a 6-term dot, a weight and an add). The constitutive matrix is
-/// not counted.
-pub const STIFFNESS_FLOPS: u64 = 8 * ((168 + 144 + 14 + 36 + 120) + 1728 + 8064);
+/// Jacobian 144, determinant 14, inverse 36, gradients 120), 864 for `D·B`
+/// (144 entries of a 3-term dot over `B`'s structural nonzeros) and 4608
+/// for the update of `kₑ` (576 entries of a 3-term dot, a weight and an
+/// add). The constitutive matrix is not counted.
+pub const STIFFNESS_FLOPS: u64 = 8 * ((168 + 144 + 14 + 36 + 120) + 864 + 4608);
 
 /// Shape function values at `(xi, eta, zeta)`.
 pub fn shape_functions(xi: f64, eta: f64, zeta: f64) -> [f64; 8] {
@@ -95,10 +97,24 @@ pub fn physical_gradients(
     (det, dx, dy, dz)
 }
 
+/// The strain rows `(εxx, εyy, εzz, γxy, γyz, γzx)` of the structural
+/// nonzeros of `B`'s column for a node's x, y and z dof, ascending.
+const B_ROWS: [[usize; 3]; 3] = [[0, 3, 5], [1, 3, 4], [2, 4, 5]];
+
+/// Which physical gradient (`∂/∂x`, `∂/∂y`, `∂/∂z`) each of those nonzeros
+/// holds.
+const B_GRADIENT: [[usize; 3]; 3] = [[0, 1, 2], [1, 0, 2], [2, 1, 0]];
+
 /// The 24×24 element stiffness matrix (row-major) of a hex8 element.
 ///
 /// DOF ordering is `[u0x, u0y, u0z, u1x, …]`, matching a three-DOF
 /// [`parfem_mesh::DofMap`] over the element's connectivity order.
+///
+/// Per Gauss point, `D·B` and the update `kₑ += Bᵀ (D·B) det J` run over
+/// the three structural nonzeros of each column of the 6×24 strain matrix
+/// `B`, in ascending strain row, each sum started at `0.0` like the dense
+/// 6-term products: the terms they skip are exact zeros, so every entry
+/// has the bits of the dense `Bᵀ D B`.
 pub fn stiffness(coords: &[[f64; 3]; 8], material: &Material) -> [f64; 576] {
     let d = material.d_matrix_3d();
     let mut ke = [0.0f64; 576];
@@ -106,37 +122,38 @@ pub fn stiffness(coords: &[[f64; 3]; 8], material: &Material) -> [f64; 576] {
         for &gy in &[-GP, GP] {
             for &gz in &[-GP, GP] {
                 let (det, dx, dy, dz) = physical_gradients(coords, gx, gy, gz);
-                // B is 6x24: strain (exx, eyy, ezz, gxy, gyz, gzx) = B u_e.
-                let mut b = [0.0f64; 6 * 24];
-                for i in 0..8 {
-                    b[3 * i] = dx[i];
-                    b[24 + 3 * i + 1] = dy[i];
-                    b[2 * 24 + 3 * i + 2] = dz[i];
-                    b[3 * 24 + 3 * i] = dy[i];
-                    b[3 * 24 + 3 * i + 1] = dx[i];
-                    b[4 * 24 + 3 * i + 1] = dz[i];
-                    b[4 * 24 + 3 * i + 2] = dy[i];
-                    b[5 * 24 + 3 * i] = dz[i];
-                    b[5 * 24 + 3 * i + 2] = dx[i];
-                }
-                // ke += B^T D B * det (unit Gauss weights for the 2-point rule).
-                let mut db = [0.0f64; 6 * 24];
-                for r in 0..6 {
-                    for c in 0..24 {
-                        let mut acc = 0.0;
-                        for k in 0..6 {
-                            acc += d[r * 6 + k] * b[k * 24 + c];
+                let grads: [[f64; 3]; 8] = std::array::from_fn(|i| [dx[i], dy[i], dz[i]]);
+                // D·B, one row of 24 columns per strain component: column
+                // 3 i + a takes node i's gradients at the strain rows
+                // B_ROWS[a].
+                let mut db = [[0.0f64; 24]; 6];
+                for (row, dr) in db.iter_mut().zip(d.chunks_exact(6)) {
+                    for (cols, g) in row.chunks_exact_mut(3).zip(&grads) {
+                        for (a, x) in cols.iter_mut().enumerate() {
+                            let mut acc = 0.0;
+                            for (&k, &gk) in B_ROWS[a].iter().zip(&B_GRADIENT[a]) {
+                                acc += dr[k] * g[gk];
+                            }
+                            *x = acc;
                         }
-                        db[r * 24 + c] = acc;
                     }
                 }
-                for r in 0..24 {
-                    for c in 0..24 {
-                        let mut acc = 0.0;
-                        for k in 0..6 {
-                            acc += b[k * 24 + r] * db[k * 24 + c];
+                // kₑ += Bᵀ (D·B) det (unit Gauss weights for the 2-point rule):
+                // row 3 i + a of kₑ takes the three rows of D·B its column
+                // of B selects.
+                let rows = ke.chunks_exact_mut(72).zip(&grads);
+                for (ke_node, g) in rows {
+                    for (a, ke_r) in ke_node.chunks_exact_mut(24).enumerate() {
+                        let b = B_GRADIENT[a].map(|k| g[k]);
+                        let [k0, k1, k2] = B_ROWS[a].map(|k| &db[k]);
+                        let ke_r: &mut [f64; 24] = ke_r.try_into().expect("a row of 24");
+                        for c in 0..24 {
+                            let mut acc = 0.0;
+                            acc += b[0] * k0[c];
+                            acc += b[1] * k1[c];
+                            acc += b[2] * k2[c];
+                            ke_r[c] += acc * det;
                         }
-                        ke[r * 24 + c] += acc * det;
                     }
                 }
             }

@@ -6,8 +6,11 @@ use parfem_fem::assembly::{assemble_stiffness, build_static};
 use parfem_fem::{Discretization, Material, Physics, SubdomainSystem};
 use parfem_mesh::{DofMap, Edge, ElementPartition, Face, HexMesh, NodePartition, QuadMesh};
 use parfem_sparse::ldlt::{SparseLdlt, DEFAULT_PIVOT_TOL};
-use parfem_sparse::{CooMatrix, CsrMatrix};
+use parfem_sparse::{CooMatrix, CsrMatrix, SparseRows};
 use std::time::Instant;
+
+#[path = "../../sparse/tests/support/scalar_analysis.rs"]
+mod scalar_analysis;
 
 /// The diagonal block of `a` over `rows` (ascending global indices).
 fn diagonal_block(a: &CsrMatrix, rows: &[usize]) -> CsrMatrix {
@@ -32,6 +35,21 @@ fn node_rows(dm: &DofMap, nodes: &[usize], dofs: usize) -> Vec<usize> {
     (nodes.iter())
         .flat_map(|&n| (0..dofs).map(move |c| dm.dof(n, c)))
         .collect()
+}
+
+/// Holds the factor's supervariable analysis of `a` to the scalar
+/// row-subtree reference under the same permutation, array by array.
+fn assert_layout_is_scalar<A: SparseRows + ?Sized>(name: &str, a: &A) {
+    let got = SparseLdlt::layout(a);
+    let pattern: Vec<Vec<usize>> = (0..a.n_rows())
+        .map(|i| a.row_entries(i).map(|(j, _)| j).collect())
+        .collect();
+    let want = scalar_analysis::scalar_analysis(&pattern, &got.perm);
+    assert_eq!(got.first, want.first, "{name}: first");
+    assert_eq!(got.row_ptr, want.row_ptr, "{name}: row_ptr");
+    assert_eq!(got.rows, want.rows, "{name}: rows");
+    assert_eq!(got.val_ptr, want.val_ptr, "{name}: val_ptr");
+    assert_eq!(got.owner, want.owner, "{name}: owner");
 }
 
 /// FNV-1a of a permutation.
@@ -153,7 +171,8 @@ fn null_shift_on_a_floating_hex_block_matches_a_dense_solve() {
 /// The nested-dissection permutation and root separator of four real
 /// blocks, pinned to the row: an RDD hex half block, a 2-D elasticity node
 /// strip, a floating EDD hex subdomain and a heat node strip. A change to
-/// the graph bisection under the ordering must leave all four unmoved.
+/// the graph bisection under the ordering must leave all four unmoved, and
+/// the supervariable analysis of each must be the scalar one.
 #[test]
 fn dissection_permutations_stay_pinned() {
     let mat = Material::unit();
@@ -183,6 +202,7 @@ fn dissection_permutations_stay_pinned() {
     let sub = &ElementPartition::blocks_of(&box_mesh, 2, 1).subdomains_of(&box_mesh)[0];
     let loads = vec![0.0; dm.n_dofs()];
     let k = SubdomainSystem::build(&box_mesh, &dm, &mat, sub, &loads, None).k_local;
+    assert_layout_is_scalar("hex 12x6x6 P=2 floating EDD rank 0", &k);
     let floating = SparseLdlt::factor(&k, DEFAULT_PIVOT_TOL);
     assert_eq!(floating.n_skipped(), 6);
 
@@ -194,6 +214,13 @@ fn dissection_permutations_stay_pinned() {
     let rows = node_rows(&dm, &NodePartition::strips_x(&heat, 2).nodes_of(0), 1);
     let heat_strip = diagonal_block(&k, &rows);
 
+    for (name, block) in [
+        ("hex 18x9x9 RDD half block", &hex_half),
+        ("quad 48x48 P=2 node strip", &quad_strip),
+        ("heat 40x20 P=2 node strip", &heat_strip),
+    ] {
+        assert_layout_is_scalar(name, block);
+    }
     let factor = |a: &CsrMatrix| SparseLdlt::factor(a, DEFAULT_PIVOT_TOL);
     let cases = [
         (

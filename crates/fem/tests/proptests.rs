@@ -298,3 +298,91 @@ proptest! {
         assert_spd(&sys.stiffness);
     }
 }
+
+/// Strategy: a positively oriented hexahedron — a mildly distorted unit
+/// cube ([`hex_coords`]) stretched by positive axis scales spanning two
+/// decades and moved away from the origin — with a random `(E, ν)`.
+fn scaled_hex_and_material() -> impl Strategy<Value = ([[f64; 3]; 8], Material)> {
+    (
+        hex_coords(),
+        prop::collection::vec(0.1..10.0f64, 3),
+        prop::collection::vec(-50.0..50.0f64, 3),
+        (-3.0..12.0f64, 0.0..0.49f64),
+    )
+        .prop_map(|(mut coords, scale, shift, (log_e, nu))| {
+            for node in &mut coords {
+                for (a, x) in node.iter_mut().enumerate() {
+                    *x = *x * scale[a] + shift[a];
+                }
+            }
+            let material = Material {
+                youngs_modulus: 10f64.powf(log_e),
+                poissons_ratio: nu,
+                ..Material::unit()
+            };
+            (coords, material)
+        })
+}
+
+/// The dense `kₑ = Σ_g Bᵀ D B det J` with the full 6×24 strain matrix, every
+/// product a 6-term sum from `0.0` in ascending strain row: the reference
+/// the hex8 kernel's structural-nonzero sums must reproduce bit for bit.
+fn dense_hex_stiffness(coords: &[[f64; 3]; 8], material: &Material) -> Vec<f64> {
+    let d = material.d_matrix_3d();
+    let gp = 0.577_350_269_189_625_8;
+    let mut ke = vec![0.0f64; 576];
+    for gx in [-gp, gp] {
+        for gy in [-gp, gp] {
+            for gz in [-gp, gp] {
+                let (det, dx, dy, dz) = hex8::physical_gradients(coords, gx, gy, gz);
+                let mut b = [0.0f64; 6 * 24];
+                for i in 0..8 {
+                    b[3 * i] = dx[i];
+                    b[24 + 3 * i + 1] = dy[i];
+                    b[2 * 24 + 3 * i + 2] = dz[i];
+                    b[3 * 24 + 3 * i] = dy[i];
+                    b[3 * 24 + 3 * i + 1] = dx[i];
+                    b[4 * 24 + 3 * i + 1] = dz[i];
+                    b[4 * 24 + 3 * i + 2] = dy[i];
+                    b[5 * 24 + 3 * i] = dz[i];
+                    b[5 * 24 + 3 * i + 2] = dx[i];
+                }
+                let mut db = [0.0f64; 6 * 24];
+                for r in 0..6 {
+                    for c in 0..24 {
+                        let mut acc = 0.0;
+                        for k in 0..6 {
+                            acc += d[r * 6 + k] * b[k * 24 + c];
+                        }
+                        db[r * 24 + c] = acc;
+                    }
+                }
+                for r in 0..24 {
+                    for c in 0..24 {
+                        let mut acc = 0.0;
+                        for k in 0..6 {
+                            acc += b[k * 24 + r] * db[k * 24 + c];
+                        }
+                        ke[r * 24 + c] += acc * det;
+                    }
+                }
+            }
+        }
+    }
+    ke
+}
+
+// The hex8 kernel sums only the structural nonzeros of B; skipping exact
+// zero terms must leave every entry's bits as the dense product gives them.
+proptest! {
+    #[test]
+    fn hex_stiffness_has_the_bits_of_the_dense_product(
+        (coords, material) in scaled_hex_and_material()
+    ) {
+        let got = hex8::stiffness(&coords, &material);
+        let want = dense_hex_stiffness(&coords, &material);
+        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert_eq!(g.to_bits(), w.to_bits(), "entry ({}, {}): {} vs {}", k / 24, k % 24, g, w);
+        }
+    }
+}

@@ -20,19 +20,27 @@
 //!    each side before its separator, minimum degree below 64
 //!    supervariables. On the 3000-row hex block of the
 //!    `elas3d-rdd-direct` workload this cuts the factor flops from 190 M to
-//!    110 M, and the ordering costs about a fifth of the numeric phase
-//!    (4.3–5.6 ms against 19–30 ms on a loaded 2-vCPU host); the
-//!    `ordering_is_cheap…` unit test prints both on a 27-point stencil.
-//!    Ties go to the lowest index and nothing is random, so the
+//!    110 M. Ties go to the lowest index and nothing is random, so the
 //!    permutation — and every factor bit — is reproducible across runs and
 //!    platforms. Isolated rows (Dirichlet identities) come first and every
-//!    disconnected component is ordered on its own.
-//! 2. **Symbolic** — the elimination tree and the column counts of `L` in
-//!    one pass over the row subtrees, giving an exact allocation.
+//!    disconnected component is ordered on its own. The ordering hands its
+//!    supervariable graph and that graph's order to the analysis.
+//! 2. **Analysis** — on supervariables (`analyse`). The rows of a
+//!    supervariable are consecutive in the permutation and
+//!    indistinguishable, so each lies inside one fundamental supernode (see
+//!    below). One row-subtree walk of the supervariable graph, each visit
+//!    weighted by the visiting supervariable's rows, gives the elimination
+//!    tree and the column counts, hence the supernodes; a second walk, a
+//!    supernode per step, gives their row lists — the layout the scalar
+//!    walks over every entry of `A` give, array for array
+//!    (`tests/support/scalar_analysis.rs` is that walk, the reference the
+//!    tests hold it to).
 //! 3. **Numeric** — supernodal. Runs of columns that form a chain of the
 //!    tree with nested patterns (`parent[j] = j + 1`, `c_j = c_{j+1} + 1`,
 //!    `j + 1` has no other child) are *fundamental supernodes*: their
-//!    columns of `L` share one row list and are one dense panel. Each
+//!    columns of `L` share one row list and are one dense panel. `P A Pᵀ`
+//!    is scattered into the panels, a row's place in a panel found once per
+//!    row and panel. Each
 //!    panel is factored densely, four rows at a time against the columns
 //!    of its diagonal block, and then sends its update `L D Lᵀ` to its
 //!    ancestors: dense dot products, two rows by four columns at a time,
@@ -45,6 +53,13 @@
 //!    coarse operator) therefore factors to the same bits as column
 //!    storage would give it. Across panels the updates are dot products,
 //!    so the bits of larger factors depend on the panel structure.
+//!
+//! On that hex block (median of 60 factorizations on a loaded 2-vCPU
+//! host) the phases take: ordering 6.3–7.5 ms, analysis 3.5–4.0 ms as two
+//! scalar walks and 0.72–0.73 ms on supervariables, scatter 3.6–4.7 ms
+//! with a binary search per entry and 3.0–3.3 ms with the cached place,
+//! numeric loop 24–32 ms (EXPERIMENTS.md, "The 3-D setup path on nodes"); the
+//! `ordering_is_cheap…` unit test prints the split on a 27-point stencil.
 //!
 //! The factor holds one `u32` row index per panel row, not per entry, and
 //! exactly `nnz(L)` values: the diagonal blocks are packed triangles and
@@ -61,6 +76,7 @@
 
 mod ordering;
 
+use crate::graph::Graph;
 use crate::rows::SparseRows;
 
 /// Relative pivot tolerance of [`SparseLdlt::factor`]: a pivot whose
@@ -140,7 +156,23 @@ impl Panels {
     }
 }
 
-/// Tree root / "not yet visited" marker of the symbolic and numeric sweeps.
+/// The analysis of [`SparseLdlt::layout`], array by array as the factor
+/// holds it.
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PanelLayout {
+    /// `perm[new] = old`.
+    pub perm: Vec<u32>,
+    /// The fields of the factor's `Panels`.
+    pub first: Vec<u32>,
+    pub row_ptr: Vec<usize>,
+    pub rows: Vec<u32>,
+    pub val_ptr: Vec<usize>,
+    /// The supernode of every column.
+    pub owner: Vec<u32>,
+}
+
+/// Tree root / "not yet visited" marker of the analysis and numeric sweeps.
 const NONE: u32 = u32::MAX;
 
 impl SparseLdlt {
@@ -160,12 +192,35 @@ impl SparseLdlt {
             u32::try_from(n).is_ok_and(|n| n < NONE),
             "SparseLdlt::factor: dimension exceeds the u32 index range"
         );
-        let (perm, separator) = ordering::order(a);
-        let iperm = inverse(&perm);
-        let (parent, col_ptr) = symbolic(a, &perm, &iperm);
-        let mut factor = numeric(a, perm, &iperm, &parent, &col_ptr, pivot_tol);
+        let ordering::Ordered {
+            perm,
+            separator,
+            graph,
+            order,
+        } = ordering::order(a);
+        let (panels, owner) = analyse(graph, &order);
+        let mut factor = numeric(a, perm, panels, &owner, pivot_tol);
         factor.separator = separator;
         factor
+    }
+
+    /// The panel layout [`SparseLdlt::factor`] gives `a`, without the
+    /// numeric phase: the permutation, then for every supernode its first
+    /// column, its rows below the diagonal block and its value offsets,
+    /// and the supernode of every column. Exposed for the tests that hold
+    /// the supervariable analysis to a scalar reference.
+    #[doc(hidden)]
+    pub fn layout<A: SparseRows + ?Sized>(a: &A) -> PanelLayout {
+        let ordered = ordering::order(a);
+        let (panels, owner) = analyse(ordered.graph, &ordered.order);
+        PanelLayout {
+            perm: ordered.perm,
+            first: panels.first,
+            row_ptr: panels.row_ptr,
+            rows: panels.rows,
+            val_ptr: panels.val_ptr,
+            owner,
+        }
     }
 
     /// The system size.
@@ -370,99 +425,113 @@ fn inverse(perm: &[u32]) -> Vec<u32> {
     iperm
 }
 
-/// The elimination tree (`parent`, [`NONE`] at roots) and the column
-/// pointers of `L` for `P A Pᵀ`: the pattern of row `k` is the union of the
-/// tree paths from each `j < k` with `a_kj ≠ 0` up to `k`.
-fn symbolic<A: SparseRows + ?Sized>(a: &A, perm: &[u32], iperm: &[u32]) -> (Vec<u32>, Vec<usize>) {
-    let n = perm.len();
-    let mut parent = vec![NONE; n];
-    let mut visited = vec![NONE; n];
-    let mut count = vec![0usize; n];
-    for k in 0..n {
+/// The panel layout of `L` and the supernode of every column, from the
+/// supervariable graph `g` and its elimination order `order` (the rows of
+/// a supervariable are consecutive in the permutation).
+///
+/// The rows of a supervariable are indistinguishable, so within it `L` is a
+/// chain of nested columns: only its last column's rows below it need
+/// counting, and the fundamental supernodes are runs of whole
+/// supervariables. One row-subtree walk over the supervariable graph gives
+/// the elimination tree of the supervariables (`parent`) and the rows of
+/// `L` below each one's last column (`below`: each visit weighs the
+/// visiting supervariable's rows). Supervariable `k + 1` continues `k`'s
+/// supernode when it is `k`'s parent, has no other child, and the counts
+/// nest (`below[k] = below[k + 1] + w[k + 1]`): the scalar test of the
+/// columns at their boundary. A row lies below a supernode exactly when its
+/// row subtree passes through the supernode, so a second walk, a whole
+/// supernode per step, lists each supernode's rows in ascending order.
+/// Every array is supervariable- or supernode-sized, besides the row lists
+/// themselves.
+fn analyse(g: Graph, order: &[u32]) -> (Panels, Vec<u32>) {
+    let ns = order.len();
+    let mut at = vec![0u32; ns];
+    for (k, &v) in order.iter().enumerate() {
+        at[v as usize] = k as u32;
+    }
+    // `start[k]..start[k + 1]`: the columns of the `k`-th supervariable.
+    let mut start = Vec::with_capacity(ns + 1);
+    start.push(0u32);
+    for &v in order {
+        start.push(start[start.len() - 1] + g.vw[v as usize]);
+    }
+    let width = |k: usize| start[k + 1] - start[k];
+    // The earlier supervariables adjacent to the `k`-th, by position.
+    let earlier = |k: usize| {
+        (g.neighbours(order[k]).iter())
+            .map(|&u| at[u as usize] as usize)
+            .filter(move |&i| i < k)
+    };
+
+    let mut parent = vec![NONE; ns];
+    let mut visited = vec![NONE; ns];
+    let mut below = vec![0usize; ns];
+    for k in 0..ns {
         visited[k] = k as u32;
-        for (j, _) in a.row_entries(perm[k] as usize) {
-            let mut i = iperm[j] as usize;
+        for mut i in earlier(k) {
             while i < k && visited[i] != k as u32 {
                 if parent[i] == NONE {
                     parent[i] = k as u32;
                 }
-                count[i] += 1;
+                below[i] += width(k) as usize;
                 visited[i] = k as u32;
                 i = parent[i] as usize;
             }
         }
     }
-    let mut col_ptr = Vec::with_capacity(n + 1);
-    col_ptr.push(0);
-    for j in 0..n {
-        col_ptr.push(col_ptr[j] + count[j]);
-    }
-    (parent, col_ptr)
-}
 
-/// Fundamental supernodes of the elimination tree and the rows of `L` below
-/// each one's diagonal block. Column `j + 1` continues `j`'s supernode when
-/// it is `j`'s parent, has no other child, and their column counts nest
-/// (`c_j = c_{j+1} + 1`): the two columns then share every row below the
-/// block. Returns the panel layout and the supernode of every column.
-///
-/// Row `k` lies below supernode `s` exactly when the row subtree of `k`
-/// passes through `s`'s last column, so one walk over the row subtrees —
-/// a whole supernode per step — fills the row lists in ascending order.
-fn supernodes<A: SparseRows + ?Sized>(
-    a: &A,
-    perm: &[u32],
-    iperm: &[u32],
-    parent: &[u32],
-    col_ptr: &[usize],
-) -> (Panels, Vec<u32>) {
-    let n = perm.len();
-    let count = |j: usize| col_ptr[j + 1] - col_ptr[j];
-    let mut children = vec![0u32; n];
+    let mut children = vec![0u32; ns];
     for &p in parent.iter().filter(|&&p| p != NONE) {
         children[p as usize] += 1;
     }
     let mut first = vec![0u32];
-    let mut owner = vec![0u32; n];
-    for j in 1..n {
-        let joins = parent[j - 1] == j as u32 && children[j] == 1 && count(j - 1) == count(j) + 1;
+    // The supernode of every supervariable, and each supernode's last one.
+    let mut snode = vec![0u32; ns];
+    let mut last = Vec::new();
+    for k in 1..ns {
+        let joins = parent[k - 1] == k as u32
+            && children[k] == 1
+            && below[k - 1] == below[k] + width(k) as usize;
         if !joins {
-            first.push(j as u32);
+            first.push(start[k]);
+            last.push(k - 1);
         }
-        owner[j] = first.len() as u32 - 1;
+        snode[k] = first.len() as u32 - 1;
     }
-    if n > 0 {
-        first.push(n as u32);
+    if ns > 0 {
+        first.push(start[ns]);
+        last.push(ns - 1);
     }
-    let ns = first.len() - 1;
-    let last = |s: usize| first[s + 1] as usize - 1;
+    let n_snodes = last.len();
 
-    let mut row_ptr = vec![0usize; ns + 1];
-    let mut val_ptr = vec![0usize; ns + 1];
-    for s in 0..ns {
-        let (w, below) = ((first[s + 1] - first[s]) as usize, count(last(s)));
-        row_ptr[s + 1] = row_ptr[s] + below;
-        val_ptr[s + 1] = val_ptr[s] + tri(w) + w * below;
+    let mut row_ptr = vec![0usize; n_snodes + 1];
+    let mut val_ptr = vec![0usize; n_snodes + 1];
+    for (s, &k) in last.iter().enumerate() {
+        let w = (first[s + 1] - first[s]) as usize;
+        row_ptr[s + 1] = row_ptr[s] + below[k];
+        val_ptr[s + 1] = val_ptr[s] + tri(w) + w * below[k];
     }
-    let mut next = row_ptr[..ns].to_vec();
-    let mut rows = vec![0u32; row_ptr[ns]];
-    let mut visited = vec![NONE; ns];
-    for k in 0..n {
-        for (j, _) in a.row_entries(perm[k] as usize) {
-            let i = iperm[j] as usize;
-            if i >= k {
-                continue;
-            }
-            let mut s = owner[i] as usize;
-            while s != owner[k] as usize && visited[s] != k as u32 {
-                visited[s] = k as u32;
-                rows[next[s]] = k as u32;
-                next[s] += 1;
-                s = owner[parent[last(s)] as usize] as usize;
+    let mut next = row_ptr[..n_snodes].to_vec();
+    let mut rows = vec![0u32; row_ptr[n_snodes]];
+    let mut seen = vec![NONE; n_snodes];
+    for k in 0..ns {
+        for i in earlier(k) {
+            let mut s = snode[i] as usize;
+            while s != snode[k] as usize && seen[s] != k as u32 {
+                seen[s] = k as u32;
+                for r in start[k]..start[k + 1] {
+                    rows[next[s]] = r;
+                    next[s] += 1;
+                }
+                s = snode[parent[last[s]] as usize] as usize;
             }
         }
     }
     debug_assert_eq!(next, row_ptr[1..]);
+    let mut owner = Vec::with_capacity(start[ns] as usize);
+    for (k, &s) in snode.iter().enumerate() {
+        owner.extend(std::iter::repeat_n(s, width(k) as usize));
+    }
     let panels = Panels {
         first,
         row_ptr,
@@ -484,17 +553,19 @@ const UPDATE_CHUNK: usize = 32;
 fn numeric<A: SparseRows + ?Sized>(
     a: &A,
     perm: Vec<u32>,
-    iperm: &[u32],
-    parent: &[u32],
-    col_ptr: &[usize],
+    panels: Panels,
+    owner: &[u32],
     pivot_tol: f64,
 ) -> SparseLdlt {
     let n = perm.len();
-    let (panels, owner) = supernodes(a, &perm, iperm, parent, col_ptr);
+    let iperm = inverse(&perm);
     let ns = panels.len();
     let mut vals = vec![0.0; panels.val_ptr[ns]];
     let mut d = vec![0.0; n];
     let mut nnz_a = 0;
+    // Row `k`'s place in panel `s` is searched once per row and panel and
+    // kept as `place[s] = (k, place)` for the rest of the row's entries.
+    let mut place = vec![(NONE, 0u32); ns];
     for k in 0..n {
         for (j, v) in a.row_entries(perm[k] as usize) {
             let i = iperm[j] as usize;
@@ -506,18 +577,21 @@ fn numeric<A: SparseRows + ?Sized>(
             }
             nnz_a += 1;
             let s = owner[i] as usize;
-            let f = panels.first(s);
-            let x = if k < f + panels.width(s) {
-                k - f
-            } else {
-                let below = panels.below(s).binary_search(&(k as u32));
-                panels.width(s) + below.expect("an entry of A lies in the pattern of L")
-            };
-            vals[panels.val_ptr[s] + entry(panels.width(s), x, i - f)] += v;
+            let (f, w) = (panels.first(s), panels.width(s));
+            if place[s].0 != k as u32 {
+                let x = if k < f + w {
+                    k - f
+                } else {
+                    let below = panels.below(s).binary_search(&(k as u32));
+                    w + below.expect("an entry of A lies in the pattern of L")
+                };
+                place[s] = (k as u32, x as u32);
+            }
+            vals[panels.val_ptr[s] + entry(w, place[s].1 as usize, i - f)] += v;
         }
     }
 
-    let diag_scale = (0..n).fold(0.0f64, |m, i| m.max(a.get(i, i).abs()));
+    let diag_scale = a.diagonal().iter().fold(0.0f64, |m, v| m.max(v.abs()));
     let threshold = pivot_tol * diag_scale.max(1e-300);
     let mut skipped = Vec::new();
     // Only a supernode with rows below its block sends an update.
@@ -546,7 +620,7 @@ fn numeric<A: SparseRows + ?Sized>(
             val_base: panels.val_ptr[s + 1],
             col_base: f + w,
         };
-        update_ancestors(&panels, &owner, s, panel, ds, target, &mut ld, &mut rel);
+        update_ancestors(&panels, owner, s, panel, ds, target, &mut ld, &mut rel);
     }
     skipped.sort_unstable();
     SparseLdlt {
@@ -873,11 +947,27 @@ fn dot2x4(a: [&[f64]; 4], b: [&[f64]; 2]) -> [[f64; 4]; 2] {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/scalar_analysis.rs"]
+mod scalar_analysis;
+
+#[cfg(test)]
 mod tests {
+    use super::scalar_analysis::scalar_analysis;
     use super::*;
     use crate::coo::CooMatrix;
     use crate::csr::CsrMatrix;
     use crate::dense::solve_dense;
+
+    /// The stored pattern of `a`, row by row.
+    fn pattern(a: &CsrMatrix) -> Vec<Vec<usize>> {
+        (0..a.n_rows()).map(|i| a.row(i).0.to_vec()).collect()
+    }
+
+    /// Entries of `L` below the diagonal under `perm`, by the scalar
+    /// reference.
+    fn nnz_under(a: &CsrMatrix, perm: &[u32]) -> usize {
+        scalar_analysis(&pattern(a), perm).col_ptr[a.n_rows()]
+    }
 
     fn from_dense(n: usize, a: &[f64]) -> CsrMatrix {
         let mut coo = CooMatrix::new(n, n);
@@ -1146,18 +1236,20 @@ mod tests {
         let a = stencil27(8, 3);
         let n = a.n_rows();
         let t = Instant::now();
-        let (perm, _) = ordering::order(&a);
+        let ordered = ordering::order(&a);
         let ordering_s = t.elapsed().as_secs_f64();
-        let iperm = inverse(&perm);
-        let (parent, col_ptr) = symbolic(&a, &perm, &iperm);
         let t = Instant::now();
-        let f = numeric(&a, perm, &iperm, &parent, &col_ptr, DEFAULT_PIVOT_TOL);
+        let (panels, owner) = analyse(ordered.graph, &ordered.order);
+        let analysis_s = t.elapsed().as_secs_f64();
+        let t = Instant::now();
+        let f = numeric(&a, ordered.perm, panels, &owner, DEFAULT_PIVOT_TOL);
         let numeric_s = t.elapsed().as_secs_f64();
         let natural: Vec<u32> = (0..n as u32).collect();
-        let unordered = symbolic(&a, &natural, &natural).1[n];
+        let unordered = nnz_under(&a, &natural);
         eprintln!(
-            "27-point stencil, {n} rows: ordering {:.2} ms, numeric {:.2} ms, nnz(L) {} (natural order {unordered})",
+            "27-point stencil, {n} rows: ordering {:.2} ms, analysis {:.2} ms, numeric {:.2} ms, nnz(L) {} (natural order {unordered})",
             ordering_s * 1e3,
+            analysis_s * 1e3,
             numeric_s * 1e3,
             f.nnz_l()
         );
@@ -1171,6 +1263,40 @@ mod tests {
         let mut z = a.spmv(&x);
         f.solve_in_place(&mut z);
         assert!(z.iter().zip(&x).all(|(p, q)| (p - q).abs() < 1e-10));
+    }
+
+    /// Holds [`SparseLdlt::layout`] of `a` to the scalar row-subtree
+    /// analysis under the same permutation, array by array.
+    fn assert_layout_is_scalar(a: &CsrMatrix) {
+        let got = SparseLdlt::layout(a);
+        let want = scalar_analysis(&pattern(a), &got.perm);
+        assert_eq!(got.first, want.first);
+        assert_eq!(got.row_ptr, want.row_ptr);
+        assert_eq!(got.rows, want.rows);
+        assert_eq!(got.val_ptr, want.val_ptr);
+        assert_eq!(got.owner, want.owner);
+    }
+
+    #[test]
+    fn supervariable_analysis_is_the_scalar_one() {
+        // Minimum degree and nested dissection orders, 1 and 3 dofs per
+        // node, interleaved identities, an empty matrix.
+        assert_layout_is_scalar(&grid_laplacian(7, 9));
+        assert_layout_is_scalar(&grid_laplacian(30, 30));
+        assert_layout_is_scalar(&two_dof_grid(4, 3));
+        assert_layout_is_scalar(&stencil27(6, 3));
+        let stencil = stencil27(4, 3);
+        let mut coo = CooMatrix::new(stencil.n_rows(), stencil.n_rows());
+        for i in 0..stencil.n_rows() {
+            let (cols, vals) = stencil.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                if i == j || (i % 7 != 3 && j % 7 != 3) {
+                    coo.push(i, j, v).unwrap();
+                }
+            }
+        }
+        assert_layout_is_scalar(&coo.to_csr());
+        assert_layout_is_scalar(&CooMatrix::new(0, 0).to_csr());
     }
 
     #[test]
@@ -1278,7 +1404,7 @@ mod tests {
     /// `Σ cⱼ²` over the column counts of `L` under `perm`: the
     /// [`SparseLdlt::factor_flops`] of that order, without the numeric phase.
     fn flops_under(a: &CsrMatrix, perm: &[u32]) -> u64 {
-        let (_, col_ptr) = symbolic(a, perm, &inverse(perm));
+        let col_ptr = scalar_analysis(&pattern(a), perm).col_ptr;
         col_ptr
             .windows(2)
             .map(|c| ((c[1] - c[0]) as u64).pow(2))
@@ -1348,7 +1474,9 @@ mod tests {
         // nested dissection needs at most 3/4 of minimum degree's flops
         // (measured: 0.46 and 0.59 of it), pinned to the flop.
         for (a, pinned) in [(stencil27(10, 3), 143_928_725), (grid9(60, 60), 3_850_681)] {
-            let (perm, separator) = ordering::order(&a);
+            let ordering::Ordered {
+                perm, separator, ..
+            } = ordering::order(&a);
             let nd = flops_under(&a, &perm);
             let md = flops_under(&a, &ordering::min_degree_ordering(&a));
             eprintln!(

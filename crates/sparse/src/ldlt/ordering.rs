@@ -21,22 +21,42 @@ use std::collections::BinaryHeap;
 /// size of nested dissection.
 pub(super) const LEAF: usize = 64;
 
-/// The ordering `perm[new] = old` of `a`'s rows and the rows in its root
-/// separator (`0` when minimum degree ordered the whole matrix; the largest
-/// over the components otherwise).
-pub(super) fn order<A: SparseRows + ?Sized>(a: &A) -> (Vec<u32>, usize) {
-    let (sv, g) = supervariables(a);
-    let ns = g.n();
+/// What [`order`] hands the factor's analysis: the row ordering, the
+/// supervariable graph it was derived from and that graph's own order.
+pub(super) struct Ordered {
+    /// `perm[new] = old`; the rows of one supervariable are consecutive
+    /// and ascending.
+    pub(super) perm: Vec<u32>,
+    /// Rows in the root separator (`0` when minimum degree ordered the
+    /// whole matrix; the largest over the components otherwise).
+    pub(super) separator: usize,
+    /// The supervariable graph; a vertex weighs its rows.
+    pub(super) graph: Graph,
+    /// The supervariables in elimination order: `perm` lists their rows.
+    pub(super) order: Vec<u32>,
+}
+
+/// The fill-reducing ordering of `a`'s rows, with the supervariable graph
+/// and order it came from.
+pub(super) fn order<A: SparseRows + ?Sized>(a: &A) -> Ordered {
+    let (sv, graph) = supervariables(a);
+    let ns = graph.n();
     let (order, separator) = if ns <= LEAF {
-        (min_degree(&g), 0)
+        (min_degree(&graph), 0)
     } else {
+        let g = &graph;
         let mut order: Vec<u32> = (0..ns as u32).filter(|&v| g.degree(v) == 0).collect();
         let rest: Vec<u32> = (0..ns as u32).filter(|&v| g.degree(v) > 0).collect();
         let ids: Vec<u32> = (0..ns as u32).collect();
-        let separator = dissect(&g, &rest, &ids, &mut order);
+        let separator = dissect(g, &rest, &ids, &mut order);
         (order, separator as usize)
     };
-    (rows_in(&sv, &order), separator)
+    Ordered {
+        perm: rows_in(&sv, &order),
+        separator,
+        graph,
+        order,
+    }
 }
 
 /// The rows in the order of their supervariables (`sv[row]`) in `order`,

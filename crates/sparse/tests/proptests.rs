@@ -456,3 +456,72 @@ proptest! {
         }
     }
 }
+
+#[path = "support/scalar_analysis.rs"]
+mod scalar_analysis;
+
+/// Largest node count of [`node_structured_pattern`]: with 3 dofs per node
+/// its graphs cross the 64-supervariable leaf, so both minimum degree and
+/// nested dissection order them.
+const MAX_NODES: usize = 110;
+
+/// Strategy: a finite-element-shaped symmetric matrix over up to
+/// [`MAX_NODES`] nodes of `b ∈ {1, 2, 3}` dofs — full `b × b` couplings
+/// between connected nodes, edges only inside `0..cut` or inside
+/// `cut..nodes` (two components, nodes without edges isolated), roughly one
+/// dof in five constrained to a lone diagonal (partly constrained nodes),
+/// numbered node by node or component by component.
+fn node_structured_pattern() -> impl Strategy<Value = CsrMatrix> {
+    (
+        (1..4usize, 2..MAX_NODES + 1, 0..MAX_NODES + 1, 0..2usize),
+        prop::collection::vec((0..MAX_NODES, 0..MAX_NODES), 0..4 * MAX_NODES),
+        prop::collection::vec(0..5usize, 3 * MAX_NODES),
+    )
+        .prop_map(|((b, nodes, cut, numbering), edges, marks)| {
+            let n = b * nodes;
+            let dof = |p: usize, c: usize| match numbering {
+                0 => b * p + c,
+                _ => c * nodes + p,
+            };
+            let fixed = |r: usize| marks[r] == 0;
+            let mut coo = CooMatrix::new(n, n);
+            let couple = |p: usize, q: usize, coo: &mut CooMatrix| {
+                for (i, j) in (0..b).flat_map(|i| (0..b).map(move |j| (i, j))) {
+                    let (r, c) = (dof(p, i), dof(q, j));
+                    if !fixed(r) && !fixed(c) {
+                        coo.push(r, c, 1.0).unwrap();
+                    }
+                }
+            };
+            for p in 0..nodes {
+                couple(p, p, &mut coo);
+            }
+            let inside = |p: usize, q: usize| p < nodes && q < nodes && (p < cut) == (q < cut);
+            for &(p, q) in edges.iter().filter(|&&(p, q)| p != q && inside(p, q)) {
+                couple(p, q, &mut coo);
+                couple(q, p, &mut coo);
+            }
+            for r in (0..n).filter(|&r| fixed(r)) {
+                coo.push(r, r, 1.0).unwrap();
+            }
+            coo.to_csr()
+        })
+}
+
+// The factor's analysis runs on the supervariable graph of the ordering; it
+// must give the panel layout the scalar row-subtree walk gives, array for
+// array.
+proptest! {
+    #[test]
+    fn supervariable_analysis_equals_the_scalar_walk(a in node_structured_pattern()) {
+        use parfem_sparse::ldlt::SparseLdlt;
+        let got = SparseLdlt::layout(&a);
+        let pattern: Vec<Vec<usize>> = (0..a.n_rows()).map(|i| a.row(i).0.to_vec()).collect();
+        let want = scalar_analysis::scalar_analysis(&pattern, &got.perm);
+        prop_assert_eq!(&got.first, &want.first);
+        prop_assert_eq!(&got.row_ptr, &want.row_ptr);
+        prop_assert_eq!(&got.rows, &want.rows);
+        prop_assert_eq!(&got.val_ptr, &want.val_ptr);
+        prop_assert_eq!(&got.owner, &want.owner);
+    }
+}
