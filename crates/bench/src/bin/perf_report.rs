@@ -16,8 +16,10 @@
 //! a GLS(7) polynomial-preconditioner application, restarted FGMRES
 //! iteration throughput (iterations/s) with and without polynomial
 //! preconditioning, the sparse LDLᵀ of the `elas3d-rdd-direct` rank block
-//! (MFLOP/s from `factor_flops`) and hex8 element stiffness throughput
-//! (elements/s). The process installs [`parfem_trace::alloc::CountingAlloc`],
+//! (MFLOP/s from `factor_flops`, with the minor page faults of one
+//! factorization on a fresh thread), hex8 element stiffness throughput
+//! (elements/s) and the six-column node-block panel product of the coarse
+//! build (MFLOP/s). The process installs [`parfem_trace::alloc::CountingAlloc`],
 //! so the report also carries allocations-per-iteration for the FGMRES hot
 //! loop — the quantity the reusable Krylov workspace drives to zero.
 
@@ -30,7 +32,7 @@ use parfem_bench::harness::{decimals, merge_sections, significant, Case};
 use parfem_krylov::{fgmres_on, GmresConfig, GmresResult, KrylovWorkspace, OneRank};
 use parfem_precond::{GlsPrecond, IdentityPrecond, Preconditioner};
 use parfem_sparse::ldlt::{SparseLdlt, DEFAULT_PIVOT_TOL};
-use parfem_sparse::{scaling, BcsrMatrix, CooMatrix, CsrMatrix};
+use parfem_sparse::{scaling, BcsrMatrix, CooMatrix, CsrMatrix, SparseRows};
 use parfem_trace::alloc::{self, CountingAlloc};
 use parfem_trace::json::{self, Json};
 use std::time::Instant;
@@ -95,6 +97,8 @@ struct BenchLine {
     allocs_per_iter: Option<f64>,
     /// Allocated bytes per FGMRES iteration (solve benches only).
     alloc_bytes_per_iter: Option<f64>,
+    /// Minor page faults of one call on a fresh thread (the factorization).
+    minor_faults: Option<u64>,
 }
 
 impl BenchLine {
@@ -114,6 +118,7 @@ impl BenchLine {
             self.alloc_bytes_per_iter
                 .map(|b| ("alloc_bytes_per_iter", decimals(b, 1))),
         );
+        members.extend(self.minor_faults.map(|f| ("minor_faults", f.into())));
         Json::obj(members)
     }
 }
@@ -140,6 +145,7 @@ fn bench_spmv() -> BenchLine {
         rate_unit: "mflops",
         allocs_per_iter: None,
         alloc_bytes_per_iter: None,
+        minor_faults: None,
     }
 }
 
@@ -167,6 +173,7 @@ fn bench_spmv_bcsr() -> BenchLine {
         rate_unit: "mflops",
         allocs_per_iter: None,
         alloc_bytes_per_iter: None,
+        minor_faults: None,
     }
 }
 
@@ -195,6 +202,7 @@ fn bench_precond_apply() -> BenchLine {
         rate_unit: "mflops",
         allocs_per_iter: None,
         alloc_bytes_per_iter: None,
+        minor_faults: None,
     }
 }
 
@@ -251,6 +259,7 @@ where
         rate_unit: "iters_per_s",
         allocs_per_iter: Some(allocs_per_iter),
         alloc_bytes_per_iter: Some(bytes_per_iter),
+        minor_faults: None,
     }
 }
 
@@ -267,7 +276,22 @@ fn bench_ldlt_factor() -> BenchLine {
     let sys = hex.static_system();
     let (a, b, _) = scaling::scale_system(&sys.stiffness, &sys.rhs).expect("scale");
     let block = RddSystem::build_all(&a, &b, &hex.node_partition(2)).swap_remove(0);
-    let flops = SparseLdlt::factor(&block.a_loc, DEFAULT_PIVOT_TOL).factor_flops();
+    // The pages one factorization touches first, on a thread of its own
+    // as a rank's: its buffers are fresh memory, not the pages an earlier
+    // factorization of this thread freed. An ordering first warms the
+    // thread's allocator arena, as a rank's assembly warms its own, so the
+    // count is the factor's output and scratch, not the arena's growth.
+    let (flops, faults) = std::thread::scope(|s| {
+        s.spawn(|| {
+            std::hint::black_box(SparseLdlt::layout(&block.a_loc));
+            let before = alloc::minor_faults();
+            let flops = SparseLdlt::factor(&block.a_loc, DEFAULT_PIVOT_TOL).factor_flops();
+            let faults = before.zip(alloc::minor_faults()).map(|(b, a)| a - b);
+            (flops, faults)
+        })
+        .join()
+        .expect("factor thread")
+    });
     let secs = time_best(20, || {
         std::hint::black_box(SparseLdlt::factor(&block.a_loc, DEFAULT_PIVOT_TOL));
     });
@@ -279,6 +303,38 @@ fn bench_ldlt_factor() -> BenchLine {
         rate_unit: "mflops",
         allocs_per_iter: None,
         alloc_bytes_per_iter: None,
+        minor_faults: faults,
+    }
+}
+
+/// The node-block panel product the coarse build smooths its modes with:
+/// `Y = A Z` for six columns over the 3×3 blocks of the 14×14×14 hex
+/// cantilever (clamped at x = 0), MFLOP/s from `2·nnz·k`.
+fn bench_panel_bcsr3() -> BenchLine {
+    let hex = PhysicsProblem::cantilever(
+        Physics::Elasticity3d,
+        (14, 14, 14),
+        Material::unit(),
+        LoadCase::PullX(1.0),
+    );
+    let a = hex.static_system().stiffness;
+    let blocks = BcsrMatrix::from_csr(&a, 3).expect("three DOFs per node");
+    let (n, k) = (a.n_rows(), 6);
+    let z: Vec<f64> = (0..n * k).map(|e| ((e * 7) % 17) as f64 - 8.0).collect();
+    let mut y = vec![0.0; n * k];
+    let secs = time_best(20, || {
+        blocks.mul_panel(&z, k, &mut y);
+        std::hint::black_box(&y);
+    });
+    BenchLine {
+        name: "panel_bcsr3_k6",
+        n,
+        secs,
+        rate: (2 * a.nnz() * k) as f64 / secs / 1e6,
+        rate_unit: "mflops",
+        allocs_per_iter: None,
+        alloc_bytes_per_iter: None,
+        minor_faults: None,
     }
 }
 
@@ -307,6 +363,7 @@ fn bench_hex8_stiffness() -> BenchLine {
         rate_unit: "elems_per_s",
         allocs_per_iter: None,
         alloc_bytes_per_iter: None,
+        minor_faults: None,
     }
 }
 
@@ -375,6 +432,7 @@ fn run_all() -> Vec<BenchLine> {
         ),
         bench_ldlt_factor(),
         bench_hex8_stiffness(),
+        bench_panel_bcsr3(),
     ]
 }
 

@@ -24,6 +24,11 @@ const MAX_ALLOC_RATIO: f64 = 1.25;
 /// Additive slack for allocation metrics, in the metric's own unit: a
 /// zero-allocation reference still admits a few allocations per iteration.
 const ALLOC_SLACK: f64 = 16.0;
+/// Most minor page faults one factorization of the `elas3d-rdd-direct`
+/// rank block may take on a fresh thread: its `L` fills 936 pages, each
+/// touched once when its zeros are written before the scatter (twice, at
+/// 1 873 faults, when `+=` first read an untouched zero page).
+const MAX_FACTOR_FAULTS: f64 = 1000.0;
 /// Highest allowed two-level iteration growth from `p_min` to `p_max` in
 /// the `scaling` bin's weak family (near-flat counts are the whole point
 /// of the coarse space).
@@ -94,6 +99,7 @@ const BOUNDS: &[Bound] = &[
     bound("current", "fgmres_iteration*.alloc_bytes_per_iter", Rule::AtMostWithBaseline, 0.0),
     bound("current", "*.allocs_per_iter", Rule::AtMostTimesBaselinePlusSlack, MAX_ALLOC_RATIO),
     bound("current", "*.alloc_bytes_per_iter", Rule::AtMostTimesBaselinePlusSlack, MAX_ALLOC_RATIO),
+    bound("current", "ldlt_factor_hex_half.minor_faults", Rule::AtMostWithBaseline, MAX_FACTOR_FAULTS),
     // Overlapping may never be modeled as slower than blocking.
     bound("overlap_modeled", "*.speedup", Rule::AtLeast, 1.0),
     // The graph partitioner may never lose to the strips it refines.
@@ -417,6 +423,30 @@ mod tests {
         assert_eq!(report.checks.len(), 1);
         let report = evaluate_texts(&perf(200000.0), baseline).unwrap();
         assert_eq!(report.failures()[0].name, "hex8_stiffness.elems_per_s");
+    }
+
+    #[test]
+    fn factor_page_faults_past_the_bound_fail() {
+        let baseline = r#"{
+            "schema": "parfem-bench-perf-v1",
+            "ldlt_factor_hex_half": { "n": 3000, "mflops": 4000.0, "minor_faults": 1873 }
+        }"#;
+        let perf = |faults: u64| {
+            format!(
+                r#"{{
+                    "schema": "parfem-bench-perf-v1",
+                    "current": {{ "ldlt_factor_hex_half": {{ "mflops": 4000.0, "minor_faults": {faults} }} }}
+                }}"#
+            )
+        };
+        let report = evaluate_texts(&perf(937), baseline).unwrap();
+        assert!(report.passed(), "{}", report.render());
+        assert_eq!(report.checks.len(), 2);
+        let report = evaluate_texts(&perf(1873), baseline).unwrap();
+        assert_eq!(
+            report.failures()[0].name,
+            "ldlt_factor_hex_half.minor_faults"
+        );
     }
 
     fn scaling_perf(ratio: f64, overlap_min: f64, eff: f64) -> String {

@@ -220,7 +220,9 @@ fn exported_json_trees_stay_pinned() {
         .filter(|e| {
             e.rank.is_some()
                 && !(e.kind == EventKind::Counter
-                    && (e.name.starts_with("comm_wait_") || e.name == "rank_cpu"))
+                    && (e.name.starts_with("comm_wait_")
+                        || e.name == "rank_cpu"
+                        || e.name == "rank_minflt"))
         })
         .map(|e| TraceEvent { t_wall: 0.0, ..e })
         .collect();

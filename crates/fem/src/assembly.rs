@@ -17,6 +17,7 @@
 use crate::discretization::{Discretization, Mass};
 use crate::material::Material;
 use parfem_mesh::{DofMap, Edge, Face, HexMesh, QuadMesh};
+use parfem_sparse::dense::zeros;
 use parfem_sparse::{BcsrMatrix, CsrMatrix, NodeMatrix, SparseRows};
 use std::ops::Range;
 
@@ -135,16 +136,6 @@ fn window<'a>(nbrs: &'a [usize], cols: &Range<usize>) -> &'a [usize] {
             &nbrs[lo..lo + nbrs[lo..].partition_point(|&m| m < cols.end)]
         }
     }
-}
-
-/// A zero per value, written front to back rather than left as
-/// `vec![0.0; n]`'s untouched zero pages: when the scatter's strided
-/// writes are the first touch, on several rank threads at once, the page
-/// faults make the numeric pass two to three times slower.
-fn zeros(len: usize) -> Vec<f64> {
-    let mut values = Vec::with_capacity(len);
-    values.resize(len, 0.0);
-    values
 }
 
 impl Scatter for Pattern {

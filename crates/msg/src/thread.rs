@@ -56,7 +56,10 @@
 //! (`cpuset.sched_load_balance = 0`) can leave every rank thread on the CPU
 //! that spawned them, so a traced rank stamps the CPU it ended on as the
 //! rank counter `rank_cpu` (Linux `sched_getcpu`): a co-located run shows
-//! one CPU for all ranks.
+//! one CPU for all ranks. Next to it goes `rank_minflt`, the minor page
+//! faults the rank thread took over its life (Linux
+//! `getrusage(RUSAGE_THREAD)`): the first touches of the pages its setup
+//! buffers occupy, a cost no allocation counter shows.
 
 use crate::comm::Communicator;
 use crate::error::CommError;
@@ -915,6 +918,9 @@ where
                         tracer.add_count("comm_wait_collective_us", micros(&comm.wait_collective));
                         if let Some(cpu) = current_cpu() {
                             tracer.add_count("rank_cpu", cpu as u64);
+                        }
+                        if let Some(faults) = alloc::minor_faults() {
+                            tracer.add_count("rank_minflt", faults);
                         }
                         let mut fields = vec![
                             ("flops".to_string(), Value::U64(report.stats.flops)),

@@ -255,7 +255,7 @@ impl BcsrMatrix {
 
     /// The mask of block `k`, for ascending `k` from `lo` on: full, except
     /// the blocks listed in `fill`.
-    fn masks_from(&self, lo: usize) -> impl FnMut(usize) -> u16 + '_ {
+    pub(crate) fn masks_from(&self, lo: usize) -> impl FnMut(usize) -> u16 + '_ {
         let mut fill = &self.fill[self.fill.partition_point(|f| (f.0 as usize) < lo)..];
         let full = full_mask(self.b);
         move |k| match fill.first() {
@@ -383,23 +383,60 @@ impl BcsrMatrix {
         acc
     }
 
-    /// [`SparseRows::mul_panel`] at block size `B`: the `B` rows of a block
-    /// row side by side, one block at a time for every column.
+    /// [`SparseRows::mul_panel`] at block size `B`: a block row's `B`
+    /// rows, [`PANEL_STRIP`] columns at a time, summed in registers across
+    /// the row's blocks and stored once.
     #[inline(always)]
     fn mul_panel_b<const B: usize>(&self, z: &[f64], k: usize, y: &mut [f64]) {
-        let mut mask_of = self.masks_from(0);
         let rows = y[..self.n_rows * k].chunks_exact_mut(B * k);
         for (br, yb) in rows.enumerate() {
-            yb.fill(0.0);
-            let (lo, hi) = (self.brow_ptr[br], self.brow_ptr[br + 1]);
-            let blocks = self.blocks[lo * B * B..hi * B * B].chunks_exact(B * B);
-            for (kb, (&bc, block)) in (lo..).zip(self.bcol_idx[lo..hi].iter().zip(blocks)) {
-                let (mask, zb) = (mask_of(kb), &z[bc as usize * B * k..][..B * k]);
-                let block_rows = yb.chunks_exact_mut(k).zip(block.chunks_exact(B));
-                for (i, (yr, a)) in block_rows.enumerate() {
-                    block_row_panel::<B>(yr, a, zb, k, mask >> (i * B));
+            let blocks = self.brow_ptr[br]..self.brow_ptr[br + 1];
+            let mut c0 = 0;
+            while c0 + PANEL_STRIP <= k {
+                self.panel_strip::<B, PANEL_STRIP>(blocks.clone(), z, k, c0, yb);
+                c0 += PANEL_STRIP;
+            }
+            match k - c0 {
+                0 => {}
+                1 => self.panel_strip::<B, 1>(blocks, z, k, c0, yb),
+                2 => self.panel_strip::<B, 2>(blocks, z, k, c0, yb),
+                _ => self.panel_strip::<B, 3>(blocks, z, k, c0, yb),
+            }
+        }
+    }
+
+    /// Columns `c0..c0 + W` of one block row of [`SparseRows::mul_panel`]
+    /// into `yb` (the row's `B` rows of `k`): entry `(i, c)` is the chain
+    /// `0 + a_ij z_jc + …` over the blocks in stored order and, within a
+    /// block, the kept entries (the mask's; fill left out) in column order
+    /// — the chain of [`SparseRows::row_dot`], one add at a time.
+    #[inline(always)]
+    fn panel_strip<const B: usize, const W: usize>(
+        &self,
+        blocks: std::ops::Range<usize>,
+        z: &[f64],
+        k: usize,
+        c0: usize,
+        yb: &mut [f64],
+    ) {
+        let mut acc = [[0.0; W]; B];
+        let (mut mask_of, full) = (self.masks_from(blocks.start), full_mask(B));
+        for kb in blocks {
+            let (mask, bc) = (mask_of(kb), self.bcol_idx[kb] as usize);
+            let a = &self.blocks[kb * B * B..][..B * B];
+            let zs: [&[f64]; B] = std::array::from_fn(|j| &z[(bc * B + j) * k + c0..][..W]);
+            for (i, acc) in acc.iter_mut().enumerate() {
+                for (j, zj) in zs.iter().enumerate() {
+                    if mask == full || mask >> (i * B + j) & 1 != 0 {
+                        for (o, &zc) in acc.iter_mut().zip(zj.iter()) {
+                            *o += a[i * B + j] * zc;
+                        }
+                    }
                 }
             }
+        }
+        for (i, acc) in acc.iter().enumerate() {
+            yb[i * k + c0..][..W].copy_from_slice(acc);
         }
     }
 
@@ -509,6 +546,10 @@ impl SparseRows for BcsrMatrix {
         BcsrMatrix::diagonal(self)
     }
 
+    fn node_blocks(&self) -> Option<&BcsrMatrix> {
+        Some(self)
+    }
+
     fn nnz(&self) -> usize {
         self.nnz
     }
@@ -526,6 +567,10 @@ impl SparseRows for BcsrMatrix {
         b * (hi - lo) - missing
     }
 }
+
+/// Panel columns [`BcsrMatrix::mul_panel`](SparseRows::mul_panel) keeps in
+/// registers per block row: `B × 4` sums.
+const PANEL_STRIP: usize = 4;
 
 /// All `B²` entries of a block in the scalar pattern.
 fn full_mask(b: usize) -> u16 {

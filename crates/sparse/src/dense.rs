@@ -108,6 +108,20 @@ pub fn zero(x: &mut [f64]) {
     x.fill(0.0);
 }
 
+/// `len` zeros, written front to back rather than left as `vec![0.0; n]`'s
+/// untouched zero pages. A large `vec![0.0; n]` is a fresh mapping whose
+/// pages fault twice at their first `+=` — a read fault that maps the
+/// shared zero page, then a copy-on-write fault — so a buffer that is
+/// scattered into (assembly values, the factor's panels) takes one fault
+/// per page here instead, and the strided writes after it take none (on
+/// several rank threads at once those faults made the assembly's numeric
+/// pass two to three times slower).
+pub fn zeros(len: usize) -> Vec<f64> {
+    let mut values = Vec::with_capacity(len);
+    values.resize(len, 0.0);
+    values
+}
+
 /// Solves the dense `n x n` system `A x = b` by LU with partial pivoting.
 ///
 /// `a` is row-major and is consumed as scratch. Intended for small reference

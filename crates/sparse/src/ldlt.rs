@@ -11,7 +11,8 @@
 //!
 //! 1. **Ordering** (the `ordering` module) — rows with identical closed
 //!    adjacency (the 2 or 3 dofs of a mesh node) are merged into
-//!    supervariables, which shrinks a hex8 graph 3×. A graph of at most 64
+//!    supervariables, which shrinks a hex8 graph 3×; node blocks are read
+//!    block by block, nothing of the pattern is copied. A graph of at most 64
 //!    supervariables (a coarse operator, a small block) is ordered by
 //!    minimum degree on a quotient graph with element absorption and
 //!    approximate external degrees. A larger one is ordered by nested dissection: multilevel
@@ -39,13 +40,15 @@
 //!    tree with nested patterns (`parent[j] = j + 1`, `c_j = c_{j+1} + 1`,
 //!    `j + 1` has no other child) are *fundamental supernodes*: their
 //!    columns of `L` share one row list and are one dense panel. `P A Pᵀ`
-//!    is scattered into the panels, a row's place in a panel found once per
-//!    row and panel. Each
+//!    is scattered into the panels (written with zeros first, so each page
+//!    faults once), node blocks a block at a time, a row's place in a panel
+//!    found once per row and panel. Each
 //!    panel is factored densely, four rows at a time against the columns
 //!    of its diagonal block, and then sends its update `L D Lᵀ` to its
 //!    ancestors: dense dot products, two rows by four columns at a time,
-//!    scattered through relative row indices, a bounded chunk of columns
-//!    per pass. The solves sweep the panels forwards and backwards.
+//!    scattered through relative row indices built once per ancestor, a
+//!    bounded chunk of columns per pass. The solves sweep the panels
+//!    forwards and backwards.
 //!
 //!    Within a panel every entry takes its terms in ascending column
 //!    order, one at a time, as a column-by-column elimination does; a
@@ -54,12 +57,23 @@
 //!    storage would give it. Across panels the updates are dot products,
 //!    so the bits of larger factors depend on the panel structure.
 //!
-//! On that hex block (median of 60 factorizations on a loaded 2-vCPU
-//! host) the phases take: ordering 6.3–7.5 ms, analysis 3.5–4.0 ms as two
-//! scalar walks and 0.72–0.73 ms on supervariables, scatter 3.6–4.7 ms
-//! with a binary search per entry and 3.0–3.3 ms with the cached place,
-//! numeric loop 24–32 ms (EXPERIMENTS.md, "The 3-D setup path on nodes"); the
-//! `ordering_is_cheap…` unit test prints the split on a 27-point stencil.
+//! On that hex block (median of 60 warm factorizations on a loaded 2-vCPU
+//! host; minor page faults of one factorization on a fresh thread, the
+//! allocator warmed by an earlier ordering as a rank's is by its assembly)
+//! the phases take:
+//!
+//! | phase | time | page faults |
+//! |---|---|---|
+//! | ordering (supervariables 0.7 ms of it) | 6.1–6.3 ms | 0 |
+//! | analysis | 0.8 ms | 0 |
+//! | scatter (zeros written first) | 2.3–2.4 ms | 937 — each page of `L` once |
+//! | numeric loop | 31 ms | 0 |
+//!
+//! Before the zeros were written first, `L`'s pages took two faults each
+//! (1 383 in the scatter, 490 in the loop), and the supervariable pass,
+//! reading a copy of the scalar pattern, 1.5 ms (EXPERIMENTS.md, "The
+//! LDLᵀ setup at its floor"). The `ordering_is_cheap…` unit test prints
+//! the split on a 27-point stencil.
 //!
 //! The factor holds one `u32` row index per panel row, not per entry, and
 //! exactly `nnz(L)` values: the diagonal blocks are packed triangles and
@@ -76,6 +90,8 @@
 
 mod ordering;
 
+use crate::bcsr::BcsrMatrix;
+use crate::dense::zeros;
 use crate::graph::Graph;
 use crate::rows::SparseRows;
 
@@ -223,6 +239,13 @@ impl SparseLdlt {
         }
     }
 
+    /// The strictly lower `L` (panel by panel) and the pivots `D`, as
+    /// stored: exposed for the tests that pin the factor's bits.
+    #[doc(hidden)]
+    pub fn factor_values(&self) -> (&[f64], &[f64]) {
+        (&self.vals, &self.d)
+    }
+
     /// The system size.
     pub fn dim(&self) -> usize {
         self.d.len()
@@ -339,8 +362,7 @@ impl SparseLdlt {
     /// Allocating convenience wrapper around
     /// [`SparseLdlt::solve_in_place_with`].
     pub fn solve_in_place(&self, b: &mut [f64]) {
-        let mut scratch = vec![0.0; self.dim()];
-        self.solve_in_place_with(b, &mut scratch);
+        self.solve_in_place_with(b, &mut zeros(self.dim()));
     }
 
     /// Supernode `s`: its first column and width, the rows below its
@@ -545,11 +567,11 @@ fn analyse(g: Graph, order: &[u32]) -> (Panels, Vec<u32>) {
 /// `L D` buffer holds this many panel rows, whatever the front sizes.
 const UPDATE_CHUNK: usize = 32;
 
-/// The supernodal numeric phase. `P A Pᵀ`'s lower triangle, as stored by
-/// rows, is scattered into zeroed panels and into `D`; then, in column
-/// order, each panel is factored ([`factor_panel`]) and subtracts its
-/// update from its ancestors ([`update_ancestors`]). A skipped pivot leaves
-/// `d = 0` and a zero column of `L`.
+/// The supernodal numeric phase. `P A Pᵀ`'s lower triangle is scattered
+/// into zeroed panels and into `D` ([`Scatter`]); then, in column order,
+/// each panel is factored ([`factor_panel`]) and subtracts its update from
+/// its ancestors ([`update_ancestors`]). A skipped pivot leaves `d = 0` and
+/// a zero column of `L`.
 fn numeric<A: SparseRows + ?Sized>(
     a: &A,
     perm: Vec<u32>,
@@ -560,47 +582,37 @@ fn numeric<A: SparseRows + ?Sized>(
     let n = perm.len();
     let iperm = inverse(&perm);
     let ns = panels.len();
-    let mut vals = vec![0.0; panels.val_ptr[ns]];
-    let mut d = vec![0.0; n];
-    let mut nnz_a = 0;
-    // Row `k`'s place in panel `s` is searched once per row and panel and
-    // kept as `place[s] = (k, place)` for the rest of the row's entries.
-    let mut place = vec![(NONE, 0u32); ns];
-    for k in 0..n {
-        for (j, v) in a.row_entries(perm[k] as usize) {
-            let i = iperm[j] as usize;
-            if i == k {
-                d[k] += v;
-            }
-            if i >= k {
-                continue;
-            }
-            nnz_a += 1;
-            let s = owner[i] as usize;
-            let (f, w) = (panels.first(s), panels.width(s));
-            if place[s].0 != k as u32 {
-                let x = if k < f + w {
-                    k - f
-                } else {
-                    let below = panels.below(s).binary_search(&(k as u32));
-                    w + below.expect("an entry of A lies in the pattern of L")
-                };
-                place[s] = (k as u32, x as u32);
-            }
-            vals[panels.val_ptr[s] + entry(w, place[s].1 as usize, i - f)] += v;
-        }
+    // Written before the scatter's first `+=` (see `dense::zeros`).
+    let mut vals = zeros(panels.val_ptr[ns]);
+    let mut d = zeros(n);
+    let rows_per_node = a.node_blocks().map_or(1, BcsrMatrix::block_size);
+    let mut scatter = Scatter {
+        panels: &panels,
+        owner,
+        iperm: &iperm,
+        vals: &mut vals,
+        d: &mut d,
+        place: vec![(NONE, 0); rows_per_node * ns],
+        nnz_a: 0,
+    };
+    match a.node_blocks() {
+        Some(blocks) if blocks.block_size() == 2 => scatter.blocks::<2>(blocks),
+        Some(blocks) => scatter.blocks::<3>(blocks),
+        None => scatter.rows(a, &perm),
     }
+    let nnz_a = scatter.nnz_a;
 
-    let diag_scale = a.diagonal().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    // `d` holds the diagonal of `A` until the first panel is factored.
+    let diag_scale = d.iter().fold(0.0f64, |m, v| m.max(v.abs()));
     let threshold = pivot_tol * diag_scale.max(1e-300);
     let mut skipped = Vec::new();
     // Only a supernode with rows below its block sends an update.
     let sends = (0..ns).filter(|&s| !panels.below(s).is_empty());
     let max_width = sends.map(|s| panels.width(s)).max().unwrap_or(0);
     let max_below = (0..ns).map(|s| panels.below(s).len()).max().unwrap_or(0);
-    let mut ld = vec![0.0; UPDATE_CHUNK * max_width];
+    let mut ld = zeros(UPDATE_CHUNK * max_width);
     let mut rel = vec![0u32; max_below];
-    let mut quad = vec![0.0; 4 * (0..ns).map(|s| panels.width(s)).max().unwrap_or(0)];
+    let mut quad = zeros(4 * (0..ns).map(|s| panels.width(s)).max().unwrap_or(0));
     for s in 0..ns {
         let (f, w) = (panels.first(s), panels.width(s));
         let (done, later) = vals.split_at_mut(panels.val_ptr[s + 1]);
@@ -633,6 +645,90 @@ fn numeric<A: SparseRows + ?Sized>(
         null_shift: 0.0,
         nnz_a,
         separator: 0,
+    }
+}
+
+/// The scatter of `P A Pᵀ`'s lower triangle into the zeroed panels and of
+/// its diagonal into `D`. Every entry lands on a place of its own, once, so
+/// the order the entries come in leaves the bits alone: node blocks are
+/// walked block by block, each block's rows and columns permuted once, any
+/// other storage row by row.
+struct Scatter<'a> {
+    panels: &'a Panels,
+    owner: &'a [u32],
+    iperm: &'a [u32],
+    vals: &'a mut [f64],
+    d: &'a mut [f64],
+    /// `place[B·s + r] = (k, x)`: row `k`, the `r`-th row of the block row
+    /// being walked, sits at place `x` of panel `s` — searched once per row
+    /// and panel (`B = 1` for scalar rows).
+    place: Vec<(u32, u32)>,
+    /// Entries of the strict lower triangle seen.
+    nnz_a: usize,
+}
+
+impl Scatter<'_> {
+    /// Scatters the scalar rows of `a`, in the permuted order.
+    fn rows<A: SparseRows + ?Sized>(&mut self, a: &A, perm: &[u32]) {
+        for (k, &old) in perm.iter().enumerate() {
+            for (j, v) in a.row_entries(old as usize) {
+                self.add(k, self.iperm[j] as usize, v, 0, 1);
+            }
+        }
+    }
+
+    /// Scatters the `B × B` node blocks of `a`, each once, fill left out.
+    fn blocks<const B: usize>(&mut self, a: &BcsrMatrix) {
+        let (brow_ptr, bcols, blocks) = a.raw_parts();
+        let mut mask_of = a.masks_from(0);
+        for br in 0..a.n_block_rows() {
+            let ks: [usize; B] = std::array::from_fn(|r| self.iperm[B * br + r] as usize);
+            let last_row = ks.iter().max().copied().unwrap_or(0);
+            for kb in brow_ptr[br]..brow_ptr[br + 1] {
+                let mask = mask_of(kb);
+                let bc = bcols[kb] as usize;
+                let is: [usize; B] = std::array::from_fn(|c| self.iperm[B * bc + c] as usize);
+                if is.iter().all(|&i| i > last_row) {
+                    continue; // Above the diagonal of `P A Pᵀ`.
+                }
+                let block = &blocks[kb * B * B..][..B * B];
+                for (r, (&k, row)) in ks.iter().zip(block.chunks_exact(B)).enumerate() {
+                    for (c, (&i, &v)) in is.iter().zip(row).enumerate() {
+                        if mask >> (r * B + c) & 1 != 0 {
+                            self.add(k, i, v, r, B);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Adds the entry `v` of `P A Pᵀ` in row `k`, column `i`, to `D` on the
+    /// diagonal and to `L` below it; `r` of `stride` is the row's slot in
+    /// the place cache.
+    #[inline(always)]
+    fn add(&mut self, k: usize, i: usize, v: f64, r: usize, stride: usize) {
+        if i == k {
+            self.d[k] += v;
+        }
+        if i >= k {
+            return;
+        }
+        self.nnz_a += 1;
+        let p = self.panels;
+        let s = self.owner[i] as usize;
+        let (f, w) = (p.first(s), p.width(s));
+        let place = &mut self.place[stride * s + r];
+        if place.0 != k as u32 {
+            let x = if k < f + w {
+                k - f
+            } else {
+                let below = p.below(s).binary_search(&(k as u32));
+                w + below.expect("an entry of A lies in the pattern of L")
+            };
+            *place = (k as u32, x as u32);
+        }
+        self.vals[p.val_ptr[s] + entry(w, place.1 as usize, i - f)] += v;
     }
 }
 
@@ -778,10 +874,11 @@ struct Ancestors<'a> {
 /// Subtracts supernode `s`'s update `L_B D L_Bᵀ` (`B` = the rows below its
 /// block, `l` = their rows of the finished panel) from its ancestors. The
 /// rows of `B` are taken in chunks that each fall in one ancestor's columns;
-/// per chunk, `L D` of its rows goes to `ld`, the position of every later
-/// row of `B` in that ancestor's panel to `rel`, and each update entry is
-/// one dot product scattered there (a diagonal one into the pivot),
-/// computed two rows by four columns at a time where the chunk allows.
+/// per ancestor, the position of every later row of `B` in its panel goes
+/// to `rel` once; per chunk, `L D` of its rows goes to `ld`, and each
+/// update entry is one dot product scattered there (a diagonal one into the
+/// pivot), computed two rows by four columns at a time where the chunk
+/// allows.
 #[allow(clippy::too_many_arguments)]
 fn update_ancestors(
     panels: &Panels,
@@ -803,6 +900,9 @@ fn update_ancestors(
     let below = panels.below(s);
     let l = &panel[tri(w)..];
     let r = below.len();
+    // `rel[c − base]`: the place of row `c` of B in the panel of `rel_of`,
+    // for every row from `base` on.
+    let (mut rel_of, mut base) = (NONE as usize, 0);
     let mut c0 = 0;
     while c0 < r {
         let t = owner[below[c0] as usize] as usize;
@@ -821,21 +921,25 @@ fn update_ancestors(
         }
         let ldc = &ld[..(c1 - c0) * w];
         // Rows of B inside t's columns sit in its block, the rest are a
-        // subset of the rows below t.
-        let below_t = panels.below(t);
-        let mut m = 0;
-        for (x, &g) in rel.iter_mut().zip(&below[c0..]) {
-            let g = g as usize;
-            *x = if g < ft + wt {
-                (g - ft) as u32
-            } else {
-                while below_t[m] as usize != g {
-                    m += 1;
-                }
-                (wt + m) as u32
-            };
+        // subset of the rows below t: one merge walk per target, however
+        // many chunks it takes.
+        if rel_of != t {
+            let below_t = panels.below(t);
+            let mut m = 0;
+            for (x, &g) in rel.iter_mut().zip(&below[c0..]) {
+                let g = g as usize;
+                *x = if g < ft + wt {
+                    (g - ft) as u32
+                } else {
+                    while below_t[m] as usize != g {
+                        m += 1;
+                    }
+                    (wt + m) as u32
+                };
+            }
+            (rel_of, base) = (t, c0);
         }
-        let (cols, later) = rel[..r - c0].split_at(c1 - c0);
+        let (cols, later) = rel[c0 - base..r - base].split_at(c1 - c0);
         let span = panels.values(t);
         let tv = &mut vals[span.start - val_base..span.end - val_base];
         let td = &mut pivots[ft - col_base..ft + wt - col_base];

@@ -12,6 +12,7 @@
 //! permutation is reproducible across runs and platforms.
 
 use super::NONE;
+use crate::bcsr::BcsrMatrix;
 use crate::graph::{self, balance_cap, components, induced, patience, GainQueue, Graph, FM_PASSES};
 use crate::rows::SparseRows;
 use std::cmp::Reverse;
@@ -39,7 +40,7 @@ pub(super) struct Ordered {
 /// The fill-reducing ordering of `a`'s rows, with the supervariable graph
 /// and order it came from.
 pub(super) fn order<A: SparseRows + ?Sized>(a: &A) -> Ordered {
-    let (sv, graph) = supervariables(a);
+    let (sv, graph) = supervariables_of(a);
     let ns = graph.n();
     let (order, separator) = if ns <= LEAF {
         (min_degree(&graph), 0)
@@ -81,33 +82,131 @@ fn rows_in(sv: &[u32], order: &[u32]) -> Vec<u32> {
     perm
 }
 
-/// The supervariable of every row and the supervariable graph of `a`'s
+/// A matrix's stored pattern as the ordering reads it: each scalar row as
+/// ascending runs `(c, bits)`, each the columns `b·c + j` for the set bits
+/// `j` of `bits`.
+trait Pattern {
+    fn n_rows(&self) -> usize;
+
+    /// Columns per run.
+    fn b(&self) -> usize;
+
+    /// The runs of row `i`.
+    fn runs(&self, i: usize) -> impl Iterator<Item = (usize, u16)> + '_;
+
+    /// Whether row `i` is known to have the pattern of row `i − 1` and to
+    /// hold it: the rows of one node of full blocks.
+    fn repeats(&self, _i: usize) -> bool {
+        false
+    }
+}
+
+/// Node blocks, read straight from the block arrays: one run per block of
+/// the row, fill left out.
+struct Blocks<'a>(&'a BcsrMatrix);
+
+impl Pattern for Blocks<'_> {
+    fn n_rows(&self) -> usize {
+        self.0.n_rows()
+    }
+
+    fn b(&self) -> usize {
+        self.0.block_size()
+    }
+
+    fn runs(&self, i: usize) -> impl Iterator<Item = (usize, u16)> + '_ {
+        let a = self.0;
+        let (b, br) = (a.block_size(), i / a.block_size());
+        let (brow_ptr, bcols, _) = a.raw_parts();
+        let (lo, hi) = (brow_ptr[br], brow_ptr[br + 1]);
+        let (mut mask_of, shift, row) = (a.masks_from(lo), (i % b) * b, (1u16 << b) - 1);
+        let runs = (lo..hi).map(move |k| (bcols[k] as usize, mask_of(k) >> shift & row));
+        runs.filter(|&(_, bits)| bits != 0)
+    }
+
+    fn repeats(&self, i: usize) -> bool {
+        let a = self.0;
+        let (b, br) = (a.block_size(), i / a.block_size());
+        let (brow_ptr, bcols, _) = a.raw_parts();
+        let (lo, hi) = (brow_ptr[br], brow_ptr[br + 1]);
+        let fill = a.fill();
+        let next_fill = fill.partition_point(|f| (f.0 as usize) < lo);
+        !i.is_multiple_of(b)
+            && fill.get(next_fill).is_none_or(|f| f.0 as usize >= hi)
+            && bcols[lo..hi].binary_search(&(br as u32)).is_ok()
+    }
+}
+
+/// Any other storage, through its scalar rows: one run per entry.
+struct Rows<'a, A: ?Sized>(&'a A);
+
+impl<A: SparseRows + ?Sized> Pattern for Rows<'_, A> {
+    fn n_rows(&self) -> usize {
+        self.0.n_rows()
+    }
+
+    fn b(&self) -> usize {
+        1
+    }
+
+    fn runs(&self, i: usize) -> impl Iterator<Item = (usize, u16)> + '_ {
+        self.0.row_entries(i).map(|(j, _)| (j, 1))
+    }
+}
+
+/// [`supervariables`] of `a`'s pattern, natively on node blocks.
+fn supervariables_of<A: SparseRows + ?Sized>(a: &A) -> (Vec<u32>, Graph) {
+    match a.node_blocks() {
+        Some(blocks) => supervariables(&Blocks(blocks)),
+        None => supervariables(&Rows(a)),
+    }
+}
+
+/// The supervariable of every row and the supervariable graph of the
 /// pattern (unit edge weights). A row joins the first earlier neighbour
 /// with the same stored pattern (diagonal included — the closed adjacency);
 /// a supervariable's neighbours are listed in the order its first row
-/// meets them.
-fn supervariables<A: SparseRows + ?Sized>(a: &A) -> (Vec<u32>, Graph) {
-    let n = a.n_rows();
-    // The pattern, read once: row `i` is `cols[ptr[i]..ptr[i + 1]]`.
-    let mut ptr = Vec::with_capacity(n + 1);
-    let mut cols: Vec<u32> = Vec::new();
-    ptr.push(0);
+/// meets them. The pattern is read where it lies, nothing of it copied;
+/// rows are compared run by run, so the supervariables are those of the
+/// scalar rows whatever the storage.
+fn supervariables(p: &impl Pattern) -> (Vec<u32>, Graph) {
+    let (n, b) = (p.n_rows(), p.b());
+    let repeats: Vec<bool> = (0..n).map(|i| p.repeats(i)).collect();
+    // Rows of one pattern share its key: only such a pair is compared run
+    // by run.
+    let mut key = vec![0u64; n];
     for i in 0..n {
-        cols.extend(a.row_entries(i).map(|(j, _)| j as u32));
-        ptr.push(cols.len());
+        key[i] = match repeats[i] {
+            true => key[i - 1],
+            false => (p.runs(i)).fold(0, |h, (c, bits)| {
+                h.wrapping_add((c as u64) << 16 | u64::from(bits))
+            }),
+        };
     }
-    let row = |i: usize| &cols[ptr[i]..ptr[i + 1]];
-    // Rows of one pattern share its column sum: only such a pair is
-    // compared entry by entry.
-    let key: Vec<u64> = (0..n)
-        .map(|i| row(i).iter().map(|&j| u64::from(j)).sum())
-        .collect();
     let mut sv = vec![0u32; n];
     let mut rep: Vec<usize> = Vec::new();
     let mut weight: Vec<u32> = Vec::new();
     for i in 0..n {
-        let mut earlier = row(i).iter().map(|&j| j as usize).take_while(|&j| j < i);
-        match earlier.find(|&j| key[j] == key[i] && row(j) == row(i)) {
+        // The first earlier row of the pattern is `i − 1` itself, or the
+        // first one `i − 1` found.
+        if repeats[i] {
+            sv[i] = sv[i - 1];
+            weight[sv[i] as usize] += 1;
+            continue;
+        }
+        let mut twin = None;
+        'runs: for (c, bits) in p.runs(i) {
+            for j in (0..b).filter(|&j| bits >> j & 1 != 0).map(|j| b * c + j) {
+                if j >= i {
+                    break 'runs;
+                }
+                if key[j] == key[i] && p.runs(j).eq(p.runs(i)) {
+                    twin = Some(j);
+                    break 'runs;
+                }
+            }
+        }
+        match twin {
             Some(twin) => {
                 sv[i] = sv[twin];
                 weight[sv[i] as usize] += 1;
@@ -120,20 +219,24 @@ fn supervariables<A: SparseRows + ?Sized>(a: &A) -> (Vec<u32>, Graph) {
         }
     }
     let ns = rep.len();
-    let mut g = Graph::with_capacity(ns, 0);
+    // One run per neighbouring node: the adjacency of a node of full blocks.
+    let runs = rep.iter().map(|&r| p.runs(r).count()).sum();
+    let mut g = Graph::with_capacity(ns, runs);
     let mut mark = vec![NONE; ns];
     for (s, (&r, &w)) in rep.iter().zip(&weight).enumerate() {
         mark[s] = s as u32;
-        for &j in row(r) {
-            let t = sv[j as usize];
-            if mark[t as usize] != s as u32 {
-                mark[t as usize] = s as u32;
-                g.adj.push(t);
+        for (c, bits) in p.runs(r) {
+            for j in (0..b).filter(|&j| bits >> j & 1 != 0) {
+                let t = sv[b * c + j];
+                if mark[t as usize] != s as u32 {
+                    mark[t as usize] = s as u32;
+                    g.adj.push(t);
+                }
             }
         }
         g.close_vertex(w);
     }
-    g.ew = vec![1; g.adj.len()];
+    g.ew.resize(g.adj.len(), 1);
     (sv, g)
 }
 
@@ -537,12 +640,12 @@ impl Separator<'_> {
 /// size: the reference nested dissection is measured against.
 #[cfg(test)]
 pub(super) fn min_degree_ordering<A: SparseRows + ?Sized>(a: &A) -> Vec<u32> {
-    let (sv, g) = supervariables(a);
+    let (sv, g) = supervariables_of(a);
     rows_in(&sv, &min_degree(&g))
 }
 
 /// Vertices of `a`'s supervariable graph.
 #[cfg(test)]
 pub(super) fn supervariable_count<A: SparseRows + ?Sized>(a: &A) -> usize {
-    supervariables(a).1.n()
+    supervariables_of(a).1.n()
 }

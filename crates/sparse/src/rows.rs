@@ -81,6 +81,13 @@ pub trait SparseRows {
     fn diagonal(&self) -> Vec<f64> {
         (0..self.n_rows()).map(|r| self.get(r, r)).collect()
     }
+
+    /// The node blocks, when they are the storage: code that walks the
+    /// whole pattern (the factorization) reads them block by block instead
+    /// of through the scalar rows.
+    fn node_blocks(&self) -> Option<&BcsrMatrix> {
+        None
+    }
 }
 
 /// `y_c += a · z_c` for every column `c` of one panel row: the step each
@@ -315,6 +322,10 @@ impl SparseRows for NodeMatrix {
 
     fn diagonal(&self) -> Vec<f64> {
         NodeMatrix::diagonal(self)
+    }
+
+    fn node_blocks(&self) -> Option<&BcsrMatrix> {
+        self.as_blocks()
     }
 }
 

@@ -335,6 +335,35 @@ proptest! {
     }
 }
 
+// The node-block panel product keeps a block row's sums in registers
+// across its blocks; every width from 2 to 13 (full strips and each
+// remainder), fill blocks included, must keep the bits of the one-row
+// product.
+proptest! {
+    #[test]
+    fn block_panel_product_has_the_bits_of_its_rows(
+        (b, a) in node_blocked_matrix(9),
+        zs in prop::collection::vec(-5.0..5.0f64, 27 * 13),
+    ) {
+        let blocks = BcsrMatrix::from_csr(&a, b).expect("node-blocked by construction");
+        let mut row = vec![f64::NAN; 13];
+        for k in 2..=13 {
+            let z = &zs[..a.n_cols() * k];
+            let mut y = vec![f64::NAN; a.n_rows() * k];
+            blocks.mul_panel(z, k, &mut y);
+            for r in 0..a.n_rows() {
+                blocks.mul_panel_row(r, z, k, &mut row);
+                for c in 0..k {
+                    prop_assert_eq!(
+                        y[r * k + c].to_bits(), row[c].to_bits(),
+                        "b={} width {} row {} column {}", b, k, r, c
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Dense Gaussian elimination with partial pivoting — the reference the
 /// sparse direct solver is pinned against.
 fn dense_lu_solve(n: usize, a: &[f64], b: &[f64]) -> Vec<f64> {
@@ -523,5 +552,27 @@ proptest! {
         prop_assert_eq!(&got.rows, &want.rows);
         prop_assert_eq!(&got.val_ptr, &want.val_ptr);
         prop_assert_eq!(&got.owner, &want.owner);
+    }
+}
+
+// The factorization reads node blocks natively (the ordering's
+// supervariables from the block pattern, the scatter block by block); a
+// matrix copied into blocks must order and factor to the bits of its CSR
+// source, fill and merged nodes included.
+proptest! {
+    #[test]
+    fn node_blocks_factor_to_the_bits_of_their_csr(a in node_structured_pattern()) {
+        use parfem_sparse::ldlt::{SparseLdlt, DEFAULT_PIVOT_TOL};
+        let from_csr = SparseLdlt::factor(&a, DEFAULT_PIVOT_TOL);
+        for b in [2, 3] {
+            let Some(blocks) = BcsrMatrix::from_csr(&a, b) else { continue };
+            prop_assert_eq!(SparseLdlt::layout(&blocks), SparseLdlt::layout(&a));
+            let from_blocks = SparseLdlt::factor(&blocks, DEFAULT_PIVOT_TOL);
+            let bits = |f: &SparseLdlt| {
+                let (l, d) = f.factor_values();
+                (l.iter().chain(d).map(|v| v.to_bits()).collect::<Vec<_>>(), f.skipped_modes().to_vec())
+            };
+            prop_assert_eq!(bits(&from_blocks), bits(&from_csr), "b={}", b);
+        }
     }
 }

@@ -27,9 +27,11 @@
 //! [`live_bytes`] (allocated minus freed on this thread) and its high-water
 //! mark [`peak_bytes`] — a rank's memory footprint, as long as the rank
 //! frees what it allocates (message payloads cross threads, a few hundred
-//! bytes either way).
-// The one unsafe impl in the crate: forwarding `GlobalAlloc` to `System`
-// around two thread-local counter bumps. Kept to this module; see lib.rs.
+//! bytes either way). [`minor_faults`] counts what the allocator cannot:
+//! the pages the thread touched for the first time.
+// The unsafe code of the crate: forwarding `GlobalAlloc` to `System`
+// around two thread-local counter bumps, and the `getrusage` call of
+// `minor_faults`. Kept to this module; see lib.rs.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -150,6 +152,30 @@ pub fn live_bytes() -> u64 {
 /// The high-water mark of [`live_bytes`] on the calling thread.
 pub fn peak_bytes() -> u64 {
     PEAK_BYTES.with(Cell::get).max(0) as u64
+}
+
+/// Minor page faults the calling thread has taken since it started: first
+/// touches of fresh pages, which no allocation counter sees (Linux
+/// `getrusage(RUSAGE_THREAD)`; `None` elsewhere or when the call fails).
+/// Unlike the allocation counters it needs no [`CountingAlloc`].
+pub fn minor_faults() -> Option<u64> {
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    {
+        // `struct rusage` on 64-bit Linux: two `timeval`s, then 14 `long`s
+        // of which `ru_minflt` is the fifth.
+        extern "C" {
+            fn getrusage(who: i32, usage: *mut [i64; 18]) -> i32;
+        }
+        const RUSAGE_THREAD: i32 = 1;
+        let mut usage = [0i64; 18];
+        // SAFETY: `usage` is a writable buffer of `struct rusage`'s size.
+        let ok = unsafe { getrusage(RUSAGE_THREAD, &mut usage) } == 0;
+        ok.then(|| usage[8] as u64)
+    }
+    #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+    {
+        None
+    }
 }
 
 /// Runs `f` and returns its value with what it allocated **on this

@@ -42,7 +42,8 @@
 #![deny(missing_docs)]
 // `deny` rather than `forbid`: the [`alloc`] module needs one audited
 // `unsafe impl GlobalAlloc` (forwarding to `System` around atomic counters)
-// and opts in locally; everything else stays unsafe-free.
+// and one `getrusage` call, and opts in locally; everything else stays
+// unsafe-free.
 #![deny(unsafe_code)]
 
 mod aggregate;
