@@ -409,8 +409,9 @@ pub struct CoarseBuildStats {
 /// operator — the one coarse-construction entry of every rank body. `mult`
 /// and `d` are the dof multiplicity and the scaling diagonal over the
 /// rank's rows. The rank's runtime solver is
-/// `built.solver(op.partition_weights())`; the live modes and the
-/// replicated Galerkin operator stay inspectable next to the factorization.
+/// `built.solver(op.partition_weights())`, which takes the built mode set
+/// as it stands; until then the live modes and the replicated Galerkin
+/// operator are inspectable next to the factorization.
 /// Runs inside a `coarse-build` rank span and stamps the
 /// [`CoarseBuildStats`] on the rank trace (counters `coarse_modes`,
 /// `coarse_live_modes`, `coarse_nnz`, `coarse_skipped_pivots`, and a

@@ -305,28 +305,53 @@ fn hex_twolevel_setup_peak_is_no_higher_than_with_two_csr_copies() {
     }
 }
 
-/// A rank's two-level setup peaks where the coarse solver's triplet lists
-/// are filled from the built modes. Those lists are sized up front and
-/// sorted in place, and the dense-support modes are multiplied as one panel
-/// that replaces their mode lists during the smoothing passes, so each rank
-/// of the `elas3d-edd-twolevel` shape peaks below the mode-by-mode build
+/// A rank's two-level setup peaks inside the coarse build, where the
+/// dense-support modes and their staged products are the columns of one
+/// panel. The runtime coarse solver then takes the built mode set as it
+/// stands: no triplet list is filled from it. Each rank of the
+/// `elas3d-edd-twolevel` shape therefore peaks below the mode-by-mode build
 /// (whose lists grew by doubling and whose stable sorts took a buffer of
-/// their own) — pinned at the new peak.
+/// their own) and below the pin taken with the block coarse build (whose
+/// solver copied the modes into two sorted triplet lists) — pinned at the
+/// new peak. After setup a rank holds less than it did with those lists by
+/// at least their size, less the panel and the weights that replace them.
 #[test]
 fn hex_twolevel_setup_peak_stays_under_the_block_coarse_build_pin() {
     assert!(alloc::is_counting(), "counting allocator not installed");
     // `setup_peak_bytes` per rank before the block coarse build (same mesh
-    // and spec), and the pin: the peak measured with it plus 1 %.
+    // and spec), and the pin: the lowest of four runs' peaks with the mode
+    // set solver plus 1 % (the triplet-list solver's pin was 11 374 000 /
+    // 12 020 000).
     const MODE_BY_MODE_PEAK: [u64; 2] = [16_552_620, 17_029_772];
-    const PINNED_PEAK: [u64; 2] = [11_374_000, 12_020_000];
+    const PINNED_PEAK: [u64; 2] = [10_428_000, 10_813_000];
+    // `setup_live_bytes` per rank with the triplet-list solver (the lowest
+    // of three runs), and the mode entries each rank held: each list stored
+    // one `(row, mode, value)` per entry.
+    const TRIPLET_LIVE: [u64; 2] = [10_055_241, 10_630_089];
+    const MODE_ENTRIES: [u64; 2] = [72_769, 76_793];
+    // What replaces the lists: the panel of the 12 live modes over the
+    // rank's 10 125 rows and the weights over them, plus the spread of the
+    // message pools between runs (about 65 kB).
+    const REPLACEMENT: u64 = 8 * 10_125 * (12 + 1) + (128 << 10);
     let memory = hex_twolevel_setup_memory();
-    for (((_, peak), before), pin) in memory.into_iter().zip(MODE_BY_MODE_PEAK).zip(PINNED_PEAK) {
-        eprintln!("hex two-level rank: peak {peak} B (mode by mode {before} B, pin {pin} B)");
+    for (r, (live, peak)) in memory.into_iter().enumerate() {
+        let (before, pin) = (MODE_BY_MODE_PEAK[r], PINNED_PEAK[r]);
+        let triplets = 2 * (MODE_ENTRIES[r] * size_of::<(usize, usize, f64)>() as u64);
+        eprintln!(
+            "hex two-level rank: peak {peak} B (mode by mode {before} B, pin {pin} B), live \
+             {live} B (with triplet lists {} B, lists {triplets} B)",
+            TRIPLET_LIVE[r]
+        );
         assert!(
             peak <= before,
             "setup peaked at {peak} B, the mode-by-mode build at {before} B"
         );
         assert!(peak <= pin, "setup peaked at {peak} B, pinned at {pin} B");
+        assert!(
+            live + triplets <= TRIPLET_LIVE[r] + REPLACEMENT,
+            "rank holds {live} B after setup, {} B with the {triplets} B of triplet lists",
+            TRIPLET_LIVE[r]
+        );
     }
 }
 

@@ -49,10 +49,8 @@ fn view(built: BuiltCoarse, stats: CoarseBuildStats, dofs: &[usize]) -> RankView
         dofs: dofs.to_vec(),
         a_c: built.a_c.to_dense(),
         skipped: built.factor.skipped_modes().to_vec(),
-        modes: built
-            .modes
-            .iter()
-            .map(|m| (m.id, m.z.iter().map(|&(l, v)| (dofs[l], v)).collect()))
+        modes: (built.modes.entries_by_mode())
+            .map(|(id, entries)| (id, entries.iter().map(|&(l, v)| (dofs[l], v)).collect()))
             .collect(),
         stats,
     }

@@ -21,9 +21,9 @@
 //!   its own share from its own rows and two exchange points, and the
 //!   sequential [`build_coarse_basis`] is the same code over an assembled
 //!   matrix whose hooks are no-ops,
-//! - [`CoarseSolver`] — the runtime object: sparse restriction
-//!   `y = Ẑᵀ v`, a cross-rank [`CoarseReduce::coarse_reduce`] sum, a
-//!   redundant sparse-LDLᵀ solve, and sparse prolongation `z += Ẑ y`,
+//! - [`CoarseSolver`] — the runtime object on the build's [`ModeSet`]:
+//!   restriction `y = Ẑᵀ v`, a cross-rank [`CoarseReduce::coarse_reduce`]
+//!   sum, a redundant sparse-LDLᵀ solve, and prolongation `z += Ẑ y`,
 //!   allocation-free after construction,
 //! - [`TwoLevelPrecond`] — the composition `z = M_s v + Ẑ A_c⁻¹ Ẑᵀ v`
 //!   (additive) or `z_c = Ẑ A_c⁻¹ Ẑᵀ v; z = z_c + M_s (v − A z_c)`
@@ -277,6 +277,16 @@ pub struct ModePanel {
 }
 
 impl ModePanel {
+    /// A panel of `width` columns over the rows of `z`, its `ẑ` values row
+    /// by row, with no staged products.
+    pub fn from_rows(width: usize, z: Vec<f64>) -> Self {
+        ModePanel {
+            width,
+            z,
+            y: Vec::new(),
+        }
+    }
+
     /// Number of columns.
     pub fn width(&self) -> usize {
         self.width
@@ -302,6 +312,11 @@ impl ModePanel {
         &mut self.y[r * self.width + c]
     }
 
+    /// The rows of `ẑ`, one slice of `width` values each (none when empty).
+    fn rows(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.z.chunks_exact(self.width.max(1))
+    }
+
     /// Zeroes every column's ghost entries, the indices from `n_rows` on.
     pub fn clear_ghosts(&mut self, n_rows: usize) {
         self.z[n_rows * self.width..].fill(0.0);
@@ -310,13 +325,7 @@ impl ModePanel {
     /// The `(index, column)` of every non-zero `ẑ` entry below index `end`,
     /// index by index.
     fn for_each_nonzero(&self, end: usize, mut f: impl FnMut(usize, usize, f64)) {
-        if self.width == 0 {
-            return;
-        }
-        for (g, zr) in self.z[..end * self.width]
-            .chunks_exact(self.width)
-            .enumerate()
-        {
+        for (g, zr) in self.rows().take(end).enumerate() {
             for (c, &v) in zr.iter().enumerate().filter(|&(_, &v)| v != 0.0) {
                 f(g, c, v);
             }
@@ -381,12 +390,18 @@ pub struct ModeSet {
 }
 
 impl ModeSet {
+    /// Every mode's id and its entries `(index, ẑ)`, in id order: its list,
+    /// or its panel column's non-zero ones.
+    pub fn entries_by_mode(&self) -> impl Iterator<Item = (usize, Vec<(usize, f64)>)> + '_ {
+        (self.modes.iter().enumerate()).map(|(i, m)| (m.id, self.entries(i, usize::MAX).collect()))
+    }
+
     /// Mode `i`'s entries `(index, ẑ)` below `end`, ascending when its list
     /// is sorted: the list's, or its panel column's non-zero ones.
     fn entries(&self, i: usize, end: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let mode = &self.modes[i];
         let column = (mode.column.into_iter())
-            .flat_map(move |c| (0..end).map(move |g| (g, self.panel.z(g, c))))
+            .flat_map(move |c| self.panel.rows().take(end).map(move |zr| zr[c]).enumerate())
             .filter(|&(_, v)| v != 0.0);
         (mode.z.iter().copied())
             .filter(move |&(g, _)| g < end)
@@ -660,9 +675,9 @@ pub struct CoarseBuildInfo {
 /// The result of [`build_coarse`] on one holder.
 #[derive(Debug, Clone)]
 pub struct BuiltCoarse {
-    /// The modes live on this holder's rows, ascending by id; entries
-    /// ascending by row, exact zeros and ghost entries dropped.
-    pub modes: Vec<LiveMode>,
+    /// The modes live on this holder's rows, ascending by id, panel columns
+    /// and sorted lists as built; ghost entries and staged products dropped.
+    pub modes: ModeSet,
     /// The Galerkin operator `A_c = Ẑᵀ A Ẑ` (identical on every rank).
     pub a_c: CsrMatrix,
     /// Its factorization (every rank factors its own copy).
@@ -672,25 +687,15 @@ pub struct BuiltCoarse {
 }
 
 impl BuiltCoarse {
-    /// The runtime [`CoarseSolver`] over this holder's rows: prolongation
-    /// carries every mode entry, restriction the same entries times the
-    /// holder's partition-of-unity `weights` (see
-    /// [`CoarseSetup::partition_weights`]).
-    pub fn solver(&self, weights: Option<&[f64]>) -> CoarseSolver {
-        let entries = self.modes.iter().map(|mode| mode.z.len()).sum();
-        let mut restrict = Vec::with_capacity(entries);
-        let mut prolong = Vec::with_capacity(entries);
-        for mode in &self.modes {
-            for &(r, v) in &mode.z {
-                restrict.push((r, mode.id, weights.map_or(v, |w| v * w[r])));
-                prolong.push((r, mode.id, v));
-            }
-        }
+    /// The runtime [`CoarseSolver`] on the built modes: prolongation carries
+    /// every mode entry, restriction the same entries times the holder's
+    /// partition-of-unity `weights` ([`CoarseSetup::partition_weights`]).
+    pub fn solver(self, weights: Option<&[f64]>) -> CoarseSolver {
         CoarseSolver::new(
             self.info.n_modes,
-            restrict,
-            prolong,
-            Arc::clone(&self.factor),
+            self.modes,
+            weights.map(<[f64]>::to_vec),
+            self.factor,
         )
     }
 }
@@ -718,17 +723,21 @@ impl CoarseBasis {
     }
 
     /// Builds the sequential [`CoarseSolver`] over the global dof space:
-    /// restriction and prolongation are the exact transpose pair
-    /// `R = Ẑᵀ`, entry list for entry list.
+    /// every mode a list, restriction and prolongation the exact transpose
+    /// pair `R = Ẑᵀ` over them.
     pub fn solver(&self) -> CoarseSolver {
-        let mut restrict = Vec::new();
-        for (m, col) in self.modes.iter().enumerate() {
-            for &(g, v) in col {
-                restrict.push((g, m, v));
-            }
-        }
-        let prolong = restrict.clone();
-        CoarseSolver::new(self.n_modes(), restrict, prolong, Arc::clone(&self.factor))
+        let modes = (self.modes.iter().enumerate())
+            .map(|(id, col)| LiveMode {
+                id,
+                z: col.clone(),
+                ..LiveMode::default()
+            })
+            .collect();
+        let set = ModeSet {
+            modes,
+            panel: ModePanel::default(),
+        };
+        CoarseSolver::new(self.n_modes(), set, None, Arc::clone(&self.factor))
     }
 }
 
@@ -769,7 +778,7 @@ pub fn build_coarse_basis(
         pivot_tol,
     );
     let mut modes = vec![Vec::new(); built.info.n_modes];
-    for mode in built.modes {
+    for mode in built.modes.modes {
         modes[mode.id] = mode.z;
     }
     CoarseBasis {
@@ -891,28 +900,23 @@ pub fn build_coarse<Op: CoarseSetup + ?Sized>(
     op.coarse_work(factor.factor_flops());
 
     set.panel.y = Vec::new();
-    let mut columns: Vec<Vec<(usize, f64)>> = (set.panel.nonzeros(n_rows).into_iter())
-        .map(Vec::with_capacity)
-        .collect();
-    (set.panel).for_each_nonzero(n_rows, |g, c, v| columns[c].push((g, v)));
+    set.panel.z.truncate(n_rows * set.panel.width);
+    let columns = set.panel.nonzeros(n_rows);
     for mode in &mut set.modes {
-        match mode.column.take() {
-            Some(c) => mode.z = std::mem::take(&mut columns[c]),
-            None => mode.z.retain(|&(g, _)| g < n_rows),
-        }
+        mode.z.retain(|&(g, _)| g < n_rows);
     }
-    let mut modes = set.modes;
-    modes.retain(|mode| !mode.z.is_empty());
+    set.modes
+        .retain(|m| m.column.map_or(!m.z.is_empty(), |c| columns[c] > 0));
     let info = CoarseBuildInfo {
         n_modes,
-        live_modes: modes.len(),
+        live_modes: set.modes.len(),
         nnz: a_c.nnz(),
         skipped: factor.n_skipped(),
         lambda_hat,
         omega,
     };
     BuiltCoarse {
-        modes,
+        modes: set,
         a_c,
         factor: Arc::new(factor),
         info,
@@ -1330,7 +1334,7 @@ fn power_iteration_lambda<Op: CoarseSetup + ?Sized>(op: &Op, inv_diag: &[f64]) -
 }
 
 /// This holder's contribution to the lower triangle of `Ẑᵀ A Ẑ`, as
-/// `(m, m', value)` triplets with `m ≥ m'` in ascending `(m, m')` order:
+/// `((m, m'), value)` entries with `m ≥ m'` in ascending `(m, m')` order:
 /// for each mode, `y = A_loc ẑ_m` — one sweep for all panel columns, the
 /// reachable rows of each list mode — dotted with every mode sharing
 /// support (found through a flat row → modes incidence table; a column's
@@ -1342,7 +1346,7 @@ fn galerkin_lower<Op: CoarseSetup + ?Sized>(
     rows: &LocalRows<'_, Op::Rows>,
     set: &mut ModeSet,
     s: &mut Scratch,
-) -> Vec<(usize, usize, f64)> {
+) -> Vec<((usize, usize), f64)> {
     let n_rows = rows.n_rows();
     let panel = &mut set.panel;
     let w = panel.width;
@@ -1418,7 +1422,7 @@ fn galerkin_lower<Op: CoarseSetup + ?Sized>(
                 }
             };
             flops += 2 * len[i2 as usize] as u64;
-            lower.push((mode.id, other.id, acc));
+            lower.push(((mode.id, other.id), acc));
         }
         partners.clear();
         if mode.column.is_some() {
@@ -1437,7 +1441,7 @@ fn galerkin_lower<Op: CoarseSetup + ?Sized>(
 /// Galerkin operator, mirrored exactly so the result is symmetric bit for
 /// bit.
 ///
-/// Distributed holders scatter their triplets into the packed dense lower
+/// Distributed holders scatter their entries into the packed dense lower
 /// triangle (`n_c (n_c + 1) / 2` values) and sum it with one
 /// [`CoarseReduce::coarse_reduce`] — rank order, so every rank holds the
 /// identical matrix. That is `O(n_c²)` memory and traffic per rank: fine at
@@ -1448,7 +1452,7 @@ fn galerkin_lower<Op: CoarseSetup + ?Sized>(
 fn assemble_coarse_operator<Op: CoarseSetup + ?Sized>(
     op: &Op,
     n_modes: usize,
-    lower: &[(usize, usize, f64)],
+    lower: &[((usize, usize), f64)],
 ) -> CsrMatrix {
     let mut coo = CooMatrix::new(n_modes, n_modes);
     let mut push = |m: usize, m2: usize, v: f64| {
@@ -1459,7 +1463,7 @@ fn assemble_coarse_operator<Op: CoarseSetup + ?Sized>(
     };
     if op.is_distributed() {
         let mut packed = vec![0.0; n_modes * (n_modes + 1) / 2];
-        for &(m, m2, v) in lower {
+        for &((m, m2), v) in lower {
             packed[m * (m + 1) / 2 + m2] = v;
         }
         op.coarse_reduce(&mut packed);
@@ -1472,7 +1476,7 @@ fn assemble_coarse_operator<Op: CoarseSetup + ?Sized>(
             }
         }
     } else {
-        for &(m, m2, v) in lower {
+        for &((m, m2), v) in lower {
             push(m, m2, v);
         }
     }
@@ -1482,57 +1486,44 @@ fn assemble_coarse_operator<Op: CoarseSetup + ?Sized>(
 /// The runtime coarse correction `z (+)= Ẑ A_c⁻¹ Ẑᵀ v` of one rank (or of
 /// the whole problem, sequentially).
 ///
-/// Restriction and prolongation are sparse triplet sweeps over
-/// caller-chosen local entry lists; the factored coarse operator is shared
-/// (`Arc`) and solved redundantly on every rank after the deterministic
-/// [`CoarseReduce::coarse_reduce`], so no second communication round is
-/// needed and interface values agree bit for bit. Application is
-/// allocation-free: the coarse vector and the solve's permutation scratch
-/// are preallocated (behind an uncontended `Mutex`, because application
-/// takes `&self`).
+/// Restriction and prolongation sweep the holder's [`ModeSet`] as built; the
+/// shared (`Arc`) factored coarse operator is solved redundantly on every
+/// rank after the deterministic [`CoarseReduce::coarse_reduce`], so interface
+/// values agree bit for bit without a second communication round. Buffers
+/// are preallocated (behind an uncontended `Mutex`: application takes `&self`).
 #[derive(Debug)]
 pub struct CoarseSolver {
-    n_modes: usize,
-    /// `(local row, mode, weight)`: `y[mode] += weight · v[row]`, sorted by
-    /// `(mode, row)`. Weights fold in the consumer's partition-of-unity
-    /// (e.g. `1/mult` on element partitions, `1` on owned-row partitions).
-    restrict: Vec<(usize, usize, f64)>,
-    /// `(local row, mode, value)`: `z[row] += value · y[mode]`, sorted by
-    /// `(row, mode)` so shared dofs accumulate in identical order on every
-    /// rank that holds them.
-    prolong: Vec<(usize, usize, f64)>,
+    modes: ModeSet,
+    /// Restriction weight per row (the consumer's partition of unity, e.g.
+    /// `1/mult` on element partitions): `y[m] += fl(ẑ_m[r] · w[r]) · v[r]`.
+    weights: Option<Vec<f64>>,
+    /// Stored entries: the lists' and the panel's non-zero ones.
+    nnz: usize,
     factor: Arc<SparseLdlt>,
-    /// The coarse vector `y` followed by the solve scratch, `n_modes` each.
+    /// The coarse vector `y` and the solve scratch, `n_modes` each, then a
+    /// slot per panel column.
     y: Mutex<Vec<f64>>,
 }
 
 impl CoarseSolver {
-    /// Builds a solver from raw triplet lists (sorted internally; each
-    /// `(row, mode)` at most once per list) and the shared coarse
-    /// factorization.
+    /// Builds a solver from a holder's modes (ascending by id, the panel
+    /// over its rows), restriction weights and the shared factorization.
     pub fn new(
         n_modes: usize,
-        mut restrict: Vec<(usize, usize, f64)>,
-        mut prolong: Vec<(usize, usize, f64)>,
+        modes: ModeSet,
+        weights: Option<Vec<f64>>,
         factor: Arc<SparseLdlt>,
     ) -> Self {
         assert_eq!(factor.dim(), n_modes, "coarse factor dimension");
-        // Each `(row, mode)` appears once, so the unstable sorts (which
-        // allocate nothing) give the one order.
-        restrict.sort_unstable_by_key(|&(r, m, _)| (m, r));
-        prolong.sort_unstable_by_key(|&(r, m, _)| (r, m));
+        let nnz = (modes.panel.z.iter().filter(|&&v| v != 0.0).count())
+            + modes.modes.iter().map(|m| m.z.len()).sum::<usize>();
         CoarseSolver {
-            n_modes,
-            restrict,
-            prolong,
+            y: Mutex::new(vec![0.0; 2 * n_modes + modes.panel.width]),
+            modes,
+            weights,
+            nnz,
             factor,
-            y: Mutex::new(vec![0.0; 2 * n_modes]),
         }
-    }
-
-    /// Number of global coarse modes.
-    pub fn n_modes(&self) -> usize {
-        self.n_modes
     }
 
     /// Modes the coarse factorization pivoted out (rank-deficient blocks).
@@ -1540,22 +1531,15 @@ impl CoarseSolver {
         self.factor.skipped_modes()
     }
 
-    /// The restriction triplets `(local row, mode, weight)`, sorted by
-    /// `(mode, row)` — exposed so tests can verify transpose consistency
-    /// against the prolongation.
-    pub fn restrict_entries(&self) -> &[(usize, usize, f64)] {
-        &self.restrict
+    /// The modes restriction and prolongation both read.
+    pub fn modes(&self) -> &ModeSet {
+        &self.modes
     }
 
-    /// The prolongation triplets `(local row, mode, value)`, sorted by
-    /// `(row, mode)`.
-    pub fn prolong_entries(&self) -> &[(usize, usize, f64)] {
-        &self.prolong
-    }
-
-    /// Local flops of one application, for the virtual-time model.
+    /// Local flops of one application, for the virtual-time model: a
+    /// multiply and an add per stored entry each way, and the solve.
     pub fn flops(&self) -> u64 {
-        2 * (self.restrict.len() + self.prolong.len()) as u64 + self.factor.solve_flops()
+        4 * self.nnz as u64 + self.factor.solve_flops()
     }
 
     /// `z = Ẑ A_c⁻¹ Ẑᵀ v` (overwriting `z`).
@@ -1568,24 +1552,52 @@ impl CoarseSolver {
         self.apply_impl(op, v, z, true)
     }
 
+    /// Restriction: one row-major pass over the panel into `columns`, one
+    /// pass per list mode, each `y[m]` summed in ascending row. Prolongation:
+    /// each row's terms in ascending mode id, a pass per list mode or run of
+    /// id-consecutive columns. A panel zero adds a signed zero, which moves
+    /// no sum that is not `−0` (none started at `+0` is), so only a row of
+    /// `z` that is `−0.0` when a run reaches it skips its panel zeros.
     fn apply_impl<Op: CoarseReduce + ?Sized>(&self, op: &Op, v: &[f64], z: &mut [f64], add: bool) {
+        let (modes, panel) = (&self.modes.modes, &self.modes.panel);
+        let weight = |r: usize| self.weights.as_ref().map_or(1.0, |w| w[r]);
         let mut buffers = self.y.lock().expect("coarse scratch lock");
-        let (y, scratch) = buffers.split_at_mut(self.n_modes);
-        for e in y.iter_mut() {
-            *e = 0.0;
+        let (y, rest) = buffers.split_at_mut(self.factor.dim());
+        let (scratch, columns) = rest.split_at_mut(y.len());
+        columns.fill(0.0);
+        for (r, (zr, &vr)) in panel.rows().zip(v).enumerate() {
+            let wr = weight(r);
+            for (sum, &zc) in columns.iter_mut().zip(zr) {
+                *sum += zc * wr * vr;
+            }
         }
-        for &(r, m, w) in &self.restrict {
-            y[m] += w * v[r];
+        y.fill(0.0);
+        for mode in modes {
+            y[mode.id] = match mode.column {
+                Some(c) => columns[c],
+                None => (mode.z.iter()).fold(0.0, |acc, &(r, zr)| acc + zr * weight(r) * v[r]),
+            };
         }
         op.coarse_reduce(y);
         self.factor.solve_in_place_with(y, scratch);
         if !add {
-            for e in z.iter_mut() {
-                *e = 0.0;
-            }
+            z.fill(0.0);
         }
-        for &(r, m, w) in &self.prolong {
-            z[r] += w * y[m];
+        for run in modes.chunk_by(|a, b| a.column.is_some_and(|c| b.column == Some(c + 1))) {
+            let Some(first) = run[0].column else {
+                (run[0].z.iter()).for_each(|&(r, zr)| z[r] += zr * y[run[0].id]);
+                continue;
+            };
+            let ys = &mut columns[first..first + run.len()];
+            ys.iter_mut().zip(run).for_each(|(yc, m)| *yc = y[m.id]);
+            for (zr, zi) in panel.rows().zip(z.iter_mut()) {
+                let all = zi.to_bits() != (-0.0f64).to_bits();
+                for (&zc, &yc) in zr[first..].iter().zip(&*ys) {
+                    if all || zc != 0.0 {
+                        *zi += zc * yc;
+                    }
+                }
+            }
         }
         op.coarse_work(self.flops());
     }
@@ -1615,21 +1627,6 @@ impl<S> TwoLevelPrecond<S> {
             composition,
             label,
         }
-    }
-
-    /// The coarse correction.
-    pub fn coarse(&self) -> &CoarseSolver {
-        &self.coarse
-    }
-
-    /// The smoother.
-    pub fn smoother(&self) -> &S {
-        &self.smoother
-    }
-
-    /// The composition mode.
-    pub fn composition(&self) -> Composition {
-        self.composition
     }
 }
 
@@ -1721,7 +1718,7 @@ impl SpecPrecond {
     pub fn subdomain_factor(&self) -> Option<&SparseLdlt> {
         match self {
             SpecPrecond::Plain(p) => p.subdomain_factor(),
-            SpecPrecond::TwoLevel(p) => p.smoother().subdomain_factor(),
+            SpecPrecond::TwoLevel(p) => p.smoother.subdomain_factor(),
         }
     }
 }

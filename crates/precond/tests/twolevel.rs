@@ -7,15 +7,19 @@
 //! - the Galerkin operator `Ẑᵀ A Ẑ` is symmetric **bit for bit** and
 //!   positive semi-definite whenever `A` is SPD,
 //! - construction is deterministic: identical inputs give bit-identical
-//!   modes, factorizations, and corrections.
+//!   modes, factorizations, and corrections,
+//! - the correction applied on a holder's mode set (panel columns and lists)
+//!   has the bits of the triplet algorithm it replaced.
 //!
 //! The fixture is a random weighted 1-D diffusion chain — strictly
 //! diagonally dominant, hence SPD — cut into random contiguous parts.
 
+use parfem_precond::twolevel::{CoarseSolver, LiveMode, ModePanel, ModeSet};
 use parfem_precond::{build_coarse_basis, CoarsePartGeometry, CoarseSpec};
 use parfem_sparse::ldlt::DEFAULT_PIVOT_TOL;
-use parfem_sparse::{CooMatrix, CsrMatrix};
+use parfem_sparse::{CooMatrix, CsrMatrix, SparseLdlt};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A random SPD chain matrix: off-diagonals `-w_i` on the super/sub
 /// diagonal, diagonal = incident weight sum + `shift`.
@@ -77,9 +81,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// On a disjoint (multiplicity-1) partition the sequential solver's
-    /// restriction and prolongation are the identical triplet set — an
-    /// exact transpose pair — and the adjoint identity holds numerically
-    /// for random vectors.
+    /// restriction and prolongation read one entry set, the basis columns
+    /// mode for mode — an exact transpose pair — and the adjoint identity
+    /// holds numerically for random vectors.
     #[test]
     fn restriction_is_the_transpose_of_prolongation(
         (w, p, spec) in case(),
@@ -93,12 +97,9 @@ proptest! {
         let basis = build_coarse_basis(&spec, &parts, &ones, &ones, &a, DEFAULT_PIVOT_TOL);
         let solver = basis.solver();
 
-        let mut r: Vec<_> = solver.restrict_entries().to_vec();
-        let mut pr: Vec<_> = solver.prolong_entries().to_vec();
-        let key = |t: &(usize, usize, f64)| (t.0, t.1, t.2.to_bits());
-        r.sort_by_key(key);
-        pr.sort_by_key(key);
-        prop_assert_eq!(r, pr, "restrict and prolong must be the same triplet set");
+        let held: Vec<_> = solver.modes().entries_by_mode().collect();
+        let columns: Vec<_> = basis.modes.iter().cloned().enumerate().collect();
+        prop_assert_eq!(held, columns, "restrict and prolong must read the basis columns");
 
         // ⟨R v, w⟩ == ⟨v, Rᵀ w⟩ for random v ∈ ℝⁿ, w ∈ ℝ^modes.
         let vv = &v_bits[..n];
@@ -262,6 +263,164 @@ fn smoothing_widens_support_deterministically() {
                 (expect_lo, expect_hi),
                 "mode {m}: support must widen by exactly {passes} chain layers"
             );
+        }
+    }
+}
+
+/// The coarse correction as it ran before the solver held the build's mode
+/// set: every entry as a `(row, mode, value)` triplet, restriction sorted by
+/// `(mode, row)` with the weights folded in, prolongation sorted by
+/// `(row, mode)`. The reference the mode-set sweeps keep bit for bit.
+struct TripletCorrection {
+    restrict: Vec<(usize, usize, f64)>,
+    prolong: Vec<(usize, usize, f64)>,
+}
+
+impl TripletCorrection {
+    fn new(set: &ModeSet, weights: Option<&[f64]>) -> Self {
+        let (mut restrict, mut prolong) = (Vec::new(), Vec::new());
+        for (m, entries) in set.entries_by_mode() {
+            for (r, v) in entries {
+                restrict.push((r, m, weights.map_or(v, |w| v * w[r])));
+                prolong.push((r, m, v));
+            }
+        }
+        restrict.sort_unstable_by_key(|&(r, m, _)| (m, r));
+        prolong.sort_unstable_by_key(|&(r, m, _)| (r, m));
+        TripletCorrection { restrict, prolong }
+    }
+
+    fn flops(&self, factor: &SparseLdlt) -> u64 {
+        2 * (self.restrict.len() + self.prolong.len()) as u64 + factor.solve_flops()
+    }
+
+    fn apply(&self, factor: &SparseLdlt, v: &[f64], z: &mut [f64], add: bool) {
+        let mut y = vec![0.0; factor.dim()];
+        let mut scratch = vec![0.0; factor.dim()];
+        for &(r, m, w) in &self.restrict {
+            y[m] += w * v[r];
+        }
+        factor.solve_in_place_with(&mut y, &mut scratch);
+        if !add {
+            z.fill(0.0);
+        }
+        for &(r, m, w) in &self.prolong {
+            z[r] += w * y[m];
+        }
+    }
+}
+
+/// Rows and modes of the largest random holder.
+const MAX_ROWS: usize = 24;
+const MAX_MODES: usize = 8;
+
+/// A random holder: its row count, each mode's kind (`0` not held, `1` a
+/// panel column, `2` a list), an entry value and a mask per (row, mode)
+/// (`0`: `+0` in a column, no entry in a list; `1`: `−0` in a column, an
+/// exact `0` in a list), and the vectors `v`, `z`, the weights with their
+/// masks and whether the holder has weights.
+type HolderCase = (usize, Vec<u8>, Vec<f64>, Vec<u8>, (Vec<f64>, Vec<u8>, u8));
+
+fn holder_case() -> impl Strategy<Value = HolderCase> {
+    let cells = MAX_ROWS * MAX_MODES;
+    (
+        1usize..MAX_ROWS + 1,
+        prop::collection::vec(0u8..3, 1..MAX_MODES + 1),
+        prop::collection::vec(-1.0f64..1.0, cells),
+        prop::collection::vec(0u8..6, cells),
+        (
+            prop::collection::vec(-1.0f64..1.0, 3 * MAX_ROWS),
+            prop::collection::vec(0u8..4, 2 * MAX_ROWS),
+            0u8..2,
+        ),
+    )
+}
+
+/// An SPD coarse operator over `n` modes: a diagonally dominant chain.
+fn coarse_operator(n: usize, values: &[f64]) -> CsrMatrix {
+    let mut coo = CooMatrix::new(n, n);
+    for (i, &v) in values.iter().enumerate().take(n) {
+        coo.push(i, i, 2.0 + i as f64).unwrap();
+        if i + 1 < n {
+            coo.push(i, i + 1, 0.5 * v).unwrap();
+            coo.push(i + 1, i, 0.5 * v).unwrap();
+        }
+    }
+    coo.to_csr()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A coarse solver over a mode set mixing panel columns (with `±0`
+    /// entries) and lists (with exact zeros), ids interleaved, with and
+    /// without weights, applies the correction with the bits of the triplet
+    /// algorithm — overwriting, and adding onto a `z` that holds `−0.0` —
+    /// and charges the same flops.
+    #[test]
+    fn coarse_apply_keeps_the_triplet_bits(
+        (n_rows, kinds, values, masks, (vectors, vector_masks, weighted)) in holder_case(),
+    ) {
+        let n_modes = kinds.len();
+        let width = kinds.iter().filter(|&&k| k == 1).count();
+        let mut panel = vec![0.0; n_rows * width];
+        let mut modes = Vec::new();
+        for (m, &kind) in kinds.iter().enumerate() {
+            let entry = |r: usize| (values[r * MAX_MODES + m], masks[r * MAX_MODES + m]);
+            match kind {
+                1 => {
+                    let c = modes.iter().filter(|l: &&LiveMode| l.column.is_some()).count();
+                    for r in 0..n_rows {
+                        panel[r * width + c] = match entry(r) {
+                            (_, 0) => 0.0,
+                            (_, 1) => -0.0,
+                            (v, _) => v,
+                        };
+                    }
+                    modes.push(LiveMode { id: m, column: Some(c), ..LiveMode::default() });
+                }
+                2 => {
+                    let z = (0..n_rows)
+                        .filter_map(|r| match entry(r) {
+                            (_, 0) => None,
+                            (_, 1) => Some((r, 0.0)),
+                            (v, _) => Some((r, v)),
+                        })
+                        .collect();
+                    modes.push(LiveMode { id: m, z, ..LiveMode::default() });
+                }
+                _ => {}
+            }
+        }
+        let panel = if width == 0 { ModePanel::default() } else { ModePanel::from_rows(width, panel) };
+        let set = ModeSet { modes, panel };
+        let signed = |x: f64, mask: u8| match mask {
+            0 => -0.0,
+            1 => 0.0,
+            _ => x,
+        };
+        let v: Vec<f64> = (0..n_rows).map(|r| signed(vectors[r], vector_masks[r])).collect();
+        let z0: Vec<f64> = (0..n_rows)
+            .map(|r| signed(vectors[MAX_ROWS + r], vector_masks[MAX_ROWS + r]))
+            .collect();
+        let weights = (weighted == 1)
+            .then(|| (0..n_rows).map(|r| 0.25 + 0.75 * vectors[2 * MAX_ROWS + r].abs()).collect::<Vec<f64>>());
+
+        let factor = Arc::new(SparseLdlt::factor(&coarse_operator(n_modes, &values), DEFAULT_PIVOT_TOL));
+        let reference = TripletCorrection::new(&set, weights.as_deref());
+        let solver = CoarseSolver::new(n_modes, set, weights, Arc::clone(&factor));
+        prop_assert_eq!(solver.flops(), reference.flops(&factor));
+        let op = CooMatrix::new(n_rows, n_rows).to_csr();
+        let bits = |x: &[f64]| x.iter().map(|e| e.to_bits()).collect::<Vec<u64>>();
+        for add in [false, true] {
+            let (mut got, mut want) = (z0.clone(), z0.clone());
+            if add {
+                solver.apply_add(&op, &v, &mut got);
+            } else {
+                solver.apply_overwrite(&op, &v, &mut got);
+            }
+            reference.apply(&factor, &v, &mut want, add);
+            prop_assert_eq!(bits(&got), bits(&want), "add = {}: {:?} vs {:?}", add, got, want);
         }
     }
 }

@@ -74,6 +74,14 @@ fn phase_rows(
     }
 }
 
+/// The CPU every rank of a multi-rank trace stamped as its `rank_cpu` (the
+/// CPU its thread ended on), when they all stamped the same one.
+fn shared_cpu(report: &TraceReport) -> Option<u64> {
+    let mut cpus = report.ranks.iter().map(|r| r.counter("rank_cpu"));
+    let first = cpus.next()??;
+    (report.ranks.len() > 1 && cpus.all(|c| c == Some(first))).then_some(first)
+}
+
 /// Renders the per-rank phase breakdown: one column per phase (in first-seen
 /// order), virtual seconds per cell, then the same table in wall-clock
 /// seconds (where a phase that charges nothing to the virtual clock, like
@@ -111,6 +119,14 @@ pub fn render_phase_table(report: &TraceReport) -> String {
         false,
         &waits,
     );
+    if let Some(cpu) = shared_cpu(report) {
+        let _ = writeln!(
+            out,
+            "ranks co-located: all {} ranks ended on CPU {cpu}, so their wall-clock \
+             times and waits include each other's work",
+            report.ranks.len()
+        );
+    }
 
     if !report.host_phases.is_empty() {
         let _ = writeln!(out, "host phases (wall clock)");
@@ -519,6 +535,41 @@ mod tests {
         assert!(wall.lines().nth(3).unwrap().contains("7.000us"), "{text}");
         let virt = text.split("(wall clock)").next().unwrap();
         assert!(!virt.contains("recv-wait"), "only the wall-clock table");
+    }
+
+    /// A synthetic trace of one rank per entry of `cpus`, stamped as its
+    /// `rank_cpu`.
+    fn report_with_cpus(cpus: &[u64]) -> TraceReport {
+        let events: Vec<TraceEvent> = (cpus.iter().enumerate())
+            .map(|(rank, &cpu)| TraceEvent {
+                rank: Some(rank),
+                t_wall: 0.0,
+                t_virt: 0.0,
+                kind: EventKind::Counter,
+                name: "rank_cpu".to_string(),
+                fields: vec![("value".into(), cpu.into())],
+            })
+            .collect();
+        TraceReport::from_events(&events)
+    }
+
+    #[test]
+    fn phase_table_flags_ranks_that_shared_one_cpu() {
+        let text = render_phase_table(&report_with_cpus(&[1, 1]));
+        let flagged: Vec<&str> = text.lines().filter(|l| l.contains("co-located")).collect();
+        assert_eq!(
+            flagged,
+            [
+                "ranks co-located: all 2 ranks ended on CPU 1, so their wall-clock times and \
+              waits include each other's work"
+            ],
+            "{text}"
+        );
+        for spread in [&[0, 1][..], &[3][..]] {
+            let text = render_phase_table(&report_with_cpus(spread));
+            assert!(!text.contains("co-located"), "{spread:?}: {text}");
+        }
+        assert!(!render_phase_table(&sample_report()).contains("co-located"));
     }
 
     #[test]
