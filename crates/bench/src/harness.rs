@@ -114,11 +114,7 @@ impl<'a> Case<'a> {
     /// # Panics
     /// Panics if any rank fails or the solve does not converge.
     pub fn run(&self, parts: usize) -> DdSolveOutput {
-        let strategy = match self.decomp {
-            Decomp::Edd => Strategy::Edd(ElementPartition::strips_x(&self.problem.mesh, parts)),
-            Decomp::Rdd => Strategy::Rdd(NodePartition::strips_x(&self.problem.mesh, parts)),
-        };
-        self.run_strategy(strategy)
+        self.run_strategy(self.strips(parts))
     }
 
     /// Solves with an explicit (possibly non-strip) partition strategy.
@@ -140,23 +136,23 @@ impl<'a> Case<'a> {
     /// # Panics
     /// Panics if any rank fails or the solve does not converge.
     pub fn run_traced(&self, parts: usize, sink: &TraceSink) -> DdSolveOutput {
-        let strategy = match self.decomp {
-            Decomp::Edd => Strategy::Edd(ElementPartition::strips_x(&self.problem.mesh, parts)),
-            Decomp::Rdd => Strategy::Rdd(NodePartition::strips_x(&self.problem.mesh, parts)),
-        };
-        self.session(strategy).trace(sink).run().map_or_else(
-            |failures| panic!("{}: {failures}", self.label),
-            |out| {
-                assert!(out.history.converged(), "{} did not converge", self.label);
-                out
-            },
-        )
+        self.session(self.strips(parts))
+            .trace(sink)
+            .run()
+            .map_or_else(
+                |failures| panic!("{}: {failures}", self.label),
+                |out| {
+                    assert!(out.history.converged(), "{} did not converge", self.label);
+                    out
+                },
+            )
     }
 
-    /// Runs `steps` Newmark time steps on `parts` subdomains (EDD only).
+    /// Runs `steps` Newmark time steps on `parts` subdomains with the
+    /// default strip partition.
     ///
     /// # Panics
-    /// Panics if any step's solve fails to converge.
+    /// Panics if any rank fails or any step's solve does not converge.
     pub fn run_dynamic(
         &self,
         parts: usize,
@@ -164,15 +160,10 @@ impl<'a> Case<'a> {
         steps: usize,
         watch_dofs: &[usize],
     ) -> DynamicRunOutput {
-        let strategy = Strategy::Edd(ElementPartition::strips_x(&self.problem.mesh, parts));
-        let out = self
-            .session(strategy)
-            .run_dynamic(params, steps, watch_dofs);
-        assert!(
-            out.all_converged,
-            "{} (dynamic) did not converge",
-            self.label
-        );
+        let session = self.session(self.strips(parts));
+        let out = (session.run_dynamic(params, steps, watch_dofs))
+            .unwrap_or_else(|failures| panic!("{} (dynamic): {failures}", self.label));
+        assert!(out.all_converged, "{} (dynamic) not converged", self.label);
         out
     }
 
@@ -184,6 +175,14 @@ impl<'a> Case<'a> {
     /// Speedups `T(ps[0]) / T(p)` over the rank sweep `ps`.
     pub fn speedups(&self, ps: &[usize]) -> Vec<f64> {
         speedups_of(&self.sweep(ps))
+    }
+
+    /// The case's strategy over `parts` strips.
+    fn strips(&self, parts: usize) -> Strategy {
+        match self.decomp {
+            Decomp::Edd => Strategy::Edd(ElementPartition::strips_x(&self.problem.mesh, parts)),
+            Decomp::Rdd => Strategy::Rdd(NodePartition::strips_x(&self.problem.mesh, parts)),
+        }
     }
 
     fn session(&self, strategy: Strategy) -> SolveSession<'a> {

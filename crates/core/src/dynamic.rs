@@ -6,7 +6,8 @@
 //! [`first_step_system`] builds it, [`crate::sequential::solve_system`]
 //! solves it. Full transients run through the one Newmark time loop,
 //! [`parfem_dd::SolveSession::run_dynamic`] (one rank is
-//! `Strategy::Edd(ElementPartition::strips_x(&mesh, 1))`), which scales the
+//! `Strategy::Edd(ElementPartition::strips_x(&mesh, 1))`), which runs the
+//! session engine's rank body under either strategy: it scales the
 //! effective matrix and builds its preconditioner once, then warm-starts
 //! every step.
 
@@ -94,6 +95,7 @@ mod tests {
             .precond(gls(degree))
             .gmres(cfg)
             .run_dynamic(NewmarkParams::average_acceleration(dt), steps, &[tip(p)])
+            .expect("fault-free transient")
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! - the re-exported [`parfem_dd::SolveSession`] builder for the parallel
 //!   runs (EDD/RDD, preconditioner, machine, overlap, faults, tracing as
 //!   orthogonal options) and for full transients
-//!   ([`parfem_dd::SolveSession::run_dynamic`], the one Newmark time loop).
+//!   ([`parfem_dd::SolveSession::run_dynamic`], the one Newmark time loop,
+//!   driving the same session engine under either strategy).
 //!
 //! ## Quickstart
 //!

@@ -58,10 +58,10 @@
 //!
 //! | Paper | Code |
 //! |---|---|
-//! | Eq. 50 static / Eqs. 51–52 dynamics | [`crate::problems`], [`parfem_fem::dynamics`], [`parfem_dd::SolveSession::run_dynamic`] |
+//! | Eq. 50 static / Eqs. 51–52 dynamics | [`crate::problems`], [`parfem_fem::dynamics`], [`parfem_dd::SolveSession::run_dynamic`] (the session engine's rank body, EDD or RDD, lumped mass on Q4, T3 and hex8) |
 //! | Table 2 meshes | [`crate::problems::PAPER_MESHES`] |
 //! | Figs. 10–14 convergence studies | [`crate::sequential`] over [`parfem_precond::PrecondSpec`] (ILU(0) is `ilu0`; Fig. 10's Θ is `Gls { theta }`), [`crate::dynamic::first_step_system`] for Figs. 12/14; `fig10`–`fig14` binaries |
-//! | Figs. 15–17 / Table 3 speedups | [`parfem_dd::SolveSession`] (EDD/RDD strategies) on [`parfem_msg::MachineModel`]; `fig16`/`fig17`/`table3` binaries |
+//! | Figs. 15–17 / Table 3 speedups | [`parfem_dd::SolveSession`] (EDD/RDD strategies; `run_dynamic` for Fig. 16) on [`parfem_msg::MachineModel`]; `fig16`/`fig17`/`table3` binaries |
 //!
 //! The per-experiment parameters live in `DESIGN.md`; measured-vs-paper
 //! numbers in `EXPERIMENTS.md`.

@@ -1,24 +1,20 @@
-//! Parallel elastodynamics: Newmark time stepping with the EDD solver in
-//! the loop.
+//! Parallel elastodynamics: the Newmark step loop of the session engine's
+//! rank body, behind [`SolveSession::run_dynamic`](crate::SolveSession::run_dynamic).
 //!
-//! The paper's evaluation covers "large-scale static and dynamic problems";
-//! this module runs the dynamic side in parallel. Each rank holds its
-//! subdomain's unassembled stiffness **and** (lumped) mass; the effective
-//! matrix `K̄̂⁽ˢ⁾ = ᾱM̂⁽ˢ⁾ + K̂⁽ˢ⁾` (paper Eq. 52) is formed locally once per
-//! time-step size, norm-1 scaled with the distributed Algorithm 3, and every
-//! step solves one distributed FGMRES system. The Newmark state `(u, v, a)`
-//! lives in the global distributed format, so predictors and correctors are
-//! purely local vector updates — interface consistency is preserved because
-//! every update is the same linear combination on every sharing rank.
+//! Each rank sets up the effective matrix `ᾱM + K` (paper Eq. 52) over its
+//! lumped mass once, under either strategy, and every step solves one
+//! distributed FGMRES system. The Newmark state `(u, v, a)` lives in the
+//! strategy's solution format, so predictors and correctors are purely local
+//! updates: the same linear combination on every rank that holds a row.
 
-use crate::dist_vec::ExchangeBuffers;
-use crate::edd::{assemble_on_rank, edd_fgmres, edd_rank_setup, EddRank};
-use crate::session::{DdSolveOutput, Problem, SolverConfig};
-use parfem_fem::{Mass, NewmarkParams, SubdomainSystem};
-use parfem_krylov::history::{ConvergenceHistory, StopReason};
+use crate::error::SolveError;
+use crate::session::{
+    DdSolveOutput, Decomposition, MultiSolveOutput, Problem, RankRun, SolverConfig,
+};
+use parfem_fem::NewmarkParams;
 use parfem_krylov::KrylovWorkspace;
-use parfem_mesh::ElementPartition;
-use parfem_msg::{run_ranks, Communicator, MachineModel};
+use parfem_msg::Communicator;
+use parfem_sparse::dense;
 
 /// Output of a parallel transient run.
 #[derive(Debug, Clone)]
@@ -36,228 +32,107 @@ pub struct DynamicRunOutput {
     pub all_converged: bool,
 }
 
-/// The transient engine behind
-/// [`SolveSession::run_dynamic`](crate::SolveSession::run_dynamic): one `run_ranks` launch whose rank body assembles
-/// its own stiffness and lumped mass ([`assemble_on_rank`]) and runs the
-/// session's EDD rank setup ([`edd_rank_setup`]) on the effective matrix —
-/// distributed scaling and the registry preconditioner, once — then
-/// time-steps with a warm-started, shared-workspace FGMRES per step. The
-/// run is fault-free and unmetered.
-///
-/// # Panics
-/// Panics if the DOF map carries non-zero prescribed values (the transient
-/// driver supports homogeneous constraints only), if a rank's
-/// preconditioner cannot be built (`ilu0` on a floating subdomain), or on
-/// shape mismatches.
-pub(crate) fn run_dynamic_edd(
-    problem: &Problem<'_>,
-    part: &ElementPartition,
-    model: MachineModel,
-    cfg: &SolverConfig,
-    params: NewmarkParams,
-    steps: usize,
-    watch_dofs: &[usize],
-) -> DynamicRunOutput {
-    let dm = problem.dof_map;
-    for (d, v) in dm.fixed_dofs() {
-        assert_eq!(v, 0.0, "dynamic driver requires homogeneous BCs (dof {d})");
-    }
-    let p = part.n_parts();
-    let subdomains = part.subdomains_of(&problem.mesh());
-    let (alpha, beta) = params.effective_coefficients();
-    let dt = params.dt;
-    let nm_beta = params.beta;
-    let nm_gamma = params.gamma;
-
-    type RankResult = (Vec<f64>, Vec<Vec<f64>>, usize, bool, ConvergenceHistory);
-    let out = run_ranks(p, model, |comm| -> RankResult {
-        // Stiffness and lumped mass, assembled by the rank itself.
-        let sys = &assemble_on_rank(comm, problem, &subdomains[comm.rank()], Some(Mass::Lumped));
-        let n = sys.n_local_dofs();
-
-        // Effective local matrix, its distributed scaling and the
-        // preconditioner (constructed once; theta = (eps, 1) post scaling).
-        let k_eff_local = sys.effective_local(alpha, beta);
-        let (setup, _) = edd_rank_setup(comm, sys, k_eff_local, None, cfg)
-            .unwrap_or_else(|e| panic!("rank {}: {e}", comm.rank()));
-        let EddRank {
-            layout,
-            scaling: sc,
-            a: a_eff,
-            precond: pc,
-            ..
-        } = &setup;
-        // The remaining setup-time interface sums share one staging buffer.
-        let mut setup_bufs = ExchangeBuffers::new();
-
-        let m_local = sys.m_local.as_ref().expect("mass assembled");
-        // Assembled lumped-mass diagonal for the initial acceleration.
-        let mut m_diag = m_local.diagonal();
-        layout.interface_sum_buffered(comm, &mut m_diag, &mut setup_bufs);
-
-        // Which local dofs are constrained (multiplicity-weighted identity
-        // rows in K̂ ⇒ global dof fixed).
-        let fixed_local: Vec<usize> = sys
-            .global_dofs
-            .iter()
-            .enumerate()
-            .filter(|(_, &g)| dm.is_fixed(g))
-            .map(|(l, _)| l)
-            .collect();
-
-        // Initial state (global distributed): u = v = 0, a from
-        // M a0 = f - K u0 = f (zero initial displacement).
-        let mut u = vec![0.0; n];
-        let mut v = vec![0.0; n];
-        let mut f_assembled = sys.f_local.clone();
-        layout.interface_sum_buffered(comm, &mut f_assembled, &mut setup_bufs);
-        comm.work(n as u64);
-        let mut a: Vec<f64> = f_assembled
-            .iter()
-            .zip(&m_diag)
-            .map(|(fi, mi)| if *mi > 0.0 { fi / mi } else { 0.0 })
-            .collect();
-        for &l in &fixed_local {
-            a[l] = 0.0;
+impl DynamicRunOutput {
+    /// From the engine's output: one history per step, the final
+    /// displacement as its one solution.
+    pub(crate) fn new(out: MultiSolveOutput, watch_histories: Vec<Vec<f64>>) -> Self {
+        for (k, h) in watch_histories.iter().enumerate() {
+            assert_eq!(
+                h.len(),
+                out.histories.len(),
+                "watched dof #{k} is held by no rank"
+            );
         }
-
-        let apply_solver = |b_local: &[f64], x0: &[f64], ws: &mut KrylovWorkspace| {
-            edd_fgmres(
-                comm,
-                layout,
-                a_eff,
-                pc,
-                b_local,
-                x0,
-                &cfg.gmres,
-                cfg.variant,
-                ws,
-            )
-        };
-
-        // Local indices of watched dofs (if present on this rank).
-        let watch_local: Vec<Option<usize>> = watch_dofs
-            .iter()
-            .map(|&g| sys.global_dofs.iter().position(|&gd| gd == g))
-            .collect();
-        let mut watch_histories: Vec<Vec<f64>> = vec![Vec::with_capacity(steps); watch_dofs.len()];
-
-        let mut total_iterations = 0usize;
-        let mut all_converged = true;
-        let mut last_history = ConvergenceHistory {
-            relative_residuals: vec![1.0],
-            stop: StopReason::Converged,
-            restarts: 0,
-        };
-        let mut u_star = vec![0.0; n];
-        // One Krylov workspace reused by every time step: after the first
-        // solve sizes it, the per-step FGMRES loop runs allocation-free, and
-        // since the effective matrix ᾱM + K is fixed across steps, each step
-        // recycles the deflation space of the step before it.
-        let mut ws = KrylovWorkspace::for_fixed_operator();
-
-        for _ in 0..steps {
-            // Predictor (local, consistent).
-            for i in 0..n {
-                u_star[i] = u[i] + dt * v[i] + dt * dt * (0.5 - nm_beta) * a[i];
-            }
-            comm.work(6 * n as u64);
-            // Effective local RHS: f̂ + ᾱ M̂ u* (local distributed), then
-            // scale. Fixed rows: K̄̂ has 1/mult diag; rhs must carry 0.
-            let mut rhs = m_local.spmv(&u_star);
-            comm.work(m_local.spmv_flops());
-            for (ri, fi) in rhs.iter_mut().zip(&sys.f_local) {
-                *ri = fi + alpha * *ri;
-            }
-            comm.work(2 * n as u64);
-            for &l in &fixed_local {
-                rhs[l] = 0.0;
-            }
-            // Scale: b̂ = D̂ rhs; solve the scaled system; unscale.
-            for (ri, di) in rhs.iter_mut().zip(&sc.d) {
-                *ri *= di;
-            }
-            comm.work(n as u64);
-            // Warm start from the scaled current displacement.
-            let x0: Vec<f64> = u.iter().zip(&sc.d).map(|(ui, di)| ui / di).collect();
-            comm.work(n as u64);
-            // The dynamic driver always runs fault-free on the raw
-            // communicator, so a typed solve error here is a bug.
-            let res =
-                apply_solver(&rhs, &x0, &mut ws).expect("fault-free dynamic solve must not error");
-            total_iterations += res.history.iterations();
-            all_converged &= res.history.converged();
-            let mut u_new = res.x;
-            sc.unscale(&mut u_new);
-            for &l in &fixed_local {
-                u_new[l] = 0.0;
-            }
-            // Correctors (local, consistent).
-            for i in 0..n {
-                let a_new = alpha * (u_new[i] - u_star[i]);
-                v[i] += dt * ((1.0 - nm_gamma) * a[i] + nm_gamma * a_new);
-                a[i] = a_new;
-            }
-            comm.work(7 * n as u64);
-            for &l in &fixed_local {
-                v[l] = 0.0;
-                a[l] = 0.0;
-            }
-            u = u_new;
-            last_history = res.history;
-            for (k, wl) in watch_local.iter().enumerate() {
-                if let Some(l) = wl {
-                    watch_histories[k].push(u[*l]);
-                }
-            }
-        }
-        (
-            u,
+        DynamicRunOutput {
+            total_iterations: out.histories.iter().map(|h| h.iterations()).sum(),
+            all_converged: out.all_converged(),
+            last: out.into_last(),
             watch_histories,
-            total_iterations,
-            all_converged,
-            last_history,
-        )
-    });
+        }
+    }
+}
 
-    // Gather.
-    let mut u = vec![0.0; dm.n_dofs()];
-    for (sub, (ul, ..)) in subdomains.iter().zip(&out.results) {
-        for (g, &v) in SubdomainSystem::global_dofs_of(dm, sub).into_iter().zip(ul) {
-            u[g] = v;
+/// One transient: the Newmark parameters, the step count, the watched
+/// global DOFs.
+#[derive(Clone, Copy)]
+pub(crate) struct Newmark<'a> {
+    pub params: NewmarkParams,
+    pub steps: usize,
+    pub watch: &'a [usize],
+}
+
+/// The step loop, after the rank set up `ᾱM + K`: zero initial state,
+/// `a₀ = M⁻¹ f` from the consistent lumped mass and load, then per step the
+/// predictor `u*`, `b = D (f + ᾱ M u*)` in the load format, one FGMRES
+/// warm-started from the current displacement and the corrector.
+/// Constrained rows stay zero. `out` comes back with the final displacement,
+/// every step's history and the watched values.
+pub(crate) fn newmark_steps<D: Decomposition, C: Communicator>(
+    (parts, comm, rank): (&D, &C, &D::Rank),
+    problem: &Problem<'_>,
+    run: Newmark<'_>,
+    cfg: &SolverConfig,
+    ws: &mut KrylovWorkspace,
+    mut out: RankRun,
+) -> Result<RankRun, SolveError> {
+    let rows = parts.rows(rank);
+    let mass = rows.mass.expect("a transient sets up with a mass shift");
+    let (n, dm) = (rows.dofs.len(), problem.dof_map);
+    let NewmarkParams { beta, gamma, dt } = run.params;
+    let (alpha, _) = run.params.effective_coefficients();
+    let fixed: Vec<usize> = (0..n).filter(|&l| dm.is_fixed(rows.dofs[l])).collect();
+    let f = rows.restrict_load(problem.loads, dm);
+    let mut m_diag = mass.diagonal();
+    parts.make_consistent(comm, rank, &mut m_diag);
+    let mut a = f.clone();
+    parts.make_consistent(comm, rank, &mut a);
+    comm.work(n as u64);
+    for (ai, mi) in a.iter_mut().zip(&m_diag) {
+        *ai = if *mi > 0.0 { *ai / mi } else { 0.0 };
+    }
+    fixed.iter().for_each(|&l| a[l] = 0.0);
+    let watch: Vec<Option<usize>> = (run.watch.iter())
+        .map(|&g| rows.dofs.iter().position(|&gd| gd == g))
+        .collect();
+    out.watch = vec![Vec::new(); watch.len()];
+    let (mut u, mut v) = (vec![0.0; n], vec![0.0; n]);
+    let (mut u_star, mut rhs, mut x0) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    for _ in 0..run.steps {
+        for i in 0..n {
+            u_star[i] = u[i] + dt * v[i] + dt * dt * (0.5 - beta) * a[i];
+        }
+        comm.work(6 * n as u64);
+        mass.spmv_into(&u_star, &mut rhs);
+        comm.work(mass.spmv_flops());
+        for (ri, fi) in rhs.iter_mut().zip(&f) {
+            *ri = fi + alpha * *ri;
+        }
+        comm.work(2 * n as u64);
+        fixed.iter().for_each(|&l| rhs[l] = 0.0);
+        dense::diag_mul(rows.d, &mut rhs);
+        comm.work(n as u64);
+        for ((xi, ui), di) in x0.iter_mut().zip(&u).zip(rows.d) {
+            *xi = ui / di;
+        }
+        comm.work(n as u64);
+        let res = parts.fgmres(comm, rank, &rhs, &x0, cfg, ws)?;
+        u = res.x;
+        dense::diag_mul(rows.d, &mut u);
+        fixed.iter().for_each(|&l| u[l] = 0.0);
+        for i in 0..n {
+            let a_new = alpha * (u[i] - u_star[i]);
+            v[i] += dt * ((1.0 - gamma) * a[i] + gamma * a_new);
+            a[i] = a_new;
+        }
+        comm.work(7 * n as u64);
+        fixed.iter().for_each(|&l| (v[l], a[l]) = (0.0, 0.0));
+        out.histories.push(res.history);
+        for (h, l) in out.watch.iter_mut().zip(&watch) {
+            h.extend(l.map(|l| u[l]));
         }
     }
-    let mut watch_histories = vec![Vec::new(); watch_dofs.len()];
-    for (rank, (_, wh, ..)) in out.results.iter().enumerate() {
-        for (k, h) in wh.iter().enumerate() {
-            if !h.is_empty() && watch_histories[k].is_empty() {
-                watch_histories[k] = h.clone();
-            }
-        }
-        let _ = rank;
-    }
-    for (k, h) in watch_histories.iter().enumerate() {
-        assert_eq!(
-            h.len(),
-            steps,
-            "watched dof {} not owned by any rank",
-            watch_dofs[k]
-        );
-    }
-    let (_, _, total_iterations, all_converged, last_history) = out.results[0].clone();
-    DynamicRunOutput {
-        last: DdSolveOutput {
-            u,
-            history: last_history,
-            reports: out.reports,
-            modeled_time: out.modeled_time,
-            coarse: Vec::new(),
-            factor: Vec::new(),
-        },
-        watch_histories,
-        total_iterations,
-        all_converged,
-    }
+    out.pieces.push(u);
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -266,7 +141,7 @@ mod tests {
     use crate::session::{SolveSession, Strategy};
     use parfem_fem::{assembly, Material};
     use parfem_krylov::gmres::GmresConfig;
-    use parfem_mesh::{DofMap, Edge, QuadMesh};
+    use parfem_mesh::{DofMap, Edge, ElementPartition, QuadMesh};
 
     fn problem() -> (QuadMesh, DofMap, Material, Vec<f64>) {
         let mesh = QuadMesh::cantilever(12, 3);
@@ -294,6 +169,7 @@ mod tests {
                 ..Default::default()
             })
             .run_dynamic(NewmarkParams::average_acceleration(dt), steps, &[tip])
+            .expect("fault-free transient")
     }
 
     #[test]

@@ -35,7 +35,8 @@ use crate::dist_vec::{EddLayout, ExchangeBuffers};
 use crate::error::SolveError;
 use crate::scaling::DistributedScaling;
 use crate::session::{
-    build_precond, host_span, rank_span, Decomposition, PrecondBuildStats, Problem, SolverConfig,
+    build_precond, host_span, rank_span, Decomposition, PrecondBuildStats, Problem, RankRows,
+    SolverConfig,
 };
 use parfem_fem::{Mass, SubdomainSystem};
 use parfem_krylov::gmres::{fgmres_on, GmresConfig, GmresResult};
@@ -44,9 +45,8 @@ use parfem_mesh::{ElementPartition, Subdomain};
 use parfem_msg::Communicator;
 use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSpec, SpecPrecond};
 use parfem_precond::{InterfaceConsistency, Preconditioner};
-use parfem_sparse::{dense, kernels, CsrMatrix, LinearOperator, NodeMatrix, SparseRows};
+use parfem_sparse::{kernels, CsrMatrix, LinearOperator, NodeMatrix, SparseRows};
 use parfem_trace::TraceSink;
-use std::borrow::Cow;
 use std::cell::RefCell;
 
 /// Which of the paper's EDD algorithms to run.
@@ -419,77 +419,15 @@ impl<'a> EddParts<'a> {
     }
 }
 
-/// Assembles this rank's subdomain system on the rank's own thread, under
-/// the rank span `assembly`, charging the discretization's
-/// [`assembly_flops`](parfem_fem::Discretization::assembly_flops) of its
-/// elements to the rank clock.
-pub(crate) fn assemble_on_rank<C: Communicator>(
-    comm: &C,
-    p: &Problem<'_>,
-    sub: &Subdomain,
-    with_mass: Option<Mass>,
-) -> SubdomainSystem {
-    rank_span(comm, "assembly", || {
-        let disc = p.discretization;
-        let sys = SubdomainSystem::build(disc, p.dof_map, p.material, sub, p.loads, with_mass);
-        comm.work(disc.assembly_flops(sub.elements.len()));
-        sys
-    })
-}
-
 /// One EDD rank after its setup: interface layout, the Algorithm 3
 /// diagonal, the scaled local matrix and load, and the preconditioner.
 pub(crate) struct EddRank {
-    pub(crate) layout: EddLayout,
-    pub(crate) scaling: DistributedScaling,
-    pub(crate) a: EddLocalMatrix,
+    layout: EddLayout,
+    scaling: DistributedScaling,
+    a: EddLocalMatrix,
     /// `D̂ f̂` for the system's own load.
     b: Vec<f64>,
-    pub(crate) precond: SpecPrecond,
-}
-
-/// The EDD rank setup, shared by the engine and the transient driver (which
-/// passes its effective matrix `ᾱM̂ + K̂` as `k_local`): distributed scaling
-/// under the `scaling` rank span — `k_local` scaled in place into the
-/// operator's matrix — then the preconditioner over that matrix and the
-/// interface layout. Every arm, `direct` and `twolevel:*` included, reads
-/// the operator's own matrix: one matrix is live per rank throughout.
-pub(crate) fn edd_rank_setup<C: Communicator>(
-    comm: &C,
-    sys: &SubdomainSystem,
-    k_local: NodeMatrix,
-    coarse: Option<CoarsePlan<'_>>,
-    cfg: &SolverConfig,
-) -> Result<(EddRank, PrecondBuildStats), SolveError> {
-    let (layout, scaling, a, b) = rank_span(comm, "scaling", || {
-        let mut layout = EddLayout::from_system(sys);
-        layout.set_overlap(cfg.overlap);
-        let scaling = DistributedScaling::build(comm, &layout, &k_local);
-        let mut b = sys.f_local.clone();
-        let a = scaling.apply(k_local, &mut b, &layout);
-        (layout, scaling, a, b)
-    });
-    let (precond, stats) = build_precond(
-        &EddOperator::new(&a, &layout, comm),
-        coarse,
-        &sys.multiplicity,
-        &scaling.d,
-        a.matrix(),
-        || {
-            let mut d = a.diagonal();
-            layout.interface_sum_buffered(comm, &mut d, &mut ExchangeBuffers::new());
-            d
-        },
-        &cfg.precond,
-    )?;
-    let rank = EddRank {
-        layout,
-        scaling,
-        a,
-        b,
-        precond,
-    };
-    Ok((rank, stats))
+    precond: SpecPrecond,
 }
 
 impl<'a> Decomposition for EddParts<'a> {
@@ -500,10 +438,6 @@ impl<'a> Decomposition for EddParts<'a> {
 
     fn n_ranks(&self) -> usize {
         self.subdomains.len()
-    }
-
-    fn dofs_per_node(&self) -> usize {
-        self.problem.dof_map.dofs_per_node()
     }
 
     fn label(&self, cfg: &SolverConfig) -> &'static str {
@@ -522,62 +456,103 @@ impl<'a> Decomposition for EddParts<'a> {
         edd_part_geometry(parts, fixed, &coords, dm.dofs_per_node())
     }
 
+    /// The rank assembles its subdomain system under the `assembly` rank
+    /// span, charging the discretization's
+    /// [`assembly_flops`](parfem_fem::Discretization::assembly_flops) — with
+    /// a mass shift ᾱ also its lumped mass, taking
+    /// [`SubdomainSystem::effective_local`] `ᾱM̂ + K̂` — then distributed
+    /// scaling under the `scaling` rank span (the matrix scaled in place
+    /// into the operator's) and the preconditioner over that matrix and the
+    /// interface layout. Every arm, `direct` and `twolevel:*` included, reads
+    /// the operator's own matrix: one matrix is live per rank throughout a
+    /// static run.
     fn rank_setup<C: Communicator>(
         &self,
         comm: &C,
         coarse: Option<CoarsePlan<'_>>,
+        mass_shift: Option<f64>,
         cfg: &SolverConfig,
     ) -> Result<(Self::Rank, PrecondBuildStats), SolveError> {
-        let sub = &self.subdomains[comm.rank()];
-        let mut sys = assemble_on_rank(comm, self.problem, sub, None);
-        // The setup scales the stiffness in place into the operator: nothing
-        // after it reads the unscaled `K̂`.
-        let empty = NodeMatrix::Csr(CsrMatrix::identity(0));
-        let k_local = std::mem::replace(&mut sys.k_local, empty);
-        let (rank, stats) = edd_rank_setup(comm, &sys, k_local, coarse, cfg)?;
+        let (sub, p) = (&self.subdomains[comm.rank()], self.problem);
+        let mut sys = rank_span(comm, "assembly", || {
+            let mass = mass_shift.map(|_| Mass::Lumped);
+            let sys =
+                SubdomainSystem::build(p.discretization, p.dof_map, p.material, sub, p.loads, mass);
+            comm.work(p.discretization.assembly_flops(sub.elements.len()));
+            sys
+        });
+        // Nothing after the scaling reads the unscaled `K̂`.
+        let effective = mass_shift.map(|alpha| sys.effective_local(alpha, 1.0));
+        let k_local = std::mem::replace(&mut sys.k_local, NodeMatrix::Csr(CsrMatrix::identity(0)));
+        let k_local = effective.unwrap_or(k_local);
+        let (layout, scaling, a, b) = rank_span(comm, "scaling", || {
+            let mut layout = EddLayout::from_system(&sys);
+            layout.set_overlap(cfg.overlap);
+            let scaling = DistributedScaling::build(comm, &layout, &k_local);
+            let mut b = sys.f_local.clone();
+            let a = scaling.apply(k_local, &mut b, &layout);
+            (layout, scaling, a, b)
+        });
+        let (precond, stats) = build_precond(
+            &EddOperator::new(&a, &layout, comm),
+            coarse,
+            &sys.multiplicity,
+            &scaling.d,
+            a.matrix(),
+            || {
+                let mut d = a.diagonal();
+                layout.interface_sum_buffered(comm, &mut d, &mut ExchangeBuffers::new());
+                d
+            },
+            &cfg.precond,
+        )?;
+        let rank = EddRank {
+            layout,
+            scaling,
+            a,
+            b,
+            precond,
+        };
         Ok(((sys, rank), stats))
     }
 
-    fn rank_solve<C: Communicator>(
+    fn rows<'r>(&self, (sys, rank): &'r Self::Rank) -> RankRows<'r> {
+        RankRows {
+            dofs: &sys.global_dofs,
+            multiplicity: Some(&sys.multiplicity),
+            d: &rank.scaling.d,
+            b: &rank.b,
+            mass: sys.m_local.as_ref(),
+        }
+    }
+
+    /// The interface sum `⊕Σ` (Eq. 28): local distributed → global
+    /// distributed.
+    fn make_consistent<C: Communicator>(&self, comm: &C, (_, rank): &Self::Rank, v: &mut [f64]) {
+        rank.layout
+            .interface_sum_buffered(comm, v, &mut ExchangeBuffers::new());
+    }
+
+    fn fgmres<C: Communicator>(
         &self,
         comm: &C,
-        (sys, rank): &Self::Rank,
-        load: Option<&[f64]>,
+        (_, rank): &Self::Rank,
+        b: &[f64],
+        x0: &[f64],
         cfg: &SolverConfig,
         ws: &mut KrylovWorkspace,
     ) -> Result<GmresResult, SolveError> {
-        // A global load becomes the local distributed one `SubdomainSystem`
-        // assembles: entries split by multiplicity, constrained rows zeroed.
-        let b: Cow<'_, [f64]> = match load {
-            None => Cow::Borrowed(&rank.b),
-            Some(global) => {
-                let fixed = self.problem.dof_map;
-                let mut b: Vec<f64> = (sys.global_dofs.iter().zip(&sys.multiplicity))
-                    .map(|(&g, &m)| {
-                        if fixed.is_fixed(g) {
-                            0.0
-                        } else {
-                            global[g] / m
-                        }
-                    })
-                    .collect();
-                dense::diag_mul(&rank.scaling.d, &mut b);
-                Cow::Owned(b)
-            }
-        };
-        let mut res = edd_fgmres(
+        edd_fgmres(
             comm,
             &rank.layout,
             &rank.a,
             &rank.precond,
-            &b,
-            &vec![0.0; b.len()],
+            b,
+            x0,
             &cfg.gmres,
             cfg.variant,
             ws,
-        )?;
-        rank.scaling.unscale(&mut res.x);
-        Ok(res)
+        )
     }
 
     /// Global distributed values are identical on every sharing rank.
@@ -602,7 +577,7 @@ mod tests {
     use parfem_mesh::{DofMap, Edge, ElementPartition, QuadMesh};
     use parfem_msg::{run_ranks, MachineModel};
     use parfem_precond::{GlsPrecond, IdentityPrecond, NeumannPrecond};
-    use parfem_sparse::BcsrMatrix;
+    use parfem_sparse::{dense, BcsrMatrix};
 
     struct Fixture {
         systems: Vec<SubdomainSystem>,
@@ -659,7 +634,7 @@ mod tests {
             }
             .expect("fault-free solve must not error");
             let mut u = res.x;
-            sc.unscale(&mut u);
+            dense::diag_mul(&sc.d, &mut u);
             (u, res.history)
         });
         // Gather: global-distributed values are identical at interfaces.
@@ -963,7 +938,7 @@ mod tests {
             )
             .expect("fault-free solve must not error");
             let mut u = res.x;
-            sc.unscale(&mut u);
+            dense::diag_mul(&sc.d, &mut u);
             (u, res.history.converged())
         });
         assert!(out.results.iter().all(|(_, c)| *c));

@@ -21,12 +21,13 @@
 //!   hooks of both distributed operators, and the one rank-side build,
 //! - [`session`] — the composable [`SolveSession`] builder, the one way in:
 //!   strategy, preconditioner, machine model, overlap, faults, tracing as
-//!   orthogonal options over one engine for single- and multi-RHS runs
-//!   (the strategies differ behind one crate-private trait),
-//! - [`dynamic`] — the Newmark transient run behind
-//!   [`SolveSession::run_dynamic`], on the same EDD rank setup: the one
-//!   Newmark time loop in the workspace (one rank is the sequential
-//!   transient).
+//!   orthogonal options over one engine and one rank launch for single-RHS,
+//!   multi-RHS and transient runs (the strategies differ behind one
+//!   crate-private trait),
+//! - [`dynamic`] — the Newmark step loop of that engine's rank body behind
+//!   [`SolveSession::run_dynamic`], written once over rank vectors for both
+//!   strategies: the one Newmark time loop in the workspace (one rank is
+//!   the sequential transient).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -26,7 +26,7 @@
 use crate::coarse::{rdd_part_geometry, CoarsePlan};
 use crate::error::SolveError;
 use crate::session::{
-    build_precond, rank_span, Decomposition, PrecondBuildStats, Problem, SolverConfig,
+    build_precond, rank_span, Decomposition, PrecondBuildStats, Problem, RankRows, SolverConfig,
 };
 use parfem_fem::assembly::{assemble_owned, OwnedRows};
 use parfem_krylov::gmres::{fgmres_on, GmresConfig, GmresResult};
@@ -37,7 +37,6 @@ use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSpec, SpecPrecond};
 use parfem_precond::{InterfaceConsistency, Preconditioner};
 use parfem_sparse::scaling::inv_sqrt_scaling;
 use parfem_sparse::{dense, kernels, CsrMatrix, LinearOperator, NodeMatrix};
-use std::borrow::Cow;
 use std::cell::RefCell;
 
 /// One rank's block-row system.
@@ -151,6 +150,7 @@ impl RddSystem {
                     rhs: rows.iter().map(|&d| b[d]).collect(),
                     rows,
                     ext_dofs,
+                    mass: None,
                 };
                 Split::new(s, block, dof_owner).finish(&ones[..count[s]], &ones)
             })
@@ -159,7 +159,9 @@ impl RddSystem {
 
     /// Builds this rank's block row of `problem` on the rank's own thread —
     /// the session's RDD setup — and returns it with its scaling diagonal
-    /// `d` over the owned rows.
+    /// `d` over the owned rows. With a `mass_shift` ᾱ the block row is that
+    /// of the effective matrix `ᾱM + K` of a Newmark step (paper Eq. 52),
+    /// and the owned rows' lumped mass `M` comes back too.
     ///
     /// Under the rank span `assembly` the rank assembles its owned rows
     /// from the elements with a node it owns, in ascending element order
@@ -167,7 +169,9 @@ impl RddSystem {
     /// applied (constrained columns lifted into the right-hand side in
     /// column order, constrained rows unit diagonals): the owned columns
     /// straight into `a_loc`'s storage, the ghost columns into `a_ext`
-    /// ([`parfem_fem::assembly::assemble_owned`]). Under `scaling` it takes
+    /// ([`parfem_fem::assembly::assemble_owned`]); a mass shift adds `ᾱ·m`
+    /// on the diagonal of each row (`m = 0` on constrained rows). Under
+    /// `scaling` it takes
     /// the norm-1 row sums of those rows in global column order
     /// (Algorithm 3), fetches `d` at its external columns in one halo
     /// exchange, and scales both blocks in place into `a_loc = D A D` and
@@ -185,21 +189,33 @@ impl RddSystem {
         comm: &C,
         problem: &Problem<'_>,
         part: &NodePartition,
-    ) -> (RddSystem, Vec<f64>) {
+        mass_shift: Option<f64>,
+    ) -> (RddSystem, Vec<f64>, Option<CsrMatrix>) {
         let rank = comm.rank();
         let dpn = problem.dof_map.dofs_per_node();
-        let split = rank_span(comm, "assembly", || {
+        let (split, mass) = rank_span(comm, "assembly", || {
             let (disc, dm) = (&problem.discretization, problem.dof_map);
             let owned = |n| part.owner(n) == rank;
-            let (block, n_elems) = assemble_owned(disc, dm, problem.material, problem.loads, owned);
+            let (mut block, n_elems) = assemble_owned(
+                disc,
+                dm,
+                problem.material,
+                problem.loads,
+                owned,
+                mass_shift.is_some(),
+            );
             comm.work(disc.assembly_flops(n_elems));
-            Split::new(rank, block, |g| part.owner(g / dpn))
+            let mass = block.mass.take();
+            if let (Some(alpha), Some(m)) = (mass_shift, &mass) {
+                block.a_loc.scale_add(1.0, alpha, m);
+            }
+            (Split::new(rank, block, |g| part.owner(g / dpn)), mass)
         });
         rank_span(comm, "scaling", || {
             let d = inv_sqrt_scaling(&split.block.row_abs_sums());
             comm.work(2 * split.block.nnz() as u64);
             let d_ext = split.exchange(comm, &d);
-            (split.finish(&d, &d_ext), d)
+            (split.finish(&d, &d_ext), d, mass)
         })
     }
 
@@ -275,6 +291,7 @@ impl Split {
             a_ext,
             ext_dofs,
             mut rhs,
+            ..
         } = self.block;
         let n = rows.len();
         a_loc.scale_symmetric(d);
@@ -539,10 +556,12 @@ impl<'a> RddParts<'a> {
 }
 
 /// One RDD rank after its setup: the block row, its scaling diagonal over
-/// the owned rows, and the preconditioner.
+/// the owned rows, the owned rows' lumped mass of a transient, and the
+/// preconditioner.
 pub(crate) struct RddRank {
     sys: RddSystem,
     d: Vec<f64>,
+    mass: Option<CsrMatrix>,
     precond: SpecPrecond,
 }
 
@@ -551,10 +570,6 @@ impl Decomposition for RddParts<'_> {
 
     fn n_ranks(&self) -> usize {
         self.part.n_parts()
-    }
-
-    fn dofs_per_node(&self) -> usize {
-        self.problem.dof_map.dofs_per_node()
     }
 
     fn label(&self, _: &SolverConfig) -> &'static str {
@@ -573,9 +588,10 @@ impl Decomposition for RddParts<'_> {
         &self,
         comm: &C,
         coarse: Option<CoarsePlan<'_>>,
+        mass_shift: Option<f64>,
         cfg: &SolverConfig,
     ) -> Result<(RddRank, PrecondBuildStats), SolveError> {
-        let (mut sys, d) = RddSystem::assemble(comm, self.problem, self.part);
+        let (mut sys, d, mass) = RddSystem::assemble(comm, self.problem, self.part, mass_shift);
         sys.overlap = cfg.overlap;
         // Rows are disjoint: multiplicity 1 for the coarse build.
         let mult = match coarse {
@@ -594,45 +610,41 @@ impl Decomposition for RddParts<'_> {
             || sys.a_loc.diagonal(),
             &cfg.precond,
         )?;
-        Ok((RddRank { sys, d, precond }, stats))
+        let rank = RddRank {
+            sys,
+            d,
+            mass,
+            precond,
+        };
+        Ok((rank, stats))
     }
 
-    fn rank_solve<C: Communicator>(
+    fn rows<'r>(&self, rank: &'r RddRank) -> RankRows<'r> {
+        RankRows {
+            dofs: &rank.sys.rows,
+            multiplicity: None,
+            d: &rank.d,
+            b: &rank.sys.b_loc,
+            mass: rank.mass.as_ref(),
+        }
+    }
+
+    fn fgmres<C: Communicator>(
         &self,
         comm: &C,
         rank: &RddRank,
-        load: Option<&[f64]>,
+        b: &[f64],
+        x0: &[f64],
         cfg: &SolverConfig,
         ws: &mut KrylovWorkspace,
     ) -> Result<GmresResult, SolveError> {
-        let RddRank { sys, d, precond } = rank;
-        // A global load becomes the owned rows of `D f` with the
-        // constrained entries zeroed, as the rank's own constraints do.
-        let b: Cow<'_, [f64]> = match load {
-            None => Cow::Borrowed(&sys.b_loc),
-            Some(global) => {
-                let fixed = self.problem.dof_map;
-                (sys.rows.iter().zip(d))
-                    .map(|(&g, &dg)| {
-                        if fixed.is_fixed(g) {
-                            0.0
-                        } else {
-                            global[g] * dg
-                        }
-                    })
-                    .collect()
-            }
-        };
-        let x0 = vec![0.0; sys.n_local()];
-        let mut res = rdd_fgmres(comm, sys, precond, &b, &x0, &cfg.gmres, ws)?;
-        dense::diag_mul(d, &mut res.x);
-        Ok(res)
+        rdd_fgmres(comm, &rank.sys, &rank.precond, b, x0, &cfg.gmres, ws)
     }
 
     /// Each rank's piece is its owned rows, unscaled: node by node, the
     /// next values of the node's owner.
     fn gather<'r>(&self, pieces: impl Iterator<Item = &'r [f64]>) -> Vec<f64> {
-        let dpn = self.dofs_per_node();
+        let dpn = self.problem.dof_map.dofs_per_node();
         let pieces: Vec<&[f64]> = pieces.collect();
         let mut next = vec![0; pieces.len()];
         let mut x = Vec::with_capacity(self.problem.dof_map.n_dofs());

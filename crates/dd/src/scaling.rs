@@ -59,12 +59,6 @@ impl DistributedScaling {
         k_local.scale_symmetric(&self.d);
         EddLocalMatrix::new(k_local, layout)
     }
-
-    /// Recovers physical displacements from the scaled solution:
-    /// `û = D̂ x̂` (Algorithm 4 step 5).
-    pub fn unscale(&self, x: &mut [f64]) {
-        dense::diag_mul(&self.d, x);
-    }
 }
 
 /// Sequential reference of the *distributed* row sums: for every global DOF,
@@ -183,9 +177,9 @@ mod tests {
                     max_err = max_err.max((v - want).abs());
                 }
             }
-            // Unscale returns the original after dividing.
+            // Unscaling (`û = D̂ x̂`, Algorithm 4 step 5) multiplies by `d`.
             let mut x = f.clone();
-            sc.unscale(&mut x);
+            dense::diag_mul(&sc.d, &mut x);
             for (xi, (fi, di)) in x.iter().zip(f.iter().zip(&sc.d)) {
                 max_err = max_err.max((xi - fi * di).abs());
             }

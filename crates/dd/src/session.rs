@@ -35,27 +35,30 @@
 //! [`SolveSession::run_multi`]) vs transient
 //! ([`SolveSession::run_dynamic`]). Any combination composes.
 //!
-//! `run` and `run_multi` are one engine: host prepare (the partition only;
-//! no global matrix is ever assembled) → coarse geometry → one rank launch,
-//! with one fault wrap → one rank body (`assembly` and `scaling` of the
-//! rank's own system, `precond-build`, then one FGMRES per right-hand side
-//! on a shared fixed-operator Krylov workspace, so later right-hand sides
-//! recycle the first solve's deflation space) → collection, `gather` and the
-//! `solve_summary`. What EDD and RDD do differently sits
-//! behind the crate-private `Decomposition` trait, implemented next to each
-//! operator (`EddParts` in [`crate::edd`], `RddParts` in [`crate::rdd`]);
-//! `run` feeds the engine the systems' own load (the only one that carries
-//! an inhomogeneous-Dirichlet lift), `run_multi` feeds it `k` global loads.
-//! The FNV-1a digests in `tests/golden.rs` pin the results bit for bit.
+//! `run`, `run_multi` and `run_dynamic` are one engine: host prepare (the
+//! partition only; no global matrix is ever assembled) → coarse geometry →
+//! one rank launch, with one fault wrap → one rank body (`assembly` and
+//! `scaling` of the rank's own system, `precond-build`, then one FGMRES per
+//! right-hand side or per Newmark step on a shared fixed-operator Krylov
+//! workspace, so later solves recycle the first solve's deflation space) →
+//! collection, `gather` and the `solve_summary`. What EDD and RDD do
+//! differently sits behind the crate-private `Decomposition` trait,
+//! implemented next to each operator (`EddParts` in [`crate::edd`],
+//! `RddParts` in [`crate::rdd`]); `run` feeds the engine the systems' own
+//! load (the only one that carries an inhomogeneous-Dirichlet lift),
+//! `run_multi` feeds it `k` global loads, `run_dynamic` a mass shift ᾱ for
+//! the setup and the step loop of [`crate::dynamic`]. The FNV-1a digests in
+//! `tests/golden.rs` pin the static results bit for bit; `tests/session.rs`
+//! and the root `integration_dynamic` test pin two transients.
 
 use crate::coarse::{build_rank_coarse, CoarseBuildStats, CoarsePlan};
-use crate::dynamic::{run_dynamic_edd, DynamicRunOutput};
+use crate::dynamic::{newmark_steps, DynamicRunOutput, Newmark};
 use crate::edd::{EddParts, EddVariant};
 use crate::error::SolveError;
 use crate::rdd::RddParts;
-use parfem_fem::{Discretization, Material, Mesh, NewmarkParams, Physics};
+use parfem_fem::{Discretization, Mass, Material, Mesh, NewmarkParams};
 use parfem_krylov::gmres::{GmresConfig, GmresResult};
-use parfem_krylov::history::ConvergenceHistory;
+use parfem_krylov::history::{ConvergenceHistory, StopReason};
 use parfem_krylov::{DistributedOperator, KrylovWorkspace};
 use parfem_mesh::{DofMap, ElementPartition, NodePartition, PartitionerSpec};
 use parfem_msg::{
@@ -65,8 +68,9 @@ use parfem_msg::{
 use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSetup, CoarseSpec, SpecPrecond};
 pub use parfem_precond::PrecondSpec;
 
-use parfem_sparse::{SparseLdlt, SparseRows};
+use parfem_sparse::{dense, CsrMatrix, SparseLdlt, SparseRows};
 use parfem_trace::{alloc, TraceSink, Value};
+use std::borrow::Cow;
 use std::fmt;
 use std::time::Duration;
 
@@ -159,6 +163,24 @@ impl MultiSolveOutput {
     /// Whether every right-hand side converged.
     pub fn all_converged(&self) -> bool {
         self.histories.iter().all(|h| h.converged())
+    }
+
+    /// The last solve alone, with the whole run's reports and setup records
+    /// (a run without solves keeps the untouched residual `1`).
+    pub(crate) fn into_last(mut self) -> DdSolveOutput {
+        let untouched = ConvergenceHistory {
+            relative_residuals: vec![1.0],
+            stop: StopReason::Converged,
+            restarts: 0,
+        };
+        DdSolveOutput {
+            u: self.solutions.pop().unwrap_or_default(),
+            history: self.histories.pop().unwrap_or(untouched),
+            reports: self.reports,
+            modeled_time: self.modeled_time,
+            coarse: self.coarse,
+            factor: self.factor,
+        }
     }
 }
 
@@ -382,15 +404,7 @@ impl<'a> SolveSession<'a> {
     /// # Panics
     /// Panics on API misuse: a session without a strategy.
     pub fn run(&self) -> Result<DdSolveOutput, SolveFailures> {
-        let mut out = self.solve(Loads::Own)?;
-        Ok(DdSolveOutput {
-            u: out.solutions.remove(0),
-            history: out.histories.remove(0),
-            reports: out.reports,
-            modeled_time: out.modeled_time,
-            coarse: out.coarse,
-            factor: out.factor,
-        })
+        Ok(self.solve(Drive::Own)?.0.into_last())
     }
 
     /// Solves the session's system for **many right-hand sides**, sharing
@@ -418,39 +432,87 @@ impl<'a> SolveSession<'a> {
     /// Panics on inhomogeneous constraints, wrong load-vector lengths, or a
     /// missing strategy.
     pub fn run_multi(&self, rhs_set: &[Vec<f64>]) -> Result<MultiSolveOutput, SolveFailures> {
-        let p = &self.problem;
-        for (d, v) in p.dof_map.fixed_dofs() {
-            assert_eq!(v, 0.0, "run_multi requires homogeneous BCs (dof {d})");
-        }
+        self.assert_homogeneous("run_multi");
         for rhs in rhs_set {
             assert_eq!(
                 rhs.len(),
-                p.dof_map.n_dofs(),
+                self.problem.dof_map.n_dofs(),
                 "right-hand side does not match the DOF map"
             );
         }
-        self.solve(Loads::Global(rhs_set))
+        Ok(self.solve(Drive::Global(rhs_set))?.0)
+    }
+
+    /// Runs `steps` Newmark time steps of `M ü + K u = f` (constant load,
+    /// zero initial conditions, homogeneous Dirichlet BCs, lumped mass)
+    /// under either strategy, watching the global DOFs in `watch_dofs`.
+    ///
+    /// It is one more way to drive the engine behind [`SolveSession::run`]:
+    /// each rank sets up the effective matrix `ᾱM + K` of paper Eq. 52 once
+    /// — assembly, scaling and preconditioner as for a static solve — and
+    /// then solves one FGMRES per step on a shared fixed-operator workspace,
+    /// warm-started from the current displacement. Every session option
+    /// applies: preconditioner (two-level included), variant, overlap, GMRES
+    /// settings, machine model, fault plan, watchdog and trace; a traced run
+    /// carries one `solve_summary` over `steps` right-hand sides.
+    ///
+    /// # Errors
+    /// Returns [`SolveFailures`] exactly as [`SolveSession::run`].
+    ///
+    /// # Panics
+    /// Panics on inhomogeneous constraints, on a discretization without a
+    /// lumped mass (heat, Q8 elements), on a watched DOF no rank holds, or
+    /// on a missing strategy.
+    pub fn run_dynamic(
+        &self,
+        params: NewmarkParams,
+        steps: usize,
+        watch_dofs: &[usize],
+    ) -> Result<DynamicRunOutput, SolveFailures> {
+        let p = &self.problem;
+        self.assert_homogeneous("run_dynamic");
+        assert!(
+            p.discretization.has_mass(Mass::Lumped),
+            "run_dynamic needs a lumped mass, which {} on these elements has not",
+            p.discretization.physics()
+        );
+        let watch = watch_dofs;
+        let (out, watched) = self.solve(Drive::Newmark(Newmark {
+            params,
+            steps,
+            watch,
+        }))?;
+        Ok(DynamicRunOutput::new(out, watched))
+    }
+
+    /// Panics unless every Dirichlet constraint is homogeneous: `what`
+    /// rebuilds its loads on the ranks as `f/mult` with the constrained rows
+    /// zeroed, which is exact only for zero prescribed values.
+    fn assert_homogeneous(&self, what: &str) {
+        for (d, v) in self.problem.dof_map.fixed_dofs() {
+            assert_eq!(v, 0.0, "{what} requires homogeneous BCs (dof {d})");
+        }
     }
 
     /// Dispatches the strategy to the one engine; the arms differ only in
     /// how the host prepares the partitioned problem.
-    fn solve(&self, loads: Loads<'_>) -> Result<MultiSolveOutput, SolveFailures> {
+    fn solve(&self, drive: Drive<'_>) -> Result<EngineOutput, SolveFailures> {
         let p = &self.problem;
         match &self.strategy {
             Some(Strategy::Edd(part)) => {
-                self.engine(loads, |sink| EddParts::partition(p, part, sink))
+                self.engine(drive, |sink| EddParts::partition(p, part, sink))
             }
-            Some(Strategy::Rdd(part)) => self.engine(loads, |_| RddParts::new(p, part)),
+            Some(Strategy::Rdd(part)) => self.engine(drive, |_| RddParts::new(p, part)),
             None => {
                 panic!("SolveSession needs .strategy(Strategy::Edd(..) | Strategy::Rdd(..))")
             }
         }
     }
 
-    /// The engine behind [`SolveSession::run`] and
-    /// [`SolveSession::run_multi`]: host prepare → coarse geometry → one
-    /// launch of the one rank body → collection → gather → summary, over
-    /// whichever [`Decomposition`] `prepare` builds.
+    /// The engine behind [`SolveSession::run`], [`SolveSession::run_multi`]
+    /// and [`SolveSession::run_dynamic`]: host prepare → coarse geometry →
+    /// one launch of the one rank body → collection → gather → summary,
+    /// over whichever [`Decomposition`] `prepare` builds.
     ///
     /// When `cfg.faults` is set, every rank's communicator is wrapped in a
     /// [`FaultyComm`] driven by the shared [`FaultPlan`], and
@@ -458,9 +520,9 @@ impl<'a> SolveSession<'a> {
     /// tears the run down with errors on every survivor instead of a hang.
     fn engine<D: Decomposition>(
         &self,
-        loads: Loads<'_>,
+        drive: Drive<'_>,
         prepare: impl FnOnce(&TraceSink) -> D,
-    ) -> Result<MultiSolveOutput, SolveFailures> {
+    ) -> Result<EngineOutput, SolveFailures> {
         let disabled = TraceSink::disabled();
         let sink = self.sink.unwrap_or(&disabled);
         let cfg = &self.cfg;
@@ -472,18 +534,19 @@ impl<'a> SolveSession<'a> {
         let opts = RunOptions {
             comm_timeout: cfg.comm_timeout,
         };
+        let problem = &self.problem;
         let body = |comm: &ThreadComm| {
             let plan = coarse.as_ref().map(|(spec, geometry)| CoarsePlan {
                 spec,
-                n_comp: parts.dofs_per_node(),
+                n_comp: problem.dof_map.dofs_per_node(),
                 geo: &geometry[comm.rank()],
             });
             match &cfg.faults {
                 Some(faults) => {
                     let faulty = FaultyComm::new(comm, faults.clone());
-                    rank_body(&parts, &faulty, plan, loads, cfg)
+                    rank_body(&parts, &faulty, plan, problem, drive, cfg)
                 }
-                None => rank_body(&parts, comm, plan, loads, cfg),
+                None => rank_body(&parts, comm, plan, problem, drive, cfg),
             }
         };
         let out = try_run_ranks(parts.n_ranks(), self.model.clone(), opts, sink, body);
@@ -491,67 +554,32 @@ impl<'a> SolveSession<'a> {
             collect_rank_results(out.results, out.reports, out.modeled_time)?;
 
         let solutions = host_span(sink, "gather", || {
-            (0..loads.count())
-                .map(|k| parts.gather(results.iter().map(|(solves, _)| solves[k].x.as_slice())))
+            (0..results[0].pieces.len())
+                .map(|k| parts.gather(results.iter().map(|r| r.pieces[k].as_slice())))
                 .collect()
         });
+        // A watched dof's history comes from the first rank that holds it;
+        // every rank holding it has the same values.
+        let watch = (0..results[0].watch.len())
+            .map(|k| {
+                results
+                    .iter()
+                    .map(|r| r.watch[k].clone())
+                    .find(|h| !h.is_empty())
+            })
+            .map(Option::unwrap_or_default)
+            .collect();
         let solved = MultiSolveOutput {
             solutions,
-            coarse: results.iter().filter_map(|r| r.1.coarse).collect(),
-            factor: results.iter().filter_map(|r| r.1.factor).collect(),
-            // The history is identical on every rank; keep rank 0's.
-            histories: (results.swap_remove(0).0.into_iter())
-                .map(|solve| solve.history)
-                .collect(),
+            coarse: results.iter().filter_map(|r| r.built.coarse).collect(),
+            factor: results.iter().filter_map(|r| r.built.factor).collect(),
+            // The histories are identical on every rank; keep rank 0's.
+            histories: results.swap_remove(0).histories,
             reports,
             modeled_time,
         };
         emit_solve_summary(sink, parts.label(cfg), cfg, &solved, alloc_start);
-        Ok(solved)
-    }
-
-    /// Runs `steps` Newmark time steps of `M ü + K u = f` (constant load,
-    /// zero initial conditions, homogeneous Dirichlet BCs) with the EDD
-    /// distributed solver in the loop, watching the global DOFs in
-    /// `watch_dofs`. The session's solver configuration (preconditioner,
-    /// variant, overlap, GMRES settings) applies to every step's solve;
-    /// fault plans are ignored (the transient driver runs fault-free).
-    ///
-    /// # Panics
-    /// Panics unless the session holds 2-D elasticity on a structured Q4
-    /// mesh with an EDD strategy, if the DOF map carries non-zero prescribed
-    /// values, if
-    /// the preconditioner spec is two-level (the transient driver has no
-    /// coarse-space plumbing), or if a rank's preconditioner cannot be built
-    /// (`ilu0` on a floating subdomain).
-    pub fn run_dynamic(
-        &self,
-        params: NewmarkParams,
-        steps: usize,
-        watch_dofs: &[usize],
-    ) -> DynamicRunOutput {
-        let p = &self.problem;
-        let Some(Strategy::Edd(part)) = &self.strategy else {
-            panic!("the transient driver is EDD-only: set .strategy(Strategy::Edd(..))")
-        };
-        assert!(
-            !self.cfg.precond.needs_coarse(),
-            "the transient driver does not support two-level preconditioning; \
-             use a one-level preconditioner spec"
-        );
-        assert!(
-            p.discretization.physics() == Physics::Elasticity2d && matches!(p.mesh(), Mesh::Quad(_)),
-            "the transient driver integrates the 2-D elasticity equations of motion on Q4 meshes only"
-        );
-        run_dynamic_edd(
-            p,
-            part,
-            self.model.clone(),
-            &self.cfg,
-            params,
-            steps,
-            watch_dofs,
-        )
+        Ok((solved, watch))
     }
 }
 
@@ -659,9 +687,9 @@ fn prepare_coarse<'s>(
     Some((coarse, host_span(sink, "coarse-build", || geometry(coarse))))
 }
 
-/// The right-hand sides one engine run solves for.
+/// What one engine run solves.
 #[derive(Clone, Copy)]
-enum Loads<'a> {
+enum Drive<'a> {
     /// The load the session's systems were assembled with — the only source
     /// that carries an inhomogeneous-Dirichlet lift (`f − K ū` on the free
     /// rows, `ū` on the fixed ones), which is why `run()` is not `run_multi`
@@ -670,37 +698,24 @@ enum Loads<'a> {
     /// Global load vectors, restricted and scaled on the ranks with the
     /// constrained rows zeroed: exact for homogeneous constraints only.
     Global(&'a [Vec<f64>]),
+    /// A Newmark transient over the global load.
+    Newmark(Newmark<'a>),
 }
 
-impl<'a> Loads<'a> {
-    fn count(&self) -> usize {
-        match self {
-            Loads::Own => 1,
-            Loads::Global(set) => set.len(),
-        }
-    }
-
-    /// The `k`-th global load vector; `None` stands for the systems' own.
-    fn get(&self, k: usize) -> Option<&'a [f64]> {
-        match self {
-            Loads::Own => None,
-            Loads::Global(set) => Some(&set[k]),
-        }
-    }
-}
+/// What the engine hands back: the solve output and, for a transient, the
+/// watched DOFs' histories.
+type EngineOutput = (MultiSolveOutput, Vec<Vec<f64>>);
 
 /// The strategy seam of the engine: everything the two decompositions do
 /// differently, and nothing else. One value describes the whole partitioned
 /// problem on the host; the ranks share it by reference. Launch, fault
-/// wrap, the right-hand-side loop, collection, the `gather` span and the
-/// summary are the engine's.
+/// wrap, the right-hand-side loop, the Newmark step loop, collection, the
+/// `gather` span and the summary are the engine's.
 pub(crate) trait Decomposition: Sync {
     /// What a rank holds once its setup ran.
     type Rank;
 
     fn n_ranks(&self) -> usize;
-
-    fn dofs_per_node(&self) -> usize;
 
     /// The `variant` label of the `solve_summary`.
     fn label(&self, cfg: &SolverConfig) -> &'static str;
@@ -709,27 +724,70 @@ pub(crate) trait Decomposition: Sync {
     fn coarse_geometry(&self, spec: &CoarseSpec) -> Vec<CoarsePartGeometry>;
 
     /// The rank's setup up to and including its preconditioner, or the
-    /// [`SolveError::Precond`] that stopped its build.
+    /// [`SolveError::Precond`] that stopped its build. With a `mass_shift`
+    /// ᾱ the rank assembles its lumped mass `M` along with `K` and sets up
+    /// a Newmark step's effective matrix `ᾱM + K` (paper Eq. 52).
     fn rank_setup<C: Communicator>(
         &self,
         comm: &C,
         coarse: Option<CoarsePlan<'_>>,
+        mass_shift: Option<f64>,
         cfg: &SolverConfig,
     ) -> Result<(Self::Rank, PrecondBuildStats), SolveError>;
 
-    /// One FGMRES on this rank for `load` (see [`Loads::get`]), returning
-    /// the rank's piece of the solution in the form [`Self::gather`] takes.
-    fn rank_solve<C: Communicator>(
+    /// The rank's rows, as the strategy-neutral rank body reads them.
+    fn rows<'r>(&self, rank: &'r Self::Rank) -> RankRows<'r>;
+
+    /// Makes a vector in the rank's load format consistent: each row the
+    /// sum over the ranks that hold it. Disjoint rows need nothing.
+    fn make_consistent<C: Communicator>(&self, _comm: &C, _rank: &Self::Rank, _v: &mut [f64]) {}
+
+    /// One FGMRES on the rank's scaled system for the scaled load `b` from
+    /// the scaled initial guess `x0`; the solution stays scaled.
+    fn fgmres<C: Communicator>(
         &self,
         comm: &C,
         rank: &Self::Rank,
-        load: Option<&[f64]>,
+        b: &[f64],
+        x0: &[f64],
         cfg: &SolverConfig,
         ws: &mut KrylovWorkspace,
     ) -> Result<GmresResult, SolveError>;
 
     /// The physical global solution from every rank's piece, in rank order.
     fn gather<'r>(&self, pieces: impl Iterator<Item = &'r [f64]>) -> Vec<f64>;
+}
+
+/// One rank's rows after its setup: the local DOFs of its subdomain (EDD)
+/// or its owned rows (RDD). A load-format vector is local distributed under
+/// EDD; a solution is global distributed under EDD; both are plain rows
+/// under RDD.
+pub(crate) struct RankRows<'r> {
+    /// The global DOF of each row.
+    pub dofs: &'r [usize],
+    /// How many ranks hold each row; `None` when the rows are disjoint.
+    pub multiplicity: Option<&'r [f64]>,
+    /// Algorithm 3's scaling diagonal over the rows.
+    pub d: &'r [f64],
+    /// `D f` for the systems' own load.
+    pub b: &'r [f64],
+    /// The lumped mass in the load format, after a setup with a mass shift.
+    pub mass: Option<&'r CsrMatrix>,
+}
+
+impl RankRows<'_> {
+    /// A global load vector in the rank's load format, unscaled: entries
+    /// split by multiplicity, constrained rows zeroed — the load the rank's
+    /// own assembly builds when every constraint is homogeneous.
+    pub fn restrict_load(&self, global: &[f64], dm: &DofMap) -> Vec<f64> {
+        (self.dofs.iter().enumerate())
+            .map(|(l, &g)| match (dm.is_fixed(g), self.multiplicity) {
+                (true, _) => 0.0,
+                (false, Some(mult)) => global[g] / mult[l],
+                (false, None) => global[g],
+            })
+            .collect()
+    }
 }
 
 /// What one rank's subdomain factorization produced — the `factor_*` record
@@ -855,21 +913,37 @@ where
     })
 }
 
-/// What one rank returns: its piece of the solution and the convergence
-/// history per right-hand side, and the record of its preconditioner build.
-type RankSolves = (Vec<GmresResult>, PrecondBuildStats);
+/// What one rank returns.
+pub(crate) struct RankRun {
+    /// The rank's piece of each solution the host gathers: one per load,
+    /// the final displacement of a transient.
+    pub pieces: Vec<Vec<f64>>,
+    /// The convergence history of every solve, in order.
+    pub histories: Vec<ConvergenceHistory>,
+    /// Per watched DOF of a transient, its value after every step, or
+    /// nothing when the rank does not hold it.
+    pub watch: Vec<Vec<f64>>,
+    /// The record of the rank's preconditioner build.
+    pub built: PrecondBuildStats,
+}
 
 /// The one rank body, over any [`Communicator`] — the raw [`ThreadComm`] in
 /// fault-free runs, a [`FaultyComm`] under chaos: setup and preconditioner
-/// once, then one FGMRES per right-hand side on a shared Krylov workspace.
+/// once, then one FGMRES per right-hand side, or per Newmark step, on a
+/// shared Krylov workspace.
 fn rank_body<D: Decomposition, C: Communicator>(
     parts: &D,
     comm: &C,
     coarse: Option<CoarsePlan<'_>>,
-    loads: Loads<'_>,
+    problem: &Problem<'_>,
+    drive: Drive<'_>,
     cfg: &SolverConfig,
-) -> Result<RankSolves, SolveError> {
-    let (rank, built) = parts.rank_setup(comm, coarse, cfg)?;
+) -> Result<RankRun, SolveError> {
+    let mass_shift = match drive {
+        Drive::Newmark(run) => Some(run.params.effective_coefficients().0),
+        _ => None,
+    };
+    let (rank, built) = parts.rank_setup(comm, coarse, mass_shift, cfg)?;
     // What the rank holds going into its solves, and the most it held while
     // setting up (rank threads start empty, so the peak covers assembly,
     // scaling and the preconditioner build).
@@ -877,14 +951,39 @@ fn rank_body<D: Decomposition, C: Communicator>(
         t.add_count("setup_live_bytes", alloc::live_bytes());
         t.add_count("setup_peak_bytes", alloc::peak_bytes());
     }
-    // Every right-hand side runs against the same operator and
-    // preconditioner, so each solve after the first recycles the deflation
-    // space of the one before it.
+    // Every solve runs against the same operator and preconditioner, so
+    // each one after the first recycles the deflation space of the one
+    // before it.
     let mut ws = KrylovWorkspace::for_fixed_operator();
-    let solves = (0..loads.count())
-        .map(|k| parts.rank_solve(comm, &rank, loads.get(k), cfg, &mut ws))
-        .collect::<Result<_, _>>()?;
-    Ok((solves, built))
+    let mut out = RankRun {
+        pieces: Vec::new(),
+        histories: Vec::new(),
+        watch: Vec::new(),
+        built,
+    };
+    let count = match drive {
+        Drive::Own => 1,
+        Drive::Global(set) => set.len(),
+        Drive::Newmark(run) => {
+            return newmark_steps((parts, comm, &rank), problem, run, cfg, &mut ws, out)
+        }
+    };
+    let rows = parts.rows(&rank);
+    for k in 0..count {
+        let b = match drive {
+            Drive::Global(set) => {
+                let mut b = rows.restrict_load(&set[k], problem.dof_map);
+                dense::diag_mul(rows.d, &mut b);
+                Cow::Owned(b)
+            }
+            _ => Cow::Borrowed(rows.b),
+        };
+        let mut res = parts.fgmres(comm, &rank, &b, &vec![0.0; b.len()], cfg, &mut ws)?;
+        dense::diag_mul(rows.d, &mut res.x);
+        out.pieces.push(res.x);
+        out.histories.push(res.history);
+    }
+    Ok(out)
 }
 
 /// Splits the per-rank outcomes of a fallible run. A rank *panic* is a bug

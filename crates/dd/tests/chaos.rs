@@ -11,11 +11,13 @@
 //! - **unrecoverable schedules fail loudly and promptly**: a killed rank
 //!   surfaces as a typed [`SolveError`] on every rank within the wall-clock
 //!   watchdog — no hangs, no orphaned threads, no partial "solutions".
+//!
+//! Both hold for static solves and for Newmark transients alike.
 
 use parfem_dd::{
     EddVariant, PrecondSpec, Problem, SolveError, SolveSession, SolverConfig, Strategy,
 };
-use parfem_fem::{assembly, Material};
+use parfem_fem::{assembly, Material, NewmarkParams};
 use parfem_krylov::gmres::GmresConfig;
 use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, QuadMesh};
 use parfem_msg::{CommError, FaultPlan, MachineModel};
@@ -258,6 +260,96 @@ fn killed_rank_fails_rdd_within_budget() {
         failures.errors
     );
     assert!(start.elapsed() < Duration::from_secs(20));
+}
+
+/// A rank killed in the middle of a transient — after its setup and the
+/// first steps — fails the run with [`SolveFailures`] on every rank within
+/// the watchdog budget, under either strategy.
+///
+/// [`SolveFailures`]: parfem_dd::SolveFailures
+#[test]
+fn killed_rank_fails_a_transient_within_budget() {
+    let (mesh, dm, mat, loads) = problem(8, 3);
+    let tip = dm.dof(mesh.node_at(8, 3), 1);
+    let params = NewmarkParams::average_acceleration(1.0);
+    let strategies = [
+        Strategy::Edd(ElementPartition::strips_x(&mesh, 3)),
+        Strategy::Rdd(NodePartition::strips_x(&mesh, 3)),
+    ];
+    for strategy in strategies {
+        let session = |faults, steps| {
+            let cfg = SolverConfig {
+                comm_timeout: Duration::from_millis(300),
+                ..cfg_with(faults, false)
+            };
+            SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+                .strategy(strategy.clone())
+                .config(cfg)
+                .machine(MachineModel::ibm_sp2())
+                .run_dynamic(params, steps, &[tip])
+        };
+        let one_step = session(None, 1).expect("fault-free transient");
+        let start = Instant::now();
+        let failures = session(Some(FaultPlan::new(3).with_kill(1, 600)), 12)
+            .expect_err("a killed rank must fail the transient");
+        let elapsed = start.elapsed();
+        let what = if matches!(strategy, Strategy::Edd(_)) {
+            "EDD"
+        } else {
+            "RDD"
+        };
+        assert_eq!(failures.errors.len(), 3, "{what}: {:?}", failures.errors);
+        for (rank, err) in &failures.errors {
+            match err {
+                SolveError::Comm(CommError::RankKilled { rank: killed, .. }) => {
+                    assert_eq!((*rank, *killed), (1, 1), "{what}")
+                }
+                SolveError::Comm(
+                    CommError::Disconnected { .. }
+                    | CommError::Timeout { .. }
+                    | CommError::RetriesExhausted { .. },
+                ) => assert_ne!(*rank, 1, "{what}: rank 1 must report its own death"),
+                other => panic!("{what} rank {rank}: unexpected error {other:?}"),
+            }
+        }
+        // The kill came after the first step: the survivors' clocks ran past
+        // a whole one-step transient.
+        assert!(
+            failures.modeled_time > one_step.last.modeled_time,
+            "{what}: failed at {} s, one step takes {} s",
+            failures.modeled_time,
+            one_step.last.modeled_time
+        );
+        assert!(
+            elapsed < Duration::from_secs(20),
+            "{what}: the transient must not hang: took {elapsed:?}"
+        );
+    }
+}
+
+/// Delays only stretch the modeled time of a transient: the watched history
+/// is the fault-free one, bit for bit.
+#[test]
+fn delayed_transient_keeps_the_fault_free_history() {
+    let (mesh, dm, mat, loads) = problem(8, 3);
+    let tip = dm.dof(mesh.node_at(8, 3), 1);
+    let run = |faults| {
+        edd_session(&mesh, &dm, &mat, &loads, 4)
+            .config(cfg_with(faults, false))
+            .machine(MachineModel::sgi_origin())
+            .run_dynamic(NewmarkParams::average_acceleration(1.0), 5, &[tip])
+            .expect("recoverable")
+    };
+    let clean = run(None);
+    let slow = run(Some(FaultPlan::new(9).with_delays(1.0, 1e-3)));
+    let bits = |h: &[f64]| h.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&clean.watch_histories[0]),
+        bits(&slow.watch_histories[0])
+    );
+    assert_eq!(clean.last.u, slow.last.u);
+    assert_eq!(clean.total_iterations, slow.total_iterations);
+    assert!(slow.last.modeled_time > clean.last.modeled_time);
 }
 
 /// An undeliverable interface message (certain drop, tiny retry budget)

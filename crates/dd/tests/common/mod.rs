@@ -136,3 +136,11 @@ pub fn assert_run_multi_contract(
         );
     }
 }
+
+/// FNV-1a over the bits of `v`: a digest that moves with any last-place
+/// change.
+pub fn fnv_bits(v: &[f64]) -> u64 {
+    (v.iter().flat_map(|x| x.to_bits().to_le_bytes())).fold(0xcbf29ce484222325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x100000001b3)
+    })
+}

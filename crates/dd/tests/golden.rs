@@ -38,7 +38,7 @@ use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, QuadMesh};
 use parfem_msg::{run_ranks, Communicator, FaultPlan, FaultyComm, MachineModel};
 use parfem_precond::{GlsPrecond, IdentityPrecond};
 use parfem_sparse::scaling::scale_system;
-use parfem_sparse::{CsrMatrix, LinearOperator, NodeMatrix};
+use parfem_sparse::{dense, CsrMatrix, LinearOperator, NodeMatrix};
 
 /// FNV-1a over a stream of u64 words (stable, dependency-free).
 struct Fnv(u64);
@@ -109,7 +109,7 @@ fn edd_rank_body<C: Communicator>(
     }
     .expect("recoverable golden run must solve");
     let mut u = res.x;
-    sc.unscale(&mut u);
+    dense::diag_mul(&sc.d, &mut u);
     (u, res.history)
 }
 

@@ -12,7 +12,7 @@
 use parfem_dd::{
     DdSolveOutput, FactorStats, PrecondSpec, Problem, SolveSession, SolverConfig, Strategy,
 };
-use parfem_fem::{assembly, quad4, Material};
+use parfem_fem::{assembly, quad4, Material, NewmarkParams};
 use parfem_krylov::gmres::GmresConfig;
 use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, PartitionerSpec, QuadMesh};
 use parfem_msg::{CommStats, FaultPlan, MachineModel};
@@ -724,6 +724,57 @@ fn run_multi_is_summarized_and_its_rank_spans_tile_the_timeline() {
                 r.rank,
                 r.final_virt
             );
+        }
+    }
+}
+
+/// A traced transient explains itself like a static solve: every rank opens
+/// its `assembly`, `scaling` and `precond-build` spans once and one
+/// `fgmres` per step, and the run carries one `solve_summary` over `steps`
+/// right-hand sides whose iterations are the transient's total — under
+/// either strategy.
+#[test]
+fn run_dynamic_is_traced_and_summarized() {
+    let (mesh, dm, mat, loads) = problem(12, 3);
+    let tip = dm.dof(mesh.node_at(12, 3), 1);
+    let steps = 4;
+    let strategies = [
+        Strategy::Edd(ElementPartition::strips_x(&mesh, 3)),
+        Strategy::Rdd(NodePartition::strips_x(&mesh, 3)),
+    ];
+    for strategy in strategies {
+        let sink = TraceSink::recording();
+        let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+            .strategy(strategy.clone())
+            .config(cfg())
+            .machine(MachineModel::ibm_sp2())
+            .trace(&sink)
+            .run_dynamic(NewmarkParams::average_acceleration(1.0), steps, &[tip])
+            .expect("fault-free transient");
+        assert!(out.all_converged);
+        let events = sink.take_events();
+        let summaries = (events.iter())
+            .filter(|e| e.kind == EventKind::Instant && e.name == "solve_summary")
+            .count();
+        assert_eq!(summaries, 1, "one summary per transient");
+        let report = TraceReport::from_events(&events);
+        let summary = report.solve.as_ref().expect("solve_summary");
+        assert_eq!(summary.n_rhs, steps as u64);
+        assert_eq!(summary.iterations, out.total_iterations as u64);
+        assert!(summary.converged);
+        assert_eq!(summary.modeled_time, out.last.modeled_time);
+        for r in &report.ranks {
+            let opened: Vec<&str> = (events.iter())
+                .filter(|e| e.rank == Some(r.rank) && e.kind == EventKind::SpanBegin)
+                .map(|e| e.name.as_str())
+                .collect();
+            let mut want = vec!["assembly", "scaling", "precond-build"];
+            want.extend(std::iter::repeat_n("fgmres", steps));
+            assert_eq!(opened, want, "rank {}", r.rank);
+            let assembly = r.phases.iter().find(|p| p.name == "assembly").unwrap();
+            let flops = charged_assembly_flops(&mesh, &strategy, r.rank);
+            let what = format!("rank {}", r.rank);
+            assert_assembly_width(assembly.virt_s, flops, &MachineModel::ibm_sp2(), &what);
         }
     }
 }

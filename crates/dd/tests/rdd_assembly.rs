@@ -8,11 +8,12 @@
 //! what [`RddSystem::build_all`] cuts from `scale_system(build_static(..))`,
 //! and `a_loc` must be [`BcsrMatrix::from_csr`] of the owned columns of the
 //! scaled global rows, on every physics, partition shape and rank count,
-//! with homogeneous and inhomogeneous Dirichlet data.
+//! with homogeneous and inhomogeneous Dirichlet data. With a mass shift ᾱ
+//! the same holds for a Newmark step's effective matrix `ᾱ·M_lumped + K`.
 
 use parfem_dd::{Problem, RddSystem};
 use parfem_fem::assembly::{self, StaticSystem};
-use parfem_fem::{Discretization, Material, Physics};
+use parfem_fem::{Discretization, Mass, Material, Physics};
 use parfem_mesh::{DofMap, Edge, Face, HexMesh, NodePartition, QuadMesh};
 use parfem_msg::{run_ranks, MachineModel};
 use parfem_sparse::ldlt::{SparseLdlt, DEFAULT_PIVOT_TOL};
@@ -186,18 +187,41 @@ fn owned_columns(a: &CsrMatrix, rows: &[usize]) -> CsrMatrix {
 }
 
 /// Builds every rank's block row on the ranks and compares it with the
-/// global split; returns the largest neighbour count of any rank.
-fn check(fx: &Fixture, part: &NodePartition, what: &str) -> usize {
+/// global split — of `K`, or with a `mass_shift` ᾱ of the Newmark step's
+/// `ᾱM + K` over the lumped mass; returns the largest neighbour count of any
+/// rank.
+fn check(fx: &Fixture, part: &NodePartition, mass_shift: Option<f64>, what: &str) -> usize {
     let global = fx.reference();
-    let (a, b, scaling) = scale_system(&global.stiffness, &global.rhs).unwrap();
+    let mass = mass_shift.map(|_| {
+        let m = assembly::assemble_mass(fx.disc(), &fx.dm, &fx.mat, Mass::Lumped);
+        assembly::apply_dirichlet_mass(&m, &fx.dm)
+    });
+    let k = match (mass_shift, &mass) {
+        (Some(alpha), Some(m)) => {
+            let mut k = NodeMatrix::Csr(global.stiffness.clone());
+            k.scale_add(1.0, alpha, m);
+            CsrMatrix::from_rows(&k)
+        }
+        _ => global.stiffness.clone(),
+    };
+    let (a, b, scaling) = scale_system(&k, &global.rhs).unwrap();
     let want = RddSystem::build_all(&a, &b, part);
     let problem = fx.problem();
     let out = run_ranks(part.n_parts(), MachineModel::ideal(), |comm| {
-        RddSystem::assemble(comm, &problem, part)
+        RddSystem::assemble(comm, &problem, part, mass_shift)
     });
     let dpn = fx.physics.dofs_per_node();
-    for ((got, d), want) in out.results.iter().zip(&want) {
+    for ((got, d, got_mass), want) in out.results.iter().zip(&want) {
         let what = format!("{what} rank {}", want.rank);
+        match (got_mass, &mass) {
+            (Some(got), Some(m)) => assert_eq!(
+                bits(&got.diagonal()),
+                bits(&want.restrict(&m.diagonal())),
+                "{what}: lumped mass"
+            ),
+            (None, None) => {}
+            _ => panic!("{what}: a mass without a shift, or none with one"),
+        }
         assert_eq!(got.rank, want.rank, "{what}");
         assert_eq!(got.rows, want.rows, "{what}: rows");
         // The definition: the owned columns of the scaled global rows, in
@@ -238,7 +262,7 @@ fn check_physics(physics: Physics, dims: (usize, usize, usize)) {
             for shape in 0..3 {
                 let part = fx.partition(shape, p, 2026);
                 let what = format!("{physics} P={p} shape={shape} inhomogeneous={inhomogeneous}");
-                most_neighbours = most_neighbours.max(check(&fx, &part, &what));
+                most_neighbours = most_neighbours.max(check(&fx, &part, None, &what));
             }
         }
     }
@@ -261,6 +285,29 @@ fn elasticity3d_rank_block_rows_equal_the_global_split() {
     check_physics(Physics::Elasticity3d, (7, 3, 2));
 }
 
+/// A Newmark step's rank block rows: the owned rows of the global
+/// constrained `ᾱ·M_lumped + K`, scaled — the same sums in the same order
+/// as the rank's `k_rr + ᾱ·m_r`, so bit for bit — and the lumped mass of the
+/// owned rows, on plane and solid elasticity.
+#[test]
+fn effective_rank_block_rows_equal_the_global_split() {
+    for (physics, dims) in [
+        (Physics::Elasticity2d, (9, 4, 1)),
+        (Physics::Elasticity3d, (7, 3, 2)),
+    ] {
+        for inhomogeneous in [false, true] {
+            let fx = Fixture::new(physics, dims, inhomogeneous);
+            for p in [1, 3, 4] {
+                for shape in 0..3 {
+                    let part = fx.partition(shape, p, 2026);
+                    let what = format!("{physics} P={p} shape={shape} shifted");
+                    check(&fx, &part, Some(37.5), &what);
+                }
+            }
+        }
+    }
+}
+
 /// Each rank's `a_loc` is in the storage its DOFs per node give it: node
 /// blocks for both elasticities, CSR for heat.
 #[test]
@@ -274,7 +321,7 @@ fn rank_block_rows_take_the_storage_of_their_dofs_per_node() {
         let part = fx.partition(0, 3, 0);
         let problem = fx.problem();
         let out = run_ranks(3, MachineModel::ideal(), |comm| {
-            RddSystem::assemble(comm, &problem, &part)
+            RddSystem::assemble(comm, &problem, &part, None)
                 .0
                 .a_loc
                 .kernel_label()
@@ -332,6 +379,6 @@ proptest! {
         let part = fx.partition(shape, p, seed);
         let what = format!("{physics} {dims:?} P={p} shape={shape} seed={seed} \
                             inhomogeneous={inhomogeneous}");
-        check(&fx, &part, &what);
+        check(&fx, &part, None, &what);
     }
 }

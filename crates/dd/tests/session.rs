@@ -549,7 +549,8 @@ fn run_dynamic_smoke() {
     let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
         .strategy(Strategy::Edd(part))
         .config(cfg())
-        .run_dynamic(NewmarkParams::average_acceleration(1.0), 3, &[tip]);
+        .run_dynamic(NewmarkParams::average_acceleration(1.0), 3, &[tip])
+        .expect("fault-free transient");
     assert!(out.all_converged, "every Newmark step must converge");
     assert_eq!(out.watch_histories.len(), 1);
     assert_eq!(out.watch_histories[0].len(), 3);
@@ -559,7 +560,10 @@ fn run_dynamic_smoke() {
 /// step workspace recycles the deflation space of the fixed effective
 /// operator `ᾱM + K` across steps. The total iteration count must not rise
 /// above the count without recycling (94), and the watched tip history must
-/// agree with the one pinned from the solver without recycling.
+/// agree with the one pinned from the solver without recycling. Its bits —
+/// the tip history, the iteration total, the final displacement and the
+/// modeled time — are those of the separate EDD transient driver the
+/// engine's step loop replaced.
 #[test]
 fn run_dynamic_restarting_steps_keep_their_history() {
     let (mesh, dm, mat, loads) = problem(16, 4);
@@ -570,7 +574,8 @@ fn run_dynamic_restarting_steps_keep_their_history() {
     let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
         .strategy(Strategy::Edd(part))
         .config(config)
-        .run_dynamic(NewmarkParams::average_acceleration(10.0), 6, &[tip]);
+        .run_dynamic(NewmarkParams::average_acceleration(10.0), 6, &[tip])
+        .expect("fault-free transient");
     assert!(out.all_converged, "every Newmark step must converge");
     assert!(out.last.history.restarts >= 1, "the steps must restart");
     assert!(
@@ -592,6 +597,21 @@ fn run_dynamic_restarting_steps_keep_their_history() {
             "step {step}: tip {got} vs pinned {want}"
         );
     }
+    let tip_bits: Vec<u64> = out.watch_histories[0].iter().map(|x| x.to_bits()).collect();
+    assert_eq!(
+        tip_bits,
+        [
+            0xc01cf60c2b3bc66c,
+            0xc035708b3b5b449d,
+            0xc043e28f4f7ba0e3,
+            0xc04ead0c3a0eb93b,
+            0xc0553533c3dffbfe,
+            0xc05baff3aa9c8880,
+        ]
+    );
+    assert_eq!(out.total_iterations, 78);
+    assert_eq!(common::fnv_bits(&out.last.u), 0x753d50060c7fd8ad);
+    assert_eq!(out.last.modeled_time.to_bits(), 0x3f90d755e7be14aa);
 }
 
 /// A killed rank surfaces as a typed failure through the session path —

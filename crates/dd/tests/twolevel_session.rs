@@ -15,7 +15,7 @@ mod common;
 use parfem_dd::{
     DdSolveOutput, EddVariant, PrecondSpec, Problem, SolveSession, SolverConfig, Strategy,
 };
-use parfem_fem::{assembly, Material, NewmarkParams, SubdomainSystem};
+use parfem_fem::{assembly, Material, SubdomainSystem};
 use parfem_krylov::gmres::GmresConfig;
 use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, PartitionerSpec, QuadMesh};
 use parfem_msg::{FaultPlan, MachineModel};
@@ -166,19 +166,6 @@ fn twolevel_graph_partitioner_is_deterministic() {
     let a = run();
     assert!(a.history.converged());
     assert_bit_identical(&a, &run(), "two-level graph partition, second run");
-}
-
-/// The transient driver has no coarse plumbing and must reject two-level
-/// specs instead of silently solving one-level.
-#[test]
-#[should_panic(expected = "transient driver does not support two-level")]
-fn twolevel_run_dynamic_panics() {
-    let (mesh, dm, mat, loads) = problem(6, 2);
-    let part = ElementPartition::strips_x(&mesh, 2);
-    let _ = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-        .strategy(Strategy::Edd(part))
-        .config(cfg("twolevel:rbm:gls-3"))
-        .run_dynamic(NewmarkParams::average_acceleration(1.0), 1, &[0]);
 }
 
 /// Two-level works under the RDD (block-row) operator too, in both

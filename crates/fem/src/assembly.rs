@@ -596,6 +596,9 @@ pub struct OwnedRows {
     pub ext_dofs: Vec<usize>,
     /// The rows' right-hand side.
     pub rhs: Vec<f64>,
+    /// The rows' lumped mass as a diagonal matrix (constrained rows zero),
+    /// when asked for.
+    pub mass: Option<CsrMatrix>,
 }
 
 impl OwnedRows {
@@ -633,19 +636,20 @@ impl OwnedRows {
 /// ascending element order. The Dirichlet conditions of `dm` apply as the
 /// global [`apply_dirichlet`] applies them, with the right-hand side taken
 /// from the global `loads`; the other ranks' nodes touched (one ghost
-/// layer) give the columns of `a_ext`. Returns the rows and the number of
-/// elements assembled.
+/// layer) give the columns of `a_ext`. With `lumped_mass` the rows' lumped
+/// mass comes along. Returns the rows and the number of elements assembled.
 ///
 /// An owned node has all its elements here, so each row holds the entries
 /// of that row of the global constrained matrix, summed in the same element
 /// order, and its right-hand side the same lifted values subtracted in the
-/// same column order: bit for bit the same values.
+/// same column order: bit for bit the same values. So does the lumped mass.
 pub fn assemble_owned(
     disc: &Discretization,
     dm: &DofMap,
     material: &Material,
     loads: &[f64],
     owned: impl Fn(usize) -> bool,
+    lumped_mass: bool,
 ) -> (OwnedRows, usize) {
     disc.check(dm);
     let (all, npe) = (disc.mesh().connectivity(), disc.mesh().nodes_per_elem());
@@ -679,10 +683,14 @@ pub fn assemble_owned(
         .collect();
     let fixed: Vec<bool> = global.iter().map(|&g| dm.is_fixed(g)).collect();
     let mut lifted = Vec::new();
-    let fill =
-        |k: usize, ke: &mut [f64], _: Option<&mut [f64]>| disc.stiffness(elems[k], material, ke);
+    let fill = |k: usize, ke: &mut [f64], me: Option<&mut [f64]>| {
+        disc.stiffness(elems[k], material, ke);
+        if let Some(me) = me {
+            disc.mass(elems[k], material, Mass::Lumped, me);
+        }
+    };
     let lift = |r: usize, c: usize, v: f64| lifted.push((r, global[c], v));
-    let ((a_loc, a_ext), _) = assemble::<SplitPattern>(
+    let ((a_loc, a_ext), mass) = assemble::<SplitPattern>(
         nodes.len(),
         n_own,
         dpn,
@@ -691,7 +699,7 @@ pub fn assemble_owned(
         &fixed,
         |_| 1.0,
         lift,
-        false,
+        lumped_mass,
         fill,
     );
 
@@ -730,6 +738,7 @@ pub fn assemble_owned(
         a_ext,
         ext_dofs,
         rhs,
+        mass: mass.map(|m| CsrMatrix::from_diagonal(&m.diagonal())),
     };
     (owned_rows, elems.len())
 }

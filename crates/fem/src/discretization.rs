@@ -15,11 +15,11 @@
 //! | structured Q4 | heat | [`physics::heat_stiffness_quad4`] | none |
 //! | T3 | 2-D elasticity | [`tri3::stiffness`] | consistent, lumped |
 //! | Q8 | 2-D elasticity | [`quad8s::stiffness`] | consistent |
-//! | hex8 | 3-D elasticity | [`hex8::stiffness`] | none |
+//! | hex8 | 3-D elasticity | [`hex8::stiffness`] | consistent, lumped |
 //!
 //! Lumped masses are row sums of the consistent one. The 8-node serendipity
 //! element has none: row sums of its consistent mass are negative at the
-//! corners.
+//! corners ([`Discretization::has_mass`] says which pairings assemble one).
 
 use crate::material::Material;
 use crate::{hex8, physics, quad4, quad8s, tri3, Physics};
@@ -222,16 +222,27 @@ impl<'a> Discretization<'a> {
         }
     }
 
+    /// Whether [`Discretization::mass`] assembles a `kind` mass here: every
+    /// elasticity pairing, except a lumped Q8 mass.
+    pub fn has_mass(&self, kind: Mass) -> bool {
+        match (self.mesh, self.physics) {
+            (_, Physics::Heat2d) => false,
+            (Mesh::Quad8(_), _) => kind == Mass::Consistent,
+            _ => true,
+        }
+    }
+
     /// Writes the `kind` mass of element `e` into `me`, laid out like
     /// [`Discretization::stiffness`].
     ///
     /// # Panics
-    /// Panics for physics other than 2-D elasticity, and for a lumped Q8
-    /// mass (row sums of the serendipity mass are negative at the corners).
+    /// Panics unless [`Discretization::has_mass`]: for heat, and for a
+    /// lumped Q8 mass (row sums of the serendipity mass are negative at the
+    /// corners).
     pub fn mass(&self, e: usize, material: &Material, kind: Mass, me: &mut [f64]) {
         assert!(
-            self.physics == Physics::Elasticity2d,
-            "only 2-D elasticity assembles a mass"
+            self.has_mass(kind),
+            "no {kind:?} mass: heat has none, a lumped Q8 mass has negative corner masses"
         );
         match self.mesh {
             Mesh::Quad(m) => {
@@ -242,13 +253,9 @@ impl<'a> Discretization<'a> {
             }
             Mesh::Tri(m) => me.copy_from_slice(&tri3::consistent_mass(&m.elem_coords(e), material)),
             Mesh::Quad8(m) => {
-                assert!(
-                    kind == Mass::Consistent,
-                    "a lumped Q8 mass has negative corner masses; use the consistent mass"
-                );
-                me.copy_from_slice(&quad8s::consistent_mass(&m.elem_coords(e), material));
+                me.copy_from_slice(&quad8s::consistent_mass(&m.elem_coords(e), material))
             }
-            Mesh::Hex(_) => unreachable!("hex8 carries 3-D elasticity"),
+            Mesh::Hex(m) => me.copy_from_slice(&hex8::consistent_mass(&m.elem_coords(e), material)),
         }
         if kind == Mass::Lumped {
             lump(me);

@@ -162,9 +162,54 @@ pub fn stiffness(coords: &[[f64; 3]; 8], material: &Material) -> [f64; 576] {
     ke
 }
 
+/// The 24×24 consistent mass matrix `∫ ρ Nᵀ N dΩ` (row-major) of a hex8
+/// element, 2×2×2 Gauss quadrature, dofs ordered as in [`stiffness`].
+pub fn consistent_mass(coords: &[[f64; 3]; 8], material: &Material) -> [f64; 576] {
+    let mut me = [0.0f64; 576];
+    for &gx in &[-GP, GP] {
+        for &gy in &[-GP, GP] {
+            for &gz in &[-GP, GP] {
+                let n = shape_functions(gx, gy, gz);
+                let (det, ..) = physical_gradients(coords, gx, gy, gz);
+                let w = material.density * det;
+                for i in 0..8 {
+                    for j in 0..8 {
+                        let v = n[i] * n[j] * w;
+                        for a in 0..3 {
+                            me[(3 * i + a) * 24 + 3 * j + a] += v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    me
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn consistent_mass_holds_the_element_mass_per_direction() {
+        let mut mat = Material::unit();
+        mat.density = 2.5;
+        let me = consistent_mass(&unit_cube(), &mat);
+        for a in 0..3 {
+            let total: f64 = (0..8)
+                .flat_map(|i| (0..8).map(move |j| me[(3 * i + a) * 24 + 3 * j + a]))
+                .sum();
+            assert!((total - 2.5).abs() < 1e-12, "direction {a}: {total}");
+        }
+        for r in 0..24 {
+            for c in 0..24 {
+                assert_eq!(me[r * 24 + c], me[c * 24 + r]);
+                if r % 3 != c % 3 {
+                    assert_eq!(me[r * 24 + c], 0.0);
+                }
+            }
+        }
+    }
 
     fn unit_cube() -> [[f64; 3]; 8] {
         [

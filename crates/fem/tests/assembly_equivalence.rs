@@ -372,7 +372,7 @@ fn check_owned_rows(
     let mut seen = vec![false; dm.n_dofs()];
     for rank in 0..3 {
         let owned = |n: usize| part.owner(n) == rank;
-        let (block, _) = assembly::assemble_owned(disc, dm, &Material::unit(), loads, owned);
+        let (block, _) = assembly::assemble_owned(disc, dm, &Material::unit(), loads, owned, false);
         for (i, &g) in block.rows.iter().enumerate() {
             let loc = block.a_loc.row_entries(i).map(|(c, v)| (block.rows[c], v));
             let (cols, vals) = block.a_ext.row(i);

@@ -68,7 +68,7 @@ fn strip_parts(nx: usize, ny: usize, p: usize) -> Vec<CoarsePartGeometry> {
 /// iteration count.
 fn iterations(scaled: &CsrMatrix, b: &[f64], d: &[f64], p: usize, spec_str: &str) -> usize {
     let spec = PrecondSpec::parse(spec_str).expect("test spec parses");
-    let coarse = spec.needs_coarse().then(|| {
+    let coarse = matches!(spec, PrecondSpec::TwoLevel { .. }).then(|| {
         let coarse_spec = match &spec {
             PrecondSpec::TwoLevel { coarse, .. } => coarse.clone(),
             _ => unreachable!(),

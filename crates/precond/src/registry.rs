@@ -273,15 +273,6 @@ impl PrecondSpec {
         }
     }
 
-    /// `true` iff building this spec requires a [`CoarseSolver`] — i.e. the
-    /// spec is a [`PrecondSpec::TwoLevel`]. Callers that can supply one
-    /// (the `SolveSession` pipeline, the benches) build it when this holds;
-    /// callers that cannot (the transient driver) reject such specs up
-    /// front.
-    pub fn needs_coarse(&self) -> bool {
-        matches!(self, PrecondSpec::TwoLevel { .. })
-    }
-
     /// `true` iff building this spec requires the rank-local matrix — i.e.
     /// the spec is [`PrecondSpec::Direct`] or [`PrecondSpec::Ilu0`],
     /// directly or as a `twolevel` smoother. Callers that hold the
@@ -308,14 +299,14 @@ impl PrecondSpec {
     ///
     /// The result names no operator type, so one preconditioner serves a
     /// loop of solves whose operator borrows differ per iteration (the
-    /// transient driver, multi-right-hand-side sessions).
+    /// session's right-hand sides and Newmark steps).
     ///
     /// # Errors
     /// [`SparseError::ZeroPivot`] when ILU(0) of `local` breaks down — the
     /// paper's Eq. 45 failure on a floating subdomain.
     ///
     /// # Panics
-    /// Panics when the spec [`PrecondSpec::needs_coarse`] but `coarse` is
+    /// Panics when the spec is [`PrecondSpec::TwoLevel`] but `coarse` is
     /// `None`, or [`PrecondSpec::needs_local_matrix`] but `local` is
     /// `None`.
     pub fn instantiate<A: SparseRows + ?Sized>(
@@ -652,7 +643,7 @@ mod tests {
     fn builds_every_example_against_a_csr_operator() {
         let a = CsrMatrix::identity(4);
         for spec in examples() {
-            if spec.needs_coarse() {
+            if matches!(spec, PrecondSpec::TwoLevel { .. }) {
                 // Two-level specs need a coarse solver — covered below.
                 continue;
             }
@@ -668,7 +659,7 @@ mod tests {
         let a = CsrMatrix::identity(4);
         let spec = PrecondSpec::parse("direct").unwrap();
         assert!(spec.needs_local_matrix());
-        assert!(!spec.needs_coarse());
+        assert!(!matches!(spec, PrecondSpec::TwoLevel { .. }));
         let pc = spec.instantiate(None, Some(&a), || a.diagonal()).unwrap();
         let z = Preconditioner::<CsrMatrix>::apply(&pc, &a, &[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(z, vec![1.0, 2.0, 3.0, 4.0]);
@@ -707,7 +698,8 @@ mod tests {
             .collect();
         let mult = vec![1.0; 4];
         let d = vec![1.0; 4];
-        for spec in examples().into_iter().filter(PrecondSpec::needs_coarse) {
+        let two_level = |s: &PrecondSpec| matches!(s, PrecondSpec::TwoLevel { .. });
+        for spec in examples().into_iter().filter(two_level) {
             let PrecondSpec::TwoLevel { coarse, .. } = &spec else {
                 unreachable!()
             };
@@ -727,7 +719,7 @@ mod tests {
     fn twolevel_direct_smoother_round_trips_and_instantiates() {
         use crate::twolevel::{build_coarse_basis, CoarsePartGeometry};
         let spec = PrecondSpec::parse("twolevel:rbm:direct").unwrap();
-        assert!(spec.needs_coarse());
+        assert!(matches!(spec, PrecondSpec::TwoLevel { .. }));
         assert!(spec.needs_local_matrix());
         assert_eq!(spec.spec_str(), "twolevel:rbm:direct");
         assert_eq!(PrecondSpec::parse(&spec.name()).unwrap(), spec);

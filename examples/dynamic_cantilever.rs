@@ -44,7 +44,8 @@ fn main() {
         .strategy(Strategy::Edd(ElementPartition::strips_x(&problem.mesh, 1)))
         .precond(gls7)
         .gmres(cfg)
-        .run_dynamic(NewmarkParams::average_acceleration(3.0), 400, &[tip]);
+        .run_dynamic(NewmarkParams::average_acceleration(3.0), 400, &[tip])
+        .expect("fault-free transient");
     let tip_history = &out.watch_histories[0];
     let peak = tip_history.iter().cloned().fold(f64::INFINITY, f64::min);
     let mean: f64 = tip_history.iter().sum::<f64>() / tip_history.len() as f64;

@@ -69,7 +69,8 @@ fn transient_converges_to_static_under_heavy_averaging() {
         .strategy(Strategy::Edd(ElementPartition::strips_x(&p.mesh, 1)))
         .precond(gls(7))
         .gmres(cfg)
-        .run_dynamic(NewmarkParams::average_acceleration(2.0), 520, &[tip]);
+        .run_dynamic(NewmarkParams::average_acceleration(2.0), 520, &[tip])
+        .expect("fault-free transient");
     assert!(out.all_converged);
     let tip_history = &out.watch_histories[0];
     let mean: f64 = tip_history.iter().sum::<f64>() / tip_history.len() as f64;
@@ -129,5 +130,40 @@ fn every_preconditioner_handles_the_dynamic_system() {
         let pc = PrecondSpec::parse(spec).unwrap();
         let (_, h) = solve_system(&keff, &rhs, &pc, &cfg).expect("solve");
         assert!(h.converged(), "{} failed", pc.name());
+    }
+}
+
+/// `fig16_dynamic_speedup`'s quick case — Mesh3, three steps of dt = 1,
+/// default `gls:7`, P = 4 — on both machine models keeps the bits of the
+/// separate EDD transient driver the session engine replaced: the watched
+/// tip, the iteration total, a digest of the final displacement and the
+/// modeled time the figure's CSV prints.
+#[test]
+fn fig16_mesh3_transient_keeps_its_bits() {
+    let fnv = |v: &[f64]| {
+        (v.iter().flat_map(|x| x.to_bits().to_le_bytes())).fold(0xcbf29ce484222325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x100000001b3)
+        })
+    };
+    let p = CantileverProblem::paper_mesh(3);
+    let tip = p.dof_map.dof(p.mesh.node_at(p.mesh.nx(), p.mesh.ny()), 0);
+    let models = [
+        (MachineModel::sgi_origin(), 0x3f9e6dc17987805b),
+        (MachineModel::ibm_sp2(), 0x3fac20d7765f86c3),
+    ];
+    for (model, time_bits) in models {
+        let out = SolveSession::new(p.as_problem())
+            .strategy(Strategy::Edd(ElementPartition::strips_x(&p.mesh, 4)))
+            .machine(model)
+            .run_dynamic(NewmarkParams::average_acceleration(1.0), 3, &[tip])
+            .expect("fault-free transient");
+        let tip_bits: Vec<u64> = out.watch_histories[0].iter().map(|x| x.to_bits()).collect();
+        assert_eq!(
+            tip_bits,
+            [0x3fa1d7a79ada3b77, 0x3fbac22e6f126073, 0x3fc46c45d05c7052]
+        );
+        assert_eq!(out.total_iterations, 15);
+        assert_eq!(fnv(&out.last.u), 0x8370f2aae784fb7a);
+        assert_eq!(out.last.modeled_time.to_bits(), time_bits);
     }
 }

@@ -158,7 +158,8 @@ fn dynamic_parallel_driver_is_reachable_from_the_facade() {
     let out = SolveSession::new(p.as_problem())
         .strategy(Strategy::Edd(ElementPartition::strips_x(&p.mesh, 2)))
         .machine(MachineModel::sgi_origin())
-        .run_dynamic(NewmarkParams::average_acceleration(1.0), 4, &[tip]);
+        .run_dynamic(NewmarkParams::average_acceleration(1.0), 4, &[tip])
+        .expect("fault-free transient");
     assert!(out.all_converged);
     assert_eq!(out.watch_histories[0].len(), 4);
     // Displacement moves in the load direction from step one.
