@@ -10,7 +10,7 @@ fn bench_dd(c: &mut Criterion) {
     let p = CantileverProblem::paper_mesh(3);
     let cfg = SolverConfig::default();
     let epart = ElementPartition::strips_x(&p.mesh, 4);
-    let npart = NodePartition::strips_x(&p.mesh, 4);
+    let npart = NodePartition::from_elements(&epart, &p.mesh).expect("strips keep a node each");
 
     let mut group = c.benchmark_group("dd_solve_mesh3_p4");
     group.sample_size(10);

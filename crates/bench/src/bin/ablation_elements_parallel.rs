@@ -24,20 +24,15 @@ struct Row {
     rdd_iters: usize,
 }
 
-/// One element family on the `lx`-long cantilever, both decompositions
-/// through the session at P = 4: EDD over element strips, RDD over node
-/// strips cut by x-coordinate (family-agnostic, the same interface
-/// orientation). Bytes per iteration are the busiest rank's.
-fn run(name: &'static str, disc: Discretization, dm: &DofMap, loads: &[f64], lx: f64) -> Row {
+/// One element family on the cantilever, both decompositions through the
+/// session at P = 4 on the same element strips: EDD over the strips, RDD
+/// over their node partition. Bytes per iteration are the busiest rank's.
+fn run(name: &'static str, disc: Discretization, dm: &DofMap, loads: &[f64]) -> Row {
     let mat = Material::unit();
     let mesh = disc.mesh();
-    let owner = (mesh.coords3().iter())
-        .map(|c| (((c[0] / lx) * P as f64) as usize).min(P - 1))
-        .collect();
-    let strategies = [
-        Strategy::Edd(PartitionerSpec::Strips.element_partition(&mesh, P)),
-        Strategy::Rdd(NodePartition::from_owner(P, owner)),
-    ];
+    let elements = PartitionerSpec::Strips.element_partition(&mesh, P);
+    let nodes = NodePartition::from_elements(&elements, &mesh).expect("strips keep a node each");
+    let strategies = [Strategy::Edd(elements), Strategy::Rdd(nodes)];
     let [(edd_bytes_per_iter, edd_iters), (rdd_bytes_per_iter, rdd_iters)] =
         strategies.map(|strategy| {
             let out = SolveSession::new(Problem::new(disc, dm, &mat, loads))
@@ -65,7 +60,6 @@ fn run(name: &'static str, disc: Discretization, dm: &DofMap, loads: &[f64], lx:
 fn main() {
     banner("Ablation: T3 / Q4 / Q8 through the PARALLEL solvers (P = 4, gls(7))");
     let (nx, ny) = (24usize, 12usize);
-    let lx = nx as f64;
     let mut rows: Vec<Row> = Vec::new();
 
     // --- Q4 ---
@@ -74,11 +68,11 @@ fn main() {
     dm.clamp_edge(&quad, Edge::Left);
     let mut loads = vec![0.0; dm.n_dofs()];
     assembly::edge_load(&quad, &dm, Edge::Right, 1.0, 0.0, &mut loads);
-    rows.push(run("Q4", (&quad).into(), &dm, &loads, lx));
+    rows.push(run("Q4", (&quad).into(), &dm, &loads));
 
     // --- T3 (same domain, each quad split: same nodes, same loads) ---
     let tri = TriMesh::cantilever(nx, ny);
-    rows.push(run("T3", (&tri).into(), &dm, &loads, lx));
+    rows.push(run("T3", (&tri).into(), &dm, &loads));
 
     // --- Q8 ---
     let quad8 = Quad8Mesh::cantilever(nx, ny);
@@ -91,7 +85,7 @@ fn main() {
     for &n in &right {
         loads[dm.dof(n, 0)] = 1.0 / right.len() as f64;
     }
-    rows.push(run("Q8", (&quad8).into(), &dm, &loads, lx));
+    rows.push(run("Q8", (&quad8).into(), &dm, &loads));
 
     let mut table = Table::new(&[
         "element",

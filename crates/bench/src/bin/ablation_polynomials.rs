@@ -77,9 +77,10 @@ fn main() {
         record(pc.name(), h.iterations(), degree + 1, h.converged());
     }
     // Block-Jacobi ILU(0): each of 4 row-based ranks factors its own
-    // diagonal block (contiguous node blocks).
+    // diagonal block (the node strips of 4 element strips).
     {
-        let part = NodePartition::contiguous(p.mesh.n_nodes(), 4);
+        let strips = ElementPartition::strips_x(&p.mesh, 4);
+        let part = NodePartition::from_elements(&strips, &p.mesh).expect("strips keep a node each");
         let out = SolveSession::new(p.as_problem())
             .strategy(Strategy::Rdd(part))
             .precond(PrecondSpec::Ilu0)

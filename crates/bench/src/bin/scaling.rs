@@ -58,17 +58,17 @@ fn cost() -> IterCostModel {
     IterCostModel::paper_gls7()
 }
 
-/// Modeled per-iteration time of the RDD strategy, which always splits the
-/// node columns into strips (matching the CLI): each rank trades one
-/// column of externals with each side neighbor per matvec.
+/// Modeled per-iteration time of the RDD strategy on `part`, the node
+/// partition of the strips (the CLI's default partitioner): each rank
+/// trades one column of externals with each side neighbor per matvec.
 fn modeled_rdd(
     model: &MachineModel,
     p: usize,
     mesh: &QuadMesh,
+    part: &NodePartition,
     total_flops: f64,
     cost: &IterCostModel,
 ) -> f64 {
-    let part = NodePartition::strips_x(mesh, p);
     let mut nodes = vec![0usize; p];
     for &o in part.owners() {
         nodes[o] += 1;
@@ -133,8 +133,10 @@ fn run_series(
     for &p in ps {
         let mesh = mesh_for(p);
         let n = mesh.n_elems();
-        let strips = PartitionerSpec::Strips.element_partition(&mesh, p);
-        let graph = PartitionerSpec::Graph.element_partition(&mesh, p);
+        let partition = |spec: PartitionerSpec| spec.element_partition(&mesh, p);
+        let strips = partition(PartitionerSpec::Strips).with_edge_cut(&mesh);
+        let graph = partition(PartitionerSpec::Graph).with_edge_cut(&mesh);
+        let rdd = NodePartition::from_elements(&strips, &mesh).expect("strips keep a node each");
         let (strips_cut, graph_cut) = (
             strips.edge_cut().expect("strips cut recorded"),
             graph.edge_cut().expect("graph cut recorded"),
@@ -155,7 +157,7 @@ fn run_series(
         let total_flops = n as f64 * cost.flops_per_elem_iter;
         for (ti, model) in topos.iter().enumerate() {
             let (t_edd, t_overlap, contention) = modeled_edd(model, p, &stats, &cost);
-            let t_rdd = modeled_rdd(model, p, &mesh, total_flops, &cost);
+            let t_rdd = modeled_rdd(model, p, &mesh, &rdd, total_flops, &cost);
             let speedup = t_edd / t_overlap;
             overlap_speedup_min = overlap_speedup_min.min(speedup);
             // Weak: time of the per-rank tile with all overheads removed.

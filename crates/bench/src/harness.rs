@@ -29,7 +29,8 @@ pub const RANKS: [usize; 4] = [1, 2, 4, 8];
 pub enum Decomp {
     /// Element-based decomposition over `ElementPartition::strips_x`.
     Edd,
-    /// Row/node-based decomposition over `NodePartition::strips_x`.
+    /// Row/node-based decomposition over the node partition of those strips
+    /// (`NodePartition::from_elements`).
     Rdd,
 }
 
@@ -179,10 +180,14 @@ impl<'a> Case<'a> {
 
     /// The case's strategy over `parts` strips.
     fn strips(&self, parts: usize) -> Strategy {
-        match self.decomp {
-            Decomp::Edd => Strategy::Edd(ElementPartition::strips_x(&self.problem.mesh, parts)),
-            Decomp::Rdd => Strategy::Rdd(NodePartition::strips_x(&self.problem.mesh, parts)),
+        let mesh = &self.problem.mesh;
+        let elements = ElementPartition::strips_x(mesh, parts);
+        if self.decomp == Decomp::Edd {
+            return Strategy::Edd(elements);
         }
+        Strategy::Rdd(
+            NodePartition::from_elements(&elements, mesh).expect("strips keep a node each"),
+        )
     }
 
     fn session(&self, strategy: Strategy) -> SolveSession<'a> {

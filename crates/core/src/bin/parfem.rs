@@ -72,8 +72,8 @@ solve options:
   --strategy edd|rdd    decomposition strategy (default edd)
   --partitioner SPEC    element partitioner: strips|blocks|graph, graph
                         being recursive multilevel bisection of the element
-                        graph (default strips; EDD only — RDD always
-                        partitions node columns into strips)
+                        graph (default strips); under --strategy rdd each
+                        node goes to the lowest part among its elements
   --variant basic|enhanced   EDD algorithm variant (default enhanced)
   --precond SPEC        preconditioner (default gls:7), one of:
 {precond_help}
@@ -168,28 +168,20 @@ fn parse_grid(s: &str) -> Option<(usize, usize, usize)> {
     Some((nx, ny, nz))
 }
 
-/// Why `parts` subdomains cannot be cut from the problem's mesh, `None`
-/// when they can — the preconditions the partitioners assert, checked here
+/// The decomposition of the problem's mesh into `parts` subdomains by
+/// `partitioner`, its node partition under RDD, or why the mesh cannot be
+/// cut that way — the preconditions the partitioners assert, checked here
 /// so a misfit is a message instead of a panic.
-fn parts_misfit(
+fn decompose(
     problem: &PhysicsProblem,
     rdd: bool,
     partitioner: &PartitionerSpec,
     parts: usize,
-) -> Option<String> {
-    fn dims<M: Cells>(m: &M) -> (usize, usize, usize) {
-        let (nx, ny) = m.grid_dims().expect("cantilever meshes are structured");
-        (nx, ny, m.n_cells())
-    }
-    let (nx, ny, n_cells) = match &problem.mesh {
-        WorkloadMesh::Quad(m) => dims(m),
-        WorkloadMesh::Hex(m) => dims(m),
-    };
+) -> Result<Strategy, String> {
+    let mesh = problem.discretization().mesh();
+    let (nx, ny) = mesh.grid_dims().expect("cantilever meshes are structured");
+    let n_cells = mesh.n_cells();
     let (fits, limit) = match partitioner {
-        _ if rdd => (
-            parts <= nx + 1,
-            format!("at most {} strips of node columns", nx + 1),
-        ),
         PartitionerSpec::Strips => (
             parts <= nx,
             format!("at most {nx} strips of element columns"),
@@ -203,7 +195,18 @@ fn parts_misfit(
             format!("at most {n_cells} parts, one cell each"),
         ),
     };
-    (!fits).then(|| format!("--parts {parts} does not fit the mesh: it allows {limit}"))
+    let misfit = format!("--parts {parts} does not fit the mesh");
+    if !fits {
+        return Err(format!("{misfit}: it allows {limit}"));
+    }
+    let elements = problem.element_partition(partitioner, parts);
+    if !rdd {
+        return Ok(Strategy::Edd(elements));
+    }
+    let nodes = NodePartition::from_elements(&elements, &mesh);
+    nodes.map(Strategy::Rdd).map_err(|e| {
+        format!("{misfit} under --strategy rdd: {e}; lower --parts or use --strategy edd")
+    })
 }
 
 fn build_problem(args: &Args) -> Result<PhysicsProblem, String> {
@@ -426,24 +429,18 @@ fn cmd_solve(args: &Args) -> ExitCode {
     let strategy_name = args.value_of("--strategy").unwrap_or("edd");
     let rdd = match strategy_name {
         "edd" => false,
-        "rdd" if partitioner == PartitionerSpec::Strips => true,
-        "rdd" => {
-            eprintln!("error: --partitioner {partitioner} only applies to --strategy edd");
-            return usage();
-        }
+        "rdd" => true,
         s => {
             eprintln!("unknown strategy {s}");
             return usage();
         }
     };
-    if let Some(why) = parts_misfit(&problem, rdd, &partitioner, parts) {
-        eprintln!("error: {why}");
-        return ExitCode::from(EXIT_CONFIG);
-    }
-    let strategy = if rdd {
-        Strategy::Rdd(problem.node_partition(parts))
-    } else {
-        Strategy::Edd(problem.element_partition(&partitioner, parts))
+    let strategy = match decompose(&problem, rdd, &partitioner, parts) {
+        Ok(strategy) => strategy,
+        Err(why) => {
+            eprintln!("error: {why}");
+            return ExitCode::from(EXIT_CONFIG);
+        }
     };
     println!(
         "solving {} {} equations with {} on {} ranks ({}, {}, {})",

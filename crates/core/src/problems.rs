@@ -236,13 +236,13 @@ impl PhysicsProblem {
         spec.element_partition(&self.discretization().mesh(), parts)
     }
 
-    /// The RDD node partition into `parts` vertical strips (slabs of
-    /// constant-`x` node columns for hexahedra).
+    /// The RDD node partition of the `parts` element strips
+    /// ([`NodePartition::from_elements`]): vertical strips of node columns
+    /// (slabs of constant-`x` node planes for hexahedra).
     pub fn node_partition(&self, parts: usize) -> NodePartition {
-        match &self.mesh {
-            WorkloadMesh::Quad(m) => NodePartition::strips_x(m, parts),
-            WorkloadMesh::Hex(m) => NodePartition::strips_x_hex(m, parts),
-        }
+        let strips = self.element_partition(&PartitionerSpec::Strips, parts);
+        NodePartition::from_elements(&strips, &self.discretization().mesh())
+            .expect("each strip owns the node column right of its first element column")
     }
 }
 
@@ -299,6 +299,31 @@ mod tests {
         let sys = p.static_system();
         assert_eq!(sys.stiffness.n_rows(), p.n_dofs());
         assert!(sys.stiffness.is_symmetric(1e-12));
+    }
+
+    /// The RDD benchmark workloads (hex elasticity 18×9×9 and heat
+    /// 150×150 at P = 2, and their quick sizes) run on the node columns
+    /// `(j·P)/(nx+1)` they ran on before the node partition was derived
+    /// from the element strips: `2 | nx` on every one of them.
+    #[test]
+    fn benchmark_node_partitions_keep_their_node_columns() {
+        for (physics, dims) in [
+            (Physics::Elasticity3d, (18, 9, 9)),
+            (Physics::Elasticity3d, (8, 4, 4)),
+            (Physics::Heat2d, (150, 150, 1)),
+            (Physics::Heat2d, (40, 40, 1)),
+        ] {
+            let p =
+                PhysicsProblem::cantilever(physics, dims, Material::unit(), LoadCase::PullX(1.0));
+            let ncols = dims.0 + 1;
+            let n_nodes = p.dof_map.n_nodes();
+            let columns: Vec<usize> = (0..n_nodes).map(|n| ((n % ncols) * 2) / ncols).collect();
+            assert_eq!(
+                p.node_partition(2).owners(),
+                &columns[..],
+                "{physics} {dims:?}"
+            );
+        }
     }
 
     #[test]

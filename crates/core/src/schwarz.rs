@@ -36,7 +36,8 @@ mod tests {
     /// with the `ilu0` spec built on its owned block — or the error of the
     /// first block that fails.
     fn blocks(a: &CsrMatrix, p: usize) -> Result<Vec<(RddSystem, SpecPrecond)>, SparseError> {
-        let part = NodePartition::contiguous(a.n_rows(), p);
+        let n = a.n_rows();
+        let part = NodePartition::from_owner(p, (0..n).map(|i| (i * p) / n).collect());
         RddSystem::build_all(a, &vec![0.0; a.n_rows()], &part)
             .into_iter()
             .map(|sys| {
@@ -74,9 +75,9 @@ mod tests {
         };
         let (_, sequential) = solve_static(&p, &PrecondSpec::Ilu0, &cfg).unwrap();
         let session = SolveSession::new(p.as_problem())
-            .strategy(Strategy::Rdd(NodePartition::contiguous(
-                p.mesh.n_nodes(),
+            .strategy(Strategy::Rdd(NodePartition::from_owner(
                 1,
+                vec![0; p.mesh.n_nodes()],
             )))
             .precond(PrecondSpec::Ilu0)
             .gmres(cfg)

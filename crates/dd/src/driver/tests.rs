@@ -58,7 +58,8 @@ fn solve_rdd(
     model: MachineModel,
     cfg: &SolverConfig,
 ) -> DdSolveOutput {
-    let strategy = Strategy::Rdd(NodePartition::contiguous(p.0.n_nodes(), parts));
+    let strips = ElementPartition::strips_x(&p.0, parts);
+    let strategy = Strategy::Rdd(NodePartition::from_elements(&strips, &p.0).unwrap());
     solve(p, strategy, model, cfg, None)
 }
 

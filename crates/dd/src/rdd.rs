@@ -205,7 +205,7 @@ impl RddSystem {
                 mass_shift.is_some(),
             );
             comm.work(disc.assembly_flops(n_elems));
-            let mass = block.mass.take();
+            let mass = block.mass.take().map(|m| CsrMatrix::from_diagonal(&m));
             if let (Some(alpha), Some(m)) = (mass_shift, &mass) {
                 block.a_loc.scale_add(1.0, alpha, m);
             }
@@ -697,6 +697,11 @@ mod tests {
         PrecondSpec::Ilu0.instantiate(None, Some(&sys.a_loc), || sys.a_loc.diagonal())
     }
 
+    /// `p` contiguous node ranges, balanced to within one node.
+    fn ranges(n_nodes: usize, p: usize) -> NodePartition {
+        NodePartition::from_owner(p, (0..n_nodes).map(|n| (n * p) / n_nodes).collect())
+    }
+
     fn assembled(nx: usize, ny: usize) -> (CsrMatrix, Vec<f64>, usize) {
         let mesh = QuadMesh::cantilever(nx, ny);
         let mut dm = DofMap::new(mesh.n_nodes());
@@ -712,7 +717,7 @@ mod tests {
     #[test]
     fn block_row_split_reconstructs_matrix() {
         let (a, b, n_nodes) = assembled(5, 2);
-        let part = NodePartition::contiguous(n_nodes, 3);
+        let part = ranges(n_nodes, 3);
         let systems = RddSystem::build_all(&a, &b, &part);
         // Every row of A must be fully represented between a_loc and a_ext.
         for sys in &systems {
@@ -735,7 +740,7 @@ mod tests {
     #[test]
     fn distributed_matvec_matches_sequential() {
         let (a, b, n_nodes) = assembled(6, 3);
-        let part = NodePartition::contiguous(n_nodes, 4);
+        let part = ranges(n_nodes, 4);
         let systems = RddSystem::build_all(&a, &b, &part);
         let n = a.n_rows();
         let x: Vec<f64> = (0..n).map(|i| ((i * 5 % 13) as f64) - 6.0).collect();
@@ -774,7 +779,7 @@ mod tests {
         );
         let u_seq = sc.unscale_solution(&seq.x);
         // Parallel.
-        let part = NodePartition::contiguous(n_nodes, 4);
+        let part = ranges(n_nodes, 4);
         let systems = RddSystem::build_all(&a, &b, &part);
         let gls = GlsPrecond::for_scaled_system(5);
         let out = run_ranks(4, MachineModel::ideal(), |comm| {
@@ -801,7 +806,7 @@ mod tests {
     fn rdd_unpreconditioned_converges() {
         let (k, f, n_nodes) = assembled(5, 2);
         let (a, b, _) = scale_system(&k, &f).unwrap();
-        let part = NodePartition::contiguous(n_nodes, 2);
+        let part = ranges(n_nodes, 2);
         let systems = RddSystem::build_all(&a, &b, &part);
         let cfg = GmresConfig {
             tol: 1e-7,
@@ -820,7 +825,7 @@ mod tests {
     fn single_rank_rdd_is_sequential() {
         let (k, f, n_nodes) = assembled(4, 2);
         let (a, b, _) = scale_system(&k, &f).unwrap();
-        let part = NodePartition::contiguous(n_nodes, 1);
+        let part = ranges(n_nodes, 1);
         let systems = RddSystem::build_all(&a, &b, &part);
         assert!(systems[0].ext_dofs.is_empty());
         assert!(systems[0].send_to.is_empty());
@@ -841,7 +846,7 @@ mod tests {
         // The additive Schwarz scheme of Section 4: local ILU(0) per rank.
         let (k, f, n_nodes) = assembled(10, 4);
         let (a, b, _) = scale_system(&k, &f).unwrap();
-        let part = NodePartition::contiguous(n_nodes, 3);
+        let part = ranges(n_nodes, 3);
         let systems = RddSystem::build_all(&a, &b, &part);
         let cfg = GmresConfig {
             tol: 1e-8,
@@ -872,7 +877,7 @@ mod tests {
     fn local_ilu_application_is_communication_free() {
         let (k, f, n_nodes) = assembled(6, 2);
         let (a, b, _) = scale_system(&k, &f).unwrap();
-        let part = NodePartition::contiguous(n_nodes, 2);
+        let part = ranges(n_nodes, 2);
         let systems = RddSystem::build_all(&a, &b, &part);
         let out = run_ranks(2, MachineModel::ideal(), |comm| {
             let sys = &systems[comm.rank()];
@@ -897,10 +902,7 @@ mod tests {
         // each other everywhere (cross points, every rank a neighbour of
         // every other).
         let scattered = (0..n_nodes).map(|n| (n * 7 + n / 5) % 3).collect();
-        for part in [
-            NodePartition::contiguous(n_nodes, 3),
-            NodePartition::from_owner(3, scattered),
-        ] {
+        for part in [ranges(n_nodes, 3), NodePartition::from_owner(3, scattered)] {
             let systems = RddSystem::build_all(&a, &b, &part);
             for sys in &systems {
                 assert_eq!(sys.send_to.len(), sys.recv_from.len());

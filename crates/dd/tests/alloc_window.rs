@@ -9,13 +9,16 @@
 //!
 //! Runs under a counting allocator, so this binary holds nothing else.
 
+mod common;
+
+use common::node_strips;
 use parfem_dd::scaling::DistributedScaling;
 use parfem_dd::{edd_fgmres, rdd_fgmres, EddLayout, EddVariant, RddSystem};
 use parfem_dd::{PrecondSpec, Problem, SolveSession, Strategy};
-use parfem_fem::{assembly, Discretization, Material, Physics, SubdomainSystem};
+use parfem_fem::{assembly, Discretization, Material, NewmarkParams, Physics, SubdomainSystem};
 use parfem_krylov::gmres::GmresConfig;
 use parfem_krylov::KrylovWorkspace;
-use parfem_mesh::{DofMap, Edge, ElementPartition, Face, HexMesh, NodePartition, QuadMesh};
+use parfem_mesh::{DofMap, Edge, ElementPartition, Face, HexMesh, QuadMesh};
 use parfem_msg::{run_ranks, Communicator, MachineModel};
 use parfem_precond::GlsPrecond;
 use parfem_sparse::ldlt::{SparseLdlt, DEFAULT_PIVOT_TOL};
@@ -90,7 +93,7 @@ fn summary_allocations_include_host_assembly_for_edd_and_rdd() {
     // RDD: the window has always covered the global matrix.
     let global = assembly::build_static(&mesh, &dm, &mat, &loads);
     let rdd = summary_alloc_bytes(
-        SolveSession::new(problem).strategy(Strategy::Rdd(NodePartition::strips_x(&mesh, 3))),
+        SolveSession::new(problem).strategy(Strategy::Rdd(node_strips(&mesh, 3))),
     );
     assert!(rdd >= csr_bytes(&global.stiffness));
 }
@@ -137,20 +140,25 @@ fn setup_memory(session: SolveSession<'_>) -> (Vec<(u64, u64)>, usize) {
     let sink = TraceSink::recording();
     let out = session.trace(&sink).run().expect("fault-free solve");
     assert!(out.history.converged());
+    (rank_setup_bytes(&sink), out.history.iterations())
+}
+
+/// The `setup_live_bytes` and `setup_peak_bytes` counters of every rank the
+/// trace in `sink` holds.
+fn rank_setup_bytes(sink: &TraceSink) -> Vec<(u64, u64)> {
     let report = TraceReport::from_events(&sink.take_events());
     let counter = |rank: &parfem_trace::RankSummary, name: &str| -> u64 {
         let found = rank.counters.iter().find(|(n, _)| n == name);
         found.unwrap_or_else(|| panic!("no {name} counter")).1
     };
-    let memory = (report.ranks.iter())
+    (report.ranks.iter())
         .map(|r| {
             (
                 counter(r, "setup_live_bytes"),
                 counter(r, "setup_peak_bytes"),
             )
         })
-        .collect();
-    (memory, out.history.iterations())
+        .collect()
 }
 
 /// After its setup under `gls:7` a rank of the `elas2d-edd-gls7` shape holds
@@ -221,7 +229,7 @@ fn rdd_direct_rank_holds_its_blocks_and_factor_after_setup() {
     let mat = Material::unit();
     let mut loads = vec![0.0; dm.n_dofs()];
     assembly::face_load(&mesh, &dm, Face::XMax, [1.0, 0.0, 0.0], &mut loads);
-    let part = NodePartition::strips_x_hex(&mesh, 2);
+    let part = node_strips(&mesh, 2);
 
     // The ranks' rows, cut here from the global system to size them: (the
     // block row as held, the same with the owned columns in CSR, the factor,
@@ -264,6 +272,37 @@ fn rdd_direct_rank_holds_its_blocks_and_factor_after_setup() {
         // instead of them.
         assert!(*live < csr + factor, "rank holds {live} B after setup");
         assert!(*live <= *peak && *peak < parent.0);
+    }
+}
+
+/// A transient RDD rank (the 2-D cantilever 120×40 in two node strips,
+/// `gls:7`) scatters each element's lumped diagonal straight into its mass
+/// vector. The parent commit's ranks assembled a mass matrix over their rows
+/// and every ghost column beside the stiffness, to keep only its diagonal:
+/// their setup peaked higher.
+#[test]
+fn rdd_transient_rank_sets_up_without_a_mass_matrix() {
+    assert!(alloc::is_counting(), "counting allocator not installed");
+    // `setup_live_bytes` and `setup_peak_bytes` per rank at the parent
+    // commit.
+    const PARENT: [(u64, u64); 2] = [(1_094_305, 3_252_996), (1_086_109, 3_219_550)];
+    let mesh = QuadMesh::cantilever(120, 40);
+    let mut dm = DofMap::new(mesh.n_nodes());
+    dm.clamp_edge(&mesh, Edge::Left);
+    let mat = Material::unit();
+    let mut loads = vec![0.0; dm.n_dofs()];
+    assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
+    let sink = TraceSink::recording();
+    let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+        .strategy(Strategy::Rdd(node_strips(&mesh, 2)))
+        .precond(PrecondSpec::parse("gls:7").unwrap())
+        .trace(&sink)
+        .run_dynamic(NewmarkParams::average_acceleration(1.0), 1, &[])
+        .expect("fault-free transient");
+    assert!(out.all_converged);
+    for ((live, peak), parent) in rank_setup_bytes(&sink).iter().zip(PARENT) {
+        eprintln!("rdd transient rank: live {live} B, peak {peak} B (parent {parent:?})");
+        assert!(*peak < parent.1 && *live <= parent.0);
     }
 }
 
@@ -413,7 +452,7 @@ fn rdd_session_never_holds_the_global_matrix() {
     assert!(global >= 1 << 20, "global CSR of {global} B");
 
     let session = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-        .strategy(Strategy::Rdd(NodePartition::strips_x(&mesh, 2)))
+        .strategy(Strategy::Rdd(node_strips(&mesh, 2)))
         .precond(PrecondSpec::parse("gls:7").unwrap());
     // Untraced, so that the host thread does nothing but the session's work.
     let (out, host) = alloc::measure(|| session.run().expect("fault-free solve"));
@@ -534,7 +573,7 @@ fn warm_rdd_gls7_heat_loop_allocates_nothing_per_iteration_on_any_rank() {
         &loads,
     );
     let (a, b, _) = scale_system(&global.stiffness, &global.rhs).expect("square system");
-    let systems = RddSystem::build_all(&a, &b, &NodePartition::strips_x(&mesh, 2));
+    let systems = RddSystem::build_all(&a, &b, &node_strips(&mesh, 2));
     let out = run_ranks(2, MachineModel::ideal(), |comm| {
         let sys = &systems[comm.rank()];
         let gls = GlsPrecond::for_scaled_system(7);

@@ -14,12 +14,15 @@
 //!
 //! Both hold for static solves and for Newmark transients alike.
 
+mod common;
+
+use common::node_strips;
 use parfem_dd::{
     EddVariant, PrecondSpec, Problem, SolveError, SolveSession, SolverConfig, Strategy,
 };
 use parfem_fem::{assembly, Material, NewmarkParams};
 use parfem_krylov::gmres::GmresConfig;
-use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, QuadMesh};
+use parfem_mesh::{DofMap, Edge, ElementPartition, QuadMesh};
 use parfem_msg::{CommError, FaultPlan, MachineModel};
 use parfem_trace::TraceSink;
 use proptest::prelude::*;
@@ -128,7 +131,7 @@ proptest! {
 
         let rsolve = |cfg: SolverConfig| {
             SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-                .strategy(Strategy::Rdd(NodePartition::contiguous(mesh.n_nodes(), 3)))
+                .strategy(Strategy::Rdd(node_strips(&mesh, 3)))
                 .config(cfg)
                 .machine(MachineModel::sgi_origin())
                 .run()
@@ -237,7 +240,7 @@ fn killed_rank_fails_the_solve_on_every_rank_within_budget() {
 #[test]
 fn killed_rank_fails_rdd_within_budget() {
     let (mesh, dm, mat, loads) = problem(8, 2);
-    let npart = NodePartition::contiguous(mesh.n_nodes(), 3);
+    let npart = node_strips(&mesh, 3);
     let cfg = SolverConfig {
         comm_timeout: Duration::from_millis(300),
         faults: Some(FaultPlan::new(1).with_kill(0, 10)),
@@ -274,7 +277,7 @@ fn killed_rank_fails_a_transient_within_budget() {
     let params = NewmarkParams::average_acceleration(1.0);
     let strategies = [
         Strategy::Edd(ElementPartition::strips_x(&mesh, 3)),
-        Strategy::Rdd(NodePartition::strips_x(&mesh, 3)),
+        Strategy::Rdd(node_strips(&mesh, 3)),
     ];
     for strategy in strategies {
         let session = |faults, steps| {

@@ -15,6 +15,8 @@
 
 mod common;
 
+use common::node_strips;
+
 use parfem_dd::dist_vec::EddLayout;
 use parfem_dd::scaling::DistributedScaling;
 use parfem_dd::{
@@ -261,7 +263,7 @@ fn rbm_s3_matches_the_reference_on_both_strategies() {
         let part = ElementPartition::strips_x(&mesh, 2);
         let (views, reference) = edd_case(&mesh, &dm, &part, &spec, overlap);
         check(&views, &reference, dm.n_dofs(), "edd strips");
-        let node_part = NodePartition::strips_x(&mesh, 2);
+        let node_part = node_strips(&mesh, 2);
         let (views, reference) = rdd_case(&mesh, &dm, &node_part, &spec, overlap);
         check(&views, &reference, dm.n_dofs(), "rdd strips");
     }
@@ -286,7 +288,7 @@ fn modes_activate_beyond_the_first_ring_on_thin_strips() {
         "edd: rank 2 holds {live} live modes — no activation past the first ring"
     );
 
-    let node_part = NodePartition::strips_x(&mesh, 6);
+    let node_part = node_strips(&mesh, 6);
     let (views, reference) = rdd_case(&mesh, &dm, &node_part, &spec, false);
     check(&views, &reference, dm.n_dofs(), "rdd thin strips");
     let live = views[2].stats.info.live_modes;
@@ -347,8 +349,7 @@ fn single_rank_matches_the_sequential_build() {
         let part = ElementPartition::strips_x(&mesh, 1);
         let (views, reference) = edd_case(&mesh, &dm, &part, &spec, false);
         check(&views, &reference, dm.n_dofs(), "edd P=1");
-        let (views, reference) =
-            rdd_case(&mesh, &dm, &NodePartition::strips_x(&mesh, 1), &spec, false);
+        let (views, reference) = rdd_case(&mesh, &dm, &node_strips(&mesh, 1), &spec, false);
         check(&views, &reference, dm.n_dofs(), "rdd P=1");
     }
 }
@@ -422,7 +423,7 @@ fn rank_builds_keep_their_pinned_bits() {
     let (views, reference) = edd_case(&mesh, &dm, &graph, &spec, false);
     check(&views, &reference, dm.n_dofs(), "edd 32x12 graph");
     let quad = build_digest(&views);
-    let (views, reference) = rdd_case(&mesh, &dm, &NodePartition::strips_x(&mesh, 8), &spec, false);
+    let (views, reference) = rdd_case(&mesh, &dm, &node_strips(&mesh, 8), &spec, false);
     check(&views, &reference, dm.n_dofs(), "rdd 32x12 strips");
     let rdd = build_digest(&views);
 
@@ -457,7 +458,7 @@ proptest! {
         let what = format!("{nx}x{ny} P={p} shape={shape} {spec} rdd={rdd}");
         let (views, reference) = if rdd == 1 {
             let node_part = match shape {
-                0 | 1 => NodePartition::strips_x(&mesh, p),
+                0 | 1 => node_strips(&mesh, p),
                 _ => graph_node_partition(&mesh, p),
             };
             rdd_case(&mesh, &dm, &node_part, &spec, false)

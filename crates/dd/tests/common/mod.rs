@@ -11,9 +11,15 @@ use parfem_dd::scaling::edd_scaling_reference;
 use parfem_dd::{DdSolveOutput, MultiSolveOutput};
 use parfem_fem::{StaticSystem, SubdomainSystem};
 use parfem_krylov::estimate_spectrum;
-use parfem_mesh::{DofMap, NodePartition};
+use parfem_mesh::{Cells, DofMap, NodePartition, PartitionerSpec};
 use parfem_precond::CoarsePartGeometry;
 use parfem_sparse::{dense, CooMatrix, CsrMatrix, SparseRows};
+
+/// The node partition RDD takes from `p` element strips of `mesh`.
+pub fn node_strips<M: Cells>(mesh: &M, p: usize) -> NodePartition {
+    let strips = PartitionerSpec::Strips.element_partition(mesh, p);
+    NodePartition::from_elements(&strips, mesh).expect("strips keep a node each")
+}
 
 /// The global scaled operator `A = D K D` assembled from EDD subdomain
 /// systems through a coordinate accumulator, with the scaling diagonal `d`

@@ -215,7 +215,8 @@ fn rdd_digest_overlap(
     assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
     let sys = assembly::build_static(&mesh, &dm, &mat, &loads);
     let (a, b, _sc) = scale_system(&sys.stiffness, &sys.rhs).unwrap();
-    let part = NodePartition::contiguous(mesh.n_nodes(), p);
+    let n = mesh.n_nodes();
+    let part = NodePartition::from_owner(p, (0..n).map(|i| (i * p) / n).collect());
     let mut systems = RddSystem::build_all(&a, &b, &part);
     for s in &mut systems {
         s.overlap = overlap;
@@ -329,7 +330,9 @@ fn rdd_block_product_stays_within_the_reassociation_bound() {
     assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
     let sys = assembly::build_static(&mesh, &dm, &Material::unit(), &loads);
     let (a, b, _) = scale_system(&sys.stiffness, &sys.rhs).unwrap();
-    let systems = RddSystem::build_all(&a, &b, &NodePartition::contiguous(mesh.n_nodes(), 4));
+    let n = mesh.n_nodes();
+    let part = NodePartition::from_owner(4, (0..n).map(|i| (i * 4) / n).collect());
+    let systems = RddSystem::build_all(&a, &b, &part);
     let x: Vec<f64> = (0..a.n_rows()).map(|i| (0.7 * i as f64).sin()).collect();
     let out = run_ranks(4, MachineModel::ideal(), |comm| {
         let blocks = &systems[comm.rank()];
@@ -731,7 +734,12 @@ fn session_reproduces_rdd_gls5_history() {
     const PINNED: u64 = 0xed16b6675ee01650;
     let (mesh, dm, mat, loads) = session_problem(8, 2);
     let session = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-        .strategy(Strategy::Rdd(NodePartition::contiguous(mesh.n_nodes(), 4)))
+        .strategy(Strategy::Rdd(NodePartition::from_owner(
+            4,
+            (0..mesh.n_nodes())
+                .map(|i| (i * 4) / mesh.n_nodes())
+                .collect(),
+        )))
         .config(session_cfg(1e-9));
     let out = session.run().expect("golden session must solve");
     check_history("session RDD run", &out.history, PINNED);

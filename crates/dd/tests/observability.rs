@@ -9,12 +9,15 @@
 //! the modeled parallel time is attributed to compute, a message in
 //! flight, or a collective on some rank.
 
+mod common;
+
+use common::node_strips;
 use parfem_dd::{
     DdSolveOutput, FactorStats, PrecondSpec, Problem, SolveSession, SolverConfig, Strategy,
 };
 use parfem_fem::{assembly, quad4, Material, NewmarkParams};
 use parfem_krylov::gmres::GmresConfig;
-use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, PartitionerSpec, QuadMesh};
+use parfem_mesh::{DofMap, Edge, ElementPartition, PartitionerSpec, QuadMesh};
 use parfem_msg::{CommStats, FaultPlan, MachineModel};
 use parfem_trace::{
     export_chrome_trace, json, jsonl, CritPath, EventKind, SegmentKind, TraceEvent, TraceReport,
@@ -393,7 +396,7 @@ fn recycled_starts_are_traced_once_per_later_right_hand_side() {
     let mut config = cfg();
     config.gmres.restart = 8;
     let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-        .strategy(Strategy::Rdd(NodePartition::strips_x(&mesh, 2)))
+        .strategy(Strategy::Rdd(node_strips(&mesh, 2)))
         .config(config)
         .precond(PrecondSpec::Gls {
             degree: 3,
@@ -459,7 +462,7 @@ fn twolevel_setup_is_charged_traced_and_summarized() {
             "edd",
             Strategy::Edd(PartitionerSpec::Graph.element_partition(&mesh, 4)),
         ),
-        ("rdd", Strategy::Rdd(NodePartition::strips_x(&mesh, 4))),
+        ("rdd", Strategy::Rdd(node_strips(&mesh, 4))),
     ];
     for (name, strategy) in strategies {
         let sink = TraceSink::recording();
@@ -594,7 +597,7 @@ fn twolevel_setup_is_charged_traced_and_summarized() {
     // factorizations instead: the largest rank's sizes, skips summed.
     let sink = TraceSink::recording();
     let direct = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-        .strategy(Strategy::Rdd(NodePartition::strips_x(&mesh, 4)))
+        .strategy(Strategy::Rdd(node_strips(&mesh, 4)))
         .config(cfg())
         .precond(PrecondSpec::Direct)
         .trace(&sink)
@@ -644,7 +647,7 @@ fn run_multi_is_summarized_and_its_rank_spans_tile_the_timeline() {
     let rhs = [loads.clone(), pull, mixed];
     let strategies = [
         Strategy::Edd(ElementPartition::strips_x(&mesh, 4)),
-        Strategy::Rdd(NodePartition::strips_x(&mesh, 4)),
+        Strategy::Rdd(node_strips(&mesh, 4)),
     ];
     for strategy in strategies {
         let is_edd = matches!(strategy, Strategy::Edd(_));
@@ -740,7 +743,7 @@ fn run_dynamic_is_traced_and_summarized() {
     let steps = 4;
     let strategies = [
         Strategy::Edd(ElementPartition::strips_x(&mesh, 3)),
-        Strategy::Rdd(NodePartition::strips_x(&mesh, 3)),
+        Strategy::Rdd(node_strips(&mesh, 3)),
     ];
     for strategy in strategies {
         let sink = TraceSink::recording();

@@ -16,6 +16,9 @@
 //!   sparse LDLᵀ) carries the same session to convergence, standalone and
 //!   inside `twolevel:<coarse>:direct`.
 
+mod common;
+
+use common::node_strips;
 use parfem_dd::{DdSolveOutput, PrecondSpec, Problem, SolveSession, SolverConfig, Strategy};
 use parfem_fem::{assembly, Discretization, Material, Physics, SubdomainSystem};
 use parfem_krylov::gmres::GmresConfig;
@@ -130,7 +133,7 @@ fn heat_session_golden_iteration_counts() {
                 &mat,
                 &loads,
             ),
-            NodePartition::strips_x(&mesh, 3),
+            node_strips(&mesh, 3),
             spec,
             false,
         );
@@ -147,7 +150,7 @@ fn heat_session_golden_iteration_counts() {
                 &mat,
                 &loads,
             ),
-            NodePartition::strips_x(&mesh, 3),
+            node_strips(&mesh, 3),
             spec,
             true,
         );
@@ -201,7 +204,7 @@ fn hex_session_golden_iteration_counts() {
 
         let rdd = run_rdd(
             Problem::new(&mesh, &dm, &mat, &loads),
-            NodePartition::strips_x_hex(&mesh, 3),
+            node_strips(&mesh, 3),
             spec,
             false,
         );
@@ -213,7 +216,7 @@ fn hex_session_golden_iteration_counts() {
         );
         let rdd_overlapped = run_rdd(
             Problem::new(&mesh, &dm, &mat, &loads),
-            NodePartition::strips_x_hex(&mesh, 3),
+            node_strips(&mesh, 3),
             spec,
             true,
         );

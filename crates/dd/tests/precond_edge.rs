@@ -126,7 +126,7 @@ fn rdd_local_ilu_on_floating_block_propagates_the_typed_error() {
     let k = floating_subdomain_block();
     let rhs = vec![1.0; k.n_rows()];
     // Pair DOFs into pseudo-"nodes" so the node partition covers all rows.
-    let part = NodePartition::contiguous(k.n_rows() / 2, 1);
+    let part = NodePartition::from_owner(1, vec![0; k.n_rows() / 2]);
     let systems = parfem_dd::RddSystem::build_all(&k, &rhs, &part);
     let a_loc = &systems[0].a_loc;
     match PrecondSpec::Ilu0.instantiate(None, Some(a_loc), || a_loc.diagonal()) {

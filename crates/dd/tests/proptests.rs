@@ -2,6 +2,9 @@
 //! meshes, partitions and loads, the parallel solvers must agree with the
 //! sequential reference.
 
+mod common;
+
+use common::node_strips;
 use parfem_dd::dist_vec::EddLayout;
 use parfem_dd::rdd::RddOperator;
 use parfem_dd::scaling::edd_scaling_reference;
@@ -11,7 +14,7 @@ use parfem_dd::{
 };
 use parfem_fem::{assembly, Material, SubdomainSystem};
 use parfem_krylov::gmres::GmresConfig;
-use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, QuadMesh};
+use parfem_mesh::{DofMap, Edge, ElementPartition, QuadMesh};
 use parfem_msg::{run_ranks, Communicator, MachineModel};
 use parfem_sparse::{scaling::scale_system, LinearOperator};
 use proptest::prelude::*;
@@ -77,7 +80,7 @@ proptest! {
             .run()
             .expect("fault-free solve");
         let r = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-            .strategy(Strategy::Rdd(NodePartition::strips_x(&mesh, parts)))
+            .strategy(Strategy::Rdd(node_strips(&mesh, parts)))
             .config(cfg)
             .run()
             .expect("fault-free solve");
@@ -150,7 +153,7 @@ proptest! {
         let (mesh, dm, mat, loads) = problem(nx, ny, 0.5, -1.0);
         let sys = assembly::build_static(&mesh, &dm, &mat, &loads);
         let (a, b, _) = scale_system(&sys.stiffness, &sys.rhs).unwrap();
-        let part = NodePartition::contiguous(mesh.n_nodes(), parts);
+        let part = node_strips(&mesh, parts);
         let systems = RddSystem::build_all(&a, &b, &part);
         let mut systems_ov = systems.clone();
         for s in &mut systems_ov {

@@ -14,7 +14,7 @@
 use parfem_dd::{Problem, RddSystem};
 use parfem_fem::assembly::{self, StaticSystem};
 use parfem_fem::{Discretization, Mass, Material, Physics};
-use parfem_mesh::{DofMap, Edge, Face, HexMesh, NodePartition, QuadMesh};
+use parfem_mesh::{DofMap, Edge, Face, HexMesh, NodePartition, PartitionerSpec, QuadMesh};
 use parfem_msg::{run_ranks, MachineModel};
 use parfem_sparse::ldlt::{SparseLdlt, DEFAULT_PIVOT_TOL};
 use parfem_sparse::scaling::scale_system;
@@ -105,25 +105,29 @@ impl Fixture {
 
     /// Partition shape 0: node strips; 1: contiguous node ranges; 2: a
     /// seeded scattered owner map — every part touches every other, with
-    /// cross points everywhere.
+    /// cross points everywhere; 3: the nodes of a block partition (cross
+    /// points where four blocks meet); 4: the nodes of a graph partition.
+    /// Shapes 0, 3 and 4 are what RDD derives from the `--partitioner`
+    /// element cut.
     fn partition(&self, shape: usize, p: usize, seed: u64) -> NodePartition {
-        match (shape, &self.mesh) {
-            (0, Mesh::Quad(m)) => NodePartition::strips_x(m, p),
-            (0, Mesh::Hex(m)) => NodePartition::strips_x_hex(m, p),
-            (1, _) => NodePartition::contiguous(self.dm.n_nodes(), p),
-            _ => NodePartition::from_owner(
-                p,
-                (0..self.dm.n_nodes())
-                    .map(|n| {
-                        if n < p {
-                            n
-                        } else {
-                            (mix(seed ^ n as u64) % p as u64) as usize
-                        }
-                    })
-                    .collect(),
-            ),
-        }
+        let n = self.dm.n_nodes();
+        let spec = match shape {
+            0 => PartitionerSpec::Strips,
+            3 => PartitionerSpec::Blocks,
+            4 => PartitionerSpec::Graph,
+            1 => return NodePartition::from_owner(p, (0..n).map(|i| (i * p) / n).collect()),
+            _ => {
+                let owner = (0..n).map(|i| match i < p {
+                    true => i,
+                    false => (mix(seed ^ i as u64) % p as u64) as usize,
+                });
+                return NodePartition::from_owner(p, owner.collect());
+            }
+        };
+        let mesh = self.disc().mesh();
+        let elements = spec.element_partition(&mesh, p);
+        NodePartition::from_elements(&elements, &mesh)
+            .unwrap_or_else(|e| panic!("{spec} P={p}: {e}"))
     }
 }
 
@@ -259,7 +263,8 @@ fn check_physics(physics: Physics, dims: (usize, usize, usize)) {
     for inhomogeneous in [false, true] {
         let fx = Fixture::new(physics, dims, inhomogeneous);
         for p in [1, 2, 3, 4, 8] {
-            for shape in 0..3 {
+            // Strips need an element column per part.
+            for shape in (0..5).filter(|&shape| shape != 0 || p <= dims.0) {
                 let part = fx.partition(shape, p, 2026);
                 let what = format!("{physics} P={p} shape={shape} inhomogeneous={inhomogeneous}");
                 most_neighbours = most_neighbours.max(check(&fx, &part, None, &what));
@@ -365,12 +370,13 @@ proptest! {
         nx in 7usize..14,
         ny in 2usize..6,
         p_idx in 0usize..5,
-        shape in 0usize..3,
+        shape in 0usize..5,
         seed in 0u64..1000,
         inhomogeneous in 0usize..2,
     ) {
         let physics = Physics::ALL[physics];
         let p = [1usize, 2, 3, 4, 8][p_idx];
+        prop_assume!(shape != 0 || p <= nx);
         let dims = match physics {
             Physics::Elasticity3d => (nx, ny.min(3), 2),
             _ => (nx, ny, 1),

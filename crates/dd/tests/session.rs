@@ -16,6 +16,8 @@
 
 mod common;
 
+use common::node_strips;
+
 use parfem_dd::{
     DdSolveOutput, EddVariant, PrecondSpec, Problem, SolveSession, SolverConfig, Strategy,
 };
@@ -198,7 +200,7 @@ fn kernel_follows_the_physics_on_every_rank_and_is_recorded() {
     let (mesh, dm, mat, loads) = problem(24, 8);
     let plane = Problem::new(&mesh, &dm, &mat, &loads);
     let edd2 = ElementPartition::strips_x(&mesh, 2);
-    let rdd2 = NodePartition::strips_x(&mesh, 2);
+    let rdd2 = node_strips(&mesh, 2);
     check(
         || SolveSession::new(plane).strategy(Strategy::Edd(edd2.clone())),
         "bcsr2",
@@ -239,7 +241,7 @@ fn kernel_follows_the_physics_on_every_rank_and_is_recorded() {
         || SolveSession::new(solid).partitioned(PartitionerSpec::Strips, 2),
         "bcsr3",
     );
-    let solid_rdd = NodePartition::strips_x_hex(&hex, 2);
+    let solid_rdd = node_strips(&hex, 2);
     check(
         || SolveSession::new(solid).strategy(Strategy::Rdd(solid_rdd.clone())),
         "bcsr3",
@@ -323,9 +325,11 @@ fn element_families_solve_under_both_strategies() {
         let global = assembly::build_static(disc, &dm, &mat, &loads);
         for p in [1, 3] {
             let session = || SolveSession::new(Problem::new(disc, &dm, &mat, &loads)).config(cfg());
-            let edd = session().partitioned(partitioner, p);
-            let rdd =
-                session().strategy(Strategy::Rdd(NodePartition::contiguous(mesh.n_nodes(), p)));
+            // RDD on the node partition of the very elements EDD runs on.
+            let elements = partitioner.element_partition(&mesh, p);
+            let nodes = NodePartition::from_elements(&elements, &mesh).unwrap();
+            let edd = session().strategy(Strategy::Edd(elements));
+            let rdd = session().strategy(Strategy::Rdd(nodes));
             for (strategy, session) in [("EDD", edd), ("RDD", rdd)] {
                 let out = session.run().expect("fault-free solve");
                 let what = format!("{name} {strategy} P = {p}");
@@ -362,7 +366,7 @@ fn subdomain_factorization_is_charged_to_the_rank_clock() {
     };
     let strategies = [
         Strategy::Edd(ElementPartition::strips_x(&mesh, 3)),
-        Strategy::Rdd(NodePartition::strips_x(&mesh, 3)),
+        Strategy::Rdd(node_strips(&mesh, 3)),
     ];
     for strategy in strategies {
         for (without, with) in [
@@ -416,7 +420,7 @@ fn subdomain_solves_are_charged_to_the_rank_clock() {
     };
     let strategies = [
         (Strategy::Edd(ElementPartition::strips_x(&mesh, 3)), true),
-        (Strategy::Rdd(NodePartition::strips_x(&mesh, 3)), false),
+        (Strategy::Rdd(node_strips(&mesh, 3)), false),
     ];
     for (strategy, interface_sums) in strategies {
         for (without, with) in [
@@ -456,7 +460,7 @@ fn modified_gram_schmidt_reaches_the_ranks() {
     let (mesh, dm, mat, loads) = problem(24, 8);
     let strategies = [
         ("edd", Strategy::Edd(ElementPartition::strips_x(&mesh, 2))),
-        ("rdd", Strategy::Rdd(NodePartition::strips_x(&mesh, 2))),
+        ("rdd", Strategy::Rdd(node_strips(&mesh, 2))),
     ];
     for (name, strategy) in strategies {
         let run = |ortho| {
@@ -521,7 +525,7 @@ fn one_rank_sessions_match_the_sequential_count() {
     let want = seq.history.iterations();
     let strategies = [
         ("edd", Strategy::Edd(ElementPartition::strips_x(&mesh, 1))),
-        ("rdd", Strategy::Rdd(NodePartition::strips_x(&mesh, 1))),
+        ("rdd", Strategy::Rdd(node_strips(&mesh, 1))),
     ];
     for (name, strategy) in strategies {
         let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
@@ -669,7 +673,7 @@ fn run_carries_inhomogeneous_dirichlet_data() {
     for p in [1, 3] {
         let strategies = [
             ("edd", Strategy::Edd(ElementPartition::strips_x(&mesh, p))),
-            ("rdd", Strategy::Rdd(NodePartition::strips_x(&mesh, p))),
+            ("rdd", Strategy::Rdd(node_strips(&mesh, p))),
         ];
         for (name, strategy) in strategies {
             let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
@@ -726,7 +730,7 @@ fn run_multi_refuses_inhomogeneous_constraints_under_edd() {
 fn run_multi_refuses_inhomogeneous_constraints_under_rdd() {
     let (mesh, dm, mat, loads) = prescribed_problem();
     let _ = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-        .strategy(Strategy::Rdd(NodePartition::strips_x(&mesh, 3)))
+        .strategy(Strategy::Rdd(node_strips(&mesh, 3)))
         .run_multi(std::slice::from_ref(&loads));
 }
 
@@ -765,10 +769,7 @@ fn deflated_restart_keeps_the_true_residual_at_p2() {
     };
     let strategies = [
         ("EDD", Strategy::Edd(ElementPartition::strips_x(&mesh, 2))),
-        (
-            "RDD",
-            Strategy::Rdd(NodePartition::contiguous(mesh.n_nodes(), 2)),
-        ),
+        ("RDD", Strategy::Rdd(node_strips(&mesh, 2))),
     ];
     for (name, strategy) in &strategies {
         let dr = solve(strategy, 25);
@@ -840,10 +841,7 @@ fn recycled_right_hand_sides_converge_faster_at_p2() {
     };
     let strategies = [
         ("EDD", Strategy::Edd(ElementPartition::strips_x(&mesh, 2))),
-        (
-            "RDD",
-            Strategy::Rdd(NodePartition::contiguous(mesh.n_nodes(), 2)),
-        ),
+        ("RDD", Strategy::Rdd(node_strips(&mesh, 2))),
     ];
     for (name, strategy) in &strategies {
         let multi = SolveSession::new(Problem::new(&mesh, &dm, &mat, &rhs_set[0]))
@@ -868,6 +866,64 @@ fn recycled_right_hand_sides_converge_faster_at_p2() {
                 its[i],
                 its[0]
             );
+        }
+    }
+}
+
+/// EDD and RDD on the *same* `graph` and `blocks` element partitions — RDD
+/// owning each node by the lowest part among its elements — agree with the
+/// sequential direct solution `u*` of the assembled system. The bound comes
+/// from the residual: `u − u* = −K⁻¹ r` exactly, so the error may not
+/// exceed twice the direct solve of the true residual `r = f − K u` (plus
+/// rounding).
+#[test]
+fn edd_and_rdd_agree_with_direct_on_the_same_graph_and_block_partitions() {
+    use parfem_sparse::ldlt::{SparseLdlt, DEFAULT_PIVOT_TOL};
+    let quad = problem(24, 8);
+    let hex = HexMesh::cantilever(6, 3, 3);
+    let mut hex_dm = DofMap::with_dofs(hex.n_nodes(), 3);
+    hex.face_nodes(Face::XMin)
+        .into_iter()
+        .for_each(|n| hex_dm.clamp_node(n));
+    let mut hex_loads = vec![0.0; hex_dm.n_dofs()];
+    assembly::face_load(&hex, &hex_dm, Face::XMax, [0.0, 0.0, -1.0], &mut hex_loads);
+    let mat = Material::unit();
+    let cases = [
+        ("quad 24x8", Discretization::from(&quad.0), &quad.1, &quad.3),
+        ("hex 6x3x3", Discretization::from(&hex), &hex_dm, &hex_loads),
+    ];
+    for (name, disc, dm, loads) in cases {
+        let system = assembly::build_static(disc, dm, &mat, loads);
+        let factor = SparseLdlt::factor(&system.stiffness, DEFAULT_PIVOT_TOL);
+        let mut direct = system.rhs.clone();
+        factor.solve_in_place(&mut direct);
+        let mesh = disc.mesh();
+        for spec in [PartitionerSpec::Graph, PartitionerSpec::Blocks] {
+            for p in [3, 4] {
+                let elements = spec.element_partition(&mesh, p);
+                let nodes = NodePartition::from_elements(&elements, &mesh).unwrap();
+                let session =
+                    || SolveSession::new(Problem::new(disc, dm, &mat, loads)).config(cfg());
+                for (strategy, run) in [
+                    ("EDD", session().strategy(Strategy::Edd(elements.clone()))),
+                    ("RDD", session().strategy(Strategy::Rdd(nodes.clone()))),
+                ] {
+                    let what = format!("{name} {spec} P = {p} {strategy}");
+                    let out = run.run().expect("fault-free solve");
+                    assert!(out.history.converged(), "{what}");
+                    let ku = system.stiffness.spmv(&out.u);
+                    let mut r: Vec<f64> =
+                        (system.rhs.iter().zip(&ku)).map(|(f, k)| f - k).collect();
+                    factor.solve_in_place(&mut r);
+                    let error = (out.u.iter().zip(&direct))
+                        .map(|(u, d)| (u - d).powi(2))
+                        .sum::<f64>()
+                        .sqrt();
+                    let bound = 2.0 * dense::norm2(&r) + 1e-12 * dense::norm2(&direct);
+                    assert!(error <= bound, "{what}: |u - u*| = {error:e} > {bound:e}");
+                    assert!(error <= 1e-6 * dense::norm2(&direct), "{what}: {error:e}");
+                }
+            }
         }
     }
 }

@@ -143,7 +143,8 @@ fn check(case: &Case, spec: &str) {
         };
         let edd = session().partitioned(PartitionerSpec::Strips, p);
         let n_nodes = case.disc.mesh().n_nodes();
-        let rdd = session().strategy(Strategy::Rdd(NodePartition::contiguous(n_nodes, p)));
+        let ranges = (0..n_nodes).map(|n| (n * p) / n_nodes).collect();
+        let rdd = session().strategy(Strategy::Rdd(NodePartition::from_owner(p, ranges)));
         for (strategy, session) in [("EDD", edd), ("RDD", rdd)] {
             let what = format!("{} {spec} {strategy} P = {p}", case.name);
             let out = session

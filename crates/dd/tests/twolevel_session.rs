@@ -12,12 +12,14 @@
 
 mod common;
 
+use common::node_strips;
+
 use parfem_dd::{
     DdSolveOutput, EddVariant, PrecondSpec, Problem, SolveSession, SolverConfig, Strategy,
 };
 use parfem_fem::{assembly, Material, SubdomainSystem};
 use parfem_krylov::gmres::GmresConfig;
-use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, PartitionerSpec, QuadMesh};
+use parfem_mesh::{DofMap, Edge, ElementPartition, PartitionerSpec, QuadMesh};
 use parfem_msg::{FaultPlan, MachineModel};
 use parfem_trace::TraceSink;
 use std::time::Duration;
@@ -176,7 +178,7 @@ fn twolevel_rdd_converges_in_both_compositions() {
     for spec in ["twolevel:rbm:gls-3", "twolevel:rbm:gls-3:add"] {
         let run = |overlap: bool| {
             SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
-                .strategy(Strategy::Rdd(NodePartition::strips_x(&mesh, 3)))
+                .strategy(Strategy::Rdd(node_strips(&mesh, 3)))
                 .config(cfg(spec))
                 .overlap(overlap)
                 .run()
@@ -193,7 +195,7 @@ fn twolevel_rdd_converges_in_both_compositions() {
 #[test]
 fn twolevel_rdd_run_multi_matches_single_runs() {
     check_twolevel_run_multi(
-        |mesh| Strategy::Rdd(NodePartition::strips_x(mesh, 3)),
+        |mesh| Strategy::Rdd(node_strips(mesh, 3)),
         "twolevel:rbm:neumann-2",
     );
 }

@@ -596,9 +596,9 @@ pub struct OwnedRows {
     pub ext_dofs: Vec<usize>,
     /// The rows' right-hand side.
     pub rhs: Vec<f64>,
-    /// The rows' lumped mass as a diagonal matrix (constrained rows zero),
+    /// The rows' lumped mass, one entry per row (constrained rows zero),
     /// when asked for.
-    pub mass: Option<CsrMatrix>,
+    pub mass: Option<Vec<f64>>,
 }
 
 impl OwnedRows {
@@ -637,7 +637,9 @@ impl OwnedRows {
 /// global [`apply_dirichlet`] applies them, with the right-hand side taken
 /// from the global `loads`; the other ranks' nodes touched (one ghost
 /// layer) give the columns of `a_ext`. With `lumped_mass` the rows' lumped
-/// mass comes along. Returns the rows and the number of elements assembled.
+/// mass comes along: each element's lumped diagonal is scattered straight
+/// into the owned rows. Returns the rows and the number of elements
+/// assembled.
 ///
 /// An owned node has all its elements here, so each row holds the entries
 /// of that row of the global constrained matrix, summed in the same element
@@ -683,14 +685,11 @@ pub fn assemble_owned(
         .collect();
     let fixed: Vec<bool> = global.iter().map(|&g| dm.is_fixed(g)).collect();
     let mut lifted = Vec::new();
-    let fill = |k: usize, ke: &mut [f64], me: Option<&mut [f64]>| {
+    let fill = |k: usize, ke: &mut [f64], _: Option<&mut [f64]>| {
         disc.stiffness(elems[k], material, ke);
-        if let Some(me) = me {
-            disc.mass(elems[k], material, Mass::Lumped, me);
-        }
     };
     let lift = |r: usize, c: usize, v: f64| lifted.push((r, global[c], v));
-    let ((a_loc, a_ext), mass) = assemble::<SplitPattern>(
+    let ((a_loc, a_ext), _) = assemble::<SplitPattern>(
         nodes.len(),
         n_own,
         dpn,
@@ -699,11 +698,27 @@ pub fn assemble_owned(
         &fixed,
         |_| 1.0,
         lift,
-        lumped_mass,
+        false,
         fill,
     );
 
     let n = n_own * dpn;
+    // The lumped diagonal of each element in element order, into the free
+    // owned rows: the sums the global diagonal holds.
+    let mass = lumped_mass.then(|| {
+        let nd = npe * dpn;
+        let (mut mass, mut me) = (zeros(n), vec![0.0; nd * nd]);
+        for (&e, nodes) in elems.iter().zip(conn.chunks_exact(npe)) {
+            disc.mass(e, material, Mass::Lumped, &mut me);
+            for i in 0..nd {
+                let r = nodes[i / dpn] * dpn + i % dpn;
+                if r < n && !fixed[r] {
+                    mass[r] += me[i * (nd + 1)];
+                }
+            }
+        }
+        mass
+    });
     let mut rhs: Vec<f64> = (global[..n].iter())
         .map(|&g| match dm.is_fixed(g) {
             true => dm.fixed_value(g),
@@ -738,7 +753,7 @@ pub fn assemble_owned(
         a_ext,
         ext_dofs,
         rhs,
-        mass: mass.map(|m| CsrMatrix::from_diagonal(&m.diagonal())),
+        mass,
     };
     (owned_rows, elems.len())
 }

@@ -120,6 +120,10 @@ impl Cells for Mesh<'_> {
     fn cell_nodes(&self, e: usize) -> Vec<usize> {
         self.elem_nodes(e).to_vec()
     }
+    fn for_each_cell(&self, mut f: impl FnMut(usize, &[usize])) {
+        let cells = self.connectivity().chunks_exact(self.nodes_per_elem());
+        cells.enumerate().for_each(|(e, nodes)| f(e, nodes));
+    }
     fn grid_dims(&self) -> Option<(usize, usize)> {
         on_mesh!(*self, m => m.grid_dims())
     }

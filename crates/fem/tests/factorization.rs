@@ -4,7 +4,9 @@
 
 use parfem_fem::assembly::{assemble_stiffness, build_static};
 use parfem_fem::{Discretization, Material, Physics, SubdomainSystem};
-use parfem_mesh::{DofMap, Edge, ElementPartition, Face, HexMesh, NodePartition, QuadMesh};
+use parfem_mesh::{
+    Cells, DofMap, Edge, ElementPartition, Face, HexMesh, NodePartition, PartitionerSpec, QuadMesh,
+};
 use parfem_sparse::ldlt::{SparseLdlt, DEFAULT_PIVOT_TOL};
 use parfem_sparse::{CooMatrix, CsrMatrix, SparseRows};
 use std::time::Instant;
@@ -59,6 +61,15 @@ fn digest(perm: &[u32]) -> u64 {
     })
 }
 
+/// The nodes of rank 0 of a P = 2 RDD run: the node partition of the two
+/// element strips.
+fn first_node_strip<M: Cells>(mesh: &M) -> Vec<usize> {
+    let strips = PartitionerSpec::Strips.element_partition(mesh, 2);
+    NodePartition::from_elements(&strips, mesh)
+        .unwrap()
+        .nodes_of(0)
+}
+
 /// The block row the `elas3d-rdd-direct` benchmark workload factors on rank
 /// 0: the 18×9×9 hex cantilever, clamped at `x = 0`, split in two x-slabs of
 /// nodes — 3000 rows, 300 of them Dirichlet identities.
@@ -72,7 +83,7 @@ fn hex_half_block_fill_stays_under_the_pin() {
     let loads = vec![0.0; dm.n_dofs()];
     let k = build_static(&mesh, &dm, &Material::unit(), &loads).stiffness;
     let dm = &dm;
-    let rows: Vec<usize> = (NodePartition::strips_x_hex(&mesh, 2).nodes_of(0).iter())
+    let rows: Vec<usize> = (first_node_strip(&mesh).iter())
         .flat_map(|&n| (0..3).map(move |c| dm.dof(n, c)))
         .collect();
     let block = diagonal_block(&k, &rows);
@@ -183,18 +194,14 @@ fn dissection_permutations_stay_pinned() {
     }
     let loads = vec![0.0; hex_dm.n_dofs()];
     let k = build_static(&hex, &hex_dm, &mat, &loads).stiffness;
-    let rows = node_rows(
-        &hex_dm,
-        &NodePartition::strips_x_hex(&hex, 2).nodes_of(0),
-        3,
-    );
+    let rows = node_rows(&hex_dm, &first_node_strip(&hex), 3);
     let hex_half = diagonal_block(&k, &rows);
 
     let quad = QuadMesh::cantilever(48, 48);
     let mut dm = DofMap::new(quad.n_nodes());
     dm.clamp_edge(&quad, Edge::Left);
     let k = build_static(&quad, &dm, &mat, &vec![0.0; dm.n_dofs()]).stiffness;
-    let rows = node_rows(&dm, &NodePartition::strips_x(&quad, 2).nodes_of(0), 2);
+    let rows = node_rows(&dm, &first_node_strip(&quad), 2);
     let quad_strip = diagonal_block(&k, &rows);
 
     let box_mesh = HexMesh::cantilever(12, 6, 6);
@@ -211,7 +218,7 @@ fn dissection_permutations_stay_pinned() {
     dm.clamp_edge(&heat, Edge::Left);
     let disc = Discretization::new(&heat, Physics::Heat2d);
     let k = build_static(disc, &dm, &mat, &vec![0.0; dm.n_dofs()]).stiffness;
-    let rows = node_rows(&dm, &NodePartition::strips_x(&heat, 2).nodes_of(0), 1);
+    let rows = node_rows(&dm, &first_node_strip(&heat), 1);
     let heat_strip = diagonal_block(&k, &rows);
 
     for (name, block) in [

@@ -18,6 +18,12 @@ pub trait Cells {
     fn n_cells(&self) -> usize;
     /// Node ids of cell `e`.
     fn cell_nodes(&self, e: usize) -> Vec<usize>;
+    /// Calls `f(e, nodes)` for every cell `e` in order: the nodes
+    /// [`Cells::cell_nodes`] lists, without a vector per cell where the mesh
+    /// can lend its connectivity.
+    fn for_each_cell(&self, mut f: impl FnMut(usize, &[usize])) {
+        (0..self.n_cells()).for_each(|e| f(e, &self.cell_nodes(e)));
+    }
     /// For structured meshes: the logical cell-grid dimensions `(nx, ny)`.
     /// `None` for unstructured meshes — grid-based partitioners then refuse
     /// the mesh instead of guessing a layout.

@@ -103,10 +103,9 @@ pub fn balanced_grid(p: usize, nx: usize, ny: usize) -> (usize, usize) {
 
 /// Graph partition of the mesh elements.
 ///
-/// See the module docs for the algorithm. The returned partition records
-/// its edge cut (node-adjacent element pairs straddling part boundaries —
-/// the same metric [`ElementPartition::edge_cut`] reports for the
-/// structured layouts).
+/// See the module docs for the algorithm. The refinement minimises the
+/// edge cut (node-adjacent element pairs straddling part boundaries, the
+/// metric [`ElementPartition::with_edge_cut`] computes for any layout).
 ///
 /// # Panics
 /// Panics if `p` is zero or exceeds the cell count.
@@ -138,7 +137,7 @@ pub fn graph_partition<M: Cells>(mesh: &M, p: usize) -> ElementPartition {
     }
     candidates.push(bisection_owner(&graph, p));
     let owner = refine_best(&graph, candidates, p);
-    ElementPartition::from_owner(p, owner).with_edge_cut(mesh)
+    ElementPartition::from_owner(p, owner)
 }
 
 /// Partitions an arbitrary adjacency graph into `p` parts — the mesh-free
@@ -401,7 +400,6 @@ mod tests {
         let a = PartitionerSpec::Strips.element_partition(&mesh, 4);
         let b = ElementPartition::strips_x(&mesh, 4);
         assert_eq!(a.owners(), b.owners());
-        assert_eq!(a.edge_cut(), b.edge_cut());
     }
 
     #[test]
@@ -425,7 +423,7 @@ mod tests {
         }
         assert_eq!(sizes.iter().sum::<usize>(), 96);
         assert!(part.imbalance() <= 1.25, "{part:?}");
-        assert!(part.edge_cut().is_some());
+        assert!(part.with_edge_cut(&mesh).edge_cut().is_some());
     }
 
     #[test]
@@ -440,8 +438,8 @@ mod tests {
     fn graph_cut_never_exceeds_strips_cut() {
         for &(nx, ny, p) in &[(16usize, 16usize, 8usize), (24, 6, 6), (32, 2, 4)] {
             let mesh = QuadMesh::rectangle(nx, ny, nx as f64, ny as f64);
-            let strips = ElementPartition::strips_x(&mesh, p);
-            let graph = graph_partition(&mesh, p);
+            let strips = ElementPartition::strips_x(&mesh, p).with_edge_cut(&mesh);
+            let graph = graph_partition(&mesh, p).with_edge_cut(&mesh);
             assert!(
                 graph.edge_cut().unwrap() <= strips.edge_cut().unwrap(),
                 "{nx}x{ny} p={p}: graph {:?} > strips {:?}",

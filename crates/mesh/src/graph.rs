@@ -204,7 +204,7 @@ pub fn greedy_bfs_partition_cells<M: Cells>(mesh: &M, p: usize) -> ElementPartit
             *o = p - 1;
         }
     }
-    ElementPartition::from_owner(p, owner).with_edge_cut(mesh)
+    ElementPartition::from_owner(p, owner)
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ pub use generic::GenericQuadMesh;
 pub use gpart::{graph_partition, PartitionerSpec};
 pub use hex::{Face, HexMesh};
 pub use numbering::{DofMap, Edge};
-pub use partition::{ElementPartition, NodePartition, Subdomain};
+pub use partition::{ElementPartition, NodePartition, PartWithoutNodes, Subdomain};
 pub use quad8::Quad8Mesh;
 pub use structured::QuadMesh;
 pub use tri::TriMesh;

@@ -18,7 +18,6 @@
 //! receives line up without any negotiation.
 
 use crate::cells::Cells;
-use crate::hex::HexMesh;
 use crate::structured::QuadMesh;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -28,9 +27,8 @@ use std::fmt;
 pub struct ElementPartition {
     n_parts: usize,
     owner: Vec<usize>,
-    /// Node-adjacent element pairs straddling a part boundary, when the
-    /// constructor had mesh connectivity (`None` after
-    /// [`ElementPartition::from_owner`]).
+    /// Node-adjacent element pairs straddling a part boundary, once
+    /// [`ElementPartition::with_edge_cut`] computed them.
     edge_cut: Option<usize>,
 }
 
@@ -52,11 +50,7 @@ fn imbalance_of(n_parts: usize, owner: &[usize]) -> f64 {
 /// communication-volume proxy reported in the partition's `Debug` output.
 fn edge_cut_of<M: Cells>(mesh: &M, owner: &[usize]) -> usize {
     let mut node_cells: Vec<Vec<usize>> = vec![Vec::new(); mesh.n_cell_nodes()];
-    for e in 0..mesh.n_cells() {
-        for n in mesh.cell_nodes(e) {
-            node_cells[n].push(e);
-        }
-    }
+    mesh.for_each_cell(|e, nodes| nodes.iter().for_each(|&n| node_cells[n].push(e)));
     let mut cut: BTreeSet<(usize, usize)> = BTreeSet::new();
     for cells in &node_cells {
         for (i, &a) in cells.iter().enumerate() {
@@ -73,8 +67,8 @@ fn edge_cut_of<M: Cells>(mesh: &M, owner: &[usize]) -> usize {
 impl ElementPartition {
     /// Builds a partition from an explicit per-element owner array.
     ///
-    /// The edge cut is unknown without mesh connectivity; chain
-    /// [`ElementPartition::with_edge_cut`] to fill it in.
+    /// No constructor computes the edge cut; chain
+    /// [`ElementPartition::with_edge_cut`] where it is read.
     ///
     /// # Panics
     /// Panics if any owner is `>= n_parts` or if some part is empty.
@@ -96,8 +90,8 @@ impl ElementPartition {
         }
     }
 
-    /// Computes and records the edge cut against `mesh`, for partitions
-    /// built through [`ElementPartition::from_owner`].
+    /// Computes and records the edge cut against `mesh` — the one place an
+    /// element partition's cut is computed.
     ///
     /// # Panics
     /// Panics if the partition does not match the mesh.
@@ -112,34 +106,22 @@ impl ElementPartition {
     }
 
     /// Partition into `p` vertical strips of element columns (balanced to
-    /// within one column). This is the natural partition of the paper's
-    /// elongated cantilever meshes.
+    /// within one column: column `i` goes to part `(i·p)/nx`). This is the
+    /// natural partition of the paper's elongated cantilever meshes.
     ///
     /// # Panics
     /// Panics if `p` is zero or exceeds the number of element columns.
     pub fn strips_x(mesh: &QuadMesh, p: usize) -> Self {
         assert!(p > 0 && p <= mesh.nx(), "strip count must be in 1..=nx");
-        let nx = mesh.nx();
-        let owner: Vec<usize> = (0..mesh.n_elems())
-            .map(|e| {
-                let i = e % nx;
-                // Balanced block distribution of columns.
-                (i * p) / nx
-            })
-            .collect();
-        let edge_cut = Some(edge_cut_of(mesh, &owner));
-        ElementPartition {
-            n_parts: p,
-            owner,
-            edge_cut,
-        }
+        Self::blocks_of(mesh, p, 1)
     }
 
     /// Partition of any structured [`Cells`] mesh (T3, Q4, Q8, hex8, …) into
     /// a `px x py` grid of cell blocks, balanced to within one grid
-    /// row/column; `blocks_of(mesh, p, 1)` is [`ElementPartition::strips_x`]. Cells mapping to the same grid coordinate (the
-    /// two triangles of a split quad) stay in the same part, so the
-    /// interfaces match the quadrilateral blocks exactly.
+    /// row/column; `blocks_of(mesh, p, 1)` is [`ElementPartition::strips_x`].
+    /// Cells mapping to the same grid coordinate (the two triangles of a
+    /// split quad) stay in the same part, so the interfaces match the
+    /// quadrilateral blocks exactly.
     ///
     /// # Panics
     /// Panics if the mesh has no logical grid ([`Cells::grid_dims`] is
@@ -158,11 +140,10 @@ impl ElementPartition {
                 bj * px + bi
             })
             .collect();
-        let edge_cut = Some(edge_cut_of(mesh, &owner));
         ElementPartition {
             n_parts: px * py,
             owner,
-            edge_cut,
+            edge_cut: None,
         }
     }
 
@@ -261,7 +242,7 @@ impl ElementPartition {
 
 impl fmt::Debug for ElementPartition {
     /// Quality-annotated summary: per-part sizes, the imbalance ratio and —
-    /// when the constructor saw the mesh — the edge cut.
+    /// once [`ElementPartition::with_edge_cut`] computed it — the edge cut.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut sizes = vec![0usize; self.n_parts];
         for &o in &self.owner {
@@ -341,8 +322,7 @@ impl Subdomain {
 /// stiffness couplings `K_ij != 0` that cross the block-row partition.
 fn node_cut_of<M: Cells>(mesh: &M, owner: &[usize]) -> usize {
     let mut cut: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for e in 0..mesh.n_cells() {
-        let nodes = mesh.cell_nodes(e);
+    mesh.for_each_cell(|_, nodes| {
         for (i, &a) in nodes.iter().enumerate() {
             for &b in &nodes[i + 1..] {
                 if owner[a] != owner[b] {
@@ -350,7 +330,7 @@ fn node_cut_of<M: Cells>(mesh: &M, owner: &[usize]) -> usize {
                 }
             }
         }
-    }
+    });
     cut.len()
 }
 
@@ -359,10 +339,31 @@ fn node_cut_of<M: Cells>(mesh: &M, owner: &[usize]) -> usize {
 pub struct NodePartition {
     n_parts: usize,
     owner: Vec<usize>,
-    /// Cross-part node couplings, when the constructor (or
-    /// [`NodePartition::with_edge_cut`]) saw mesh connectivity.
+    /// Cross-part node couplings, once [`NodePartition::with_edge_cut`]
+    /// computed them.
     edge_cut: Option<usize>,
 }
+
+/// Why [`NodePartition::from_elements`] cannot derive a node partition:
+/// every node of some part's elements also touches a lower-numbered part,
+/// so the part would own no row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PartWithoutNodes {
+    /// The first part left without a node.
+    pub part: usize,
+}
+
+impl fmt::Display for PartWithoutNodes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "part {} owns no node: lower parts touch all its nodes",
+            self.part
+        )
+    }
+}
+
+impl std::error::Error for PartWithoutNodes {}
 
 impl NodePartition {
     /// Builds a partition from an explicit per-node owner array.
@@ -384,9 +385,44 @@ impl NodePartition {
         }
     }
 
-    /// Computes and records the node-coupling cut against `mesh` — parity
-    /// with [`ElementPartition::with_edge_cut`] so both decompositions
-    /// report comparable communication-volume proxies.
+    /// The node partition of an element partition: each node goes to the
+    /// lowest-numbered part among the elements of `mesh` that touch it, so
+    /// RDD block rows follow whatever cut EDD runs on. On `P | nx` strips
+    /// this is the node-column formula `(j·P)/(nx+1)`.
+    ///
+    /// # Errors
+    /// Names the first part left without a node. (A partition that does not
+    /// match the mesh panics.)
+    pub fn from_elements<M: Cells>(
+        elements: &ElementPartition,
+        mesh: &M,
+    ) -> Result<Self, PartWithoutNodes> {
+        assert_eq!(
+            elements.owner.len(),
+            mesh.n_cells(),
+            "partition does not match mesh"
+        );
+        let mut owner = vec![usize::MAX; mesh.n_cell_nodes()];
+        mesh.for_each_cell(|e, nodes| {
+            let o = elements.owner[e];
+            nodes.iter().for_each(|&n| owner[n] = owner[n].min(o));
+        });
+        let mut seen = vec![false; elements.n_parts];
+        for o in &mut owner {
+            // A node no element touches couples to nothing; part 0 takes it.
+            *o = if *o == usize::MAX { 0 } else { *o };
+            seen[*o] = true;
+        }
+        match seen.iter().position(|&s| !s) {
+            Some(part) => Err(PartWithoutNodes { part }),
+            None => Ok(Self::from_owner(elements.n_parts, owner)),
+        }
+    }
+
+    /// Computes and records the node-coupling cut against `mesh` — the one
+    /// place a node partition's cut is computed, with parity to
+    /// [`ElementPartition::with_edge_cut`] so both decompositions report
+    /// comparable communication-volume proxies.
     ///
     /// # Panics
     /// Panics if the partition does not match the mesh's node count.
@@ -410,70 +446,6 @@ impl NodePartition {
     /// [`ElementPartition::imbalance`]; `0.0` for an empty owner array.
     pub fn imbalance(&self) -> f64 {
         imbalance_of(self.n_parts, &self.owner)
-    }
-
-    /// Splits the node ids into `p` contiguous ranges, balanced to within
-    /// one node. With row-major numbering this yields horizontal strips —
-    /// the natural block-row partition of the assembled matrix.
-    ///
-    /// # Panics
-    /// Panics if `p` is zero or exceeds the node count.
-    pub fn contiguous(n_nodes: usize, p: usize) -> Self {
-        assert!(p > 0 && p <= n_nodes, "part count must be in 1..=n_nodes");
-        let owner = (0..n_nodes).map(|n| (n * p) / n_nodes).collect();
-        NodePartition {
-            n_parts: p,
-            owner,
-            edge_cut: None,
-        }
-    }
-
-    /// Partitions the nodes of a structured mesh into `p` vertical strips
-    /// of node columns — the node-based counterpart of
-    /// [`ElementPartition::strips_x`], giving the same interface
-    /// orientation for fair EDD-vs-RDD comparisons.
-    ///
-    /// # Panics
-    /// Panics if `p` is zero or exceeds the number of node columns.
-    pub fn strips_x(mesh: &QuadMesh, p: usize) -> Self {
-        let ncols = mesh.nx() + 1;
-        assert!(p > 0 && p <= ncols, "strip count must be in 1..=nx+1");
-        let owner: Vec<usize> = (0..mesh.n_nodes())
-            .map(|n| {
-                let i = n % ncols;
-                (i * p) / ncols
-            })
-            .collect();
-        let edge_cut = Some(node_cut_of(mesh, &owner));
-        NodePartition {
-            n_parts: p,
-            owner,
-            edge_cut,
-        }
-    }
-
-    /// Partitions the nodes of a structured hexahedral mesh into `p`
-    /// vertical slabs of node columns (constant-`x` planes) — the 3-D
-    /// counterpart of [`NodePartition::strips_x`], so RDD block rows cut
-    /// the same interfaces an x-strip element partition does.
-    ///
-    /// # Panics
-    /// Panics if `p` is zero or exceeds the number of node planes.
-    pub fn strips_x_hex(mesh: &HexMesh, p: usize) -> Self {
-        let ncols = mesh.nx() + 1;
-        assert!(p > 0 && p <= ncols, "strip count must be in 1..=nx+1");
-        let owner: Vec<usize> = (0..mesh.n_nodes())
-            .map(|n| {
-                let i = n % ncols;
-                (i * p) / ncols
-            })
-            .collect();
-        let edge_cut = Some(node_cut_of(mesh, &owner));
-        NodePartition {
-            n_parts: p,
-            owner,
-            edge_cut,
-        }
     }
 
     /// Number of parts.
@@ -650,8 +622,8 @@ mod tests {
     #[test]
     fn blocks_of_matches_blocks_on_quads() {
         let mesh = QuadMesh::rectangle(6, 4, 6.0, 4.0);
-        let a = ElementPartition::blocks_of(&mesh, 3, 2);
-        let b = ElementPartition::blocks_of(&mesh, 3, 2);
+        let a = ElementPartition::blocks_of(&mesh, 3, 2).with_edge_cut(&mesh);
+        let b = ElementPartition::blocks_of(&mesh, 3, 2).with_edge_cut(&mesh);
         assert_eq!(a.owners(), b.owners());
         assert_eq!(a.n_parts(), 6);
         assert_eq!(a.edge_cut(), b.edge_cut());
@@ -677,6 +649,7 @@ mod tests {
         assert_eq!(ep.owners(), qp.owners());
         // Q8 edge midside nodes only join cells that already share corner
         // nodes, so the cut pairs match the 4-node partition's.
+        let (ep, qp) = (ep.with_edge_cut(&q8), qp.with_edge_cut(&quad));
         assert_eq!(ep.edge_cut(), qp.edge_cut());
     }
 
@@ -686,9 +659,11 @@ mod tests {
         // crosses the boundary.
         let mesh = QuadMesh::rectangle(2, 1, 2.0, 1.0);
         let part = ElementPartition::strips_x(&mesh, 2);
-        assert_eq!(part.edge_cut(), Some(1));
+        // No constructor computes the cut; `with_edge_cut` does.
+        assert_eq!(part.edge_cut(), None);
+        assert_eq!(part.with_edge_cut(&mesh).edge_cut(), Some(1));
         // One part: nothing to cut.
-        let whole = ElementPartition::strips_x(&mesh, 1);
+        let whole = ElementPartition::strips_x(&mesh, 1).with_edge_cut(&mesh);
         assert_eq!(whole.edge_cut(), Some(0));
     }
 
@@ -711,33 +686,51 @@ mod tests {
         assert_eq!(manual.edge_cut(), Some(1));
     }
 
-    #[test]
-    fn node_partition_contiguous_is_balanced() {
-        let np = NodePartition::contiguous(10, 3);
-        let sizes: Vec<usize> = (0..3).map(|r| np.nodes_of(r).len()).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 10);
-        assert!(sizes.iter().all(|&s| s == 3 || s == 4));
-        // Ranges are contiguous and ordered.
-        assert_eq!(np.owner(0), 0);
-        assert_eq!(np.owner(9), 2);
-        for n in 1..10 {
-            assert!(np.owner(n) >= np.owner(n - 1));
-        }
+    /// The node strips of `p` element strips on an `nx x ny` quad mesh.
+    fn node_strips(nx: usize, ny: usize, p: usize) -> (QuadMesh, NodePartition) {
+        let mesh = QuadMesh::rectangle(nx, ny, nx as f64, ny as f64);
+        let strips = ElementPartition::strips_x(&mesh, p);
+        let nodes = NodePartition::from_elements(&strips, &mesh).unwrap();
+        (mesh, nodes)
     }
 
     #[test]
     fn node_strips_follow_columns() {
-        let mesh = QuadMesh::rectangle(5, 2, 5.0, 2.0); // 6 node columns
-        let np = NodePartition::strips_x(&mesh, 3);
+        let (mesh, np) = node_strips(6, 2, 3); // 7 node columns
         for j in 0..=2 {
-            assert_eq!(np.owner(mesh.node_at(0, j)), 0);
-            assert_eq!(np.owner(mesh.node_at(2, j)), 1);
-            assert_eq!(np.owner(mesh.node_at(5, j)), 2);
+            // Column 2 touches parts 0 and 1: the lower one takes it.
+            assert_eq!(np.owner(mesh.node_at(2, j)), 0);
+            assert_eq!(np.owner(mesh.node_at(3, j)), 1);
+            assert_eq!(np.owner(mesh.node_at(6, j)), 2);
         }
         // All parts non-empty.
         for r in 0..3 {
             assert!(!np.nodes_of(r).is_empty());
         }
+    }
+
+    #[test]
+    fn node_strips_of_uneven_element_strips_give_part_0_one_column_more() {
+        // 40 columns at P = 3: element strips 14/13/13 columns wide, node
+        // strips 15/13/13 node columns where `(j·P)/(nx+1)` gives 14/14/13.
+        let (mesh, np) = node_strips(40, 1, 3);
+        let sizes: Vec<usize> = (0..3).map(|r| np.nodes_of(r).len() / 2).collect();
+        assert_eq!(sizes, [15, 13, 13]);
+        let mut formula = [0; 3];
+        (0..41).for_each(|j| formula[(j * 3) / 41] += 1);
+        assert_eq!(formula, [14, 14, 13]);
+        assert_eq!(np.owner(mesh.node_at(14, 0)), 0);
+    }
+
+    #[test]
+    fn from_elements_names_the_first_part_left_without_a_node() {
+        // A 3x1 row whose middle element is part 2 and whose outer elements
+        // are parts 0 and 1: every node of part 2 also touches 0 or 1.
+        let mesh = QuadMesh::rectangle(3, 1, 3.0, 1.0);
+        let elements = ElementPartition::from_owner(3, vec![0, 2, 1]);
+        let err = NodePartition::from_elements(&elements, &mesh).unwrap_err();
+        assert_eq!(err, PartWithoutNodes { part: 2 });
+        assert!(err.to_string().contains("part 2"), "{err}");
     }
 
     #[test]
@@ -761,20 +754,19 @@ mod tests {
 
     #[test]
     fn node_partition_reports_cut_and_imbalance_parity() {
-        let mesh = QuadMesh::rectangle(5, 2, 5.0, 2.0);
-        let np = NodePartition::strips_x(&mesh, 3);
-        // strips_x sees the mesh, so the cut is recorded eagerly.
-        let cut = np.edge_cut().expect("strips_x records its cut");
+        let (mesh, np) = node_strips(6, 2, 3);
+        // No constructor computes the cut; `with_edge_cut` does.
+        assert_eq!(np.edge_cut(), None);
+        let cut = np.clone().with_edge_cut(&mesh).edge_cut().unwrap();
         assert!(cut > 0);
-        // from_owner does not know the mesh until with_edge_cut.
-        let manual = NodePartition::from_owner(3, np.owners().to_vec());
-        assert_eq!(manual.edge_cut(), None);
-        let manual = manual.with_edge_cut(&mesh);
+        let manual = NodePartition::from_owner(3, np.owners().to_vec()).with_edge_cut(&mesh);
         assert_eq!(manual.edge_cut(), Some(cut));
         assert!(np.imbalance() >= 1.0);
         // One part split down the middle: couplings across the boundary
         // column pair every boundary node with its 2-3 cross neighbours.
-        let half = NodePartition::contiguous(mesh.n_nodes(), 2).with_edge_cut(&mesh);
+        let n = mesh.n_nodes();
+        let half = (0..n).map(|i| (2 * i) / n).collect();
+        let half = NodePartition::from_owner(2, half).with_edge_cut(&mesh);
         assert!(half.edge_cut().unwrap() > 0);
     }
 

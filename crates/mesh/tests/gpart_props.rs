@@ -83,7 +83,6 @@ proptest! {
         let a = graph_partition(&mesh, p);
         let b = graph_partition(&mesh, p);
         prop_assert_eq!(a.owners(), b.owners());
-        prop_assert_eq!(a.edge_cut(), b.edge_cut());
         // The spec round-trips to the same partition.
         let via_spec = PartitionerSpec::Graph.element_partition(&mesh, p);
         prop_assert_eq!(a.owners(), via_spec.owners());
@@ -118,8 +117,8 @@ fn graph_cut_never_worse_than_strips_on_paper_meshes() {
             if p > nx {
                 continue;
             }
-            let strips = ElementPartition::strips_x(&mesh, p);
-            let graph = graph_partition(&mesh, p);
+            let strips = ElementPartition::strips_x(&mesh, p).with_edge_cut(&mesh);
+            let graph = graph_partition(&mesh, p).with_edge_cut(&mesh);
             let (gc, sc) = (graph.edge_cut().unwrap(), strips.edge_cut().unwrap());
             assert!(
                 gc <= sc,

@@ -24,13 +24,13 @@ fn main() {
         let mut rdd_t1 = 0.0;
         for p in [1usize, 2, 4, 8] {
             let epart = ElementPartition::strips_x(&problem.mesh, p);
+            let npart = NodePartition::from_elements(&epart, &problem.mesh).unwrap();
             let edd = SolveSession::new(problem.as_problem())
                 .strategy(Strategy::Edd(epart))
                 .config(cfg.clone())
                 .machine(model.clone())
                 .run()
                 .expect("fault-free solve");
-            let npart = NodePartition::contiguous(problem.mesh.n_nodes(), p);
             let rdd = SolveSession::new(problem.as_problem())
                 .strategy(Strategy::Rdd(npart))
                 .config(cfg.clone())

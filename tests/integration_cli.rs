@@ -60,6 +60,65 @@ fn solve_rdd_strategy_works() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("converged = true"));
 }
 
+/// RDD takes every `--partitioner`: its rows are the nodes of the same
+/// element partition EDD runs on, and the solve meets the CLI's own
+/// true-residual check (≤ 10 × tol).
+#[test]
+fn rdd_solves_on_graph_and_block_partitions() {
+    for args in [
+        &["--mesh", "40x8", "--partitioner", "graph"][..],
+        &["--mesh", "40x8", "--partitioner", "blocks"],
+        &[
+            "--problem",
+            "heat2d",
+            "--mesh",
+            "21x10",
+            "--partitioner",
+            "graph",
+        ],
+        &[
+            "--problem",
+            "elasticity3d",
+            "--mesh",
+            "8x4x4",
+            "--partitioner",
+            "blocks",
+        ],
+        &[
+            "--problem",
+            "elasticity3d",
+            "--mesh",
+            "8x4x4",
+            "--partitioner",
+            "graph",
+        ],
+    ] {
+        let out = parfem()
+            .args([
+                "solve",
+                "--strategy",
+                "rdd",
+                "--parts",
+                "4",
+                "--machine",
+                "ideal",
+            ])
+            .args(args)
+            .output()
+            .expect("run parfem");
+        let text = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {text}{stderr}");
+        assert!(text.contains("on 4 ranks (rdd, "), "{args:?}: {text}");
+        let residual: f64 = (text.lines())
+            .find_map(|l| l.strip_prefix("true relative residual = "))
+            .and_then(|l| l.split(',').next())
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("{args:?}: no true residual in {text}"));
+        assert!(residual <= 10.0 * 1e-6, "{args:?}: {residual:e}");
+    }
+}
+
 #[test]
 fn spectrum_reports_bounds() {
     let out = parfem()
@@ -291,6 +350,29 @@ fn malformed_and_out_of_range_values_exit_cleanly() {
             &["--mesh", "4x4", "--parts", "6", "--strategy", "rdd"],
             3,
             "--parts 6",
+        ),
+        // One node column per rank is no longer a layout: RDD takes the
+        // element strips' limit.
+        (
+            &["--mesh", "8x4", "--parts", "9", "--strategy", "rdd"],
+            3,
+            "at most 8 strips of element columns",
+        ),
+        // A graph partition whose part 4 borders only lower parts would own
+        // no node under RDD; EDD runs it.
+        (
+            &[
+                "--mesh",
+                "3x3",
+                "--parts",
+                "7",
+                "--partitioner",
+                "graph",
+                "--strategy",
+                "rdd",
+            ],
+            3,
+            "lower --parts or use --strategy edd",
         ),
         (
             &["--mesh", "4x4", "--parts", "5", "--partitioner", "blocks"],

@@ -262,8 +262,8 @@ fn rdd_and_edd_exchange_comparable_bytes_per_iteration() {
     );
     let r = rdd(
         &p,
-        // Same interface orientation as the element strips for fairness.
-        NodePartition::strips_x(&p.mesh, 4),
+        // The node partition of the same element strips, for fairness.
+        NodePartition::from_elements(&ElementPartition::strips_x(&p.mesh, 4), &p.mesh).unwrap(),
         MachineModel::ideal(),
         &cfg,
     );

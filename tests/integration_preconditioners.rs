@@ -202,16 +202,15 @@ fn edd_gls_equals_rdd_gls_in_iterations() {
         overlap: false,
         ..Default::default()
     };
+    let strips = ElementPartition::strips_x(&p.mesh, 4);
+    let nodes = NodePartition::from_elements(&strips, &p.mesh).unwrap();
     let edd = SolveSession::new(p.as_problem())
-        .strategy(Strategy::Edd(ElementPartition::strips_x(&p.mesh, 4)))
+        .strategy(Strategy::Edd(strips))
         .config(cfg.clone())
         .run()
         .expect("fault-free solve");
     let rdd = SolveSession::new(p.as_problem())
-        .strategy(Strategy::Rdd(NodePartition::contiguous(
-            p.mesh.n_nodes(),
-            4,
-        )))
+        .strategy(Strategy::Rdd(nodes))
         .config(cfg)
         .run()
         .expect("fault-free solve");

@@ -38,16 +38,15 @@ fn sequential_edd_and_rdd_agree_on_mesh2() {
         gmres: cfg,
         ..Default::default()
     };
+    let strips = ElementPartition::strips_x(&p.mesh, 4);
+    let nodes = NodePartition::from_elements(&strips, &p.mesh).unwrap();
     let edd = SolveSession::new(p.as_problem())
-        .strategy(Strategy::Edd(ElementPartition::strips_x(&p.mesh, 4)))
+        .strategy(Strategy::Edd(strips))
         .config(solver_cfg.clone())
         .run()
         .expect("fault-free solve");
     let rdd = SolveSession::new(p.as_problem())
-        .strategy(Strategy::Rdd(NodePartition::contiguous(
-            p.mesh.n_nodes(),
-            4,
-        )))
+        .strategy(Strategy::Rdd(nodes))
         .config(solver_cfg)
         .run()
         .expect("fault-free solve");

@@ -58,7 +58,9 @@ fn twolevel_counts_non_increasing_on_paper_meshes_rdd() {
     for k in mesh_indices() {
         let p = CantileverProblem::paper_mesh(k);
         let parts = 4.min(p.mesh.nx());
-        let strategy = || Strategy::Rdd(NodePartition::strips_x(&p.mesh, parts));
+        let strips = ElementPartition::strips_x(&p.mesh, parts);
+        let nodes = NodePartition::from_elements(&strips, &p.mesh).unwrap();
+        let strategy = || Strategy::Rdd(nodes.clone());
         let one = iterations(&p, strategy(), "gls:3");
         let two = iterations(&p, strategy(), "twolevel:rbm:gls-3");
         assert!(
