@@ -48,7 +48,7 @@ fn bench_assembly(c: &mut Criterion) {
                                 &p.material,
                                 s,
                                 &p.loads,
-                                None,
+                                false,
                             )
                         })
                         .collect();
@@ -75,7 +75,7 @@ fn bench_hex_half_block(c: &mut Criterion) {
     let mut group = c.benchmark_group("assembly_hex_half_block");
     group.sample_size(20);
     group.bench_function("subdomain_build", |b| {
-        b.iter(|| black_box(SubdomainSystem::build(&mesh, &dm, &mat, sub, &loads, None)))
+        b.iter(|| black_box(SubdomainSystem::build(&mesh, &dm, &mat, sub, &loads, false)))
     });
     group.finish();
 }

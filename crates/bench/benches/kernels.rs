@@ -87,7 +87,7 @@ fn bench_kernel_variants(c: &mut Criterion) {
     dm.clamp_edge(&quad, Edge::Left);
     let loads = vec![0.0; dm.n_dofs()];
     let sub = &ElementPartition::strips_x(&quad, 2).subdomains_of(&quad)[0];
-    let plane = SubdomainSystem::build(&quad, &dm, &mat, sub, &loads, None).k_local;
+    let plane = SubdomainSystem::build(&quad, &dm, &mat, sub, &loads, false).k_local;
 
     let hex = HexMesh::cantilever(28, 14, 14);
     let mut dm = DofMap::with_dofs(hex.n_nodes(), 3);
@@ -96,7 +96,7 @@ fn bench_kernel_variants(c: &mut Criterion) {
     }
     let loads = vec![0.0; dm.n_dofs()];
     let sub = &ElementPartition::blocks_of(&hex, 2, 1).subdomains_of(&hex)[0];
-    let solid = SubdomainSystem::build(&hex, &dm, &mat, sub, &loads, None).k_local;
+    let solid = SubdomainSystem::build(&hex, &dm, &mat, sub, &loads, false).k_local;
 
     let mut group = c.benchmark_group("kernels_variants");
     for (blocks, csr_name, block_name) in [
@@ -136,7 +136,7 @@ fn bench_coarse_panel(c: &mut Criterion) {
     }
     let loads = vec![0.0; dm.n_dofs()];
     let sub = &ElementPartition::blocks_of(&hex, 2, 1).subdomains_of(&hex)[0];
-    let a = SubdomainSystem::build(&hex, &dm, &Material::unit(), sub, &loads, None).k_local;
+    let a = SubdomainSystem::build(&hex, &dm, &Material::unit(), sub, &loads, false).k_local;
     let (n, k) = (a.n_rows(), 12);
     let columns: Vec<Vec<f64>> = (0..k)
         .map(|c| (0..n).map(|g| ((g * (c + 3)) % 17) as f64 - 8.0).collect())

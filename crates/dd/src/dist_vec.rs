@@ -261,7 +261,7 @@ mod tests {
         let systems: Vec<SubdomainSystem> = part
             .subdomains_of(&mesh)
             .iter()
-            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
+            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, false))
             .collect();
         (systems, dm.n_dofs())
     }
@@ -400,7 +400,7 @@ mod tests {
         let systems: Vec<SubdomainSystem> = part
             .subdomains_of(&mesh)
             .iter()
-            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
+            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, false))
             .collect();
         let x: Vec<f64> = (0..dm.n_dofs())
             .map(|i| ((i * 3 % 11) as f64) - 5.0)

@@ -1,11 +1,15 @@
 //! Parallel elastodynamics: the Newmark step loop of the session engine's
 //! rank body, behind [`SolveSession::run_dynamic`](crate::SolveSession::run_dynamic).
 //!
-//! Each rank sets up the effective matrix `ᾱM + K` (paper Eq. 52) over its
-//! lumped mass once, under either strategy, and every step solves one
-//! distributed FGMRES system. The Newmark state `(u, v, a)` lives in the
-//! strategy's solution format, so predictors and correctors are purely local
-//! updates: the same linear combination on every rank that holds a row.
+//! Each rank holds its lumped mass as one vector over its rows (the
+//! diagonal of `M` in the load format, summed by
+//! [`parfem_fem::assembly`]'s one helper under either strategy), sets up the
+//! effective matrix `ᾱM + K` (paper Eq. 52) once by adding `ᾱ·m` to its
+//! stiffness's diagonal, and every step solves one distributed FGMRES
+//! system. The Newmark state `(u, v, a)` lives in the strategy's solution
+//! format, so predictors and correctors are purely local updates: the same
+//! linear combination on every rank that holds a row. Two interface sums
+//! per transient, none per step, make `a₀ = M⁻¹f` consistent.
 
 use crate::error::SolveError;
 use crate::session::{
@@ -63,7 +67,8 @@ pub(crate) struct Newmark<'a> {
 
 /// The step loop, after the rank set up `ᾱM + K`: zero initial state,
 /// `a₀ = M⁻¹ f` from the consistent lumped mass and load, then per step the
-/// predictor `u*`, `b = D (f + ᾱ M u*)` in the load format, one FGMRES
+/// predictor `u*`, `b = D (f + ᾱ M u*)` in the load format (`M u*` the
+/// entry-wise product with the mass vector, `n` flops), one FGMRES
 /// warm-started from the current displacement and the corrector.
 /// Constrained rows stay zero. `out` comes back with the final displacement,
 /// every step's history and the watched values.
@@ -82,7 +87,7 @@ pub(crate) fn newmark_steps<D: Decomposition, C: Communicator>(
     let (alpha, _) = run.params.effective_coefficients();
     let fixed: Vec<usize> = (0..n).filter(|&l| dm.is_fixed(rows.dofs[l])).collect();
     let f = rows.restrict_load(problem.loads, dm);
-    let mut m_diag = mass.diagonal();
+    let mut m_diag = mass.to_vec();
     parts.make_consistent(comm, rank, &mut m_diag);
     let mut a = f.clone();
     parts.make_consistent(comm, rank, &mut a);
@@ -102,12 +107,10 @@ pub(crate) fn newmark_steps<D: Decomposition, C: Communicator>(
             u_star[i] = u[i] + dt * v[i] + dt * dt * (0.5 - beta) * a[i];
         }
         comm.work(6 * n as u64);
-        mass.spmv_into(&u_star, &mut rhs);
-        comm.work(mass.spmv_flops());
-        for (ri, fi) in rhs.iter_mut().zip(&f) {
-            *ri = fi + alpha * *ri;
+        for (((ri, fi), mi), ui) in rhs.iter_mut().zip(&f).zip(mass).zip(&u_star) {
+            *ri = fi + alpha * (mi * ui);
         }
-        comm.work(2 * n as u64);
+        comm.work(3 * n as u64);
         fixed.iter().for_each(|&l| rhs[l] = 0.0);
         dense::diag_mul(rows.d, &mut rhs);
         comm.work(n as u64);

@@ -38,7 +38,7 @@ use crate::session::{
     build_precond, host_span, rank_span, Decomposition, PrecondBuildStats, Problem, RankRows,
     SolverConfig,
 };
-use parfem_fem::{Mass, SubdomainSystem};
+use parfem_fem::SubdomainSystem;
 use parfem_krylov::gmres::{fgmres_on, GmresConfig, GmresResult};
 use parfem_krylov::{DistributedOperator, KrylovWorkspace};
 use parfem_mesh::{ElementPartition, Subdomain};
@@ -459,13 +459,13 @@ impl<'a> Decomposition for EddParts<'a> {
     /// The rank assembles its subdomain system under the `assembly` rank
     /// span, charging the discretization's
     /// [`assembly_flops`](parfem_fem::Discretization::assembly_flops) — with
-    /// a mass shift ᾱ also its lumped mass, taking
-    /// [`SubdomainSystem::effective_local`] `ᾱM̂ + K̂` — then distributed
-    /// scaling under the `scaling` rank span (the matrix scaled in place
-    /// into the operator's) and the preconditioner over that matrix and the
-    /// interface layout. Every arm, `direct` and `twolevel:*` included, reads
-    /// the operator's own matrix: one matrix is live per rank throughout a
-    /// static run.
+    /// a mass shift ᾱ also its lumped mass vector, and the stiffness shifted
+    /// in place into [`SubdomainSystem::effective_local`] `ᾱM̂ + K̂` — then
+    /// distributed scaling under the `scaling` rank span (the matrix scaled
+    /// in place into the operator's) and the preconditioner over that matrix
+    /// and the interface layout. Every arm, `direct` and `twolevel:*`
+    /// included, reads the operator's own matrix: one matrix is live per rank
+    /// throughout a run.
     fn rank_setup<C: Communicator>(
         &self,
         comm: &C,
@@ -475,16 +475,17 @@ impl<'a> Decomposition for EddParts<'a> {
     ) -> Result<(Self::Rank, PrecondBuildStats), SolveError> {
         let (sub, p) = (&self.subdomains[comm.rank()], self.problem);
         let mut sys = rank_span(comm, "assembly", || {
-            let mass = mass_shift.map(|_| Mass::Lumped);
+            let (disc, dm, loads) = (p.discretization, p.dof_map, p.loads);
             let sys =
-                SubdomainSystem::build(p.discretization, p.dof_map, p.material, sub, p.loads, mass);
-            comm.work(p.discretization.assembly_flops(sub.elements.len()));
+                SubdomainSystem::build(disc, dm, p.material, sub, loads, mass_shift.is_some());
+            comm.work(disc.assembly_flops(sub.elements.len()));
             sys
         });
+        if let Some(alpha) = mass_shift {
+            sys.effective_local(alpha);
+        }
         // Nothing after the scaling reads the unscaled `K̂`.
-        let effective = mass_shift.map(|alpha| sys.effective_local(alpha, 1.0));
         let k_local = std::mem::replace(&mut sys.k_local, NodeMatrix::Csr(CsrMatrix::identity(0)));
-        let k_local = effective.unwrap_or(k_local);
         let (layout, scaling, a, b) = rank_span(comm, "scaling", || {
             let mut layout = EddLayout::from_system(&sys);
             layout.set_overlap(cfg.overlap);
@@ -522,7 +523,7 @@ impl<'a> Decomposition for EddParts<'a> {
             multiplicity: Some(&sys.multiplicity),
             d: &rank.scaling.d,
             b: &rank.b,
-            mass: sys.m_local.as_ref(),
+            mass: sys.mass.as_deref(),
         }
     }
 
@@ -597,7 +598,7 @@ mod tests {
         let systems: Vec<SubdomainSystem> = part
             .subdomains_of(&mesh)
             .iter()
-            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
+            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, false))
             .collect();
         let sys = assembly::build_static(&mesh, &dm, &mat, &loads);
         Fixture {
@@ -841,7 +842,7 @@ mod tests {
         let systems: Vec<SubdomainSystem> = part
             .subdomains_of(&mesh)
             .iter()
-            .map(|s| SubdomainSystem::build(heat, &dm, &Material::unit(), s, &loads, None))
+            .map(|s| SubdomainSystem::build(heat, &dm, &Material::unit(), s, &loads, false))
             .collect();
         run_ranks(2, MachineModel::ideal(), |comm| {
             let sys = &systems[comm.rank()];

@@ -190,7 +190,7 @@ impl RddSystem {
         problem: &Problem<'_>,
         part: &NodePartition,
         mass_shift: Option<f64>,
-    ) -> (RddSystem, Vec<f64>, Option<CsrMatrix>) {
+    ) -> (RddSystem, Vec<f64>, Option<Vec<f64>>) {
         let rank = comm.rank();
         let dpn = problem.dof_map.dofs_per_node();
         let (split, mass) = rank_span(comm, "assembly", || {
@@ -205,9 +205,9 @@ impl RddSystem {
                 mass_shift.is_some(),
             );
             comm.work(disc.assembly_flops(n_elems));
-            let mass = block.mass.take().map(|m| CsrMatrix::from_diagonal(&m));
+            let mass = block.mass.take();
             if let (Some(alpha), Some(m)) = (mass_shift, &mass) {
-                block.a_loc.scale_add(1.0, alpha, m);
+                block.a_loc.add_diagonal(alpha, m);
             }
             (Split::new(rank, block, |g| part.owner(g / dpn)), mass)
         });
@@ -561,7 +561,7 @@ impl<'a> RddParts<'a> {
 pub(crate) struct RddRank {
     sys: RddSystem,
     d: Vec<f64>,
-    mass: Option<CsrMatrix>,
+    mass: Option<Vec<f64>>,
     precond: SpecPrecond,
 }
 
@@ -625,7 +625,7 @@ impl Decomposition for RddParts<'_> {
             multiplicity: None,
             d: &rank.d,
             b: &rank.sys.b_loc,
-            mass: rank.mass.as_ref(),
+            mass: rank.mass.as_deref(),
         }
     }
 

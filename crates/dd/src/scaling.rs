@@ -103,7 +103,7 @@ mod tests {
         let systems: Vec<SubdomainSystem> = part
             .subdomains_of(&mesh)
             .iter()
-            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
+            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, false))
             .collect();
         let k = assembly::build_static(&mesh, &dm, &mat, &loads).stiffness;
         (systems, k, dm.n_dofs())

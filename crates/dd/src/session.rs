@@ -68,7 +68,7 @@ use parfem_msg::{
 use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSetup, CoarseSpec, SpecPrecond};
 pub use parfem_precond::PrecondSpec;
 
-use parfem_sparse::{dense, CsrMatrix, SparseLdlt, SparseRows};
+use parfem_sparse::{dense, SparseLdlt, SparseRows};
 use parfem_trace::{alloc, TraceSink, Value};
 use std::borrow::Cow;
 use std::fmt;
@@ -772,7 +772,7 @@ pub(crate) struct RankRows<'r> {
     /// `D f` for the systems' own load.
     pub b: &'r [f64],
     /// The lumped mass in the load format, after a setup with a mass shift.
-    pub mass: Option<&'r CsrMatrix>,
+    pub mass: Option<&'r [f64]>,
 }
 
 impl RankRows<'_> {

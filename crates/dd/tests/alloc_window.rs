@@ -80,7 +80,7 @@ fn summary_allocations_include_host_assembly_for_edd_and_rdd() {
     let subdomains = part.subdomains_of(&mesh);
     let (_, assembly) = alloc::measure(|| {
         (subdomains.iter())
-            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
+            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, false))
             .collect::<Vec<_>>()
     });
     let assembled = summary_alloc_bytes(SolveSession::new(problem).strategy(Strategy::Edd(part)));
@@ -114,8 +114,9 @@ fn hex_half_block_assembly_allocates_little_more_than_its_matrix() {
     }
     let loads = vec![0.0; dm.n_dofs()];
     let sub = &ElementPartition::blocks_of(&mesh, 2, 1).subdomains_of(&mesh)[0];
-    let (sys, allocated) =
-        alloc::measure(|| SubdomainSystem::build(&mesh, &dm, &Material::unit(), sub, &loads, None));
+    let (sys, allocated) = alloc::measure(|| {
+        SubdomainSystem::build(&mesh, &dm, &Material::unit(), sub, &loads, false)
+    });
     let (blocks, csr) = (block_bytes(&sys.k_local), subdomain_csr_bytes(&sys.k_local));
     eprintln!(
         "hex half block: {} B allocated, node blocks {blocks} B ({:.2} x), CSR arrays {csr} B",
@@ -180,7 +181,7 @@ fn edd_rank_holds_one_matrix_after_a_polynomial_setup() {
     // multiplicity, global dofs, the node list, the row lists and the
     // exchange lists).
     let sized: Vec<(u64, u64, u64)> = (part.subdomains_of(&mesh).iter())
-        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None).k_local)
+        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, false).k_local)
         .map(|k| {
             let vectors = 12 * (k.n_rows() * size_of::<f64>()) as u64;
             (block_bytes(&k), subdomain_csr_bytes(&k), vectors)
@@ -275,6 +276,17 @@ fn rdd_direct_rank_holds_its_blocks_and_factor_after_setup() {
     }
 }
 
+/// The 2-D cantilever `nx × ny`, clamped on the left and pulled down on the
+/// right.
+fn cantilever(nx: usize, ny: usize) -> (QuadMesh, DofMap, Vec<f64>) {
+    let mesh = QuadMesh::cantilever(nx, ny);
+    let mut dm = DofMap::new(mesh.n_nodes());
+    dm.clamp_edge(&mesh, Edge::Left);
+    let mut loads = vec![0.0; dm.n_dofs()];
+    assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
+    (mesh, dm, loads)
+}
+
 /// A transient RDD rank (the 2-D cantilever 120×40 in two node strips,
 /// `gls:7`) scatters each element's lumped diagonal straight into its mass
 /// vector. The parent commit's ranks assembled a mass matrix over their rows
@@ -286,12 +298,7 @@ fn rdd_transient_rank_sets_up_without_a_mass_matrix() {
     // `setup_live_bytes` and `setup_peak_bytes` per rank at the parent
     // commit.
     const PARENT: [(u64, u64); 2] = [(1_094_305, 3_252_996), (1_086_109, 3_219_550)];
-    let mesh = QuadMesh::cantilever(120, 40);
-    let mut dm = DofMap::new(mesh.n_nodes());
-    dm.clamp_edge(&mesh, Edge::Left);
-    let mat = Material::unit();
-    let mut loads = vec![0.0; dm.n_dofs()];
-    assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
+    let ((mesh, dm, loads), mat) = (cantilever(120, 40), Material::unit());
     let sink = TraceSink::recording();
     let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
         .strategy(Strategy::Rdd(node_strips(&mesh, 2)))
@@ -303,6 +310,75 @@ fn rdd_transient_rank_sets_up_without_a_mass_matrix() {
     for ((live, peak), parent) in rank_setup_bytes(&sink).iter().zip(PARENT) {
         eprintln!("rdd transient rank: live {live} B, peak {peak} B (parent {parent:?})");
         assert!(*peak < parent.1 && *live <= parent.0);
+    }
+}
+
+/// A transient EDD rank (the 2-D cantilever 120×40 in two element strips,
+/// `gls:7`) sums each element's lumped diagonal into its mass vector and
+/// adds `ᾱ·m` to its stiffness's diagonal in place. The parent commit's
+/// ranks assembled a mass CSR over the whole stiffness pattern, every
+/// off-diagonal entry a zero, and shifted a copy of the stiffness by it:
+/// they held and peaked higher.
+#[test]
+fn edd_transient_rank_sets_up_without_a_mass_matrix() {
+    assert!(alloc::is_counting(), "counting allocator not installed");
+    // `setup_live_bytes` and `setup_peak_bytes` per rank at the parent
+    // commit.
+    const PARENT: [(u64, u64); 2] = [(2_614_677, 3_206_808), (2_649_173, 3_251_096)];
+    let ((mesh, dm, loads), mat) = (cantilever(120, 40), Material::unit());
+    let sink = TraceSink::recording();
+    let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+        .strategy(Strategy::Edd(ElementPartition::strips_x(&mesh, 2)))
+        .precond(PrecondSpec::parse("gls:7").unwrap())
+        .trace(&sink)
+        .run_dynamic(NewmarkParams::average_acceleration(1.0), 1, &[])
+        .expect("fault-free transient");
+    assert!(out.all_converged);
+    for ((live, peak), parent) in rank_setup_bytes(&sink).iter().zip(PARENT) {
+        eprintln!("edd transient rank: live {live} B, peak {peak} B (parent {parent:?})");
+        assert!(*live < parent.0 && *peak < parent.1);
+    }
+}
+
+/// The allocation calls of a 9-step transient on the 2-D cantilever 40×8
+/// (`gls:7`, two ranks) beyond those of a 1-step one, per rank, under EDD
+/// strips and RDD node strips: what eight steps of the step loop allocate,
+/// 97 calls on an EDD rank and 66 on an RDD rank. Each step allocates its
+/// FGMRES solution and convergence history, and the operator's exchange
+/// buffers, which live for one solve (one rank alone: 18 and 26); the list
+/// of step histories grows twice. A mailbox adds a payload buffer to its
+/// pool the first time its queue reaches a new depth, which scheduling
+/// decides, so a count may move by two either way; one of `ATTEMPTS` pairs
+/// of runs must come within that on every rank.
+#[test]
+fn transient_step_loop_allocations_are_pinned() {
+    assert!(alloc::is_counting(), "counting allocator not installed");
+    // Per rank, EDD and RDD.
+    const PINNED: [u64; 2] = [97, 66];
+    let ((mesh, dm, loads), mat) = (cantilever(40, 8), Material::unit());
+    let strategies = [
+        ("EDD", Strategy::Edd(ElementPartition::strips_x(&mesh, 2))),
+        ("RDD", Strategy::Rdd(node_strips(&mesh, 2))),
+    ];
+    for ((name, strategy), pinned) in strategies.into_iter().zip(PINNED) {
+        let allocs = |steps: usize| -> Vec<u64> {
+            let out = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
+                .strategy(strategy.clone())
+                .precond(PrecondSpec::parse("gls:7").unwrap())
+                .run_dynamic(NewmarkParams::average_acceleration(1.0), steps, &[])
+                .expect("fault-free transient");
+            assert!(out.all_converged);
+            out.last.reports.iter().map(|r| r.allocs.count).collect()
+        };
+        let mut seen = Vec::new();
+        let pinned_on_every_rank = (0..ATTEMPTS).any(|_| {
+            let (one, nine) = (allocs(1), allocs(9));
+            let steps: Vec<u64> = nine.iter().zip(&one).map(|(n, o)| n - o).collect();
+            eprintln!("{name}: 8 more steps allocate {steps:?} times per rank");
+            seen.push(steps.clone());
+            steps.iter().all(|got| got.abs_diff(pinned) <= 2)
+        });
+        assert!(pinned_on_every_rank, "{name}: {seen:?} vs pinned {pinned}");
     }
 }
 
@@ -417,7 +493,7 @@ fn hex_twolevel_setup_peak_falls_by_the_subdomain_csr() {
     assembly::face_load(&mesh, &dm, Face::XMax, [0.0, 0.0, -1.0], &mut loads);
     let part = ElementPartition::blocks_of(&mesh, 2, 1);
     let csr: Vec<u64> = (part.subdomains_of(&mesh).iter())
-        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None).k_local)
+        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, false).k_local)
         .map(|k| subdomain_csr_bytes(&k))
         .collect();
     let session = SolveSession::new(Problem::new(&mesh, &dm, &mat, &loads))
@@ -535,7 +611,7 @@ fn warm_edd_gls7_loop_allocates_nothing_per_iteration_on_any_rank() {
     assembly::edge_load(&mesh, &dm, Edge::Right, 0.0, -1.0, &mut loads);
     let systems: Vec<SubdomainSystem> = (ElementPartition::strips_x(&mesh, 2).subdomains_of(&mesh))
         .iter()
-        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
+        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, false))
         .collect();
     let out = run_ranks(2, MachineModel::ideal(), |comm| {
         let sys = &systems[comm.rank()];

@@ -75,7 +75,7 @@ fn edd_case(
     let subs: Vec<Subdomain> = part.subdomains_of(mesh);
     let systems: Vec<SubdomainSystem> = subs
         .iter()
-        .map(|s| SubdomainSystem::build(mesh, dm, &mat, s, &loads, None))
+        .map(|s| SubdomainSystem::build(mesh, dm, &mat, s, &loads, false))
         .collect();
     let coords = coords3(mesh);
     let views = edd_rank_views(&systems, dm, &coords, spec, overlap);
@@ -413,7 +413,7 @@ fn rank_builds_keep_their_pinned_bits() {
     let systems: Vec<SubdomainSystem> = (ElementPartition::blocks_of(&mesh, 2, 1))
         .subdomains_of(&mesh)
         .iter()
-        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
+        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, false))
         .collect();
     let views = edd_rank_views(&systems, &dm, mesh.coords(), &spec, false);
     let hex = build_digest(&views);

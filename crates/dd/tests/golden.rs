@@ -134,7 +134,7 @@ fn edd_digest_overlap(
     let systems: Vec<SubdomainSystem> = part
         .subdomains_of(&mesh)
         .iter()
-        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
+        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, false))
         .collect();
     let gls = (degree > 0).then(|| GlsPrecond::for_scaled_system(degree));
     let out = run_ranks(p, MachineModel::ideal(), |comm| {

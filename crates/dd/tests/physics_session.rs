@@ -283,7 +283,7 @@ fn direct_survives_the_floating_hex_subdomain_that_breaks_ilu0() {
     // The floating single-element blocks: singular, ILU(0) refuses them.
     let subs = part.subdomains_of(&mesh);
     for floating in [1, 2] {
-        let sys = SubdomainSystem::build(&mesh, &dm, &mat, &subs[floating], &loads, None);
+        let sys = SubdomainSystem::build(&mesh, &dm, &mat, &subs[floating], &loads, false);
         match Ilu0::factorize(&sys.k_local) {
             Err(SparseError::ZeroPivot { value, .. }) => {
                 assert!(value.abs() < 1e-10, "pivot {value} should be ~0");

@@ -26,7 +26,7 @@ fn one_element_system() -> SubdomainSystem {
     assembly::edge_load(&mesh, &dm, Edge::Right, 1.0, -1.0, &mut loads);
     let part = ElementPartition::strips_x(&mesh, 1);
     let subs = part.subdomains_of(&mesh);
-    SubdomainSystem::build(&mesh, &dm, &mat, &subs[0], &loads, None)
+    SubdomainSystem::build(&mesh, &dm, &mat, &subs[0], &loads, false)
 }
 
 /// Runs `precond` through both application paths on `a` and checks the
@@ -96,7 +96,7 @@ fn floating_subdomain_block() -> CsrMatrix {
     let subs = part.subdomains_of(&mesh);
     // Strip 2 touches neither the clamped left edge nor the loaded right
     // edge: a textbook floating subdomain.
-    let k = SubdomainSystem::build(&mesh, &dm, &mat, &subs[2], &loads, None).k_local;
+    let k = SubdomainSystem::build(&mesh, &dm, &mat, &subs[2], &loads, false).k_local;
     CsrMatrix::from_rows(&k)
 }
 

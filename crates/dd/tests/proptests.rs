@@ -98,7 +98,7 @@ proptest! {
         let (mesh, dm, mat, loads) = problem(nx, ny, 0.0, -1.0);
         let part = ElementPartition::blocks_of(&mesh, px, py);
         let systems: Vec<SubdomainSystem> = part.subdomains_of(&mesh).iter()
-            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None)).collect();
+            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, false)).collect();
         let n = dm.n_dofs();
         let u: Vec<f64> = (0..n).map(|i| ((i * 13 % 23) as f64) - 11.0).collect();
         let p = px * py;
@@ -126,7 +126,7 @@ proptest! {
         let (mesh, dm, mat, loads) = problem(nx, ny, 1.0, -1.0);
         let systems: Vec<SubdomainSystem> = ElementPartition::strips_x(&mesh, parts)
             .subdomains_of(&mesh).iter()
-            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None)).collect();
+            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, false)).collect();
         let n = dm.n_dofs();
         let x: Vec<f64> = (0..n).map(|i| ((i * 7 % 19) as f64) - 9.0).collect();
         let sys_ref = &systems;
@@ -186,10 +186,10 @@ proptest! {
         let (mesh, dm, mat, loads) = problem(nx, ny, 1.0, 0.0);
         let s1: Vec<SubdomainSystem> = ElementPartition::strips_x(&mesh, 2)
             .subdomains_of(&mesh).iter()
-            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None)).collect();
+            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, false)).collect();
         let s2: Vec<SubdomainSystem> = ElementPartition::strips_x(&mesh, nx.min(4))
             .subdomains_of(&mesh).iter()
-            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None)).collect();
+            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, false)).collect();
         let d1 = edd_scaling_reference(&s1, dm.n_dofs());
         let d2 = edd_scaling_reference(&s2, dm.n_dofs());
         // Interior rows whose elements are all in one subdomain have

@@ -615,7 +615,9 @@ fn run_dynamic_restarting_steps_keep_their_history() {
     );
     assert_eq!(out.total_iterations, 78);
     assert_eq!(common::fnv_bits(&out.last.u), 0x753d50060c7fd8ad);
-    assert_eq!(out.last.modeled_time.to_bits(), 0x3f90d755e7be14aa);
+    // 0.01629584 s; 0.01644644 s while each step charged a mass CSR over the
+    // stiffness pattern, 2·nnz flops, for the n the lumped diagonal takes.
+    assert_eq!(out.last.modeled_time.to_bits(), 0x3f90afdb4f718228);
 }
 
 /// A killed rank surfaces as a typed failure through the session path —

@@ -267,7 +267,7 @@ fn rigid_body_modes_span_the_null_space_of_unconstrained_stiffness() {
     let systems: Vec<SubdomainSystem> = part
         .subdomains_of(&mesh)
         .iter()
-        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
+        .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, false))
         .collect();
 
     let coords3: Vec<[f64; 3]> = mesh.coords().iter().map(|c| [c[0], c[1], 0.0]).collect();

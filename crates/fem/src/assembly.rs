@@ -40,8 +40,8 @@ pub(crate) trait Scatter: Sized {
     /// graph with `dpn` interleaved dofs per node, over the columns of the
     /// nodes in `cols`: a free row holds the free dofs of its node's
     /// neighbours in `cols`, ascending; a constrained row holds its lone
-    /// diagonal when `fixed_diag` (stiffness) and nothing otherwise (mass);
-    /// constrained columns are left out.
+    /// diagonal when `fixed_diag` (stiffness) and nothing otherwise (the
+    /// ghost columns of a rank's rows); constrained columns are left out.
     fn over(
         graph: &(Vec<usize>, Vec<usize>),
         dpn: usize,
@@ -505,11 +505,9 @@ impl Scatter for SplitPattern {
 /// columns those of all `n_nodes`. `fixed` flags the constrained dofs: a
 /// constrained row keeps a lone diagonal `fixed_diag(row)`, and a
 /// constrained column is left out of the pattern, its entries handed to
-/// `lift(row, col, value)` per element. `element(k, ke, me)` fills the
-/// stiffness (and, when `with_mass`, the mass) of the `k`-th listed element
-/// into caller-owned row-major buffers. The stiffness goes into the storage
-/// `K` lays out; the mass is CSR over the stiffness pattern with the
-/// constrained rows emptied, and lifts nothing.
+/// `lift(row, col, value)` per element. `element(k, ke)` fills the matrix of
+/// the `k`-th listed element into a caller-owned row-major buffer, which
+/// goes into the storage `K` lays out.
 #[allow(clippy::too_many_arguments)] // one entry for every assembly in the crate
 pub(crate) fn assemble<K: Scatter>(
     n_nodes: usize,
@@ -520,26 +518,19 @@ pub(crate) fn assemble<K: Scatter>(
     fixed: &[bool],
     fixed_diag: impl Fn(usize) -> f64,
     mut lift: impl FnMut(usize, usize, f64),
-    with_mass: bool,
-    mut element: impl FnMut(usize, &mut [f64], Option<&mut [f64]>),
-) -> (K::Matrix, Option<CsrMatrix>) {
+    mut element: impl FnMut(usize, &mut [f64]),
+) -> K::Matrix {
     assert_eq!(fixed.len(), n_nodes * dpn, "constraint flags do not match");
     let graph = node_graph(n_nodes, npe, conn);
     let k_pat = K::over(&graph, dpn, fixed, true, rows, 0..n_nodes);
-    let m_pat = with_mass.then(|| Pattern::over(&graph, dpn, fixed, false, rows, 0..n_nodes));
     drop(graph);
     let mut k_vals = zeros(k_pat.len());
-    let mut m_vals = m_pat.as_ref().map(|p| zeros(p.len()));
 
     let nd = npe * dpn;
     let mut ke = vec![0.0; nd * nd];
-    let mut me = with_mass.then(|| vec![0.0; nd * nd]);
     let mut scatter = |k: usize, nodes: &[usize]| {
-        element(k, &mut ke, me.as_deref_mut());
+        element(k, &mut ke);
         k_pat.add_block(&mut k_vals, nodes, dpn, &ke, fixed, &mut lift);
-        if let (Some(pat), Some(vals), Some(me)) = (&m_pat, &mut m_vals, &me) {
-            pat.add_block(vals, nodes, dpn, me, fixed, |_, _, _| {});
-        }
     };
     // A node count that is a constant of the loop lets the scatter's node
     // loops unroll, as they did when each element family had its own
@@ -553,10 +544,35 @@ pub(crate) fn assemble<K: Scatter>(
     for r in (0..rows * dpn).filter(|&r| fixed[r]) {
         k_vals[k_pat.diagonal(r)] = fixed_diag(r);
     }
-    (
-        k_pat.into_matrix(k_vals),
-        m_pat.zip(m_vals).map(|(p, v)| p.into_matrix(v)),
-    )
+    k_pat.into_matrix(k_vals)
+}
+
+/// The lumped mass of the rows `0..n` of a local numbering: the lumped
+/// diagonal of each element of `elems` (local nodes `conn`, `npe` each, in
+/// the same order), in that order, into its free rows. Constrained rows
+/// (`fixed`) stay zero, and so does any row outside `0..n`. A row's sum is
+/// that of the global lumped diagonal when the row's elements are all listed.
+pub(crate) fn lumped_diagonal(
+    disc: &Discretization,
+    material: &Material,
+    elems: &[usize],
+    conn: &[usize],
+    fixed: &[bool],
+    n: usize,
+) -> Vec<f64> {
+    let (npe, dpn) = (disc.mesh().nodes_per_elem(), disc.physics().dofs_per_node());
+    let nd = npe * dpn;
+    let (mut mass, mut me) = (zeros(n), vec![0.0; nd * nd]);
+    for (&e, nodes) in elems.iter().zip(conn.chunks_exact(npe)) {
+        disc.mass(e, material, Mass::Lumped, &mut me);
+        for i in 0..nd {
+            let r = nodes[i / dpn] * dpn + i % dpn;
+            if r < n && !fixed[r] {
+                mass[r] += me[i * (nd + 1)];
+            }
+        }
+    }
+    mass
 }
 
 /// Raw (unconstrained) global assembly over the nodes of `dm` of the
@@ -566,17 +582,13 @@ fn assemble_raw(
     dm: &DofMap,
     npe: usize,
     conn: &[usize],
-    mut fill: impl FnMut(usize, &mut [f64]),
+    fill: impl FnMut(usize, &mut [f64]),
 ) -> CsrMatrix {
     let free = vec![false; dm.n_dofs()];
     let (n_nodes, dpn) = (dm.n_nodes(), dm.dofs_per_node());
-    let fill = |k: usize, ke: &mut [f64], _: Option<&mut [f64]>| fill(k, ke);
     let none = |_| unreachable!("no dof is constrained");
     let no_lift = |_, _, _| unreachable!("no dof is constrained");
-    assemble::<Pattern>(
-        n_nodes, n_nodes, dpn, npe, conn, &free, none, no_lift, false, fill,
-    )
-    .0
+    assemble::<Pattern>(n_nodes, n_nodes, dpn, npe, conn, &free, none, no_lift, fill)
 }
 
 /// One rank's rows of a node partition, constrained and unscaled, split by
@@ -637,9 +649,8 @@ impl OwnedRows {
 /// global [`apply_dirichlet`] applies them, with the right-hand side taken
 /// from the global `loads`; the other ranks' nodes touched (one ghost
 /// layer) give the columns of `a_ext`. With `lumped_mass` the rows' lumped
-/// mass comes along: each element's lumped diagonal is scattered straight
-/// into the owned rows. Returns the rows and the number of elements
-/// assembled.
+/// mass comes along (`lumped_diagonal` over the same elements). Returns the
+/// rows and the number of elements assembled.
 ///
 /// An owned node has all its elements here, so each row holds the entries
 /// of that row of the global constrained matrix, summed in the same element
@@ -685,11 +696,9 @@ pub fn assemble_owned(
         .collect();
     let fixed: Vec<bool> = global.iter().map(|&g| dm.is_fixed(g)).collect();
     let mut lifted = Vec::new();
-    let fill = |k: usize, ke: &mut [f64], _: Option<&mut [f64]>| {
-        disc.stiffness(elems[k], material, ke);
-    };
+    let fill = |k: usize, ke: &mut [f64]| disc.stiffness(elems[k], material, ke);
     let lift = |r: usize, c: usize, v: f64| lifted.push((r, global[c], v));
-    let ((a_loc, a_ext), _) = assemble::<SplitPattern>(
+    let (a_loc, a_ext) = assemble::<SplitPattern>(
         nodes.len(),
         n_own,
         dpn,
@@ -698,27 +707,11 @@ pub fn assemble_owned(
         &fixed,
         |_| 1.0,
         lift,
-        false,
         fill,
     );
 
     let n = n_own * dpn;
-    // The lumped diagonal of each element in element order, into the free
-    // owned rows: the sums the global diagonal holds.
-    let mass = lumped_mass.then(|| {
-        let nd = npe * dpn;
-        let (mut mass, mut me) = (zeros(n), vec![0.0; nd * nd]);
-        for (&e, nodes) in elems.iter().zip(conn.chunks_exact(npe)) {
-            disc.mass(e, material, Mass::Lumped, &mut me);
-            for i in 0..nd {
-                let r = nodes[i / dpn] * dpn + i % dpn;
-                if r < n && !fixed[r] {
-                    mass[r] += me[i * (nd + 1)];
-                }
-            }
-        }
-        mass
-    });
+    let mass = lumped_mass.then(|| lumped_diagonal(disc, material, &elems, &conn, &fixed, n));
     let mut rhs: Vec<f64> = (global[..n].iter())
         .map(|&g| match dm.is_fixed(g) {
             true => dm.fixed_value(g),

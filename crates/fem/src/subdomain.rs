@@ -15,12 +15,14 @@
 //! Dirichlet rows become `1/mult` diagonal contributions so the assembled
 //! operator keeps clean unit identity rows, and shared load entries are
 //! divided by their node multiplicity so the assembled RHS is unchanged.
+//! A transient's lumped mass is a vector `m̂⁽ˢ⁾` over the local DOFs, with
+//! `m = Σₛ Bₛᵀ m̂⁽ˢ⁾` likewise; no subdomain assembles a mass matrix.
 
 use crate::assembly;
-use crate::discretization::{Discretization, Mass};
+use crate::discretization::Discretization;
 use crate::material::Material;
 use parfem_mesh::{DofMap, Subdomain};
-use parfem_sparse::{CsrMatrix, NodeMatrix};
+use parfem_sparse::NodeMatrix;
 
 /// Interface DOFs shared with one neighbouring subdomain.
 ///
@@ -45,8 +47,9 @@ pub struct SubdomainSystem {
     /// Local stiffness `K̂⁽ˢ⁾` over local DOFs, boundary conditions applied:
     /// `B × B` node blocks for 2 or 3 DOFs per node, CSR for one.
     pub k_local: NodeMatrix,
-    /// Local mass `M̂⁽ˢ⁾` (zero rows/columns at constrained DOFs).
-    pub m_local: Option<CsrMatrix>,
+    /// Local lumped mass, the diagonal of `M̂⁽ˢ⁾` (zero at constrained
+    /// DOFs), when asked for.
+    pub mass: Option<Vec<f64>>,
     /// Local distributed right-hand side `f̂⁽ˢ⁾`.
     pub f_local: Vec<f64>,
     /// Multiplicity of each local DOF (how many subdomains share it).
@@ -65,18 +68,19 @@ impl SubdomainSystem {
     /// sharing subdomains by multiplicity. Dirichlet handling is identical,
     /// per element, to the global `apply_dirichlet`. The stiffness is
     /// scattered straight into the storage the DOFs per node give it;
-    /// `with_mass` also assembles the local mass of that kind, as CSR.
+    /// `lumped_mass` also sums the local lumped mass, a vector, with the
+    /// helper RDD's rows use.
     ///
     /// # Panics
-    /// Panics where [`Discretization::mass`] does, and on a load vector or
-    /// DOF map that does not match.
+    /// Panics where [`Discretization::mass`] does for a lumped mass, and on a
+    /// load vector or DOF map that does not match.
     pub fn build<'a>(
         disc: impl Into<Discretization<'a>>,
         dm: &DofMap,
         material: &Material,
         sub: &Subdomain,
         loads: &[f64],
-        with_mass: Option<Mass>,
+        lumped_mass: bool,
     ) -> Self {
         let disc = disc.into();
         disc.check(dm);
@@ -107,7 +111,7 @@ impl SubdomainSystem {
         // Constraint rows: diag 1/mult so the assembled diagonal is 1, and
         // the RHS carries ū/mult so the assembled RHS is ū.
         let n_nodes = sub.n_local_nodes();
-        let (k_local, m_local) = assembly::assemble::<assembly::NodePattern>(
+        let k_local = assembly::assemble::<assembly::NodePattern>(
             n_nodes,
             n_nodes,
             dpn,
@@ -116,15 +120,11 @@ impl SubdomainSystem {
             &fixed,
             |l| 1.0 / multiplicity[l],
             |r, c, v| f_local[r] -= v * prescribed[c],
-            with_mass.is_some(),
-            |k, ke, me| {
-                let e = sub.elements[k];
-                disc.stiffness(e, material, ke);
-                if let (Some(kind), Some(me)) = (with_mass, me) {
-                    disc.mass(e, material, kind, me);
-                }
-            },
+            |k, ke| disc.stiffness(sub.elements[k], material, ke),
         );
+        let n = global_dofs.len();
+        let mass = lumped_mass
+            .then(|| assembly::lumped_diagonal(&disc, material, &sub.elements, &conn, &fixed, n));
         for l in (0..fixed.len()).filter(|&l| fixed[l]) {
             f_local[l] = prescribed[l] / multiplicity[l];
         }
@@ -147,7 +147,7 @@ impl SubdomainSystem {
             rank: sub.rank,
             nodes: sub.nodes.clone(),
             k_local,
-            m_local,
+            mass,
             f_local,
             multiplicity,
             neighbors,
@@ -176,19 +176,14 @@ impl SubdomainSystem {
         self.global_dofs.iter().map(|&g| global[g]).collect()
     }
 
-    /// The effective local matrix `α M̂ + β K̂` of the paper's Eq. 52, in the
-    /// stiffness's storage (the mass pattern lies within it).
+    /// Turns the local stiffness in place into the effective local matrix
+    /// `ᾱ M̂ + K̂` of the paper's Eq. 52: `ᾱ·m` added on its diagonal.
     ///
     /// # Panics
     /// Panics if the mass was not assembled.
-    pub fn effective_local(&self, alpha: f64, beta: f64) -> NodeMatrix {
-        let m = self
-            .m_local
-            .as_ref()
-            .expect("effective_local requires an assembled mass");
-        let mut eff = self.k_local.clone();
-        eff.scale_add(beta, alpha, m);
-        eff
+    pub fn effective_local(&mut self, alpha: f64) {
+        let m = (self.mass.as_ref()).expect("effective_local requires an assembled mass");
+        self.k_local.add_diagonal(alpha, m);
     }
 }
 
@@ -221,7 +216,7 @@ mod tests {
         let subs = part.subdomains_of(&mesh);
         let systems = subs
             .iter()
-            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
+            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, false))
             .collect();
         (mesh, dm, mat, systems, loads)
     }
@@ -357,45 +352,14 @@ mod tests {
         let loads = vec![0.0; dm.n_dofs()];
         let part = ElementPartition::strips_x(&mesh, 2);
         let subs = part.subdomains_of(&mesh);
-        let right = SubdomainSystem::build(&mesh, &dm, &mat, &subs[1], &loads, None);
+        let right = SubdomainSystem::build(&mesh, &dm, &mat, &subs[1], &loads, false);
         assert!(matches!(
             parfem_sparse::Ilu0::factorize(&right.k_local),
             Err(parfem_sparse::SparseError::ZeroPivot { .. })
         ));
         // The clamped-side subdomain factorizes fine.
-        let left = SubdomainSystem::build(&mesh, &dm, &mat, &subs[0], &loads, None);
+        let left = SubdomainSystem::build(&mesh, &dm, &mat, &subs[0], &loads, false);
         assert!(parfem_sparse::Ilu0::factorize(&left.k_local).is_ok());
-    }
-
-    #[test]
-    fn mass_assembly_sums_to_global_mass() {
-        let mesh = QuadMesh::cantilever(4, 2);
-        let mut dm = DofMap::new(mesh.n_nodes());
-        dm.clamp_edge(&mesh, Edge::Left);
-        let mat = Material::unit();
-        let loads = vec![0.0; dm.n_dofs()];
-        let part = ElementPartition::strips_x(&mesh, 2);
-        let systems: Vec<SubdomainSystem> = part
-            .subdomains_of(&mesh)
-            .iter()
-            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, Some(Mass::Consistent)))
-            .collect();
-        let m_raw = assembly::assemble_mass(&mesh, &dm, &mat, Mass::Consistent);
-        let m_bc = assembly::apply_dirichlet_mass(&m_raw, &dm);
-        let n = dm.n_dofs();
-        let mut dense_sum = vec![0.0; n * n];
-        for s in &systems {
-            let md = s.m_local.as_ref().unwrap().to_dense();
-            let nl = s.n_local_dofs();
-            for i in 0..nl {
-                for j in 0..nl {
-                    dense_sum[s.global_dofs[i] * n + s.global_dofs[j]] += md[i * nl + j];
-                }
-            }
-        }
-        for (a, b) in dense_sum.iter().zip(&m_bc.to_dense()) {
-            assert!((a - b).abs() < 1e-10, "{a} vs {b}");
-        }
     }
 
     #[test]
@@ -407,14 +371,14 @@ mod tests {
         let loads = vec![0.0; dm.n_dofs()];
         let part = ElementPartition::strips_x(&mesh, 1);
         let sub = &part.subdomains_of(&mesh)[0];
-        let s = SubdomainSystem::build(&mesh, &dm, &mat, sub, &loads, Some(Mass::Lumped));
-        let eff = s.effective_local(2.0, 3.0);
-        let k = &s.k_local;
-        let m = s.m_local.as_ref().unwrap();
-        for r in 0..eff.n_rows() {
-            for (c, v) in eff.row_entries(r) {
-                let want = 3.0 * k.get(r, c) + 2.0 * m.get(r, c);
-                assert_eq!(v.to_bits(), want.to_bits());
+        let mut s = SubdomainSystem::build(&mesh, &dm, &mat, sub, &loads, true);
+        let k = s.k_local.clone();
+        s.effective_local(2.0);
+        let m = s.mass.as_ref().unwrap();
+        for r in 0..k.n_rows() {
+            for ((c, v), (kc, kv)) in s.k_local.row_entries(r).zip(k.row_entries(r)) {
+                let want = if c == r { kv + 2.0 * m[r] } else { kv };
+                assert_eq!((c, v.to_bits()), (kc, want.to_bits()));
             }
         }
     }
@@ -422,8 +386,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires an assembled mass")]
     fn effective_local_without_mass_panics() {
-        let (_, _, _, systems, _) = fixture(4, 1, 2);
-        systems[0].effective_local(1.0, 1.0);
+        let (_, _, _, mut systems, _) = fixture(4, 1, 2);
+        systems[0].effective_local(1.0);
     }
 
     #[test]
@@ -441,7 +405,7 @@ mod tests {
         let systems: Vec<SubdomainSystem> = part
             .subdomains_of(&tmesh)
             .iter()
-            .map(|s| SubdomainSystem::build(&tmesh, &dm, &mat, s, &loads, None))
+            .map(|s| SubdomainSystem::build(&tmesh, &dm, &mat, s, &loads, false))
             .collect();
         // Global reference with the same BC handling.
         let k_raw = assembly::assemble_stiffness(&tmesh, &dm, &mat);
@@ -483,7 +447,7 @@ mod tests {
         let systems: Vec<SubdomainSystem> = part
             .subdomains_of(&mesh)
             .iter()
-            .map(|s| SubdomainSystem::build(heat, &dm, &mat, s, &loads, None))
+            .map(|s| SubdomainSystem::build(heat, &dm, &mat, s, &loads, false))
             .collect();
         let sys = crate::assembly::build_static(heat, &dm, &mat, &loads);
         let n = dm.n_dofs();
@@ -523,7 +487,7 @@ mod tests {
         let systems: Vec<SubdomainSystem> = part
             .subdomains_of(&mesh)
             .iter()
-            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, None))
+            .map(|s| SubdomainSystem::build(&mesh, &dm, &mat, s, &loads, false))
             .collect();
         let sys = crate::assembly::build_static(&mesh, &dm, &mat, &loads);
         let n = dm.n_dofs();
@@ -562,7 +526,7 @@ mod tests {
         let loads = vec![0.0; dm.n_dofs()];
         let part = ElementPartition::blocks_of(&mesh, 2, 1);
         let subs = part.subdomains_of(&mesh);
-        let right = SubdomainSystem::build(&mesh, &dm, &mat, &subs[1], &loads, None);
+        let right = SubdomainSystem::build(&mesh, &dm, &mat, &subs[1], &loads, false);
         // Rigid z-translation of the floating strip is in the null space.
         let nl = right.n_local_dofs();
         let mut tz = vec![0.0; nl];
@@ -591,7 +555,7 @@ mod tests {
         let systems: Vec<SubdomainSystem> = part
             .subdomains_of(&emesh)
             .iter()
-            .map(|s| SubdomainSystem::build(&emesh, &dm, &mat, s, &loads, None))
+            .map(|s| SubdomainSystem::build(&emesh, &dm, &mat, s, &loads, false))
             .collect();
         let k_raw = assembly::assemble_stiffness(&emesh, &dm, &mat);
         let mut rhs = loads.clone();
@@ -616,27 +580,20 @@ mod tests {
         assert_eq!(link.shared_local_dofs.len(), 2 * (2 * 2 + 1));
     }
 
-    /// One unconstrained T3 subdomain holding the whole mesh, and its mass.
-    fn tri_mass(kind: Mass) -> SubdomainSystem {
-        let tmesh = parfem_mesh::TriMesh::cantilever(4, 2);
-        let dm = DofMap::new(tmesh.n_nodes());
-        let sub = &ElementPartition::blocks_of(&tmesh, 1, 1).subdomains_of(&tmesh)[0];
-        let loads = vec![0.0; dm.n_dofs()];
-        SubdomainSystem::build(&tmesh, &dm, &Material::unit(), sub, &loads, Some(kind))
-    }
-
     #[test]
     fn lumped_tri_mass_is_the_diagonal_of_row_sums() {
-        let lumped = tri_mass(Mass::Lumped).m_local.unwrap();
-        let consistent = tri_mass(Mass::Consistent).m_local.unwrap();
-        for r in 0..lumped.n_rows() {
-            let (cols, vals) = lumped.row(r);
-            let sum: f64 = consistent.row(r).1.iter().sum();
-            assert!(cols.iter().zip(vals).all(|(&c, &v)| c == r || v == 0.0));
-            let diag = lumped.get(r, r);
+        // One unconstrained T3 subdomain holding the whole mesh.
+        let tmesh = parfem_mesh::TriMesh::cantilever(4, 2);
+        let (dm, mat) = (DofMap::new(tmesh.n_nodes()), Material::unit());
+        let sub = &ElementPartition::blocks_of(&tmesh, 1, 1).subdomains_of(&tmesh)[0];
+        let loads = vec![0.0; dm.n_dofs()];
+        let s = SubdomainSystem::build(&tmesh, &dm, &mat, sub, &loads, true);
+        let consistent = assembly::assemble_mass(&tmesh, &dm, &mat, crate::Mass::Consistent);
+        for (&g, &diag) in s.global_dofs.iter().zip(s.mass.as_ref().unwrap()) {
+            let sum: f64 = consistent.row(g).1.iter().sum();
             assert!(
                 diag > 0.0 && (diag - sum).abs() < 1e-14,
-                "row {r}: {diag} vs {sum}"
+                "dof {g}: {diag} vs {sum}"
             );
         }
     }
@@ -648,13 +605,6 @@ mod tests {
         let dm = DofMap::new(emesh.n_nodes());
         let sub = &ElementPartition::blocks_of(&emesh, 1, 1).subdomains_of(&emesh)[0];
         let loads = vec![0.0; dm.n_dofs()];
-        SubdomainSystem::build(
-            &emesh,
-            &dm,
-            &Material::unit(),
-            sub,
-            &loads,
-            Some(Mass::Lumped),
-        );
+        SubdomainSystem::build(&emesh, &dm, &Material::unit(), sub, &loads, true);
     }
 }

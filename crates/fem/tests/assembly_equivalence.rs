@@ -124,7 +124,7 @@ fn reference_subdomain(
     sub: &Subdomain,
     loads: &[f64],
     element: &dyn Fn(usize) -> Element,
-) -> (CsrMatrix, CsrMatrix, Vec<f64>) {
+) -> (CsrMatrix, Vec<f64>) {
     let dpn = dm.dofs_per_node();
     let global_dofs = element_dofs(dm, &sub.nodes);
     let mult: Vec<f64> = (sub.multiplicity.iter())
@@ -133,9 +133,8 @@ fn reference_subdomain(
     let n = global_dofs.len();
     let mut f: Vec<f64> = (0..n).map(|l| loads[global_dofs[l]] / mult[l]).collect();
     let mut k_coo = CooMatrix::new(n, n);
-    let mut m_coo = CooMatrix::new(n, n);
     for &e in &sub.elements {
-        let (nodes, ke, me) = element(e);
+        let (nodes, ke, _) = element(e);
         let gdofs = element_dofs(dm, &nodes);
         let ldofs: Vec<usize> = (nodes.iter())
             .flat_map(|&g| {
@@ -150,7 +149,6 @@ fn reference_subdomain(
                     f[ldofs[i]] -= ke[i * nd + j] * dm.fixed_value(gdofs[j]);
                 } else {
                     k_coo.push(ldofs[i], ldofs[j], ke[i * nd + j]).unwrap();
-                    m_coo.push(ldofs[i], ldofs[j], me[i * nd + j]).unwrap();
                 }
             }
         }
@@ -161,7 +159,7 @@ fn reference_subdomain(
             f[l] = dm.fixed_value(g) / mult[l];
         }
     }
-    (k_coo.to_csr(), m_coo.to_csr(), f)
+    (k_coo.to_csr(), f)
 }
 
 /// A load vector with no two equal entries and no zeros.
@@ -331,27 +329,30 @@ fn check(p: &Pairing) {
         );
         check_owned_rows(disc, &dm, &loads, (&got, &got_rhs), &what);
 
-        // Per subdomain, each mass kind in turn.
-        let masses = std::iter::once(None).chain(p.masses.iter().map(|&m| Some(m)));
-        for mass in masses {
-            for (shape, part) in &partitions(disc) {
-                let subs = part.subdomains_of(&mesh);
-                let systems: Vec<SubdomainSystem> = (subs.iter())
-                    .map(|sub| SubdomainSystem::build(*disc, &dm, &mat, sub, &loads, mass))
-                    .collect();
-                for (sub, sys) in subs.iter().zip(&systems) {
-                    cross_points |= sub.multiplicity.iter().any(|&m| m >= 3);
-                    let what = format!("{what} / {mass:?} / {shape} / rank {}", sub.rank);
-                    let element = |e| element(disc, e, mass);
-                    let (k, m, f) = reference_subdomain(&dm, sub, &loads, &element);
-                    assert_same_local(&sys.k_local, &k, dpn, &format!("{what} / k_local"));
-                    assert_same_bits(&sys.f_local, &f, &format!("{what} / f_local"));
-                    assert_eq!(sys.m_local.is_some(), mass.is_some());
-                    if let Some(m_local) = &sys.m_local {
-                        assert_same_matrix(m_local, &m, &format!("{what} / m_local"));
-                    }
-                }
-                check_subdomain_sum(&systems, &got, &got_rhs, &format!("{what} / {shape}"));
+        // Per subdomain, with the lumped mass where the pairing has one.
+        let lumped = p.masses.contains(&Mass::Lumped);
+        let m = lumped.then(|| {
+            let m = assembly::assemble_mass(*disc, &dm, &mat, Mass::Lumped);
+            assembly::apply_dirichlet_mass(&m, &dm).diagonal()
+        });
+        for (shape, part) in &partitions(disc) {
+            let subs = part.subdomains_of(&mesh);
+            let systems: Vec<SubdomainSystem> = (subs.iter())
+                .map(|sub| SubdomainSystem::build(*disc, &dm, &mat, sub, &loads, lumped))
+                .collect();
+            for (sub, sys) in subs.iter().zip(&systems) {
+                cross_points |= sub.multiplicity.iter().any(|&m| m >= 3);
+                let what = format!("{what} / {shape} / rank {}", sub.rank);
+                let element = |e| element(disc, e, None);
+                let (k, f) = reference_subdomain(&dm, sub, &loads, &element);
+                assert_same_local(&sys.k_local, &k, dpn, &format!("{what} / k_local"));
+                assert_same_bits(&sys.f_local, &f, &format!("{what} / f_local"));
+                assert_eq!(sys.mass.is_some(), lumped, "{what}: a mass iff asked");
+            }
+            let what = format!("{what} / {shape}");
+            check_subdomain_sum(&systems, &got, &got_rhs, &what);
+            if let Some(m) = &m {
+                check_mass_sum(&systems, m, &what);
             }
         }
     }
@@ -415,6 +416,35 @@ fn check_subdomain_sum(systems: &[SubdomainSystem], k: &CsrMatrix, f: &[f64], wh
             (a - b).abs() <= 1e-13 * (1.0 + b.abs()),
             "{what}: Σ f̂ {g}: {a} vs {b}"
         );
+    }
+}
+
+/// `Σ Bₛᵀ m̂⁽ˢ⁾` of the subdomains' lumped mass vectors against the
+/// constrained global lumped diagonal `m`: bit for bit on a dof one
+/// subdomain holds (its elements are summed in the same order), to 1e-13
+/// relative on an interface dof, whose partial sums are added across
+/// subdomains.
+fn check_mass_sum(systems: &[SubdomainSystem], m: &[f64], what: &str) {
+    let (mut sum, mut holders) = (vec![0.0; m.len()], vec![0usize; m.len()]);
+    for s in systems {
+        let local = s.mass.as_ref().expect("a lumped mass");
+        for (&g, &v) in s.global_dofs.iter().zip(local) {
+            sum[g] += v;
+            holders[g] += 1;
+        }
+    }
+    for (g, ((a, b), h)) in sum.iter().zip(m).zip(holders).enumerate() {
+        match h {
+            1 => assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{what}: interior mass {g}: {a} vs {b}"
+            ),
+            _ => assert!(
+                (a - b).abs() <= 1e-13 * b.abs(),
+                "{what}: interface mass {g}: {a} vs {b}"
+            ),
+        }
     }
 }
 
@@ -496,9 +526,9 @@ fn check_scaled_blocks(p: &Pairing) {
         for (shape, part) in &partitions(disc) {
             for sub in part.subdomains_of(&mesh) {
                 let what = format!("{} / {kind} / {shape} / rank {}", p.name, sub.rank);
-                let mut sys = SubdomainSystem::build(*disc, &dm, &mat, &sub, &loads, None);
+                let mut sys = SubdomainSystem::build(*disc, &dm, &mat, &sub, &loads, false);
                 let element = |e| element(disc, e, None);
-                let (mut k, _, _) = reference_subdomain(&dm, &sub, &loads, &element);
+                let (mut k, _) = reference_subdomain(&dm, &sub, &loads, &element);
                 assert!(k.n_rows() > 0, "{what}: empty subdomain");
                 let sums = sys.k_local.row_abs_sums();
                 assert_same_bits(&sums, &k.row_abs_sums(), &format!("{what} / row sums"));

@@ -208,7 +208,7 @@ fn dissection_permutations_stay_pinned() {
     let dm = DofMap::with_dofs(box_mesh.n_nodes(), 3);
     let sub = &ElementPartition::blocks_of(&box_mesh, 2, 1).subdomains_of(&box_mesh)[0];
     let loads = vec![0.0; dm.n_dofs()];
-    let k = SubdomainSystem::build(&box_mesh, &dm, &mat, sub, &loads, None).k_local;
+    let k = SubdomainSystem::build(&box_mesh, &dm, &mat, sub, &loads, false).k_local;
     assert_layout_is_scalar("hex 12x6x6 P=2 floating EDD rank 0", &k);
     let floating = SparseLdlt::factor(&k, DEFAULT_PIVOT_TOL);
     assert_eq!(floating.n_skipped(), 6);

@@ -185,13 +185,14 @@ impl ElementPartition {
         let p = self.n_parts;
         // Which parts touch each node, sorted.
         let mut node_parts: Vec<Vec<usize>> = vec![Vec::new(); mesh.n_cell_nodes()];
-        for (e, &o) in self.owner.iter().enumerate() {
-            for &n in &mesh.cell_nodes(e) {
+        mesh.for_each_cell(|e, nodes| {
+            let o = self.owner[e];
+            for &n in nodes {
                 if !node_parts[n].contains(&o) {
                     node_parts[n].push(o);
                 }
             }
-        }
+        });
         for parts in &mut node_parts {
             parts.sort_unstable();
         }

@@ -292,25 +292,19 @@ impl BcsrMatrix {
         }
     }
 
-    /// Every stored value times `s`.
-    pub(crate) fn scale(&mut self, s: f64) {
-        self.blocks.iter_mut().for_each(|v| *v *= s);
-    }
-
-    /// The stored value `(r, c)` of the scalar pattern, for update.
-    pub(crate) fn entry_mut(&mut self, r: usize, c: usize) -> Option<&mut f64> {
-        let (b, br) = (self.b, r / self.b);
-        let (lo, hi) = (self.brow_ptr[br], self.brow_ptr[br + 1]);
-        let k = lo
-            + self.bcol_idx[lo..hi]
-                .binary_search(&((c / b) as u32))
-                .ok()?;
-        let at = (r % b) * b + c % b;
-        let mask = match self.fill.binary_search_by_key(&(k as u32), |f| f.0) {
-            Ok(f) => self.fill[f].1,
-            Err(_) => full_mask(b),
-        };
-        (mask >> at & 1 != 0).then(|| &mut self.blocks[k * b * b + at])
+    /// Every diagonal entry `a_rr + α·m_r`.
+    pub(crate) fn add_diagonal(&mut self, alpha: f64, m: &[f64]) {
+        let b = self.b;
+        for (br, mr) in m.chunks_exact(b).enumerate() {
+            let (lo, hi) = (self.brow_ptr[br], self.brow_ptr[br + 1]);
+            let k = lo
+                + (self.bcol_idx[lo..hi].binary_search(&(br as u32)))
+                    .expect("a stored diagonal block");
+            let block = &mut self.blocks[k * b * b..][..b * b];
+            for (i, &mi) in mr.iter().enumerate() {
+                block[i * b + i] += alpha * mi;
+            }
+        }
     }
 
     /// Row-wise absolute sums `‖a_r‖₁` over the scalar pattern, in column

@@ -197,13 +197,6 @@ impl CsrMatrix {
         (&self.col_idx[span.clone()], &self.values[span])
     }
 
-    /// Mutable access to the values of row `r` (structure is immutable).
-    #[inline]
-    pub fn row_values_mut(&mut self, r: usize) -> &mut [f64] {
-        let span = self.row_ptr[r]..self.row_ptr[r + 1];
-        &mut self.values[span]
-    }
-
     /// Raw CSR arrays `(row_ptr, col_idx, values)`.
     pub fn raw_parts(&self) -> (&[usize], &[usize], &[f64]) {
         (&self.row_ptr, &self.col_idx, &self.values)
@@ -234,6 +227,18 @@ impl CsrMatrix {
     pub fn diagonal(&self) -> Vec<f64> {
         let n = self.n_rows.min(self.n_cols);
         (0..n).map(|i| self.get(i, i)).collect()
+    }
+
+    /// Every diagonal entry `a_rr + α·m_r`.
+    pub(crate) fn add_diagonal(&mut self, alpha: f64, m: &[f64]) {
+        for (r, &mr) in m.iter().enumerate() {
+            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+            let k = lo
+                + self.col_idx[lo..hi]
+                    .binary_search(&r)
+                    .expect("a stored diagonal");
+            self.values[k] += alpha * mr;
+        }
     }
 
     /// Sparse matrix–vector product `y = A x` into a caller buffer.

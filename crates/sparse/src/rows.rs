@@ -243,31 +243,15 @@ impl NodeMatrix {
         }
     }
 
-    /// `A ← β A + α M` in place, every entry `β·a_rc + α·m_rc`; the pattern
-    /// of `m` must lie within `A`'s.
+    /// `A ← A + α·diag(m)` in place, every diagonal entry `a_rr + α·m_r`.
     ///
     /// # Panics
-    /// Panics when `m` has an entry `A` does not store.
-    pub fn scale_add(&mut self, beta: f64, alpha: f64, m: &CsrMatrix) {
-        let outside = "scale_add: the added pattern lies within the matrix";
+    /// Panics when a diagonal entry is not stored.
+    pub fn add_diagonal(&mut self, alpha: f64, m: &[f64]) {
+        assert_eq!(m.len(), self.n_rows(), "add_diagonal: one entry per row");
         match self {
-            NodeMatrix::Csr(a) => {
-                a.values_mut().iter_mut().for_each(|v| *v *= beta);
-                for r in 0..m.n_rows() {
-                    for (c, v) in m.row_entries(r) {
-                        let k = a.row(r).0.binary_search(&c).expect(outside);
-                        a.row_values_mut(r)[k] += alpha * v;
-                    }
-                }
-            }
-            NodeMatrix::Blocks(a) => {
-                a.scale(beta);
-                for r in 0..m.n_rows() {
-                    for (c, v) in m.row_entries(r) {
-                        *a.entry_mut(r, c).expect(outside) += alpha * v;
-                    }
-                }
-            }
+            NodeMatrix::Csr(a) => a.add_diagonal(alpha, m),
+            NodeMatrix::Blocks(a) => a.add_diagonal(alpha, m),
         }
     }
 }
