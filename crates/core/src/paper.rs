@@ -42,7 +42,7 @@
 //! |---|---|
 //! | Eqs. 46–49 block-row partition | [`parfem_dd::RddSystem`] |
 //! | Eq. 48 halo matvec | [`parfem_dd::RddOperator`] |
-//! | Algorithm 8, RDD FGMRES | [`parfem_dd::rdd_fgmres`] |
+//! | Algorithm 8, RDD FGMRES | [`parfem_krylov::fgmres_on`] over [`parfem_dd::RddOperator`] |
 //! | block-Jacobi / additive-Schwarz local solves (ILU(0) per block row) | [`parfem_precond::PrecondSpec::Ilu0`] under [`parfem_dd::Strategy::Rdd`] |
 //!
 //! ## Section 5 — complexity and planarity

@@ -103,7 +103,7 @@ impl<C: Communicator> CoarseSetup for EddOperator<'_, C> {
     }
 
     fn complete_products(&self, modes: &mut ModeSet) {
-        sum_mode_interfaces(self.comm, self.layout, modes);
+        sum_mode_interfaces(self.comm, &self.layout, modes);
     }
 }
 
@@ -119,7 +119,7 @@ impl<C: Communicator> CoarseSetup for RddOperator<'_, C> {
     }
 
     fn refresh_ghosts(&self, modes: &mut ModeSet) {
-        gather_mode_ghosts(self.comm, self.sys, modes);
+        gather_mode_ghosts(self.comm, &self.sys, modes);
     }
 }
 

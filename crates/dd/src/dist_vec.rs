@@ -33,9 +33,6 @@ pub struct EddLayout {
     /// Local DOFs owned exclusively by this subdomain, ascending — the rows
     /// a split matvec computes while interface messages are in flight.
     interior_rows: Vec<usize>,
-    /// Whether operators over this layout should overlap communication with
-    /// computation (split matvec through the nonblocking exchange).
-    overlap: bool,
     /// DOFs per node of the local numbering (`dof = dofs_per_node · node +
     /// component`); a node's DOFs share its multiplicity.
     dofs_per_node: usize,
@@ -99,7 +96,6 @@ impl EddLayout {
             inv_multiplicity,
             interface_rows,
             interior_rows,
-            overlap: false,
             dofs_per_node: sys.global_dofs.len() / sys.nodes.len().max(1),
         }
     }
@@ -125,26 +121,12 @@ impl EddLayout {
         &self.interior_rows
     }
 
-    /// Enables (or disables) the overlapped, split matvec for operators
-    /// built over this layout. Off by default; results are bit-identical
-    /// either way — only the modeled communication/computation schedule
-    /// changes.
-    pub fn set_overlap(&mut self, on: bool) {
-        self.overlap = on;
-    }
-
-    /// Whether operators over this layout should overlap communication
-    /// with computation.
-    pub fn overlap(&self) -> bool {
-        self.overlap
-    }
-
     /// The nearest-neighbour interface sum `v ← ⊕Σ_{∂Ω} v` (Eq. 28) through
     /// persistent [`ExchangeBuffers`]: converts a local distributed vector
     /// into the global distributed format in place, one exchange round with
     /// every neighbour. The send/receive staging reuses the caller's
-    /// buffers, so repeated calls allocate nothing; one-shot setup code
-    /// just passes a fresh [`ExchangeBuffers::new`].
+    /// buffers, so repeated calls allocate nothing; a rank's operator holds
+    /// the buffers its interface sums run through.
     ///
     /// # Panics
     /// Panics if `v` has the wrong length.

@@ -13,10 +13,10 @@
 
 use crate::error::SolveError;
 use crate::session::{
-    DdSolveOutput, Decomposition, MultiSolveOutput, Problem, RankRun, SolverConfig,
+    DdSolveOutput, Decomposition, MultiSolveOutput, Problem, Rank, RankRun, SolverConfig,
 };
 use parfem_fem::NewmarkParams;
-use parfem_krylov::KrylovWorkspace;
+use parfem_krylov::{fgmres_on, DistributedOperator, KrylovWorkspace};
 use parfem_msg::Communicator;
 use parfem_sparse::dense;
 
@@ -73,31 +73,31 @@ pub(crate) struct Newmark<'a> {
 /// Constrained rows stay zero. `out` comes back with the final displacement,
 /// every step's history and the watched values.
 pub(crate) fn newmark_steps<D: Decomposition, C: Communicator>(
-    (parts, comm, rank): (&D, &C, &D::Rank),
+    rank: &Rank<D::Op<'_, C>>,
     problem: &Problem<'_>,
     run: Newmark<'_>,
     cfg: &SolverConfig,
     ws: &mut KrylovWorkspace,
     mut out: RankRun,
 ) -> Result<RankRun, SolveError> {
-    let rows = parts.rows(rank);
-    let mass = rows.mass.expect("a transient sets up with a mass shift");
-    let (n, dm) = (rows.dofs.len(), problem.dof_map);
+    let comm = rank.op.comm();
+    let mass = (rank.mass.as_deref()).expect("a transient sets up with a mass shift");
+    let (n, dm, d) = (rank.dofs.len(), problem.dof_map, &rank.d);
     let NewmarkParams { beta, gamma, dt } = run.params;
     let (alpha, _) = run.params.effective_coefficients();
-    let fixed: Vec<usize> = (0..n).filter(|&l| dm.is_fixed(rows.dofs[l])).collect();
-    let f = rows.restrict_load(problem.loads, dm);
+    let fixed: Vec<usize> = (0..n).filter(|&l| dm.is_fixed(rank.dofs[l])).collect();
+    let f = rank.restrict_load(problem.loads, dm);
     let mut m_diag = mass.to_vec();
-    parts.make_consistent(comm, rank, &mut m_diag);
+    D::make_consistent(&rank.op, &mut m_diag);
     let mut a = f.clone();
-    parts.make_consistent(comm, rank, &mut a);
+    D::make_consistent(&rank.op, &mut a);
     comm.work(n as u64);
     for (ai, mi) in a.iter_mut().zip(&m_diag) {
         *ai = if *mi > 0.0 { *ai / mi } else { 0.0 };
     }
     fixed.iter().for_each(|&l| a[l] = 0.0);
     let watch: Vec<Option<usize>> = (run.watch.iter())
-        .map(|&g| rows.dofs.iter().position(|&gd| gd == g))
+        .map(|&g| rank.dofs.iter().position(|&gd| gd == g))
         .collect();
     out.watch = vec![Vec::new(); watch.len()];
     let (mut u, mut v) = (vec![0.0; n], vec![0.0; n]);
@@ -112,15 +112,15 @@ pub(crate) fn newmark_steps<D: Decomposition, C: Communicator>(
         }
         comm.work(3 * n as u64);
         fixed.iter().for_each(|&l| rhs[l] = 0.0);
-        dense::diag_mul(rows.d, &mut rhs);
+        dense::diag_mul(d, &mut rhs);
         comm.work(n as u64);
-        for ((xi, ui), di) in x0.iter_mut().zip(&u).zip(rows.d) {
+        for ((xi, ui), di) in x0.iter_mut().zip(&u).zip(d) {
             *xi = ui / di;
         }
         comm.work(n as u64);
-        let res = parts.fgmres(comm, rank, &rhs, &x0, cfg, ws)?;
+        let res = fgmres_on(&rank.op, &rank.precond, &rhs, &x0, &cfg.gmres, ws)?;
         u = res.x;
-        dense::diag_mul(rows.d, &mut u);
+        dense::diag_mul(d, &mut u);
         fixed.iter().for_each(|&l| u[l] = 0.0);
         for i in 0..n {
             let a_new = alpha * (u[i] - u_star[i]);

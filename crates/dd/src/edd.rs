@@ -35,17 +35,16 @@ use crate::dist_vec::{EddLayout, ExchangeBuffers};
 use crate::error::SolveError;
 use crate::scaling::DistributedScaling;
 use crate::session::{
-    build_precond, host_span, rank_span, Decomposition, PrecondBuildStats, Problem, RankRows,
+    build_precond, host_span, rank_span, Decomposition, PrecondBuildStats, Problem, Rank,
     SolverConfig,
 };
 use parfem_fem::SubdomainSystem;
-use parfem_krylov::gmres::{fgmres_on, GmresConfig, GmresResult};
-use parfem_krylov::{DistributedOperator, KrylovWorkspace};
+use parfem_krylov::DistributedOperator;
 use parfem_mesh::{ElementPartition, Subdomain};
 use parfem_msg::Communicator;
-use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSpec, SpecPrecond};
+use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSpec};
 use parfem_precond::{InterfaceConsistency, Preconditioner};
-use parfem_sparse::{kernels, CsrMatrix, LinearOperator, NodeMatrix, SparseRows};
+use parfem_sparse::{kernels, LinearOperator, NodeMatrix, SparseRows};
 use parfem_trace::TraceSink;
 use std::cell::RefCell;
 
@@ -169,41 +168,49 @@ impl EddLocalMatrix {
     }
 }
 
-/// The element-based distributed operator `x̄ ↦ ⊕Σ (Â⁽ˢ⁾ x̄)`.
-pub struct EddOperator<'a, C: Communicator> {
+/// The element-based distributed operator `x̄ ↦ ⊕Σ (Â⁽ˢ⁾ x̄)`: one rank's
+/// scaled local matrix, its interface layout, its communicator endpoint and
+/// its persistent exchange staging, built once per rank. Every matvec, the
+/// preconditioner build, the interface sums of the rank body and every
+/// solve run on the same value.
+pub struct EddOperator<'c, C: Communicator> {
     /// The (scaled) local distributed matrix `Â⁽ˢ⁾`.
-    pub a_local: &'a EddLocalMatrix,
+    pub(crate) a_local: EddLocalMatrix,
     /// Interface layout.
-    pub layout: &'a EddLayout,
+    pub(crate) layout: EddLayout,
     /// This rank's communicator endpoint.
-    pub comm: &'a C,
+    pub(crate) comm: &'c C,
     /// Which of the paper's EDD algorithms the flexible-preconditioning
     /// step follows.
     variant: EddVariant,
+    /// Matvecs run the overlapped interface/interior split: overlap was
+    /// asked for and the rank has a neighbour to overlap with.
+    split: bool,
     /// Persistent interface-exchange staging, behind interior mutability
     /// because [`LinearOperator::apply_into`] takes `&self`. Every operator
     /// application reuses these buffers, so repeated matvecs (each
     /// polynomial-preconditioner term, every Arnoldi step) allocate nothing.
     bufs: RefCell<ExchangeBuffers>,
-    /// Separate staging for the residual recomputes and the basic variant's
-    /// re-sums, so they never contend with an in-flight matvec exchange.
+    /// Separate staging for the residual recomputes, the basic variant's
+    /// re-sums and [`EddOperator::interface_sum`], so they never contend
+    /// with an in-flight matvec exchange.
     xbufs: RefCell<ExchangeBuffers>,
 }
 
-impl<'a, C: Communicator> EddOperator<'a, C> {
-    /// Wraps a subdomain's local distributed matrix as the global operator.
-    pub fn new(a_local: &'a EddLocalMatrix, layout: &'a EddLayout, comm: &'a C) -> Self {
-        Self::with_variant(a_local, layout, comm, EddVariant::Enhanced)
-    }
-
-    /// Like [`EddOperator::new`], for a solve that follows `variant`.
-    fn with_variant(
-        a_local: &'a EddLocalMatrix,
-        layout: &'a EddLayout,
-        comm: &'a C,
+impl<'c, C: Communicator> EddOperator<'c, C> {
+    /// The global operator over a subdomain's local distributed matrix,
+    /// following `variant`; with `overlap` every matvec posts its interface
+    /// exchange nonblocking and computes the interior rows while the
+    /// messages fly (bit-identical results; only the modeled time changes).
+    pub fn new(
+        a_local: EddLocalMatrix,
+        layout: EddLayout,
+        comm: &'c C,
         variant: EddVariant,
+        overlap: bool,
     ) -> Self {
         EddOperator {
+            split: overlap && !layout.neighbors.is_empty(),
             a_local,
             layout,
             comm,
@@ -213,9 +220,11 @@ impl<'a, C: Communicator> EddOperator<'a, C> {
         }
     }
 
-    /// `true` when matvecs run the overlapped interface/interior split.
-    fn split_schedule(&self) -> bool {
-        self.layout.overlap() && !self.layout.neighbors.is_empty()
+    /// The interface sum `v ← ⊕Σ v` (Eq. 28), local distributed → global
+    /// distributed, through the operator's own staging.
+    pub(crate) fn interface_sum(&self, v: &mut [f64]) {
+        self.layout
+            .interface_sum_buffered(self.comm, v, &mut self.xbufs.borrow_mut());
     }
 
     fn trace_spmv(&self) {
@@ -233,20 +242,20 @@ impl<C: Communicator> LinearOperator for EddOperator<'_, C> {
     }
 
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        let a = self.a_local;
-        if self.split_schedule() {
+        let a = &self.a_local;
+        if self.split {
             // Overlapped schedule: finish only the interface rows, post the
             // exchange, and compute the interior rows while the messages
             // fly. Each (block) row is the identical arithmetic in either
             // schedule, and the received contributions are added in the
             // same neighbour order, so the result is bit-identical to the
             // blocking path — only the modeled time changes.
-            a.spmv_rows(self.layout, Rows::Interface, x, y);
+            a.spmv_rows(&self.layout, Rows::Interface, x, y);
             self.comm.work(a.interface_flops);
             self.trace_spmv();
             self.layout
                 .interface_sum_split(self.comm, y, &mut self.bufs.borrow_mut(), |y| {
-                    a.spmv_rows(self.layout, Rows::Interior, x, y);
+                    a.spmv_rows(&self.layout, Rows::Interior, x, y);
                     self.comm.work(a.interior_flops);
                 });
         } else {
@@ -303,8 +312,7 @@ impl<C: Communicator> DistributedOperator for EddOperator<'_, C> {
             *ri = bi - *ri;
         }
         self.comm.work(r.len() as u64);
-        self.layout
-            .interface_sum_buffered(self.comm, r, &mut self.xbufs.borrow_mut());
+        self.interface_sum(r);
     }
 
     fn dot_partial(&self, x: &[f64], y: &[f64]) -> f64 {
@@ -343,52 +351,16 @@ impl<C: Communicator> DistributedOperator for EddOperator<'_, C> {
             w_tmp.copy_from_slice(v_j);
             self.layout.to_local_distributed(w_tmp);
             self.comm.work(w_tmp.len() as u64);
-            self.layout
-                .interface_sum_buffered(self.comm, w_tmp, &mut self.xbufs.borrow_mut());
+            self.interface_sum(w_tmp);
             precond.apply_scratch(self, w_tmp, z_j, scratch);
             // Algorithm 5 stores z local-distributed and re-sums it.
             self.layout.to_local_distributed(z_j);
             self.comm.work(z_j.len() as u64);
-            self.layout
-                .interface_sum_buffered(self.comm, z_j, &mut self.xbufs.borrow_mut());
+            self.interface_sum(z_j);
         } else {
             precond.apply_scratch(self, v_j, z_j, scratch);
         }
     }
-}
-
-/// Restarted flexible GMRES on the EDD operator.
-///
-/// `b_local` is the right-hand side in *local distributed* format (as
-/// assembled); `x0` is an initial guess, and the returned `x` the solution,
-/// in *global distributed* format over this rank's DOFs.
-/// Once `ws` (and the operator's exchange buffers) are warm, restarts and
-/// iterations perform no heap allocation on this rank.
-///
-/// # Errors
-/// [`SolveError::Comm`] when the communication substrate degrades mid-solve
-/// (see [`fgmres_on`]).
-///
-/// # Panics
-/// Panics on dimension mismatches.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's Algorithm 6 signature
-pub fn edd_fgmres<'a, C, P>(
-    comm: &'a C,
-    layout: &'a EddLayout,
-    a_local: &'a EddLocalMatrix,
-    precond: &P,
-    b_local: &[f64],
-    x0: &[f64],
-    cfg: &GmresConfig,
-    variant: EddVariant,
-    ws: &mut KrylovWorkspace,
-) -> Result<GmresResult, SolveError>
-where
-    C: Communicator,
-    P: Preconditioner<EddOperator<'a, C>> + ?Sized,
-{
-    let op = EddOperator::with_variant(a_local, layout, comm, variant);
-    Ok(fgmres_on(&op, precond, b_local, x0, cfg, ws)?)
 }
 
 /// The EDD side of the session engine's strategy seam: unassembled
@@ -419,22 +391,8 @@ impl<'a> EddParts<'a> {
     }
 }
 
-/// One EDD rank after its setup: interface layout, the Algorithm 3
-/// diagonal, the scaled local matrix and load, and the preconditioner.
-pub(crate) struct EddRank {
-    layout: EddLayout,
-    scaling: DistributedScaling,
-    a: EddLocalMatrix,
-    /// `D̂ f̂` for the system's own load.
-    b: Vec<f64>,
-    precond: SpecPrecond,
-}
-
 impl<'a> Decomposition for EddParts<'a> {
-    /// The rank's system — assembled by the rank itself and then left
-    /// without its `k_local` (the setup scaled it into the operator) — and
-    /// its setup.
-    type Rank = (SubdomainSystem, EddRank);
+    type Op<'c, C: Communicator + 'c> = EddOperator<'c, C>;
 
     fn n_ranks(&self) -> usize {
         self.subdomains.len()
@@ -461,18 +419,18 @@ impl<'a> Decomposition for EddParts<'a> {
     /// [`assembly_flops`](parfem_fem::Discretization::assembly_flops) — with
     /// a mass shift ᾱ also its lumped mass vector, and the stiffness shifted
     /// in place into [`SubdomainSystem::effective_local`] `ᾱM̂ + K̂` — then
-    /// distributed scaling under the `scaling` rank span (the matrix scaled
-    /// in place into the operator's) and the preconditioner over that matrix
-    /// and the interface layout. Every arm, `direct` and `twolevel:*`
+    /// distributed scaling under the `scaling` rank span (the matrix and
+    /// the load scaled in place), builds its one [`EddOperator`] and the
+    /// preconditioner over it. Every arm, `direct` and `twolevel:*`
     /// included, reads the operator's own matrix: one matrix is live per rank
     /// throughout a run.
-    fn rank_setup<C: Communicator>(
+    fn rank_setup<'c, C: Communicator>(
         &self,
-        comm: &C,
+        comm: &'c C,
         coarse: Option<CoarsePlan<'_>>,
         mass_shift: Option<f64>,
         cfg: &SolverConfig,
-    ) -> Result<(Self::Rank, PrecondBuildStats), SolveError> {
+    ) -> Result<(Rank<EddOperator<'c, C>>, PrecondBuildStats), SolveError> {
         let (sub, p) = (&self.subdomains[comm.rank()], self.problem);
         let mut sys = rank_span(comm, "assembly", || {
             let (disc, dm, loads) = (p.discretization, p.dof_map, p.loads);
@@ -484,76 +442,50 @@ impl<'a> Decomposition for EddParts<'a> {
         if let Some(alpha) = mass_shift {
             sys.effective_local(alpha);
         }
-        // Nothing after the scaling reads the unscaled `K̂`.
-        let k_local = std::mem::replace(&mut sys.k_local, NodeMatrix::Csr(CsrMatrix::identity(0)));
-        let (layout, scaling, a, b) = rank_span(comm, "scaling", || {
-            let mut layout = EddLayout::from_system(&sys);
-            layout.set_overlap(cfg.overlap);
+        let layout = EddLayout::from_system(&sys);
+        let SubdomainSystem {
+            k_local,
+            f_local: mut b,
+            global_dofs,
+            multiplicity,
+            mass,
+            ..
+        } = sys;
+        let (op, d) = rank_span(comm, "scaling", || {
             let scaling = DistributedScaling::build(comm, &layout, &k_local);
-            let mut b = sys.f_local.clone();
             let a = scaling.apply(k_local, &mut b, &layout);
-            (layout, scaling, a, b)
+            let op = EddOperator::new(a, layout, comm, cfg.variant, cfg.overlap);
+            (op, scaling.d)
         });
         let (precond, stats) = build_precond(
-            &EddOperator::new(&a, &layout, comm),
+            &op,
             coarse,
-            &sys.multiplicity,
-            &scaling.d,
-            a.matrix(),
+            &multiplicity,
+            &d,
+            op.a_local.matrix(),
             || {
-                let mut d = a.diagonal();
-                layout.interface_sum_buffered(comm, &mut d, &mut ExchangeBuffers::new());
-                d
+                let mut diag = op.a_local.diagonal();
+                op.interface_sum(&mut diag);
+                diag
             },
             &cfg.precond,
         )?;
-        let rank = EddRank {
-            layout,
-            scaling,
-            a,
+        let rank = Rank {
+            op,
+            dofs: global_dofs,
+            multiplicity: Some(multiplicity),
+            d,
             b,
+            mass,
             precond,
         };
-        Ok(((sys, rank), stats))
-    }
-
-    fn rows<'r>(&self, (sys, rank): &'r Self::Rank) -> RankRows<'r> {
-        RankRows {
-            dofs: &sys.global_dofs,
-            multiplicity: Some(&sys.multiplicity),
-            d: &rank.scaling.d,
-            b: &rank.b,
-            mass: sys.mass.as_deref(),
-        }
+        Ok((rank, stats))
     }
 
     /// The interface sum `⊕Σ` (Eq. 28): local distributed → global
     /// distributed.
-    fn make_consistent<C: Communicator>(&self, comm: &C, (_, rank): &Self::Rank, v: &mut [f64]) {
-        rank.layout
-            .interface_sum_buffered(comm, v, &mut ExchangeBuffers::new());
-    }
-
-    fn fgmres<C: Communicator>(
-        &self,
-        comm: &C,
-        (_, rank): &Self::Rank,
-        b: &[f64],
-        x0: &[f64],
-        cfg: &SolverConfig,
-        ws: &mut KrylovWorkspace,
-    ) -> Result<GmresResult, SolveError> {
-        edd_fgmres(
-            comm,
-            &rank.layout,
-            &rank.a,
-            &rank.precond,
-            b,
-            x0,
-            &cfg.gmres,
-            cfg.variant,
-            ws,
-        )
+    fn make_consistent<C: Communicator>(op: &EddOperator<'_, C>, v: &mut [f64]) {
+        op.interface_sum(v);
     }
 
     /// Global distributed values are identical on every sharing rank.
@@ -573,12 +505,13 @@ mod tests {
     use super::*;
     use crate::scaling::{edd_scaling_reference, DistributedScaling};
     use parfem_fem::{assembly, Material, SubdomainSystem};
-    use parfem_krylov::gmres::fgmres;
+    use parfem_krylov::gmres::{fgmres, fgmres_on, GmresConfig};
     use parfem_krylov::history::ConvergenceHistory;
+    use parfem_krylov::KrylovWorkspace;
     use parfem_mesh::{DofMap, Edge, ElementPartition, QuadMesh};
     use parfem_msg::{run_ranks, MachineModel};
     use parfem_precond::{GlsPrecond, IdentityPrecond, NeumannPrecond};
-    use parfem_sparse::{dense, BcsrMatrix};
+    use parfem_sparse::{dense, BcsrMatrix, CsrMatrix};
 
     struct Fixture {
         systems: Vec<SubdomainSystem>,
@@ -624,14 +557,12 @@ mod tests {
             let sc = DistributedScaling::build(comm, &layout, &sys.k_local);
             let mut b = sys.f_local.clone();
             let a = sc.apply(sys.k_local.clone(), &mut b, &layout);
+            let op = EddOperator::new(a, layout, comm, variant, false);
             let x0 = vec![0.0; b.len()];
             let ws = &mut KrylovWorkspace::new();
             let res = match &gls {
-                Some(g) => edd_fgmres(comm, &layout, &a, g, &b, &x0, cfg, variant, ws),
-                None => {
-                    let id = &IdentityPrecond;
-                    edd_fgmres(comm, &layout, &a, id, &b, &x0, cfg, variant, ws)
-                }
+                Some(g) => fgmres_on(&op, g, &b, &x0, cfg, ws),
+                None => fgmres_on(&op, &IdentityPrecond, &b, &x0, cfg, ws),
             }
             .expect("fault-free solve must not error");
             let mut u = res.x;
@@ -790,20 +721,19 @@ mod tests {
         let fx = fixture(5, 2, 2);
         let out = run_ranks(2, MachineModel::ideal(), |comm| {
             let sys = &fx.systems[comm.rank()];
-            let mut layout = EddLayout::from_system(sys);
+            let layout = EddLayout::from_system(sys);
             assert_eq!(layout.dofs_per_node(), 2);
             let a = EddLocalMatrix::new(sys.k_local.clone(), &layout);
             assert_eq!(a.spmv_flops(), sys.k_local.spmv_flops());
             let n = sys.k_local.n_rows();
             let x: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64 * 0.5 - 3.0).collect();
             let mut got = vec![0.0; n];
-            let op = EddOperator::new(&a, &layout, comm);
+            let op = EddOperator::new(a.clone(), layout.clone(), comm, EddVariant::Enhanced, false);
             assert_eq!(op.kernel_variant(), "bcsr2");
             op.apply_into(&x, &mut got);
             // The overlapped split runs the same storage, block row by
             // block row: same label, same bits.
-            layout.set_overlap(true);
-            let split_op = EddOperator::new(&a, &layout, comm);
+            let split_op = EddOperator::new(a, layout.clone(), comm, EddVariant::Enhanced, true);
             assert_eq!(split_op.kernel_variant(), "bcsr2");
             let mut split = vec![f64::NAN; n];
             split_op.apply_into(&x, &mut split);
@@ -846,7 +776,7 @@ mod tests {
             .collect();
         run_ranks(2, MachineModel::ideal(), |comm| {
             let sys = &systems[comm.rank()];
-            let mut layout = EddLayout::from_system(sys);
+            let layout = EddLayout::from_system(sys);
             assert_eq!(layout.dofs_per_node(), 1);
             let a = EddLocalMatrix::new(sys.k_local.clone(), &layout);
             assert!(matches!(a.matrix(), NodeMatrix::Csr(_)));
@@ -855,8 +785,8 @@ mod tests {
             let mut want = CsrMatrix::from_rows(&sys.k_local).spmv(&x);
             layout.interface_sum_buffered(comm, &mut want, &mut ExchangeBuffers::new());
             for overlap in [false, true] {
-                layout.set_overlap(overlap);
-                let op = EddOperator::new(&a, &layout, comm);
+                let (a, layout) = (a.clone(), layout.clone());
+                let op = EddOperator::new(a, layout, comm, EddVariant::Enhanced, overlap);
                 assert_eq!(op.kernel_variant(), "csr");
                 let mut got = vec![f64::NAN; x.len()];
                 op.apply_into(&x, &mut got);
@@ -872,7 +802,7 @@ mod tests {
             let sys = &fx.systems[comm.rank()];
             let layout = EddLayout::from_system(sys);
             let a = EddLocalMatrix::new(sys.k_local.clone(), &layout);
-            let op = EddOperator::new(&a, &layout, comm);
+            let op = EddOperator::new(a, layout.clone(), comm, EddVariant::Enhanced, false);
             let n = layout.n_local();
             let vec = |seed: usize| -> Vec<f64> {
                 (0..n)
@@ -925,19 +855,10 @@ mod tests {
             let sc = DistributedScaling::build(comm, &layout, &sys.k_local);
             let mut b = sys.f_local.clone();
             let a = sc.apply(sys.k_local.clone(), &mut b, &layout);
+            let op = EddOperator::new(a, layout, comm, EddVariant::Enhanced, false);
             let x0 = vec![0.0; b.len()];
-            let res = edd_fgmres(
-                comm,
-                &layout,
-                &a,
-                &p,
-                &b,
-                &x0,
-                &cfg,
-                EddVariant::Enhanced,
-                &mut KrylovWorkspace::new(),
-            )
-            .expect("fault-free solve must not error");
+            let res = fgmres_on(&op, &p, &b, &x0, &cfg, &mut KrylovWorkspace::new())
+                .expect("fault-free solve must not error");
             let mut u = res.x;
             dense::diag_mul(&sc.d, &mut u);
             (u, res.history.converged())

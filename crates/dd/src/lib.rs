@@ -4,18 +4,19 @@
 //!   paper's Definitions 1–2 and the nearest-neighbour interface sum
 //!   `⊕Σ_{∂Ω}` (Eq. 28),
 //! - [`scaling`] — distributed norm-1 diagonal scaling (Algorithms 3–4),
-//! - [`edd`] — the element-based distributed operator and the EDD flexible
-//!   GMRES, in both the basic (Algorithm 5, three interface exchanges per
-//!   Arnoldi step) and enhanced (Algorithm 6, one exchange) variants, plus
-//!   the EDD side of the session engine (rank-side assembly, scaling and
-//!   setup). Both operators implement
+//! - [`edd`] — the element-based distributed operator, in both the basic
+//!   (Algorithm 5, three interface exchanges per Arnoldi step) and enhanced
+//!   (Algorithm 6, one exchange) variants, plus the EDD side of the session
+//!   engine (rank-side assembly, scaling and setup),
+//! - [`rdd`] — the row-based (block-row) distributed operator of
+//!   Algorithm 8, the PSPARSLIB/Aztec-style baseline, plus the RDD side of
+//!   the session engine (rank-side assembly, scaling and block-row split);
+//!   its block-Jacobi ILU(0) is the registry's `ilu0` spec on each rank's
+//!   owned block. Both operators implement
 //!   [`parfem_krylov::DistributedOperator`], so both run the one FGMRES
-//!   loop, `parfem_krylov::fgmres_on`,
-//! - [`rdd`] — the row-based (block-row) distributed operator and FGMRES
-//!   (Algorithm 8), the PSPARSLIB/Aztec-style baseline, plus the RDD side
-//!   of the session engine (rank-side assembly, scaling and block-row
-//!   split); its block-Jacobi ILU(0) is the registry's `ilu0` spec on each
-//!   rank's owned block,
+//!   loop, `parfem_krylov::fgmres_on`; each holds its rank's scaled
+//!   matrix, its interface or halo lists, the schedule the session asked
+//!   for (overlap, and the EDD variant) and persistent exchange buffers,
 //! - [`coarse`] — two-level coarse-space construction on the ranks, over
 //!   both partitions: per-part geometry extraction, the live-mode exchange
 //!   hooks of both distributed operators, and the one rank-side build,
@@ -23,7 +24,8 @@
 //!   strategy, preconditioner, machine model, overlap, faults, tracing as
 //!   orthogonal options over one engine and one rank launch for single-RHS,
 //!   multi-RHS and transient runs (the strategies differ behind one
-//!   crate-private trait),
+//!   crate-private trait). Each rank builds its operator once, in its
+//!   setup; the preconditioner build and every solve of the run reuse it,
 //! - [`dynamic`] — the Newmark step loop of that engine's rank body behind
 //!   [`SolveSession::run_dynamic`], written once over rank vectors for both
 //!   strategies: the one Newmark time loop in the workspace (one rank is
@@ -50,9 +52,9 @@ pub use coarse::{
 };
 pub use dist_vec::{EddLayout, ExchangeBuffers};
 pub use dynamic::DynamicRunOutput;
-pub use edd::{edd_fgmres, EddLocalMatrix, EddOperator, EddVariant};
+pub use edd::{EddLocalMatrix, EddOperator, EddVariant};
 pub use error::SolveError;
-pub use rdd::{rdd_fgmres, RddOperator, RddSystem};
+pub use rdd::{RddOperator, RddSystem};
 pub use session::{
     DdSolveOutput, FactorStats, MultiSolveOutput, PrecondSpec, Problem, SolveFailures,
     SolveSession, SolverConfig, Strategy,

@@ -26,15 +26,14 @@
 use crate::coarse::{rdd_part_geometry, CoarsePlan};
 use crate::error::SolveError;
 use crate::session::{
-    build_precond, rank_span, Decomposition, PrecondBuildStats, Problem, RankRows, SolverConfig,
+    build_precond, rank_span, Decomposition, PrecondBuildStats, Problem, Rank, SolverConfig,
 };
 use parfem_fem::assembly::{assemble_owned, OwnedRows};
-use parfem_krylov::gmres::{fgmres_on, GmresConfig, GmresResult};
-use parfem_krylov::{DistributedOperator, KrylovWorkspace};
+use parfem_krylov::DistributedOperator;
 use parfem_mesh::NodePartition;
 use parfem_msg::Communicator;
-use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSpec, SpecPrecond};
-use parfem_precond::{InterfaceConsistency, Preconditioner};
+use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSpec};
+use parfem_precond::InterfaceConsistency;
 use parfem_sparse::scaling::inv_sqrt_scaling;
 use parfem_sparse::{dense, kernels, CsrMatrix, LinearOperator, NodeMatrix};
 use std::cell::RefCell;
@@ -65,16 +64,12 @@ pub struct RddSystem {
     /// Per neighbour `(rank, external-column positions to fill)`, sorted by
     /// rank, in the same canonical order as the sender's list.
     pub recv_from: Vec<(usize, Vec<usize>)>,
-    /// When set, the operator posts the halo exchange nonblocking and
-    /// computes the `A_loc` product while the messages are in flight
-    /// (bit-identical results; only the modeled time changes).
-    pub overlap: bool,
 }
 
 impl RddSystem {
     /// Number of owned DOFs.
     pub fn n_local(&self) -> usize {
-        self.rows.len()
+        self.a_loc.n_rows()
     }
 
     /// `y += A_ext x_ext` over the halo rows, one [`kernels::row_dot`] per
@@ -315,7 +310,6 @@ impl Split {
             b_loc: rhs,
             send_to: self.send_to,
             recv_from: self.recv_from,
-            overlap: false,
         }
     }
 }
@@ -330,9 +324,10 @@ fn push_to(lists: &mut Vec<(usize, Vec<usize>)>, rank: usize, item: usize) {
 }
 
 /// Persistent halo-exchange staging for [`RddOperator`]: neighbour ranks,
-/// per-neighbour send/receive buffers, and the gathered external vector.
-/// Reused across matvecs so the Eq. 48 product allocates nothing once warm.
-#[derive(Debug, Clone, Default)]
+/// per-neighbour send/receive buffers, and the gathered external vector,
+/// laid out for the operator's block row when it is built. Reused across
+/// matvecs so the Eq. 48 product allocates nothing once warm.
+#[derive(Debug, Clone)]
 struct RddHaloBuffers {
     ranks: Vec<usize>,
     send: Vec<Vec<f64>>,
@@ -340,51 +335,48 @@ struct RddHaloBuffers {
     x_ext: Vec<f64>,
 }
 
-impl RddHaloBuffers {
-    /// Sizes the per-neighbour buffers for `sys` (idempotent).
-    fn ensure(&mut self, sys: &RddSystem) {
-        if self.ranks.len() != sys.send_to.len()
-            || self
-                .ranks
-                .iter()
-                .zip(&sys.send_to)
-                .any(|(&r, (nr, _))| r != *nr)
-        {
-            self.ranks.clear();
-            self.ranks.extend(sys.send_to.iter().map(|(r, _)| *r));
-            self.send.resize(sys.send_to.len(), Vec::new());
-            self.recv.resize(sys.send_to.len(), Vec::new());
-        }
-    }
-}
-
-/// The row-based distributed operator.
-pub struct RddOperator<'a, C: Communicator> {
-    /// The local block-row system.
-    pub sys: &'a RddSystem,
+/// The row-based distributed operator: one rank's scaled block row, its
+/// communicator endpoint and its persistent halo staging, built once per
+/// rank and shared by the preconditioner build and every solve.
+pub struct RddOperator<'c, C: Communicator> {
+    /// The local block-row system; the operator reads its matrices and halo
+    /// lists only (a session rank keeps the rows' dofs and load itself).
+    pub(crate) sys: RddSystem,
     /// Communicator endpoint.
-    pub comm: &'a C,
+    pub(crate) comm: &'c C,
+    /// Products post the halo exchange nonblocking and compute the `A_loc`
+    /// product while the messages fly: overlap was asked for and the rank
+    /// has a neighbour.
+    split: bool,
     /// Halo staging, behind interior mutability because
     /// [`LinearOperator::apply_into`] takes `&self`.
     halo: RefCell<RddHaloBuffers>,
 }
 
-impl<'a, C: Communicator> RddOperator<'a, C> {
-    /// Wraps a block-row system as the distributed operator.
-    pub fn new(sys: &'a RddSystem, comm: &'a C) -> Self {
+impl<'c, C: Communicator> RddOperator<'c, C> {
+    /// Wraps a block-row system as the distributed operator; with `overlap`
+    /// every product overlaps its halo exchange with the `A_loc` product
+    /// (bit-identical results; only the modeled time changes).
+    pub fn new(sys: RddSystem, comm: &'c C, overlap: bool) -> Self {
+        // One merged neighbour set: FEM matrices are structurally symmetric,
+        // so senders and receivers pair up.
+        let halo = RddHaloBuffers {
+            ranks: sys.send_to.iter().map(|(q, _)| *q).collect(),
+            send: vec![Vec::new(); sys.send_to.len()],
+            recv: vec![Vec::new(); sys.send_to.len()],
+            x_ext: Vec::new(),
+        };
         RddOperator {
+            split: overlap && !sys.send_to.is_empty(),
             sys,
             comm,
-            halo: RefCell::new(RddHaloBuffers::default()),
+            halo: RefCell::new(halo),
         }
     }
 
     /// Stages the halo sends: for each neighbour, the owned values of `x`
     /// it has columns for.
     fn stage(&self, x: &[f64], halo: &mut RddHaloBuffers) {
-        // One merged neighbour set: FEM matrices are structurally symmetric,
-        // so senders and receivers pair up.
-        halo.ensure(self.sys);
         for ((_, idx), out) in self.sys.send_to.iter().zip(halo.send.iter_mut()) {
             out.clear();
             out.extend(idx.iter().map(|&l| x[l]));
@@ -393,7 +385,7 @@ impl<'a, C: Communicator> RddOperator<'a, C> {
 
     /// Unpacks the received halo into `halo.x_ext` (in `ext_dofs` order).
     fn unpack(&self, halo: &mut RddHaloBuffers) {
-        let sys = self.sys;
+        let sys = &self.sys;
         debug_assert!((sys.recv_from.iter().map(|(q, _)| q)).eq(sys.send_to.iter().map(|(q, _)| q)));
         halo.x_ext.clear();
         halo.x_ext.resize(sys.ext_dofs.len().max(1), 0.0);
@@ -411,11 +403,11 @@ impl<C: Communicator> LinearOperator for RddOperator<'_, C> {
     }
 
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        let sys = self.sys;
+        let sys = &self.sys;
         assert_eq!(x.len(), sys.n_local(), "rdd apply: x length mismatch");
         let halo = &mut *self.halo.borrow_mut();
         self.stage(x, halo);
-        if sys.overlap && !sys.send_to.is_empty() {
+        if self.split {
             // Overlapped schedule: post the halo sends, compute the
             // (dominant) A_loc product while the messages fly, then complete
             // the exchange and apply A_ext. The arithmetic and its order are
@@ -504,43 +496,6 @@ impl<C: Communicator> DistributedOperator for RddOperator<'_, C> {
     }
 }
 
-/// Restarted flexible GMRES on the block-row operator (Algorithm 8).
-///
-/// `b_loc` is the right-hand side, and the returned `x` the solution, over
-/// the owned rows — `&sys.b_loc` for the
-/// load the system was split with, or the restriction of any other scaled
-/// global load. Once `ws` (and the operator's halo buffers) are warm,
-/// restarts and iterations perform no heap allocation on this rank.
-///
-/// # Errors
-/// [`SolveError::Comm`] when the communication substrate degrades mid-solve
-/// (see [`fgmres_on`]).
-///
-/// # Panics
-/// Panics on dimension mismatches.
-pub fn rdd_fgmres<'a, C, P>(
-    comm: &'a C,
-    sys: &'a RddSystem,
-    precond: &P,
-    b_loc: &[f64],
-    x0: &[f64],
-    cfg: &GmresConfig,
-    ws: &mut KrylovWorkspace,
-) -> Result<GmresResult, SolveError>
-where
-    C: Communicator,
-    P: Preconditioner<RddOperator<'a, C>> + ?Sized,
-{
-    Ok(fgmres_on(
-        &RddOperator::new(sys, comm),
-        precond,
-        b_loc,
-        x0,
-        cfg,
-        ws,
-    )?)
-}
-
 /// The RDD side of the session engine's strategy seam: the host holds the
 /// problem and the node partition, every rank builds its own block row
 /// ([`RddSystem::assemble`]).
@@ -555,18 +510,8 @@ impl<'a> RddParts<'a> {
     }
 }
 
-/// One RDD rank after its setup: the block row, its scaling diagonal over
-/// the owned rows, the owned rows' lumped mass of a transient, and the
-/// preconditioner.
-pub(crate) struct RddRank {
-    sys: RddSystem,
-    d: Vec<f64>,
-    mass: Option<Vec<f64>>,
-    precond: SpecPrecond,
-}
-
 impl Decomposition for RddParts<'_> {
-    type Rank = RddRank;
+    type Op<'c, C: Communicator + 'c> = RddOperator<'c, C>;
 
     fn n_ranks(&self) -> usize {
         self.part.n_parts()
@@ -584,61 +529,49 @@ impl Decomposition for RddParts<'_> {
         )
     }
 
-    fn rank_setup<C: Communicator>(
+    /// The rank builds its block row ([`RddSystem::assemble`]), its one
+    /// [`RddOperator`] over it and the preconditioner over that. The
+    /// operator reads the block row's matrices and halo lists only, so the
+    /// owned rows' global dofs and the load `D f` move into the rank.
+    fn rank_setup<'c, C: Communicator>(
         &self,
-        comm: &C,
+        comm: &'c C,
         coarse: Option<CoarsePlan<'_>>,
         mass_shift: Option<f64>,
         cfg: &SolverConfig,
-    ) -> Result<(RddRank, PrecondBuildStats), SolveError> {
+    ) -> Result<(Rank<RddOperator<'c, C>>, PrecondBuildStats), SolveError> {
         let (mut sys, d, mass) = RddSystem::assemble(comm, self.problem, self.part, mass_shift);
-        sys.overlap = cfg.overlap;
+        let dofs = std::mem::take(&mut sys.rows);
+        let b = std::mem::take(&mut sys.b_loc);
+        let op = RddOperator::new(sys, comm, cfg.overlap);
         // Rows are disjoint: multiplicity 1 for the coarse build.
         let mult = match coarse {
-            Some(_) => vec![1.0; sys.n_local()],
+            Some(_) => vec![1.0; dofs.len()],
             None => Vec::new(),
         };
         // `a_loc` (the owned diagonal block) feeds the `direct` and `ilu0`
         // specs — `ilu0` on it is block-Jacobi ILU(0) — and Jacobi its
         // diagonal.
+        let a_loc = &op.sys.a_loc;
         let (precond, stats) = build_precond(
-            &RddOperator::new(&sys, comm),
+            &op,
             coarse,
             &mult,
             &d,
-            &sys.a_loc,
-            || sys.a_loc.diagonal(),
+            a_loc,
+            || a_loc.diagonal(),
             &cfg.precond,
         )?;
-        let rank = RddRank {
-            sys,
+        let rank = Rank {
+            op,
+            dofs,
+            multiplicity: None,
             d,
+            b,
             mass,
             precond,
         };
         Ok((rank, stats))
-    }
-
-    fn rows<'r>(&self, rank: &'r RddRank) -> RankRows<'r> {
-        RankRows {
-            dofs: &rank.sys.rows,
-            multiplicity: None,
-            d: &rank.d,
-            b: &rank.sys.b_loc,
-            mass: rank.mass.as_deref(),
-        }
-    }
-
-    fn fgmres<C: Communicator>(
-        &self,
-        comm: &C,
-        rank: &RddRank,
-        b: &[f64],
-        x0: &[f64],
-        cfg: &SolverConfig,
-        ws: &mut KrylovWorkspace,
-    ) -> Result<GmresResult, SolveError> {
-        rdd_fgmres(comm, &rank.sys, &rank.precond, b, x0, &cfg.gmres, ws)
     }
 
     /// Each rank's piece is its owned rows, unscaled: node by node, the
@@ -661,31 +594,29 @@ impl Decomposition for RddParts<'_> {
 mod tests {
     use super::*;
     use parfem_fem::{assembly, Material};
-    use parfem_krylov::gmres::fgmres;
+    use parfem_krylov::gmres::{fgmres, fgmres_on, GmresConfig, GmresResult};
+    use parfem_krylov::KrylovWorkspace;
     use parfem_mesh::{DofMap, Edge, QuadMesh};
     use parfem_msg::{run_ranks, MachineModel};
-    use parfem_precond::{GlsPrecond, IdentityPrecond, PrecondSpec};
+    use parfem_precond::twolevel::SpecPrecond;
+    use parfem_precond::{GlsPrecond, IdentityPrecond, PrecondSpec, Preconditioner};
     use parfem_sparse::scaling::scale_system;
     use parfem_sparse::SparseRows;
 
     /// One solve for the load the system was split with, from a zero
     /// initial guess, on a throwaway workspace.
-    fn solve<'a, C, P>(
-        comm: &'a C,
-        sys: &'a RddSystem,
-        precond: &P,
-        cfg: &GmresConfig,
-    ) -> GmresResult
+    fn solve<'a, C, P>(comm: &'a C, sys: &RddSystem, precond: &P, cfg: &GmresConfig) -> GmresResult
     where
         C: Communicator,
         P: Preconditioner<RddOperator<'a, C>> + ?Sized,
     {
-        rdd_fgmres(
-            comm,
-            sys,
+        let op = RddOperator::new(sys.clone(), comm, false);
+        let x0 = vec![0.0; sys.n_local()];
+        fgmres_on(
+            &op,
             precond,
             &sys.b_loc,
-            &vec![0.0; sys.n_local()],
+            &x0,
             cfg,
             &mut KrylovWorkspace::new(),
         )
@@ -747,7 +678,7 @@ mod tests {
         let want = a.spmv(&x);
         let out = run_ranks(4, MachineModel::ideal(), |comm| {
             let sys = &systems[comm.rank()];
-            let op = RddOperator::new(sys, comm);
+            let op = RddOperator::new(sys.clone(), comm, false);
             let xl = sys.restrict(&x);
             let y = op.apply(&xl);
             let wl = sys.restrict(&want);
@@ -883,7 +814,7 @@ mod tests {
             let sys = &systems[comm.rank()];
             let ilu = local_ilu(sys).unwrap();
             let before = comm.stats().sends;
-            let op = RddOperator::new(sys, comm);
+            let op = RddOperator::new(sys.clone(), comm, false);
             let v = vec![1.0; sys.n_local()];
             let _ = ilu.apply(&op, &v);
             comm.stats().sends - before

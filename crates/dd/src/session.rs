@@ -38,9 +38,11 @@
 //! `run`, `run_multi` and `run_dynamic` are one engine: host prepare (the
 //! partition only; no global matrix is ever assembled) → coarse geometry →
 //! one rank launch, with one fault wrap → one rank body (`assembly` and
-//! `scaling` of the rank's own system, `precond-build`, then one FGMRES per
-//! right-hand side or per Newmark step on a shared fixed-operator Krylov
-//! workspace, so later solves recycle the first solve's deflation space) →
+//! `scaling` of the rank's own system, which builds the rank's one
+//! distributed operator, `precond-build`, then one FGMRES per right-hand
+//! side or per Newmark step on that operator and a shared fixed-operator
+//! Krylov workspace, so later solves recycle the first solve's deflation
+//! space) →
 //! collection, `gather` and the `solve_summary`. What EDD and RDD do
 //! differently sits behind the crate-private `Decomposition` trait,
 //! implemented next to each operator (`EddParts` in [`crate::edd`],
@@ -57,7 +59,7 @@ use crate::edd::{EddParts, EddVariant};
 use crate::error::SolveError;
 use crate::rdd::RddParts;
 use parfem_fem::{Discretization, Mass, Material, Mesh, NewmarkParams};
-use parfem_krylov::gmres::{GmresConfig, GmresResult};
+use parfem_krylov::gmres::{fgmres_on, GmresConfig};
 use parfem_krylov::history::{ConvergenceHistory, StopReason};
 use parfem_krylov::{DistributedOperator, KrylovWorkspace};
 use parfem_mesh::{DofMap, ElementPartition, NodePartition, PartitionerSpec};
@@ -65,7 +67,10 @@ use parfem_msg::{
     try_run_ranks, Communicator, FaultPlan, FaultyComm, MachineModel, RankReport, RunOptions,
     ThreadComm,
 };
-use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSetup, CoarseSpec, SpecPrecond};
+use parfem_precond::twolevel::{
+    CoarsePartGeometry, CoarseReduce, CoarseSetup, CoarseSpec, SpecPrecond,
+};
+use parfem_precond::InterfaceConsistency;
 pub use parfem_precond::PrecondSpec;
 
 use parfem_sparse::{dense, SparseLdlt, SparseRows};
@@ -709,11 +714,12 @@ type EngineOutput = (MultiSolveOutput, Vec<Vec<f64>>);
 /// The strategy seam of the engine: everything the two decompositions do
 /// differently, and nothing else. One value describes the whole partitioned
 /// problem on the host; the ranks share it by reference. Launch, fault
-/// wrap, the right-hand-side loop, the Newmark step loop, collection, the
-/// `gather` span and the summary are the engine's.
+/// wrap, the right-hand-side loop, the Newmark step loop, every FGMRES,
+/// collection, the `gather` span and the summary are the engine's.
 pub(crate) trait Decomposition: Sync {
-    /// What a rank holds once its setup ran.
-    type Rank;
+    /// The rank's distributed operator over the endpoint `C`.
+    type Op<'c, C: Communicator + 'c>: CoarseSetup
+        + DistributedOperator<Comm = C, PrecondOp: CoarseReduce + InterfaceConsistency>;
 
     fn n_ranks(&self) -> usize;
 
@@ -724,64 +730,56 @@ pub(crate) trait Decomposition: Sync {
     fn coarse_geometry(&self, spec: &CoarseSpec) -> Vec<CoarsePartGeometry>;
 
     /// The rank's setup up to and including its preconditioner, or the
-    /// [`SolveError::Precond`] that stopped its build. With a `mass_shift`
-    /// ᾱ the rank assembles its lumped mass `M` along with `K` and sets up
-    /// a Newmark step's effective matrix `ᾱM + K` (paper Eq. 52).
-    fn rank_setup<C: Communicator>(
+    /// [`SolveError::Precond`] that stopped its build: the one operator of
+    /// the rank, built once from the session's `variant` and `overlap`.
+    /// With a `mass_shift` ᾱ the rank assembles its lumped mass `M` along
+    /// with `K` and sets up a Newmark step's effective matrix `ᾱM + K`
+    /// (paper Eq. 52).
+    fn rank_setup<'c, C: Communicator>(
         &self,
-        comm: &C,
+        comm: &'c C,
         coarse: Option<CoarsePlan<'_>>,
         mass_shift: Option<f64>,
         cfg: &SolverConfig,
-    ) -> Result<(Self::Rank, PrecondBuildStats), SolveError>;
-
-    /// The rank's rows, as the strategy-neutral rank body reads them.
-    fn rows<'r>(&self, rank: &'r Self::Rank) -> RankRows<'r>;
+    ) -> Result<(Rank<Self::Op<'c, C>>, PrecondBuildStats), SolveError>;
 
     /// Makes a vector in the rank's load format consistent: each row the
     /// sum over the ranks that hold it. Disjoint rows need nothing.
-    fn make_consistent<C: Communicator>(&self, _comm: &C, _rank: &Self::Rank, _v: &mut [f64]) {}
-
-    /// One FGMRES on the rank's scaled system for the scaled load `b` from
-    /// the scaled initial guess `x0`; the solution stays scaled.
-    fn fgmres<C: Communicator>(
-        &self,
-        comm: &C,
-        rank: &Self::Rank,
-        b: &[f64],
-        x0: &[f64],
-        cfg: &SolverConfig,
-        ws: &mut KrylovWorkspace,
-    ) -> Result<GmresResult, SolveError>;
+    fn make_consistent<C: Communicator>(_op: &Self::Op<'_, C>, _v: &mut [f64]) {}
 
     /// The physical global solution from every rank's piece, in rank order.
     fn gather<'r>(&self, pieces: impl Iterator<Item = &'r [f64]>) -> Vec<f64>;
 }
 
-/// One rank's rows after its setup: the local DOFs of its subdomain (EDD)
-/// or its owned rows (RDD). A load-format vector is local distributed under
-/// EDD; a solution is global distributed under EDD; both are plain rows
-/// under RDD.
-pub(crate) struct RankRows<'r> {
+/// One rank after its setup, under either strategy: its one distributed
+/// operator and preconditioner, and its rows — the local DOFs of its
+/// subdomain (EDD) or its owned rows (RDD). A load-format vector is local
+/// distributed under EDD; a solution is global distributed under EDD; both
+/// are plain rows under RDD.
+pub(crate) struct Rank<Op> {
+    /// The distributed operator every solve of the rank runs on.
+    pub op: Op,
     /// The global DOF of each row.
-    pub dofs: &'r [usize],
+    pub dofs: Vec<usize>,
     /// How many ranks hold each row; `None` when the rows are disjoint.
-    pub multiplicity: Option<&'r [f64]>,
+    pub multiplicity: Option<Vec<f64>>,
     /// Algorithm 3's scaling diagonal over the rows.
-    pub d: &'r [f64],
+    pub d: Vec<f64>,
     /// `D f` for the systems' own load.
-    pub b: &'r [f64],
+    pub b: Vec<f64>,
     /// The lumped mass in the load format, after a setup with a mass shift.
-    pub mass: Option<&'r [f64]>,
+    pub mass: Option<Vec<f64>>,
+    /// The preconditioner built over `op`.
+    pub precond: SpecPrecond,
 }
 
-impl RankRows<'_> {
+impl<Op> Rank<Op> {
     /// A global load vector in the rank's load format, unscaled: entries
     /// split by multiplicity, constrained rows zeroed — the load the rank's
     /// own assembly builds when every constraint is homogeneous.
     pub fn restrict_load(&self, global: &[f64], dm: &DofMap) -> Vec<f64> {
         (self.dofs.iter().enumerate())
-            .map(|(l, &g)| match (dm.is_fixed(g), self.multiplicity) {
+            .map(|(l, &g)| match (dm.is_fixed(g), &self.multiplicity) {
                 (true, _) => 0.0,
                 (false, Some(mult)) => global[g] / mult[l],
                 (false, None) => global[g],
@@ -965,21 +963,21 @@ fn rank_body<D: Decomposition, C: Communicator>(
         Drive::Own => 1,
         Drive::Global(set) => set.len(),
         Drive::Newmark(run) => {
-            return newmark_steps((parts, comm, &rank), problem, run, cfg, &mut ws, out)
+            return newmark_steps::<D, C>(&rank, problem, run, cfg, &mut ws, out)
         }
     };
-    let rows = parts.rows(&rank);
     for k in 0..count {
         let b = match drive {
             Drive::Global(set) => {
-                let mut b = rows.restrict_load(&set[k], problem.dof_map);
-                dense::diag_mul(rows.d, &mut b);
+                let mut b = rank.restrict_load(&set[k], problem.dof_map);
+                dense::diag_mul(&rank.d, &mut b);
                 Cow::Owned(b)
             }
-            _ => Cow::Borrowed(rows.b),
+            _ => Cow::Borrowed(&rank.b),
         };
-        let mut res = parts.fgmres(comm, &rank, &b, &vec![0.0; b.len()], cfg, &mut ws)?;
-        dense::diag_mul(rows.d, &mut res.x);
+        let x0 = vec![0.0; b.len()];
+        let mut res = fgmres_on(&rank.op, &rank.precond, &b, &x0, &cfg.gmres, &mut ws)?;
+        dense::diag_mul(&rank.d, &mut res.x);
         out.pieces.push(res.x);
         out.histories.push(res.history);
     }

@@ -21,7 +21,7 @@ use parfem_dd::dist_vec::EddLayout;
 use parfem_dd::scaling::DistributedScaling;
 use parfem_dd::{
     build_rank_coarse, edd_part_geometry, rdd_part_geometry, CoarseBuildStats, CoarsePlan,
-    EddOperator, RddOperator, RddSystem,
+    EddOperator, EddVariant, RddOperator, RddSystem,
 };
 use parfem_fem::{assembly, Material, SubdomainSystem};
 use parfem_mesh::{
@@ -103,11 +103,10 @@ fn edd_rank_views(
     );
     let out = run_ranks(systems.len(), MachineModel::ideal(), |comm| {
         let sys = &systems[comm.rank()];
-        let mut layout = EddLayout::from_system(sys);
-        layout.set_overlap(overlap);
+        let layout = EddLayout::from_system(sys);
         let sc = DistributedScaling::build(comm, &layout, &sys.k_local);
         let a = sc.apply(sys.k_local.clone(), &mut sys.f_local.clone(), &layout);
-        let op = EddOperator::new(&a, &layout, comm);
+        let op = EddOperator::new(a, layout, comm, EddVariant::Enhanced, overlap);
         let plan = CoarsePlan {
             spec,
             n_comp: dpn,
@@ -131,15 +130,12 @@ fn rdd_case(
     let loads = vec![0.0; dm.n_dofs()];
     let assembled = assembly::build_static(mesh, dm, &mat, &loads);
     let (a, b, sc) = scale_system(&assembled.stiffness, &assembled.rhs).unwrap();
-    let mut systems = RddSystem::build_all(&a, &b, node_part);
-    for sys in &mut systems {
-        sys.overlap = overlap;
-    }
+    let systems = RddSystem::build_all(&a, &b, node_part);
     let coords = coords3(mesh);
     let geos = rdd_part_geometry(node_part, dm, &coords);
     let out = run_ranks(systems.len(), MachineModel::ideal(), |comm| {
         let sys = &systems[comm.rank()];
-        let op = RddOperator::new(sys, comm);
+        let op = RddOperator::new(sys.clone(), comm, overlap);
         let plan = CoarsePlan {
             spec,
             n_comp: dm.dofs_per_node(),

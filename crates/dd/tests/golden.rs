@@ -1,9 +1,8 @@
 //! Golden bit-identity tests for the one FGMRES loop at P ≥ 2.
 //!
-//! The constants below were captured from the pre-refactor
-//! `edd_fgmres`/`rdd_fgmres` implementations (the hand-maintained twin
-//! solver loops, before both were collapsed onto one loop, now
-//! `parfem_krylov::fgmres_on`). Each case
+//! The constants below were captured from the pre-refactor EDD and RDD
+//! solvers (the hand-maintained twin solver loops, before both were
+//! collapsed onto one loop, now `parfem_krylov::fgmres_on`). Each case
 //! pins the iteration count, restart count, and an FNV-1a hash over the
 //! exact bit patterns of the per-rank solutions and the residual history —
 //! so any change to the floating-point operation sequence of the shared
@@ -28,12 +27,12 @@
 
 use parfem_dd::scaling::DistributedScaling;
 use parfem_dd::{
-    edd_fgmres, rdd_fgmres, EddLayout, EddVariant, PrecondSpec, Problem, RddOperator, RddSystem,
-    SolveSession, SolverConfig, Strategy,
+    EddLayout, EddOperator, EddVariant, PrecondSpec, Problem, RddOperator, RddSystem, SolveSession,
+    SolverConfig, Strategy,
 };
 use parfem_fem::{assembly, Material, SubdomainSystem};
 use parfem_krylov::gmres::GmresConfig;
-use parfem_krylov::{ConvergenceHistory, KrylovWorkspace};
+use parfem_krylov::{fgmres_on, ConvergenceHistory, KrylovWorkspace};
 use parfem_mesh::{DofMap, Edge, ElementPartition, NodePartition, QuadMesh};
 use parfem_msg::{run_ranks, Communicator, FaultPlan, FaultyComm, MachineModel};
 use parfem_precond::{GlsPrecond, IdentityPrecond};
@@ -93,19 +92,16 @@ fn edd_rank_body<C: Communicator>(
     variant: EddVariant,
     overlap: bool,
 ) -> (Vec<f64>, ConvergenceHistory) {
-    let mut layout = EddLayout::from_system(sys);
-    layout.set_overlap(overlap);
+    let layout = EddLayout::from_system(sys);
     let sc = DistributedScaling::build(comm, &layout, &sys.k_local);
     let mut b = sys.f_local.clone();
     let a = sc.apply(sys.k_local.clone(), &mut b, &layout);
+    let op = EddOperator::new(a, layout, comm, variant, overlap);
     let x0 = vec![0.0; b.len()];
     let ws = &mut KrylovWorkspace::new();
     let res = match gls {
-        Some(g) => edd_fgmres(comm, &layout, &a, g, &b, &x0, cfg, variant, ws),
-        None => {
-            let id = &IdentityPrecond;
-            edd_fgmres(comm, &layout, &a, id, &b, &x0, cfg, variant, ws)
-        }
+        Some(g) => fgmres_on(&op, g, &b, &x0, cfg, ws),
+        None => fgmres_on(&op, &IdentityPrecond, &b, &x0, cfg, ws),
     }
     .expect("recoverable golden run must solve");
     let mut u = res.x;
@@ -179,20 +175,22 @@ fn rdd_rank_body<C: Communicator>(
     gls: Option<&GlsPrecond>,
     ilu: bool,
     cfg: &GmresConfig,
+    overlap: bool,
 ) -> (Vec<f64>, ConvergenceHistory) {
+    let op = RddOperator::new(sys.clone(), comm, overlap);
     let x0 = vec![0.0; sys.n_local()];
     let (b, ws) = (&sys.b_loc, &mut KrylovWorkspace::new());
     let res = if let Some(g) = gls {
-        rdd_fgmres(comm, sys, g, b, &x0, cfg, ws)
+        fgmres_on(&op, g, b, &x0, cfg, ws)
     } else if ilu {
         // Block-Jacobi ILU(0): the `ilu0` spec on the rank's owned block.
         let a_loc = &sys.a_loc;
         let f = PrecondSpec::Ilu0
             .instantiate(None, Some(a_loc), || a_loc.diagonal())
             .expect("factorize");
-        rdd_fgmres(comm, sys, &f, b, &x0, cfg, ws)
+        fgmres_on(&op, &f, b, &x0, cfg, ws)
     } else {
-        rdd_fgmres(comm, sys, &IdentityPrecond, b, &x0, cfg, ws)
+        fgmres_on(&op, &IdentityPrecond, b, &x0, cfg, ws)
     }
     .expect("recoverable golden run must solve");
     (res.x, res.history)
@@ -217,10 +215,7 @@ fn rdd_digest_overlap(
     let (a, b, _sc) = scale_system(&sys.stiffness, &sys.rhs).unwrap();
     let n = mesh.n_nodes();
     let part = NodePartition::from_owner(p, (0..n).map(|i| (i * p) / n).collect());
-    let mut systems = RddSystem::build_all(&a, &b, &part);
-    for s in &mut systems {
-        s.overlap = overlap;
-    }
+    let systems = RddSystem::build_all(&a, &b, &part);
     let gls = match pre {
         RddPre::Gls(d) => Some(GlsPrecond::for_scaled_system(d)),
         _ => None,
@@ -231,9 +226,9 @@ fn rdd_digest_overlap(
         match &faults {
             Some(plan) => {
                 let faulty = FaultyComm::new(comm, plan.clone());
-                rdd_rank_body(&faulty, sys, gls.as_ref(), ilu, cfg)
+                rdd_rank_body(&faulty, sys, gls.as_ref(), ilu, cfg, overlap)
             }
-            None => rdd_rank_body(comm, sys, gls.as_ref(), ilu, cfg),
+            None => rdd_rank_body(comm, sys, gls.as_ref(), ilu, cfg, overlap),
         }
     });
     let mut xh = Fnv::new();
@@ -345,8 +340,8 @@ fn rdd_block_product_stays_within_the_reassociation_bound() {
             ..blocks.clone()
         };
         let xl = blocks.restrict(&x);
-        let y_blocks = RddOperator::new(blocks, comm).apply(&xl);
-        let y_csr = RddOperator::new(&scalar, comm).apply(&xl);
+        let y_blocks = RddOperator::new(blocks.clone(), comm, false).apply(&xl);
+        let y_csr = RddOperator::new(scalar, comm, false).apply(&xl);
         let mut differ = 0;
         for (r, (yb, yc)) in y_blocks.iter().zip(&y_csr).enumerate() {
             let row = a.row(blocks.rows[r]);

@@ -132,12 +132,15 @@ proptest! {
         let sys_ref = &systems;
         let out = run_ranks(parts, MachineModel::ibm_sp2(), move |comm| {
             let sys = &sys_ref[comm.rank()];
-            let mut layout = EddLayout::from_system(sys);
+            let layout = EddLayout::from_system(sys);
             let xl = sys.restrict(&x);
             let a = EddLocalMatrix::new(sys.k_local.clone(), &layout);
-            let y_blocking = EddOperator::new(&a, &layout, comm).apply(&xl);
-            layout.set_overlap(true);
-            let y_overlapped = EddOperator::new(&a, &layout, comm).apply(&xl);
+            let op = |overlap| {
+                let (a, layout) = (a.clone(), layout.clone());
+                EddOperator::new(a, layout, comm, EddVariant::Enhanced, overlap)
+            };
+            let y_blocking = op(false).apply(&xl);
+            let y_overlapped = op(true).apply(&xl);
             (y_blocking, y_overlapped)
         });
         for (blocking, overlapped) in out.results {
@@ -155,17 +158,14 @@ proptest! {
         let (a, b, _) = scale_system(&sys.stiffness, &sys.rhs).unwrap();
         let part = node_strips(&mesh, parts);
         let systems = RddSystem::build_all(&a, &b, &part);
-        let mut systems_ov = systems.clone();
-        for s in &mut systems_ov {
-            s.overlap = true;
-        }
         let n = a.n_rows();
         let x: Vec<f64> = (0..n).map(|i| ((i * 11 % 17) as f64) - 8.0).collect();
-        let (sys_ref, ov_ref) = (&systems, &systems_ov);
+        let sys_ref = &systems;
         let out = run_ranks(parts, MachineModel::ibm_sp2(), move |comm| {
-            let xl = sys_ref[comm.rank()].restrict(&x);
-            let y_blocking = RddOperator::new(&sys_ref[comm.rank()], comm).apply(&xl);
-            let y_overlapped = RddOperator::new(&ov_ref[comm.rank()], comm).apply(&xl);
+            let sys = &sys_ref[comm.rank()];
+            let xl = sys.restrict(&x);
+            let y_blocking = RddOperator::new(sys.clone(), comm, false).apply(&xl);
+            let y_overlapped = RddOperator::new(sys.clone(), comm, true).apply(&xl);
             (y_blocking, y_overlapped)
         });
         for (blocking, overlapped) in out.results {

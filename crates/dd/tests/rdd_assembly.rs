@@ -250,7 +250,6 @@ fn check(fx: &Fixture, part: &NodePartition, mass_shift: Option<f64>, what: &str
         assert_eq!(bits(&got.b_loc), bits(&want.b_loc), "{what}: b_loc");
         let want_d = want.restrict(scaling.diagonal());
         assert_eq!(bits(d), bits(&want_d), "{what}: d");
-        assert!(!got.overlap, "{what}");
     }
     want.iter().map(|s| s.send_to.len()).max().unwrap_or(0)
 }

@@ -182,20 +182,36 @@ impl ElementPartition {
             mesh.n_cells(),
             "partition does not match mesh"
         );
-        let p = self.n_parts;
-        // Which parts touch each node, sorted.
-        let mut node_parts: Vec<Vec<usize>> = vec![Vec::new(); mesh.n_cell_nodes()];
+        let (p, n_nodes) = (self.n_parts, mesh.n_cell_nodes());
+        // Which parts touch each node, as one CSR: the owners of the node's
+        // cells (a counting pass sizes each node's run), then each run
+        // sorted and its repeats dropped in place.
+        let mut ptr = vec![0; n_nodes + 1];
+        mesh.for_each_cell(|_, nodes| nodes.iter().for_each(|&n| ptr[n + 1] += 1));
+        for n in 0..n_nodes {
+            ptr[n + 1] += ptr[n];
+        }
+        let mut parts = vec![0; ptr[n_nodes]];
+        let mut next = ptr.clone();
         mesh.for_each_cell(|e, nodes| {
-            let o = self.owner[e];
             for &n in nodes {
-                if !node_parts[n].contains(&o) {
-                    node_parts[n].push(o);
-                }
+                parts[next[n]] = self.owner[e];
+                next[n] += 1;
             }
         });
-        for parts in &mut node_parts {
-            parts.sort_unstable();
+        let mut kept = 0;
+        for n in 0..n_nodes {
+            let (run, start) = (ptr[n]..ptr[n + 1], kept);
+            parts[run.clone()].sort_unstable();
+            for k in run {
+                if kept == start || parts[kept - 1] != parts[k] {
+                    parts[kept] = parts[k];
+                    kept += 1;
+                }
+            }
+            ptr[n] = start;
         }
+        ptr[n_nodes] = kept;
 
         let mut subs: Vec<Subdomain> = (0..p)
             .map(|rank| Subdomain {
@@ -206,29 +222,21 @@ impl ElementPartition {
                 neighbors: Vec::new(),
             })
             .collect();
-
         for (e, &o) in self.owner.iter().enumerate() {
             subs[o].elements.push(e);
         }
-
-        // Local node sets in ascending global order.
-        for (n, parts) in node_parts.iter().enumerate() {
-            for &s in parts {
+        // Local node sets in ascending global order; neighbour links are
+        // the nodes shared between pairs of parts, ascending global id
+        // (canonical on both sides).
+        for n in 0..n_nodes {
+            let shared = &parts[ptr[n]..ptr[n + 1]];
+            for &s in shared {
                 subs[s].nodes.push(n);
-                subs[s].multiplicity.push(parts.len());
+                subs[s].multiplicity.push(shared.len());
             }
-        }
-
-        // Neighbour links: nodes shared between pairs of parts, ascending
-        // global id (canonical on both sides).
-        for (n, parts) in node_parts.iter().enumerate() {
-            if parts.len() < 2 {
-                continue;
-            }
-            for (ai, &a) in parts.iter().enumerate() {
-                for &b in &parts[ai + 1..] {
-                    let local = |s: &Subdomain| s.local_node(n).expect("listed above");
-                    let (la, lb) = (local(&subs[a]), local(&subs[b]));
+            for (ai, &a) in shared.iter().enumerate() {
+                for &b in &shared[ai + 1..] {
+                    let (la, lb) = (subs[a].nodes.len() - 1, subs[b].nodes.len() - 1);
                     push_shared(&mut subs[a].neighbors, b, la);
                     push_shared(&mut subs[b].neighbors, a, lb);
                 }

@@ -1,19 +1,25 @@
 //! The communicator abstraction.
 //!
-//! Exactly the MPI subset the paper's algorithms use: paired point-to-point
-//! messages on the subdomain interface graph, a summing all-reduce for the
-//! Gram–Schmidt inner products, and a barrier. Implementations additionally
-//! account virtual time (see [`crate::model`]) so modeled parallel
-//! performance can be extracted from any run.
+//! Exactly the MPI subset the paper's algorithms use: a neighbour exchange
+//! round on the subdomain interface graph ([`Communicator::exchange_into`],
+//! or split around local work by [`Communicator::start_exchange`] /
+//! [`Communicator::finish_exchange`]), built on paired point-to-point
+//! messages; a summing all-reduce for the Gram–Schmidt inner products
+//! ([`Communicator::allreduce_sum_into`],
+//! [`Communicator::allreduce_sum_scalar`]); and a barrier. Every exchange
+//! and all-reduce works in caller-owned buffers. Implementations
+//! additionally account virtual time (see [`crate::model`]) so modeled
+//! parallel performance can be extracted from any run.
 //!
 //! # Failure model
 //!
 //! Every blocking operation has a fallible `try_*` form returning
 //! [`CommError`] — a timeout on a hung peer, an immediate error on a
 //! disconnected one, a typed give-up after a retransmission budget. The
-//! plain (infallible) forms remain for setup code and tests: on failure
-//! they **latch** the error on the endpoint (see [`Communicator::status`])
-//! and degrade to a harmless no-op instead of panicking. Errors are sticky:
+//! plain (infallible) forms — exchange, all-reduce, barrier — are what the
+//! solvers call: on failure they **latch** the error on the endpoint (see
+//! [`Communicator::status`]) and degrade to a harmless no-op instead of
+//! panicking. Errors are sticky:
 //! once latched, every subsequent fallible operation short-circuits with
 //! the same error, so a degraded rank pays its wall-clock watchdog once and
 //! then fails fast. Solver loops call `status()` at iteration boundaries to
@@ -77,7 +83,9 @@ pub trait Communicator {
         extra_delay_s: f64,
     ) -> Result<(), CommError>;
 
-    /// Fallible form of [`Communicator::send`].
+    /// Fallible send of `data` to rank `to` (asynchronous, unbounded
+    /// buffering — the classic MPI eager protocol, which makes paired
+    /// exchanges deadlock-free).
     ///
     /// # Errors
     /// See [`Communicator::try_send_delayed`].
@@ -88,21 +96,9 @@ pub trait Communicator {
         self.try_send_delayed(to, data, 0.0)
     }
 
-    /// Sends `data` to rank `to` (asynchronous, unbounded buffering — the
-    /// classic MPI eager protocol, which makes paired exchanges
-    /// deadlock-free). On communication failure the error is latched (see
-    /// [`Communicator::status`]) and the call is a no-op.
-    ///
-    /// # Panics
-    /// Panics if `to` is out of range or equal to this rank.
-    fn send(&self, to: usize, data: &[f64]) {
-        if let Err(e) = self.try_send(to, data) {
-            self.post_error(e);
-        }
-    }
-
-    /// Fallible form of [`Communicator::recv`]: blocks until the next
-    /// message from `from` arrives or the wall-clock watchdog expires.
+    /// Fallible receive: blocks until the next message from `from` arrives
+    /// or the wall-clock watchdog expires. Messages between a fixed pair of
+    /// ranks arrive in send order.
     ///
     /// # Errors
     /// [`CommError::Timeout`] after the watchdog,
@@ -112,26 +108,6 @@ pub trait Communicator {
     /// # Panics
     /// Panics if `from` is out of range or equal to this rank.
     fn try_recv(&self, from: usize) -> Result<Vec<f64>, CommError>;
-
-    /// Receives the next message from rank `from`, blocking.
-    ///
-    /// Messages between a fixed pair of ranks arrive in send order. On
-    /// communication failure (timeout, disconnected peer) the error is
-    /// latched (see [`Communicator::status`]) and an **empty** buffer is
-    /// returned, so downstream arithmetic degrades to a no-op until the
-    /// caller checks `status()`.
-    ///
-    /// # Panics
-    /// Panics if `from` is out of range or equal to this rank.
-    fn recv(&self, from: usize) -> Vec<f64> {
-        match self.try_recv(from) {
-            Ok(msg) => msg,
-            Err(e) => {
-                self.post_error(e);
-                Vec::new()
-            }
-        }
-    }
 
     /// Fallible form of [`Communicator::recv_into`].
     ///
@@ -148,11 +124,12 @@ pub trait Communicator {
         }
     }
 
-    /// [`Communicator::recv`] into a caller-owned buffer, so a persistent
-    /// buffer absorbs repeated receives without per-message allocation on
-    /// the receiving side (once its capacity has grown to the message
-    /// size). `buf` is cleared and refilled; its capacity is reused. On
-    /// communication failure the error is latched and `buf` stays empty.
+    /// Receives the next message from rank `from` into a caller-owned
+    /// buffer, so a persistent buffer absorbs repeated receives without
+    /// per-message allocation on the receiving side (once its capacity has
+    /// grown to the message size). `buf` is cleared and refilled; its
+    /// capacity is reused. On communication failure the error is latched
+    /// and `buf` stays empty.
     fn recv_into(&self, from: usize, buf: &mut Vec<f64>) {
         if let Err(e) = self.try_recv_into(from, buf) {
             self.post_error(e);
@@ -172,34 +149,11 @@ pub trait Communicator {
     /// Panics if ranks call with mismatched lengths.
     fn try_allreduce_sum_into(&self, buf: &mut [f64]) -> Result<(), CommError>;
 
-    /// Element-wise sum of `v` across all ranks; every rank receives the
-    /// same result. On communication failure the error is latched and `v`
-    /// is returned unchanged (the single-rank identity).
-    fn allreduce_sum(&self, v: &[f64]) -> Vec<f64> {
-        let mut out = v.to_vec();
-        if let Err(e) = self.try_allreduce_sum_into(&mut out) {
-            self.post_error(e);
-            out.copy_from_slice(v);
-        }
-        out
-    }
-
-    /// Fallible allocating all-reduce.
-    ///
-    /// # Errors
-    /// See [`Communicator::try_allreduce_sum_into`].
-    fn try_allreduce_sum(&self, v: &[f64]) -> Result<Vec<f64>, CommError> {
-        let mut out = v.to_vec();
-        self.try_allreduce_sum_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// In-place variant of [`Communicator::allreduce_sum`]: `buf` is
-    /// replaced by the element-wise sum over all ranks. Lets hot loops
-    /// (the batched Gram–Schmidt reduction) reuse one persistent buffer
-    /// instead of allocating a result vector per iteration. Counts as
-    /// exactly one all-reduce, like the allocating form. On failure the
-    /// error is latched and `buf` is left as it was.
+    /// In-place all-reduce: `buf` is replaced by the element-wise sum over
+    /// all ranks, every rank receiving the same bits. Hot loops (the
+    /// batched Gram–Schmidt reduction) reuse one persistent buffer. Counts
+    /// as exactly one all-reduce. On failure the error is latched and `buf`
+    /// is left as it was.
     fn allreduce_sum_into(&self, buf: &mut [f64]) {
         if let Err(e) = self.try_allreduce_sum_into(buf) {
             self.post_error(e);
@@ -293,31 +247,11 @@ pub trait Communicator {
         None
     }
 
-    /// Exchanges `data[k]` with `neighbors[k]` for all `k` and returns the
-    /// received buffers in the same order. This is the communication kernel
-    /// of the paper's interface sum: all sends are posted first, then all
-    /// receives, so the exchange cannot deadlock.
-    ///
-    /// # Panics
-    /// Panics if `neighbors` and `data` lengths differ.
-    fn exchange(&self, neighbors: &[usize], data: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        assert_eq!(
-            neighbors.len(),
-            data.len(),
-            "exchange: neighbour/data length mismatch"
-        );
-        self.count_neighbor_exchange();
-        self.note_exchange_batch(neighbors);
-        for (&nb, buf) in neighbors.iter().zip(data) {
-            self.send(nb, buf);
-        }
-        self.end_exchange_batch();
-        neighbors.iter().map(|&nb| self.recv(nb)).collect()
-    }
-
-    /// [`Communicator::exchange`] into caller-owned receive buffers (one
-    /// per neighbour, capacities reused across rounds). Counts as one
-    /// neighbour-exchange round, like the allocating form.
+    /// Exchanges `data[k]` with `neighbors[k]` for all `k`, receiving into
+    /// `out[k]` (one caller-owned buffer per neighbour, capacities reused
+    /// across rounds). This is the communication kernel of the paper's
+    /// interface sum: all sends are posted first, then all receives, so the
+    /// exchange cannot deadlock. Counts as one neighbour-exchange round.
     ///
     /// # Panics
     /// Panics if `neighbors`, `data` and `out` lengths differ.
@@ -442,53 +376,6 @@ pub trait Communicator {
             tracer.span_end("exchange-wait", self.virtual_time());
         }
     }
-
-    /// Broadcasts `data` from `root` to every rank; all ranks (including
-    /// the root) return the root's buffer. Flat fan-out over point-to-point
-    /// messages — fine for the setup-phase uses it serves here.
-    ///
-    /// # Panics
-    /// Panics if `root` is out of range.
-    fn broadcast(&self, root: usize, data: &[f64]) -> Vec<f64> {
-        assert!(root < self.size(), "broadcast: bad root {root}");
-        if self.size() == 1 {
-            return data.to_vec();
-        }
-        if self.rank() == root {
-            for r in 0..self.size() {
-                if r != root {
-                    self.send(r, data);
-                }
-            }
-            data.to_vec()
-        } else {
-            self.recv(root)
-        }
-    }
-
-    /// Gathers every rank's buffer at `root`. The root receives the buffers
-    /// in rank order (`Some(vec)` with `vec[r]` from rank `r`); other ranks
-    /// return `None`.
-    ///
-    /// # Panics
-    /// Panics if `root` is out of range.
-    fn gather(&self, root: usize, data: &[f64]) -> Option<Vec<Vec<f64>>> {
-        assert!(root < self.size(), "gather: bad root {root}");
-        if self.rank() == root {
-            let mut out = Vec::with_capacity(self.size());
-            for r in 0..self.size() {
-                if r == root {
-                    out.push(data.to_vec());
-                } else {
-                    out.push(self.recv(r));
-                }
-            }
-            Some(out)
-        } else {
-            self.send(root, data);
-            None
-        }
-    }
 }
 
 /// The one-rank communicator: the whole problem on rank 0 of 1. It has no
@@ -554,7 +441,7 @@ mod tests {
         comm.try_allreduce_sum_into(&mut buf).unwrap();
         assert_eq!(buf, [1.5, -2.0]);
         assert_eq!(comm.allreduce_sum_scalar(3.0), 3.0);
-        assert_eq!(comm.exchange(&[], &[]), Vec::<Vec<f64>>::new());
+        comm.exchange_into(&[], &[], &mut []);
         comm.barrier();
         comm.work(1_000);
         assert!(comm.status().is_ok());

@@ -5,7 +5,8 @@
 //!
 //! - [`comm`] — an MPI-shaped [`comm::Communicator`] trait
 //!   covering exactly the subset the paper's Algorithms 5/6/8 use:
-//!   point-to-point send/receive, summing all-reduce, and barrier — and
+//!   neighbour exchange rounds over paired point-to-point messages, a
+//!   summing all-reduce, and a barrier, all in caller-owned buffers — and
 //!   [`comm::SelfComm`], the one-rank communicator the sequential solve
 //!   runs on;
 //! - [`thread`] — [`thread::ThreadComm`], a real implementation

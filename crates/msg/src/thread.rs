@@ -1007,8 +1007,9 @@ mod tests {
         // Sum of distinctly scaled vectors: every rank gets the exact same
         // floating-point result because summation is rank-ordered.
         let out = run_ranks(3, MachineModel::ideal(), |c| {
-            let v = vec![0.1 * (c.rank() as f64 + 1.0); 5];
-            c.allreduce_sum(&v)
+            let mut v = vec![0.1 * (c.rank() as f64 + 1.0); 5];
+            c.allreduce_sum_into(&mut v);
+            v
         });
         let first = &out.results[0];
         for r in &out.results {
@@ -1025,8 +1026,8 @@ mod tests {
             let p = c.size();
             let next = (c.rank() + 1) % p;
             let prev = (c.rank() + p - 1) % p;
-            c.send(next, &[c.rank() as f64]);
-            let got = c.recv(prev);
+            c.try_send(next, &[c.rank() as f64]).unwrap();
+            let got = c.try_recv(prev).unwrap();
             got[0]
         });
         assert_eq!(out.results, vec![3.0, 0.0, 1.0, 2.0]);
@@ -1037,11 +1038,13 @@ mod tests {
         let out = run_ranks(2, MachineModel::ideal(), |c| {
             if c.rank() == 0 {
                 for k in 0..10 {
-                    c.send(1, &[k as f64]);
+                    c.try_send(1, &[k as f64]).unwrap();
                 }
                 Vec::new()
             } else {
-                (0..10).map(|_| c.recv(0)[0]).collect::<Vec<f64>>()
+                (0..10)
+                    .map(|_| c.try_recv(0).unwrap()[0])
+                    .collect::<Vec<f64>>()
             }
         });
         assert_eq!(
@@ -1055,7 +1058,8 @@ mod tests {
         let out = run_ranks(2, MachineModel::ideal(), |c| {
             let other = 1 - c.rank();
             let data = vec![vec![c.rank() as f64 * 10.0 + 1.0; 3]];
-            let got = c.exchange(&[other], &data);
+            let mut got = vec![Vec::new()];
+            c.exchange_into(&[other], &data, &mut got);
             got[0][0]
         });
         assert_eq!(out.results, vec![11.0, 1.0]);
@@ -1137,10 +1141,10 @@ mod tests {
         let model = MachineModel::flat("test", 0.5, f64::INFINITY, 1e9, 0.0);
         let out = run_ranks(2, model, |c| {
             if c.rank() == 0 {
-                c.send(1, &[1.0]);
+                c.try_send(1, &[1.0]).unwrap();
                 0.0
             } else {
-                c.recv(0);
+                c.try_recv(0).unwrap();
                 c.virtual_time()
             }
         });
@@ -1154,7 +1158,7 @@ mod tests {
                 c.try_send_delayed(1, &[1.0], 2.5).expect("send");
                 c.virtual_time()
             } else {
-                c.recv(0);
+                c.try_recv(0).unwrap();
                 c.virtual_time()
             }
         });
@@ -1179,8 +1183,8 @@ mod tests {
     fn stats_count_sends_and_reductions() {
         let out = run_ranks(2, MachineModel::ideal(), |c| {
             let other = 1 - c.rank();
-            c.send(other, &[1.0, 2.0]);
-            c.recv(other);
+            c.try_send(other, &[1.0, 2.0]).unwrap();
+            c.try_recv(other).unwrap();
             c.allreduce_sum_scalar(1.0);
         });
         for rep in &out.reports {
@@ -1200,65 +1204,13 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_distributes_roots_buffer() {
-        let out = run_ranks(4, MachineModel::ideal(), |c| {
-            let data = if c.rank() == 2 {
-                vec![7.0, 8.0]
-            } else {
-                vec![0.0, 0.0]
-            };
-            c.broadcast(2, &data)
-        });
-        for r in out.results {
-            assert_eq!(r, vec![7.0, 8.0]);
-        }
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let out = run_ranks(3, MachineModel::ideal(), |c| {
-            c.gather(0, &[c.rank() as f64 * 10.0])
-        });
-        let gathered = out.results[0].as_ref().expect("root gets the data");
-        assert_eq!(gathered, &vec![vec![0.0], vec![10.0], vec![20.0]]);
-        assert!(out.results[1].is_none());
-        assert!(out.results[2].is_none());
-    }
-
-    #[test]
-    fn gather_then_broadcast_round_trips() {
-        // allgather emulation: gather at 0, flatten, broadcast back.
-        let out = run_ranks(3, MachineModel::ideal(), |c| {
-            let gathered = c.gather(0, &[c.rank() as f64 + 1.0]);
-            let flat: Vec<f64> = gathered
-                .map(|g| g.into_iter().flatten().collect())
-                .unwrap_or_default();
-            c.broadcast(0, &flat)
-        });
-        for r in out.results {
-            assert_eq!(r, vec![1.0, 2.0, 3.0]);
-        }
-    }
-
-    #[test]
-    fn broadcast_costs_latency_on_receivers() {
-        let model = MachineModel::flat("test", 1.0, f64::INFINITY, 1e9, 0.0);
-        let out = run_ranks(2, model, |c| {
-            let _ = c.broadcast(0, &[1.0]);
-            c.virtual_time()
-        });
-        assert_eq!(out.results[0], 0.0, "sender pays nothing (eager send)");
-        assert!((out.results[1] - 1.0).abs() < 1e-12, "receiver pays alpha");
-    }
-
-    #[test]
     #[should_panic(expected = "rank panicked")]
     fn self_send_panics_the_run() {
         // The offending rank panics with "bad peer"; run_ranks surfaces the
         // failure when joining.
         run_ranks(2, MachineModel::ideal(), |c| {
             if c.rank() == 0 {
-                c.send(0, &[1.0]);
+                let _ = c.try_send(0, &[1.0]);
             } else {
                 // Keep rank 1 from waiting on the dead rank.
             }
@@ -1405,9 +1357,11 @@ mod tests {
                 }
                 // Infallible recv from a dead peer: empty buffer, latched
                 // error, and subsequent allreduce degrades to identity.
-                let got = c.recv(0);
-                let sum = c.allreduce_sum(&[41.0]);
-                (got.is_empty() && sum == vec![41.0], c.status().is_err())
+                let mut got = vec![1.0];
+                c.recv_into(0, &mut got);
+                let mut sum = [41.0];
+                c.allreduce_sum_into(&mut sum);
+                (got.is_empty() && sum == [41.0], c.status().is_err())
             },
         );
         let (degraded, latched) = out.results[1].as_ref().expect("no panic");
@@ -1446,12 +1400,12 @@ mod tests {
                 if c.rank() == 0 {
                     c.note_exchange_batch(&[1, 2, 3]);
                     for to in 1..4 {
-                        c.send(to, &[1.0]);
+                        c.try_send(to, &[1.0]).unwrap();
                     }
                     c.end_exchange_batch();
                     c.stats().contended_sends as f64
                 } else {
-                    c.recv(0);
+                    c.try_recv(0).unwrap();
                     c.virtual_time()
                 }
             })
@@ -1467,7 +1421,7 @@ mod tests {
         assert_eq!(out.results, again.results);
     }
 
-    /// The default `exchange` wires the batch hooks itself: an all-to-all
+    /// The default `exchange_into` wires the batch hooks itself: an all-to-all
     /// on the two-level machine counts its cross-node sends as contended.
     #[test]
     fn exchange_on_hierarchical_topology_counts_contended_sends() {
@@ -1485,7 +1439,7 @@ mod tests {
         let out = run_ranks(4, model, |c| {
             let neighbors: Vec<usize> = (0..4).filter(|&r| r != c.rank()).collect();
             let data: Vec<Vec<f64>> = neighbors.iter().map(|_| vec![1.0; 4]).collect();
-            let _ = c.exchange(&neighbors, &data);
+            c.exchange_into(&neighbors, &data, &mut vec![Vec::new(); 3]);
             c.stats()
         });
         for st in &out.results {
@@ -1496,7 +1450,7 @@ mod tests {
         let flat = run_ranks(4, MachineModel::ideal(), |c| {
             let neighbors: Vec<usize> = (0..4).filter(|&r| r != c.rank()).collect();
             let data: Vec<Vec<f64>> = neighbors.iter().map(|_| vec![1.0; 4]).collect();
-            let _ = c.exchange(&neighbors, &data);
+            c.exchange_into(&neighbors, &data, &mut vec![Vec::new(); 3]);
             c.stats().contended_sends
         });
         assert!(flat.results.iter().all(|&n| n == 0));
@@ -1512,12 +1466,13 @@ mod tests {
             let next = (c.rank() + 1) % c.size();
             let prev = (c.rank() + c.size() - 1) % c.size();
             c.work(1_000_000);
-            let _ = c.exchange(
+            c.exchange_into(
                 &[next, prev],
                 &[vec![c.rank() as f64; 4], vec![c.rank() as f64; 2]],
+                &mut [Vec::new(), Vec::new()],
             );
-            c.send(prev, &[1.0, 2.0]);
-            let _ = c.recv(next);
+            c.try_send(prev, &[1.0, 2.0]).unwrap();
+            c.try_recv(next).unwrap();
             c.allreduce_sum_scalar(1.0);
             c.barrier();
         });
@@ -1549,7 +1504,7 @@ mod tests {
         let out = run_ranks(2, MachineModel::ideal(), |c| {
             if c.rank() == 0 {
                 for k in 0..100 {
-                    c.send(1, &payload(k));
+                    c.try_send(1, &payload(k)).unwrap();
                 }
                 c.barrier();
                 true
@@ -1584,7 +1539,7 @@ mod tests {
             |c| {
                 if c.rank() == 0 {
                     for k in 0..3 {
-                        c.send(1, &[k as f64]);
+                        c.try_send(1, &[k as f64]).unwrap();
                     }
                     return (Vec::new(), Ok(()));
                 }
@@ -1698,7 +1653,7 @@ mod tests {
             let mut buf = Vec::new();
             let mut acc = 0.0;
             for round in 0..1000 {
-                c.send(next, &[(round + prev) as f64]);
+                c.try_send(next, &[(round + prev) as f64]).unwrap();
                 c.recv_into(prev, &mut buf);
                 acc += c.allreduce_sum_scalar(buf[0] - round as f64);
             }

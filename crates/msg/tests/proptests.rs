@@ -1,4 +1,5 @@
-//! Property-based tests for the message-passing substrate.
+//! Property-based tests for the message-passing substrate, on the
+//! operations the solvers call: `exchange_into` and `allreduce_sum_into`.
 
 use parfem_msg::{run_ranks, Communicator, MachineModel};
 use proptest::prelude::*;
@@ -21,7 +22,9 @@ proptest! {
         }
         let d = std::sync::Arc::clone(&data);
         let out = run_ranks(p, MachineModel::ideal(), move |c| {
-            c.allreduce_sum(&d[c.rank()])
+            let mut buf = d[c.rank()].clone();
+            c.allreduce_sum_into(&mut buf);
+            buf
         });
         for r in out.results {
             prop_assert_eq!(&r, &expect);
@@ -36,15 +39,22 @@ proptest! {
         let out = run_ranks(p, MachineModel::ideal(), move |c| {
             let next = (c.rank() + 1) % c.size();
             let prev = (c.rank() + c.size() - 1) % c.size();
-            // Everyone sends its rank-scaled payload around the ring.
+            // Everyone swaps its rank-shifted payload with both ring
+            // neighbours (one neighbour at P = 2).
+            let mut ring = vec![prev, next];
+            ring.sort_unstable();
+            ring.dedup();
             let mine: Vec<f64> = pl.iter().map(|x| x + c.rank() as f64).collect();
-            c.send(next, &mine);
-            c.recv(prev)
+            let mut got = vec![Vec::new(); ring.len()];
+            c.exchange_into(&ring, &vec![mine; ring.len()], &mut got);
+            (ring, got)
         });
-        for (r, got) in out.results.iter().enumerate() {
-            let prev = (r + p - 1) % p;
-            for (g, x) in got.iter().zip(payload.iter()) {
-                prop_assert_eq!(*g, x + prev as f64);
+        for (ring, got) in &out.results {
+            for (&q, theirs) in ring.iter().zip(got) {
+                prop_assert_eq!(theirs.len(), payload.len());
+                for (g, x) in theirs.iter().zip(payload.iter()) {
+                    prop_assert_eq!(*g, x + q as f64);
+                }
             }
         }
     }
@@ -74,8 +84,9 @@ proptest! {
                 return true; // odd rank count: last rank sits out
             }
             let mine: Vec<f64> = pl.iter().map(|x| x * (c.rank() as f64 + 1.0)).collect();
-            let theirs = c.exchange(&[partner], std::slice::from_ref(&mine));
-            let back = c.exchange(&[partner], &[theirs[0].clone()]);
+            let (mut theirs, mut back) = (vec![Vec::new()], vec![Vec::new()]);
+            c.exchange_into(&[partner], std::slice::from_ref(&mine), &mut theirs);
+            c.exchange_into(&[partner], &theirs, &mut back);
             back[0] == mine
         });
         prop_assert!(out.results.iter().all(|&ok| ok));
