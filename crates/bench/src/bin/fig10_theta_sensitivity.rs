@@ -7,7 +7,6 @@
 
 use parfem::prelude::*;
 use parfem_bench::harness::{banner, Table};
-use parfem_sparse::gershgorin;
 
 fn main() {
     banner("Figure 10: EDD-GMRES-gls(10) convergence vs spectrum estimate");
@@ -21,8 +20,7 @@ fn main() {
     // Measure the actual spectrum of the scaled operator for context.
     let sys = p.static_system();
     let (a, _, _) = parfem::sparse::scaling::scale_system(&sys.stiffness, &sys.rhs).unwrap();
-    let lmax = gershgorin::power_iteration_lambda_max(&a, 50_000, 1e-12);
-    let lmin = gershgorin::power_iteration_lambda_min(&a, 50_000, 1e-12).max(1e-12);
+    let (lmin, lmax) = parfem::krylov::measure_spectrum(&a);
     println!("measured spectrum of the scaled operator: [{lmin:.3e}, {lmax:.6}]");
 
     let thetas: Vec<(String, IntervalUnion)> = vec![

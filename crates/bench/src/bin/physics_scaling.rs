@@ -175,7 +175,7 @@ fn run_series(
             _ => unreachable!("SPEC is a twolevel spec"),
         };
         let basis = build_coarse_basis(&coarse_spec, &parts, &mult, &d, &scaled, DEFAULT_PIVOT_TOL);
-        let n_modes = basis.n_modes();
+        let n_modes = basis.info.n_modes;
         let cfg = GmresConfig {
             restart: 100,
             max_iters: ITER_CAP,
@@ -185,7 +185,9 @@ fn run_series(
         let x0 = vec![0.0; b.len()];
         let spec = PrecondSpec::parse(SPEC).expect("bench spec parses");
         let pc = spec
-            .instantiate(Some(basis.solver()), Some(&scaled), || scaled.diagonal())
+            .instantiate(Some(basis.solver(None)), Some(&scaled), || {
+                scaled.diagonal()
+            })
             .expect("polynomial smoother");
         let res = fgmres(&scaled, &pc, &b, &x0, &cfg);
         assert!(

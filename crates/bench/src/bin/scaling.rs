@@ -371,11 +371,11 @@ fn run_twolevel_series(
             _ => unreachable!("TWOLEVEL_SPEC is a twolevel spec"),
         };
         let basis = build_coarse_basis(&coarse_spec, &parts, &mult, &d, &scaled, DEFAULT_PIVOT_TOL);
-        let n_modes = basis.n_modes();
+        let n_modes = basis.info.n_modes;
         let (iters_two, conv_two) = solve_iters(
             &scaled,
             &b,
-            Some(basis.solver()),
+            Some(basis.solver(None)),
             TWOLEVEL_SPEC,
             onelevel_cap,
         );

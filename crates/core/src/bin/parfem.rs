@@ -14,10 +14,11 @@
 //!
 //! Argument parsing is deliberately dependency-free.
 
+use parfem::krylov::lanczos::{measure_spectrum, MEASURE_STEPS};
 use parfem::mesh::Cells;
 use parfem::perfgate;
 use parfem::prelude::*;
-use parfem::sparse::{gershgorin, io as mmio, scaling::scale_system};
+use parfem::sparse::{io as mmio, scaling::scale_system};
 use parfem::trace::{
     export_chrome_trace, jsonl, render_comm_table, render_convergence, render_critical_path,
     render_phase_table, render_timeline, CritPath, TraceEvent,
@@ -312,12 +313,12 @@ fn cmd_spectrum(args: &Args) -> ExitCode {
     };
     let sys = problem.static_system();
     let (a, _, _) = scale_system(&sys.stiffness, &sys.rhs).expect("square system");
-    let lmax = gershgorin::power_iteration_lambda_max(&a, 50_000, 1e-12);
-    let lmin = gershgorin::power_iteration_lambda_min(&a, 50_000, 1e-12);
-    let (glo, ghi) = gershgorin::gershgorin_interval(&a);
+    let (lmin, lmax) = measure_spectrum(&a);
     println!("scaled operator ({} equations):", problem.n_eqn());
-    println!("  power iteration: lambda in [{lmin:.4e}, {lmax:.6}]");
-    println!("  gershgorin:      lambda in [{glo:.4}, {ghi:.4}]");
+    println!(
+        "  lanczos ({} steps): lambda in [{lmin:.4e}, {lmax:.6}]",
+        a.n_rows().min(MEASURE_STEPS)
+    );
     println!(
         "  condition estimate kappa ~ {:.3e}",
         lmax / lmin.max(1e-300)

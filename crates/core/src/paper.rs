@@ -12,7 +12,7 @@
 //! | Paper | Code |
 //! |---|---|
 //! | Eq. 1 `K u = f`, FEM assembly | [`parfem_fem::assembly`] over one [`parfem_fem::Discretization`] (mesh × physics) |
-//! | Theorem 1 (Gershgorin row-sum bound) | [`parfem_sparse::gershgorin`] |
+//! | Theorem 1 (Gershgorin row-sum bound), `σ(DKD) ⊂ (0, 1]` | [`parfem_sparse::scaling`]; the measured spectrum of Fig. 10 is [`parfem_krylov::measure_spectrum`] |
 //! | Eqs. 9–12, norm-1 diagonal scaling | [`parfem_sparse::scaling`] |
 //! | Sec. 2.1.2, Neumann series `P_m = ω Σ Gᵏ` | [`parfem_precond::NeumannPrecond`] |
 //! | Sec. 2.1.3, GLS polynomial on interval unions (Eqs. 18–22) | [`parfem_precond::GlsPrecond`] |

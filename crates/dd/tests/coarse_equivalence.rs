@@ -30,7 +30,7 @@ use parfem_mesh::{
 };
 use parfem_msg::{run_ranks, Communicator, MachineModel};
 use parfem_precond::twolevel::BuiltCoarse;
-use parfem_precond::{build_coarse_basis, CoarseBasis, CoarseSpec};
+use parfem_precond::{build_coarse_basis, CoarseSpec};
 use parfem_sparse::ldlt::DEFAULT_PIVOT_TOL;
 use parfem_sparse::scaling::scale_system;
 use proptest::prelude::*;
@@ -69,7 +69,7 @@ fn edd_case(
     part: &ElementPartition,
     spec: &CoarseSpec,
     overlap: bool,
-) -> (Vec<RankView>, CoarseBasis) {
+) -> (Vec<RankView>, BuiltCoarse) {
     let mat = Material::unit();
     let loads = vec![0.0; dm.n_dofs()];
     let subs: Vec<Subdomain> = part.subdomains_of(mesh);
@@ -125,7 +125,7 @@ fn rdd_case(
     node_part: &NodePartition,
     spec: &CoarseSpec,
     overlap: bool,
-) -> (Vec<RankView>, CoarseBasis) {
+) -> (Vec<RankView>, BuiltCoarse) {
     let mat = Material::unit();
     let loads = vec![0.0; dm.n_dofs()];
     let assembled = assembly::build_static(mesh, dm, &mat, &loads);
@@ -154,8 +154,8 @@ fn rdd_case(
 /// The agreement contract of the module docs. The bit-identity demand on
 /// ranks holding the same dof bites under EDD; under RDD every dof has one
 /// holder, so it is vacuous there.
-fn check(views: &[RankView], reference: &CoarseBasis, n_dofs: usize, what: &str) {
-    let n_c = reference.n_modes();
+fn check(views: &[RankView], reference: &BuiltCoarse, n_dofs: usize, what: &str) {
+    let n_c = reference.info.n_modes;
     let a_ref = reference.a_c.to_dense();
     let a_max = a_ref.iter().fold(0.0f64, |m, v| m.max(v.abs()));
     let skipped_ref = reference.factor.skipped_modes();
@@ -181,14 +181,14 @@ fn check(views: &[RankView], reference: &CoarseBasis, n_dofs: usize, what: &str)
     }
 
     // Prolongation values, mode by mode, as dense global columns.
-    let z_max = reference
-        .modes
-        .iter()
-        .flatten()
-        .fold(0.0f64, |m, &(_, v)| m.max(v.abs()));
-    for m in 0..n_c {
+    let mut ref_modes = vec![Vec::new(); n_c];
+    for (m, col) in reference.modes.entries_by_mode() {
+        ref_modes[m] = col;
+    }
+    let z_max = (ref_modes.iter().flatten()).fold(0.0f64, |m, &(_, v)| m.max(v.abs()));
+    for (m, col) in ref_modes.iter().enumerate() {
         let mut want = vec![0.0; n_dofs];
-        for &(g, v) in &reference.modes[m] {
+        for &(g, v) in col {
             want[g] = v;
         }
         // First holder's value per dof, for the bit-identity check.

@@ -51,8 +51,6 @@ impl NewmarkParams {
 pub struct NewmarkIntegrator {
     k: CsrMatrix,
     m: CsrMatrix,
-    /// Optional (Rayleigh) damping matrix `C`.
-    c: Option<CsrMatrix>,
     k_eff: CsrMatrix,
     params: NewmarkParams,
     /// Constrained DOFs `(index, prescribed value)`; enforced each step.
@@ -86,33 +84,6 @@ impl NewmarkIntegrator {
         u0: Vec<f64>,
         v0: Vec<f64>,
         f0: &[f64],
-        solve: F,
-    ) -> Self
-    where
-        F: FnMut(&CsrMatrix, &[f64]) -> Vec<f64>,
-    {
-        Self::with_damping(k, m, None, params, fixed, u0, v0, f0, solve)
-    }
-
-    /// Creates an integrator with a damping matrix `C` (e.g. Rayleigh
-    /// damping from [`rayleigh_damping`]): `M ü + C u̇ + K u = f`.
-    ///
-    /// The effective stiffness becomes
-    /// `K̄ = K + (γ/(βΔt)) C + (1/(βΔt²)) M`, and the initial acceleration
-    /// solves `M a₀ = f₀ − K u₀ − C v₀`.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatches.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_damping<F>(
-        k: CsrMatrix,
-        m: CsrMatrix,
-        c: Option<CsrMatrix>,
-        params: NewmarkParams,
-        fixed: Vec<(usize, f64)>,
-        u0: Vec<f64>,
-        v0: Vec<f64>,
-        f0: &[f64],
         mut solve: F,
     ) -> Self
     where
@@ -124,27 +95,13 @@ impl NewmarkIntegrator {
         assert_eq!(v0.len(), n, "v0 length mismatch");
         assert_eq!(f0.len(), n, "f0 length mismatch");
         let (alpha, _) = params.effective_coefficients();
-        let mut k_eff = k.clone();
-        k_eff = k_eff
+        let k_eff = k
             .add_scaled(alpha, &m)
             .expect("mass and stiffness share the shape");
-        if let Some(cm) = &c {
-            assert_eq!(cm.n_rows(), n, "damping dimension mismatch");
-            let gamma_over_beta_dt = params.gamma / (params.beta * params.dt);
-            k_eff = k_eff
-                .add_scaled(gamma_over_beta_dt, cm)
-                .expect("damping shares the shape");
-        }
 
-        // M a0 = f0 - K u0 - C v0 with identity rows at constrained DOFs.
+        // M a0 = f0 - K u0 with identity rows at constrained DOFs.
         let ku = k.spmv(&u0);
         let mut rhs: Vec<f64> = f0.iter().zip(&ku).map(|(f, k)| f - k).collect();
-        if let Some(cm) = &c {
-            let cv = cm.spmv(&v0);
-            for (ri, cvi) in rhs.iter_mut().zip(&cv) {
-                *ri -= cvi;
-            }
-        }
         let mut m_reg = m.clone();
         let ident_fix: Vec<f64> = {
             let mut d = vec![0.0; n];
@@ -162,7 +119,6 @@ impl NewmarkIntegrator {
         NewmarkIntegrator {
             k,
             m,
-            c,
             k_eff,
             params,
             fixed,
@@ -173,8 +129,7 @@ impl NewmarkIntegrator {
         }
     }
 
-    /// The effective stiffness `K̄ = ᾱM + K` (plus `(γ/βΔt)C` when
-    /// damped) solved at every step.
+    /// The effective stiffness `K̄ = ᾱM + K` solved at every step.
     pub fn effective_stiffness(&self) -> &CsrMatrix {
         &self.k_eff
     }
@@ -195,19 +150,6 @@ impl NewmarkIntegrator {
         }
         let mu = self.m.spmv(&u_star);
         let mut rhs: Vec<f64> = f_next.iter().zip(&mu).map(|(f, m)| f + alpha * m).collect();
-        if let Some(cm) = &self.c {
-            // + C (gamma/(beta dt) u* - v*), v* = v + dt (1-gamma) a.
-            let gobd = p.gamma / (p.beta * dt);
-            let mut w = vec![0.0; n];
-            for i in 0..n {
-                let v_star = self.v[i] + dt * (1.0 - p.gamma) * self.a[i];
-                w[i] = gobd * u_star[i] - v_star;
-            }
-            let cw = cm.spmv(&w);
-            for (ri, cwi) in rhs.iter_mut().zip(&cw) {
-                *ri += cwi;
-            }
-        }
         for &(i, val) in &self.fixed {
             rhs[i] = val; // K̄ has a unit row there (K identity, M zero)
         }
@@ -275,19 +217,6 @@ impl NewmarkIntegrator {
         0.5 * parfem_sparse::dense::dot(&self.v, &mv)
             + 0.5 * parfem_sparse::dense::dot(&self.u, &ku)
     }
-}
-
-/// The Rayleigh damping matrix `C = a_m M + a_k K`.
-///
-/// # Panics
-/// Panics when the matrices have different shapes.
-pub fn rayleigh_damping(m: &CsrMatrix, k: &CsrMatrix, a_m: f64, a_k: f64) -> CsrMatrix {
-    let mut c = m.clone();
-    for v in c.values_mut() {
-        *v *= a_m;
-    }
-    c.add_scaled(a_k, k)
-        .expect("mass and stiffness share the shape")
 }
 
 #[cfg(test)]
@@ -453,114 +382,5 @@ mod tests {
     #[should_panic(expected = "time step must be positive")]
     fn zero_dt_rejected() {
         NewmarkParams::average_acceleration(0.0);
-    }
-
-    /// Damped SDOF oscillator: m=1, k=4, c=0.4 => zeta = c/(2 sqrt(km)) = 0.1.
-    /// The displacement envelope decays as exp(-zeta w t).
-    #[test]
-    fn damped_oscillator_decays_at_analytic_rate() {
-        let k = CsrMatrix::from_diagonal(&[4.0]);
-        let m = CsrMatrix::from_diagonal(&[1.0]);
-        let c = CsrMatrix::from_diagonal(&[0.4]);
-        let dt = 0.01;
-        let mut integ = NewmarkIntegrator::with_damping(
-            k,
-            m,
-            Some(c),
-            NewmarkParams::average_acceleration(dt),
-            vec![],
-            vec![1.0],
-            vec![0.0],
-            &[0.0],
-            dense_solver,
-        );
-        // Integrate ~3 periods (T = 2 pi / (w sqrt(1-zeta^2)) ~ 3.16 s).
-        let steps = 950;
-        let mut peak_after_two_periods = 0.0_f64;
-        for s in 0..steps {
-            integ.step(&[0.0], dense_solver);
-            if s > 600 {
-                peak_after_two_periods = peak_after_two_periods.max(integ.displacement()[0].abs());
-            }
-        }
-        let t_check: f64 = 6.0;
-        let envelope = (-0.1_f64 * 2.0 * t_check).exp(); // zeta * w = 0.2
-        assert!(
-            peak_after_two_periods < 1.3 * envelope && peak_after_two_periods > 0.4 * envelope,
-            "peak {peak_after_two_periods} vs envelope {envelope}"
-        );
-    }
-
-    #[test]
-    fn damping_strictly_dissipates_energy() {
-        let k = CsrMatrix::from_dense(2, 2, &[3.0, -1.0, -1.0, 3.0]);
-        let m = CsrMatrix::from_diagonal(&[1.0, 1.0]);
-        let c = rayleigh_damping(&m, &k, 0.05, 0.01);
-        let mut integ = NewmarkIntegrator::with_damping(
-            k,
-            m,
-            Some(c),
-            NewmarkParams::average_acceleration(0.05),
-            vec![],
-            vec![1.0, 0.0],
-            vec![0.0, 0.5],
-            &[0.0, 0.0],
-            dense_solver,
-        );
-        let e0 = integ.energy();
-        let mut prev = e0;
-        for _ in 0..200 {
-            integ.step(&[0.0, 0.0], dense_solver);
-            let e = integ.energy();
-            assert!(
-                e <= prev + 1e-10 * e0,
-                "energy must not grow: {prev} -> {e}"
-            );
-            prev = e;
-        }
-        assert!(prev < 0.7 * e0, "expected visible decay: {e0} -> {prev}");
-    }
-
-    #[test]
-    fn zero_damping_matches_undamped_integrator() {
-        let k = CsrMatrix::from_diagonal(&[2.0]);
-        let m = CsrMatrix::from_diagonal(&[1.0]);
-        let zero_c = CsrMatrix::from_diagonal(&[0.0]);
-        let p = NewmarkParams::average_acceleration(0.02);
-        let mut a = NewmarkIntegrator::new(
-            k.clone(),
-            m.clone(),
-            p,
-            vec![],
-            vec![1.0],
-            vec![0.0],
-            &[0.0],
-            dense_solver,
-        );
-        let mut b = NewmarkIntegrator::with_damping(
-            k,
-            m,
-            Some(zero_c),
-            p,
-            vec![],
-            vec![1.0],
-            vec![0.0],
-            &[0.0],
-            dense_solver,
-        );
-        for _ in 0..100 {
-            a.step(&[0.0], dense_solver);
-            b.step(&[0.0], dense_solver);
-        }
-        assert!((a.displacement()[0] - b.displacement()[0]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rayleigh_matrix_combines_mass_and_stiffness() {
-        let m = CsrMatrix::from_diagonal(&[2.0, 2.0]);
-        let k = CsrMatrix::from_dense(2, 2, &[4.0, -1.0, -1.0, 4.0]);
-        let c = rayleigh_damping(&m, &k, 0.5, 0.25);
-        assert!((c.get(0, 0) - (0.5 * 2.0 + 0.25 * 4.0)).abs() < 1e-14);
-        assert!((c.get(0, 1) - -0.25).abs() < 1e-14);
     }
 }

@@ -31,5 +31,5 @@ pub use gmres::{
     fgmres, fgmres_on, DistributedOperator, GmresConfig, GmresResult, OneRank, Orthogonalization,
 };
 pub use history::{ConvergenceHistory, StopReason};
-pub use lanczos::estimate_spectrum;
+pub use lanczos::{estimate_spectrum, measure_spectrum};
 pub use workspace::KrylovWorkspace;

@@ -75,7 +75,7 @@ fn iterations(scaled: &CsrMatrix, b: &[f64], d: &[f64], p: usize, spec_str: &str
         };
         let parts = strip_parts(scaled.n_rows() / GRID_NY, GRID_NY, p);
         let ones = vec![1.0; scaled.n_rows()];
-        build_coarse_basis(&coarse_spec, &parts, &ones, d, scaled, DEFAULT_PIVOT_TOL).solver()
+        build_coarse_basis(&coarse_spec, &parts, &ones, d, scaled, DEFAULT_PIVOT_TOL).solver(None)
     });
     let pc = spec
         .instantiate(coarse, Some(scaled), || scaled.diagonal())

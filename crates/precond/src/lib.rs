@@ -62,8 +62,8 @@ pub use jacobi::JacobiPrecond;
 pub use neumann::NeumannPrecond;
 pub use registry::{BuiltPrecond, ParseSpecError, PrecondSpec};
 pub use twolevel::{
-    build_coarse_basis, CoarseBasis, CoarsePartGeometry, CoarseReduce, CoarseSolver, CoarseSpec,
-    Composition, SpecPrecond, TwoLevelPrecond,
+    build_coarse_basis, CoarsePartGeometry, CoarseReduce, CoarseSolver, CoarseSpec, Composition,
+    SpecPrecond, TwoLevelPrecond,
 };
 
 use parfem_sparse::LinearOperator;

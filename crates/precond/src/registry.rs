@@ -706,7 +706,7 @@ mod tests {
             let basis = build_coarse_basis(coarse, &parts, &mult, &d, &a, 1e-12);
             let local = spec.needs_local_matrix().then_some(&a);
             let pc = spec
-                .instantiate(Some(basis.solver()), local, || a.diagonal())
+                .instantiate(Some(basis.solver(None)), local, || a.diagonal())
                 .unwrap();
             let z = Preconditioner::<CsrMatrix>::apply(&pc, &a, &[1.0, 2.0, 3.0, 4.0]);
             assert_eq!(z.len(), 4);
@@ -737,7 +737,7 @@ mod tests {
         };
         let basis = build_coarse_basis(coarse, &parts, &mult, &d, &a, 1e-12);
         let pc = spec
-            .instantiate(Some(basis.solver()), Some(&a), || a.diagonal())
+            .instantiate(Some(basis.solver(None)), Some(&a), || a.diagonal())
             .unwrap();
         let z = Preconditioner::<CsrMatrix>::apply(&pc, &a, &[1.0, 2.0, 3.0, 4.0]);
         assert!(z.iter().all(|v| v.is_finite()));

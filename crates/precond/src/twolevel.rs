@@ -700,47 +700,6 @@ impl BuiltCoarse {
     }
 }
 
-/// A built global coarse basis: the scaled-space modes `Ẑ` and the factored
-/// Galerkin operator `A_c = Ẑᵀ A Ẑ`.
-#[derive(Debug, Clone)]
-pub struct CoarseBasis {
-    /// Mode `m`'s sparse column: sorted `(global dof, Ẑ[dof, m])` pairs.
-    /// Mode numbering is `part · modes_per_part + k`, with empty columns
-    /// kept (the factorization pivots them out) so numbering never
-    /// depends on which parts happen to be constrained away.
-    pub modes: Vec<Vec<(usize, f64)>>,
-    /// The Galerkin coarse operator `Ẑᵀ A Ẑ`, symmetric bit for bit.
-    pub a_c: CsrMatrix,
-    /// Its factorization, shared by every [`CoarseSolver`] built from this
-    /// basis.
-    pub factor: Arc<SparseLdlt>,
-}
-
-impl CoarseBasis {
-    /// Number of coarse modes (including pivoted-out empty ones).
-    pub fn n_modes(&self) -> usize {
-        self.modes.len()
-    }
-
-    /// Builds the sequential [`CoarseSolver`] over the global dof space:
-    /// every mode a list, restriction and prolongation the exact transpose
-    /// pair `R = Ẑᵀ` over them.
-    pub fn solver(&self) -> CoarseSolver {
-        let modes = (self.modes.iter().enumerate())
-            .map(|(id, col)| LiveMode {
-                id,
-                z: col.clone(),
-                ..LiveMode::default()
-            })
-            .collect();
-        let set = ModeSet {
-            modes,
-            panel: ModePanel::default(),
-        };
-        CoarseSolver::new(self.n_modes(), set, None, Arc::clone(&self.factor))
-    }
-}
-
 /// Builds the global coarse basis and its factored Galerkin operator with
 /// all parts in one address space — [`build_coarse`] over the assembled
 /// operator, whose exchange hooks are no-ops.
@@ -748,7 +707,10 @@ impl CoarseBasis {
 /// Inputs: per-part geometry, the global dof multiplicity `mult` (how many
 /// parts share each dof — the partition-of-unity denominator; `1.0`
 /// everywhere for disjoint row partitions), the scaling diagonal `d` of
-/// `A = D K D`, and the scaled assembled operator `a_scaled` itself.
+/// `A = D K D`, and the scaled assembled operator `a_scaled` itself. Every
+/// built mode is a sorted list over the global dofs, so
+/// [`BuiltCoarse::solver`]`(None)` restricts and prolongs with the exact
+/// transpose pair `R = Ẑᵀ`.
 ///
 /// # Panics
 /// Panics when a part's geometry vectors disagree in length or a dof index
@@ -760,14 +722,14 @@ pub fn build_coarse_basis(
     d: &[f64],
     a_scaled: &CsrMatrix,
     pivot_tol: f64,
-) -> CoarseBasis {
+) -> BuiltCoarse {
     let n_comp = parts
         .iter()
         .flat_map(|p| p.comp.iter().copied())
         .max()
         .map_or(1, |c| c + 1);
     let held: Vec<(usize, &CoarsePartGeometry)> = parts.iter().enumerate().collect();
-    let built = build_coarse(
+    build_coarse(
         a_scaled,
         spec,
         parts.len(),
@@ -776,16 +738,7 @@ pub fn build_coarse_basis(
         mult,
         d,
         pivot_tol,
-    );
-    let mut modes = vec![Vec::new(); built.info.n_modes];
-    for mode in built.modes.modes {
-        modes[mode.id] = mode.z;
-    }
-    CoarseBasis {
-        modes,
-        a_c: built.a_c,
-        factor: built.factor,
-    }
+    )
 }
 
 /// Builds this holder's share of the coarse space over `op` and the
@@ -1814,12 +1767,14 @@ mod tests {
         let d = vec![1.0; 16];
         let basis = build_coarse_basis(&CoarseSpec::Const, &parts, &mult, &d, &a, 1e-12);
         let ac = &basis.a_c;
-        let m = basis.n_modes();
-        for i in 0..m {
-            for j in 0..m {
+        let modes: Vec<_> = basis.modes.entries_by_mode().collect();
+        assert_eq!(modes.len(), basis.info.n_modes, "every mode is live");
+        for (i, zi) in &modes {
+            for (j, zj) in &modes {
+                let (i, j) = (*i, *j);
                 let mut want = 0.0;
-                for &(g1, v1) in &basis.modes[i] {
-                    for &(g2, v2) in &basis.modes[j] {
+                for &(g1, v1) in zi {
+                    for &(g2, v2) in zj {
                         want += v1 * a.get(g1, g2) * v2;
                     }
                 }
@@ -1841,14 +1796,14 @@ mod tests {
         let (a, parts, mult) = chain_fixture(24, 4);
         let d = vec![1.0; 24];
         let basis = build_coarse_basis(&CoarseSpec::Const, &parts, &mult, &d, &a, 1e-12);
-        let solver = basis.solver();
         let y = [1.0, -2.0, 0.5, 3.0];
         let mut zy = vec![0.0; 24];
-        for (m, col) in basis.modes.iter().enumerate() {
-            for &(g, v) in col {
+        for (m, col) in basis.modes.entries_by_mode() {
+            for (g, v) in col {
                 zy[g] += v * y[m];
             }
         }
+        let solver = basis.solver(None);
         let v = a.apply(&zy);
         let mut z = vec![0.0; 24];
         solver.apply_overwrite(&a, &v, &mut z);
@@ -1866,7 +1821,7 @@ mod tests {
         let mk = |comp| {
             TwoLevelPrecond::new(
                 JacobiPrecond::from_diagonal(&a.diagonal()),
-                basis.solver(),
+                basis.clone().solver(None),
                 comp,
                 "t".into(),
             )
@@ -1886,7 +1841,7 @@ mod tests {
         for comp in [Composition::Additive, Composition::Multiplicative] {
             let pc = TwoLevelPrecond::new(
                 JacobiPrecond::from_diagonal(&a.diagonal()),
-                basis.solver(),
+                basis.clone().solver(None),
                 comp,
                 "t".into(),
             );

@@ -14,7 +14,7 @@
 //! The fixture is a random weighted 1-D diffusion chain — strictly
 //! diagonally dominant, hence SPD — cut into random contiguous parts.
 
-use parfem_precond::twolevel::{CoarseSolver, LiveMode, ModePanel, ModeSet};
+use parfem_precond::twolevel::{BuiltCoarse, CoarseSolver, LiveMode, ModePanel, ModeSet};
 use parfem_precond::{build_coarse_basis, CoarsePartGeometry, CoarseSpec};
 use parfem_sparse::ldlt::DEFAULT_PIVOT_TOL;
 use parfem_sparse::{CooMatrix, CsrMatrix, SparseLdlt};
@@ -57,6 +57,16 @@ fn strip_parts(n: usize, p: usize, n_fixed: usize) -> Vec<CoarsePartGeometry> {
         .collect()
 }
 
+/// The built modes as sparse columns indexed by mode id, empty where a
+/// mode has no entry.
+fn columns(basis: &BuiltCoarse) -> Vec<Vec<(usize, f64)>> {
+    let mut cols = vec![Vec::new(); basis.info.n_modes];
+    for (m, col) in basis.modes.entries_by_mode() {
+        cols[m] = col;
+    }
+    cols
+}
+
 /// Random per-case inputs: chain weights, part count, coarse spec.
 fn case() -> impl Strategy<Value = (Vec<f64>, usize, CoarseSpec)> {
     (
@@ -95,23 +105,24 @@ proptest! {
         let parts = strip_parts(n, p, 1);
         let ones = vec![1.0; n];
         let basis = build_coarse_basis(&spec, &parts, &ones, &ones, &a, DEFAULT_PIVOT_TOL);
-        let solver = basis.solver();
+        let cols = columns(&basis);
+        let built: Vec<_> = basis.modes.entries_by_mode().collect();
+        let solver = basis.solver(None);
 
         let held: Vec<_> = solver.modes().entries_by_mode().collect();
-        let columns: Vec<_> = basis.modes.iter().cloned().enumerate().collect();
-        prop_assert_eq!(held, columns, "restrict and prolong must read the basis columns");
+        prop_assert_eq!(held, built, "restrict and prolong must read the basis columns");
 
         // ⟨R v, w⟩ == ⟨v, Rᵀ w⟩ for random v ∈ ℝⁿ, w ∈ ℝ^modes.
         let vv = &v_bits[..n];
-        let ww = &w_bits[..basis.n_modes().min(64)];
+        let ww = &w_bits[..cols.len().min(64)];
         let mut lhs = 0.0;
         let mut rhs = 0.0;
-        for (m, col) in basis.modes.iter().enumerate() {
+        for (m, col) in cols.iter().enumerate() {
             if m >= ww.len() { break; }
             let rv: f64 = col.iter().map(|&(g, z)| z * vv[g]).sum();
             lhs += rv * ww[m];
         }
-        for (m, col) in basis.modes.iter().enumerate() {
+        for (m, col) in cols.iter().enumerate() {
             if m >= ww.len() { break; }
             for &(g, z) in col {
                 rhs += vv[g] * z * ww[m];
@@ -137,7 +148,7 @@ proptest! {
         let basis = build_coarse_basis(&spec, &parts, &ones, &ones, &a, DEFAULT_PIVOT_TOL);
         let a_c = &basis.a_c;
         let m = a_c.n_rows();
-        prop_assert_eq!(m, basis.n_modes());
+        prop_assert_eq!(m, basis.info.n_modes);
         for i in 0..m {
             for j in 0..m {
                 prop_assert_eq!(
@@ -167,13 +178,14 @@ proptest! {
         let ones = vec![1.0; n];
         let b1 = build_coarse_basis(&spec, &parts, &ones, &ones, &a, DEFAULT_PIVOT_TOL);
         let b2 = build_coarse_basis(&spec, &parts, &ones, &ones, &a, DEFAULT_PIVOT_TOL);
-        let bits = |m: &Vec<Vec<(usize, f64)>>| -> Vec<Vec<(usize, u64)>> {
-            m.iter()
+        let bits = |b: &BuiltCoarse| -> Vec<Vec<(usize, u64)>> {
+            columns(b)
+                .iter()
                 .map(|col| col.iter().map(|&(g, v)| (g, v.to_bits())).collect())
                 .collect()
         };
-        prop_assert_eq!(bits(&b1.modes), bits(&b2.modes));
-        let (s1, s2) = (b1.solver(), b2.solver());
+        prop_assert_eq!(bits(&b1), bits(&b2));
+        let (s1, s2) = (b1.solver(None), b2.solver(None));
         let v: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut z1 = vec![0.0; n];
         let mut z2 = vec![0.0; n];
@@ -205,13 +217,13 @@ fn degenerate_parts_are_pivoted_not_fatal() {
         DEFAULT_PIVOT_TOL,
     );
     assert_eq!(
-        basis.n_modes(),
-        4,
+        basis.info.n_modes, 4,
         "one mode per part, kept even when empty"
     );
-    assert!(basis.modes[1].is_empty(), "constrained part has no entries");
-    assert!(basis.modes[3].is_empty(), "empty part has no entries");
-    let solver = basis.solver();
+    let cols = columns(&basis);
+    assert!(cols[1].is_empty(), "constrained part has no entries");
+    assert!(cols[3].is_empty(), "empty part has no entries");
+    let solver = basis.solver(None);
     let skipped = solver.skipped_modes();
     assert!(
         skipped.contains(&1) && skipped.contains(&3),
@@ -249,7 +261,8 @@ fn smoothing_widens_support_deterministically() {
             smoothed.modes, again.modes,
             "construction must be deterministic"
         );
-        for (m, (sm, pl)) in smoothed.modes.iter().zip(&plain.modes).enumerate() {
+        let (smoothed, plain) = (columns(&smoothed), columns(&plain));
+        for (m, (sm, pl)) in smoothed.iter().zip(&plain).enumerate() {
             let sm_dofs: Vec<usize> = sm.iter().map(|&(g, _)| g).collect();
             for &(g, _) in pl {
                 assert!(sm_dofs.contains(&g), "mode {m}: support must not shrink");

@@ -12,9 +12,9 @@
 //!   SpMV (full, accumulating, row-subset) and the blocked dot/AXPY/nrm2
 //!   primitives of the Gram–Schmidt step,
 //! - [`scaling`] — the paper's norm-1 diagonal scaling (Theorem 1 /
-//!   Algorithms 3–4) that maps the matrix spectrum into `(0, 1)`,
-//! - [`gershgorin`] — spectrum estimation (Gershgorin discs, power iteration)
-//!   used to pick polynomial-preconditioner intervals,
+//!   Algorithms 3–4) that maps the matrix spectrum into `(0, 1]`, the `Θ`
+//!   the polynomial preconditioners are built on (a measured spectrum, for
+//!   the Fig. 10 study, is `parfem-krylov`'s Lanczos `measure_spectrum`),
 //! - [`graph`] — the one graph bisection: multilevel edge bisection of a
 //!   weighted CSR graph, under both the nested-dissection ordering and
 //!   `parfem-mesh`'s element partitioner,
@@ -51,7 +51,6 @@ pub mod coo;
 pub mod csr;
 pub mod dense;
 pub mod error;
-pub mod gershgorin;
 pub mod graph;
 pub mod ilu;
 pub mod io;

@@ -17,7 +17,6 @@
 use parfem::krylov::gmres::{fgmres, GmresConfig};
 use parfem::precond::{GlsPrecond, IdentityPrecond, IntervalUnion, NeumannPrecond};
 use parfem::prelude::*;
-use parfem::sparse::gershgorin;
 use parfem::sparse::scaling::scale_system;
 
 fn main() {
@@ -32,7 +31,7 @@ fn main() {
     let shift = CsrMatrix::from_diagonal(&vec![-sigma; n]);
     let a = a_spd.add_scaled(1.0, &shift).unwrap();
 
-    let lmax = gershgorin::power_iteration_lambda_max(&a, 50_000, 1e-12);
+    let (_, lmax) = parfem::krylov::measure_spectrum(&a);
     println!("shifted operator: sigma = {sigma}, lambda_max = {lmax:.4} (spectrum straddles 0)");
 
     // Two-interval spectrum estimate with a guard band around 0. Any

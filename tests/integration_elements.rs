@@ -147,8 +147,42 @@ fn distortion_preserves_scaling_guarantee() {
     dm.clamp_edge(&mesh, Edge::Left);
     let sys = assembly::build_static(&mesh, &dm, &Material::unit(), &vec![0.0; dm.n_dofs()]);
     let (a, _, _) = parfem::sparse::scaling::scale_system(&sys.stiffness, &sys.rhs).unwrap();
-    let lmax = parfem::sparse::gershgorin::power_iteration_lambda_max(&a, 50_000, 1e-12);
+    let n = a.n_rows();
+    let (vals, _) = parfem::sparse::dense::sym_eigen_jacobi(n, &a.to_dense());
+    let lmax = vals[n - 1];
     assert!(lmax <= 1.0 + 1e-9, "lambda_max {lmax}");
+}
+
+#[test]
+fn measured_spectrum_matches_dense_eigenvalues_on_q4_and_hex8() {
+    // Scaled cantilevers with n <= MEASURE_STEPS: the Lanczos measurement
+    // runs n steps, so its extremes are the eigenvalues to rounding.
+    for (physics, grid) in [
+        (Physics::Elasticity2d, (12, 4, 1)),
+        (Physics::Elasticity3d, (5, 2, 2)),
+    ] {
+        let p = PhysicsProblem::cantilever(physics, grid, Material::unit(), LoadCase::PullX(1.0));
+        let sys = p.static_system();
+        let (a, _, _) = parfem::sparse::scaling::scale_system(&sys.stiffness, &sys.rhs).unwrap();
+        let n = a.n_rows();
+        assert!(
+            n <= parfem::krylov::lanczos::MEASURE_STEPS,
+            "{physics:?}: n = {n}"
+        );
+        let (vals, _) = parfem::sparse::dense::sym_eigen_jacobi(n, &a.to_dense());
+        let (lmin, lmax) = parfem::krylov::measure_spectrum(&a);
+        let rel = |got: f64, want: f64| (got - want).abs() / want;
+        assert!(
+            rel(lmax, vals[n - 1]) < 1e-10,
+            "{physics:?}: lmax {lmax} vs {}",
+            vals[n - 1]
+        );
+        assert!(
+            rel(lmin, vals[0]) < 1e-8,
+            "{physics:?}: lmin {lmin} vs {}",
+            vals[0]
+        );
+    }
 }
 
 #[test]
