@@ -1,24 +1,19 @@
-//! Declarative sweep harness for the figure/table regenerator binaries.
+//! Declarative sweep harness for the rows of [`crate::repro::EXPERIMENTS`].
 //!
-//! Every regenerator follows the same skeleton: build a benchmark case
+//! Every row follows the same skeleton: build a benchmark case
 //! (problem × decomposition × preconditioner × machine), sweep it over
 //! subdomain counts or parameter grids, print an aligned table, write the
 //! CSV, and assert the paper's qualitative shape. [`Case`] captures the
 //! distributed-solve portion of that skeleton on top of
 //! [`SolveSession`] — one assembly path, one convergence assertion, one
 //! speedup normalization — and [`Table`] captures the output portion, so a
-//! binary reduces to the sweep grid and its shape checks.
+//! row reduces to the sweep grid and its shape checks.
 
+use crate::repro::Run;
 use parfem::prelude::*;
 use parfem_trace::json::Json;
 
-pub use crate::{banner, fmt, results_dir, write_csv};
-
-/// True when `PARFEM_QUICK` is set: binaries shrink their sweeps to smoke
-/// size.
-pub fn quick() -> bool {
-    std::env::var("PARFEM_QUICK").is_ok()
-}
+pub use crate::{banner, fmt};
 
 /// The paper's default rank sweep `P ∈ {1, 2, 4, 8}`.
 pub const RANKS: [usize; 4] = [1, 2, 4, 8];
@@ -198,6 +193,20 @@ impl<'a> Case<'a> {
     }
 }
 
+/// The paper's cantilever with its pulling load on an `nx × ny` element
+/// grid; [`PAPER_MESHES`] holds the grids of Mesh1–Mesh10.
+pub(crate) fn cantilever((nx, ny): (usize, usize)) -> CantileverProblem {
+    CantileverProblem::new(nx, ny, Material::unit(), LoadCase::PullX(1.0))
+}
+
+/// `MeshK` for a grid of the paper's family, `NXxNY` for any other.
+pub(crate) fn mesh_name(grid: (usize, usize)) -> String {
+    match PAPER_MESHES.iter().position(|&m| m == grid) {
+        Some(k) => format!("Mesh{}", k + 1),
+        None => format!("{}x{}", grid.0, grid.1),
+    }
+}
+
 /// Speedups of a sweep relative to its first entry's modeled time.
 pub fn speedups_of(runs: &[DdSolveOutput]) -> Vec<f64> {
     let t0 = runs.first().map_or(1.0, |r| r.modeled_time);
@@ -206,7 +215,7 @@ pub fn speedups_of(runs: &[DdSolveOutput]) -> Vec<f64> {
 
 /// An aligned console table that doubles as the CSV payload: collect rows,
 /// then [`Table::emit`] prints every column right-aligned and writes
-/// `results/<name>.csv` with the same header and cells.
+/// `<name>.csv` with the same header and cells.
 pub struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -259,11 +268,12 @@ impl Table {
         }
     }
 
-    /// Prints the table and writes it as `results/<name>.csv`.
-    pub fn emit(&self, name: &str) {
+    /// Prints the table and writes it as `<name>.csv` into the run's
+    /// directory.
+    pub fn emit(&self, run: &Run, name: &str) {
         self.print();
         let header_refs: Vec<&str> = self.header.iter().map(|s| s.as_str()).collect();
-        write_csv(name, &header_refs, &self.rows);
+        run.csv(name, &header_refs, &self.rows);
     }
 }
 
@@ -279,7 +289,7 @@ pub fn significant(v: f64) -> Json {
 
 /// Replaces the members of the object `doc` that `sections` names, in
 /// place, and appends the ones it lacks. Every other member — a section
-/// some other binary regenerates — stays as it was, value for value.
+/// some other row regenerates — stays as it was, value for value.
 ///
 /// # Panics
 /// Panics if `doc` is not an object.

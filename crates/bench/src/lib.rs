@@ -1,41 +1,15 @@
-//! Shared harness utilities for the figure/table regenerator binaries.
+//! The reproduction's experiment harness.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper:
-//! it prints the paper-style rows to stdout **and** writes a CSV under
-//! `results/` at the workspace root, so the data can be re-plotted.
+//! [`repro::EXPERIMENTS`] holds one row per table, figure and ablation of
+//! the paper, plus the modeled scaling laboratories and the host perf
+//! report; the `repro` binary runs its rows. A row prints the paper-style
+//! table, writes its CSVs into the run's directory (`results/` at the
+//! workspace root for the binary) and asserts the paper's qualitative
+//! claim. [`harness`] holds the sweep and table builders the rows share.
 
 pub mod harness;
 pub mod modeling;
-
-use std::fs;
-use std::io::Write;
-use std::path::PathBuf;
-
-/// The workspace-root `results/` directory (created on demand).
-///
-/// # Panics
-/// Panics if the directory cannot be created.
-pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results");
-    fs::create_dir_all(&dir).expect("create results directory");
-    dir
-}
-
-/// Writes `rows` (plus a `header`) as `results/<name>.csv`.
-///
-/// # Panics
-/// Panics on I/O errors — the harness should fail loudly.
-pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) {
-    let path = results_dir().join(format!("{name}.csv"));
-    let mut f = fs::File::create(&path).expect("create csv");
-    writeln!(f, "{}", header.join(",")).expect("write header");
-    for row in rows {
-        writeln!(f, "{}", row.join(",")).expect("write row");
-    }
-    println!("[wrote {}]", path.display());
-}
+pub mod repro;
 
 /// Formats a float for table output.
 pub fn fmt(v: f64) -> String {
@@ -56,6 +30,7 @@ pub fn banner(title: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::repro::{tests::TempDir, Run};
 
     #[test]
     fn fmt_switches_notation() {
@@ -65,22 +40,27 @@ mod tests {
         assert_eq!(fmt(1.5), "1.5000");
     }
 
+    fn temp_run(name: &str) -> (TempDir, Run) {
+        let dir = TempDir::new(name);
+        let run = Run {
+            quick: true,
+            out: dir.0.join("results"),
+        };
+        (dir, run)
+    }
+
     #[test]
     fn results_dir_exists_after_call() {
-        let d = results_dir();
-        assert!(d.is_dir());
+        let (_dir, run) = temp_run("results-dir");
+        run.csv("empty", &["a"], &[]);
+        assert!(run.out.is_dir());
     }
 
     #[test]
     fn write_csv_round_trips() {
-        write_csv(
-            "unit_test_artifact",
-            &["a", "b"],
-            &[vec!["1".into(), "2".into()]],
-        );
-        let content =
-            std::fs::read_to_string(results_dir().join("unit_test_artifact.csv")).unwrap();
-        assert!(content.starts_with("a,b\n1,2"));
-        let _ = std::fs::remove_file(results_dir().join("unit_test_artifact.csv"));
+        let (_dir, run) = temp_run("csv-round-trip");
+        run.csv("artifact", &["a", "b"], &[vec!["1".into(), "2".into()]]);
+        let content = std::fs::read_to_string(run.out.join("artifact.csv")).unwrap();
+        assert_eq!(content, "a,b\n1,2\n");
     }
 }

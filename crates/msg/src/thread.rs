@@ -730,8 +730,13 @@ pub struct RankReport {
     pub stats: CommStats,
     /// What the rank's thread allocated over its closure (zeros unless a
     /// [`parfem_trace::alloc::CountingAlloc`] is installed). Ranks are
-    /// threads and the counters are per thread, so this is the rank's own
-    /// share, untouched by its peers.
+    /// threads and the counters are per thread, so a peer's own work is
+    /// never charged here — except the message layer's pooled buffers: a
+    /// mailbox pool belongs to a pair of ranks, and its growth is charged
+    /// to whichever rank thread grows it (the sender copying into it, or
+    /// the receiver copying out of a payload too large for its buffer).
+    /// Per-rank counts of identical work therefore split by scheduling;
+    /// only the sum over ranks is a stable pin.
     pub allocs: AllocStats,
 }
 
