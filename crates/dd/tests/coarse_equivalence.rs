@@ -395,6 +395,11 @@ fn build_digest(views: &[RankView]) -> (u64, u64, u64) {
 /// blocks: the `λ̂` power iteration applies the operator, whose block rows
 /// associate each row sum differently, so `ω`, the smoothed modes and the
 /// flops of their non-zero entries (1 368 016 → 1 368 040) moved with it.
+/// All three were re-taken once more when every elasticity element matrix
+/// became the mirror of its upper triangle: the lower-triangle entries of
+/// every rank matrix moved in their last bits, and with them `ω`, the
+/// smoothed modes and the count of their non-zero entries (hex 13 332 906 →
+/// 13 332 923, quad 1 849 073 → 1 849 175, RDD 1 368 040 → 1 368 064).
 #[test]
 fn rank_builds_keep_their_pinned_bits() {
     let spec = smoothed(CoarseSpec::Rbm, 3);
@@ -423,11 +428,11 @@ fn rank_builds_keep_their_pinned_bits() {
     check(&views, &reference, dm.n_dofs(), "rdd 32x12 strips");
     let rdd = build_digest(&views);
 
-    let hex_want = (0x78e8_ad52_cc9a_b108, 0x0a66_4a1e_a5e5_5283, 13_332_906);
+    let hex_want = (0xa3d1_cb37_054d_8911, 0xabed_323d_5c4e_7e52, 13_332_923);
     assert_eq!(hex, hex_want, "edd hex 12x6x6 P=2");
-    let quad_want = (0x2207_15c0_63e5_e7b4, 0x188e_d599_4af0_014b, 1_849_073);
+    let quad_want = (0x02ee_0532_7877_d60e, 0x4509_bb64_201a_c4e7, 1_849_175);
     assert_eq!(quad, quad_want, "edd quad 32x12 P=8 graph");
-    let rdd_want = (0x450f_4c3f_0641_7a54, 0x6673_ab1e_11e4_073d, 1_368_040);
+    let rdd_want = (0xc0b0_49a4_53cd_614b, 0xd5c4_9365_680a_dfe0, 1_368_064);
     assert_eq!(rdd, rdd_want, "rdd 32x12 P=8");
 }
 

@@ -6,8 +6,9 @@
 //! seen from `+z`, then the top face). Stiffness `kₑ = ∫ Bᵀ D B dΩ` is
 //! integrated with 2×2×2 Gauss quadrature, exact for the trilinear element
 //! on a parallelepiped. Each column of the 6×24 strain matrix `B` has three
-//! structural nonzeros; [`stiffness`] forms `D·B` and `Bᵀ (D·B)` from those
-//! alone, to the bits of the dense product.
+//! structural nonzeros; [`stiffness`] forms `D·B` and the upper triangle of
+//! `Bᵀ (D·B)` from those alone, to the bits of the dense product, and
+//! mirrors it onto the lower one.
 
 use crate::material::Material;
 
@@ -22,10 +23,11 @@ const GP: f64 = 0.577_350_269_189_625_8; // 1/sqrt(3)
 /// Flops of one [`stiffness`] call, counted from the code: per Gauss point
 /// (eight of them) 482 for [`physical_gradients`] (shape derivatives 168,
 /// Jacobian 144, determinant 14, inverse 36, gradients 120), 864 for `D·B`
-/// (144 entries of a 3-term dot over `B`'s structural nonzeros) and 4608
-/// for the update of `kₑ` (576 entries of a 3-term dot, a weight and an
-/// add). The constitutive matrix is not counted.
-pub const STIFFNESS_FLOPS: u64 = 8 * ((168 + 144 + 14 + 36 + 120) + 864 + 4608);
+/// (144 entries of a 3-term dot over `B`'s structural nonzeros) and 2400
+/// for the update of `kₑ`'s upper triangle (300 entries of a 3-term dot, a
+/// weight and an add; the lower triangle is its mirror). The constitutive
+/// matrix is not counted.
+pub const STIFFNESS_FLOPS: u64 = 8 * ((168 + 144 + 14 + 36 + 120) + 864 + 2400);
 
 /// Shape function values at `(xi, eta, zeta)`.
 pub fn shape_functions(xi: f64, eta: f64, zeta: f64) -> [f64; 8] {
@@ -110,11 +112,12 @@ const B_GRADIENT: [[usize; 3]; 3] = [[0, 1, 2], [1, 0, 2], [2, 1, 0]];
 /// DOF ordering is `[u0x, u0y, u0z, u1x, …]`, matching a three-DOF
 /// [`parfem_mesh::DofMap`] over the element's connectivity order.
 ///
-/// Per Gauss point, `D·B` and the update `kₑ += Bᵀ (D·B) det J` run over
-/// the three structural nonzeros of each column of the 6×24 strain matrix
-/// `B`, in ascending strain row, each sum started at `0.0` like the dense
-/// 6-term products: the terms they skip are exact zeros, so every entry
-/// has the bits of the dense `Bᵀ D B`.
+/// Per Gauss point, `D·B` and the update `kₑ += Bᵀ (D·B) det J` of the
+/// upper triangle run over the three structural nonzeros of each column of
+/// the 6×24 strain matrix `B`, in ascending strain row, each sum started at
+/// `0.0` like the dense 6-term products: the terms they skip are exact
+/// zeros, so every entry `(r, c ≥ r)` has the bits of the dense `Bᵀ D B`,
+/// and entry `(c, r)` is a copy of it.
 pub fn stiffness(coords: &[[f64; 3]; 8], material: &Material) -> [f64; 576] {
     let d = material.d_matrix_3d();
     let mut ke = [0.0f64; 576];
@@ -141,13 +144,14 @@ pub fn stiffness(coords: &[[f64; 3]; 8], material: &Material) -> [f64; 576] {
                 // kₑ += Bᵀ (D·B) det (unit Gauss weights for the 2-point rule):
                 // row 3 i + a of kₑ takes the three rows of D·B its column
                 // of B selects.
+                // Only the upper triangle `c ≥ r`: the lower one is its mirror.
                 let rows = ke.chunks_exact_mut(72).zip(&grads);
-                for (ke_node, g) in rows {
+                for (i, (ke_node, g)) in rows.enumerate() {
                     for (a, ke_r) in ke_node.chunks_exact_mut(24).enumerate() {
                         let b = B_GRADIENT[a].map(|k| g[k]);
                         let [k0, k1, k2] = B_ROWS[a].map(|k| &db[k]);
                         let ke_r: &mut [f64; 24] = ke_r.try_into().expect("a row of 24");
-                        for c in 0..24 {
+                        for c in 3 * i + a..24 {
                             let mut acc = 0.0;
                             acc += b[0] * k0[c];
                             acc += b[1] * k1[c];
@@ -159,6 +163,7 @@ pub fn stiffness(coords: &[[f64; 3]; 8], material: &Material) -> [f64; 576] {
             }
         }
     }
+    crate::mirror_upper(&mut ke, 24);
     ke
 }
 

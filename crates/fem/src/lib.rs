@@ -45,6 +45,17 @@ pub mod stress;
 pub mod subdomain;
 pub mod tri3;
 
+/// Copies the upper triangle of the row-major `n × n` matrix `ke` onto its
+/// lower one: every elasticity kernel computes the entries `(r, c)` with
+/// `c ≥ r` only, so `kₑ` is symmetric bit for bit.
+pub(crate) fn mirror_upper(ke: &mut [f64], n: usize) {
+    for r in 1..n {
+        for c in 0..r {
+            ke[r * n + c] = ke[c * n + r];
+        }
+    }
+}
+
 pub use assembly::{assemble_mass, assemble_stiffness, StaticSystem};
 pub use discretization::{Discretization, Mass, Mesh};
 pub use dynamics::{NewmarkIntegrator, NewmarkParams};

@@ -22,9 +22,10 @@ pub(crate) const GRADIENT_FLOPS: u64 = 32 + 32 + 3 + 4 + 24;
 
 /// Flops of one [`stiffness`] call, counted from the code: per Gauss point
 /// (four of them) the gradients, 1 for the weight, 144 for `D·B` (24 entries
-/// of a 3-term dot) and 512 for the update of `kₑ` (64 entries of a 3-term
-/// dot, a weight and an add). The constitutive matrix is not counted.
-pub const STIFFNESS_FLOPS: u64 = 4 * (GRADIENT_FLOPS + 1 + 144 + 512);
+/// of a 3-term dot) and 288 for the update of `kₑ`'s upper triangle (36
+/// entries of a 3-term dot, a weight and an add; the lower triangle is its
+/// mirror). The constitutive matrix is not counted.
+pub const STIFFNESS_FLOPS: u64 = 4 * (GRADIENT_FLOPS + 1 + 144 + 288);
 
 /// Shape function values at `(xi, eta)`.
 pub fn shape_functions(xi: f64, eta: f64) -> [f64; 4] {
@@ -108,7 +109,7 @@ pub fn stiffness(coords: &[[f64; 2]; 4], material: &Material) -> [f64; 64] {
                 }
             }
             for r in 0..8 {
-                for c in 0..8 {
+                for c in r..8 {
                     let mut acc = 0.0;
                     for k in 0..3 {
                         acc += b[k * 8 + r] * db[k * 8 + c];
@@ -118,6 +119,7 @@ pub fn stiffness(coords: &[[f64; 2]; 4], material: &Material) -> [f64; 64] {
             }
         }
     }
+    crate::mirror_upper(&mut ke, 8);
     ke
 }
 

@@ -36,10 +36,10 @@ const GRADIENT_FLOPS: u64 = 100 + 64 + 3 + 4 + 48;
 
 /// Flops of one [`stiffness`] call, counted from the code: per Gauss point
 /// (nine of them) the gradients, 3 for the weight, 288 for `D·B` (48 entries
-/// of a 3-term dot) and 2048 for the update of `kₑ` (256 entries of a
-/// 3-term dot, a weight and an add). The constitutive matrix is not
-/// counted.
-pub const STIFFNESS_FLOPS: u64 = 9 * (GRADIENT_FLOPS + 3 + 288 + 2048);
+/// of a 3-term dot) and 1088 for the update of `kₑ`'s upper triangle (136
+/// entries of a 3-term dot, a weight and an add; the lower triangle is its
+/// mirror). The constitutive matrix is not counted.
+pub const STIFFNESS_FLOPS: u64 = 9 * (GRADIENT_FLOPS + 3 + 288 + 1088);
 
 /// Shape function values at `(xi, eta)`.
 pub fn shape_functions(xi: f64, eta: f64) -> [f64; 8] {
@@ -132,7 +132,7 @@ pub fn stiffness(coords: &[[f64; 2]; 8], material: &Material) -> [f64; 256] {
                 }
             }
             for r in 0..16 {
-                for c in 0..16 {
+                for c in r..16 {
                     let mut acc = 0.0;
                     for k in 0..3 {
                         acc += b[k * 16 + r] * db[k * 16 + c];
@@ -142,6 +142,7 @@ pub fn stiffness(coords: &[[f64; 2]; 8], material: &Material) -> [f64; 256] {
             }
         }
     }
+    crate::mirror_upper(&mut ke, 16);
     ke
 }
 

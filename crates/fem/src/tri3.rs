@@ -22,10 +22,10 @@ pub fn area(coords: &[[f64; 2]; 3]) -> f64 {
 
 /// Flops of one [`stiffness`] call, counted from the code: area 8, the
 /// `b`/`c` differences 6, `1/2A` 2, the entries of `B` 12, 108 for `D·B`
-/// (18 entries of a 3-term dot), 1 for the weight and 252 for `kₑ` (36
-/// entries of a 3-term dot and a weight). The constitutive matrix is not
-/// counted.
-pub const STIFFNESS_FLOPS: u64 = 8 + 6 + 2 + 12 + 108 + 1 + 252;
+/// (18 entries of a 3-term dot), 1 for the weight and 147 for `kₑ`'s upper
+/// triangle (21 entries of a 3-term dot and a weight; the lower triangle is
+/// its mirror). The constitutive matrix is not counted.
+pub const STIFFNESS_FLOPS: u64 = 8 + 6 + 2 + 12 + 108 + 1 + 147;
 
 /// The 6×6 element stiffness matrix (row-major), DOF order
 /// `[u0x, u0y, u1x, u1y, u2x, u2y]`.
@@ -69,7 +69,7 @@ pub fn stiffness(coords: &[[f64; 2]; 3], material: &Material) -> [f64; 36] {
     let w = a * t;
     let mut ke = [0.0f64; 36];
     for r in 0..6 {
-        for c in 0..6 {
+        for c in r..6 {
             let mut acc = 0.0;
             for k in 0..3 {
                 acc += b[k * 6 + r] * db[k * 6 + c];
@@ -77,6 +77,7 @@ pub fn stiffness(coords: &[[f64; 2]; 3], material: &Material) -> [f64; 36] {
             ke[r * 6 + c] = acc * w;
         }
     }
+    crate::mirror_upper(&mut ke, 6);
     ke
 }
 

@@ -15,6 +15,12 @@
 //! node blocks: those must hold exactly what `BcsrMatrix::from_csr` makes of
 //! the reference — fill zeros and masks included — and keep doing so once
 //! scaled in place.
+//! Every elasticity element matrix is symmetric bit for bit (the kernels
+//! compute the upper triangle and mirror it), and so is every matrix
+//! assembled from them: the subdomain stiffness of an EDD rank and the
+//! owned-column block of an RDD rank equal their transposes, pattern and
+//! value bits, before and after scaling — the property that lets node
+//! blocks store the upper triangle only.
 
 use parfem_fem::{assembly, Discretization, Mass, Material, Physics, SubdomainSystem};
 use parfem_mesh::{
@@ -71,6 +77,13 @@ fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
             "{what}: entry {i}: {g:e} vs {w:e}"
         );
     }
+}
+
+/// `a` equals its transpose: the same pattern, and entry `(c, r)` has the
+/// bits of entry `(r, c)`.
+fn assert_bitwise_symmetric(a: &impl SparseRows, what: &str) {
+    let a = CsrMatrix::from_rows(a);
+    assert_same_matrix(&a, &a.transpose(), &format!("{what}: bitwise symmetric"));
 }
 
 fn element_dofs(dm: &DofMap, nodes: &[usize]) -> Vec<usize> {
@@ -296,6 +309,21 @@ fn check(p: &Pairing) {
         })
     };
 
+    if dpn > 1 {
+        for e in 0..mesh.n_elems() {
+            let (nd, (_, ke, _)) = (disc.elem_dofs(), element(disc, e, None));
+            for (k, v) in ke.iter().enumerate() {
+                let mirror = ke[(k % nd) * nd + k / nd];
+                assert_eq!(
+                    v.to_bits(),
+                    mirror.to_bits(),
+                    "{}: kₑ of {e}, entry {k}",
+                    p.name
+                );
+            }
+        }
+    }
+
     // Global, raw: the pattern holds no constraint.
     let free = DofMap::with_dofs(mesh.n_nodes(), dpn);
     let raw = assembly::assemble_stiffness(*disc, &free, &mat);
@@ -346,6 +374,9 @@ fn check(p: &Pairing) {
                 let element = |e| element(disc, e, None);
                 let (k, f) = reference_subdomain(&dm, sub, &loads, &element);
                 assert_same_local(&sys.k_local, &k, dpn, &format!("{what} / k_local"));
+                if dpn > 1 {
+                    assert_bitwise_symmetric(&sys.k_local, &format!("{what} / k_local"));
+                }
                 assert_same_bits(&sys.f_local, &f, &format!("{what} / f_local"));
                 assert_eq!(sys.mass.is_some(), lumped, "{what}: a mass iff asked");
             }
@@ -374,6 +405,9 @@ fn check_owned_rows(
         // Three contiguous node ranges.
         let owned = |n: usize| (n * 3) / dm.n_nodes() == rank;
         let (block, _) = assembly::assemble_owned(disc, dm, &Material::unit(), loads, owned, false);
+        if dm.dofs_per_node() > 1 {
+            assert_bitwise_symmetric(&block.a_loc, &format!("{what} / rank {rank} a_loc"));
+        }
         for (i, &g) in block.rows.iter().enumerate() {
             let loc = block.a_loc.row_entries(i).map(|(c, v)| (block.rows[c], v));
             let (cols, vals) = block.a_ext.row(i);
@@ -536,6 +570,7 @@ fn check_scaled_blocks(p: &Pairing) {
                 sys.k_local.scale_symmetric(&d);
                 k.scale_symmetric(&d);
                 assert_same_local(&sys.k_local, &k, dpn, &format!("{what} / scaled"));
+                assert_bitwise_symmetric(&sys.k_local, &format!("{what} / scaled"));
             }
         }
     }

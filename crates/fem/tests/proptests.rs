@@ -328,9 +328,20 @@ fn scaled_hex_and_material() -> impl Strategy<Value = ([[f64; 3]; 8], Material)>
 /// product a 6-term sum from `0.0` in ascending strain row: the reference
 /// the hex8 kernel's structural-nonzero sums must reproduce bit for bit.
 fn dense_hex_stiffness(coords: &[[f64; 3]; 8], material: &Material) -> Vec<f64> {
+    dense_hex_stiffness_and_magnitude(coords, material).0
+}
+
+/// [`dense_hex_stiffness`] with, per entry, the sum of the absolute values
+/// of every term that enters it, `Σ_g Σ_kj |b_kr d_kj b_jc det J|`: the
+/// scale of its rounding error.
+fn dense_hex_stiffness_and_magnitude(
+    coords: &[[f64; 3]; 8],
+    material: &Material,
+) -> (Vec<f64>, Vec<f64>) {
     let d = material.d_matrix_3d();
     let gp = 0.577_350_269_189_625_8;
     let mut ke = vec![0.0f64; 576];
+    let mut magnitude = vec![0.0f64; 576];
     for gx in [-gp, gp] {
         for gy in [-gp, gp] {
             for gz in [-gp, gp] {
@@ -362,6 +373,10 @@ fn dense_hex_stiffness(coords: &[[f64; 3]; 8], material: &Material) -> Vec<f64> 
                         let mut acc = 0.0;
                         for k in 0..6 {
                             acc += b[k * 24 + r] * db[k * 24 + c];
+                            for j in 0..6 {
+                                magnitude[r * 24 + c] +=
+                                    (b[k * 24 + r] * d[k * 6 + j] * b[j * 24 + c] * det).abs();
+                            }
                         }
                         ke[r * 24 + c] += acc * det;
                     }
@@ -369,20 +384,40 @@ fn dense_hex_stiffness(coords: &[[f64; 3]; 8], material: &Material) -> Vec<f64> 
             }
         }
     }
-    ke
+    (ke, magnitude)
 }
 
 // The hex8 kernel sums only the structural nonzeros of B; skipping exact
 // zero terms must leave every entry's bits as the dense product gives them.
+// Its lower triangle mirrors the upper one, which the dense product computes
+// in another association: the two differ by rounding only, each entry within
+// `24·ε` of the sum of its terms' magnitudes (two 6-term dots, the weight
+// and the 8-point sum, `21·u` each way).
 proptest! {
+    #[test]
+    fn hex_stiffness_mirror_stays_within_the_reassociation_bound(
+        (coords, material) in scaled_hex_and_material()
+    ) {
+        let got = hex8::stiffness(&coords, &material);
+        let (want, magnitude) = dense_hex_stiffness_and_magnitude(&coords, &material);
+        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+            let bound = 24.0 * f64::EPSILON * magnitude[k];
+            prop_assert!((g - w).abs() <= bound, "entry ({}, {}): {} vs {}", k / 24, k % 24, g, w);
+        }
+    }
+
+
     #[test]
     fn hex_stiffness_has_the_bits_of_the_dense_product(
         (coords, material) in scaled_hex_and_material()
     ) {
         let got = hex8::stiffness(&coords, &material);
         let want = dense_hex_stiffness(&coords, &material);
-        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
-            prop_assert_eq!(g.to_bits(), w.to_bits(), "entry ({}, {}): {} vs {}", k / 24, k % 24, g, w);
+        // The upper triangle is the dense product's, the lower its mirror.
+        for (k, g) in got.iter().enumerate() {
+            let (r, c) = (k / 24, k % 24);
+            let w = want[r.min(c) * 24 + r.max(c)];
+            prop_assert_eq!(g.to_bits(), w.to_bits(), "entry ({}, {}): {} vs {}", r, c, g, w);
         }
     }
 }

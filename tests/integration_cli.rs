@@ -417,12 +417,14 @@ fn malformed_and_out_of_range_values_exit_cleanly() {
 
 /// A solve the Krylov loop calls converged but whose residual on the
 /// assembled system is far above the tolerance exits 1 with an `error:`
-/// line: one-level EDD `direct` on the 48×48 cantilever at P = 4 reads a
-/// true relative residual near 1e5 at tol 1e-6.
+/// line: one-level EDD `direct` on the 40×48 cantilever at P = 4 reads a
+/// true relative residual near 1e4 at tol 1e-6. (The 48×48 case this test
+/// first ran converges for real since the element matrices became the
+/// mirror of their upper triangles: the floating blocks' pivots moved.)
 #[test]
 fn false_convergence_exits_nonzero() {
     let out = parfem()
-        .args(["solve", "--mesh", "48x48", "--parts", "4"])
+        .args(["solve", "--mesh", "40x48", "--parts", "4"])
         .args([
             "--strategy",
             "edd",
