@@ -496,19 +496,32 @@ pub(super) fn fig17(run: &Run) {
         "EDD speedup should improve (or hold) with degree: {s8:?}"
     );
 
-    // Panels (c)/(d): size sweep.
+    // Panels (c)/(d): size sweep, gls(7). On the grid of panels (a)/(b)
+    // their gls(7) series are these, and are not solved twice.
     let grids = run.size(
         vec![PAPER_MESHES[1], grid_ab],
         vec![PAPER_MESHES[2], PAPER_MESHES[4], PAPER_MESHES[6]],
     );
     let size_labels: Vec<String> = grids.iter().map(|&g| mesh_name(g)).collect();
-    let probs: Vec<CantileverProblem> = grids.iter().map(|&g| cantilever(g)).collect();
-    let edd_size: Vec<Vec<f64>> = (probs.iter())
-        .map(|prob| Case::edd(prob).precond(gls(7)).speedups(&ps))
-        .collect();
-    let rdd_size: Vec<Vec<f64>> = (probs.iter())
-        .map(|prob| Case::rdd(prob).precond(gls(7)).speedups(&ps))
-        .collect();
+    let gls7 = degrees.iter().position(|&m| m == 7);
+    let size_series = |rdd: bool, by_degree: &[Vec<f64>]| {
+        (grids.iter())
+            .map(|&g| match gls7.filter(|_| g == grid_ab) {
+                Some(i) => by_degree[i].clone(),
+                None => {
+                    let prob = cantilever(g);
+                    let case = if rdd {
+                        Case::rdd(&prob)
+                    } else {
+                        Case::edd(&prob)
+                    };
+                    case.precond(gls(7)).speedups(&ps)
+                }
+            })
+            .collect::<Vec<Vec<f64>>>()
+    };
+    let edd_size = size_series(false, &edd_series);
+    let rdd_size = size_series(true, &rdd_series);
     panel(
         "Fig 17(c): EDD speedup vs problem size, gls(7), SGI-Origin",
         "fig17c_edd_size",

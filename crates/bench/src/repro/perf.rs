@@ -18,6 +18,7 @@
 //! preconditioning, the sparse LDLᵀ of the `elas3d-rdd-direct` rank block
 //! (MFLOP/s from `factor_flops`, with the minor page faults of one
 //! factorization on a fresh thread), hex8 element stiffness throughput
+//! (elements/s), one EDD rank's hex8 assembly into its node blocks
 //! (elements/s) and the six-column node-block panel product of the coarse
 //! build (MFLOP/s). The `repro` binary installs
 //! [`parfem_trace::alloc::CountingAlloc`], so the report also carries
@@ -27,9 +28,10 @@
 use super::Run;
 use crate::harness::{decimals, merge_sections, significant, Case};
 use parfem::dd::RddSystem;
+use parfem::fem::SubdomainSystem;
 use parfem::prelude::{
-    CantileverProblem, Discretization, HexMesh, LoadCase, MachineModel, Material, Physics,
-    PhysicsProblem, PrecondSpec,
+    CantileverProblem, Discretization, HexMesh, LoadCase, MachineModel, Material, PartitionerSpec,
+    Physics, PhysicsProblem, PrecondSpec,
 };
 use parfem_krylov::{fgmres_on, GmresConfig, GmresResult, KrylovWorkspace, OneRank};
 use parfem_precond::{GlsPrecond, IdentityPrecond, Preconditioner};
@@ -366,6 +368,39 @@ fn bench_hex8_stiffness() -> BenchLine {
     }
 }
 
+/// One EDD rank's assembly of the `elas3d-edd-twolevel` mesh: rank 0's
+/// [`SubdomainSystem::build`] on the 28×14×14 hex cantilever cut in two
+/// x-strips (2 744 elements) — the element kernels, the scatter into the
+/// rank's node blocks and its load — in elements/s.
+fn bench_edd_rank_assembly_hex8() -> BenchLine {
+    let hex = PhysicsProblem::cantilever(
+        Physics::Elasticity3d,
+        (28, 14, 14),
+        Material::unit(),
+        LoadCase::PullX(1.0),
+    );
+    let disc = hex.discretization();
+    let strips = hex.element_partition(&PartitionerSpec::Strips, 2);
+    let sub = strips.subdomains_of(&disc.mesh()).swap_remove(0);
+    let (dm, mat) = (&hex.dof_map, &hex.material);
+    let n = sub.elements.len();
+    let secs = time_best(10, || {
+        std::hint::black_box(SubdomainSystem::build(
+            disc, dm, mat, &sub, &hex.loads, false,
+        ));
+    });
+    BenchLine {
+        name: "edd_rank_assembly_hex8",
+        n,
+        secs,
+        rate: n as f64 / secs,
+        rate_unit: "elems_per_s",
+        allocs_per_iter: None,
+        alloc_bytes_per_iter: None,
+        minor_faults: None,
+    }
+}
+
 /// Blocking-vs-overlapped interface exchange under a machine model: the same
 /// EDD solve run twice, once with the overlapped nonblocking exchange. The
 /// iterates are bit-identical, so only the modeled (virtual) parallel time
@@ -431,6 +466,7 @@ fn run_all() -> Vec<BenchLine> {
         ),
         bench_ldlt_factor(),
         bench_hex8_stiffness(),
+        bench_edd_rank_assembly_hex8(),
         bench_panel_bcsr3(),
     ]
 }

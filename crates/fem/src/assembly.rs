@@ -246,13 +246,16 @@ impl Scatter for Pattern {
     }
 }
 
-/// The same pattern as `dpn × dpn` node blocks: a block row per node, a
-/// block per neighbour with a free dof (a wholly constrained node's row
-/// holds its diagonal block alone, or nothing without `fixed_diag`), and for
-/// each block that is not full the mask of the entries the scalar pattern
-/// holds. The rest of such a block is fill, zero: exactly what
-/// [`BcsrMatrix::from_csr`] makes of the CSR pattern. Its columns are those
-/// of its rows' nodes (`cols` is `0..rows`), so the blocks are square.
+/// The upper block triangle of the same pattern as `dpn × dpn` node blocks:
+/// a block row per node, a block per neighbour `m ≥ n` with a free dof (a
+/// wholly constrained node's row holds its diagonal block alone, or nothing
+/// without `fixed_diag`), and for each block that is not full the mask of
+/// the entries the scalar pattern holds. The rest of such a block is fill,
+/// zero: exactly what [`BcsrMatrix::from_csr`] makes of the symmetric CSR
+/// pattern. Its columns are those of its rows' nodes (`cols` is `0..rows`),
+/// so the blocks are square, and the element matrices are symmetric bit for
+/// bit, so the blocks below the diagonal are left out: the scatter adds
+/// only the node pairs `(a, b ≥ a)`.
 pub(crate) struct BlockPattern {
     brow_ptr: Vec<usize>,
     bcol_idx: Vec<u32>,
@@ -286,10 +289,11 @@ impl Scatter for BlockPattern {
             }
             bits
         };
-        // A node is its own neighbour, so no row has more blocks than
-        // neighbours.
+        // A node is its own neighbour, and each neighbour pair is stored
+        // once, so the blocks are at most half the neighbour lists and the
+        // diagonals.
         let mut brow_ptr = Vec::with_capacity(rows + 1);
-        let mut bcol_idx = Vec::with_capacity(nbr_ptr[rows]);
+        let mut bcol_idx = Vec::with_capacity((nbr_ptr[rows] + rows) / 2);
         let mut fill = Vec::new();
         let mut push = |bcol_idx: &mut Vec<u32>, n: usize, m: usize| {
             let bits = mask(n, m);
@@ -301,7 +305,7 @@ impl Scatter for BlockPattern {
         brow_ptr.push(0);
         for n in 0..rows {
             if any_free(n) {
-                let nbrs = window(&nbrs[nbr_ptr[n]..nbr_ptr[n + 1]], &cols);
+                let nbrs = window(&nbrs[nbr_ptr[n]..nbr_ptr[n + 1]], &(n..cols.end));
                 for &m in nbrs.iter().filter(|&&m| any_free(m)) {
                     push(&mut bcol_idx, n, m);
                 }
@@ -339,6 +343,11 @@ impl Scatter for BlockPattern {
             let lo = self.brow_ptr[a];
             let cols = &self.bcol_idx[lo..self.brow_ptr[a + 1]];
             for (ib, &b) in nodes.iter().enumerate().filter(|&(_, &b)| b < rows) {
+                // Below the diagonal nothing is stored: only constrained
+                // columns lift.
+                if b < a && (b * dpn..(b + 1) * dpn).all(|c| !fixed[c]) {
+                    continue;
+                }
                 // No block when `b` is wholly constrained: every entry lifts.
                 let at = (cols.binary_search(&(b as u32)).ok()).map(|k| (lo + k) * dpn * dpn);
                 for ca in (0..dpn).filter(|&ca| !fixed[a * dpn + ca]) {
@@ -347,7 +356,7 @@ impl Scatter for BlockPattern {
                     for (cb, &v) in entries.iter().enumerate() {
                         if fixed[b * dpn + cb] {
                             lift(r, b * dpn + cb, v);
-                        } else {
+                        } else if b >= a {
                             let at =
                                 at.expect("the pattern holds every free dof pair of an element");
                             values[at + ca * dpn + cb] += v;

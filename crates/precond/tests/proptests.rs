@@ -150,8 +150,8 @@ fn from_triplets(rows: usize, cols: usize, ts: &[(usize, usize, f64)]) -> CsrMat
 
 // The RDD row view `[A_loc | A_ext]`: a panel over the owned rows and the
 // ghost columns gives every column the chain of its own row dot, which runs
-// on from the square block into the ghost block — with the square block as
-// CSR and as 3×3 node blocks whose fill is skipped.
+// on from the square block into the ghost block — with the (symmetric)
+// square block as CSR and as 3×3 node blocks whose fill is skipped.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -162,7 +162,9 @@ proptest! {
         zs in prop::collection::vec(-5.0..5.0f64, 17 * 13),
         nan_row in 0usize..17,
     ) {
-        let a_loc = from_triplets(12, 12, &square);
+        // Node blocks hold symmetric matrices: the square block mirrored.
+        let mirrored: Vec<_> = square.iter().flat_map(|&(r, c, v)| [(r, c, v), (c, r, v)]).collect();
+        let a_loc = from_triplets(12, 12, &mirrored);
         let a_ext = from_triplets(12, 5, &ghost);
         let blocks = BcsrMatrix::from_csr(&a_loc, 3).expect("12 rows of 3-dof nodes");
         for k in [1, 3, 12, 13] {

@@ -34,6 +34,7 @@ const INITIAL_TRIES: usize = 4;
 
 /// An undirected graph in CSR form with vertex and edge weights, no
 /// self-loops.
+#[derive(Clone)]
 pub struct Graph {
     pub(crate) xadj: Vec<u32>,
     pub(crate) adj: Vec<u32>,

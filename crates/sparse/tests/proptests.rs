@@ -28,11 +28,12 @@ fn triplets(n: usize, max_len: usize) -> impl Strategy<Value = Vec<(usize, usize
     )
 }
 
-/// Strategy: `(B, A)` with `A` a finite-element-shaped matrix over `n_nodes`
-/// nodes of `B ∈ {2, 3}` DOFs each — full `B × B` couplings between
-/// connected nodes, except that roughly one DOF in five is *constrained*:
-/// its row is a lone diagonal and its column is dropped everywhere else, so
-/// partly constrained nodes leave partly filled blocks.
+/// Strategy: `(B, A)` with `A` a symmetric finite-element-shaped matrix
+/// over `n_nodes` nodes of `B ∈ {2, 3}` DOFs each — full `B × B` couplings
+/// between connected nodes, entry `(r, c)` equal to entry `(c, r)` bit for
+/// bit, except that roughly one DOF in five is *constrained*: its row is a
+/// lone diagonal and its column is dropped everywhere else, so partly
+/// constrained nodes leave partly filled blocks.
 fn node_blocked_matrix(n_nodes: usize) -> impl Strategy<Value = (usize, CsrMatrix)> {
     (
         2..4usize,
@@ -44,12 +45,11 @@ fn node_blocked_matrix(n_nodes: usize) -> impl Strategy<Value = (usize, CsrMatri
             let n = b * n_nodes;
             let fixed = |dof: usize| marks[dof] == 0;
             let mut coo = CooMatrix::new(n, n);
-            let mut k = 0;
-            let mut couple = |p: usize, q: usize, coo: &mut CooMatrix| {
+            let couple = |p: usize, q: usize, coo: &mut CooMatrix| {
                 for (r, c) in (0..b).flat_map(|i| (0..b).map(move |j| (b * p + i, b * q + j))) {
-                    k += 1;
                     if !fixed(r) && !fixed(c) {
-                        coo.push(r, c, vals[k % vals.len()]).unwrap();
+                        let v = vals[(7 * r.min(c) + 3 * r.max(c)) % vals.len()];
+                        coo.push(r, c, v).unwrap();
                     }
                 }
             };
@@ -236,12 +236,14 @@ proptest! {
 proptest! {
     #[test]
     fn bcsr_round_trips_csr_exactly(ts in triplets(18, 120), b in 2..4usize) {
-        // 18 = 2·9 = 3·6: either blocking must hold every source entry
-        // exactly and nothing but zeros besides. Unit vectors read the
-        // columns back (a product with 1.0 and sums with 0.0 are exact).
+        // 18 = 2·9 = 3·6: either blocking of a symmetric matrix must hold
+        // every source entry exactly and nothing but zeros besides. Unit
+        // vectors read the columns back (a product with 1.0 and sums with
+        // 0.0 are exact).
         let mut coo = CooMatrix::new(18, 18);
         for &(r, c, v) in &ts {
             coo.push(r, c, v).unwrap();
+            coo.push(c, r, v).unwrap();
         }
         let a = coo.to_csr();
         let blocks = BcsrMatrix::from_csr(&a, b).expect("18 is a multiple of 2 and 3");
@@ -284,6 +286,68 @@ proptest! {
         blocks.spmv_block_rows(x, &mut split, &first);
         for r in 0..a.n_rows() {
             prop_assert_eq!(split[r].to_bits(), got[r].to_bits(), "split row {}", r);
+        }
+    }
+}
+
+#[path = "support/full_blocks.rs"]
+mod full_blocks;
+
+// Storage contract: the upper block triangle with its transposed index
+// reads and multiplies a symmetric matrix to the bits of the full-storage
+// block kernels (both triangles stored, kept in the test tree) — the SpMV's
+// association, any split of the block rows, every row read and the panel
+// products at the strip widths and their remainders, fill blocks included.
+proptest! {
+    #[test]
+    fn upper_storage_has_the_bits_of_full_storage(
+        (b, a) in node_blocked_matrix(9),
+        zs in prop::collection::vec(-5.0..5.0f64, 27 * 13),
+        cut in prop::collection::vec(0..3usize, 9),
+    ) {
+        let (upper, full) = (
+            BcsrMatrix::from_csr(&a, b).expect("symmetric and node-blocked by construction"),
+            full_blocks::FullBlocks::from_csr(&a, b),
+        );
+        let n = a.n_rows();
+        let same = |got: &[f64], want: &[f64]| {
+            got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits())
+        };
+        let x = &zs[..n];
+        let y = upper.spmv(x);
+        prop_assert!(same(&y, &full.spmv(x)), "b={} spmv", b);
+        let parts: Vec<Vec<u32>> = (0..3)
+            .map(|p| (0..upper.n_block_rows() as u32).filter(|&r| cut[r as usize] == p).collect())
+            .collect();
+        let mut split = vec![f64::NAN; n];
+        for part in parts.iter().rev() {
+            upper.spmv_block_rows(x, &mut split, part);
+        }
+        prop_assert!(same(&split, &y), "b={} split", b);
+        prop_assert!(same(&upper.row_abs_sums(), &full.row_abs_sums()), "b={} row sums", b);
+        prop_assert!(same(&upper.diagonal(), &full.diagonal()), "b={} diagonal", b);
+        prop_assert_eq!(upper.nnz(), a.nnz());
+        for r in 0..n {
+            let entries: Vec<(usize, u64)> =
+                upper.row_entries(r).map(|(c, v)| (c, v.to_bits())).collect();
+            let want: Vec<(usize, u64)> =
+                full.row_entries(r).into_iter().map(|(c, v)| (c, v.to_bits())).collect();
+            prop_assert_eq!(entries, want, "b={} row {}", b, r);
+            prop_assert_eq!(upper.row_len(r), full.row_entries(r).len());
+            let (got, want) = (upper.row_dot(r, x), full.row_dot(r, x));
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "b={} row_dot {}", b, r);
+        }
+        let mut row = vec![f64::NAN; 13];
+        for k in [1, 3, 12, 13] {
+            let z = &zs[..n * k];
+            let mut y = vec![f64::NAN; n * k];
+            upper.mul_panel(z, k, &mut y);
+            for r in 0..n {
+                let want = full.mul_panel_row(r, z, k);
+                upper.mul_panel_row(r, z, k, &mut row);
+                prop_assert!(same(&y[r * k..][..k], &want), "b={} panel width {} row {}", b, k, r);
+                prop_assert!(same(&row[..k], &want), "b={} panel row width {} row {}", b, k, r);
+            }
         }
     }
 }
