@@ -491,17 +491,19 @@ fn hex_twolevel_setup_peak_is_no_higher_than_with_two_csr_copies() {
 /// (whose lists grew by doubling and whose stable sorts took a buffer of
 /// their own) and below the pin taken with the block coarse build (whose
 /// solver copied the modes into two sorted triplet lists) — pinned at the
-/// new peak. After setup a rank holds less than it did with those lists by
-/// at least their size, less the panel and the weights that replace them.
+/// new peak, and re-pinned lower once the rank matrix kept only its upper
+/// block triangle (10 428 000 / 10 813 000 B with both triangles). After
+/// setup a rank holds less than it did with those lists by at least their
+/// size, less the panel and the weights that replace them.
 #[test]
 fn hex_twolevel_setup_peak_stays_under_the_block_coarse_build_pin() {
     assert!(alloc::is_counting(), "counting allocator not installed");
     // `setup_peak_bytes` per rank before the block coarse build (same mesh
-    // and spec), and the pin: the lowest of four runs' peaks with the mode
-    // set solver plus 1 % (the triplet-list solver's pin was 11 374 000 /
-    // 12 020 000).
+    // and spec), and the pin: the peaks with the upper-triangle rank matrix
+    // (7 715 586 / 7 953 654 B) plus 1 % (the triplet-list solver's pin was
+    // 11 374 000 / 12 020 000, the full-storage one 10 428 000 / 10 813 000).
     const MODE_BY_MODE_PEAK: [u64; 2] = [16_552_620, 17_029_772];
-    const PINNED_PEAK: [u64; 2] = [10_428_000, 10_813_000];
+    const PINNED_PEAK: [u64; 2] = [7_793_000, 8_034_000];
     // `setup_live_bytes` per rank with the triplet-list solver (the lowest
     // of three runs), and the mode entries each rank held: each list stored
     // one `(row, mode, value)` per entry.

@@ -162,8 +162,9 @@ pub enum NodeMatrix {
 }
 
 impl NodeMatrix {
-    /// The storage `dpn` dofs per node give the rows of `a`: `a` copied into
-    /// node blocks ([`BcsrMatrix::from_csr`]) for 2 or 3, `a` itself for one.
+    /// The storage `dpn` dofs per node give the rows of `a`: the upper block
+    /// triangle of `a` copied into node blocks ([`BcsrMatrix::from_csr`])
+    /// for 2 or 3 when `a` is symmetric bit for bit, `a` itself otherwise.
     pub fn from_csr(a: CsrMatrix, dpn: usize) -> Self {
         match BcsrMatrix::from_csr(&a, dpn) {
             Some(blocks) => NodeMatrix::Blocks(blocks),
