@@ -42,7 +42,7 @@ use parfem_fem::SubdomainSystem;
 use parfem_krylov::DistributedOperator;
 use parfem_mesh::{ElementPartition, Subdomain};
 use parfem_msg::Communicator;
-use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSpec};
+use parfem_precond::twolevel::CoarsePartGeometry;
 use parfem_precond::{InterfaceConsistency, Preconditioner};
 use parfem_sparse::{kernels, LinearOperator, NodeMatrix, SparseRows};
 use parfem_trace::TraceSink;
@@ -406,7 +406,7 @@ impl<'a> Decomposition for EddParts<'a> {
     }
 
     /// Constrained dofs come from the problem's `DofMap`.
-    fn coarse_geometry(&self, _: &CoarseSpec) -> Vec<CoarsePartGeometry> {
+    fn coarse_geometry(&self) -> Vec<CoarsePartGeometry> {
         let dm = self.problem.dof_map;
         let fixed = |r: usize, l: usize| dm.is_fixed(self.global_dofs[r][l]);
         let coords = self.problem.mesh().coords3();

@@ -32,7 +32,7 @@ use parfem_fem::assembly::{assemble_owned, OwnedRows};
 use parfem_krylov::DistributedOperator;
 use parfem_mesh::NodePartition;
 use parfem_msg::Communicator;
-use parfem_precond::twolevel::{CoarsePartGeometry, CoarseSpec};
+use parfem_precond::twolevel::CoarsePartGeometry;
 use parfem_precond::InterfaceConsistency;
 use parfem_sparse::scaling::inv_sqrt_scaling;
 use parfem_sparse::{dense, kernels, CsrMatrix, LinearOperator, NodeMatrix};
@@ -521,7 +521,7 @@ impl Decomposition for RddParts<'_> {
         "rdd"
     }
 
-    fn coarse_geometry(&self, _: &CoarseSpec) -> Vec<CoarsePartGeometry> {
+    fn coarse_geometry(&self) -> Vec<CoarsePartGeometry> {
         rdd_part_geometry(
             self.part,
             self.problem.dof_map,

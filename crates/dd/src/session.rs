@@ -535,7 +535,7 @@ impl<'a> SolveSession<'a> {
         // allocation totals cover the same window for every strategy.
         let alloc_start = alloc::stats();
         let parts = prepare(sink);
-        let coarse = prepare_coarse(&cfg.precond, sink, |cs| parts.coarse_geometry(cs));
+        let coarse = prepare_coarse(&cfg.precond, sink, || parts.coarse_geometry());
         let opts = RunOptions {
             comm_timeout: cfg.comm_timeout,
         };
@@ -684,12 +684,12 @@ pub(crate) fn rank_span<C: Communicator, R>(comm: &C, name: &str, f: impl FnOnce
 fn prepare_coarse<'s>(
     spec: &'s PrecondSpec,
     sink: &TraceSink,
-    geometry: impl FnOnce(&CoarseSpec) -> Vec<CoarsePartGeometry>,
+    geometry: impl FnOnce() -> Vec<CoarsePartGeometry>,
 ) -> Option<(&'s CoarseSpec, Vec<CoarsePartGeometry>)> {
     let PrecondSpec::TwoLevel { coarse, .. } = spec else {
         return None;
     };
-    Some((coarse, host_span(sink, "coarse-build", || geometry(coarse))))
+    Some((coarse, host_span(sink, "coarse-build", geometry)))
 }
 
 /// What one engine run solves.
@@ -727,7 +727,7 @@ pub(crate) trait Decomposition: Sync {
     fn label(&self, cfg: &SolverConfig) -> &'static str;
 
     /// Per-part geometry for a two-level spec.
-    fn coarse_geometry(&self, spec: &CoarseSpec) -> Vec<CoarsePartGeometry>;
+    fn coarse_geometry(&self) -> Vec<CoarsePartGeometry>;
 
     /// The rank's setup up to and including its preconditioner, or the
     /// [`SolveError::Precond`] that stopped its build: the one operator of

@@ -228,14 +228,6 @@ fn cantilever(nx: usize, ny: usize) -> (QuadMesh, DofMap) {
     (mesh, dm)
 }
 
-fn smoothed(base: CoarseSpec, k: usize) -> CoarseSpec {
-    if k == 0 {
-        base
-    } else {
-        CoarseSpec::Smoothed(Box::new(base), k)
-    }
-}
-
 /// A ragged node partition derived from a graph element partition: each
 /// node goes to the lowest-numbered part among its elements' owners.
 fn graph_node_partition(mesh: &QuadMesh, p: usize) -> NodePartition {
@@ -254,7 +246,7 @@ fn graph_node_partition(mesh: &QuadMesh, p: usize) -> NodePartition {
 #[test]
 fn rbm_s3_matches_the_reference_on_both_strategies() {
     let (mesh, dm) = cantilever(12, 4);
-    let spec = smoothed(CoarseSpec::Rbm, 3);
+    let spec = CoarseSpec { passes: 3 };
     for overlap in [false, true] {
         let part = ElementPartition::strips_x(&mesh, 2);
         let (views, reference) = edd_case(&mesh, &dm, &part, &spec, overlap);
@@ -271,7 +263,7 @@ fn rbm_s3_matches_the_reference_on_both_strategies() {
 #[test]
 fn modes_activate_beyond_the_first_ring_on_thin_strips() {
     let (mesh, dm) = cantilever(12, 2);
-    let spec = smoothed(CoarseSpec::Rbm, 5);
+    let spec = CoarseSpec { passes: 5 };
     let mpp = 3;
 
     let part = ElementPartition::strips_x(&mesh, 6);
@@ -304,7 +296,7 @@ fn fully_constrained_part_is_pivoted_out_identically() {
     for &n in &part.subdomains_of(&mesh)[0].nodes {
         dm.clamp_node(n);
     }
-    for spec in [CoarseSpec::Rbm, smoothed(CoarseSpec::Rbm, 2)] {
+    for spec in [CoarseSpec { passes: 0 }, CoarseSpec { passes: 2 }] {
         let (views, reference) = edd_case(&mesh, &dm, &part, &spec, false);
         check(&views, &reference, dm.n_dofs(), "edd clamped part");
         let skipped = &views[0].skipped;
@@ -324,7 +316,7 @@ fn fully_constrained_part_is_pivoted_out_identically() {
 #[test]
 fn cross_points_hold_identical_bits_on_every_sharer() {
     let (mesh, dm) = cantilever(8, 6);
-    let spec = smoothed(CoarseSpec::Rbm, 3);
+    let spec = CoarseSpec { passes: 3 };
     let blocks = ElementPartition::blocks_of(&mesh, 2, 2);
     let (views, reference) = edd_case(&mesh, &dm, &blocks, &spec, false);
     check(&views, &reference, dm.n_dofs(), "edd blocks");
@@ -341,7 +333,7 @@ fn cross_points_hold_identical_bits_on_every_sharer() {
 #[test]
 fn single_rank_matches_the_sequential_build() {
     let (mesh, dm) = cantilever(6, 3);
-    for spec in [CoarseSpec::Const, smoothed(CoarseSpec::Rbm, 2)] {
+    for spec in [CoarseSpec { passes: 0 }, CoarseSpec { passes: 2 }] {
         let part = ElementPartition::strips_x(&mesh, 1);
         let (views, reference) = edd_case(&mesh, &dm, &part, &spec, false);
         check(&views, &reference, dm.n_dofs(), "edd P=1");
@@ -402,7 +394,7 @@ fn build_digest(views: &[RankView]) -> (u64, u64, u64) {
 /// 13 332 923, quad 1 849 073 → 1 849 175, RDD 1 368 040 → 1 368 064).
 #[test]
 fn rank_builds_keep_their_pinned_bits() {
-    let spec = smoothed(CoarseSpec::Rbm, 3);
+    let spec = CoarseSpec { passes: 3 };
 
     let mesh = HexMesh::cantilever(12, 6, 6);
     let mut dm = DofMap::with_dofs(mesh.n_nodes(), 3);
@@ -439,23 +431,21 @@ fn rank_builds_keep_their_pinned_bits() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random mesh size, part count, partitioner, coarse family, smoothing
-    /// depth and strategy: the rank-side build matches the reference.
+    /// Random mesh size, part count, partitioner, smoothing depth and
+    /// strategy: the rank-side build matches the reference.
     #[test]
     fn rank_build_matches_reference(
         nx in 6usize..13,
         ny in 2usize..6,
         p_idx in 0usize..5,
         shape in 0usize..3,
-        rbm in 0usize..2,
         passes in 0usize..6,
         rdd in 0usize..2,
     ) {
         let p = [1usize, 2, 3, 4, 8][p_idx];
         prop_assume!(p <= nx);
         let (mesh, dm) = cantilever(nx, ny);
-        let base = if rbm == 1 { CoarseSpec::Rbm } else { CoarseSpec::Const };
-        let spec = smoothed(base, passes);
+        let spec = CoarseSpec { passes };
         let what = format!("{nx}x{ny} P={p} shape={shape} {spec} rdd={rdd}");
         let (views, reference) = if rdd == 1 {
             let node_part = match shape {

@@ -371,7 +371,7 @@ fn subdomain_factorization_is_charged_to_the_rank_clock() {
     for strategy in strategies {
         for (without, with) in [
             ("none", "direct"),
-            ("twolevel:const:none", "twolevel:const:direct"),
+            ("twolevel:rbm:none", "twolevel:rbm:direct"),
         ] {
             let plain = setup_only(strategy.clone(), without);
             let direct = setup_only(strategy.clone(), with);
@@ -425,7 +425,7 @@ fn subdomain_solves_are_charged_to_the_rank_clock() {
     for (strategy, interface_sums) in strategies {
         for (without, with) in [
             ("none", "direct"),
-            ("twolevel:const:none", "twolevel:const:direct"),
+            ("twolevel:rbm:none", "twolevel:rbm:direct"),
         ] {
             let plain = iterations(strategy.clone(), without);
             let direct = iterations(strategy.clone(), with);

@@ -23,9 +23,9 @@
 //!   (nested-dissection sparse LDLᵀ), pivot-tolerant where ILU(0) fails on floating
 //!   subdomains,
 //! - [`twolevel`] — the two-level coarse-space correction (per-subdomain
-//!   constant/rigid-body/low-rank modes, a directly factored Galerkin
-//!   coarse operator, additive and multiplicative composition around the
-//!   polynomial smoothers),
+//!   rigid-body modes, optionally smoothed, a directly factored Galerkin
+//!   coarse operator, composed multiplicatively around the polynomial
+//!   smoothers),
 //! - [`registry`] — the one spec type ([`PrecondSpec`]) every solver,
 //!   binary and test parses and builds preconditioners through.
 //!
@@ -62,8 +62,8 @@ pub use jacobi::JacobiPrecond;
 pub use neumann::NeumannPrecond;
 pub use registry::{BuiltPrecond, ParseSpecError, PrecondSpec};
 pub use twolevel::{
-    build_coarse_basis, CoarsePartGeometry, CoarseReduce, CoarseSolver, CoarseSpec, Composition,
-    SpecPrecond, TwoLevelPrecond,
+    build_coarse_basis, CoarsePartGeometry, CoarseReduce, CoarseSolver, CoarseSpec, SpecPrecond,
+    TwoLevelPrecond,
 };
 
 use parfem_sparse::LinearOperator;

@@ -18,7 +18,7 @@
 //! [`PrecondSpec::name`] (`gls(7)`, `gls-escalating(x5)`, `ilu(0)`), so
 //! `parse(spec.name())` round-trips for every spec — pinned by proptest.
 
-use crate::twolevel::{CoarseSolver, CoarseSpec, Composition, SpecPrecond, TwoLevelPrecond};
+use crate::twolevel::{CoarseSolver, CoarseSpec, SpecPrecond, TwoLevelPrecond};
 use crate::{
     ChebyshevPrecond, DirectPrecond, EscalatingGls, GlsPrecond, IdentityPrecond, Ilu0Precond,
     InterfaceConsistency, IntervalUnion, JacobiPrecond, NeumannPrecond, Preconditioner,
@@ -71,19 +71,16 @@ pub enum PrecondSpec {
     /// [`PrecondSpec::instantiate`] reports. Needs the rank-local matrix at
     /// build time.
     Ilu0,
-    /// Two-level preconditioning: a per-subdomain coarse space composed
-    /// around a one-level smoother (`twolevel:<coarse>:<smoother>[:add]`).
-    /// Needs a coarse solver at build time — see
-    /// [`PrecondSpec::instantiate`].
+    /// Two-level preconditioning: the per-subdomain rigid-body coarse space
+    /// composed multiplicatively around a one-level smoother
+    /// (`twolevel:<coarse>:<smoother>`). Needs a coarse solver at build
+    /// time — see [`PrecondSpec::instantiate`].
     TwoLevel {
-        /// Which coarse space to build per part.
+        /// How many smoothing passes the coarse modes get.
         coarse: CoarseSpec,
         /// The one-level smoother spec (never itself `TwoLevel` when
         /// produced by the parser).
         smoother: Box<PrecondSpec>,
-        /// `true` for additive composition (`:add`); multiplicative
-        /// otherwise.
-        additive: bool,
     },
 }
 
@@ -162,16 +159,9 @@ impl PrecondSpec {
             PrecondSpec::GlsEscalating { period } => format!("gls-escalating:{period}"),
             PrecondSpec::Direct => "direct".into(),
             PrecondSpec::Ilu0 => "ilu0".into(),
-            PrecondSpec::TwoLevel {
-                coarse,
-                smoother,
-                additive,
-            } => format!(
-                "twolevel:{}:{}{}",
-                coarse.token(),
-                smoother_token(smoother),
-                if *additive { ":add" } else { "" }
-            ),
+            PrecondSpec::TwoLevel { coarse, smoother } => {
+                format!("twolevel:{}:{}", coarse.token(), smoother_token(smoother))
+            }
         }
     }
 
@@ -232,29 +222,22 @@ impl PrecondSpec {
             }),
             "twolevel" => {
                 // `arg` holds everything after the first `:` — e.g.
-                // `rbm:gls-3` or `lowrank-8:neumann-2:add`.
+                // `rbm:gls-3` or `rbm.s3:neumann-2`.
                 let rest = arg
                     .filter(|a| !a.is_empty())
                     .ok_or(ParseSpecError::MissingCoarse)?;
-                let mut segs = rest.split(':');
+                let mut segs = rest.splitn(3, ':');
                 let coarse_tok = segs.next().unwrap_or("");
                 let coarse = CoarseSpec::parse(coarse_tok)
                     .ok_or_else(|| ParseSpecError::BadCoarse(coarse_tok.to_string()))?;
                 let smoother_tok = segs.next().ok_or(ParseSpecError::MissingSmoother)?;
                 let smoother = parse_smoother(smoother_tok)?;
-                let additive = match segs.next() {
-                    None => false,
-                    Some("add") => true,
-                    Some("mult") => false,
-                    Some(other) => return Err(ParseSpecError::BadComposition(other.to_string())),
-                };
                 if let Some(extra) = segs.next() {
-                    return Err(ParseSpecError::BadComposition(extra.to_string()));
+                    return Err(ParseSpecError::TrailingSegment(extra.to_string()));
                 }
                 Ok(PrecondSpec::TwoLevel {
                     coarse,
                     smoother: Box::new(smoother),
-                    additive,
                 })
             }
             "gls-escalating" => {
@@ -315,11 +298,9 @@ impl PrecondSpec {
         local: Option<&A>,
         diag: impl FnOnce() -> Vec<f64>,
     ) -> Result<SpecPrecond, SparseError> {
-        let (one_level, additive) = match self {
-            PrecondSpec::TwoLevel {
-                smoother, additive, ..
-            } => (&**smoother, Some(*additive)),
-            _ => (self, None),
+        let (one_level, two_level) = match self {
+            PrecondSpec::TwoLevel { smoother, .. } => (&**smoother, true),
+            _ => (self, false),
         };
         let built = match one_level {
             PrecondSpec::None => BuiltPrecond::None(IdentityPrecond),
@@ -348,25 +329,16 @@ impl PrecondSpec {
                 self.name()
             ),
         };
-        Ok(match additive {
-            None => SpecPrecond::Plain(built),
-            Some(additive) => {
-                let solver = coarse.unwrap_or_else(|| {
-                    panic!("two-level spec `{}` requires a coarse solver", self.name())
-                });
-                let composition = if additive {
-                    Composition::Additive
-                } else {
-                    Composition::Multiplicative
-                };
-                SpecPrecond::TwoLevel(TwoLevelPrecond::new(
-                    built,
-                    solver,
-                    composition,
-                    self.name(),
-                ))
-            }
-        })
+        if !two_level {
+            return Ok(SpecPrecond::Plain(built));
+        }
+        let solver = coarse
+            .unwrap_or_else(|| panic!("two-level spec `{}` requires a coarse solver", self.name()));
+        Ok(SpecPrecond::TwoLevel(TwoLevelPrecond::new(
+            built,
+            solver,
+            self.name(),
+        )))
     }
 }
 
@@ -478,16 +450,16 @@ pub enum ParseSpecError {
     /// `twolevel` came without its coarse segment (`twolevel`, not
     /// `twolevel:rbm:gls-3`).
     MissingCoarse,
-    /// The coarse segment is not `const`, `rbm` or `lowrank-K` (K ≥ 1).
+    /// The coarse segment is not `rbm` or `rbm.sK` (K ≥ 1).
     BadCoarse(String),
     /// `twolevel:<coarse>` came without its smoother segment.
     MissingSmoother,
     /// The smoother segment is not in the accepted one-level set
     /// (`none`, `jacobi`, `direct`, `gls-M`, `neumann-M`, `chebyshev-M`).
     BadSmoother(String),
-    /// The composition segment is not `add` or `mult` (or the spec has
-    /// trailing segments).
-    BadComposition(String),
+    /// A segment follows the smoother: the coarse correction composes
+    /// multiplicatively, with no choice to make.
+    TrailingSegment(String),
 }
 
 impl fmt::Display for ParseSpecError {
@@ -522,11 +494,7 @@ impl fmt::Display for ParseSpecError {
                 )
             }
             ParseSpecError::BadCoarse(given) => {
-                write!(
-                    f,
-                    "bad coarse space {given}: expected const, rbm or lowrank-K \
-                     (K >= 1), optionally .sK for K prolongator-smoothing passes"
-                )
+                write!(f, "bad coarse space {given}: {TWOLEVEL_FORM}")
             }
             ParseSpecError::MissingSmoother => {
                 write!(f, "twolevel needs a smoother, e.g. twolevel:rbm:gls-3")
@@ -538,8 +506,11 @@ impl fmt::Display for ParseSpecError {
                      neumann-M or chebyshev-M"
                 )
             }
-            ParseSpecError::BadComposition(given) => {
-                write!(f, "bad composition {given}: expected add or mult")
+            ParseSpecError::TrailingSegment(given) => {
+                write!(
+                    f,
+                    "unexpected segment {given} after the smoother: {TWOLEVEL_FORM}"
+                )
             }
         }
     }
@@ -549,30 +520,63 @@ impl std::error::Error for ParseSpecError {}
 
 /// The accepted `--precond` grammar, one spec per alternative.
 pub const GRAMMAR: &str = "none|jacobi|direct|ilu0|gls:M|neumann:M|chebyshev:M|\
-                           gls-escalating:PERIOD|twolevel:COARSE:SMOOTHER[:add]";
+                           gls-escalating:PERIOD|twolevel:COARSE:SMOOTHER";
+
+/// What a two-level spec's coarse segment and composition accept, quoted by
+/// both of their refusals.
+const TWOLEVEL_FORM: &str = "the coarse space is rbm or rbm.sK (K >= 1 prolongator-smoothing \
+                             passes), composed multiplicatively, e.g. twolevel:rbm.s3:gls-3";
+
+/// One row per spec form: the form and its description, one line of the
+/// help text per `\n`-separated line.
+const HELP: &[(&str, &str)] = &[
+    ("none", "unpreconditioned FGMRES"),
+    ("jacobi", "assembled-diagonal scaling"),
+    (
+        "direct",
+        "exact rank-local sparse direct solve (nested-dissection LDLt;\n\
+         pivot-tolerant on floating subdomains where ILU(0) fails)",
+    ),
+    (
+        "ilu0",
+        "rank-local ILU(0): the sequential comparator at one rank,\n\
+         block-Jacobi ILU(0) under rdd; may meet a zero pivot on\n\
+         floating edd subdomains (the paper's Eq. 45)",
+    ),
+    (
+        "gls:M",
+        "degree-M generalized least-squares polynomial on (eps, 1)",
+    ),
+    (
+        "neumann:M",
+        "degree-M Neumann series (omega = 1 after scaling)",
+    ),
+    ("chebyshev:M", "degree-M Chebyshev (min-max) polynomial"),
+    (
+        "gls-escalating:P",
+        "GLS degree schedule 1->3->7->10, advancing every P applies",
+    ),
+    (
+        "twolevel:C:S",
+        "rigid-body coarse space C (rbm, or rbm.sK for K\n\
+         prolongator-smoothing passes, e.g. rbm.s3) composed\n\
+         multiplicatively around smoother S (none, jacobi,\n\
+         direct, gls-M, neumann-M, chebyshev-M)",
+    ),
+];
 
 /// Multi-line help text for the grammar — rendered by the CLI usage screen
 /// and quoted by the README, so the documentation always matches the
 /// parser.
 pub fn grammar_help() -> String {
-    format!(
-        "{GRAMMAR}\n\
-         none                 unpreconditioned FGMRES\n\
-         jacobi               assembled-diagonal scaling\n\
-         direct               exact rank-local sparse direct solve (nested-dissection LDLt;\n\
-                              pivot-tolerant on floating subdomains where ILU(0) fails)\n\
-         ilu0                 rank-local ILU(0): the sequential comparator at one rank,\n\
-                              block-Jacobi ILU(0) under rdd; may meet a zero pivot on\n\
-                              floating edd subdomains (the paper's Eq. 45)\n\
-         gls:M                degree-M generalized least-squares polynomial on (eps, 1)\n\
-         neumann:M            degree-M Neumann series (omega = 1 after scaling)\n\
-         chebyshev:M          degree-M Chebyshev (min-max) polynomial\n\
-         gls-escalating:P     GLS degree schedule 1->3->7->10, advancing every P applies\n\
-         twolevel:C:S         coarse space C (const|rbm|lowrank-K, each optionally .sK\n\
-                              for K prolongator-smoothing passes, e.g. rbm.s3) around\n\
-                              smoother S (none, jacobi, direct, gls-M, neumann-M,\n\
-                              chebyshev-M); multiplicative unless :add is appended"
-    )
+    let mut help = GRAMMAR.to_string();
+    for (form, text) in HELP {
+        for (i, line) in text.lines().enumerate() {
+            let form = if i == 0 { form } else { "" };
+            help.push_str(&format!("\n{form:<20} {line}"));
+        }
+    }
+    help
 }
 
 /// Every registered spec kind with a representative example — the registry
@@ -591,12 +595,11 @@ pub fn examples() -> Vec<PrecondSpec> {
         PrecondSpec::Direct,
         PrecondSpec::Ilu0,
         PrecondSpec::TwoLevel {
-            coarse: CoarseSpec::Rbm,
+            coarse: CoarseSpec { passes: 0 },
             smoother: Box::new(PrecondSpec::Gls {
                 degree: 3,
                 theta: None,
             }),
-            additive: false,
         },
     ]
 }

@@ -3,33 +3,33 @@
 //!
 //! One-level polynomial preconditioners act locally — information moves one
 //! subdomain per application, so FGMRES iteration counts grow with the part
-//! count `P`. The classical fix (Nicolaides coarse spaces; the FETI-DP and
-//! GenEO families; the low-rank Schur corrections of Li & Saad,
-//! arXiv:1505.04341) is a **coarse space**: a few vectors per part spanning
-//! the near-null space of the operator, with a direct solve on the Galerkin
-//! coarse operator `A_c = Zᵀ A Z` propagating global information every
-//! application. This module provides:
+//! count `P`. The classical fix (Nicolaides coarse spaces, smoothed
+//! aggregation, the balancing Neumann–Neumann and FETI-DP families) is a
+//! **coarse space**: a few vectors per part spanning the near-null space of
+//! the operator, with a direct solve on the Galerkin coarse operator
+//! `A_c = Zᵀ A Z` propagating global information every application. This
+//! module provides one such space, in three parts:
 //!
-//! - [`CoarseSpec`] — which per-part modes to use: partition-of-unity
-//!   constants ([`CoarseSpec::Const`]), rigid-body modes
-//!   ([`CoarseSpec::Rbm`]), or eigenvalue-selected low-rank local modes
-//!   ([`CoarseSpec::LowRank`]),
-//! - [`build_coarse`] — the one deterministic construction of the coarse
-//!   basis `Ẑ` (in post-scaling space) and the factored Galerkin operator,
-//!   from plain per-part geometry slices (no mesh dependency), generic
-//!   over the [`CoarseSetup`] hooks: a rank of a distributed solve builds
-//!   its own share from its own rows and two exchange points, and the
-//!   sequential [`build_coarse_basis`] is the same code over an assembled
-//!   matrix whose hooks are no-ops,
-//! - [`CoarseSolver`] — the runtime object on the build's [`ModeSet`]:
-//!   restriction `y = Ẑᵀ v`, a cross-rank [`CoarseReduce::coarse_reduce`]
-//!   sum, a redundant sparse-LDLᵀ solve, and prolongation `z += Ẑ y`,
-//!   allocation-free after construction,
-//! - [`TwoLevelPrecond`] — the composition `z = M_s v + Ẑ A_c⁻¹ Ẑᵀ v`
-//!   (additive) or `z_c = Ẑ A_c⁻¹ Ẑᵀ v; z = z_c + M_s (v − A z_c)`
-//!   (multiplicative) around any existing smoother,
-//! - [`SpecPrecond`] — the registry's concrete built form covering both
-//!   one-level and two-level specs.
+//! - `modes` — [`CoarseSpec`], each part's partition-of-unity rigid-body
+//!   modes (translations, plus rotations for 2- and 3-component problems)
+//!   with an optional count of prolongator-smoothing passes, and the
+//!   holder's [`ModeSet`]: sparse [`LiveMode`] lists and the dense
+//!   [`ModePanel`] columns,
+//! - `build` — [`build_coarse`], the one deterministic construction of the
+//!   coarse basis `Ẑ` (in post-scaling space) and the factored Galerkin
+//!   operator, from plain per-part geometry slices (no mesh dependency),
+//!   generic over the [`CoarseSetup`] hooks: a rank of a distributed solve
+//!   builds its own share from its own rows and two exchange points, and
+//!   the sequential [`build_coarse_basis`] is the same code over an
+//!   assembled matrix whose hooks are no-ops,
+//! - `solver` — [`CoarseSolver`], the runtime correction on the build's
+//!   [`ModeSet`] (restriction `y = Ẑᵀ v`, a cross-rank
+//!   [`CoarseReduce::coarse_reduce`] sum, a redundant sparse-LDLᵀ solve and
+//!   prolongation `z = Ẑ y`, allocation-free after construction);
+//!   [`TwoLevelPrecond`], the multiplicative composition
+//!   `z_c = Ẑ A_c⁻¹ Ẑᵀ v; z = z_c + M_s (v − A z_c)` around any existing
+//!   smoother; and [`SpecPrecond`], the registry's concrete built form
+//!   covering both one-level and two-level specs.
 //!
 //! ## Scaled-space convention
 //!
@@ -79,103 +79,57 @@
 
 use crate::registry::BuiltPrecond;
 use crate::{InterfaceConsistency, Preconditioner};
-use parfem_sparse::dense::{dot, sym_eigen_jacobi};
+use parfem_sparse::dense::dot;
 use parfem_sparse::{CooMatrix, CsrMatrix, LinearOperator, SparseLdlt, SparseRows};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-/// Which coarse space a two-level preconditioner uses, per part.
+/// The one coarse space of a two-level preconditioner: each part's
+/// partition-of-unity rigid-body modes, optionally smoothed.
+///
+/// The modes of a part are its translations plus the part-centered
+/// rotations — the single in-plane rotation `(−(y − ȳ_p), x − x̄_p)` for
+/// 2-component problems, the three axis rotations for 3-component problems
+/// (`d(d+1)/2` modes per part in total); a scalar (1-component) problem has
+/// no rotation and gets its one partition-of-unity constant.
+///
+/// With `passes = K > 0` every mode gets `K` damped-Jacobi smoothing passes
+/// `ẑ ← (I − ω D_A⁻¹ A) ẑ` before the Galerkin assembly — the
+/// smoothed-aggregation prolongator of Vaněk, Mandel & Brezina. The damping
+/// `ω = 4/(3 λ̂)` uses a deterministic power-iteration estimate
+/// `λ̂ ≈ λ_max(D_A⁻¹ A)`. Plain aggregation modes keep elasticity iteration
+/// counts growing slowly with the part count; smoothing the prolongator is
+/// what flattens them.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CoarseSpec {
-    /// Partition-of-unity constants: one mode per displacement component
-    /// per part (a scalar problem gets one, 2-D elasticity two).
-    Const,
-    /// Rigid-body modes: the translations of [`CoarseSpec::Const`] plus the
-    /// part-centered rotations — the single in-plane rotation
-    /// `(−(y − ȳ_p), x − x̄_p)` for 2-component problems, the three axis
-    /// rotations for 3-component problems (`d(d+1)/2` modes per part in
-    /// total). Falls back to [`CoarseSpec::Const`] on scalar (1-component)
-    /// problems, where no rotation exists.
-    Rbm,
-    /// The `k` lowest eigenvectors of each part's principal submatrix of
-    /// the scaled operator, partition-of-unity weighted — the
-    /// eigenvalue-selected low-rank correction in the style of Li & Saad.
-    LowRank(usize),
-    /// A base coarse space whose modes get `k` damped-Jacobi smoothing
-    /// passes `ẑ ← (I − ω D_A⁻¹ A) ẑ` before the Galerkin assembly — the
-    /// smoothed-aggregation prolongator of Vaněk, Mandel & Brezina. The
-    /// damping `ω = 4/(3 λ̂)` uses a deterministic power-iteration estimate
-    /// `λ̂ ≈ λ_max(D_A⁻¹ A)`. Plain aggregation modes keep elasticity
-    /// iteration counts growing slowly with the part count; smoothing the
-    /// prolongator is what flattens them (token: `<base>.sK`, e.g.
-    /// `rbm.s3`). The inner spec is never itself `Smoothed`.
-    Smoothed(Box<CoarseSpec>, usize),
+pub struct CoarseSpec {
+    /// Prolongator-smoothing passes (`0`: the plain modes).
+    pub passes: usize,
 }
 
 impl CoarseSpec {
-    /// The CLI token: `const`, `rbm`, `lowrank-K`, each optionally
-    /// suffixed `.sK` for `K` prolongator-smoothing passes.
+    /// The CLI token: `rbm`, or `rbm.sK` for `K` smoothing passes.
     pub fn token(&self) -> String {
-        match self {
-            CoarseSpec::Const => "const".into(),
-            CoarseSpec::Rbm => "rbm".into(),
-            CoarseSpec::LowRank(k) => format!("lowrank-{k}"),
-            CoarseSpec::Smoothed(base, k) => format!("{}.s{k}", base.token()),
+        match self.passes {
+            0 => "rbm".into(),
+            k => format!("rbm.s{k}"),
         }
     }
 
     /// Parses a CLI token; `None` for anything outside the grammar
     /// (the registry wraps this in its typed error).
     pub fn parse(tok: &str) -> Option<CoarseSpec> {
-        if let Some((base_tok, s)) = tok.split_once(".s") {
-            let passes: usize = s.parse().ok()?;
-            let base = CoarseSpec::parse(base_tok)?;
-            return if passes == 0 || matches!(base, CoarseSpec::Smoothed(..)) {
-                None
-            } else {
-                Some(CoarseSpec::Smoothed(Box::new(base), passes))
-            };
-        }
-        match tok {
-            "const" => Some(CoarseSpec::Const),
-            "rbm" => Some(CoarseSpec::Rbm),
-            _ => {
-                let k: usize = tok.strip_prefix("lowrank-")?.parse().ok()?;
-                if k == 0 {
-                    None
-                } else {
-                    Some(CoarseSpec::LowRank(k))
-                }
-            }
-        }
+        let passes = match tok.strip_prefix("rbm")? {
+            "" => 0,
+            s => s.strip_prefix(".s")?.parse().ok().filter(|&k| k > 0)?,
+        };
+        Some(CoarseSpec { passes })
     }
 
-    /// Modes per part for a problem with `n_comp` displacement components.
-    pub fn modes_per_part(&self, n_comp: usize) -> usize {
-        match self {
-            CoarseSpec::Const => n_comp,
-            // Translations plus rotations: d(d+1)/2 rigid modes in d
-            // dimensions (1 scalar, 3 in 2-D, 6 in 3-D).
-            CoarseSpec::Rbm => n_comp * (n_comp + 1) / 2,
-            CoarseSpec::LowRank(k) => *k,
-            CoarseSpec::Smoothed(base, _) => base.modes_per_part(n_comp),
-        }
-    }
-
-    /// The underlying mode family, with any smoothing wrapper stripped.
-    pub fn base(&self) -> &CoarseSpec {
-        match self {
-            CoarseSpec::Smoothed(base, _) => base,
-            other => other,
-        }
-    }
-
-    /// Number of prolongator-smoothing passes (0 for unsmoothed specs).
-    pub fn smoothing_passes(&self) -> usize {
-        match self {
-            CoarseSpec::Smoothed(_, k) => *k,
-            _ => 0,
-        }
+    /// Modes per part for a problem with `n_comp` displacement components:
+    /// `d(d+1)/2` rigid modes in `d` dimensions (1 scalar, 3 in 2-D, 6 in
+    /// 3-D).
+    pub fn modes_per_part(n_comp: usize) -> usize {
+        n_comp * (n_comp + 1) / 2
     }
 }
 
@@ -183,18 +137,6 @@ impl fmt::Display for CoarseSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.token())
     }
-}
-
-/// How the coarse correction composes with the smoother.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Composition {
-    /// `z = z_c + M_s (v − A z_c)`: coarse first, smoother on the coarse
-    /// residual. One extra operator application per preconditioner apply;
-    /// the default, and the stronger composition.
-    Multiplicative,
-    /// `z = M_s v + Ẑ A_c⁻¹ Ẑᵀ v`: both corrections from the same input.
-    /// No extra operator application.
-    Additive,
 }
 
 /// The cross-rank hook the coarse solve needs from an operator: summing the
@@ -786,7 +728,7 @@ pub fn build_coarse<Op: CoarseSetup + ?Sized>(
     pivot_tol: f64,
 ) -> BuiltCoarse {
     let rows = op.local_rows();
-    let mpp = spec.modes_per_part(n_comp);
+    let mpp = CoarseSpec::modes_per_part(n_comp);
     let n_modes = mpp * n_parts;
     let mut scratch = Scratch::new(rows.n_cols());
 
@@ -799,14 +741,10 @@ pub fn build_coarse<Op: CoarseSetup + ?Sized>(
             geo.constrained.len(),
             "part {p}: constrained length"
         );
-        let columns = match spec.base() {
-            CoarseSpec::Const | CoarseSpec::Rbm => {
-                geometric_modes(spec.base(), geo, mult, d, mpp, n_comp)
-            }
-            CoarseSpec::LowRank(k) => lowrank_modes(geo, mult, rows.a, *k),
-            CoarseSpec::Smoothed(..) => unreachable!("base() strips smoothing"),
-        };
-        for (k, y) in columns.into_iter().enumerate() {
+        for (k, y) in geometric_modes(geo, mult, d, n_comp)
+            .into_iter()
+            .enumerate()
+        {
             if !y.is_empty() {
                 mode_slot(&mut set.modes, p * mpp + k).y = y;
             }
@@ -818,7 +756,7 @@ pub fn build_coarse<Op: CoarseSetup + ?Sized>(
     }
 
     let (mut lambda_hat, mut omega) = (0.0, 0.0);
-    let passes = spec.smoothing_passes();
+    let passes = spec.passes;
     if passes > 0 {
         let inv_diag = inverse_assembled_diagonal(op, &rows);
         lambda_hat = power_iteration_lambda(op, &inv_diag);
@@ -876,18 +814,17 @@ pub fn build_coarse<Op: CoarseSetup + ?Sized>(
     }
 }
 
-/// Partition-of-unity translations (and, for [`CoarseSpec::Rbm`], the
-/// centered rotations) of one part, transformed to scaled space:
-/// `Ẑ[g] = geom(g) / (mult[g] · d[g])`. One column per mode of the part.
+/// Partition-of-unity rigid-body modes of one part — the translations and,
+/// for 2- and 3-component problems, the centered rotations — transformed to
+/// scaled space: `Ẑ[g] = geom(g) / (mult[g] · d[g])`. One column per mode of
+/// the part.
 fn geometric_modes(
-    spec: &CoarseSpec,
     geo: &CoarsePartGeometry,
     mult: &[f64],
     d: &[f64],
-    mpp: usize,
     n_comp: usize,
 ) -> Vec<Vec<(usize, f64)>> {
-    let mut modes = vec![Vec::new(); mpp];
+    let mut modes = vec![Vec::new(); CoarseSpec::modes_per_part(n_comp)];
     let n = geo.dofs.len();
     // Per-part centroid over all entries (constrained included — fixed,
     // purely geometric, deterministic).
@@ -911,7 +848,7 @@ fn geometric_modes(
         let c = geo.comp[e];
         // Translation mode of this dof's component.
         modes[c].push((g, w));
-        if matches!(spec, CoarseSpec::Rbm) && n_comp >= 2 {
+        if n_comp >= 2 {
             // Rotation about e_z: (−(y − ȳ), x − x̄, 0) — the single 2-D
             // rotation, kept in the historical mode slot.
             let rot_z = match c {
@@ -941,57 +878,6 @@ fn geometric_modes(
                 if rot_y != 0.0 {
                     modes[n_comp + 2].push((g, rot_y * w));
                 }
-            }
-        }
-    }
-    modes
-}
-
-/// The `k` lowest eigenvectors of the part's unconstrained principal block
-/// of the holder's own rows `a`, partition-of-unity weighted (`Ẑ[g] = v[g] /
-/// mult[g]`; no `d` division — the eigenproblem already lives in scaled
-/// space). Parts smaller than `k` keep empty trailing modes, pivoted out
-/// by the coarse factorization.
-///
-/// "The holder's own rows" is the assembled principal block sequentially
-/// and under RDD (`a_loc` is exactly that block), and the subdomain's
-/// **unassembled** matrix under EDD: the interface–interface entries are
-/// not completed from the neighbours, so on a floating subdomain the lowest
-/// eigenvectors are its scaled rigid-body modes themselves.
-fn lowrank_modes<A: SparseRows + ?Sized>(
-    geo: &CoarsePartGeometry,
-    mult: &[f64],
-    a: &A,
-    k: usize,
-) -> Vec<Vec<(usize, f64)>> {
-    let mut modes = vec![Vec::new(); k];
-    let free: Vec<usize> = (0..geo.dofs.len())
-        .filter(|&e| !geo.constrained[e])
-        .collect();
-    let n = free.len();
-    if n == 0 {
-        return modes;
-    }
-    // Position of each of the holder's rows in the principal block.
-    let mut at = vec![usize::MAX; a.n_rows()];
-    for (i, &e) in free.iter().enumerate() {
-        at[geo.dofs[e]] = i;
-    }
-    let mut block = vec![0.0; n * n];
-    for (i, &ei) in free.iter().enumerate() {
-        for (c, v) in a.row_entries(geo.dofs[ei]) {
-            if at[c] != usize::MAX {
-                block[i * n + at[c]] = v;
-            }
-        }
-    }
-    let (_vals, vecs) = sym_eigen_jacobi(n, &block);
-    for (m, col) in modes.iter_mut().enumerate().take(n) {
-        for (i, &ei) in free.iter().enumerate() {
-            let g = geo.dofs[ei];
-            let v = vecs[m * n + i] / mult[g];
-            if v != 0.0 {
-                col.push((g, v));
             }
         }
     }
@@ -1495,23 +1381,14 @@ impl CoarseSolver {
         4 * self.nnz as u64 + self.factor.solve_flops()
     }
 
-    /// `z = Ẑ A_c⁻¹ Ẑᵀ v` (overwriting `z`).
-    pub fn apply_overwrite<Op: CoarseReduce + ?Sized>(&self, op: &Op, v: &[f64], z: &mut [f64]) {
-        self.apply_impl(op, v, z, false)
-    }
-
-    /// `z += Ẑ A_c⁻¹ Ẑᵀ v`.
-    pub fn apply_add<Op: CoarseReduce + ?Sized>(&self, op: &Op, v: &[f64], z: &mut [f64]) {
-        self.apply_impl(op, v, z, true)
-    }
-
+    /// `z = Ẑ A_c⁻¹ Ẑᵀ v`, overwriting `z`.
+    ///
     /// Restriction: one row-major pass over the panel into `columns`, one
     /// pass per list mode, each `y[m]` summed in ascending row. Prolongation:
     /// each row's terms in ascending mode id, a pass per list mode or run of
-    /// id-consecutive columns. A panel zero adds a signed zero, which moves
-    /// no sum that is not `−0` (none started at `+0` is), so only a row of
-    /// `z` that is `−0.0` when a run reaches it skips its panel zeros.
-    fn apply_impl<Op: CoarseReduce + ?Sized>(&self, op: &Op, v: &[f64], z: &mut [f64], add: bool) {
+    /// id-consecutive columns. A panel zero adds a signed zero to a row that
+    /// started at `+0`, which moves no sum.
+    pub fn apply<Op: CoarseReduce + ?Sized>(&self, op: &Op, v: &[f64], z: &mut [f64]) {
         let (modes, panel) = (&self.modes.modes, &self.modes.panel);
         let weight = |r: usize| self.weights.as_ref().map_or(1.0, |w| w[r]);
         let mut buffers = self.y.lock().expect("coarse scratch lock");
@@ -1533,9 +1410,7 @@ impl CoarseSolver {
         }
         op.coarse_reduce(y);
         self.factor.solve_in_place_with(y, scratch);
-        if !add {
-            z.fill(0.0);
-        }
+        z.fill(0.0);
         for run in modes.chunk_by(|a, b| a.column.is_some_and(|c| b.column == Some(c + 1))) {
             let Some(first) = run[0].column else {
                 (run[0].z.iter()).for_each(|&(r, zr)| z[r] += zr * y[run[0].id]);
@@ -1544,11 +1419,8 @@ impl CoarseSolver {
             let ys = &mut columns[first..first + run.len()];
             ys.iter_mut().zip(run).for_each(|(yc, m)| *yc = y[m.id]);
             for (zr, zi) in panel.rows().zip(z.iter_mut()) {
-                let all = zi.to_bits() != (-0.0f64).to_bits();
                 for (&zc, &yc) in zr[first..].iter().zip(&*ys) {
-                    if all || zc != 0.0 {
-                        *zi += zc * yc;
-                    }
+                    *zi += zc * yc;
                 }
             }
         }
@@ -1566,18 +1438,16 @@ impl CoarseSolver {
 pub struct TwoLevelPrecond<S> {
     smoother: S,
     coarse: CoarseSolver,
-    composition: Composition,
     label: String,
 }
 
 impl<S> TwoLevelPrecond<S> {
     /// Composes `smoother` with `coarse`. `label` becomes the
     /// [`Preconditioner::name`], conventionally the registry spec string.
-    pub fn new(smoother: S, coarse: CoarseSolver, composition: Composition, label: String) -> Self {
+    pub fn new(smoother: S, coarse: CoarseSolver, label: String) -> Self {
         TwoLevelPrecond {
             smoother,
             coarse,
-            composition,
             label,
         }
     }
@@ -1596,52 +1466,32 @@ where
     }
 
     fn scratch_vectors(&self) -> usize {
-        self.smoother.scratch_vectors()
-            + match self.composition {
-                Composition::Multiplicative => 2,
-                Composition::Additive => 0,
-            }
+        self.smoother.scratch_vectors() + 2
     }
 
     fn apply_scratch(&self, op: &Op, v: &[f64], z: &mut [f64], scratch: &mut [Vec<f64>]) {
-        match self.composition {
-            Composition::Additive => {
-                self.smoother.apply_scratch(op, v, z, scratch);
-                self.coarse.apply_add(op, v, z);
-            }
-            Composition::Multiplicative => {
-                let (ours, sm_scratch) = scratch.split_at_mut(2);
-                let (r_slot, s_slot) = ours.split_at_mut(1);
-                let r = &mut r_slot[0];
-                let s = &mut s_slot[0];
-                // z_c = coarse(v); r = v − A z_c; z = z_c + M_s r.
-                self.coarse.apply_overwrite(op, v, z);
-                op.apply_into(z, r);
-                for i in 0..r.len() {
-                    r[i] = v[i] - r[i];
-                }
-                self.smoother.apply_scratch(op, r, s, sm_scratch);
-                for i in 0..z.len() {
-                    z[i] += s[i];
-                }
-            }
+        let (ours, sm_scratch) = scratch.split_at_mut(2);
+        let (r_slot, s_slot) = ours.split_at_mut(1);
+        let r = &mut r_slot[0];
+        let s = &mut s_slot[0];
+        // z_c = coarse(v); r = v − A z_c; z = z_c + M_s r.
+        self.coarse.apply(op, v, z);
+        op.apply_into(z, r);
+        for i in 0..r.len() {
+            r[i] = v[i] - r[i];
+        }
+        self.smoother.apply_scratch(op, r, s, sm_scratch);
+        for i in 0..z.len() {
+            z[i] += s[i];
         }
     }
 
     fn operator_applications(&self) -> usize {
-        self.smoother.operator_applications()
-            + match self.composition {
-                Composition::Multiplicative => 1,
-                Composition::Additive => 0,
-            }
+        self.smoother.operator_applications() + 1
     }
 
     fn current_operator_applications(&self) -> usize {
-        self.smoother.current_operator_applications()
-            + match self.composition {
-                Composition::Multiplicative => 1,
-                Composition::Additive => 0,
-            }
+        self.smoother.current_operator_applications() + 1
     }
 
     fn name(&self) -> String {
@@ -1765,7 +1615,7 @@ mod tests {
     fn galerkin_operator_matches_dense_reference() {
         let (a, parts, mult) = chain_fixture(16, 4);
         let d = vec![1.0; 16];
-        let basis = build_coarse_basis(&CoarseSpec::Const, &parts, &mult, &d, &a, 1e-12);
+        let basis = build_coarse_basis(&CoarseSpec { passes: 0 }, &parts, &mult, &d, &a, 1e-12);
         let ac = &basis.a_c;
         let modes: Vec<_> = basis.modes.entries_by_mode().collect();
         assert_eq!(modes.len(), basis.info.n_modes, "every mode is live");
@@ -1795,7 +1645,7 @@ mod tests {
         // component: Ẑ A_c⁻¹ Ẑᵀ A Ẑ y = Ẑ y.
         let (a, parts, mult) = chain_fixture(24, 4);
         let d = vec![1.0; 24];
-        let basis = build_coarse_basis(&CoarseSpec::Const, &parts, &mult, &d, &a, 1e-12);
+        let basis = build_coarse_basis(&CoarseSpec { passes: 0 }, &parts, &mult, &d, &a, 1e-12);
         let y = [1.0, -2.0, 0.5, 3.0];
         let mut zy = vec![0.0; 24];
         for (m, col) in basis.modes.entries_by_mode() {
@@ -1806,63 +1656,37 @@ mod tests {
         let solver = basis.solver(None);
         let v = a.apply(&zy);
         let mut z = vec![0.0; 24];
-        solver.apply_overwrite(&a, &v, &mut z);
+        solver.apply(&a, &v, &mut z);
         for (got, want) in z.iter().zip(&zy) {
             assert!((got - want).abs() < 1e-10, "{got} vs {want}");
         }
     }
 
     #[test]
-    fn additive_and_multiplicative_both_apply_and_differ() {
-        let (a, parts, mult) = chain_fixture(24, 4);
-        let d = vec![1.0; 24];
-        let basis = build_coarse_basis(&CoarseSpec::Const, &parts, &mult, &d, &a, 1e-12);
-        let v: Vec<f64> = (0..24).map(|i| ((i * 7 % 11) as f64) - 5.0).collect();
-        let mk = |comp| {
-            TwoLevelPrecond::new(
-                JacobiPrecond::from_diagonal(&a.diagonal()),
-                basis.clone().solver(None),
-                comp,
-                "t".into(),
-            )
-        };
-        let add = mk(Composition::Additive).apply(&a, &v);
-        let mult_z = mk(Composition::Multiplicative).apply(&a, &v);
-        assert!(add.iter().all(|x| x.is_finite()));
-        assert!(mult_z.iter().all(|x| x.is_finite()));
-        assert!(add.iter().zip(&mult_z).any(|(x, y)| x != y));
-    }
-
-    #[test]
     fn scratch_and_allocating_paths_are_bit_identical() {
         let (a, parts, mult) = chain_fixture(24, 4);
         let d = vec![1.0; 24];
-        let basis = build_coarse_basis(&CoarseSpec::Rbm, &parts, &mult, &d, &a, 1e-12);
-        for comp in [Composition::Additive, Composition::Multiplicative] {
-            let pc = TwoLevelPrecond::new(
-                JacobiPrecond::from_diagonal(&a.diagonal()),
-                basis.clone().solver(None),
-                comp,
-                "t".into(),
-            );
-            let v: Vec<f64> = (0..24).map(|i| (i as f64).sin()).collect();
-            let mut z1 = vec![0.0; 24];
-            pc.apply_into(&a, &v, &mut z1);
-            let mut z2 = vec![0.0; 24];
-            let mut scratch =
-                vec![vec![0.0; 24]; Preconditioner::<CsrMatrix>::scratch_vectors(&pc)];
-            pc.apply_scratch(&a, &v, &mut z2, &mut scratch);
-            assert_eq!(z1, z2);
-        }
+        let basis = build_coarse_basis(&CoarseSpec { passes: 0 }, &parts, &mult, &d, &a, 1e-12);
+        let pc = TwoLevelPrecond::new(
+            JacobiPrecond::from_diagonal(&a.diagonal()),
+            basis.solver(None),
+            "t".into(),
+        );
+        let v: Vec<f64> = (0..24).map(|i| (i as f64).sin()).collect();
+        let mut z1 = vec![0.0; 24];
+        pc.apply_into(&a, &v, &mut z1);
+        let mut z2 = vec![0.0; 24];
+        let mut scratch = vec![vec![0.0; 24]; Preconditioner::<CsrMatrix>::scratch_vectors(&pc)];
+        pc.apply_scratch(&a, &v, &mut z2, &mut scratch);
+        assert_eq!(z1, z2);
     }
 
     #[test]
     fn rbm_mode_counts_follow_the_physics() {
         // d(d+1)/2 rigid modes: 1 scalar, 3 in 2-D, 6 in 3-D.
-        assert_eq!(CoarseSpec::Rbm.modes_per_part(1), 1);
-        assert_eq!(CoarseSpec::Rbm.modes_per_part(2), 3);
-        assert_eq!(CoarseSpec::Rbm.modes_per_part(3), 6);
-        assert_eq!(CoarseSpec::Const.modes_per_part(3), 3);
+        assert_eq!(CoarseSpec::modes_per_part(1), 1);
+        assert_eq!(CoarseSpec::modes_per_part(2), 3);
+        assert_eq!(CoarseSpec::modes_per_part(3), 6);
     }
 
     #[test]
@@ -1885,7 +1709,7 @@ mod tests {
         };
         let mult = vec![1.0; n_dofs];
         let d = vec![1.0; n_dofs];
-        let modes = geometric_modes(&CoarseSpec::Rbm, &geo, &mult, &d, 6, 3);
+        let modes = geometric_modes(&geo, &mult, &d, 3);
         // Dense expansion for checking.
         let dense: Vec<Vec<f64>> = modes
             .iter()
@@ -1923,11 +1747,22 @@ mod tests {
 
     #[test]
     fn coarse_spec_tokens_round_trip() {
-        for spec in [CoarseSpec::Const, CoarseSpec::Rbm, CoarseSpec::LowRank(8)] {
+        for passes in [0, 1, 3, 12] {
+            let spec = CoarseSpec { passes };
             assert_eq!(CoarseSpec::parse(&spec.token()), Some(spec));
         }
-        assert_eq!(CoarseSpec::parse("lowrank-0"), None);
-        assert_eq!(CoarseSpec::parse("lowrank-x"), None);
-        assert_eq!(CoarseSpec::parse("fine"), None);
+        assert_eq!(CoarseSpec { passes: 0 }.token(), "rbm");
+        assert_eq!(CoarseSpec { passes: 3 }.token(), "rbm.s3");
+        for bad in [
+            "const",
+            "lowrank-4",
+            "rbm.s0",
+            "rbm.s",
+            "rbm3",
+            "rbm.s2.s2",
+            "fine",
+        ] {
+            assert_eq!(CoarseSpec::parse(bad), None, "{bad}");
+        }
     }
 }

@@ -7,46 +7,38 @@ use parfem_precond::{CoarseSpec, ParseSpecError, PrecondSpec};
 use proptest::prelude::*;
 
 /// Strategy: any spec the registry can print and re-parse — the one-level
-/// kinds with a random degree/period, plus the two-level compositions
-/// (any coarse space × any *smoother-grammar* one-level spec — everything
-/// except `gls-escalating` and `ilu0`, which have no smoother token — ×
-/// either composition).
+/// kinds with a random degree/period, plus the two-level specs (any
+/// smoothing depth × any *smoother-grammar* one-level spec — everything
+/// except `gls-escalating` and `ilu0`, which have no smoother token).
 fn any_spec() -> impl Strategy<Value = PrecondSpec> {
-    (0usize..11, 1usize..9, 0usize..6, 0usize..40, 0usize..2).prop_map(|(kind, k, s, n, comp)| {
-        match kind {
-            0 => PrecondSpec::None,
-            1 => PrecondSpec::Jacobi,
-            2 => PrecondSpec::Gls {
-                degree: n,
-                theta: None,
-            },
-            3 => PrecondSpec::Neumann { degree: n },
-            4 => PrecondSpec::Chebyshev { degree: n },
-            5 => PrecondSpec::GlsEscalating { period: n + 1 },
-            6 => PrecondSpec::Direct,
-            7 => PrecondSpec::Ilu0,
-            _ => {
-                let coarse = match kind {
-                    8 => CoarseSpec::Const,
-                    9 => CoarseSpec::Rbm,
-                    _ => CoarseSpec::LowRank(k),
-                };
-                let smoother = match s {
-                    0 => PrecondSpec::None,
-                    1 => PrecondSpec::Jacobi,
-                    2 => PrecondSpec::Gls {
-                        degree: n,
-                        theta: None,
-                    },
-                    3 => PrecondSpec::Neumann { degree: n },
-                    4 => PrecondSpec::Direct,
-                    _ => PrecondSpec::Chebyshev { degree: n },
-                };
-                PrecondSpec::TwoLevel {
-                    coarse,
-                    smoother: Box::new(smoother),
-                    additive: comp == 1,
-                }
+    (0usize..9, 0usize..9, 0usize..6, 0usize..40).prop_map(|(kind, passes, s, n)| match kind {
+        0 => PrecondSpec::None,
+        1 => PrecondSpec::Jacobi,
+        2 => PrecondSpec::Gls {
+            degree: n,
+            theta: None,
+        },
+        3 => PrecondSpec::Neumann { degree: n },
+        4 => PrecondSpec::Chebyshev { degree: n },
+        5 => PrecondSpec::GlsEscalating { period: n + 1 },
+        6 => PrecondSpec::Direct,
+        7 => PrecondSpec::Ilu0,
+        _ => {
+            let coarse = CoarseSpec { passes };
+            let smoother = match s {
+                0 => PrecondSpec::None,
+                1 => PrecondSpec::Jacobi,
+                2 => PrecondSpec::Gls {
+                    degree: n,
+                    theta: None,
+                },
+                3 => PrecondSpec::Neumann { degree: n },
+                4 => PrecondSpec::Direct,
+                _ => PrecondSpec::Chebyshev { degree: n },
+            };
+            PrecondSpec::TwoLevel {
+                coarse,
+                smoother: Box::new(smoother),
             }
         }
     })
@@ -209,15 +201,21 @@ fn twolevel_missing_coarse_is_rejected() {
     }
 }
 
+/// What both two-level refusals advise.
+const TWOLEVEL_FORM: &str = "the coarse space is rbm or rbm.sK (K >= 1 prolongator-smoothing \
+                             passes), composed multiplicatively, e.g. twolevel:rbm.s3:gls-3";
+
 #[test]
 fn twolevel_bad_coarse_names_the_choices() {
+    // The deleted coarse families (`const`, `lowrank-K`, smoothed or not),
     // `rbm.s0` (no-op smoothing) and `rbm.s2.s2` (nested smoothing) are
     // outside the grammar alongside the plainly malformed tokens.
     for bad in [
+        "const",
+        "const.s1",
+        "lowrank-4",
+        "lowrank-4.s2",
         "fine",
-        "lowrank-0",
-        "lowrank-x",
-        "lowrank",
         "rbm.s0",
         "rbm.s2.s2",
         "rbm.sx",
@@ -226,10 +224,7 @@ fn twolevel_bad_coarse_names_the_choices() {
         assert_eq!(err, ParseSpecError::BadCoarse(bad.into()));
         assert_eq!(
             err.to_string(),
-            format!(
-                "bad coarse space {bad}: expected const, rbm or lowrank-K \
-                 (K >= 1), optionally .sK for K prolongator-smoothing passes"
-            )
+            format!("bad coarse space {bad}: {TWOLEVEL_FORM}")
         );
     }
 }
@@ -238,8 +233,8 @@ fn twolevel_bad_coarse_names_the_choices() {
 fn twolevel_smoothed_coarse_round_trips() {
     for s in [
         "twolevel:rbm.s3:gls-3",
-        "twolevel:const.s1:gls-7:add",
-        "twolevel:lowrank-4.s2:neumann-2",
+        "twolevel:rbm.s1:gls-7",
+        "twolevel:rbm.s2:neumann-2",
     ] {
         let spec = PrecondSpec::parse(s).unwrap();
         assert_eq!(spec.spec_str(), s);
@@ -269,7 +264,7 @@ fn twolevel_bad_smoother_names_the_choices() {
         "gls-f32-4",
         "ilu0",
     ] {
-        let err = PrecondSpec::parse(&format!("twolevel:const:{bad}")).unwrap_err();
+        let err = PrecondSpec::parse(&format!("twolevel:rbm:{bad}")).unwrap_err();
         assert_eq!(err, ParseSpecError::BadSmoother(bad.into()));
         assert_eq!(
             err.to_string(),
@@ -281,35 +276,46 @@ fn twolevel_bad_smoother_names_the_choices() {
     }
 }
 
+/// The coarse correction composes one way: a segment after the smoother —
+/// the deleted `add` and `mult` included — is refused with the accepted
+/// form, and the benchmark's spec parses as it always did.
 #[test]
 fn twolevel_bad_composition_is_rejected() {
-    for bad in ["both", "add:extra"] {
-        let err = PrecondSpec::parse(&format!("twolevel:rbm:gls-3:{bad}")).unwrap_err();
-        assert!(
-            matches!(err, ParseSpecError::BadComposition(_)),
-            "twolevel:rbm:gls-3:{bad} must hit the composition arm, got {err:?}"
+    for (tail, given) in [
+        ("add", "add"),
+        ("mult", "mult"),
+        ("both", "both"),
+        ("add:extra", "add:extra"),
+    ] {
+        let spec = format!("twolevel:rbm:gls-3:{tail}");
+        let err = PrecondSpec::parse(&spec).unwrap_err();
+        assert_eq!(err, ParseSpecError::TrailingSegment(given.into()), "{spec}");
+        assert_eq!(
+            err.to_string(),
+            format!("unexpected segment {given} after the smoother: {TWOLEVEL_FORM}")
         );
     }
-    assert_eq!(
-        PrecondSpec::parse("twolevel:rbm:gls-3:both")
-            .unwrap_err()
-            .to_string(),
-        "bad composition both: expected add or mult"
-    );
+    let bench = PrecondSpec::parse("twolevel:rbm.s3:gls-3").unwrap();
+    assert_eq!(bench.spec_str(), "twolevel:rbm.s3:gls-3");
 }
 
+/// The README quotes the `--precond` grammar in a fenced block after the
+/// sentence that says it cannot drift from the parser: it is
+/// [`grammar_help`], line for line.
 #[test]
-fn twolevel_accepts_explicit_mult_and_defaults_to_it() {
-    let explicit = PrecondSpec::parse("twolevel:rbm:gls-3:mult").unwrap();
-    let default = PrecondSpec::parse("twolevel:rbm:gls-3").unwrap();
-    assert_eq!(explicit, default);
-    // The canonical printed form omits the default composition.
-    assert_eq!(default.spec_str(), "twolevel:rbm:gls-3");
+fn readme_grammar_block_is_grammar_help() {
+    let readme = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"));
+    let intro = "so it cannot drift from the parser):\n\n```\n";
+    let start = readme
+        .find(intro)
+        .expect("README introduces the grammar block")
+        + intro.len();
+    let block = &readme[start..];
+    let block = &block[..block.find("```").expect("grammar block is closed")];
+    let help = grammar_help();
     assert_eq!(
-        PrecondSpec::parse("twolevel:rbm:gls-3:add")
-            .unwrap()
-            .spec_str(),
-        "twolevel:rbm:gls-3:add"
+        block.lines().collect::<Vec<_>>(),
+        help.lines().collect::<Vec<_>>()
     );
 }
 

@@ -1,6 +1,6 @@
 //! Property tests for the two-level coarse machinery: the algebraic
-//! invariants every coarse space must satisfy regardless of mesh, part
-//! count, or mode family.
+//! invariants the coarse space must satisfy regardless of mesh, part
+//! count, or smoothing depth.
 //!
 //! - restriction and prolongation are an exact transpose pair (and satisfy
 //!   the adjoint identity `⟨R v, w⟩ = ⟨v, Rᵀ w⟩` numerically),
@@ -72,19 +72,9 @@ fn case() -> impl Strategy<Value = (Vec<f64>, usize, CoarseSpec)> {
     (
         prop::collection::vec(0.5f64..4.0, 7..40),
         2usize..6,
-        0usize..5,
-        1usize..4,
+        0usize..4,
     )
-        .prop_map(|(w, p, c, k)| {
-            let spec = match c {
-                0 => CoarseSpec::Const,
-                1 => CoarseSpec::Rbm,
-                2 => CoarseSpec::LowRank(k),
-                3 => CoarseSpec::Smoothed(Box::new(CoarseSpec::Const), k),
-                _ => CoarseSpec::Smoothed(Box::new(CoarseSpec::Rbm), k),
-            };
-            (w, p, spec)
-        })
+        .prop_map(|(w, p, passes)| (w, p, CoarseSpec { passes }))
 }
 
 proptest! {
@@ -189,8 +179,8 @@ proptest! {
         let v: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut z1 = vec![0.0; n];
         let mut z2 = vec![0.0; n];
-        s1.apply_overwrite(&a, &v, &mut z1);
-        s2.apply_overwrite(&a, &v, &mut z2);
+        s1.apply(&a, &v, &mut z1);
+        s2.apply(&a, &v, &mut z2);
         let u1: Vec<u64> = z1.iter().map(|x| x.to_bits()).collect();
         let u2: Vec<u64> = z2.iter().map(|x| x.to_bits()).collect();
         prop_assert_eq!(u1, u2, "corrections must agree bit for bit");
@@ -209,7 +199,7 @@ fn degenerate_parts_are_pivoted_not_fatal() {
     parts.push(CoarsePartGeometry::default()); // empty trailing part
     let ones = vec![1.0; 10];
     let basis = build_coarse_basis(
-        &CoarseSpec::Const,
+        &CoarseSpec { passes: 0 },
         &parts,
         &ones,
         &ones,
@@ -232,7 +222,7 @@ fn degenerate_parts_are_pivoted_not_fatal() {
     // The solve still works on the surviving modes.
     let v = vec![1.0; 10];
     let mut z = vec![0.0; 10];
-    solver.apply_overwrite(&a, &v, &mut z);
+    solver.apply(&a, &v, &mut z);
     assert!(z.iter().all(|x| x.is_finite()));
     assert!(z.iter().any(|&x| x != 0.0), "live modes must contribute");
 }
@@ -246,7 +236,7 @@ fn smoothing_widens_support_deterministically() {
     let parts = strip_parts(20, 4, 0);
     let ones = vec![1.0; 20];
     let plain = build_coarse_basis(
-        &CoarseSpec::Const,
+        &CoarseSpec { passes: 0 },
         &parts,
         &ones,
         &ones,
@@ -254,7 +244,7 @@ fn smoothing_widens_support_deterministically() {
         DEFAULT_PIVOT_TOL,
     );
     for passes in 1..=2usize {
-        let spec = CoarseSpec::Smoothed(Box::new(CoarseSpec::Const), passes);
+        let spec = CoarseSpec { passes };
         let smoothed = build_coarse_basis(&spec, &parts, &ones, &ones, &a, DEFAULT_PIVOT_TOL);
         let again = build_coarse_basis(&spec, &parts, &ones, &ones, &a, DEFAULT_PIVOT_TOL);
         assert_eq!(
@@ -307,16 +297,14 @@ impl TripletCorrection {
         2 * (self.restrict.len() + self.prolong.len()) as u64 + factor.solve_flops()
     }
 
-    fn apply(&self, factor: &SparseLdlt, v: &[f64], z: &mut [f64], add: bool) {
+    fn apply(&self, factor: &SparseLdlt, v: &[f64], z: &mut [f64]) {
         let mut y = vec![0.0; factor.dim()];
         let mut scratch = vec![0.0; factor.dim()];
         for &(r, m, w) in &self.restrict {
             y[m] += w * v[r];
         }
         factor.solve_in_place_with(&mut y, &mut scratch);
-        if !add {
-            z.fill(0.0);
-        }
+        z.fill(0.0);
         for &(r, m, w) in &self.prolong {
             z[r] += w * y[m];
         }
@@ -368,8 +356,8 @@ proptest! {
     /// A coarse solver over a mode set mixing panel columns (with `±0`
     /// entries) and lists (with exact zeros), ids interleaved, with and
     /// without weights, applies the correction with the bits of the triplet
-    /// algorithm — overwriting, and adding onto a `z` that holds `−0.0` —
-    /// and charges the same flops.
+    /// algorithm — overwriting a `z` that may hold `−0.0` — and charges the
+    /// same flops.
     #[test]
     fn coarse_apply_keeps_the_triplet_bits(
         (n_rows, kinds, values, masks, (vectors, vector_masks, weighted)) in holder_case(),
@@ -425,15 +413,9 @@ proptest! {
         prop_assert_eq!(solver.flops(), reference.flops(&factor));
         let op = CooMatrix::new(n_rows, n_rows).to_csr();
         let bits = |x: &[f64]| x.iter().map(|e| e.to_bits()).collect::<Vec<u64>>();
-        for add in [false, true] {
-            let (mut got, mut want) = (z0.clone(), z0.clone());
-            if add {
-                solver.apply_add(&op, &v, &mut got);
-            } else {
-                solver.apply_overwrite(&op, &v, &mut got);
-            }
-            reference.apply(&factor, &v, &mut want, add);
-            prop_assert_eq!(bits(&got), bits(&want), "add = {}: {:?} vs {:?}", add, got, want);
-        }
+        let (mut got, mut want) = (z0.clone(), z0);
+        solver.apply(&op, &v, &mut got);
+        reference.apply(&factor, &v, &mut want);
+        prop_assert_eq!(bits(&got), bits(&want), "{:?} vs {:?}", got, want);
     }
 }

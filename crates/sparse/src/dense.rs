@@ -177,9 +177,10 @@ pub fn solve_dense(n: usize, a: &mut [f64], b: &[f64]) -> Vec<f64> {
 /// of `eigenvalues[k]`. Deterministic: fixed sweep order, fixed rotation
 /// convention, no data-dependent branching beyond the convergence test.
 ///
-/// Intended for the small per-subdomain blocks of the two-level
-/// preconditioner's `lowrank` coarse space (tens to a few hundred rows) —
-/// not a large-scale eigensolver.
+/// The dense spectrum reference of the scaling and element tests: the whole
+/// spectrum of a small matrix (tens to a few hundred rows) that a Lanczos
+/// estimate or a spectral bound is checked against — not a large-scale
+/// eigensolver.
 ///
 /// # Panics
 /// Panics when `a.len() != n * n`.

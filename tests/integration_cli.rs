@@ -318,6 +318,33 @@ fn bad_arguments_fail_with_usage() {
     assert!(!usage.contains("f32:") && !usage.contains("--metrics"));
 }
 
+/// The two-level coarse space is one family composed one way: the deleted
+/// `:add` composition and the `const` / `lowrank-K` coarse spaces are
+/// malformed command lines whose message names the accepted form.
+#[test]
+fn removed_twolevel_arms_are_refused_with_the_accepted_form() {
+    for (spec, refusal) in [
+        (
+            "twolevel:rbm:gls-3:add",
+            "unexpected segment add after the smoother",
+        ),
+        ("twolevel:const:gls-3", "bad coarse space const"),
+        ("twolevel:lowrank-4:gls-3", "bad coarse space lowrank-4"),
+    ] {
+        let out = parfem()
+            .args(["solve", "--mesh", "8x2", "--precond", spec])
+            .output()
+            .expect("run parfem");
+        assert_eq!(out.status.code(), Some(2), "{spec}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(refusal), "{spec}: {stderr}");
+        assert!(
+            stderr.contains("rbm or rbm.sK") && stderr.contains("composed multiplicatively"),
+            "{spec}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn malformed_and_out_of_range_values_exit_cleanly() {
     // (arguments after `solve`, expected exit status, text stderr must name).
