@@ -160,7 +160,7 @@ impl PrecondSpec {
             PrecondSpec::Direct => "direct".into(),
             PrecondSpec::Ilu0 => "ilu0".into(),
             PrecondSpec::TwoLevel { coarse, smoother } => {
-                format!("twolevel:{}:{}", coarse.token(), smoother_token(smoother))
+                format!("twolevel:{coarse}:{}", smoother_token(smoother))
             }
         }
     }
@@ -527,57 +527,31 @@ pub const GRAMMAR: &str = "none|jacobi|direct|ilu0|gls:M|neumann:M|chebyshev:M|\
 const TWOLEVEL_FORM: &str = "the coarse space is rbm or rbm.sK (K >= 1 prolongator-smoothing \
                              passes), composed multiplicatively, e.g. twolevel:rbm.s3:gls-3";
 
-/// One row per spec form: the form and its description, one line of the
-/// help text per `\n`-separated line.
-const HELP: &[(&str, &str)] = &[
-    ("none", "unpreconditioned FGMRES"),
-    ("jacobi", "assembled-diagonal scaling"),
-    (
-        "direct",
-        "exact rank-local sparse direct solve (nested-dissection LDLt;\n\
-         pivot-tolerant on floating subdomains where ILU(0) fails)",
-    ),
-    (
-        "ilu0",
-        "rank-local ILU(0): the sequential comparator at one rank,\n\
-         block-Jacobi ILU(0) under rdd; may meet a zero pivot on\n\
-         floating edd subdomains (the paper's Eq. 45)",
-    ),
-    (
-        "gls:M",
-        "degree-M generalized least-squares polynomial on (eps, 1)",
-    ),
-    (
-        "neumann:M",
-        "degree-M Neumann series (omega = 1 after scaling)",
-    ),
-    ("chebyshev:M", "degree-M Chebyshev (min-max) polynomial"),
-    (
-        "gls-escalating:P",
-        "GLS degree schedule 1->3->7->10, advancing every P applies",
-    ),
-    (
-        "twolevel:C:S",
-        "rigid-body coarse space C (rbm, or rbm.sK for K\n\
-         prolongator-smoothing passes, e.g. rbm.s3) composed\n\
-         multiplicatively around smoother S (none, jacobi,\n\
-         direct, gls-M, neumann-M, chebyshev-M)",
-    ),
-];
-
 /// Multi-line help text for the grammar — rendered by the CLI usage screen
 /// and quoted by the README, so the documentation always matches the
 /// parser.
 pub fn grammar_help() -> String {
-    let mut help = GRAMMAR.to_string();
-    for (form, text) in HELP {
-        for (i, line) in text.lines().enumerate() {
-            let form = if i == 0 { form } else { "" };
-            help.push_str(&format!("\n{form:<20} {line}"));
-        }
-    }
-    help
+    format!("{GRAMMAR}\n{HELP}")
 }
+
+/// The body of [`grammar_help`]: one form per line, its description
+/// continued on indented lines.
+const HELP: &str = "\
+none                 unpreconditioned FGMRES
+jacobi               assembled-diagonal scaling
+direct               exact rank-local sparse direct solve (nested-dissection LDLt;
+                     pivot-tolerant on floating subdomains where ILU(0) fails)
+ilu0                 rank-local ILU(0): the sequential comparator at one rank,
+                     block-Jacobi ILU(0) under rdd; may meet a zero pivot on
+                     floating edd subdomains (the paper's Eq. 45)
+gls:M                degree-M generalized least-squares polynomial on (eps, 1)
+neumann:M            degree-M Neumann series (omega = 1 after scaling)
+chebyshev:M          degree-M Chebyshev (min-max) polynomial
+gls-escalating:P     GLS degree schedule 1->3->7->10, advancing every P applies
+twolevel:C:S         rigid-body coarse space C (rbm, or rbm.sK for K
+                     prolongator-smoothing passes, e.g. rbm.s3) composed
+                     multiplicatively around smoother S (none, jacobi,
+                     direct, gls-M, neumann-M, chebyshev-M)";
 
 /// Every registered spec kind with a representative example — the registry
 /// enumerates itself for tests and docs.

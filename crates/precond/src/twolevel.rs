@@ -179,6 +179,27 @@ mod tests {
     }
 
     #[test]
+    fn scalar_rbm_modes_are_the_partition_of_unity_constant() {
+        // One component: no rotation, so a part's one mode is its scaled
+        // partition-of-unity constant 1/(mult·d) on every free dof.
+        let geo = CoarsePartGeometry {
+            dofs: vec![1, 2, 4, 5],
+            pos: vec![
+                [0.0, 0.0, 0.0],
+                [1.0, 0.0, 0.0],
+                [0.0, 1.0, 0.0],
+                [1.0, 1.0, 0.0],
+            ],
+            comp: vec![0; 4],
+            constrained: vec![false, true, false, false],
+        };
+        let mult = [1.0, 1.0, 1.0, 1.0, 2.0, 4.0];
+        let d = [1.0, 0.5, 2.0, 1.0, 0.25, 1.0];
+        let modes = geometric_modes(&geo, &mult, &d, 1);
+        assert_eq!(modes, vec![vec![(1, 2.0), (4, 2.0), (5, 0.25)]]);
+    }
+
+    #[test]
     fn three_d_rbm_modes_span_the_six_rigid_motions() {
         // One unconstrained part of 4 non-coplanar nodes with 3 components
         // per node; the geometric modes must be the 3 translations and the
@@ -238,10 +259,10 @@ mod tests {
     fn coarse_spec_tokens_round_trip() {
         for passes in [0, 1, 3, 12] {
             let spec = CoarseSpec { passes };
-            assert_eq!(CoarseSpec::parse(&spec.token()), Some(spec));
+            assert_eq!(CoarseSpec::parse(&spec.to_string()), Some(spec));
         }
-        assert_eq!(CoarseSpec { passes: 0 }.token(), "rbm");
-        assert_eq!(CoarseSpec { passes: 3 }.token(), "rbm.s3");
+        assert_eq!(CoarseSpec { passes: 0 }.to_string(), "rbm");
+        assert_eq!(CoarseSpec { passes: 3 }.to_string(), "rbm.s3");
         for bad in [
             "const",
             "lowrank-4",

@@ -26,14 +26,6 @@ pub struct CoarseSpec {
 }
 
 impl CoarseSpec {
-    /// The CLI token: `rbm`, or `rbm.sK` for `K` smoothing passes.
-    pub fn token(&self) -> String {
-        match self.passes {
-            0 => "rbm".into(),
-            k => format!("rbm.s{k}"),
-        }
-    }
-
     /// Parses a CLI token; `None` for anything outside the grammar
     /// (the registry wraps this in its typed error).
     pub fn parse(tok: &str) -> Option<CoarseSpec> {
@@ -52,9 +44,13 @@ impl CoarseSpec {
     }
 }
 
+/// The CLI token: `rbm`, or `rbm.sK` for `K` smoothing passes.
 impl fmt::Display for CoarseSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.token())
+        match self.passes {
+            0 => write!(f, "rbm"),
+            k => write!(f, "rbm.s{k}"),
+        }
     }
 }
 

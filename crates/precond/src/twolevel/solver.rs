@@ -96,8 +96,8 @@ impl CoarseSolver {
     /// Restriction: one row-major pass over the panel into `columns`, one
     /// pass per list mode, each `y[m]` summed in ascending row. Prolongation:
     /// each row's terms in ascending mode id, a pass per list mode or run of
-    /// id-consecutive columns. A panel zero adds a signed zero to a row that
-    /// started at `+0`, which moves no sum.
+    /// id-consecutive columns. Every row starts at `+0`, and a sum started
+    /// at `+0` is never `−0`, so a panel zero's signed-zero term moves no row.
     pub fn apply<Op: CoarseReduce + ?Sized>(&self, op: &Op, v: &[f64], z: &mut [f64]) {
         let (modes, panel) = (&self.modes.modes, &self.modes.panel);
         let weight = |r: usize| self.weights.as_ref().map_or(1.0, |w| w[r]);
